@@ -82,13 +82,10 @@ type batchRun[K, T any] struct {
 // function (not a closure) so launching it costs only the go
 // statement's argument frame.
 func runBatchCopy[K, T any](b *batchRun[K, T], ki, ci int32) {
-	if b.gov != nil {
-		b.gov.copyStarted()
-		defer b.gov.copyDone()
-	}
-	v, err := b.picked[ci].m.rec(b.ctx, b.args[ki])
+	m := b.picked[ci].m
+	v, _, err := m.run(b.ctx, b.args[ki], b.gov)
 	if err != nil {
-		err = ReplicaError{Name: b.picked[ci].m.name, Attempt: int(ci), Err: err}
+		err = ReplicaError{Name: m.name, Attempt: int(ci), Err: err}
 	}
 	b.events <- batchEvent[T]{val: v, err: err, ki: ki, ci: ci}
 }

@@ -18,17 +18,36 @@ import (
 // (all at once, fixed hedge, adaptive hedge) and shares one error
 // taxonomy.
 //
-// The engine runs on a reusable call frame (callFrame): one struct
-// carrying the results channel, the picked replicas, the launch
-// schedule, and inline scratch for the common fan-out <= 4 case. Group
-// paths recycle frames through a per-group sync.Pool, so a steady-state
-// zero-option Do allocates only what is semantically per-call — the
-// copy-cancellation channel, one shared derived context, and one
-// goroutine closure per launched copy. Recycling follows a
-// proved-drained discipline (see callFrame.release): a frame returns to
-// the pool only after every launched copy and every armed hedge timer
-// has delivered into the buffered results channel and the channel has
-// been drained, so a loser still in flight pins the frame alive.
+// What a call costs depends on how many copies it resolves to, after
+// strategy, governor, fan-out cap, quorum and budget have had their say:
+//
+//   - One copy (k=1: redundancy off, or shed by a Governor, an empty
+//     Budget, WithFanoutCap(1) or the SLO controller) is a function
+//     call. The replica runs on the caller's goroutine under the
+//     caller's own context and singleResult turns its return into the
+//     Result: 0 engine allocations, 0 goroutines, no frame, no channel,
+//     no timer. The paper's §2.3 caveat is that redundancy loses once
+//     client-side overhead rivals the service time, so the state the
+//     load controls clamp to must not pay for machinery it does not use.
+//     The contract that follows from it: the call returns when its
+//     replica returns (a replica must honor ctx, as Replica documents),
+//     the copy's context is the caller's and so is NOT cancelled when
+//     the call returns, and a replica panic unwinds the caller's stack.
+//   - Two or more copies (k>=2) need a watcher — the winner cancels the
+//     loser, a hedge waits on a deadline, the caller may give up first —
+//     so each copy is a goroutine and runFrame's event loop arbitrates.
+//     The loop runs on a reusable call frame (callFrame): one struct
+//     carrying the results channel, the picked replicas, the launch
+//     schedule, and inline scratch for the common fan-out <= 4 case.
+//     Group paths recycle frames through a per-group sync.Pool, so a
+//     steady-state 2-copy DoValue allocates only what is semantically
+//     per-call: 4 allocations — the copy-cancellation channel, one
+//     shared derived context, and one goroutine closure per launched
+//     copy. Recycling follows a proved-drained discipline (see
+//     callFrame.release): a frame returns to the pool only after every
+//     launched copy and every armed hedge timer has delivered into the
+//     buffered results channel and the channel has been drained, so a
+//     loser still in flight pins the frame alive.
 //
 // Hedge deadlines arm on the process-shared TimerWheel (alloc-free,
 // O(1) arm/stop) except for sub-tick delays: the wheel's 1ms tick would
@@ -95,15 +114,25 @@ func (e *QuorumError[T]) Error() string {
 // replica errors to errors.Is/errors.As.
 func (e *QuorumError[T]) Unwrap() []error { return []error{ErrQuorumUnreachable, e.Err} }
 
-// copyCtx is the per-call derived context every launched copy receives:
-// its Done channel closes the moment the operation completes — first
-// win, quorum met, unrecoverable failure, or caller cancel — so losing
-// copies stop work and release their replica promptly. All copies of one
-// call are cancelled at the same instant, so they share a single
-// copyCtx (one allocation per call, not per copy); deadlines and values
-// pass through from the caller's context. The context is NOT part of
-// the recycled frame: a replica function may legally retain its context
-// beyond the call, and a recycled context would mutate under it.
+// copyCtx is the per-call derived context every copy of a multi-copy
+// call receives: its Done channel closes the moment the operation
+// completes — first win, quorum met, unrecoverable failure, or caller
+// cancel — so losing copies stop work and release their replica
+// promptly. All copies of one call are cancelled at the same instant, so
+// they share a single copyCtx (one allocation per call, not per copy);
+// deadlines and values pass through from the caller's context. The
+// context is NOT part of the recycled frame: a replica function may
+// legally retain its context beyond the call, and a recycled context
+// would mutate under it.
+//
+// copyCtx is not one of the standard library's context types and its
+// Done is never nil, so context.AfterFunc and context.WithCancel on it
+// start a watcher goroutine per use — memkv.Client.roundTrip and
+// dnswire.Client.Exchange pay that for every copy, even under a
+// context.Background() caller. A call with two or more copies needs a
+// cancellation signal the caller's context cannot give (the winner
+// cancels the loser), so it keeps paying; a single-copy call has no
+// loser, hands the replica the caller's context itself, and does not.
 type copyCtx struct {
 	context.Context // parent: Deadline and Value pass through
 	done            <-chan struct{}
@@ -249,16 +278,13 @@ func (fr *callFrame[K, T]) launchCopy(i int) {
 	go runFrameCopy(fr, i)
 }
 
-// runPicked performs one group-mode copy: governor bracketing, the
-// member's recording replica, and ReplicaError wrapping with the name.
+// runPicked performs one group-mode copy: the member's governed,
+// recording run and ReplicaError wrapping with the name.
 func (fr *callFrame[K, T]) runPicked(i int) (T, error) {
-	if gov := fr.gov; gov != nil {
-		gov.copyStarted()
-		defer gov.copyDone()
-	}
-	v, err := fr.picked[i].m.rec(fr.cctx, fr.arg)
+	m := fr.picked[i].m
+	v, _, err := m.run(fr.cctx, fr.arg, fr.gov)
 	if err != nil {
-		err = ReplicaError{Name: fr.picked[i].m.name, Attempt: i, Err: err}
+		err = ReplicaError{Name: m.name, Attempt: i, Err: err}
 	}
 	return v, err
 }
@@ -410,8 +436,9 @@ func (h *hedgeTimer[K, T]) stop() {
 }
 
 // call executes one redundant operation described by a callSpec — the
-// free-function entry into the engine. Group paths build a pooled frame
-// directly (launchFrame); this wrapper builds a single-use one.
+// free-function entry into the engine. A single replica is a plain call
+// (see the file comment); otherwise, where group paths build a pooled
+// frame (launchFrame), this wrapper builds a single-use one.
 func call[T any](ctx context.Context, sp callSpec[T]) (Result[T], error) {
 	var zero Result[T]
 	n := sp.n
@@ -425,6 +452,11 @@ func call[T any](ctx context.Context, sp callSpec[T]) (Result[T], error) {
 	if q > n {
 		return zero, fmt.Errorf("redundancy: quorum %d of %d replicas: %w", q, n, ErrQuorumUnreachable)
 	}
+	if n == 1 {
+		start := time.Now()
+		v, err := sp.run(ctx, 0)
+		return singleResult(ctx, "", v, time.Since(start), err, sp.waitAll, sp.collect)
+	}
 	fr := &callFrame[struct{}, T]{}
 	fr.results = make(chan indexed[T], 2*n)
 	fr.refs.Store(1)
@@ -436,6 +468,39 @@ func call[T any](ctx context.Context, sp callSpec[T]) (Result[T], error) {
 	fr.runf = sp.run
 	res, err := runFrame(ctx, fr)
 	fr.release(1)
+	return res, err
+}
+
+// singleResult turns the return of a call's only copy — run inline on
+// the caller's goroutine, taking d — into what runFrame's loop reports
+// for a one-copy call. Success is the Result with the copy's latency. A
+// failure while the caller's context is done is the caller giving up:
+// the bare ctx.Err() and one copy cancelled, with nothing collected
+// (waitAll, the measurement mode, never watches the context and reports
+// the replica's error instead). Any other failure is the joined
+// ReplicaError naming the replica.
+func singleResult[T any](ctx context.Context, name string, v T, d time.Duration, err error, waitAll bool, collect *[]Outcome[T]) (Result[T], error) {
+	if collect != nil {
+		*collect = (*collect)[:0]
+	}
+	res := Result[T]{Launched: 1}
+	if err != nil && !waitAll {
+		if cerr := ctx.Err(); cerr != nil {
+			res.Cancelled = 1
+			return res, cerr
+		}
+	}
+	if err != nil {
+		err = ReplicaError{Name: name, Err: err}
+	} else {
+		res.Value, res.Latency = v, d
+	}
+	if collect != nil {
+		*collect = append(*collect, Outcome[T]{Value: v, Err: err, Latency: d})
+	}
+	if err != nil {
+		err = errors.Join(err)
+	}
 	return res, err
 }
 

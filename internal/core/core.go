@@ -16,7 +16,8 @@
 //     instead of forking.
 //   - Losing replicas are cancelled through context and their goroutines
 //     always run to completion against a buffered channel, so a call never
-//     leaks goroutines even when it returns early.
+//     leaks goroutines even when it returns early. A call with a single
+//     copy has no loser and starts no goroutine: it is a function call.
 //   - Replication is useful precisely when the extra load is affordable
 //     (§2 of the paper); Budget provides the affordability control, capping
 //     the fraction of operations that may issue extra copies, in the spirit
@@ -35,7 +36,9 @@ import (
 // Replica is one way of performing an operation: typically one backend
 // server, one network path, or one independently-failing resource. A
 // Replica must honor ctx cancellation promptly; after the first sibling
-// completes, the remaining replicas' contexts are cancelled.
+// completes, the remaining replicas' contexts are cancelled. A call that
+// launches a single copy runs it on the caller's goroutine under the
+// caller's own context and returns when the replica returns.
 type Replica[T any] func(ctx context.Context) (T, error)
 
 // Result describes a completed redundant operation.

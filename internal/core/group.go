@@ -126,14 +126,36 @@ type groupState[K, T any] struct {
 
 type member[K, T any] struct {
 	name string
-	// rec is the replica wrapped (once, at Add) to fold each successful
-	// call's latency into the digest — no per-operation closures.
-	rec ArgReplica[K, T]
+	// fn is the replica as registered; every copy goes through run.
+	fn  ArgReplica[K, T]
 	lat LatDigest
-	// cancelled counts this replica's copies that observed their derived
-	// context's cancellation and returned its error — losing copies the
-	// engine reclaimed, kept separate from real failures.
+	// cancelled counts this replica's copies that observed their
+	// context's cancellation and returned its error — copies the engine
+	// or the caller reclaimed, kept separate from real failures.
 	cancelled atomic.Int64
+}
+
+// run performs one copy against the replica and returns how long it
+// took: it accounts the copy against gov (nil for none) while it is in
+// flight, folds a successful copy's latency into the digest, and counts
+// a copy that honored its context's cancellation. One clock pair serves
+// the digest and, for a single-copy call, Result.Latency.
+func (m *member[K, T]) run(ctx context.Context, arg K, gov *Governor) (T, time.Duration, error) {
+	if gov != nil {
+		gov.copyStarted()
+		defer gov.copyDone()
+	}
+	t0 := time.Now()
+	v, err := m.fn(ctx, arg)
+	d := time.Since(t0)
+	if err == nil {
+		m.lat.observe(float64(d))
+	} else if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		// The copy was cancelled and honored it: reclaimed work, not a
+		// replica failure.
+		m.cancelled.Add(1)
+	}
+	return v, d, err
 }
 
 // Handle is an opaque reference to one registered replica, for callers
@@ -213,19 +235,7 @@ func (g *KeyedGroup[K, T]) init(s Strategy) {
 // Handle, for callers that route calls to explicit replica subsets with
 // DoPicked (everyone else can ignore the return value).
 func (g *KeyedGroup[K, T]) Add(name string, fn ArgReplica[K, T]) Handle[K, T] {
-	m := &member[K, T]{name: name}
-	m.rec = func(ctx context.Context, arg K) (T, error) {
-		t0 := time.Now()
-		v, err := fn(ctx, arg)
-		if err == nil {
-			m.lat.observe(float64(time.Since(t0)))
-		} else if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			// The copy lost and honored its derived context: reclaimed
-			// work, not a replica failure.
-			m.cancelled.Add(1)
-		}
-		return v, err
-	}
+	m := &member[K, T]{name: name, fn: fn}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := g.state.Load()
@@ -450,49 +460,53 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 // Observation, and WithCollectOutcomes gathers per-copy detail. A call
 // with no options runs the group's strategy with first-response-wins
 // semantics and pays nothing for the option machinery.
+//
+// A call that resolves to a single copy runs its replica on the caller's
+// goroutine under ctx itself (see call.go's file comment for the
+// contract); with more copies each runs in its own goroutine under a
+// derived context cancelled when the call completes.
 func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (Result[T], error) {
-	st := g.state.Load()
-	n := len(st.members)
-	if n == 0 {
-		var zero Result[T]
-		return zero, ErrNoReplicas
+	if len(opts) == 0 {
+		return g.do(ctx, arg, &noCallOpts)
 	}
-	var co callOpts
-	if len(opts) > 0 {
-		co = applyCallOptions(opts)
-	}
-	p, err := g.plan(st, &co, n, n)
-	if err != nil {
-		var zero Result[T]
-		return zero, err
-	}
-	fr := g.getFrame()
-	g.pickInto(st, p.sel, fr.pickedSlice(p.k))
-	return g.launchFrame(ctx, arg, &p, fr)
+	co := applyCallOptions(opts)
+	return g.do(ctx, arg, &co)
 }
 
 // DoValue is the fast lane of Do for the common case: no per-call
 // options, quorum 1, first success wins, and only the value matters. It
 // is semantically identical to Do(ctx, arg) followed by reading
 // res.Value — the group's strategy, budget, governor, and observer all
-// still apply — but it skips option materialization entirely and, on
-// the pooled call frame, completes a 2-copy call in ≤4 allocations.
+// still apply — but it skips option materialization entirely: a
+// single-copy call allocates nothing in the engine, and a 2-copy call on
+// the pooled call frame completes in ≤4 allocations.
 func (g *KeyedGroup[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
+	res, err := g.do(ctx, arg, &noCallOpts)
+	return res.Value, err
+}
+
+// do plans one call over the whole group, picks its replicas by the
+// plan's Selection, and runs it.
+func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[T], error) {
+	var zero Result[T]
 	st := g.state.Load()
 	n := len(st.members)
 	if n == 0 {
-		var zero T
 		return zero, ErrNoReplicas
 	}
-	p, err := g.plan(st, &noCallOpts, n, n)
+	p, err := g.plan(st, co, n, n)
 	if err != nil {
-		var zero T
 		return zero, err
+	}
+	g.charge(&p)
+	if p.k == 1 {
+		var one [1]Handle[K, T]
+		g.pickInto(st, p.sel, one[:])
+		return g.runOne(ctx, arg, &p, one[0].m)
 	}
 	fr := g.getFrame()
 	g.pickInto(st, p.sel, fr.pickedSlice(p.k))
-	res, err := g.launchFrame(ctx, arg, &p, fr)
-	return res.Value, err
+	return g.launchFrame(ctx, arg, &p, fr)
 }
 
 // DoPicked performs one redundant operation over an explicit, ordered
@@ -539,6 +553,10 @@ func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[
 	if err != nil {
 		return zero, err
 	}
+	g.charge(&p)
+	if p.k == 1 {
+		return g.runOne(ctx, arg, &p, picked[0].m)
+	}
 	// Copy the caller's handles into the frame: the engine (and losing
 	// copies) may read the picked set after DoPicked returns, and the
 	// caller's slice is only promised stable until then.
@@ -557,7 +575,10 @@ type callPlan[T any] struct {
 	gov     *Governor
 	collect *[]Outcome[T]
 	label   string
+	// q is the quorum and k the copies the call may launch; charge trims
+	// k to what the budget grants and records the grant.
 	q, k    int
+	granted int
 	sel     Selection
 }
 
@@ -628,52 +649,38 @@ func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity 
 	return p, nil
 }
 
-// launchFrame executes one planned call over the frame's picked
-// replicas: budget charge and refund, launch schedule, the call engine
-// itself, and the observation. It consumes the engine's frame reference
-// — the frame must not be touched after launchFrame returns.
-func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T], fr *callFrame[K, T]) (Result[T], error) {
-	// The first q copies are mandatory (they are the quorum, or for q = 1
-	// the operation itself); only copies beyond them are hedges charged
-	// against the budget.
-	q := p.q
-	copies := len(fr.picked)
-	granted := 0
-	if extra := copies - q; extra > 0 && g.budget != nil {
-		granted = g.budget.Acquire(extra)
-		if granted < extra {
-			copies = q + granted
-			fr.picked = fr.picked[:copies]
-		}
+// charge acquires budget tokens for the plan's hedge copies and trims the
+// fan-out to what was granted. The first q copies are mandatory (they
+// are the quorum, or for q = 1 the operation itself); only copies beyond
+// them are hedges charged against the budget.
+func (g *KeyedGroup[K, T]) charge(p *callPlan[T]) {
+	if extra := p.k - p.q; extra > 0 && g.budget != nil {
+		p.granted = g.budget.Acquire(extra)
+		p.k = p.q + p.granted
 	}
+}
 
-	fr.n = copies
-	fr.quorum = q
-	fr.arg = arg
-	fr.gov = p.gov
-	fr.collect = p.collect
-	fr.ensureChan(copies)
-	fr.delays = g.scheduleInto(p, fr.picked, q, fr.delaysSlice(copies))
-	res, err := runFrame(ctx, fr)
-	// Tokens pay for copies actually launched; refund hedge copies that a
-	// fast primary — or an early quorum — made unnecessary. This runs on
-	// every return path of the engine, success or failure, exactly once.
-	if granted > 0 {
-		used := res.Launched - q
+// settle closes one call's books on every return path, success or
+// failure, exactly once: tokens pay for copies actually launched, so
+// hedge copies that a fast primary — or an early quorum — made
+// unnecessary are refunded, and the observer sees the call. winner
+// names the replica at res.Index; a failed call reports none.
+func (g *KeyedGroup[K, T]) settle(p *callPlan[T], winner string, res *Result[T], err error) {
+	if p.granted > 0 {
+		used := res.Launched - p.q
 		if used < 0 {
 			used = 0
 		}
-		if unused := granted - used; unused > 0 {
+		if unused := p.granted - used; unused > 0 {
 			g.budget.Release(unused)
 		}
 	}
 	if g.observer != nil {
-		name := ""
-		if err == nil && res.Index < len(fr.picked) {
-			name = fr.picked[res.Index].m.name
+		if err != nil {
+			winner = ""
 		}
 		g.observer.Observe(Observation{
-			Winner:    name,
+			Winner:    winner,
 			Launched:  res.Launched,
 			Cancelled: res.Cancelled,
 			Latency:   res.Latency,
@@ -681,6 +688,35 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 			Label:     p.label,
 		})
 	}
+}
+
+// runOne executes a planned call that resolved to exactly one copy as a
+// plain call to m on the caller's goroutine, under the caller's own
+// context: no frame, no channel, no derived context, no goroutine (see
+// call.go's file comment for the contract this implies). A one-copy
+// plan has quorum 1 and holds no budget tokens.
+func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], m *member[K, T]) (Result[T], error) {
+	v, d, err := m.run(ctx, arg, p.gov)
+	res, err := singleResult(ctx, m.name, v, d, err, false, p.collect)
+	g.settle(p, m.name, &res, err)
+	return res, err
+}
+
+// launchFrame executes one planned call of two or more copies over the
+// frame's picked replicas: launch schedule, the call engine itself, and
+// the settlement. It consumes the engine's frame reference — the frame
+// must not be touched after launchFrame returns.
+func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T], fr *callFrame[K, T]) (Result[T], error) {
+	copies := len(fr.picked)
+	fr.n = copies
+	fr.quorum = p.q
+	fr.arg = arg
+	fr.gov = p.gov
+	fr.collect = p.collect
+	fr.ensureChan(copies)
+	fr.delays = g.scheduleInto(p, fr.picked, p.q, fr.delaysSlice(copies))
+	res, err := runFrame(ctx, fr)
+	g.settle(p, fr.picked[res.Index].m.name, &res, err)
 	fr.release(1)
 	return res, err
 }
@@ -702,7 +738,7 @@ func (g *KeyedGroup[K, T]) ProbeAll(ctx context.Context, arg K) int {
 	for _, m := range members {
 		m := m
 		go func() {
-			_, err := m.rec(ctx, arg)
+			_, _, err := m.run(ctx, arg, nil)
 			ch <- err
 		}()
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -566,13 +567,15 @@ func TestReplicatedClientPerReadLabelAndCap(t *testing.T) {
 	}
 }
 
-// waitCounter polls an atomic-backed getter until it reaches want or the
-// deadline passes; it returns the final value. Polling a monotone counter
-// with a bounded deadline is race-free (the assertion is on the final
-// value, not the timing).
+// waitCounter polls an atomic-backed getter until it reaches want and
+// returns the final value at once; the 30 s bound only keeps a broken
+// build from hanging, and is wide enough that a box loaded by the rest
+// of the suite cannot turn a slow wake-up into a failure. Polling a
+// monotone counter is race-free (the assertion is on the final value,
+// not the timing).
 func waitCounter(t *testing.T, get func() int64, want int64) int64 {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for get() < want && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
@@ -649,8 +652,24 @@ func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
 	// fan-out. The fast replica wins, the loser is cancelled in flight,
 	// the client abandons its read, and the stalled server aborts the
 	// delayed request — capacity reclaimed at every layer.
-	_, fastAddr := startServer(t)
-	slowSrv, slowAddr := startServerDelay(t, func() time.Duration { return time.Minute })
+	//
+	// The fast server holds its reply until the stalled one has the
+	// loser's request in hand: a winner that answers before the losing
+	// copy has written anything cancels a copy no server ever saw, and
+	// there is nothing for the stalled server to abort.
+	slowParked := make(chan struct{})
+	var parkOnce sync.Once
+	var raceOn atomic.Bool
+	_, fastAddr := startServerDelay(t, func() time.Duration {
+		if raceOn.Load() {
+			<-slowParked
+		}
+		return 0
+	})
+	slowSrv, slowAddr := startServerDelay(t, func() time.Duration {
+		parkOnce.Do(func() { close(slowParked) })
+		return time.Minute
+	})
 	clFast := NewClient(fastAddr, 10*time.Minute)
 	clSlow := NewClient(slowAddr, 10*time.Minute)
 	rc := NewReplicatedClient(core.Policy{Copies: 2}, clFast, clSlow)
@@ -659,6 +678,7 @@ func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
 	if err := clFast.Set(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	raceOn.Store(true)
 
 	start := time.Now()
 	res, err := rc.GetResult(ctx, "k")
@@ -671,7 +691,10 @@ func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
 	if res.Launched != 2 || res.Cancelled != 1 {
 		t.Errorf("Launched/Cancelled = %d/%d, want 2/1", res.Launched, res.Cancelled)
 	}
-	if el := time.Since(start); el > 2*time.Second {
+	// Waiting out the stalled replica would take the injected minute; the
+	// comparison is against that, not against how fast a loaded box
+	// schedules the winner.
+	if el := time.Since(start); el >= 30*time.Second {
 		t.Errorf("read took %v; the stalled replica was waited out", el)
 	}
 	// The stalled server saw its client vanish and abandoned the request.
@@ -679,16 +702,14 @@ func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
 		t.Errorf("slow server aborted_ops = %d, want >= 1", got)
 	}
 	// The group's stats record the reclaimed copy against the replica.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		cancelled := int64(0)
+	cancelled := func() int64 {
+		n := int64(0)
 		for _, r := range rc.GroupStats().Replicas {
-			cancelled += r.Cancelled
+			n += r.Cancelled
 		}
-		if cancelled >= 1 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+		return n
 	}
-	t.Errorf("no replica recorded a cancelled copy: %+v", rc.GroupStats().Replicas)
+	if got := waitCounter(t, cancelled, 1); got < 1 {
+		t.Errorf("no replica recorded a cancelled copy: %+v", rc.GroupStats().Replicas)
+	}
 }
