@@ -19,42 +19,62 @@ import (
 // taxonomy.
 //
 // What a call costs depends on how many copies it resolves to, after
-// strategy, governor, fan-out cap, quorum and budget have had their say:
+// strategy, governor, fan-out cap, quorum and budget have had their say,
+// and on what kind of replica those copies go to:
+//
+//	copies  replicas            engine allocations   goroutines
+//	k = 1   any                 0                    0 (a function call)
+//	k >= 2  starters            0                    0 (wire requests)
+//	k >= 2  function replicas   2 (cdone + copyCtx)  one per copy
 //
 //   - One copy (k=1: redundancy off, or shed by a Governor, an empty
 //     Budget, WithFanoutCap(1) or the SLO controller) is a function
 //     call. The replica runs on the caller's goroutine under the
 //     caller's own context and singleResult turns its return into the
-//     Result: 0 engine allocations, 0 goroutines, no frame, no channel,
-//     no timer. The paper's §2.3 caveat is that redundancy loses once
-//     client-side overhead rivals the service time, so the state the
-//     load controls clamp to must not pay for machinery it does not use.
-//     The contract that follows from it: the call returns when its
-//     replica returns (a replica must honor ctx, as Replica documents),
-//     the copy's context is the caller's and so is NOT cancelled when
-//     the call returns, and a replica panic unwinds the caller's stack.
+//     Result: no frame, no channel, no timer. The paper's §2.3 caveat is
+//     that redundancy loses once client-side overhead rivals the service
+//     time, so the state the load controls clamp to must not pay for
+//     machinery it does not use. The contract that follows from it: the
+//     call returns when its replica returns (a replica must honor ctx,
+//     as Replica documents), the copy's context is the caller's and so
+//     is NOT cancelled when the call returns, and a replica panic
+//     unwinds the caller's stack.
 //   - Two or more copies (k>=2) need a watcher — the winner cancels the
 //     loser, a hedge waits on a deadline, the caller may give up first —
-//     so each copy is a goroutine and runFrame's event loop arbitrates.
-//     The loop runs on a reusable call frame (callFrame): one struct
-//     carrying the results channel, the picked replicas, the launch
-//     schedule, and inline scratch for the common fan-out <= 4 case.
-//     Group paths recycle frames through a per-group sync.Pool, so a
-//     steady-state 2-copy DoValue allocates only what is semantically
-//     per-call: 4 allocations — the copy-cancellation channel, one
-//     shared derived context, and one goroutine closure per launched
-//     copy. Recycling follows a proved-drained discipline (see
+//     which is runFrame's event loop, run by the caller on a reusable
+//     call frame (callFrame): one struct carrying the results channel,
+//     the picked replicas, the launch schedule, and inline scratch for
+//     the common fan-out <= 4 case. Group paths recycle frames through a
+//     per-group sync.Pool under a proved-drained discipline (see
 //     callFrame.release): a frame returns to the pool only after every
 //     launched copy and every armed hedge timer has delivered into the
-//     buffered results channel and the channel has been drained, so a
-//     loser still in flight pins the frame alive.
+//     buffered results channel (or been withdrawn) and the channel has
+//     been drained, so a loser still in flight pins the frame alive.
+//     What launching a copy costs depends on the member it goes to.
+//   - A member registered with a Starter (AddStarter; memkv.MuxClient's
+//     reads) is asked to START the copy, not to run it. Start enqueues
+//     the request on the caller's goroutine without blocking and the
+//     completion is delivered straight into the frame — the call's Sink —
+//     from whichever goroutine learns of it (the mux connection's
+//     reader); the loop ends a call by Cancelling what is still out. A
+//     copy is then a wire request, not a goroutine: no go statement, no
+//     derived context, no cancellation channel, no per-copy wake-up.
+//   - A function replica (Add) blocks, so its copy needs a goroutine and
+//     a context the winner can cancel: the call makes its cancellation
+//     channel and one shared derived context the first time it launches
+//     such a copy — 2 allocations, whatever the fan-out. The per-slot
+//     goroutine bodies are built once per frame and reused. A copy whose
+//     Starter declines (its connection is down) is launched this way
+//     too, through the member's blocking replica.
 //
 // Hedge deadlines arm on the process-shared TimerWheel (alloc-free,
-// O(1) arm/stop) except for sub-tick delays: the wheel's 1ms tick would
-// coarsen a sub-millisecond hedge into "fire 1-2ms late", so delays
-// below DefaultWheelTick fall back to a runtime time.Timer, which is
-// exact. Both paths are gen-guarded — a stale fire cannot launch the
-// wrong copy, and a stopped-too-late fire is ignored by index.
+// O(1) arm/stop; the callback is stored in the frame once, because
+// taking a generic function's value allocates) except for sub-tick
+// delays: the wheel's 1ms tick would coarsen a sub-millisecond hedge
+// into "fire 1-2ms late", so delays below DefaultWheelTick fall back to
+// a runtime time.Timer, which is exact. Both paths are gen-guarded — a
+// stale fire cannot launch the wrong copy, and a stopped-too-late fire
+// is ignored by index.
 
 // ReplicaError describes one replica's failure within a redundant
 // operation. Errors from a failed operation are joined with errors.Join,
@@ -114,10 +134,10 @@ func (e *QuorumError[T]) Error() string {
 // replica errors to errors.Is/errors.As.
 func (e *QuorumError[T]) Unwrap() []error { return []error{ErrQuorumUnreachable, e.Err} }
 
-// copyCtx is the per-call derived context every copy of a multi-copy
-// call receives: its Done channel closes the moment the operation
-// completes — first win, quorum met, unrecoverable failure, or caller
-// cancel — so losing copies stop work and release their replica
+// copyCtx is the per-call derived context every blocking copy of a
+// multi-copy call receives: its Done channel closes the moment the
+// operation completes — first win, quorum met, unrecoverable failure, or
+// caller cancel — so losing copies stop work and release their replica
 // promptly. All copies of one call are cancelled at the same instant, so
 // they share a single copyCtx (one allocation per call, not per copy);
 // deadlines and values pass through from the caller's context. The
@@ -197,13 +217,13 @@ type callSpec[T any] struct {
 
 // callFrame is the reusable per-call state of the engine. Group paths
 // obtain frames from the group's pool and must follow the recycling
-// discipline: the frame is shared with every launched copy goroutine
-// and with any armed wheel-hedge callback, each of which holds one
-// reference; release(1) drops a reference, and the holder that drops
-// the last one drains the results channel and returns the frame to the
-// pool. The launcher writes every plan field before the first copy
-// launches and never mutates them afterwards, so copy goroutines read
-// them without synchronization.
+// discipline: the frame is shared with every launched copy — a
+// goroutine, or a started copy's pending completion — and with any armed
+// wheel-hedge callback, each of which holds one reference; release(1)
+// drops a reference, and the holder that drops the last one drains the
+// results channel and returns the frame to the pool. The launcher writes
+// every plan field before the first copy launches and never mutates them
+// afterwards, so copies read them without synchronization.
 type callFrame[K, T any] struct {
 	// results carries copy completions and wheel-hedge deadline events.
 	// It is buffered for the worst case (n completions + n-1 hedge
@@ -215,9 +235,18 @@ type callFrame[K, T any] struct {
 	// pool is where release returns the frame; nil for the free
 	// functions' single-use frames, which the GC reclaims instead.
 	pool *sync.Pool
-	// refs counts the engine, every launched copy, and every armed wheel
-	// hedge. The frame recycles only when it hits zero.
+	// refs counts the engine, every launched copy (until its goroutine
+	// delivers, or its started request completes or is withdrawn), and
+	// every armed wheel hedge. The frame recycles only when it hits zero.
 	refs atomic.Int32
+	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
+	// a generic function's value builds a closure over its dictionary, an
+	// allocation per hedge arm if done at the arm site.
+	hedgeFn func(c any, i int64)
+	// copyFn[i] is slot i's goroutine body, built on first use and kept
+	// with the frame: go with a stored func value needs no per-launch
+	// wrapper, where go f(fr, i) heap-allocates one.
+	copyFn [frameInline]func()
 
 	// Plan fields: written by the launcher before any copy starts.
 	n       int
@@ -225,13 +254,25 @@ type callFrame[K, T any] struct {
 	waitAll bool
 	delays  []time.Duration
 	collect *[]Outcome[T]
-	cctx    context.Context
 	gov     *Governor
 	arg     K
 	picked  []Handle[K, T]
 	// runf is the free-function copy body; when nil, copies run
 	// picked[i] with arg (the group mode).
 	runf func(ctx context.Context, i int) (T, error)
+
+	// cctx is what blocking copies run under and cdone what cancels it.
+	// Both are made by the first blocking launch of a call (blockingCtx):
+	// a call whose copies are all started requests has neither. cctx is
+	// read by copy goroutines that may start after the call returned, so
+	// it is cleared only when the frame recycles; cdone belongs to the
+	// engine alone and finish closes it.
+	cctx  context.Context
+	cdone chan struct{}
+	// slots is the per-copy state of started copies: sized by the first
+	// copy a call starts and kept with a pooled frame, so only frames
+	// that start copies carry it.
+	slots []copySlot
 
 	// outs backs the quorum-failure partial outcomes when the caller did
 	// not pass WithCollectOutcomes; callFailed clones out of it before
@@ -271,34 +312,53 @@ func (fr *callFrame[K, T]) ensureChan(n int) {
 	}
 }
 
-// launchCopy starts copy i. The reference is taken before the goroutine
-// exists so the frame cannot recycle out from under it.
-func (fr *callFrame[K, T]) launchCopy(i int) {
+// launchCopy starts copy i under the caller's ctx. The reference is
+// taken before the copy exists so the frame cannot recycle out from
+// under it. A member with a Starter is asked to start the copy; a
+// function replica — or a Starter that declines — runs on a goroutine.
+func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
 	fr.refs.Add(1)
-	go runFrameCopy(fr, i)
-}
-
-// runPicked performs one group-mode copy: the member's governed,
-// recording run and ReplicaError wrapping with the name.
-func (fr *callFrame[K, T]) runPicked(i int) (T, error) {
-	m := fr.picked[i].m
-	v, _, err := m.run(fr.cctx, fr.arg, fr.gov)
-	if err != nil {
-		err = ReplicaError{Name: m.name, Attempt: i, Err: err}
+	if fr.runf == nil && fr.picked[i].m.starter != nil && fr.startCopy(i) {
+		return
 	}
-	return v, err
+	fr.blockingCtx(ctx)
+	if i >= frameInline {
+		go runFrameCopy(fr, i)
+		return
+	}
+	if fr.copyFn[i] == nil {
+		fr.copyFn[i] = func() { runFrameCopy(fr, i) }
+	}
+	go fr.copyFn[i]()
 }
 
-// runFrameCopy is one copy's goroutine body. It is a plain generic
-// function, so launching it costs only the go statement's argument
-// closure — no per-copy funcval beyond that.
+// blockingCtx makes the context the call's blocking copies share, once
+// per call: the caller's own for waitAll (the measurement mode behind
+// All never cancels), otherwise a copyCtx whose done channel finish
+// closes.
+func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
+	if fr.cctx != nil {
+		return
+	}
+	if fr.waitAll {
+		fr.cctx = ctx
+		return
+	}
+	fr.cdone = make(chan struct{})
+	fr.cctx = &copyCtx{Context: ctx, done: fr.cdone}
+}
+
+// runFrameCopy is one blocking copy's goroutine body: the free
+// function's run, or the member's governed, recording run. The error
+// travels raw; the event loop wraps it in a ReplicaError if it consumes
+// it, so a drained loser's error allocates nothing.
 func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 	var v T
 	var err error
 	if fr.runf != nil {
 		v, err = fr.runf(fr.cctx, i)
 	} else {
-		v, err = fr.runPicked(i)
+		v, _, err = fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
 	}
 	fr.results <- indexed[T]{val: v, err: err, idx: i}
 	fr.release(1)
@@ -350,6 +410,8 @@ drain:
 	fr.collect = nil
 	fr.delays = nil
 	fr.picked = nil
+	clear(fr.slots) // tickets pin their connections
+	fr.slots = fr.slots[:0]
 	fr.outs = nil
 	fr.pickedBuf = [frameInline]Handle[K, T]{}
 	fr.errsBuf = [frameInline]error{}
@@ -368,6 +430,7 @@ func (fr *callFrame[K, T]) drainCompleted(completed int) int {
 		case r := <-fr.results:
 			if !r.hedge {
 				completed++
+				fr.copyDelivered(r.idx)
 			}
 		default:
 			return completed
@@ -404,7 +467,10 @@ func (h *hedgeTimer[K, T]) arm(d time.Duration, ci int) {
 		return
 	}
 	h.fr.refs.Add(1) // the armed timer pins the frame
-	h.wheel = SharedWheel().AfterFunc(d, frameHedgeFired[K, T], h.fr, int64(ci))
+	if h.fr.hedgeFn == nil {
+		h.fr.hedgeFn = frameHedgeFired[K, T]
+	}
+	h.wheel = SharedWheel().AfterFunc(d, h.fr.hedgeFn, h.fr, int64(ci))
 	h.wheelArmed = true
 	h.armedCi = ci
 }
@@ -509,11 +575,11 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 // Latency is the time to completion (the quorum-th success), Launched
 // the copies started, Cancelled the copies reclaimed in flight — or, on
 // failure, the joined ReplicaErrors (quorum 1) or a *QuorumError
-// (quorum > 1). A call never leaks goroutines: each copy runs under a
-// derived copyCtx cancelled at call completion, and losers always
-// deliver into the buffered channel. runFrame does NOT drop the
-// engine's frame reference; the caller must release(1) after it has
-// read everything it needs from the frame.
+// (quorum > 1). A call never leaks copies: finish cancels the derived
+// context blocking copies run under and withdraws the started requests
+// still out, and losers always deliver into the buffered channel.
+// runFrame does NOT drop the engine's frame reference; the caller must
+// release(1) after it has read everything it needs from the frame.
 func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], error) {
 	n := fr.n
 	q := fr.quorum
@@ -521,33 +587,25 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		q = 1
 	}
 	start := time.Now()
-	// The shared derived context: its done channel closes the moment the
-	// call completes, cancelling every copy still in flight. waitAll
-	// (the measurement mode behind All) never cancels: copies get the
-	// caller's context directly.
-	cctx := ctx
-	var cdone chan struct{}
-	if !fr.waitAll {
-		cdone = make(chan struct{})
-		cctx = &copyCtx{Context: ctx, done: cdone}
-		defer close(cdone)
-	}
-	fr.cctx = cctx
+	var ht hedgeTimer[K, T]
+	ht.fr = fr
+	// However the call ends, whatever it left in flight is reclaimed.
+	defer fr.finish(&ht)
 
 	delays := fr.delays
 	// Copy 0 always starts immediately; so does every consecutive copy
 	// whose delay is non-positive (a zero hedge delay means full
 	// replication, not a timer round-trip).
-	fr.launchCopy(0)
+	fr.launchCopy(ctx, 0)
 	launched := 1
 	if delays == nil {
 		for launched < n {
-			fr.launchCopy(launched)
+			fr.launchCopy(ctx, launched)
 			launched++
 		}
 	} else {
 		for launched < n && delays[launched] <= 0 {
-			fr.launchCopy(launched)
+			fr.launchCopy(ctx, launched)
 			launched++
 		}
 	}
@@ -564,12 +622,9 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		*collect = (*collect)[:0]
 	}
 
-	var ht hedgeTimer[K, T]
-	ht.fr = fr
 	if delays != nil && launched < n {
 		ht.arm(delays[launched], launched)
 	}
-	defer ht.stop()
 
 	var ctxDone <-chan struct{}
 	if !fr.waitAll {
@@ -592,10 +647,10 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// is past it — are ignored by index.
 				ht.wheelFired(r.idx)
 				if r.idx == launched && launched < n {
-					fr.launchCopy(launched)
+					fr.launchCopy(ctx, launched)
 					launched++
 					for launched < n && delays[launched] <= 0 {
-						fr.launchCopy(launched)
+						fr.launchCopy(ctx, launched)
 						launched++
 					}
 					if launched < n {
@@ -605,8 +660,14 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				continue
 			}
 			completed++
+			fr.copyDelivered(r.idx)
 			if r.err != nil {
-				if _, ok := r.err.(ReplicaError); !ok {
+				// Copies deliver raw errors; only one the call consumes
+				// is boxed. A group's carries the replica's name, a free
+				// function's is anonymous unless it already is one.
+				if fr.runf == nil {
+					r.err = ReplicaError{Name: fr.picked[r.idx].m.name, Attempt: r.idx, Err: r.err}
+				} else if _, ok := r.err.(ReplicaError); !ok {
 					r.err = ReplicaError{Attempt: r.idx, Err: r.err}
 				}
 				errs = append(errs, r.err)
@@ -622,7 +683,6 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 					firstVal, firstIdx = r.val, r.idx
 				}
 				if !fr.waitAll && wins == q {
-					ht.stop()
 					return Result[T]{
 						Value:     firstVal,
 						Index:     firstIdx,
@@ -634,7 +694,6 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 			} else if !fr.waitAll && len(errs) > n-q {
 				// Too few replicas remain for the quorum; fail now rather
 				// than waiting out the stragglers.
-				ht.stop()
 				return callFailed(q, wins, launched, launched-fr.drainCompleted(completed), errs, collect)
 			}
 			if completed == n {
@@ -655,10 +714,10 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// is not done: launch the next copy immediately rather
 				// than waiting out its hedge delay.
 				ht.stop()
-				fr.launchCopy(launched)
+				fr.launchCopy(ctx, launched)
 				launched++
 				for launched < n && delays != nil && delays[launched] <= 0 {
-					fr.launchCopy(launched)
+					fr.launchCopy(ctx, launched)
 					launched++
 				}
 				if delays != nil && launched < n {
@@ -668,17 +727,16 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		case <-ht.rtC:
 			// Sub-tick runtime-timer hedge deadline.
 			ht.rtC = nil
-			fr.launchCopy(launched)
+			fr.launchCopy(ctx, launched)
 			launched++
 			for launched < n && delays[launched] <= 0 {
-				fr.launchCopy(launched)
+				fr.launchCopy(ctx, launched)
 				launched++
 			}
 			if launched < n {
 				ht.arm(delays[launched], launched)
 			}
 		case <-ctxDone:
-			ht.stop()
 			return Result[T]{Launched: launched, Cancelled: launched - fr.drainCompleted(completed)}, ctx.Err()
 		}
 	}

@@ -18,6 +18,9 @@
 //     always run to completion against a buffered channel, so a call never
 //     leaks goroutines even when it returns early. A call with a single
 //     copy has no loser and starts no goroutine: it is a function call.
+//     Nor does a call over replicas that have a non-blocking form
+//     (Starter): its copies are requests started on the caller's
+//     goroutine, and a loser is withdrawn rather than cancelled.
 //   - Replication is useful precisely when the extra load is affordable
 //     (§2 of the paper); Budget provides the affordability control, capping
 //     the fraction of operations that may issue extra copies, in the spirit
@@ -56,7 +59,8 @@ type Result[T any] struct {
 	Launched int
 	// Cancelled is how many launched copies were still in flight when the
 	// operation completed and were cancelled through their derived
-	// contexts — reclaimed capacity, counted separately from failures.
+	// contexts, or withdrawn from their Starter — reclaimed capacity,
+	// counted separately from failures.
 	// (Always zero for All, which runs every copy to completion.)
 	Cancelled int
 }

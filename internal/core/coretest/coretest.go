@@ -19,6 +19,7 @@ package coretest
 
 import (
 	"context"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,4 +143,21 @@ func CancelReporting[T any](cancelled *Gate, rep func(ctx context.Context) (T, e
 		}
 		return v, err
 	}
+}
+
+// Race reports whether the test binary was built with -race. Exact
+// allocation counts hold only without it: the detector's
+// instrumentation allocates on its own, and under it sync.Pool drops a
+// quarter of its Puts, so pooled frames are remade at random.
+func Race() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -126,12 +126,17 @@ type groupState[K, T any] struct {
 
 type member[K, T any] struct {
 	name string
-	// fn is the replica as registered; every copy goes through run.
-	fn  ArgReplica[K, T]
-	lat LatDigest
+	// fn is the replica as registered; every blocking copy goes through
+	// run.
+	fn ArgReplica[K, T]
+	// starter, when the member was registered with AddStarter, launches
+	// the copies of a multi-copy call without blocking (see Starter).
+	starter Starter[K, T]
+	lat     LatDigest
 	// cancelled counts this replica's copies that observed their
-	// context's cancellation and returned its error — copies the engine
-	// or the caller reclaimed, kept separate from real failures.
+	// context's cancellation and returned its error, or that the engine
+	// withdrew from the starter — copies the engine or the caller
+	// reclaimed, kept separate from real failures.
 	cancelled atomic.Int64
 }
 
@@ -235,7 +240,18 @@ func (g *KeyedGroup[K, T]) init(s Strategy) {
 // Handle, for callers that route calls to explicit replica subsets with
 // DoPicked (everyone else can ignore the return value).
 func (g *KeyedGroup[K, T]) Add(name string, fn ArgReplica[K, T]) Handle[K, T] {
-	m := &member[K, T]{name: name, fn: fn}
+	return g.AddStarter(name, fn, nil)
+}
+
+// AddStarter is Add for a replica that also has a non-blocking form: a
+// call of two or more copies launches this member's copy with starter.Start
+// on the caller's goroutine and takes its completion in the event loop
+// (see Starter for the contract), while everything that runs a copy to
+// completion on its own goroutine — a single-copy call, DoBatch,
+// ProbeAll, and a copy whose Start declined — still calls fn. fn and
+// starter must perform the same operation.
+func (g *KeyedGroup[K, T]) AddStarter(name string, fn ArgReplica[K, T], starter Starter[K, T]) Handle[K, T] {
+	m := &member[K, T]{name: name, fn: fn, starter: starter}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := g.state.Load()
@@ -463,8 +479,9 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 //
 // A call that resolves to a single copy runs its replica on the caller's
 // goroutine under ctx itself (see call.go's file comment for the
-// contract); with more copies each runs in its own goroutine under a
-// derived context cancelled when the call completes.
+// contract); with more copies each is a request started through its
+// member's Starter and withdrawn when the call completes, or, for a
+// function replica, a goroutine under a derived context cancelled then.
 func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (Result[T], error) {
 	if len(opts) == 0 {
 		return g.do(ctx, arg, &noCallOpts)
@@ -478,8 +495,9 @@ func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (R
 // is semantically identical to Do(ctx, arg) followed by reading
 // res.Value — the group's strategy, budget, governor, and observer all
 // still apply — but it skips option materialization entirely: a
-// single-copy call allocates nothing in the engine, and a 2-copy call on
-// the pooled call frame completes in ≤4 allocations.
+// single-copy call allocates nothing in the engine, nor does a 2-copy
+// call over starters, and a 2-copy call over function replicas makes 2
+// allocations on the pooled call frame.
 func (g *KeyedGroup[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
 	res, err := g.do(ctx, arg, &noCallOpts)
 	return res.Value, err

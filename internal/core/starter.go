@@ -1,0 +1,149 @@
+package core
+
+import "time"
+
+// Starter is the non-blocking form of a replica: where an ArgReplica
+// runs one copy to completion on the calling goroutine, a Starter only
+// starts it — typically by enqueueing a tagged request on a multiplexed
+// connection — and the outcome arrives later, on whichever goroutine
+// learns of it. A multi-copy call over starters therefore costs no
+// goroutine, no derived context and no cancellation channel per copy:
+// the engine starts every copy on the caller's goroutine, takes the
+// completions in its event loop, and withdraws what is still out when
+// the call is decided. Register one beside the blocking replica with
+// KeyedGroup.AddStarter; see call.go's file comment for where each form
+// is used.
+//
+// The contract:
+//
+//   - Start(arg, sink, slot) enqueues one copy without blocking and
+//     returns its ticket, or declines with ok == false having done
+//     nothing (the engine then runs that copy through the member's
+//     blocking replica). It must not call into the engine except through
+//     sink.
+//   - After an accepted Start, sink.Complete(slot, v, err) is called
+//     exactly once, from any goroutine — possibly before Start returns —
+//     unless Cancel(ticket) returns true first. Complete does not block.
+//   - Cancel(ticket) withdraws the copy and reports whether it did: true
+//     means Complete has not been and never will be called for it; false
+//     means the completion was already claimed and is, or will be,
+//     delivered. Cancel does not block, and a ticket stays safe to
+//     Cancel after its copy completed (it reports false).
+//
+// The copy runs under no context: the engine watches the caller's
+// context itself and Cancels on its behalf, and a Starter bounds its own
+// requests (a per-request timeout completes the copy with an error).
+type Starter[K, T any] interface {
+	Start(arg K, sink Sink[T], slot int) (ticket Ticket, ok bool)
+	Cancel(ticket Ticket) bool
+}
+
+// Sink receives the completion of a started copy. The engine's call
+// frame is the only implementation outside tests.
+type Sink[T any] interface {
+	Complete(slot int, v T, err error)
+}
+
+// Ticket names one started copy to the Starter that issued it; the
+// engine only stores it and hands it back to Cancel. Ref is typically
+// the connection the request went out on and ID its tag there.
+type Ticket struct {
+	Ref any
+	ID  uint64
+}
+
+// copySlot is one started copy's state in its call frame.
+type copySlot struct {
+	// at is when the copy started, written before Start so that Complete
+	// (on another goroutine) reads it ordered by the Starter's own
+	// synchronization.
+	at time.Time
+	// ticket and out belong to the engine's goroutine: out is set while
+	// the copy is started and the loop has not seen it complete.
+	ticket Ticket
+	out    bool
+}
+
+// startCopy asks copy i's member to start it, with the frame as the
+// sink; false means the Starter declined and the caller launches the
+// copy the blocking way. What member.run does around a blocking replica
+// is split across the start/complete pair: the governor bracket opens
+// here and closes in Complete or finish, and the slot's clock starts
+// here and is read in Complete.
+func (fr *callFrame[K, T]) startCopy(i int) bool {
+	m := fr.picked[i].m
+	if len(fr.slots) < fr.n {
+		if cap(fr.slots) < fr.n {
+			fr.slots = make([]copySlot, fr.n)
+		}
+		fr.slots = fr.slots[:fr.n]
+	}
+	s := &fr.slots[i]
+	if fr.gov != nil {
+		fr.gov.copyStarted()
+	}
+	s.at = time.Now()
+	tk, ok := m.starter.Start(fr.arg, fr, i)
+	if !ok {
+		if fr.gov != nil {
+			fr.gov.copyDone()
+		}
+		return false
+	}
+	s.ticket, s.out = tk, true
+	return true
+}
+
+// Complete implements Sink: a started copy's outcome, delivered on the
+// Starter's goroutine straight into the call's event loop. It closes
+// the governor bracket, folds a success into the member's digest, and
+// drops the copy's frame reference after delivering — the same order as
+// a copy goroutine, so the proved-drained recycling discipline holds.
+func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
+	if fr.gov != nil {
+		fr.gov.copyDone()
+	}
+	if err == nil {
+		fr.picked[slot].m.lat.observe(float64(time.Since(fr.slots[slot].at)))
+	}
+	fr.results <- indexed[T]{val: v, err: err, idx: slot}
+	fr.release(1)
+}
+
+// copyDelivered notes that the loop consumed copy i's completion, so
+// finish need not try to withdraw it.
+func (fr *callFrame[K, T]) copyDelivered(i int) {
+	if i < len(fr.slots) {
+		fr.slots[i].out = false
+	}
+}
+
+// finish reclaims what a decided call left in flight: the pending hedge
+// deadline, the blocking copies (through their shared context), and the
+// started copies, each withdrawn through its Starter. A withdrawn copy
+// is reclaimed capacity — counted on its member like a blocking copy
+// that honored its cancellation — and its frame reference is dropped
+// here because its Complete will never run; one whose Cancel reports
+// false has a completion on its way, which releases as usual.
+func (fr *callFrame[K, T]) finish(ht *hedgeTimer[K, T]) {
+	ht.stop()
+	if fr.cdone != nil {
+		close(fr.cdone)
+		fr.cdone = nil
+	}
+	for i := range fr.slots {
+		s := &fr.slots[i]
+		if !s.out {
+			continue
+		}
+		s.out = false
+		m := fr.picked[i].m
+		if m.starter.Cancel(s.ticket) {
+			m.cancelled.Add(1)
+			if fr.gov != nil {
+				fr.gov.copyDone()
+			}
+			fr.release(1)
+		}
+	}
+}

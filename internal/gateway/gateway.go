@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,8 +94,8 @@ func New(cfg Config) *Gateway {
 		g.maxValue = 1 << 20
 	}
 	m := http.NewServeMux()
-	m.HandleFunc("GET /kv/{key...}", g.handleGet)
-	m.HandleFunc("PUT /kv/{key...}", g.handlePut)
+	m.HandleFunc("GET /kv/{key...}", func(w http.ResponseWriter, r *http.Request) { g.handleGet(w, r, r.PathValue("key")) })
+	m.HandleFunc("PUT /kv/{key...}", func(w http.ResponseWriter, r *http.Request) { g.handlePut(w, r, r.PathValue("key")) })
 	m.HandleFunc("GET /scan", g.handleScan)
 	m.HandleFunc("GET /watch", g.handleWatch)
 	m.HandleFunc("GET /stats", g.handleStats)
@@ -103,8 +104,43 @@ func New(cfg Config) *Gateway {
 	return g
 }
 
-// ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. The two data-path routes are
+// recognised here and skip the ServeMux, whose wildcard matching
+// allocates five times per request; anything it would treat differently
+// from a plain GET or PUT of /kv/<key> — another method, an escaped
+// path, a path it would clean and redirect — still goes through it.
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if key, ok := kvKey(r.URL); ok {
+		switch r.Method {
+		case http.MethodGet:
+			g.handleGet(w, r, key)
+			return
+		case http.MethodPut:
+			g.handlePut(w, r, key)
+			return
+		}
+	}
+	g.mux.ServeHTTP(w, r)
+}
+
+// kvKey returns the {key...} the ServeMux would extract from a
+// /kv/{key...} path, for the paths it serves as they stand: no escapes
+// that change segmentation (RawPath set) and nothing path cleaning
+// rewrites ("//", "/./", "/../", a trailing "/." or "/..").
+func kvKey(u *url.URL) (string, bool) {
+	p := u.Path
+	if u.RawPath != "" || !strings.HasPrefix(p, "/kv/") || strings.Contains(p, "//") || strings.Contains(p, "/.") {
+		return "", false
+	}
+	return p[len("/kv/"):], true
+}
+
+// Reply content types, assigned into the header map as shared slices:
+// Header.Set allocates a one-element slice per reply.
+var (
+	contentTypeJSON  = []string{"application/json"}
+	contentTypeBytes = []string{"application/octet-stream"}
+)
 
 // errBody is every non-2xx response's JSON shape.
 type errBody struct {
@@ -113,7 +149,7 @@ type errBody struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
@@ -169,7 +205,9 @@ func (g *Gateway) classStrategy(class string) core.Strategy {
 // primary read (quorum 0) or a quorum read (quorum >= 1, 0 meaning the
 // client's default), plus the call options for the class.
 func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts []core.CallOption, err error) {
-	class := r.Header.Get("X-SLO-Class")
+	// The canonical spelling of X-SLO-Class: Get canonicalises its
+	// argument first, and allocates to do it when it is not already.
+	class := r.Header.Get("X-Slo-Class")
 	cons := strings.ToLower(r.Header.Get("X-Consistency"))
 	switch cons {
 	case "", "primary", "quorum":
@@ -209,8 +247,7 @@ func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts [
 	return false, 0, opts, nil
 }
 
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) {
 	if err := validKey(key); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -234,13 +271,12 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeStoreErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = contentTypeBytes
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(val)
 }
 
-func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
+func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) {
 	if err := validKey(key); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

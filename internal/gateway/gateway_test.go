@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"redundancy/internal/core"
+	"redundancy/internal/core/coretest"
 	"redundancy/internal/memkv"
 	"redundancy/internal/slo"
 )
@@ -521,5 +522,131 @@ func TestGatewayWithoutController(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &sl); err != nil || st != http.StatusOK || sl.Enabled {
 		t.Fatalf("slo without controller = %d %s (err %v)", st, body, err)
+	}
+}
+
+// TestDataPathSkipsServeMuxUnseen: ServeHTTP answers plain GET and PUT
+// of /kv/<key> without the ServeMux; for every request, whichever way it
+// went, the reply is what the ServeMux alone gives — same status, same
+// redirect target, same body, same headers the handlers set.
+func TestDataPathSkipsServeMuxUnseen(t *testing.T) {
+	f := newFixture(t, 2)
+	f.do(t, "PUT", "/kv/k", "v", nil)
+	f.do(t, "PUT", "/kv/a/b", "nested", nil)
+	gw := New(Config{Client: f.sc})
+
+	cases := []struct {
+		method, target string
+		fast           bool // the shortcut should recognise it
+	}{
+		{"GET", "/kv/k", true},
+		{"GET", "/kv/a/b", true},
+		{"GET", "/kv/missing", true},
+		{"GET", "/kv/", true}, // empty key: 400 either way
+		{"GET", "/kv/k/", true},
+		{"PUT", "/kv/k", true},
+		{"GET", "/kv/a%20b", true}, // unescapes to whitespace: 400 either way
+		{"HEAD", "/kv/k", false},
+		{"DELETE", "/kv/k", false}, // 405
+		{"POST", "/kv/k", false},
+		{"GET", "/kv", false},    // redirect to /kv/
+		{"GET", "/kv//k", false}, // cleaned and redirected
+		{"GET", "/kv/a/../k", false},
+		{"GET", "/kv/a/./b", false},
+		{"GET", "/kv/a/..", false},
+		{"GET", "/kv/.hidden", false}, // served, by the ServeMux
+		{"GET", "/kv/a%2Fb", false},   // escaped slash: RawPath set
+		{"PUT", "/kv/a%2Fb", false},
+		{"GET", "/kvx/k", false}, // 404
+		{"GET", "/other", false},
+		{"GET", "/scan?limit=1", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.method+" "+tc.target, func(t *testing.T) {
+			serve := func(h http.Handler) *httptest.ResponseRecorder {
+				var body io.Reader
+				if tc.method == "PUT" {
+					body = strings.NewReader("v")
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, body))
+				return rec
+			}
+			req := httptest.NewRequest(tc.method, tc.target, nil)
+			if _, ok := kvKey(req.URL); (ok && (tc.method == "GET" || tc.method == "PUT")) != tc.fast {
+				t.Errorf("shortcut recognised = %v, want %v", !tc.fast, tc.fast)
+			}
+			got, want := serve(gw), serve(gw.mux)
+			if got.Code != want.Code {
+				t.Fatalf("status %d, the ServeMux alone gives %d", got.Code, want.Code)
+			}
+			for _, h := range []string{"Location", "Content-Type", "Allow"} {
+				if g, w := got.Header().Get(h), want.Header().Get(h); g != w {
+					t.Errorf("%s = %q, the ServeMux alone gives %q", h, g, w)
+				}
+			}
+			switch {
+			case tc.method == "PUT" && got.Code == http.StatusOK:
+				// Each PUT mints a fresh version.
+			case got.Code >= 400 && got.Header().Get("Content-Type") == "application/json":
+				// The detail joins per-copy errors in completion order.
+				if g, w := errOf(t, got.Body.Bytes()), errOf(t, want.Body.Bytes()); g != w {
+					t.Errorf("error code %q, the ServeMux alone gives %q", g, w)
+				}
+			default:
+				if g, w := got.Body.String(), want.Body.String(); g != w {
+					t.Errorf("body %q, the ServeMux alone gives %q", g, w)
+				}
+			}
+		})
+	}
+}
+
+// nullWriter is the cheapest http.ResponseWriter, so that what a request
+// allocates is the gateway's and the layers' below it.
+type nullWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nullWriter) WriteHeader(status int)      { w.status = status }
+
+// TestGetAllocationBudget: a GET through ServeHTTP allocates what the
+// ShardedClient.Get under it allocates and nothing more — no routing
+// tree walk, no header canonicalisation, no per-reply header slice.
+// (Both sides count every goroutine of the process, the shard servers'
+// included; a single-copy read keeps that count exact.)
+func TestGetAllocationBudget(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	f := newFixture(t, 2)
+	f.sc.SetReadStrategy(core.Fixed{Copies: 1})
+	f.do(t, "PUT", "/kv/k", "v", nil)
+	gw := New(Config{Client: f.sc})
+	req := httptest.NewRequest("GET", "/kv/k", nil)
+	w := &nullWriter{h: make(http.Header)}
+	serve := func() {
+		clear(w.h)
+		gw.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("GET = %d", w.status)
+		}
+	}
+	get := func() {
+		if _, err := f.sc.Get(req.Context(), "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		serve()
+		get()
+	}
+	below := testing.AllocsPerRun(2000, get)
+	through := testing.AllocsPerRun(2000, serve)
+	if through > below {
+		t.Errorf("GET through the gateway allocates %.0f, the read under it %.0f: the gateway adds %.0f, want 0", through, below, through-below)
 	}
 }

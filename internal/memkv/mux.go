@@ -32,7 +32,8 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 // of concurrent requests interleave. Where the v1 Client's concurrency
 // ceiling is file descriptors — every in-flight request occupies a
 // pooled connection — a MuxClient's ceiling is memory: each in-flight
-// request is one map entry and one pooled waiter, so tens of thousands
+// request is one map entry (and, for a blocking call, one pooled
+// waiter), so tens of thousands
 // of outstanding redundant reads share a handful of sockets.
 //
 //   - Writes coalesce: requests append frames to a pending buffer and a
@@ -43,10 +44,17 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     response frame to its tag's waiter. Responses may arrive in any
 //     order; slow requests don't head-of-line-block fast ones.
 //   - Cancellation is free: a cancelled request unregisters its tag and
-//     moves on — the connection survives, and the response is discarded
-//     on arrival. (The v1 client must burn the connection to abandon a
-//     request.) The redundancy engine cancelling a losing copy
-//     therefore no longer costs a reconnect.
+//     moves on — the connection survives, and when the response arrives
+//     the reader, finding nobody registered for its tag, skips the value
+//     bytes without decoding or allocating them. (The v1 client must
+//     burn the connection to abandon a request.) The redundancy engine
+//     cancelling a losing copy therefore costs neither a reconnect nor a
+//     discarded value. The request itself is not recalled: once written
+//     it is served and answered.
+//   - Reads need no goroutine: Start enqueues a get and returns, and the
+//     reader hands the reply straight to the caller's sink (MuxClient is
+//     a core.Starter). ShardedClient launches the copies of a redundant
+//     read this way; Get stays the blocking form of the same request.
 //
 // A MuxClient is safe for concurrent use and implements the same
 // Get/Set/SetTTL/Delete surface as Client, so it satisfies Backend and
@@ -122,7 +130,7 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	tag     uint64
-	waiters map[uint64]*muxWaiter
+	waiters map[uint64]muxEntry
 	// watches routes server-push frames (opEvent/opWatchEnd) by the
 	// owning watch's tag — the streaming sibling of waiters. Lazily
 	// allocated on the first Watch.
@@ -135,7 +143,19 @@ type muxConn struct {
 	done   chan struct{}
 }
 
-// muxWaiter is one in-flight request's rendezvous. The channel has
+// muxEntry is one in-flight request's place in the waiter table. It is
+// either a blocking call's pooled channel waiter (w; do and doBatch
+// wait on it) or a started read's sink, slot and timeout timer: the
+// reader, the timeout callback and fail complete the sink directly, and
+// nothing waits.
+type muxEntry struct {
+	w    *muxWaiter
+	sink core.Sink[[]byte]
+	slot int
+	tm   core.WheelTimer
+}
+
+// muxWaiter is one blocking request's rendezvous. The channel has
 // capacity 1 and receives exactly one frame (response, timeout
 // sentinel, or nothing if the connection dies), so deliveries never
 // block. Waiters recycle through a pool; a waiter is only returned to
@@ -158,7 +178,7 @@ func (m *MuxClient) dial(ctx context.Context, stripe int) (*muxConn, error) {
 		c:       c,
 		owner:   m,
 		stripe:  stripe,
-		waiters: make(map[uint64]*muxWaiter),
+		waiters: make(map[uint64]muxEntry),
 		flushC:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -309,9 +329,10 @@ func (cn *muxConn) lostErr() error {
 	return ErrMuxConnLost
 }
 
-// fail marks the connection dead exactly once: pending waiters are
-// released via the done channel (their responses will never arrive) and
-// the socket is closed, which also stops the reader and flusher.
+// fail marks the connection dead exactly once: pending blocking waiters
+// are released via the done channel (their responses will never
+// arrive), started reads complete with the conn-lost error, and the
+// socket is closed, which also stops the reader and flusher.
 func (cn *muxConn) fail(cause error) {
 	cn.mu.Lock()
 	if cn.dead {
@@ -320,12 +341,19 @@ func (cn *muxConn) fail(cause error) {
 	}
 	cn.dead = true
 	cn.err = fmt.Errorf("%w: %v", ErrMuxConnLost, cause)
+	pending := cn.waiters
 	cn.waiters = nil
 	ws := cn.watches
 	cn.watches = nil
 	cn.mu.Unlock()
 	close(cn.done)
 	cn.c.Close()
+	for _, e := range pending {
+		if e.sink != nil {
+			e.tm.Stop()
+			e.sink.Complete(e.slot, nil, cn.err)
+		}
+	}
 	for _, st := range ws {
 		// Streams on a dead connection end with the conn-lost error so
 		// their consumers know to resubscribe (events in the gap are
@@ -358,52 +386,90 @@ func (cn *muxConn) start(reqs []frame, ws []*muxWaiter) error {
 		reqs[i].tag = cn.tag
 		w := muxWaiterPool.Get().(*muxWaiter)
 		ws[i] = w
-		cn.waiters[cn.tag] = w
+		cn.waiters[cn.tag] = muxEntry{w: w}
 		cn.pending = appendFrame(cn.pending, &reqs[i])
 	}
 	cn.mu.Unlock()
+	cn.signalFlush()
+	return nil
+}
+
+// signalFlush wakes the flusher if it is not already due to run: the
+// second half of every enqueue.
+func (cn *muxConn) signalFlush() {
 	select {
 	case cn.flushC <- struct{}{}:
 	default:
 	}
-	return nil
 }
 
-// reader demuxes response frames to their tag's waiter, and server-push
-// frames (opEvent/opWatchEnd) to their tag's watch stream. A frame
-// whose tag has no waiter was cancelled or timed out after the request
-// went out: the response is discarded and the connection lives on.
+// reader demuxes response frames to whoever registered their tag.
 func (cn *muxConn) reader() {
 	r := bufio.NewReaderSize(cn.c, 64<<10)
 	for {
-		var f frame
-		if err := readFrame(r, &f); err != nil {
+		if err := cn.readOne(r); err != nil {
 			cn.fail(err)
 			return
 		}
-		if f.op == opEvent || f.op == opWatchEnd {
-			cn.mu.Lock()
-			st := cn.watches[f.tag]
-			if st != nil && f.op == opWatchEnd {
-				// The terminal frame: nothing more arrives on this tag.
-				delete(cn.watches, f.tag)
-			}
-			cn.mu.Unlock()
-			if st != nil {
-				st.deliver(&f) // non-blocking by contract
-			}
-			continue
+	}
+}
+
+// readOne reads one frame and routes it: a response to its tag's waiter
+// or sink, a server-push frame (opEvent/opWatchEnd) to its tag's watch
+// stream. The header is read first and the tag claimed before the
+// value: a frame nobody is registered for was cancelled or timed out
+// after the request went out, and its value is skipped in the buffer
+// rather than allocated and copied — the connection lives on and the
+// loser of a redundant read costs the client nothing. A non-nil error
+// is fatal to the connection.
+func (cn *muxConn) readOne(r *bufio.Reader) error {
+	var f frame
+	vlen, err := readFrameHead(r, &f)
+	if err != nil {
+		return err
+	}
+	if f.op == opEvent || f.op == opWatchEnd {
+		if err := readFrameValue(r, &f, vlen); err != nil {
+			return err
 		}
 		cn.mu.Lock()
-		w := cn.waiters[f.tag]
-		if w != nil {
-			delete(cn.waiters, f.tag)
+		st := cn.watches[f.tag]
+		if st != nil && f.op == opWatchEnd {
+			// The terminal frame: nothing more arrives on this tag.
+			delete(cn.watches, f.tag)
 		}
 		cn.mu.Unlock()
-		if w != nil {
-			w.ch <- f // cap 1, sole delivery: never blocks
+		if st != nil {
+			st.deliver(&f) // non-blocking by contract
 		}
+		return nil
 	}
+	e, ok := cn.claim(f.tag)
+	if !ok {
+		_, err := r.Discard(vlen)
+		return err
+	}
+	err = readFrameValue(r, &f, vlen)
+	if e.sink == nil {
+		if err == nil {
+			e.w.ch <- f // cap 1, sole delivery: never blocks
+		}
+		// On error the caller fails the connection, and done releases
+		// the waiter.
+		return err
+	}
+	// A started read: the claim above is the promise to complete it,
+	// even when the value could not be read — then with the error every
+	// other request on the connection is about to get.
+	e.tm.Stop()
+	if err != nil {
+		cn.fail(err)
+		e.sink.Complete(e.slot, nil, cn.lostErr())
+		return err
+	}
+	v, gerr := frameToGet(&f)
+	e.sink.Complete(e.slot, v, gerr)
+	return nil
 }
 
 // flusher is the connection's single writer: each pass swaps out
@@ -435,23 +501,43 @@ func (cn *muxConn) flusher() {
 	}
 }
 
-// abandon gives up on a waiter whose response we no longer want
-// (cancellation or timeout). If the tag is still registered, the
-// response simply never finds a waiter — discarded on arrival, the mux
-// cancellation contract. If it is gone, a delivery is either in flight
-// (drain it) or the connection died (nothing will come).
-func (cn *muxConn) abandon(tag uint64, w *muxWaiter) {
+// claim takes tag's entry out of the waiter table, reporting whether it
+// was there. Whoever claims an entry owns its one outcome: the reader
+// delivers the reply, the timeout callback the timeout, withdraw
+// nothing at all. (fail claims the whole table at once.)
+func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 	cn.mu.Lock()
-	if cn.waiters != nil {
-		if _, ok := cn.waiters[tag]; ok {
-			delete(cn.waiters, tag)
-			cn.mu.Unlock()
-			// Unregistered before delivery: the channel is empty for good.
-			muxWaiterPool.Put(w)
-			return
-		}
+	e, ok := cn.waiters[tag] // a dead connection's table is nil: not found
+	if ok {
+		delete(cn.waiters, tag)
 	}
 	cn.mu.Unlock()
+	return e, ok
+}
+
+// withdraw unregisters tag and reports whether it was still registered:
+// true means no response, timeout or connection loss will ever be
+// delivered for it — the eventual response finds nobody and is skipped
+// on arrival, the mux cancellation contract. It is the whole of
+// cancelling a started read, and the first half of abandoning a
+// blocking one.
+func (cn *muxConn) withdraw(tag uint64) bool {
+	e, ok := cn.claim(tag)
+	if ok {
+		e.tm.Stop()
+	}
+	return ok
+}
+
+// abandon gives up on a blocking waiter whose response we no longer
+// want (cancellation or timeout). If the tag was still registered the
+// channel is empty for good. If it is gone, a delivery is either in
+// flight (drain it) or the connection died (nothing will come).
+func (cn *muxConn) abandon(tag uint64, w *muxWaiter) {
+	if cn.withdraw(tag) {
+		muxWaiterPool.Put(w)
+		return
+	}
 	select {
 	case <-w.ch:
 		// The in-flight delivery arrived; now the channel is empty again.
@@ -464,24 +550,71 @@ func (cn *muxConn) abandon(tag uint64, w *muxWaiter) {
 }
 
 // muxTimeoutFired is the shared-wheel callback for a request timeout:
-// it unregisters the tag (so the eventual response is discarded) and
-// delivers the timeout sentinel to the waiter. c is the *muxConn, i the
+// it unregisters the tag (so the eventual response is skipped) and
+// delivers the timeout to the waiter or sink. c is the *muxConn, i the
 // tag.
 func muxTimeoutFired(c any, i int64) {
 	cn := c.(*muxConn)
-	tag := uint64(i)
+	e, ok := cn.claim(uint64(i))
+	if !ok {
+		return
+	}
+	if e.sink != nil {
+		e.sink.Complete(e.slot, nil, cn.owner.timeoutErr())
+	} else {
+		e.w.ch <- frame{op: opTimeout}
+	}
+}
+
+func (m *MuxClient) timeoutErr() error {
+	return fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
+}
+
+// Start implements core.Starter: the non-blocking form of Get. It
+// enqueues the request on the next stripe's live connection and returns
+// at once; the reply (or the per-request timeout, or the connection's
+// loss) is delivered to sink.Complete(slot, …) from the connection's
+// reader (or the timer wheel, or whoever failed the connection), unless
+// Cancel withdraws it first. Start declines — having done nothing —
+// when it would have to do what only a blocking call can: dial a stripe
+// never used, report a bad key, or fail fast on a stripe in redial; Get
+// handles each of those.
+func (m *MuxClient) Start(key string, sink core.Sink[[]byte], slot int) (core.Ticket, bool) {
+	if validateKey(key) != nil {
+		return core.Ticket{}, false
+	}
+	cn := m.conns[int(m.rr.Add(1)%uint64(len(m.conns)))].Load()
+	if cn == nil {
+		return core.Ticket{}, false
+	}
 	cn.mu.Lock()
-	var w *muxWaiter
-	if cn.waiters != nil {
-		w = cn.waiters[tag]
-		if w != nil {
-			delete(cn.waiters, tag)
-		}
+	if cn.dead {
+		cn.mu.Unlock()
+		return core.Ticket{}, false
 	}
+	cn.tag++
+	req := frame{op: opGet, tag: cn.tag, key: key}
+	e := muxEntry{sink: sink, slot: slot}
+	if m.timeout > 0 {
+		// Armed under the lock so the entry is born with its timer: the
+		// reader may claim the tag the moment the lock drops, and must
+		// find the handle to stop. The wheel runs callbacks outside its
+		// own lock, so cn.mu → wheel is the only order.
+		e.tm = core.SharedWheel().AfterFunc(m.timeout, muxTimeoutFired, cn, int64(req.tag))
+	}
+	cn.waiters[req.tag] = e
+	cn.pending = appendFrame(cn.pending, &req)
 	cn.mu.Unlock()
-	if w != nil {
-		w.ch <- frame{op: opTimeout}
-	}
+	cn.signalFlush()
+	return core.Ticket{Ref: cn, ID: req.tag}, true
+}
+
+// Cancel implements core.Starter: it withdraws a started read, true
+// meaning its sink will never be called. The request is not recalled
+// from the server; its reply is skipped on arrival.
+func (m *MuxClient) Cancel(tk core.Ticket) bool {
+	cn, _ := tk.Ref.(*muxConn)
+	return cn != nil && cn.withdraw(tk.ID)
 }
 
 // do runs one request to completion: enqueue, then wait for the
@@ -510,7 +643,7 @@ func (m *MuxClient) do(ctx context.Context, req frame) (frame, error) {
 		tm.Stop()
 		muxWaiterPool.Put(w)
 		if fr.op == opTimeout {
-			return frame{}, fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
+			return frame{}, m.timeoutErr()
 		}
 		return fr, nil
 	case <-ctx.Done():
@@ -652,7 +785,7 @@ func (m *MuxClient) doBatch(ctx context.Context, reqs []frame) ([]frame, []error
 			errs[i] = ctx.Err()
 			cn.abandon(reqs[i].tag, w)
 		case <-timeoutC:
-			errs[i] = fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
+			errs[i] = m.timeoutErr()
 			cn.abandon(reqs[i].tag, w)
 		case <-cn.done:
 			errs[i] = cn.lostErr()

@@ -103,10 +103,7 @@ func (s *WatchStream) closeAndUnwatch(err error) {
 	}
 	cn.mu.Unlock()
 	if !dead {
-		select {
-		case cn.flushC <- struct{}{}:
-		default:
-		}
+		cn.signalFlush()
 	}
 }
 
@@ -165,17 +162,14 @@ func (cn *muxConn) startWatch(req frame, st *WatchStream) (*muxWaiter, uint64, e
 	req.tag = cn.tag
 	st.tag = cn.tag
 	w := muxWaiterPool.Get().(*muxWaiter)
-	cn.waiters[cn.tag] = w
+	cn.waiters[cn.tag] = muxEntry{w: w}
 	if cn.watches == nil {
 		cn.watches = make(map[uint64]*WatchStream)
 	}
 	cn.watches[cn.tag] = st
 	cn.pending = appendFrame(cn.pending, &req)
 	cn.mu.Unlock()
-	select {
-	case cn.flushC <- struct{}{}:
-	default:
-	}
+	cn.signalFlush()
 	return w, req.tag, nil
 }
 

@@ -159,7 +159,17 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 	}
 	prev := sc.readsV.Placement()
 	sc.clients[addr] = cl
-	sc.reads.Add(addr, cl.Get)
+	if mc, ok := cl.(*MuxClient); ok {
+		// A mux client's reads are started, not run: the copies of a
+		// redundant Get are wire requests on the caller's goroutine, with
+		// no goroutine per copy. Only for the concrete type — a Backend
+		// that embeds *MuxClient and overrides Get (a tracing or counting
+		// wrapper) has the promoted Start too, and must keep seeing every
+		// read copy through its own Get.
+		sc.reads.AddStarter(addr, cl.Get, mc)
+	} else {
+		sc.reads.Add(addr, cl.Get)
+	}
 	sc.writes.Add(addr, func(ctx context.Context, w setReq) (struct{}, error) {
 		return struct{}{}, cl.SetTTL(ctx, w.key, w.value, w.ttl)
 	})

@@ -132,6 +132,18 @@ func appendFrame(dst []byte, f *frame) []byte {
 // frame boundary returns io.EOF; a torn frame returns
 // io.ErrUnexpectedEOF; limit violations return the errFrame errors
 // before any variable-length payload is read.
+func readFrame(r *bufio.Reader, f *frame) error {
+	vlen, err := readFrameHead(r, f)
+	if err != nil {
+		return err
+	}
+	return readFrameValue(r, f, vlen)
+}
+
+// readFrameHead reads and validates a frame's header and key into f and
+// returns the length of the value that follows, leaving f.val nil: the
+// caller either reads the value with readFrameValue or, when nobody
+// wants it, Discards vlen bytes.
 //
 // The header and key are decoded in place from the reader's buffered
 // window (Peek/Discard) rather than copied out through io.ReadFull:
@@ -139,28 +151,28 @@ func appendFrame(dst []byte, f *frame) []byte {
 // minimum buffer), and the in-place decode keeps the per-frame cost to
 // the one allocation that must outlive the call — the key string on
 // keyed frames, plus the caller-owned value bytes.
-func readFrame(r *bufio.Reader, f *frame) error {
+func readFrameHead(r *bufio.Reader, f *frame) (vlen int, err error) {
 	hdr, err := r.Peek(frameHeaderLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return err
+		return 0, err
 	}
 	f.op = hdr[0]
 	f.tag = binary.BigEndian.Uint64(hdr[1:9])
 	f.aux = binary.BigEndian.Uint32(hdr[9:13])
 	klen := int(binary.BigEndian.Uint16(hdr[13:15]))
-	vlen := int(binary.BigEndian.Uint32(hdr[15:19]))
+	vlen = int(binary.BigEndian.Uint32(hdr[15:19]))
 	r.Discard(frameHeaderLen)
 	if f.op < 0x80 {
-		return errFrameOp
+		return 0, errFrameOp
 	}
 	if klen > maxKeyLen {
-		return errFrameKeyLen
+		return 0, errFrameKeyLen
 	}
 	if vlen > maxValueLen {
-		return errFrameValueLen
+		return 0, errFrameValueLen
 	}
 	f.key = ""
 	f.val = nil
@@ -170,19 +182,26 @@ func readFrame(r *bufio.Reader, f *frame) error {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return err
+			return 0, err
 		}
 		f.key = string(kb)
 		r.Discard(klen)
 	}
-	if vlen > 0 {
-		f.val = make([]byte, vlen)
-		if _, err := io.ReadFull(r, f.val); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
+	return vlen, nil
+}
+
+// readFrameValue reads the vlen value bytes that follow a frame's head
+// into a fresh f.val (nil for an empty value).
+func readFrameValue(r *bufio.Reader, f *frame, vlen int) error {
+	if vlen == 0 {
+		return nil
+	}
+	f.val = make([]byte, vlen)
+	if _, err := io.ReadFull(r, f.val); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return err
 	}
 	return nil
 }

@@ -184,13 +184,20 @@ func NewKeyed[K, T any](strategy core.Strategy, keyOf func(K) string, opts ...Op
 // call on. Adding a name that already exists is a no-op (members are
 // unique by name). Reports whether the member was added.
 func (r *Ring[K, T]) Add(name string, fn core.ArgReplica[K, T]) bool {
+	return r.AddStarter(name, fn, nil)
+}
+
+// AddStarter is Add for a backend that also has a non-blocking form:
+// calls of two or more copies start this member's copy through starter
+// instead of running fn on a goroutine (see core.KeyedGroup.AddStarter).
+func (r *Ring[K, T]) AddStarter(name string, fn core.ArgReplica[K, T], starter core.Starter[K, T]) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.table.Load()
 	if t.index(name) >= 0 {
 		return false
 	}
-	h := r.group.Add(name, fn)
+	h := r.group.AddStarter(name, fn, starter)
 	members := make([]ringMember[K, T], len(t.members)+1)
 	copy(members, t.members)
 	members[len(t.members)] = ringMember[K, T]{name: name, handle: h}
