@@ -168,9 +168,8 @@ func BenchmarkCoreGroupDo(b *testing.B) {
 // BenchmarkCoreDoValue is the fast lane of the hot path: the same group
 // and strategy as BenchmarkCoreGroupDo, but through DoValue — no
 // options, first success wins, only the value returned. The pooled call
-// frame keeps this at <= 4 allocs/op (benchgate enforces it): the
-// copy-cancellation channel, the shared derived context, and one
-// goroutine closure per launched copy.
+// frame keeps this at 2 allocs/op (scripts/benchgate.sh holds the
+// budget): one goroutine record per launched copy.
 func BenchmarkCoreDoValue(b *testing.B) {
 	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
@@ -213,7 +212,7 @@ func BenchmarkCoreDoValueParallel(b *testing.B) {
 // binary-search the route table, walk to the primary + successor, and
 // run the same call engine as Group.Do over that subset. The routing
 // must stay within the same alloc budget as the unrouted path
-// (benchgate enforces <= 12 allocs/op).
+// (scripts/benchgate.sh).
 func BenchmarkCoreRingDo(b *testing.B) {
 	r := redundancy.NewRing[string, int](redundancy.Policy{Copies: 2}.Strategy())
 	for i := 0; i < 8; i++ {
@@ -327,7 +326,7 @@ func BenchmarkCoreHedgedFastPrimary(b *testing.B) {
 	}
 }
 
-// BenchmarkMemkvMuxParallel drives the memkv v2 wire protocol at full
+// BenchmarkMemkvMuxParallel drives the memkv wire protocol at full
 // tilt through ONE TCP connection: GOMAXPROCS goroutines issuing gets
 // concurrently, writes group-committed by the connection's flusher,
 // responses demuxed by tag. This is the transport hot path under the

@@ -14,8 +14,7 @@
 //	curl -H 'X-Consistency: quorum' localhost:8080/kv/greeting
 //	curl localhost:8080/slo
 //
-// The shards must run the v2 mux protocol (cmd/memkv serves it
-// alongside the text protocol).
+// The shards are cmd/memkv servers.
 package main
 
 import (

@@ -1,4 +1,5 @@
-// Command memkv runs a memcached-text-protocol key-value server, the live
+// Command memkv runs a memkv key-value server (internal/memkv's frame
+// protocol; connect with memkv.MuxClient or cmd/gateway), the live
 // substrate for the §2.3 experiment and the kvreplica example.
 //
 // Usage:
@@ -7,7 +8,8 @@
 //	memkv -addr 127.0.0.1:11311 -delay-ms 5   # inject 5 ms service delay
 //
 // The optional fixed delay makes redundancy's effect visible in demos: run
-// one slow and one fast instance and read through the replicated client.
+// one slow and one fast instance and read through a ShardedClient that
+// places every key on both.
 package main
 
 import (

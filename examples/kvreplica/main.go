@@ -1,7 +1,8 @@
 // kvreplica: replicated reads against two live memkv servers over real
 // TCP, reproducing the paper's storage-service scenario (§2.2) in
-// miniature: one replica suffers latency spikes; the replicated client's
-// tail latency tracks the healthy replica.
+// miniature: one replica suffers latency spikes; a ShardedClient that
+// places every key on both servers and races the two copies has a tail
+// latency that tracks the healthy replica.
 //
 // Run with: go run ./examples/kvreplica
 package main
@@ -42,16 +43,19 @@ func main() {
 	}
 	defer srvB.Close()
 
-	clA := memkv.NewClient(addrA.String(), time.Second)
-	clB := memkv.NewClient(addrB.String(), time.Second)
+	clA := memkv.NewMuxClient(addrA.String(), time.Second)
+	defer clA.Close() // removed from the ring below, so both.Close no longer reaches it
+	clB := memkv.NewMuxClient(addrB.String(), time.Second)
 
 	ctx := context.Background()
-	counters := redundancy.NewCounters()
 
-	single := memkv.NewReplicatedClient(redundancy.Policy{Copies: 1}, clA)
-	both := memkv.NewReplicatedClient(redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom}, clA, clB)
+	// Replication = number of servers: every key lives on both, and each
+	// read launches both copies at once.
+	both := memkv.NewShardedClient(memkv.ShardedConfig{
+		Replication:  2,
+		ReadStrategy: redundancy.Fixed{Copies: 2},
+	}, clA, clB)
 	defer both.Close()
-	_ = counters
 
 	// Store a value everywhere.
 	if err := both.Set(ctx, "user:42", []byte(`{"name":"ada"}`)); err != nil {
@@ -82,7 +86,7 @@ func main() {
 
 	fmt.Println("reading user:42 200 times through each client:")
 	measure("replica A only", func() error {
-		_, err := single.Get(ctx, "user:42")
+		_, err := clA.Get(ctx, "user:42")
 		return err
 	})
 	measure("replicated (A + B)", func() error {
@@ -97,13 +101,13 @@ func main() {
 	// estimates, then decommission the degraded replica without building
 	// a new client.
 	fmt.Println("\nper-replica latency estimates (EWMA of successful reads):")
-	for _, r := range both.GroupStats().Replicas {
+	for _, m := range both.RingStats().Members {
 		fmt.Printf("  %-22s %-10v (%d observations)\n",
-			r.Name, r.EstimatedLatency.Round(100*time.Microsecond), r.Observations)
+			m.Name, m.EstimatedLatency.Round(100*time.Microsecond), m.Observations)
 	}
 
 	fmt.Println("\ndecommissioning the degraded replica A:")
-	both.RemoveReplica(addrA.String())
+	both.RemoveShard(addrA.String())
 	measure("replicated (B only)", func() error {
 		_, err := both.Get(ctx, "user:42")
 		return err

@@ -1,26 +1,22 @@
-// muxbatch: the memkv v2 wire protocol carrying redundancy at a scale
-// the v1 transport cannot — 50,000 concurrent redundant reads over
-// FOUR TCP connections (one multiplexed connection per shard).
+// muxbatch: the memkv wire protocol carrying redundancy at scale —
+// 50,000 concurrent redundant reads over FOUR TCP connections (one
+// multiplexed connection per shard).
 //
 // The paper's prescription multiplies every read by its replication
 // factor, so the transport's concurrency ceiling bounds how far
-// redundancy scales. A v1 (memcached-text) client needs a dedicated
-// connection per in-flight request: 50,000 outstanding gets at fan-out
-// 2 would demand ~100,000 connections — 200,000 file descriptors with
-// both ends in one process, an order of magnitude past the usual
-// rlimit. The v2 client interleaves any number of tagged requests on
-// one connection, so the same burst rides four sockets.
+// redundancy scales. A connection-per-request transport would need
+// ~100,000 connections for 50,000 outstanding gets at fan-out 2 —
+// 200,000 file descriptors with both ends in one process, an order of
+// magnitude past the usual rlimit. MuxClient interleaves any number of
+// tagged requests on one connection, so the burst rides four sockets.
 //
-// Three acts:
+// Two acts:
 //
-//  1. One ShardedClient.GetBatch of 50,000 keys at fan-out 2 through
-//     mux backends: one batched engine pass (one schedule, hedge
-//     deadlines on the shared timer wheel, requests grouped per shard
-//     into coalesced writes), one connection per shard.
-//  2. The same workload shape on v1 backends at a fraction of the
-//     scale: watch the server-side accepted-connection count track the
-//     in-flight request count — the fd-per-request cost that caps v1.
-//  3. Hedged batch reads: 50,000 deadlines armed on the shared wheel;
+//  1. One ShardedClient.GetBatch of 50,000 keys at fan-out 2: one
+//     batched engine pass (one schedule, hedge deadlines on the shared
+//     timer wheel, requests grouped per shard into coalesced writes),
+//     one connection per shard.
+//  2. Hedged batch reads: 50,000 deadlines armed on the shared wheel;
 //     hedges whose primary answers in time are stopped unfired and
 //     never launch — cancellation without connection churn.
 //
@@ -38,15 +34,14 @@ import (
 )
 
 const (
-	shards  = 4
-	keys    = 1000
-	reads   = 50_000
-	v1Reads = 4_000 // act 2 runs v1 at 8% scale; 50k would want ~100k conns
+	shards = 4
+	keys   = 1000
+	reads  = 50_000
 )
 
 func main() {
-	// Four live shards. A tiny service delay (wheel-parked on the v2
-	// path) keeps thousands of requests genuinely in flight at once.
+	// Four live shards. A tiny service delay (parked on the server's
+	// timer wheel) keeps thousands of requests genuinely in flight at once.
 	servers := make([]*memkv.Server, shards)
 	addrs := make([]string, shards)
 	for i := range servers {
@@ -60,14 +55,10 @@ func main() {
 		servers[i] = srv
 		addrs[i] = addr.String()
 	}
-	newSharded := func(strategy redundancy.Strategy, mux bool) *memkv.ShardedClient {
+	newSharded := func(strategy redundancy.Strategy) *memkv.ShardedClient {
 		clients := make([]memkv.Backend, shards)
 		for i, addr := range addrs {
-			if mux {
-				clients[i] = memkv.NewMuxClient(addr, 30*time.Second)
-			} else {
-				clients[i] = memkv.NewClient(addr, 30*time.Second)
-			}
+			clients[i] = memkv.NewMuxClient(addr, 30*time.Second)
 		}
 		return memkv.NewShardedClient(memkv.ShardedConfig{
 			Replication:  2,
@@ -76,8 +67,8 @@ func main() {
 	}
 	ctx := context.Background()
 
-	// Preload through a throwaway v1 client set.
-	pre := newSharded(redundancy.Fixed{Copies: 1}, false)
+	// Preload through a throwaway client set.
+	pre := newSharded(redundancy.Fixed{Copies: 1})
 	keyNames := make([]string, keys)
 	for i := range keyNames {
 		keyNames[i] = fmt.Sprintf("item-%d", i)
@@ -90,8 +81,8 @@ func main() {
 
 	fmt.Printf("== muxbatch: %d redundant reads over %d TCP connections ==\n\n", reads, shards)
 
-	// Act 1: one batched pass, fan-out 2, through multiplexed backends.
-	sc := newSharded(redundancy.Fixed{Copies: 2}, true)
+	// Act 1: one batched pass, fan-out 2.
+	sc := newSharded(redundancy.Fixed{Copies: 2})
 	batch := make([]string, reads)
 	for i := range batch {
 		batch[i] = keyNames[i%keys]
@@ -104,33 +95,16 @@ func main() {
 	wall := time.Since(start)
 	launched, p50, p99 := summarize(res)
 	muxConns := acceptedConns(servers) - baseConns
-	fmt.Printf("act 1 — v2 GetBatch, %d keys x fan-out 2 (%d requests):\n", reads, launched)
+	fmt.Printf("act 1 — GetBatch, %d keys x fan-out 2 (%d requests):\n", reads, launched)
 	fmt.Printf("        %v wall, per-read p50 %v / p99 %v\n", wall.Round(time.Millisecond), p50.Round(time.Millisecond), p99.Round(time.Millisecond))
 	fmt.Printf("        connections accepted across %d shards: %d (one mux conn per shard)\n\n", shards, muxConns)
 	sc.Close()
 	baseConns = acceptedConns(servers)
 
-	// Act 2: the v1 transport pays a connection per in-flight request.
-	v1 := newSharded(redundancy.Fixed{Copies: 2}, false)
-	start = time.Now()
-	res, err = v1.GetBatch(ctx, batch[:v1Reads])
-	if err != nil {
-		panic(err)
-	}
-	v1Wall := time.Since(start)
-	v1Launched, _, v1p99 := summarize(res)
-	v1Conns := acceptedConns(servers) - baseConns
-	fmt.Printf("act 2 — v1 GetBatch at %d keys (%d%% of act 1), same fan-out:\n", v1Reads, 100*v1Reads/reads)
-	fmt.Printf("        %v wall, per-read p99 %v\n", v1Wall.Round(time.Millisecond), v1p99.Round(time.Millisecond))
-	fmt.Printf("        connections accepted: %d for %d in-flight requests — a conn (2 fds) per request;\n", v1Conns, v1Launched)
-	fmt.Printf("        act 1's %d requests would want ~%dk fds, past the usual rlimit\n\n", launched, launched*2/1000)
-	v1.Close()
-	baseConns = acceptedConns(servers)
-
-	// Act 3: hedged batch — deadlines armed on the shared wheel, then
+	// Act 2: hedged batch — deadlines armed on the shared wheel, then
 	// stopped unfired when the primaries answer first. No second copies,
 	// no connection churn: cancellation is just a discarded tag.
-	hedged := newSharded(redundancy.Fixed{Copies: 2, HedgeDelay: 250 * time.Millisecond}, true)
+	hedged := newSharded(redundancy.Fixed{Copies: 2, HedgeDelay: 250 * time.Millisecond})
 	start = time.Now()
 	res, err = hedged.GetBatch(ctx, batch)
 	if err != nil {
@@ -140,7 +114,7 @@ func main() {
 	hLaunched, _, hp99 := summarize(res)
 	hConns := acceptedConns(servers) - baseConns
 	fired := hLaunched - reads
-	fmt.Printf("act 3 — v2 GetBatch with a 250ms hedge deadline per key:\n")
+	fmt.Printf("act 2 — GetBatch with a 250ms hedge deadline per key:\n")
 	fmt.Printf("        %v wall, p99 %v; %d of %d hedge deadlines fired, %d stopped unfired on the wheel\n",
 		hWall.Round(time.Millisecond), hp99.Round(time.Millisecond), fired, reads, reads-fired)
 	fmt.Printf("        connections accepted: %d — abandoning a mux request never costs a reconnect\n", hConns)

@@ -1,10 +1,11 @@
 // quorumread: the consistency knob of the unified call API against three
 // live memkv servers over real TCP. Every read goes through the same
-// ReplicatedClient; what changes per call is only an option:
+// ShardedClient (Replication 3: every key on every server); what
+// changes per call is only an option:
 //
 //   - the default Get is first-response-wins (lowest latency, one
 //     replica's word),
-//   - Get(..., memkv.ReadQuorum(2)) waits for 2-of-3 agreement (masks one
+//   - Get(..., redundancy.WithQuorum(2)) waits for 2-of-3 agreement (masks one
 //     stale or failed replica at a modest latency premium),
 //   - and the premium stays modest precisely *because* of redundancy: the
 //     2nd-of-3 response dodges the worst straggler just as the 1st does.
@@ -36,10 +37,10 @@ func main() {
 	// never meet a stall at the p99, while three-of-three almost always
 	// does: the quorum's consistency premium is small as long as spare
 	// replicas remain.
-	r := rand.New(rand.NewSource(7))
 	servers := make([]*memkv.Server, 3)
-	clients := make([]*memkv.Client, 3)
+	clients := make([]memkv.Backend, 3)
 	for i := range servers {
+		r := rand.New(rand.NewSource(7 + int64(i))) // one per server: each calls Delay from its own goroutine
 		srv := memkv.NewServer(nil)
 		srv.Delay = func() time.Duration {
 			if r.Float64() < 0.04 {
@@ -53,12 +54,13 @@ func main() {
 		}
 		defer srv.Close()
 		servers[i] = srv
-		clients[i] = memkv.NewClient(addr.String(), time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), time.Second)
 	}
 
-	rc := memkv.NewReplicatedClient(
-		redundancy.Policy{Copies: 3, Selection: redundancy.SelectRandom},
-		clients...)
+	rc := memkv.NewShardedClient(memkv.ShardedConfig{
+		Replication:  3,
+		ReadStrategy: redundancy.Fixed{Copies: 3},
+	}, clients...)
 	defer rc.Close()
 	ctx := context.Background()
 
@@ -81,17 +83,17 @@ func main() {
 	}
 
 	p50First, p99First := measure()
-	p50Q2, p99Q2 := measure(memkv.ReadQuorum(2))
-	p50Q3, p99Q3 := measure(memkv.ReadQuorum(3))
+	p50Q2, p99Q2 := measure(redundancy.WithQuorum(2))
+	p50Q3, p99Q3 := measure(redundancy.WithQuorum(3))
 
 	fmt.Println("same client, per-read consistency (3 replicas, 4% 40ms stalls):")
 	fmt.Printf("  first response   p50 %6s  p99 %6s\n", p50First.Round(time.Millisecond), p99First.Round(time.Millisecond))
-	fmt.Printf("  ReadQuorum(2)    p50 %6s  p99 %6s   <- masks one stale/failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
-	fmt.Printf("  ReadQuorum(3)    p50 %6s  p99 %6s   <- scatter-gather worst case\n", p50Q3.Round(time.Millisecond), p99Q3.Round(time.Millisecond))
+	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- masks one stale/failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
+	fmt.Printf("  WithQuorum(3)    p50 %6s  p99 %6s   <- scatter-gather worst case\n", p50Q3.Round(time.Millisecond), p99Q3.Round(time.Millisecond))
 
 	// A quorum-2 read names its voters when asked.
 	var outs []redundancy.Outcome[[]byte]
-	if _, err := rc.GetResult(ctx, "user:42", memkv.ReadQuorum(2),
+	if _, err := rc.GetResult(ctx, "user:42", redundancy.WithQuorum(2),
 		redundancy.WithCollectOutcomes(&outs)); err != nil {
 		panic(err)
 	}
@@ -104,15 +106,15 @@ func main() {
 
 	// One replica down: 2-of-3 still answers.
 	servers[0].Close()
-	if _, err := rc.Get(ctx, "user:42", memkv.ReadQuorum(2)); err != nil {
+	if _, err := rc.Get(ctx, "user:42", redundancy.WithQuorum(2)); err != nil {
 		panic(err)
 	}
-	fmt.Println("\none replica down: ReadQuorum(2) still answers")
+	fmt.Println("\none replica down: WithQuorum(2) still answers")
 
 	// Two down: the quorum is unreachable, and the error says so — typed,
 	// with per-replica detail.
 	servers[1].Close()
-	_, err := rc.Get(ctx, "user:42", memkv.ReadQuorum(2))
+	_, err := rc.Get(ctx, "user:42", redundancy.WithQuorum(2))
 	fmt.Printf("two replicas down: quorum unreachable = %v\n", errors.Is(err, redundancy.ErrQuorumUnreachable))
 	var re redundancy.ReplicaError
 	if errors.As(err, &re) {

@@ -52,7 +52,7 @@ func main() {
 		defer srv.Close()
 		servers[addr.String()] = srv
 		stalled[addr.String()] = flag
-		clients[i] = memkv.NewClient(addr.String(), 2*time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), 2*time.Second)
 	}
 
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{

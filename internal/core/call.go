@@ -147,9 +147,8 @@ func (e *QuorumError[T]) Unwrap() []error { return []error{ErrQuorumUnreachable,
 //
 // copyCtx is not one of the standard library's context types and its
 // Done is never nil, so context.AfterFunc and context.WithCancel on it
-// start a watcher goroutine per use — memkv.Client.roundTrip and
-// dnswire.Client.Exchange pay that for every copy, even under a
-// context.Background() caller. A call with two or more copies needs a
+// start a watcher goroutine per use — dnswire.Client.Exchange pays that
+// for every copy, even under a context.Background() caller. A call with two or more copies needs a
 // cancellation signal the caller's context cannot give (the winner
 // cancels the loser), so it keeps paying; a single-copy call has no
 // loser, hands the replica the caller's context itself, and does not.

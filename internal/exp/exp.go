@@ -114,7 +114,6 @@ func All() []Experiment {
 		{"ablquorum", "Ablation: R-of-N quorum reads vs first-response — the latency price of consistency", AblationQuorum},
 		{"ablcancel", "Ablation: load-aware governor vs fixed fan-out-2 across the threshold load", AblationCancel},
 		{"ablshard", "Ablation: sharded live stack — redundant primary+secondary reads vs load and value size", AblationShard},
-		{"ablmux", "Ablation: outstanding-request ceiling, memkv v1 connection-per-request vs v2 multiplexed wire", AblationMux},
 		{"ablrebalance", "Ablation: live reshard — governed anti-entropy migration, version audit, and read repair", AblationRebalance},
 		{"ablwatch", "Ablation: redundant prefix watch — event delivery p99 single replica vs subscribe-everywhere, exactly-once across a shard kill", AblationWatch},
 		{"ablslo", "Ablation: self-tuning SLO controller vs fixed k=1 and fixed k=2@p50 across a load ramp", AblationSLO},

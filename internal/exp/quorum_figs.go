@@ -14,7 +14,7 @@ import (
 // replica latencies, while an R-of-N quorum read (the WithQuorum call
 // path) completes at the q-th order statistic. The paper's §2 analysis
 // covers q = 1; this ablation extends it to the read-consistency knob
-// the unified call API exposes, answering "what does ReadQuorum(2) cost
+// the unified call API exposes, answering "what does WithQuorum(2) cost
 // me over first-response, and how much of that cost does adding a
 // replica buy back?".
 //
@@ -34,7 +34,7 @@ func AblationQuorum(o Options) ([]*Table, error) {
 		{2, 1}, // paper's duplication, first response wins
 		{3, 1},
 		{2, 2}, // consistency without spare replicas: full max
-		{3, 2}, // ReadQuorum(2) over 3 replicas
+		{3, 2}, // WithQuorum(2) over 3 replicas
 		{3, 3},
 		{5, 2},
 	}

@@ -178,7 +178,7 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 		}
 		defer srv.Close()
 		servers[i] = srv
-		clients[i] = memkv.NewClient(addr.String(), 30*time.Second)
+		clients[i] = memkv.NewMuxClient(addr.String(), 30*time.Second)
 	}
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{
 		Replication:  2,

@@ -1,18 +1,18 @@
 package memkv
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 // startServer launches a server on a loopback port and returns its address
@@ -92,9 +92,7 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 func TestClientSetGetDelete(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 
 	if err := cl.Set(ctx, "greeting", []byte("hello world")); err != nil {
@@ -119,9 +117,7 @@ func TestClientSetGetDelete(t *testing.T) {
 }
 
 func TestClientBinaryValues(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 
 	// Values containing \r\n and NULs must round-trip (length-prefixed
@@ -140,9 +136,7 @@ func TestClientBinaryValues(t *testing.T) {
 }
 
 func TestClientEmptyValue(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 	if err := cl.Set(ctx, "empty", nil); err != nil {
 		t.Fatal(err)
@@ -157,9 +151,7 @@ func TestClientEmptyValue(t *testing.T) {
 }
 
 func TestClientLargeValue(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, 5*time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("x"), 1<<20)
 	if err := cl.Set(ctx, "big", val); err != nil {
@@ -175,7 +167,8 @@ func TestClientLargeValue(t *testing.T) {
 }
 
 func TestClientKeyValidation(t *testing.T) {
-	cl := NewClient("127.0.0.1:1", time.Second)
+	cl := NewMuxClient("127.0.0.1:1", time.Second)
+	defer cl.Close()
 	ctx := context.Background()
 	for _, key := range []string{"", "has space", "has\nnewline", strings.Repeat("k", 251)} {
 		if err := cl.Set(ctx, key, nil); err == nil {
@@ -188,9 +181,7 @@ func TestClientKeyValidation(t *testing.T) {
 }
 
 func TestClientConnectionReuse(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	srv, cl := startMux(t)
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -198,18 +189,13 @@ func TestClientConnectionReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl.mu.Lock()
-	idle := len(cl.idle)
-	cl.mu.Unlock()
-	if idle != 1 {
-		t.Errorf("sequential requests used %d connections, want 1 pooled", idle)
+	if n := srv.AcceptedConns(); n != 1 {
+		t.Errorf("sequential requests used %d connections, want 1", n)
 	}
 }
 
 func TestClientConcurrent(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, 2*time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -241,45 +227,56 @@ func TestClientConcurrent(t *testing.T) {
 
 func TestClientContextCancellation(t *testing.T) {
 	_, addr := startServerDelay(t, func() time.Duration { return 5 * time.Second })
-	cl := NewClient(addr, 10*time.Second)
+	cl := NewMuxClient(addr, 10*time.Second)
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err := cl.Get(ctx, "k")
-	if err == nil {
-		t.Fatal("Get succeeded despite delayed server and short deadline")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Get against a delayed server with a short deadline = %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Error("deadline not honored promptly")
 	}
 }
 
-func TestServerMultiGet(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
+func TestClientStopsReadingOnCancel(t *testing.T) {
+	// The client is blocked on a delayed response with a generous
+	// request timeout; cancelling the context must abandon the wait
+	// immediately — what a single-copy call, which runs on the caller's
+	// goroutine under the caller's context, relies on to return.
+	_, addr := startServerDelay(t, func() time.Duration { return time.Minute })
+	cl := NewMuxClient(addr, 10*time.Minute)
 	defer cl.Close()
-	ctx := context.Background()
-	cl.Set(ctx, "a", []byte("1"))
-	cl.Set(ctx, "b", []byte("2"))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, gerr := cl.Get(ctx, "k")
+		done <- gerr
+	}()
+	cancel()
+	select {
+	case gerr := <-done:
+		if !errors.Is(gerr, context.Canceled) {
+			t.Errorf("got %v, want context.Canceled", gerr)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Errorf("cancelled Get returned after %v", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled Get still blocked after 5s")
+	}
+}
 
-	// Raw protocol: multi-key get.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "get a b missing\r\n")
-	buf := make([]byte, 4096)
+// readReply reads one frame off a raw connection within a second.
+func readReply(t *testing.T, conn net.Conn) (frame, error) {
+	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(time.Second))
-	n, _ := conn.Read(buf)
-	resp := string(buf[:n])
-	if !strings.Contains(resp, "VALUE a 0 1") || !strings.Contains(resp, "VALUE b 0 1") {
-		t.Errorf("multi-get response missing values: %q", resp)
-	}
-	if !strings.HasSuffix(resp, "END\r\n") {
-		t.Errorf("response not END-terminated: %q", resp)
-	}
+	var f frame
+	err := readFrame(bufio.NewReader(conn), &f)
+	return f, err
 }
 
 func TestServerRejectsGarbage(t *testing.T) {
@@ -289,34 +286,82 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "frobnicate\r\n")
-	buf := make([]byte, 64)
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	n, _ := conn.Read(buf)
-	if got := string(buf[:n]); got != "ERROR\r\n" {
-		t.Errorf("garbage command response %q", got)
+	// A well-formed frame with an op the server does not know is
+	// answered with an error on its tag; the connection lives on.
+	conn.Write(appendFrame(nil, &frame{op: 0xFF, tag: 7, key: "k"}))
+	if f, err := readReply(t, conn); err != nil || f.op != opErr || f.tag != 7 {
+		t.Fatalf("unknown op reply = (%+v, %v), want opErr on tag 7", f, err)
 	}
-	fmt.Fprintf(conn, "set k notanumber 0 3\r\n")
-	n, _ = conn.Read(buf)
-	if !strings.HasPrefix(string(buf[:n]), "CLIENT_ERROR") {
-		t.Errorf("bad set response %q", string(buf[:n]))
+	// So is a request the server can parse but not execute.
+	conn.Write(appendFrame(nil, &frame{op: opPutV, tag: 8, key: "k", val: []byte("short")}))
+	if f, err := readReply(t, conn); err != nil || f.op != opErr || f.tag != 8 {
+		t.Fatalf("bad putv reply = (%+v, %v), want opErr on tag 8", f, err)
+	}
+	// A header that breaks the protocol's limits cannot be skipped over:
+	// the server drops the connection.
+	bad := appendFrame(nil, &frame{op: opGet, tag: 9, key: "k"})
+	bad[13], bad[14] = 0xFF, 0xFF // klen = 65535 > maxKeyLen
+	conn.Write(bad)
+	if f, err := readReply(t, conn); err == nil {
+		t.Fatalf("after an oversize key length the server answered %+v, want the connection closed", f)
+	}
+}
+
+// TestServerClosesNonFrameConn: a peer whose first byte is not a frame
+// op — here a memcached text command, too short to fill a frame header
+// — is closed at once with no reply, and the listener keeps serving.
+func TestServerClosesNonFrameConn(t *testing.T) {
+	_, addr := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "get k\r\n")
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || err != io.EOF {
+		t.Fatalf("text command got %d reply bytes, err %v; want 0 bytes and EOF within 1s", n, err)
+	}
+	cl := NewMuxClient(addr, time.Second)
+	defer cl.Close()
+	if err := cl.Set(context.Background(), "k", []byte("v")); err != nil {
+		t.Fatalf("listener stopped serving after a non-frame connection: %v", err)
 	}
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
-	srv, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
+	// A call is pending on a request the server has parked for a minute:
+	// Close must fail it, not wait the delay out.
+	parked := make(chan struct{}, 1)
+	srv, addr := startServerDelay(t, func() time.Duration {
+		parked <- struct{}{}
+		return time.Minute
+	})
+	cl := NewMuxClient(addr, 10*time.Minute)
 	defer cl.Close()
-	ctx := context.Background()
-	if err := cl.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Get(context.Background(), "k")
+		done <- err
+	}()
+	<-parked
+	start := time.Now()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Pooled connection is now dead; the request must fail, not hang.
-	_, err := cl.Get(ctx, "k")
-	if err == nil {
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("Close took %v with a delayed request parked", el)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrMuxConnLost) {
+			t.Errorf("pending Get = %v, want ErrMuxConnLost", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending Get still blocked 5s after Server.Close")
+	}
+	// The server is gone; a fresh request must fail, not hang.
+	if _, err := cl.Get(context.Background(), "k"); err == nil {
 		t.Error("Get succeeded against closed server")
 	}
 	// Double close is fine.
@@ -325,61 +370,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 }
 
-func TestReplicatedClientFirstWins(t *testing.T) {
-	// Server A is slow; B is fast.
-	_, addrA := startServerDelay(t, func() time.Duration { return 300 * time.Millisecond })
-	_, addrB := startServer(t)
-
-	clA := NewClient(addrA, 2*time.Second)
-	clB := NewClient(addrB, 2*time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2, Selection: core.SelectRandom}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if time.Since(start) > 250*time.Millisecond {
-		t.Errorf("replicated read waited for the slow server: %v", time.Since(start))
-	}
-	if res.Launched != 2 {
-		t.Errorf("Launched = %d", res.Launched)
-	}
-}
-
-func TestReplicatedClientSurvivesDeadReplica(t *testing.T) {
-	srvA, addrA := startServer(t)
-	_, addrB := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2, Selection: core.SelectRandom}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	srvA.Close() // kill one replica
-	v, err := rc.Get(ctx, "k")
-	if err != nil {
-		t.Fatalf("replicated read failed with one dead replica: %v", err)
-	}
-	if string(v) != "v" {
-		t.Errorf("value %q", v)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 	if err := cl.SetTTL(ctx, "ephemeral", []byte("v"), time.Second); err != nil {
 		t.Fatal(err)
@@ -412,9 +404,7 @@ func TestTTLZeroNeverExpires(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
-	defer cl.Close()
+	_, cl := startMux(t)
 	ctx := context.Background()
 	cl.Set(ctx, "a", []byte("1"))
 	cl.Set(ctx, "b", []byte("2"))
@@ -435,138 +425,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestAdaptiveReplicatedClient(t *testing.T) {
-	// A fast and a deliberately slow replica. Cold digests mean the first
-	// read fans out fully; once warm, the hedge waits for the primary's
-	// observed p95 and the stats snapshot is self-describing.
-	_, fastAddr := startServer(t)
-	_, slowAddr := startServerDelay(t, func() time.Duration { return 200 * time.Millisecond })
-	clFast := NewClient(fastAddr, 2*time.Second)
-	clSlow := NewClient(slowAddr, 2*time.Second)
-	rc := NewAdaptiveReplicatedClient(0.95, clFast, clSlow)
-	defer rc.Close()
-	ctx := context.Background()
-
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if res.Launched != 2 {
-		t.Errorf("cold adaptive read launched %d copies, want 2 (immediate fallback)", res.Launched)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := rc.Get(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := rc.GroupStats()
-	if !strings.Contains(s.Strategy, "adaptive-hedge") || !strings.Contains(s.Strategy, "p95") {
-		t.Errorf("GroupStats.Strategy = %q", s.Strategy)
-	}
-	warm := false
-	for _, r := range s.Replicas {
-		if r.Observations >= 16 && r.P95 > 0 && r.P50 <= r.P95 {
-			warm = true
-		}
-	}
-	if !warm {
-		t.Errorf("no replica digest warmed past MinSamples: %+v", s.Replicas)
-	}
-
-	// Strategies swap through the snapshot without disturbing reads.
-	rc.SetStrategy(core.FullReplicate{Selection: core.SelectRandom})
-	res, err = rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Errorf("full replication launched %d copies", res.Launched)
-	}
-	if got := rc.GroupStats().Strategy; !strings.Contains(got, "full-replicate") {
-		t.Errorf("after SetStrategy: %q", got)
-	}
-}
-
-func TestReplicatedClientReadQuorum(t *testing.T) {
-	// Three replicas; a quorum-2 read succeeds with one dead replica and
-	// carries per-replica outcomes, while two dead replicas make the
-	// quorum unreachable with named failure detail.
-	srvA, addrA := startServer(t)
-	srvB, addrB := startServer(t)
-	_, addrC := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	clC := NewClient(addrC, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 3}, clA, clB, clC)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	var outs []core.Outcome[[]byte]
-	res, err := rc.GetResult(ctx, "k", ReadQuorum(2), core.WithCollectOutcomes(&outs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	wins := 0
-	for _, o := range outs {
-		if o.Err == nil {
-			wins++
-			if string(o.Value) != "v" {
-				t.Errorf("quorum outcome value %q", o.Value)
-			}
-		}
-	}
-	if wins != 2 {
-		t.Errorf("quorum read collected %d wins, want 2", wins)
-	}
-
-	srvA.Close() // one dead replica: 2-of-3 still reachable
-	if _, err := rc.Get(ctx, "k", ReadQuorum(2)); err != nil {
-		t.Fatalf("quorum read with one dead replica: %v", err)
-	}
-
-	srvB.Close() // two dead: 2-of-3 unreachable
-	_, err = rc.Get(ctx, "k", ReadQuorum(2))
-	if !errors.Is(err, core.ErrQuorumUnreachable) {
-		t.Fatalf("got %v, want ErrQuorumUnreachable", err)
-	}
-	var re core.ReplicaError
-	if !errors.As(err, &re) || re.Name == "" {
-		t.Errorf("quorum failure lacks named replica detail: %v", err)
-	}
-}
-
-func TestReplicatedClientPerReadLabelAndCap(t *testing.T) {
-	_, addrA := startServer(t)
-	_, addrB := startServer(t)
-	clA := NewClient(addrA, time.Second)
-	clB := NewClient(addrB, time.Second)
-	rc := NewReplicatedClient(core.Policy{Copies: 2}, clA, clB)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := rc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rc.GetResult(ctx, "k", core.WithFanoutCap(1), core.WithLabel("prefetch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 1 {
-		t.Errorf("capped read launched %d copies, want 1", res.Launched)
-	}
-}
-
 // waitCounter polls an atomic-backed getter until it reaches want and
 // returns the final value at once; the 30 s bound only keeps a broken
 // build from hanging, and is wide enough that a box loaded by the rest
@@ -582,134 +440,32 @@ func waitCounter(t *testing.T, get func() int64, want int64) int64 {
 	return get()
 }
 
-func TestServerAbortsDelayedWorkWhenClientGone(t *testing.T) {
-	// The server is mid-delay when its client disconnects: it must abandon
-	// the request (and count it) instead of sleeping out the full delay.
-	srv, addr := startServerDelay(t, func() time.Duration { return time.Minute })
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(conn, "get k\r\n")
-	conn.Close()
-	if got := waitCounter(t, srv.aborted.Load, 1); got != 1 {
-		t.Fatalf("aborted_ops = %d, want 1 (server slept out the delay?)", got)
-	}
-	// Close must not wait out the minute-long delay either.
-	start := time.Now()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("Close took %v with an aborted delayed request", el)
-	}
-}
-
+// TestServerAbortStatExposed: a delayed request whose client went away
+// is dropped when its delay elapses, and the count is readable remotely.
 func TestServerAbortStatExposed(t *testing.T) {
-	_, addr := startServer(t)
-	cl := NewClient(addr, time.Second)
+	parked := make(chan struct{})
+	var calls atomic.Int64
+	srv, addr := startServerDelay(t, func() time.Duration {
+		if calls.Add(1) == 1 {
+			close(parked)
+			return 250 * time.Millisecond // long enough for the server to see the close first
+		}
+		return 0
+	})
+	gone := NewMuxClient(addr, time.Minute)
+	go gone.Get(context.Background(), "k")
+	<-parked
+	gone.Close()
+	if got := waitCounter(t, srv.aborted.Load, 1); got != 1 {
+		t.Fatalf("aborted = %d, want 1", got)
+	}
+	cl := NewMuxClient(addr, 5*time.Second)
 	defer cl.Close()
 	stats, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := stats["aborted_ops"]; !ok {
-		t.Errorf("stats missing aborted_ops: %+v", stats)
-	}
-}
-
-func TestClientStopsReadingOnCancel(t *testing.T) {
-	// The client is blocked reading a delayed response with a generous
-	// request timeout; cancelling the context must abandon the read
-	// immediately — the cancellation path the redundancy engine relies on
-	// to reclaim losing copies.
-	_, addr := startServerDelay(t, func() time.Duration { return time.Minute })
-	cl := NewClient(addr, 10*time.Minute)
-	defer cl.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, gerr := cl.Get(ctx, "k")
-		done <- gerr
-	}()
-	cancel()
-	select {
-	case gerr := <-done:
-		if !errors.Is(gerr, context.Canceled) {
-			t.Errorf("got %v, want context.Canceled", gerr)
-		}
-		if el := time.Since(start); el > 2*time.Second {
-			t.Errorf("cancelled Get returned after %v", el)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled Get still blocked after 5s")
-	}
-}
-
-func TestReplicatedClientCancelsLosingCopy(t *testing.T) {
-	// End-to-end copy cancellation: a fast and a stalled replica, full
-	// fan-out. The fast replica wins, the loser is cancelled in flight,
-	// the client abandons its read, and the stalled server aborts the
-	// delayed request — capacity reclaimed at every layer.
-	//
-	// The fast server holds its reply until the stalled one has the
-	// loser's request in hand: a winner that answers before the losing
-	// copy has written anything cancels a copy no server ever saw, and
-	// there is nothing for the stalled server to abort.
-	slowParked := make(chan struct{})
-	var parkOnce sync.Once
-	var raceOn atomic.Bool
-	_, fastAddr := startServerDelay(t, func() time.Duration {
-		if raceOn.Load() {
-			<-slowParked
-		}
-		return 0
-	})
-	slowSrv, slowAddr := startServerDelay(t, func() time.Duration {
-		parkOnce.Do(func() { close(slowParked) })
-		return time.Minute
-	})
-	clFast := NewClient(fastAddr, 10*time.Minute)
-	clSlow := NewClient(slowAddr, 10*time.Minute)
-	rc := NewReplicatedClient(core.Policy{Copies: 2}, clFast, clSlow)
-	defer rc.Close()
-	ctx := context.Background()
-	if err := clFast.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	raceOn.Store(true)
-
-	start := time.Now()
-	res, err := rc.GetResult(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
-	}
-	if res.Launched != 2 || res.Cancelled != 1 {
-		t.Errorf("Launched/Cancelled = %d/%d, want 2/1", res.Launched, res.Cancelled)
-	}
-	// Waiting out the stalled replica would take the injected minute; the
-	// comparison is against that, not against how fast a loaded box
-	// schedules the winner.
-	if el := time.Since(start); el >= 30*time.Second {
-		t.Errorf("read took %v; the stalled replica was waited out", el)
-	}
-	// The stalled server saw its client vanish and abandoned the request.
-	if got := waitCounter(t, slowSrv.aborted.Load, 1); got < 1 {
-		t.Errorf("slow server aborted_ops = %d, want >= 1", got)
-	}
-	// The group's stats record the reclaimed copy against the replica.
-	cancelled := func() int64 {
-		n := int64(0)
-		for _, r := range rc.GroupStats().Replicas {
-			n += r.Cancelled
-		}
-		return n
-	}
-	if got := waitCounter(t, cancelled, 1); got < 1 {
-		t.Errorf("no replica recorded a cancelled copy: %+v", rc.GroupStats().Replicas)
+	if stats["aborted_ops"] != 1 {
+		t.Errorf("aborted_ops = %d, want 1: %+v", stats["aborted_ops"], stats)
 	}
 }

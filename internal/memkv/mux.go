@@ -21,20 +21,17 @@ import (
 var ErrMuxConnLost = errors.New("memkv: mux connection lost")
 
 // ErrMuxTimeout reports that a multiplexed request exceeded the
-// client's per-request timeout. Unlike the v1 client — which must kill
-// the connection, because a text-protocol response has no identity
-// besides its position — a timed-out v2 request just abandons its tag;
-// the connection and every other in-flight request on it are unharmed.
+// client's per-request timeout. A timed-out request just abandons its
+// tag; the connection and every other in-flight request on it are
+// unharmed.
 var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 
-// MuxClient is the v2 multiplexed memkv client: a tiny fixed set of
-// connections (default one) to a single server, over which any number
-// of concurrent requests interleave. Where the v1 Client's concurrency
-// ceiling is file descriptors — every in-flight request occupies a
-// pooled connection — a MuxClient's ceiling is memory: each in-flight
-// request is one map entry (and, for a blocking call, one pooled
-// waiter), so tens of thousands
-// of outstanding redundant reads share a handful of sockets.
+// MuxClient is the memkv client for one server: a tiny fixed set of
+// connections (default one) over which any number of concurrent
+// requests interleave. Its concurrency ceiling is memory, not file
+// descriptors: each in-flight request is one map entry (and, for a
+// blocking call, one pooled waiter), so tens of thousands of
+// outstanding redundant reads share a handful of sockets.
 //
 //   - Writes coalesce: requests append frames to a pending buffer and a
 //     single flusher goroutine per connection writes whatever
@@ -46,8 +43,7 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //   - Cancellation is free: a cancelled request unregisters its tag and
 //     moves on — the connection survives, and when the response arrives
 //     the reader, finding nobody registered for its tag, skips the value
-//     bytes without decoding or allocating them. (The v1 client must
-//     burn the connection to abandon a request.) The redundancy engine
+//     bytes without decoding or allocating them. The redundancy engine
 //     cancelling a losing copy therefore costs neither a reconnect nor a
 //     discarded value. The request itself is not recalled: once written
 //     it is served and answered.
@@ -56,9 +52,8 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     a core.Starter). ShardedClient launches the copies of a redundant
 //     read this way; Get stays the blocking form of the same request.
 //
-// A MuxClient is safe for concurrent use and implements the same
-// Get/Set/SetTTL/Delete surface as Client, so it satisfies Backend and
-// plugs into ShardedClient and ReplicatedClient construction unchanged.
+// A MuxClient is safe for concurrent use and is the production
+// implementation of Backend, the shard surface ShardedClient routes over.
 type MuxClient struct {
 	addr    string
 	timeout time.Duration
@@ -96,7 +91,7 @@ func WithMuxConns(n int) MuxOption {
 	}
 }
 
-// NewMuxClient creates a multiplexed v2 client for the server at addr.
+// NewMuxClient creates a multiplexed client for the server at addr.
 // timeout bounds each request from enqueue to response (0 means no
 // timeout); it is enforced on the shared timer wheel, not with a
 // per-request runtime timer. Connections are dialed lazily.
@@ -215,6 +210,12 @@ func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
 	}
 	cn, err := m.dial(ctx, i)
 	if err != nil {
+		if ctx.Err() != nil {
+			// The caller gave up mid-dial (a losing copy, cancelled when
+			// its sibling won): that says nothing about the server. The
+			// stripe stays undialed and the next request dials again.
+			return nil, err
+		}
 		// The synchronous dial failed: the server is unreachable, not
 		// just this connection. Hand the stripe to the backoff redialer
 		// so the client heals itself without a caller-driven dial storm.
@@ -735,6 +736,23 @@ func (m *MuxClient) Delete(ctx context.Context, key string) error {
 	return frameToDelete(&fr)
 }
 
+// Stats fetches a snapshot of the server's counters (Server.Stats) by
+// name.
+func (m *MuxClient) Stats(ctx context.Context) (map[string]int64, error) {
+	fr, err := m.do(ctx, frame{op: opStats})
+	if err != nil {
+		return nil, err
+	}
+	switch fr.op {
+	case opStatsResp:
+		return decodeStats(fr.val)
+	case opErr:
+		return nil, fmt.Errorf("memkv: server error: %s", fr.val)
+	default:
+		return nil, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+	}
+}
+
 func ttlSeconds(ttl time.Duration) uint32 {
 	if ttl <= 0 {
 		return 0
@@ -858,9 +876,7 @@ func (m *MuxClient) PutBatch(ctx context.Context, keys []string, vals [][]byte) 
 //
 // These are the wire counterparts of Store.GetVersion/PutVersion/Scan:
 // last-writer-wins puts carrying explicit versions, version-observing
-// gets, and the cursor-paged scan that anti-entropy streams over. The
-// v1 Client deliberately does not grow these — versioned traffic is a
-// v2-only surface, which is what VersionedBackend gates on.
+// gets, and the cursor-paged scan that anti-entropy streams over.
 
 // GetV fetches the value, version, and remaining TTL (whole seconds,
 // 0 = never expires) stored under key. A missing key is ErrNotFound;

@@ -40,7 +40,7 @@ func startAsyncShards(t *testing.T, n int, cfg ShardedConfig, timeout time.Durat
 		backends[i] = muxes[i]
 	}
 	sc := NewShardedClient(cfg, backends...)
-	t.Cleanup(func() { sc.Close() })
+	t.Cleanup(func() { closeAll(backends) })
 	return sc, servers, muxes
 }
 
@@ -457,17 +457,76 @@ func TestAsyncDeclinedStartFallsBack(t *testing.T) {
 	}
 }
 
+// MuxClient is the production Backend.
+var _ Backend = (*MuxClient)(nil)
+
 // countingMux is what bench's tracing wrapper is: a Backend that embeds
-// the real client — so it has the promoted Start and Cancel — and
-// overrides Get.
+// the real client — so it has the promoted Start and Cancel, and the
+// whole Backend surface — and overrides the reads.
 type countingMux struct {
 	*MuxClient
-	gets atomic.Int64
+	gets, getVs atomic.Int64
 }
 
 func (c *countingMux) Get(ctx context.Context, key string) ([]byte, error) {
 	c.gets.Add(1)
 	return c.MuxClient.Get(ctx, key)
+}
+
+func (c *countingMux) GetV(ctx context.Context, key string) ([]byte, uint64, uint32, error) {
+	c.getVs.Add(1)
+	return c.MuxClient.GetV(ctx, key)
+}
+
+// TestWrappedBackendKeepsFullSurface: a Backend that embeds *MuxClient
+// serves versioned quorum reads (through its own GetV), CAS and watches
+// through ShardedClient like the bare client does.
+func TestWrappedBackendKeepsFullSurface(t *testing.T) {
+	var wrapped []*countingMux
+	var backends []Backend
+	for i := 0; i < 2; i++ {
+		_, addr := startServer(t)
+		w := &countingMux{MuxClient: NewMuxClient(addr, 5*time.Second)}
+		wrapped = append(wrapped, w)
+		backends = append(backends, w)
+	}
+	sc := NewShardedClient(ShardedConfig{}, backends...)
+	defer sc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	w, err := sc.WatchPrefix(ctx, "k", 16)
+	if err != nil {
+		t.Fatalf("WatchPrefix over wrapped backends: %v", err)
+	}
+	ver, err := sc.PutVersioned(ctx, "k", []byte("v1"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, got, err := sc.GetQuorum(ctx, "k", 2)
+	if err != nil || string(val) != "v1" || got != ver {
+		t.Fatalf("GetQuorum = (%q, %d, %v), want (v1, %d)", val, got, err, ver)
+	}
+	if n := wrapped[0].getVs.Load() + wrapped[1].getVs.Load(); n != 2 {
+		t.Errorf("wrappers saw %d GetV calls for a 2-of-2 quorum read, want 2", n)
+	}
+	ver2, err := sc.CAS(ctx, "k", []byte("v2"), 0, ver)
+	if err != nil || ver2 <= ver {
+		t.Fatalf("CAS = (%d, %v), want a version above %d", ver2, err, ver)
+	}
+	if _, err := sc.CAS(ctx, "k", []byte("v3"), 0, ver); !errors.Is(err, ErrCASConflict) {
+		t.Errorf("stale CAS = %v, want ErrCASConflict", err)
+	}
+	for _, want := range []uint64{ver, ver2} {
+		select {
+		case ev := <-w.Events():
+			if ev.Key != "k" || ev.Version != want {
+				t.Errorf("watch event %+v, want key k at version %d", ev, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no watch event for version %d", want)
+		}
+	}
 }
 
 // TestAsyncWrapperSeesEveryReadCopy pins the concrete-type rule of

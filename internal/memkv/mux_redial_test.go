@@ -193,3 +193,20 @@ func TestMuxFailsFastWhileServerDown(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestMuxAbandonedDialLeavesStripeUndialed: a first dial given up by its
+// caller — the losing copy of a redundant read, cancelled while it was
+// still connecting — says nothing about the server, so it must not put
+// the stripe into redial (where requests fail fast with ErrMuxConnLost
+// until the backoff loop reconnects). The next request dials afresh.
+func TestMuxAbandonedDialLeavesStripeUndialed(t *testing.T) {
+	_, cl := startMux(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cl.conn(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dial under a cancelled context = %v, want context.Canceled", err)
+	}
+	if err := cl.Set(context.Background(), "k", []byte("v")); err != nil {
+		t.Fatalf("first request after an abandoned dial: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,26 +278,40 @@ func TestMuxGetBatchPutBatch(t *testing.T) {
 	}
 }
 
-// TestMuxMixedProtocols: a v1 text client and a v2 mux client share one
-// listener and one store.
-func TestMuxMixedProtocols(t *testing.T) {
-	_, addr := startServer(t)
-	v1 := NewClient(addr, 2*time.Second)
-	defer v1.Close()
-	v2 := NewMuxClient(addr, 2*time.Second)
-	defer v2.Close()
+// TestMuxStats: the server's counters travel as one request; the
+// remote snapshot names all ten and equals the local one.
+func TestMuxStats(t *testing.T) {
+	srv, cl := startMux(t)
 	ctx := context.Background()
-	if err := v1.Set(ctx, "from-v1", []byte("text")); err != nil {
+	cl.Set(ctx, "a", []byte("1"))
+	cl.Get(ctx, "a")
+	cl.Get(ctx, "missing")
+	cl.Scan(ctx, "", 10)
+	cl.PutV(ctx, "a", []byte("old"), 0, 1) // older than the stored version: a stale put
+	w, err := cl.Watch(ctx, "", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v2.Set(ctx, "from-v2", []byte("framed")); err != nil {
+	defer w.Close()
+
+	got, err := cl.Stats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := v2.Get(ctx, "from-v1"); err != nil || string(v) != "text" {
-		t.Fatalf("v2 reads v1 write: %q, %v", v, err)
+	want := map[string]int64{
+		"cmd_get": 2, "cmd_set": 2, "cmd_scan": 1, "get_hits": 1, "get_misses": 1,
+		"curr_items": 1, "aborted_ops": 0, "stale_puts": 1, "watchers": 1, "watch_disconnects": 0,
 	}
-	if v, err := v1.Get(ctx, "from-v2"); err != nil || string(v) != "framed" {
-		t.Fatalf("v1 reads v2 write: %q, %v", v, err)
+	if !maps.Equal(got, want) {
+		t.Errorf("MuxClient.Stats = %v\nwant %v", got, want)
+	}
+	if local := srv.Stats(); !maps.Equal(got, local) {
+		t.Errorf("remote snapshot %v != Server.Stats %v", got, local)
+	}
+	// A payload cut short is an error, not a partial snapshot.
+	enc := appendStat(nil, "cmd_get", 2)
+	if _, err := decodeStats(enc[:len(enc)-1]); err == nil {
+		t.Error("truncated stats payload decoded")
 	}
 }
 

@@ -107,7 +107,7 @@ func TestMuxScanLimitClamp(t *testing.T) {
 // stale copy loses to the newest version, and cursor pagination walks
 // the merged keyspace exactly once.
 func TestShardedScanMerged(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 
 	const n = 25
@@ -176,7 +176,7 @@ func TestShardedScanMerged(t *testing.T) {
 // as duplicates again, while every event is still delivered exactly
 // once throughout.
 func TestPrefixWatchResubscribeBackoff(t *testing.T) {
-	sc, servers := startMuxShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, servers := startShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 
 	w, err := sc.WatchPrefix(ctx, "rs/", 256)

@@ -1,37 +1,25 @@
-// Package memkv implements a small in-memory key-value store speaking a
-// subset of the memcached text protocol (get/set/delete), plus a pooled
-// client and a replicated client built on the redundancy core.
+// Package memkv implements a small in-memory key-value store, a TCP
+// server for it, and its clients: MuxClient multiplexes requests to one
+// server over a tagged binary frame protocol (wire.go), and
+// ShardedClient places keys on a consistent-hash ring of MuxClients and
+// reads them redundantly through the redundancy core.
 //
 // It serves two purposes in the reproduction:
 //
 //   - It is the live-system counterpart of the §2.3 memcached experiment:
-//     the examples run real replicated reads against two memkv servers over
+//     the examples run real replicated reads against memkv servers over
 //     TCP and show exactly the effect the paper measured (sub-millisecond
 //     service times leave little room for redundancy to help, unless a
 //     server stalls).
 //   - Its Server.Delay hook lets tests and examples inject controlled
 //     latency spikes to demonstrate when redundancy DOES pay off.
-//
-// Protocol subset (memcached text protocol):
-//
-//	set <key> <flags> <exptime> <bytes>\r\n<data>\r\n  -> STORED\r\n
-//	get <key>\r\n  -> VALUE <key> <flags> <bytes>\r\n<data>\r\nEND\r\n | END\r\n
-//	delete <key>\r\n -> DELETED\r\n | NOT_FOUND\r\n
-//	stats\r\n -> STAT <name> <value>\r\n ... END\r\n
-//	quit\r\n
-//
-// exptime follows memcached's relative-seconds convention (0 = never).
 package memkv
 
 import (
 	"bufio"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -526,7 +514,7 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Server serves the memcached text protocol over TCP.
+// Server serves a Store over TCP, speaking the frame protocol of wire.go.
 type Server struct {
 	// Delay, if non-nil, is called once per request and its return value
 	// is slept before responding — a hook for injecting service-time
@@ -542,7 +530,7 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Protocol counters, exposed by the stats command.
+	// Protocol counters, exposed by Stats and the opStats request.
 	cmdGet    atomic.Int64
 	cmdSet    atomic.Int64
 	cmdScan   atomic.Int64
@@ -555,20 +543,34 @@ type Server struct {
 	// a growing count under steady state means writers are clobbering
 	// each other.
 	stalePuts atomic.Int64
-	// aborted counts requests abandoned mid-delay because the client went
-	// away — the server-side half of copy cancellation: a cancelled
-	// redundant read closes its connection, and the server stops burning
-	// capacity on an answer nobody will read.
+	// aborted counts delayed requests dropped because their connection
+	// closed while they were parked: the server does not answer a client
+	// that is gone.
 	aborted atomic.Int64
-	// accepted counts connections accepted over the server's lifetime —
-	// the transport-cost metric the v1-vs-v2 ablation reports (v1 pays a
-	// connection per in-flight request, v2 one per client).
+	// accepted counts connections accepted over the server's lifetime.
 	accepted atomic.Int64
 }
 
 // AcceptedConns returns the total number of connections the server has
 // accepted since Listen.
 func (s *Server) AcceptedConns() int64 { return s.accepted.Load() }
+
+// Stats snapshots the server's counters by name — what the opStats
+// request returns to MuxClient.Stats.
+func (s *Server) Stats() map[string]int64 {
+	return map[string]int64{
+		"cmd_get":           s.cmdGet.Load(),
+		"cmd_set":           s.cmdSet.Load(),
+		"cmd_scan":          s.cmdScan.Load(),
+		"get_hits":          s.getHits.Load(),
+		"get_misses":        s.getMisses.Load(),
+		"curr_items":        int64(s.store.Len()),
+		"aborted_ops":       s.aborted.Load(),
+		"stale_puts":        s.stalePuts.Load(),
+		"watchers":          int64(s.store.Watchers()),
+		"watch_disconnects": s.store.WatchDisconnects(),
+	}
+}
 
 // NewServer creates a server around the given store (a fresh one if nil).
 func NewServer(store *Store) *Server {
@@ -607,10 +609,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			// Out of file descriptors — the very wall the v1 protocol's
-			// connection-per-request design runs into under load. Back
-			// off and keep accepting: connections in flight will close
-			// and free fds; dying here would wedge the listener forever.
+			// Out of file descriptors. Back off and keep accepting:
+			// connections in flight will close and free fds; dying here
+			// would wedge the listener forever.
 			if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
 				time.Sleep(backoff)
 				if backoff < time.Second {
@@ -663,230 +664,16 @@ func (s *Server) Close() error {
 	return err
 }
 
-// request is one parsed protocol command, produced by the connection's
-// reader goroutine.
-type request struct {
-	fields []string
-	// data, flags, and exptime are the set command's fully parsed
-	// arguments; zero for every other command.
-	data    []byte
-	flags   uint32
-	exptime int64
-	// bad, when non-empty, is a protocol error to report instead of
-	// executing the command.
-	bad string
-}
-
-// serveConn sniffs the connection's first byte to pick a protocol —
-// every v2 frame op has the high bit set, while text-protocol commands
-// are ASCII — then hands off to the v2 mux loop (server_mux.go) or the
-// v1 text loop below. One listener serves both protocols, so v1 and v2
-// clients mix freely against the same store.
+// serveConn checks the connection's first byte and runs the frame loop
+// (server_mux.go). Every frame op has the high bit set; a peer that
+// opens with anything else — a text-protocol client, a stray probe — is
+// closed at once with no reply, because readFrame would otherwise wait
+// for a 19-byte header that a short line never completes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	first, err := r.Peek(1)
-	if err != nil {
+	if first, err := r.Peek(1); err != nil || first[0] < 0x80 {
 		return
 	}
-	if first[0] >= 0x80 {
-		s.serveMux(conn, r)
-		return
-	}
-	s.serveText(conn, r)
-}
-
-// serveText splits each v1 connection between a reader goroutine
-// (parses requests, detects the peer going away) and this handler loop
-// (executes them, including the Delay hook). The split is what makes
-// server-side work cancellable: a redundant client cancels a losing
-// copy by closing its connection, the blocked reader sees the close
-// immediately, and the handler abandons any in-progress delay instead
-// of sleeping it out and writing an answer nobody will read.
-func (s *Server) serveText(conn net.Conn, r *bufio.Reader) {
-	handlerGone := make(chan struct{})
-	defer close(handlerGone)
-	readerGone := make(chan struct{})
-	reqCh := make(chan request)
-	go s.readRequests(r, reqCh, readerGone, handlerGone)
-
-	w := bufio.NewWriter(conn)
-	for {
-		var req request
-		// An unbuffered reqCh means a ready receive implies a live
-		// sender, so readerGone and a pending request are never ready
-		// together: no request is lost by selecting on both.
-		select {
-		case req = <-reqCh:
-		case <-readerGone:
-			return
-		}
-		if s.Delay != nil {
-			if d := s.Delay(); d > 0 && !s.sleep(d, readerGone) {
-				s.aborted.Add(1)
-				return
-			}
-		}
-		switch req.fields[0] {
-		case "get", "gets":
-			if req.bad != "" {
-				writeClientError(w, req.bad)
-				break
-			}
-			s.cmdGet.Add(1)
-			for _, key := range req.fields[1:] {
-				if val, flags, ok := s.store.Get(key); ok {
-					s.getHits.Add(1)
-					fmt.Fprintf(w, "VALUE %s %d %d\r\n", key, flags, len(val))
-					w.Write(val)
-					w.WriteString("\r\n")
-				} else {
-					s.getMisses.Add(1)
-				}
-			}
-			w.WriteString("END\r\n")
-		case "set":
-			if req.bad != "" {
-				writeClientError(w, req.bad)
-				break
-			}
-			s.cmdSet.Add(1)
-			s.store.SetTTL(req.fields[1], req.flags, req.data, time.Duration(req.exptime)*time.Second)
-			w.WriteString("STORED\r\n")
-		case "delete":
-			if req.bad != "" {
-				writeClientError(w, req.bad)
-				break
-			}
-			if s.store.Delete(req.fields[1]) {
-				w.WriteString("DELETED\r\n")
-			} else {
-				w.WriteString("NOT_FOUND\r\n")
-			}
-		case "stats":
-			fmt.Fprintf(w, "STAT cmd_get %d\r\n", s.cmdGet.Load())
-			fmt.Fprintf(w, "STAT cmd_set %d\r\n", s.cmdSet.Load())
-			fmt.Fprintf(w, "STAT cmd_scan %d\r\n", s.cmdScan.Load())
-			fmt.Fprintf(w, "STAT get_hits %d\r\n", s.getHits.Load())
-			fmt.Fprintf(w, "STAT get_misses %d\r\n", s.getMisses.Load())
-			fmt.Fprintf(w, "STAT curr_items %d\r\n", s.store.Len())
-			fmt.Fprintf(w, "STAT aborted_ops %d\r\n", s.aborted.Load())
-			fmt.Fprintf(w, "STAT stale_puts %d\r\n", s.stalePuts.Load())
-			fmt.Fprintf(w, "STAT watchers %d\r\n", s.store.Watchers())
-			fmt.Fprintf(w, "STAT watch_disconnects %d\r\n", s.store.WatchDisconnects())
-			w.WriteString("END\r\n")
-		case "quit":
-			w.Flush()
-			return
-		default:
-			w.WriteString("ERROR\r\n")
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// sleep waits out the Delay hook's duration, aborting early (returning
-// false) if the connection's reader goroutine dies — the client is gone,
-// so the pending response is worthless.
-func (s *Server) sleep(d time.Duration, abort <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-abort:
-		return false
-	}
-}
-
-// readRequests parses commands off the connection and delivers them to
-// the handler. It closes readerGone — aborting any delayed request in
-// the handler — as soon as a read fails, which for an idle-then-closed
-// connection is the moment the peer disconnects, because the reader
-// always has a Read pending for the next command.
-func (s *Server) readRequests(r *bufio.Reader, reqCh chan<- request, readerGone chan struct{}, handlerGone <-chan struct{}) {
-	defer close(readerGone)
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		req := request{fields: fields}
-		switch fields[0] {
-		case "get", "gets":
-			if len(fields) < 2 {
-				req.bad = "get requires a key"
-			}
-		case "set":
-			var readErr error
-			req, readErr = parseSet(r, fields)
-			if readErr != nil {
-				return
-			}
-		case "delete":
-			if len(fields) != 2 {
-				req.bad = "delete requires exactly one key"
-			}
-		}
-		select {
-		case reqCh <- req:
-		case <-handlerGone:
-			return
-		}
-	}
-}
-
-// parseSet parses "set <key> <flags> <exptime> <bytes>" and, when the
-// command line is well-formed, its data block. A malformed command line
-// is reported without consuming a data block (matching memcached and the
-// previous in-line parser); a short or unterminated data block is an IO
-// error that closes the connection.
-func parseSet(r *bufio.Reader, fields []string) (request, error) {
-	req := request{fields: fields}
-	if len(fields) != 5 {
-		req.bad = "set requires 4 arguments"
-		return req, nil
-	}
-	if len(fields[1]) > maxKeyLen {
-		req.bad = "key too long"
-		return req, nil
-	}
-	flags, err1 := strconv.ParseUint(fields[2], 10, 32)
-	exptime, err2 := strconv.ParseInt(fields[3], 10, 64) // relative seconds, 0 = never
-	n, err3 := strconv.ParseInt(fields[4], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || exptime < 0 || n < 0 || n > maxValueLen {
-		req.bad = "bad command line format"
-		return req, nil
-	}
-	data := make([]byte, n+2)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return req, err
-	}
-	if string(data[n:]) != "\r\n" {
-		req.bad = "bad data chunk"
-		return req, nil
-	}
-	req.data = data[:n]
-	req.flags = uint32(flags)
-	req.exptime = exptime
-	return req, nil
-}
-
-func writeClientError(w *bufio.Writer, msg string) {
-	fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", msg)
-}
-
-// readLine reads a \r\n- (or \n-) terminated line without the terminator.
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+	s.serveMux(conn, r)
 }

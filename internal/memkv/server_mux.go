@@ -10,31 +10,24 @@ import (
 	"redundancy/internal/core"
 )
 
-// This file is the server half of the memkv v2 protocol: one loop per
-// connection that reads frames, executes them against the store, and
-// appends responses to a coalesced write buffer drained by a flusher
-// goroutine — the mirror image of the client's MuxClient. Two things
-// distinguish it from the v1 text path:
+// This file is the server's connection loop: it reads frames, executes
+// them against the store, and appends responses to a coalesced write
+// buffer drained by a flusher goroutine — the mirror image of the
+// client's MuxClient.
 //
 //   - Responses interleave out of order. A delayed request (the Delay
 //     hook) parks on the shared timer wheel and answers when its delay
 //     elapses; requests behind it on the same connection are not
-//     blocked. The v1 path is strictly serial per connection.
-//   - No goroutine, timer, or connection is held per in-flight request.
-//     A v1 server under N delayed requests holds N handler goroutines
-//     (one per connection); the v2 server holds N small heap nodes on
-//     the wheel. The concurrency ceiling moves from fds and stacks to
-//     memory.
+//     blocked.
+//   - No goroutine, timer, or connection is held per in-flight request:
+//     N delayed requests are N small heap nodes on the wheel.
 //
-// Cancellation semantics shift accordingly: a v1 client abandons a
-// request by closing the connection, which the per-connection handler
-// notices mid-delay (aborted_ops). A v2 client abandons a request by
-// discarding its tag and keeps the connection; the server finishes the
-// work and writes a response nobody reads — unless the whole connection
-// closes, in which case parked delayed requests are dropped at fire
-// time and counted in aborted_ops exactly like v1.
+// A client abandons a request by discarding its tag and keeps the
+// connection; the server finishes the work and writes a response nobody
+// reads — unless the whole connection closes, in which case parked
+// delayed requests are dropped at fire time and counted in aborted_ops.
 
-// muxSession is one v2 connection's server state.
+// muxSession is one connection's server state.
 type muxSession struct {
 	s    *Server
 	conn net.Conn
@@ -59,7 +52,7 @@ type muxSession struct {
 // which is why the cap is enforced on the event path alone.
 const muxWatchBacklogCap = 4 << 20
 
-// serveMux runs the v2 frame loop on a connection whose first byte
+// serveMux runs the frame loop on a connection whose first byte
 // identified it as framed. It returns when the connection dies; delayed
 // requests still parked on the wheel detect the closed session at fire
 // time.
@@ -112,8 +105,7 @@ func (m *muxSession) exec(f *frame) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		// The client went away while this request was parked: the
-		// server-side half of cancellation, as in the v1 delay abort.
+		// The client went away while this request was parked.
 		s.aborted.Add(1)
 		return
 	}
@@ -235,6 +227,12 @@ func (m *muxSession) exec(f *frame) {
 			sw.Close()
 		}
 		m.pending = appendFrame(m.pending, &frame{op: opUnwatched, tag: f.tag})
+	case opStats:
+		var val []byte
+		for name, v := range s.Stats() {
+			val = appendStat(val, name, v)
+		}
+		m.pending = appendFrame(m.pending, &frame{op: opStatsResp, tag: f.tag, val: val})
 	default:
 		m.pending = appendErrFrame(m.pending, f.tag, "unknown op %#x", f.op)
 	}

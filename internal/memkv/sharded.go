@@ -22,17 +22,19 @@ import (
 //   - Get issues the read redundantly within the key's placement under
 //     the configured ReadStrategy (default: race primary + secondary,
 //     first response wins — the paper's scheme) and takes per-call
-//     options like ReplicatedClient.Get.
+//     options (core.WithQuorum, core.WithFanoutCap, core.WithLabel, …).
 //   - Set writes the key to every placement shard and returns once
 //     WriteQuorum of them acked, via the call engine's WithQuorum; with
 //     WriteQuorum < Replication a put survives Replication-WriteQuorum
 //     shards being down.
 //
-// Consistency is the demo-grade kind the paper's storage service had:
-// copies beyond the write quorum are cancelled rather than retried, and
-// AddShard/RemoveShard rebalance *placement* only — data written under
-// an old topology is not migrated. A production system would add hinted
-// handoff and read repair on top of exactly this routing layer.
+// Set and Get are the unversioned pair the paper's storage service had:
+// copies beyond the write quorum are cancelled rather than retried.
+// PutVersioned and GetQuorum (sharded_versioned.go) are the converging
+// pair: every placement copy runs to completion, and missed writes,
+// stale copies and topology changes are reported to the repair sink
+// (internal/repair: hinted handoff, read repair, anti-entropy
+// migration). AddShard/RemoveShard themselves only change placement.
 type ShardedClient struct {
 	mu          sync.Mutex // guards clients; the rings have their own engines
 	clients     map[string]Backend
@@ -53,16 +55,38 @@ type ShardedClient struct {
 	sink   atomic.Pointer[sinkBox]
 }
 
-// Backend is the single-shard client surface ShardedClient routes over.
-// Both the v1 pooled Client and the v2 multiplexed MuxClient implement
-// it, so a sharded store mixes transports freely (and migrates from v1
-// to v2 one shard at a time).
+// Backend is the single-shard client surface ShardedClient and the
+// repair subsystem route over. MuxClient is the production
+// implementation; the interface is the seam where a wrapper that embeds
+// *MuxClient (a tracer, a test's call counter) overrides the calls it
+// wants to see.
 type Backend interface {
 	Addr() string
 	Get(ctx context.Context, key string) ([]byte, error)
 	SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error
 	Close() error
+
+	// The convergence surface: version-carrying reads and writes, the
+	// anti-entropy scan, and delete (for draining migrated keys).
+	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
+	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
+	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
+	Scan(ctx context.Context, after string, limit int) (entries []ScanEntry, more bool, err error)
+	Delete(ctx context.Context, key string) error
+
+	// Conditional writes and prefix subscriptions.
+	CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool, err error)
+	Watch(ctx context.Context, prefix string, buf int) (*WatchStream, error)
 }
+
+// VersionedBackend, CASBackend and WatchableBackend are other names
+// for Backend, kept because bench/'s tracer test asserts that its
+// wrapper satisfies each.
+type (
+	VersionedBackend = Backend
+	CASBackend       = Backend
+	WatchableBackend = Backend
+)
 
 // setReq is the write ring's call argument: it routes by key and carries
 // the value to store.
@@ -104,8 +128,7 @@ type ShardedConfig struct {
 }
 
 // NewShardedClient builds a sharded store over the given single-shard
-// clients (v1 Client, v2 MuxClient, or any Backend). Shards are named
-// by their client's Addr.
+// clients. Shards are named by their client's Addr.
 func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	if cfg.Replication < 1 {
 		cfg.Replication = ring.DefaultReplication
@@ -173,28 +196,19 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 	sc.writes.Add(addr, func(ctx context.Context, w setReq) (struct{}, error) {
 		return struct{}{}, cl.SetTTL(ctx, w.key, w.value, w.ttl)
 	})
-	if vb, ok := cl.(VersionedBackend); ok {
-		sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
-			val, ver, ttl, err := vb.GetV(ctx, key)
-			if errors.Is(err, ErrNotFound) {
-				// A miss is a successful read of version 0: the quorum
-				// holds over partial misses and the gap becomes repairable
-				// divergence rather than an error.
-				return verVal{}, nil
-			}
-			if err != nil {
-				return verVal{}, err
-			}
-			return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
-		})
-	} else {
-		// A v1 shard can't serve versioned reads: quorum reads that place
-		// on it fail with a recognizable error instead of silently losing
-		// version information.
-		sc.readsV.Add(addr, func(context.Context, string) (verVal, error) {
-			return verVal{}, fmt.Errorf("%s: %w", addr, errShardNotVersioned)
-		})
-	}
+	sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
+		val, ver, ttl, err := cl.GetV(ctx, key)
+		if errors.Is(err, ErrNotFound) {
+			// A miss is a successful read of version 0: the quorum holds
+			// over partial misses and the gap becomes repairable
+			// divergence rather than an error.
+			return verVal{}, nil
+		}
+		if err != nil {
+			return verVal{}, err
+		}
+		return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
+	})
 	cur := sc.readsV.Placement()
 	sink := sc.repairSink()
 	sc.mu.Unlock()
@@ -230,7 +244,7 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 
 // Get returns the first placement shard's response for key, read
 // redundantly under the client's ReadStrategy. Per-call options tune one
-// read: ReadQuorum(q) for R-of-N agreement within the placement,
+// read: core.WithQuorum(q) for R-of-N agreement within the placement,
 // core.WithFanoutCap(1) for a single-copy read,
 // core.WithStrategyOverride for a one-off policy, core.WithLabel for
 // metrics. A key absent from every queried shard reports
@@ -350,16 +364,21 @@ func (sc *ShardedClient) SetReadStrategy(s core.Strategy) { sc.reads.SetStrategy
 // and cancelled-copy counts.
 func (sc *ShardedClient) RingStats() ring.Stats { return sc.reads.Stats() }
 
-// Close closes all shard clients.
-func (sc *ShardedClient) Close() error {
+// shards snapshots the current shard clients, in no particular order.
+func (sc *ShardedClient) shards() []Backend {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	clients := make([]Backend, 0, len(sc.clients))
 	for _, cl := range sc.clients {
 		clients = append(clients, cl)
 	}
-	sc.mu.Unlock()
+	return clients
+}
+
+// Close closes all shard clients.
+func (sc *ShardedClient) Close() error {
 	var err error
-	for _, cl := range clients {
+	for _, cl := range sc.shards() {
 		if e := cl.Close(); e != nil && err == nil {
 			err = e
 		}

@@ -14,7 +14,7 @@ import (
 // placement copy answers. This is the paper's redundancy claim applied
 // to the batch path.
 func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
-	sc, servers := startMuxShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, servers := startShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	const n = 80
 	keys := make([]string, n)
@@ -59,7 +59,7 @@ func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
 // of the batch still lands — a shard failure must not poison the whole
 // batch call.
 func TestShardedPutBatchDeadShardPartialErrors(t *testing.T) {
-	sc, servers := startMuxShards(t, 3, ShardedConfig{Replication: 1, WriteQuorum: 1})
+	sc, servers := startShards(t, 3, ShardedConfig{Replication: 1, WriteQuorum: 1})
 	ctx := context.Background()
 	var dead string
 	for addr := range servers {
@@ -105,7 +105,7 @@ func TestShardedPutBatchDeadShardPartialErrors(t *testing.T) {
 // swaps, but nothing may panic or wedge — and once the topology is
 // stable, a full write+read batch cycle must succeed.
 func TestShardedBatchesDuringRemoveShard(t *testing.T) {
-	sc, _ := startMuxShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, _ := startShards(t, 4, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 	const n = 40
 	keys := make([]string, n)

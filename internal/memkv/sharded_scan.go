@@ -24,14 +24,10 @@ func (sc *ShardedClient) ScanMerged(ctx context.Context, after string, limit int
 	}
 	more := false
 	merged := make(map[string]ScanEntry)
-	for _, addr := range sc.ShardAddrs() {
-		vb := sc.VersionedShard(addr)
-		if vb == nil {
-			return nil, false, fmt.Errorf("%s: %w", addr, errShardNotVersioned)
-		}
-		entries, shardMore, err := vb.Scan(ctx, after, limit)
+	for _, cl := range sc.shards() {
+		entries, shardMore, err := cl.Scan(ctx, after, limit)
 		if err != nil {
-			return nil, false, fmt.Errorf("memkv: scan %s: %w", addr, err)
+			return nil, false, fmt.Errorf("memkv: scan %s: %w", cl.Addr(), err)
 		}
 		if shardMore {
 			// Keys remain beyond this shard's page. Every one of them is

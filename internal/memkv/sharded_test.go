@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,11 +21,20 @@ func startShards(t *testing.T, n int, cfg ShardedConfig) (*ShardedClient, map[st
 	for i := 0; i < n; i++ {
 		srv, addr := startServer(t)
 		servers[addr] = srv
-		clients[i] = NewClient(addr, 2*time.Second)
+		clients[i] = NewMuxClient(addr, 2*time.Second)
 	}
 	sc := NewShardedClient(cfg, clients...)
-	t.Cleanup(func() { sc.Close() })
+	t.Cleanup(func() { closeAll(clients) })
 	return sc, servers
+}
+
+// closeAll closes every client, including those a test removed from its
+// ShardedClient (which ShardedClient.Close no longer reaches): a client
+// left open redials its dead server for the rest of the test binary.
+func closeAll(clients []Backend) {
+	for _, cl := range clients {
+		cl.Close()
+	}
 }
 
 func TestShardedSetGetRoundTrip(t *testing.T) {
@@ -92,7 +102,7 @@ func TestShardedRedundantGetDodgesSlowPrimary(t *testing.T) {
 			return 0
 		})
 		stalled[addr] = flag
-		clients[i] = NewClient(addr, 5*time.Second)
+		clients[i] = NewMuxClient(addr, 5*time.Second)
 	}
 	sc := NewShardedClient(ShardedConfig{Replication: 2}, clients...)
 	defer sc.Close()
@@ -118,7 +128,10 @@ func TestShardedRedundantGetDodgesSlowPrimary(t *testing.T) {
 	if _, err := sc.Get(ctx, key, core.WithFanoutCap(1)); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < stall {
+	// The server parks the stall on the timer wheel, whose ticks can run a
+	// few ms off the wall clock on a loaded box; a read the secondary
+	// answered would take about a millisecond, not most of the stall.
+	if elapsed := time.Since(start); elapsed < stall*9/10 {
 		t.Errorf("fan-out-1 Get took %v, want it to wait out the %v primary stall", elapsed, stall)
 	}
 }
@@ -217,5 +230,194 @@ func TestShardedRingStats(t *testing.T) {
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("key shares sum to %g, want 1", sum)
+	}
+}
+
+// The tests below run a ShardedClient with Replication = the number of
+// servers, so every key lives on every server: a replicated client over
+// one replica set.
+
+// startReplicas launches one live server per Delay hook (nil = none) and
+// a ShardedClient placing every key on all of them.
+func startReplicas(t *testing.T, strategy core.Strategy, delays ...func() time.Duration) (*ShardedClient, []*Server) {
+	t.Helper()
+	sc, servers, _ := startAsyncShards(t, len(delays),
+		ShardedConfig{Replication: len(delays), ReadStrategy: strategy}, 2*time.Second,
+		func(i int) func() time.Duration { return delays[i] })
+	return sc, servers
+}
+
+func TestShardedFirstWins(t *testing.T) {
+	slow := func() time.Duration { return 2 * time.Second }
+	sc, servers := startReplicas(t, core.FullReplicate{}, slow, nil)
+	ctx := context.Background()
+	// Seed the stores directly: a write through the slow server would
+	// wait out its delay.
+	for _, srv := range servers {
+		srv.Store().Set("k", 0, []byte("v"))
+	}
+	start := time.Now()
+	res, err := sc.GetResult(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Value) != "v" {
+		t.Errorf("value %q", res.Value)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("replicated read waited for the slow server: %v", el)
+	}
+	if res.Launched != 2 {
+		t.Errorf("Launched = %d", res.Launched)
+	}
+}
+
+func TestShardedSurvivesDeadReplica(t *testing.T) {
+	sc, servers := startReplicas(t, core.FullReplicate{}, nil, nil)
+	ctx := context.Background()
+	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].Close() // kill one replica
+	v, err := sc.Get(ctx, "k")
+	if err != nil {
+		t.Fatalf("replicated read failed with one dead replica: %v", err)
+	}
+	if string(v) != "v" {
+		t.Errorf("value %q", v)
+	}
+}
+
+func TestShardedAdaptiveHedge(t *testing.T) {
+	// A fast and a deliberately slow replica. Cold digests mean the first
+	// read fans out fully; once warm, the hedge waits for the primary's
+	// observed p95 and the stats snapshot is self-describing.
+	slow := func() time.Duration { return 200 * time.Millisecond }
+	sc, servers := startReplicas(t,
+		core.AdaptiveHedge{Copies: 2, Quantile: 0.95, Selection: core.SelectRanked}, nil, slow)
+	ctx := context.Background()
+	for _, srv := range servers {
+		srv.Store().Set("k", 0, []byte("v"))
+	}
+	res, err := sc.GetResult(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Value) != "v" {
+		t.Errorf("value %q", res.Value)
+	}
+	if res.Launched != 2 {
+		t.Errorf("cold adaptive read launched %d copies, want 2 (immediate fallback)", res.Launched)
+	}
+	start := time.Now()
+	for i := 0; i < 30; i++ {
+		if _, err := sc.Get(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Whichever replica the ring made primary for "k", 30 reads that each
+	// waited out the slow one would take 6 s.
+	if el := time.Since(start); el > 3*time.Second {
+		t.Errorf("30 adaptive reads took %v: the slow replica was not dodged", el)
+	}
+	s := sc.RingStats()
+	if !strings.Contains(s.Strategy, "adaptive-hedge") || !strings.Contains(s.Strategy, "p95") {
+		t.Errorf("RingStats.Strategy = %q", s.Strategy)
+	}
+	warm := false
+	for _, m := range s.Members {
+		if m.Observations >= 16 && m.P95 > 0 && m.P50 <= m.P95 {
+			warm = true
+		}
+	}
+	if !warm {
+		t.Errorf("no replica digest warmed past MinSamples: %+v", s.Members)
+	}
+
+	// Strategies swap through the snapshot without disturbing reads.
+	sc.SetReadStrategy(core.FullReplicate{Selection: core.SelectRandom})
+	res, err = sc.GetResult(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 2 {
+		t.Errorf("full replication launched %d copies", res.Launched)
+	}
+	if got := sc.RingStats().Strategy; !strings.Contains(got, "full-replicate") {
+		t.Errorf("after SetReadStrategy: %q", got)
+	}
+}
+
+func TestShardedQuorumRead(t *testing.T) {
+	// Three replicas; a quorum-2 read succeeds with one dead replica and
+	// carries per-replica outcomes, while two dead replicas make the
+	// quorum unreachable with named failure detail.
+	sc, servers := startReplicas(t, core.FullReplicate{}, nil, nil, nil)
+	ctx := context.Background()
+	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	var outs []core.Outcome[[]byte]
+	res, err := sc.GetResult(ctx, "k", core.WithQuorum(2), core.WithCollectOutcomes(&outs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Value) != "v" {
+		t.Errorf("value %q", res.Value)
+	}
+	wins := 0
+	for _, o := range outs {
+		if o.Err == nil {
+			wins++
+			if string(o.Value) != "v" {
+				t.Errorf("quorum outcome value %q", o.Value)
+			}
+		}
+	}
+	if wins != 2 {
+		t.Errorf("quorum read collected %d wins, want 2", wins)
+	}
+
+	servers[0].Close() // one dead replica: 2-of-3 still reachable
+	if _, err := sc.Get(ctx, "k", core.WithQuorum(2)); err != nil {
+		t.Fatalf("quorum read with one dead replica: %v", err)
+	}
+
+	servers[1].Close() // two dead: 2-of-3 unreachable
+	_, err = sc.Get(ctx, "k", core.WithQuorum(2))
+	if !errors.Is(err, core.ErrQuorumUnreachable) {
+		t.Fatalf("got %v, want ErrQuorumUnreachable", err)
+	}
+	var re core.ReplicaError
+	if !errors.As(err, &re) || re.Name == "" {
+		t.Errorf("quorum failure lacks named replica detail: %v", err)
+	}
+}
+
+func TestShardedPerReadLabelAndCap(t *testing.T) {
+	var seen []core.Observation // labelled calls; Observe runs on the calling goroutine before the call returns
+	sc, _, _ := startAsyncShards(t, 2, ShardedConfig{
+		Replication:  2,
+		ReadStrategy: core.FullReplicate{},
+		Observer: core.ObserverFunc(func(o core.Observation) {
+			if o.Label != "" {
+				seen = append(seen, o)
+			}
+		}),
+	}, 2*time.Second, nil)
+	ctx := context.Background()
+	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.GetResult(ctx, "k", core.WithFanoutCap(1), core.WithLabel("prefetch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 1 {
+		t.Errorf("capped read launched %d copies, want 1", res.Launched)
+	}
+	if len(seen) != 1 || seen[0].Label != "prefetch" || seen[0].Launched != 1 {
+		t.Errorf("observer saw %+v, want one prefetch-labelled single-copy read", seen)
 	}
 }

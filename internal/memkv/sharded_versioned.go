@@ -33,20 +33,6 @@ import (
 // nothing about hint queues, backoff, or the governor — it only reports
 // what it observed.
 
-// VersionedBackend is the v2-only shard surface the convergence layer
-// needs: version-carrying reads and writes, the anti-entropy scan, and
-// delete (for draining migrated keys). MuxClient implements it; the v1
-// text-protocol Client does not, which is what keeps versioned traffic
-// off v1 shards.
-type VersionedBackend interface {
-	Backend
-	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
-	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
-	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
-	Scan(ctx context.Context, after string, limit int) (entries []ScanEntry, more bool, err error)
-	Delete(ctx context.Context, key string) error
-}
-
 // RepairSink receives the convergence work a ShardedClient observes but
 // does not perform itself: missed quorum-write copies (hinted handoff),
 // version divergence on quorum reads (read repair), and topology
@@ -70,9 +56,9 @@ type RepairSink interface {
 // in one directly).
 type sinkBox struct{ s RepairSink }
 
-// errShardNotVersioned reports a versioned operation routed to a shard
-// whose backend lacks the v2 surface.
-var errShardNotVersioned = errors.New("memkv: shard does not support versioned operations")
+// errShardRemoved reports an operation routed to an owner that a
+// concurrent RemoveShard took out of the ring before the call reached it.
+var errShardRemoved = errors.New("memkv: shard removed from the ring")
 
 // verVal is the versioned read ring's result: a value, its version, and
 // its remaining TTL. Version 0 means the key was absent on that copy.
@@ -229,7 +215,7 @@ func (sc *ShardedClient) replicateVersion(ctx context.Context, key string, value
 func (sc *ShardedClient) putOneVersioned(ctx context.Context, addr, key string, value []byte, ttl time.Duration, version uint64) error {
 	vb := sc.VersionedShard(addr)
 	if vb == nil {
-		return fmt.Errorf("%s: %w", addr, errShardNotVersioned)
+		return fmt.Errorf("%s: %w", addr, errShardRemoved)
 	}
 	_, _, err := vb.PutV(ctx, key, value, ttl, version)
 	return err
@@ -292,15 +278,13 @@ func (sc *ShardedClient) GetQuorum(ctx context.Context, key string, q int) ([]by
 	return best.val, best.ver, nil
 }
 
-// VersionedShard returns the shard at addr if it supports versioned
-// operations, nil otherwise (unknown addr or v1 backend).
-func (sc *ShardedClient) VersionedShard(addr string) VersionedBackend {
+// VersionedShard returns the client of the shard at addr, for
+// single-shard versioned operations; nil if addr is not (or no longer)
+// in the ring.
+func (sc *ShardedClient) VersionedShard(addr string) Backend {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if vb, ok := sc.clients[addr].(VersionedBackend); ok {
-		return vb
-	}
-	return nil
+	return sc.clients[addr]
 }
 
 // ShardAddrs returns the current shard addresses in registration order.

@@ -35,18 +35,6 @@ import (
 // is the current one, to retry from.
 var ErrCASConflict = errors.New("memkv: compare-and-swap conflict")
 
-// CASBackend is the optional capability a shard backend exposes for
-// conditional writes; MuxClient implements it.
-type CASBackend interface {
-	CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool, err error)
-}
-
-// WatchableBackend is the optional capability a shard backend exposes
-// for prefix subscriptions; MuxClient implements it.
-type WatchableBackend interface {
-	Watch(ctx context.Context, prefix string, buf int) (*WatchStream, error)
-}
-
 // CAS stores value under key only if the key's current version equals
 // expect (0 = create if absent). The conditional executes at the key's
 // primary owner, which mints the new version on success; that exact
@@ -62,12 +50,11 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if len(owners) == 0 {
 		return 0, core.ErrNoReplicas
 	}
-	vb := sc.VersionedShard(owners[0])
-	cb, ok := vb.(CASBackend)
-	if vb == nil || !ok {
-		return 0, fmt.Errorf("memkv: cas %q: %s: %w", key, owners[0], errShardNotVersioned)
+	primary := sc.VersionedShard(owners[0])
+	if primary == nil {
+		return 0, fmt.Errorf("memkv: cas %q: %s: %w", key, owners[0], errShardRemoved)
 	}
-	cur, applied, err := cb.CAS(ctx, key, value, ttl, expect)
+	cur, applied, err := primary.CAS(ctx, key, value, ttl, expect)
 	if err != nil {
 		return 0, fmt.Errorf("memkv: cas %q: %w", key, err)
 	}
@@ -162,8 +149,8 @@ func (sc *ShardedClient) WatchPrefix(ctx context.Context, prefix string, buf int
 	live := 0
 	streams := make([]*WatchStream, len(addrs))
 	for i, addr := range addrs {
-		if wb, ok := sc.VersionedShard(addr).(WatchableBackend); ok {
-			if st, err := wb.Watch(wctx, prefix, buf); err == nil {
+		if cl := sc.VersionedShard(addr); cl != nil {
+			if st, err := cl.Watch(wctx, prefix, buf); err == nil {
 				streams[i] = st
 				live++
 			}
@@ -227,11 +214,11 @@ func (w *PrefixWatch) shardLoop(addr string, st *WatchStream) {
 		// (Re)subscribe. The shard may have been removed from the client
 		// (loop exits: remaining shards own its keys after migration) or
 		// be mid-redial (fail fast, retry after backoff).
-		wb, ok := w.sc.VersionedShard(addr).(WatchableBackend)
-		if !ok {
+		cl := w.sc.VersionedShard(addr)
+		if cl == nil {
 			return
 		}
-		next, err := wb.Watch(w.ctx, w.prefix, cap(w.events))
+		next, err := cl.Watch(w.ctx, w.prefix, cap(w.events))
 		if err != nil {
 			if w.ctx.Err() != nil {
 				return

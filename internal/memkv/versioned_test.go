@@ -223,21 +223,6 @@ func TestMuxPutVBatchAndScan(t *testing.T) {
 
 // ---- ShardedClient versioned quorum surface ----
 
-// startMuxShards launches n live servers with v2 mux backends.
-func startMuxShards(t *testing.T, n int, cfg ShardedConfig) (*ShardedClient, map[string]*Server) {
-	t.Helper()
-	servers := make(map[string]*Server, n)
-	clients := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		srv, addr := startServer(t)
-		servers[addr] = srv
-		clients[i] = NewMuxClient(addr, 2*time.Second)
-	}
-	sc := NewShardedClient(cfg, clients...)
-	t.Cleanup(func() { sc.Close() })
-	return sc, servers
-}
-
 // recordingSink captures RepairSink callbacks for assertions.
 type recordingSink struct {
 	mu       sync.Mutex
@@ -267,7 +252,7 @@ func (r *recordingSink) TopologyChanged(_, _ ring.Placement) {
 }
 
 func TestShardedPutVersionedGetQuorum(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	ver, err := sc.PutVersioned(ctx, "qk", []byte("quorum"), 0)
 	if err != nil || ver == 0 {
@@ -299,7 +284,7 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 }
 
 func TestGetQuorumReportsDivergence(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 2})
 	ctx := context.Background()
 	sink := &recordingSink{}
 	sc.SetRepairSink(sink)
@@ -329,7 +314,7 @@ func TestGetQuorumReportsDivergence(t *testing.T) {
 }
 
 func TestPutVersionedReportsMissedWrites(t *testing.T) {
-	sc, servers := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, servers := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 	sink := &recordingSink{}
 	sc.SetRepairSink(sink)

@@ -78,7 +78,7 @@ func FuzzWatchCASFrameRoundTrip(f *testing.F) {
 		}
 
 		// Corrupting the op byte below 0x80 must be rejected as a protocol
-		// violation (the v1/v2 sniff boundary).
+		// violation (every frame op has the high bit set).
 		mut := append([]byte(nil), encEv...)
 		mut[0] &= 0x7F
 		var bad frame

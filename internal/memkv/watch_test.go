@@ -281,7 +281,7 @@ func TestMuxWatchCtxCancel(t *testing.T) {
 // one applies (serialized at the key's primary), the rest observe
 // ErrCASConflict carrying the winner's version.
 func TestShardedCASContention(t *testing.T) {
-	sc, _ := startMuxShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 
 	const writers = 16
@@ -333,7 +333,7 @@ func TestShardedCASContention(t *testing.T) {
 // 2-replica placement delivers every event exactly once — including
 // across one replica being killed mid-stream, with writes continuing.
 func TestPrefixWatchExactlyOnceAcrossShardKill(t *testing.T) {
-	sc, servers := startMuxShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, servers := startShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 
 	w, err := sc.WatchPrefix(ctx, "eo/", 256)
@@ -396,7 +396,7 @@ func TestPrefixWatchExactlyOnceAcrossShardKill(t *testing.T) {
 // against redundant watchers — the -race -count=5 target. No assertion
 // beyond delivery and clean shutdown; the detector does the judging.
 func TestWatchStormRace(t *testing.T) {
-	sc, _ := startMuxShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
+	sc, _ := startShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1})
 	ctx := context.Background()
 
 	w, err := sc.WatchPrefix(ctx, "storm/", 128)

@@ -6,15 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
-// This file is the memkv v2 framing layer: a fixed binary header plus
-// key and value bytes, carrying a per-request u64 tag so many requests
-// can share one connection and responses can return in any order. The
-// v1 text protocol ties a connection to one in-flight request (the
-// response is identified by position); v2 identifies responses by tag,
-// which is what lets MuxClient multiplex thousands of outstanding
-// requests over a single TCP connection and lets the server interleave
+// This file is the memkv framing layer (the docs and experiment tables
+// call it the v2 wire): a fixed binary header plus key and value bytes,
+// carrying a per-request u64 tag. Responses are identified by tag, not
+// by position, so MuxClient multiplexes thousands of outstanding
+// requests over a single TCP connection and the server interleaves
 // delayed responses out of order.
 //
 // Frame layout (all integers big-endian):
@@ -27,12 +26,10 @@ import (
 //	key  [klen]byte
 //	val  [vlen]byte
 //
-// Every op has the high bit set, so the first byte of a connection
-// distinguishes v2 framing from the ASCII text protocol (whose commands
-// start with a lowercase letter) and one listener serves both; see
-// Server.serveConn. v2 deliberately drops the memcached "flags" field
-// on set (aux carries the TTL instead); a value's flags default to 0
-// when written via v2.
+// Every op has the high bit set, so a connection whose first byte is
+// ASCII is not speaking this protocol; see Server.serveConn. A set
+// carries no flags (aux is the TTL); a value written over the wire has
+// flags 0.
 const (
 	frameHeaderLen = 19
 
@@ -56,6 +53,7 @@ const (
 	opCAS     = 0x87 // key, aux = TTL seconds, val = version payload (version = expected, data = new value)
 	opWatch   = 0x88 // key = prefix (may be empty), aux = event buffer size (0 = server default)
 	opUnwatch = 0x89 // val = u64 tag of the watch to end
+	opStats   = 0x8A // no key, no value: snapshot the server's counters
 
 	// Response ops.
 	opValue    = 0xC1 // val = stored bytes, aux = flags
@@ -78,6 +76,7 @@ const (
 	// its last opEvent.
 	opWatchEnd  = 0xCC
 	opUnwatched = 0xCD // ack for opUnwatch (by the opUnwatch request's own tag)
+	opStatsResp = 0xCE // val = packed counters (see appendStat)
 
 	// opTimeout is an internal sentinel delivered to a waiter whose
 	// request timed out; it never appears on the wire (no high bit).
@@ -103,7 +102,23 @@ var (
 	errFrameValueLen = errors.New("memkv: frame value too long")
 )
 
-// frame is one decoded v2 frame.
+// ErrNotFound is returned by Get when the key is absent, and by Delete
+// when there was nothing to delete.
+var ErrNotFound = errors.New("memkv: not found")
+
+// validateKey is the client-side key check: non-empty, at most
+// maxKeyLen bytes, no whitespace.
+func validateKey(key string) error {
+	if key == "" || len(key) > maxKeyLen {
+		return fmt.Errorf("memkv: invalid key length %d", len(key))
+	}
+	if strings.ContainsAny(key, " \r\n\t") {
+		return errors.New("memkv: key contains whitespace")
+	}
+	return nil
+}
+
+// frame is one decoded frame.
 type frame struct {
 	op  byte
 	tag uint64
@@ -296,6 +311,33 @@ func decodeScanEntries(p []byte) ([]ScanEntry, error) {
 		e.Value = append([]byte(nil), p[:vlen]...)
 		p = p[vlen:]
 		out = append(out, e)
+	}
+	return out, nil
+}
+
+// Counter packing — the val bytes of an opStatsResp frame are a
+// sequence of name/value pairs, each:
+//
+//	nlen u8 | name | value u64 (an int64, two's complement)
+var errStats = errors.New("memkv: malformed stats payload")
+
+// appendStat appends one packed counter to dst.
+func appendStat(dst []byte, name string, v int64) []byte {
+	dst = append(dst, byte(len(name)))
+	dst = append(dst, name...)
+	return binary.BigEndian.AppendUint64(dst, uint64(v))
+}
+
+// decodeStats unpacks a full opStatsResp payload.
+func decodeStats(p []byte) (map[string]int64, error) {
+	out := make(map[string]int64)
+	for len(p) > 0 {
+		nlen := int(p[0])
+		if len(p) < 1+nlen+8 {
+			return nil, errStats
+		}
+		out[string(p[1:1+nlen])] = int64(binary.BigEndian.Uint64(p[1+nlen:]))
+		p = p[1+nlen+8:]
 	}
 	return out, nil
 }

@@ -20,6 +20,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(opValue), uint64(42), uint32(7), "", []byte("stored bytes"), 18)
 	f.Add(byte(opErr), uint64(9), uint32(0), "", []byte("boom"), 19)
 	f.Add(byte(0xFF), uint64(3), ^uint32(0), string(bytes.Repeat([]byte{'x'}, maxKeyLen)), bytes.Repeat([]byte{0}, 64), 100)
+	f.Add(byte(opStats), uint64(11), uint32(0), "", []byte(nil), 7)
+	f.Add(byte(opStatsResp), uint64(11), uint32(0), "", appendStat(appendStat(nil, "cmd_get", 2), "aborted_ops", -1), 30)
 	f.Fuzz(func(t *testing.T, op byte, tag uint64, aux uint32, key string, val []byte, cut int) {
 		// Clamp the inputs into the codec's valid domain: ops live in
 		// [0x80, 0xFF], keys and values within the protocol limits.

@@ -12,7 +12,7 @@ import (
 
 // seedSrc plants an entry directly on a backend, bypassing placement, so
 // drain tests control exactly what sits on the source shard.
-func seedSrc(t *testing.T, vb memkv.VersionedBackend, key, val string, ttl time.Duration, ver uint64) {
+func seedSrc(t *testing.T, vb memkv.Backend, key, val string, ttl time.Duration, ver uint64) {
 	t.Helper()
 	if _, applied, err := vb.PutV(context.Background(), key, []byte(val), ttl, ver); err != nil || !applied {
 		t.Fatalf("seed %s: applied=%v err=%v", key, applied, err)

@@ -66,7 +66,7 @@ func (m *Manager) rebalance(ctx context.Context, prev, cur ring.Placement) (Reba
 	for _, src := range cur.Names() {
 		vb := m.sc.VersionedShard(src)
 		if vb == nil {
-			continue // v1 shard or racing removal: nothing to scan here
+			continue // removed since cur was taken: nothing to scan here
 		}
 		if err := m.migrateFrom(ctx, src, vb, prev, cur, true, &st); err != nil {
 			if firstErr == nil {
@@ -89,7 +89,7 @@ func (m *Manager) rebalance(ctx context.Context, prev, cur ring.Placement) (Reba
 // topology but is still reachable (src is the removed shard's backend,
 // which the client no longer routes to). Unlike Rebalance it does not
 // diff placements: every key on src is pushed.
-func (m *Manager) Drain(ctx context.Context, src memkv.VersionedBackend) (RebalanceStats, error) {
+func (m *Manager) Drain(ctx context.Context, src memkv.Backend) (RebalanceStats, error) {
 	start := time.Now()
 	var st RebalanceStats
 	cur := m.sc.PlacementSnapshot()
@@ -108,7 +108,7 @@ func (m *Manager) Drain(ctx context.Context, src memkv.VersionedBackend) (Rebala
 // under prev and cur are skipped — the remap diff; with diff false
 // every key is pushed (Drain). Deletions (DeleteAfterMigrate) happen
 // only after the key's pushes all succeeded.
-func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.VersionedBackend, prev, cur ring.Placement, diff bool, st *RebalanceStats) error {
+func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Backend, prev, cur ring.Placement, diff bool, st *RebalanceStats) error {
 	type pendingPut struct {
 		put memkv.VersionedPut
 		// deadline pins the entry's remaining TTL (reported by the scan as

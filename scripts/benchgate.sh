@@ -1,23 +1,21 @@
 #!/usr/bin/env bash
-# benchgate.sh — the hot-path regression gate for the unified call
-# engine and the v2 wire protocol. Each gated benchmark carries its own
-# alloc budget (name:max_allocs below) and fails the gate if it
+# benchgate.sh — the hot-path allocation gate for the call engine and
+# the memkv wire. Each gated benchmark carries its own alloc budget
+# (name:max_allocs below) and fails the gate if it exceeds it: the
+# option machinery, the ring's routing, the batch engine's per-key
+# machinery, and the mux client's per-request path must stay
+# allocation-lean. Allocations per op are deterministic; time is not
+# gated here (bench/AA.md: on this hardware a ns/op gate is a coin flip —
+# claim time with scripts/ab.sh's interleaved pairs instead).
 #
-#   * exceeds its allocs/op budget (the option machinery, the ring's
-#     routing, the batch engine's per-key machinery, and the mux
-#     client's per-request path must stay allocation-lean), or
-#   * regresses more than TOLERANCE_PCT in ns/op against the committed
-#     BENCH_core.json baseline (refresh the baseline deliberately with
-#     scripts/bench.sh when a slowdown is accepted).
-#
-# Budgets (ratcheted as the hot path loses allocations — never loosened):
-#   BenchmarkCoreGroupDo:5            zero-options Do on the pooled call
-#                                     frame (4 measured: copy ctx + done
-#                                     chan + 2 go records)
-#   BenchmarkCoreDoValue:4            the value-only fast lane — the
+# Budgets are measured + 1, ratcheted as the hot path loses allocations
+# — never loosened:
+#   BenchmarkCoreGroupDo:3            zero-options Do on the pooled call
+#                                     frame (2 measured: the two copies'
+#                                     go records)
+#   BenchmarkCoreDoValue:3            the value-only fast lane — the
 #                                     floor of the whole engine
-#   BenchmarkCoreRingDo:6             sharded routing layered on Do
-#                                     (5 measured; +1 placement copy)
+#   BenchmarkCoreRingDo:3             sharded routing layered on Do
 #   BenchmarkCoreHedgedFastPrimary:11 hedged call whose primary wins:
 #                                     wheel-armed hedge, no timer alloc
 #   BenchmarkCoreDoBatch:80           64-key batch: <= 2x a single
@@ -30,91 +28,37 @@
 #                                     shares it, fan-out itself is
 #                                     alloc-free)
 #
-# Usage: scripts/benchgate.sh [baseline.json]   (default BENCH_core.json)
-# Env:   TOLERANCE_PCT (default 15),
-#        BENCH_COUNT (default 3; the fastest run is compared, matching
-#        how bench.sh records the baseline).
+# Usage: scripts/benchgate.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline="${1:-BENCH_core.json}"
-specs="BenchmarkCoreGroupDo:5 BenchmarkCoreDoValue:4 BenchmarkCoreRingDo:6 BenchmarkCoreHedgedFastPrimary:11 BenchmarkCoreDoBatch:80 BenchmarkMemkvMuxParallel:3 BenchmarkMemkvWatchFanout:2"
-tolerance_pct="${TOLERANCE_PCT:-15}"
-count="${BENCH_COUNT:-3}"
-
-if [ ! -f "$baseline" ]; then
-    echo "benchgate: baseline $baseline missing (generate with scripts/bench.sh)" >&2
-    exit 1
-fi
+specs="BenchmarkCoreGroupDo:3 BenchmarkCoreDoValue:3 BenchmarkCoreRingDo:3 BenchmarkCoreHedgedFastPrimary:11 BenchmarkCoreDoBatch:80 BenchmarkMemkvMuxParallel:3 BenchmarkMemkvWatchFanout:2"
 
 raw="$(mktemp)"
-table="$(mktemp)"
-trap 'rm -f "$raw" "$table"' EXIT
+trap 'rm -f "$raw"' EXIT
 
 fail=0
 for spec in $specs; do
     bench="${spec%%:*}"
     max_allocs="${spec##*:}"
-    base_line=$(grep -F "\"$bench\":" "$baseline" | head -1)
-    base_ns=$(sed -En 's/.*"ns_op": *([0-9]+).*/\1/p' <<<"$base_line")
-    base_b=$(sed -En 's/.*"b_op": *([0-9]+).*/\1/p' <<<"$base_line")
-    base_allocs=$(sed -En 's/.*"allocs_op": *([0-9]+).*/\1/p' <<<"$base_line")
-    if [ -z "$base_ns" ]; then
-        echo "benchgate: $bench not found in $baseline" >&2
-        exit 1
-    fi
 
-    go test -run '^$' -bench "^${bench}\$" -benchtime 1s -count "$count" . | tee "$raw"
+    go test -run '^$' -bench "^${bench}\$" -benchtime 1s . | tee "$raw"
 
-    # Fastest ns/op across the -count runs; allocs/op is deterministic, so
-    # any run's figure serves.
-    read -r ns allocs <<EOF
-$(awk -v b="$bench" '
+    allocs=$(awk -v b="$bench" '
 $1 ~ "^"b"(-[0-9]+)?$" {
-    ns = ""; al = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i + 1) == "ns/op") ns = $i
-        if ($(i + 1) == "allocs/op") al = $i
-    }
-    if (ns == "") next
-    if (best == "" || ns + 0 < best + 0) best = ns
-    alloc = al
+    for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") al = $i
 }
-END { print best, alloc }' "$raw")
-EOF
+END { print al }' "$raw")
 
-    if [ -z "${ns:-}" ] || [ -z "${allocs:-}" ]; then
+    if [ -z "${allocs:-}" ]; then
         echo "benchgate: could not parse $bench output" >&2
         exit 1
     fi
 
-    echo "benchgate: $bench measured ${ns} ns/op, ${allocs} allocs/op (baseline ${base_ns} ns/op, limits: ${max_allocs} allocs, +${tolerance_pct}% ns)"
-    printf '%s %s %s %s %s %s\n' \
-        "$bench" "$base_ns" "$ns" "${base_allocs:-?}" "$allocs" "$max_allocs" >>"$table"
-
+    echo "benchgate: $bench measured ${allocs} allocs/op (budget ${max_allocs})"
     if [ "$allocs" -gt "$max_allocs" ]; then
         echo "benchgate: FAIL — $bench at ${allocs} allocs/op exceeds its ${max_allocs}-alloc budget" >&2
         fail=1
     fi
-    limit=$(awk -v b="$base_ns" -v t="$tolerance_pct" 'BEGIN { printf "%.0f", b * (1 + t / 100) }')
-    if awk -v n="$ns" -v l="$limit" 'BEGIN { exit !(n + 0 > l + 0) }'; then
-        echo "benchgate: FAIL — $bench at ${ns} ns/op regresses past ${limit} ns/op (baseline ${base_ns} + ${tolerance_pct}%)" >&2
-        fail=1
-    fi
 done
-
-# Before/after summary: committed baseline vs this run, so a glance at
-# the gate's tail shows the whole hot path's movement, not just
-# pass/fail per benchmark.
-echo
-awk '
-BEGIN {
-    printf "benchgate: %-34s %10s %10s %8s %14s %7s\n", \
-        "benchmark", "base ns", "now ns", "delta", "allocs b->n", "budget"
-}
-{
-    delta = ($2 + 0 > 0) ? sprintf("%+.1f%%", ($3 - $2) * 100.0 / $2) : "n/a"
-    printf "benchgate: %-34s %10s %10s %8s %14s %7s\n", \
-        $1, $2, $3, delta, $4 " -> " $5, $6
-}' "$table"
 exit "$fail"
