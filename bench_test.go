@@ -150,7 +150,7 @@ func BenchmarkCoreFirstOverhead(b *testing.B) {
 }
 
 func BenchmarkCoreGroupDo(b *testing.B) {
-	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom},
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
@@ -171,7 +171,7 @@ func BenchmarkCoreGroupDo(b *testing.B) {
 // frame keeps this at 2 allocs/op (scripts/benchgate.sh holds the
 // budget): one goroutine record per launched copy.
 func BenchmarkCoreDoValue(b *testing.B) {
-	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom},
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
@@ -190,7 +190,7 @@ func BenchmarkCoreDoValue(b *testing.B) {
 // selection: one shared group's frame pool serving GOMAXPROCS
 // goroutines, each call recycling a frame through sync.Pool.
 func BenchmarkCoreDoValueParallel(b *testing.B) {
-	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 2, Selection: redundancy.SelectRanked},
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRanked},
 		redundancy.WithSeed[int](1))
 	for i := 0; i < 16; i++ {
 		i := i
@@ -214,7 +214,7 @@ func BenchmarkCoreDoValueParallel(b *testing.B) {
 // must stay within the same alloc budget as the unrouted path
 // (scripts/benchgate.sh).
 func BenchmarkCoreRingDo(b *testing.B) {
-	r := redundancy.NewRing[string, int](redundancy.Policy{Copies: 2}.Strategy())
+	r := redundancy.NewRing[string, int](redundancy.Fixed{Copies: 2})
 	for i := 0; i < 8; i++ {
 		i := i
 		r.Add(string(rune('a'+i)), func(ctx context.Context, _ string) (int, error) { return i, nil })
@@ -231,7 +231,7 @@ func BenchmarkCoreRingDo(b *testing.B) {
 
 // BenchmarkCoreGroupDoParallel is the contention benchmark for the Group
 // hot path: one shared Group, GOMAXPROCS goroutines calling Do as fast as
-// they can. The copy-on-write engine reads membership, policy, and
+// they can. The copy-on-write engine reads membership, strategy, and
 // latency estimates without locking, so throughput should scale with
 // cores instead of serializing on a global mutex.
 func BenchmarkCoreGroupDoParallel(b *testing.B) {
@@ -240,7 +240,7 @@ func BenchmarkCoreGroupDoParallel(b *testing.B) {
 		s    redundancy.Selection
 	}{{"ranked", redundancy.SelectRanked}, {"random", redundancy.SelectRandom}} {
 		b.Run(sel.name, func(b *testing.B) {
-			g := redundancy.NewGroup[int](redundancy.Policy{Copies: 2, Selection: sel.s},
+			g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: sel.s},
 				redundancy.WithSeed[int](1))
 			for i := 0; i < 16; i++ {
 				i := i
@@ -264,7 +264,7 @@ func BenchmarkCoreGroupDoParallel(b *testing.B) {
 // call engine: same group as BenchmarkCoreGroupDo, but each call waits
 // for 2 successes and collects per-copy outcomes.
 func BenchmarkCoreGroupDoQuorum(b *testing.B) {
-	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 3, Selection: redundancy.SelectRandom},
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 3, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
@@ -277,39 +277,6 @@ func BenchmarkCoreGroupDoQuorum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Do(ctx, opts...); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCoreDoBatch is the batched-call hot path: 64 keys through
-// one DoBatch under a hedging strategy whose primaries answer
-// instantly, so every hedge deadline is armed on the shared timer wheel
-// and stopped unfired. The per-batch cost must stay within ~2x a single
-// Do (benchgate enforces <= 80 allocs per 64-key batch): one snapshot,
-// one schedule, one event channel, and per-key copy launches — not 64
-// independent calls' worth of machinery.
-func BenchmarkCoreDoBatch(b *testing.B) {
-	g := redundancy.NewStrategyKeyedGroup[int, int](
-		redundancy.Fixed{Copies: 2, HedgeDelay: 100 * time.Millisecond},
-		redundancy.WithKeyedSeed[int, int](1))
-	for i := 0; i < 4; i++ {
-		i := i
-		g.Add(string(rune('a'+i)), func(ctx context.Context, k int) (int, error) { return k + i, nil })
-	}
-	args := make([]int, 64)
-	for i := range args {
-		args[i] = i
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := g.DoBatch(ctx, args)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(args) {
-			b.Fatalf("got %d results", len(res))
 		}
 	}
 }

@@ -96,7 +96,7 @@ func ExampleAdaptiveHedge() {
 // waits for 2-of-3 agreement and collects each voter's outcome, while
 // every other caller keeps first-response semantics.
 func ExampleWithQuorum() {
-	g := redundancy.NewGroup[int](redundancy.Policy{Copies: 3})
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 3})
 	g.Add("a", func(ctx context.Context) (int, error) { return 42, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 42, nil })
 	g.Add("c", func(ctx context.Context) (int, error) {
@@ -130,7 +130,7 @@ func ExampleWithQuorum() {
 // A Group tracks per-replica latency and replicates each operation to the
 // k best replicas, as the paper's DNS experiment does.
 func ExampleGroup() {
-	g := redundancy.NewGroup[string](redundancy.Policy{
+	g := redundancy.NewStrategyGroup[string](redundancy.Fixed{
 		Copies:    2,
 		Selection: redundancy.SelectRanked,
 	})
@@ -152,7 +152,7 @@ func ExampleGroup() {
 // over its key's primary + successor shards, through the same engine
 // and options as Group.Do.
 func ExampleNewRing() {
-	r := redundancy.NewRing[string, string](redundancy.Policy{Copies: 2}.Strategy())
+	r := redundancy.NewRing[string, string](redundancy.Fixed{Copies: 2})
 	for _, shard := range []string{"a", "b", "c", "d"} {
 		r.Add("shard-"+shard, func(ctx context.Context, key string) (string, error) {
 			// A real backend would look key up in its partition.

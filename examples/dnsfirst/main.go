@@ -98,13 +98,13 @@ func main() {
 	const n = 60
 	fmt.Printf("\n%d lookups of www.example.com per strategy:\n", n)
 	for i, sp := range specs {
-		one := dnswire.NewResolver(client, redundancy.Policy{Copies: 1}, addrs[i])
+		one := dnswire.NewResolver(client, redundancy.Fixed{Copies: 1}, addrs[i])
 		measure("only "+sp.name, one, n)
 	}
 
 	// The paper's strategy: probe to rank, then query the top k in
 	// parallel.
-	all := dnswire.NewResolver(client, redundancy.Policy{Copies: 2}, addrs...)
+	all := dnswire.NewResolver(client, redundancy.Fixed{Copies: 2}, addrs...)
 	all.Probe(ctx, "www.example.com", dnswire.TypeA)
 	fmt.Printf("\nranked servers (fastest first): %v\n", all.RankedServers())
 	measure("replicated top-2", all, n)

@@ -55,10 +55,10 @@ func main() {
 			counters.CopiesPerOp())
 	}
 
-	mkGroup := func(policy redundancy.Policy, opts ...redundancy.GroupOption[int]) (*redundancy.Group[int], *redundancy.Counters) {
+	mkGroup := func(s redundancy.Strategy, opts ...redundancy.GroupOption[int]) (*redundancy.Group[int], *redundancy.Counters) {
 		c := redundancy.NewCounters()
 		opts = append(opts, redundancy.WithObserver[int](c))
-		g := redundancy.NewGroup[int](policy, opts...)
+		g := redundancy.NewStrategyGroup[int](s, opts...)
 		g.Add("a", backend(r, 0.08))
 		g.Add("b", backend(r, 0.08))
 		return g, c
@@ -66,20 +66,20 @@ func main() {
 
 	fmt.Printf("%d operations per strategy; backends spike to 80 ms on 8%% of requests\n\n", n)
 
-	g, c := mkGroup(redundancy.Policy{Copies: 1})
+	g, c := mkGroup(redundancy.Fixed{Copies: 1})
 	run("single", g, c)
 
-	g, c = mkGroup(redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom})
+	g, c = mkGroup(redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom})
 	run("full replication", g, c)
 
-	g, c = mkGroup(redundancy.Policy{Copies: 2, HedgeDelay: 15 * time.Millisecond,
+	g, c = mkGroup(redundancy.Fixed{Copies: 2, HedgeDelay: 15 * time.Millisecond,
 		Selection: redundancy.SelectRandom})
 	run("hedged @15ms", g, c)
 
 	// A budget capping extra copies to ~20/sec: full replication degrades
 	// gracefully toward single-copy when the budget runs dry.
 	budget := redundancy.NewBudget(20, 5)
-	g, c = mkGroup(redundancy.Policy{Copies: 2, Selection: redundancy.SelectRandom},
+	g, c = mkGroup(redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithBudget[int](budget))
 	run("budgeted (20/s)", g, c)
 

@@ -59,7 +59,7 @@ func main() {
 		Replication: 3, // primary + two successors hold each key
 		WriteQuorum: 2, // a put returns at 2 acks, tolerating one dead shard
 		// Reads race primary + secondary; the paper's scheme.
-		ReadStrategy: redundancy.Policy{Copies: 2}.Strategy(),
+		ReadStrategy: redundancy.Fixed{Copies: 2},
 	}, clients...)
 	defer sc.Close()
 	ctx := context.Background()

@@ -171,7 +171,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 	}{
 		{"first wins, loser reclaimed and counted", func(t *testing.T, kind string) {
 			c := NewCounters()
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2}, WithObserver[int](c))}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2}, WithObserver[int](c))}
 			f.add(kind, "fast", coretest.Instant(1))
 			f.add(kind, "stuck", coretest.Blocked(2, coretest.NewGate()))
 			ranked(f, "fast", "stuck")
@@ -202,7 +202,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"quorum 2 of 3 with collected outcomes", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 3})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 3})}
 			f.add(kind, "a", coretest.Instant(1))
 			f.add(kind, "b", coretest.Instant(2))
 			f.add(kind, "c", coretest.Blocked(3, coretest.NewGate()))
@@ -223,7 +223,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"quorum unreachable carries names and partial outcomes", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 3})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 3})}
 			f.add(kind, "ok", coretest.Instant(1))
 			f.add(kind, "bad1", coretest.Fail[int](boom))
 			f.add(kind, "bad2", coretest.Fail[int](boom))
@@ -242,7 +242,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"all fail: joined ReplicaErrors in the group format", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2})}
 			f.add(kind, "b1", coretest.Fail[int](boom))
 			f.add(kind, "b2", coretest.Fail[int](boom))
 			ranked(f, "b1", "b2")
@@ -258,7 +258,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"wheel hedge fires and the hedge wins", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2, HedgeDelay: 2 * DefaultWheelTick})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 2 * DefaultWheelTick})}
 			f.add(kind, "primary", coretest.Blocked(1, coretest.NewGate()))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")
@@ -269,7 +269,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"sub-tick hedge fires on the runtime timer", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2, HedgeDelay: 50 * time.Microsecond})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 50 * time.Microsecond})}
 			f.add(kind, "primary", coretest.Blocked(1, coretest.NewGate()))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")
@@ -281,7 +281,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 		}},
 		{"fast primary: hedge never launched, token refunded", func(t *testing.T, kind string) {
 			b := NewBudget(0, 1)
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2, HedgeDelay: time.Hour}, WithBudget[int](b))}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour}, WithBudget[int](b))}
 			f.add(kind, "primary", coretest.Instant(1))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")
@@ -297,7 +297,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"failed primary launches the next copy at once", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2, HedgeDelay: time.Hour})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour})}
 			f.add(kind, "primary", coretest.Fail[int](boom))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")
@@ -308,7 +308,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"caller cancels: bare ctx error, everything reclaimed", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2})}
 			seen := [2]*coretest.Gate{coretest.NewGate(), coretest.NewGate()}
 			f.add(kind, "b1", coretest.CancelReporting(seen[0], coretest.Blocked(1, coretest.NewGate())))
 			f.add(kind, "b2", coretest.CancelReporting(seen[1], coretest.Blocked(2, coretest.NewGate())))
@@ -368,7 +368,7 @@ func TestAsyncWaitAll(t *testing.T) {
 	for _, kind := range launchKinds {
 		t.Run(kind, func(t *testing.T) {
 			gate := coretest.NewGate()
-			f := &asyncFixture{g: NewGroup[int](Policy{Copies: 3})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 3})}
 			f.add(kind, "fast", coretest.Instant(1))
 			f.add(kind, "slow", coretest.Blocked(2, gate))
 			f.add(kind, "bad", coretest.Fail[int](boom))
@@ -411,7 +411,7 @@ func TestAsyncMixedGroup(t *testing.T) {
 	ctx := context.Background()
 	t.Run("started winner cancels the plain loser", func(t *testing.T) {
 		sawCancel := coretest.NewGate()
-		f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2})}
+		f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2})}
 		f.add("starter", "fast", coretest.Instant(1))
 		f.add("function", "plain", coretest.CancelReporting(sawCancel, coretest.Blocked(2, coretest.NewGate())))
 		res, err := f.g.Do(ctx)
@@ -427,7 +427,7 @@ func TestAsyncMixedGroup(t *testing.T) {
 		f.settled(t)
 	})
 	t.Run("plain winner withdraws the started loser", func(t *testing.T) {
-		f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2})}
+		f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2})}
 		f.add("function", "fast", coretest.Instant(1))
 		f.add("starter", "stuck", coretest.Blocked(2, coretest.NewGate()))
 		res, err := f.g.Do(ctx)
@@ -449,7 +449,7 @@ func TestAsyncMixedGroup(t *testing.T) {
 // blocking replica under a cancellable context.
 func TestAsyncDeclinedStart(t *testing.T) {
 	sawCancel := coretest.NewGate()
-	f := &asyncFixture{g: NewGroup[int](Policy{Copies: 2})}
+	f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2})}
 	f.add("starter", "fast", coretest.Instant(1))
 	f.add("starter", "stuck", coretest.CancelReporting(sawCancel, coretest.Blocked(2, coretest.NewGate())))
 	for _, st := range f.starters {

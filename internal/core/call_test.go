@@ -125,7 +125,7 @@ func TestFirstErrorsAreReplicaErrors(t *testing.T) {
 
 func TestGroupDoErrorsCarryReplicaNames(t *testing.T) {
 	cause := errors.New("down")
-	g := NewGroup[int](Policy{Copies: 2})
+	g := NewStrategyGroup[int](Fixed{Copies: 2})
 	g.Add("alpha", coretest.Failer[int](cause, time.Millisecond))
 	g.Add("beta", coretest.Failer[int](cause, time.Millisecond))
 	_, err := g.Do(context.Background())
@@ -158,7 +158,7 @@ func TestReplicaErrorFormat(t *testing.T) {
 // --- WithQuorum on the group path. ---
 
 func TestGroupDoQuorumCollectsWins(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 3})
+	g := NewStrategyGroup[string](Fixed{Copies: 3})
 	g.Add("a", coretest.Sleeper("a", time.Millisecond))
 	g.Add("b", coretest.Sleeper("b", 5*time.Millisecond))
 	g.Add("c", coretest.Sleeper("c", 300*time.Millisecond))
@@ -187,7 +187,7 @@ func TestGroupDoQuorumCollectsWins(t *testing.T) {
 func TestGroupDoQuorumRaisesFanout(t *testing.T) {
 	// The group's strategy says one copy; a quorum of 2 must still launch
 	// two.
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	g.Add("b", coretest.Sleeper(2, time.Millisecond))
 	res, err := g.Do(context.Background(), WithQuorum(2))
@@ -201,7 +201,7 @@ func TestGroupDoQuorumRaisesFanout(t *testing.T) {
 
 func TestGroupDoQuorumUnreachable(t *testing.T) {
 	cause := errors.New("down")
-	g := NewGroup[int](Policy{Copies: 3})
+	g := NewStrategyGroup[int](Fixed{Copies: 3})
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	g.Add("b", coretest.Failer[int](cause, time.Millisecond))
 	g.Add("c", coretest.Failer[int](cause, time.Millisecond))
@@ -232,7 +232,7 @@ func TestGroupDoQuorumUnreachable(t *testing.T) {
 }
 
 func TestGroupDoQuorumExceedsReplicas(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	_, err := g.Do(context.Background(), WithQuorum(2))
 	if !errors.Is(err, ErrQuorumUnreachable) {
@@ -243,7 +243,7 @@ func TestGroupDoQuorumExceedsReplicas(t *testing.T) {
 // --- Strategy override, fan-out cap, label, sink type check. ---
 
 func TestGroupDoStrategyOverride(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
@@ -256,8 +256,8 @@ func TestGroupDoStrategyOverride(t *testing.T) {
 		t.Errorf("override to full replication launched %d, want 3", res.Launched)
 	}
 	// The group's installed strategy is untouched.
-	if got := g.Stats().Policy.Copies; got != 1 {
-		t.Errorf("group policy mutated: Copies = %d, want 1", got)
+	if got := g.Strategy(); got != (Fixed{Copies: 1}) {
+		t.Errorf("group strategy mutated: %v, want Fixed{Copies: 1}", got)
 	}
 	res, err = g.Do(context.Background())
 	if err != nil {
@@ -269,7 +269,7 @@ func TestGroupDoStrategyOverride(t *testing.T) {
 }
 
 func TestGroupDoFanoutCap(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 3})
+	g := NewStrategyGroup[int](Fixed{Copies: 3})
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
@@ -293,7 +293,7 @@ func TestGroupDoFanoutCap(t *testing.T) {
 
 func TestGroupDoLabelReachesObserver(t *testing.T) {
 	c := NewCounters()
-	g := NewGroup[int](Policy{Copies: 1}, WithObserver[int](c))
+	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver[int](c))
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	for i := 0; i < 3; i++ {
 		if _, err := g.Do(context.Background(), WithLabel("checkout")); err != nil {
@@ -325,7 +325,7 @@ func TestGroupDoLabelReachesObserver(t *testing.T) {
 }
 
 func TestGroupDoCollectSinkTypeMismatch(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	var wrong []Outcome[string]
 	_, err := g.Do(context.Background(), WithCollectOutcomes(&wrong))
@@ -335,7 +335,7 @@ func TestGroupDoCollectSinkTypeMismatch(t *testing.T) {
 }
 
 func TestGroupDoCollectSinkReset(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	outs := make([]Outcome[int], 5) // stale entries must not survive
 	if _, err := g.Do(context.Background(), WithCollectOutcomes(&outs)); err != nil {
@@ -348,15 +348,20 @@ func TestGroupDoCollectSinkReset(t *testing.T) {
 
 // --- Budget accounting for quorum calls. ---
 
-// scheduleStrategy is a test strategy with an explicit launch schedule.
+// scheduleStrategy is a test strategy with an explicit launch schedule
+// (at least as long as any fan-out it is asked for).
 type scheduleStrategy struct {
 	copies int
 	sched  []time.Duration
 }
 
+// Fanout, ScheduleInto and String are the whole Strategy interface.
+var _ Strategy = scheduleStrategy{}
+
 func (s scheduleStrategy) Fanout() (int, Selection) { return s.copies, SelectRanked }
-func (s scheduleStrategy) Schedule(Digests) []time.Duration {
-	return append([]time.Duration(nil), s.sched...)
+func (s scheduleStrategy) ScheduleInto(_ Digests, dst []time.Duration) []time.Duration {
+	copy(dst, s.sched)
+	return dst
 }
 func (s scheduleStrategy) String() string { return "test-schedule" }
 
@@ -415,7 +420,7 @@ func TestGroupDoQuorumBudgetExhaustedDegradesToQuorum(t *testing.T) {
 	if got := b.Acquire(1); got != 1 { // drain it
 		t.Fatalf("drain: %d", got)
 	}
-	g := NewGroup[int](Policy{Copies: 3}, WithBudget[int](b))
+	g := NewStrategyGroup[int](Fixed{Copies: 3}, WithBudget[int](b))
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
@@ -470,7 +475,7 @@ func TestGroupDoQuorumBudgetAccountingUnderConcurrency(t *testing.T) {
 // --- Option matrix under replica churn (run with -race). ---
 
 func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2}, WithBudget[int](NewBudget(1e6, 64)))
+	g := NewStrategyGroup[int](Fixed{Copies: 2}, WithBudget[int](NewBudget(1e6, 64)))
 	var names []string
 	for i := 0; i < 6; i++ {
 		i := i
@@ -497,7 +502,7 @@ func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
 			if i%7 == 0 {
 				g.SetStrategy(AdaptiveHedge{Copies: 2})
 			} else if i%5 == 0 {
-				g.SetPolicy(Policy{Copies: 2})
+				g.SetStrategy(Fixed{Copies: 2})
 			}
 		}
 	}()
@@ -647,7 +652,7 @@ func TestGroupDoQuorumCopiesLaunchImmediately(t *testing.T) {
 	// serialize them: under Fixed{HedgeDelay: 1h} a quorum-2 call still
 	// launches both quorum copies at once and completes fast, while the
 	// third (true hedge) copy stays behind its delay.
-	g := NewGroup[int](Policy{Copies: 3, HedgeDelay: time.Hour})
+	g := NewStrategyGroup[int](Fixed{Copies: 3, HedgeDelay: time.Hour})
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
@@ -669,7 +674,7 @@ func TestQuorumErrorOutcomesSurviveSinkReuse(t *testing.T) {
 	// Partial outcomes in a QuorumError must not alias the caller's
 	// sink: a retry through the same sink resets and refills it.
 	cause := errors.New("down")
-	g := NewGroup[string](Policy{Copies: 2})
+	g := NewStrategyGroup[string](Fixed{Copies: 2})
 	g.Add("ok", coretest.Sleeper("salvage-me", time.Millisecond))
 	g.Add("bad", coretest.Failer[string](cause, 5*time.Millisecond))
 	var outs []Outcome[string]
@@ -733,7 +738,7 @@ func TestCallerCancelMidQuorum(t *testing.T) {
 	// cancels mid-quorum; the call must return the caller's error and
 	// report both outstanding copies cancelled, and the blocked copies
 	// must observe cancellation through their derived contexts.
-	g := NewGroup[int](Policy{Copies: 3})
+	g := NewStrategyGroup[int](Fixed{Copies: 3})
 	c1 := coretest.NewGate()
 	c2 := coretest.NewGate()
 	g.Add("win", coretest.Instant(1))
@@ -838,7 +843,7 @@ func statsCancelled(s GroupStats, name string) int64 {
 
 func TestCancelledCopiesLabelled(t *testing.T) {
 	c := NewCounters()
-	g := NewGroup[string](Policy{Copies: 2}, WithObserver[string](c))
+	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver[string](c))
 	g.Add("fast", coretest.Instant("fast"))
 	g.Add("stuck", coretest.Blocked("stuck", coretest.NewGate()))
 	for i := 0; i < 3; i++ {

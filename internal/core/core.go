@@ -65,6 +65,14 @@ type Result[T any] struct {
 	Cancelled int
 }
 
+// BatchResult is one argument's outcome within a batch of calls that
+// succeed or fail independently (memkv.ShardedClient.GetBatch): the
+// usual Result on success, or in Err the error a lone Do returned.
+type BatchResult[T any] struct {
+	Result Result[T]
+	Err    error
+}
+
 // ErrNoReplicas is returned when an operation is attempted with zero
 // replicas.
 var ErrNoReplicas = errors.New("redundancy: no replicas")

@@ -15,7 +15,7 @@ import (
 // --- Copy-on-write engine: dynamic membership. ---
 
 func TestGroupRemove(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1, Selection: SelectRoundRobin})
+	g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRoundRobin})
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	g.Add("c", func(ctx context.Context) (int, error) { return 3, nil })
@@ -45,7 +45,7 @@ func TestGroupRemove(t *testing.T) {
 }
 
 func TestGroupRemoveAllThenDo(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2})
+	g := NewStrategyGroup[int](Fixed{Copies: 2})
 	g.Add("only", func(ctx context.Context) (int, error) { return 1, nil })
 	if !g.Remove("only") {
 		t.Fatal("Remove failed")
@@ -58,7 +58,7 @@ func TestGroupRemoveAllThenDo(t *testing.T) {
 func TestGroupRemoveKeepsEstimates(t *testing.T) {
 	// Membership changes must not reset surviving replicas' estimates:
 	// members are shared across snapshots.
-	g := NewGroup[string](Policy{Copies: 2})
+	g := NewStrategyGroup[string](Fixed{Copies: 2})
 	g.Add("a", coretest.Sleeper("a", time.Millisecond))
 	g.Add("b", coretest.Sleeper("b", time.Millisecond))
 	g.Add("c", coretest.Sleeper("c", time.Millisecond))
@@ -77,8 +77,8 @@ func TestGroupRemoveKeepsEstimates(t *testing.T) {
 	}
 }
 
-func TestGroupSetPolicy(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1, Selection: SelectRandom}, WithSeed[int](1))
+func TestGroupSetStrategySwapsFanout(t *testing.T) {
+	g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed[int](1))
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context) (int, error) { return i, nil })
@@ -87,28 +87,29 @@ func TestGroupSetPolicy(t *testing.T) {
 	if err != nil || res.Launched != 1 {
 		t.Fatalf("copies=1: launched %d, err %v", res.Launched, err)
 	}
-	g.SetPolicy(Policy{Copies: 3, Selection: SelectRandom})
+	g.SetStrategy(Fixed{Copies: 3, Selection: SelectRandom})
 	res, err = g.Do(context.Background())
 	if err != nil || res.Launched != 3 {
-		t.Fatalf("after SetPolicy copies=3: launched %d, err %v", res.Launched, err)
+		t.Fatalf("after SetStrategy copies=3: launched %d, err %v", res.Launched, err)
 	}
-	if p := g.Policy(); p.Copies != 3 {
-		t.Errorf("Policy().Copies = %d", p.Copies)
+	if got := g.Strategy(); got != (Fixed{Copies: 3, Selection: SelectRandom}) {
+		t.Errorf("Strategy() = %v", got)
 	}
-	// Copies below 1 normalizes to 1, as in NewGroup.
-	g.SetPolicy(Policy{})
-	if p := g.Policy(); p.Copies != 1 {
-		t.Errorf("normalized Policy().Copies = %d", p.Copies)
+	// Copies below 1 launches one copy.
+	g.SetStrategy(Fixed{})
+	res, err = g.Do(context.Background())
+	if err != nil || res.Launched != 1 {
+		t.Fatalf("Fixed{}: launched %d, err %v", res.Launched, err)
 	}
 }
 
 // TestGroupConcurrentMembershipAndDo is the engine's core race test: many
 // goroutines call Do while others add and remove replicas and change the
-// policy. Run with -race. Every operation must either succeed or report
+// strategy. Run with -race. Every operation must either succeed or report
 // ErrNoReplicas (the group may be momentarily empty); nothing may panic,
 // deadlock, or corrupt state.
 func TestGroupConcurrentMembershipAndDo(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRanked}, WithSeed[int](42))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRanked}, WithSeed[int](42))
 	g.Add("base", func(ctx context.Context) (int, error) { return -1, nil })
 
 	const (
@@ -127,7 +128,7 @@ func TestGroupConcurrentMembershipAndDo(t *testing.T) {
 				v := w*iters + i
 				g.Add(name, func(ctx context.Context) (int, error) { return v, nil })
 				if i%3 == 0 {
-					g.SetPolicy(Policy{Copies: 1 + i%3, Selection: Selection(i % 3)})
+					g.SetStrategy(Fixed{Copies: 1 + i%3, Selection: Selection(i % 3)})
 				}
 				g.Remove(name)
 			}
@@ -162,12 +163,12 @@ func TestGroupConcurrentMembershipAndDo(t *testing.T) {
 }
 
 func TestGroupConcurrentStatsConsistency(t *testing.T) {
-	// Stats must come from one snapshot: with SetPolicy and membership
+	// Stats must come from one snapshot: with SetStrategy and membership
 	// updated atomically together, a reader may never see the post-change
-	// policy paired with the pre-change membership (or vice versa). The
-	// writer alternates between two (policy, membership) configurations
+	// strategy paired with the pre-change membership (or vice versa). The
+	// writer alternates between two (strategy, membership) configurations
 	// that tests can tell apart.
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", func(ctx context.Context) (int, error) { return 0, nil })
 
 	stop := make(chan struct{})
@@ -185,9 +186,9 @@ func TestGroupConcurrentStatsConsistency(t *testing.T) {
 			// store publishes a full snapshot; readers see either config.
 			if i%2 == 0 {
 				g.Add("b", func(ctx context.Context) (int, error) { return 1, nil })
-				g.SetPolicy(Policy{Copies: 2})
+				g.SetStrategy(Fixed{Copies: 2})
 			} else {
-				g.SetPolicy(Policy{Copies: 1})
+				g.SetStrategy(Fixed{Copies: 1})
 				g.Remove("b")
 			}
 		}
@@ -197,10 +198,10 @@ func TestGroupConcurrentStatsConsistency(t *testing.T) {
 		if len(s.Replicas) < 1 || len(s.Replicas) > 2 {
 			t.Fatalf("Stats saw %d replicas", len(s.Replicas))
 		}
-		if s.Policy.Copies < 1 || s.Policy.Copies > 2 {
-			t.Fatalf("Stats saw Copies=%d", s.Policy.Copies)
+		if s.Strategy != "fixed(k=1, ranked)" && s.Strategy != "fixed(k=2, ranked)" {
+			t.Fatalf("Stats saw strategy %q", s.Strategy)
 		}
-		// Policy and membership come from one atomic snapshot; Copies may
+		// Strategy and membership come from one atomic snapshot; Copies may
 		// exceed membership only transiently BETWEEN the two writer calls,
 		// never inconsistently within one call's published state.
 		if s.Replicas[0].Name != "a" {
@@ -212,7 +213,7 @@ func TestGroupConcurrentStatsConsistency(t *testing.T) {
 }
 
 func TestGroupStatsObservations(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 1})
+	g := NewStrategyGroup[string](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper("a", time.Millisecond))
 	g.Add("b", coretest.Sleeper("b", 2*time.Millisecond))
 	s := g.Stats()
@@ -240,8 +241,8 @@ func TestGroupStatsObservations(t *testing.T) {
 	if total != 4 {
 		t.Errorf("total observations %d, want 4 (copies=1, 4 ops)", total)
 	}
-	if s.Policy.Copies != 1 {
-		t.Errorf("Stats policy %+v", s.Policy)
+	if s.Strategy != "fixed(k=1, ranked)" {
+		t.Errorf("Stats strategy %q", s.Strategy)
 	}
 }
 
@@ -277,7 +278,7 @@ func TestGroupBudgetConsumedByFailedCopies(t *testing.T) {
 	// budget and each request would keep fanning out k copies — exactly
 	// the load the budget exists to shed.
 	b := NewBudget(0, 1)
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom},
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
 		WithBudget[int](b), WithSeed[int](6))
 	g.Add("bad1", coretest.Failer[int](errors.New("down"), time.Millisecond))
 	g.Add("bad2", coretest.Failer[int](errors.New("down"), time.Millisecond))
@@ -296,7 +297,7 @@ func TestGroupBudgetConsumedByFailedCopies(t *testing.T) {
 // --- KeyedGroup: the argument-passing call path. ---
 
 func TestKeyedGroupPassesArg(t *testing.T) {
-	g := NewKeyedGroup[string, string](Policy{Copies: 2})
+	g := NewStrategyKeyedGroup[string, string](Fixed{Copies: 2})
 	for _, name := range []string{"r1", "r2", "r3"} {
 		name := name
 		g.Add(name, func(ctx context.Context, key string) (string, error) {
@@ -317,7 +318,7 @@ func TestKeyedGroupPassesArg(t *testing.T) {
 func TestKeyedGroupOptions(t *testing.T) {
 	c := NewCounters()
 	b := NewBudget(0, 1)
-	g := NewKeyedGroup[int, int](Policy{Copies: 3, Selection: SelectRandom},
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 3, Selection: SelectRandom},
 		WithKeyedObserver[int, int](c),
 		WithKeyedBudget[int, int](b),
 		WithKeyedSeed[int, int](9))
@@ -342,7 +343,7 @@ func TestKeyedGroupOptions(t *testing.T) {
 }
 
 func TestKeyedGroupProbeAll(t *testing.T) {
-	g := NewKeyedGroup[int, int](Policy{Copies: 1})
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 1})
 	var got atomic.Int32
 	for i := 0; i < 3; i++ {
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context, arg int) (int, error) {
@@ -366,7 +367,7 @@ func TestKeyedGroupProbeAll(t *testing.T) {
 func TestKeyedGroupConcurrentKeys(t *testing.T) {
 	// Concurrent Dos with different keys must never cross wires: each
 	// caller gets a response derived from its own key.
-	g := NewKeyedGroup[int, int](Policy{Copies: 2, Selection: SelectRandom}, WithKeyedSeed[int, int](3))
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithKeyedSeed[int, int](3))
 	for i := 0; i < 5; i++ {
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context, key int) (int, error) {
 			return key * 10, nil
@@ -397,7 +398,7 @@ func TestKeyedGroupConcurrentKeys(t *testing.T) {
 // --- Selection on the lock-free path. ---
 
 func TestRankedSelectionMatchesRankedNames(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 2, Selection: SelectRanked})
+	g := NewStrategyGroup[string](Fixed{Copies: 2, Selection: SelectRanked})
 	g.Add("slow", coretest.Sleeper("slow", 20*time.Millisecond))
 	g.Add("mid", coretest.Sleeper("mid", 8*time.Millisecond))
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
@@ -420,7 +421,7 @@ func TestRankedSelectionMatchesRankedNames(t *testing.T) {
 
 func TestRandomSelectionDistinctAndUniform(t *testing.T) {
 	const n = 6
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom}, WithSeed[int](11))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](11))
 	var hits [n]atomic.Int32
 	for i := 0; i < n; i++ {
 		i := i
@@ -448,7 +449,7 @@ func TestRandomSelectionDistinctAndUniform(t *testing.T) {
 
 func TestSeededSelectionReproducible(t *testing.T) {
 	run := func() []int {
-		g := NewGroup[int](Policy{Copies: 1, Selection: SelectRandom}, WithSeed[int](77))
+		g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed[int](77))
 		for i := 0; i < 8; i++ {
 			i := i
 			g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context) (int, error) { return i, nil })

@@ -15,7 +15,7 @@ func keyed(fn func(ctx context.Context) (int, error)) ArgReplica[string, int] {
 }
 
 func TestDoPickedRespectsOrder(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 1})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 1})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	hb := g.Add("b", keyed(coretest.Instant(2)))
 	hc := g.Add("c", keyed(coretest.Instant(3)))
@@ -42,7 +42,7 @@ func TestDoPickedRespectsOrder(t *testing.T) {
 }
 
 func TestDoPickedClampsFanoutToSubset(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 5})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 5})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	hb := g.Add("b", keyed(coretest.Instant(2)))
 	g.Add("c", keyed(coretest.Instant(3)))
@@ -57,7 +57,7 @@ func TestDoPickedClampsFanoutToSubset(t *testing.T) {
 }
 
 func TestDoPickedZeroHandle(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 1})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 1})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	if _, err := g.DoPicked(context.Background(), "k", []Handle[string, int]{ha, {}}); err == nil {
 		t.Error("DoPicked with a zero Handle succeeded, want error")
@@ -68,7 +68,7 @@ func TestDoPickedZeroHandle(t *testing.T) {
 }
 
 func TestDoPickedQuorumWithinSubset(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 2})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 2})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	hb := g.Add("b", keyed(coretest.Instant(2)))
 	g.Add("c", keyed(coretest.Instant(3)))
@@ -85,7 +85,7 @@ func TestDoPickedQuorumWithinSubset(t *testing.T) {
 }
 
 func TestDoPickedStaleHandleStillServes(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 1})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 1})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	g.Add("b", keyed(coretest.Instant(2)))
 	if !g.Remove("a") {
@@ -101,7 +101,7 @@ func TestDoPickedStaleHandleStillServes(t *testing.T) {
 }
 
 func TestDoPickedFeedsDigests(t *testing.T) {
-	g := NewKeyedGroup[string, int](Policy{Copies: 1})
+	g := NewStrategyKeyedGroup[string, int](Fixed{Copies: 1})
 	ha := g.Add("a", keyed(coretest.Instant(1)))
 	for i := 0; i < 4; i++ {
 		if _, err := g.DoPicked(context.Background(), "k", []Handle[string, int]{ha}); err != nil {

@@ -26,7 +26,7 @@ func TestFrameRecycleEarlyReturnSlowLoser(t *testing.T) {
 	gate := coretest.NewGate()
 	var mu sync.Mutex
 	blocked := 0
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
 	g.Add("fast", func(ctx context.Context) (int, error) { return 1, nil })
 	// Deliberately deaf to ctx: the copy stays in flight until the gate
 	// opens, holding its frame reference the whole time.
@@ -72,7 +72,7 @@ func TestFrameRecycleEarlyReturnSlowLoser(t *testing.T) {
 // the group afterwards (recycling the same frame) must leave the held
 // outcomes bit-identical.
 func TestFrameRecycleCollectOutcomesAliasing(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 3, Selection: SelectRoundRobin}, WithSeed[string](1))
+	g := NewStrategyGroup[string](Fixed{Copies: 3, Selection: SelectRoundRobin}, WithSeed[string](1))
 	g.Add("a", coretest.Instant("alpha"))
 	g.Add("b", coretest.Instant("beta"))
 	g.Add("c", coretest.Instant("gamma"))
@@ -116,7 +116,7 @@ func TestFrameRecycleCollectOutcomesAliasing(t *testing.T) {
 // collection time and must be cloned before the frame recycles.
 func TestFrameRecycleQuorumErrorOutcomes(t *testing.T) {
 	boom := errors.New("boom")
-	g := NewGroup[string](Policy{Copies: 2, Selection: SelectRoundRobin}, WithSeed[string](1))
+	g := NewStrategyGroup[string](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[string](1))
 	g.Add("ok", coretest.Instant("ok"))
 	g.Add("bad", coretest.Fail[string](boom))
 	ctx := context.Background()
@@ -150,7 +150,7 @@ func TestFrameRecycleQuorumErrorOutcomes(t *testing.T) {
 func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 	gate := coretest.NewGate()
 	defer gate.Release()
-	g := NewGroup[int](Policy{Copies: 2, HedgeDelay: DefaultWheelTick, Selection: SelectRoundRobin},
+	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: DefaultWheelTick, Selection: SelectRoundRobin},
 		WithSeed[int](1))
 	// Both replicas park until cancelled, so every call rides its hedge
 	// timer and only cancellation completes it.
@@ -186,7 +186,7 @@ func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 // must stay at or under 4 allocations per call (copy-cancel channel,
 // shared derived context, and one goroutine closure per copy).
 func TestDoValueAllocs(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](1))
 	g.Add("a", coretest.Instant(1))
 	g.Add("b", coretest.Instant(2))
 	g.Add("c", coretest.Instant(3))
@@ -218,7 +218,7 @@ func TestDoValueAllocs(t *testing.T) {
 // consulted.
 func TestDoValueSemantics(t *testing.T) {
 	boom := errors.New("boom")
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
 	g.Add("bad", coretest.Fail[int](boom))
 	g.Add("good", coretest.Instant(7))
 	ctx := context.Background()
@@ -228,7 +228,7 @@ func TestDoValueSemantics(t *testing.T) {
 	}
 
 	// All replicas failing: joined ReplicaErrors, same as Do.
-	gf := NewGroup[int](Policy{Copies: 2, Selection: SelectRoundRobin})
+	gf := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin})
 	gf.Add("b1", coretest.Fail[int](boom))
 	gf.Add("b2", coretest.Fail[int](boom))
 	if _, err := gf.DoValue(ctx); !errors.Is(err, boom) {
@@ -240,14 +240,14 @@ func TestDoValueSemantics(t *testing.T) {
 	}
 
 	// Empty group.
-	ge := NewGroup[int](Policy{Copies: 2})
+	ge := NewStrategyGroup[int](Fixed{Copies: 2})
 	if _, err := ge.DoValue(ctx); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("empty DoValue err = %v, want ErrNoReplicas", err)
 	}
 
 	// Budget accounting still applies on the fast lane.
 	b := NewBudget(0, 1)
-	gb := NewGroup[int](Policy{Copies: 2, HedgeDelay: time.Hour, Selection: SelectRoundRobin},
+	gb := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour, Selection: SelectRoundRobin},
 		WithBudget[int](b))
 	gb.Add("a", coretest.Instant(1))
 	gb.Add("b", coretest.Instant(2))

@@ -272,12 +272,7 @@ func (s *GovernedStrategy) Fanout() (int, Selection) {
 	return s.inner.Fanout()
 }
 
-// Schedule implements Strategy by delegating to the inner strategy.
-func (s *GovernedStrategy) Schedule(d Digests) []time.Duration { return s.inner.Schedule(d) }
-
-// ScheduleInto implements InlineScheduler by delegating to the inner
-// strategy (through its own ScheduleInto when it has one), keeping the
-// governed hot path allocation-free.
+// ScheduleInto implements Strategy by delegating to the inner strategy.
 func (s *GovernedStrategy) ScheduleInto(d Digests, dst []time.Duration) []time.Duration {
 	return strategyScheduleInto(s.inner, d, dst)
 }

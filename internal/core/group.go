@@ -10,35 +10,6 @@ import (
 	"time"
 )
 
-// Policy is the declarative form of the static replication strategy: a
-// fixed number of copies, an optional fixed hedge delay, and a selection
-// method. It is retained for compatibility and convenience — a Policy
-// converts to the equivalent Fixed strategy via Strategy(); groups
-// configured with richer strategies (AdaptiveHedge, FullReplicate, or
-// user implementations) are built with NewStrategyGroup or swapped with
-// SetStrategy.
-type Policy struct {
-	// Copies is the number of replicas to use per operation (k). Values
-	// below 1 are treated as 1. If the group has fewer replicas, every
-	// replica is used.
-	Copies int
-	// HedgeDelay, when non-zero, staggers copies: copy i+1 launches only
-	// if no response arrived HedgeDelay after copy i. Zero launches all
-	// copies immediately (full replication, as in §2 of the paper).
-	HedgeDelay time.Duration
-	// Selection chooses which k of the group's replicas serve an
-	// operation. The default is SelectRanked.
-	Selection Selection
-}
-
-// Strategy returns the Fixed strategy equivalent to the policy.
-func (p Policy) Strategy() Strategy {
-	if p.Copies < 1 {
-		p.Copies = 1
-	}
-	return Fixed{Copies: p.Copies, HedgeDelay: p.HedgeDelay, Selection: p.Selection}
-}
-
 // Selection is a replica-selection strategy.
 type Selection int
 
@@ -79,9 +50,8 @@ type ArgReplica[K, T any] func(ctx context.Context, arg K) (T, error)
 // plus log-scale histogram), so the Do hot path — snapshot read, replica
 // selection, schedule computation, latency observation — never takes a
 // lock and never contends with other callers. Writers (Add, Remove,
-// SetPolicy, SetStrategy) serialize among themselves and publish a new
-// snapshot; operations already in flight keep the snapshot they started
-// with.
+// SetStrategy) serialize among themselves and publish a new snapshot;
+// operations already in flight keep the snapshot they started with.
 //
 // The type parameter K is the per-call argument replicas receive, which is
 // what makes one engine reusable across keyed workloads (a replicated
@@ -213,12 +183,8 @@ func WithKeyedSeed[K, T any](seed int64) KeyedGroupOption[K, T] {
 	return func(g *KeyedGroup[K, T]) { g.seed = uint64(seed) }
 }
 
-// NewKeyedGroup creates a KeyedGroup with the given policy.
-func NewKeyedGroup[K, T any](policy Policy, opts ...KeyedGroupOption[K, T]) *KeyedGroup[K, T] {
-	return NewStrategyKeyedGroup(policy.Strategy(), opts...)
-}
-
-// NewStrategyKeyedGroup creates a KeyedGroup with the given strategy.
+// NewStrategyKeyedGroup creates a KeyedGroup with the given strategy
+// (nil means Fixed{Copies: 1}).
 func NewStrategyKeyedGroup[K, T any](s Strategy, opts ...KeyedGroupOption[K, T]) *KeyedGroup[K, T] {
 	g := &KeyedGroup[K, T]{}
 	g.init(s)
@@ -247,9 +213,9 @@ func (g *KeyedGroup[K, T]) Add(name string, fn ArgReplica[K, T]) Handle[K, T] {
 // call of two or more copies launches this member's copy with starter.Start
 // on the caller's goroutine and takes its completion in the event loop
 // (see Starter for the contract), while everything that runs a copy to
-// completion on its own goroutine — a single-copy call, DoBatch,
-// ProbeAll, and a copy whose Start declined — still calls fn. fn and
-// starter must perform the same operation.
+// completion where it stands — a single-copy call, ProbeAll, and a copy
+// whose Start declined — still calls fn. fn and starter must perform the
+// same operation.
 func (g *KeyedGroup[K, T]) AddStarter(name string, fn ArgReplica[K, T], starter Starter[K, T]) Handle[K, T] {
 	m := &member[K, T]{name: name, fn: fn, starter: starter}
 	g.mu.Lock()
@@ -293,13 +259,6 @@ func (g *KeyedGroup[K, T]) Remove(name string) bool {
 	return false
 }
 
-// SetPolicy replaces the group's strategy with the policy's Fixed
-// equivalent. The change is atomic with respect to membership: every
-// operation sees one consistent (strategy, members) pair.
-func (g *KeyedGroup[K, T]) SetPolicy(policy Policy) {
-	g.SetStrategy(policy.Strategy())
-}
-
 // SetStrategy replaces the group's replication strategy through the
 // copy-on-write snapshot: operations already in flight finish under the
 // strategy they started with, and every subsequent operation sees the
@@ -316,33 +275,6 @@ func (g *KeyedGroup[K, T]) SetStrategy(s Strategy) {
 
 // Strategy returns the current replication strategy.
 func (g *KeyedGroup[K, T]) Strategy() Strategy { return g.state.Load().strategy }
-
-// Policy returns the current strategy in Policy form. For a Fixed
-// strategy (including any installed via SetPolicy) the round-trip is
-// exact; for other strategies the fan-out and selection are reported and
-// HedgeDelay is zero (the schedule is dynamic).
-func (g *KeyedGroup[K, T]) Policy() Policy {
-	st := g.state.Load()
-	return strategyPolicy(st.strategy, len(st.members))
-}
-
-// strategyPolicy renders a strategy in Policy form. n is the current
-// group size, used to report a meaningful fan-out (rather than the
-// internal clamp sentinel) for strategies that mean "all replicas".
-func strategyPolicy(s Strategy, n int) Policy {
-	if f, ok := s.(Fixed); ok {
-		k, _ := f.Fanout()
-		return Policy{Copies: k, HedgeDelay: f.HedgeDelay, Selection: f.Selection}
-	}
-	k, sel := s.Fanout()
-	if k > n {
-		k = n // Do clamps the same way
-	}
-	if k < 1 {
-		k = 1 // matches Policy's own below-1 normalization
-	}
-	return Policy{Copies: k, Selection: sel}
-}
 
 // Len returns the number of registered replicas.
 func (g *KeyedGroup[K, T]) Len() int { return len(g.state.Load().members) }
@@ -427,11 +359,8 @@ type ReplicaStats struct {
 
 // GroupStats is a point-in-time view of a group. Strategy and membership
 // come from a single atomic snapshot, so they are mutually consistent even
-// while other goroutines Add, Remove, or SetPolicy.
+// while other goroutines Add, Remove, or SetStrategy.
 type GroupStats struct {
-	// Policy is the strategy in Policy form (exact for Fixed strategies,
-	// fan-out and selection only otherwise).
-	Policy Policy
 	// Strategy describes the active strategy (its String()), making
 	// Stats() output self-describing.
 	Strategy string
@@ -446,7 +375,6 @@ var statsQuantiles = []float64{0.5, 0.95, 0.99}
 func (g *KeyedGroup[K, T]) Stats() GroupStats {
 	st := g.state.Load()
 	s := GroupStats{
-		Policy:   strategyPolicy(st.strategy, len(st.members)),
 		Strategy: st.strategy.String(),
 		Replicas: make([]ReplicaStats, len(st.members)),
 	}
@@ -732,11 +660,47 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.gov = p.gov
 	fr.collect = p.collect
 	fr.ensureChan(copies)
-	fr.delays = g.scheduleInto(p, fr.picked, p.q, fr.delaysSlice(copies))
+	fr.delays = g.scheduleInto(p, fr.picked, fr.delaysSlice(copies))
 	res, err := runFrame(ctx, fr)
 	g.settle(p, fr.picked[res.Index].m.name, &res, err)
 	fr.release(1)
 	return res, err
+}
+
+// scheduleInto resolves one call's launch schedule into buf (length
+// len(picked)): the Fixed fast path, the strategy's ScheduleInto over
+// the picked digests, and the quorum rule that the first q copies always
+// launch immediately. The returned schedule is always backed by buf —
+// never strategy-owned memory — so the quorum zeroing mutates in place
+// without cloning. nil means launch every copy at once.
+func (g *KeyedGroup[K, T]) scheduleInto(p *callPlan[T], picked []Handle[K, T], buf []time.Duration) []time.Duration {
+	var delays []time.Duration
+	if p.isFixed {
+		if p.fixed.HedgeDelay <= 0 {
+			return nil
+		}
+		delays = buf
+		for i := range delays {
+			delays[i] = p.fixed.HedgeDelay
+		}
+	} else if _, full := p.strat.(FullReplicate); full {
+		return nil
+	} else {
+		delays = strategyScheduleInto(p.strat, memberDigests[K, T]{ms: picked}, buf)
+		if delays == nil {
+			return nil
+		}
+	}
+	if p.q > 1 {
+		// The quorum copies are correctness requirements, not latency
+		// hedges: delaying them can only serialize the quorum. Launch the
+		// first q immediately; copies beyond the quorum keep the
+		// strategy's hedge schedule.
+		for i := 0; i < p.q && i < len(delays); i++ {
+			delays[i] = 0
+		}
+	}
+	return delays
 }
 
 // ProbeAll runs every replica once with arg, concurrently and to
@@ -881,12 +845,8 @@ func WithSeed[T any](seed int64) GroupOption[T] {
 	return func(g *Group[T]) { g.seed = uint64(seed) }
 }
 
-// NewGroup creates a Group with the given policy.
-func NewGroup[T any](policy Policy, opts ...GroupOption[T]) *Group[T] {
-	return NewStrategyGroup[T](policy.Strategy(), opts...)
-}
-
-// NewStrategyGroup creates a Group with the given strategy.
+// NewStrategyGroup creates a Group with the given strategy (nil means
+// Fixed{Copies: 1}).
 func NewStrategyGroup[T any](s Strategy, opts ...GroupOption[T]) *Group[T] {
 	g := &Group[T]{}
 	g.init(s)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestGroupEmptyErrors(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2})
+	g := NewStrategyGroup[int](Fixed{Copies: 2})
 	if _, err := g.Do(context.Background()); !errors.Is(err, ErrNoReplicas) {
 		t.Errorf("got %v, want ErrNoReplicas", err)
 	}
@@ -19,7 +19,7 @@ func TestGroupEmptyErrors(t *testing.T) {
 
 func TestGroupUsesKCopies(t *testing.T) {
 	var launched atomic.Int32
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](1))
 	for i := 0; i < 5; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) {
@@ -42,7 +42,7 @@ func TestGroupUsesKCopies(t *testing.T) {
 }
 
 func TestGroupCopiesClampedToSize(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 10})
+	g := NewStrategyGroup[int](Fixed{Copies: 10})
 	g.Add("only", func(ctx context.Context) (int, error) { return 7, nil })
 	res, err := g.Do(context.Background())
 	if err != nil {
@@ -54,7 +54,7 @@ func TestGroupCopiesClampedToSize(t *testing.T) {
 }
 
 func TestGroupRankedPrefersFastReplica(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 1, Selection: SelectRanked}, WithSeed[string](2))
+	g := NewStrategyGroup[string](Fixed{Copies: 1, Selection: SelectRanked}, WithSeed[string](2))
 	g.Add("slow", coretest.Sleeper("slow", 30*time.Millisecond))
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
 	// Warm up estimates: ranked selection probes unprobed replicas first,
@@ -79,7 +79,7 @@ func TestGroupRankedPrefersFastReplica(t *testing.T) {
 }
 
 func TestGroupEstimatedLatency(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 2})
+	g := NewStrategyGroup[string](Fixed{Copies: 2})
 	g.Add("a", coretest.Sleeper("a", 5*time.Millisecond))
 	g.Add("b", coretest.Sleeper("b", 5*time.Millisecond))
 	if _, ok := g.EstimatedLatency("a"); ok {
@@ -101,7 +101,7 @@ func TestGroupEstimatedLatency(t *testing.T) {
 }
 
 func TestGroupRoundRobinRotates(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1, Selection: SelectRoundRobin})
+	g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRoundRobin})
 	var hits [3]atomic.Int32
 	for i := 0; i < 3; i++ {
 		i := i
@@ -127,7 +127,7 @@ func TestGroupBudgetDegradesToFewerCopies(t *testing.T) {
 	// run single-copy instead of failing.
 	b := NewBudget(0, 2)
 	var launched atomic.Int32
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom},
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
 		WithBudget[int](b), WithSeed[int](3))
 	for i := 0; i < 4; i++ {
 		g.Add(string(rune('a'+i)), coretest.Counting(&launched, coretest.Instant(i)))
@@ -156,7 +156,7 @@ func TestGroupBudgetDegradesToFewerCopies(t *testing.T) {
 
 func TestGroupObserverSeesWins(t *testing.T) {
 	c := NewCounters()
-	g := NewGroup[string](Policy{Copies: 2}, WithObserver[string](c))
+	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver[string](c))
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
 	g.Add("slow", coretest.Sleeper("slow", 100*time.Millisecond))
 	// First two ops probe; then fast should win consistently.
@@ -185,7 +185,7 @@ func TestGroupObserverSeesWins(t *testing.T) {
 
 func TestGroupObserverSeesFailures(t *testing.T) {
 	c := NewCounters()
-	g := NewGroup[int](Policy{Copies: 1}, WithObserver[int](c))
+	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver[int](c))
 	g.Add("bad", coretest.Failer[int](errors.New("down"), time.Millisecond))
 	if _, err := g.Do(context.Background()); err == nil {
 		t.Fatal("want error")
@@ -197,7 +197,7 @@ func TestGroupObserverSeesFailures(t *testing.T) {
 
 func TestGroupHedgeDelayPolicy(t *testing.T) {
 	var launched atomic.Int32
-	g := NewGroup[int](Policy{Copies: 2, HedgeDelay: 200 * time.Millisecond, Selection: SelectRandom},
+	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 200 * time.Millisecond, Selection: SelectRandom},
 		WithSeed[int](4))
 	for i := 0; i < 3; i++ {
 		i := i
@@ -219,7 +219,7 @@ func TestGroupHedgeDelayPolicy(t *testing.T) {
 }
 
 func TestGroupNamesAndLen(t *testing.T) {
-	g := NewGroup[int](Policy{})
+	g := NewStrategyGroup[int](Fixed{})
 	g.Add("x", func(ctx context.Context) (int, error) { return 0, nil })
 	g.Add("y", func(ctx context.Context) (int, error) { return 0, nil })
 	if g.Len() != 2 {
@@ -232,7 +232,7 @@ func TestGroupNamesAndLen(t *testing.T) {
 }
 
 func TestGroupConcurrentDo(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 2, Selection: SelectRandom}, WithSeed[int](5))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](5))
 	for i := 0; i < 8; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), coretest.Sleeper(i, time.Millisecond))

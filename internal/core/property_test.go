@@ -122,7 +122,7 @@ func TestQuorumCountProperty(t *testing.T) {
 }
 
 func TestProbeAllMeasuresEveryReplica(t *testing.T) {
-	g := NewGroup[string](Policy{Copies: 2})
+	g := NewStrategyGroup[string](Fixed{Copies: 2})
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
 	g.Add("slow", coretest.Sleeper("slow", 25*time.Millisecond))
 	g.Add("bad", coretest.Failer[string](errors.New("down"), time.Millisecond))

@@ -9,82 +9,58 @@ import (
 // Strategy decides, per operation, how a Group replicates: how many
 // copies to launch, which replicas serve them, and the launch schedule.
 // The three built-in implementations are Fixed (static fan-out and hedge
-// delay — the classic Policy semantics), AdaptiveHedge (hedge when the
-// elapsed time exceeds an observed latency quantile, self-tuning as the
-// per-replica digests fill), and FullReplicate (every copy immediately).
+// delay), AdaptiveHedge (hedge when the elapsed time exceeds an observed
+// latency quantile, self-tuning as the per-replica digests fill), and
+// FullReplicate (every copy immediately).
 //
 // A Strategy is installed per Group and swapped atomically through the
 // group's copy-on-write snapshot (SetStrategy), so every operation sees
 // one consistent (strategy, membership) pair. Implementations must be
 // immutable after installation and safe for concurrent use: Fanout and
-// Schedule are called on the lock-free Do hot path.
+// ScheduleInto are called on the lock-free Do hot path.
 type Strategy interface {
 	// Fanout returns the maximum number of copies per operation (values
 	// below 1 are treated as 1; values above the group size are clamped)
 	// and the selection method that picks them.
 	Fanout() (copies int, sel Selection)
 
-	// Schedule computes the launch schedule for one operation over the
-	// selected replicas, whose latency digests are exposed in launch
-	// order. It returns nil to launch every copy immediately, or a slice
-	// of per-copy delays where delays[i] is the wait after copy i-1's
-	// launch before copy i launches (delays[0] is ignored; the first copy
-	// always starts immediately). A schedule of the wrong length is
-	// padded with its last entry or truncated.
+	// ScheduleInto computes the launch schedule for one operation over
+	// the selected replicas, whose latency digests d exposes in launch
+	// order, into dst — the caller's scratch (the call frame's inline
+	// array), of length d.Len(). It returns nil to launch every copy
+	// immediately, or dst filled with per-copy delays, where dst[i] is the
+	// wait after copy i-1's launch before copy i launches (dst[0] is
+	// ignored; the first copy always starts immediately).
 	//
-	// nil versus empty: a nil return is the explicit "no schedule —
-	// launch all copies at once" contract (FullReplicate returns it
-	// unconditionally), and an EMPTY non-nil slice is normalized to mean
-	// exactly the same thing. An implementation cannot accidentally
-	// serialize its copies by returning a zero-length scratch slice: the
-	// engine never indexes a schedule shorter than the fan-out.
-	//
-	// Implementations that also satisfy InlineScheduler skip this method
-	// on the hot path.
-	Schedule(d Digests) []time.Duration
+	// The caller owns dst and will mutate it (quorum zeroing), so an
+	// implementation must not retain it. One that returns its own memory
+	// instead is tolerated: the engine copies a foreign return into dst,
+	// padding a short one with its last entry and truncating a long one,
+	// and an EMPTY non-nil return means exactly what nil does — an
+	// implementation cannot serialize its copies by accident with a
+	// zero-length slice, because the engine never indexes a schedule
+	// shorter than the fan-out.
+	ScheduleInto(d Digests, dst []time.Duration) []time.Duration
 
 	// String describes the strategy; GroupStats carries it so Stats()
 	// output is self-describing.
 	String() string
 }
 
-// InlineScheduler is an optional Strategy extension for the
-// allocation-free hot path: ScheduleInto computes the same launch
-// schedule as Schedule but writes it into dst, the caller's scratch
-// (the call frame's inline array), instead of allocating a fresh slice
-// per operation.
-//
-// Contract: dst has length d.Len(). Return nil to launch every copy
-// immediately (Schedule's nil contract), otherwise fill dst and return
-// it. The caller owns dst and will mutate it (quorum zeroing), so
-// implementations must not retain it or return strategy-owned memory —
-// a foreign return is defensively copied into dst.
-//
-// Strategies that do not implement InlineScheduler keep working: the
-// engine falls back to Schedule and normalizes the result into dst.
-// All built-in strategies implement it.
-type InlineScheduler interface {
-	ScheduleInto(d Digests, dst []time.Duration) []time.Duration
-}
-
 // strategyScheduleInto resolves a strategy's schedule into buf (length
-// = d.Len()): the InlineScheduler fast path when available, otherwise
-// the legacy Schedule normalized into buf. The result is always
-// buf-backed (or nil), so callers may mutate it freely.
+// = d.Len()). The result is always buf-backed (or nil), so callers may
+// mutate it freely.
 func strategyScheduleInto(s Strategy, d Digests, buf []time.Duration) []time.Duration {
-	if is, ok := s.(InlineScheduler); ok {
-		out := is.ScheduleInto(d, buf)
-		if len(out) == 0 {
-			return nil
-		}
-		if len(out) == len(buf) && &out[0] == &buf[0] {
-			return out
-		}
-		// The implementation returned its own memory; bring the schedule
-		// into the caller-owned buffer.
-		return normalizeInto(out, buf)
+	out := s.ScheduleInto(d, buf)
+	if len(out) == 0 {
+		return nil
 	}
-	return normalizeInto(s.Schedule(d), buf)
+	if len(out) == len(buf) && &out[0] == &buf[0] {
+		return out
+	}
+	// The implementation returned its own memory; bring the schedule
+	// into the caller-owned buffer.
+	return normalizeInto(out, buf)
 }
 
 // normalizeInto copies a schedule into buf, truncating or padding with
@@ -104,14 +80,14 @@ func normalizeInto(delays []time.Duration, buf []time.Duration) []time.Duration 
 }
 
 // Digests is a read-only view over the selected replicas' latency
-// digests, in launch order, passed to Strategy.Schedule.
+// digests, in launch order, passed to Strategy.ScheduleInto.
 type Digests interface {
 	Len() int
 	At(i int) *LatDigest
 }
 
 // DigestList is a ready-made Digests over a slice, for testing custom
-// strategies and for callers driving Schedule directly.
+// strategies and for callers driving ScheduleInto directly.
 type DigestList []*LatDigest
 
 // Len implements Digests.
@@ -121,17 +97,18 @@ func (d DigestList) Len() int { return len(d) }
 func (d DigestList) At(i int) *LatDigest { return d[i] }
 
 // Fixed is the static strategy: a fixed number of copies, an optional
-// fixed hedge delay, and a selection method. It reproduces the classic
-// Policy semantics exactly; Policy.Strategy converts.
+// fixed hedge delay, and a selection method.
 type Fixed struct {
 	// Copies is the number of replicas per operation (k). Values below 1
-	// are treated as 1.
+	// are treated as 1. If the group has fewer replicas, every replica is
+	// used.
 	Copies int
 	// HedgeDelay, when non-zero, staggers copies: copy i+1 launches only
 	// if no response arrived HedgeDelay after copy i. Zero launches all
-	// copies immediately.
+	// copies immediately (full replication, as in §2 of the paper).
 	HedgeDelay time.Duration
-	// Selection chooses which k replicas serve an operation.
+	// Selection chooses which k of the group's replicas serve an
+	// operation. The default is SelectRanked.
 	Selection Selection
 }
 
@@ -144,15 +121,7 @@ func (f Fixed) Fanout() (int, Selection) {
 	return k, f.Selection
 }
 
-// Schedule implements Strategy.
-func (f Fixed) Schedule(d Digests) []time.Duration {
-	if f.HedgeDelay <= 0 {
-		return nil
-	}
-	return f.ScheduleInto(d, make([]time.Duration, d.Len()))
-}
-
-// ScheduleInto implements InlineScheduler.
+// ScheduleInto implements Strategy.
 func (f Fixed) ScheduleInto(d Digests, dst []time.Duration) []time.Duration {
 	if f.HedgeDelay <= 0 {
 		return nil
@@ -191,11 +160,8 @@ func (f FullReplicate) Fanout() (int, Selection) {
 	return k, f.Selection
 }
 
-// Schedule implements Strategy. The nil return is the "launch every
+// ScheduleInto implements Strategy. The nil return is the "launch every
 // copy immediately" contract, not an omission.
-func (FullReplicate) Schedule(Digests) []time.Duration { return nil }
-
-// ScheduleInto implements InlineScheduler.
 func (FullReplicate) ScheduleInto(Digests, []time.Duration) []time.Duration { return nil }
 
 // String implements Strategy.
@@ -272,15 +238,7 @@ func (a AdaptiveHedge) Fanout() (int, Selection) {
 	return k, a.Selection
 }
 
-// Schedule implements Strategy.
-func (a AdaptiveHedge) Schedule(d Digests) []time.Duration {
-	if d.Len() <= 1 {
-		return nil
-	}
-	return a.ScheduleInto(d, make([]time.Duration, d.Len()))
-}
-
-// ScheduleInto implements InlineScheduler.
+// ScheduleInto implements Strategy.
 func (a AdaptiveHedge) ScheduleInto(d Digests, dst []time.Duration) []time.Duration {
 	k := d.Len()
 	if k <= 1 {

@@ -12,25 +12,21 @@ import (
 )
 
 func TestFixedStrategyMatchesPolicy(t *testing.T) {
-	p := Policy{Copies: 3, HedgeDelay: 5 * time.Millisecond, Selection: SelectRandom}
-	s := p.Strategy()
-	f, ok := s.(Fixed)
-	if !ok {
-		t.Fatalf("Policy.Strategy() = %T, want Fixed", s)
-	}
-	if f.Copies != 3 || f.HedgeDelay != 5*time.Millisecond || f.Selection != SelectRandom {
-		t.Errorf("round-trip lost fields: %+v", f)
-	}
+	f := Fixed{Copies: 3, HedgeDelay: 5 * time.Millisecond, Selection: SelectRandom}
 	k, sel := f.Fanout()
 	if k != 3 || sel != SelectRandom {
 		t.Errorf("Fanout = (%d, %v)", k, sel)
 	}
-	delays := f.Schedule(DigestList{nil, nil, nil})
+	delays := f.ScheduleInto(DigestList{nil, nil, nil}, make([]time.Duration, 3))
 	if len(delays) != 3 || delays[1] != 5*time.Millisecond {
-		t.Errorf("Schedule = %v", delays)
+		t.Errorf("ScheduleInto = %v", delays)
 	}
-	if noHedge := (Fixed{Copies: 2}).Schedule(DigestList{nil, nil}); noHedge != nil {
+	if noHedge := (Fixed{Copies: 2}).ScheduleInto(DigestList{nil, nil}, make([]time.Duration, 2)); noHedge != nil {
 		t.Errorf("zero-delay Fixed schedule = %v, want nil", noHedge)
+	}
+	// A fan-out below 1 means one copy.
+	if k, _ := (Fixed{}).Fanout(); k != 1 {
+		t.Errorf("Fixed{}.Fanout() = %d, want 1", k)
 	}
 }
 
@@ -77,9 +73,9 @@ func TestAdaptiveHedgeScheduleFromDigests(t *testing.T) {
 	cold.Observe(time.Millisecond)
 
 	a := AdaptiveHedge{Copies: 3, Quantile: 0.9, MinSamples: 10, FallbackDelay: 7 * time.Millisecond}
-	delays := a.Schedule(DigestList{warm, cold, warm})
+	delays := a.ScheduleInto(DigestList{warm, cold, warm}, make([]time.Duration, 3))
 	if len(delays) != 3 {
-		t.Fatalf("Schedule length %d", len(delays))
+		t.Fatalf("ScheduleInto length %d", len(delays))
 	}
 	q90, _ := warm.Quantile(0.9)
 	if delays[0] != 0 {
@@ -94,7 +90,7 @@ func TestAdaptiveHedgeScheduleFromDigests(t *testing.T) {
 	}
 
 	// Single copy: no schedule at all.
-	if d := a.Schedule(DigestList{warm}); d != nil {
+	if d := a.ScheduleInto(DigestList{warm}, make([]time.Duration, 1)); d != nil {
 		t.Errorf("k=1 schedule = %v, want nil", d)
 	}
 }
@@ -184,15 +180,18 @@ func TestFullReplicateBudgetConsumed(t *testing.T) {
 }
 
 // oddSchedule exercises the schedule-normalization path: a strategy
-// returning the wrong number of delays.
+// that ignores dst and returns its own memory, with the wrong number of
+// delays.
 type oddSchedule struct {
 	delays []time.Duration
 	copies int
 }
 
-func (o oddSchedule) Fanout() (int, Selection)         { return o.copies, SelectRoundRobin }
-func (o oddSchedule) Schedule(Digests) []time.Duration { return o.delays }
-func (o oddSchedule) String() string                   { return "odd-schedule" }
+func (o oddSchedule) Fanout() (int, Selection) { return o.copies, SelectRoundRobin }
+func (o oddSchedule) ScheduleInto(Digests, []time.Duration) []time.Duration {
+	return o.delays
+}
+func (o oddSchedule) String() string { return "odd-schedule" }
 
 func TestStrategyScheduleNormalized(t *testing.T) {
 	never := coretest.NewGate()
@@ -255,14 +254,13 @@ func TestNormalizeInto(t *testing.T) {
 	}
 }
 
-// foreignSchedule is an InlineScheduler that violates the "fill dst"
-// convention and returns its own memory; the dispatcher must copy the
-// schedule into the caller-owned buffer so quorum zeroing cannot mutate
-// strategy state.
+// foreignSchedule violates the "fill dst" convention and returns its
+// own memory, of the right length; the dispatcher must copy the schedule
+// into the caller-owned buffer so quorum zeroing cannot mutate strategy
+// state.
 type foreignSchedule struct{ delays []time.Duration }
 
 func (f foreignSchedule) Fanout() (int, Selection)                              { return len(f.delays), SelectRoundRobin }
-func (f foreignSchedule) Schedule(Digests) []time.Duration                      { return f.delays }
 func (f foreignSchedule) String() string                                        { return "foreign" }
 func (f foreignSchedule) ScheduleInto(Digests, []time.Duration) []time.Duration { return f.delays }
 
@@ -270,19 +268,19 @@ func TestStrategyScheduleInto(t *testing.T) {
 	ms := time.Millisecond
 	d := DigestList{nil, nil, nil}
 
-	// InlineScheduler filling dst: returned as-is, backed by buf.
+	// A strategy filling dst: returned as-is, backed by buf.
 	buf := make([]time.Duration, 3)
 	got := strategyScheduleInto(Fixed{Copies: 3, HedgeDelay: ms}, d, buf)
 	if len(got) != 3 || &got[0] != &buf[0] || got[2] != ms {
 		t.Errorf("Fixed.ScheduleInto -> %v (buf-backed: %v)", got, len(got) > 0 && &got[0] == &buf[0])
 	}
 
-	// InlineScheduler returning nil: launch-all.
+	// A strategy returning nil: launch-all.
 	if got := strategyScheduleInto(FullReplicate{}, d, buf); got != nil {
 		t.Errorf("FullReplicate -> %v", got)
 	}
 
-	// InlineScheduler returning foreign memory: copied into buf, so the
+	// A strategy returning foreign memory: copied into buf, so the
 	// caller may zero entries without corrupting the strategy.
 	foreign := foreignSchedule{delays: []time.Duration{ms, 2 * ms, 3 * ms}}
 	got = strategyScheduleInto(foreign, d, buf)
@@ -294,19 +292,18 @@ func TestStrategyScheduleInto(t *testing.T) {
 		t.Error("zeroing the returned schedule mutated strategy-owned memory")
 	}
 
-	// Legacy Strategy without ScheduleInto: Schedule result normalized
-	// into buf (padded with the last entry).
-	legacy := oddSchedule{delays: []time.Duration{0, 2 * ms}, copies: 3}
-	got = strategyScheduleInto(legacy, d, buf)
+	// A foreign schedule of the wrong length: normalized into buf (padded
+	// with the last entry).
+	short := oddSchedule{delays: []time.Duration{0, 2 * ms}, copies: 3}
+	got = strategyScheduleInto(short, d, buf)
 	if len(got) != 3 || &got[0] != &buf[0] || got[2] != 2*ms {
-		t.Errorf("legacy schedule -> %v", got)
+		t.Errorf("short schedule -> %v", got)
 	}
 
-	// Legacy Strategy returning an empty non-nil schedule: nil, not an
-	// all-zero schedule.
-	empty := oddSchedule{delays: []time.Duration{}, copies: 3}
+	// An empty non-nil schedule: nil, not an all-zero schedule.
+	empty := foreignSchedule{delays: []time.Duration{}}
 	if got := strategyScheduleInto(empty, d, buf); got != nil {
-		t.Errorf("legacy empty schedule -> %v", got)
+		t.Errorf("empty schedule -> %v", got)
 	}
 }
 
@@ -321,14 +318,14 @@ func TestGroupStatsSelfDescribing(t *testing.T) {
 	if s := g.Stats(); !strings.Contains(s.Strategy, "full-replicate") {
 		t.Errorf("after SetStrategy: %q", s.Strategy)
 	}
-	g.SetPolicy(Policy{Copies: 2, HedgeDelay: time.Millisecond})
+	g.SetStrategy(Fixed{Copies: 2, HedgeDelay: time.Millisecond})
 	if s := g.Stats(); !strings.Contains(s.Strategy, "fixed") {
-		t.Errorf("after SetPolicy: %q", s.Strategy)
+		t.Errorf("after SetStrategy(Fixed): %q", s.Strategy)
 	}
 }
 
 func TestGroupStatsQuantiles(t *testing.T) {
-	g := NewGroup[int](Policy{Copies: 1})
+	g := NewStrategyGroup[int](Fixed{Copies: 1})
 	g.Add("a", coretest.Sleeper(1, 2*time.Millisecond))
 	for i := 0; i < 10; i++ {
 		if _, err := g.Do(context.Background()); err != nil {
@@ -342,25 +339,6 @@ func TestGroupStatsQuantiles(t *testing.T) {
 	}
 	if r.P50 < 2*time.Millisecond || r.P99 < r.P50 || r.P95 < r.P50 {
 		t.Errorf("quantiles not ordered/plausible: p50=%v p95=%v p99=%v", r.P50, r.P95, r.P99)
-	}
-}
-
-func TestFullReplicatePolicyReportsGroupSize(t *testing.T) {
-	// The "all replicas" fan-out must surface as the group size in
-	// Policy form, not the internal clamp sentinel.
-	g := NewStrategyGroup[int](FullReplicate{Selection: SelectRandom})
-	if got := g.Policy().Copies; got != 1 {
-		t.Errorf("empty group Policy().Copies = %d, want 1", got)
-	}
-	for i := 0; i < 3; i++ {
-		i := i
-		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) { return i, nil })
-	}
-	if got := g.Policy().Copies; got != 3 {
-		t.Errorf("Policy().Copies = %d, want 3 (group size)", got)
-	}
-	if got := g.Stats().Policy.Copies; got != 3 {
-		t.Errorf("Stats().Policy.Copies = %d, want 3", got)
 	}
 }
 

@@ -8,16 +8,15 @@ import (
 // This file implements a hierarchical timing wheel: a shared timer
 // substrate that arms and cancels deadlines in O(1) with no per-timer
 // heap allocation in steady state (expired and stopped nodes recycle
-// through a free list). One wheel replaces the per-hedge time.NewTimer
-// of the single-call engine when many deadlines are in flight at once —
-// a DoBatch arms one wheel timer per pending hedge instead of N runtime
-// timers, and the memkv v2 server parks tens of thousands of delayed
-// responses on the shared wheel instead of holding a goroutine per
-// request. The trade is precision: a timer fires on the first tick
-// boundary at or after its deadline, so expiry is late by up to one
-// tick (DefaultWheelTick = 1ms). Hedge delays and service-time delays
-// are statistical quantities, not hard real-time deadlines, so the
-// coarsening is immaterial where the wheel is used.
+// through a free list). Its users are the deadlines that are in flight
+// many at a time: the call engine's hedge delays, the memkv and dnswire
+// mux clients' request timeouts, the memkv server's delayed responses
+// (parked on the shared wheel instead of holding a goroutine per
+// request) and the store's TTL expiry. The trade is precision: a timer
+// fires on the first tick boundary at or after its deadline, so expiry
+// is late by up to one tick (DefaultWheelTick = 1ms). Hedge delays and
+// service-time delays are statistical quantities, not hard real-time
+// deadlines, so the coarsening is immaterial where the wheel is used.
 //
 // Layout: wheelLevels levels of wheelSlots slots each, covering
 // [0, wheelSlots^wheelLevels) ticks. A timer whose delta fits level 0

@@ -117,49 +117,28 @@ type Resolver struct {
 	group *core.KeyedGroup[Question, *Message]
 }
 
-// NewResolver builds a Resolver over the given server addresses.
-// policy.Copies controls how many servers each lookup contacts (the paper
-// evaluates 1-10); policy.Selection defaults to ranked (the paper ranks
-// servers by observed mean response time).
-func NewResolver(client *Client, policy core.Policy, servers ...string) *Resolver {
-	return NewResolverStrategy(client, policy.Strategy(), servers...)
-}
-
-// NewResolverStrategy builds a Resolver whose replication is governed by
-// an arbitrary strategy (core.AdaptiveHedge, core.FullReplicate, or a
-// custom implementation).
-func NewResolverStrategy(client *Client, strategy core.Strategy, servers ...string) *Resolver {
-	if client == nil {
-		client = NewClient(0)
+// NewResolver builds a Resolver over the given server addresses, sending
+// through q — a Client for socket-per-query (a fresh random source port
+// per query), a MuxClient for one multiplexed socket per server, or a
+// test fake; nil means a default Client. s decides how many servers each
+// lookup contacts and when (the paper evaluates core.Fixed with 1-10
+// copies over servers ranked by observed mean response time, which is
+// Fixed's default selection). core.AdaptiveHedge{Copies: 2, Quantile: p}
+// is the production form of the paper's §3.2 strategy — a second query
+// when the best-ranked server exceeds the p-th percentile of its
+// observed latency, the hedging point tracking each server's latency
+// distribution instead of a caller-guessed delay; warm the per-server
+// digests with Probe.
+func NewResolver(q Querier, s core.Strategy, servers ...string) *Resolver {
+	if q == nil {
+		q = NewClient(0)
 	}
-	return NewResolverQuerier(client, strategy, servers...)
-}
-
-// NewResolverQuerier builds a Resolver over any Querier — a MuxClient
-// for one-socket-per-server multiplexed transport, a Client for
-// socket-per-query, or a test fake. nil means a default Client.
-func NewResolverQuerier(client Querier, strategy core.Strategy, servers ...string) *Resolver {
-	if client == nil {
-		client = NewClient(0)
-	}
-	r := &Resolver{client: client}
-	r.group = core.NewStrategyKeyedGroup[Question, *Message](strategy)
+	r := &Resolver{client: q}
+	r.group = core.NewStrategyKeyedGroup[Question, *Message](s)
 	for _, srv := range servers {
 		r.group.Add(srv, r.serverReplica(srv))
 	}
 	return r
-}
-
-// NewAdaptiveResolver builds a Resolver that sends a second query when
-// the best-ranked server exceeds the p-th percentile (quantile in
-// (0, 1); 0 means core.DefaultHedgeQuantile) of its observed latency —
-// the production form of the paper's §3.2 replicated-DNS strategy, with
-// the hedging point tracking each server's latency distribution instead
-// of a caller-guessed delay. Warm the per-server digests with Probe.
-func NewAdaptiveResolver(client *Client, quantile float64, servers ...string) *Resolver {
-	return NewResolverStrategy(client,
-		core.AdaptiveHedge{Copies: 2, Quantile: quantile, Selection: core.SelectRanked},
-		servers...)
 }
 
 // serverReplica builds the replica function for one server address.
@@ -204,7 +183,7 @@ func (r *Resolver) LookupResult(ctx context.Context, name string, qtype Type, op
 // latency, fastest first.
 func (r *Resolver) RankedServers() []string { return r.group.RankedNames() }
 
-// GroupStats reports the resolver's policy, server set, and per-server
+// GroupStats reports the resolver's strategy, server set, and per-server
 // latency estimates.
 func (r *Resolver) GroupStats() core.GroupStats { return r.group.Stats() }
 

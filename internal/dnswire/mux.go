@@ -51,7 +51,7 @@ var (
 // internet — keep Client for untrusted paths.
 //
 // A MuxClient is safe for concurrent use and implements Querier, so it
-// plugs into NewResolverQuerier directly.
+// plugs into NewResolver directly.
 type MuxClient struct {
 	// Timeout bounds each query; zero or negative means the 2-second
 	// default (the paper's loss cutoff). UDP has no delivery guarantee,

@@ -178,7 +178,7 @@ func TestMuxResolverIntegration(t *testing.T) {
 	_, addr2 := startDNS(t, staticZone())
 	m := NewMuxClient(time.Second)
 	defer m.Close()
-	r := NewResolverQuerier(m, core.Fixed{Copies: 2}, addr1, addr2)
+	r := NewResolver(m, core.Fixed{Copies: 2}, addr1, addr2)
 	for range 20 {
 		ips, err := r.LookupA(context.Background(), "www.example.com")
 		if err != nil {

@@ -146,7 +146,7 @@ func TestResolverFirstResponseWins(t *testing.T) {
 	_, fastAddr := startDNS(t, staticZone())
 
 	cl := NewClient(2 * time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 2, Selection: core.SelectRandom}, slowAddr, fastAddr)
+	res := NewResolver(cl, core.Fixed{Copies: 2, Selection: core.SelectRandom}, slowAddr, fastAddr)
 	start := time.Now()
 	result, err := res.LookupResult(context.Background(), "www.example.com", TypeA)
 	if err != nil {
@@ -173,7 +173,7 @@ func TestResolverMasksLoss(t *testing.T) {
 	_, okAddr := startDNS(t, staticZone())
 
 	cl := NewClient(300 * time.Millisecond)
-	res := NewResolver(cl, core.Policy{Copies: 2, Selection: core.SelectRandom},
+	res := NewResolver(cl, core.Fixed{Copies: 2, Selection: core.SelectRandom},
 		lossyAddr.String(), okAddr)
 	ips, err := res.LookupA(context.Background(), "www.example.com")
 	if err != nil {
@@ -190,7 +190,7 @@ func TestResolverRanksServers(t *testing.T) {
 	_, fastAddr := startDNS(t, staticZone())
 
 	cl := NewClient(2 * time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 2}, slowAddr, fastAddr)
+	res := NewResolver(cl, core.Fixed{Copies: 2}, slowAddr, fastAddr)
 	// Stage 1 of the paper's experiment: probe all servers to rank them.
 	if n := res.Probe(context.Background(), "www.example.com", TypeA); n != 2 {
 		t.Fatalf("Probe answered by %d servers, want 2", n)
@@ -206,7 +206,7 @@ func TestResolverNXDomainIsAnAnswer(t *testing.T) {
 	// over from.
 	_, addr := startDNS(t, staticZone())
 	cl := NewClient(time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 1}, addr)
+	res := NewResolver(cl, core.Fixed{Copies: 1}, addr)
 	_, err := res.LookupA(context.Background(), "nosuch.example.com")
 	var nf *NotFoundError
 	if err == nil || !isNotFound(err, &nf) {
@@ -353,7 +353,7 @@ func TestAdaptiveResolver(t *testing.T) {
 		func() time.Duration { return 250 * time.Millisecond })
 
 	cl := NewClient(2 * time.Second)
-	r := NewAdaptiveResolver(cl, 0.9, fastAddr, slowAddr)
+	r := NewResolver(cl, core.AdaptiveHedge{Copies: 2, Quantile: 0.9}, fastAddr, slowAddr)
 
 	// Probe warms every server's digest (racing alone never measures the
 	// loser), establishing both the ranking and the hedge quantiles.
@@ -396,7 +396,7 @@ func TestResolverPerLookupStrategyOverride(t *testing.T) {
 	_, addrA := startDNS(t, staticZone())
 	_, addrB := startDNS(t, staticZone())
 	cl := NewClient(2 * time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 1, Selection: core.SelectRandom}, addrA, addrB)
+	res := NewResolver(cl, core.Fixed{Copies: 1, Selection: core.SelectRandom}, addrA, addrB)
 
 	result, err := res.LookupResult(context.Background(), "www.example.com", TypeA,
 		core.WithStrategyOverride(core.FullReplicate{}))
@@ -424,7 +424,7 @@ func TestResolverQuorumLookup(t *testing.T) {
 	_, addrA := startDNS(t, staticZone())
 	_, addrB := startDNS(t, staticZone())
 	cl := NewClient(time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 2}, addrA, addrB)
+	res := NewResolver(cl, core.Fixed{Copies: 2}, addrA, addrB)
 
 	var outs []core.Outcome[*Message]
 	_, err := res.LookupResult(context.Background(), "www.example.com", TypeA,
@@ -457,7 +457,7 @@ func TestResolverQuorumUnreachableNamesServer(t *testing.T) {
 	_, okAddr := startDNS(t, staticZone())
 
 	cl := NewClient(200 * time.Millisecond)
-	res := NewResolver(cl, core.Policy{Copies: 2}, lossyAddr.String(), okAddr)
+	res := NewResolver(cl, core.Fixed{Copies: 2}, lossyAddr.String(), okAddr)
 	_, lerr := res.LookupResult(context.Background(), "www.example.com", TypeA,
 		core.WithQuorum(2))
 	if lerr == nil {
@@ -523,7 +523,7 @@ func TestResolverCancelsLosingQuery(t *testing.T) {
 	_, okAddr := startDNS(t, staticZone())
 
 	cl := NewClient(10 * time.Second)
-	res := NewResolver(cl, core.Policy{Copies: 2}, lossyAddr.String(), okAddr)
+	res := NewResolver(cl, core.Fixed{Copies: 2}, lossyAddr.String(), okAddr)
 	start := time.Now()
 	lres, lerr := res.LookupResult(context.Background(), "www.example.com", TypeA)
 	if lerr != nil {

@@ -761,7 +761,7 @@ func ttlSeconds(ttl time.Duration) uint32 {
 }
 
 // closeChanFired is a shared-wheel callback that closes the chan passed
-// as c — the batch paths' one-timer-per-batch deadline.
+// as c — doBatch's one deadline for the whole round.
 func closeChanFired(c any, _ int64) { close(c.(chan struct{})) }
 
 // doBatch issues all reqs in one coalesced round on one connection and
@@ -810,66 +810,6 @@ func (m *MuxClient) doBatch(ctx context.Context, reqs []frame) ([]frame, []error
 		}
 	}
 	return frs, errs
-}
-
-// GetBatch fetches many keys in one multiplexed round: every request
-// goes out in one coalesced write and the responses demux as they
-// arrive. vals[i] and errs[i] are key i's outcome (a missing key is
-// ErrNotFound); the slices always have len(keys).
-func (m *MuxClient) GetBatch(ctx context.Context, keys []string) (vals [][]byte, errs []error) {
-	reqs := make([]frame, len(keys))
-	vals = make([][]byte, len(keys))
-	var bad []error
-	for i, k := range keys {
-		if err := validateKey(k); err != nil {
-			if bad == nil {
-				bad = make([]error, len(keys))
-			}
-			bad[i] = err
-		}
-		reqs[i] = frame{op: opGet, key: k}
-	}
-	if bad != nil {
-		return vals, bad
-	}
-	frs, errs := m.doBatch(ctx, reqs)
-	for i := range frs {
-		if errs[i] != nil {
-			continue
-		}
-		vals[i], errs[i] = frameToGet(&frs[i])
-	}
-	return vals, errs
-}
-
-// PutBatch stores many key/value pairs in one multiplexed round (no
-// expiry). errs[i] is pair i's outcome; len(vals) must equal len(keys).
-func (m *MuxClient) PutBatch(ctx context.Context, keys []string, vals [][]byte) []error {
-	if len(keys) != len(vals) {
-		panic("memkv: PutBatch keys/vals length mismatch")
-	}
-	reqs := make([]frame, len(keys))
-	var bad []error
-	for i, k := range keys {
-		if err := validateKey(k); err != nil {
-			if bad == nil {
-				bad = make([]error, len(keys))
-			}
-			bad[i] = err
-		}
-		reqs[i] = frame{op: opSet, key: k, val: vals[i]}
-	}
-	if bad != nil {
-		return bad
-	}
-	frs, errs := m.doBatch(ctx, reqs)
-	for i := range frs {
-		if errs[i] != nil {
-			continue
-		}
-		errs[i] = frameToSet(&frs[i])
-	}
-	return errs
 }
 
 // ---- Versioned operations (the convergence surface) ----

@@ -242,42 +242,6 @@ func TestMuxRedialsAfterConnLoss(t *testing.T) {
 	}
 }
 
-func TestMuxGetBatchPutBatch(t *testing.T) {
-	_, cl := startMux(t)
-	ctx := context.Background()
-	const n = 100
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bk%d", i)
-		vals[i] = []byte(fmt.Sprintf("bv%d", i))
-	}
-	for i, err := range cl.PutBatch(ctx, keys, vals) {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	// Read the n stored keys plus n missing ones in one round.
-	allKeys := append(append([]string(nil), keys...), make([]string, n)...)
-	for i := 0; i < n; i++ {
-		allKeys[n+i] = fmt.Sprintf("absent%d", i)
-	}
-	got, errs := cl.GetBatch(ctx, allKeys)
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("get %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(got[i], vals[i]) {
-			t.Fatalf("get %d = %q, want %q", i, got[i], vals[i])
-		}
-	}
-	for i := n; i < 2*n; i++ {
-		if !errors.Is(errs[i], ErrNotFound) {
-			t.Fatalf("absent key %d: %v, want ErrNotFound", i, errs[i])
-		}
-	}
-}
-
 // TestMuxStats: the server's counters travel as one request; the
 // remote snapshot names all ten and equals the local one.
 func TestMuxStats(t *testing.T) {

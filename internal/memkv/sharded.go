@@ -303,48 +303,63 @@ func (sc *ShardedClient) SetTTL(ctx context.Context, key string, value []byte, t
 	}
 }
 
-// GetBatch reads many keys in one batched engine pass: keys are grouped
-// by shard placement (ring.DoBatch), each group runs as one
-// core.DoBatchPicked — one schedule, shared-wheel hedge deadlines — and
-// with MuxClient backends each shard sees its whole group as one
-// coalesced wire round. Results are in key order; res[i].Err carries
-// key i's failure (ErrNotFound for absent keys). The error is
-// batch-level only (empty ring, bad option). See core.KeyedGroup.DoBatch
-// for how batch cancellation semantics differ from per-key Get calls.
+// GetBatch reads many keys at once. Each key is one ordinary redundant
+// read (GetResult) on its own goroutine — a batch of N keys is N
+// goroutines, and the caller sizes the batch — so a batched key gets
+// everything a single call gets: its own placement, hedge schedule and
+// latency, and losing copies withdrawn and counted. Results are in key
+// order; res[i].Err carries key i's failure (ErrNotFound for absent
+// keys, core.ErrNoReplicas on an empty ring). The returned error is only
+// an option a batch cannot share (core.CheckBatchOptions), reported
+// before anything is launched.
 func (sc *ShardedClient) GetBatch(ctx context.Context, keys []string, opts ...core.CallOption) ([]core.BatchResult[[]byte], error) {
-	return sc.reads.DoBatch(ctx, keys, opts...)
+	if err := core.CheckBatchOptions(opts); err != nil {
+		return nil, err
+	}
+	res := make([]core.BatchResult[[]byte], len(keys))
+	eachConcurrently(len(keys), func(i int) {
+		res[i].Result, res[i].Err = sc.reads.Do(ctx, keys[i], opts...)
+	})
+	return res, nil
 }
 
-// PutBatch writes many key/value pairs, each to its full placement with
-// the client's write quorum, batched per shard group like GetBatch.
-// errs[i] is pair i's outcome; the returned slice is nil if err is
-// non-nil. len(vals) must equal len(keys).
+// PutBatch writes many key/value pairs at once, each an ordinary write
+// to its full placement with the client's write quorum (clamped to the
+// shards that exist), on its own goroutine like GetBatch. errs[i] is
+// pair i's outcome; the slice is nil if err is non-nil, which is only a
+// length mismatch (len(vals) must equal len(keys)) or an option a batch
+// cannot share.
 func (sc *ShardedClient) PutBatch(ctx context.Context, keys []string, vals [][]byte, opts ...core.CallOption) ([]error, error) {
 	if len(keys) != len(vals) {
 		return nil, errors.New("memkv: PutBatch keys/vals length mismatch")
 	}
-	q := sc.writeQuorum
-	if n := sc.writes.Len(); n == 0 {
-		return nil, core.ErrNoReplicas
-	} else if n < q {
-		q = n
-	}
-	reqs := make([]setReq, len(keys))
-	for i := range keys {
-		reqs[i] = setReq{key: keys[i], value: vals[i]}
-	}
-	callOpts := make([]core.CallOption, 0, len(opts)+1)
-	callOpts = append(callOpts, core.WithQuorum(q))
-	callOpts = append(callOpts, opts...)
-	res, err := sc.writes.DoBatch(ctx, reqs, callOpts...)
-	if err != nil {
+	if err := core.CheckBatchOptions(opts); err != nil {
 		return nil, err
 	}
-	errs := make([]error, len(res))
-	for i := range res {
-		errs[i] = res[i].Err
+	q := sc.writeQuorum
+	if n := sc.writes.Len(); n < q {
+		q = n
 	}
+	callOpts := append([]core.CallOption{core.WithQuorum(q)}, opts...)
+	errs := make([]error, len(keys))
+	eachConcurrently(len(keys), func(i int) {
+		_, errs[i] = sc.writes.Do(ctx, setReq{key: keys[i], value: vals[i]}, callOpts...)
+	})
 	return errs, nil
+}
+
+// eachConcurrently runs f(0) … f(n-1), each on its own goroutine, and
+// returns when all have.
+func eachConcurrently(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // Owners returns the shard addresses key is placed on, primary first.

@@ -1,0 +1,158 @@
+package memkv
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"redundancy/internal/core"
+)
+
+// These tests pin what a batched key gets from being an ordinary call:
+// its loser is withdrawn and counted, it costs one goroutine however
+// many copies it has, and the one option N concurrent calls cannot
+// share is refused before anything is sent.
+
+// batchKeys returns n distinct keys and their values.
+func batchKeys(prefix string, n int) ([]string, [][]byte) {
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s-%d", prefix, i)
+		vals[i] = []byte(fmt.Sprintf("%s-v%d", prefix, i))
+	}
+	return keys, vals
+}
+
+// putBatch stores the pairs through sc and fails the test on any error.
+func putBatch(t *testing.T, sc *ShardedClient, keys []string, vals [][]byte) {
+	t.Helper()
+	errs, err := sc.PutBatch(context.Background(), keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("put %s: %v", keys[i], e)
+		}
+	}
+}
+
+// TestShardedGetBatchWithdrawsLosers: with one of three servers slow, a
+// batched key placed on it is answered by its other shard and the copy
+// still parked at the slow server is withdrawn — the read ring counts
+// it, as it does for a lone Get.
+func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
+	sc, _, _ := startAsyncShards(t, 3,
+		ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 2}}, 5*time.Second,
+		func(i int) func() time.Duration {
+			if i != 0 {
+				return nil
+			}
+			return func() time.Duration { return 100 * time.Millisecond }
+		})
+	keys, vals := batchKeys("wl", 200)
+	putBatch(t, sc, keys, vals)
+
+	res, err := sc.GetBatch(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched := 0
+	for i, r := range res {
+		if r.Err != nil || string(r.Result.Value) != string(vals[i]) {
+			t.Fatalf("get %s = (%q, %v)", keys[i], r.Result.Value, r.Err)
+		}
+		launched += r.Result.Launched
+	}
+	if launched != 2*len(keys) {
+		t.Errorf("launched %d copies, want %d", launched, 2*len(keys))
+	}
+	var cancelled int64
+	for _, m := range sc.RingStats().Members {
+		cancelled += m.Cancelled
+	}
+	if cancelled == 0 {
+		t.Error("no losing copy was withdrawn: batched reads must reclaim their losers like single reads")
+	}
+}
+
+// TestShardedGetBatchOneGoroutinePerKey: with every reply held back
+// 50 ms, all 2 000 two-copy reads of a batch are in flight at once, and
+// the process runs one goroutine per key, not one per copy.
+func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
+	sc, _, _ := startAsyncShards(t, 3,
+		ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 2}}, 10*time.Second,
+		func(int) func() time.Duration {
+			return func() time.Duration { return 50 * time.Millisecond }
+		})
+	const n = 2000
+	stored, vals := batchKeys("gk", 16)
+	putBatch(t, sc, stored, vals) // also dials every connection
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = stored[i%len(stored)]
+	}
+
+	base := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		max := 0
+		for {
+			select {
+			case <-stop:
+				peak <- max
+				return
+			default:
+			}
+			if g := runtime.NumGoroutine(); g > max {
+				max = g
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	res, err := sc.GetBatch(context.Background(), keys)
+	close(stop)
+	got := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil || r.Result.Launched != 2 {
+			t.Fatalf("get %d = (launched %d, %v)", i, r.Result.Launched, r.Err)
+		}
+	}
+	if limit := base + n + 100; got > limit {
+		t.Errorf("peak %d goroutines during a %d-key batch at fan-out 2 (%d before it), want <= %d", got, n, base, limit)
+	}
+}
+
+// TestShardedBatchRejectsCollectOutcomes: one outcomes sink cannot serve
+// N concurrent calls, so GetBatch and PutBatch refuse it and send
+// nothing.
+func TestShardedBatchRejectsCollectOutcomes(t *testing.T) {
+	sc, _, muxes := startAsyncShards(t, 3, ShardedConfig{Replication: 2}, 5*time.Second, nil)
+	ctx := context.Background()
+	keys, vals := batchKeys("co", 8)
+
+	var reads []core.Outcome[[]byte]
+	if res, err := sc.GetBatch(ctx, keys, core.WithCollectOutcomes(&reads)); err == nil || res != nil {
+		t.Errorf("GetBatch(WithCollectOutcomes) = (%v, %v), want a batch-level error", res, err)
+	}
+	var writes []core.Outcome[struct{}]
+	if errs, err := sc.PutBatch(ctx, keys, vals, core.WithCollectOutcomes(&writes)); err == nil || errs != nil {
+		t.Errorf("PutBatch(WithCollectOutcomes) = (%v, %v), want a batch-level error", errs, err)
+	}
+	for _, m := range muxes {
+		st, err := m.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["cmd_get"] != 0 || st["cmd_set"] != 0 {
+			t.Errorf("%s served cmd_get=%d cmd_set=%d after refused batches, want 0 and 0", m.Addr(), st["cmd_get"], st["cmd_set"])
+		}
+	}
+}

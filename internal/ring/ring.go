@@ -325,110 +325,6 @@ func (r *Ring[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
 	return res.Value, err
 }
 
-// ringBucket is one distinct placement's slice of a batch: the keys
-// (and their positions in the caller's slice) that share an identical
-// ordered owner set.
-type ringBucket[K, T any] struct {
-	picked []core.Handle[K, T]
-	args   []K
-	idx    []int
-}
-
-func handlesEqual[K, T any](a, b []core.Handle[K, T]) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DoBatch performs one redundant operation per argument, grouping the
-// arguments by placement first: all keys that map to the same ordered
-// owner set run as one core.KeyedGroup.DoBatchPicked — one snapshot,
-// one schedule, one batch of hedge deadlines on the shared timer wheel —
-// and a batching transport underneath (memkv's MuxClient) sees each
-// group as one coalesced round to that shard set. Distinct placements
-// run concurrently. Results come back in argument order; per-key
-// failures are in each BatchResult, and only batch-level errors (empty
-// ring, unreachable quorum, unsupported option) are returned as err.
-// See core.KeyedGroup.DoBatch for how batch semantics differ from
-// per-key Do calls.
-func (r *Ring[K, T]) DoBatch(ctx context.Context, args []K, opts ...core.CallOption) ([]core.BatchResult[T], error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	t := r.table.Load()
-	nm := len(t.members)
-	if nm == 0 {
-		return nil, core.ErrNoReplicas
-	}
-	rr := r.replication
-	if rr > nm {
-		rr = nm
-	}
-	// Group keys by their ordered placement. The map is keyed by the
-	// primary handle; the rare primaries that fan out to different
-	// successor sets (ring seams) are separated by the full compare.
-	byPrimary := make(map[core.Handle[K, T]][]*ringBucket[K, T])
-	var order []*ringBucket[K, T]
-	scratch := make([]core.Handle[K, T], rr)
-	for i, a := range args {
-		t.ownersInto(consistenthash.KeyHash(r.keyOf(a)), scratch)
-		var b *ringBucket[K, T]
-		for _, cand := range byPrimary[scratch[0]] {
-			if handlesEqual(cand.picked, scratch) {
-				b = cand
-				break
-			}
-		}
-		if b == nil {
-			b = &ringBucket[K, T]{picked: append([]core.Handle[K, T](nil), scratch...)}
-			byPrimary[scratch[0]] = append(byPrimary[scratch[0]], b)
-			order = append(order, b)
-		}
-		b.args = append(b.args, a)
-		b.idx = append(b.idx, i)
-	}
-	out := make([]core.BatchResult[T], len(args))
-	if len(order) == 1 {
-		// Single placement (the common case for small batches on small
-		// rings): no fan-out goroutines, and idx is the identity.
-		res, err := r.group.DoBatchPicked(ctx, order[0].args, order[0].picked, opts...)
-		if err != nil {
-			return nil, err
-		}
-		copy(out, res)
-		return out, nil
-	}
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for bi, b := range order {
-		wg.Add(1)
-		go func(bi int, b *ringBucket[K, T]) {
-			defer wg.Done()
-			res, err := r.group.DoBatchPicked(ctx, b.args, b.picked, opts...)
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			for j := range res {
-				out[b.idx[j]] = res[j]
-			}
-		}(bi, b)
-	}
-	wg.Wait()
-	// Batch-level errors are placement-independent (same options, same
-	// placement size): if one bucket hit one, they all did; report the
-	// first.
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
-}
-
 // Owners returns the names of the members key is placed on, primary
 // first — the routing decision Do would make, for introspection and
 // tests. It returns at most Replication names (fewer on a small ring),

@@ -348,65 +348,3 @@ func TestRingChurnRace(t *testing.T) {
 		t.Errorf("after churn: members %v, want [s0]", r.Names())
 	}
 }
-
-// TestDoBatchRoutesLikeDo: a batched call must route every key to the
-// same placement Do would, scatter results back in argument order, and
-// report per-key failures in the slice rather than failing the batch.
-func TestDoBatchRoutesLikeDo(t *testing.T) {
-	r := ring.New[string, string](core.Fixed{Copies: 1}, ring.WithVirtualNodes(64))
-	for _, n := range []string{"s0", "s1", "s2", "s3"} {
-		r.Add(n, named(n))
-	}
-	args := make([]string, 200)
-	for i := range args {
-		args[i] = fmt.Sprintf("key-%d", i)
-	}
-	res, err := r.DoBatch(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(args) {
-		t.Fatalf("len(res) = %d, want %d", len(res), len(args))
-	}
-	for i, br := range res {
-		if br.Err != nil {
-			t.Fatalf("key %d: %v", i, br.Err)
-		}
-		if want := r.Owners(args[i])[0]; br.Result.Value != want {
-			t.Fatalf("key %q served by %q, want primary %q", args[i], br.Result.Value, want)
-		}
-	}
-}
-
-func TestDoBatchEmptyAndNoMembers(t *testing.T) {
-	r := ring.New[string, string](core.Fixed{Copies: 1})
-	if res, err := r.DoBatch(context.Background(), nil); res != nil || err != nil {
-		t.Fatalf("empty batch = (%v, %v)", res, err)
-	}
-	if _, err := r.DoBatch(context.Background(), []string{"k"}); !errors.Is(err, core.ErrNoReplicas) {
-		t.Fatalf("err = %v, want ErrNoReplicas", err)
-	}
-}
-
-// TestDoBatchFailover: with Replication 2, a dead primary's keys fail
-// over to their successor within the batch.
-func TestDoBatchFailover(t *testing.T) {
-	r := ring.New[string, string](core.Fixed{Copies: 2}, ring.WithVirtualNodes(64))
-	r.Add("dead", func(ctx context.Context, _ string) (string, error) {
-		return "", errors.New("down")
-	})
-	r.Add("live", named("live"))
-	args := []string{keyWithPrimary(t, r, "dead"), keyWithPrimary(t, r, "live")}
-	res, err := r.DoBatch(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, br := range res {
-		if br.Err != nil {
-			t.Fatalf("key %d: %v", i, br.Err)
-		}
-		if br.Result.Value != "live" {
-			t.Fatalf("key %d served by %q, want live", i, br.Result.Value)
-		}
-	}
-}

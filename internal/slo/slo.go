@@ -133,10 +133,9 @@ func (cl *class) publish(lad []rung) {
 }
 
 // Controller adapts per-class operating points toward their Targets.
-// It implements core.Strategy and core.InlineScheduler, speaking for
-// DefaultClass; per-class views from Class plug into calls via
-// core.WithStrategyOverride + core.WithLabel. All methods are safe for
-// concurrent use.
+// It implements core.Strategy, speaking for DefaultClass; per-class
+// views from Class plug into calls via core.WithStrategyOverride +
+// core.WithLabel. All methods are safe for concurrent use.
 type Controller struct {
 	cfg     Config
 	lad     []rung
@@ -233,11 +232,11 @@ func (c *Controller) ReadQuorum(name string) int {
 	return 1
 }
 
-// Class returns the per-class strategy view: a core.Strategy (and
-// InlineScheduler) that reads the class's live operating point on every
-// call. Pair it with core.WithStrategyOverride and core.WithLabel(name)
-// so the class's calls both follow and feed its control loop. The class
-// is registered on first use.
+// Class returns the per-class strategy view: a core.Strategy that reads
+// the class's live operating point on every call. Pair it with
+// core.WithStrategyOverride and core.WithLabel(name) so the class's
+// calls both follow and feed its control loop. The class is registered
+// on first use.
 func (c *Controller) Class(name string) *ClassStrategy {
 	if name == "" || name == DefaultClass {
 		return c.defView
@@ -467,11 +466,7 @@ func (c *Controller) Stats() []ClassStats {
 // Fanout implements core.Strategy, speaking for DefaultClass.
 func (c *Controller) Fanout() (int, core.Selection) { return c.defView.Fanout() }
 
-// Schedule implements core.Strategy, speaking for DefaultClass.
-func (c *Controller) Schedule(d core.Digests) []time.Duration { return c.defView.Schedule(d) }
-
-// ScheduleInto implements core.InlineScheduler, speaking for
-// DefaultClass.
+// ScheduleInto implements core.Strategy, speaking for DefaultClass.
 func (c *Controller) ScheduleInto(d core.Digests, dst []time.Duration) []time.Duration {
 	return c.defView.ScheduleInto(d, dst)
 }
@@ -480,9 +475,9 @@ func (c *Controller) ScheduleInto(d core.Digests, dst []time.Duration) []time.Du
 func (c *Controller) String() string { return c.defView.String() }
 
 // ClassStrategy is a class's data-path view of the controller: a
-// core.Strategy + core.InlineScheduler that reads the class's live
-// operating point on every call, so a control-loop move takes effect on
-// the very next operation without any re-wiring.
+// core.Strategy that reads the class's live operating point on every
+// call, so a control-loop move takes effect on the very next operation
+// without any re-wiring.
 type ClassStrategy struct {
 	cl *class
 }
@@ -492,15 +487,7 @@ func (s *ClassStrategy) Fanout() (int, core.Selection) {
 	return s.cl.op.Load().Fanout, core.SelectRanked
 }
 
-// Schedule implements core.Strategy.
-func (s *ClassStrategy) Schedule(d core.Digests) []time.Duration {
-	if d.Len() <= 1 {
-		return nil
-	}
-	return s.ScheduleInto(d, make([]time.Duration, d.Len()))
-}
-
-// ScheduleInto implements core.InlineScheduler: copy i+1 hedges at the
+// ScheduleInto implements core.Strategy: copy i+1 hedges at the
 // operating point's quantile of copy i's digest, exactly like
 // core.AdaptiveHedge, with cold digests launching immediately so they
 // warm up.

@@ -262,9 +262,9 @@ func TestClassStrategySchedule(t *testing.T) {
 		warm.Observe(10 * time.Millisecond)
 	}
 	d := core.DigestList{warm, &core.LatDigest{}}
-	delays := s.Schedule(d)
+	delays := s.ScheduleInto(d, make([]time.Duration, 2))
 	if len(delays) != 2 || delays[0] != 0 {
-		t.Fatalf("Schedule = %v", delays)
+		t.Fatalf("ScheduleInto = %v", delays)
 	}
 	q, _ := warm.Quantile(0.99)
 	if delays[1] != q {
@@ -279,9 +279,9 @@ func TestClassStrategySchedule(t *testing.T) {
 		t.Fatalf("Fanout = (%d, %v)", k, sel)
 	}
 	// One operation's schedule never mixes operating points: a swap
-	// between Fanout and Schedule is seen as a consistent snapshot by
+	// between Fanout and ScheduleInto is seen as a consistent snapshot by
 	// the next call, and d.Len() governs the slice, not the new fanout.
-	if got := s.Schedule(core.DigestList{warm}); got != nil {
+	if got := s.ScheduleInto(core.DigestList{warm}, buf[:1]); got != nil {
 		t.Fatalf("single-digest schedule = %v, want nil", got)
 	}
 }

@@ -27,7 +27,7 @@
 // load with a Budget. Per-call options then tune a single operation
 // without touching the shared group:
 //
-//	g := redundancy.NewGroup[string](redundancy.Policy{Copies: 2})
+//	g := redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2})
 //	g.Add("a.example", queryA)
 //	g.Add("b.example", queryB)
 //	g.Add("c.example", queryC)
@@ -38,14 +38,14 @@
 //	res, err = g.Do(ctx,                                   // SLO-critical request:
 //	    redundancy.WithStrategyOverride(redundancy.FullReplicate{}))
 //	v, err := g.DoValue(ctx)                               // winner's value only,
-//	                                                       // pooled 4-alloc fast lane
+//	                                                       // no option machinery
 //
 // When the dataset no longer fits on every replica, Ring shards it:
 // keys are partitioned across backends by consistent hashing (the
 // paper's §2.2 storage placement) and each call runs the same engine —
 // same strategies, same options — over its key's primary + successors:
 //
-//	r := redundancy.NewRing[string, string](redundancy.Policy{Copies: 2}.Strategy())
+//	r := redundancy.NewRing[string, string](redundancy.Fixed{Copies: 2})
 //	r.Add("shard-a", getA) // getA(ctx context.Context, key string) (string, error)
 //	r.Add("shard-b", getB)
 //	r.Add("shard-c", getC)
@@ -91,17 +91,15 @@ type ArgReplica[K, T any] = core.ArgReplica[K, T]
 // Result describes a completed redundant operation. See core.Result.
 type Result[T any] = core.Result[T]
 
-// BatchResult is one argument's outcome within a batched call
-// (KeyedGroup.DoBatch, Ring.DoBatch): the argument's Result on success,
-// its error otherwise. See core.BatchResult for the batch semantics —
-// one snapshot, one schedule, shared hedge deadlines on the process
-// timer wheel, and batch-scoped cancellation.
+// BatchResult is one argument's outcome within a batch of independent
+// calls (memkv.ShardedClient.GetBatch): the argument's Result on
+// success, its error otherwise.
 type BatchResult[T any] = core.BatchResult[T]
 
 // Group manages a replica set for repeated redundant operations. It is
 // built on a lock-free copy-on-write engine: replicas can be added and
-// removed and the policy changed while operations are in flight, and the
-// Do hot path never takes a lock.
+// removed and the strategy changed while operations are in flight, and
+// the Do hot path never takes a lock.
 type Group[T any] = core.Group[T]
 
 // KeyedGroup is a Group whose replicas receive a per-call argument of type
@@ -116,25 +114,21 @@ type GroupOption[T any] = core.GroupOption[T]
 // KeyedGroupOption configures a KeyedGroup.
 type KeyedGroupOption[K, T any] = core.KeyedGroupOption[K, T]
 
-// GroupStats is a consistent point-in-time view of a group's policy,
+// GroupStats is a consistent point-in-time view of a group's strategy,
 // membership, and latency estimates.
 type GroupStats = core.GroupStats
 
 // ReplicaStats describes one replica in a GroupStats snapshot.
 type ReplicaStats = core.ReplicaStats
 
-// Policy is the declarative form of the static replication strategy; it
-// converts to the equivalent Fixed strategy via Policy.Strategy.
-type Policy = core.Policy
-
 // Strategy decides, per operation, how a Group replicates: fan-out,
 // replica selection, and launch schedule. Built-in implementations are
 // Fixed, AdaptiveHedge, and FullReplicate; custom implementations can
-// consult the per-replica latency digests passed to Schedule.
+// consult the per-replica latency digests passed to ScheduleInto.
 type Strategy = core.Strategy
 
 // Fixed is the static strategy: fixed fan-out, optional fixed hedge
-// delay (the classic Policy semantics).
+// delay.
 type Fixed = core.Fixed
 
 // AdaptiveHedge hedges when the elapsed time exceeds an observed
@@ -167,7 +161,7 @@ type GovernorStats = core.GovernorStats
 const DefaultGovernorThreshold = core.DefaultGovernorThreshold
 
 // Digests is the read-only view of selected replicas' latency digests a
-// Strategy's Schedule receives.
+// Strategy's ScheduleInto receives.
 type Digests = core.Digests
 
 // DigestList adapts a slice of digests to Digests, for testing custom
@@ -275,19 +269,8 @@ func HedgedSchedule[T any](ctx context.Context, delays []time.Duration, replicas
 	return core.HedgedSchedule(ctx, delays, replicas...)
 }
 
-// NewGroup creates a Group with the given policy.
-func NewGroup[T any](policy Policy, opts ...GroupOption[T]) *Group[T] {
-	return core.NewGroup(policy, opts...)
-}
-
-// NewKeyedGroup creates a KeyedGroup with the given policy.
-func NewKeyedGroup[K, T any](policy Policy, opts ...KeyedGroupOption[K, T]) *KeyedGroup[K, T] {
-	return core.NewKeyedGroup(policy, opts...)
-}
-
 // NewStrategyGroup creates a Group with the given replication strategy
-// (e.g. AdaptiveHedge or FullReplicate; use NewGroup for the classic
-// Policy form).
+// (Fixed, AdaptiveHedge, FullReplicate, LoadAware, or your own).
 func NewStrategyGroup[T any](s Strategy, opts ...GroupOption[T]) *Group[T] {
 	return core.NewStrategyGroup[T](s, opts...)
 }
@@ -405,7 +388,7 @@ const (
 
 // NewRing creates a Ring whose call argument is the routing key itself
 // (e.g. a KV key). strategy decides the redundancy within each key's
-// placement — Policy{Copies: 2}.Strategy() races primary + secondary.
+// placement — Fixed{Copies: 2} races primary + secondary.
 func NewRing[K ~string, T any](strategy Strategy, opts ...RingOption) *Ring[K, T] {
 	return ring.New[K, T](strategy, opts...)
 }
@@ -472,7 +455,7 @@ const RepairHintKeyPrefix = repair.HintKeyPrefix
 // per-class windowed latency digests and hill-climbs fan-out, hedge
 // quantile, and read quorum toward the cheapest operating point whose
 // p99 meets a declared target within an extra-load budget. It is itself
-// a Strategy (and inline scheduler), so it drops in anywhere one goes.
+// a Strategy, so it drops in anywhere one goes.
 
 // SLOController adapts per-class operating points toward their targets.
 // Plug it in as a Strategy (it speaks for its default class) and call

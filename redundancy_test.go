@@ -51,8 +51,8 @@ func TestPublicErrNoReplicas(t *testing.T) {
 func TestPublicGroupWithEverything(t *testing.T) {
 	counters := redundancy.NewCounters()
 	budget := redundancy.NewBudget(1000, 10)
-	g := redundancy.NewGroup[string](
-		redundancy.Policy{Copies: 2, Selection: redundancy.SelectRanked},
+	g := redundancy.NewStrategyGroup[string](
+		redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRanked},
 		redundancy.WithObserver[string](counters),
 		redundancy.WithBudget[string](budget),
 		redundancy.WithSeed[string](1),

@@ -2,9 +2,8 @@
 # benchgate.sh — the hot-path allocation gate for the call engine and
 # the memkv wire. Each gated benchmark carries its own alloc budget
 # (name:max_allocs below) and fails the gate if it exceeds it: the
-# option machinery, the ring's routing, the batch engine's per-key
-# machinery, and the mux client's per-request path must stay
-# allocation-lean. Allocations per op are deterministic; time is not
+# option machinery, the ring's routing, and the mux client's
+# per-request path must stay allocation-lean. Allocations per op are deterministic; time is not
 # gated here (bench/AA.md: on this hardware a ns/op gate is a coin flip —
 # claim time with scripts/ab.sh's interleaved pairs instead).
 #
@@ -18,8 +17,6 @@
 #   BenchmarkCoreRingDo:3             sharded routing layered on Do
 #   BenchmarkCoreHedgedFastPrimary:11 hedged call whose primary wins:
 #                                     wheel-armed hedge, no timer alloc
-#   BenchmarkCoreDoBatch:80           64-key batch: <= 2x a single
-#                                     legacy Do for the WHOLE batch
 #   BenchmarkMemkvMuxParallel:3       one multiplexed get, client side
 #                                     (2 measured: key string + value)
 #   BenchmarkMemkvWatchFanout:2       one put fanned out to 16 prefix
@@ -32,7 +29,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-specs="BenchmarkCoreGroupDo:3 BenchmarkCoreDoValue:3 BenchmarkCoreRingDo:3 BenchmarkCoreHedgedFastPrimary:11 BenchmarkCoreDoBatch:80 BenchmarkMemkvMuxParallel:3 BenchmarkMemkvWatchFanout:2"
+specs="BenchmarkCoreGroupDo:3 BenchmarkCoreDoValue:3 BenchmarkCoreRingDo:3 BenchmarkCoreHedgedFastPrimary:11 BenchmarkMemkvMuxParallel:3 BenchmarkMemkvWatchFanout:2"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
