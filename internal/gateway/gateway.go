@@ -282,13 +282,15 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 		return
 	}
 	var ttl time.Duration
-	if s := r.URL.Query().Get("ttl"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("invalid ttl %q", s))
-			return
+	if r.URL.RawQuery != "" { // Query() builds a map per call
+		if s := r.URL.Query().Get("ttl"); s != "" {
+			d, err := time.ParseDuration(s)
+			if err != nil || d < 0 {
+				writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("invalid ttl %q", s))
+				return
+			}
+			ttl = d
 		}
-		ttl = d
 	}
 	expect, hasExpect := uint64(0), false
 	if eh := r.Header.Get("X-Expect-Version"); eh != "" {
@@ -299,7 +301,7 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 		}
 		expect, hasExpect = v, true
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxValue))
+	body, err := g.readBody(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -314,7 +316,32 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 		writeStoreErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"version": version})
+	writeVersion(w, version)
+}
+
+// readBody reads a PUT's value. A declared length within the limit is
+// read into one slice of exactly that size; a chunked or oversize body
+// goes through MaxBytesReader and ReadAll, which grows as it reads and
+// is what rejects a body over the limit.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 || r.ContentLength > g.maxValue {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxValue))
+	}
+	body := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(r.Body, body)
+	return body, err
+}
+
+// writeVersion writes a successful PUT's reply, {"version":N} and a
+// newline — the bytes json.Encoder produces for that object, appended
+// by hand because the encoder reflects over a map to get there.
+func writeVersion(w http.ResponseWriter, version uint64) {
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.WriteHeader(http.StatusOK)
+	var buf [40]byte // the 12 fixed bytes and up to 20 digits
+	b := append(buf[:0], `{"version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	_, _ = w.Write(append(b, '}', '\n'))
 }
 
 // scanEntryJSON is one /scan result row; Value is base64 per Go's

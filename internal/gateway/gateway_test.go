@@ -3,9 +3,12 @@ package gateway
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -648,5 +651,149 @@ func TestGetAllocationBudget(t *testing.T) {
 	through := testing.AllocsPerRun(2000, serve)
 	if through > below {
 		t.Errorf("GET through the gateway allocates %.0f, the read under it %.0f: the gateway adds %.0f, want 0", through, below, through-below)
+	}
+}
+
+// TestPutReplyMatchesEncoder: the hand-appended PUT reply is, byte for
+// byte, what json.Encoder wrote for the same object — the trailing
+// newline included.
+func TestPutReplyMatchesEncoder(t *testing.T) {
+	for _, v := range []uint64{0, 1, 42, 1755000000000000000, ^uint64(0)} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]uint64{"version": v}); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeVersion(rec, v)
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("version %d: reply %q, json.Encoder gives %q", v, got, want.String())
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("version %d: status %d, Content-Type %q", v, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+}
+
+// TestPutBodyLengths: a body is accepted up to the limit and refused
+// over it with 400, whether its length was declared or it arrived
+// chunked; a body that ends short of its declared length is a 400 too.
+func TestPutBodyLengths(t *testing.T) {
+	f := newFixture(t, 2)
+	const limit = 16
+	ts := httptest.NewServer(New(Config{Client: f.sc, MaxValueBytes: limit}))
+	defer ts.Close()
+	put := func(key string, body io.Reader) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest("PUT", ts.URL+"/kv/"+key, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	// io.MultiReader hides the length from the client: the body goes out
+	// chunked and the server sees ContentLength -1.
+	chunked := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s)) }
+	atLimit, over := strings.Repeat("v", limit), strings.Repeat("v", limit+1)
+	cases := []struct {
+		name string
+		body io.Reader
+		want int
+		val  string
+	}{
+		{"declared-at-limit", strings.NewReader(atLimit), http.StatusOK, atLimit},
+		{"declared-over-limit", strings.NewReader(over), http.StatusBadRequest, ""},
+		{"declared-empty", strings.NewReader(""), http.StatusOK, ""},
+		{"chunked-at-limit", chunked(atLimit), http.StatusOK, atLimit},
+		{"chunked-over-limit", chunked(over), http.StatusBadRequest, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, body := put(tc.name, tc.body)
+			if st != tc.want {
+				t.Fatalf("status %d, want %d (body %s)", st, tc.want, body)
+			}
+			if st != http.StatusOK {
+				if code := errOf(t, body); code != "bad_request" {
+					t.Errorf("error code %q, want bad_request", code)
+				}
+				return
+			}
+			got, err := f.sc.Get(context.Background(), tc.name)
+			if err != nil || string(got) != tc.val {
+				t.Errorf("stored (%q, %v), want %q", got, err, tc.val)
+			}
+		})
+	}
+	t.Run("declared-short", func(t *testing.T) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "PUT /kv/short HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nhalf")
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d for a body 6 bytes short, want 400", resp.StatusCode)
+		}
+		if _, err := f.sc.Get(context.Background(), "short"); !errors.Is(err, memkv.ErrNotFound) {
+			t.Errorf("a short body was stored: %v", err)
+		}
+	})
+}
+
+// rewindBody is a request body a test can serve again and again.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// TestPutAllocationBudget: a PUT through ServeHTTP allocates what the
+// PutVersioned under it allocates plus the body it read and the reply
+// it wrote — one slice each. (Measured: 2 over the write under it; the
+// handler's ReadAll, url.Query and json.Encoder made that 12.)
+func TestPutAllocationBudget(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	f := newFixture(t, 2)
+	gw := New(Config{Client: f.sc})
+	value := bytes.Repeat([]byte{'v'}, 1024)
+	body := &rewindBody{}
+	req := httptest.NewRequest("PUT", "/kv/key-000042", nil)
+	req.ContentLength = int64(len(value))
+	req.Body = body
+	w := &nullWriter{h: make(http.Header)}
+	serve := func() {
+		clear(w.h)
+		body.Reset(value)
+		gw.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("PUT = %d", w.status)
+		}
+	}
+	put := func() {
+		if _, err := f.sc.PutVersioned(req.Context(), "key-000042", value, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		serve()
+		put()
+	}
+	below := testing.AllocsPerRun(2000, put)
+	through := testing.AllocsPerRun(2000, serve)
+	t.Logf("PUT through the gateway %.2f, the write under it %.2f", through, below)
+	if through > below+2 {
+		t.Errorf("PUT through the gateway allocates %.0f, the write under it %.0f: the gateway adds %.0f, want at most 2", through, below, through-below)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -51,6 +52,12 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     reader hands the reply straight to the caller's sink (MuxClient is
 //     a core.Starter). ShardedClient launches the copies of a redundant
 //     read this way; Get stays the blocking form of the same request.
+//   - Neither do versioned writes: StartPutV is to PutV what Start is to
+//     Get. It encodes the put straight into the pending buffer — no
+//     payload slice, no waiter — and the reader decodes the fixed-size
+//     reply where it lies in its buffer. ShardedClient launches every
+//     copy of a PutVersioned this way, so a write costs this client no
+//     allocation and no goroutine however long its stragglers take.
 //
 // A MuxClient is safe for concurrent use and is the production
 // implementation of Backend, the shard surface ShardedClient routes over.
@@ -139,15 +146,35 @@ type muxConn struct {
 }
 
 // muxEntry is one in-flight request's place in the waiter table. It is
-// either a blocking call's pooled channel waiter (w; do and doBatch
-// wait on it) or a started read's sink, slot and timeout timer: the
-// reader, the timeout callback and fail complete the sink directly, and
-// nothing waits.
+// one of three things: a blocking call's pooled channel waiter (w; do
+// and doBatch wait on it), a started read (sink), or a started versioned
+// put (put) — the started forms with their slot and timeout timer. The
+// reader, the timeout callback and fail complete a started request's
+// sink directly, and nothing waits.
+//
+// The table stores entries by value: keep this struct well under 128
+// bytes, the size past which a Go map boxes its elements and every
+// insert allocates (pinned by TestMuxEntryFitsMapSlot).
 type muxEntry struct {
 	w    *muxWaiter
 	sink core.Sink[[]byte]
+	put  core.Sink[PutVResult]
 	slot int
 	tm   core.WheelTimer
+}
+
+// started reports whether e is a started request (read or put), as
+// opposed to a blocking call's waiter.
+func (e *muxEntry) started() bool { return e.sink != nil || e.put != nil }
+
+// fail completes a started request with err, through whichever sink e
+// holds.
+func (e *muxEntry) fail(err error) {
+	if e.put != nil {
+		e.put.Complete(e.slot, PutVResult{Err: err}, err)
+		return
+	}
+	e.sink.Complete(e.slot, nil, err)
 }
 
 // muxWaiter is one blocking request's rendezvous. The channel has
@@ -332,8 +359,8 @@ func (cn *muxConn) lostErr() error {
 
 // fail marks the connection dead exactly once: pending blocking waiters
 // are released via the done channel (their responses will never
-// arrive), started reads complete with the conn-lost error, and the
-// socket is closed, which also stops the reader and flusher.
+// arrive), started reads and puts complete with the conn-lost error,
+// and the socket is closed, which also stops the reader and flusher.
 func (cn *muxConn) fail(cause error) {
 	cn.mu.Lock()
 	if cn.dead {
@@ -350,9 +377,9 @@ func (cn *muxConn) fail(cause error) {
 	close(cn.done)
 	cn.c.Close()
 	for _, e := range pending {
-		if e.sink != nil {
+		if e.started() {
 			e.tm.Stop()
-			e.sink.Complete(e.slot, nil, cn.err)
+			e.fail(cn.err)
 		}
 	}
 	for _, st := range ws {
@@ -450,6 +477,16 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		_, err := r.Discard(vlen)
 		return err
 	}
+	if e.put != nil {
+		e.tm.Stop()
+		res, err := readPutVReply(r, &f, vlen)
+		if err != nil {
+			cn.fail(err)
+			res.Err = cn.lostErr()
+		}
+		e.put.Complete(e.slot, res, res.Err)
+		return err
+	}
 	err = readFrameValue(r, &f, vlen)
 	if e.sink == nil {
 		if err == nil {
@@ -471,6 +508,34 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 	v, gerr := frameToGet(&f)
 	e.sink.Complete(e.slot, v, gerr)
 	return nil
+}
+
+// readPutVReply consumes the value of a started put's reply whose head
+// is in f and decodes it. The reply every healthy put gets — opStoredV
+// with a bare version header — is decoded from the reader's window and
+// allocates nothing; anything else (an opErr with its message, an op
+// that should not be there) takes the blocking path's decoder. The
+// outcome is res, its Err included; err is a failure to read the value
+// at all, fatal to the connection.
+func readPutVReply(r *bufio.Reader, f *frame, vlen int) (res PutVResult, err error) {
+	if f.op != opStoredV || vlen < verPayloadHeader {
+		if err := readFrameValue(r, f, vlen); err != nil {
+			return res, err
+		}
+		res.Current, res.Applied, res.Err = frameToPutV(f)
+		return res, nil
+	}
+	if res.Current, _, err = readVerHeader(r); err != nil {
+		return res, err
+	}
+	if _, err := r.Discard(vlen - verPayloadHeader); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return res, err
+	}
+	res.Applied = f.aux == 1
+	return res, nil
 }
 
 // flusher is the connection's single writer: each pass swaps out
@@ -560,15 +625,29 @@ func muxTimeoutFired(c any, i int64) {
 	if !ok {
 		return
 	}
-	if e.sink != nil {
-		e.sink.Complete(e.slot, nil, cn.owner.timeoutErr())
-	} else {
+	switch {
+	case e.put != nil:
+		e.fail(fmt.Errorf("%w after %v", ErrMuxTimeout, cn.owner.putTimeout()))
+	case e.sink != nil:
+		e.fail(cn.owner.timeoutErr())
+	default:
 		e.w.ch <- frame{op: opTimeout}
 	}
 }
 
 func (m *MuxClient) timeoutErr() error {
 	return fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
+}
+
+// putTimeout bounds a started put: the client's per-request timeout,
+// and never more than versionedStragglerTimeout — a started put runs
+// under no context, so this is all that ends one whose reply never
+// comes.
+func (m *MuxClient) putTimeout() time.Duration {
+	if m.timeout > 0 && m.timeout < versionedStragglerTimeout {
+		return m.timeout
+	}
+	return versionedStragglerTimeout
 }
 
 // Start implements core.Starter: the non-blocking form of Get. It
@@ -581,33 +660,66 @@ func (m *MuxClient) timeoutErr() error {
 // never used, report a bad key, or fail fast on a stripe in redial; Get
 // handles each of those.
 func (m *MuxClient) Start(key string, sink core.Sink[[]byte], slot int) (core.Ticket, bool) {
-	if validateKey(key) != nil {
+	cn, tag, ok := m.startLocked(key, muxEntry{sink: sink, slot: slot}, m.timeout)
+	if !ok {
 		return core.Ticket{}, false
 	}
-	cn := m.conns[int(m.rr.Add(1)%uint64(len(m.conns)))].Load()
+	cn.pending = appendFrame(cn.pending, &frame{op: opGet, tag: tag, key: key})
+	cn.mu.Unlock()
+	cn.signalFlush()
+	return core.Ticket{Ref: cn, ID: tag}, true
+}
+
+// startLocked is the shared first half of Start and StartPutV: it picks
+// the next stripe's connection, declines where Start declines, and
+// otherwise registers e under a fresh tag, born with its timeout timer
+// (none if timeout is 0). On ok the caller holds cn.mu: it appends the
+// request's frame to cn.pending, unlocks, and signals the flusher.
+func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (cn *muxConn, tag uint64, ok bool) {
+	if validateKey(key) != nil {
+		return nil, 0, false
+	}
+	cn = m.conns[int(m.rr.Add(1)%uint64(len(m.conns)))].Load()
 	if cn == nil {
-		return core.Ticket{}, false
+		return nil, 0, false
 	}
 	cn.mu.Lock()
 	if cn.dead {
 		cn.mu.Unlock()
-		return core.Ticket{}, false
+		return nil, 0, false
 	}
 	cn.tag++
-	req := frame{op: opGet, tag: cn.tag, key: key}
-	e := muxEntry{sink: sink, slot: slot}
-	if m.timeout > 0 {
+	tag = cn.tag
+	if timeout > 0 {
 		// Armed under the lock so the entry is born with its timer: the
 		// reader may claim the tag the moment the lock drops, and must
 		// find the handle to stop. The wheel runs callbacks outside its
 		// own lock, so cn.mu → wheel is the only order.
-		e.tm = core.SharedWheel().AfterFunc(m.timeout, muxTimeoutFired, cn, int64(req.tag))
+		e.tm = core.SharedWheel().AfterFunc(timeout, muxTimeoutFired, cn, int64(tag))
 	}
-	cn.waiters[req.tag] = e
-	cn.pending = appendFrame(cn.pending, &req)
+	cn.waiters[tag] = e
+	return cn, tag, true
+}
+
+// StartPutV is the non-blocking form of PutV, as Start is of Get: it
+// encodes the put straight into the connection's pending buffer and
+// returns at once, and sink.Complete(slot, result, result.Err) is called
+// exactly once — by the connection's reader with the server's answer,
+// by the timer wheel, or by whoever failed the connection. It reports
+// false, having done nothing, exactly where Start declines; PutV handles
+// those cases. A started put cannot be withdrawn and runs under no
+// context: it is bounded by the client's timeout, and by
+// versionedStragglerTimeout when that is longer or unset. value is not
+// retained.
+func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink core.Sink[PutVResult], slot int) bool {
+	cn, tag, ok := m.startLocked(key, muxEntry{put: sink, slot: slot}, m.putTimeout())
+	if !ok {
+		return false
+	}
+	cn.pending = appendVerFrame(cn.pending, opPutV, tag, 0, key, version, ttlSeconds(ttl), value)
 	cn.mu.Unlock()
 	cn.signalFlush()
-	return core.Ticket{Ref: cn, ID: req.tag}, true
+	return true
 }
 
 // Cancel implements core.Starter: it withdraws a started read, true

@@ -134,8 +134,13 @@ func NewStore() *Store {
 	return s
 }
 
-func (s *Store) shardFor(key string) *shard {
-	// FNV-1a inlined over the string: the hash.Hash32 form
+func (s *Store) shardFor(key string) *shard { return shardOf(s, key) }
+
+// shardOf is shardFor over either spelling of a key: the server's
+// read-only requests look a key up as the bytes the connection's reader
+// holds, without making a string of them (see storeGet).
+func shardOf[K string | []byte](s *Store, key K) *shard {
+	// FNV-1a inlined over the key: the hash.Hash32 form
 	// (fnv.New32a + io.WriteString) heap-allocates the hash state on
 	// every lookup because it escapes through the interface.
 	h := uint32(2166136261)
@@ -144,6 +149,17 @@ func (s *Store) shardFor(key string) *shard {
 		h *= 16777619
 	}
 	return &s.shards[h%shardCount]
+}
+
+// load returns key's item as stored, expired or not. m[string(key)] on
+// a byte-slice key is the one conversion the compiler performs without
+// allocating.
+func load[K string | []byte](s *Store, key K) (item, bool) {
+	sh := shardOf(s, key)
+	sh.mu.RLock()
+	it, ok := sh.m[string(key)]
+	sh.mu.RUnlock()
+	return it, ok
 }
 
 // tick returns a fresh version: strictly greater than every version the
@@ -221,6 +237,14 @@ func ttlEventSecs(ttl time.Duration) uint32 {
 // returns the version now current for the key and whether this write
 // applied. The store's index is advanced past version either way.
 func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool) {
+	return s.putVersion(key, flags, value, ttl, version, false)
+}
+
+// putVersion is PutVersion's body. owned means the caller gives value
+// away: the store keeps the slice itself instead of a copy — the
+// server's frame loop read it off the wire at its exact length for
+// nobody else (the one ownership hand-off on the write path).
+func (s *Store) putVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) (current uint64, applied bool) {
 	s.witness(version)
 	var exp time.Time
 	if ttl > 0 {
@@ -237,7 +261,10 @@ func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Dura
 		return cur.version, false
 	}
 	cur.exp.Stop() // zero handle when absent: no-op
-	it := item{flags: flags, version: version, data: append([]byte(nil), value...), expiresAt: exp}
+	if !owned {
+		value = append([]byte(nil), value...)
+	}
+	it := item{flags: flags, version: version, data: value, expiresAt: exp}
 	if ttl > 0 {
 		it.exp = s.armExpiry(key, version, ttl)
 	}
@@ -256,6 +283,11 @@ func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Dura
 // the same expect exactly one wins; the rest observe the winner's
 // version and can retry from it.
 func (s *Store) CompareAndSwap(key string, flags uint32, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool) {
+	return s.compareAndSwap(key, flags, value, ttl, expect, false)
+}
+
+// compareAndSwap is CompareAndSwap's body; owned as for putVersion.
+func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.Duration, expect uint64, owned bool) (current uint64, applied bool) {
 	var exp time.Time
 	if ttl > 0 {
 		exp = time.Now().Add(ttl)
@@ -276,7 +308,10 @@ func (s *Store) CompareAndSwap(key string, flags uint32, value []byte, ttl time.
 	}
 	ver := s.tick()
 	cur.exp.Stop()
-	it := item{flags: flags, version: ver, data: append([]byte(nil), value...), expiresAt: exp}
+	if !owned {
+		value = append([]byte(nil), value...)
+	}
+	it := item{flags: flags, version: ver, data: value, expiresAt: exp}
 	if ttl > 0 {
 		it.exp = s.armExpiry(key, ver, ttl)
 	}
@@ -300,17 +335,19 @@ func (s *Store) CompareAndSwap(key string, flags uint32, value []byte, ttl time.
 // (an item with <1s remaining reads as absent — the sweeper, not this
 // read, reaps it at the true deadline).
 func (s *Store) GetVersion(key string) (value []byte, flags uint32, version uint64, ttlSecs uint32, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	it, ok := sh.m[key]
-	sh.mu.RUnlock()
+	return storeGetVersion(s, key)
+}
+
+// storeGetVersion is GetVersion over either spelling of the key.
+func storeGetVersion[K string | []byte](s *Store, key K) (value []byte, flags uint32, version uint64, ttlSecs uint32, ok bool) {
+	it, ok := load(s, key)
 	if !ok {
 		return nil, 0, 0, 0, false
 	}
 	if !it.expiresAt.IsZero() {
 		left := time.Until(it.expiresAt)
 		if left <= 0 {
-			s.reapExpired(key)
+			s.reapExpired(string(key))
 			return nil, 0, 0, 0, false
 		}
 		if left < time.Second {
@@ -466,15 +503,20 @@ func scanHeapDown(h []string) {
 // Get returns the value and flags for key. Expired items are absent (and
 // reaped on the way).
 func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	it, ok := sh.m[key]
-	sh.mu.RUnlock()
+	return storeGet(s, key)
+}
+
+// storeGet is Get over either spelling of the key. The server calls it
+// (and storeGetVersion, storeDelete) with the key bytes as they lie in
+// the connection reader's window; a string is made of them only on the
+// paths that keep one — reaping an expired item, deleting a live one.
+func storeGet[K string | []byte](s *Store, key K) (value []byte, flags uint32, ok bool) {
+	it, ok := load(s, key)
 	if !ok {
 		return nil, 0, false
 	}
 	if !it.expiresAt.IsZero() && time.Now().After(it.expiresAt) {
-		s.reapExpired(key)
+		s.reapExpired(string(key))
 		return nil, 0, false
 	}
 	return it.data, it.flags, true
@@ -483,14 +525,18 @@ func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
 // Delete removes key, reporting whether a live value was present. An
 // expired-but-unreaped item is reaped (with an expire event, not a
 // delete event) and reported absent.
-func (s *Store) Delete(key string) bool {
-	sh := s.shardFor(key)
+func (s *Store) Delete(key string) bool { return storeDelete(s, key) }
+
+// storeDelete is Delete over either spelling of the key.
+func storeDelete[K string | []byte](s *Store, k K) bool {
+	sh := shardOf(s, k)
 	sh.mu.Lock()
-	it, ok := sh.m[key]
+	it, ok := sh.m[string(k)]
 	if !ok {
 		sh.mu.Unlock()
 		return false
 	}
+	key := string(k)
 	delete(sh.m, key)
 	it.exp.Stop()
 	if !it.expiresAt.IsZero() && time.Now().After(it.expiresAt) {

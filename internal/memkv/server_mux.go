@@ -52,10 +52,28 @@ type muxSession struct {
 // which is why the cap is enforced on the event path alone.
 const muxWatchBacklogCap = 4 << 20
 
+// request is one request frame as the session executes it. The value of
+// an opPutV or opCAS is decoded where it lies on the wire: its version
+// header lands in ver and ttl, and val holds only the data bytes, read
+// once at their exact length — the slice the store keeps.
+type request struct {
+	frame
+	ver uint64 // opPutV: the write's version; opCAS: the expected version
+	ttl uint32 // opPutV: TTL seconds
+	// short marks an opPutV/opCAS whose value was too short to hold a
+	// version header: answered with opErr.
+	short bool
+}
+
 // serveMux runs the frame loop on a connection whose first byte
 // identified it as framed. It returns when the connection dies; delayed
 // requests still parked on the wheel detect the closed session at fire
 // time.
+//
+// A request that only looks its key up (get, versioned get, delete) is
+// executed on the key bytes in the reader's window, before they are
+// consumed. Everything else — a write, a watch, a scan, and any request
+// the Delay hook parks past this iteration — gets a key string.
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	m := &muxSession{
 		s:      s,
@@ -65,34 +83,115 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	}
 	go m.flusher()
 	for {
-		var f frame
-		if err := readFrame(r, &f); err != nil {
+		var q request
+		kb, vlen, err := readFrameHeadRaw(r, &q.frame)
+		if err != nil {
 			break
 		}
+		var d time.Duration
 		if s.Delay != nil {
-			if d := s.Delay(); d > 0 {
-				// Park the request on the shared wheel instead of holding
-				// this goroutine: the loop keeps reading, later requests
-				// overtake this one, and the response goes out when the
-				// delay elapses.
-				core.SharedWheel().AfterFunc(d, muxDelayFired, &muxDelayed{m: m, f: f}, 0)
-				continue
-			}
+			d = s.Delay()
 		}
-		m.exec(&f)
+		if d <= 0 && vlen == 0 && isLookup(q.op) {
+			m.execLookup(q.op, q.tag, kb)
+			r.Discard(len(kb))
+			continue
+		}
+		if err := readRequestRest(r, &q, kb, vlen); err != nil {
+			break
+		}
+		if d > 0 {
+			// Park the request on the shared wheel instead of holding
+			// this goroutine: the loop keeps reading, later requests
+			// overtake this one, and the response goes out when the
+			// delay elapses.
+			core.SharedWheel().AfterFunc(d, muxDelayFired, &muxDelayed{m: m, q: q}, 0)
+			continue
+		}
+		m.exec(&q)
 	}
 	m.shutdown()
+}
+
+// isLookup reports whether op's whole use of its key is a lookup in the
+// store.
+func isLookup(op byte) bool { return op == opGet || op == opGetV || op == opDelete }
+
+// readRequestRest finishes reading a request whose head readFrameHeadRaw
+// left in q, for the requests that outlive the reader's window: it makes
+// the key bytes kb a string, consumes them, and reads the vlen value
+// bytes that follow. A versioned write's payload header is decoded in
+// place and only its data allocated; every other value is read whole
+// into q.val.
+func readRequestRest(r *bufio.Reader, q *request, kb []byte, vlen int) error {
+	q.key = string(kb)
+	r.Discard(len(kb))
+	if q.op == opPutV || q.op == opCAS {
+		if q.short = vlen < verPayloadHeader; !q.short {
+			var err error
+			if q.ver, q.ttl, err = readVerHeader(r); err != nil {
+				return err
+			}
+			vlen -= verPayloadHeader
+		}
+	}
+	return readFrameValue(r, &q.frame, vlen)
 }
 
 // muxDelayed boxes one parked request for the wheel callback.
 type muxDelayed struct {
 	m *muxSession
-	f frame
+	q request
 }
 
 func muxDelayFired(c any, _ int64) {
 	d := c.(*muxDelayed)
-	d.m.exec(&d.f)
+	d.m.exec(&d.q)
+}
+
+// execLookup executes a get, versioned get or delete on key bytes that
+// alias the connection reader's window, and enqueues its response. Only
+// the read loop calls it, between peeking the key and consuming it.
+func (m *muxSession) execLookup(op byte, tag uint64, kb []byte) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		m.s.aborted.Add(1)
+		return
+	}
+	m.pending = appendLookupReply(m.pending, m.s, op, tag, kb)
+	m.mu.Unlock()
+	m.signalFlush()
+}
+
+// appendLookupReply executes one of the isLookup ops against the store
+// and appends its response to dst. key is the frame's key as a string
+// (exec) or as the bytes on the wire (execLookup).
+func appendLookupReply[K string | []byte](dst []byte, s *Server, op byte, tag uint64, key K) []byte {
+	switch op {
+	case opGet:
+		s.cmdGet.Add(1)
+		if val, flags, ok := storeGet(s.store, key); ok {
+			s.getHits.Add(1)
+			return appendFrame(dst, &frame{op: opValue, tag: tag, aux: flags, val: val})
+		}
+		s.getMisses.Add(1)
+	case opGetV:
+		s.cmdGet.Add(1)
+		if val, flags, ver, ttl, ok := storeGetVersion(s.store, key); ok {
+			s.getHits.Add(1)
+			return appendVerFrame(dst, opValueV, tag, flags, "", ver, ttl, val)
+		}
+		s.getMisses.Add(1)
+	case opDelete:
+		if len(key) == 0 {
+			return appendErrFrame(dst, tag, "delete requires a key")
+		}
+		if storeDelete(s.store, key) {
+			return appendFrame(dst, &frame{op: opDeleted, tag: tag})
+		}
+	}
+	return appendFrame(dst, &frame{op: opNotFound, tag: tag})
 }
 
 // exec executes one request frame and enqueues its response. It runs on
@@ -100,7 +199,7 @@ func muxDelayFired(c any, _ int64) {
 // goroutine — store operations are sharded-mutex map accesses and the
 // enqueue is a buffer append, both non-blocking enough for the wheel's
 // callback contract.
-func (m *muxSession) exec(f *frame) {
+func (m *muxSession) exec(f *request) {
 	s := m.s
 	m.mu.Lock()
 	if m.closed {
@@ -110,15 +209,8 @@ func (m *muxSession) exec(f *frame) {
 		return
 	}
 	switch f.op {
-	case opGet:
-		s.cmdGet.Add(1)
-		if val, flags, ok := s.store.Get(f.key); ok {
-			s.getHits.Add(1)
-			m.pending = appendFrame(m.pending, &frame{op: opValue, tag: f.tag, aux: flags, val: val})
-		} else {
-			s.getMisses.Add(1)
-			m.pending = appendFrame(m.pending, &frame{op: opNotFound, tag: f.tag})
-		}
+	case opGet, opGetV, opDelete:
+		m.pending = appendLookupReply(m.pending, s, f.op, f.tag, f.key)
 	case opSet:
 		if f.key == "" {
 			m.pending = appendErrFrame(m.pending, f.tag, "set requires a key")
@@ -127,48 +219,21 @@ func (m *muxSession) exec(f *frame) {
 		s.cmdSet.Add(1)
 		s.store.SetTTL(f.key, 0, f.val, time.Duration(f.aux)*time.Second)
 		m.pending = appendFrame(m.pending, &frame{op: opStored, tag: f.tag})
-	case opDelete:
-		if f.key == "" {
-			m.pending = appendErrFrame(m.pending, f.tag, "delete requires a key")
-			break
-		}
-		if s.store.Delete(f.key) {
-			m.pending = appendFrame(m.pending, &frame{op: opDeleted, tag: f.tag})
-		} else {
-			m.pending = appendFrame(m.pending, &frame{op: opNotFound, tag: f.tag})
-		}
-	case opGetV:
-		s.cmdGet.Add(1)
-		if val, flags, ver, ttl, ok := s.store.GetVersion(f.key); ok {
-			s.getHits.Add(1)
-			m.pending = appendFrame(m.pending, &frame{
-				op: opValueV, tag: f.tag, aux: flags,
-				val: appendVerPayload(nil, ver, ttl, val),
-			})
-		} else {
-			s.getMisses.Add(1)
-			m.pending = appendFrame(m.pending, &frame{op: opNotFound, tag: f.tag})
-		}
 	case opPutV:
 		if f.key == "" {
 			m.pending = appendErrFrame(m.pending, f.tag, "putv requires a key")
 			break
 		}
-		ver, ttl, data, err := decodeVerPayload(f.val)
-		if err != nil || ver == 0 {
+		if f.short || f.ver == 0 {
 			m.pending = appendErrFrame(m.pending, f.tag, "putv requires a versioned payload")
 			break
 		}
 		s.cmdSet.Add(1)
-		cur, applied := s.store.PutVersion(f.key, f.aux, data, time.Duration(ttl)*time.Second, ver)
+		cur, applied := s.store.putVersion(f.key, f.aux, f.val, time.Duration(f.ttl)*time.Second, f.ver, true)
 		if !applied {
 			s.stalePuts.Add(1)
 		}
-		resp := frame{op: opStoredV, tag: f.tag, val: appendVerPayload(nil, cur, 0, nil)}
-		if applied {
-			resp.aux = 1
-		}
-		m.pending = appendFrame(m.pending, &resp)
+		m.pending = appendVerFrame(m.pending, opStoredV, f.tag, boolAux(applied), "", cur, 0, nil)
 	case opScan:
 		limit := int(f.aux)
 		if limit < 1 || limit > maxScanLimit {
@@ -180,28 +245,19 @@ func (m *muxSession) exec(f *frame) {
 		for i := range entries {
 			val = appendScanEntry(val, &entries[i])
 		}
-		resp := frame{op: opScanResp, tag: f.tag, val: val}
-		if more {
-			resp.aux = 1
-		}
-		m.pending = appendFrame(m.pending, &resp)
+		m.pending = appendFrame(m.pending, &frame{op: opScanResp, tag: f.tag, aux: boolAux(more), val: val})
 	case opCAS:
 		if f.key == "" {
 			m.pending = appendErrFrame(m.pending, f.tag, "cas requires a key")
 			break
 		}
-		expect, _, data, err := decodeVerPayload(f.val)
-		if err != nil {
+		if f.short {
 			m.pending = appendErrFrame(m.pending, f.tag, "cas requires a versioned payload")
 			break
 		}
 		s.cmdSet.Add(1)
-		cur, applied := s.store.CompareAndSwap(f.key, 0, data, time.Duration(f.aux)*time.Second, expect)
-		resp := frame{op: opCASResp, tag: f.tag, val: appendVerPayload(nil, cur, 0, nil)}
-		if applied {
-			resp.aux = 1
-		}
-		m.pending = appendFrame(m.pending, &resp)
+		cur, applied := s.store.compareAndSwap(f.key, 0, f.val, time.Duration(f.aux)*time.Second, f.ver, true)
+		m.pending = appendVerFrame(m.pending, opCASResp, f.tag, boolAux(applied), "", cur, 0, nil)
 	case opWatch:
 		if m.watches == nil {
 			m.watches = make(map[uint64]*StoreWatch)
@@ -237,6 +293,19 @@ func (m *muxSession) exec(f *frame) {
 		m.pending = appendErrFrame(m.pending, f.tag, "unknown op %#x", f.op)
 	}
 	m.mu.Unlock()
+	m.signalFlush()
+}
+
+// boolAux is a response's aux field for a yes/no outcome (applied, more).
+func boolAux(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// signalFlush wakes the flusher if it is not already due to run.
+func (m *muxSession) signalFlush() {
 	select {
 	case m.flushC <- struct{}{}:
 	default:
@@ -274,15 +343,9 @@ func (m *muxSession) pushEvent(tag uint64, ev *WatchEvent) bool {
 		m.mu.Unlock()
 		return false
 	}
-	m.pending = appendFrame(m.pending, &frame{
-		op: opEvent, tag: tag, aux: uint32(ev.Type), key: ev.Key,
-		val: appendVerPayload(nil, ev.Version, ev.TTLSecs, ev.Value),
-	})
+	m.pending = appendVerFrame(m.pending, opEvent, tag, uint32(ev.Type), ev.Key, ev.Version, ev.TTLSecs, ev.Value)
 	m.mu.Unlock()
-	select {
-	case m.flushC <- struct{}{}:
-	default:
-	}
+	m.signalFlush()
 	return true
 }
 
@@ -295,10 +358,7 @@ func (m *muxSession) endWatch(tag uint64, reason uint32) {
 		m.pending = appendFrame(m.pending, &frame{op: opWatchEnd, tag: tag, aux: reason})
 	}
 	m.mu.Unlock()
-	select {
-	case m.flushC <- struct{}{}:
-	default:
-	}
+	m.signalFlush()
 }
 
 // flusher drains the pending buffer with one write per pass — the

@@ -36,8 +36,11 @@ import (
 // (internal/repair: hinted handoff, read repair, anti-entropy
 // migration). AddShard/RemoveShard themselves only change placement.
 type ShardedClient struct {
-	mu          sync.Mutex // guards clients; the rings have their own engines
-	clients     map[string]Backend
+	mu sync.Mutex // serializes AddShard/RemoveShard; the rings have their own engines
+	// topo is the shard set as AddShard/RemoveShard last left it, swapped
+	// whole: readers (the versioned write path, every per-shard lookup)
+	// load it without a lock.
+	topo        atomic.Pointer[topology]
 	reads       *ring.Ring[string, []byte]
 	writes      *ring.Ring[setReq, struct{}]
 	replication int
@@ -53,6 +56,24 @@ type ShardedClient struct {
 	readsV *ring.Ring[string, verVal]
 	clock  atomic.Uint64
 	sink   atomic.Pointer[sinkBox]
+}
+
+// topology is one immutable snapshot of the shard set: every shard's
+// client by address, and the placement that routes keys over exactly
+// those shards. A versioned write resolves its owners and their clients
+// from one snapshot, so the two can never disagree.
+type topology struct {
+	clients   map[string]Backend
+	placement ring.Placement
+}
+
+// owners returns key's owners under this snapshot, primary first, in buf
+// when the placement fits it.
+func (t *topology) owners(key string, buf []string) []string {
+	if r := t.placement.Replication(); r > len(buf) {
+		buf = make([]string, r)
+	}
+	return buf[:t.placement.OwnersInto(key, buf)]
 }
 
 // Backend is the single-shard client surface ShardedClient and the
@@ -143,7 +164,6 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 		cfg.VirtualNodes = ring.DefaultVirtualNodes
 	}
 	sc := &ShardedClient{
-		clients:     make(map[string]Backend, len(clients)),
 		replication: cfg.Replication,
 		writeQuorum: cfg.WriteQuorum,
 	}
@@ -161,6 +181,7 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	// Versioned quorum reads query the whole placement too: divergence is
 	// only observable on the copies actually read.
 	sc.readsV = ring.New[string, verVal](core.FullReplicate{}, ropts...)
+	sc.topo.Store(&topology{placement: sc.readsV.Placement()})
 	for _, cl := range clients {
 		sc.AddShard(cl)
 	}
@@ -176,12 +197,11 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 func (sc *ShardedClient) AddShard(cl Backend) {
 	sc.mu.Lock()
 	addr := cl.Addr()
-	if _, ok := sc.clients[addr]; ok {
+	prev := sc.topo.Load()
+	if _, ok := prev.clients[addr]; ok {
 		sc.mu.Unlock()
 		return
 	}
-	prev := sc.readsV.Placement()
-	sc.clients[addr] = cl
 	if mc, ok := cl.(*MuxClient); ok {
 		// A mux client's reads are started, not run: the copies of a
 		// redundant Get are wire requests on the caller's goroutine, with
@@ -209,12 +229,32 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 		}
 		return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
 	})
-	cur := sc.readsV.Placement()
+	cur := sc.publishLocked(prev, addr, cl)
 	sink := sc.repairSink()
 	sc.mu.Unlock()
 	if sink != nil {
-		sink.TopologyChanged(prev, cur)
+		sink.TopologyChanged(prev.placement, cur.placement)
 	}
+}
+
+// publishLocked swaps in the snapshot that follows prev once the rings
+// have changed: prev's clients with addr set to cl, or without addr when
+// cl is nil. The caller holds sc.mu.
+func (sc *ShardedClient) publishLocked(prev *topology, addr string, cl Backend) *topology {
+	cur := &topology{
+		clients:   make(map[string]Backend, len(prev.clients)+1),
+		placement: sc.readsV.Placement(),
+	}
+	for a, c := range prev.clients {
+		cur.clients[a] = c
+	}
+	if cl != nil {
+		cur.clients[addr] = cl
+	} else {
+		delete(cur.clients, addr)
+	}
+	sc.topo.Store(cur)
+	return cur
 }
 
 // RemoveShard drops the shard serving addr from placement, reporting
@@ -224,20 +264,19 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 // be re-homed (the removed shard may still be readable for draining).
 func (sc *ShardedClient) RemoveShard(addr string) bool {
 	sc.mu.Lock()
-	if _, ok := sc.clients[addr]; !ok {
+	prev := sc.topo.Load()
+	if _, ok := prev.clients[addr]; !ok {
 		sc.mu.Unlock()
 		return false
 	}
-	prev := sc.readsV.Placement()
-	delete(sc.clients, addr)
 	sc.reads.Remove(addr)
 	sc.writes.Remove(addr)
 	sc.readsV.Remove(addr)
-	cur := sc.readsV.Placement()
+	cur := sc.publishLocked(prev, addr, nil)
 	sink := sc.repairSink()
 	sc.mu.Unlock()
 	if sink != nil {
-		sink.TopologyChanged(prev, cur)
+		sink.TopologyChanged(prev.placement, cur.placement)
 	}
 	return true
 }
@@ -381,10 +420,9 @@ func (sc *ShardedClient) RingStats() ring.Stats { return sc.reads.Stats() }
 
 // shards snapshots the current shard clients, in no particular order.
 func (sc *ShardedClient) shards() []Backend {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	clients := make([]Backend, 0, len(sc.clients))
-	for _, cl := range sc.clients {
+	t := sc.topo.Load()
+	clients := make([]Backend, 0, len(t.clients))
+	for _, cl := range t.clients {
 		clients = append(clients, cl)
 	}
 	return clients

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"redundancy/internal/core"
@@ -20,10 +22,16 @@ import (
 //     delete can be resurrected by repair, the documented limitation).
 //   - PutVersioned, a quorum write that — unlike SetTTL, whose engine
 //     cancels losing copies the moment the quorum is met — lets every
-//     placement copy run to completion in the background and reports
-//     each copy that ultimately failed to the repair sink as a missed
-//     write (the hinted-handoff trigger). Durability is exactly the
-//     reason the core engine's cancel-at-quorum is wrong here.
+//     placement copy run to completion after the call returned and
+//     reports each copy that ultimately failed to the repair sink as a
+//     missed write (the hinted-handoff trigger). Durability is exactly
+//     the reason the core engine's cancel-at-quorum is wrong here. A
+//     copy is a wire request, not a goroutine: the write is one pooled
+//     writeFrame, every owner's copy is started on the caller's
+//     goroutine (MuxClient.StartPutV) and completes into the frame from
+//     wherever its outcome is learned, and a straggler is a tag in a
+//     connection's table — no goroutine, no context, no timer of its
+//     own.
 //   - GetQuorum, a version-observing quorum read: it returns the newest
 //     value among the copies read and reports stale copies (older
 //     version, or missing entirely) to the sink for asynchronous read
@@ -55,10 +63,6 @@ type RepairSink interface {
 // sinkBox wraps the sink for atomic.Pointer (interfaces can't be stored
 // in one directly).
 type sinkBox struct{ s RepairSink }
-
-// errShardRemoved reports an operation routed to an owner that a
-// concurrent RemoveShard took out of the ring before the call reached it.
-var errShardRemoved = errors.New("memkv: shard removed from the ring")
 
 // verVal is the versioned read ring's result: a value, its version, and
 // its remaining TTL. Version 0 means the key was absent on that copy.
@@ -128,13 +132,15 @@ const versionedStragglerTimeout = 5 * time.Second
 // versionedStragglerTimeout, detached from the caller's context), and
 // each copy that ultimately fails is reported to the repair sink as a
 // missed write — the hinted-handoff path. With fewer acks than the
-// quorum possible, the error matches core.ErrQuorumUnreachable.
+// quorum possible, the error matches core.ErrQuorumUnreachable. value
+// must not be modified until every copy has completed: a copy that
+// fails hands it to the repair sink.
 func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []byte, ttl time.Duration) (uint64, error) {
 	if err := validateKey(key); err != nil {
 		return 0, err
 	}
 	ver := sc.NextVersion()
-	return ver, sc.PutVersionAt(ctx, key, value, ttl, ver)
+	return ver, sc.putVersion(ctx, key, value, ttl, ver)
 }
 
 // PutVersionAt is PutVersioned with a caller-supplied version — the
@@ -147,78 +153,184 @@ func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []b
 	if version == 0 {
 		return errors.New("memkv: version must be nonzero")
 	}
-	owners := sc.readsV.Owners(key)
+	return sc.putVersion(ctx, key, value, ttl, version)
+}
+
+// putVersion writes an already-validated, already-versioned value to
+// every owner of key under the write quorum.
+func (sc *ShardedClient) putVersion(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) error {
+	t := sc.topo.Load()
+	var buf [4]string
+	owners := t.owners(key, buf[:])
 	if len(owners) == 0 {
 		return core.ErrNoReplicas
 	}
-	q := sc.writeQuorum
-	if q > len(owners) {
-		q = len(owners)
-	}
-	return sc.replicateVersion(ctx, key, value, ttl, version, owners, q)
+	return sc.replicateVersion(ctx, t, key, value, ttl, version, owners, sc.writeQuorum)
 }
 
-// replicateVersion pushes an already-versioned value to owners and
-// returns once q of them acked (q <= 0 returns immediately — used by
-// CAS, whose primary ack already satisfied a quorum of 1). Every copy
-// runs to completion detached from the caller (bounded by
-// versionedStragglerTimeout); each copy that ultimately fails becomes a
-// WriteMissed hint. This is the shared durability tail of PutVersioned,
-// PutVersionAt, and CAS.
-func (sc *ShardedClient) replicateVersion(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64, owners []string, q int) error {
+// writeFrame is one versioned write in flight: what is being written,
+// to whom, and how many copies have acked or failed. It is the sink of
+// every copy (core.Sink[PutVResult]): a started copy completes into it
+// from its connection's reader, the timer wheel or whoever failed the
+// connection; a copy launched the blocking way completes into it from
+// its goroutine. Complete is therefore the one place that counts acks,
+// reports a missed write, and wakes the caller.
+//
+// Frames are pooled and reference counted: one reference per copy, held
+// until that copy completes, plus the caller's, held until
+// replicateVersion returns. The frame goes back to the pool when the
+// last reference drops — long after the call returned, if a straggler
+// is out — and only then are its fields cleared, so a completion always
+// finds the write it belongs to.
+type writeFrame struct {
+	sc    *ShardedClient
+	key   string
+	value []byte
+	ttl   time.Duration
+	ver   uint64
+	q     int
+	// owners are the copies' destinations, indexed by slot; in ownerBuf
+	// for placements of up to four.
+	owners   []string
+	ownerBuf [4]string
+
+	refs atomic.Int32
+	// decided carries the one wake-up of a write: sent when the quorum is
+	// met or has become unreachable. Capacity 1, so the completion that
+	// sends it never blocks, even if the caller left on its context.
+	decided chan struct{}
+
+	mu        sync.Mutex
+	acks      int
+	fails     int
+	firstErr  error
+	signalled bool
+}
+
+var writeFramePool = sync.Pool{
+	New: func() any { return &writeFrame{decided: make(chan struct{}, 1)} },
+}
+
+// Complete implements core.Sink: slot's copy has finished, with err if
+// it did not land. Called exactly once per copy, from any goroutine.
+func (w *writeFrame) Complete(slot int, _ PutVResult, err error) {
+	if w.refs.Load() <= 0 {
+		panic("memkv: versioned write copy completed into a released frame")
+	}
+	w.mu.Lock()
+	if err == nil {
+		w.acks++
+	} else {
+		w.fails++
+		if w.firstErr == nil {
+			w.firstErr = err
+		}
+	}
+	signal := !w.signalled && (w.acks >= w.q || len(w.owners)-w.fails < w.q)
+	if signal {
+		w.signalled = true
+	}
+	w.mu.Unlock()
+	if err != nil {
+		// Before the wake-up: a caller told of a failed write finds its
+		// hint already queued.
+		if sink := w.sc.repairSink(); sink != nil {
+			sink.WriteMissed(w.key, w.value, w.ver, w.ttl, w.owners[slot])
+		}
+	}
+	if signal {
+		w.decided <- struct{}{}
+	}
+	w.release()
+}
+
+// release drops one reference; the last one returns the frame to the
+// pool.
+func (w *writeFrame) release() {
+	if w.refs.Add(-1) != 0 {
+		return
+	}
+	// Every copy has completed and the caller has returned: nobody else
+	// holds w. A wake-up the caller never took (it left on its context)
+	// must not greet the next write.
+	select {
+	case <-w.decided:
+	default:
+	}
+	w.sc, w.key, w.value, w.owners, w.firstErr = nil, "", nil, nil, nil
+	w.acks, w.fails, w.signalled = 0, 0, false
+	writeFramePool.Put(w)
+}
+
+// putBlocking runs slot's copy through b.PutV on its own goroutine: the
+// launch for a copy that could not be started.
+func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend) {
+	// Detached from the caller: a copy that outlives the quorum keeps
+	// writing, because durability is the point. The timeout bounds the
+	// goroutine; a copy it kills becomes a hint.
+	wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
+	defer cancel()
+	cur, applied, err := b.PutV(wctx, w.key, w.value, w.ttl, w.ver)
+	w.Complete(slot, PutVResult{Current: cur, Applied: applied, Err: err}, err)
+}
+
+// replicateVersion pushes an already-versioned value to owners (shards
+// of snapshot t) and returns once q of them acked (q <= 0 returns
+// immediately — used by CAS, whose primary ack already satisfied a
+// quorum of 1) or ctx is done. Every copy runs to completion detached
+// from the caller (bounded by versionedStragglerTimeout); each copy that
+// ultimately fails becomes a WriteMissed hint. This is the shared
+// durability tail of PutVersioned, PutVersionAt, and CAS.
+//
+// Each copy is started on this goroutine when its shard is a *MuxClient
+// that accepts the start. A start declined (a stripe never dialed, or
+// one in redial) is launched the blocking way, and so is every copy to
+// a shard of any other type: a Backend that embeds *MuxClient and
+// overrides PutV — a tracing or counting wrapper — has the promoted
+// StartPutV too, and must keep seeing every write copy through its own
+// PutV (the rule AddShard follows for reads).
+func (sc *ShardedClient) replicateVersion(ctx context.Context, t *topology, key string, value []byte, ttl time.Duration, version uint64, owners []string, q int) error {
 	if len(owners) == 0 {
 		return nil
 	}
 	if q > len(owners) {
 		q = len(owners)
 	}
-	results := make(chan error, len(owners))
-	for _, addr := range owners {
-		go func(addr string) {
-			// Detached from the caller: a copy that outlives the quorum
-			// keeps writing, because durability is the point. The timeout
-			// bounds the goroutine; a copy it kills becomes a hint.
-			wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
-			defer cancel()
-			err := sc.putOneVersioned(wctx, addr, key, value, ttl, version)
-			if err != nil {
-				if sink := sc.repairSink(); sink != nil {
-					sink.WriteMissed(key, value, version, ttl, addr)
-				}
-			}
-			results <- err
-		}(addr)
-	}
-	acks, fails := 0, 0
-	var firstErr error
-	for acks < q && len(owners)-fails >= q {
-		select {
-		case err := <-results:
-			if err == nil {
-				acks++
-			} else {
-				fails++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		case <-ctx.Done():
-			return fmt.Errorf("memkv: versioned set %q: %w", key, context.Cause(ctx))
+	w := writeFramePool.Get().(*writeFrame)
+	w.sc, w.key, w.value, w.ttl, w.ver, w.q = sc, key, value, ttl, version, q
+	w.owners = append(w.ownerBuf[:0], owners...)
+	w.signalled = q <= 0
+	w.refs.Store(int32(len(owners)) + 1)
+	for slot, addr := range w.owners {
+		b := t.clients[addr]
+		if mc, ok := b.(*MuxClient); ok && mc.StartPutV(key, value, ttl, version, w, slot) {
+			continue
 		}
+		go w.putBlocking(ctx, slot, b)
 	}
-	if acks >= q {
-		return nil
+	var err error
+	if q > 0 {
+		err = w.wait(ctx)
 	}
-	return fmt.Errorf("memkv: versioned set %q (%d/%d acked): %w: %w", key, acks, q, core.ErrQuorumUnreachable, firstErr)
+	w.release()
+	return err
 }
 
-func (sc *ShardedClient) putOneVersioned(ctx context.Context, addr, key string, value []byte, ttl time.Duration, version uint64) error {
-	vb := sc.VersionedShard(addr)
-	if vb == nil {
-		return fmt.Errorf("%s: %w", addr, errShardRemoved)
+// wait blocks until the write is decided or ctx is done, and reports
+// the write's outcome.
+func (w *writeFrame) wait(ctx context.Context) error {
+	select {
+	case <-w.decided:
+	case <-ctx.Done():
+		return fmt.Errorf("memkv: versioned set %q: %w", w.key, context.Cause(ctx))
 	}
-	_, _, err := vb.PutV(ctx, key, value, ttl, version)
-	return err
+	w.mu.Lock()
+	acks, firstErr := w.acks, w.firstErr
+	w.mu.Unlock()
+	if acks >= w.q {
+		return nil
+	}
+	return fmt.Errorf("memkv: versioned set %q (%d/%d acked): %w: %w", w.key, acks, w.q, core.ErrQuorumUnreachable, firstErr)
 }
 
 // GetQuorum reads key from q placement copies (q < 1 means the client's
@@ -282,9 +394,7 @@ func (sc *ShardedClient) GetQuorum(ctx context.Context, key string, q int) ([]by
 // single-shard versioned operations; nil if addr is not (or no longer)
 // in the ring.
 func (sc *ShardedClient) VersionedShard(addr string) Backend {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.clients[addr]
+	return sc.topo.Load().clients[addr]
 }
 
 // ShardAddrs returns the current shard addresses in registration order.
@@ -292,4 +402,4 @@ func (sc *ShardedClient) ShardAddrs() []string { return sc.readsV.Names() }
 
 // PlacementSnapshot captures the current placement as an immutable
 // snapshot, for remap-diff enumeration (see ring.Placement).
-func (sc *ShardedClient) PlacementSnapshot() ring.Placement { return sc.readsV.Placement() }
+func (sc *ShardedClient) PlacementSnapshot() ring.Placement { return sc.topo.Load().placement }

@@ -46,15 +46,13 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if err := validateKey(key); err != nil {
 		return 0, err
 	}
-	owners := sc.readsV.Owners(key)
+	t := sc.topo.Load()
+	var buf [4]string
+	owners := t.owners(key, buf[:])
 	if len(owners) == 0 {
 		return 0, core.ErrNoReplicas
 	}
-	primary := sc.VersionedShard(owners[0])
-	if primary == nil {
-		return 0, fmt.Errorf("memkv: cas %q: %s: %w", key, owners[0], errShardRemoved)
-	}
-	cur, applied, err := primary.CAS(ctx, key, value, ttl, expect)
+	cur, applied, err := t.clients[owners[0]].CAS(ctx, key, value, ttl, expect)
 	if err != nil {
 		return 0, fmt.Errorf("memkv: cas %q: %w", key, err)
 	}
@@ -66,7 +64,7 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if q > len(owners) {
 		q = len(owners)
 	}
-	if err := sc.replicateVersion(ctx, key, value, ttl, cur, owners[1:], q-1); err != nil {
+	if err := sc.replicateVersion(ctx, t, key, value, ttl, cur, owners[1:], q-1); err != nil {
 		return cur, fmt.Errorf("memkv: cas %q replicate: %w", key, err)
 	}
 	return cur, nil

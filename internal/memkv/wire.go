@@ -131,15 +131,32 @@ type frame struct {
 // slice — the writer-side primitive the mux clients and server batch
 // through one coalesced buffer.
 func appendFrame(dst []byte, f *frame) []byte {
-	var hdr [frameHeaderLen]byte
-	hdr[0] = f.op
-	binary.BigEndian.PutUint64(hdr[1:9], f.tag)
-	binary.BigEndian.PutUint32(hdr[9:13], f.aux)
-	binary.BigEndian.PutUint16(hdr[13:15], uint16(len(f.key)))
-	binary.BigEndian.PutUint32(hdr[15:19], uint32(len(f.val)))
-	dst = append(dst, hdr[:]...)
+	dst = appendFrameHead(dst, f.op, f.tag, f.aux, len(f.key), len(f.val))
 	dst = append(dst, f.key...)
 	return append(dst, f.val...)
+}
+
+// appendFrameHead appends the fixed header of a frame whose key and
+// value the caller appends itself.
+func appendFrameHead(dst []byte, op byte, tag uint64, aux uint32, klen, vlen int) []byte {
+	var hdr [frameHeaderLen]byte
+	hdr[0] = op
+	binary.BigEndian.PutUint64(hdr[1:9], tag)
+	binary.BigEndian.PutUint32(hdr[9:13], aux)
+	binary.BigEndian.PutUint16(hdr[13:15], uint16(klen))
+	binary.BigEndian.PutUint32(hdr[15:19], uint32(vlen))
+	return append(dst, hdr[:]...)
+}
+
+// appendVerFrame appends a whole frame whose value is a versioned
+// payload (see verPayloadHeader), writing the payload's header and data
+// straight into dst: the hot versioned frames — a started put, its
+// reply, a versioned value, a watch event — are never assembled in a
+// payload slice of their own first.
+func appendVerFrame(dst []byte, op byte, tag uint64, aux uint32, key string, version uint64, ttlSecs uint32, data []byte) []byte {
+	dst = appendFrameHead(dst, op, tag, aux, len(key), verPayloadHeader+len(data))
+	dst = append(dst, key...)
+	return appendVerPayload(dst, version, ttlSecs, data)
 }
 
 // readFrame reads and validates one frame from r into f. The key and
@@ -159,20 +176,36 @@ func readFrame(r *bufio.Reader, f *frame) error {
 // returns the length of the value that follows, leaving f.val nil: the
 // caller either reads the value with readFrameValue or, when nobody
 // wants it, Discards vlen bytes.
-//
-// The header and key are decoded in place from the reader's buffered
-// window (Peek/Discard) rather than copied out through io.ReadFull:
-// both fit any bufio.Reader (frameHeaderLen + maxKeyLen < the 4096-byte
-// minimum buffer), and the in-place decode keeps the per-frame cost to
-// the one allocation that must outlive the call — the key string on
-// keyed frames, plus the caller-owned value bytes.
 func readFrameHead(r *bufio.Reader, f *frame) (vlen int, err error) {
+	kb, vlen, err := readFrameHeadRaw(r, f)
+	if err != nil {
+		return 0, err
+	}
+	if len(kb) > 0 {
+		f.key = string(kb)
+		r.Discard(len(kb))
+	}
+	return vlen, nil
+}
+
+// readFrameHeadRaw reads and validates a frame's header into f and
+// returns its key where it lies: kb aliases the reader's buffered
+// window and is still unread — the caller uses it (a map lookup, a
+// string conversion) and then Discards len(kb) bytes, before any other
+// read on r. f.key and f.val are left empty.
+//
+// The header and key are decoded in place (Peek/Discard) rather than
+// copied out through io.ReadFull: both fit any bufio.Reader
+// (frameHeaderLen + maxKeyLen < the 4096-byte minimum buffer), so a
+// frame costs only the allocations that must outlive the call — and a
+// request that only looks its key up costs none.
+func readFrameHeadRaw(r *bufio.Reader, f *frame) (kb []byte, vlen int, err error) {
 	hdr, err := r.Peek(frameHeaderLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, err
+		return nil, 0, err
 	}
 	f.op = hdr[0]
 	f.tag = binary.BigEndian.Uint64(hdr[1:9])
@@ -181,28 +214,26 @@ func readFrameHead(r *bufio.Reader, f *frame) (vlen int, err error) {
 	vlen = int(binary.BigEndian.Uint32(hdr[15:19]))
 	r.Discard(frameHeaderLen)
 	if f.op < 0x80 {
-		return 0, errFrameOp
+		return nil, 0, errFrameOp
 	}
 	if klen > maxKeyLen {
-		return 0, errFrameKeyLen
+		return nil, 0, errFrameKeyLen
 	}
 	if vlen > maxValueLen {
-		return 0, errFrameValueLen
+		return nil, 0, errFrameValueLen
 	}
 	f.key = ""
 	f.val = nil
 	if klen > 0 {
-		kb, err := r.Peek(klen)
+		kb, err = r.Peek(klen)
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return 0, err
+			return nil, 0, err
 		}
-		f.key = string(kb)
-		r.Discard(klen)
 	}
-	return vlen, nil
+	return kb, vlen, nil
 }
 
 // readFrameValue reads the vlen value bytes that follow a frame's head
@@ -239,13 +270,34 @@ const verPayloadHeader = 12
 
 var errVerPayload = errors.New("memkv: short versioned payload")
 
-// appendVerPayload appends the versioned payload encoding to dst.
+// appendVerPayload appends the versioned payload encoding to dst. A nil
+// dst is sized for the whole payload at once.
 func appendVerPayload(dst []byte, version uint64, ttlSecs uint32, data []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, verPayloadHeader+len(data))
+	}
 	var hdr [verPayloadHeader]byte
 	binary.BigEndian.PutUint64(hdr[0:8], version)
 	binary.BigEndian.PutUint32(hdr[8:12], ttlSecs)
 	dst = append(dst, hdr[:]...)
 	return append(dst, data...)
+}
+
+// readVerHeader decodes a versioned payload's fixed header where it
+// lies in the reader's window and consumes it; the payload's data
+// bytes, if any, follow unread.
+func readVerHeader(r *bufio.Reader) (version uint64, ttlSecs uint32, err error) {
+	hdr, err := r.Peek(verPayloadHeader)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, err
+	}
+	version = binary.BigEndian.Uint64(hdr[0:8])
+	ttlSecs = binary.BigEndian.Uint32(hdr[8:12])
+	r.Discard(verPayloadHeader)
+	return version, ttlSecs, nil
 }
 
 // decodeVerPayload splits a versioned payload. data aliases p.

@@ -3,8 +3,13 @@ package memkv
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzFrameRoundTrip drives the v2 frame codec from both ends: a valid
@@ -85,23 +90,117 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 // FuzzFrameDecodeRaw feeds fully arbitrary bytes to readFrame: the
 // decoder must return an error or a frame, never panic, and must
-// reject oversized lengths before allocating for them.
+// reject oversized lengths before allocating for them. The same bytes
+// then go through the two decoders that read a frame where it lies —
+// the server's request reader and the client's started-put reply reader
+// — which must accept, reject and decode exactly what readFrame does.
 func FuzzFrameDecodeRaw(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 'k', 'e', 'y'})
 	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderLen))
 	f.Add([]byte{0x01, 2, 3})
+	stored := appendVerFrame(nil, opStoredV, 5, 1, "", 99, 0, nil)
+	f.Add(stored)                                                                // a put's reply, whole
+	f.Add(stored[:len(stored)-4])                                                // and torn inside its version
+	f.Add(appendFrame(nil, &frame{op: opStoredV, tag: 5, val: []byte("short")})) // a reply too short for a version
+	f.Add(appendErrFrame(nil, 5, "putv requires a key"))
+	f.Add(appendFrame(nil, &frame{op: opPutV, tag: 6, key: "k", val: []byte("eleven byte")})) // vlen < 12
+	f.Add(appendVerFrame(nil, opPutV, 6, 0, "k", 7, 0, nil))                                  // vlen == 12
+	f.Add(appendVerFrame(nil, opPutV, 6, 0, "k", 7, 30, []byte("data")))
+	f.Add(appendVerFrame(nil, opCAS, 6, 30, "k", 7, 0, []byte("data")))
+	f.Add(appendVerFrame(nil, opCAS, 6, 0, "", 0, 0, nil)[:frameHeaderLen+5]) // torn inside the version header
+	// A second frame whose key lies across the reader's 4096-byte refill.
+	pad := appendFrame(nil, &frame{op: opSet, tag: 1, key: "pad", val: make([]byte, 4096-2*frameHeaderLen-3-100)})
+	f.Add(appendFrame(pad, &frame{op: opGet, tag: 2, key: string(bytes.Repeat([]byte{'k'}, 200))}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr frame
 		err := readFrame(bufio.NewReader(bytes.NewReader(data)), &fr)
-		if err != nil {
+		if err == nil {
+			// A successful decode must re-encode to the exact bytes it
+			// consumed: header + key + value.
+			want := frameHeaderLen + len(fr.key) + len(fr.val)
+			if got := len(appendFrame(nil, &fr)); got != want {
+				t.Fatalf("re-encode produced %d bytes, want %d", got, want)
+			}
+		}
+		fuzzRequestDecode(t, data)
+		fuzzPutReplyDecode(t, data)
+	})
+}
+
+// fuzzRequestDecode reads data as the server does — head in place, then
+// the rest — frame after frame, against readFrame over the same bytes.
+// The in-place side is fed a byte at a time, so every Peek refills.
+func fuzzRequestDecode(t *testing.T, data []byte) {
+	ref := bufio.NewReader(bytes.NewReader(data))
+	got := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+	for i := 0; i < 64; i++ {
+		var want frame
+		wantErr := readFrame(ref, &want)
+		var q request
+		kb, vlen, gotErr := readFrameHeadRaw(got, &q.frame)
+		if gotErr == nil {
+			gotErr = readRequestRest(got, &q, kb, vlen)
+		}
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("frame %d: readFrame says %v, the request reader %v", i, wantErr, gotErr)
+		}
+		if wantErr != nil {
 			return
 		}
-		// A successful decode must re-encode to the exact bytes it
-		// consumed: header + key + value.
-		want := frameHeaderLen + len(fr.key) + len(fr.val)
-		if got := len(appendFrame(nil, &fr)); got != want {
-			t.Fatalf("re-encode produced %d bytes, want %d", got, want)
+		if q.op != want.op || q.tag != want.tag || q.aux != want.aux || q.key != want.key {
+			t.Fatalf("frame %d: head %+v, readFrame gives %+v", i, q.frame, want)
 		}
-	})
+		if q.op != opPutV && q.op != opCAS {
+			if !bytes.Equal(q.val, want.val) {
+				t.Fatalf("frame %d: value differs from readFrame's", i)
+			}
+			continue
+		}
+		ver, ttl, body, perr := decodeVerPayload(want.val)
+		if q.short != (perr != nil) {
+			t.Fatalf("frame %d: %d-byte payload marked short=%v, decodeVerPayload says %v", i, len(want.val), q.short, perr)
+		}
+		if !q.short && (q.ver != ver || q.ttl != ttl || !bytes.Equal(q.val, body) || cap(q.val) != len(body)) {
+			t.Fatalf("frame %d: decoded in place (%d, %d, %d bytes cap %d), decodeVerPayload gives (%d, %d, %d bytes)",
+				i, q.ver, q.ttl, len(q.val), cap(q.val), ver, ttl, len(body))
+		}
+	}
+}
+
+// deadConn is a connection that is only ever closed.
+type deadConn struct{ net.Conn }
+
+func (deadConn) Close() error { return nil }
+
+// fuzzPutReplyDecode hands data to the client's reader as the reply to
+// a started put: it must complete the put with exactly what the blocking
+// path's decoder makes of the same frame, or — when the frame is torn —
+// fail the connection and complete the put with that.
+func fuzzPutReplyDecode(t *testing.T, data []byte) {
+	var want frame
+	wantErr := readFrame(bufio.NewReader(bytes.NewReader(data)), &want)
+	if len(data) < frameHeaderLen || data[0] == opEvent || data[0] == opWatchEnd {
+		return // no tag to claim, or a frame for the watch route
+	}
+	cn := &muxConn{c: deadConn{}, waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+	sink := newPutSink(1)
+	cn.waiters[binary.BigEndian.Uint64(data[1:9])] = muxEntry{put: sink, slot: 0}
+	gotErr := cn.readOne(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data))))
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("readFrame says %v, the reply reader %v", wantErr, gotErr)
+	}
+	rs := sink.results(0)
+	if wantErr != nil {
+		// Torn before the tag could be claimed (no completion: fail
+		// finds the entry) or after (one, wrapping ErrMuxConnLost).
+		if len(rs) > 1 || (len(rs) == 1 && !errors.Is(rs[0].Err, ErrMuxConnLost)) {
+			t.Fatalf("torn reply: completions %+v", rs)
+		}
+		return
+	}
+	cur, applied, perr := frameToPutV(&want)
+	if len(rs) != 1 || rs[0].Current != cur || rs[0].Applied != applied || fmt.Sprint(rs[0].Err) != fmt.Sprint(perr) {
+		t.Fatalf("completions %+v, the blocking decoder gives (%d, %v, %v)", rs, cur, applied, perr)
+	}
 }
