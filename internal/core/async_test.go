@@ -26,7 +26,8 @@ import (
 // goroutine of the fake's own under a context that Cancel cancels, and
 // whichever of the copy's end and Cancel claims the ticket first decides
 // whether Complete is called — the contract of a real starter, with the
-// claim made under one lock like the mux's waiter table.
+// claim made under one lock like the mux's waiter table. Like the mux's
+// reader it offers a successful reply to Drop before Completing it.
 type fakeStarter[K, T any] struct {
 	fn      ArgReplica[K, T]
 	decline atomic.Bool
@@ -35,7 +36,9 @@ type fakeStarter[K, T any] struct {
 	next    uint64
 	pending map[uint64]context.CancelFunc
 
-	started, completed, withdrawn atomic.Int64
+	// completed counts copies whose end claimed the ticket; dropped, those
+	// of them the sink took without the value.
+	started, completed, dropped, withdrawn atomic.Int64
 	// blocking counts calls of the member's blocking form (see addAs).
 	blocking atomic.Int64
 }
@@ -58,6 +61,10 @@ func (f *fakeStarter[K, T]) Start(arg K, sink Sink[T], slot int) (Ticket, bool) 
 		v, err := f.fn(ctx, arg)
 		if f.claim(id) {
 			f.completed.Add(1)
+			if err == nil && sink.Drop(slot) {
+				f.dropped.Add(1)
+				return
+			}
 			sink.Complete(slot, v, err)
 		}
 	}()
@@ -549,12 +556,15 @@ func TestAsyncZeroAllocsNoGoroutines(t *testing.T) {
 }
 
 // TestAsyncCancelRacesComplete makes every loser's completion race the
-// winner's Cancel, from many callers at once, each asking for its own
-// value: a frame released twice, or recycled while a completion is
-// still on its way, hands two calls one frame and one of them the
-// other's answer.
+// winner's Cancel and the call's settling, from many callers at once,
+// each asking for its own value: a frame released twice, or recycled
+// while a completion is still on its way, hands two calls one frame and
+// one of them the other's answer. Every loser ends one of three ways —
+// withdrawn, dropped, or decoded and drained — and the per-replica
+// counters say which.
 func TestAsyncCancelRacesComplete(t *testing.T) {
-	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom})
+	c := NewCounters()
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithKeyedObserver[int, int](c))
 	var starters []*fakeStarter[int, int]
 	for _, name := range []string{"a", "b", "c"} {
 		starters = append(starters, addAs(g, "starter", name, func(_ context.Context, arg int) (int, error) {
@@ -579,11 +589,12 @@ func TestAsyncCancelRacesComplete(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var started, completed, withdrawn int64
+	var started, completed, dropped, withdrawn int64
 	for _, st := range starters {
 		eventually(t, "every started copy completed or withdrawn", func() bool { return st.outstanding() == 0 })
 		started += st.started.Load()
 		completed += st.completed.Load()
+		dropped += st.dropped.Load()
 		withdrawn += st.withdrawn.Load()
 	}
 	if started != 2*callers*calls {
@@ -592,5 +603,24 @@ func TestAsyncCancelRacesComplete(t *testing.T) {
 	if completed < callers*calls {
 		t.Errorf("completed %d copies, fewer than one winner per call", completed)
 	}
-	t.Logf("%d copies: %d completed, %d withdrawn", started, completed, withdrawn)
+	if dropped > completed-callers*calls {
+		t.Errorf("dropped %d of %d completed copies: more than the losers, a winner's value was skipped", dropped, completed)
+	}
+	var statDropped, statCancelled int64
+	for _, r := range g.Stats().Replicas {
+		statDropped += r.Dropped
+		statCancelled += r.Cancelled
+	}
+	if statDropped != dropped || statCancelled != withdrawn {
+		t.Errorf("ReplicaStats say %d dropped, %d cancelled; the starters dropped %d and withdrew %d", statDropped, statCancelled, dropped, withdrawn)
+	}
+	// A call counts as cancelled what was out when it returned: the
+	// withdrawn, and the claimed whose completion had yet to land.
+	if got := c.CancelledCopies(); got < withdrawn || got > int64(callers*calls) {
+		t.Errorf("calls reported %d cancelled copies, want between the %d withdrawn and one per call", got, withdrawn)
+	}
+	if dropped == 0 || withdrawn == 0 {
+		t.Errorf("%d dropped, %d withdrawn: the race never went both ways", dropped, withdrawn)
+	}
+	t.Logf("%d copies: %d completed (%d of them dropped), %d withdrawn", started, completed, dropped, withdrawn)
 }

@@ -58,7 +58,11 @@ import (
 //     from whichever goroutine learns of it (the mux connection's
 //     reader); the loop ends a call by Cancelling what is still out. A
 //     copy is then a wire request, not a goroutine: no go statement, no
-//     derived context, no cancellation channel, no per-copy wake-up.
+//     derived context, no cancellation channel, no per-copy wake-up. The
+//     completion that queues the call's deciding success also marks the
+//     frame settled, on that goroutine, so a loser's reply that lands
+//     before the loop has run again to Cancel it is not decoded for
+//     nobody: its Starter asks (Sink.Drop) and skips it.
 //   - A function replica (Add) blocks, so its copy needs a goroutine and
 //     a context the winner can cancel: the call makes its cancellation
 //     channel and one shared derived context the first time it launches
@@ -238,6 +242,13 @@ type callFrame[K, T any] struct {
 	// delivers, or its started request completes or is withdrawn), and
 	// every armed wheel hedge. The frame recycles only when it hits zero.
 	refs atomic.Int32
+	// won counts the successes copies have queued on results. Once it
+	// reaches the quorum of a call that returns there — not waitAll, no
+	// outcomes to collect — the call is settled (see settled); a copy
+	// reads it on its own goroutine, before dropping its reference. It
+	// returns to zero only when the frame recycles, so a straggler never
+	// reads a later call's count.
+	won atomic.Int32
 	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
 	// a generic function's value builds a closure over its dictionary, an
 	// allocation per hedge arm if done at the arm site.
@@ -359,8 +370,29 @@ func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 	} else {
 		v, _, err = fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
 	}
+	fr.deliver(i, v, err)
+}
+
+// deliver queues copy i's completion for the event loop, counts a
+// success toward settling the call — after queueing it, so that whoever
+// sees the call settled queues behind the deciding success — and drops
+// the copy's frame reference.
+func (fr *callFrame[K, T]) deliver(i int, v T, err error) {
 	fr.results <- indexed[T]{val: v, err: err, idx: i}
+	if err == nil {
+		fr.won.Add(1)
+	}
 	fr.release(1)
+}
+
+// settled reports that the call's outcome can no longer change: the
+// successes it returns at are queued, and it keeps nothing of the copies
+// that complete after them. A copy that has not delivered yet may then
+// complete without its value (Drop). A waitAll call runs every copy out
+// and reports each, and a call collecting outcomes asked to see what its
+// copies return: neither ever settles.
+func (fr *callFrame[K, T]) settled() bool {
+	return !fr.waitAll && fr.collect == nil && int(fr.won.Load()) >= max(fr.quorum, 1)
 }
 
 // frameHedgeFired is the shared-wheel callback for a pending hedge
@@ -412,6 +444,7 @@ drain:
 	clear(fr.slots) // tickets pin their connections
 	fr.slots = fr.slots[:0]
 	fr.outs = nil
+	fr.won.Store(0)
 	fr.pickedBuf = [frameInline]Handle[K, T]{}
 	fr.errsBuf = [frameInline]error{}
 	fr.outsBuf = [frameInline]Outcome[T]{}
@@ -422,7 +455,9 @@ drain:
 // but not yet received, returning the updated completion count. Copies
 // that delivered before the call completed are not "cancelled" — no
 // capacity was reclaimed from them — so the engine drains before
-// computing the Cancelled metric. Hedge-deadline events are skipped.
+// computing the Cancelled metric; a dropped copy's event (Drop) is one
+// of these, and this is the only place it is ever read. Hedge-deadline
+// events are skipped.
 func (fr *callFrame[K, T]) drainCompleted(completed int) int {
 	for {
 		select {

@@ -108,6 +108,11 @@ type member[K, T any] struct {
 	// withdrew from the starter — copies the engine or the caller
 	// reclaimed, kept separate from real failures.
 	cancelled atomic.Int64
+	// dropped counts this replica's started copies that succeeded after
+	// their call was settled and completed without their value being
+	// decoded (Sink.Drop): losers that answered, as cancelled counts
+	// losers that were withdrawn before they could.
+	dropped atomic.Int64
 }
 
 // run performs one copy against the replica and returns how long it
@@ -352,6 +357,12 @@ type ReplicaStats struct {
 	// Cancelled counts this replica's copies cancelled in flight (losing
 	// copies that honored their derived context), separate from failures.
 	Cancelled int64
+	// Dropped counts this replica's successful replies that arrived after
+	// their call was already decided and were discarded undecoded by the
+	// replica's Starter (see Sink.Drop). Cancelled + Dropped is the losers
+	// that cost the client nothing; a loser in neither was decoded and
+	// thrown away.
+	Dropped int64
 	// P50, P95, P99 are latency-quantile estimates from the replica's
 	// digest (zero if unobserved).
 	P50, P95, P99 time.Duration
@@ -388,6 +399,7 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 			Observed:         ok,
 			Observations:     m.lat.Count(),
 			Cancelled:        m.cancelled.Load(),
+			Dropped:          m.dropped.Load(),
 			P50:              qs[0],
 			P95:              qs[1],
 			P99:              qs[2],

@@ -29,6 +29,12 @@ import "time"
 //     means the completion was already claimed and is, or will be,
 //     delivered. Cancel does not block, and a ticket stays safe to
 //     Cancel after its copy completed (it reports false).
+//   - A Starter that holds a successful reply it has not decoded yet may
+//     offer to skip it: sink.Drop(slot) true is that copy's one
+//     completion — the call was already decided and had no use for the
+//     value, so the Starter discards the reply where it lies — and false
+//     has done nothing, Complete is still owed. Only a success may be
+//     dropped; a failure, a miss, a timeout are always Completed.
 //
 // The copy runs under no context: the engine watches the caller's
 // context itself and Cancels on its behalf, and a Starter bounds its own
@@ -38,10 +44,22 @@ type Starter[K, T any] interface {
 	Cancel(ticket Ticket) bool
 }
 
-// Sink receives the completion of a started copy. The engine's call
-// frame is the only implementation outside tests.
+// Sink receives the completion of a started copy, one way or the other
+// exactly once. The engine's call frame is the only implementation
+// outside tests.
 type Sink[T any] interface {
+	// Complete delivers the copy's outcome.
 	Complete(slot int, v T, err error)
+	// Drop completes a copy that succeeded without delivering its value,
+	// if the call is settled — its outcome can no longer change, so the
+	// value would be thrown away — and reports whether it did. The race it
+	// closes is the one Cancel loses: between the winner's completion and
+	// the caller's goroutine running again to withdraw the losers, a
+	// loser's reply can be claimed by its Starter; asking here, where the
+	// reply lands, decides it without waiting for that goroutine. A
+	// dropped copy answered: its latency is observed (as of now) and it is
+	// counted as dropped on its replica, not as cancelled or failed.
+	Drop(slot int) bool
 }
 
 // Ticket names one started copy to the Starter that issued it; the
@@ -106,8 +124,25 @@ func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 	if err == nil {
 		fr.picked[slot].m.lat.observe(float64(time.Since(fr.slots[slot].at)))
 	}
-	fr.results <- indexed[T]{val: v, err: err, idx: slot}
-	fr.release(1)
+	fr.deliver(slot, v, err)
+}
+
+// Drop implements Sink: once the call is settled, a started copy that
+// succeeded completes as Complete would have it — bracket closed,
+// latency observed, one event for the loop's accounting, reference
+// dropped — carrying no value. The event is queued behind the success
+// that settled the call, which is where the loop returns, so nothing
+// ever reads it as an outcome: drainCompleted counts it (the copy was
+// not reclaimed in flight, so it is not Cancelled) or release discards
+// it.
+func (fr *callFrame[K, T]) Drop(slot int) bool {
+	if !fr.settled() {
+		return false
+	}
+	fr.picked[slot].m.dropped.Add(1)
+	var zero T
+	fr.Complete(slot, zero, nil)
+	return true
 }
 
 // copyDelivered notes that the loop consumed copy i's completion, so

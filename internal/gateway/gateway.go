@@ -328,9 +328,20 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxValue))
 	}
 	body := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(r.Body, body)
-	return body, err
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	// Read to its declared end, and said so: net/http drains a body its
+	// handler left open before it replies (an io.LimitedReader per
+	// request, to learn there is nothing left) and skips one that was
+	// closed at EOF. The connection stays reusable either way.
+	_ = r.Body.Close()
+	return body, nil
 }
+
+// versionBufs holds writeVersion's scratch: a local array would escape
+// through the ResponseWriter interface and be allocated per reply.
+var versionBufs = sync.Pool{New: func() any { return new([40]byte) }}
 
 // writeVersion writes a successful PUT's reply, {"version":N} and a
 // newline — the bytes json.Encoder produces for that object, appended
@@ -338,10 +349,11 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 func writeVersion(w http.ResponseWriter, version uint64) {
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(http.StatusOK)
-	var buf [40]byte // the 12 fixed bytes and up to 20 digits
+	buf := versionBufs.Get().(*[40]byte) // the 12 fixed bytes and up to 20 digits
 	b := append(buf[:0], `{"version":`...)
 	b = strconv.AppendUint(b, version, 10)
 	_, _ = w.Write(append(b, '}', '\n'))
+	versionBufs.Put(buf)
 }
 
 // scanEntryJSON is one /scan result row; Value is base64 per Go's
@@ -456,6 +468,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Failures    int64            `json:"failures"`
 		CopiesPerOp float64          `json:"copies_per_op"`
 		Cancelled   int64            `json:"cancelled_copies"`
+		Dropped     int64            `json:"dropped_copies"`
 		Latency     *latencyJSON     `json:"latency,omitempty"`
 		Wins        map[string]int64 `json:"wins,omitempty"`
 		Labels      []labelJSON      `json:"labels,omitempty"`
@@ -464,6 +477,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:      g.client.ShardAddrs(),
 		Replication: g.client.Replication(),
 		WriteQuorum: g.client.WriteQuorum(),
+	}
+	// Beside the losers withdrawn before they answered, the ones whose
+	// answer arrived after the read was decided and was skipped undecoded.
+	for _, m := range g.client.RingStats().Members {
+		out.Dropped += m.Dropped
 	}
 	if g.ctr != nil {
 		out.Ops = g.ctr.Ops()

@@ -44,14 +44,23 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //   - Cancellation is free: a cancelled request unregisters its tag and
 //     moves on — the connection survives, and when the response arrives
 //     the reader, finding nobody registered for its tag, skips the value
-//     bytes without decoding or allocating them. The redundancy engine
-//     cancelling a losing copy therefore costs neither a reconnect nor a
-//     discarded value. The request itself is not recalled: once written
-//     it is served and answered.
+//     bytes without decoding or allocating them. The request itself is
+//     not recalled: once written it is served and answered.
 //   - Reads need no goroutine: Start enqueues a get and returns, and the
 //     reader hands the reply straight to the caller's sink (MuxClient is
 //     a core.Starter). ShardedClient launches the copies of a redundant
 //     read this way; Get stays the blocking form of the same request.
+//   - The loser of a redundant read costs neither a reconnect nor a
+//     discarded value, whichever side of its reply the call is decided
+//     on. Cancelled before the reply arrives, its tag is gone and the
+//     reply is skipped as above. Decided before the reply is decoded —
+//     the winner's reader settled the call, the caller's goroutine has
+//     not run yet to cancel — the reader claims the tag, asks the sink
+//     (core.Sink.Drop), and skips the value the same way, completing the
+//     copy without it. What is left is two replies being completed in
+//     the same instant by two readers, neither seeing the other's: then
+//     the loser's value is decoded and thrown away, as every such loser
+//     once was.
 //   - Neither do versioned writes: StartPutV is to PutV what Start is to
 //     Get. It encodes the put straight into the pending buffer — no
 //     payload slice, no waiter — and the reader decodes the fixed-size
@@ -158,7 +167,7 @@ type muxConn struct {
 type muxEntry struct {
 	w    *muxWaiter
 	sink core.Sink[[]byte]
-	put  core.Sink[PutVResult]
+	put  PutVSink
 	slot int
 	tm   core.WheelTimer
 }
@@ -447,9 +456,10 @@ func (cn *muxConn) reader() {
 // stream. The header is read first and the tag claimed before the
 // value: a frame nobody is registered for was cancelled or timed out
 // after the request went out, and its value is skipped in the buffer
-// rather than allocated and copied — the connection lives on and the
-// loser of a redundant read costs the client nothing. A non-nil error
-// is fatal to the connection.
+// rather than allocated and copied — the connection lives on. So is a
+// hit for a started read whose call is already settled, which the sink
+// completes without the value (core.Sink.Drop). A non-nil error is fatal
+// to the connection.
 func (cn *muxConn) readOne(r *bufio.Reader) error {
 	var f frame
 	vlen, err := readFrameHead(r, &f)
@@ -485,6 +495,14 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 			res.Err = cn.lostErr()
 		}
 		e.put.Complete(e.slot, res, res.Err)
+		return err
+	}
+	if e.sink != nil && f.op == opValue && e.sink.Drop(e.slot) {
+		// A hit for a read that was decided while this copy was on the
+		// wire: the sink took the completion without the value, which is
+		// skipped where it lies like an unclaimed frame's.
+		e.tm.Stop()
+		_, err := r.Discard(vlen)
 		return err
 	}
 	err = readFrameValue(r, &f, vlen)
@@ -711,7 +729,7 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // context: it is bounded by the client's timeout, and by
 // versionedStragglerTimeout when that is longer or unset. value is not
 // retained.
-func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink core.Sink[PutVResult], slot int) bool {
+func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink PutVSink, slot int) bool {
 	cn, tag, ok := m.startLocked(key, muxEntry{put: sink, slot: slot}, m.putTimeout())
 	if !ok {
 		return false
@@ -1000,6 +1018,13 @@ type PutVResult struct {
 	Current uint64
 	Applied bool
 	Err     error
+}
+
+// PutVSink receives the completion of a put started with StartPutV:
+// Complete, exactly once. It is core.Sink without Drop — every copy of a
+// write is wanted, so a put's reply is never skipped.
+type PutVSink interface {
+	Complete(slot int, r PutVResult, err error)
 }
 
 // PutVBatch issues many versioned puts in one coalesced round — the

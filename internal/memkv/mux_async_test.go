@@ -70,16 +70,19 @@ func pendingTags(m *MuxClient) int {
 	return n
 }
 
-// readSink is a core.Sink that keeps every completion by slot.
+// readSink is a core.Sink that keeps every completion by slot. It takes
+// a reply as dropped once a test has declared its call settled.
 type readSink struct {
-	mu   sync.Mutex
-	got  map[int][]sinkResult
-	each chan struct{} // one token per completion
+	settled atomic.Bool
+	mu      sync.Mutex
+	got     map[int][]sinkResult
+	each    chan struct{} // one token per completion
 }
 
 type sinkResult struct {
-	val []byte
-	err error
+	val     []byte
+	err     error
+	dropped bool
 }
 
 func newReadSink(buffer int) *readSink {
@@ -87,8 +90,20 @@ func newReadSink(buffer int) *readSink {
 }
 
 func (s *readSink) Complete(slot int, v []byte, err error) {
+	s.record(slot, sinkResult{val: v, err: err})
+}
+
+func (s *readSink) Drop(slot int) bool {
+	if !s.settled.Load() {
+		return false
+	}
+	s.record(slot, sinkResult{dropped: true})
+	return true
+}
+
+func (s *readSink) record(slot int, r sinkResult) {
 	s.mu.Lock()
-	s.got[slot] = append(s.got[slot], sinkResult{v, err})
+	s.got[slot] = append(s.got[slot], r)
 	s.mu.Unlock()
 	s.each <- struct{}{}
 }

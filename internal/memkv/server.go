@@ -68,6 +68,11 @@ type shard struct {
 }
 
 type item struct {
+	// key is the map key this item is stored under, kept where a lookup
+	// by bytes can reach it: the server rewrites a present key under the
+	// string the store already holds instead of making another
+	// (keyString).
+	key       string
 	flags     uint32
 	version   uint64
 	data      []byte
@@ -162,6 +167,18 @@ func load[K string | []byte](s *Store, key K) (item, bool) {
 	return it, ok
 }
 
+// keyString returns key as a string for a write to keep: the one the
+// store already holds when the key is present (expired or not), so
+// that overwriting a key allocates its value only, and a new string
+// otherwise. The key may be gone again by the time the write lands;
+// the string is good either way.
+func (s *Store) keyString(key []byte) string {
+	if it, ok := load(s, key); ok {
+		return it.key
+	}
+	return string(key)
+}
+
 // tick returns a fresh version: strictly greater than every version the
 // store has witnessed, and at least the current wall clock in
 // nanoseconds.
@@ -210,7 +227,7 @@ func (s *Store) SetTTL(key string, flags uint32, value []byte, ttl time.Duration
 	if old, ok := sh.m[key]; ok {
 		old.exp.Stop()
 	}
-	it := item{flags: flags, version: ver, data: append([]byte(nil), value...), expiresAt: exp}
+	it := item{key: key, flags: flags, version: ver, data: append([]byte(nil), value...), expiresAt: exp}
 	if ttl > 0 {
 		it.exp = s.armExpiry(key, ver, ttl)
 	}
@@ -264,7 +281,7 @@ func (s *Store) putVersion(key string, flags uint32, value []byte, ttl time.Dura
 	if !owned {
 		value = append([]byte(nil), value...)
 	}
-	it := item{flags: flags, version: version, data: value, expiresAt: exp}
+	it := item{key: key, flags: flags, version: version, data: value, expiresAt: exp}
 	if ttl > 0 {
 		it.exp = s.armExpiry(key, version, ttl)
 	}
@@ -311,7 +328,7 @@ func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.
 	if !owned {
 		value = append([]byte(nil), value...)
 	}
-	it := item{flags: flags, version: ver, data: value, expiresAt: exp}
+	it := item{key: key, flags: flags, version: ver, data: value, expiresAt: exp}
 	if ttl > 0 {
 		it.exp = s.armExpiry(key, ver, ttl)
 	}

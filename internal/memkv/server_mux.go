@@ -73,7 +73,8 @@ type request struct {
 // A request that only looks its key up (get, versioned get, delete) is
 // executed on the key bytes in the reader's window, before they are
 // consumed. Everything else — a write, a watch, a scan, and any request
-// the Delay hook parks past this iteration — gets a key string.
+// the Delay hook parks past this iteration — gets a key string; a write
+// to a key the store holds borrows the store's.
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	m := &muxSession{
 		s:      s,
@@ -97,7 +98,7 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 			r.Discard(len(kb))
 			continue
 		}
-		if err := readRequestRest(r, &q, kb, vlen); err != nil {
+		if err := readRequestRest(r, &q, kb, vlen, s.store); err != nil {
 			break
 		}
 		if d > 0 {
@@ -119,12 +120,17 @@ func isLookup(op byte) bool { return op == opGet || op == opGetV || op == opDele
 
 // readRequestRest finishes reading a request whose head readFrameHeadRaw
 // left in q, for the requests that outlive the reader's window: it makes
-// the key bytes kb a string, consumes them, and reads the vlen value
-// bytes that follow. A versioned write's payload header is decoded in
-// place and only its data allocated; every other value is read whole
-// into q.val.
-func readRequestRest(r *bufio.Reader, q *request, kb []byte, vlen int) error {
-	q.key = string(kb)
+// the key bytes kb a string — for a write, the string st already holds
+// if the key is there — consumes them, and reads the vlen value bytes
+// that follow. A versioned write's payload header is decoded in place
+// and only its data allocated; every other value is read whole into
+// q.val.
+func readRequestRest(r *bufio.Reader, q *request, kb []byte, vlen int, st *Store) error {
+	if q.op == opPutV || q.op == opCAS || q.op == opSet {
+		q.key = st.keyString(kb)
+	} else {
+		q.key = string(kb)
+	}
 	r.Discard(len(kb))
 	if q.op == opPutV || q.op == opCAS {
 		if q.short = vlen < verPayloadHeader; !q.short {

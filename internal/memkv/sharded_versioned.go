@@ -170,7 +170,7 @@ func (sc *ShardedClient) putVersion(ctx context.Context, key string, value []byt
 
 // writeFrame is one versioned write in flight: what is being written,
 // to whom, and how many copies have acked or failed. It is the sink of
-// every copy (core.Sink[PutVResult]): a started copy completes into it
+// every copy (PutVSink): a started copy completes into it
 // from its connection's reader, the timer wheel or whoever failed the
 // connection; a copy launched the blocking way completes into it from
 // its goroutine. Complete is therefore the one place that counts acks,
@@ -211,7 +211,7 @@ var writeFramePool = sync.Pool{
 	New: func() any { return &writeFrame{decided: make(chan struct{}, 1)} },
 }
 
-// Complete implements core.Sink: slot's copy has finished, with err if
+// Complete implements PutVSink: slot's copy has finished, with err if
 // it did not land. Called exactly once per copy, from any goroutine.
 func (w *writeFrame) Complete(slot int, _ PutVResult, err error) {
 	if w.refs.Load() <= 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"redundancy/internal/ring"
 )
@@ -54,6 +55,54 @@ func TestStorePutVersionLWW(t *testing.T) {
 // The witness rule: after applying a replicated write at version V, a
 // local write must mint a version strictly greater than V, even if V is
 // far ahead of this store's clock.
+// TestStoreKeyStringLendsThePresentKey: a write to a key the store holds
+// is handed the store's own string for it — after whichever write path
+// stored it last — and a key it does not hold gets a string of its own;
+// neither aliases the bytes it was looked up by.
+func TestStoreKeyStringLendsThePresentKey(t *testing.T) {
+	s := NewStore()
+	const key = "key-000042"
+	writes := []struct {
+		name  string
+		write func()
+	}{
+		{"SetTTL", func() { s.SetTTL(key, 0, []byte("a"), time.Minute) }},
+		{"PutVersion", func() { s.PutVersion(key, 0, []byte("b"), 0, ^uint64(0)>>1) }},
+		{"CompareAndSwap", func() {
+			_, _, ver, _, _ := s.GetVersion(key)
+			if _, ok := s.CompareAndSwap(key, 0, []byte("c"), 0, ver); !ok {
+				t.Fatal("CAS at the current version did not apply")
+			}
+		}},
+	}
+	for _, w := range writes {
+		w.write()
+		kb := []byte(key)
+		got := s.keyString(kb)
+		held, _ := load(s, kb)
+		if got != key || unsafe.StringData(got) != unsafe.StringData(held.key) {
+			t.Fatalf("after %s: keyString = %q, want the stored item's own %q", w.name, got, held.key)
+		}
+		kb[0] = 'X' // the reader's window moves on
+		if got != key {
+			t.Fatalf("after %s: the lent key aliases the lookup bytes", w.name)
+		}
+	}
+	kb := []byte("absent")
+	got := s.keyString(kb)
+	kb[0] = 'X'
+	if got != "absent" {
+		t.Errorf("keyString of an absent key = %q, want a string of its own", got)
+	}
+	// A key deleted after it was lent is written back under the lent string.
+	lent := s.keyString([]byte(key))
+	s.Delete(key)
+	s.putVersion(lent, 0, []byte("d"), 0, ^uint64(0), true)
+	if v, _, ok := s.Get(key); !ok || string(v) != "d" {
+		t.Errorf("re-put under a lent key after a delete: (%q, %v)", v, ok)
+	}
+}
+
 func TestStoreWitnessAdvancesClock(t *testing.T) {
 	s := NewStore()
 	future := uint64(time.Now().Add(time.Hour).UnixNano())

@@ -91,9 +91,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // FuzzFrameDecodeRaw feeds fully arbitrary bytes to readFrame: the
 // decoder must return an error or a frame, never panic, and must
 // reject oversized lengths before allocating for them. The same bytes
-// then go through the two decoders that read a frame where it lies —
-// the server's request reader and the client's started-put reply reader
-// — which must accept, reject and decode exactly what readFrame does.
+// then go through the decoders that read a frame where it lies — the
+// server's request reader, the client's started-put reply reader and its
+// reader skipping a hit for a settled read — which must accept, reject
+// and decode exactly what readFrame does.
 func FuzzFrameDecodeRaw(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 'k', 'e', 'y'})
@@ -112,6 +113,11 @@ func FuzzFrameDecodeRaw(f *testing.F) {
 	// A second frame whose key lies across the reader's 4096-byte refill.
 	pad := appendFrame(nil, &frame{op: opSet, tag: 1, key: "pad", val: make([]byte, 4096-2*frameHeaderLen-3-100)})
 	f.Add(appendFrame(pad, &frame{op: opGet, tag: 2, key: string(bytes.Repeat([]byte{'k'}, 200))}))
+	hit := appendFrame(nil, &frame{op: opValue, tag: 5, val: []byte("a loser's value")})
+	f.Add(hit)                                           // a hit a settled read drops, whole
+	f.Add(hit[:len(hit)-4])                              // and torn inside the value being skipped
+	f.Add(appendFrame(nil, &frame{op: opValue, tag: 5})) // with nothing to skip
+	f.Add(appendFrame(hit, &frame{op: opNotFound, tag: 5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr frame
 		err := readFrame(bufio.NewReader(bytes.NewReader(data)), &fr)
@@ -125,6 +131,7 @@ func FuzzFrameDecodeRaw(f *testing.F) {
 		}
 		fuzzRequestDecode(t, data)
 		fuzzPutReplyDecode(t, data)
+		fuzzDroppedReplyDecode(t, data)
 	})
 }
 
@@ -134,13 +141,15 @@ func FuzzFrameDecodeRaw(f *testing.F) {
 func fuzzRequestDecode(t *testing.T, data []byte) {
 	ref := bufio.NewReader(bytes.NewReader(data))
 	got := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+	st := NewStore()
+	st.Set("k", 0, nil) // a write to "k" borrows this key string
 	for i := 0; i < 64; i++ {
 		var want frame
 		wantErr := readFrame(ref, &want)
 		var q request
 		kb, vlen, gotErr := readFrameHeadRaw(got, &q.frame)
 		if gotErr == nil {
-			gotErr = readRequestRest(got, &q, kb, vlen)
+			gotErr = readRequestRest(got, &q, kb, vlen, st)
 		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("frame %d: readFrame says %v, the request reader %v", i, wantErr, gotErr)
@@ -183,7 +192,7 @@ func fuzzPutReplyDecode(t *testing.T, data []byte) {
 	if len(data) < frameHeaderLen || data[0] == opEvent || data[0] == opWatchEnd {
 		return // no tag to claim, or a frame for the watch route
 	}
-	cn := &muxConn{c: deadConn{}, waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+	cn := bareConn()
 	sink := newPutSink(1)
 	cn.waiters[binary.BigEndian.Uint64(data[1:9])] = muxEntry{put: sink, slot: 0}
 	gotErr := cn.readOne(bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data))))
@@ -202,5 +211,55 @@ func fuzzPutReplyDecode(t *testing.T, data []byte) {
 	cur, applied, perr := frameToPutV(&want)
 	if len(rs) != 1 || rs[0].Current != cur || rs[0].Applied != applied || fmt.Sprint(rs[0].Err) != fmt.Sprint(perr) {
 		t.Fatalf("completions %+v, the blocking decoder gives (%d, %v, %v)", rs, cur, applied, perr)
+	}
+}
+
+// fuzzDroppedReplyDecode hands data to the client's reader as the reply
+// to a started read whose call is already settled: a hit must be skipped
+// whole — the reader left exactly where readFrame leaves it — and
+// complete the read once, as dropped; anything else completes it with
+// what the blocking path's decoder makes of the frame.
+func fuzzDroppedReplyDecode(t *testing.T, data []byte) {
+	ref := bufio.NewReader(bytes.NewReader(data))
+	var want frame
+	wantErr := readFrame(ref, &want)
+	if len(data) < frameHeaderLen || data[0] == opEvent || data[0] == opWatchEnd {
+		return
+	}
+	sink := newReadSink(1)
+	sink.settled.Store(true)
+	cn := bareConn()
+	cn.waiters[binary.BigEndian.Uint64(data[1:9])] = muxEntry{sink: sink, slot: 0}
+	got := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+	gotErr := cn.readOne(got)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("readFrame says %v, the reply reader %v", wantErr, gotErr)
+	}
+	rs := sink.results(0)
+	if wantErr != nil {
+		// Torn before the tag could be claimed (no completion), inside a
+		// skipped value (dropped already) or a decoded one (conn lost).
+		if len(rs) > 1 || (len(rs) == 1 && !rs[0].dropped && !errors.Is(rs[0].err, ErrMuxConnLost)) {
+			t.Fatalf("torn reply: completions %+v", rs)
+		}
+		return
+	}
+	rest, _ := io.ReadAll(ref)
+	gotRest, _ := io.ReadAll(got)
+	if !bytes.Equal(rest, gotRest) {
+		t.Fatalf("the reply reader left %d bytes unread, readFrame %d", len(gotRest), len(rest))
+	}
+	if len(rs) != 1 {
+		t.Fatalf("completions %+v, want exactly one", rs)
+	}
+	if want.op == opValue {
+		if !rs[0].dropped || rs[0].val != nil || rs[0].err != nil {
+			t.Fatalf("a hit for a settled read completed %+v, want dropped", rs[0])
+		}
+		return
+	}
+	val, gerr := frameToGet(&want)
+	if rs[0].dropped || !bytes.Equal(rs[0].val, val) || fmt.Sprint(rs[0].err) != fmt.Sprint(gerr) {
+		t.Fatalf("completion %+v, the blocking decoder gives (%q, %v)", rs[0], val, gerr)
 	}
 }
