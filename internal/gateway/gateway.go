@@ -274,6 +274,11 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) 
 	w.Header()["Content-Type"] = contentTypeBytes
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(val)
+	if !quorumRead {
+		// Written out and finished with: the next read lands in these
+		// bytes. (A quorum read's value is not from the pool.)
+		memkv.Release(val)
+	}
 }
 
 func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) {
@@ -312,6 +317,9 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 	} else {
 		version, err = g.client.PutVersioned(r.Context(), key, body, ttl)
 	}
+	// Either write borrows the body only until it returns, whatever it
+	// returns: the next PUT is read into the same bytes.
+	memkv.Release(body)
 	if err != nil {
 		writeStoreErr(w, err)
 		return
@@ -319,16 +327,22 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 	writeVersion(w, version)
 }
 
-// readBody reads a PUT's value. A declared length within the limit is
-// read into one slice of exactly that size; a chunked or oversize body
-// goes through MaxBytesReader and ReadAll, which grows as it reads and
-// is what rejects a body over the limit.
+// readBody reads a PUT's value, which handlePut releases once it is
+// written. A declared length over the limit is refused on the header's
+// word, with nothing read; one within it is read into a slice of exactly
+// that size from the pool reads land in (memkv.Take); a chunked body goes
+// through MaxBytesReader and ReadAll, which grows as it reads and is what
+// rejects one over the limit.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if r.ContentLength < 0 || r.ContentLength > g.maxValue {
+	if r.ContentLength > g.maxValue {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, g.maxValue)
+	}
+	if r.ContentLength < 0 {
 		return io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxValue))
 	}
-	body := make([]byte, r.ContentLength)
+	body := memkv.Take(int(r.ContentLength))
 	if _, err := io.ReadFull(r.Body, body); err != nil {
+		memkv.Release(body)
 		return nil, err
 	}
 	// Read to its declared end, and said so: net/http drains a body its

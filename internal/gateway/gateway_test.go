@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"net/http/httptrace"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -625,18 +628,23 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 
-// TestGetAllocationBudget: a GET through ServeHTTP allocates what the
-// ShardedClient.Get under it allocates and nothing more — no routing
-// tree walk, no header canonicalisation, no per-reply header slice.
-// (Both sides count every goroutine of the process, the shard servers'
-// included; a single-copy read keeps that count exact.)
+// TestGetAllocationBudget: a GET of a 1 KiB value through ServeHTTP
+// allocates one time less than the ShardedClient.Get under it. The
+// gateway adds nothing of its own — no routing tree walk, no header
+// canonicalisation, no per-reply header slice — and is cheaper than the
+// bare call because it does what that caller does not: having written the
+// value out it gives the buffer back (memkv.Release), so its next read
+// lands in the same bytes, while the bare Get keeps every value it reads
+// and pays for each. (Both sides count every goroutine of the process,
+// the shard servers' included; a single-copy read keeps that count
+// exact.)
 func TestGetAllocationBudget(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	f := newFixture(t, 2)
 	f.sc.SetReadStrategy(core.Fixed{Copies: 1})
-	f.do(t, "PUT", "/kv/k", "v", nil)
+	f.do(t, "PUT", "/kv/k", strings.Repeat("v", 1024), nil)
 	gw := New(Config{Client: f.sc})
 	req := httptest.NewRequest("GET", "/kv/k", nil)
 	w := &nullWriter{h: make(http.Header)}
@@ -656,10 +664,16 @@ func TestGetAllocationBudget(t *testing.T) {
 		serve()
 		get()
 	}
+	// Two collections empty every sync.Pool: a buffer an earlier test gave
+	// back would let the bare Get read into it and count as cheaper than
+	// it is.
+	runtime.GC()
+	runtime.GC()
 	below := testing.AllocsPerRun(2000, get)
 	through := testing.AllocsPerRun(2000, serve)
-	if through > below {
-		t.Errorf("GET through the gateway allocates %.0f, the read under it %.0f: the gateway adds %.0f, want 0", through, below, through-below)
+	t.Logf("GET through the gateway %.2f, the read under it %.2f", through, below)
+	if through > below-1 {
+		t.Errorf("GET through the gateway allocates %.0f, the read under it %.0f: want one less, the value it gives back", through, below)
 	}
 }
 
@@ -739,6 +753,22 @@ func TestPutBodyLengths(t *testing.T) {
 			}
 		})
 	}
+	// A length the header puts over the limit is refused on the header's
+	// word: none of the body is read.
+	t.Run("declared-over-limit-unread", func(t *testing.T) {
+		body := &countingBody{}
+		req := httptest.NewRequest("PUT", "/kv/unread", nil)
+		req.ContentLength = limit + 1
+		req.Body = body
+		rec := httptest.NewRecorder()
+		New(Config{Client: f.sc, MaxValueBytes: limit}).ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || errOf(t, rec.Body.Bytes()) != "bad_request" {
+			t.Errorf("status %d body %s, want 400 bad_request", rec.Code, rec.Body)
+		}
+		if body.reads != 0 {
+			t.Errorf("the handler read the body %d times to learn what Content-Length said", body.reads)
+		}
+	})
 	t.Run("declared-short", func(t *testing.T) {
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {
@@ -761,15 +791,24 @@ func TestPutBodyLengths(t *testing.T) {
 	})
 }
 
+// countingBody is an endless request body that counts the reads made of
+// it.
+type countingBody struct{ reads int }
+
+func (b *countingBody) Read(p []byte) (int, error) { b.reads++; return len(p), nil }
+func (*countingBody) Close() error                 { return nil }
+
 // rewindBody is a request body a test can serve again and again.
 type rewindBody struct{ bytes.Reader }
 
 func (*rewindBody) Close() error { return nil }
 
-// TestPutAllocationBudget: a PUT through ServeHTTP allocates what the
-// PutVersioned under it allocates plus the body it read — one slice; the
-// reply is rendered in pooled scratch. (Measured: 1 over the write under
-// it; the handler's ReadAll, url.Query and json.Encoder made that 12.)
+// TestPutAllocationBudget: a PUT of a 1 KiB value through ServeHTTP
+// allocates what the PutVersioned under it allocates and nothing more.
+// The body is read into a buffer the previous PUT gave back — the write
+// borrows it only until it returns — and the reply is rendered in pooled
+// scratch. (Measured: equal; 1 over when every body was a fresh slice,
+// 12 over with the handler's ReadAll, url.Query and json.Encoder.)
 func TestPutAllocationBudget(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -802,8 +841,8 @@ func TestPutAllocationBudget(t *testing.T) {
 	below := testing.AllocsPerRun(2000, put)
 	through := testing.AllocsPerRun(2000, serve)
 	t.Logf("PUT through the gateway %.2f, the write under it %.2f", through, below)
-	if through > below+1 {
-		t.Errorf("PUT through the gateway allocates %.0f, the write under it %.0f: the gateway adds %.0f, want at most 1", through, below, through-below)
+	if through > below {
+		t.Errorf("PUT through the gateway allocates %.0f, the write under it %.0f: the gateway adds %.0f, want 0", through, below, through-below)
 	}
 }
 
@@ -855,5 +894,79 @@ func TestPutKeepsConnectionAlive(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Errorf("the server accepted %d connections for three requests, want 1", n)
+	}
+}
+
+// stressValue is a value that proves itself: its key, a sequence number,
+// padding to n bytes, and a CRC of all that.
+func stressValue(key string, seq, n int) []byte {
+	b := make([]byte, n)
+	copy(b, fmt.Sprintf("%s#%d|", key, seq))
+	binary.BigEndian.PutUint32(b[n-4:], crc32.ChecksumIEEE(b[:n-4]))
+	return b
+}
+
+// TestPutGetSharedBuffersStress: the gateway reads every PUT body into a
+// buffer some earlier request gave back and gives every GET's value back
+// once written, so all sixteen clients here are passing the same few
+// buffers around. Each writes a fresh self-checking value under its own
+// key and reads it back, for a second, and every body must be exactly
+// what that client last wrote: a buffer handed to two requests at once,
+// or recycled while the socket write or a put's copy still needed it,
+// shows as another key's bytes or a broken CRC. Run with -race: Release
+// then poisons what it pools.
+func TestPutGetSharedBuffersStress(t *testing.T) {
+	f := newFixture(t, 3)
+	client := f.ts.Client()
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	var rounds atomic.Int64
+	// exchange reads a reply to its end and reports whether it was a 200.
+	exchange := func(resp *http.Response, err error) ([]byte, bool) {
+		if err != nil {
+			t.Error(err)
+			return nil, false
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d (%v): %.40q", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, err, body)
+			return nil, false
+		}
+		return body, true
+	}
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("stress-%02d", c)
+			url := f.ts.URL + "/kv/" + key
+			for seq := 0; time.Now().Before(deadline); seq++ {
+				// Sizes on both sides of a class boundary, so a buffer is
+				// reused for values shorter than the one it was made for.
+				want := stressValue(key, seq, 900+(seq*37+c)%400)
+				req, err := http.NewRequest("PUT", url, bytes.NewReader(want))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := exchange(client.Do(req)); !ok {
+					return
+				}
+				got, ok := exchange(client.Get(url))
+				if !ok {
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s round %d: GET returned %d bytes %.40q…, want the %d bytes %.40q… just written", key, seq, len(got), got, len(want), want)
+					return
+				}
+				rounds.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := rounds.Load(); n < 16 {
+		t.Errorf("%d PUT+GET rounds in a second: too few to have shared a buffer", n)
 	}
 }

@@ -824,7 +824,9 @@ func frameToDelete(fr *frame) error {
 	}
 }
 
-// Get fetches the value stored under key.
+// Get fetches the value stored under key. The slice is the caller's to
+// keep or change; one who is finished with it may Release it, and the
+// next read lands in the same bytes.
 func (m *MuxClient) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := validateKey(key); err != nil {
 		return nil, err

@@ -81,6 +81,9 @@ func (t *topology) owners(key string, buf []string) []string {
 // implementation; the interface is the seam where a wrapper that embeds
 // *MuxClient (a tracer, a test's call counter) overrides the calls it
 // wants to see.
+//
+// An implementation must not keep a value argument past its return: CAS
+// is handed the slice its caller lent for the call (see PutVersioned).
 type Backend interface {
 	Addr() string
 	Get(ctx context.Context, key string) ([]byte, error)
@@ -288,6 +291,11 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 // core.WithStrategyOverride for a one-off policy, core.WithLabel for
 // metrics. A key absent from every queried shard reports
 // errors.Is(err, ErrNotFound).
+//
+// The value is the caller's own. A caller that has consumed it may hand
+// its buffer to a later read with Release; that is optional, and the
+// only reads it applies to are Get's (GetResult, GetBatch) — GetQuorum,
+// GetV, scan entries and watch events are not pooled.
 func (sc *ShardedClient) Get(ctx context.Context, key string, opts ...core.CallOption) ([]byte, error) {
 	if len(opts) == 0 {
 		// The common zero-option read rides the ring's DoValue fast lane

@@ -45,10 +45,14 @@ import (
 // does not perform itself: missed quorum-write copies (hinted handoff),
 // version divergence on quorum reads (read repair), and topology
 // changes (anti-entropy migration). repair.Manager is the production
-// implementation. Methods must not block — they run on call paths.
+// implementation. Methods must not block — they run on call paths, and
+// WriteMissed under the reporting write's lock.
 type RepairSink interface {
 	// WriteMissed reports that a versioned write reached its quorum (or
 	// failed) without landing on owner: the hint to queue and replay.
+	// value is valid for the duration of the call — it may be the writer's
+	// own slice, which the writer reuses once its put returns; keep a
+	// copy.
 	WriteMissed(key string, value []byte, version uint64, ttl time.Duration, owner string)
 	// Divergence reports that a quorum read observed staleOwners holding
 	// an older version (or no value) for key; value/version/ttlSecs are
@@ -132,9 +136,16 @@ const versionedStragglerTimeout = 5 * time.Second
 // versionedStragglerTimeout, detached from the caller's context), and
 // each copy that ultimately fails is reported to the repair sink as a
 // missed write — the hinted-handoff path. With fewer acks than the
-// quorum possible, the error matches core.ErrQuorumUnreachable. value
-// must not be modified until every copy has completed: a copy that
-// fails hands it to the repair sink.
+// quorum possible, the error matches core.ErrQuorumUnreachable.
+//
+// value is borrowed for the call and yours again when it returns, error
+// or not: nothing reads it afterwards, however long a straggler takes. A
+// write-all put that succeeds copies nothing — every copy was encoded
+// into its connection before the return. A put that returns with a copy
+// still out (WriteQuorum < Replication, a failed quorum, a context that
+// ended) or that had to launch one the blocking way has made one private
+// copy of value, len(value) bytes in one allocation, which a late hint
+// carries.
 func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []byte, ttl time.Duration) (uint64, error) {
 	if err := validateKey(key); err != nil {
 		return 0, err
@@ -145,7 +156,8 @@ func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []b
 
 // PutVersionAt is PutVersioned with a caller-supplied version — the
 // replay path for hints and migration, where the original version must
-// be preserved. version must be nonzero.
+// be preserved. version must be nonzero. value is borrowed as in
+// PutVersioned.
 func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) error {
 	if err := validateKey(key); err != nil {
 		return err
@@ -182,13 +194,19 @@ func (sc *ShardedClient) putVersion(ctx context.Context, key string, value []byt
 // last reference drops — long after the call returned, if a straggler
 // is out — and only then are its fields cleared, so a completion always
 // finds the write it belongs to.
+//
+// The value is the caller's slice, borrowed until replicateVersion
+// returns and no longer. A started copy needs it only while it is being
+// started; what can outlive the call is a blocking copy's goroutine and
+// a failed straggler's hint, and the first of either makes the frame
+// copy the value for itself (keepValue) — once per write, never for a
+// write whose copies were all started and all done by the return.
 type writeFrame struct {
-	sc    *ShardedClient
-	key   string
-	value []byte
-	ttl   time.Duration
-	ver   uint64
-	q     int
+	sc  *ShardedClient
+	key string
+	ttl time.Duration
+	ver uint64
+	q   int
 	// owners are the copies' destinations, indexed by slot; in ownerBuf
 	// for placements of up to four.
 	owners   []string
@@ -200,7 +218,14 @@ type writeFrame struct {
 	// sends it never blocks, even if the caller left on its context.
 	decided chan struct{}
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// value is what is being written: the caller's slice, or the frame's
+	// own copy of it once kept is set. Guarded by mu, which Complete holds
+	// across the hint it hands value to — so the caller's return, which
+	// takes mu to decide whether to keep, cannot overtake a hint that is
+	// reading the caller's slice.
+	value     []byte
+	kept      bool
 	acks      int
 	fails     int
 	firstErr  error
@@ -230,14 +255,14 @@ func (w *writeFrame) Complete(slot int, _ PutVResult, err error) {
 	if signal {
 		w.signalled = true
 	}
-	w.mu.Unlock()
 	if err != nil {
 		// Before the wake-up: a caller told of a failed write finds its
-		// hint already queued.
+		// hint already queued. Under mu: see value.
 		if sink := w.sc.repairSink(); sink != nil {
 			sink.WriteMissed(w.key, w.value, w.ver, w.ttl, w.owners[slot])
 		}
 	}
+	w.mu.Unlock()
 	if signal {
 		w.decided <- struct{}{}
 	}
@@ -258,19 +283,30 @@ func (w *writeFrame) release() {
 	default:
 	}
 	w.sc, w.key, w.value, w.owners, w.firstErr = nil, "", nil, nil, nil
-	w.acks, w.fails, w.signalled = 0, 0, false
+	w.acks, w.fails, w.signalled, w.kept = 0, 0, false, false
 	writeFramePool.Put(w)
 }
 
-// putBlocking runs slot's copy through b.PutV on its own goroutine: the
-// launch for a copy that could not be started.
-func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend) {
+// keepValue makes w.value the frame's own copy of what the caller lent,
+// if it is not already, and returns it. The caller holds w.mu.
+func (w *writeFrame) keepValue() []byte {
+	if !w.kept {
+		w.value = append([]byte(nil), w.value...)
+		w.kept = true
+	}
+	return w.value
+}
+
+// putBlocking runs slot's copy of value — the frame's own, see keepValue
+// — through b.PutV on its own goroutine: the launch for a copy that
+// could not be started.
+func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend, value []byte) {
 	// Detached from the caller: a copy that outlives the quorum keeps
 	// writing, because durability is the point. The timeout bounds the
 	// goroutine; a copy it kills becomes a hint.
 	wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
 	defer cancel()
-	cur, applied, err := b.PutV(wctx, w.key, w.value, w.ttl, w.ver)
+	cur, applied, err := b.PutV(wctx, w.key, value, w.ttl, w.ver)
 	w.Complete(slot, PutVResult{Current: cur, Applied: applied, Err: err}, err)
 }
 
@@ -280,7 +316,9 @@ func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend) {
 // quorum of 1) or ctx is done. Every copy runs to completion detached
 // from the caller (bounded by versionedStragglerTimeout); each copy that
 // ultimately fails becomes a WriteMissed hint. This is the shared
-// durability tail of PutVersioned, PutVersionAt, and CAS.
+// durability tail of PutVersioned, PutVersionAt, and CAS. value is read
+// only until the return; whatever is still to happen then happens to the
+// frame's copy.
 //
 // Each copy is started on this goroutine when its shard is a *MuxClient
 // that accepts the start. A start declined (a stripe never dialed, or
@@ -306,12 +344,23 @@ func (sc *ShardedClient) replicateVersion(ctx context.Context, t *topology, key 
 		if mc, ok := b.(*MuxClient); ok && mc.StartPutV(key, value, ttl, version, w, slot) {
 			continue
 		}
-		go w.putBlocking(ctx, slot, b)
+		w.mu.Lock()
+		kept := w.keepValue()
+		w.mu.Unlock()
+		go w.putBlocking(ctx, slot, b, kept)
 	}
 	var err error
 	if q > 0 {
 		err = w.wait(ctx)
 	}
+	// A copy still out may yet fail into a hint. Counted from completions
+	// under mu, not from refs: a completer drops its reference after it
+	// has woken this goroutine.
+	w.mu.Lock()
+	if w.acks+w.fails < len(w.owners) {
+		w.keepValue()
+	}
+	w.mu.Unlock()
 	w.release()
 	return err
 }

@@ -42,6 +42,13 @@ var ErrCASConflict = errors.New("memkv: compare-and-swap conflict")
 // write quorum (the primary's ack counts toward it), with failed copies
 // reported to the repair sink as missed writes. On conflict the error
 // matches ErrCASConflict and the returned version is the current one.
+//
+// value is borrowed as in PutVersioned: yours again when CAS returns. The
+// conditional at the primary is a blocking request that encodes value
+// before it waits; the replication tail copies value once, len(value)
+// bytes in one allocation, only if it returns with a copy still out —
+// every CAS under a write quorum below the replication, none under
+// write-all.
 func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (version uint64, err error) {
 	if err := validateKey(key); err != nil {
 		return 0, err

@@ -160,7 +160,7 @@ func appendVerFrame(dst []byte, op byte, tag uint64, aux uint32, key string, ver
 }
 
 // readFrame reads and validates one frame from r into f. The key and
-// value are freshly allocated (the caller owns them). A clean EOF at a
+// value are the caller's own (see readFrameValue). A clean EOF at a
 // frame boundary returns io.EOF; a torn frame returns
 // io.ErrUnexpectedEOF; limit violations return the errFrame errors
 // before any variable-length payload is read.
@@ -237,12 +237,19 @@ func readFrameHeadRaw(r *bufio.Reader, f *frame) (kb []byte, vlen int, err error
 }
 
 // readFrameValue reads the vlen value bytes that follow a frame's head
-// into a fresh f.val (nil for an empty value).
+// into f.val (nil for an empty value), which the caller owns. A stored
+// value — opValue, what Get returns — lands in a buffer from Take, so one
+// its reader gave back (Release) is read into again; every other op's
+// value is freshly made.
 func readFrameValue(r *bufio.Reader, f *frame, vlen int) error {
 	if vlen == 0 {
 		return nil
 	}
-	f.val = make([]byte, vlen)
+	if f.op == opValue {
+		f.val = Take(vlen)
+	} else {
+		f.val = make([]byte, vlen)
+	}
 	if _, err := io.ReadFull(r, f.val); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -17,7 +17,8 @@ import (
 // truncated prefix of a valid encoding must fail with an error (never a
 // panic or a zero-error garbage frame), and readFrame over arbitrary
 // bytes must return rather than panic. The corpus seeds cover every op,
-// both length limits, and the empty frame.
+// both length limits, and the empty frame; every value is also decoded as
+// an opValue into a released, dirty buffer.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(opGet), uint64(1), uint32(0), "key", []byte("value"), -1)
 	f.Add(byte(opSet), uint64(0), uint32(300), "k", []byte{}, 0)
@@ -60,6 +61,23 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if _, err := r.ReadByte(); err != io.EOF {
 			t.Fatalf("decoder left bytes behind (next read: %v)", err)
 		}
+
+		// The same bytes as a stored value — the one op whose value lands
+		// in a pooled buffer — decoded into one a reader gave back dirty:
+		// every byte of the result is the frame's, none the last holder's.
+		dirty := Take(len(val))
+		for i := range dirty {
+			dirty[i] = ^byte(i)
+		}
+		Release(dirty)
+		var stored frame
+		if err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, &frame{op: opValue, tag: tag, val: val}))), &stored); err != nil {
+			t.Fatalf("decode of a stored value failed: %v", err)
+		}
+		if !bytes.Equal(stored.val, val) {
+			t.Fatalf("a stored value read into a reused buffer: got %d bytes %.32q, want %d bytes %.32q", len(stored.val), stored.val, len(val), val)
+		}
+		Release(stored.val)
 
 		// Any strict prefix of a valid encoding must decode to an error:
 		// a torn read is io.ErrUnexpectedEOF (or io.EOF for the empty

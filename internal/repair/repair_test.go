@@ -174,6 +174,28 @@ func TestHintQueueBounds(t *testing.T) {
 	}
 }
 
+// RepairSink lends WriteMissed and Divergence their value for the call
+// only — a writer reuses its slice the moment its put returns — so the
+// manager queues copies: overwriting the slice afterwards changes neither
+// the hint nor the pending read repair.
+func TestSinkKeepsItsOwnCopyOfTheValue(t *testing.T) {
+	sc, _ := startCluster(t, 1, memkv.ShardedConfig{})
+	m := NewManager(sc, Config{})
+	lent := []byte("the bytes that were written")
+	m.WriteMissed("k", lent, 7, 0, "owner:1")
+	m.Divergence("k", lent, 7, 0, []string{"owner:1"})
+	for i := range lent {
+		lent[i] = '!'
+	}
+	hints := m.hints.snapshot()
+	if len(hints) != 1 || string(hints[0].value) != "the bytes that were written" {
+		t.Errorf("queued hints %+v: want one, carrying the value as it was when reported", hints)
+	}
+	if it := <-m.divergeC; string(it.value) != "the bytes that were written" {
+		t.Errorf("queued read repair carries %q: the reporter's slice, not a copy of it", it.value)
+	}
+}
+
 // Hint records persisted to a surviving shard are recovered by a fresh
 // manager after the original died — the crash-restart path.
 func TestHintDurabilityAndRecovery(t *testing.T) {
