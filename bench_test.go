@@ -137,18 +137,6 @@ func BenchmarkAblationCancellation(b *testing.B) {
 
 // --- Microbenchmarks of the core library hot path. ---
 
-func BenchmarkCoreFirstOverhead(b *testing.B) {
-	instant := func(ctx context.Context) (int, error) { return 1, nil }
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := redundancy.First(ctx, instant, instant); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCoreGroupDo(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
@@ -168,8 +156,8 @@ func BenchmarkCoreGroupDo(b *testing.B) {
 // BenchmarkCoreDoValue is the fast lane of the hot path: the same group
 // and strategy as BenchmarkCoreGroupDo, but through DoValue — no
 // options, first success wins, only the value returned. The pooled call
-// frame keeps this at 2 allocs/op (scripts/benchgate.sh holds the
-// budget): one goroutine record per launched copy.
+// frame keeps this at 2 allocs/op, the blocking copies' cancellation
+// channel and derived context (TestDoValueAllocs holds the count).
 func BenchmarkCoreDoValue(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
 		redundancy.WithSeed[int](1))
@@ -212,7 +200,7 @@ func BenchmarkCoreDoValueParallel(b *testing.B) {
 // binary-search the route table, walk to the primary + successor, and
 // run the same call engine as Group.Do over that subset. The routing
 // must stay within the same alloc budget as the unrouted path
-// (scripts/benchgate.sh).
+// (TestRingDoAllocs in internal/ring).
 func BenchmarkCoreRingDo(b *testing.B) {
 	r := redundancy.NewRing[string, int](redundancy.Fixed{Copies: 2})
 	for i := 0; i < 8; i++ {
@@ -281,25 +269,13 @@ func BenchmarkCoreGroupDoQuorum(b *testing.B) {
 	}
 }
 
-func BenchmarkCoreHedgedFastPrimary(b *testing.B) {
-	fast := func(ctx context.Context) (int, error) { return 1, nil }
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := redundancy.Hedged(ctx, time.Second, fast, fast); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMemkvMuxParallel drives the memkv wire protocol at full
 // tilt through ONE TCP connection: GOMAXPROCS goroutines issuing gets
 // concurrently, writes group-committed by the connection's flusher,
 // responses demuxed by tag. This is the transport hot path under the
 // paper's redundancy (every redundant read multiplies in-flight
-// requests); benchgate watches its allocs/op so the per-request cost
-// stays a few waiter/frame allocations, not a connection.
+// requests); TestMuxGetHitAllocations in internal/memkv holds a get hit
+// to one allocation in the whole process, the value.
 func BenchmarkMemkvMuxParallel(b *testing.B) {
 	srv := memkv.NewServer(nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -330,9 +306,10 @@ func BenchmarkMemkvMuxParallel(b *testing.B) {
 
 // BenchmarkMemkvWatchFanout is the event fan-out hot path: one store,
 // 16 registered prefix watchers each draining its own channel, and every
-// put delivered to all of them. The per-put cost (gated by benchgate) is
-// what bounds write throughput on a watched prefix — the registry walk
-// and the non-blocking channel sends, not per-watcher allocation.
+// put delivered to all of them. The per-put cost (one allocation, held by
+// TestStoreWatchFanoutAllocations in internal/memkv) is what bounds
+// write throughput on a watched prefix — the registry walk and the
+// non-blocking channel sends, not per-watcher allocation.
 func BenchmarkMemkvWatchFanout(b *testing.B) {
 	const watchers = 16
 	s := memkv.NewStore()

@@ -8,20 +8,22 @@ import (
 	"redundancy"
 )
 
-// The simplest use: race two replicas, keep the faster answer.
-func ExampleFirst() {
-	ctx := context.Background()
-	res, err := redundancy.First(ctx,
-		func(ctx context.Context) (string, error) {
-			select { // a slow replica that honors cancellation
-			case <-time.After(time.Second):
-				return "slow", nil
-			case <-ctx.Done():
-				return "", ctx.Err()
-			}
-		},
-		func(ctx context.Context) (string, error) { return "fast", nil },
-	)
+// The simplest use: race two replicas, keep the faster answer. A
+// redundant call is a Group call; FullReplicate sends every call to
+// every replica.
+func ExampleGroup_firstResponse() {
+	g := redundancy.NewStrategyGroup[string](redundancy.FullReplicate{})
+	g.Add("slow", func(ctx context.Context) (string, error) {
+		select { // a slow replica that honors cancellation
+		case <-time.After(time.Second):
+			return "slow", nil
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	})
+	g.Add("fast", func(ctx context.Context) (string, error) { return "fast", nil })
+
+	res, err := g.Do(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -30,33 +32,36 @@ func ExampleFirst() {
 	// Output: fast
 }
 
-// Hedged launches the second copy only if the first is slow, keeping the
-// added load near zero for well-behaved requests.
-func ExampleHedged() {
-	ctx := context.Background()
-	res, _ := redundancy.Hedged(ctx, 50*time.Millisecond,
-		func(ctx context.Context) (string, error) { return "primary", nil },
-		func(ctx context.Context) (string, error) { return "hedge", nil },
-	)
+// A hedge delay launches the second copy only if the first is slow,
+// keeping the added load near zero for well-behaved requests.
+func ExampleFixed_hedged() {
+	g := redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2, HedgeDelay: 50 * time.Millisecond})
+	g.Add("primary", func(ctx context.Context) (string, error) { return "primary", nil })
+	g.Add("hedge", func(ctx context.Context) (string, error) { return "hedge", nil })
+
+	res, _ := g.Do(context.Background())
 	fmt.Println(res.Value, res.Launched)
 	// Output: primary 1
 }
 
-// Quorum waits for q successes — R-of-N reads in replicated storage.
-func ExampleQuorum() {
-	ctx := context.Background()
-	outs, _ := redundancy.Quorum(ctx, 2,
-		func(ctx context.Context) (int, error) { return 1, nil },
-		func(ctx context.Context) (int, error) { return 2, nil },
-		func(ctx context.Context) (int, error) {
-			select {
-			case <-time.After(time.Second):
-				return 3, nil
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		},
-	)
+// A quorum call waits for q successes — R-of-N reads in replicated
+// storage — and the outcomes it collected are the copies that answered
+// before it returned: here the two fast ones, not the straggler.
+func ExampleWithQuorum_outcomes() {
+	g := redundancy.NewStrategyGroup[int](redundancy.FullReplicate{})
+	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
+	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
+	g.Add("c", func(ctx context.Context) (int, error) {
+		select {
+		case <-time.After(time.Second):
+			return 3, nil
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	})
+
+	var outs []redundancy.Outcome[int]
+	g.Do(context.Background(), redundancy.WithQuorum(2), redundancy.WithCollectOutcomes(&outs))
 	fmt.Println(len(outs))
 	// Output: 2
 }

@@ -27,8 +27,8 @@ import (
 	"math/rand"
 	"strconv"
 
-	"redundancy/internal/consistenthash"
 	"redundancy/internal/dist"
+	"redundancy/internal/ring"
 	"redundancy/internal/sim"
 	"redundancy/internal/stats"
 )
@@ -203,15 +203,16 @@ func Run(cfg Config) (*Result, error) {
 	eng := sim.NewEngine(cfg.Seed)
 	rng := eng.Rand()
 
-	// ---- Build the file collection and placement ring.
-	ring := consistenthash.New(64)
-	for s := 0; s < cfg.Servers; s++ {
-		ring.Add("server-" + strconv.Itoa(s))
-	}
+	// ---- Build the file collection and its placement: primary and the
+	// next server on the ring.
+	names := make([]string, cfg.Servers)
 	nameToIdx := make(map[string]int, cfg.Servers)
-	for s := 0; s < cfg.Servers; s++ {
-		nameToIdx["server-"+strconv.Itoa(s)] = s
+	for s := range names {
+		names[s] = "server-" + strconv.Itoa(s)
+		nameToIdx[names[s]] = s
 	}
+	placement := ring.NewPlacement(names, 64, 2)
+	var owners [2]string
 	files := make([]file, cfg.Files)
 	var totalBytes float64
 	perServerBytes := make([]float64, cfg.Servers)
@@ -220,8 +221,8 @@ func Run(cfg Config) (*Result, error) {
 		if sz < 1 {
 			sz = 1
 		}
-		seq := ring.GetN("file-"+strconv.Itoa(i), 2)
-		p, q := nameToIdx[seq[0]], nameToIdx[seq[1]]
+		placement.OwnersInto("file-"+strconv.Itoa(i), owners[:])
+		p, q := nameToIdx[owners[0]], nameToIdx[owners[1]]
 		files[i] = file{size: sz, primary: p, secondary: q}
 		totalBytes += sz
 		perServerBytes[p] += sz

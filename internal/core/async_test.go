@@ -367,50 +367,6 @@ func TestAsyncBehaviourTable(t *testing.T) {
 	}
 }
 
-// TestAsyncWaitAll runs the measurement mode (every copy to completion,
-// nothing cancelled) over started copies. No group path sets waitAll,
-// so the frame is assembled by hand the way call assembles one.
-func TestAsyncWaitAll(t *testing.T) {
-	boom := errors.New("boom")
-	for _, kind := range launchKinds {
-		t.Run(kind, func(t *testing.T) {
-			gate := coretest.NewGate()
-			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 3})}
-			f.add(kind, "fast", coretest.Instant(1))
-			f.add(kind, "slow", coretest.Blocked(2, gate))
-			f.add(kind, "bad", coretest.Fail[int](boom))
-			var outs []Outcome[int]
-			fr := &callFrame[struct{}, int]{n: 3, quorum: 1, waitAll: true, collect: &outs}
-			fr.refs.Store(1)
-			fr.ensureChan(3)
-			for i, name := range []string{"fast", "slow", "bad"} {
-				h, _ := f.g.Lookup(name)
-				fr.pickedSlice(3)[i] = h
-			}
-			time.AfterFunc(2*time.Millisecond, gate.Release)
-			res, err := runFrame(context.Background(), fr)
-			fr.release(1)
-			if err != nil || res.Value != 1 || res.Launched != 3 || res.Cancelled != 0 {
-				t.Fatalf("runFrame = (%+v, %v), want the first win with 3 launched and nothing cancelled", res, err)
-			}
-			if len(outs) != 3 {
-				t.Fatalf("collected %d outcomes, want all 3", len(outs))
-			}
-			for _, o := range outs {
-				if (o.Index == 2) != (o.Err != nil) {
-					t.Errorf("outcome %+v: only copy 2 fails", o)
-				}
-			}
-			f.settled(t)
-			for _, st := range f.starters {
-				if st.withdrawn.Load() != 0 {
-					t.Error("waitAll withdrew a copy")
-				}
-			}
-		})
-	}
-}
-
 // TestAsyncMixedGroup puts a starter and a function replica in one call:
 // the blocking copy's derived context is made on demand and still
 // cancels the plain loser; a started loser is withdrawn.

@@ -9,14 +9,13 @@ import (
 	"time"
 )
 
-// This file is the single request execution engine behind every way of
-// performing a redundant operation: the free functions First, Hedged,
-// HedgedSchedule, Quorum, and All are thin shims over call, and
-// Group.Do/KeyedGroup.Do drive it with the per-call options assembled
-// from CallOptions. One engine means every completion rule (first wins,
-// R-of-N quorum, run-everything) composes with every launch schedule
-// (all at once, fixed hedge, adaptive hedge) and shares one error
-// taxonomy.
+// This file is the single request execution engine behind every
+// redundant call. A call has one entrance: KeyedGroup.do (Do, DoValue)
+// or DoPicked (the Ring's routed subsets) plans it, and a plan of one
+// copy runs in runOne, any other in launchFrame → runFrame. One engine
+// means every completion rule (first wins, R-of-N quorum) composes with
+// every launch schedule (all at once, fixed hedge, adaptive hedge) and
+// shares one error taxonomy.
 //
 // What a call costs depends on how many copies it resolves to, after
 // strategy, governor, fan-out cap, quorum and budget have had their say,
@@ -44,9 +43,9 @@ import (
 //     which is runFrame's event loop, run by the caller on a reusable
 //     call frame (callFrame): one struct carrying the results channel,
 //     the picked replicas, the launch schedule, and inline scratch for
-//     the common fan-out <= 4 case. Group paths recycle frames through a
-//     per-group sync.Pool under a proved-drained discipline (see
-//     callFrame.release): a frame returns to the pool only after every
+//     the common fan-out <= 4 case. Frames recycle through a per-group
+//     sync.Pool under a proved-drained discipline (callFrame.release):
+//     a frame returns to the pool only after every
 //     launched copy and every armed hedge timer has delivered into the
 //     buffered results channel (or been withdrawn) and the channel has
 //     been drained, so a loser still in flight pins the frame alive.
@@ -85,8 +84,7 @@ import (
 // so errors.As(&ReplicaError{}) recovers the first per-replica detail and
 // errors.Is reaches every underlying cause.
 type ReplicaError struct {
-	// Name is the replica's registration name; empty for the free
-	// functions, whose replicas are anonymous.
+	// Name is the replica's registration name.
 	Name string
 	// Attempt is the copy's launch index within the operation (0 is the
 	// primary).
@@ -95,9 +93,8 @@ type ReplicaError struct {
 	Err error
 }
 
-// Error implements error. For anonymous replicas the format is
-// "replica <attempt>: <err>" (the historical format of First and Quorum);
-// named replicas include the name.
+// Error implements error: "replica <name> (copy <attempt>): <err>", or
+// "replica <attempt>: <err>" for a replica registered without a name.
 func (e ReplicaError) Error() string {
 	if e.Name != "" {
 		return fmt.Sprintf("replica %s (copy %d): %v", e.Name, e.Attempt, e.Err)
@@ -152,10 +149,11 @@ func (e *QuorumError[T]) Unwrap() []error { return []error{ErrQuorumUnreachable,
 // copyCtx is not one of the standard library's context types and its
 // Done is never nil, so context.AfterFunc and context.WithCancel on it
 // start a watcher goroutine per use — dnswire.Client.Exchange pays that
-// for every copy, even under a context.Background() caller. A call with two or more copies needs a
-// cancellation signal the caller's context cannot give (the winner
-// cancels the loser), so it keeps paying; a single-copy call has no
-// loser, hands the replica the caller's context itself, and does not.
+// for every copy, even under a context.Background() caller. A call with
+// two or more copies needs a cancellation signal the caller's context
+// cannot give (the winner cancels the loser), so it keeps paying; a
+// single-copy call has no loser, hands the replica the caller's context
+// itself, and does not.
 type copyCtx struct {
 	context.Context // parent: Deadline and Value pass through
 	done            <-chan struct{}
@@ -191,42 +189,15 @@ const (
 	frameChanCap = 2 * frameInline
 )
 
-// callSpec is one operation's execution plan, assembled by the free-
-// function shims (First, Hedged, Quorum, All). Group paths assemble a
-// callFrame directly.
-type callSpec[T any] struct {
-	// n is the number of copies that may launch.
-	n int
-	// quorum is the number of successes that completes the operation;
-	// values below 1 mean 1 (first response wins).
-	quorum int
-	// delays staggers launches: copy i launches delays[i] after copy i-1
-	// (delays[0] is ignored; the first copy always starts immediately).
-	// A non-positive delay launches its copy immediately, without a timer
-	// round-trip. nil launches every copy at once.
-	delays []time.Duration
-	// waitAll runs every copy to completion: no cancellation of losers,
-	// no early return on quorum or on failures (the measurement mode
-	// behind All).
-	waitAll bool
-	// run performs copy i. Errors it returns are wrapped in ReplicaError
-	// unless they already are one (Group wraps with the replica's name).
-	run func(ctx context.Context, i int) (T, error)
-	// collect, when non-nil, is reset to length zero and then appended
-	// with every completed copy's outcome (success and failure alike) in
-	// completion order. Copies cancelled before completing do not appear.
-	collect *[]Outcome[T]
-}
-
-// callFrame is the reusable per-call state of the engine. Group paths
-// obtain frames from the group's pool and must follow the recycling
-// discipline: the frame is shared with every launched copy — a
-// goroutine, or a started copy's pending completion — and with any armed
-// wheel-hedge callback, each of which holds one reference; release(1)
-// drops a reference, and the holder that drops the last one drains the
-// results channel and returns the frame to the pool. The launcher writes
-// every plan field before the first copy launches and never mutates them
-// afterwards, so copies read them without synchronization.
+// callFrame is the reusable per-call state of the engine. Frames come
+// from the group's pool and follow the recycling discipline: the frame
+// is shared with every launched copy — a goroutine, or a started copy's
+// pending completion — and with any armed wheel-hedge callback, each of
+// which holds one reference; release(1) drops a reference, and the
+// holder that drops the last one drains the results channel and returns
+// the frame to the pool. The launcher writes every plan field before the
+// first copy launches and never mutates them afterwards, so copies read
+// them without synchronization.
 type callFrame[K, T any] struct {
 	// results carries copy completions and wheel-hedge deadline events.
 	// It is buffered for the worst case (n completions + n-1 hedge
@@ -235,19 +206,17 @@ type callFrame[K, T any] struct {
 	// it only grows (and is reallocated) when a call's fan-out exceeds
 	// half its capacity.
 	results chan indexed[T]
-	// pool is where release returns the frame; nil for the free
-	// functions' single-use frames, which the GC reclaims instead.
+	// pool is the group's frame pool, where release returns the frame.
 	pool *sync.Pool
 	// refs counts the engine, every launched copy (until its goroutine
 	// delivers, or its started request completes or is withdrawn), and
 	// every armed wheel hedge. The frame recycles only when it hits zero.
 	refs atomic.Int32
 	// won counts the successes copies have queued on results. Once it
-	// reaches the quorum of a call that returns there — not waitAll, no
-	// outcomes to collect — the call is settled (see settled); a copy
-	// reads it on its own goroutine, before dropping its reference. It
-	// returns to zero only when the frame recycles, so a straggler never
-	// reads a later call's count.
+	// reaches the quorum of a call that collects no outcomes, the call
+	// is settled (see settled); a copy reads it on its own goroutine,
+	// before dropping its reference. It returns to zero only when the
+	// frame recycles, so a straggler never reads a later call's count.
 	won atomic.Int32
 	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
 	// a generic function's value builds a closure over its dictionary, an
@@ -261,15 +230,11 @@ type callFrame[K, T any] struct {
 	// Plan fields: written by the launcher before any copy starts.
 	n       int
 	quorum  int
-	waitAll bool
 	delays  []time.Duration
 	collect *[]Outcome[T]
 	gov     *Governor
 	arg     K
 	picked  []Handle[K, T]
-	// runf is the free-function copy body; when nil, copies run
-	// picked[i] with arg (the group mode).
-	runf func(ctx context.Context, i int) (T, error)
 
 	// cctx is what blocking copies run under and cdone what cancels it.
 	// Both are made by the first blocking launch of a call (blockingCtx):
@@ -328,7 +293,7 @@ func (fr *callFrame[K, T]) ensureChan(n int) {
 // function replica — or a Starter that declines — runs on a goroutine.
 func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
 	fr.refs.Add(1)
-	if fr.runf == nil && fr.picked[i].m.starter != nil && fr.startCopy(i) {
+	if fr.picked[i].m.starter != nil && fr.startCopy(i) {
 		return
 	}
 	fr.blockingCtx(ctx)
@@ -343,33 +308,21 @@ func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
 }
 
 // blockingCtx makes the context the call's blocking copies share, once
-// per call: the caller's own for waitAll (the measurement mode behind
-// All never cancels), otherwise a copyCtx whose done channel finish
-// closes.
+// per call: a copyCtx whose done channel finish closes.
 func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 	if fr.cctx != nil {
-		return
-	}
-	if fr.waitAll {
-		fr.cctx = ctx
 		return
 	}
 	fr.cdone = make(chan struct{})
 	fr.cctx = &copyCtx{Context: ctx, done: fr.cdone}
 }
 
-// runFrameCopy is one blocking copy's goroutine body: the free
-// function's run, or the member's governed, recording run. The error
-// travels raw; the event loop wraps it in a ReplicaError if it consumes
-// it, so a drained loser's error allocates nothing.
+// runFrameCopy is one blocking copy's goroutine body: the member's
+// governed, recording run. The error travels raw; the event loop wraps
+// it in a ReplicaError if it consumes it, so a drained loser's error
+// allocates nothing.
 func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
-	var v T
-	var err error
-	if fr.runf != nil {
-		v, err = fr.runf(fr.cctx, i)
-	} else {
-		v, _, err = fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
-	}
+	v, _, err := fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
 	fr.deliver(i, v, err)
 }
 
@@ -388,11 +341,10 @@ func (fr *callFrame[K, T]) deliver(i int, v T, err error) {
 // settled reports that the call's outcome can no longer change: the
 // successes it returns at are queued, and it keeps nothing of the copies
 // that complete after them. A copy that has not delivered yet may then
-// complete without its value (Drop). A waitAll call runs every copy out
-// and reports each, and a call collecting outcomes asked to see what its
-// copies return: neither ever settles.
+// complete without its value (Drop). A call collecting outcomes asked
+// to see what its copies return, so it never settles.
 func (fr *callFrame[K, T]) settled() bool {
-	return !fr.waitAll && fr.collect == nil && int(fr.won.Load()) >= max(fr.quorum, 1)
+	return fr.collect == nil && int(fr.won.Load()) >= fr.quorum
 }
 
 // frameHedgeFired is the shared-wheel callback for a pending hedge
@@ -410,8 +362,7 @@ func frameHedgeFired[K, T any](c any, i int64) {
 // release drops n references. The holder that drops the last reference
 // proves the results channel empty (every sender has already delivered
 // — copies deliver before releasing, and a fired hedge delivers in its
-// callback) and recycles the frame. Pool-less frames are left to the
-// GC.
+// callback) and recycles the frame.
 func (fr *callFrame[K, T]) release(n int32) {
 	if fr.refs.Add(-n) != 0 {
 		return
@@ -426,16 +377,11 @@ drain:
 			break drain
 		}
 	}
-	pool := fr.pool
-	if pool == nil {
-		return
-	}
 	// Clear everything a pooled frame must not pin or leak into its
 	// next call: replica handles, the caller's context and sink, the
 	// argument, and the inline error/outcome scratch.
 	var zk K
 	fr.arg = zk
-	fr.runf = nil
 	fr.gov = nil
 	fr.cctx = nil
 	fr.collect = nil
@@ -448,7 +394,7 @@ drain:
 	fr.pickedBuf = [frameInline]Handle[K, T]{}
 	fr.errsBuf = [frameInline]error{}
 	fr.outsBuf = [frameInline]Outcome[T]{}
-	pool.Put(fr)
+	fr.pool.Put(fr)
 }
 
 // drainCompleted opportunistically consumes results already delivered
@@ -535,56 +481,18 @@ func (h *hedgeTimer[K, T]) stop() {
 	}
 }
 
-// call executes one redundant operation described by a callSpec — the
-// free-function entry into the engine. A single replica is a plain call
-// (see the file comment); otherwise, where group paths build a pooled
-// frame (launchFrame), this wrapper builds a single-use one.
-func call[T any](ctx context.Context, sp callSpec[T]) (Result[T], error) {
-	var zero Result[T]
-	n := sp.n
-	if n == 0 {
-		return zero, ErrNoReplicas
-	}
-	q := sp.quorum
-	if q < 1 {
-		q = 1
-	}
-	if q > n {
-		return zero, fmt.Errorf("redundancy: quorum %d of %d replicas: %w", q, n, ErrQuorumUnreachable)
-	}
-	if n == 1 {
-		start := time.Now()
-		v, err := sp.run(ctx, 0)
-		return singleResult(ctx, "", v, time.Since(start), err, sp.waitAll, sp.collect)
-	}
-	fr := &callFrame[struct{}, T]{}
-	fr.results = make(chan indexed[T], 2*n)
-	fr.refs.Store(1)
-	fr.n = n
-	fr.quorum = q
-	fr.waitAll = sp.waitAll
-	fr.delays = sp.delays
-	fr.collect = sp.collect
-	fr.runf = sp.run
-	res, err := runFrame(ctx, fr)
-	fr.release(1)
-	return res, err
-}
-
 // singleResult turns the return of a call's only copy — run inline on
 // the caller's goroutine, taking d — into what runFrame's loop reports
 // for a one-copy call. Success is the Result with the copy's latency. A
 // failure while the caller's context is done is the caller giving up:
-// the bare ctx.Err() and one copy cancelled, with nothing collected
-// (waitAll, the measurement mode, never watches the context and reports
-// the replica's error instead). Any other failure is the joined
-// ReplicaError naming the replica.
-func singleResult[T any](ctx context.Context, name string, v T, d time.Duration, err error, waitAll bool, collect *[]Outcome[T]) (Result[T], error) {
+// the bare ctx.Err() and one copy cancelled, with nothing collected. Any
+// other failure is the joined ReplicaError naming the replica.
+func singleResult[T any](ctx context.Context, name string, v T, d time.Duration, err error, collect *[]Outcome[T]) (Result[T], error) {
 	if collect != nil {
 		*collect = (*collect)[:0]
 	}
 	res := Result[T]{Launched: 1}
-	if err != nil && !waitAll {
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			res.Cancelled = 1
 			return res, cerr
@@ -615,11 +523,7 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 // runFrame does NOT drop the engine's frame reference; the caller must
 // release(1) after it has read everything it needs from the frame.
 func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], error) {
-	n := fr.n
-	q := fr.quorum
-	if q < 1 {
-		q = 1
-	}
+	n, q := fr.n, fr.quorum
 	start := time.Now()
 	var ht hedgeTimer[K, T]
 	ht.fr = fr
@@ -660,11 +564,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		ht.arm(delays[launched], launched)
 	}
 
-	var ctxDone <-chan struct{}
-	if !fr.waitAll {
-		ctxDone = ctx.Done()
-	}
-
+	ctxDone := ctx.Done()
 	errs := fr.errsBuf[:0]
 	var (
 		wins      int
@@ -697,13 +597,8 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 			fr.copyDelivered(r.idx)
 			if r.err != nil {
 				// Copies deliver raw errors; only one the call consumes
-				// is boxed. A group's carries the replica's name, a free
-				// function's is anonymous unless it already is one.
-				if fr.runf == nil {
-					r.err = ReplicaError{Name: fr.picked[r.idx].m.name, Attempt: r.idx, Err: r.err}
-				} else if _, ok := r.err.(ReplicaError); !ok {
-					r.err = ReplicaError{Attempt: r.idx, Err: r.err}
-				}
+				// is boxed, with the replica's name.
+				r.err = ReplicaError{Name: fr.picked[r.idx].m.name, Attempt: r.idx, Err: r.err}
 				errs = append(errs, r.err)
 			}
 			if collect != nil {
@@ -716,7 +611,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				if wins == 1 {
 					firstVal, firstIdx = r.val, r.idx
 				}
-				if !fr.waitAll && wins == q {
+				if wins == q {
 					return Result[T]{
 						Value:     firstVal,
 						Index:     firstIdx,
@@ -725,27 +620,15 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 						Cancelled: launched - fr.drainCompleted(completed),
 					}, nil
 				}
-			} else if !fr.waitAll && len(errs) > n-q {
+			} else if len(errs) > n-q {
 				// Too few replicas remain for the quorum; fail now rather
 				// than waiting out the stragglers.
 				return callFailed(q, wins, launched, launched-fr.drainCompleted(completed), errs, collect)
 			}
-			if completed == n {
-				if wins >= q {
-					// waitAll completion (a non-waitAll call returned at
-					// the quorum-th success above).
-					return Result[T]{
-						Value:    firstVal,
-						Index:    firstIdx,
-						Latency:  time.Since(start),
-						Launched: launched,
-					}, nil
-				}
-				return callFailed(q, wins, launched, 0, errs, collect)
-			}
-			if completed == launched && launched < n && (fr.waitAll || wins < q) {
+			if completed == launched && launched < n {
 				// Every outstanding copy has completed and the operation
-				// is not done: launch the next copy immediately rather
+				// is not done (fewer than q wins, at most n-q failures, so
+				// a copy is left to launch): launch it immediately rather
 				// than waiting out its hedge delay.
 				ht.stop()
 				fr.launchCopy(ctx, launched)
@@ -777,8 +660,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 }
 
 // callFailed builds a failed call's result: for quorum 1 the joined
-// ReplicaErrors (the historical First/Hedged contract), for larger
-// quorums a *QuorumError carrying the partial outcomes. Launched and
+// ReplicaErrors, for larger quorums a *QuorumError carrying the partial outcomes. Launched and
 // Cancelled are reported even on failure: budget accounting and
 // observers need the real fan-out and the copies reclaimed in flight.
 func callFailed[T any](q, wins, launched, cancelled int, errs []error, collect *[]Outcome[T]) (Result[T], error) {

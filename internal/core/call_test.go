@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,10 +19,10 @@ func TestHedgedZeroDelayLaunchesAllImmediately(t *testing.T) {
 	// A zero delay means full replication: the hedge must win long before
 	// any timer tick could have fired against the stuck primary.
 	start := time.Now()
-	res, err := Hedged(context.Background(), 0,
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: 0},
 		coretest.Sleeper("stuck", time.Hour),
 		coretest.Sleeper("hedge", time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +38,10 @@ func TestHedgedZeroDelayLaunchesAllImmediately(t *testing.T) {
 }
 
 func TestHedgedNegativeDelayLaunchesAllImmediately(t *testing.T) {
-	res, err := Hedged(context.Background(), -time.Second,
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: -time.Second},
 		coretest.Sleeper("stuck", time.Hour),
 		coretest.Sleeper("hedge", time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +55,13 @@ func TestHedgedScheduleZeroPrefixLaunchesTogether(t *testing.T) {
 	// sits behind a delay no test should ever wait out.
 	var launches atomic.Int32
 	mk := func(v string, d time.Duration) Replica[string] {
-		inner := coretest.Sleeper(v, d)
-		return func(ctx context.Context) (string, error) {
-			launches.Add(1)
-			return inner(ctx)
-		}
+		return coretest.Counting(&launches, coretest.Sleeper(v, d))
 	}
-	res, err := HedgedSchedule(context.Background(),
-		[]time.Duration{0, 0, time.Hour},
+	res, err := groupOf(scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, time.Hour}},
 		mk("stuck", time.Hour),
 		mk("fast", time.Millisecond),
 		mk("never", time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +80,11 @@ func TestHedgedScheduleZeroDelayAfterTimer(t *testing.T) {
 	// A zero entry behind a timed entry launches together with it once
 	// the timer fires: schedule {_, 5ms, 0} must start copies 1 and 2 at
 	// the same time.
-	res, err := HedgedSchedule(context.Background(),
-		[]time.Duration{0, 5 * time.Millisecond, 0},
+	res, err := groupOf(scheduleStrategy{copies: 3, sched: []time.Duration{0, 5 * time.Millisecond, 0}},
 		coretest.Sleeper("stuck", time.Hour),
 		coretest.Sleeper("slow-hedge", time.Hour),
 		coretest.Sleeper("fast-hedge", time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +100,10 @@ func TestHedgedScheduleZeroDelayAfterTimer(t *testing.T) {
 
 func TestFirstErrorsAreReplicaErrors(t *testing.T) {
 	cause := errors.New("boom")
-	_, err := First(context.Background(),
+	_, err := groupOf(FullReplicate{},
 		coretest.Failer[int](cause, time.Millisecond),
 		coretest.Failer[int](cause, time.Millisecond),
-	)
+	).Do(context.Background())
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -118,8 +111,8 @@ func TestFirstErrorsAreReplicaErrors(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("errors.As(ReplicaError) failed on %v", err)
 	}
-	if re.Name != "" || !errors.Is(re.Err, cause) {
-		t.Errorf("ReplicaError = %+v", re)
+	if re.Name != fmt.Sprintf("r%d", re.Attempt) || !errors.Is(re.Err, cause) {
+		t.Errorf("ReplicaError = %+v, want the failing copy's replica and cause", re)
 	}
 }
 
@@ -542,101 +535,18 @@ func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
 	churn.Wait()
 }
 
-// --- Shim equivalence: the free functions against seed semantics. ---
-
-func TestShimEquivalenceFirstMatchesGroupSingleCall(t *testing.T) {
-	// First and a full-replicating Group.Do over the same replicas must
-	// pick the same winner and launch the same number of copies.
-	mk := func() []Replica[string] {
-		return []Replica[string]{
-			coretest.Sleeper("slow", 100*time.Millisecond),
-			coretest.Sleeper("fast", time.Millisecond),
-			coretest.Sleeper("mid", 50*time.Millisecond),
-		}
-	}
-	res1, err := First(context.Background(), mk()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewStrategyGroup[string](FullReplicate{})
-	for i, r := range mk() {
-		g.Add(fmt.Sprintf("r%d", i), r)
-	}
-	res2, err := g.Do(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Value != res2.Value || res1.Launched != res2.Launched {
-		t.Errorf("First = %+v, Group.Do = %+v", res1, res2)
-	}
-}
-
-func TestShimEquivalenceQuorumMatchesGroupWithQuorum(t *testing.T) {
-	mkFree := func() []Replica[int] {
-		return []Replica[int]{
-			coretest.Sleeper(0, time.Millisecond),
-			coretest.Sleeper(1, 5*time.Millisecond),
-			coretest.Sleeper(2, 200*time.Millisecond),
-		}
-	}
-	outs, err := Quorum(context.Background(), 2, mkFree()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewStrategyGroup[int](FullReplicate{})
-	for i, r := range mkFree() {
-		g.Add(fmt.Sprintf("r%d", i), r)
-	}
-	var gouts []Outcome[int]
-	if _, err := g.Do(context.Background(), WithQuorum(2), WithCollectOutcomes(&gouts)); err != nil {
-		t.Fatal(err)
-	}
-	wins := func(os []Outcome[int]) (vals []int) {
-		for _, o := range os {
-			if o.Err == nil {
-				vals = append(vals, o.Value)
-			}
-		}
-		// Completion order between the two fast sleepers is scheduler
-		// timing, not semantics: compare the winner *sets*.
-		sort.Ints(vals)
-		return
-	}
-	w1, w2 := wins(outs), wins(gouts)
-	if len(w1) != 2 || len(w2) != 2 || w1[0] != w2[0] || w1[1] != w2[1] {
-		t.Errorf("free quorum wins %v, group quorum wins %v", w1, w2)
-	}
-}
-
-func TestShimEquivalenceErrorTexts(t *testing.T) {
-	// The historical error formats callers may have matched on.
-	e1 := errors.New("first bad")
-	_, err := First(context.Background(), coretest.Failer[int](e1, time.Millisecond))
-	if err == nil || err.Error() != "replica 0: first bad" {
-		t.Errorf("First error text %q", err)
-	}
-	if _, err := Quorum(context.Background(), 0, coretest.Sleeper(1, 0)); err == nil ||
-		err.Error() != "redundancy: quorum 0 of 1 replicas" {
-		t.Errorf("Quorum validation text %q", err)
-	}
-	// q > n is the unreachable taxonomy, like Group.Do.
-	if _, err := Quorum(context.Background(), 3, coretest.Sleeper(1, 0), coretest.Sleeper(2, 0)); !errors.Is(err, ErrQuorumUnreachable) {
-		t.Errorf("Quorum q > n: got %v, want ErrQuorumUnreachable", err)
-	}
-}
-
 func TestQuorumUnreachableIsTyped(t *testing.T) {
 	e := errors.New("down")
-	_, err := Quorum(context.Background(), 2,
+	_, err := groupOf(FullReplicate{},
 		coretest.Failer[int](e, time.Millisecond),
 		coretest.Failer[int](e, time.Millisecond),
 		coretest.Sleeper(1, 5*time.Millisecond),
-	)
+	).Do(context.Background(), WithQuorum(2))
 	if err == nil {
 		t.Fatal("want error")
 	}
 	if !errors.Is(err, ErrQuorumUnreachable) {
-		t.Errorf("free Quorum failure not typed: %v", err)
+		t.Errorf("quorum failure not typed: %v", err)
 	}
 	var qe *QuorumError[int]
 	if !errors.As(err, &qe) {
@@ -860,25 +770,26 @@ func TestCancelledCopiesLabelled(t *testing.T) {
 	}
 }
 
+// TestAllRunsEverythingNoCancellation: ProbeAll, the one way to run
+// every replica to completion, cancels nothing — every copy completes,
+// none is counted cancelled, and only the failure goes unmeasured.
 func TestAllRunsEverythingNoCancellation(t *testing.T) {
-	// The measurement mode must not cancel anything: every copy completes
-	// and Cancelled stays 0.
 	gate := coretest.NewGate()
 	gate.Release()
-	outs := All(context.Background(),
+	g := groupOf(FullReplicate{},
 		coretest.Instant(1),
 		coretest.Blocked(2, gate),
 		coretest.Fail[int](errors.New("x")),
 	)
-	if len(outs) != 3 {
-		t.Fatalf("outcomes %d", len(outs))
+	if ok := g.ProbeAll(context.Background()); ok != 2 {
+		t.Fatalf("ProbeAll = %d successes, want 2", ok)
 	}
-	for i, o := range outs {
-		if i == 2 && o.Err == nil {
-			t.Error("failing replica reported success")
+	for i, r := range g.Stats().Replicas {
+		if r.Cancelled != 0 {
+			t.Errorf("%s: Cancelled = %d, want 0", r.Name, r.Cancelled)
 		}
-		if i != 2 && o.Err != nil {
-			t.Errorf("replica %d failed: %v", i, o.Err)
+		if r.Observed != (i != 2) {
+			t.Errorf("%s: Observed = %v, want only the failing replica unmeasured", r.Name, r.Observed)
 		}
 	}
 }

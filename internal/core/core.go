@@ -8,12 +8,14 @@
 //
 // Design notes:
 //
-//   - Every way of performing an operation — First, Hedged, Quorum, All,
-//     Group.Do with its per-call options, and the routed-subset
+//   - A redundant call is a Group call: register the replicas once, pick
+//     a Strategy (FullReplicate races them all, Fixed hedges after a
+//     delay, AdaptiveHedge at an observed quantile), and Do. Group.Do
+//     with its per-call options and the routed-subset
 //     KeyedGroup.DoPicked behind internal/ring's consistent-hash
-//     placement — is a thin layer over one request engine (call.go), so
-//     completion rules, launch schedules, and the error taxonomy compose
-//     instead of forking.
+//     placement share one request engine (call.go), so completion rules,
+//     launch schedules, and the error taxonomy compose instead of
+//     forking.
 //   - Losing replicas are cancelled through context and their goroutines
 //     always run to completion against a buffered channel, so a call never
 //     leaks goroutines even when it returns early. A call with a single
@@ -32,7 +34,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -61,8 +62,17 @@ type Result[T any] struct {
 	// operation completed and were cancelled through their derived
 	// contexts, or withdrawn from their Starter — reclaimed capacity,
 	// counted separately from failures.
-	// (Always zero for All, which runs every copy to completion.)
 	Cancelled int
+}
+
+// Outcome is one copy's result within a call, as WithCollectOutcomes
+// gathers it and a QuorumError carries it: Index is the copy's launch
+// position and Latency the time from the start of the call.
+type Outcome[T any] struct {
+	Value   T
+	Err     error
+	Index   int
+	Latency time.Duration
 }
 
 // BatchResult is one argument's outcome within a batch of calls that
@@ -85,77 +95,4 @@ type indexed[T any] struct {
 	// completion: idx is the copy the deadline was armed for, val and err
 	// are meaningless. See frameHedgeFired in call.go.
 	hedge bool
-}
-
-// First runs every replica concurrently and returns the first successful
-// result, cancelling the others. If every replica fails, it returns the
-// per-replica ReplicaErrors joined in completion order. First blocks until
-// a winner emerges or all replicas fail; it does NOT wait for cancelled
-// losers to finish.
-//
-// This is the paper's "initiate an operation multiple times, use the first
-// result which completes" in its purest form (k-way full replication).
-func First[T any](ctx context.Context, replicas ...Replica[T]) (Result[T], error) {
-	return call(ctx, callSpec[T]{
-		n: len(replicas),
-		run: func(ctx context.Context, i int) (T, error) {
-			return replicas[i](ctx)
-		},
-	})
-}
-
-// FirstValue is First without the metadata, for call sites that only need
-// the value.
-func FirstValue[T any](ctx context.Context, replicas ...Replica[T]) (T, error) {
-	res, err := First(ctx, replicas...)
-	return res.Value, err
-}
-
-// Hedged runs replicas with a staggered start: replica 0 immediately, and
-// each subsequent replica only if no response has arrived delay after the
-// previous launch. If an outstanding copy fails, the next copy is launched
-// immediately. This is the "hedged request" variant of redundancy: most of
-// the tail-latency benefit of full replication at a small fraction of the
-// added load (only operations slower than delay incur extra copies).
-//
-// A non-positive delay launches every copy immediately — Hedged(ctx, 0,
-// rs...) is First(ctx, rs...) — with no timer on the path.
-func Hedged[T any](ctx context.Context, delay time.Duration, replicas ...Replica[T]) (Result[T], error) {
-	sp := callSpec[T]{
-		n: len(replicas),
-		run: func(ctx context.Context, i int) (T, error) {
-			return replicas[i](ctx)
-		},
-	}
-	if delay > 0 {
-		delays := make([]time.Duration, len(replicas))
-		for i := range delays {
-			delays[i] = delay
-		}
-		sp.delays = delays
-	}
-	return call(ctx, sp)
-}
-
-// HedgedSchedule is Hedged with an explicit per-copy delay schedule:
-// replica i+1 launches delays[i+1] after replica i (delays[0] is ignored;
-// the first copy always starts immediately). A non-positive entry launches
-// its copy immediately, together with its predecessor — zero entries
-// express full replication for a prefix of the schedule.
-func HedgedSchedule[T any](ctx context.Context, delays []time.Duration, replicas ...Replica[T]) (Result[T], error) {
-	if len(replicas) == 0 {
-		var zero Result[T]
-		return zero, ErrNoReplicas
-	}
-	if len(delays) != len(replicas) {
-		var zero Result[T]
-		return zero, fmt.Errorf("redundancy: %d delays for %d replicas", len(delays), len(replicas))
-	}
-	return call(ctx, callSpec[T]{
-		n:      len(replicas),
-		delays: delays,
-		run: func(ctx context.Context, i int) (T, error) {
-			return replicas[i](ctx)
-		},
-	})
 }

@@ -13,11 +13,23 @@ import (
 	"redundancy/internal/core/coretest"
 )
 
+// groupOf registers reps on a fresh group running s, as "r0", "r1", … in
+// order. No digest has an observation yet, so ranked selection launches
+// them in registration order: on the group's first call copy i is
+// reps[i], and Result.Index names the replica.
+func groupOf[T any](s Strategy, reps ...Replica[T]) *Group[T] {
+	g := NewStrategyGroup[T](s)
+	for i, r := range reps {
+		g.Add(fmt.Sprintf("r%d", i), r)
+	}
+	return g
+}
+
 func TestFirstReturnsFastest(t *testing.T) {
-	res, err := First(context.Background(),
+	res, err := groupOf(FullReplicate{},
 		coretest.Sleeper("slow", 200*time.Millisecond),
 		coretest.Sleeper("fast", 5*time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +50,7 @@ func TestFirstCancelsLosers(t *testing.T) {
 	// gate the test waits on, with no polling.
 	cancelled := coretest.NewGate()
 	loser := coretest.CancelReporting(cancelled, coretest.Blocked("too slow", coretest.NewGate()))
-	res, err := First(context.Background(), coretest.Instant("win"), loser)
+	res, err := groupOf(FullReplicate{}, coretest.Instant("win"), loser).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +65,10 @@ func TestFirstCancelsLosers(t *testing.T) {
 }
 
 func TestFirstSkipsFailuresAndUsesSlowerSuccess(t *testing.T) {
-	res, err := First(context.Background(),
+	res, err := groupOf(FullReplicate{},
 		coretest.Failer[string](errors.New("boom"), time.Millisecond),
 		coretest.Sleeper("ok", 20*time.Millisecond),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,79 +79,101 @@ func TestFirstSkipsFailuresAndUsesSlowerSuccess(t *testing.T) {
 
 func TestFirstAllFailJoinsErrors(t *testing.T) {
 	e1, e2 := errors.New("first bad"), errors.New("second bad")
-	_, err := First(context.Background(),
+	_, err := groupOf(FullReplicate{},
 		coretest.Failer[int](e1, time.Millisecond),
 		coretest.Failer[int](e2, 2*time.Millisecond),
-	)
+	).Do(context.Background())
 	if err == nil {
 		t.Fatal("want error when all replicas fail")
 	}
 	if !errors.Is(err, e1) || !errors.Is(err, e2) {
 		t.Errorf("joined error missing causes: %v", err)
 	}
-	if !strings.Contains(err.Error(), "replica 0") || !strings.Contains(err.Error(), "replica 1") {
+	if !strings.Contains(err.Error(), "replica r0 (copy 0)") || !strings.Contains(err.Error(), "replica r1 (copy 1)") {
 		t.Errorf("error should identify replicas: %v", err)
 	}
 }
 
 func TestFirstNoReplicas(t *testing.T) {
-	_, err := First[int](context.Background())
+	_, err := NewStrategyGroup[int](FullReplicate{}).Do(context.Background())
 	if !errors.Is(err, ErrNoReplicas) {
 		t.Errorf("got %v, want ErrNoReplicas", err)
 	}
 }
 
+// TestFirstParentContextCancel: the caller gives up mid-call, once a copy
+// is demonstrably running (it signals through a gate and then blocks
+// until cancelled) — no sleep-guessed delay. The call returns the bare
+// context error and both copies are reclaimed.
 func TestFirstParentContextCancel(t *testing.T) {
-	// Cancel once the replica is demonstrably running (it signals via the
-	// started gate and then blocks forever): no sleep-guessed delay.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := coretest.NewGate()
-	never := coretest.NewGate()
 	rep := func(ctx context.Context) (string, error) {
 		started.Release()
-		return coretest.Blocked("never", never)(ctx)
+		return coretest.Blocked("never", coretest.NewGate())(ctx)
 	}
 	go func() {
 		<-started.C()
 		cancel()
 	}()
-	start := time.Now()
-	_, err := First(ctx, rep)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("got %v, want context.Canceled", err)
+	res, err := groupOf[string](FullReplicate{}, rep, rep).Do(ctx)
+	if err != context.Canceled {
+		t.Errorf("got %v, want the bare context.Canceled", err)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("cancel did not unblock First promptly")
+	if res.Launched != 2 || res.Cancelled != 2 {
+		t.Errorf("Launched/Cancelled = %d/%d, want 2/2", res.Launched, res.Cancelled)
 	}
 }
 
 func TestFirstValue(t *testing.T) {
-	v, err := FirstValue(context.Background(), coretest.Sleeper(42, time.Millisecond))
+	g := groupOf(FullReplicate{}, coretest.Sleeper(42, time.Millisecond), coretest.Blocked(7, coretest.NewGate()))
+	v, err := g.DoValue(context.Background())
 	if err != nil || v != 42 {
-		t.Errorf("FirstValue = (%v, %v), want (42, nil)", v, err)
+		t.Errorf("DoValue = (%v, %v), want (42, nil)", v, err)
 	}
 }
 
+// TestFirstNoGoroutineLeak runs 50 calls whose two losers block until
+// cancelled, then waits — on a channel, not a clock — for all 100 losers
+// to have returned: a copy the engine never cancelled would keep it
+// waiting. Their goroutines then only deliver and exit.
 func TestFirstNoGoroutineLeak(t *testing.T) {
+	const calls, losers = 50, 2
 	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		_, err := First(context.Background(),
-			coretest.Sleeper("fast", time.Millisecond),
-			coretest.Sleeper("slow", 30*time.Millisecond),
-			coretest.Failer[string](errors.New("x"), 10*time.Millisecond),
-		)
-		if err != nil {
-			t.Fatal(err)
+	var returned atomic.Int32
+	allReturned := make(chan struct{})
+	loser := func(v string) Replica[string] {
+		blocked := coretest.Blocked(v, coretest.NewGate())
+		return func(ctx context.Context) (string, error) {
+			defer func() {
+				if returned.Add(1) == calls*losers {
+					close(allReturned)
+				}
+			}()
+			return blocked(ctx)
 		}
 	}
-	// Give losers time to observe cancellation and exit.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	g := NewStrategyGroup[string](FullReplicate{})
+	g.Add("fast", coretest.Instant("fast"))
+	g.Add("slow", loser("slow"))
+	g.Add("stuck", loser("stuck"))
+	for i := 0; i < calls; i++ {
+		if res, err := g.Do(context.Background()); err != nil || res.Value != "fast" {
+			t.Fatalf("call %d = (%+v, %v)", i, res, err)
+		}
 	}
-	after := runtime.NumGoroutine()
-	if after > before+5 {
+	select {
+	case <-allReturned:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d of %d losers returned: the rest were never cancelled", returned.Load(), calls*losers)
+	}
+	// A little slack for goroutines other tests left behind (a timer's
+	// callback, say) that come and go meanwhile.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before+5; i++ {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before+5 {
 		t.Errorf("goroutines grew from %d to %d: leak", before, after)
 	}
 }
@@ -148,10 +182,10 @@ func TestHedgedSingleCopyWhenFast(t *testing.T) {
 	// An instant primary against a generous hedge delay: the hedge (which
 	// would block forever) must never launch.
 	var launches atomic.Int32
-	res, err := Hedged(context.Background(), 100*time.Millisecond,
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: 100 * time.Millisecond},
 		coretest.Counting(&launches, coretest.Instant("primary")),
 		coretest.Counting(&launches, coretest.Blocked("hedge", coretest.NewGate())),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +203,10 @@ func TestHedgedSingleCopyWhenFast(t *testing.T) {
 func TestHedgedLaunchesSecondWhenSlow(t *testing.T) {
 	// The primary blocks forever, so only the hedge can win — and it can
 	// only launch after the hedge delay expires.
-	res, err := Hedged(context.Background(), 10*time.Millisecond,
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: 10 * time.Millisecond},
 		coretest.Blocked("slow-primary", coretest.NewGate()),
 		coretest.Instant("hedge"),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +222,10 @@ func TestHedgedImmediateOnFailure(t *testing.T) {
 	// If the primary fails fast, the hedge launches immediately rather
 	// than waiting out the delay.
 	start := time.Now()
-	res, err := Hedged(context.Background(), time.Hour,
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: time.Hour},
 		coretest.Fail[string](errors.New("down")),
 		coretest.Instant("backup"),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,50 +238,12 @@ func TestHedgedImmediateOnFailure(t *testing.T) {
 }
 
 func TestHedgedAllFail(t *testing.T) {
-	_, err := Hedged(context.Background(), time.Millisecond,
+	_, err := groupOf(Fixed{Copies: 2, HedgeDelay: time.Millisecond},
 		coretest.Fail[int](errors.New("a")),
 		coretest.Fail[int](errors.New("b")),
-	)
-	if err == nil || !strings.Contains(err.Error(), "a") || !strings.Contains(err.Error(), "b") {
+	).Do(context.Background())
+	if err == nil || !strings.Contains(err.Error(), ": a") || !strings.Contains(err.Error(), ": b") {
 		t.Errorf("want joined errors, got %v", err)
-	}
-}
-
-func TestHedgedScheduleLengthMismatch(t *testing.T) {
-	// The public one-shot API is strict: a schedule that does not match
-	// the replica slice is a caller bug and must be reported, not
-	// silently reinterpreted. (Group strategies, by contrast, have their
-	// schedules normalized — see TestStrategyScheduleNormalized.)
-	fast := func(ctx context.Context) (int, error) { return 1, nil }
-
-	// Shorter than the replica slice.
-	if _, err := HedgedSchedule(context.Background(), []time.Duration{0},
-		coretest.Sleeper(1, time.Millisecond), coretest.Sleeper(2, time.Millisecond)); err == nil {
-		t.Error("short schedule accepted")
-	}
-	// Longer than the replica slice.
-	if _, err := HedgedSchedule(context.Background(),
-		[]time.Duration{0, time.Millisecond, time.Millisecond}, fast); err == nil {
-		t.Error("long schedule accepted")
-	}
-	// Zero-length schedule with replicas.
-	if _, err := HedgedSchedule(context.Background(), nil, fast); err == nil {
-		t.Error("empty schedule accepted for one replica")
-	}
-	// Zero replicas win over a zero-length schedule: ErrNoReplicas, not
-	// a length complaint.
-	if _, err := HedgedSchedule[int](context.Background(), nil); !errors.Is(err, ErrNoReplicas) {
-		t.Errorf("no replicas + empty schedule: got %v, want ErrNoReplicas", err)
-	}
-	// Zero replicas with a non-empty schedule is still ErrNoReplicas.
-	if _, err := HedgedSchedule[int](context.Background(),
-		[]time.Duration{0}); !errors.Is(err, ErrNoReplicas) {
-		t.Errorf("no replicas + schedule: got %v, want ErrNoReplicas", err)
-	}
-	// A matching schedule still works with a single replica.
-	res, err := HedgedSchedule(context.Background(), []time.Duration{0}, fast)
-	if err != nil || res.Value != 1 || res.Launched != 1 {
-		t.Errorf("single replica schedule: %+v, %v", res, err)
 	}
 }
 
@@ -263,10 +259,9 @@ func TestHedgedScheduleStaggers(t *testing.T) {
 			return inner(ctx)
 		}
 	}
-	res, err := HedgedSchedule(context.Background(),
-		[]time.Duration{0, 5 * time.Millisecond, 5 * time.Millisecond},
+	res, err := groupOf(scheduleStrategy{copies: 3, sched: []time.Duration{0, 5 * time.Millisecond, 5 * time.Millisecond}},
 		mk(0, coretest.Blocked(0, never)), mk(1, coretest.Blocked(1, never)), mk(2, coretest.Instant(2)),
-	)
+	).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,48 +285,61 @@ func newChanLock() *chanLock { return &chanLock{ch: make(chan struct{}, 1)} }
 func (l *chanLock) Lock()   { l.ch <- struct{}{} }
 func (l *chanLock) Unlock() { <-l.ch }
 
+// TestFirstManyReplicas fans one call out to 64 replicas — past
+// frameInline, so the picked set, the schedule and the results channel
+// spill and copies beyond the fourth start through the spill path (go
+// runFrameCopy). 63 block until cancelled; only replica 17 can win.
 func TestFirstManyReplicas(t *testing.T) {
-	// 63 replicas block forever; only replica 17 can win — no race
-	// between 64 wall-clock timers.
 	never := coretest.NewGate()
 	reps := make([]Replica[int], 64)
 	for i := range reps {
 		reps[i] = coretest.Blocked(i, never)
 	}
 	reps[17] = coretest.Instant(17)
-	res, err := First(context.Background(), reps...)
+	res, err := groupOf(FullReplicate{}, reps...).Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value != 17 {
-		t.Errorf("winner %d, want 17", res.Value)
+	if res.Value != 17 || res.Index != 17 {
+		t.Errorf("winner %d at index %d, want 17", res.Value, res.Index)
 	}
-	if res.Cancelled != 63 {
-		t.Errorf("Cancelled = %d, want 63", res.Cancelled)
+	if res.Launched != 64 || res.Cancelled != 63 {
+		t.Errorf("Launched/Cancelled = %d/%d, want 64/63", res.Launched, res.Cancelled)
 	}
 }
 
+// TestResultLatencyMeasured: Result.Latency runs from the start of the
+// call, not of the winning copy — a hedge that launches after 20ms and
+// answers 20ms later reports at least 40ms.
 func TestResultLatencyMeasured(t *testing.T) {
-	res, err := First(context.Background(), coretest.Sleeper("x", 30*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	res, err := groupOf(Fixed{Copies: 2, HedgeDelay: 20 * time.Millisecond},
+		coretest.Blocked("stuck", coretest.NewGate()),
+		coretest.Sleeper("hedge", 20*time.Millisecond),
+	).Do(context.Background())
+	if err != nil || res.Value != "hedge" {
+		t.Fatalf("Do = (%+v, %v), want the hedge", res, err)
 	}
-	if res.Latency < 20*time.Millisecond || res.Latency > 500*time.Millisecond {
-		t.Errorf("latency %v implausible for 30ms replica", res.Latency)
+	if res.Latency < 40*time.Millisecond || res.Latency > 2*time.Second {
+		t.Errorf("latency %v, want from call start: >= 40ms (20ms hedge delay + 20ms copy)", res.Latency)
 	}
 }
 
-func ExampleFirst() {
-	ctx := context.Background()
-	res, err := First(ctx,
-		func(ctx context.Context) (string, error) {
-			time.Sleep(50 * time.Millisecond)
+// A redundant call is a Group call: FullReplicate races every replica
+// and keeps the first answer.
+func ExampleGroup_firstResponse() {
+	g := NewStrategyGroup[string](FullReplicate{})
+	g.Add("slow", func(ctx context.Context) (string, error) {
+		select {
+		case <-time.After(time.Second):
 			return "slow server", nil
-		},
-		func(ctx context.Context) (string, error) {
-			return "fast server", nil
-		},
-	)
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	})
+	g.Add("fast", func(ctx context.Context) (string, error) {
+		return "fast server", nil
+	})
+	res, err := g.Do(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -655,7 +655,7 @@ func (g *KeyedGroup[K, T]) settle(p *callPlan[T], winner string, res *Result[T],
 // plan has quorum 1 and holds no budget tokens.
 func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], m *member[K, T]) (Result[T], error) {
 	v, d, err := m.run(ctx, arg, p.gov)
-	res, err := singleResult(ctx, m.name, v, d, err, false, p.collect)
+	res, err := singleResult(ctx, m.name, v, d, err, p.collect)
 	g.settle(p, m.name, &res, err)
 	return res, err
 }

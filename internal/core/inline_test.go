@@ -326,44 +326,3 @@ func TestInlineBehaviour(t *testing.T) {
 		}
 	})
 }
-
-// TestInlineFreeFunctions pins the same path for the free functions over
-// a single replica: no goroutine, the caller's context, the historical
-// anonymous error format, and All's run-to-completion rule.
-func TestInlineFreeFunctions(t *testing.T) {
-	boom := errors.New("boom")
-	caller := context.Background()
-	res, err := core.First(caller, func(ctx context.Context) (int, error) {
-		if ctx != caller {
-			t.Error("First over one replica handed it a derived context")
-		}
-		return 7, nil
-	})
-	if err != nil || res.Value != 7 || res.Launched != 1 || res.Cancelled != 0 {
-		t.Fatalf("First = (%+v, %v)", res, err)
-	}
-
-	_, err = core.Hedged(caller, time.Hour, coretest.Fail[int](boom))
-	var re core.ReplicaError
-	if !errors.As(err, &re) || re.Name != "" || re.Attempt != 0 || err.Error() != "replica 0: boom" {
-		t.Fatalf("Hedged over one failing replica: err = %v, want %q", err, "replica 0: boom")
-	}
-
-	ctx, cancel := context.WithCancel(caller)
-	cancel()
-	res, err = core.First(ctx, coretest.Blocked(1, coretest.NewGate()))
-	if err != context.Canceled || res.Launched != 1 || res.Cancelled != 1 {
-		t.Fatalf("First under a cancelled context = (%+v, %v), want the bare context.Canceled", res, err)
-	}
-
-	// All never watches the context: the replica's own error is reported.
-	outs := core.All(ctx, coretest.Fail[int](boom))
-	if len(outs) != 1 || !errors.Is(outs[0].Err, boom) {
-		t.Fatalf("All over one failing replica under a cancelled context = %+v, want boom", outs)
-	}
-
-	wins, err := core.Quorum(caller, 1, coretest.Instant(3))
-	if err != nil || len(wins) != 1 || wins[0].Value != 3 {
-		t.Fatalf("Quorum(1) over one replica = (%+v, %v)", wins, err)
-	}
-}

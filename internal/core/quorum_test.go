@@ -9,8 +9,22 @@ import (
 	"redundancy/internal/core/coretest"
 )
 
+// quorumDo runs one WithQuorum(q) call over a full-replicating group of
+// reps and returns its successes in completion order.
+func quorumDo[T any](ctx context.Context, q int, reps ...Replica[T]) ([]Outcome[T], error) {
+	var outs []Outcome[T]
+	_, err := groupOf(FullReplicate{}, reps...).Do(ctx, WithQuorum(q), WithCollectOutcomes(&outs))
+	wins := outs[:0]
+	for _, o := range outs {
+		if o.Err == nil {
+			wins = append(wins, o)
+		}
+	}
+	return wins, err
+}
+
 func TestQuorumFirstQSuccesses(t *testing.T) {
-	outs, err := Quorum(context.Background(), 2,
+	outs, err := quorumDo(context.Background(), 2,
 		coretest.Sleeper("a", 5*time.Millisecond),
 		coretest.Sleeper("b", 10*time.Millisecond),
 		coretest.Sleeper("c", 500*time.Millisecond),
@@ -19,7 +33,7 @@ func TestQuorumFirstQSuccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(outs) != 2 {
-		t.Fatalf("got %d outcomes", len(outs))
+		t.Fatalf("got %d successes", len(outs))
 	}
 	if outs[0].Value != "a" || outs[1].Value != "b" {
 		t.Errorf("quorum values %q, %q; want a, b (completion order)", outs[0].Value, outs[1].Value)
@@ -30,7 +44,7 @@ func TestQuorumFirstQSuccesses(t *testing.T) {
 }
 
 func TestQuorumOfOneIsFirst(t *testing.T) {
-	outs, err := Quorum(context.Background(), 1,
+	outs, err := quorumDo(context.Background(), 1,
 		coretest.Sleeper(1, 50*time.Millisecond),
 		coretest.Sleeper(2, time.Millisecond),
 	)
@@ -43,7 +57,7 @@ func TestQuorumOfOneIsFirst(t *testing.T) {
 }
 
 func TestQuorumToleratesFailuresUpToNMinusQ(t *testing.T) {
-	outs, err := Quorum(context.Background(), 2,
+	outs, err := quorumDo(context.Background(), 2,
 		coretest.Failer[int](errors.New("down"), time.Millisecond),
 		coretest.Sleeper(1, 5*time.Millisecond),
 		coretest.Sleeper(2, 10*time.Millisecond),
@@ -52,13 +66,13 @@ func TestQuorumToleratesFailuresUpToNMinusQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(outs) != 2 {
-		t.Fatalf("got %d outcomes", len(outs))
+		t.Fatalf("got %d successes", len(outs))
 	}
 }
 
 func TestQuorumFailsWhenImpossible(t *testing.T) {
 	e1, e2 := errors.New("one"), errors.New("two")
-	_, err := Quorum(context.Background(), 2,
+	_, err := quorumDo(context.Background(), 2,
 		coretest.Failer[int](e1, time.Millisecond),
 		coretest.Failer[int](e2, time.Millisecond),
 		coretest.Sleeper(1, 5*time.Millisecond),
@@ -71,62 +85,74 @@ func TestQuorumFailsWhenImpossible(t *testing.T) {
 	}
 }
 
+// TestQuorumValidation: an empty group has no replicas to count, a
+// quorum below 1 is first-response-wins, and one larger than the
+// replica set is unreachable before anything launches.
 func TestQuorumValidation(t *testing.T) {
-	if _, err := Quorum[int](context.Background(), 1); !errors.Is(err, ErrNoReplicas) {
+	if _, err := quorumDo[int](context.Background(), 1); !errors.Is(err, ErrNoReplicas) {
 		t.Errorf("empty: %v", err)
 	}
-	if _, err := Quorum(context.Background(), 0, coretest.Sleeper(1, 0)); err == nil {
-		t.Error("q=0 accepted")
+	if outs, err := quorumDo(context.Background(), 0, coretest.Instant(1), coretest.Blocked(2, coretest.NewGate())); err != nil || len(outs) != 1 {
+		t.Errorf("q=0 = (%+v, %v), want the first success alone", outs, err)
 	}
-	if _, err := Quorum(context.Background(), 3, coretest.Sleeper(1, 0), coretest.Sleeper(2, 0)); err == nil {
-		t.Error("q > n accepted")
+	launches := 0
+	count := func(ctx context.Context) (int, error) { launches++; return 1, nil }
+	if _, err := quorumDo[int](context.Background(), 3, count, count); !errors.Is(err, ErrQuorumUnreachable) || launches != 0 {
+		t.Errorf("q > n: err %v after %d launches, want ErrQuorumUnreachable after none", err, launches)
 	}
 }
 
 func TestQuorumContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := Quorum(ctx, 1, coretest.Sleeper(1, 5*time.Second))
+	_, err := quorumDo(ctx, 1, coretest.Sleeper(1, 5*time.Second), coretest.Sleeper(2, 5*time.Second))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("got %v", err)
 	}
 }
 
+// TestAllRunsEverything: ProbeAll runs every replica to completion —
+// the failure and the slowest one included — and measures each success,
+// so ranked selection then knows the fastest.
 func TestAllRunsEverything(t *testing.T) {
-	outs := All(context.Background(),
+	g := groupOf(FullReplicate{},
 		coretest.Sleeper("x", time.Millisecond),
 		coretest.Failer[string](errors.New("bad"), time.Millisecond),
 		coretest.Sleeper("z", 20*time.Millisecond),
 	)
-	if len(outs) != 3 {
-		t.Fatalf("got %d outcomes", len(outs))
+	if ok := g.ProbeAll(context.Background()); ok != 2 {
+		t.Fatalf("ProbeAll = %d successes, want 2", ok)
 	}
-	if outs[0].Value != "x" || outs[0].Err != nil {
-		t.Errorf("outcome 0 = %+v", outs[0])
+	x, okX := g.EstimatedLatency("r0")
+	z, okZ := g.EstimatedLatency("r2")
+	if !okX || !okZ || z < x {
+		t.Errorf("estimates r0 %v (%v), r2 %v (%v): want both, r2 the slower", x, okX, z, okZ)
 	}
-	if outs[1].Err == nil {
-		t.Error("outcome 1 should carry the error")
-	}
-	if outs[2].Value != "z" || outs[2].Index != 2 {
-		t.Errorf("outcome 2 = %+v", outs[2])
-	}
-	// All preserves replica order regardless of completion order.
-	if outs[2].Latency < outs[0].Latency {
-		t.Error("latencies inconsistent with sleep durations")
+	if _, ok := g.EstimatedLatency("r1"); ok {
+		t.Error("the failing replica acquired an estimate")
 	}
 }
 
+// TestFastestSortsAndFilters: after ProbeAll the group ranks the
+// replicas that answered fastest first, and keeps the one that failed
+// apart — unmeasured, so ranked selection probes it again first.
 func TestFastestSortsAndFilters(t *testing.T) {
-	outs := All(context.Background(),
+	g := groupOf(FullReplicate{},
 		coretest.Sleeper("slow", 30*time.Millisecond),
 		coretest.Failer[string](errors.New("x"), time.Millisecond),
 		coretest.Sleeper("fast", time.Millisecond),
 	)
-	fastest := Fastest(outs)
-	if len(fastest) != 2 {
-		t.Fatalf("Fastest kept %d outcomes", len(fastest))
+	g.ProbeAll(context.Background())
+	var measured []string
+	for _, r := range g.Stats().Replicas {
+		if r.Observed {
+			measured = append(measured, r.Name)
+		}
 	}
-	if fastest[0].Value != "fast" || fastest[1].Value != "slow" {
-		t.Errorf("order: %q then %q", fastest[0].Value, fastest[1].Value)
+	if len(measured) != 2 {
+		t.Fatalf("measured %v, want the two that answered", measured)
+	}
+	if got := g.RankedNames(); len(got) != 3 || got[0] != "r1" || got[1] != "r2" || got[2] != "r0" {
+		t.Errorf("RankedNames = %v, want [r1 r2 r0]: the unmeasured failure, then fast before slow", got)
 	}
 }

@@ -223,11 +223,11 @@ func TestAsyncCollectingCallNeverDrops(t *testing.T) {
 }
 
 // settleFrame assembles a two-copy frame over held starters by hand, the
-// way call assembles one, on a pool of its own so the test can watch it
-// recycle.
-func settleFrame(waitAll bool) (*callFrame[struct{}, int], *Group[int], []*heldStarter) {
+// way launchFrame fills one, on a pool of its own so the test can watch
+// it recycle.
+func settleFrame() (*callFrame[struct{}, int], *Group[int], []*heldStarter) {
 	g, hs := heldGroup(2)
-	fr := &callFrame[struct{}, int]{pool: new(sync.Pool), n: 2, quorum: 1, waitAll: waitAll}
+	fr := &callFrame[struct{}, int]{pool: new(sync.Pool), n: 2, quorum: 1}
 	fr.refs.Store(1)
 	fr.ensureChan(2)
 	for i, name := range []string{"a", "b"} {
@@ -254,7 +254,7 @@ func TestFrameSettledStragglerPinsFrame(t *testing.T) {
 		err  error
 	}{{"late success is dropped", nil}, {"late failure is delivered", boom}} {
 		t.Run(late.name, func(t *testing.T) {
-			fr, g, hs := settleFrame(false)
+			fr, g, hs := settleFrame()
 			type outcome struct {
 				res Result[int]
 				err error
@@ -300,28 +300,5 @@ func TestFrameSettledStragglerPinsFrame(t *testing.T) {
 					st.Dropped, st.Observations, st.Cancelled, wantDropped, wantObs)
 			}
 		})
-	}
-}
-
-// TestFrameWaitAllNeverSettles: the measurement mode runs every copy out
-// and reports each, so no reply of it is ever dropped.
-func TestFrameWaitAllNeverSettles(t *testing.T) {
-	fr, g, hs := settleFrame(true)
-	var dropped [2]bool
-	hs[1].onStart = func() {
-		for i, h := range hs {
-			dropped[i] = h.reply(t, i+1)
-		}
-	}
-	res, err := runFrame(context.Background(), fr)
-	fr.release(1)
-	if err != nil || res.Value != 1 || res.Launched != 2 || res.Cancelled != 0 {
-		t.Fatalf("runFrame = (%+v, %v), want the first win with both copies run out", res, err)
-	}
-	if dropped != [2]bool{} {
-		t.Errorf("dropped = %v: waitAll dropped a reply", dropped)
-	}
-	if st := statsOf(g, "b"); st.Dropped != 0 {
-		t.Errorf("b: Dropped = %d, want 0", st.Dropped)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"redundancy/internal/core/coretest"
 )
 
 // nextEvent pulls one event from ch or fails the test after timeout.
@@ -75,6 +77,50 @@ func TestStoreWatchLifecycleEvents(t *testing.T) {
 	}
 	if n := s.Watchers(); n != 0 {
 		t.Fatalf("Watchers = %d after close, want 0", n)
+	}
+}
+
+// TestStoreWatchFanoutAllocations: one put fanned out to 16 prefix
+// watchers costs exactly one allocation, the stored copy of the value —
+// every event shares it, and the registry walk and the non-blocking
+// sends allocate nothing.
+func TestStoreWatchFanoutAllocations(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	const watchers = 16
+	s := NewStore()
+	var wg sync.WaitGroup
+	var delivered atomic.Int64
+	ws := make([]*StoreWatch, watchers)
+	for i := range ws {
+		ws[i] = s.Watch("fan/", maxWatchBuffer)
+		wg.Add(1)
+		go func(w *StoreWatch) {
+			defer wg.Done()
+			for range w.Events() {
+				delivered.Add(1)
+			}
+		}(ws[i])
+	}
+	val := []byte("fanout-value-0123456789")
+	version := uint64(0)
+	put := func() {
+		version++
+		if _, applied := s.PutVersion("fan/key", 0, val, 0, version); !applied {
+			t.Fatalf("put of version %d not applied", version)
+		}
+	}
+	put() // the key's first put also stores the key string
+	if avg := testing.AllocsPerRun(1000, put); avg != 1 {
+		t.Errorf("a put fanned out to %d watchers allocates %.2f/op, want exactly 1", watchers, avg)
+	}
+	for _, w := range ws {
+		w.Close()
+	}
+	wg.Wait()
+	if got, want := delivered.Load(), int64(watchers)*int64(version); got != want {
+		t.Errorf("%d events delivered, want %d: every watcher sees every put", got, want)
 	}
 }
 

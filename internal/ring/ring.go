@@ -28,9 +28,9 @@
 // or the new one, never a mix. Keys owned by a removed member remap to
 // their successors; calls already in flight finish against the members
 // they were routed to (handles outlive removal, exactly like the group's
-// snapshot grace). Placement uses the same KeyHash/VNodeHash as
-// internal/consistenthash, so the live ring and the cluster simulator
-// place identically.
+// snapshot grace). The cluster simulator places its files with
+// NewPlacement, built by the same point builder as a Ring's route table,
+// so the live ring and the simulator place identically.
 //
 // All methods are safe for concurrent use. The per-call hot path —
 // hash, binary search, successor walk, DoPicked — takes no locks and
@@ -39,11 +39,12 @@ package ring
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"redundancy/internal/consistenthash"
 	"redundancy/internal/core"
 )
 
@@ -227,21 +228,61 @@ func (r *Ring[K, T]) Remove(name string) bool {
 
 // build compiles a member list into an immutable route table.
 func (r *Ring[K, T]) build(members []ringMember[K, T]) *table[K, T] {
-	points := make([]point, 0, len(members)*r.vnodes)
+	names := make([]string, len(members))
 	for i := range members {
-		for v := 0; v < r.vnodes; v++ {
-			points = append(points, point{hash: consistenthash.VNodeHash(members[i].name, v), owner: int32(i)})
+		names[i] = members[i].name
+	}
+	return &table[K, T]{points: buildPoints(names, r.vnodes), members: members}
+}
+
+// buildPoints places vnodes points on the ring for each of names, the
+// points of names[i] owned by index i, sorted by hash. Ties (vanishingly
+// rare 64-bit collisions) resolve by index, deterministically.
+func buildPoints(names []string, vnodes int) []point {
+	points := make([]point, 0, len(names)*vnodes)
+	for i, name := range names {
+		for v := 0; v < vnodes; v++ {
+			points = append(points, point{hash: vnodeHash(name, v), owner: int32(i)})
 		}
 	}
-	// Ties (vanishingly rare 64-bit collisions) resolve by registration
-	// order, deterministically.
 	sort.Slice(points, func(a, b int) bool {
 		if points[a].hash != points[b].hash {
 			return points[a].hash < points[b].hash
 		}
 		return points[a].owner < points[b].owner
 	})
-	return &table[K, T]{points: points, members: members}
+	return points
+}
+
+// keyHash returns the position of a key (or virtual-node label) on the
+// ring: FNV-1a over the bytes, finalized by fmix64. It is an inline loop
+// rather than hash/fnv so the per-call routing hot path allocates
+// nothing.
+func keyHash(s string) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return fmix64(h)
+}
+
+// vnodeHash returns the ring position of node's v-th virtual point.
+func vnodeHash(node string, v int) uint64 {
+	return keyHash(fmt.Sprintf("%s#%d", node, v))
+}
+
+// fmix64 is the MurmurHash3 64-bit finalizer. FNV-1a alone leaves nearly
+// identical hashes for strings that differ only in a trailing counter
+// (vnode suffixes), which would collapse each node's virtual points into
+// one arc of the ring; the finalizer restores full avalanche.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // ownersInto fills dst with the handles of the first len(dst) distinct
@@ -294,7 +335,7 @@ func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (co
 	} else {
 		picked = make([]core.Handle[K, T], rr)
 	}
-	t.ownersInto(consistenthash.KeyHash(r.keyOf(arg)), picked)
+	t.ownersInto(keyHash(r.keyOf(arg)), picked)
 	return r.group.DoPicked(ctx, arg, picked, opts...)
 }
 
@@ -320,7 +361,7 @@ func (r *Ring[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
 	} else {
 		picked = make([]core.Handle[K, T], rr)
 	}
-	t.ownersInto(consistenthash.KeyHash(r.keyOf(arg)), picked)
+	t.ownersInto(keyHash(r.keyOf(arg)), picked)
 	res, err := r.group.DoPicked(ctx, arg, picked)
 	return res.Value, err
 }
@@ -340,7 +381,7 @@ func (r *Ring[K, T]) Owners(key string) []string {
 		rr = nm
 	}
 	picked := make([]core.Handle[K, T], rr)
-	t.ownersInto(consistenthash.KeyHash(key), picked)
+	t.ownersInto(keyHash(key), picked)
 	names := make([]string, rr)
 	for i, h := range picked {
 		names[i] = h.Name()
@@ -444,6 +485,16 @@ func (r *Ring[K, T]) Placement() Placement {
 	return Placement{points: t.points, names: names, replication: r.replication}
 }
 
+// NewPlacement builds a Placement without a Ring: names in that order,
+// vnodes points each, replication owners per key (values below 1 mean
+// 1). It places exactly as a Ring registering the same names in the
+// same order with the same options — the cluster simulator places its
+// files with it.
+func NewPlacement(names []string, vnodes, replication int) Placement {
+	names = slices.Clone(names)
+	return Placement{points: buildPoints(names, max(vnodes, 1)), names: names, replication: max(replication, 1)}
+}
+
 // Len returns the snapshot's member count.
 func (p Placement) Len() int { return len(p.names) }
 
@@ -470,7 +521,7 @@ func (p Placement) OwnersInto(key string, dst []string) int {
 		want = len(dst)
 	}
 	pts := p.points
-	hash := consistenthash.KeyHash(key)
+	hash := keyHash(key)
 	start := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= hash })
 	n := 0
 walk:

@@ -2,14 +2,16 @@ package ring_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"redundancy/internal/consistenthash"
 	"redundancy/internal/core"
 	"redundancy/internal/core/coretest"
 	"redundancy/internal/ring"
@@ -36,29 +38,37 @@ func keyWithPrimary[K, T any](t *testing.T, r *ring.Ring[K, T], member string) s
 	return ""
 }
 
-// The live ring and the cluster simulator's consistenthash must place
-// identically: the production router is the promotion of the simulator's
-// placement, not a reimplementation with different arithmetic.
+// Placement is a golden: the owners of 300 keys over s0…s7 at 64 vnodes,
+// replication 3, as the live ring and the cluster simulator (through
+// NewPlacement) both place them. The expected digest was captured before
+// the simulator's own consistent-hash package was folded into this one,
+// when the two implementations were checked against each other key by
+// key; a change here moves figures 5–11 and every key's home.
 func TestPlacementMatchesSimulator(t *testing.T) {
 	names := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
-	ch := consistenthash.New(64)
-	ch.Add(names...)
 	r := ring.New[string, int](nil, ring.WithVirtualNodes(64), ring.WithReplication(3))
 	for i, n := range names {
 		r.Add(n, instant(i))
 	}
+	sim := ring.NewPlacement(names, 64, 3)
+	var live, simulated strings.Builder
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("file-%d", i)
-		want := ch.GetN(key, 3)
-		got := r.Owners(key)
-		if len(got) != len(want) {
-			t.Fatalf("Owners(%q) = %v, simulator places %v", key, got, want)
+		fmt.Fprintln(&live, strings.Join(r.Owners(key), ","))
+		fmt.Fprintln(&simulated, strings.Join(sim.Owners(key), ","))
+	}
+	if live.String() != simulated.String() {
+		t.Fatal("the live ring and NewPlacement place the same names differently")
+	}
+	lines := strings.Split(live.String(), "\n")
+	for i, want := range map[int]string{0: "s1,s3,s0", 1: "s2,s5,s1", 2: "s4,s1,s6", 3: "s3,s0,s6", 4: "s5,s3,s0", 299: "s4,s2,s1"} {
+		if lines[i] != want {
+			t.Errorf("owners of file-%d = %s, want %s", i, lines[i], want)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("Owners(%q) = %v, simulator places %v", key, got, want)
-			}
-		}
+	}
+	const want = "b876fa9fd580e61414733ba3170c7cfccb5f052bf9ed2904a1773cf84c082264"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(live.String()))); got != want {
+		t.Errorf("owners digest = %s, want %s", got, want)
 	}
 }
 
@@ -346,5 +356,34 @@ func TestRingChurnRace(t *testing.T) {
 	}
 	if r.Len() != 1 || r.Names()[0] != "s0" {
 		t.Errorf("after churn: members %v, want [s0]", r.Names())
+	}
+}
+
+// TestRingDoAllocs: a routed two-copy call over function replicas costs
+// what the unrouted one does — the engine's cancellation channel and
+// derived context, exactly 2 allocations. Hashing, the route-table walk
+// and the placement scratch add none.
+func TestRingDoAllocs(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	r := ring.New[string, int](core.Fixed{Copies: 2})
+	for i := 0; i < 8; i++ {
+		r.Add(fmt.Sprintf("s%d", i), instant(i))
+	}
+	ctx := context.Background()
+	do := func() {
+		if res, err := r.Do(ctx, "user:12345"); err != nil || res.Launched != 2 {
+			t.Fatalf("Do = (%+v, %v), want 2 copies launched", res, err)
+		}
+		// AllocsPerRun pins GOMAXPROCS to 1: let the loser deliver and
+		// recycle its frame before the next call checks one out.
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		do()
+	}
+	if avg := testing.AllocsPerRun(500, do); avg != 2 {
+		t.Errorf("Ring.Do at k=2 allocates %.2f/op, want exactly 2", avg)
 	}
 }

@@ -11,28 +11,29 @@
 //
 // # Quick start
 //
-// Every operation flows through one request engine. For a one-shot race,
-// use First:
+// A redundant call is a Group call: register the replicas once, choose a
+// Strategy, and Do. FullReplicate races every replica and keeps the first
+// answer:
 //
 //	ctx := context.Background()
-//	res, err := redundancy.First(ctx,
-//	    func(ctx context.Context) (string, error) { return queryServer(ctx, "a.example") },
-//	    func(ctx context.Context) (string, error) { return queryServer(ctx, "b.example") },
-//	)
+//	g := redundancy.NewStrategyGroup[string](redundancy.FullReplicate{})
+//	g.Add("a.example", queryA) // queryA(ctx context.Context) (string, error)
+//	g.Add("b.example", queryB)
+//	res, err := g.Do(ctx)
 //	// res.Value is the fastest server's answer; the slower query was cancelled.
 //
-// For repeated operations against a long-lived replica set, use Group: it
-// tracks per-replica latency, replicates to the k fastest (the paper's
-// DNS strategy), hedges after a fixed or adaptive delay, and bounds added
-// load with a Budget. Per-call options then tune a single operation
-// without touching the shared group:
+// The group tracks per-replica latency, so the same set can replicate to
+// the k fastest (the paper's DNS strategy), hedge after a fixed or
+// adaptive delay, and bound added load with a Budget. Per-call options
+// then tune a single operation without touching the shared group:
 //
-//	g := redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2})
+//	g = redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2})
 //	g.Add("a.example", queryA)
 //	g.Add("b.example", queryB)
 //	g.Add("c.example", queryC)
+//	g.ProbeAll(ctx)                                        // measure every replica once
 //
-//	res, err := g.Do(ctx)                                  // first response wins
+//	res, err = g.Do(ctx)                                   // the 2 fastest race
 //	res, err = g.Do(ctx, redundancy.WithQuorum(2),         // 2-of-3 read...
 //	    redundancy.WithLabel("checkout"))                  // ...tagged for metrics
 //	res, err = g.Do(ctx,                                   // SLO-critical request:
@@ -72,9 +73,6 @@
 package redundancy
 
 import (
-	"context"
-	"time"
-
 	"redundancy/internal/core"
 	"redundancy/internal/repair"
 	"redundancy/internal/ring"
@@ -247,28 +245,6 @@ func WithCollectOutcomes[T any](dst *[]Outcome[T]) CallOption {
 	return core.WithCollectOutcomes(dst)
 }
 
-// First runs every replica concurrently and returns the first successful
-// result, cancelling the rest.
-func First[T any](ctx context.Context, replicas ...Replica[T]) (Result[T], error) {
-	return core.First(ctx, replicas...)
-}
-
-// FirstValue is First returning only the winning value.
-func FirstValue[T any](ctx context.Context, replicas ...Replica[T]) (T, error) {
-	return core.FirstValue(ctx, replicas...)
-}
-
-// Hedged staggers copies: copy i+1 launches only if no response arrived
-// delay after copy i.
-func Hedged[T any](ctx context.Context, delay time.Duration, replicas ...Replica[T]) (Result[T], error) {
-	return core.Hedged(ctx, delay, replicas...)
-}
-
-// HedgedSchedule is Hedged with an explicit per-copy delay schedule.
-func HedgedSchedule[T any](ctx context.Context, delays []time.Duration, replicas ...Replica[T]) (Result[T], error) {
-	return core.HedgedSchedule(ctx, delays, replicas...)
-}
-
 // NewStrategyGroup creates a Group with the given replication strategy
 // (Fixed, AdaptiveHedge, FullReplicate, LoadAware, or your own).
 func NewStrategyGroup[T any](s Strategy, opts ...GroupOption[T]) *Group[T] {
@@ -334,23 +310,9 @@ func LoadAwareWith(inner Strategy, gov *Governor) *GovernedStrategy {
 // NewCounters returns an empty Counters observer.
 func NewCounters() *Counters { return core.NewCounters() }
 
-// Outcome is one replica's result within Quorum or AllReplicas.
+// Outcome is one copy's result within a call, as WithCollectOutcomes
+// gathers it and a QuorumError carries it.
 type Outcome[T any] = core.Outcome[T]
-
-// Quorum runs every replica concurrently and returns as soon as q succeed,
-// cancelling the rest (R-of-N quorum reads; q = 1 is First).
-func Quorum[T any](ctx context.Context, q int, replicas ...Replica[T]) ([]Outcome[T], error) {
-	return core.Quorum(ctx, q, replicas...)
-}
-
-// AllReplicas runs every replica to completion and returns every outcome in
-// replica order — the measurement mode of redundancy (rank-then-replicate).
-func AllReplicas[T any](ctx context.Context, replicas ...Replica[T]) []Outcome[T] {
-	return core.All(ctx, replicas...)
-}
-
-// Fastest returns the successful outcomes of AllReplicas sorted by latency.
-func Fastest[T any](outcomes []Outcome[T]) []Outcome[T] { return core.Fastest(outcomes) }
 
 // Handle is an opaque reference to one of a KeyedGroup's replicas, for
 // callers that route among replicas themselves and call

@@ -13,36 +13,43 @@ import (
 	"redundancy"
 )
 
+// slow is a replica that answers after a second unless cancelled first.
+func slow[T any](v T) redundancy.Replica[T] {
+	return func(ctx context.Context) (T, error) {
+		select {
+		case <-time.After(time.Second):
+			return v, nil
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
+	}
+}
+
 func TestPublicFirst(t *testing.T) {
-	res, err := redundancy.First(context.Background(),
-		func(ctx context.Context) (string, error) {
-			select {
-			case <-time.After(100 * time.Millisecond):
-				return "slow", nil
-			case <-ctx.Done():
-				return "", ctx.Err()
-			}
-		},
-		func(ctx context.Context) (string, error) { return "fast", nil },
-	)
+	g := redundancy.NewStrategyGroup[string](redundancy.FullReplicate{})
+	g.Add("slow", slow("slow"))
+	g.Add("fast", func(ctx context.Context) (string, error) { return "fast", nil })
+	res, err := g.Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value != "fast" {
-		t.Errorf("winner %q", res.Value)
+	if res.Value != "fast" || res.Launched != 2 {
+		t.Errorf("winner %q of %d launched, want fast of 2", res.Value, res.Launched)
 	}
 }
 
 func TestPublicFirstValue(t *testing.T) {
-	v, err := redundancy.FirstValue(context.Background(),
-		func(ctx context.Context) (int, error) { return 42, nil })
+	g := redundancy.NewStrategyGroup[int](redundancy.FullReplicate{})
+	g.Add("only", func(ctx context.Context) (int, error) { return 42, nil })
+	v, err := g.DoValue(context.Background())
 	if err != nil || v != 42 {
-		t.Errorf("FirstValue = (%d, %v)", v, err)
+		t.Errorf("DoValue = (%d, %v)", v, err)
 	}
 }
 
 func TestPublicErrNoReplicas(t *testing.T) {
-	_, err := redundancy.First[int](context.Background())
+	_, err := redundancy.NewStrategyGroup[int](redundancy.FullReplicate{}).Do(context.Background())
 	if !errors.Is(err, redundancy.ErrNoReplicas) {
 		t.Errorf("got %v", err)
 	}
@@ -73,22 +80,15 @@ func TestPublicGroupWithEverything(t *testing.T) {
 }
 
 func TestPublicHedged(t *testing.T) {
-	res, err := redundancy.Hedged(context.Background(), time.Millisecond,
-		func(ctx context.Context) (int, error) {
-			select {
-			case <-time.After(time.Second):
-				return 1, nil
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		},
-		func(ctx context.Context) (int, error) { return 2, nil },
-	)
+	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, HedgeDelay: time.Millisecond})
+	g.Add("primary", slow(1))
+	g.Add("hedge", func(ctx context.Context) (int, error) { return 2, nil })
+	res, err := g.Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value != 2 {
-		t.Errorf("hedge winner %d", res.Value)
+	if res.Value != 2 || res.Launched != 2 {
+		t.Errorf("hedge winner %d of %d launched, want 2 of 2", res.Value, res.Launched)
 	}
 }
 
@@ -130,19 +130,10 @@ func TestPublicLoadAware(t *testing.T) {
 }
 
 func TestPublicResultReportsCancelled(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	res, err := redundancy.First(context.Background(),
-		func(ctx context.Context) (string, error) {
-			select {
-			case <-block:
-				return "never", nil
-			case <-ctx.Done():
-				return "", ctx.Err()
-			}
-		},
-		func(ctx context.Context) (string, error) { return "fast", nil },
-	)
+	g := redundancy.NewStrategyGroup[string](redundancy.FullReplicate{})
+	g.Add("slow", slow("never"))
+	g.Add("fast", func(ctx context.Context) (string, error) { return "fast", nil })
+	res, err := g.Do(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
