@@ -58,7 +58,7 @@ func main() {
 	defer both.Close()
 
 	// Store a value everywhere.
-	if err := both.Set(ctx, "user:42", []byte(`{"name":"ada"}`)); err != nil {
+	if _, err := both.PutVersioned(ctx, "user:42", []byte(`{"name":"ada"}`), 0); err != nil {
 		panic(err)
 	}
 

@@ -82,7 +82,7 @@ func main() {
 	keyNames := make([]string, keys)
 	for i := range keyNames {
 		keyNames[i] = fmt.Sprintf("item-%d", i)
-		if err := pre.Set(ctx, keyNames[i], []byte("payload")); err != nil {
+		if _, err := pre.PutVersioned(ctx, keyNames[i], []byte("payload"), 0); err != nil {
 			panic(err)
 		}
 	}

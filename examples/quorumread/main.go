@@ -64,7 +64,7 @@ func main() {
 	defer rc.Close()
 	ctx := context.Background()
 
-	if err := rc.Set(ctx, "user:42", []byte(`{"name":"ada"}`)); err != nil {
+	if _, err := rc.PutVersioned(ctx, "user:42", []byte(`{"name":"ada"}`), 0); err != nil {
 		panic(err)
 	}
 

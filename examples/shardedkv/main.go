@@ -67,7 +67,7 @@ func main() {
 	// Partition 240 keys across the ring.
 	for i := 0; i < 240; i++ {
 		key := fmt.Sprintf("user:%d", i)
-		if err := sc.Set(ctx, key, []byte(fmt.Sprintf(`{"id":%d}`, i))); err != nil {
+		if _, err := sc.PutVersioned(ctx, key, []byte(fmt.Sprintf(`{"id":%d}`, i)), 0); err != nil {
 			panic(err)
 		}
 	}
@@ -78,19 +78,11 @@ func main() {
 	}
 
 	// --- Act 1: redundant read vs a stalled primary. ---
-	// A 2-of-3 quorum put cancels the slowest placement write, so not
-	// every primary holds its keys (a redundant read never notices: its
-	// 2 copies always intersect the 2 write winners, since 2+2 > 3). The
-	// fan-out-1 comparison below needs a key whose primary does hold the
-	// value, so probe for one.
-	var key string
-	for i := 0; i < 240; i++ {
-		k := fmt.Sprintf("user:%d", i)
-		if _, err := sc.Get(ctx, k, redundancy.WithFanoutCap(1)); err == nil {
-			key = k
-			break
-		}
-	}
+	// A 2-of-3 quorum put returns at two acks, but its third copy is not
+	// cancelled: it lands a few milliseconds later. So every primary,
+	// the slowest included, holds the first key by now, and the
+	// fan-out-1 read below finds it there.
+	key := "user:0"
 	primary := sc.Owners(key)[0]
 	stalled[primary].Store(true)
 	t0 := time.Now()
@@ -112,7 +104,7 @@ func main() {
 	key = "user:11"
 	dead := sc.Owners(key)[0]
 	servers[dead].Close()
-	if err := sc.Set(ctx, key, []byte(`{"id":11,"v":2}`)); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte(`{"id":11,"v":2}`), 0); err != nil {
 		panic(err)
 	}
 	v, err := sc.Get(ctx, key)

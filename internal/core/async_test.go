@@ -59,14 +59,16 @@ func (f *fakeStarter[K, T]) Start(arg K, sink Sink[T], slot int) (Ticket, bool) 
 	f.started.Add(1)
 	go func() {
 		v, err := f.fn(ctx, arg)
-		if f.claim(id) {
-			f.completed.Add(1)
-			if err == nil && sink.Drop(slot) {
-				f.dropped.Add(1)
-				return
-			}
+		if !f.claim(id) {
+			return
+		}
+		if err == nil && sink.Drop(slot) {
+			f.dropped.Add(1)
+		} else {
 			sink.Complete(slot, v, err)
 		}
+		// Last, so that once outstanding reads 0 the dropped count is final.
+		f.completed.Add(1)
 	}()
 	return Ticket{Ref: f, ID: id}, true
 }

@@ -193,7 +193,7 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 	const keys = 128
 	value := make([]byte, a.valueSize)
 	for i := 0; i < keys; i++ {
-		if err := sc.Set(ctx, fmt.Sprintf("file-%d", i), value); err != nil {
+		if _, err := sc.PutVersioned(ctx, fmt.Sprintf("file-%d", i), value, 0); err != nil {
 			return nil, err
 		}
 	}

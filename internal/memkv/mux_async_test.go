@@ -132,7 +132,7 @@ func TestAsyncShardedGetSpawnsNoGoroutine(t *testing.T) {
 	ctx := context.Background()
 	const keys = 64
 	for k := 0; k < keys; k++ {
-		if err := sc.Set(ctx, fmt.Sprint("k", k), []byte(fmt.Sprint("v", k))); err != nil {
+		if _, err := sc.PutVersioned(ctx, fmt.Sprint("k", k), []byte(fmt.Sprint("v", k)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestAsyncCancelRacesDeliver(t *testing.T) {
 		ctx := context.Background()
 		const keys, callers, calls = 64, 4, 2500
 		for k := 0; k < keys; k++ {
-			if err := sc.Set(ctx, fmt.Sprint("k", k), []byte(fmt.Sprint("v", k))); err != nil {
+			if _, err := sc.PutVersioned(ctx, fmt.Sprint("k", k), []byte(fmt.Sprint("v", k)), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,7 +368,7 @@ func TestAsyncStartedReadFailures(t *testing.T) {
 					}
 				})
 			ctx := context.Background()
-			if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+			if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 4; i++ { // both stripes dialed
@@ -433,7 +433,7 @@ func TestAsyncDeclinedStartFallsBack(t *testing.T) {
 	if _, err := sc.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("first read over undialed stripes: %v, want ErrNotFound", err)
 	}
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := muxes[0].Start("bad key", sink, 0); ok {
@@ -562,7 +562,7 @@ func TestAsyncWrapperSeesEveryReadCopy(t *testing.T) {
 	sc := NewShardedClient(ShardedConfig{}, backends...)
 	defer sc.Close()
 	ctx := context.Background()
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	const reads = 100

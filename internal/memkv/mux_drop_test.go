@@ -191,7 +191,7 @@ func TestShardedGetSecondCopyAllocatesNothing(t *testing.T) {
 	keys, vals := make([]string, nkeys), make([][]byte, nkeys)
 	for k := range keys {
 		keys[k], vals[k] = fmt.Sprint("key-", k), []byte(fmt.Sprint("value-", k))
-		if err := sc.Set(ctx, keys[k], vals[k]); err != nil {
+		if _, err := sc.PutVersioned(ctx, keys[k], vals[k], 0); err != nil {
 			t.Fatal(err)
 		}
 	}

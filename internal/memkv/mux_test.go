@@ -315,7 +315,7 @@ func TestMuxConcurrentStorm(t *testing.T) {
 }
 
 // TestShardedClientWithMuxBackends: the sharded store accepts v2
-// backends and batches reads/writes through the ring.
+// backends, writes through them and batches reads through the ring.
 func TestShardedClientWithMuxBackends(t *testing.T) {
 	backends := make([]Backend, 3)
 	for i := range backends {
@@ -325,22 +325,8 @@ func TestShardedClientWithMuxBackends(t *testing.T) {
 	sc := NewShardedClient(ShardedConfig{Replication: 2}, backends...)
 	defer sc.Close()
 	ctx := context.Background()
-	const n = 60
-	keys := make([]string, n)
-	vals := make([][]byte, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("mk%d", i)
-		vals[i] = []byte(fmt.Sprintf("mv%d", i))
-	}
-	perr, err := sc.PutBatch(ctx, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range perr {
-		if e != nil {
-			t.Fatalf("put %d: %v", i, e)
-		}
-	}
+	keys, vals := batchKeys("mk", 60)
+	putAll(t, sc, keys, vals)
 	res, err := sc.GetBatch(ctx, keys)
 	if err != nil {
 		t.Fatal(err)

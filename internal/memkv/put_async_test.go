@@ -116,8 +116,9 @@ func drained(t *testing.T, muxes []*MuxClient) {
 }
 
 // warmPuts writes until every client has dialed, so that the puts under
-// test are started rather than declined.
-func warmPuts(t *testing.T, sc *ShardedClient, muxes []*MuxClient) {
+// test are started rather than declined, and returns how many puts that
+// took.
+func warmPuts(t *testing.T, sc *ShardedClient, muxes []*MuxClient) int {
 	t.Helper()
 	ctx := context.Background()
 	deadline := time.Now().Add(5 * time.Second)
@@ -129,7 +130,7 @@ func warmPuts(t *testing.T, sc *ShardedClient, muxes []*MuxClient) {
 			}
 		}
 		if dialed == len(muxes) {
-			return
+			return i
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("%d puts did not reach every shard", i)
@@ -451,6 +452,9 @@ func TestAsyncPutDeclinedStartFallsBack(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	// And both replies are claimed: a copy whose reply is still on its way
+	// would fail when its server is killed below, and hint a second time.
+	drained(t, muxes)
 	if muxes[0].StartPutV("bad key", nil, 0, 1, sink, 0) {
 		t.Fatal("StartPutV accepted a key PutV would reject")
 	}

@@ -39,10 +39,11 @@ const (
 // Store is a sharded in-memory key-value map, safe for concurrent use.
 //
 // Every stored value carries a monotonically increasing version (the
-// kvdb "ModifiedIndex" idiom): local writes draw fresh versions from the
-// store's index, and replicated writes (PutVersion) apply only when
-// strictly newer than what the store holds — last-writer-wins by
-// version. Versions are what make redundant reads self-healing: a
+// kvdb "ModifiedIndex" idiom). A write takes the caller's version
+// (PutVersion), a fresh one from the store's index (Set, SetTTL), or a
+// fresh one if the stored version is the expected one
+// (CompareAndSwap); the first two apply only when strictly newer than
+// what the store holds — last-writer-wins by version. Versions are what make redundant reads self-healing: a
 // quorum read that observes two replicas at different versions knows
 // which copy is stale and exactly what to push back.
 type Store struct {
@@ -215,25 +216,11 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 // SetTTL stores value under key, expiring after ttl (0 = never). Expiry
 // is active — a shared-wheel timer reaps the item at its deadline and
 // notifies watchers — with lazy reap-on-access as the backstop. The
-// write is assigned a fresh version from the store's index.
+// write is a PutVersion at a fresh version from the store's index, so
+// it loses to a newer version that lands between the tick and the
+// write: a key's version never moves backwards.
 func (s *Store) SetTTL(key string, flags uint32, value []byte, ttl time.Duration) {
-	var exp time.Time
-	if ttl > 0 {
-		exp = time.Now().Add(ttl)
-	}
-	ver := s.tick()
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if old, ok := sh.m[key]; ok {
-		old.exp.Stop()
-	}
-	it := item{key: key, flags: flags, version: ver, data: append([]byte(nil), value...), expiresAt: exp}
-	if ttl > 0 {
-		it.exp = s.armExpiry(key, ver, ttl)
-	}
-	sh.m[key] = it
-	s.watch.notify(WatchEvent{Type: EventPut, Key: key, Value: it.data, Version: ver, TTLSecs: ttlEventSecs(ttl)})
-	sh.mu.Unlock()
+	s.putVersion(key, flags, value, ttl, s.tick(), false)
 }
 
 // ttlEventSecs renders a write's TTL for its watch event: whole seconds
@@ -263,10 +250,6 @@ func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Dura
 // nobody else (the one ownership hand-off on the write path).
 func (s *Store) putVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) (current uint64, applied bool) {
 	s.witness(version)
-	var exp time.Time
-	if ttl > 0 {
-		exp = time.Now().Add(ttl)
-	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	cur, ok := sh.m[key]
@@ -277,18 +260,28 @@ func (s *Store) putVersion(key string, flags uint32, value []byte, ttl time.Dura
 		sh.mu.Unlock()
 		return cur.version, false
 	}
-	cur.exp.Stop() // zero handle when absent: no-op
+	s.install(sh, cur.exp, key, flags, value, ttl, version, owned)
+	sh.mu.Unlock()
+	return version, true
+}
+
+// install is the store's one write body, run under sh's lock once the
+// caller has chosen version: it stops oldExp (the expiry of the item
+// stored under key, expired or not; a zero handle when absent), stores
+// value — the slice itself if owned, else a copy — arms its expiry and
+// notifies watchers.
+func (s *Store) install(sh *shard, oldExp core.WheelTimer, key string, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) {
+	oldExp.Stop()
 	if !owned {
 		value = append([]byte(nil), value...)
 	}
-	it := item{key: key, flags: flags, version: version, data: value, expiresAt: exp}
+	it := item{key: key, flags: flags, version: version, data: value}
 	if ttl > 0 {
+		it.expiresAt = time.Now().Add(ttl)
 		it.exp = s.armExpiry(key, version, ttl)
 	}
 	sh.m[key] = it
 	s.watch.notify(WatchEvent{Type: EventPut, Key: key, Value: it.data, Version: version, TTLSecs: ttlEventSecs(ttl)})
-	sh.mu.Unlock()
-	return version, true
 }
 
 // CompareAndSwap stores value under key only if the stored version
@@ -305,10 +298,6 @@ func (s *Store) CompareAndSwap(key string, flags uint32, value []byte, ttl time.
 
 // compareAndSwap is CompareAndSwap's body; owned as for putVersion.
 func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.Duration, expect uint64, owned bool) (current uint64, applied bool) {
-	var exp time.Time
-	if ttl > 0 {
-		exp = time.Now().Add(ttl)
-	}
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	cur, ok := sh.m[key]
@@ -324,16 +313,7 @@ func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.
 		return curVer, false
 	}
 	ver := s.tick()
-	cur.exp.Stop()
-	if !owned {
-		value = append([]byte(nil), value...)
-	}
-	it := item{key: key, flags: flags, version: ver, data: value, expiresAt: exp}
-	if ttl > 0 {
-		it.exp = s.armExpiry(key, ver, ttl)
-	}
-	sh.m[key] = it
-	s.watch.notify(WatchEvent{Type: EventPut, Key: key, Value: it.data, Version: ver, TTLSecs: ttlEventSecs(ttl)})
+	s.install(sh, cur.exp, key, flags, value, ttl, ver, owned)
 	sh.mu.Unlock()
 	return ver, true
 }

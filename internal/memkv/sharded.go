@@ -3,7 +3,6 @@ package memkv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,18 +22,18 @@ import (
 //     the configured ReadStrategy (default: race primary + secondary,
 //     first response wins — the paper's scheme) and takes per-call
 //     options (core.WithQuorum, core.WithFanoutCap, core.WithLabel, …).
-//   - Set writes the key to every placement shard and returns once
-//     WriteQuorum of them acked, via the call engine's WithQuorum; with
-//     WriteQuorum < Replication a put survives Replication-WriteQuorum
-//     shards being down.
+//   - PutVersioned (sharded_versioned.go) is the one write: it mints a
+//     version, sends the value to every placement shard and returns once
+//     WriteQuorum of them acked; with WriteQuorum < Replication a put
+//     survives Replication-WriteQuorum shards being down. PutVersionAt
+//     and CAS are the same write with the version chosen differently.
 //
-// Set and Get are the unversioned pair the paper's storage service had:
-// copies beyond the write quorum are cancelled rather than retried.
-// PutVersioned and GetQuorum (sharded_versioned.go) are the converging
-// pair: every placement copy runs to completion, and missed writes,
-// stale copies and topology changes are reported to the repair sink
-// (internal/repair: hinted handoff, read repair, anti-entropy
-// migration). AddShard/RemoveShard themselves only change placement.
+// Every copy of a write runs to completion or becomes a hint, so all
+// owners converge on the same bytes under the same version; missed
+// writes, stale copies seen by GetQuorum and topology changes are
+// reported to the repair sink (internal/repair: hinted handoff, read
+// repair, anti-entropy migration). AddShard/RemoveShard themselves only
+// change placement.
 type ShardedClient struct {
 	mu sync.Mutex // serializes AddShard/RemoveShard; the rings have their own engines
 	// topo is the shard set as AddShard/RemoveShard last left it, swapped
@@ -42,7 +41,6 @@ type ShardedClient struct {
 	// load it without a lock.
 	topo        atomic.Pointer[topology]
 	reads       *ring.Ring[string, []byte]
-	writes      *ring.Ring[setReq, struct{}]
 	replication int
 	writeQuorum int
 
@@ -87,7 +85,6 @@ func (t *topology) owners(key string, buf []string) []string {
 type Backend interface {
 	Addr() string
 	Get(ctx context.Context, key string) ([]byte, error)
-	SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error
 	Close() error
 
 	// The convergence surface: version-carrying reads and writes, the
@@ -112,14 +109,6 @@ type (
 	WatchableBackend = Backend
 )
 
-// setReq is the write ring's call argument: it routes by key and carries
-// the value to store.
-type setReq struct {
-	key   string
-	value []byte
-	ttl   time.Duration
-}
-
 // ShardedConfig configures a ShardedClient. The zero value means:
 // 2 placement copies per key, writes ack on every copy, reads race
 // primary + secondary.
@@ -128,11 +117,12 @@ type ShardedConfig struct {
 	// (primary + Replication-1 successors). Values below 1 mean
 	// ring.DefaultReplication (2).
 	Replication int
-	// WriteQuorum is how many placement shards must ack a Set before it
-	// returns; the remaining copies are cancelled. Values below 1 mean
-	// Replication (write-all). A quorum is always clamped to the shards
-	// that exist, so a bootstrapping single-shard ring still accepts
-	// writes.
+	// WriteQuorum is how many placement shards must ack a write
+	// (PutVersioned, PutVersionAt, CAS's replication) before it returns;
+	// the remaining copies keep running and a copy that fails becomes a
+	// hint. Values below 1 mean Replication (write-all). A quorum is
+	// always clamped to the key's owners, so a bootstrapping single-shard
+	// ring still accepts writes.
 	WriteQuorum int
 	// ReadStrategy decides the redundancy of a Get within the key's
 	// placement: nil means core.Fixed{Copies: 2} (the paper's
@@ -143,10 +133,10 @@ type ShardedConfig struct {
 	// VirtualNodes is the ring points per shard (0 means
 	// ring.DefaultVirtualNodes).
 	VirtualNodes int
-	// Observer, when set, receives per-operation metrics from every
-	// ring (reads, writes, versioned quorum reads) — the observation
-	// hook a feedback controller needs to watch per-class latency
-	// digests and copies launched. core.Counters is the ready-made
+	// Observer, when set, receives per-operation metrics from both read
+	// rings (Get and GetQuorum; writes are not ring calls) — the
+	// observation hook a feedback controller needs to watch per-class
+	// latency digests and copies launched. core.Counters is the ready-made
 	// implementation; tag calls with core.WithLabel to split classes.
 	Observer core.Observer
 }
@@ -178,11 +168,8 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 		ropts = append(ropts, ring.WithObserver(cfg.Observer))
 	}
 	sc.reads = ring.New[string, []byte](cfg.ReadStrategy, ropts...)
-	// Writes always fan out to the whole placement; WithQuorum decides
-	// how many acks complete the call.
-	sc.writes = ring.NewKeyed[setReq, struct{}](core.FullReplicate{}, func(w setReq) string { return w.key }, ropts...)
-	// Versioned quorum reads query the whole placement too: divergence is
-	// only observable on the copies actually read.
+	// Versioned quorum reads query the whole placement: divergence is only
+	// observable on the copies actually read.
 	sc.readsV = ring.New[string, verVal](core.FullReplicate{}, ropts...)
 	sc.topo.Store(&topology{placement: sc.readsV.Placement()})
 	for _, cl := range clients {
@@ -216,9 +203,6 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 	} else {
 		sc.reads.Add(addr, cl.Get)
 	}
-	sc.writes.Add(addr, func(ctx context.Context, w setReq) (struct{}, error) {
-		return struct{}{}, cl.SetTTL(ctx, w.key, w.value, w.ttl)
-	})
 	sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
 		val, ver, ttl, err := cl.GetV(ctx, key)
 		if errors.Is(err, ErrNotFound) {
@@ -273,7 +257,6 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 		return false
 	}
 	sc.reads.Remove(addr)
-	sc.writes.Remove(addr)
 	sc.readsV.Remove(addr)
 	cur := sc.publishLocked(prev, addr, nil)
 	sink := sc.repairSink()
@@ -315,41 +298,6 @@ func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core
 	return sc.reads.Do(ctx, key, opts...)
 }
 
-// Set stores value under key on every shard of the key's placement,
-// returning once the write quorum has acked. With fewer live shards than
-// the quorum the error matches core.ErrQuorumUnreachable and carries
-// per-shard detail.
-func (sc *ShardedClient) Set(ctx context.Context, key string, value []byte) error {
-	return sc.SetTTL(ctx, key, value, 0)
-}
-
-// SetTTL is Set with an expiry (rounded up to whole seconds; 0 = never).
-func (sc *ShardedClient) SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error {
-	for {
-		q := sc.writeQuorum
-		n := sc.writes.Len()
-		if n == 0 {
-			return core.ErrNoReplicas
-		}
-		if n < q {
-			// Fewer shards than the quorum: every existing placement copy
-			// must ack instead.
-			q = n
-		}
-		_, err := sc.writes.Do(ctx, setReq{key: key, value: value, ttl: ttl}, core.WithQuorum(q))
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, core.ErrQuorumUnreachable) && sc.writes.Len() < q {
-			// A concurrent RemoveShard shrank the ring between the clamp
-			// and the call; re-clamp against the new topology. q strictly
-			// decreases, so this terminates.
-			continue
-		}
-		return fmt.Errorf("memkv: sharded set %q: %w", key, err)
-	}
-}
-
 // GetBatch reads many keys at once. Each key is one ordinary redundant
 // read (GetResult) on its own goroutine — a batch of N keys is N
 // goroutines, and the caller sizes the batch — so a batched key gets
@@ -368,31 +316,6 @@ func (sc *ShardedClient) GetBatch(ctx context.Context, keys []string, opts ...co
 		res[i].Result, res[i].Err = sc.reads.Do(ctx, keys[i], opts...)
 	})
 	return res, nil
-}
-
-// PutBatch writes many key/value pairs at once, each an ordinary write
-// to its full placement with the client's write quorum (clamped to the
-// shards that exist), on its own goroutine like GetBatch. errs[i] is
-// pair i's outcome; the slice is nil if err is non-nil, which is only a
-// length mismatch (len(vals) must equal len(keys)) or an option a batch
-// cannot share.
-func (sc *ShardedClient) PutBatch(ctx context.Context, keys []string, vals [][]byte, opts ...core.CallOption) ([]error, error) {
-	if len(keys) != len(vals) {
-		return nil, errors.New("memkv: PutBatch keys/vals length mismatch")
-	}
-	if err := core.CheckBatchOptions(opts); err != nil {
-		return nil, err
-	}
-	q := sc.writeQuorum
-	if n := sc.writes.Len(); n < q {
-		q = n
-	}
-	callOpts := append([]core.CallOption{core.WithQuorum(q)}, opts...)
-	errs := make([]error, len(keys))
-	eachConcurrently(len(keys), func(i int) {
-		_, errs[i] = sc.writes.Do(ctx, setReq{key: keys[i], value: vals[i]}, callOpts...)
-	})
-	return errs, nil
 }
 
 // eachConcurrently runs f(0) … f(n-1), each on its own goroutine, and

@@ -26,16 +26,13 @@ func batchKeys(prefix string, n int) ([]string, [][]byte) {
 	return keys, vals
 }
 
-// putBatch stores the pairs through sc and fails the test on any error.
-func putBatch(t *testing.T, sc *ShardedClient, keys []string, vals [][]byte) {
+// putAll stores the pairs through sc, one PutVersioned after another,
+// and fails the test on any error.
+func putAll(t *testing.T, sc *ShardedClient, keys []string, vals [][]byte) {
 	t.Helper()
-	errs, err := sc.PutBatch(context.Background(), keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("put %s: %v", keys[i], e)
+	for i := range keys {
+		if _, err := sc.PutVersioned(context.Background(), keys[i], vals[i], 0); err != nil {
+			t.Fatalf("put %s: %v", keys[i], err)
 		}
 	}
 }
@@ -54,7 +51,7 @@ func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
 			return func() time.Duration { return 100 * time.Millisecond }
 		})
 	keys, vals := batchKeys("wl", 200)
-	putBatch(t, sc, keys, vals)
+	putAll(t, sc, keys, vals)
 
 	res, err := sc.GetBatch(context.Background(), keys)
 	if err != nil {
@@ -90,7 +87,7 @@ func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
 		})
 	const n = 2000
 	stored, vals := batchKeys("gk", 16)
-	putBatch(t, sc, stored, vals) // also dials every connection
+	putAll(t, sc, stored, vals) // also dials every connection
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = stored[i%len(stored)]
@@ -131,28 +128,23 @@ func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
 }
 
 // TestShardedBatchRejectsCollectOutcomes: one outcomes sink cannot serve
-// N concurrent calls, so GetBatch and PutBatch refuse it and send
-// nothing.
+// N concurrent calls, so GetBatch refuses it and sends nothing.
 func TestShardedBatchRejectsCollectOutcomes(t *testing.T) {
 	sc, _, muxes := startAsyncShards(t, 3, ShardedConfig{Replication: 2}, 5*time.Second, nil)
 	ctx := context.Background()
-	keys, vals := batchKeys("co", 8)
+	keys, _ := batchKeys("co", 8)
 
 	var reads []core.Outcome[[]byte]
 	if res, err := sc.GetBatch(ctx, keys, core.WithCollectOutcomes(&reads)); err == nil || res != nil {
 		t.Errorf("GetBatch(WithCollectOutcomes) = (%v, %v), want a batch-level error", res, err)
-	}
-	var writes []core.Outcome[struct{}]
-	if errs, err := sc.PutBatch(ctx, keys, vals, core.WithCollectOutcomes(&writes)); err == nil || errs != nil {
-		t.Errorf("PutBatch(WithCollectOutcomes) = (%v, %v), want a batch-level error", errs, err)
 	}
 	for _, m := range muxes {
 		st, err := m.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st["cmd_get"] != 0 || st["cmd_set"] != 0 {
-			t.Errorf("%s served cmd_get=%d cmd_set=%d after refused batches, want 0 and 0", m.Addr(), st["cmd_get"], st["cmd_set"])
+		if st["cmd_get"] != 0 {
+			t.Errorf("%s served cmd_get=%d after a refused batch, want 0", m.Addr(), st["cmd_get"])
 		}
 	}
 }

@@ -42,8 +42,8 @@ func TestShardedSetGetRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if err := sc.Set(ctx, key, []byte("v-"+key)); err != nil {
-			t.Fatalf("Set(%q): %v", key, err)
+		if _, err := sc.PutVersioned(ctx, key, []byte("v-"+key), 0); err != nil {
+			t.Fatalf("PutVersioned(%q): %v", key, err)
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -67,7 +67,7 @@ func TestShardedPlacementIsPartial(t *testing.T) {
 	sc, servers := startShards(t, 5, ShardedConfig{Replication: 2})
 	ctx := context.Background()
 	key := "user:42"
-	if err := sc.Set(ctx, key, []byte("x")); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
 	owners := sc.Owners(key)
@@ -109,7 +109,7 @@ func TestShardedRedundantGetDodgesSlowPrimary(t *testing.T) {
 	ctx := context.Background()
 
 	key := "hot"
-	if err := sc.Set(ctx, key, []byte("payload")); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte("payload"), 0); err != nil {
 		t.Fatal(err)
 	}
 	stalled[sc.Owners(key)[0]].Store(true)
@@ -144,8 +144,8 @@ func TestShardedQuorumPutSurvivesDownShard(t *testing.T) {
 	key := "survivor"
 	servers[sc.Owners(key)[0]].Close() // kill the primary
 
-	if err := sc.Set(ctx, key, []byte("still here")); err != nil {
-		t.Fatalf("quorum-2 Set with primary down: %v", err)
+	if _, err := sc.PutVersioned(ctx, key, []byte("still here"), 0); err != nil {
+		t.Fatalf("quorum-2 put with primary down: %v", err)
 	}
 	got, err := sc.Get(ctx, key)
 	if err != nil || string(got) != "still here" {
@@ -155,19 +155,19 @@ func TestShardedQuorumPutSurvivesDownShard(t *testing.T) {
 	// Two of three placement shards down: the quorum is unreachable and
 	// the failure is typed.
 	servers[sc.Owners(key)[1]].Close()
-	err = sc.Set(ctx, key, []byte("lost"))
+	_, err = sc.PutVersioned(ctx, key, []byte("lost"), 0)
 	if !errors.Is(err, core.ErrQuorumUnreachable) {
-		t.Errorf("Set with 2 of 3 placement shards down = %v, want ErrQuorumUnreachable", err)
+		t.Errorf("put with 2 of 3 placement shards down = %v, want ErrQuorumUnreachable", err)
 	}
 }
 
-// Removing a shard remaps its keys; a re-Set under the new topology
+// Removing a shard remaps its keys; a re-put under the new topology
 // restores read availability for them.
 func TestShardedRemoveShardRemaps(t *testing.T) {
 	sc, _ := startShards(t, 4, ShardedConfig{Replication: 2})
 	ctx := context.Background()
 	key := "mover"
-	if err := sc.Set(ctx, key, []byte("v1")); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte("v1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	victim := sc.Owners(key)[0]
@@ -184,15 +184,15 @@ func TestShardedRemoveShardRemaps(t *testing.T) {
 		}
 	}
 	// The old secondary is the new primary, so the key stays readable
-	// without any migration; the re-Set fills the new secondary.
+	// without any migration; the re-put fills the new secondary.
 	if got, err := sc.Get(ctx, key); err != nil || string(got) != "v1" {
 		t.Fatalf("Get after removal = %q, %v (old secondary should still serve)", got, err)
 	}
-	if err := sc.Set(ctx, key, []byte("v2")); err != nil {
+	if _, err := sc.PutVersioned(ctx, key, []byte("v2"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := sc.Get(ctx, key); err != nil || string(got) != "v2" {
-		t.Fatalf("Get after re-set = %q, %v", got, err)
+		t.Fatalf("Get after re-put = %q, %v", got, err)
 	}
 }
 
@@ -200,8 +200,8 @@ func TestShardedWriteQuorumClampsToShards(t *testing.T) {
 	sc, _ := startShards(t, 1, ShardedConfig{Replication: 3, WriteQuorum: 3})
 	ctx := context.Background()
 	// One shard exists: the quorum clamps to it rather than failing.
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("Set on single-shard ring with quorum 3: %v", err)
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
+		t.Fatalf("put on single-shard ring with quorum 3: %v", err)
 	}
 	if got, err := sc.Get(ctx, "k"); err != nil || string(got) != "v" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -213,7 +213,7 @@ func TestShardedRingStats(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if err := sc.Set(ctx, key, []byte("v")); err != nil {
+		if _, err := sc.PutVersioned(ctx, key, []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sc.Get(ctx, key); err != nil {
@@ -275,7 +275,7 @@ func TestShardedFirstWins(t *testing.T) {
 func TestShardedSurvivesDeadReplica(t *testing.T) {
 	sc, servers := startReplicas(t, core.FullReplicate{}, nil, nil)
 	ctx := context.Background()
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	servers[0].Close() // kill one replica
@@ -354,7 +354,7 @@ func TestShardedQuorumRead(t *testing.T) {
 	// quorum unreachable with named failure detail.
 	sc, servers := startReplicas(t, core.FullReplicate{}, nil, nil, nil)
 	ctx := context.Background()
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -407,7 +407,7 @@ func TestShardedPerReadLabelAndCap(t *testing.T) {
 		}),
 	}, 2*time.Second, nil)
 	ctx := context.Background()
-	if err := sc.Set(ctx, "k", []byte("v")); err != nil {
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sc.GetResult(ctx, "k", core.WithFanoutCap(1), core.WithLabel("prefetch"))

@@ -12,20 +12,23 @@ import (
 	"redundancy/internal/ring"
 )
 
-// This file is ShardedClient's versioned (convergence) surface: the
-// client-side half of the repair subsystem. Three pieces live here.
+// This file is ShardedClient's write path — every write it has — and
+// the rest of its versioned (convergence) surface: the client-side half
+// of the repair subsystem. Three pieces live here.
 //
 //   - A Lamport version clock seeded by the wall clock, so versions
 //     minted by independent ShardedClients stay comparable and
 //     last-writer-wins resolves sanely across writers (ties and skew
 //     bounded by clock skew; deletes carry no tombstones — a concurrent
 //     delete can be resurrected by repair, the documented limitation).
-//   - PutVersioned, a quorum write that — unlike SetTTL, whose engine
-//     cancels losing copies the moment the quorum is met — lets every
-//     placement copy run to completion after the call returned and
-//     reports each copy that ultimately failed to the repair sink as a
-//     missed write (the hinted-handoff trigger). Durability is exactly
-//     the reason the core engine's cancel-at-quorum is wrong here. A
+//   - PutVersioned, a quorum write that is not a ring call: the core
+//     engine cancels losing copies the moment a quorum is met, and
+//     durability is exactly the reason that is wrong here. Every
+//     placement copy runs to completion after the call returned, each
+//     copy that ultimately failed is reported to the repair sink as a
+//     missed write (the hinted-handoff trigger), and every owner ends
+//     up with the one version the client minted. PutVersionAt and CAS
+//     are the same write with the version chosen differently. A
 //     copy is a wire request, not a goroutine: the write is one pooled
 //     writeFrame, every owner's copy is started on the caller's
 //     goroutine (MuxClient.StartPutV) and completes into the frame from
@@ -128,15 +131,17 @@ func (sc *ShardedClient) Witness(v uint64) {
 // or caller gone). On expiry the copy fails and becomes a hint.
 const versionedStragglerTimeout = 5 * time.Second
 
-// PutVersioned writes value under key with a freshly minted version and
-// returns that version once WriteQuorum placement copies acked.
+// PutVersioned writes value under key, expiring after ttl (rounded up to
+// whole seconds; 0 = never), with a freshly minted version and returns
+// that version once WriteQuorum placement copies acked. It is the
+// ShardedClient write.
 //
-// Unlike SetTTL, copies beyond the quorum are NOT cancelled: every
-// placement copy runs to completion (bounded by
-// versionedStragglerTimeout, detached from the caller's context), and
-// each copy that ultimately fails is reported to the repair sink as a
-// missed write — the hinted-handoff path. With fewer acks than the
-// quorum possible, the error matches core.ErrQuorumUnreachable.
+// Copies beyond the quorum are NOT cancelled: every placement copy runs
+// to completion (bounded by versionedStragglerTimeout, detached from the
+// caller's context), and each copy that ultimately fails is reported to
+// the repair sink as a missed write — the hinted-handoff path. With
+// fewer acks than the quorum possible, the error matches
+// core.ErrQuorumUnreachable.
 //
 // value is borrowed for the call and yours again when it returns, error
 // or not: nothing reads it afterwards, however long a straggler takes. A

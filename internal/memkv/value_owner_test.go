@@ -219,7 +219,26 @@ func startOneDeafOwner(t *testing.T, delay func() time.Duration, giveUp time.Dur
 	backends := []Backend{muxes[0], muxes[1]}
 	sc := NewShardedClient(ShardedConfig{Replication: 2, WriteQuorum: 1}, backends...)
 	t.Cleanup(func() { closeAll(backends) })
-	warmPuts(t, sc, muxes)
+	// Every warm-up put's copy to the deaf owner fails, and a copy leaves
+	// the waiter table before it completes: wait for all those misses, so
+	// that none lands in the sink the test installs next.
+	warm := &recordingSink{}
+	sc.SetRepairSink(warm)
+	puts := warmPuts(t, sc, muxes)
+	deadline := time.Now().Add(versionedStragglerTimeout)
+	for {
+		warm.mu.Lock()
+		missed := len(warm.missed)
+		warm.mu.Unlock()
+		if missed == puts {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d warm-up puts reported their miss", missed, puts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sc.SetRepairSink(nil)
 	drained(t, muxes)
 	return sc, muxes
 }
@@ -497,7 +516,7 @@ func TestMuxHeldValuesSurviveOthersReleases(t *testing.T) {
 	for k := range keys {
 		keys[k] = fmt.Sprint("key-", k)
 		vals[k] = crcValue(keys[k], k, size)
-		if err := sc.Set(ctx, keys[k], vals[k]); err != nil {
+		if _, err := sc.PutVersioned(ctx, keys[k], vals[k], 0); err != nil {
 			t.Fatal(err)
 		}
 	}

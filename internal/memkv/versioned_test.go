@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -52,9 +53,6 @@ func TestStorePutVersionLWW(t *testing.T) {
 	}
 }
 
-// The witness rule: after applying a replicated write at version V, a
-// local write must mint a version strictly greater than V, even if V is
-// far ahead of this store's clock.
 // TestStoreKeyStringLendsThePresentKey: a write to a key the store holds
 // is handed the store's own string for it — after whichever write path
 // stored it last — and a key it does not hold gets a string of its own;
@@ -103,6 +101,9 @@ func TestStoreKeyStringLendsThePresentKey(t *testing.T) {
 	}
 }
 
+// The witness rule: after applying a replicated write at version V, a
+// local write must mint a version strictly greater than V, even if V is
+// far ahead of this store's clock.
 func TestStoreWitnessAdvancesClock(t *testing.T) {
 	s := NewStore()
 	future := uint64(time.Now().Add(time.Hour).UnixNano())
@@ -111,6 +112,61 @@ func TestStoreWitnessAdvancesClock(t *testing.T) {
 	_, _, v, _, _ := s.GetVersion("local")
 	if v <= future {
 		t.Fatalf("local write version %d did not advance past witnessed %d", v, future)
+	}
+}
+
+// TestStoreSetTTLNeverRewindsVersion: SetTTL mints its version before it
+// takes the key's shard lock, so a PutVersion at a higher version can
+// land in between — and the SetTTL must then lose to it, not overwrite
+// it with the lower version. Here PutVersions at versions far ahead of
+// the store's clock, each above the last, race SetTTLs on one key: the
+// watcher sees the key's versions only increase, and the store ends at
+// the largest of them.
+func TestStoreSetTTLNeverRewindsVersion(t *testing.T) {
+	s := NewStore()
+	const key, writers, rounds = "rewind", 4, 2000
+	w := s.Watch(key, maxWatchBuffer)
+	defer w.Close()
+	var next atomic.Uint64
+	next.Store(uint64(time.Now().Add(time.Hour).UnixNano()))
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// A step no run of SetTTL ticks in between can cover.
+				s.PutVersion(key, 0, []byte("put"), 0, next.Add(1<<20))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				s.SetTTL(key, 0, []byte("set"), time.Minute)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Every event was sent under the key's lock before its write returned.
+	var last uint64
+	for drained := false; !drained; {
+		select {
+		case ev := <-w.Events():
+			if ev.Version <= last {
+				t.Fatalf("event at version %d after %d: the key's version moved backwards", ev.Version, last)
+			}
+			last = ev.Version
+		default:
+			drained = true
+		}
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("watcher ended: %v", err)
+	}
+	_, _, stored, _, _ := s.GetVersion(key)
+	if stored != last || stored < next.Load() {
+		t.Fatalf("stored version %d, want the last applied %d, at least the largest put %d", stored, last, next.Load())
 	}
 }
 
@@ -329,6 +385,38 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestShardedPutVersionedOneVersionOnEveryOwner: one write is one version
+// on every owner, so a quorum read of all of them finds no copy stale
+// and reports no divergence — there is no read repair of identical
+// bytes.
+func TestShardedPutVersionedOneVersionOnEveryOwner(t *testing.T) {
+	sc, _ := startShards(t, 3, ShardedConfig{Replication: 3})
+	ctx := context.Background()
+	sink := &recordingSink{}
+	sc.SetRepairSink(sink)
+	ver, err := sc.PutVersioned(ctx, "one", []byte("v"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := sc.Owners("one")
+	if len(owners) != 3 {
+		t.Fatalf("Owners = %v, want all 3 shards", owners)
+	}
+	for _, owner := range owners {
+		if _, v, _, err := sc.VersionedShard(owner).GetV(ctx, "one"); err != nil || v != ver {
+			t.Errorf("owner %s holds version %d (%v), want %d", owner, v, err, ver)
+		}
+	}
+	if val, v, err := sc.GetQuorum(ctx, "one", 3); err != nil || string(val) != "v" || v != ver {
+		t.Fatalf("GetQuorum = (%q, %d, %v), want (v, %d)", val, v, err, ver)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.diverged) != 0 || len(sink.missed) != 0 {
+		t.Errorf("sink saw divergence %v and missed writes %v, want none", sink.diverged, sink.missed)
 	}
 }
 
