@@ -139,7 +139,7 @@ func BenchmarkAblationCancellation(b *testing.B) {
 
 func BenchmarkCoreGroupDo(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
-		redundancy.WithSeed[int](1))
+		redundancy.WithSeed(1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	g.Add("c", func(ctx context.Context) (int, error) { return 3, nil })
@@ -160,7 +160,7 @@ func BenchmarkCoreGroupDo(b *testing.B) {
 // channel and derived context (TestDoValueAllocs holds the count).
 func BenchmarkCoreDoValue(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
-		redundancy.WithSeed[int](1))
+		redundancy.WithSeed(1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	g.Add("c", func(ctx context.Context) (int, error) { return 3, nil })
@@ -179,7 +179,7 @@ func BenchmarkCoreDoValue(b *testing.B) {
 // goroutines, each call recycling a frame through sync.Pool.
 func BenchmarkCoreDoValueParallel(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRanked},
-		redundancy.WithSeed[int](1))
+		redundancy.WithSeed(1))
 	for i := 0; i < 16; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) { return i, nil })
@@ -229,7 +229,7 @@ func BenchmarkCoreGroupDoParallel(b *testing.B) {
 	}{{"ranked", redundancy.SelectRanked}, {"random", redundancy.SelectRandom}} {
 		b.Run(sel.name, func(b *testing.B) {
 			g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, Selection: sel.s},
-				redundancy.WithSeed[int](1))
+				redundancy.WithSeed(1))
 			for i := 0; i < 16; i++ {
 				i := i
 				g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) { return i, nil })
@@ -253,7 +253,7 @@ func BenchmarkCoreGroupDoParallel(b *testing.B) {
 // for 2 successes and collects per-copy outcomes.
 func BenchmarkCoreGroupDoQuorum(b *testing.B) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 3, Selection: redundancy.SelectRandom},
-		redundancy.WithSeed[int](1))
+		redundancy.WithSeed(1))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	g.Add("c", func(ctx context.Context) (int, error) { return 3, nil })

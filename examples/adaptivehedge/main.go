@@ -71,8 +71,8 @@ func main() {
 			Quantile:  0.95,
 			Selection: redundancy.SelectRanked,
 		},
-		redundancy.WithObserver[string](counters),
-		redundancy.WithSeed[string](1),
+		redundancy.WithObserver(counters),
+		redundancy.WithSeed(1),
 	)
 	g.Add("steady", backend(42, 4*time.Millisecond, 2*time.Millisecond, 60*time.Millisecond, steadySpikes))
 	g.Add("spiky", backend(43, 3*time.Millisecond, 2*time.Millisecond, 120*time.Millisecond, spikySpikes))

@@ -55,9 +55,9 @@ func main() {
 			counters.CopiesPerOp())
 	}
 
-	mkGroup := func(s redundancy.Strategy, opts ...redundancy.GroupOption[int]) (*redundancy.Group[int], *redundancy.Counters) {
+	mkGroup := func(s redundancy.Strategy, opts ...redundancy.GroupOption) (*redundancy.Group[int], *redundancy.Counters) {
 		c := redundancy.NewCounters()
-		opts = append(opts, redundancy.WithObserver[int](c))
+		opts = append(opts, redundancy.WithObserver(c))
 		g := redundancy.NewStrategyGroup[int](s, opts...)
 		g.Add("a", backend(r, 0.08))
 		g.Add("b", backend(r, 0.08))
@@ -80,7 +80,7 @@ func main() {
 	// gracefully toward single-copy when the budget runs dry.
 	budget := redundancy.NewBudget(20, 5)
 	g, c = mkGroup(redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
-		redundancy.WithBudget[int](budget))
+		redundancy.WithBudget(budget))
 	run("budgeted (20/s)", g, c)
 
 	fmt.Println("\nfull replication: best tail, 2.0 copies per op (double load).")

@@ -153,8 +153,8 @@ func runPhase(name string, baseUtil float64, ops int, honorCancel bool) {
 		// instead of contending for one pool.
 		counters := redundancy.NewCounters()
 		g := redundancy.NewStrategyGroup[struct{}](a.strategy,
-			redundancy.WithObserver[struct{}](counters),
-			redundancy.WithSeed[struct{}](7))
+			redundancy.WithObserver(counters),
+			redundancy.WithSeed(7))
 		for i := 0; i < nBackends; i++ {
 			g.Add(fmt.Sprintf("b%d", i), newBackend(int64(100+i), meanSvc, honorCancel).replica())
 		}

@@ -180,7 +180,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 	}{
 		{"first wins, loser reclaimed and counted", func(t *testing.T, kind string) {
 			c := NewCounters()
-			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2}, WithObserver[int](c))}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2}, WithObserver(c))}
 			f.add(kind, "fast", coretest.Instant(1))
 			f.add(kind, "stuck", coretest.Blocked(2, coretest.NewGate()))
 			ranked(f, "fast", "stuck")
@@ -290,7 +290,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 		}},
 		{"fast primary: hedge never launched, token refunded", func(t *testing.T, kind string) {
 			b := NewBudget(0, 1)
-			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour}, WithBudget[int](b))}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour}, WithBudget(b))}
 			f.add(kind, "primary", coretest.Instant(1))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")
@@ -459,7 +459,7 @@ func TestAsyncZeroAllocsNoGoroutines(t *testing.T) {
 	ctx := context.Background()
 	echo := func(_ context.Context, arg int) (int, error) { return arg, nil }
 	build := func(s Strategy, starters bool) *KeyedGroup[int, int] {
-		g := NewStrategyKeyedGroup[int, int](s, WithKeyedSeed[int, int](1))
+		g := NewStrategyKeyedGroup[int, int](s, WithSeed(1))
 		for _, name := range []string{"a", "b", "c"} {
 			if starters {
 				g.AddStarter(name, echo, &echoStarter{})
@@ -522,7 +522,7 @@ func TestAsyncZeroAllocsNoGoroutines(t *testing.T) {
 // counters say which.
 func TestAsyncCancelRacesComplete(t *testing.T) {
 	c := NewCounters()
-	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithKeyedObserver[int, int](c))
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithObserver(c))
 	var starters []*fakeStarter[int, int]
 	for _, name := range []string{"a", "b", "c"} {
 		starters = append(starters, addAs(g, "starter", name, func(_ context.Context, arg int) (int, error) {

@@ -286,7 +286,7 @@ func TestGroupDoFanoutCap(t *testing.T) {
 
 func TestGroupDoLabelReachesObserver(t *testing.T) {
 	c := NewCounters()
-	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver[int](c))
+	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver(c))
 	g.Add("a", coretest.Sleeper(1, time.Millisecond))
 	for i := 0; i < 3; i++ {
 		if _, err := g.Do(context.Background(), WithLabel("checkout")); err != nil {
@@ -365,7 +365,7 @@ func TestGroupDoQuorumBudgetRefundsUnlaunched(t *testing.T) {
 	b := NewBudget(0, 1)
 	g := NewStrategyGroup[int](
 		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, time.Hour}},
-		WithBudget[int](b),
+		WithBudget(b),
 	)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -388,7 +388,7 @@ func TestGroupDoQuorumBudgetConsumedWhenLaunched(t *testing.T) {
 	b := NewBudget(0, 1)
 	g := NewStrategyGroup[int](
 		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, 0}},
-		WithBudget[int](b),
+		WithBudget(b),
 	)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -413,7 +413,7 @@ func TestGroupDoQuorumBudgetExhaustedDegradesToQuorum(t *testing.T) {
 	if got := b.Acquire(1); got != 1 { // drain it
 		t.Fatalf("drain: %d", got)
 	}
-	g := NewStrategyGroup[int](Fixed{Copies: 3}, WithBudget[int](b))
+	g := NewStrategyGroup[int](Fixed{Copies: 3}, WithBudget(b))
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
@@ -441,7 +441,7 @@ func TestGroupDoQuorumBudgetAccountingUnderConcurrency(t *testing.T) {
 	b := NewBudget(0, burst)
 	g := NewStrategyGroup[int](
 		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, time.Hour}},
-		WithBudget[int](b),
+		WithBudget(b),
 	)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -468,7 +468,7 @@ func TestGroupDoQuorumBudgetAccountingUnderConcurrency(t *testing.T) {
 // --- Option matrix under replica churn (run with -race). ---
 
 func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
-	g := NewStrategyGroup[int](Fixed{Copies: 2}, WithBudget[int](NewBudget(1e6, 64)))
+	g := NewStrategyGroup[int](Fixed{Copies: 2}, WithBudget(NewBudget(1e6, 64)))
 	var names []string
 	for i := 0; i < 6; i++ {
 		i := i
@@ -693,7 +693,7 @@ func TestWinnerCompletesWhileHedgeStillDialing(t *testing.T) {
 	c := NewCounters()
 	g := NewStrategyGroup[string](
 		scheduleStrategy{copies: 2, sched: []time.Duration{0, 0}},
-		WithObserver[string](c),
+		WithObserver(c),
 	)
 	release := coretest.NewGate()
 	hedgeCancelled := coretest.NewGate()
@@ -753,7 +753,7 @@ func statsCancelled(s GroupStats, name string) int64 {
 
 func TestCancelledCopiesLabelled(t *testing.T) {
 	c := NewCounters()
-	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver[string](c))
+	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver(c))
 	g.Add("fast", coretest.Instant("fast"))
 	g.Add("stuck", coretest.Blocked("stuck", coretest.NewGate()))
 	for i := 0; i < 3; i++ {

@@ -3,7 +3,8 @@
 // concurrently (or after a hedging delay) and use the first result that
 // completes, cancelling the rest.
 //
-// The package is re-exported at the module root as package redundancy;
+// The module root, package redundancy, re-exports the part of this
+// package that applications need (Group, the strategies, the options);
 // application code should import "redundancy" rather than this package.
 //
 // Design notes:

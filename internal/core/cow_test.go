@@ -78,7 +78,7 @@ func TestGroupRemoveKeepsEstimates(t *testing.T) {
 }
 
 func TestGroupSetStrategySwapsFanout(t *testing.T) {
-	g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed(1))
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context) (int, error) { return i, nil })
@@ -109,7 +109,7 @@ func TestGroupSetStrategySwapsFanout(t *testing.T) {
 // ErrNoReplicas (the group may be momentarily empty); nothing may panic,
 // deadlock, or corrupt state.
 func TestGroupConcurrentMembershipAndDo(t *testing.T) {
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRanked}, WithSeed[int](42))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRanked}, WithSeed(42))
 	g.Add("base", func(ctx context.Context) (int, error) { return -1, nil })
 
 	const (
@@ -279,7 +279,7 @@ func TestGroupBudgetConsumedByFailedCopies(t *testing.T) {
 	// the load the budget exists to shed.
 	b := NewBudget(0, 1)
 	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
-		WithBudget[int](b), WithSeed[int](6))
+		WithBudget(b), WithSeed(6))
 	g.Add("bad1", coretest.Failer[int](errors.New("down"), time.Millisecond))
 	g.Add("bad2", coretest.Failer[int](errors.New("down"), time.Millisecond))
 	res, err := g.Do(context.Background())
@@ -319,9 +319,9 @@ func TestKeyedGroupOptions(t *testing.T) {
 	c := NewCounters()
 	b := NewBudget(0, 1)
 	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 3, Selection: SelectRandom},
-		WithKeyedObserver[int, int](c),
-		WithKeyedBudget[int, int](b),
-		WithKeyedSeed[int, int](9))
+		WithObserver(c),
+		WithBudget(b),
+		WithSeed(9))
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context, arg int) (int, error) { return arg + i, nil })
@@ -367,7 +367,7 @@ func TestKeyedGroupProbeAll(t *testing.T) {
 func TestKeyedGroupConcurrentKeys(t *testing.T) {
 	// Concurrent Dos with different keys must never cross wires: each
 	// caller gets a response derived from its own key.
-	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithKeyedSeed[int, int](3))
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(3))
 	for i := 0; i < 5; i++ {
 		g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context, key int) (int, error) {
 			return key * 10, nil
@@ -421,7 +421,7 @@ func TestRankedSelectionMatchesRankedNames(t *testing.T) {
 
 func TestRandomSelectionDistinctAndUniform(t *testing.T) {
 	const n = 6
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](11))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(11))
 	var hits [n]atomic.Int32
 	for i := 0; i < n; i++ {
 		i := i
@@ -449,7 +449,7 @@ func TestRandomSelectionDistinctAndUniform(t *testing.T) {
 
 func TestSeededSelectionReproducible(t *testing.T) {
 	run := func() []int {
-		g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed[int](77))
+		g := NewStrategyGroup[int](Fixed{Copies: 1, Selection: SelectRandom}, WithSeed(77))
 		for i := 0; i < 8; i++ {
 			i := i
 			g.Add(fmt.Sprintf("r%d", i), func(ctx context.Context) (int, error) { return i, nil })

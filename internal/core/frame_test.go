@@ -27,7 +27,7 @@ func TestFrameRecycleEarlyReturnSlowLoser(t *testing.T) {
 	gate := coretest.NewGate()
 	var mu sync.Mutex
 	blocked := 0
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed(1))
 	g.Add("fast", func(ctx context.Context) (int, error) { return 1, nil })
 	// Deliberately deaf to ctx: the copy stays in flight until the gate
 	// opens, holding its frame reference the whole time.
@@ -73,7 +73,7 @@ func TestFrameRecycleEarlyReturnSlowLoser(t *testing.T) {
 // the group afterwards (recycling the same frame) must leave the held
 // outcomes bit-identical.
 func TestFrameRecycleCollectOutcomesAliasing(t *testing.T) {
-	g := NewStrategyGroup[string](Fixed{Copies: 3, Selection: SelectRoundRobin}, WithSeed[string](1))
+	g := NewStrategyGroup[string](Fixed{Copies: 3, Selection: SelectRoundRobin}, WithSeed(1))
 	g.Add("a", coretest.Instant("alpha"))
 	g.Add("b", coretest.Instant("beta"))
 	g.Add("c", coretest.Instant("gamma"))
@@ -117,7 +117,7 @@ func TestFrameRecycleCollectOutcomesAliasing(t *testing.T) {
 // collection time and must be cloned before the frame recycles.
 func TestFrameRecycleQuorumErrorOutcomes(t *testing.T) {
 	boom := errors.New("boom")
-	g := NewStrategyGroup[string](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[string](1))
+	g := NewStrategyGroup[string](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed(1))
 	g.Add("ok", coretest.Instant("ok"))
 	g.Add("bad", coretest.Fail[string](boom))
 	ctx := context.Background()
@@ -152,7 +152,7 @@ func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 	gate := coretest.NewGate()
 	defer gate.Release()
 	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: DefaultWheelTick, Selection: SelectRoundRobin},
-		WithSeed[int](1))
+		WithSeed(1))
 	// Both replicas park until cancelled, so every call rides its hedge
 	// timer and only cancellation completes it.
 	g.Add("p1", coretest.Blocked(1, gate))
@@ -192,7 +192,7 @@ func TestDoValueAllocs(t *testing.T) {
 		t.Skip("exact allocation counts do not hold under -race")
 	}
 	three := func(s Strategy) *Group[int] {
-		g := NewStrategyGroup[int](s, WithSeed[int](1))
+		g := NewStrategyGroup[int](s, WithSeed(1))
 		g.Add("a", coretest.Instant(1))
 		g.Add("b", coretest.Instant(2))
 		g.Add("c", coretest.Instant(3))
@@ -244,7 +244,7 @@ func TestDoValueAllocs(t *testing.T) {
 // consulted.
 func TestDoValueSemantics(t *testing.T) {
 	boom := errors.New("boom")
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed(1))
 	g.Add("bad", coretest.Fail[int](boom))
 	g.Add("good", coretest.Instant(7))
 	ctx := context.Background()
@@ -274,7 +274,7 @@ func TestDoValueSemantics(t *testing.T) {
 	// Budget accounting still applies on the fast lane.
 	b := NewBudget(0, 1)
 	gb := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour, Selection: SelectRoundRobin},
-		WithBudget[int](b))
+		WithBudget(b))
 	gb.Add("a", coretest.Instant(1))
 	gb.Add("b", coretest.Instant(2))
 	for i := 0; i < 3; i++ {

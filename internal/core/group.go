@@ -61,13 +61,11 @@ type ArgReplica[K, T any] func(ctx context.Context, arg K) (T, error)
 //
 // All methods are safe for concurrent use.
 type KeyedGroup[K, T any] struct {
-	state    atomic.Pointer[groupState[K, T]]
-	budget   *Budget
-	observer Observer
-	seed     uint64
-	seq      atomic.Uint64 // per-Do position in the random-selection stream
-	rr       atomic.Uint64 // round-robin cursor
-	mu       sync.Mutex    // serializes writers; readers never take it
+	groupConfig
+	state atomic.Pointer[groupState[K, T]]
+	seq   atomic.Uint64 // per-Do position in the random-selection stream
+	rr    atomic.Uint64 // round-robin cursor
+	mu    sync.Mutex    // serializes writers; readers never take it
 	// frames recycles callFrames across this group's calls. A frame
 	// reaches the pool only via callFrame.release's proved-drained path,
 	// so pooled frames are always quiescent.
@@ -167,43 +165,51 @@ type memberDigests[K, T any] struct{ ms []Handle[K, T] }
 func (d memberDigests[K, T]) Len() int            { return len(d.ms) }
 func (d memberDigests[K, T]) At(i int) *LatDigest { return &d.ms[i].m.lat }
 
-// KeyedGroupOption configures a KeyedGroup.
-type KeyedGroupOption[K, T any] func(*KeyedGroup[K, T])
+// groupConfig is what a GroupOption sets: the construction-time settings
+// every group shares, whatever its argument and result types.
+type groupConfig struct {
+	budget   *Budget
+	observer Observer
+	seed     uint64
+}
 
-// WithKeyedBudget attaches a hedging budget: operations consult the budget
+// GroupOption configures a Group or a KeyedGroup at construction.
+type GroupOption func(*groupConfig)
+
+// WithBudget attaches a hedging budget: operations consult the budget
 // before launching extra copies, degrading to a single copy when the
 // budget is exhausted.
-func WithKeyedBudget[K, T any](b *Budget) KeyedGroupOption[K, T] {
-	return func(g *KeyedGroup[K, T]) { g.budget = b }
+func WithBudget(b *Budget) GroupOption {
+	return func(c *groupConfig) { c.budget = b }
 }
 
-// WithKeyedObserver attaches an Observer for per-operation metrics.
-func WithKeyedObserver[K, T any](o Observer) KeyedGroupOption[K, T] {
-	return func(g *KeyedGroup[K, T]) { g.observer = o }
+// WithObserver attaches an Observer for per-operation metrics.
+func WithObserver(o Observer) GroupOption {
+	return func(c *groupConfig) { c.observer = o }
 }
 
-// WithKeyedSeed fixes the seed of the group's random selection, for
+// WithSeed fixes the seed of the group's random selection, for
 // reproducible tests and simulations.
-func WithKeyedSeed[K, T any](seed int64) KeyedGroupOption[K, T] {
-	return func(g *KeyedGroup[K, T]) { g.seed = uint64(seed) }
+func WithSeed(seed int64) GroupOption {
+	return func(c *groupConfig) { c.seed = uint64(seed) }
 }
 
 // NewStrategyKeyedGroup creates a KeyedGroup with the given strategy
 // (nil means Fixed{Copies: 1}).
-func NewStrategyKeyedGroup[K, T any](s Strategy, opts ...KeyedGroupOption[K, T]) *KeyedGroup[K, T] {
+func NewStrategyKeyedGroup[K, T any](s Strategy, opts ...GroupOption) *KeyedGroup[K, T] {
 	g := &KeyedGroup[K, T]{}
-	g.init(s)
-	for _, o := range opts {
-		o(g)
-	}
+	g.init(s, opts)
 	return g
 }
 
-func (g *KeyedGroup[K, T]) init(s Strategy) {
+func (g *KeyedGroup[K, T]) init(s Strategy, opts []GroupOption) {
 	if s == nil {
 		s = Fixed{Copies: 1}
 	}
 	g.seed = uint64(time.Now().UnixNano())
+	for _, o := range opts {
+		o(&g.groupConfig)
+	}
 	g.state.Store(&groupState[K, T]{strategy: s})
 }
 
@@ -836,35 +842,11 @@ type Group[T any] struct {
 	KeyedGroup[struct{}, T]
 }
 
-// GroupOption configures a Group.
-type GroupOption[T any] func(*Group[T])
-
-// WithBudget attaches a hedging budget: operations consult the budget
-// before launching extra copies, degrading to a single copy when the
-// budget is exhausted.
-func WithBudget[T any](b *Budget) GroupOption[T] {
-	return func(g *Group[T]) { g.budget = b }
-}
-
-// WithObserver attaches an Observer for per-operation metrics.
-func WithObserver[T any](o Observer) GroupOption[T] {
-	return func(g *Group[T]) { g.observer = o }
-}
-
-// WithSeed fixes the seed of the group's random selection, for
-// reproducible tests and simulations.
-func WithSeed[T any](seed int64) GroupOption[T] {
-	return func(g *Group[T]) { g.seed = uint64(seed) }
-}
-
 // NewStrategyGroup creates a Group with the given strategy (nil means
 // Fixed{Copies: 1}).
-func NewStrategyGroup[T any](s Strategy, opts ...GroupOption[T]) *Group[T] {
+func NewStrategyGroup[T any](s Strategy, opts ...GroupOption) *Group[T] {
 	g := &Group[T]{}
-	g.init(s)
-	for _, o := range opts {
-		o(g)
-	}
+	g.init(s, opts)
 	return g
 }
 

@@ -19,7 +19,7 @@ func TestGroupEmptyErrors(t *testing.T) {
 
 func TestGroupUsesKCopies(t *testing.T) {
 	var launched atomic.Int32
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](1))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(1))
 	for i := 0; i < 5; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) {
@@ -54,7 +54,7 @@ func TestGroupCopiesClampedToSize(t *testing.T) {
 }
 
 func TestGroupRankedPrefersFastReplica(t *testing.T) {
-	g := NewStrategyGroup[string](Fixed{Copies: 1, Selection: SelectRanked}, WithSeed[string](2))
+	g := NewStrategyGroup[string](Fixed{Copies: 1, Selection: SelectRanked}, WithSeed(2))
 	g.Add("slow", coretest.Sleeper("slow", 30*time.Millisecond))
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
 	// Warm up estimates: ranked selection probes unprobed replicas first,
@@ -128,7 +128,7 @@ func TestGroupBudgetDegradesToFewerCopies(t *testing.T) {
 	b := NewBudget(0, 2)
 	var launched atomic.Int32
 	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
-		WithBudget[int](b), WithSeed[int](3))
+		WithBudget(b), WithSeed(3))
 	for i := 0; i < 4; i++ {
 		g.Add(string(rune('a'+i)), coretest.Counting(&launched, coretest.Instant(i)))
 	}
@@ -156,7 +156,7 @@ func TestGroupBudgetDegradesToFewerCopies(t *testing.T) {
 
 func TestGroupObserverSeesWins(t *testing.T) {
 	c := NewCounters()
-	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver[string](c))
+	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver(c))
 	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
 	g.Add("slow", coretest.Sleeper("slow", 100*time.Millisecond))
 	// First two ops probe; then fast should win consistently.
@@ -185,7 +185,7 @@ func TestGroupObserverSeesWins(t *testing.T) {
 
 func TestGroupObserverSeesFailures(t *testing.T) {
 	c := NewCounters()
-	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver[int](c))
+	g := NewStrategyGroup[int](Fixed{Copies: 1}, WithObserver(c))
 	g.Add("bad", coretest.Failer[int](errors.New("down"), time.Millisecond))
 	if _, err := g.Do(context.Background()); err == nil {
 		t.Fatal("want error")
@@ -198,7 +198,7 @@ func TestGroupObserverSeesFailures(t *testing.T) {
 func TestGroupHedgeDelayPolicy(t *testing.T) {
 	var launched atomic.Int32
 	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 200 * time.Millisecond, Selection: SelectRandom},
-		WithSeed[int](4))
+		WithSeed(4))
 	for i := 0; i < 3; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) {
@@ -232,7 +232,7 @@ func TestGroupNamesAndLen(t *testing.T) {
 }
 
 func TestGroupConcurrentDo(t *testing.T) {
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed[int](5))
+	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(5))
 	for i := 0; i < 8; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), coretest.Sleeper(i, time.Millisecond))

@@ -58,7 +58,7 @@ func TestInlineZeroAllocs(t *testing.T) {
 	governed := three(core.NewStrategyGroup[int](core.LoadAwareWith(core.Fixed{Copies: 2}, gov)))
 
 	budgeted := three(core.NewStrategyGroup[int](core.Fixed{Copies: 2, HedgeDelay: time.Hour},
-		core.WithBudget[int](drainedBudget())))
+		core.WithBudget(drainedBudget())))
 
 	rg := ring.New[string, int](core.Fixed{Copies: 1})
 	for i, name := range []string{"a", "b", "c"} {
@@ -195,8 +195,8 @@ func TestInlineBehaviour(t *testing.T) {
 	build := func(primary core.Replica[int]) env {
 		e := env{obs: new([]core.Observation), gov: core.NewGovernor(1000, 0), b: core.NewBudget(0, 4)}
 		e.g = core.NewStrategyGroup[int](core.LoadAwareWith(core.Fixed{Copies: 1}, e.gov),
-			core.WithBudget[int](e.b),
-			core.WithObserver[int](core.ObserverFunc(func(o core.Observation) { *e.obs = append(*e.obs, o) })))
+			core.WithBudget(e.b),
+			core.WithObserver(core.ObserverFunc(func(o core.Observation) { *e.obs = append(*e.obs, o) })))
 		e.g.Add("p", primary)
 		e.g.Add("spare", coretest.Instant(2))
 		return e

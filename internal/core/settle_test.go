@@ -95,7 +95,7 @@ func (h *heldStarter) awaitStart(t *testing.T) {
 
 // heldGroup is a group over n held starters, ranked in registration
 // order so that starter i is copy i of every call.
-func heldGroup(n int, opts ...GroupOption[int]) (*Group[int], []*heldStarter) {
+func heldGroup(n int, opts ...GroupOption) (*Group[int], []*heldStarter) {
 	g := NewStrategyGroup[int](Fixed{Copies: n}, opts...)
 	hs := make([]*heldStarter, n)
 	for i := range hs {
@@ -127,7 +127,7 @@ func TestAsyncSettledCallDropsLateSuccess(t *testing.T) {
 	for _, winner := range []int{0, 1} {
 		t.Run("copy "+string(rune('0'+winner))+" answers first", func(t *testing.T) {
 			c := NewCounters()
-			g, hs := heldGroup(2, WithObserver[int](c))
+			g, hs := heldGroup(2, WithObserver(c))
 			loser := 1 - winner
 			var lateDropped bool
 			// Copy 1 starts last, on the caller's goroutine: both replies

@@ -49,7 +49,7 @@ func TestStrategyStrings(t *testing.T) {
 }
 
 func TestFullReplicateUsesAllReplicas(t *testing.T) {
-	g := NewStrategyGroup[int](FullReplicate{Selection: SelectRandom}, WithSeed[int](1))
+	g := NewStrategyGroup[int](FullReplicate{Selection: SelectRandom}, WithSeed(1))
 	for i := 0; i < 5; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) { return i, nil })
@@ -98,7 +98,7 @@ func TestAdaptiveHedgeScheduleFromDigests(t *testing.T) {
 func TestAdaptiveHedgeColdStartLaunchesImmediately(t *testing.T) {
 	// With no fallback delay and cold digests, adaptive hedging degrades
 	// to full replication: both copies launch immediately.
-	g := NewStrategyGroup[string](AdaptiveHedge{Copies: 2, Selection: SelectRandom}, WithSeed[string](3))
+	g := NewStrategyGroup[string](AdaptiveHedge{Copies: 2, Selection: SelectRandom}, WithSeed(3))
 	g.Add("slow", coretest.Blocked("slow", coretest.NewGate()))
 	g.Add("fast", coretest.Instant("fast"))
 	res, err := g.Do(context.Background())
@@ -115,7 +115,7 @@ func TestAdaptiveHedgeWarmDelaysHedge(t *testing.T) {
 	// delay; a fast primary means only one copy launches.
 	g := NewStrategyGroup[string](
 		AdaptiveHedge{Copies: 2, Quantile: 0.95, MinSamples: 4, Selection: SelectRanked},
-		WithSeed[string](3))
+		WithSeed(3))
 	g.Add("a", func(ctx context.Context) (string, error) { return "a", nil })
 	g.Add("b", func(ctx context.Context) (string, error) { return "b", nil })
 	// Warm both digests with 50ms observations: the p95 hedge delay is
@@ -147,7 +147,7 @@ func TestAdaptiveHedgeBudgetRefund(t *testing.T) {
 	b := NewBudget(0, 1)
 	g := NewStrategyGroup[int](
 		AdaptiveHedge{Copies: 2, MinSamples: 1 << 30, FallbackDelay: 200 * time.Millisecond, Selection: SelectRandom},
-		WithBudget[int](b), WithSeed[int](5))
+		WithBudget(b), WithSeed(5))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	for i := 0; i < 3; i++ {
@@ -168,7 +168,7 @@ func TestFullReplicateBudgetConsumed(t *testing.T) {
 	// FullReplicate launches everything immediately, so tokens are spent.
 	b := NewBudget(0, 1)
 	g := NewStrategyGroup[int](FullReplicate{Selection: SelectRandom},
-		WithBudget[int](b), WithSeed[int](5))
+		WithBudget(b), WithSeed(5))
 	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
 	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
 	if _, err := g.Do(context.Background()); err != nil {
@@ -359,7 +359,7 @@ func TestSetStrategyNil(t *testing.T) {
 // -race: the digest and the snapshot swap must stay coherent.
 func TestStrategyChurnRace(t *testing.T) {
 	g := NewStrategyGroup[int](AdaptiveHedge{Copies: 2, MinSamples: 2, Selection: SelectRanked},
-		WithSeed[int](42))
+		WithSeed(42))
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Add(string(rune('a'+i)), func(ctx context.Context) (int, error) { return i, nil })

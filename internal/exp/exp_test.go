@@ -1,12 +1,25 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRunAtTinyScale smoke-tests every figure end to end:
-// each must produce non-empty tables that render.
+var update = flag.Bool("update", false, "rewrite testdata/<name>.golden from this run")
+
+// live names the experiments that run real servers on real sockets: their
+// numbers move with the machine, so they get shape checks only. Every
+// other experiment is a seeded model and must render byte for byte.
+var live = map[string]bool{"ablshard": true, "ablrebalance": true, "ablwatch": true}
+
+// TestAllExperimentsRunAtTinyScale runs every figure end to end: each
+// must produce non-empty tables that render, and a model-driven figure
+// must render exactly as its golden, testdata/<name>.golden. Run with
+// -update to rewrite the goldens; a changed golden is a changed figure
+// and needs an explanation.
 func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -35,6 +48,23 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 			}
 			if !strings.Contains(sb.String(), "==") {
 				t.Fatalf("%s: rendering produced no headers", e.Name)
+			}
+			if live[e.Name] {
+				return
+			}
+			golden := filepath.Join("testdata", e.Name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("%s renders differently from %s:\n--- got\n%s--- want\n%s", e.Name, golden, got, want)
 			}
 		})
 	}

@@ -17,8 +17,8 @@
 //     fan-out and launch schedule within the placement subset,
 //   - per-call options (WithQuorum, WithLabel, WithStrategyOverride,
 //     WithFanoutCap, WithCollectOutcomes) compose per read or write,
-//   - losing copies are cancelled and counted, budgets and governors
-//     meter the added load, and
+//   - losing copies are cancelled and counted, a LoadAware strategy's
+//     governor meters the added load, and
 //   - per-member latency digests feed adaptive hedging and Stats, keyed
 //     per ring member.
 //
@@ -60,11 +60,9 @@ const (
 
 // Ring partitions a keyspace across named backends and routes every
 // call through the core redundancy engine over the key's placement
-// subset. Build one with New (the call argument is the routing key) or
-// NewKeyed (the routing key is derived from the argument); see the
-// package comment for semantics.
-type Ring[K, T any] struct {
-	keyOf       func(K) string
+// subset. The call argument is the routing key itself. Build one with
+// New; see the package comment for semantics.
+type Ring[K ~string, T any] struct {
 	replication int
 	vnodes      int
 	group       *core.KeyedGroup[K, T]
@@ -102,7 +100,6 @@ func (t *table[K, T]) index(name string) int {
 type config struct {
 	replication int
 	vnodes      int
-	budget      *core.Budget
 	observer    core.Observer
 }
 
@@ -123,13 +120,6 @@ func WithVirtualNodes(v int) Option {
 	return func(c *config) { c.vnodes = v }
 }
 
-// WithBudget attaches a hedging budget to the ring's call engine:
-// copies beyond a call's quorum are charged against it, degrading to
-// the mandatory copies when exhausted.
-func WithBudget(b *core.Budget) Option {
-	return func(c *config) { c.budget = b }
-}
-
 // WithObserver attaches an Observer for per-operation metrics.
 func WithObserver(o core.Observer) Option {
 	return func(c *config) { c.observer = o }
@@ -140,17 +130,6 @@ func WithObserver(o core.Observer) Option {
 // the redundancy within each key's placement — Fixed{Copies: 2} is the
 // paper's primary+secondary race; nil means single-copy routing.
 func New[K ~string, T any](strategy core.Strategy, opts ...Option) *Ring[K, T] {
-	return NewKeyed[K, T](strategy, func(k K) string { return string(k) }, opts...)
-}
-
-// NewKeyed creates a Ring routing by keyOf(arg), for call arguments that
-// carry more than the key — e.g. a write request routing by its key
-// while the argument carries the value too. keyOf must be pure and
-// cheap; it runs on every call.
-func NewKeyed[K, T any](strategy core.Strategy, keyOf func(K) string, opts ...Option) *Ring[K, T] {
-	if keyOf == nil {
-		panic("ring: NewKeyed requires a keyOf function")
-	}
 	cfg := config{replication: DefaultReplication, vnodes: DefaultVirtualNodes}
 	for _, o := range opts {
 		if o != nil {
@@ -163,18 +142,10 @@ func NewKeyed[K, T any](strategy core.Strategy, keyOf func(K) string, opts ...Op
 	if cfg.vnodes < 1 {
 		cfg.vnodes = 1
 	}
-	var gopts []core.KeyedGroupOption[K, T]
-	if cfg.budget != nil {
-		gopts = append(gopts, core.WithKeyedBudget[K, T](cfg.budget))
-	}
-	if cfg.observer != nil {
-		gopts = append(gopts, core.WithKeyedObserver[K, T](cfg.observer))
-	}
 	r := &Ring[K, T]{
-		keyOf:       keyOf,
 		replication: cfg.replication,
 		vnodes:      cfg.vnodes,
-		group:       core.NewStrategyKeyedGroup(strategy, gopts...),
+		group:       core.NewStrategyKeyedGroup[K, T](strategy, core.WithObserver(cfg.observer)),
 	}
 	r.table.Store(&table[K, T]{})
 	return r
@@ -305,6 +276,21 @@ walk:
 	}
 }
 
+// place resolves key's placement from the current route table, primary
+// first, into buf — or into a new slice when buf is too short. A ring
+// smaller than the replication factor clamps the placement to the
+// members that exist (a single-member ring is its own secondary, so
+// fan-out degrades to 1), and an empty ring places key nowhere.
+func (r *Ring[K, T]) place(key string, buf []core.Handle[K, T]) []core.Handle[K, T] {
+	t := r.table.Load()
+	n := min(r.replication, len(t.members))
+	if n > len(buf) {
+		buf = make([]core.Handle[K, T], n)
+	}
+	t.ownersInto(keyHash(key), buf[:n])
+	return buf[:n]
+}
+
 // Do performs one redundant operation for arg's key: the key's primary
 // and successors are resolved from the current route table and the call
 // runs through the core engine over that subset (see
@@ -313,30 +299,10 @@ walk:
 // WithStrategyOverride, WithFanoutCap, WithCollectOutcomes. An empty
 // ring fails with core.ErrNoReplicas.
 func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (core.Result[T], error) {
-	t := r.table.Load()
-	nm := len(t.members)
-	if nm == 0 {
-		var zero core.Result[T]
-		return zero, core.ErrNoReplicas
-	}
-	rr := r.replication
-	if rr > nm {
-		// A ring smaller than the replication factor clamps placement to
-		// the members that exist: a single-member ring is its own
-		// secondary, so fan-out degrades to 1.
-		rr = nm
-	}
 	// The placement scratch stays on the stack for typical replication
 	// factors; DoPicked copies it into the call frame before launching.
-	var pbuf [4]core.Handle[K, T]
-	var picked []core.Handle[K, T]
-	if rr <= len(pbuf) {
-		picked = pbuf[:rr]
-	} else {
-		picked = make([]core.Handle[K, T], rr)
-	}
-	t.ownersInto(keyHash(r.keyOf(arg)), picked)
-	return r.group.DoPicked(ctx, arg, picked, opts...)
+	var buf [4]core.Handle[K, T]
+	return r.group.DoPicked(ctx, arg, r.place(string(arg), buf[:]), opts...)
 }
 
 // DoValue is the fast lane of Do for the no-options, first-success-wins
@@ -344,25 +310,8 @@ func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (co
 // core.KeyedGroup's pooled-frame engine, with no option materialization
 // on the path. See core.KeyedGroup.DoValue.
 func (r *Ring[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
-	t := r.table.Load()
-	nm := len(t.members)
-	if nm == 0 {
-		var zero T
-		return zero, core.ErrNoReplicas
-	}
-	rr := r.replication
-	if rr > nm {
-		rr = nm
-	}
-	var pbuf [4]core.Handle[K, T]
-	var picked []core.Handle[K, T]
-	if rr <= len(pbuf) {
-		picked = pbuf[:rr]
-	} else {
-		picked = make([]core.Handle[K, T], rr)
-	}
-	t.ownersInto(keyHash(r.keyOf(arg)), picked)
-	res, err := r.group.DoPicked(ctx, arg, picked)
+	var buf [4]core.Handle[K, T]
+	res, err := r.group.DoPicked(ctx, arg, r.place(string(arg), buf[:]))
 	return res.Value, err
 }
 
@@ -371,18 +320,11 @@ func (r *Ring[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
 // tests. It returns at most Replication names (fewer on a small ring),
 // and nil on an empty ring.
 func (r *Ring[K, T]) Owners(key string) []string {
-	t := r.table.Load()
-	nm := len(t.members)
-	if nm == 0 {
+	picked := r.place(key, nil)
+	if len(picked) == 0 {
 		return nil
 	}
-	rr := r.replication
-	if rr > nm {
-		rr = nm
-	}
-	picked := make([]core.Handle[K, T], rr)
-	t.ownersInto(keyHash(key), picked)
-	names := make([]string, rr)
+	names := make([]string, len(picked))
 	for i, h := range picked {
 		names[i] = h.Name()
 	}

@@ -26,7 +26,7 @@ func named(name string) core.ArgReplica[string, string] {
 }
 
 // keyWithPrimary returns a key whose primary is the given member.
-func keyWithPrimary[K, T any](t *testing.T, r *ring.Ring[K, T], member string) string {
+func keyWithPrimary[K ~string, T any](t *testing.T, r *ring.Ring[K, T], member string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -249,25 +249,27 @@ func TestQuorumWithinPlacement(t *testing.T) {
 	}
 }
 
-// NewKeyed routes by the derived key: a write request carrying a value
-// lands on the same placement as a plain read of its key.
+// A call routes by its key: Do and DoValue land on the primary Owners
+// reports, for a named key type as for a plain string.
 func TestKeyedRoutingAgrees(t *testing.T) {
-	type wreq struct{ key, val string }
-	reads := ring.New[string, string](core.Fixed{Copies: 1})
-	writes := ring.NewKeyed[wreq, string](core.Fixed{Copies: 1}, func(w wreq) string { return w.key })
+	type userID string
+	r := ring.New[userID, string](core.Fixed{Copies: 1})
 	for i := 0; i < 5; i++ {
 		n := fmt.Sprintf("s%d", i)
-		reads.Add(n, named(n))
-		writes.Add(n, func(ctx context.Context, _ wreq) (string, error) { return n, nil })
+		r.Add(n, func(ctx context.Context, _ userID) (string, error) { return n, nil })
 	}
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		res, err := writes.Do(context.Background(), wreq{key: key, val: "v"})
+		want := r.Owners(key)[0]
+		res, err := r.Do(context.Background(), userID(key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := reads.Owners(key)[0]; res.Value != want {
-			t.Errorf("write for %q served by %s, read placement says %s", key, res.Value, want)
+		if res.Value != want {
+			t.Errorf("Do(%q) served by %s, Owners says %s", key, res.Value, want)
+		}
+		if v, err := r.DoValue(context.Background(), userID(key)); err != nil || v != want {
+			t.Errorf("DoValue(%q) = (%s, %v), Owners says %s", key, v, err, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -283,6 +284,49 @@ func TestClassStrategySchedule(t *testing.T) {
 	// the next call, and d.Len() governs the slice, not the new fanout.
 	if got := s.ScheduleInto(core.DigestList{warm}, buf[:1]); got != nil {
 		t.Fatalf("single-digest schedule = %v, want nil", got)
+	}
+}
+
+// TestControllerIsAGroupStrategy: a Group built on the controller serves
+// calls at the default class's operating point — one copy while cold,
+// two once Step has tightened off a missed window.
+func TestControllerIsAGroupStrategy(t *testing.T) {
+	tgt := Target{P99: 10 * time.Millisecond, MaxExtraLoad: 0.5}
+	c := testController(t, tgt, func(cfg *Config) {
+		cfg.MaxFanout = 2
+		cfg.MinWindowSamples = 1
+	})
+	g := core.NewStrategyGroup[int](c)
+	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
+	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
+	res, err := g.Do(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 1 {
+		t.Errorf("cold controller Do launched %d, want 1 (ladder starts at k=1)", res.Launched)
+	}
+
+	op, _ := c.Step(DefaultClass, Window{P99: 50 * time.Millisecond, Mean: 5 * time.Millisecond, Samples: 100})
+	if op.Fanout != 2 {
+		t.Errorf("after missed window Fanout = %d, want 2", op.Fanout)
+	}
+	if res, err = g.Do(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 2 {
+		t.Errorf("tightened controller Do launched %d, want 2", res.Launched)
+	}
+
+	var st ClassStats
+	found := false
+	for _, s := range c.Stats() {
+		if s.Class == DefaultClass {
+			st, found = s, true
+		}
+	}
+	if !found || st.Tightens < 1 || st.Config.Fanout != 2 {
+		t.Errorf("ClassStats = %+v, found=%v; want Tightens >= 1 at fan-out 2", st, found)
 	}
 }
 

@@ -7,6 +7,10 @@ package redundancy_test
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,7 +30,7 @@ func slow[T any](v T) redundancy.Replica[T] {
 	}
 }
 
-func TestPublicFirst(t *testing.T) {
+func TestPublicFullReplicateKeepsFastest(t *testing.T) {
 	g := redundancy.NewStrategyGroup[string](redundancy.FullReplicate{})
 	g.Add("slow", slow("slow"))
 	g.Add("fast", func(ctx context.Context) (string, error) { return "fast", nil })
@@ -39,7 +43,7 @@ func TestPublicFirst(t *testing.T) {
 	}
 }
 
-func TestPublicFirstValue(t *testing.T) {
+func TestPublicDoValue(t *testing.T) {
 	g := redundancy.NewStrategyGroup[int](redundancy.FullReplicate{})
 	g.Add("only", func(ctx context.Context) (int, error) { return 42, nil })
 	v, err := g.DoValue(context.Background())
@@ -60,9 +64,9 @@ func TestPublicGroupWithEverything(t *testing.T) {
 	budget := redundancy.NewBudget(1000, 10)
 	g := redundancy.NewStrategyGroup[string](
 		redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRanked},
-		redundancy.WithObserver[string](counters),
-		redundancy.WithBudget[string](budget),
-		redundancy.WithSeed[string](1),
+		redundancy.WithObserver(counters),
+		redundancy.WithBudget(budget),
+		redundancy.WithSeed(1),
 	)
 	g.Add("a", func(ctx context.Context) (string, error) { return "a", nil })
 	g.Add("b", func(ctx context.Context) (string, error) { return "b", nil })
@@ -79,7 +83,7 @@ func TestPublicGroupWithEverything(t *testing.T) {
 	}
 }
 
-func TestPublicHedged(t *testing.T) {
+func TestPublicHedgeDelayLaunchesSecondCopy(t *testing.T) {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 2, HedgeDelay: time.Millisecond})
 	g.Add("primary", slow(1))
 	g.Add("hedge", func(ctx context.Context) (int, error) { return 2, nil })
@@ -142,50 +146,55 @@ func TestPublicResultReportsCancelled(t *testing.T) {
 	}
 }
 
-func TestPublicSLOController(t *testing.T) {
-	ctr := redundancy.NewCounters()
-	ctl := redundancy.NewSLOController(
-		redundancy.SLOTarget{P99: 10 * time.Millisecond, MaxExtraLoad: 0.5},
-		redundancy.SLOConfig{Counters: ctr, MaxFanout: 2, MinWindowSamples: 1, DisableValidation: true},
-	)
-
-	// The controller is a Strategy: a group built on it serves calls at
-	// the default class's operating point (which starts at fan-out 1).
-	g := redundancy.NewStrategyGroup[int](ctl)
-	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
-	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
-	res, err := g.Do(context.Background())
+// TestRootSurface pins the root package's exported names: what the
+// examples, the package examples and the commands use, plus what those
+// names need to be callable. Adding an export means editing this list.
+func TestRootSurface(t *testing.T) {
+	want := []string{
+		"AdaptiveHedge", "BatchResult", "Budget", "CallOption", "Counters",
+		"DefaultGovernorThreshold", "ErrNoReplicas", "ErrQuorumUnreachable",
+		"Fixed", "FullReplicate", "GovernedStrategy", "Group", "GroupOption",
+		"LoadAware", "NewBudget", "NewCounters", "NewRing", "NewStrategyGroup",
+		"Observer", "Outcome", "QuorumError", "Replica", "ReplicaError",
+		"Result", "Ring", "SelectRandom", "SelectRanked", "SelectRoundRobin",
+		"Selection", "Strategy", "WithBudget", "WithCollectOutcomes",
+		"WithFanoutCap", "WithObserver", "WithQuorum", "WithSeed",
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "redundancy.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Launched != 1 {
-		t.Errorf("cold controller Do launched %d, want 1 (ladder starts at k=1)", res.Launched)
-	}
-
-	// Feed a missing window through the pure decision step: the
-	// controller must tighten off the k=1 rung.
-	cfg, _ := ctl.Step(redundancy.SLODefaultClass, redundancy.SLOWindow{
-		P99: 50 * time.Millisecond, Mean: 5 * time.Millisecond, Samples: 100,
-	})
-	if cfg.Fanout != 2 {
-		t.Errorf("after missed window Fanout = %d, want 2", cfg.Fanout)
-	}
-	res, err = g.Do(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Errorf("tightened controller Do launched %d, want 2", res.Launched)
-	}
-
-	var st redundancy.SLOClassStats
-	found := false
-	for _, s := range ctl.Stats() {
-		if s.Class == redundancy.SLODefaultClass {
-			st, found = s, true
+	var got []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						got = append(got, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							got = append(got, n.Name)
+						}
+					}
+				}
+			}
 		}
 	}
-	if !found || st.Tightens < 1 || st.Config.Fanout != 2 {
-		t.Errorf("SLOClassStats = %+v, found=%v; want Tightens >= 1 at fan-out 2", st, found)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("root exports %d names %v,\nwant %d %v", len(got), got, len(want), want)
+	}
+	for _, imp := range f.Imports {
+		if p := imp.Path.Value; p != `"redundancy/internal/core"` && p != `"redundancy/internal/ring"` {
+			t.Errorf("root imports %s; it re-exports only core and ring", p)
+		}
 	}
 }
