@@ -512,6 +512,21 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 	return res, err
 }
 
+// launchNext launches copy i, then every following copy whose delay is
+// non-positive (a zero hedge delay means full replication, not a timer
+// round-trip), and arms the hedge deadline of the copy after them. It
+// returns the number of copies launched.
+func (fr *callFrame[K, T]) launchNext(ctx context.Context, ht *hedgeTimer[K, T], i int) int {
+	fr.launchCopy(ctx, i)
+	for i++; i < fr.n && (fr.delays == nil || fr.delays[i] <= 0); i++ {
+		fr.launchCopy(ctx, i)
+	}
+	if i < fr.n {
+		ht.arm(fr.delays[i], i)
+	}
+	return i
+}
+
 // runFrame executes one redundant operation over a prepared frame. It
 // returns the operation's Result — Value/Index are the first success,
 // Latency is the time to completion (the quorum-th success), Launched
@@ -530,23 +545,8 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	// However the call ends, whatever it left in flight is reclaimed.
 	defer fr.finish(&ht)
 
-	delays := fr.delays
-	// Copy 0 always starts immediately; so does every consecutive copy
-	// whose delay is non-positive (a zero hedge delay means full
-	// replication, not a timer round-trip).
-	fr.launchCopy(ctx, 0)
-	launched := 1
-	if delays == nil {
-		for launched < n {
-			fr.launchCopy(ctx, launched)
-			launched++
-		}
-	} else {
-		for launched < n && delays[launched] <= 0 {
-			fr.launchCopy(ctx, launched)
-			launched++
-		}
-	}
+	// Copy 0 always starts immediately.
+	launched := fr.launchNext(ctx, &ht, 0)
 
 	collect := fr.collect
 	if collect == nil && q > 1 {
@@ -558,10 +558,6 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	}
 	if collect != nil {
 		*collect = (*collect)[:0]
-	}
-
-	if delays != nil && launched < n {
-		ht.arm(delays[launched], launched)
 	}
 
 	ctxDone := ctx.Done()
@@ -581,15 +577,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// is past it — are ignored by index.
 				ht.wheelFired(r.idx)
 				if r.idx == launched && launched < n {
-					fr.launchCopy(ctx, launched)
-					launched++
-					for launched < n && delays[launched] <= 0 {
-						fr.launchCopy(ctx, launched)
-						launched++
-					}
-					if launched < n {
-						ht.arm(delays[launched], launched)
-					}
+					launched = fr.launchNext(ctx, &ht, launched)
 				}
 				continue
 			}
@@ -631,28 +619,12 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// a copy is left to launch): launch it immediately rather
 				// than waiting out its hedge delay.
 				ht.stop()
-				fr.launchCopy(ctx, launched)
-				launched++
-				for launched < n && delays != nil && delays[launched] <= 0 {
-					fr.launchCopy(ctx, launched)
-					launched++
-				}
-				if delays != nil && launched < n {
-					ht.arm(delays[launched], launched)
-				}
+				launched = fr.launchNext(ctx, &ht, launched)
 			}
 		case <-ht.rtC:
 			// Sub-tick runtime-timer hedge deadline.
 			ht.rtC = nil
-			fr.launchCopy(ctx, launched)
-			launched++
-			for launched < n && delays[launched] <= 0 {
-				fr.launchCopy(ctx, launched)
-				launched++
-			}
-			if launched < n {
-				ht.arm(delays[launched], launched)
-			}
+			launched = fr.launchNext(ctx, &ht, launched)
 		case <-ctxDone:
 			return Result[T]{Launched: launched, Cancelled: launched - fr.drainCompleted(completed)}, ctx.Err()
 		}

@@ -1,0 +1,169 @@
+package exp
+
+import (
+	"strconv"
+	"testing"
+)
+
+// claimTable indexes one rendered table of a golden run (MinScale,
+// seed 3, the run testdata/<name>.golden pins) by load and scheme, so a
+// test can assert what the table's caption claims.
+type claimTable struct {
+	t     *testing.T
+	title string
+	cols  map[string]int
+	rows  map[[2]string][]string
+	loads []string
+}
+
+// goldenTables runs an experiment exactly as the golden test does.
+func goldenTables(t *testing.T, name string) []claimTable {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs the experiment")
+	}
+	e, ok := ByName(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	tabs, err := e.Run(Options{Scale: MinScale, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]claimTable, len(tabs))
+	for i, tab := range tabs {
+		c := claimTable{t: t, title: tab.Title, cols: map[string]int{}, rows: map[[2]string][]string{}}
+		for j, col := range tab.Columns {
+			c.cols[col] = j
+		}
+		for _, r := range tab.Rows {
+			if len(c.loads) == 0 || c.loads[len(c.loads)-1] != r[0] {
+				c.loads = append(c.loads, r[0])
+			}
+			c.rows[[2]string{r[0], r[1]}] = r
+		}
+		out[i] = c
+	}
+	return out
+}
+
+func (c claimTable) cell(load, scheme, col string) string {
+	c.t.Helper()
+	r, ok := c.rows[[2]string{load, scheme}]
+	j, okc := c.cols[col]
+	if !ok || !okc {
+		c.t.Fatalf("%s: no %q cell for %s at load %s", c.title, col, scheme, load)
+	}
+	return r[j]
+}
+
+func (c claimTable) num(load, scheme, col string) float64 {
+	c.t.Helper()
+	v, err := strconv.ParseFloat(c.cell(load, scheme, col), 64)
+	if err != nil {
+		c.t.Fatalf("%s: %v", c.title, err)
+	}
+	return v
+}
+
+func (c claimTable) lowest() string  { return c.loads[0] }
+func (c claimTable) highest() string { return c.loads[len(c.loads)-1] }
+
+// TestClaimsAblHedge asserts the two ablhedge captions.
+func TestClaimsAblHedge(t *testing.T) {
+	const fixed, adaptive, full = "fixed delay (5x mean svc)", "adaptive p90", "full replication"
+	tabs := goldenTables(t, "ablhedge")
+	pareto, expo := tabs[0], tabs[1]
+	// edge is adaptive's p99 advantage over the fixed guess, as a ratio.
+	edge := func(c claimTable, load string) float64 {
+		return c.num(load, fixed, "p99") / c.num(load, adaptive, "p99")
+	}
+	for _, c := range tabs {
+		for _, load := range c.loads {
+			if cp := c.num(load, adaptive, "copies/op"); cp < 1.05 || cp > 1.2 {
+				t.Errorf("%s: adaptive p90 spends %g copies/op at load %s, want ~1.1", c.title, cp, load)
+			}
+		}
+	}
+	for _, load := range []string{"0.1", "0.3"} {
+		if e := edge(pareto, load); e <= 1 {
+			t.Errorf("Pareto load %s: adaptive p99 does not beat the fixed guess (edge %.3g)", load, e)
+		}
+		if ep, ee := edge(pareto, load), edge(expo, load); ee >= ep {
+			t.Errorf("load %s: adaptive's edge under exponential service %.3g is not below the Pareto edge %.3g", load, ee, ep)
+		}
+	}
+	if e := edge(expo, "0.45"); e > 1.05 {
+		t.Errorf("exponential load 0.45: adaptive edge %.3g, want gone (<= 1.05)", e)
+	}
+	lo, hi := pareto.lowest(), pareto.highest()
+	for _, sc := range []string{"no hedging", fixed, adaptive} {
+		if pareto.num(lo, full, "p99") >= pareto.num(lo, sc, "p99") {
+			t.Errorf("Pareto load %s: full replication p99 not below %s", lo, sc)
+		}
+		if pareto.num(hi, full, "p99") <= pareto.num(hi, sc, "p99") {
+			t.Errorf("Pareto load %s: full replication p99 not above %s", hi, sc)
+		}
+	}
+}
+
+// TestClaimsAblCancel asserts the ablcancel caption: below the 1/3
+// threshold governed fan-out 2 matches fixed fan-out 2; above it fixed
+// collapses while the governor gates and falls back toward k=1.
+func TestClaimsAblCancel(t *testing.T) {
+	const base, fixed, gov = "no hedging", "fixed fan-out 2", "governed fan-out 2"
+	c := goldenTables(t, "ablcancel")[0]
+	for _, load := range c.loads {
+		l, _ := strconv.ParseFloat(load, 64)
+		g, f, b := c.num(load, gov, "p99"), c.num(load, fixed, "p99"), c.num(load, base, "p99")
+		gated := c.num(load, gov, "gated%")
+		if l < 1.0/3 {
+			if g > f*1.10 || gated > 5 {
+				t.Errorf("load %s: governed p99 %g (gated %g%%) vs fixed %g, want equal within noise", load, g, gated, f)
+			}
+			continue
+		}
+		if f <= b || gated < 50 || g-b >= f-g {
+			t.Errorf("load %s: fixed p99 %g, governed %g (gated %g%%), k=1 %g; want fixed above k=1 and governed gating back toward k=1",
+				load, f, g, gated, b)
+		}
+	}
+}
+
+// TestClaimsAblSLO asserts the ablslo caption against its target (p99
+// 11 ms) and budget (0.35 extra copies/op).
+func TestClaimsAblSLO(t *testing.T) {
+	const k1, k2, ctl = "fixed k=1", "fixed k=2@p50", "slo controller"
+	const budget = 0.35
+	c := goldenTables(t, "ablslo")[0]
+	for _, load := range c.loads {
+		if c.cell(load, k1, "meets") != "MISS" {
+			t.Errorf("load %s: fixed k=1 meets the target", load)
+		}
+		spend := c.num(load, ctl, "copies/op")
+		if c.cell(load, ctl, "meets") == "yes" {
+			if spend > 1+budget || spend >= c.num(load, k2, "copies/op") {
+				t.Errorf("load %s: controller meets at %g copies/op, want affordable and below k=2@p50's %g",
+					load, spend, c.num(load, k2, "copies/op"))
+			}
+		} else if spend > 1+budget*1.1 {
+			t.Errorf("load %s: controller misses at %g copies/op, want bounded by the budget", load, spend)
+		}
+	}
+	lo, hi := c.lowest(), c.highest()
+	if c.cell(lo, k2, "meets") != "yes" || c.num(lo, k2, "copies/op") < 1.4 {
+		t.Errorf("load %s: fixed k=2@p50 should meet the target by overpaying (>= 1.4 copies/op)", lo)
+	}
+	if c.cell(hi, k2, "meets") != "MISS" {
+		t.Errorf("load %s: fixed k=2@p50 should miss past the threshold", hi)
+	}
+	met := 0
+	for _, load := range c.loads {
+		if c.cell(load, ctl, "meets") == "yes" {
+			met++
+		}
+	}
+	if met < 3 {
+		t.Errorf("controller met the target at %d loads, want >= 3", met)
+	}
+}

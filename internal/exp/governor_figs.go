@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"redundancy/internal/core"
 	"redundancy/internal/dist"
 	"redundancy/internal/queueing"
 )
@@ -11,16 +12,18 @@ import (
 // with the load-aware governor in the loop: blind fixed fan-out-2
 // replication collapses once base load passes the threshold (its
 // realized utilization is 2x the offered load), while a governed group —
-// the production core.Governor gating on measured in-flight copies per
-// server, driven here inside the deterministic queueing model — sheds
-// its own redundancy and degrades gracefully to single copies.
+// core.LoadAwareWith(FullReplicate{Copies: 2}), its core.Governor gating
+// on measured in-flight copies per server inside the deterministic
+// queueing model — sheds its own redundancy and degrades gracefully to
+// single copies.
 //
 // The governor's congestion signal is in-flight copies per server. By
 // Little's law an FCFS server at realized utilization rho holds about
 // rho/(1-rho) copies in flight, so the paper's exponential-service
 // threshold (duplication stops paying past base load 1/3, realized 2/3)
 // is (2/3)/(1/3) = 2 copies in flight — exactly
-// core.DefaultGovernorThreshold, which this experiment uses unchanged.
+// core.DefaultGovernorThreshold, which this experiment uses unchanged,
+// re-enabling replication below 30% of it.
 //
 // Reading the table: below the threshold (loads 0.2, 0.25) the governed
 // column tracks fixed fan-out-2 within a few percent and gates (almost)
@@ -36,14 +39,17 @@ import (
 // "Cancellation & the load governor").
 func AblationCancel(o Options) ([]*Table, error) {
 	requests := o.scale(200000)
-	type scheme struct {
-		name string
-		mode queueing.HedgeMode
-	}
-	schemes := []scheme{
-		{"no hedging", queueing.HedgeNone},
-		{"fixed fan-out 2", queueing.HedgeFull},
-		{"governed fan-out 2", queueing.HedgeGoverned},
+	// Each run builds its strategy fresh: the governor carries state.
+	schemes := []struct {
+		name  string
+		strat func() core.Strategy
+	}{
+		{"no hedging", func() core.Strategy { return core.Fixed{Copies: 1} }},
+		{"fixed fan-out 2", func() core.Strategy { return core.FullReplicate{Copies: 2} }},
+		{"governed fan-out 2", func() core.Strategy {
+			return core.LoadAwareWith(core.FullReplicate{Copies: 2},
+				core.NewGovernor(core.DefaultGovernorThreshold, 0.7*core.DefaultGovernorThreshold))
+		}},
 	}
 	loads := []float64{0.2, 0.25, 0.42, 0.48}
 
@@ -60,7 +66,7 @@ func AblationCancel(o Options) ([]*Table, error) {
 				Servers:  20,
 				Load:     load,
 				Service:  svc,
-				Mode:     sc.mode,
+				Strategy: sc.strat(),
 				Requests: requests,
 				Seed:     o.Seed,
 			})

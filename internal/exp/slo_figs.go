@@ -51,21 +51,17 @@ func AblationSLO(o Options) ([]*Table, error) {
 		Columns: []string{"load", "scheme", "p99 (ms)", "copies/op", "meets", "operating point"},
 	}
 
-	simulate := func(load float64, cfg slo.ClassConfig, budget float64, seed int64) (queueing.HedgedResult, error) {
-		hc := queueing.HedgedConfig{
+	// Every arm runs an operating point's own strategy, the one the
+	// controller's ClassStrategy runs live.
+	simulate := func(load float64, cfg slo.ClassConfig, seed int64) (queueing.HedgedResult, error) {
+		return queueing.RunHedged(queueing.HedgedConfig{
 			Servers:  20,
 			Load:     load,
 			Service:  svc,
-			Mode:     queueing.HedgeNone,
+			Strategy: cfg.Strategy(),
 			Requests: requests,
 			Seed:     seed,
-		}
-		if cfg.Fanout > 1 {
-			hc.Mode = queueing.HedgeSLO
-			hc.Quantile = cfg.Quantile
-			hc.MaxExtraLoad = budget
-		}
-		return queueing.RunHedged(hc)
+		})
 	}
 	ms := func(units float64) float64 { return units * float64(unit) / float64(time.Millisecond) }
 	meets := func(p99 float64) string {
@@ -80,13 +76,13 @@ func AblationSLO(o Options) ([]*Table, error) {
 
 		// Fixed comparators, both at bounded honesty: k=1 never spends,
 		// k=2@p50 spends uncapped (that is its point).
-		base, err := simulate(load, slo.ClassConfig{Fanout: 1}, 0, seed)
+		base, err := simulate(load, slo.ClassConfig{Fanout: 1}, seed)
 		if err != nil {
 			return nil, fmt.Errorf("ablslo k=1 at load %g: %w", load, err)
 		}
 		tab.Add(load, "fixed k=1", ms(base.Sample.P99()), 1+base.HedgeRate, meets(base.Sample.P99()), "k=1")
 
-		agg, err := simulate(load, slo.ClassConfig{Fanout: 2, Quantile: 0.50}, 0, seed)
+		agg, err := simulate(load, slo.ClassConfig{Fanout: 2, Quantile: 0.50}, seed)
 		if err != nil {
 			return nil, fmt.Errorf("ablslo k=2@p50 at load %g: %w", load, err)
 		}
@@ -107,7 +103,7 @@ func AblationSLO(o Options) ([]*Table, error) {
 		var res queueing.HedgedResult
 		converged := false
 		for iter := 0; iter < 15; iter++ {
-			res, err = simulate(load, cfg, target.MaxExtraLoad, seed)
+			res, err = simulate(load, cfg, seed)
 			if err != nil {
 				return nil, fmt.Errorf("ablslo controller at load %g (%+v): %w", load, cfg, err)
 			}
@@ -132,7 +128,7 @@ func AblationSLO(o Options) ([]*Table, error) {
 		if !converged {
 			// Walk cap hit (possible only at the ragged edge): measure the
 			// final point so the row reports what that config really does.
-			if res, err = simulate(load, cfg, target.MaxExtraLoad, seed); err != nil {
+			if res, err = simulate(load, cfg, seed); err != nil {
 				return nil, fmt.Errorf("ablslo controller final at load %g: %w", load, err)
 			}
 		}

@@ -1,26 +1,28 @@
 // Hedged variants of the replication queueing model: instead of
-// enqueueing k copies at arrival (queueing.Run), a second copy is
-// enqueued only if the first has not completed after a delay — fixed
-// (the caller guesses), adaptive (the client hedges at an observed
-// quantile of its own response times, the production form of the
-// paper's §3.2 strategy), or zero (full replication).
+// enqueueing k copies at arrival (queueing.Run), each request runs a
+// core.Strategy — the value the engine itself runs — that decides how
+// many copies to launch and when: Fixed (a caller-guessed delay),
+// AdaptiveHedge (a quantile of each server's own copy latencies),
+// FullReplicate (every copy at once), or any of them behind
+// core.LoadAwareWith, whose Governor is fed the model's utilization.
 //
 // Unlike Run's single-pass Lindley recurrence, hedge copies arrive
 // *later* than their request, interleaved with subsequent arrivals, so
 // this model runs on the discrete-event engine (internal/sim): arrival,
 // hedge-launch, and completion events execute in virtual-time order,
-// which keeps every server FCFS-correct and makes the adaptive client's
-// digest causal (it only ever reflects responses that have completed).
+// which keeps every server FCFS-correct and makes each server's digest
+// causal (it only ever reflects copies that have completed).
 //
 // As in Run, copies are NOT cancelled when a sibling completes (the
 // paper's worst case): every launched copy consumes its full service
-// time. The client-side latency digest is the same lock-free
-// core.LatDigest the production engine uses per replica.
+// time, and its latency lands in its server's core.LatDigest, the
+// digest the engine keeps per replica.
 package queueing
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"redundancy/internal/core"
@@ -29,97 +31,24 @@ import (
 	"redundancy/internal/stats"
 )
 
-// HedgeMode selects when the second copy of a request is enqueued.
-type HedgeMode int
-
-const (
-	// HedgeNone never launches a second copy (the k=1 baseline).
-	HedgeNone HedgeMode = iota
-	// HedgeFixed launches the second copy after a fixed, caller-guessed
-	// delay if the first has not completed.
-	HedgeFixed
-	// HedgeAdaptive launches the second copy when the elapsed time
-	// exceeds the client's observed response-time quantile, self-tuning
-	// as the digest fills.
-	HedgeAdaptive
-	// HedgeFull launches the second copy immediately (full replication,
-	// k=2).
-	HedgeFull
-	// HedgeGoverned replicates like HedgeFull, but only while a
-	// load-aware governor (the production core.Governor, driven with the
-	// simulator's utilization signal) affords it: past the threshold the
-	// second copy is withheld and the system degrades to k=1 instead of
-	// collapsing. This is the model behind the ablcancel experiment.
-	HedgeGoverned
-	// HedgeSLO evaluates one candidate operating point of the SLO
-	// controller (internal/slo): hedge at the configured Quantile of the
-	// client's own observed response-time digest, like HedgeAdaptive, but
-	// spend against a declared extra-load budget — a token bucket
-	// refilled at MaxExtraLoad tokens per request caps the realized
-	// hedge rate, so a candidate whose quantile would overspend its
-	// declared budget degrades to single copies in the model exactly as
-	// the live controller's clamp would force it to. The controller runs
-	// this mode as its deterministic pre-flight: a knob move goes live
-	// only if the simulated operating point behaves.
-	HedgeSLO
-)
-
-func (m HedgeMode) String() string {
-	switch m {
-	case HedgeNone:
-		return "none"
-	case HedgeFixed:
-		return "fixed"
-	case HedgeAdaptive:
-		return "adaptive"
-	case HedgeFull:
-		return "full"
-	case HedgeGoverned:
-		return "governed"
-	case HedgeSLO:
-		return "slo"
-	default:
-		return fmt.Sprintf("HedgeMode(%d)", int(m))
-	}
-}
-
 // HedgedConfig describes one run of the hedged queueing model.
 type HedgedConfig struct {
 	// Servers is N, the number of identical FCFS servers.
 	Servers int
 	// Load is the base per-server utilization of the unreplicated
 	// system. The realized utilization is Load * (mean copies per
-	// request), so HedgeFull requires Load < 1/2.
+	// request), so a strategy that launches k copies at once requires
+	// Load < 1/k.
 	Load float64
 	// Service is the service-time distribution (typically unit mean).
 	Service dist.Dist
-	// Mode selects the hedging scheme.
-	Mode HedgeMode
-	// FixedDelay is the hedge delay for HedgeFixed, in service-time
-	// units.
-	FixedDelay float64
-	// Quantile is the response-time quantile at which HedgeAdaptive
-	// launches the second copy (default 0.95).
-	Quantile float64
-	// MinSamples is how many responses the adaptive client observes
-	// before it starts hedging (default 100; until then it runs
-	// single-copy, the measurement phase).
-	MinSamples int
-	// GovernOn is the utilization (in-flight copies per server, the same
-	// congestion signal the production Governor samples) at which
-	// HedgeGoverned stops replicating; default core.DefaultGovernorThreshold.
-	GovernOn float64
-	// GovernOff is the utilization below which replication re-enables
-	// after gating (the hysteresis low-water mark, strictly below
-	// GovernOn); default 0.3 * GovernOn. The gap must absorb the load
-	// drop that gating itself causes, or the governor flaps.
-	GovernOff float64
-	// MaxExtraLoad is HedgeSLO's extra-load budget: hedge launches are
-	// paid from a token bucket refilled at MaxExtraLoad tokens per
-	// request, so the realized hedge rate cannot exceed it in steady
-	// state. Non-positive means uncapped (HedgeSLO then behaves like
-	// HedgeAdaptive).
-	MaxExtraLoad float64
+	// Strategy decides each request's copies, as it does a call's in the
+	// engine: Fanout (clamped to Servers) how many, ScheduleInto when,
+	// over the digests of the servers already chosen. A
+	// *core.GovernedStrategy's Governor samples in-flight copies per
+	// server at every arrival. Nil runs one copy per request. A strategy
+	// that carries state (a Governor) must be fresh for every run.
+	Strategy core.Strategy
 	// Requests is the number of measured requests.
 	Requests int
 	// Warmup is the number of initial requests discarded while queues
@@ -133,14 +62,20 @@ type HedgedConfig struct {
 type HedgedResult struct {
 	// Sample holds the measured response times.
 	Sample *stats.Sample
-	// HedgeRate is the fraction of measured requests that launched a
-	// second copy (so mean copies per request is 1 + HedgeRate).
+	// HedgeRate is the mean number of copies beyond the first per
+	// measured request, so mean copies per request is 1 + HedgeRate (for
+	// two copies, the fraction of requests that launched a second).
 	HedgeRate float64
-	// GatedRate is the fraction of measured requests whose second copy
-	// was withheld by a load control: the governor's gate for
-	// HedgeGoverned, the extra-load budget for HedgeSLO.
+	// GatedRate is the fraction of measured requests whose copies the
+	// strategy's Governor withheld.
 	GatedRate float64
 }
+
+// Unit is the duration a strategy sees for one model time unit: times
+// are scaled by it on the way into a digest and out of a schedule. The
+// digest's log-scale range (1 ns to ~292 years) dwarfs any simulated
+// latency, and its 12.5% bin width is the only approximation introduced.
+const Unit = time.Second
 
 func (c HedgedConfig) validate() error {
 	if c.Servers < 2 {
@@ -153,34 +88,50 @@ func (c HedgedConfig) validate() error {
 		return fmt.Errorf("queueing: Requests must be >= 1, got %d", c.Requests)
 	}
 	maxLoad := 1.0
-	if c.Mode == HedgeFull {
-		// A governed system sheds its own replication load, so only
-		// unconditional full replication needs the static stability cap.
-		maxLoad = 0.5
+	if k := c.fanout(); k > 1 {
+		// An ungoverned strategy that launches every copy at once
+		// multiplies the load by k; a governed one sheds its own
+		// replication load, and a hedged one launches only on the tail.
+		_, governed := c.Strategy.(*core.GovernedStrategy)
+		if !governed && len(c.Strategy.ScheduleInto(make(core.DigestList, k), make([]time.Duration, k))) == 0 {
+			maxLoad = 1 / float64(k)
+		}
 	}
 	if c.Load <= 0 || c.Load >= maxLoad {
-		return fmt.Errorf("queueing: Load must be in (0, %g) for mode %s, got %g", maxLoad, c.Mode, c.Load)
-	}
-	if c.Mode == HedgeFixed && c.FixedDelay < 0 {
-		return fmt.Errorf("queueing: FixedDelay must be >= 0, got %g", c.FixedDelay)
-	}
-	if c.Mode == HedgeGoverned && c.GovernOff > 0 {
-		on := c.GovernOn
-		if on <= 0 {
-			on = core.DefaultGovernorThreshold
-		}
-		if c.GovernOff >= on {
-			return fmt.Errorf("queueing: GovernOff %g must be below GovernOn %g", c.GovernOff, on)
-		}
+		return fmt.Errorf("queueing: Load must be in (0, %g) for %v, got %g", maxLoad, c.Strategy, c.Load)
 	}
 	return nil
 }
 
-// secPerUnit scales model time units onto the digest's nanosecond bins.
-// One service-time unit maps to one second: the digest's log-scale range
-// (1 ns to ~292 years) dwarfs any simulated latency, and its 12.5% bin
-// width is the only approximation introduced.
-const digestUnit = float64(time.Second)
+// fanout is the copies the strategy asks for, clamped to [1, Servers].
+func (c HedgedConfig) fanout() int {
+	if c.Strategy == nil {
+		return 1
+	}
+	k, _ := c.Strategy.Fanout()
+	return max(1, min(k, c.Servers))
+}
+
+// request is one arrival's copies, and the core.Digests view its
+// strategy schedules over: the digests of the servers of the copies
+// launched so far, in launch order, then nil for copies not yet placed.
+type request struct {
+	i       int
+	k       int     // copies this request may launch
+	t       float64 // arrival time
+	done    float64 // earliest completion among its launched copies
+	servers []int
+	digests []core.LatDigest
+}
+
+func (r *request) Len() int { return r.k }
+
+func (r *request) At(i int) *core.LatDigest {
+	if i < len(r.servers) {
+		return &r.digests[r.servers[i]]
+	}
+	return nil
+}
 
 // RunHedged simulates the hedged model and returns the measured
 // response-time sample and the realized hedge rate.
@@ -192,19 +143,23 @@ func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
 	if warmup == 0 {
 		warmup = cfg.Requests / 10
 	}
-	quantile := cfg.Quantile
-	if quantile <= 0 || quantile >= 1 {
-		quantile = 0.95
-	}
-	minSamples := cfg.MinSamples
-	if minSamples <= 0 {
-		minSamples = 100
-	}
 
 	// Separate streams, as in Run: the arrival process is identical
-	// across modes with the same seed, pairing comparison arms.
+	// across strategies with the same seed, pairing comparison arms.
 	arrivals := rand.New(rand.NewSource(cfg.Seed))
 	work := rand.New(rand.NewSource(cfg.Seed ^ 0x5e3779b97f4a7c15))
+
+	// Each server's digest starts warm with DefaultHedgeMinSamples
+	// unloaded service times, from a stream of its own so the other two
+	// are untouched. This is the model's ProbeAll: the live controller
+	// only ever tightens over replicas it has already measured.
+	digests := make([]core.LatDigest, cfg.Servers)
+	warm := rand.New(rand.NewSource(cfg.Seed ^ 0x2545f4914f6cdd1d))
+	for s := range digests {
+		for range core.DefaultHedgeMinSamples {
+			digests[s].Observe(time.Duration(cfg.Service.Sample(warm) * float64(Unit)))
+		}
+	}
 
 	meanS := cfg.Service.Mean()
 	lambda := cfg.Load * float64(cfg.Servers) / meanS
@@ -212,140 +167,84 @@ func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
 	eng := sim.NewEngine(cfg.Seed)
 	lastDep := make([]float64, cfg.Servers)
 	sample := stats.NewSample(cfg.Requests)
-	var digest core.LatDigest
-	hedges := 0
-	gatedArrivals := 0
+	k := cfg.fanout()
+	sched := make([]time.Duration, k)
+	var gov *core.Governor
+	if gs, ok := cfg.Strategy.(*core.GovernedStrategy); ok {
+		gov = gs.Governor()
+	}
+	extra, gated := 0, 0
 	total := warmup + cfg.Requests
 	issued := 0
-
-	// The governed mode drives the production core.Governor — the same
-	// gate-with-hysteresis decision the live engine's LoadAware strategy
-	// runs — with the simulator's in-flight-copies-per-server signal.
-	var gov *core.Governor
-	if cfg.Mode == HedgeGoverned {
-		on := cfg.GovernOn
-		if on <= 0 {
-			on = core.DefaultGovernorThreshold
-		}
-		off := cfg.GovernOff
-		if off <= 0 || off >= on {
-			off = on * 0.3
-		}
-		gov = core.NewGovernor(on, on-off)
-	}
 	inflight := 0
-
-	// HedgeSLO's extra-load token bucket: refilled per arrival, spent
-	// per launched hedge, burst-capped so an idle stretch cannot bank
-	// unbounded hedges.
-	budget := 0.0
-	const budgetBurst = 8.0
-	budgeted := cfg.Mode == HedgeSLO && cfg.MaxExtraLoad > 0
 
 	// enqueue places one copy on server s at the current virtual time
 	// and returns its completion time (FCFS Lindley step). Events run in
 	// time order, so lastDep is always up to date when read. The copy
-	// counts as in flight until its completion time.
+	// counts as in flight until its completion, when its latency lands
+	// in its server's digest.
 	enqueue := func(s int, svc float64) float64 {
-		start := eng.Now()
-		if lastDep[s] > start {
-			start = lastDep[s]
-		}
+		launch := eng.Now()
+		start := max(launch, lastDep[s])
 		done := start + svc
 		lastDep[s] = done
 		inflight++
-		eng.At(done, func() { inflight-- })
+		eng.At(done, func() {
+			inflight--
+			digests[s].Observe(time.Duration((done - launch) * float64(Unit)))
+		})
 		return done
+	}
+
+	// launch starts r's next copy now, on a server none of its copies
+	// uses. If a copy is left and r will not be done by its delay — the
+	// strategy's schedule over the servers placed so far — it arms that
+	// launch; otherwise it arms r's completion.
+	var launch func(r *request)
+	launch = func(r *request) {
+		j := len(r.servers)
+		s := work.Intn(cfg.Servers - j)
+		for _, u := range slices.Sorted(slices.Values(r.servers)) {
+			if s >= u {
+				s++
+			}
+		}
+		r.servers = append(r.servers, s)
+		if c := enqueue(s, cfg.Service.Sample(work)); j == 0 || c < r.done {
+			r.done = c
+		}
+		if j+1 < r.k {
+			delay := 0.0
+			if out := cfg.Strategy.ScheduleInto(r, sched[:r.k]); len(out) > 0 {
+				delay = max(0, float64(out[min(j+1, len(out)-1)])/float64(Unit))
+			}
+			if now := eng.Now(); r.done-now > delay {
+				eng.At(now+delay, func() { launch(r) })
+				return
+			}
+		}
+		eng.At(r.done, func() {
+			if r.i >= warmup {
+				sample.Add(r.done - r.t)
+				extra += len(r.servers) - 1
+			}
+		})
 	}
 
 	var arrive func()
 	arrive = func() {
-		i := issued
+		r := &request{i: issued, k: k, t: eng.Now(), servers: make([]int, 0, k), digests: digests}
 		issued++
-		t := eng.Now()
-		// The governor samples utilization at arrival, before this
-		// request's own copies enqueue — arrivals see the state the
-		// system is in, Poisson-style.
-		gated := false
 		if gov != nil {
+			// As KeyedGroup.plan does: one utilization sample per
+			// operation, taken before its own copies enqueue, then the
+			// gate on the clamped fan-out.
 			gov.Observe(float64(inflight) / float64(cfg.Servers))
-			gated = gov.Allow(2) < 2
-			if gated && i >= warmup {
-				gatedArrivals++
+			if r.k = gov.Allow(k); r.k < k && r.i >= warmup {
+				gated++
 			}
 		}
-		s0 := work.Intn(cfg.Servers)
-		c0 := enqueue(s0, cfg.Service.Sample(work))
-
-		hedge := false
-		delay := 0.0
-		switch cfg.Mode {
-		case HedgeFull:
-			hedge = true
-		case HedgeGoverned:
-			hedge = !gated
-		case HedgeFixed:
-			hedge, delay = true, cfg.FixedDelay
-		case HedgeAdaptive:
-			if digest.Count() >= int64(minSamples) {
-				if q, ok := digest.Quantile(quantile); ok {
-					hedge, delay = true, float64(q)/digestUnit
-				}
-			}
-		case HedgeSLO:
-			if budgeted {
-				budget += cfg.MaxExtraLoad
-				if budget > budgetBurst {
-					budget = budgetBurst
-				}
-			}
-			if digest.Count() >= int64(minSamples) {
-				if q, ok := digest.Quantile(quantile); ok {
-					hedge, delay = true, float64(q)/digestUnit
-				}
-			}
-			if hedge && budgeted && budget < 1 {
-				// Budget exhausted: the candidate operating point is
-				// overspending its declared extra load; degrade this
-				// request to a single copy, the controller's clamp.
-				hedge = false
-				if i >= warmup {
-					gatedArrivals++
-				}
-			}
-		}
-
-		complete := func(resp float64, hedged bool) {
-			digest.Observe(time.Duration(resp * digestUnit))
-			if i >= warmup {
-				sample.Add(resp)
-				if hedged {
-					hedges++
-				}
-			}
-		}
-		if hedge && c0-t > delay {
-			if budgeted {
-				budget--
-			}
-			// The second copy becomes visible to its server only at
-			// t+delay, after any earlier arrivals have enqueued there.
-			eng.At(t+delay, func() {
-				s1 := work.Intn(cfg.Servers - 1)
-				if s1 >= s0 {
-					s1++
-				}
-				c1 := enqueue(s1, cfg.Service.Sample(work))
-				done := c0
-				if c1 < done {
-					done = c1
-				}
-				eng.At(done, func() { complete(done-t, true) })
-			})
-		} else {
-			eng.At(c0, func() { complete(c0-t, false) })
-		}
-
+		launch(r)
 		if issued < total {
 			eng.After(arrivals.ExpFloat64()/lambda, arrive)
 		}
@@ -355,7 +254,7 @@ func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
 
 	return HedgedResult{
 		Sample:    sample,
-		HedgeRate: float64(hedges) / float64(cfg.Requests),
-		GatedRate: float64(gatedArrivals) / float64(cfg.Requests),
+		HedgeRate: float64(extra) / float64(cfg.Requests),
+		GatedRate: float64(gated) / float64(cfg.Requests),
 	}, nil
 }

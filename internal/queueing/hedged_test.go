@@ -3,87 +3,112 @@ package queueing
 import (
 	"testing"
 
+	"redundancy/internal/core"
 	"redundancy/internal/dist"
 )
 
+// governed is ablcancel's governed arm: full replication behind the
+// default gate, re-enabling below 30% of it. A governor carries state,
+// so every run gets a fresh one.
+func governed() *core.GovernedStrategy {
+	return core.LoadAwareWith(core.FullReplicate{Copies: 2},
+		core.NewGovernor(core.DefaultGovernorThreshold, 0.7*core.DefaultGovernorThreshold))
+}
+
 func TestRunHedgedValidation(t *testing.T) {
 	svc := dist.Exponential{MeanV: 1}
+	full2 := core.FullReplicate{Copies: 2}
 	for _, cfg := range []HedgedConfig{
-		{Servers: 1, Load: 0.3, Service: svc, Requests: 100},                   // too few servers
-		{Servers: 10, Load: 0, Service: svc, Requests: 100},                    // zero load
-		{Servers: 10, Load: 0.6, Service: svc, Requests: 100, Mode: HedgeFull}, // unstable under 2x
-		{Servers: 10, Load: 0.3, Requests: 100},                                // no service dist
-		{Servers: 10, Load: 0.3, Service: svc},                                 // no requests
-		{Servers: 10, Load: 0.3, Service: svc, Requests: 100, Mode: HedgeFixed, FixedDelay: -1},
+		{Servers: 1, Load: 0.3, Service: svc, Requests: 100},                                             // too few servers
+		{Servers: 10, Load: 0, Service: svc, Requests: 100},                                              // zero load
+		{Servers: 10, Load: 0.6, Service: svc, Requests: 100, Strategy: full2},                           // unstable under 2x
+		{Servers: 10, Load: 0.4, Service: svc, Requests: 100, Strategy: core.FullReplicate{Copies: 3}},   // unstable under 3x
+		{Servers: 10, Load: 0.6, Service: svc, Requests: 100, Strategy: core.Fixed{Copies: 2}},           // a zero delay is full replication
+		{Servers: 10, Load: 0.3, Requests: 100},                                                          // no service dist
+		{Servers: 10, Load: 0.3, Service: svc},                                                           // no requests
+		{Servers: 10, Load: 1, Service: svc, Requests: 100, Strategy: core.AdaptiveHedge{Quantile: 0.9}}, // saturated even unhedged
 	} {
 		if _, err := RunHedged(cfg); err == nil {
 			t.Errorf("config %+v validated", cfg)
 		}
 	}
-}
-
-func TestHedgeModeStrings(t *testing.T) {
-	for m, want := range map[HedgeMode]string{
-		HedgeNone: "none", HedgeFixed: "fixed", HedgeAdaptive: "adaptive", HedgeFull: "full",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
-		}
+	// A hedge that waits launches only on the tail, so the 1/k cap does
+	// not apply to it.
+	if _, err := RunHedged(HedgedConfig{
+		Servers: 10, Load: 0.6, Service: svc, Requests: 500, Seed: 2,
+		Strategy: core.Fixed{Copies: 2, HedgeDelay: 4 * Unit},
+	}); err != nil {
+		t.Errorf("hedged at load 0.6 rejected: %v", err)
 	}
 }
 
 // TestHedgedBaselineMatchesLindley cross-checks the event-driven model
-// against the single-pass Lindley model on the cases they share: no
-// hedging vs Copies=1, and full replication vs Copies=2 (both enqueue
-// every copy at arrival and never cancel).
+// against the single-pass Lindley model on the cases they share: one
+// copy vs Copies=1, and full replication vs Copies=k (both enqueue every
+// copy at arrival on distinct servers and never cancel).
 func TestHedgedBaselineMatchesLindley(t *testing.T) {
 	svc := dist.Exponential{MeanV: 1}
 	for _, tc := range []struct {
-		mode   HedgeMode
+		strat  core.Strategy
 		copies int
+		load   float64
 	}{
-		{HedgeNone, 1},
-		{HedgeFull, 2},
+		{core.Fixed{Copies: 1}, 1, 0.3},
+		{core.FullReplicate{Copies: 2}, 2, 0.3},
+		{core.FullReplicate{Copies: 3}, 3, 0.2},
 	} {
 		got, err := RunHedged(HedgedConfig{
-			Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 7, Mode: tc.mode,
+			Servers: 20, Load: tc.load, Service: svc, Requests: 60000, Seed: 7, Strategy: tc.strat,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := MeanResponse(Config{
-			Servers: 20, Copies: tc.copies, Load: 0.3, Service: svc, Requests: 60000, Seed: 7,
+			Servers: 20, Copies: tc.copies, Load: tc.load, Service: svc, Requests: 60000, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := got.Sample.Mean()
 		if m < want*0.9 || m > want*1.1 {
-			t.Errorf("%s: mean %.4g vs Lindley k=%d %.4g (>10%% apart)", tc.mode, m, tc.copies, want)
+			t.Errorf("%v: mean %.4g vs Lindley k=%d %.4g (>10%% apart)", tc.strat, m, tc.copies, want)
 		}
 	}
 }
 
+// TestHedgedFullAlwaysHedges: full replication launches every copy the
+// strategy asks for, clamped to the servers there are.
 func TestHedgedFullAlwaysHedges(t *testing.T) {
-	res, err := RunHedged(HedgedConfig{
-		Servers: 10, Load: 0.2, Service: dist.Exponential{MeanV: 1},
-		Requests: 5000, Seed: 1, Mode: HedgeFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HedgeRate != 1 {
-		t.Errorf("full replication hedge rate %.3f, want 1", res.HedgeRate)
+	for _, tc := range []struct {
+		strat   core.Strategy
+		servers int
+		want    float64
+	}{
+		{core.FullReplicate{Copies: 2}, 10, 1},
+		{core.FullReplicate{Copies: 3}, 10, 2},
+		{core.FullReplicate{}, 2, 1}, // "every replica" is both servers
+	} {
+		res, err := RunHedged(HedgedConfig{
+			Servers: tc.servers, Load: 0.2, Service: dist.Exponential{MeanV: 1},
+			Requests: 5000, Seed: 1, Strategy: tc.strat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HedgeRate != tc.want {
+			t.Errorf("%v on %d servers: hedge rate %.3f, want %g", tc.strat, tc.servers, res.HedgeRate, tc.want)
+		}
 	}
 }
 
 func TestHedgedAdaptiveRateTracksQuantile(t *testing.T) {
-	// By construction the adaptive client hedges on roughly (1 - p) of
-	// requests once warm: it fires exactly when the response would have
-	// exceeded the observed p-quantile.
+	// By construction an adaptive hedge fires on roughly (1 - p) of
+	// requests: exactly when the first copy outlives the p-quantile of its
+	// server's copy latencies.
+	svc := dist.Exponential{MeanV: 1}
 	res, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.3, Service: dist.Exponential{MeanV: 1},
-		Requests: 60000, Seed: 3, Mode: HedgeAdaptive, Quantile: 0.9,
+		Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 3,
+		Strategy: core.AdaptiveHedge{Copies: 2, Quantile: 0.9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +118,7 @@ func TestHedgedAdaptiveRateTracksQuantile(t *testing.T) {
 	}
 	// And it must actually cut the tail relative to no hedging.
 	base, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.3, Service: dist.Exponential{MeanV: 1},
-		Requests: 60000, Seed: 3, Mode: HedgeNone,
+		Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,24 +127,37 @@ func TestHedgedAdaptiveRateTracksQuantile(t *testing.T) {
 		t.Errorf("adaptive p99 %.4g not below baseline p99 %.4g",
 			res.Sample.P99(), base.Sample.P99())
 	}
+	// A third copy hedges on the second's tail, so it adds hedges, but
+	// fewer than the second did.
+	three, err := RunHedged(HedgedConfig{
+		Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 3,
+		Strategy: core.AdaptiveHedge{Copies: 3, Quantile: 0.9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if three.HedgeRate <= res.HedgeRate || three.HedgeRate > 2*res.HedgeRate {
+		t.Errorf("adaptive k=3 p90 hedge rate %.3f vs k=2 %.3f, want in (k=2, 2x k=2]", three.HedgeRate, res.HedgeRate)
+	}
 }
 
 func TestHedgedFixedRateMatchesTail(t *testing.T) {
 	// With a fixed delay d, the hedge launches exactly when the primary
 	// response exceeds d, so the hedge rate equals the baseline's
 	// fraction of responses above d (approximately: hedging adds load).
+	svc := dist.Exponential{MeanV: 1}
 	base, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.3, Service: dist.Exponential{MeanV: 1},
-		Requests: 60000, Seed: 5, Mode: HedgeNone,
+		Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 5,
+		Strategy: core.Fixed{Copies: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const d = 3.0
+	const d = 3
 	frac := base.Sample.FractionAbove(d)
 	res, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.3, Service: dist.Exponential{MeanV: 1},
-		Requests: 60000, Seed: 5, Mode: HedgeFixed, FixedDelay: d,
+		Servers: 20, Load: 0.3, Service: svc, Requests: 60000, Seed: 5,
+		Strategy: core.Fixed{Copies: 2, HedgeDelay: d * Unit},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +174,13 @@ func TestHedgedGovernedBelowThresholdMatchesFull(t *testing.T) {
 	// full replication closely.
 	svc := dist.Exponential{MeanV: 1}
 	full, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.2, Service: svc, Requests: 30000, Seed: 9, Mode: HedgeFull,
+		Servers: 20, Load: 0.2, Service: svc, Requests: 30000, Seed: 9, Strategy: core.FullReplicate{Copies: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gov, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.2, Service: svc, Requests: 30000, Seed: 9, Mode: HedgeGoverned,
+		Servers: 20, Load: 0.2, Service: svc, Requests: 30000, Seed: 9, Strategy: governed(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,13 +206,13 @@ func TestHedgedGovernedGatesAboveThreshold(t *testing.T) {
 	// single-copy and the tail stays far below collapsed full replication.
 	svc := dist.Exponential{MeanV: 1}
 	full, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.48, Service: svc, Requests: 30000, Seed: 9, Mode: HedgeFull,
+		Servers: 20, Load: 0.48, Service: svc, Requests: 30000, Seed: 9, Strategy: core.FullReplicate{Copies: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gov, err := RunHedged(HedgedConfig{
-		Servers: 20, Load: 0.48, Service: svc, Requests: 30000, Seed: 9, Mode: HedgeGoverned,
+		Servers: 20, Load: 0.48, Service: svc, Requests: 30000, Seed: 9, Strategy: governed(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,109 +226,45 @@ func TestHedgedGovernedGatesAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestHedgedGovernedValidation: a governed strategy may run above the
+// full-replication stability cap, because it sheds its own load, and
+// the model drives the strategy's own Governor — one sample per arrival.
 func TestHedgedGovernedValidation(t *testing.T) {
-	svc := dist.Exponential{MeanV: 1}
+	s := governed()
 	if _, err := RunHedged(HedgedConfig{
-		Servers: 10, Load: 0.3, Service: svc, Requests: 100,
-		Mode: HedgeGoverned, GovernOn: 1.0, GovernOff: 1.5,
-	}); err == nil {
-		t.Error("GovernOff above GovernOn validated")
-	}
-	// Governed runs are legal above the full-replication stability cap:
-	// the governor sheds its own load.
-	if _, err := RunHedged(HedgedConfig{
-		Servers: 10, Load: 0.6, Service: svc, Requests: 500, Seed: 2, Mode: HedgeGoverned,
+		Servers: 10, Load: 0.6, Service: dist.Exponential{MeanV: 1}, Requests: 500, Warmup: 50, Seed: 2, Strategy: s,
 	}); err != nil {
-		t.Errorf("governed at load 0.6 rejected: %v", err)
+		t.Fatalf("governed at load 0.6 rejected: %v", err)
 	}
-	if got := HedgeGoverned.String(); got != "governed" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
-// TestHedgeSLOBudgetCapsHedgeRate pins the HedgeSLO contract: the
-// realized hedge rate never exceeds the declared extra-load budget,
-// even when the configured quantile alone would spend far more.
-func TestHedgeSLOBudgetCapsHedgeRate(t *testing.T) {
-	svc := dist.Exponential{MeanV: 1}
-	// p50 hedging wants ~50% extra load; the budget allows 10%.
-	res, err := RunHedged(HedgedConfig{
-		Servers: 10, Load: 0.2, Service: svc,
-		Mode: HedgeSLO, Quantile: 0.5, MaxExtraLoad: 0.10,
-		Requests: 20000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bucket's burst allowance can push slightly past the refill
-	// rate transiently; steady state must sit at ~the budget.
-	if res.HedgeRate > 0.12 {
-		t.Errorf("hedge rate %.3f exceeds budget 0.10", res.HedgeRate)
-	}
-	if res.HedgeRate < 0.05 {
-		t.Errorf("hedge rate %.3f suspiciously low: budget should be spent", res.HedgeRate)
-	}
-	if res.GatedRate == 0 {
-		t.Error("no budget denials recorded despite p50 hedging under a 10%% budget")
-	}
-
-	// Uncapped, the same quantile spends ~1-p.
-	free, err := RunHedged(HedgedConfig{
-		Servers: 10, Load: 0.2, Service: svc,
-		Mode: HedgeSLO, Quantile: 0.5,
-		Requests: 20000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.HedgeRate < 0.3 {
-		t.Errorf("uncapped hedge rate %.3f, want ~0.5", free.HedgeRate)
-	}
-}
-
-// TestHedgeSLOMatchesAdaptiveWhenUncapped pins that HedgeSLO with no
-// budget is HedgeAdaptive: same seed, same quantile, same sample.
-func TestHedgeSLOMatchesAdaptiveWhenUncapped(t *testing.T) {
-	svc := dist.ParetoMean(2.1, 1)
-	base := HedgedConfig{
-		Servers: 8, Load: 0.25, Service: svc,
-		Quantile: 0.9, Requests: 5000, Seed: 7,
-	}
-	a := base
-	a.Mode = HedgeAdaptive
-	s := base
-	s.Mode = HedgeSLO // MaxExtraLoad 0 = uncapped
-	ra, err := RunHedged(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := RunHedged(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Sample.P99() != rs.Sample.P99() || ra.HedgeRate != rs.HedgeRate {
-		t.Errorf("uncapped slo (p99 %v, rate %v) != adaptive (p99 %v, rate %v)",
-			rs.Sample.P99(), rs.HedgeRate, ra.Sample.P99(), ra.HedgeRate)
+	if st := s.Governor().Stats(); st.Samples != 550 || st.Flips == 0 {
+		t.Errorf("governor saw %d samples and %d flips, want 550 and some", st.Samples, st.Flips)
 	}
 }
 
 // TestHedgeSLODeterministic pins that the controller's pre-flight is
-// reproducible: same config and seed, identical results.
+// reproducible: same config and seed, identical results — for a
+// stateless strategy reused across runs and for a governed one built
+// fresh for each.
 func TestHedgeSLODeterministic(t *testing.T) {
-	cfg := HedgedConfig{
-		Servers: 6, Load: 0.3, Service: dist.Exponential{MeanV: 1},
-		Mode: HedgeSLO, Quantile: 0.8, MaxExtraLoad: 0.25,
-		Requests: 3000, Seed: 99,
-	}
-	r1, err := RunHedged(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunHedged(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Sample.P99() != r2.Sample.P99() || r1.HedgeRate != r2.HedgeRate || r1.GatedRate != r2.GatedRate {
-		t.Errorf("two identical runs diverged: %+v vs %+v", r1, r2)
+	for _, mk := range []func() core.Strategy{
+		func() core.Strategy { return core.AdaptiveHedge{Copies: 3, Quantile: 0.8} },
+		func() core.Strategy { return governed() },
+	} {
+		cfg := HedgedConfig{
+			Servers: 6, Load: 0.3, Service: dist.Exponential{MeanV: 1},
+			Strategy: mk(), Requests: 3000, Seed: 99,
+		}
+		r1, err := RunHedged(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Strategy = mk()
+		r2, err := RunHedged(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Sample.P99() != r2.Sample.P99() || r1.HedgeRate != r2.HedgeRate || r1.GatedRate != r2.GatedRate {
+			t.Errorf("%v: two identical runs diverged: %+v vs %+v", cfg.Strategy, r1, r2)
+		}
 	}
 }

@@ -6,9 +6,10 @@
 // EWMA, and hill-climbs a ladder of operating points, with hysteresis,
 // toward the cheapest configuration whose windowed p99 meets a declared
 // Target. Tighten moves can additionally be validated in the queueing
-// model (HedgeSLO mode) before going live, so the controller never
-// commits to redundancy that the current load level would turn into
-// queueing harm — the paper's threshold result, applied at runtime.
+// model, which runs the candidate rung's own core.Strategy against one
+// copy per request, before going live, so the controller never commits
+// to redundancy that the current load level would turn into queueing
+// harm — the paper's threshold result, applied at runtime.
 package slo
 
 import (

@@ -30,6 +30,16 @@ type ClassConfig struct {
 	ReadQuorum int
 }
 
+// Strategy is the core.Strategy the operating point runs: up to Fanout
+// copies on the best-ranked replicas, copy i+1 hedged at the Quantile of
+// copy i's replica digest, and launched at once while that digest is
+// cold. It is the one mapping from a ladder rung to engine behaviour:
+// ClassStrategy runs it on the data path, and the pre-flight simulates
+// it before a tighten goes live.
+func (c ClassConfig) Strategy() core.AdaptiveHedge {
+	return core.AdaptiveHedge{Copies: c.Fanout, Quantile: c.Quantile, Selection: core.SelectRanked}
+}
+
 // Config wires a Controller to its observation sources and tunes the
 // control loop. Counters is required; everything else has serviceable
 // defaults.
@@ -63,14 +73,6 @@ type Config struct {
 	// DisableValidation skips the queueing-model pre-flight on tighten
 	// moves.
 	DisableValidation bool
-	// ValidateRequests and ValidateServers size the pre-flight
-	// simulation (defaults 3000 and 8).
-	ValidateRequests int
-	ValidateServers  int
-	// LoadEstimate, when set, overrides the offered-load estimate
-	// (per-server utilization in (0, 1)) used by validation; otherwise
-	// it is derived from the Governor's EWMA.
-	LoadEstimate func() float64
 	// Seed makes validation runs reproducible (default 1).
 	Seed int64
 }
@@ -292,7 +294,7 @@ func (c *Controller) stepLocked(cl *class, w Window) (ClassConfig, Move) {
 	// worse (the paper's threshold), so a tighten must first prove
 	// itself against a no-redundancy baseline at the estimated load.
 	if mv == MoveTighten && next.rung > cl.p.rung {
-		if !c.validateTighten(w, c.lad[next.rung], tgt) {
+		if !c.validateTighten(w, c.lad[next.rung]) {
 			cl.rejects.Add(1)
 			next, mv, why = cl.p, MoveHold, ReasonRejected
 		}
@@ -484,29 +486,13 @@ type ClassStrategy struct {
 
 // Fanout implements core.Strategy.
 func (s *ClassStrategy) Fanout() (int, core.Selection) {
-	return s.cl.op.Load().Fanout, core.SelectRanked
+	return s.cl.op.Load().Strategy().Fanout()
 }
 
-// ScheduleInto implements core.Strategy: copy i+1 hedges at the
-// operating point's quantile of copy i's digest, exactly like
-// core.AdaptiveHedge, with cold digests launching immediately so they
-// warm up.
+// ScheduleInto implements core.Strategy: the operating point's
+// ClassConfig.Strategy schedule.
 func (s *ClassStrategy) ScheduleInto(d core.Digests, dst []time.Duration) []time.Duration {
-	k := d.Len()
-	if k <= 1 {
-		return nil
-	}
-	q := s.cl.op.Load().Quantile
-	dst[0] = 0
-	for i := 1; i < k; i++ {
-		dst[i] = 0
-		if dg := d.At(i - 1); dg != nil && dg.Count() >= core.DefaultHedgeMinSamples {
-			if v, ok := dg.Quantile(q); ok {
-				dst[i] = v
-			}
-		}
-	}
-	return dst
+	return s.cl.op.Load().Strategy().ScheduleInto(d, dst)
 }
 
 // String implements core.Strategy.

@@ -3,6 +3,7 @@ package slo
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -108,28 +109,13 @@ func TestStepGovernorClamp(t *testing.T) {
 	}
 }
 
-// TestValidationVetoesTightenUnderHighLoad: with validation enabled and
-// the offered load pinned near saturation, the queueing model must
-// predict that hedging hurts the tail and veto the climb; the same
-// controller at low load must let it through.
-func TestValidationVetoesTightenUnderHighLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the queueing model")
-	}
-	tgt := Target{P99: 50 * time.Millisecond, MaxExtraLoad: 1.5}
-	load := 0.9
-	mk := func() *Controller {
-		return testController(t, tgt, func(cfg *Config) {
-			cfg.DisableValidation = false
-			cfg.LoadEstimate = func() float64 { return load }
-			cfg.ValidateRequests = 4000
-			cfg.Seed = 7
-		})
-	}
-	// A long-tailed window: p50 well under target, p99 over it, so the
-	// controller wants to hedge.
+// longTailWindow is a window whose p50 is well under a 50ms target and
+// whose p99 is over it, so the controller wants to hedge; utilization u
+// pins the pre-flight's offered load at u/(1+u).
+func longTailWindow(u float64) Window {
 	w := hotWindow(200*time.Millisecond, 0)
 	w.Mean = 25 * time.Millisecond
+	w.Utilization = u
 	w.QuantileFn = func(p float64) (time.Duration, bool) {
 		switch {
 		case p < 0.55:
@@ -144,36 +130,87 @@ func TestValidationVetoesTightenUnderHighLoad(t *testing.T) {
 			return 250 * time.Millisecond, true
 		}
 	}
+	return w
+}
 
+// TestValidationVetoesTightenUnderHighLoad: with validation enabled and
+// the offered load pinned near saturation, the queueing model must
+// predict that hedging hurts the tail and veto a climb; the same
+// controller at low load must let every climb through.
+func TestValidationVetoesTightenUnderHighLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the queueing model")
+	}
+	tgt := Target{P99: 50 * time.Millisecond, MaxExtraLoad: 1.5}
 	// Six consecutive misses try to climb six rungs (p99 down to p85).
-	// At 0.2 load the model accepts every step; at 0.9 load cheap p99
-	// hedging still helps (the model's own prediction) but the deeper
-	// quantiles flip to harmful, so the climb must freeze with at least
-	// one veto — the paper's threshold, enforced at decision time.
-	climb := func(c *Controller) ClassConfig {
+	climb := func(u float64) ClassStats {
+		c := testController(t, tgt, func(cfg *Config) {
+			cfg.DisableValidation = false
+			cfg.Seed = 7
+		})
 		for i := 0; i < 6; i++ {
-			c.Step(DefaultClass, w)
+			c.Step(DefaultClass, longTailWindow(u))
 		}
-		op, _ := c.ClassConfig(DefaultClass)
-		return op
+		return c.Stats()[0]
 	}
 
-	load = 0.2
-	lo := mk()
-	loOp := climb(lo)
-	if st := lo.Stats(); st[0].Rejects != 0 || loOp.Quantile > 0.85 {
-		t.Fatalf("low load: op=%+v rejects=%d, want six accepted climbs", loOp, st[0].Rejects)
+	if lo := climb(0.25); lo.Rejects != 0 || lo.Config.Quantile > 0.85 {
+		t.Fatalf("load 0.2: %+v, want six accepted climbs", lo)
 	}
+	// At 0.9 some rung the climb reaches is predicted to hurt the tail —
+	// the paper's threshold, enforced at decision time. Which rung is the
+	// model's call.
+	if hi := climb(9); hi.Rejects == 0 || hi.LastReason != ReasonRejected.String() {
+		t.Fatalf("load 0.9: %+v, want vetoed climbs", hi)
+	}
+}
 
-	load = 0.9
-	hi := mk()
-	hiOp := climb(hi)
-	st := hi.Stats()
-	if st[0].Rejects == 0 || st[0].LastReason != ReasonRejected.String() {
-		t.Fatalf("high load: stats=%+v, want vetoed climbs", st[0])
+// TestValidationSimulatesTheLiveStrategy: the pre-flight hands the model
+// exactly the strategy the class's ClassStrategy runs once the move is
+// published — at every rung a tighten can reach, k=3 included — against
+// one copy per request.
+func TestValidationSimulatesTheLiveStrategy(t *testing.T) {
+	c := testController(t, Target{P99: 50 * time.Millisecond}, func(cfg *Config) { cfg.MaxFanout = 3 })
+	view := c.Class(DefaultClass)
+	w := longTailWindow(0.25)
+	warm := &core.LatDigest{}
+	for i := 1; i <= 100; i++ {
+		warm.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if hiOp.Fanout != 2 || hiOp.Quantile <= loOp.Quantile {
-		t.Fatalf("high load froze at %+v vs low load %+v; want a shallower quantile", hiOp, loOp)
+	top := 0
+	for r := 1; r < len(c.lad); r++ {
+		base, next, ok := c.preflight(w, c.lad[r])
+		if !ok {
+			t.Fatalf("rung %d: window not simulable", r)
+		}
+		if base.Strategy != core.Strategy(core.Fixed{Copies: 1}) {
+			t.Fatalf("rung %d: baseline %v, want one copy", r, base.Strategy)
+		}
+		c.mu.Lock()
+		view.cl.p.rung = r
+		view.cl.publish(c.lad)
+		c.mu.Unlock()
+
+		if next.Strategy != core.Strategy(view.cl.op.Load().Strategy()) {
+			t.Fatalf("rung %d: model runs %v, class runs %v", r, next.Strategy, view)
+		}
+		k, sel := view.Fanout()
+		if mk, msel := next.Strategy.Fanout(); mk != k || msel != sel || k > next.Servers {
+			t.Fatalf("rung %d: model fan-out (%d, %v) on %d servers, class (%d, %v)", r, mk, msel, next.Servers, k, sel)
+		}
+		d := make(core.DigestList, k)
+		for i := range d {
+			d[i] = warm
+		}
+		want := view.ScheduleInto(d, make([]time.Duration, k))
+		got := next.Strategy.ScheduleInto(d, make([]time.Duration, k))
+		if !slices.Equal(got, want) {
+			t.Fatalf("rung %d: model schedule %v, class schedule %v", r, got, want)
+		}
+		top = max(top, k)
+	}
+	if top != 3 {
+		t.Fatalf("top rung fan-out %d, want 3", top)
 	}
 }
 
@@ -284,6 +321,31 @@ func TestClassStrategySchedule(t *testing.T) {
 	// the next call, and d.Len() governs the slice, not the new fanout.
 	if got := s.ScheduleInto(core.DigestList{warm}, buf[:1]); got != nil {
 		t.Fatalf("single-digest schedule = %v, want nil", got)
+	}
+
+	// At every rung of the ladder the view is AdaptiveHedge at that
+	// rung's fan-out and quantile, over warm, cold and missing digests.
+	for _, r := range buildLadder(3) {
+		c.mu.Lock()
+		s.cl.p.rung = slices.Index(c.lad, r)
+		s.cl.publish(c.lad)
+		c.mu.Unlock()
+		ah := core.AdaptiveHedge{Copies: r.fanout, Quantile: r.q, Selection: core.SelectRanked}
+		k, sel := s.Fanout()
+		if ak, asel := ah.Fanout(); k != ak || sel != asel {
+			t.Fatalf("rung %+v: Fanout (%d, %v), AdaptiveHedge (%d, %v)", r, k, sel, ak, asel)
+		}
+		for name, dg := range map[string]*core.LatDigest{"warm": warm, "cold": {}, "nil": nil} {
+			d := make(core.DigestList, k)
+			for i := range d {
+				d[i] = dg
+			}
+			got := s.ScheduleInto(d, make([]time.Duration, k))
+			want := ah.ScheduleInto(d, make([]time.Duration, k))
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("rung %+v, %s digests: schedule %v, AdaptiveHedge %v", r, name, got, want)
+			}
+		}
 	}
 }
 

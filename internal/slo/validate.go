@@ -3,6 +3,7 @@ package slo
 import (
 	"math"
 
+	"redundancy/internal/core"
 	"redundancy/internal/dist"
 	"redundancy/internal/queueing"
 )
@@ -15,55 +16,38 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 // exists to predict tail behavior.
 var validationQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
 
+// The pre-flight's model: enough servers for the top rung's copies to
+// land on distinct ones, enough requests for a stable p99.
+const (
+	preflightServers  = 8
+	preflightRequests = 3000
+)
+
 // validateTighten pre-flights a candidate rung in the queueing model
 // before letting it go live: it fits an empirical service distribution
 // from the window's quantiles, estimates the offered load from the
-// governor's EWMA (or Config.LoadEstimate), and runs the hedged model
-// in HedgeSLO mode against a no-redundancy baseline under the same
-// arrival seed. The tighten is accepted only if the candidate's
-// simulated p99 is no worse than the baseline's — i.e. redundancy still
-// helps at this load level. Whenever the inputs are insufficient to
-// simulate (no load signal, degenerate distribution), the move is
-// accepted: the governor clamp and the over-budget guard remain as
-// runtime backstops, and refusing to ever tighten would wedge the
-// controller at rung 0.
-func (c *Controller) validateTighten(w Window, cand rung, tgt Target) bool {
+// window's utilization, and runs the rung's strategy — the one
+// ClassStrategy runs once the move is published — against one copy per
+// request under the same arrival seed. The tighten is accepted only if
+// the candidate's simulated p99 is no worse than the baseline's — i.e.
+// redundancy still helps at this load level. Whenever the inputs are
+// insufficient to simulate (no load signal, degenerate distribution),
+// the move is accepted: the governor clamp and the over-budget guard
+// remain as runtime backstops, and refusing to ever tighten would wedge
+// the controller at rung 0.
+func (c *Controller) validateTighten(w Window, cand rung) bool {
 	if c.cfg.DisableValidation || cand.fanout < 2 {
 		return true
 	}
-	load := c.offeredLoad(w)
-	if load <= 0 {
-		return true
-	}
-	svc, ok := serviceDistFromWindow(w)
+	base, next, ok := c.preflight(w, cand)
 	if !ok {
 		return true
 	}
-	requests := c.cfg.ValidateRequests
-	if requests <= 0 {
-		requests = 3000
-	}
-	servers := c.cfg.ValidateServers
-	if servers < 2 {
-		servers = 8
-	}
-	seed := c.cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	base := queueing.HedgedConfig{
-		Servers: servers, Load: load, Service: svc,
-		Mode: queueing.HedgeNone, Requests: requests, Seed: seed,
-	}
-	candCfg := base
-	candCfg.Mode = queueing.HedgeSLO
-	candCfg.Quantile = cand.q
-	candCfg.MaxExtraLoad = tgt.MaxExtraLoad
 	baseRes, err := queueing.RunHedged(base)
 	if err != nil {
 		return true
 	}
-	candRes, err := queueing.RunHedged(candCfg)
+	candRes, err := queueing.RunHedged(next)
 	if err != nil {
 		return true
 	}
@@ -76,24 +60,42 @@ func (c *Controller) validateTighten(w Window, cand rung, tgt Target) bool {
 	return candRes.Sample.P99() <= baseRes.Sample.P99()*1.10
 }
 
-// offeredLoad estimates per-server offered load in (0, 1). The
-// governor's EWMA counts in-flight copies per replica — the mean number
-// in system L of a single-server queue — so Little's law inverts it:
-// rho = L / (1 + L). The estimate is clamped to [0.05, 0.90], the range
-// where the queueing model is both stable and informative.
-func (c *Controller) offeredLoad(w Window) float64 {
-	var load float64
-	switch {
-	case c.cfg.LoadEstimate != nil:
-		load = c.cfg.LoadEstimate()
-	case w.Utilization >= 0:
-		load = w.Utilization / (1 + w.Utilization)
-	default:
-		return 0
-	}
+// preflight builds the two model runs validateTighten compares: one
+// copy per request, and the candidate rung's ClassConfig.Strategy. ok is
+// false when the window cannot be simulated.
+func (c *Controller) preflight(w Window, cand rung) (base, next queueing.HedgedConfig, ok bool) {
+	load := offeredLoad(w)
 	if load <= 0 {
+		return base, next, false
+	}
+	svc, ok := serviceDistFromWindow(w)
+	if !ok {
+		return base, next, false
+	}
+	seed := c.cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	base = queueing.HedgedConfig{
+		Servers: preflightServers, Load: load, Service: svc,
+		Strategy: core.Fixed{Copies: 1}, Requests: preflightRequests, Seed: seed,
+	}
+	next = base
+	next.Strategy = ClassConfig{Fanout: cand.fanout, Quantile: cand.q}.Strategy()
+	return base, next, true
+}
+
+// offeredLoad estimates per-server offered load in (0, 1) from the
+// window's utilization, the governor's EWMA of in-flight copies per
+// replica — the mean number in system L of a single-server queue — so
+// Little's law inverts it: rho = L / (1 + L). The estimate is clamped to
+// [0.05, 0.90], the range where the queueing model is both stable and
+// informative; it is 0 when the window has no utilization.
+func offeredLoad(w Window) float64 {
+	if w.Utilization <= 0 {
 		return 0
 	}
+	load := w.Utilization / (1 + w.Utilization)
 	return math.Min(0.90, math.Max(0.05, load))
 }
 
