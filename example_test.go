@@ -98,8 +98,9 @@ func ExampleAdaptiveHedge() {
 }
 
 // Per-call options tune one operation over a shared group: a quorum read
-// waits for 2-of-3 agreement and collects each voter's outcome, while
-// every other caller keeps first-response semantics.
+// waits for 2 of 3 successes and collects each voter's outcome (the
+// engine compares no values; that is the caller's to do), while every
+// other caller keeps first-response semantics.
 func ExampleWithQuorum() {
 	g := redundancy.NewStrategyGroup[int](redundancy.Fixed{Copies: 3})
 	g.Add("a", func(ctx context.Context) (int, error) { return 42, nil })

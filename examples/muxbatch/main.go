@@ -12,11 +12,11 @@
 //
 // Two acts:
 //
-//  1. One ShardedClient.GetBatch of 50,000 keys at fan-out 2: 50,000
-//     ordinary redundant reads at once, each copy a tagged request
-//     started on its shard's one connection, each loser withdrawn when
-//     its key's first reply arrives.
-//  2. Hedged batch reads: 50,000 deadlines armed on the shared timer
+//  1. 50,000 keys at fan-out 2, each an ordinary redundant read
+//     (ShardedClient.GetResult) on its own goroutine, all at once: each
+//     copy a tagged request started on its shard's one connection, each
+//     loser withdrawn when its key's first reply arrives.
+//  2. The same reads hedged: 50,000 deadlines armed on the shared timer
 //     wheel; a hedge whose primary answers in time is stopped unfired
 //     and never launches — cancellation without connection churn. How
 //     many fire depends on how long the burst itself queues on this
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"redundancy"
@@ -91,58 +92,70 @@ func main() {
 
 	fmt.Printf("== muxbatch: %d redundant reads over %d TCP connections ==\n\n", reads, shards)
 
-	// Act 1: one batch, fan-out 2.
+	// Act 1: every read at once, fan-out 2.
 	sc := newSharded(redundancy.Fixed{Copies: 2})
 	batch := make([]string, reads)
 	for i := range batch {
 		batch[i] = keyNames[i%keys]
 	}
 	start := time.Now()
-	res, err := sc.GetBatch(ctx, batch)
-	if err != nil {
-		panic(err)
-	}
+	res := readAll(ctx, sc, batch)
 	wall := time.Since(start)
 	launched, p50, p99 := summarize(res)
 	muxConns := acceptedConns(servers) - baseConns
 	mustRideOneConnPerShard(muxConns)
-	fmt.Printf("act 1 — GetBatch, %d keys x fan-out 2 (%d requests):\n", reads, launched)
+	fmt.Printf("act 1 — %d concurrent reads x fan-out 2 (%d requests):\n", reads, launched)
 	fmt.Printf("        %v wall; per-read p50 %v / p99 %v, each measured from its own read's start, not the batch's\n", wall.Round(time.Millisecond), p50.Round(time.Millisecond), p99.Round(time.Millisecond))
 	fmt.Printf("        connections accepted across %d shards: %d (one mux conn per shard)\n\n", shards, muxConns)
 	sc.Close()
 	baseConns = acceptedConns(servers)
 
-	// Act 2: hedged batch — deadlines armed on the shared wheel, then
+	// Act 2: hedged reads — deadlines armed on the shared wheel, then
 	// stopped unfired where the primary answers first. No connection
 	// churn either way: cancellation is just a discarded tag.
 	hedged := newSharded(redundancy.Fixed{Copies: 2, HedgeDelay: 250 * time.Millisecond})
 	start = time.Now()
-	res, err = hedged.GetBatch(ctx, batch)
-	if err != nil {
-		panic(err)
-	}
+	res = readAll(ctx, hedged, batch)
 	hWall := time.Since(start)
 	hLaunched, _, hp99 := summarize(res)
 	hConns := acceptedConns(servers) - baseConns
 	mustRideOneConnPerShard(hConns)
 	fired := hLaunched - reads
-	fmt.Printf("act 2 — GetBatch with a 250ms hedge deadline per key:\n")
+	fmt.Printf("act 2 — the same reads with a 250ms hedge deadline per key:\n")
 	fmt.Printf("        %v wall, per-read p99 %v; %d of %d hedge deadlines fired, %d stopped unfired on the wheel\n",
 		hWall.Round(time.Millisecond), hp99.Round(time.Millisecond), fired, reads, reads-fired)
 	fmt.Printf("        connections accepted: %d — abandoning a mux request never costs a reconnect\n", hConns)
 	hedged.Close()
 }
 
+// readAll reads every key at once, each an ordinary GetResult on its
+// own goroutine, and panics on any failed read. Results are in key
+// order.
+func readAll(ctx context.Context, sc *memkv.ShardedClient, keys []string) []redundancy.Result[[]byte] {
+	res := make([]redundancy.Result[[]byte], len(keys))
+	errs := make([]error, len(keys))
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = sc.GetResult(ctx, key)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // summarize reports total copies launched and the quantiles of the
 // reads' own latencies (Result.Latency runs from each read's start).
-func summarize(res []redundancy.BatchResult[[]byte]) (launched int, p50, p99 time.Duration) {
+func summarize(res []redundancy.Result[[]byte]) (launched int, p50, p99 time.Duration) {
 	lats := make([]time.Duration, 0, len(res))
 	for i := range res {
-		if res[i].Err != nil {
-			panic(res[i].Err)
-		}
-		launched += res[i].Result.Launched
-		lats = append(lats, res[i].Result.Latency)
+		launched += res[i].Launched
+		lats = append(lats, res[i].Latency)
 	}
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	return launched, lats[len(lats)/2], lats[len(lats)*99/100]

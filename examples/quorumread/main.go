@@ -1,12 +1,15 @@
-// quorumread: the consistency knob of the unified call API against three
+// quorumread: the quorum knob of the unified call API against three
 // live memkv servers over real TCP. Every read goes through the same
 // ShardedClient (Replication 3: every key on every server); what
 // changes per call is only an option:
 //
 //   - the default Get is first-response-wins (lowest latency, one
 //     replica's word),
-//   - Get(..., redundancy.WithQuorum(2)) waits for 2-of-3 agreement (masks one
-//     stale or failed replica at a modest latency premium),
+//   - Get(..., redundancy.WithQuorum(2)) waits until 2 of 3 replicas
+//     answered and returns the first answer's bytes: it masks one failed
+//     replica at a modest latency premium, but compares no versions, so
+//     it does not mask a stale one (the consistency read, newest version
+//     wins and stale replicas are repaired, is ShardedClient.GetQuorum),
 //   - and the premium stays modest precisely *because* of redundancy: the
 //     2nd-of-3 response dodges the worst straggler just as the 1st does.
 //
@@ -86,9 +89,9 @@ func main() {
 	p50Q2, p99Q2 := measure(redundancy.WithQuorum(2))
 	p50Q3, p99Q3 := measure(redundancy.WithQuorum(3))
 
-	fmt.Println("same client, per-read consistency (3 replicas, 4% 40ms stalls):")
+	fmt.Println("same client, per-read quorums (3 replicas, 4% 40ms stalls):")
 	fmt.Printf("  first response   p50 %6s  p99 %6s\n", p50First.Round(time.Millisecond), p99First.Round(time.Millisecond))
-	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- masks one stale/failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
+	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- waits for 2 answers: masks one failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
 	fmt.Printf("  WithQuorum(3)    p50 %6s  p99 %6s   <- scatter-gather worst case\n", p50Q3.Round(time.Millisecond), p99Q3.Round(time.Millisecond))
 
 	// A quorum-2 read names its voters when asked.

@@ -155,6 +155,9 @@ func main() {
 		}
 	}
 	fmt.Printf("version audit: %d/%d keys present at every owner at the written version\n", converged, audited)
+	if converged != audited {
+		panic(fmt.Sprintf("version audit: %d of %d keys did not converge", audited-converged, audited))
+	}
 
 	s := mgr.Stats()
 	fmt.Printf("\nrepair stats: hints queued/replayed %d/%d, divergence observed %d, repairs pushed %d, keys migrated %d\n",

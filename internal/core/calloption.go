@@ -1,7 +1,5 @@
 package core
 
-import "errors"
-
 // CallOption customizes a single Group.Do or KeyedGroup.Do operation,
 // composing over the group's installed strategy without touching shared
 // state: one latency-critical request can raise its quorum, override the
@@ -37,16 +35,6 @@ func applyCallOptions(opts []CallOption) callOpts {
 		}
 	}
 	return co
-}
-
-// CheckBatchOptions reports whether opts may be shared by the calls of
-// one batch, which run concurrently: WithCollectOutcomes may not — it
-// names one sink, and every call would reset and append to it at once.
-func CheckBatchOptions(opts []CallOption) error {
-	if applyCallOptions(opts).outcomes != nil {
-		return errors.New("redundancy: WithCollectOutcomes is not supported on a batch: its calls would share one sink")
-	}
-	return nil
 }
 
 // WithQuorum completes the call only after q replicas succeed (R-of-N

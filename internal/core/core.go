@@ -76,14 +76,6 @@ type Outcome[T any] struct {
 	Latency time.Duration
 }
 
-// BatchResult is one argument's outcome within a batch of calls that
-// succeed or fail independently (memkv.ShardedClient.GetBatch): the
-// usual Result on success, or in Err the error a lone Do returned.
-type BatchResult[T any] struct {
-	Result Result[T]
-	Err    error
-}
-
 // ErrNoReplicas is returned when an operation is attempted with zero
 // replicas.
 var ErrNoReplicas = errors.New("redundancy: no replicas")

@@ -2,7 +2,6 @@ package dnswire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -40,10 +39,6 @@ func (c *Client) newID() uint16 {
 	defer c.mu.Unlock()
 	return uint16(c.rng.Intn(1 << 16))
 }
-
-// ErrIDMismatch is returned when a response's transaction ID does not match
-// the query (possible spoofing or a stale datagram).
-var ErrIDMismatch = errors.New("dnswire: response ID mismatch")
 
 // Exchange sends the query to server (a "host:port" UDP address) and waits
 // for a matching response.

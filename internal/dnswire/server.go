@@ -30,17 +30,15 @@ type Server struct {
 	// for concurrent use or the server must be single-inflight.
 	Rand func() float64
 
-	pc       net.PacketConn
-	tcpLn    net.Listener
-	mu       sync.Mutex
-	tcpConns map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	pc     net.PacketConn
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer creates a server with the given handler.
 func NewServer(h Handler) *Server {
-	return &Server{Handler: h, tcpConns: make(map[net.Conn]struct{})}
+	return &Server{Handler: h}
 }
 
 // Listen binds to a UDP address ("127.0.0.1:0" for an ephemeral port) and
@@ -58,7 +56,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return pc.LocalAddr(), nil
 }
 
-// Close stops the server (UDP and TCP) and waits for in-flight handlers.
+// Close stops the server and waits for in-flight handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -67,19 +65,10 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	pc := s.pc
-	ln := s.tcpLn
-	for c := range s.tcpConns {
-		c.Close()
-	}
 	s.mu.Unlock()
 	var err error
 	if pc != nil {
 		err = pc.Close()
-	}
-	if ln != nil {
-		if e := ln.Close(); e != nil && err == nil {
-			err = e
-		}
 	}
 	s.wg.Wait()
 	return err

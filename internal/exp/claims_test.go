@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strconv"
 	"testing"
 )
@@ -13,6 +14,7 @@ type claimTable struct {
 	title string
 	cols  map[string]int
 	rows  map[[2]string][]string
+	all   [][]string // the rows in table order
 	loads []string
 }
 
@@ -41,6 +43,7 @@ func goldenTables(t *testing.T, name string) []claimTable {
 				c.loads = append(c.loads, r[0])
 			}
 			c.rows[[2]string{r[0], r[1]}] = r
+			c.all = append(c.all, r)
 		}
 		out[i] = c
 	}
@@ -66,8 +69,71 @@ func (c claimTable) num(load, scheme, col string) float64 {
 	return v
 }
 
+// series returns col's values, in table order, over the rows whose
+// first cell is first — a load, a service law, a quantity's name.
+func (c claimTable) series(first, col string) []float64 {
+	c.t.Helper()
+	j, ok := c.cols[col]
+	if !ok {
+		c.t.Fatalf("%s: no column %q", c.title, col)
+	}
+	var out []float64
+	for _, r := range c.all {
+		if r[0] != first {
+			continue
+		}
+		v, err := strconv.ParseFloat(r[j], 64)
+		if err != nil {
+			c.t.Fatalf("%s: %v", c.title, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		c.t.Fatalf("%s: no row %q", c.title, first)
+	}
+	return out
+}
+
 func (c claimTable) lowest() string  { return c.loads[0] }
 func (c claimTable) highest() string { return c.loads[len(c.loads)-1] }
+
+// TestClaimsThm1 asserts Theorem 1: with exponential service times the
+// threshold load below which two copies beat one is exactly 1/3, and the
+// simulated threshold lands within 0.02 of it.
+func TestClaimsThm1(t *testing.T) {
+	c := goldenTables(t, "thm1")[0]
+	if th := c.series("threshold load", "simulated")[0]; math.Abs(th-1.0/3) > 0.02 {
+		t.Errorf("simulated threshold %g, want within 0.02 of 1/3", th)
+	}
+}
+
+// TestClaimsFig2 asserts Figure 2's claim: for every service family the
+// threshold load lies between ~0.26 (deterministic) and 0.5.
+func TestClaimsFig2(t *testing.T) {
+	for _, c := range goldenTables(t, "fig2") {
+		for _, x := range c.loads {
+			for _, th := range c.series(x, "threshold load") {
+				if th < 0.25 || th >= 0.5 {
+					t.Errorf("%s at %s: threshold %g, want in [0.25, 0.5)", c.title, x, th)
+				}
+			}
+		}
+	}
+}
+
+// TestClaimsFig4 asserts Figure 4's claim: for each service law, the
+// threshold load never rises as the client-side overhead grows.
+func TestClaimsFig4(t *testing.T) {
+	c := goldenTables(t, "fig4")[0]
+	for _, law := range c.loads {
+		ths := c.series(law, "threshold load")
+		for i := 1; i < len(ths); i++ {
+			if ths[i] > ths[i-1] {
+				t.Errorf("%s: threshold rises from %g to %g as overhead grows", law, ths[i-1], ths[i])
+			}
+		}
+	}
+}
 
 // TestClaimsAblHedge asserts the two ablhedge captions.
 func TestClaimsAblHedge(t *testing.T) {

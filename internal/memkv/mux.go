@@ -27,20 +27,22 @@ var ErrMuxConnLost = errors.New("memkv: mux connection lost")
 // unharmed.
 var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 
-// MuxClient is the memkv client for one server: a tiny fixed set of
-// connections (default one) over which any number of concurrent
-// requests interleave. Its concurrency ceiling is memory, not file
-// descriptors: each in-flight request is one map entry (and, for a
-// blocking call, one pooled waiter), so tens of thousands of
-// outstanding redundant reads share a handful of sockets.
+// MuxClient is the memkv client for one server: one connection over
+// which any number of concurrent requests interleave. Its concurrency
+// ceiling is memory, not file descriptors: each in-flight request is one
+// map entry (and, for a blocking call, one pooled waiter), so tens of
+// thousands of outstanding redundant reads share one socket.
 //
+//   - Every request is registered the same way (registerLocked): a tag,
+//     an entry in the connection's waiter table, and its timeout on the
+//     shared timer wheel, all under the connection's lock.
 //   - Writes coalesce: requests append frames to a pending buffer and a
-//     single flusher goroutine per connection writes whatever
-//     accumulated while the previous write was in flight — group
-//     commit, one syscall for many requests under load.
-//   - Reads demux: a reader goroutine per connection routes each
-//     response frame to its tag's waiter. Responses may arrive in any
-//     order; slow requests don't head-of-line-block fast ones.
+//     single flusher goroutine writes whatever accumulated while the
+//     previous write was in flight — group commit, one syscall for many
+//     requests under load.
+//   - Reads demux: a reader goroutine routes each response frame to its
+//     tag's waiter. Responses may arrive in any order; slow requests
+//     don't head-of-line-block fast ones.
 //   - Cancellation is free: a cancelled request unregisters its tag and
 //     moves on — the connection survives, and when the response arrives
 //     the reader, finding nobody registered for its tag, skips the value
@@ -74,70 +76,41 @@ type MuxClient struct {
 	addr    string
 	timeout time.Duration
 
-	rr    atomic.Uint64
-	conns []atomic.Pointer[muxConn]
+	cn atomic.Pointer[muxConn] // the connection; nil until first dialed
 
 	mu sync.Mutex // serializes dialing, redial state, and Close
-	// redialing marks stripes whose reconnection a background redialer
-	// owns: after a connection breaks, the redialer retries with
-	// jittered exponential backoff until it succeeds, so the client
-	// heals itself even if no caller ever retries. While a stripe is
-	// redialing, requests on it fail fast (wrapping ErrMuxConnLost with
-	// the last dial error) instead of piling a dial storm on a dead
-	// server.
-	redialing   []bool
-	lastDialErr []error
+	// redialing marks a connection whose reconnection the background
+	// redialer owns: after a connection breaks, the redialer retries with
+	// jittered exponential backoff until it succeeds, so the client heals
+	// itself even if no caller ever retries. While it is redialing,
+	// requests fail fast (wrapping ErrMuxConnLost with the last dial
+	// error) instead of piling a dial storm on a dead server.
+	redialing   bool
+	lastDialErr error
 	closed      bool
 	closedC     chan struct{}
-}
-
-// MuxOption configures a MuxClient.
-type MuxOption func(*MuxClient)
-
-// WithMuxConns sets how many connections the client stripes requests
-// over (default 1; values below 1 mean 1). More than a few is rarely
-// useful: the point of multiplexing is that one connection carries many
-// requests.
-func WithMuxConns(n int) MuxOption {
-	return func(m *MuxClient) {
-		if n < 1 {
-			n = 1
-		}
-		m.conns = make([]atomic.Pointer[muxConn], n)
-	}
 }
 
 // NewMuxClient creates a multiplexed client for the server at addr.
 // timeout bounds each request from enqueue to response (0 means no
 // timeout); it is enforced on the shared timer wheel, not with a
-// per-request runtime timer. Connections are dialed lazily.
-func NewMuxClient(addr string, timeout time.Duration, opts ...MuxOption) *MuxClient {
-	m := &MuxClient{addr: addr, timeout: timeout, closedC: make(chan struct{})}
-	m.conns = make([]atomic.Pointer[muxConn], 1)
-	for _, o := range opts {
-		o(m)
-	}
-	m.redialing = make([]bool, len(m.conns))
-	m.lastDialErr = make([]error, len(m.conns))
-	return m
+// per-request runtime timer. The connection is dialed lazily.
+func NewMuxClient(addr string, timeout time.Duration) *MuxClient {
+	return &MuxClient{addr: addr, timeout: timeout, closedC: make(chan struct{})}
 }
 
 // Addr returns the server address this client targets.
 func (m *MuxClient) Addr() string { return m.addr }
-
-// NumConns returns the number of connection stripes.
-func (m *MuxClient) NumConns() int { return len(m.conns) }
 
 // muxConn is one multiplexed connection: a writer-side pending buffer
 // drained by the flusher goroutine, and a reader goroutine demuxing
 // response frames to tag waiters.
 type muxConn struct {
 	c net.Conn
-	// owner and stripe identify this connection's slot in its client, so
-	// fail can hand the slot to the background redialer. owner is nil in
-	// tests that build bare conns.
-	owner  *MuxClient
-	stripe int
+	// owner is the client this connection serves, so fail can hand the
+	// reconnection to its background redialer. It is nil in tests that
+	// build bare conns.
+	owner *MuxClient
 
 	mu      sync.Mutex
 	tag     uint64
@@ -155,11 +128,11 @@ type muxConn struct {
 }
 
 // muxEntry is one in-flight request's place in the waiter table. It is
-// one of three things: a blocking call's pooled channel waiter (w; do
-// and doBatch wait on it), a started read (sink), or a started versioned
-// put (put) — the started forms with their slot and timeout timer. The
-// reader, the timeout callback and fail complete a started request's
-// sink directly, and nothing waits.
+// one of three things: a blocking call's pooled channel waiter (w; wait
+// blocks on it), a started read (sink), or a started versioned put
+// (put) — the started forms with their slot. Each carries its timeout
+// timer. The reader, the timeout callback and fail complete a started
+// request's sink directly, and nothing waits.
 //
 // The table stores entries by value: keep this struct well under 128
 // bytes, the size past which a Go map boxes its elements and every
@@ -171,10 +144,6 @@ type muxEntry struct {
 	slot int
 	tm   core.WheelTimer
 }
-
-// started reports whether e is a started request (read or put), as
-// opposed to a blocking call's waiter.
-func (e *muxEntry) started() bool { return e.sink != nil || e.put != nil }
 
 // fail completes a started request with err, through whichever sink e
 // holds.
@@ -199,7 +168,7 @@ var muxWaiterPool = sync.Pool{
 	New: func() any { return &muxWaiter{ch: make(chan frame, 1)} },
 }
 
-func (m *MuxClient) dial(ctx context.Context, stripe int) (*muxConn, error) {
+func (m *MuxClient) dial(ctx context.Context) (*muxConn, error) {
 	d := net.Dialer{Timeout: m.timeout}
 	c, err := d.DialContext(ctx, "tcp", m.addr)
 	if err != nil {
@@ -208,7 +177,6 @@ func (m *MuxClient) dial(ctx context.Context, stripe int) (*muxConn, error) {
 	cn := &muxConn{
 		c:       c,
 		owner:   m,
-		stripe:  stripe,
 		waiters: make(map[uint64]muxEntry),
 		flushC:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -218,13 +186,11 @@ func (m *MuxClient) dial(ctx context.Context, stripe int) (*muxConn, error) {
 	return cn, nil
 }
 
-// conn returns a live connection for the next request. A stripe that has
-// never failed is dialed lazily and synchronously; a stripe whose
-// connection broke belongs to the background redialer, and requests on
-// it fail fast until it reconnects.
+// conn returns the live connection. One that was never dialed is dialed
+// lazily and synchronously; one that broke belongs to the background
+// redialer, and requests fail fast until it reconnects.
 func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
-	i := int(m.rr.Add(1) % uint64(len(m.conns)))
-	if cn := m.conns[i].Load(); cn != nil && !cn.isDead() {
+	if cn := m.cn.Load(); cn != nil && !cn.isDead() {
 		return cn, nil
 	}
 	m.mu.Lock()
@@ -232,53 +198,53 @@ func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
 	if m.closed {
 		return nil, errors.New("memkv: mux client closed")
 	}
-	if cn := m.conns[i].Load(); cn != nil && !cn.isDead() {
+	if cn := m.cn.Load(); cn != nil && !cn.isDead() {
 		return cn, nil
 	}
-	if m.redialing[i] {
-		err := m.lastDialErr[i]
-		if err == nil {
+	if m.redialing {
+		if m.lastDialErr == nil {
 			// The redialer has not finished a failed attempt yet; the
 			// break itself is the freshest information.
 			return nil, ErrMuxConnLost
 		}
-		return nil, fmt.Errorf("%w (redialing: %v)", ErrMuxConnLost, err)
+		return nil, fmt.Errorf("%w (redialing: %v)", ErrMuxConnLost, m.lastDialErr)
 	}
-	cn, err := m.dial(ctx, i)
+	cn, err := m.dial(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller gave up mid-dial (a losing copy, cancelled when
 			// its sibling won): that says nothing about the server. The
-			// stripe stays undialed and the next request dials again.
+			// client stays undialed and the next request dials again.
 			return nil, err
 		}
 		// The synchronous dial failed: the server is unreachable, not
-		// just this connection. Hand the stripe to the backoff redialer
-		// so the client heals itself without a caller-driven dial storm.
-		m.startRedialLocked(i, err)
+		// just this connection. Hand the reconnection to the backoff
+		// redialer so the client heals itself without a caller-driven
+		// dial storm.
+		m.startRedialLocked(err)
 		return nil, err
 	}
-	m.conns[i].Store(cn)
+	m.cn.Store(cn)
 	return cn, nil
 }
 
-// stripeLost is called by muxConn.fail when an established connection
-// breaks: the stripe's reconnection moves to the background redialer.
-func (m *MuxClient) stripeLost(i int) {
+// connLost is called by muxConn.fail when an established connection
+// breaks: the reconnection moves to the background redialer.
+func (m *MuxClient) connLost() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.redialing[i] {
+	if m.closed || m.redialing {
 		return
 	}
-	m.startRedialLocked(i, nil)
+	m.startRedialLocked(nil)
 }
 
-// startRedialLocked marks stripe i as redialing and spawns its redial
+// startRedialLocked marks the client as redialing and spawns the redial
 // goroutine. The caller holds m.mu.
-func (m *MuxClient) startRedialLocked(i int, lastErr error) {
-	m.redialing[i] = true
-	m.lastDialErr[i] = lastErr
-	go m.redialLoop(i)
+func (m *MuxClient) startRedialLocked(lastErr error) {
+	m.redialing = true
+	m.lastDialErr = lastErr
+	go m.redialLoop()
 }
 
 // Redial backoff bounds: the first attempt is immediate (a broken
@@ -289,13 +255,12 @@ const (
 	muxRedialMax  = 2 * time.Second
 )
 
-// redialLoop reconnects one stripe with jittered exponential backoff,
-// storing the fresh connection when it succeeds. It exits when the
-// client closes.
-func (m *MuxClient) redialLoop(i int) {
+// redialLoop reconnects with jittered exponential backoff, storing the
+// fresh connection when it succeeds. It exits when the client closes.
+func (m *MuxClient) redialLoop() {
 	backoff := muxRedialBase
 	for {
-		cn, err := m.dial(context.Background(), i)
+		cn, err := m.dial(context.Background())
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
@@ -305,16 +270,16 @@ func (m *MuxClient) redialLoop(i int) {
 			return
 		}
 		if err == nil {
-			m.conns[i].Store(cn)
-			m.redialing[i] = false
-			m.lastDialErr[i] = nil
+			m.cn.Store(cn)
+			m.redialing = false
+			m.lastDialErr = nil
 			m.mu.Unlock()
 			return
 		}
-		m.lastDialErr[i] = err
+		m.lastDialErr = err
 		m.mu.Unlock()
-		// Jittered sleep in [backoff/2, backoff), so stripes (and
-		// clients) that broke together don't retry in lockstep.
+		// Jittered sleep in [backoff/2, backoff), so clients that broke
+		// together don't retry in lockstep.
 		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)))
 		select {
 		case <-time.After(d):
@@ -327,9 +292,9 @@ func (m *MuxClient) redialLoop(i int) {
 	}
 }
 
-// Close closes every connection. Requests in flight fail with
-// ErrMuxConnLost; subsequent requests fail immediately. Background
-// redialers exit.
+// Close closes the connection. Requests in flight fail with
+// ErrMuxConnLost; subsequent requests fail immediately. The background
+// redialer exits.
 func (m *MuxClient) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -339,10 +304,8 @@ func (m *MuxClient) Close() error {
 	m.closed = true
 	close(m.closedC)
 	m.mu.Unlock()
-	for i := range m.conns {
-		if cn := m.conns[i].Load(); cn != nil {
-			cn.fail(errors.New("client closed"))
-		}
+	if cn := m.cn.Load(); cn != nil {
+		cn.fail(errors.New("client closed"))
 	}
 	return nil
 }
@@ -369,7 +332,8 @@ func (cn *muxConn) lostErr() error {
 // fail marks the connection dead exactly once: pending blocking waiters
 // are released via the done channel (their responses will never
 // arrive), started reads and puts complete with the conn-lost error,
-// and the socket is closed, which also stops the reader and flusher.
+// every timeout timer is stopped, and the socket is closed, which also
+// stops the reader and flusher.
 func (cn *muxConn) fail(cause error) {
 	cn.mu.Lock()
 	if cn.dead {
@@ -386,8 +350,8 @@ func (cn *muxConn) fail(cause error) {
 	close(cn.done)
 	cn.c.Close()
 	for _, e := range pending {
-		if e.started() {
-			e.tm.Stop()
+		e.tm.Stop()
+		if e.w == nil {
 			e.fail(cn.err)
 		}
 	}
@@ -398,37 +362,43 @@ func (cn *muxConn) fail(cause error) {
 		st.end(cn.err)
 	}
 	if cn.owner != nil {
-		// Hand the stripe to the background redialer immediately rather
-		// than waiting for the next request to trip over the dead conn.
-		cn.owner.stripeLost(cn.stripe)
+		// Hand the reconnection to the background redialer immediately
+		// rather than waiting for the next request to trip over the dead
+		// conn.
+		cn.owner.connLost()
 	}
 }
 
-// start registers a waiter and assigns a tag for each request, appends
-// all their frames to the pending buffer under one lock acquisition,
-// and signals the flusher once — the enqueue half of write coalescing.
-// reqs and ws share indices; on error nothing was enqueued.
-func (cn *muxConn) start(reqs []frame, ws []*muxWaiter) error {
+// lockLive takes cn.mu if the connection is alive. On a dead one it
+// returns the connection's error and leaves the lock free.
+func (cn *muxConn) lockLive() error {
 	cn.mu.Lock()
 	if cn.dead {
 		err := cn.err
 		cn.mu.Unlock()
-		if err == nil {
-			err = ErrMuxConnLost
-		}
 		return err
 	}
-	for i := range reqs {
-		cn.tag++
-		reqs[i].tag = cn.tag
-		w := muxWaiterPool.Get().(*muxWaiter)
-		ws[i] = w
-		cn.waiters[cn.tag] = muxEntry{w: w}
-		cn.pending = appendFrame(cn.pending, &reqs[i])
-	}
-	cn.mu.Unlock()
-	cn.signalFlush()
 	return nil
+}
+
+// registerLocked is the one registration of every request the client
+// sends: a blocking call's waiter, a started read, a started put, and
+// each put of a PutVBatch. It assigns the next tag and stores e under
+// it, born with its timeout timer (none if timeout is 0). The timer is
+// armed under the lock so that the reader, which may claim the tag the
+// moment the lock drops, always finds the handle to stop; the wheel
+// runs callbacks outside its own lock, so cn.mu → wheel is the only
+// order. The caller holds cn.mu on a live connection (lockLive), appends
+// the request's frame to cn.pending, unlocks, and signals the flusher.
+// (A watch's opUnwatch is the one frame sent unregistered: nobody waits
+// for its ack.)
+func (cn *muxConn) registerLocked(e muxEntry, timeout time.Duration) uint64 {
+	cn.tag++
+	if timeout > 0 {
+		e.tm = core.SharedWheel().AfterFunc(timeout, muxTimeoutFired, cn, int64(cn.tag))
+	}
+	cn.waiters[cn.tag] = e
+	return cn.tag
 }
 
 // signalFlush wakes the flusher if it is not already due to run: the
@@ -487,8 +457,8 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		_, err := r.Discard(vlen)
 		return err
 	}
+	e.tm.Stop()
 	if e.put != nil {
-		e.tm.Stop()
 		res, err := readPutVReply(r, &f, vlen)
 		if err != nil {
 			cn.fail(err)
@@ -501,7 +471,6 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		// A hit for a read that was decided while this copy was on the
 		// wire: the sink took the completion without the value, which is
 		// skipped where it lies like an unclaimed frame's.
-		e.tm.Stop()
 		_, err := r.Discard(vlen)
 		return err
 	}
@@ -517,7 +486,6 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 	// A started read: the claim above is the promise to complete it,
 	// even when the value could not be read — then with the error every
 	// other request on the connection is about to get.
-	e.tm.Stop()
 	if err != nil {
 		cn.fail(err)
 		e.sink.Complete(e.slot, nil, cn.lostErr())
@@ -585,10 +553,12 @@ func (cn *muxConn) flusher() {
 	}
 }
 
-// claim takes tag's entry out of the waiter table, reporting whether it
-// was there. Whoever claims an entry owns its one outcome: the reader
-// delivers the reply, the timeout callback the timeout, withdraw
-// nothing at all. (fail claims the whole table at once.)
+// claim takes tag's entry out of the waiter table and stops its timer,
+// reporting whether it was there. Whoever claims an entry owns its one
+// outcome: the reader delivers the reply, the timeout callback the
+// timeout, a cancelling caller nothing at all — the eventual response
+// finds nobody and is skipped on arrival, the mux cancellation contract.
+// (fail claims the whole table at once.)
 func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 	cn.mu.Lock()
 	e, ok := cn.waiters[tag] // a dead connection's table is nil: not found
@@ -596,29 +566,18 @@ func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 		delete(cn.waiters, tag)
 	}
 	cn.mu.Unlock()
-	return e, ok
-}
-
-// withdraw unregisters tag and reports whether it was still registered:
-// true means no response, timeout or connection loss will ever be
-// delivered for it — the eventual response finds nobody and is skipped
-// on arrival, the mux cancellation contract. It is the whole of
-// cancelling a started read, and the first half of abandoning a
-// blocking one.
-func (cn *muxConn) withdraw(tag uint64) bool {
-	e, ok := cn.claim(tag)
 	if ok {
 		e.tm.Stop()
 	}
-	return ok
+	return e, ok
 }
 
 // abandon gives up on a blocking waiter whose response we no longer
-// want (cancellation or timeout). If the tag was still registered the
-// channel is empty for good. If it is gone, a delivery is either in
-// flight (drain it) or the connection died (nothing will come).
+// want. If the tag was still registered the channel is empty for good.
+// If it is gone, a delivery is either in flight (drain it) or the
+// connection died (nothing will come).
 func (cn *muxConn) abandon(tag uint64, w *muxWaiter) {
-	if cn.withdraw(tag) {
+	if _, ok := cn.claim(tag); ok {
 		muxWaiterPool.Put(w)
 		return
 	}
@@ -669,13 +628,13 @@ func (m *MuxClient) putTimeout() time.Duration {
 }
 
 // Start implements core.Starter: the non-blocking form of Get. It
-// enqueues the request on the next stripe's live connection and returns
-// at once; the reply (or the per-request timeout, or the connection's
-// loss) is delivered to sink.Complete(slot, …) from the connection's
-// reader (or the timer wheel, or whoever failed the connection), unless
-// Cancel withdraws it first. Start declines — having done nothing —
-// when it would have to do what only a blocking call can: dial a stripe
-// never used, report a bad key, or fail fast on a stripe in redial; Get
+// enqueues the request on the live connection and returns at once; the
+// reply (or the per-request timeout, or the connection's loss) is
+// delivered to sink.Complete(slot, …) from the connection's reader (or
+// the timer wheel, or whoever failed the connection), unless Cancel
+// withdraws it first. Start declines — having done nothing — when it
+// would have to do what only a blocking call can: dial a connection
+// never used, report a bad key, or fail fast while redialing; Get
 // handles each of those.
 func (m *MuxClient) Start(key string, sink core.Sink[[]byte], slot int) (core.Ticket, bool) {
 	cn, tag, ok := m.startLocked(key, muxEntry{sink: sink, slot: slot}, m.timeout)
@@ -688,35 +647,17 @@ func (m *MuxClient) Start(key string, sink core.Sink[[]byte], slot int) (core.Ti
 	return core.Ticket{Ref: cn, ID: tag}, true
 }
 
-// startLocked is the shared first half of Start and StartPutV: it picks
-// the next stripe's connection, declines where Start declines, and
-// otherwise registers e under a fresh tag, born with its timeout timer
-// (none if timeout is 0). On ok the caller holds cn.mu: it appends the
-// request's frame to cn.pending, unlocks, and signals the flusher.
+// startLocked is the shared first half of Start and StartPutV: it
+// declines where Start declines, and otherwise registers e on the live
+// connection. On ok the caller holds cn.mu, as after registerLocked.
 func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (cn *muxConn, tag uint64, ok bool) {
 	if validateKey(key) != nil {
 		return nil, 0, false
 	}
-	cn = m.conns[int(m.rr.Add(1)%uint64(len(m.conns)))].Load()
-	if cn == nil {
+	if cn = m.cn.Load(); cn == nil || cn.lockLive() != nil {
 		return nil, 0, false
 	}
-	cn.mu.Lock()
-	if cn.dead {
-		cn.mu.Unlock()
-		return nil, 0, false
-	}
-	cn.tag++
-	tag = cn.tag
-	if timeout > 0 {
-		// Armed under the lock so the entry is born with its timer: the
-		// reader may claim the tag the moment the lock drops, and must
-		// find the handle to stop. The wheel runs callbacks outside its
-		// own lock, so cn.mu → wheel is the only order.
-		e.tm = core.SharedWheel().AfterFunc(timeout, muxTimeoutFired, cn, int64(tag))
-	}
-	cn.waiters[tag] = e
-	return cn, tag, true
+	return cn, cn.registerLocked(e, timeout), true
 }
 
 // StartPutV is the non-blocking form of PutV, as Start is of Get: it
@@ -745,46 +686,70 @@ func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, versi
 // from the server; its reply is skipped on arrival.
 func (m *MuxClient) Cancel(tk core.Ticket) bool {
 	cn, _ := tk.Ref.(*muxConn)
-	return cn != nil && cn.withdraw(tk.ID)
+	if cn == nil {
+		return false
+	}
+	_, ok := cn.claim(tk.ID)
+	return ok
 }
 
-// do runs one request to completion: enqueue, then wait for the
-// response, the timeout, cancellation, or connection loss.
-func (m *MuxClient) do(ctx context.Context, req frame) (frame, error) {
+// lockConn returns the live connection with cn.mu held, ready for
+// registerLocked, dialing it first if need be.
+func (m *MuxClient) lockConn(ctx context.Context) (*muxConn, error) {
 	if err := ctx.Err(); err != nil {
-		return frame{}, err
+		return nil, err
 	}
 	cn, err := m.conn(ctx)
 	if err != nil {
+		return nil, err
+	}
+	if err := cn.lockLive(); err != nil {
+		return nil, err
+	}
+	return cn, nil
+}
+
+// do runs one request to completion: register and enqueue it, then wait
+// for the response, the timeout, cancellation, or connection loss.
+func (m *MuxClient) do(ctx context.Context, req frame) (frame, error) {
+	cn, err := m.lockConn(ctx)
+	if err != nil {
 		return frame{}, err
 	}
-	var reqs [1]frame
-	var ws [1]*muxWaiter
-	reqs[0] = req
-	if err := cn.start(reqs[:], ws[:]); err != nil {
-		return frame{}, err
-	}
-	w, tag := ws[0], reqs[0].tag
-	var tm core.WheelTimer
-	if m.timeout > 0 {
-		tm = core.SharedWheel().AfterFunc(m.timeout, muxTimeoutFired, cn, int64(tag))
-	}
+	w := muxWaiterPool.Get().(*muxWaiter)
+	req.tag = cn.registerLocked(muxEntry{w: w}, m.timeout)
+	cn.pending = appendFrame(cn.pending, &req)
+	cn.mu.Unlock()
+	cn.signalFlush()
+	return m.wait(ctx, cn, req.tag, w)
+}
+
+// wait blocks for the outcome of the blocking request registered on cn
+// under tag with waiter w: its response, its timeout, the caller's
+// cancellation (which withdraws it), or the connection's loss.
+func (m *MuxClient) wait(ctx context.Context, cn *muxConn, tag uint64, w *muxWaiter) (frame, error) {
 	select {
 	case fr := <-w.ch:
-		tm.Stop()
 		muxWaiterPool.Put(w)
 		if fr.op == opTimeout {
 			return frame{}, m.timeoutErr()
 		}
 		return fr, nil
 	case <-ctx.Done():
-		tm.Stop()
 		cn.abandon(tag, w)
 		return frame{}, ctx.Err()
 	case <-cn.done:
-		tm.Stop()
 		return frame{}, cn.lostErr()
 	}
+}
+
+// replyErr is the error of a reply that is not one its request expects:
+// the server's own error message, or an op that does not belong.
+func replyErr(fr *frame) error {
+	if fr.op == opErr {
+		return fmt.Errorf("memkv: server error: %s", fr.val)
+	}
+	return fmt.Errorf("memkv: unexpected response op %#x", fr.op)
 }
 
 func frameToGet(fr *frame) ([]byte, error) {
@@ -793,22 +758,16 @@ func frameToGet(fr *frame) ([]byte, error) {
 		return fr.val, nil
 	case opNotFound:
 		return nil, ErrNotFound
-	case opErr:
-		return nil, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return nil, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return nil, replyErr(fr)
 	}
 }
 
 func frameToSet(fr *frame) error {
-	switch fr.op {
-	case opStored:
+	if fr.op == opStored {
 		return nil
-	case opErr:
-		return fmt.Errorf("memkv: server error: %s", fr.val)
-	default:
-		return fmt.Errorf("memkv: unexpected response op %#x", fr.op)
 	}
+	return replyErr(fr)
 }
 
 func frameToDelete(fr *frame) error {
@@ -817,10 +776,8 @@ func frameToDelete(fr *frame) error {
 		return nil
 	case opNotFound:
 		return ErrNotFound
-	case opErr:
-		return fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return replyErr(fr)
 	}
 }
 
@@ -878,10 +835,8 @@ func (m *MuxClient) Stats(ctx context.Context) (map[string]int64, error) {
 	switch fr.op {
 	case opStatsResp:
 		return decodeStats(fr.val)
-	case opErr:
-		return nil, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return nil, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return nil, replyErr(&fr)
 	}
 }
 
@@ -890,58 +845,6 @@ func ttlSeconds(ttl time.Duration) uint32 {
 		return 0
 	}
 	return uint32((ttl + time.Second - 1) / time.Second)
-}
-
-// closeChanFired is a shared-wheel callback that closes the chan passed
-// as c — doBatch's one deadline for the whole round.
-func closeChanFired(c any, _ int64) { close(c.(chan struct{})) }
-
-// doBatch issues all reqs in one coalesced round on one connection and
-// collects their responses. Per-request outcomes land in frs/errs; a
-// setup failure (dial, dead stripe) is returned for the caller to
-// spread over every request.
-func (m *MuxClient) doBatch(ctx context.Context, reqs []frame) ([]frame, []error) {
-	frs := make([]frame, len(reqs))
-	errs := make([]error, len(reqs))
-	fill := func(err error) ([]frame, []error) {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-		return frs, errs
-	}
-	cn, err := m.conn(ctx)
-	if err != nil {
-		return fill(err)
-	}
-	ws := make([]*muxWaiter, len(reqs))
-	if err := cn.start(reqs, ws); err != nil {
-		return fill(err)
-	}
-	var tm core.WheelTimer
-	var timeoutC chan struct{}
-	if m.timeout > 0 {
-		timeoutC = make(chan struct{})
-		tm = core.SharedWheel().AfterFunc(m.timeout, closeChanFired, timeoutC, 0)
-	}
-	defer tm.Stop()
-	for i, w := range ws {
-		select {
-		case fr := <-w.ch:
-			muxWaiterPool.Put(w)
-			frs[i] = fr
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-			cn.abandon(reqs[i].tag, w)
-		case <-timeoutC:
-			errs[i] = m.timeoutErr()
-			cn.abandon(reqs[i].tag, w)
-		case <-cn.done:
-			errs[i] = cn.lostErr()
-		}
-	}
-	return frs, errs
 }
 
 // ---- Versioned operations (the convergence surface) ----
@@ -1000,10 +903,8 @@ func (m *MuxClient) Scan(ctx context.Context, after string, limit int) (entries 
 			return nil, false, err
 		}
 		return entries, fr.aux == 1, nil
-	case opErr:
-		return nil, false, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return nil, false, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return nil, false, replyErr(&fr)
 	}
 }
 
@@ -1030,33 +931,46 @@ type PutVSink interface {
 }
 
 // PutVBatch issues many versioned puts in one coalesced round — the
-// migrator's bulk-transfer primitive. Results align with puts by index.
+// migrator's bulk-transfer primitive. Every put is registered and
+// encoded under one hold of the connection's lock, so the batch goes out
+// as one write; then each is waited on like any blocking call, with its
+// own timeout. Results align with puts by index. A caller that gives up
+// withdraws the puts still outstanding.
 func (m *MuxClient) PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult {
 	out := make([]PutVResult, len(puts))
-	reqs := make([]frame, len(puts))
 	bad := false
 	for i := range puts {
 		if err := validateKey(puts[i].Key); err != nil {
 			out[i].Err = err
 			bad = true
-			continue
-		}
-		reqs[i] = frame{
-			op:  opPutV,
-			key: puts[i].Key,
-			val: appendVerPayload(nil, puts[i].Version, ttlSeconds(puts[i].TTL), puts[i].Value),
 		}
 	}
 	if bad {
 		return out
 	}
-	frs, errs := m.doBatch(ctx, reqs)
-	for i := range frs {
-		if errs[i] != nil {
-			out[i].Err = errs[i]
+	cn, err := m.lockConn(ctx)
+	if err != nil {
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
+	ws := make([]*muxWaiter, len(puts))
+	tags := make([]uint64, len(puts))
+	for i, p := range puts {
+		ws[i] = muxWaiterPool.Get().(*muxWaiter)
+		tags[i] = cn.registerLocked(muxEntry{w: ws[i]}, m.timeout)
+		cn.pending = appendVerFrame(cn.pending, opPutV, tags[i], 0, p.Key, p.Version, ttlSeconds(p.TTL), p.Value)
+	}
+	cn.mu.Unlock()
+	cn.signalFlush()
+	for i := range puts {
+		fr, err := m.wait(ctx, cn, tags[i], ws[i])
+		if err != nil {
+			out[i].Err = err
 			continue
 		}
-		out[i].Current, out[i].Applied, out[i].Err = frameToPutV(&frs[i])
+		out[i].Current, out[i].Applied, out[i].Err = frameToPutV(&fr)
 	}
 	return out
 }
@@ -1071,10 +985,8 @@ func frameToGetV(fr *frame) (value []byte, version uint64, ttlSecs uint32, err e
 		return data, ver, ttl, nil
 	case opNotFound:
 		return nil, 0, 0, ErrNotFound
-	case opErr:
-		return nil, 0, 0, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return nil, 0, 0, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return nil, 0, 0, replyErr(fr)
 	}
 }
 
@@ -1086,9 +998,7 @@ func frameToPutV(fr *frame) (current uint64, applied bool, err error) {
 			return 0, false, err
 		}
 		return ver, fr.aux == 1, nil
-	case opErr:
-		return 0, false, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return 0, false, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return 0, false, replyErr(fr)
 	}
 }

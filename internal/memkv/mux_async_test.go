@@ -56,18 +56,16 @@ func muxIndex(t *testing.T, muxes []*MuxClient, addr string) int {
 	return -1
 }
 
-// pendingTags counts the requests registered on the client's live
-// connections.
+// pendingTags counts the requests registered on the client's
+// connection.
 func pendingTags(m *MuxClient) int {
-	n := 0
-	for i := range m.conns {
-		if cn := m.conns[i].Load(); cn != nil {
-			cn.mu.Lock()
-			n += len(cn.waiters)
-			cn.mu.Unlock()
-		}
+	cn := m.cn.Load()
+	if cn == nil {
+		return 0
 	}
-	return n
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	return len(cn.waiters)
 }
 
 // readSink is a core.Sink that keeps every completion by slot. It takes
@@ -220,7 +218,7 @@ func TestAsyncCancelRacesDeliver(t *testing.T) {
 				t.Fatalf("read %d withdrawn twice", i)
 			}
 		}
-		// One stripe, and the server answers a connection's requests in
+		// One connection, and the server answers a connection's requests in
 		// order: once this read returns, every earlier reply has been
 		// through the reader.
 		if _, err := cl.Get(ctx, "k"); err != nil {
@@ -371,7 +369,7 @@ func TestAsyncStartedReadFailures(t *testing.T) {
 			if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ { // both stripes dialed
+			for i := 0; i < 4; i++ { // both connections dialed
 				if _, err := sc.Get(ctx, "k", core.WithStrategyOverride(core.Fixed{Copies: 2})); err != nil {
 					t.Fatal(err)
 				}
@@ -415,7 +413,7 @@ func TestAsyncStartedReadFailures(t *testing.T) {
 }
 
 // TestAsyncDeclinedStartFallsBack: Start does only what can be done
-// without blocking. A stripe never dialed, or one the redialer owns,
+// without blocking. A connection never dialed, or one the redialer owns,
 // declines — and the read still succeeds, that copy running through the
 // blocking Get, which dials (or fails fast and leaves the other owner to
 // answer).
@@ -425,13 +423,13 @@ func TestAsyncDeclinedStartFallsBack(t *testing.T) {
 	sink := newReadSink(1)
 	for _, m := range muxes {
 		if _, ok := m.Start("k", sink, 0); ok {
-			t.Fatal("Start accepted on a stripe with no connection yet")
+			t.Fatal("Start accepted with no connection yet")
 		}
 	}
 	// Nothing is dialed yet: both copies of this read are declined and
 	// run the blocking way, which dials.
 	if _, err := sc.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("first read over undialed stripes: %v, want ErrNotFound", err)
+		t.Fatalf("first read over undialed connections: %v, want ErrNotFound", err)
 	}
 	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
 		t.Fatal(err)
@@ -440,27 +438,27 @@ func TestAsyncDeclinedStartFallsBack(t *testing.T) {
 		t.Fatal("Start accepted a key Get would reject")
 	}
 
-	// Kill one owner for good: its stripe goes to the redialer.
+	// Kill one owner for good: its reconnection goes to the redialer.
 	down := 0
 	servers[down].Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		muxes[down].mu.Lock()
-		redialing := muxes[down].redialing[0]
+		redialing := muxes[down].redialing
 		muxes[down].mu.Unlock()
 		if redialing {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("stripe never handed to the redialer")
+			t.Fatal("connection never handed to the redialer")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if _, ok := muxes[down].Start("k", sink, 0); ok {
-		t.Fatal("Start accepted on a stripe in redial")
+		t.Fatal("Start accepted while redialing")
 	}
 	if _, err := muxes[down].Get(ctx, "k"); !errors.Is(err, ErrMuxConnLost) {
-		t.Fatalf("blocking Get on the stripe in redial: %v, want ErrMuxConnLost", err)
+		t.Fatalf("blocking Get while redialing: %v, want ErrMuxConnLost", err)
 	}
 	for i := 0; i < 50; i++ {
 		if v, err := sc.Get(ctx, "k"); err != nil || string(v) != "v" {

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// killServerConns closes every server-side socket, breaking all client
-// stripes at once.
+// killServerConns closes every server-side socket, breaking every
+// client's connection at once.
 func killServerConns(srv *Server) {
 	srv.mu.Lock()
 	for c := range srv.conns {
@@ -20,7 +20,7 @@ func killServerConns(srv *Server) {
 }
 
 // TestMuxBackgroundRedialRepairsStripe: after a connection breaks, the
-// stripe must reconnect in the BACKGROUND — the server sees a fresh
+// client must reconnect in the BACKGROUND — the server sees a fresh
 // connection without the client issuing a single request. This is the
 // regression test for redial-only-on-next-request: callers that go
 // quiet after an error must still find a healed client.
@@ -54,12 +54,12 @@ func TestMuxBackgroundRedialRepairsStripe(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("stripe was not redialed in the background")
+			t.Fatal("connection was not redialed in the background")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	// And the healed connection serves requests (allowing a beat for the
-	// client to swap the fresh conn into its stripe slot).
+	// client to swap the fresh conn in).
 	deadline = time.Now().Add(2 * time.Second)
 	for {
 		v, err := cl.Get(ctx, "k")
@@ -157,7 +157,7 @@ func TestMuxFailsFastWhileServerDown(t *testing.T) {
 	srv.Close()
 
 	// Drive requests until the client settles into fail-fast: once the
-	// stripe is in redial state, a request must return well under the
+	// client is in redial state, a request must return well under the
 	// 10s request timeout.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -197,7 +197,7 @@ func TestMuxFailsFastWhileServerDown(t *testing.T) {
 // TestMuxAbandonedDialLeavesStripeUndialed: a first dial given up by its
 // caller — the losing copy of a redundant read, cancelled while it was
 // still connecting — says nothing about the server, so it must not put
-// the stripe into redial (where requests fail fast with ErrMuxConnLost
+// the client into redial (where requests fail fast with ErrMuxConnLost
 // until the backoff loop reconnects). The next request dials afresh.
 func TestMuxAbandonedDialLeavesStripeUndialed(t *testing.T) {
 	_, cl := startMux(t)

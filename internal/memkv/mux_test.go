@@ -59,8 +59,7 @@ func TestMuxSetTTLExpires(t *testing.T) {
 }
 
 // TestMuxSharesOneConnection: many concurrent requests must not open
-// more sockets than the client's stripe count — the whole point of
-// multiplexing.
+// more than the client's one socket — the whole point of multiplexing.
 func TestMuxSharesOneConnection(t *testing.T) {
 	srv, addr := startServer(t)
 	cl := NewMuxClient(addr, 5*time.Second)
@@ -213,7 +212,7 @@ func TestMuxServerDisconnectFailsPending(t *testing.T) {
 	}
 }
 
-// TestMuxRedialsAfterConnLoss: the stripe redials transparently on the
+// TestMuxRedialsAfterConnLoss: the client redials transparently on the
 // next request after its connection died.
 func TestMuxRedialsAfterConnLoss(t *testing.T) {
 	srv, addr := startServer(t)
@@ -315,7 +314,8 @@ func TestMuxConcurrentStorm(t *testing.T) {
 }
 
 // TestShardedClientWithMuxBackends: the sharded store accepts v2
-// backends, writes through them and batches reads through the ring.
+// backends, writes through them and reads many keys at once through the
+// ring.
 func TestShardedClientWithMuxBackends(t *testing.T) {
 	backends := make([]Backend, 3)
 	for i := range backends {
@@ -324,14 +324,9 @@ func TestShardedClientWithMuxBackends(t *testing.T) {
 	}
 	sc := NewShardedClient(ShardedConfig{Replication: 2}, backends...)
 	defer sc.Close()
-	ctx := context.Background()
 	keys, vals := batchKeys("mk", 60)
 	putAll(t, sc, keys, vals)
-	res, err := sc.GetBatch(ctx, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
+	for i, r := range getBatch(sc, keys) {
 		if r.Err != nil {
 			t.Fatalf("get %d: %v", i, r.Err)
 		}

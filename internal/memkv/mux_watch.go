@@ -4,11 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 // This file is the client half of the streaming surface: CAS requests
@@ -143,106 +140,61 @@ func (s *WatchStream) deliver(f *frame) {
 	}
 }
 
-// startWatch assigns a tag, registers both the response waiter and the
-// stream's event route under one lock acquisition, and enqueues the
-// opWatch frame. Registering the route before the frame is on the wire
-// means no event can arrive unroutable, however fast the server pushes
-// after opWatchOK.
-func (cn *muxConn) startWatch(req frame, st *WatchStream) (*muxWaiter, uint64, error) {
-	cn.mu.Lock()
-	if cn.dead {
-		err := cn.err
-		cn.mu.Unlock()
-		if err == nil {
-			err = ErrMuxConnLost
-		}
-		return nil, 0, err
-	}
-	cn.tag++
-	req.tag = cn.tag
-	st.tag = cn.tag
-	w := muxWaiterPool.Get().(*muxWaiter)
-	cn.waiters[cn.tag] = muxEntry{w: w}
-	if cn.watches == nil {
-		cn.watches = make(map[uint64]*WatchStream)
-	}
-	cn.watches[cn.tag] = st
-	cn.pending = appendFrame(cn.pending, &req)
-	cn.mu.Unlock()
-	cn.signalFlush()
-	return w, req.tag, nil
-}
-
-// Watch opens a prefix subscription on one of the client's connections
-// and returns its stream once the server acknowledges it. buf sizes the
+// Watch opens a prefix subscription on the client's connection and
+// returns its stream once the server acknowledges it. buf sizes the
 // client-side event buffer (non-positive = DefaultWatchBuffer) and is
 // also requested as the server-side buffer. The stream ends when ctx is
 // cancelled, Close is called, the consumer falls behind, or the
 // connection dies — it does NOT resubscribe on its own (the sharded
 // layer owns that policy).
+//
+// The opWatch request is registered like any blocking call, and the
+// stream's event route under the same lock hold: with the route in place
+// before the frame is on the wire, no event can arrive unroutable,
+// however fast the server pushes after opWatchOK.
 func (m *MuxClient) Watch(ctx context.Context, prefix string, buf int) (*WatchStream, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cn, err := m.conn(ctx)
-	if err != nil {
-		return nil, err
-	}
 	if buf < 1 {
 		buf = DefaultWatchBuffer
 	}
 	if buf > maxWatchBuffer {
 		buf = maxWatchBuffer
 	}
-	st := &WatchStream{cn: cn, prefix: prefix, ch: make(chan WatchEvent, buf), done: make(chan struct{})}
-	w, tag, err := cn.startWatch(frame{op: opWatch, key: prefix, aux: uint32(buf)}, st)
+	st := &WatchStream{prefix: prefix, ch: make(chan WatchEvent, buf), done: make(chan struct{})}
+	cn, err := m.lockConn(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var tm core.WheelTimer
-	if m.timeout > 0 {
-		tm = core.SharedWheel().AfterFunc(m.timeout, muxTimeoutFired, cn, int64(tag))
+	st.cn = cn
+	w := muxWaiterPool.Get().(*muxWaiter)
+	req := frame{op: opWatch, key: prefix, aux: uint32(buf)}
+	req.tag = cn.registerLocked(muxEntry{w: w}, m.timeout)
+	st.tag = req.tag
+	if cn.watches == nil {
+		cn.watches = make(map[uint64]*WatchStream)
 	}
-	select {
-	case fr := <-w.ch:
-		tm.Stop()
-		muxWaiterPool.Put(w)
-		switch fr.op {
-		case opWatchOK:
-			if ctx.Done() != nil {
-				go func() {
-					select {
-					case <-ctx.Done():
-						st.closeAndUnwatch(context.Cause(ctx))
-					case <-st.done:
-					}
-				}()
-			}
-			return st, nil
-		case opTimeout:
-			err := fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
-			st.closeAndUnwatch(err)
-			return nil, err
-		case opErr:
-			err := fmt.Errorf("memkv: server error: %s", fr.val)
-			st.closeAndUnwatch(err)
-			return nil, err
-		default:
-			err := fmt.Errorf("memkv: unexpected response op %#x", fr.op)
-			st.closeAndUnwatch(err)
-			return nil, err
-		}
-	case <-ctx.Done():
-		tm.Stop()
-		cn.abandon(tag, w)
-		st.closeAndUnwatch(ctx.Err())
-		return nil, ctx.Err()
-	case <-cn.done:
-		tm.Stop()
-		err := cn.lostErr()
-		st.end(err)
+	cn.watches[req.tag] = st
+	cn.pending = appendFrame(cn.pending, &req)
+	cn.mu.Unlock()
+	cn.signalFlush()
+
+	fr, err := m.wait(ctx, cn, req.tag, w)
+	if err == nil && fr.op != opWatchOK {
+		err = replyErr(&fr)
+	}
+	if err != nil {
+		st.closeAndUnwatch(err)
 		return nil, err
 	}
+	if ctx.Done() != nil {
+		go func() {
+			select {
+			case <-ctx.Done():
+				st.closeAndUnwatch(context.Cause(ctx))
+			case <-st.done:
+			}
+		}()
+	}
+	return st, nil
 }
 
 // CAS stores value under key only if the stored version equals expect
@@ -270,9 +222,7 @@ func frameToCAS(fr *frame) (current uint64, applied bool, err error) {
 			return 0, false, err
 		}
 		return ver, fr.aux == 1, nil
-	case opErr:
-		return 0, false, fmt.Errorf("memkv: server error: %s", fr.val)
 	default:
-		return 0, false, fmt.Errorf("memkv: unexpected response op %#x", fr.op)
+		return 0, false, replyErr(fr)
 	}
 }

@@ -125,7 +125,7 @@ func warmPuts(t *testing.T, sc *ShardedClient, muxes []*MuxClient) int {
 	for i := 0; ; i++ {
 		dialed := 0
 		for _, m := range muxes {
-			if m.conns[0].Load() != nil {
+			if m.cn.Load() != nil {
 				dialed++
 			}
 		}
@@ -240,7 +240,7 @@ func TestAsyncPutCompletesExactlyOnce(t *testing.T) {
 				return
 			case <-time.After(12 * time.Millisecond):
 			}
-			if cn := muxes[i%len(muxes)].conns[0].Load(); cn != nil {
+			if cn := muxes[i%len(muxes)].cn.Load(); cn != nil {
 				cn.fail(errors.New("broken by the test"))
 			}
 		}
@@ -268,7 +268,7 @@ func TestAsyncPutCompletesExactlyOnce(t *testing.T) {
 				nAccepted++
 			}
 			// Spread the puts over many of the breaker's periods (and give
-			// a stripe in redial a moment).
+			// a connection in redial a moment).
 			time.Sleep(20 * time.Microsecond)
 		}
 		close(stop)
@@ -344,7 +344,7 @@ func TestAsyncPutCompletesExactlyOnce(t *testing.T) {
 					p.ver = sc.NextVersion()
 					p.err = sc.PutVersionAt(ctx, p.key, putValue(p.key, p.ver), 0, p.ver)
 					if p.err != nil {
-						// Failing fast on a stripe in redial: do not spend
+						// Failing fast while redialing: do not spend
 						// the whole run inside one outage.
 						time.Sleep(200 * time.Microsecond)
 					}
@@ -422,7 +422,7 @@ func TestAsyncPutVersionedOutlivesItsCaller(t *testing.T) {
 }
 
 // TestAsyncPutDeclinedStartFallsBack: StartPutV does only what can be
-// done without blocking. Over stripes never dialed, and over a stripe
+// done without blocking. Over connections never dialed, and over one
 // the redialer owns, it declines, and the copy goes through the blocking
 // PutV — which dials, or fails fast into a hint.
 func TestAsyncPutDeclinedStartFallsBack(t *testing.T) {
@@ -433,14 +433,14 @@ func TestAsyncPutDeclinedStartFallsBack(t *testing.T) {
 	sink := newPutSink(1)
 	for _, m := range muxes {
 		if m.StartPutV("k", []byte("v"), 0, 1, sink, 0) {
-			t.Fatal("StartPutV accepted on a stripe with no connection yet")
+			t.Fatal("StartPutV accepted with no connection yet")
 		}
 	}
 	// Nothing is dialed: both copies are declined and run the blocking
 	// way, which dials.
 	ver := sc.NextVersion()
 	if err := sc.PutVersionAt(ctx, "k", putValue("k", ver), 0, ver); err != nil {
-		t.Fatalf("first put over undialed stripes: %v", err)
+		t.Fatalf("first put over undialed connections: %v", err)
 	}
 	// The straggler is a goroutine that may still be dialing.
 	deadline := time.Now().Add(5 * time.Second)
@@ -459,24 +459,24 @@ func TestAsyncPutDeclinedStartFallsBack(t *testing.T) {
 		t.Fatal("StartPutV accepted a key PutV would reject")
 	}
 
-	// Kill one owner for good: its stripe goes to the redialer.
+	// Kill one owner for good: its reconnection goes to the redialer.
 	down := 0
 	servers[down].Close()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		muxes[down].mu.Lock()
-		redialing := muxes[down].redialing[0]
+		redialing := muxes[down].redialing
 		muxes[down].mu.Unlock()
 		if redialing {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("stripe never handed to the redialer")
+			t.Fatal("connection never handed to the redialer")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if muxes[down].StartPutV("k", []byte("v"), 0, 1, sink, 0) {
-		t.Fatal("StartPutV accepted on a stripe in redial")
+		t.Fatal("StartPutV accepted while redialing")
 	}
 	ver = sc.NextVersion()
 	if err := sc.PutVersionAt(ctx, "k", putValue("k", ver), 0, ver); err != nil {

@@ -269,16 +269,19 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 
 // Get returns the first placement shard's response for key, read
 // redundantly under the client's ReadStrategy. Per-call options tune one
-// read: core.WithQuorum(q) for R-of-N agreement within the placement,
+// read: core.WithQuorum(q) to wait until q copies succeeded (a wait for
+// q answers, not agreement: the value is still the first success's,
+// and no versions are compared — a consistency read is GetQuorum),
 // core.WithFanoutCap(1) for a single-copy read,
 // core.WithStrategyOverride for a one-off policy, core.WithLabel for
 // metrics. A key absent from every queried shard reports
-// errors.Is(err, ErrNotFound).
+// errors.Is(err, ErrNotFound). Many keys at once are many concurrent
+// Gets: each is its own call, and they share every connection.
 //
 // The value is the caller's own. A caller that has consumed it may hand
 // its buffer to a later read with Release; that is optional, and the
-// only reads it applies to are Get's (GetResult, GetBatch) — GetQuorum,
-// GetV, scan entries and watch events are not pooled.
+// only reads it applies to are Get's and GetResult's — GetQuorum, GetV,
+// scan entries and watch events are not pooled.
 func (sc *ShardedClient) Get(ctx context.Context, key string, opts ...core.CallOption) ([]byte, error) {
 	if len(opts) == 0 {
 		// The common zero-option read rides the ring's DoValue fast lane
@@ -296,40 +299,6 @@ func (sc *ShardedClient) Get(ctx context.Context, key string, opts ...core.CallO
 // latency, copies launched and cancelled).
 func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core.CallOption) (core.Result[[]byte], error) {
 	return sc.reads.Do(ctx, key, opts...)
-}
-
-// GetBatch reads many keys at once. Each key is one ordinary redundant
-// read (GetResult) on its own goroutine — a batch of N keys is N
-// goroutines, and the caller sizes the batch — so a batched key gets
-// everything a single call gets: its own placement, hedge schedule and
-// latency, and losing copies withdrawn and counted. Results are in key
-// order; res[i].Err carries key i's failure (ErrNotFound for absent
-// keys, core.ErrNoReplicas on an empty ring). The returned error is only
-// an option a batch cannot share (core.CheckBatchOptions), reported
-// before anything is launched.
-func (sc *ShardedClient) GetBatch(ctx context.Context, keys []string, opts ...core.CallOption) ([]core.BatchResult[[]byte], error) {
-	if err := core.CheckBatchOptions(opts); err != nil {
-		return nil, err
-	}
-	res := make([]core.BatchResult[[]byte], len(keys))
-	eachConcurrently(len(keys), func(i int) {
-		res[i].Result, res[i].Err = sc.reads.Do(ctx, keys[i], opts...)
-	})
-	return res, nil
-}
-
-// eachConcurrently runs f(0) … f(n-1), each on its own goroutine, and
-// returns when all have.
-func eachConcurrently(n int, f func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			f(i)
-		}()
-	}
-	wg.Wait()
 }
 
 // Owners returns the shard addresses key is placed on, primary first.

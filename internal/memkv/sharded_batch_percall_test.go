@@ -4,16 +4,39 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"redundancy/internal/core"
 )
 
-// These tests pin what a batched key gets from being an ordinary call:
-// its loser is withdrawn and counted, it costs one goroutine however
-// many copies it has, and the one option N concurrent calls cannot
-// share is refused before anything is sent.
+// These tests pin what a batch of keys read at once gets from each read
+// being an ordinary call: its loser is withdrawn and counted, and it
+// costs its caller's goroutine however many copies it has.
+
+// keyRead is one key's outcome in a getBatch.
+type keyRead struct {
+	Result core.Result[[]byte]
+	Err    error
+}
+
+// getBatch reads every key at once, each an ordinary GetResult on its
+// own goroutine — what a caller with many keys does (examples/muxbatch)
+// — and returns the outcomes in key order.
+func getBatch(sc *ShardedClient, keys []string) []keyRead {
+	res := make([]keyRead, len(keys))
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i].Result, res[i].Err = sc.GetResult(context.Background(), key)
+		}()
+	}
+	wg.Wait()
+	return res
+}
 
 // batchKeys returns n distinct keys and their values.
 func batchKeys(prefix string, n int) ([]string, [][]byte) {
@@ -38,7 +61,7 @@ func putAll(t *testing.T, sc *ShardedClient, keys []string, vals [][]byte) {
 }
 
 // TestShardedGetBatchWithdrawsLosers: with one of three servers slow, a
-// batched key placed on it is answered by its other shard and the copy
+// key of a getBatch placed on it is answered by its other shard and the copy
 // still parked at the slow server is withdrawn — the read ring counts
 // it, as it does for a lone Get.
 func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
@@ -53,10 +76,7 @@ func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
 	keys, vals := batchKeys("wl", 200)
 	putAll(t, sc, keys, vals)
 
-	res, err := sc.GetBatch(context.Background(), keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := getBatch(sc, keys)
 	launched := 0
 	for i, r := range res {
 		if r.Err != nil || string(r.Result.Value) != string(vals[i]) {
@@ -77,8 +97,8 @@ func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
 }
 
 // TestShardedGetBatchOneGoroutinePerKey: with every reply held back
-// 50 ms, all 2 000 two-copy reads of a batch are in flight at once, and
-// the process runs one goroutine per key, not one per copy.
+// 50 ms, all 2 000 two-copy reads of a getBatch are in flight at once,
+// and the process runs one goroutine per key, not one per copy.
 func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
 	sc, _, _ := startAsyncShards(t, 3,
 		ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 2}}, 10*time.Second,
@@ -111,12 +131,9 @@ func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
-	res, err := sc.GetBatch(context.Background(), keys)
+	res := getBatch(sc, keys)
 	close(stop)
 	got := <-peak
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, r := range res {
 		if r.Err != nil || r.Result.Launched != 2 {
 			t.Fatalf("get %d = (launched %d, %v)", i, r.Result.Launched, r.Err)
@@ -124,27 +141,5 @@ func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
 	}
 	if limit := base + n + 100; got > limit {
 		t.Errorf("peak %d goroutines during a %d-key batch at fan-out 2 (%d before it), want <= %d", got, n, base, limit)
-	}
-}
-
-// TestShardedBatchRejectsCollectOutcomes: one outcomes sink cannot serve
-// N concurrent calls, so GetBatch refuses it and sends nothing.
-func TestShardedBatchRejectsCollectOutcomes(t *testing.T) {
-	sc, _, muxes := startAsyncShards(t, 3, ShardedConfig{Replication: 2}, 5*time.Second, nil)
-	ctx := context.Background()
-	keys, _ := batchKeys("co", 8)
-
-	var reads []core.Outcome[[]byte]
-	if res, err := sc.GetBatch(ctx, keys, core.WithCollectOutcomes(&reads)); err == nil || res != nil {
-		t.Errorf("GetBatch(WithCollectOutcomes) = (%v, %v), want a batch-level error", res, err)
-	}
-	for _, m := range muxes {
-		st, err := m.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st["cmd_get"] != 0 {
-			t.Errorf("%s served cmd_get=%d after a refused batch, want 0", m.Addr(), st["cmd_get"])
-		}
 	}
 }

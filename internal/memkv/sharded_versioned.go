@@ -326,8 +326,8 @@ func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend, value
 // frame's copy.
 //
 // Each copy is started on this goroutine when its shard is a *MuxClient
-// that accepts the start. A start declined (a stripe never dialed, or
-// one in redial) is launched the blocking way, and so is every copy to
+// that accepts the start. A start declined (a connection never
+// dialed, or one in redial) is launched the blocking way, and so is every copy to
 // a shard of any other type: a Backend that embeds *MuxClient and
 // overrides PutV — a tracing or counting wrapper — has the promoted
 // StartPutV too, and must keep seeing every write copy through its own

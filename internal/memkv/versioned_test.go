@@ -12,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"redundancy/internal/core"
 	"redundancy/internal/ring"
 )
 
@@ -326,6 +327,106 @@ func TestMuxPutVBatchAndScan(t *testing.T) {
 	}
 }
 
+// batchPuts returns n versioned puts of distinct keys.
+func batchPuts(prefix string, n int) []VersionedPut {
+	puts := make([]VersionedPut, n)
+	for i := range puts {
+		puts[i] = VersionedPut{Key: fmt.Sprintf("%s-%d", prefix, i), Value: []byte{byte(i)}, Version: uint64(100 + i)}
+	}
+	return puts
+}
+
+// awaitStored polls cl until key holds version, failing the test after
+// two seconds: the request that follows a late, skipped reply.
+func awaitStored(t *testing.T, cl *MuxClient, key string, version uint64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, v, _, err := cl.GetV(context.Background(), key)
+		if err == nil && v == version {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GetV(%s) = version %d, %v; want %d", key, v, err, version)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMuxPutVBatchCancelWithdrawsOutstanding: a caller that gives up in
+// the middle of a batch keeps the puts already answered and gets
+// context.Canceled for the rest, which are withdrawn — no tag stays
+// registered. The connection survives their late replies and serves the
+// next request.
+func TestMuxPutVBatchCancelWithdrawsOutstanding(t *testing.T) {
+	const n, fast = 8, 4
+	var seen atomic.Int64
+	srv, addr := startServerDelay(t, func() time.Duration {
+		if i := seen.Add(1); i > fast && i <= n {
+			return 300 * time.Millisecond
+		}
+		return 0
+	})
+	cl := NewMuxClient(addr, 5*time.Second)
+	defer cl.Close()
+	puts := batchPuts("cb", n)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	for i, r := range cl.PutVBatch(ctx, puts) {
+		if i < fast && (r.Err != nil || !r.Applied) {
+			t.Errorf("put %d answered before the cancel = %+v, want applied", i, r)
+		}
+		if i >= fast && !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("put %d outstanding at the cancel = %+v, want context.Canceled", i, r)
+		}
+	}
+	if n := pendingTags(cl); n != 0 {
+		t.Fatalf("%d tags still registered after the cancelled batch", n)
+	}
+	// The server applies the withdrawn puts all the same (a request is not
+	// recalled); reading the last one back means its reply came and went.
+	awaitStored(t, cl, puts[n-1].Key, puts[n-1].Version)
+	if got := srv.AcceptedConns(); got != 1 {
+		t.Errorf("server accepted %d connections, want 1 (the connection must survive)", got)
+	}
+}
+
+// TestMuxPutVBatchStalledPutTimesOutAlone: every put of a batch has its
+// own timeout, so the one whose reply is stalled past it fails alone
+// with ErrMuxTimeout while the others apply, and its late reply does
+// not harm the connection.
+func TestMuxPutVBatchStalledPutTimesOutAlone(t *testing.T) {
+	const n, stalled = 6, 2
+	var seen atomic.Int64
+	srv, addr := startServerDelay(t, func() time.Duration {
+		if seen.Add(1) == stalled+1 {
+			return 400 * time.Millisecond
+		}
+		return 0
+	})
+	cl := NewMuxClient(addr, 100*time.Millisecond)
+	defer cl.Close()
+	puts := batchPuts("sb", n)
+
+	for i, r := range cl.PutVBatch(context.Background(), puts) {
+		if i == stalled && !errors.Is(r.Err, ErrMuxTimeout) {
+			t.Errorf("stalled put %d = %+v, want ErrMuxTimeout", i, r)
+		}
+		if i != stalled && (r.Err != nil || !r.Applied || r.Current != puts[i].Version) {
+			t.Errorf("put %d = %+v, want applied at %d", i, r, puts[i].Version)
+		}
+	}
+	if n := pendingTags(cl); n != 0 {
+		t.Fatalf("%d tags still registered after the batch", n)
+	}
+	awaitStored(t, cl, puts[stalled].Key, puts[stalled].Version)
+	if got := srv.AcceptedConns(); got != 1 {
+		t.Errorf("server accepted %d connections, want 1 (the connection must survive)", got)
+	}
+}
+
 // ---- ShardedClient versioned quorum surface ----
 
 // recordingSink captures RepairSink callbacks for assertions.
@@ -385,6 +486,50 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestShardedQuorumGetIsNotAConsistencyRead pins what WithQuorum does on
+// Get: it waits until q copies succeeded and returns the first one's
+// bytes, comparing no versions. With one owner left at an older version
+// and the fresh owner held back, a 2-of-2 Get returns the stale bytes.
+// The consistency read is GetQuorum: it returns the newest version and
+// reports the stale owner for read repair.
+func TestShardedQuorumGetIsNotAConsistencyRead(t *testing.T) {
+	var hold [2]atomic.Bool
+	sc, _, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2}, 5*time.Second,
+		func(i int) func() time.Duration {
+			return func() time.Duration {
+				if hold[i].Load() {
+					return 100 * time.Millisecond
+				}
+				return 0
+			}
+		})
+	ctx := context.Background()
+	if _, err := sc.PutVersioned(ctx, "qk", []byte("old"), 0); err != nil {
+		t.Fatal(err)
+	}
+	const fresh, stale = 0, 1
+	newVer := sc.NextVersion()
+	if _, applied, err := muxes[fresh].PutV(ctx, "qk", []byte("new"), 0, newVer); err != nil || !applied {
+		t.Fatalf("PutV to the fresh owner = (applied %v, %v)", applied, err)
+	}
+	hold[fresh].Store(true)
+
+	if v, err := sc.Get(ctx, "qk", core.WithQuorum(2)); err != nil || string(v) != "old" {
+		t.Fatalf("Get(WithQuorum(2)) = (%q, %v), want the stale owner's \"old\": it compares no versions", v, err)
+	}
+	sink := &recordingSink{}
+	sc.SetRepairSink(sink)
+	val, ver, err := sc.GetQuorum(ctx, "qk", 2)
+	if err != nil || string(val) != "new" || ver != newVer {
+		t.Fatalf("GetQuorum = (%q, %d, %v), want \"new\" at %d", val, ver, err, newVer)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if want := "qk:" + muxes[stale].Addr(); len(sink.diverged) != 1 || sink.diverged[0] != want {
+		t.Errorf("divergence reported = %v, want [%s]", sink.diverged, want)
 	}
 }
 

@@ -87,11 +87,6 @@ type Result[T any] = core.Result[T]
 // gathers it and a QuorumError carries it.
 type Outcome[T any] = core.Outcome[T]
 
-// BatchResult is one argument's outcome within a batch of independent
-// calls (memkv.ShardedClient.GetBatch): the argument's Result on
-// success, its error otherwise.
-type BatchResult[T any] = core.BatchResult[T]
-
 // Group manages a replica set for repeated redundant operations. It is
 // built on a lock-free copy-on-write engine: replicas can be added and
 // removed and the strategy changed while operations are in flight, and

@@ -151,7 +151,7 @@ func TestPublicResultReportsCancelled(t *testing.T) {
 // names need to be callable. Adding an export means editing this list.
 func TestRootSurface(t *testing.T) {
 	want := []string{
-		"AdaptiveHedge", "BatchResult", "Budget", "CallOption", "Counters",
+		"AdaptiveHedge", "Budget", "CallOption", "Counters",
 		"DefaultGovernorThreshold", "ErrNoReplicas", "ErrQuorumUnreachable",
 		"Fixed", "FullReplicate", "GovernedStrategy", "Group", "GroupOption",
 		"LoadAware", "NewBudget", "NewCounters", "NewRing", "NewStrategyGroup",
