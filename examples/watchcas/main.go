@@ -17,7 +17,7 @@
 //  3. A shard dies mid-stream: the surviving subscription keeps
 //     delivering every event (nothing missed, nothing duplicated),
 //     and a TTL'd key's active expiry arrives as an event like any
-//     delete.
+//     put.
 //
 // Run with: go run ./examples/watchcas
 package main
@@ -82,7 +82,10 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	val, _, err := sc.GetQuorum(ctx, "job/leader", 0)
+	// Read both copies: with WriteQuorum 1 the CAS returned once the
+	// primary applied it, and the copy to the other owner may still be
+	// on its way.
+	val, _, err := sc.GetQuorum(ctx, "job/leader", 2)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,10 @@ package exp
 import (
 	"math"
 	"strconv"
+	"strings"
 	"testing"
+
+	"redundancy/internal/analytic"
 )
 
 // claimTable indexes one rendered table of a golden run (MinScale,
@@ -62,7 +65,13 @@ func (c claimTable) cell(load, scheme, col string) string {
 
 func (c claimTable) num(load, scheme, col string) float64 {
 	c.t.Helper()
-	v, err := strconv.ParseFloat(c.cell(load, scheme, col), 64)
+	return c.parse(c.cell(load, scheme, col))
+}
+
+// parse reads a numeric cell; a percentage reads as its number.
+func (c claimTable) parse(cell string) float64 {
+	c.t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
 	if err != nil {
 		c.t.Fatalf("%s: %v", c.title, err)
 	}
@@ -82,11 +91,7 @@ func (c claimTable) series(first, col string) []float64 {
 		if r[0] != first {
 			continue
 		}
-		v, err := strconv.ParseFloat(r[j], 64)
-		if err != nil {
-			c.t.Fatalf("%s: %v", c.title, err)
-		}
-		out = append(out, v)
+		out = append(out, c.parse(r[j]))
 	}
 	if len(out) == 0 {
 		c.t.Fatalf("%s: no row %q", c.title, first)
@@ -131,6 +136,56 @@ func TestClaimsFig4(t *testing.T) {
 			if ths[i] > ths[i-1] {
 				t.Errorf("%s: threshold rises from %g to %g as overhead grows", law, ths[i-1], ths[i])
 			}
+		}
+	}
+}
+
+// TestClaimsFig16 asserts Figure 16's claim: querying 2 or more DNS
+// servers cuts response time in every column, and 10 copies cut it
+// more than 2 do.
+func TestClaimsFig16(t *testing.T) {
+	c := goldenTables(t, "fig16")[0]
+	for _, col := range []string{"mean", "median", "p95", "p99"} {
+		for _, copies := range c.loads {
+			if n, _ := strconv.Atoi(copies); n < 2 {
+				continue
+			}
+			if r := c.series(copies, col)[0]; r <= 0 {
+				t.Errorf("%s copies: %s reduction %g%%, want positive", copies, col, r)
+			}
+		}
+		if two, ten := c.series("2", col)[0], c.series("10", col)[0]; ten <= two {
+			t.Errorf("%s reduction: 10 copies %g%% not above 2 copies %g%%", col, ten, two)
+		}
+	}
+}
+
+// TestClaimsFig17 asserts Figure 17's marginal analysis: the 2nd DNS
+// server saves more than the break-even ms per extra KB on the mean,
+// and some later server does not.
+func TestClaimsFig17(t *testing.T) {
+	const col = "marginal mean (ms/KB)"
+	c := goldenTables(t, "fig17")[0]
+	if m := c.series("2", col)[0]; m < analytic.BreakEvenMsPerKB {
+		t.Errorf("2nd server: marginal mean %g ms/KB, want >= %g", m, analytic.BreakEvenMsPerKB)
+	}
+	below := false
+	for _, servers := range c.loads[1:] {
+		below = below || c.series(servers, col)[0] < analytic.BreakEvenMsPerKB
+	}
+	if !below {
+		t.Errorf("every server past the 2nd clears %g ms/KB on the mean, want one that does not", analytic.BreakEvenMsPerKB)
+	}
+}
+
+// TestClaimsHandshake asserts §3.1's claim: duplicating the TCP
+// handshake saves about 170 ms of mean latency per extra KB, within 15%
+// at every RTT.
+func TestClaimsHandshake(t *testing.T) {
+	c := goldenTables(t, "handshake")[0]
+	for _, rtt := range c.loads {
+		if m := c.series(rtt, "mean ms/KB")[0]; math.Abs(m-170) > 0.15*170 {
+			t.Errorf("RTT %s ms: mean saving %g ms/KB, want within 15%% of 170", rtt, m)
 		}
 	}
 }

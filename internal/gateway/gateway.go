@@ -8,7 +8,7 @@
 //	GET    /kv/{key}      200 value bytes · 404 not_found · 503 quorum_unreachable
 //	PUT    /kv/{key}      200 {"version":v} · 409 cas_conflict (with X-Expect-Version)
 //	GET    /scan          200 {"entries":[…],"more":b}
-//	GET    /watch         SSE stream of put/delete/expire events
+//	GET    /watch         SSE stream of put/expire events
 //	GET    /stats         200 aggregate counters + ring topology
 //	GET    /slo           200 controller targets, operating points, move counts
 //

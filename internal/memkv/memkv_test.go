@@ -49,12 +49,6 @@ func TestStoreBasics(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if !s.Delete("k") {
-		t.Error("Delete returned false for present key")
-	}
-	if s.Delete("k") {
-		t.Error("Delete returned true for absent key")
-	}
 }
 
 func TestStoreValueIsolation(t *testing.T) {
@@ -88,31 +82,6 @@ func TestStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 4000 {
 		t.Errorf("Len = %d, want 4000", s.Len())
-	}
-}
-
-func TestClientSetGetDelete(t *testing.T) {
-	_, cl := startMux(t)
-	ctx := context.Background()
-
-	if err := cl.Set(ctx, "greeting", []byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := cl.Get(ctx, "greeting")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v) != "hello world" {
-		t.Errorf("Get = %q", v)
-	}
-	if err := cl.Delete(ctx, "greeting"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get(ctx, "greeting"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after delete = %v, want ErrNotFound", err)
-	}
-	if err := cl.Delete(ctx, "greeting"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("second Delete = %v, want ErrNotFound", err)
 	}
 }
 

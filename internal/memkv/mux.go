@@ -665,12 +665,15 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
 // by the timer wheel, or by whoever failed the connection. It reports
-// false, having done nothing, exactly where Start declines; PutV handles
-// those cases. A started put cannot be withdrawn and runs under no
-// context: it is bounded by the client's timeout, and by
-// versionedStragglerTimeout when that is longer or unset. value is not
-// retained.
+// false, having done nothing, exactly where Start declines and for a
+// value too large to send; PutV handles those cases. A started put
+// cannot be withdrawn and runs under no context: it is bounded by the
+// client's timeout, and by versionedStragglerTimeout when that is longer
+// or unset. value is not retained.
 func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink PutVSink, slot int) bool {
+	if validateValue(len(value)) != nil {
+		return false
+	}
 	cn, tag, ok := m.startLocked(key, muxEntry{put: sink, slot: slot}, m.putTimeout())
 	if !ok {
 		return false
@@ -770,17 +773,6 @@ func frameToSet(fr *frame) error {
 	return replyErr(fr)
 }
 
-func frameToDelete(fr *frame) error {
-	switch fr.op {
-	case opDeleted:
-		return nil
-	case opNotFound:
-		return ErrNotFound
-	default:
-		return replyErr(fr)
-	}
-}
-
 // Get fetches the value stored under key. The slice is the caller's to
 // keep or change; one who is finished with it may Release it, and the
 // next read lands in the same bytes.
@@ -806,23 +798,14 @@ func (m *MuxClient) SetTTL(ctx context.Context, key string, value []byte, ttl ti
 	if err := validateKey(key); err != nil {
 		return err
 	}
+	if err := validateValue(len(value)); err != nil {
+		return err
+	}
 	fr, err := m.do(ctx, frame{op: opSet, aux: ttlSeconds(ttl), key: key, val: value})
 	if err != nil {
 		return err
 	}
 	return frameToSet(&fr)
-}
-
-// Delete removes key.
-func (m *MuxClient) Delete(ctx context.Context, key string) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	fr, err := m.do(ctx, frame{op: opDelete, key: key})
-	if err != nil {
-		return err
-	}
-	return frameToDelete(&fr)
 }
 
 // Stats fetches a snapshot of the server's counters (Server.Stats) by
@@ -874,6 +857,9 @@ func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version
 // if not — and whether the write applied. version must be nonzero.
 func (m *MuxClient) PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error) {
 	if err := validateKey(key); err != nil {
+		return 0, false, err
+	}
+	if err := validateValue(len(value)); err != nil {
 		return 0, false, err
 	}
 	fr, err := m.do(ctx, frame{op: opPutV, key: key, val: appendVerPayload(nil, version, ttlSeconds(ttl), value)})
@@ -934,30 +920,32 @@ type PutVSink interface {
 // migrator's bulk-transfer primitive. Every put is registered and
 // encoded under one hold of the connection's lock, so the batch goes out
 // as one write; then each is waited on like any blocking call, with its
-// own timeout. Results align with puts by index. A caller that gives up
-// withdraws the puts still outstanding.
+// own timeout. Results align with puts by index. A put whose key or
+// value PutV would refuse is not sent and carries PutV's error; the
+// others go out. A caller that gives up withdraws the puts still
+// outstanding.
 func (m *MuxClient) PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult {
 	out := make([]PutVResult, len(puts))
-	bad := false
-	for i := range puts {
-		if err := validateKey(puts[i].Key); err != nil {
-			out[i].Err = err
-			bad = true
+	for i, p := range puts {
+		if out[i].Err = validateKey(p.Key); out[i].Err == nil {
+			out[i].Err = validateValue(len(p.Value))
 		}
-	}
-	if bad {
-		return out
 	}
 	cn, err := m.lockConn(ctx)
 	if err != nil {
 		for i := range out {
-			out[i].Err = err
+			if out[i].Err == nil {
+				out[i].Err = err
+			}
 		}
 		return out
 	}
 	ws := make([]*muxWaiter, len(puts))
 	tags := make([]uint64, len(puts))
 	for i, p := range puts {
+		if out[i].Err != nil {
+			continue
+		}
 		ws[i] = muxWaiterPool.Get().(*muxWaiter)
 		tags[i] = cn.registerLocked(muxEntry{w: ws[i]}, m.timeout)
 		cn.pending = appendVerFrame(cn.pending, opPutV, tags[i], 0, p.Key, p.Version, ttlSeconds(p.TTL), p.Value)
@@ -965,6 +953,9 @@ func (m *MuxClient) PutVBatch(ctx context.Context, puts []VersionedPut) []PutVRe
 	cn.mu.Unlock()
 	cn.signalFlush()
 	for i := range puts {
+		if ws[i] == nil {
+			continue // refused above, never sent
+		}
 		fr, err := m.wait(ctx, cn, tags[i], ws[i])
 		if err != nil {
 			out[i].Err = err

@@ -36,15 +36,6 @@ func TestMuxRoundTrip(t *testing.T) {
 	if _, err := cl.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: %v, want ErrNotFound", err)
 	}
-	if err := cl.Delete(ctx, "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Delete(ctx, "alpha"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v, want ErrNotFound", err)
-	}
-	if _, err := cl.Get(ctx, "alpha"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted key: %v, want ErrNotFound", err)
-	}
 }
 
 func TestMuxSetTTLExpires(t *testing.T) {

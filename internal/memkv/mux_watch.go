@@ -207,6 +207,9 @@ func (m *MuxClient) CAS(ctx context.Context, key string, value []byte, ttl time.
 	if err := validateKey(key); err != nil {
 		return 0, false, err
 	}
+	if err := validateValue(len(value)); err != nil {
+		return 0, false, err
+	}
 	fr, err := m.do(ctx, frame{op: opCAS, key: key, aux: ttlSeconds(ttl), val: appendVerPayload(nil, expect, 0, value)})
 	if err != nil {
 		return 0, false, err

@@ -819,10 +819,8 @@ func TestMuxServerRepliesUnchangedByInPlaceDecode(t *testing.T) {
 		{"cas short", appendFrame(nil, &frame{op: opCAS, key: "k", val: []byte("x")}), opErr, 0, "cas requires a versioned payload"},
 		{"cas no key", appendVerFrame(nil, opCAS, 0, 0, "", 7, 0, nil), opErr, 0, "cas requires a key"},
 		{"cas conflict", appendVerFrame(nil, opCAS, 0, 0, "k", 6, 0, []byte("x")), opCASResp, 0, string(appendVerPayload(nil, 7, 0, nil))},
-		{"delete no key", appendFrame(nil, &frame{op: opDelete}), opErr, 0, "delete requires a key"},
-		{"delete miss", appendFrame(nil, &frame{op: opDelete, key: "absent"}), opNotFound, 0, ""},
-		{"delete hit", appendFrame(nil, &frame{op: opDelete, key: "k"}), opDeleted, 0, ""},
-		{"get deleted", appendFrame(nil, &frame{op: opGet, key: "k"}), opNotFound, 0, ""},
+		{"op 0x83", appendFrame(nil, &frame{op: 0x83, key: "k"}), opErr, 0, "unknown op 0x83"},
+		{"get after 0x83", appendFrame(nil, &frame{op: opGet, key: "k"}), opValue, 0, "seven"},
 	}
 	for _, mode := range []struct {
 		name  string

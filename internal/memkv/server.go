@@ -285,8 +285,8 @@ func (s *Store) install(sh *shard, oldExp core.WheelTimer, key string, flags uin
 }
 
 // CompareAndSwap stores value under key only if the stored version
-// equals expect — expect 0 means "create if absent" (an expired or
-// deleted key counts as absent). On success it mints and returns a
+// equals expect — expect 0 means "create if absent" (an expired key
+// counts as absent). On success it mints and returns a
 // fresh version with applied true; on conflict it returns the version
 // currently held (0 if absent) with applied false. The conditional is
 // atomic under the key's shard lock, so of N racing writers carrying
@@ -411,7 +411,7 @@ func (s *Store) Scan(after string, limit int) (entries []ScanEntry, more bool) {
 		for _, k := range keys {
 			val, flags, ver, ttl, ok := s.GetVersion(k)
 			if !ok {
-				continue // expired or deleted since the key sweep
+				continue // expired since the key sweep
 			}
 			if len(entries) > 0 && bytes+len(val) > scanMaxBytes {
 				return entries, true
@@ -504,9 +504,9 @@ func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
 }
 
 // storeGet is Get over either spelling of the key. The server calls it
-// (and storeGetVersion, storeDelete) with the key bytes as they lie in
-// the connection reader's window; a string is made of them only on the
-// paths that keep one — reaping an expired item, deleting a live one.
+// (and storeGetVersion) with the key bytes as they lie in the
+// connection reader's window; a string is made of them only on the path
+// that keeps one, reaping an expired item.
 func storeGet[K string | []byte](s *Store, key K) (value []byte, flags uint32, ok bool) {
 	it, ok := load(s, key)
 	if !ok {
@@ -517,33 +517,6 @@ func storeGet[K string | []byte](s *Store, key K) (value []byte, flags uint32, o
 		return nil, 0, false
 	}
 	return it.data, it.flags, true
-}
-
-// Delete removes key, reporting whether a live value was present. An
-// expired-but-unreaped item is reaped (with an expire event, not a
-// delete event) and reported absent.
-func (s *Store) Delete(key string) bool { return storeDelete(s, key) }
-
-// storeDelete is Delete over either spelling of the key.
-func storeDelete[K string | []byte](s *Store, k K) bool {
-	sh := shardOf(s, k)
-	sh.mu.Lock()
-	it, ok := sh.m[string(k)]
-	if !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	key := string(k)
-	delete(sh.m, key)
-	it.exp.Stop()
-	if !it.expiresAt.IsZero() && time.Now().After(it.expiresAt) {
-		s.watch.notify(WatchEvent{Type: EventExpire, Key: key, Version: it.version})
-		sh.mu.Unlock()
-		return false
-	}
-	s.watch.notify(WatchEvent{Type: EventDelete, Key: key, Version: it.version})
-	sh.mu.Unlock()
-	return true
 }
 
 // Len returns the total number of stored keys.

@@ -70,7 +70,7 @@ type request struct {
 // requests still parked on the wheel detect the closed session at fire
 // time.
 //
-// A request that only looks its key up (get, versioned get, delete) is
+// A request that only looks its key up (get, versioned get) is
 // executed on the key bytes in the reader's window, before they are
 // consumed. Everything else — a write, a watch, a scan, and any request
 // the Delay hook parks past this iteration — gets a key string; a write
@@ -116,7 +116,7 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 
 // isLookup reports whether op's whole use of its key is a lookup in the
 // store.
-func isLookup(op byte) bool { return op == opGet || op == opGetV || op == opDelete }
+func isLookup(op byte) bool { return op == opGet || op == opGetV }
 
 // readRequestRest finishes reading a request whose head readFrameHeadRaw
 // left in q, for the requests that outlive the reader's window: it makes
@@ -155,7 +155,7 @@ func muxDelayFired(c any, _ int64) {
 	d.m.exec(&d.q)
 }
 
-// execLookup executes a get, versioned get or delete on key bytes that
+// execLookup executes a get or versioned get on key bytes that
 // alias the connection reader's window, and enqueues its response. Only
 // the read loop calls it, between peeking the key and consuming it.
 func (m *muxSession) execLookup(op byte, tag uint64, kb []byte) {
@@ -189,13 +189,6 @@ func appendLookupReply[K string | []byte](dst []byte, s *Server, op byte, tag ui
 			return appendVerFrame(dst, opValueV, tag, flags, "", ver, ttl, val)
 		}
 		s.getMisses.Add(1)
-	case opDelete:
-		if len(key) == 0 {
-			return appendErrFrame(dst, tag, "delete requires a key")
-		}
-		if storeDelete(s.store, key) {
-			return appendFrame(dst, &frame{op: opDeleted, tag: tag})
-		}
 	}
 	return appendFrame(dst, &frame{op: opNotFound, tag: tag})
 }
@@ -215,7 +208,7 @@ func (m *muxSession) exec(f *request) {
 		return
 	}
 	switch f.op {
-	case opGet, opGetV, opDelete:
+	case opGet, opGetV:
 		m.pending = appendLookupReply(m.pending, s, f.op, f.tag, f.key)
 	case opSet:
 		if f.key == "" {

@@ -87,13 +87,12 @@ type Backend interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	Close() error
 
-	// The convergence surface: version-carrying reads and writes, the
-	// anti-entropy scan, and delete (for draining migrated keys).
+	// The convergence surface: version-carrying reads and writes, and
+	// the anti-entropy scan.
 	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
 	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
 	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
 	Scan(ctx context.Context, after string, limit int) (entries []ScanEntry, more bool, err error)
-	Delete(ctx context.Context, key string) error
 
 	// Conditional writes and prefix subscriptions.
 	CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool, err error)

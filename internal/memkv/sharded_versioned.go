@@ -19,8 +19,8 @@ import (
 //   - A Lamport version clock seeded by the wall clock, so versions
 //     minted by independent ShardedClients stay comparable and
 //     last-writer-wins resolves sanely across writers (ties and skew
-//     bounded by clock skew; deletes carry no tombstones — a concurrent
-//     delete can be resurrected by repair, the documented limitation).
+//     bounded by clock skew). No delete exists: TTL expiry is the only
+//     removal, so there is nothing for repair to resurrect.
 //   - PutVersioned, a quorum write that is not a ring call: the core
 //     engine cancels losing copies the moment a quorum is met, and
 //     durability is exactly the reason that is wrong here. Every
@@ -141,7 +141,9 @@ const versionedStragglerTimeout = 5 * time.Second
 // caller's context), and each copy that ultimately fails is reported to
 // the repair sink as a missed write — the hinted-handoff path. With
 // fewer acks than the quorum possible, the error matches
-// core.ErrQuorumUnreachable.
+// core.ErrQuorumUnreachable. A key or value no client may send (a value
+// over the limit is ErrValueTooLarge) fails the call before a version
+// is minted: no owner sees the write and no hint is queued.
 //
 // value is borrowed for the call and yours again when it returns, error
 // or not: nothing reads it afterwards, however long a straggler takes. A
@@ -155,6 +157,9 @@ func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []b
 	if err := validateKey(key); err != nil {
 		return 0, err
 	}
+	if err := validateValue(len(value)); err != nil {
+		return 0, err
+	}
 	ver := sc.NextVersion()
 	return ver, sc.putVersion(ctx, key, value, ttl, ver)
 }
@@ -165,6 +170,9 @@ func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []b
 // PutVersioned.
 func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) error {
 	if err := validateKey(key); err != nil {
+		return err
+	}
+	if err := validateValue(len(value)); err != nil {
 		return err
 	}
 	if version == 0 {

@@ -53,6 +53,9 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if err := validateKey(key); err != nil {
 		return 0, err
 	}
+	if err := validateValue(len(value)); err != nil {
+		return 0, err
+	}
 	t := sc.topo.Load()
 	var buf [4]string
 	owners := t.owners(key, buf[:])
@@ -86,7 +89,7 @@ const dedupWindow = 8192
 
 // eventID is a delivered event's identity for dedup: the stored version
 // it concerns plus a rank ordering a value's lifecycle (put=1 before
-// delete/expire=2, which share the dying value's version).
+// expire=2, which share the dying value's version).
 type eventID struct {
 	ver  uint64
 	rank uint8
@@ -246,7 +249,7 @@ func (w *PrefixWatch) shardLoop(addr string, st *WatchStream) {
 // observe runs one replica's copy of an event through the duplicate
 // filter and delivers it if it is news: strictly newer than the last
 // delivered event for its key, or the same version moving from put to
-// delete/expire (a value's two lifecycle events share its version).
+// expire (a value's two lifecycle events share its version).
 func (w *PrefixWatch) observe(ev WatchEvent) {
 	rank := uint8(1)
 	if ev.Type.final() {

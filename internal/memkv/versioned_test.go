@@ -93,12 +93,20 @@ func TestStoreKeyStringLendsThePresentKey(t *testing.T) {
 	if got != "absent" {
 		t.Errorf("keyString of an absent key = %q, want a string of its own", got)
 	}
-	// A key deleted after it was lent is written back under the lent string.
+	// A key reaped at its expiry after it was lent is written back under
+	// the lent string.
 	lent := s.keyString([]byte(key))
-	s.Delete(key)
+	s.PutVersion(key, 0, []byte("brief"), time.Nanosecond, ^uint64(0)-1)
+	time.Sleep(time.Millisecond)
+	if _, _, ok := s.Get(key); ok {
+		t.Fatal("the key outlived its nanosecond TTL")
+	}
+	if _, held := load(s, key); held {
+		t.Fatal("the expired key was not reaped")
+	}
 	s.putVersion(lent, 0, []byte("d"), 0, ^uint64(0), true)
 	if v, _, ok := s.Get(key); !ok || string(v) != "d" {
-		t.Errorf("re-put under a lent key after a delete: (%q, %v)", v, ok)
+		t.Errorf("re-put under a lent key after its expiry: (%q, %v)", v, ok)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // This file is the store-side watch registry: long-lived prefix
 // subscriptions over a Store's mutations — the portworx-kvdb watch
 // idiom rebuilt on the versioned store. Every mutation (put, versioned
-// put, CAS, delete, and expiry — lazy or sweeper-driven) emits one
-// WatchEvent to every watcher whose prefix matches, under the same
-// shard lock that applied the mutation, so a single key's events are
-// delivered in version order.
+// put, CAS, and expiry — lazy or sweeper-driven; there is no delete)
+// emits one WatchEvent to every watcher whose prefix matches, under the
+// same shard lock that applied the mutation, so a single key's events
+// are delivered in version order.
 //
 // Watchers are deliberately cheap and deliberately bounded: each one is
 // a buffered channel, delivery is a non-blocking send, and a watcher
@@ -33,10 +33,9 @@ const (
 	// EventPut is a value installed by Set/SetTTL, an applied
 	// PutVersion, or a winning CompareAndSwap.
 	EventPut EventType = 1
-	// EventDelete is an explicit Delete of a live key.
-	EventDelete EventType = 2
 	// EventExpire is a TTL expiry, whether detected by the active
-	// sweeper or reaped lazily on access.
+	// sweeper or reaped lazily on access — the only way a key is
+	// removed. (2 is kept free for a versioned delete.)
 	EventExpire EventType = 3
 )
 
@@ -44,8 +43,6 @@ func (t EventType) String() string {
 	switch t {
 	case EventPut:
 		return "put"
-	case EventDelete:
-		return "delete"
 	case EventExpire:
 		return "expire"
 	default:
@@ -53,27 +50,26 @@ func (t EventType) String() string {
 	}
 }
 
-// final reports whether the event ends a value's life (delete/expire).
+// final reports whether the event ends a value's life (an expiry).
 // Event identity for cross-replica dedup is (key, version, final): a
-// put and the delete/expire of the same stored version share a version
-// but differ in finality.
+// put and the expiry of the same stored version share a version but
+// differ in finality.
 func (t EventType) final() bool { return t != EventPut }
 
 // WatchEvent is one store mutation as seen by a watcher.
 //
-// Value aliases the stored bytes for puts (nil for delete/expire);
-// watchers must not mutate it. Version is the stored version the event
-// concerns: the new version for a put, the dying value's version for a
-// delete or expiry — so the same logical event carries the same
-// version on every replica, which is what makes redundant watches
-// deduplicable.
+// Value aliases the stored bytes for puts (nil for an expiry); watchers
+// must not mutate it. Version is the stored version the event concerns:
+// the new version for a put, the dying value's version for an expiry —
+// so the same logical event carries the same version on every replica,
+// which is what makes redundant watches deduplicable.
 type WatchEvent struct {
 	Type    EventType
 	Key     string
 	Value   []byte
 	Version uint64
 	// TTLSecs is the remaining whole-second TTL of a put (0 = never);
-	// always 0 for delete/expire.
+	// always 0 for an expiry.
 	TTLSecs uint32
 }
 

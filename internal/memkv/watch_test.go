@@ -31,7 +31,7 @@ func nextEvent(t *testing.T, ch <-chan WatchEvent, timeout time.Duration) WatchE
 // ---- Store-level watch ----
 
 // A store watch sees the full lifecycle of keys under its prefix — put,
-// delete, active expiry — and nothing outside the prefix.
+// overwrite, active expiry — and nothing outside the prefix.
 func TestStoreWatchLifecycleEvents(t *testing.T) {
 	s := NewStore()
 	sw := s.Watch("p/", 16)
@@ -44,12 +44,11 @@ func TestStoreWatchLifecycleEvents(t *testing.T) {
 		t.Fatalf("put event = %+v", ev)
 	}
 
-	if !s.Delete("p/a") {
-		t.Fatal("Delete(p/a) = false")
-	}
+	firstVer := ev.Version
+	s.Set("p/a", 0, []byte("two"))
 	ev = nextEvent(t, sw.Events(), time.Second)
-	if ev.Type != EventDelete || ev.Key != "p/a" {
-		t.Fatalf("delete event = %+v", ev)
+	if ev.Type != EventPut || ev.Key != "p/a" || ev.Version <= firstVer || string(ev.Value) != "two" {
+		t.Fatalf("overwrite event = %+v (first version %d)", ev, firstVer)
 	}
 
 	// Active expiry: no reader ever touches the key again, yet the
@@ -211,7 +210,7 @@ func TestMuxWatchDeliversPrefixEvents(t *testing.T) {
 	if err := cl.Set(ctx, "unrelated", []byte("no event")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Delete(ctx, "w/a"); err != nil {
+	if err := cl.Set(ctx, "w/a", []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,9 +218,10 @@ func TestMuxWatchDeliversPrefixEvents(t *testing.T) {
 	if ev.Type != EventPut || ev.Key != "w/a" || string(ev.Value) != "first" {
 		t.Fatalf("first event = %+v, want put w/a", ev)
 	}
+	firstVer := ev.Version
 	ev = nextEvent(t, st.Events(), 2*time.Second)
-	if ev.Type != EventDelete || ev.Key != "w/a" {
-		t.Fatalf("second event = %+v, want delete w/a", ev)
+	if ev.Type != EventPut || ev.Key != "w/a" || string(ev.Value) != "second" || ev.Version <= firstVer {
+		t.Fatalf("second event = %+v, want the overwrite of w/a above version %d", ev, firstVer)
 	}
 
 	st.Close()
@@ -438,7 +438,7 @@ func TestPrefixWatchExactlyOnceAcrossShardKill(t *testing.T) {
 	}
 }
 
-// Watch storm: concurrent puts, CAS races, deletes, and short TTLs
+// Watch storm: concurrent puts, CAS races, one-owner writes, and short TTLs
 // against redundant watchers — the -race -count=5 target. No assertion
 // beyond delivery and clean shutdown; the detector does the judging.
 func TestWatchStormRace(t *testing.T) {
@@ -475,9 +475,10 @@ func TestWatchStormRace(t *testing.T) {
 				case 2:
 					_, _ = sc.PutVersioned(ctx, key, []byte("brief"), time.Second)
 				case 3:
+					// A write to the primary alone: the replicas diverge.
 					vb := sc.VersionedShard(sc.Owners(key)[0])
 					if vb != nil {
-						_ = vb.Delete(ctx, key)
+						_, _, _ = vb.PutV(ctx, key, []byte("one"), 0, sc.NextVersion())
 					}
 				}
 			}

@@ -34,9 +34,8 @@ const (
 	frameHeaderLen = 19
 
 	// Request ops.
-	opGet    = 0x81
-	opSet    = 0x82
-	opDelete = 0x83
+	opGet = 0x81
+	opSet = 0x82
 	// Versioned requests (the convergence surface): opGetV reads value +
 	// version, opPutV writes with an explicit version that applies only
 	// if newer than stored (last-writer-wins), opScan pages through a
@@ -59,7 +58,6 @@ const (
 	opValue    = 0xC1 // val = stored bytes, aux = flags
 	opNotFound = 0xC2
 	opStored   = 0xC3
-	opDeleted  = 0xC4
 	opErr      = 0xC5 // val = error message
 	opValueV   = 0xC6 // aux = flags, val = version payload
 	opStoredV  = 0xC7 // aux = 1 if the put applied, val = current version payload (no data)
@@ -67,9 +65,9 @@ const (
 	opCASResp  = 0xC9 // aux = 1 if the swap applied, val = current version payload (no data)
 	opWatchOK  = 0xCA // aux = granted event buffer size
 	// opEvent is a server-push frame: tag = the owning watch's tag, aux =
-	// event type (EventPut/EventDelete/EventExpire), key = the mutated
-	// key, val = version payload (version, remaining TTL, value bytes —
-	// empty for delete/expire).
+	// event type (EventPut/EventExpire), key = the mutated key, val =
+	// version payload (version, remaining TTL, value bytes — empty for an
+	// expiry).
 	opEvent = 0xCB
 	// opWatchEnd terminates a watch stream: tag = the watch's tag, aux =
 	// a watchEnd* reason. Sent exactly once per established watch, after
@@ -102,8 +100,8 @@ var (
 	errFrameValueLen = errors.New("memkv: frame value too long")
 )
 
-// ErrNotFound is returned by Get when the key is absent, and by Delete
-// when there was nothing to delete.
+// ErrNotFound is returned by a read when the key is absent: never
+// written, or expired (TTL expiry is the only removal).
 var ErrNotFound = errors.New("memkv: not found")
 
 // validateKey is the client-side key check: non-empty, at most
@@ -114,6 +112,21 @@ func validateKey(key string) error {
 	}
 	if strings.ContainsAny(key, " \r\n\t") {
 		return errors.New("memkv: key contains whitespace")
+	}
+	return nil
+}
+
+// ErrValueTooLarge is returned, before anything is sent, by a write
+// whose value is longer than maxValueLen less a versioned payload's
+// header: its frame would break the protocol's limit, and the server
+// answers such a frame by closing the connection every other request to
+// it shares.
+var ErrValueTooLarge = errors.New("memkv: value too large")
+
+// validateValue is the client-side check of a write's value length n.
+func validateValue(n int) error {
+	if limit := maxValueLen - verPayloadHeader; n > limit {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrValueTooLarge, n, limit)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ import (
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(opGet), uint64(1), uint32(0), "key", []byte("value"), -1)
 	f.Add(byte(opSet), uint64(0), uint32(300), "k", []byte{}, 0)
-	f.Add(byte(opDelete), ^uint64(0), uint32(0), "", []byte(nil), 5)
+	f.Add(byte(0x83), ^uint64(0), uint32(0), "", []byte(nil), 5) // no request uses 0x83
 	f.Add(byte(opValue), uint64(42), uint32(7), "", []byte("stored bytes"), 18)
 	f.Add(byte(opErr), uint64(9), uint32(0), "", []byte("boom"), 19)
 	f.Add(byte(0xFF), uint64(3), ^uint32(0), string(bytes.Repeat([]byte{'x'}, maxKeyLen)), bytes.Repeat([]byte{0}, 64), 100)

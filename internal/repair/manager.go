@@ -8,10 +8,13 @@
 // ShardedClient emits into background convergence work:
 //
 //   - WriteMissed (a quorum write's copy failed) becomes a *hint*:
-//     the missed write is queued in a bounded in-memory queue, durably
-//     mirrored onto a reachable shard under HintKeyPrefix, and replayed
-//     against the intended owner with per-owner exponential backoff
-//     until it lands — Dynamo-style hinted handoff.
+//     the missed write is queued and replayed against the intended
+//     owner with per-owner exponential backoff until it lands —
+//     Dynamo-style hinted handoff. The queue is bounded, in memory and
+//     drops its oldest hint at either cap; a restart loses it. The
+//     recovery is a full anti-entropy pass — RebalanceBetween from an
+//     empty placement, or Drain of a shard — which re-pushes what the
+//     shards hold to every owner.
 //   - Divergence (a quorum read saw stale or missing copies) becomes a
 //     *read repair*: the newest value is pushed to the stale copies
 //     asynchronously.
@@ -28,18 +31,16 @@
 // to repeat and safe to race with live writes — a repair can only ever
 // install a value at a replica that lacks something newer.
 //
-// Limitations (documented, deliberate): deletes carry no tombstones, so
-// a repair or replayed hint can resurrect a concurrently deleted key;
-// version comparability across independent writers relies on the
-// wall-clock-seeded Lamport clocks in ShardedClient and Store.
+// Limitations (documented, deliberate): there is no delete — TTL expiry
+// is the only removal, and every repair path carries the remaining TTL,
+// so none re-animates an expired key; version comparability across
+// independent writers relies on the wall-clock-seeded Lamport clocks in
+// ShardedClient and Store.
 package repair
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,91 +50,48 @@ import (
 	"redundancy/internal/ring"
 )
 
-// HintKeyPrefix marks durable hint records in shard keyspaces. The
-// migrator and recovery scans treat keys under it as repair metadata,
-// never as data; user keys must not start with it.
-const HintKeyPrefix = "!hint/"
-
-// Defaults for Config zero values.
+// How every Manager paces and bounds its background work.
 const (
-	DefaultBatchSize        = 64
-	DefaultScanPageSize     = 256
-	DefaultMaxHintEntries   = 4096
-	DefaultMaxHintBytes     = 16 << 20
-	DefaultReplayInterval   = 100 * time.Millisecond
-	DefaultReplayMaxBackoff = 5 * time.Second
-	DefaultBackgroundPause  = 10 * time.Millisecond
+	batchSize    = 64  // versioned puts per migration/replay batch
+	scanPageSize = 256 // entries per anti-entropy scan page
+	// maxHintEntries and maxHintBytes bound the hint queue: at either cap
+	// the oldest hint is dropped (counted in Stats), so a long-dead owner
+	// cannot OOM the process holding its hints.
+	maxHintEntries        = 4096
+	maxHintBytes          = 16 << 20
+	defaultReplayInterval = 100 * time.Millisecond
+	replayMaxBackoff      = 5 * time.Second // cap on an owner's replay backoff
+	// backgroundPause is how long background work sleeps when the
+	// governor defers it before asking again.
+	backgroundPause = 10 * time.Millisecond
 )
 
-// Config configures a Manager. The zero value gets the defaults above,
-// no governor (background work always allowed), and manual rebalancing.
+// Config configures a Manager. The zero value means no governor
+// (background work always allowed), replay every 100 ms, and manual
+// rebalancing.
 type Config struct {
 	// Governor, when set, gates every unit of background work (hint
 	// replay batch, repair push, migration page) on AllowBackground —
 	// share the governor that also measures foreground load, so
 	// convergence traffic yields to it.
 	Governor *core.Governor
-	// BatchSize is the versioned puts per migration/replay batch.
-	BatchSize int
-	// ScanPageSize is the entries per anti-entropy scan page.
-	ScanPageSize int
-	// MaxHintEntries and MaxHintBytes bound the in-memory hint queue;
-	// at either cap the oldest hint is dropped (counted in Stats), so a
-	// long-dead owner cannot OOM the process holding its hints.
-	MaxHintEntries int
-	MaxHintBytes   int
-	// ReplayInterval is the hint replay cadence (and the initial
-	// per-owner backoff); ReplayMaxBackoff caps the backoff.
-	ReplayInterval   time.Duration
-	ReplayMaxBackoff time.Duration
-	// BackgroundPause is how long background work sleeps when the
-	// governor defers it before asking again.
-	BackgroundPause time.Duration
-	// DeleteAfterMigrate removes a migrated key from the source shard
-	// once its new owners hold it and the source is no longer in the
-	// key's placement. Off by default (extra copies are harmless under
-	// LWW and cover placement flaps).
-	DeleteAfterMigrate bool
+	// ReplayInterval is the hint replay cadence and the initial
+	// per-owner backoff (0 = 100 ms).
+	ReplayInterval time.Duration
 	// AutoRebalance runs Rebalance automatically whenever the client
 	// reports a topology change.
 	AutoRebalance bool
 }
 
-func (c *Config) setDefaults() {
-	if c.BatchSize < 1 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.ScanPageSize < 1 {
-		c.ScanPageSize = DefaultScanPageSize
-	}
-	if c.MaxHintEntries < 1 {
-		c.MaxHintEntries = DefaultMaxHintEntries
-	}
-	if c.MaxHintBytes < 1 {
-		c.MaxHintBytes = DefaultMaxHintBytes
-	}
-	if c.ReplayInterval <= 0 {
-		c.ReplayInterval = DefaultReplayInterval
-	}
-	if c.ReplayMaxBackoff < c.ReplayInterval {
-		c.ReplayMaxBackoff = DefaultReplayMaxBackoff
-	}
-	if c.BackgroundPause <= 0 {
-		c.BackgroundPause = DefaultBackgroundPause
-	}
-}
-
 // Stats is a point-in-time view of a Manager's counters.
 type Stats struct {
 	// Hinted handoff.
-	HintsQueued    int64 // hints accepted into the queue
-	HintsReplayed  int64 // hints that landed at their owner (or rerouted)
-	HintsDropped   int64 // oldest-dropped at the entry/byte caps
-	HintsExpired   int64 // hints discarded because their TTL deadline passed
-	HintsPersisted int64 // durable hint records written
-	HintsRecovered int64 // hints re-queued from durable records
-	HintsPending   int64 // currently queued
-	HintBytes      int64 // bytes currently queued
+	HintsQueued   int64 // hints accepted into the queue
+	HintsReplayed int64 // hints that landed at their owner (or rerouted)
+	HintsDropped  int64 // oldest-dropped at the entry/byte caps
+	HintsExpired  int64 // hints discarded because their TTL deadline passed
+	HintsPending  int64 // currently queued
+	HintBytes     int64 // bytes currently queued
 	// Read repair.
 	DivergenceObserved int64 // Divergence reports received
 	DivergenceDropped  int64 // reports dropped on a full repair queue
@@ -185,8 +143,6 @@ type Manager struct {
 	stMigErrs      atomic.Int64
 	stReplayed     atomic.Int64
 	stHintsExpired atomic.Int64
-	stPersisted    atomic.Int64
-	stRecovered    atomic.Int64
 }
 
 var _ memkv.RepairSink = (*Manager)(nil)
@@ -207,7 +163,9 @@ type divergeItem struct {
 // NewManager builds a Manager over sc. The caller wires it up with
 // sc.SetRepairSink(m) and m.Start(); Attach does both.
 func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
-	cfg.setDefaults()
+	if cfg.ReplayInterval <= 0 {
+		cfg.ReplayInterval = defaultReplayInterval
+	}
 	m := &Manager{
 		sc:       sc,
 		cfg:      cfg,
@@ -215,8 +173,8 @@ func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
 		topoC:    make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 	}
-	m.hints.maxEntries = cfg.MaxHintEntries
-	m.hints.maxBytes = cfg.MaxHintBytes
+	m.hints.maxEntries = maxHintEntries
+	m.hints.maxBytes = maxHintBytes
 	return m
 }
 
@@ -247,8 +205,7 @@ func (m *Manager) Start() {
 }
 
 // Close stops the background loops and detaches the manager from its
-// client's sink slot. Queued hints and repairs are abandoned (durable
-// hint records survive for RecoverHints on a future manager).
+// client's sink slot. Queued hints and repairs are abandoned.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -274,8 +231,6 @@ func (m *Manager) Stats() Stats {
 		HintsReplayed:      m.stReplayed.Load(),
 		HintsDropped:       dropped,
 		HintsExpired:       m.stHintsExpired.Load(),
-		HintsPersisted:     m.stPersisted.Load(),
-		HintsRecovered:     m.stRecovered.Load(),
 		HintsPending:       pending,
 		HintBytes:          bytes,
 		DivergenceObserved: m.stDivergeObs.Load(),
@@ -297,11 +252,6 @@ func (m *Manager) Stats() Stats {
 // WriteMissed implements memkv.RepairSink: queue a hint. Non-blocking;
 // the value is copied (the caller may reuse its slice).
 func (m *Manager) WriteMissed(key string, value []byte, version uint64, ttl time.Duration, owner string) {
-	if strings.HasPrefix(key, HintKeyPrefix) {
-		// Never hint a hint record: the durable mirror is best-effort
-		// metadata, and recursing would amplify every owner outage.
-		return
-	}
 	m.hints.push(&hint{
 		key:      key,
 		value:    append([]byte(nil), value...),
@@ -364,14 +314,14 @@ func (m *Manager) takeTopology() (prev, cur ring.Placement, ok bool) {
 var errClosed = errors.New("repair: manager closed")
 
 // waitBackground blocks until the governor affords a unit of background
-// work (or immediately with no governor), polling with BackgroundPause.
+// work (or immediately with no governor), polling with backgroundPause.
 func (m *Manager) waitBackground(ctx context.Context) error {
 	for {
 		if m.cfg.Governor == nil || m.cfg.Governor.AllowBackground() {
 			return nil
 		}
 		select {
-		case <-time.After(m.cfg.BackgroundPause):
+		case <-time.After(backgroundPause):
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-m.stopC:
@@ -390,8 +340,7 @@ func (m *Manager) opCtx() (context.Context, context.CancelFunc) {
 // hint is one missed write: replay value@version to owner. The
 // deadline is the absolute instant the write's TTL expires (zero =
 // never): replay recomputes the remaining TTL from it, so however long
-// the hint waits — and however many managers it passes through via the
-// durable record — the key still dies when the original write said it
+// the hint waits, the key still dies when the original write said it
 // would. Storing the TTL itself here was the drift bug: every replay
 // hop restarted the clock.
 type hint struct {
@@ -400,10 +349,6 @@ type hint struct {
 	version  uint64
 	deadline time.Time
 	owner    string
-	// durableAddr/durableKey locate the hint's durable mirror, once
-	// persisted, so replay can delete it.
-	durableAddr string
-	durableKey  string
 }
 
 // deadlineFromTTL pins a relative TTL to the current wall clock
@@ -442,12 +387,7 @@ type hintQueue struct {
 	maxBytes   int
 	dropped    int64
 	queued     int64
-	// gc collects durable record locations of dropped hints, for the
-	// replay loop to delete.
-	gc []hintRef
 }
-
-type hintRef struct{ addr, key string }
 
 func (hq *hintQueue) push(h *hint) {
 	sz := h.size()
@@ -457,9 +397,6 @@ func (hq *hintQueue) push(h *hint) {
 		hq.q = hq.q[1:]
 		hq.bytes -= old.size()
 		hq.dropped++
-		if old.durableKey != "" {
-			hq.gc = append(hq.gc, hintRef{addr: old.durableAddr, key: old.durableKey})
-		}
 	}
 	if 1 > hq.maxEntries || sz > hq.maxBytes {
 		// A single hint larger than the whole budget is refused outright.
@@ -473,8 +410,8 @@ func (hq *hintQueue) push(h *hint) {
 	hq.mu.Unlock()
 }
 
-// snapshot returns the queued hints (shared pointers; the replay loop is
-// the only mutator of hint fields after enqueue).
+// snapshot returns the queued hints (shared pointers; hints are not
+// mutated after enqueue).
 func (hq *hintQueue) snapshot() []*hint {
 	hq.mu.Lock()
 	defer hq.mu.Unlock()
@@ -499,22 +436,14 @@ func (hq *hintQueue) remove(done map[*hint]bool) {
 	hq.mu.Unlock()
 }
 
-func (hq *hintQueue) takeGC() []hintRef {
-	hq.mu.Lock()
-	defer hq.mu.Unlock()
-	gc := hq.gc
-	hq.gc = nil
-	return gc
-}
-
 func (hq *hintQueue) counters() (pending, bytes, dropped, queued int64) {
 	hq.mu.Lock()
 	defer hq.mu.Unlock()
 	return int64(len(hq.q)), int64(hq.bytes), hq.dropped, hq.queued
 }
 
-// replayLoop drives hint persistence and replay at ReplayInterval, with
-// per-owner exponential backoff between failed attempts.
+// replayLoop drives hint replay at ReplayInterval, with per-owner
+// exponential backoff between failed attempts.
 func (m *Manager) replayLoop() {
 	defer m.wg.Done()
 	type ownerState struct {
@@ -530,7 +459,6 @@ func (m *Manager) replayLoop() {
 			return
 		case <-ticker.C:
 		}
-		m.gcDurable()
 		hints := m.hints.snapshot()
 		if len(hints) == 0 {
 			continue
@@ -538,7 +466,6 @@ func (m *Manager) replayLoop() {
 		if err := m.waitBackground(context.Background()); err != nil {
 			return
 		}
-		m.persistHints(hints)
 		// Group by owner and replay owners whose backoff has elapsed.
 		byOwner := make(map[string][]*hint)
 		for _, h := range hints {
@@ -562,8 +489,8 @@ func (m *Manager) replayLoop() {
 			} else {
 				st.next = now.Add(st.delay)
 				st.delay *= 2
-				if st.delay > m.cfg.ReplayMaxBackoff {
-					st.delay = m.cfg.ReplayMaxBackoff
+				if st.delay > replayMaxBackoff {
+					st.delay = replayMaxBackoff
 				}
 			}
 		}
@@ -571,8 +498,9 @@ func (m *Manager) replayLoop() {
 	}
 }
 
-// replayOwner attempts one owner's hints in batches. Returns true if
-// the owner accepted them (resetting its backoff).
+// replayOwner attempts one owner's hints in batches, marking in done
+// each hint it retires: replayed, or expired. Returns true if the owner
+// accepted them (resetting its backoff).
 func (m *Manager) replayOwner(owner string, hs []*hint, done map[*hint]bool) bool {
 	// Expired hints are dropped before any replay attempt: replaying a
 	// value past its deadline would resurrect a key the original writer
@@ -580,7 +508,8 @@ func (m *Manager) replayOwner(owner string, hs []*hint, done map[*hint]bool) boo
 	live := hs[:0:0]
 	for _, h := range hs {
 		if _, ok := ttlFromDeadline(h.deadline); !ok {
-			m.expireHint(h, done)
+			done[h] = true
+			m.stHintsExpired.Add(1)
 			continue
 		}
 		live = append(live, h)
@@ -609,11 +538,8 @@ func (m *Manager) replayOwner(owner string, hs []*hint, done map[*hint]bool) boo
 		return allOK
 	}
 	allOK := true
-	for start := 0; start < len(hs); start += m.cfg.BatchSize {
-		end := start + m.cfg.BatchSize
-		if end > len(hs) {
-			end = len(hs)
-		}
+	for start := 0; start < len(hs); start += batchSize {
+		end := min(start+batchSize, len(hs))
 		batch := hs[start:end]
 		puts := make([]memkv.VersionedPut, len(batch))
 		for i, h := range batch {
@@ -638,187 +564,11 @@ func (m *Manager) replayOwner(owner string, hs []*hint, done map[*hint]bool) boo
 	return allOK
 }
 
-// finishHint marks a hint landed: count it, schedule its durable record
-// for deletion, and mark it for removal from the queue.
+// finishHint marks a hint landed: count it, and mark it for removal
+// from the queue.
 func (m *Manager) finishHint(h *hint, done map[*hint]bool) {
 	done[h] = true
 	m.stReplayed.Add(1)
-	m.deleteDurable(h)
-}
-
-// expireHint retires a hint whose deadline passed before it could be
-// replayed: counted separately from replays, removed from the queue,
-// and its durable record deleted — the key is dead, there is nothing
-// left to hand off.
-func (m *Manager) expireHint(h *hint, done map[*hint]bool) {
-	done[h] = true
-	m.stHintsExpired.Add(1)
-	m.deleteDurable(h)
-}
-
-func (m *Manager) deleteDurable(h *hint) {
-	if h.durableKey == "" {
-		return
-	}
-	if vb := m.sc.VersionedShard(h.durableAddr); vb != nil {
-		ctx, cancel := m.opCtx()
-		_ = vb.Delete(ctx, h.durableKey)
-		cancel()
-	}
-}
-
-// gcDurable deletes durable records of hints dropped at the cap.
-func (m *Manager) gcDurable() {
-	for _, ref := range m.hints.takeGC() {
-		if vb := m.sc.VersionedShard(ref.addr); vb != nil {
-			ctx, cancel := m.opCtx()
-			_ = vb.Delete(ctx, ref.key)
-			cancel()
-		}
-	}
-}
-
-// persistHints writes a durable mirror of each not-yet-persisted hint
-// onto a reachable shard other than the hint's owner, so hints survive
-// this process dying before replay. Best-effort: a hint that can't be
-// persisted stays memory-only.
-func (m *Manager) persistHints(hints []*hint) {
-	addrs := m.sc.ShardAddrs()
-	for _, h := range hints {
-		if h.durableKey != "" {
-			continue
-		}
-		dk := HintKeyPrefix + h.owner + "/" + h.key
-		if len(dk) > 250 {
-			continue // over the key limit: memory-only
-		}
-		for _, addr := range addrs {
-			if addr == h.owner {
-				continue
-			}
-			vb := m.sc.VersionedShard(addr)
-			if vb == nil {
-				continue
-			}
-			ctx, cancel := m.opCtx()
-			_, _, err := vb.PutV(ctx, dk, encodeHintRecord(h), 0, h.version)
-			cancel()
-			if err == nil {
-				h.durableAddr = addr
-				h.durableKey = dk
-				m.stPersisted.Add(1)
-				break
-			}
-		}
-	}
-}
-
-// Hint record payload: the replay fields, self-describing so recovery
-// needs only the record (the durable key is just an address).
-//
-//	version u64 | deadline i64 (unixnano, 0 = never) | olen u16 | owner | klen u16 | key | value
-//
-// The deadline is absolute precisely so that recovery on a different
-// process at a much later wall-clock time still expires the key when
-// the original write intended — encoding a relative TTL here restarted
-// the clock on every recover/replay hop.
-func encodeHintRecord(h *hint) []byte {
-	buf := make([]byte, 0, 20+len(h.owner)+len(h.key)+len(h.value))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], h.version)
-	buf = append(buf, u64[:]...)
-	var nanos int64
-	if !h.deadline.IsZero() {
-		nanos = h.deadline.UnixNano()
-	}
-	binary.BigEndian.PutUint64(u64[:], uint64(nanos))
-	buf = append(buf, u64[:]...)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(len(h.owner)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, h.owner...)
-	binary.BigEndian.PutUint16(u16[:], uint16(len(h.key)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, h.key...)
-	return append(buf, h.value...)
-}
-
-var errHintRecord = errors.New("repair: malformed hint record")
-
-func decodeHintRecord(p []byte) (*hint, error) {
-	if len(p) < 18 {
-		return nil, errHintRecord
-	}
-	h := &hint{version: binary.BigEndian.Uint64(p[0:8])}
-	if nanos := int64(binary.BigEndian.Uint64(p[8:16])); nanos != 0 {
-		h.deadline = time.Unix(0, nanos)
-	}
-	olen := int(binary.BigEndian.Uint16(p[16:18]))
-	p = p[18:]
-	if len(p) < olen+2 {
-		return nil, errHintRecord
-	}
-	h.owner = string(p[:olen])
-	p = p[olen:]
-	klen := int(binary.BigEndian.Uint16(p[0:2]))
-	p = p[2:]
-	if len(p) < klen {
-		return nil, errHintRecord
-	}
-	h.key = string(p[:klen])
-	h.value = append([]byte(nil), p[klen:]...)
-	if h.version == 0 || h.owner == "" || h.key == "" {
-		return nil, errHintRecord
-	}
-	return h, nil
-}
-
-// RecoverHints scans every reachable shard for durable hint records and
-// re-queues them — run once at startup after a crash, before traffic.
-// Returns how many hints were recovered. Recovery is best-effort per
-// shard: an unreachable shard is skipped (its records are unreadable
-// regardless) and reported via the returned error after the others were
-// scanned.
-func (m *Manager) RecoverHints(ctx context.Context) (int, error) {
-	recovered := 0
-	var firstErr error
-	for _, addr := range m.sc.ShardAddrs() {
-		vb := m.sc.VersionedShard(addr)
-		if vb == nil {
-			continue
-		}
-		// Hint keys sort from the prefix; stop when past it.
-		cursor := ""
-		for {
-			entries, more, err := vb.Scan(ctx, cursor, m.cfg.ScanPageSize)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("repair: recover scan %s: %w", addr, err)
-				}
-				break
-			}
-			for i := range entries {
-				e := &entries[i]
-				cursor = e.Key
-				if !strings.HasPrefix(e.Key, HintKeyPrefix) {
-					continue
-				}
-				h, err := decodeHintRecord(e.Value)
-				if err != nil {
-					continue
-				}
-				h.durableAddr = addr
-				h.durableKey = e.Key
-				m.hints.push(h)
-				m.stRecovered.Add(1)
-				recovered++
-			}
-			if !more {
-				break
-			}
-		}
-	}
-	return recovered, firstErr
 }
 
 // ---- read repair ----

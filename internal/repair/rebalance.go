@@ -3,7 +3,6 @@ package repair
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"redundancy/internal/memkv"
@@ -20,7 +19,7 @@ import (
 
 // RebalanceStats summarizes one Rebalance or Drain pass.
 type RebalanceStats struct {
-	// KeysScanned is the data entries examined (hint records excluded).
+	// KeysScanned is the entries examined.
 	KeysScanned int64
 	// KeysMigrated is the entries pushed to at least one owner.
 	KeysMigrated int64
@@ -33,8 +32,6 @@ type RebalanceStats struct {
 	PutsExpired int64
 	// PutsFailed counts puts (and scan pages) that errored.
 	PutsFailed int64
-	// Deleted is the source-side deletions (DeleteAfterMigrate).
-	Deleted int64
 	// Elapsed is the pass's wall-clock duration.
 	Elapsed time.Duration
 }
@@ -106,8 +103,7 @@ func (m *Manager) Drain(ctx context.Context, src memkv.Backend) (RebalanceStats,
 // migrateFrom scans src page by page and pushes remapped keys to their
 // owners under cur. With diff true, keys whose owner set is identical
 // under prev and cur are skipped — the remap diff; with diff false
-// every key is pushed (Drain). Deletions (DeleteAfterMigrate) happen
-// only after the key's pushes all succeeded.
+// every key is pushed (Drain). The source keeps every key it held.
 func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Backend, prev, cur ring.Placement, diff bool, st *RebalanceStats) error {
 	type pendingPut struct {
 		put memkv.VersionedPut
@@ -117,7 +113,6 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 		// instead of re-applying the page-time remainder and stretching the
 		// key's life by the scan-to-flush gap on every migration.
 		deadline time.Time
-		del      bool // delete from src once landed
 	}
 	batches := make(map[string][]pendingPut)
 	ownerScratch := make([]string, cur.Replication())
@@ -130,9 +125,8 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 				continue
 			}
 			vps := make([]memkv.VersionedPut, 0, len(puts))
-			idx := make([]int, 0, len(puts))
-			for i := range puts {
-				ttl, live := ttlFromDeadline(puts[i].deadline)
+			for _, pp := range puts {
+				ttl, live := ttlFromDeadline(pp.deadline)
 				if !live {
 					// Expired between scan and flush: the key is dead
 					// everywhere that matters; do not re-animate it at the
@@ -140,10 +134,8 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 					st.PutsExpired++
 					continue
 				}
-				p := puts[i].put
-				p.TTL = ttl
-				vps = append(vps, p)
-				idx = append(idx, i)
+				pp.put.TTL = ttl
+				vps = append(vps, pp.put)
 			}
 			if len(vps) == 0 {
 				continue
@@ -151,7 +143,7 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 			opCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 			res := vb.PutVBatch(opCtx, vps)
 			cancel()
-			for i, r := range res {
+			for _, r := range res {
 				switch {
 				case r.Err != nil:
 					st.PutsFailed++
@@ -159,13 +151,6 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 					st.PutsApplied++
 				default:
 					st.PutsStale++
-				}
-				if r.Err == nil && puts[idx[i]].del && m.cfg.DeleteAfterMigrate {
-					dCtx, dCancel := context.WithTimeout(ctx, 5*time.Second)
-					if src.Delete(dCtx, puts[idx[i]].put.Key) == nil {
-						st.Deleted++
-					}
-					dCancel()
 				}
 			}
 		}
@@ -177,7 +162,7 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 		if err := m.waitBackground(ctx); err != nil {
 			return err
 		}
-		entries, more, err := src.Scan(ctx, cursor, m.cfg.ScanPageSize)
+		entries, more, err := src.Scan(ctx, cursor, scanPageSize)
 		if err != nil {
 			st.PutsFailed++
 			return fmt.Errorf("repair: scan %s: %w", srcAddr, err)
@@ -190,20 +175,14 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 		for i := range entries {
 			e := &entries[i]
 			cursor = e.Key
-			if strings.HasPrefix(e.Key, HintKeyPrefix) {
-				continue // repair metadata, never migrated
-			}
 			st.KeysScanned++
 			if diff && prev.SameOwners(cur, e.Key) {
 				continue
 			}
 			n := cur.OwnersInto(e.Key, ownerScratch)
-			owners := ownerScratch[:n]
-			srcOwns := false
 			pushed := false
-			for _, o := range owners {
+			for _, o := range ownerScratch[:n] {
 				if o == srcAddr {
-					srcOwns = true
 					continue
 				}
 				var deadline time.Time
@@ -217,29 +196,14 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 						Version: e.Version,
 					},
 					deadline: deadline,
-					// Delete from src only via the LAST owner's entry, so
-					// the key survives on src until that push landed.
-					del: false,
 				})
 				pushed = true
 			}
 			if pushed {
 				st.KeysMigrated++
-				if !srcOwns {
-					// Mark the final pending put for this key as the one
-					// that triggers source deletion.
-					for o := len(owners) - 1; o >= 0; o-- {
-						if owners[o] == srcAddr {
-							continue
-						}
-						ps := batches[owners[o]]
-						ps[len(ps)-1].del = true
-						break
-					}
-				}
 			}
 			batched++
-			if batched >= m.cfg.BatchSize {
+			if batched >= batchSize {
 				flush()
 				batched = 0
 			}

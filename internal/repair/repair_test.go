@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"redundancy/internal/memkv"
+	"redundancy/internal/ring"
 )
 
 // startCluster launches n live v2 shards under a ShardedClient.
@@ -37,10 +38,7 @@ func startShard(t *testing.T) (*memkv.Server, string) {
 
 // fastConfig keeps every background cadence short for tests.
 func fastConfig() Config {
-	return Config{
-		ReplayInterval:  10 * time.Millisecond,
-		BackgroundPause: time.Millisecond,
-	}
+	return Config{ReplayInterval: 10 * time.Millisecond}
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -143,7 +141,14 @@ func TestHintReroutesWhenOwnerRemoved(t *testing.T) {
 // refused outright.
 func TestHintQueueBounds(t *testing.T) {
 	sc, _ := startCluster(t, 1, memkv.ShardedConfig{})
-	m := NewManager(sc, Config{MaxHintEntries: 4, MaxHintBytes: 1 << 20})
+	// bounded builds a Manager whose queue holds at most entries hints
+	// and bytes bytes.
+	bounded := func(entries, bytes int) *Manager {
+		m := NewManager(sc, Config{})
+		m.hints.maxEntries, m.hints.maxBytes = entries, bytes
+		return m
+	}
+	m := bounded(4, 1<<20)
 	for i := 0; i < 10; i++ {
 		m.WriteMissed(fmt.Sprintf("cap-%d", i), []byte("v"), uint64(i+1), 0, "owner:1")
 	}
@@ -158,14 +163,14 @@ func TestHintQueueBounds(t *testing.T) {
 		t.Errorf("HintsQueued = %d, want 10", st.HintsQueued)
 	}
 
-	m2 := NewManager(sc, Config{MaxHintEntries: 100, MaxHintBytes: 128})
+	m2 := bounded(100, 128)
 	m2.WriteMissed("big", make([]byte, 4096), 1, 0, "owner:1")
 	if st := m2.Stats(); st.HintsPending != 0 || st.HintsDropped != 1 {
 		t.Errorf("oversized hint: pending=%d dropped=%d, want 0/1", st.HintsPending, st.HintsDropped)
 	}
 
 	// Byte cap evicts oldest until the new hint fits.
-	m3 := NewManager(sc, Config{MaxHintEntries: 100, MaxHintBytes: 3 * 100})
+	m3 := bounded(100, 3*100)
 	for i := 0; i < 4; i++ {
 		m3.WriteMissed(fmt.Sprintf("b%d", i), make([]byte, 20), uint64(i+1), 0, "o")
 	}
@@ -196,35 +201,81 @@ func TestSinkKeepsItsOwnCopyOfTheValue(t *testing.T) {
 	}
 }
 
-// Hint records persisted to a surviving shard are recovered by a fresh
-// manager after the original died — the crash-restart path.
-func TestHintDurabilityAndRecovery(t *testing.T) {
+// A hint lives in the manager's memory and nowhere else: a manager that
+// queued one, replayed it against a dead owner for a while and closed
+// leaves no trace in any shard's keyspace, so a merged scan — what the
+// gateway's GET /scan serves — returns exactly the keys users wrote.
+func TestScanMergedReturnsOnlyUserKeys(t *testing.T) {
 	sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 1})
 	m := Attach(sc, fastConfig())
 	ctx := context.Background()
 
-	key := "dur-key"
-	owners := sc.Owners(key)
-	servers[owners[1]].Close()
-	if _, err := sc.PutVersioned(ctx, key, []byte("survives"), 0); err != nil {
+	key := "user-key"
+	downAddr := sc.Owners(key)[1]
+	servers[downAddr].Close()
+	if _, err := sc.PutVersioned(ctx, key, []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "hint persisted", func() bool {
-		return m.Stats().HintsPersisted >= 1
+	waitFor(t, 10*time.Second, "hint queued", func() bool {
+		return m.Stats().HintsQueued >= 1
 	})
-	m.Close() // the process "dies" with the hint unreplayed
+	time.Sleep(20 * fastConfig().ReplayInterval) // replay ticks against the dead owner
+	m.Close()
 
-	m2 := NewManager(sc, fastConfig())
-	// The dead owner is still in the topology, so its scan fails; recovery
-	// must proceed best-effort over the reachable shards.
-	n, _ := m2.RecoverHints(ctx)
-	if n < 1 {
-		t.Fatalf("RecoverHints = %d, want >= 1", n)
+	srv2 := memkv.NewServer(nil)
+	if _, err := srv2.Listen(downAddr); err != nil {
+		t.Skipf("could not rebind %s: %v", downAddr, err)
 	}
-	st := m2.Stats()
-	if st.HintsRecovered != int64(n) || st.HintsPending < 1 {
-		t.Errorf("after recovery: %+v", st)
+	defer srv2.Close()
+	var entries []memkv.ScanEntry
+	waitFor(t, 10*time.Second, "a merged scan over every shard", func() bool {
+		var err error
+		entries, _, err = sc.ScanMerged(ctx, "", 100)
+		return err == nil
+	})
+	if len(entries) != 1 || entries[0].Key != key {
+		keys := make([]string, len(entries))
+		for i, e := range entries {
+			keys[i] = e.Key
+		}
+		t.Fatalf("ScanMerged keys = %q, want only the user's %q", keys, key)
 	}
+}
+
+// A hint a closed manager lost is recovered by a full anti-entropy
+// pass: RebalanceBetween from an empty placement re-pushes every key the
+// shards hold, so the owner that missed the write gets it.
+func TestFullPassRecoversLostHints(t *testing.T) {
+	sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 1})
+	m := Attach(sc, fastConfig())
+	ctx := context.Background()
+
+	key := "lost-hint"
+	downAddr := sc.Owners(key)[1]
+	servers[downAddr].Close()
+	ver, err := sc.PutVersioned(ctx, key, []byte("v"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "hint queued", func() bool {
+		return m.Stats().HintsQueued >= 1
+	})
+	m.Close() // the hint is gone with the manager
+
+	srv2 := memkv.NewServer(nil)
+	if _, err := srv2.Listen(downAddr); err != nil {
+		t.Skipf("could not rebind %s: %v", downAddr, err)
+	}
+	defer srv2.Close()
+	m2 := NewManager(sc, Config{})
+	vb := sc.VersionedShard(downAddr)
+	waitFor(t, 10*time.Second, "the restarted owner converged", func() bool {
+		if _, err := m2.RebalanceBetween(ctx, ring.Placement{}, sc.PlacementSnapshot()); err != nil {
+			return false // a shard is still redialing
+		}
+		_, v, _, err := vb.GetV(ctx, key)
+		return err == nil && v == ver
+	})
 }
 
 // The anti-entropy migrator: after AddShard, RebalanceBetween streams

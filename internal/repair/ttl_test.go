@@ -96,33 +96,6 @@ func TestHintReplayAppliesRemainingTTL(t *testing.T) {
 	}
 }
 
-// The durable hint record carries the absolute deadline, so recovery in
-// a different process at a later wall-clock time still expires the key
-// on the original schedule.
-func TestHintRecordDeadlineRoundTrip(t *testing.T) {
-	deadline := time.Now().Add(90 * time.Second)
-	h := &hint{key: "k", value: []byte("v"), version: 42, deadline: deadline, owner: "o:1"}
-	got, err := decodeHintRecord(encodeHintRecord(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.deadline.Equal(deadline) {
-		t.Fatalf("deadline = %v, want %v", got.deadline, deadline)
-	}
-	if got.key != h.key || got.owner != h.owner || got.version != h.version || string(got.value) != "v" {
-		t.Fatalf("round trip = %+v", got)
-	}
-
-	h.deadline = time.Time{} // no expiry
-	got, err = decodeHintRecord(encodeHintRecord(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.deadline.IsZero() {
-		t.Fatalf("zero deadline round trip = %v, want zero", got.deadline)
-	}
-}
-
 // A divergence report whose value died before the repair push runs is
 // skipped — read repair must not resurrect an expired key.
 func TestExpiredDivergenceNotRepaired(t *testing.T) {
