@@ -1,6 +1,9 @@
 // Command gateway runs the HTTP/JSON front door over a sharded memkv
 // cluster, with the self-tuning SLO controller steering per-class
-// redundancy.
+// redundancy. The load governor (-governor) is given to the controller
+// only: every read runs one of the controller's strategies, each of which
+// the governor gates, and while it is gated the controller clamps every
+// class to one copy.
 //
 // Usage:
 //
@@ -67,14 +70,10 @@ func main() {
 		Governor: gov,
 		Interval: *interval,
 	})
-	var readStrategy core.Strategy = ctl
-	if gov != nil {
-		readStrategy = core.LoadAwareWith(ctl, gov)
-	}
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{
 		Replication:  *replication,
 		WriteQuorum:  *writeQuorum,
-		ReadStrategy: readStrategy,
+		ReadStrategy: ctl,
 		Observer:     ctr,
 	}, backends...)
 	defer sc.Close()
@@ -86,7 +85,6 @@ func main() {
 		Client:     sc,
 		Controller: ctl,
 		Counters:   ctr,
-		Governor:   gov,
 	})
 	srv := &http.Server{Addr: *addr, Handler: gw}
 	errc := make(chan error, 1)

@@ -12,8 +12,9 @@ import (
 // load depending on service-time variance; exactly 1/3 for exponential
 // service) — above it, redundancy *hurts*, because the extra copies
 // queue behind each other. A Governor measures the offered load a
-// replica set actually experiences and GovernedStrategy (built with
-// LoadAware) sheds redundant copies, degrading fan-out toward 1, when
+// replica set actually experiences, and a governed strategy (any with a
+// Governor method: GovernedStrategy, built with LoadAware, or the SLO
+// controller) sheds redundant copies, degrading fan-out toward 1, when
 // the measurement crosses the threshold.
 
 // DefaultGovernorThreshold is the gate-on utilization when none is
@@ -105,27 +106,26 @@ func (g *Governor) copyDone()    { g.inflight.Add(-1) }
 // k below the hysteresis band, degrading toward 1 as utilization climbs
 // through it, and exactly 1 once the threshold is crossed — until
 // utilization falls back below the band. With no samples yet (cold
-// start) redundancy is allowed in full.
+// start) redundancy is allowed in full. The gate moves on every call,
+// k = 1 included: a caller already clamped to one copy (an SLO class
+// the gate drove to rung 0) is what sees the load fall, and only its
+// calls can open the gate again.
 func (g *Governor) Allow(k int) int {
-	if k <= 1 {
-		return k
-	}
 	v, ok := g.load.value()
 	if !ok {
 		return k
 	}
 	util := v / govUtilScale
-	if g.gated.Load() {
-		if util <= g.low {
-			g.gated.Store(false)
-			g.flips.Add(1)
-			return k
-		}
-		return 1
-	}
-	if util >= g.threshold {
-		g.gated.Store(true)
+	gated := g.gated.Load()
+	if gated && util <= g.low || !gated && util >= g.threshold {
+		gated = !gated
+		g.gated.Store(gated)
 		g.flips.Add(1)
+	}
+	if k <= 1 {
+		return k
+	}
+	if gated {
 		return 1
 	}
 	if k > 2 && util > g.low {
@@ -221,6 +221,19 @@ func (g *Governor) Stats() GovernorStats {
 		BackgroundAllowed:  g.bgAllowed.Load(),
 		BackgroundDeferred: g.bgDeferred.Load(),
 	}
+}
+
+// GovernorOf returns the Governor a strategy carries, or nil. A
+// strategy is governed when it has a Governor() *Governor method that
+// returns non-nil: GovernedStrategy, and the SLO controller and its
+// class views (slo.Controller, slo.ClassStrategy). A group samples and
+// gates through it on every call, and the queueing model does the same
+// per arrival.
+func GovernorOf(s Strategy) *Governor {
+	if gs, ok := s.(interface{ Governor() *Governor }); ok {
+		return gs.Governor()
+	}
+	return nil
 }
 
 // GovernedStrategy wraps an inner Strategy with a Governor: the inner

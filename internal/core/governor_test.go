@@ -64,6 +64,32 @@ func TestGovernorGatesWithHysteresis(t *testing.T) {
 	}
 }
 
+// TestGovernorSingleCopyCallsMoveTheGate: the hysteresis runs on every
+// Allow, k = 1 included. A caller clamped to one copy while the gate was
+// on — an SLO class at rung 0 — is the only caller left to see the load
+// fall, so its calls must open the gate; and its calls close it too.
+func TestGovernorSingleCopyCallsMoveTheGate(t *testing.T) {
+	g := NewGovernor(2.0, 0.5)
+	for i := 0; i < 64; i++ {
+		g.Observe(5.0)
+	}
+	if got := g.Allow(1); got != 1 || !g.Gated() {
+		t.Fatalf("Allow(1) above threshold = %d, gated %v; want 1, gated", got, g.Gated())
+	}
+	for i := 0; i < 64; i++ {
+		g.Observe(0)
+	}
+	if got := g.Allow(1); got != 1 || g.Gated() {
+		t.Fatalf("Allow(1) below the band = %d, gated %v; want 1, the gate open", got, g.Gated())
+	}
+	if got := g.Allow(2); got != 2 {
+		t.Errorf("Allow(2) after the gate opened = %d, want 2", got)
+	}
+	if flips := g.Stats().Flips; flips != 2 {
+		t.Errorf("Flips = %d, want 2 (one on, one off)", flips)
+	}
+}
+
 func TestGovernorShedsLargeFanoutGradually(t *testing.T) {
 	g := NewGovernor(2.0, 1.0) // band (1.0, 2.0)
 	for i := 0; i < 64; i++ {

@@ -556,12 +556,11 @@ func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity 
 	if co.strategy != nil {
 		p.strat = co.strategy
 	}
-	// A load-aware strategy carries a Governor: feed it one utilization
+	// A governed strategy carries a Governor: feed it one utilization
 	// sample per operation (in-flight copies per replica, the offered
 	// load including redundancy) before Fanout consults its EWMA, and
 	// account this call's copies against it in launch.
-	if gs, ok := p.strat.(*GovernedStrategy); ok {
-		p.gov = gs.gov
+	if p.gov = GovernorOf(p.strat); p.gov != nil {
 		p.gov.sample(capacity)
 	}
 	if co.outcomes != nil {

@@ -1,7 +1,9 @@
 // Package gateway is the HTTP/JSON front door over a sharded memkv
 // cluster: the paper's redundancy machinery — hedged reads, quorum
 // reads, CAS, prefix watches — behind plain HTTP, with the SLO
-// controller steering each request's traffic class.
+// controller steering each request's traffic class. A hedged read runs
+// the controller's view of its class, which carries the controller's
+// load governor; the gateway adds no strategy or governor of its own.
 //
 // The surface (statuses are the contract the tests pin):
 //
@@ -17,7 +19,8 @@
 //	X-SLO-Class:      traffic class: labels the call and applies the
 //	                  controller's live operating point for that class.
 //	X-Read-Quorum:    explicit read quorum (>= 1); implies a quorum read.
-//	X-Consistency:    "primary" (default; hedged read) or "quorum".
+//	X-Consistency:    "primary" (default; hedged read) or "quorum" (the
+//	                  client's default read quorum, whatever the class).
 //	X-Expect-Version: on PUT, compare-and-swap against this version
 //	                  (0 = create only).
 //
@@ -49,17 +52,14 @@ import (
 type Config struct {
 	// Client is the sharded store the gateway fronts.
 	Client *memkv.ShardedClient
-	// Controller, when set, supplies per-class strategies and read
-	// quorums, and backs the /slo endpoint.
+	// Controller, when set, supplies per-class strategies and backs the
+	// /slo endpoint. Its Config.Governor, if any, governs those
+	// strategies and adds a governor section to /stats.
 	Controller *slo.Controller
 	// Counters, when set, backs /stats. Install the same instance as
 	// the client's ShardedConfig.Observer (and the controller's
 	// Config.Counters) so all three see the same traffic.
 	Counters *core.Counters
-	// Governor, when set, wraps class strategies so gated load sheds
-	// redundancy on the request path too, and adds a governor section
-	// to /stats.
-	Governor *core.Governor
 	// MaxValueBytes caps a PUT body (default 1 MiB).
 	MaxValueBytes int64
 }
@@ -69,12 +69,8 @@ type Gateway struct {
 	client   *memkv.ShardedClient
 	ctl      *slo.Controller
 	ctr      *core.Counters
-	gov      *core.Governor
 	maxValue int64
 	mux      *http.ServeMux
-
-	mu          sync.Mutex
-	classStrats map[string]core.Strategy
 }
 
 // New builds a Gateway over cfg.Client.
@@ -83,12 +79,10 @@ func New(cfg Config) *Gateway {
 		panic("gateway: Config.Client is required")
 	}
 	g := &Gateway{
-		client:      cfg.Client,
-		ctl:         cfg.Controller,
-		ctr:         cfg.Counters,
-		gov:         cfg.Governor,
-		maxValue:    cfg.MaxValueBytes,
-		classStrats: make(map[string]core.Strategy),
+		client:   cfg.Client,
+		ctl:      cfg.Controller,
+		ctr:      cfg.Counters,
+		maxValue: cfg.MaxValueBytes,
 	}
 	if g.maxValue <= 0 {
 		g.maxValue = 1 << 20
@@ -183,27 +177,9 @@ func validKey(key string) error {
 	return nil
 }
 
-// classStrategy returns the request strategy for a class: the
-// controller's live per-class view, wrapped in the shared governor (if
-// any) so an overloaded cluster sheds gateway redundancy exactly like
-// every other caller's.
-func (g *Gateway) classStrategy(class string) core.Strategy {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if s, ok := g.classStrats[class]; ok {
-		return s
-	}
-	var s core.Strategy = g.ctl.Class(class)
-	if g.gov != nil {
-		s = core.LoadAwareWith(s, g.gov)
-	}
-	g.classStrats[class] = s
-	return s
-}
-
 // readPlan resolves the consistency headers into either a hedged
-// primary read (quorum 0) or a quorum read (quorum >= 1, 0 meaning the
-// client's default), plus the call options for the class.
+// primary read or a quorum read (quorum >= 1, 0 meaning the client's
+// default), plus the call options for the class.
 func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts []core.CallOption, err error) {
 	// The canonical spelling of X-SLO-Class: Get canonicalises its
 	// argument first, and allocates to do it when it is not already.
@@ -225,24 +201,16 @@ func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts [
 		return true, q, nil, nil
 	}
 	if cons == "quorum" {
-		q := 0
-		if g.ctl != nil && class != "" {
-			q = g.ctl.ReadQuorum(class)
-		}
-		return true, q, nil, nil
+		return true, 0, nil, nil
 	}
 	if class != "" {
 		opts = append(opts, core.WithLabel(class))
 	}
 	if g.ctl != nil {
 		// Unlabeled traffic rides the controller's default class, so the
-		// control loop steers every primary read even when the backing
-		// client was built with a fixed ReadStrategy.
-		name := class
-		if name == "" {
-			name = slo.DefaultClass
-		}
-		opts = append(opts, core.WithStrategyOverride(g.classStrategy(name)))
+		// control loop (and its governor) steers every primary read even
+		// when the backing client was built with a fixed ReadStrategy.
+		opts = append(opts, core.WithStrategyOverride(g.ctl.Class(class)))
 	}
 	return false, 0, opts, nil
 }
@@ -513,8 +481,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			out.Labels = append(out.Labels, labelJSON{Label: ls.Label, Ops: ls.Ops, Failures: ls.Failures, CopiesPerOp: ls.CopiesPerOp})
 		}
 	}
-	if g.gov != nil {
-		gs := g.gov.Stats()
+	if g.ctl != nil && g.ctl.Governor() != nil {
+		gs := g.ctl.Governor().Stats()
 		out.Governor = &govJSON{Utilization: gs.Utilization, Gated: gs.Gated, Flips: gs.Flips}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -527,7 +495,6 @@ func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 		MaxExtraLoad      float64 `json:"max_extra_load"`
 		Fanout            int     `json:"fanout"`
 		Quantile          float64 `json:"quantile"`
-		ReadQuorum        int     `json:"read_quorum"`
 		ExpectedExtraLoad float64 `json:"expected_extra_load"`
 		WindowP99Ms       float64 `json:"window_p99_ms"`
 		WindowExtraLoad   float64 `json:"window_extra_load"`
@@ -551,7 +518,6 @@ func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
 				MaxExtraLoad:      cs.Target.MaxExtraLoad,
 				Fanout:            cs.Config.Fanout,
 				Quantile:          cs.Config.Quantile,
-				ReadQuorum:        cs.Config.ReadQuorum,
 				ExpectedExtraLoad: cs.ExpectedExtraLoad,
 				WindowP99Ms:       ms(cs.WindowP99),
 				WindowExtraLoad:   cs.WindowExtraLoad,

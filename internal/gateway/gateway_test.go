@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,21 @@ type fixture struct {
 
 func newFixture(t *testing.T, shards int) *fixture {
 	t.Helper()
+	return startFixture(t, shards, nil, nil)
+}
+
+// startFixture is newFixture with the controller given gov (may be nil)
+// and shard i's server Delay hook set to delay(i) (delay may be nil).
+func startFixture(t *testing.T, shards int, gov *core.Governor, delay func(i int) func() time.Duration) *fixture {
+	t.Helper()
 	f := &fixture{ctr: core.NewCounters()}
 	var backends []memkv.Backend
 	for i := 0; i < shards; i++ {
 		srv := memkv.NewServer(nil)
+		if delay != nil {
+			// Set before Listen: connection handlers read Delay unsynchronized.
+			srv.Delay = delay(i)
+		}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -52,6 +64,7 @@ func newFixture(t *testing.T, shards int) *fixture {
 	}
 	f.ctl = slo.New(slo.Target{P99: 50 * time.Millisecond, MaxExtraLoad: 0.5}, slo.Config{
 		Counters:          f.ctr,
+		Governor:          gov,
 		MinWindowSamples:  10,
 		DisableValidation: true,
 	})
@@ -443,6 +456,7 @@ func TestStatsAndSLOEndpoints(t *testing.T) {
 		Ops         int64    `json:"ops"`
 		Cancelled   *int64   `json:"cancelled_copies"`
 		Dropped     *int64   `json:"dropped_copies"`
+		Governor    any      `json:"governor"`
 		Labels      []struct {
 			Label string `json:"label"`
 			Ops   int64  `json:"ops"`
@@ -451,8 +465,8 @@ func TestStatsAndSLOEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("stats body %q: %v", body, err)
 	}
-	if len(stats.Shards) != 2 || stats.Replication != 2 || stats.Ops < 6 {
-		t.Fatalf("stats = %+v", stats)
+	if len(stats.Shards) != 2 || stats.Replication != 2 || stats.Ops < 6 || stats.Governor != nil {
+		t.Fatalf("stats = %+v, want no governor section: the controller was given none", stats)
 	}
 	// Both kinds of loser are reported, withdrawn and skipped; how the six
 	// reads' losers split between them (and decoded) is the scheduler's.
@@ -479,7 +493,6 @@ func TestStatsAndSLOEndpoints(t *testing.T) {
 			Class       string  `json:"class"`
 			TargetP99Ms float64 `json:"target_p99_ms"`
 			Fanout      int     `json:"fanout"`
-			ReadQuorum  int     `json:"read_quorum"`
 		} `json:"classes"`
 	}
 	if err := json.Unmarshal(body, &sl); err != nil {
@@ -537,6 +550,81 @@ func TestGatewayWithoutController(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &sl); err != nil || st != http.StatusOK || sl.Enabled {
 		t.Fatalf("slo without controller = %d %s (err %v)", st, body, err)
+	}
+}
+
+// TestClassedQuorumReadReturnsNewest: X-Consistency: quorum is the
+// client's default read quorum whatever the class. Over two shards at
+// replication 2 the newest version sits on one owner only, and that
+// owner is stalled: a quorum read labelled with a class must still wait
+// for it and return its bytes and version, as the unlabelled read does.
+func TestClassedQuorumReadReturnsNewest(t *testing.T) {
+	var stall [2]atomic.Bool
+	f := startFixture(t, 2, nil, func(i int) func() time.Duration {
+		return func() time.Duration {
+			if stall[i].Load() {
+				return 50 * time.Millisecond
+			}
+			return 0
+		}
+	})
+	if st, _, body := f.do(t, "PUT", "/kv/qk", "old", nil); st != http.StatusOK {
+		t.Fatalf("PUT = %d %s", st, body)
+	}
+	fresh := f.sc.Owners("qk")[0]
+	newVer := f.sc.NextVersion()
+	if _, applied, err := f.sc.VersionedShard(fresh).PutV(context.Background(), "qk", []byte("new"), 0, newVer); err != nil || !applied {
+		t.Fatalf("PutV to the fresh owner = (applied %v, %v)", applied, err)
+	}
+	stall[slices.Index(f.sc.ShardAddrs(), fresh)].Store(true)
+
+	for _, hdr := range []map[string]string{
+		{"X-Consistency": "quorum", "X-SLO-Class": "api"},
+		{"X-Consistency": "quorum"},
+	} {
+		st, h, body := f.do(t, "GET", "/kv/qk", "", hdr)
+		if st != http.StatusOK || string(body) != "new" || h.Get("X-Version") != fmt.Sprint(newVer) {
+			t.Errorf("GET with %v = %d %q at version %s, want \"new\" at %d", hdr, st, body, h.Get("X-Version"), newVer)
+		}
+	}
+}
+
+// TestGovernorGivenOnceGovernsClassedReads: the gateway is built from a
+// controller that was given a governor — the one place it is given, with
+// no wrap anywhere. With that governor gated, a classed GET at a k=2
+// rung launches one copy, and /stats reports the governor.
+func TestGovernorGivenOnceGovernsClassedReads(t *testing.T) {
+	gov := core.NewGovernor(2, 0)
+	for i := 0; i < 64; i++ {
+		gov.Observe(5)
+	}
+	if gov.Allow(2); !gov.Gated() {
+		t.Fatal("setup: governor not gated")
+	}
+	f := startFixture(t, 2, gov, nil)
+	f.do(t, "PUT", "/kv/g", "v", nil)
+	f.ctl.SetTarget("api", slo.Target{P99: time.Millisecond, MaxExtraLoad: 1})
+	if op, _ := f.ctl.Step("api", slo.Window{P99: time.Second, Samples: 1000, Utilization: -1}); op.Fanout != 2 {
+		t.Fatalf("setup: api at %+v, want k=2", op)
+	}
+
+	st, _, body := f.do(t, "GET", "/kv/g", "", map[string]string{"X-SLO-Class": "api"})
+	if st != http.StatusOK || string(body) != "v" {
+		t.Fatalf("GET = %d %q", st, body)
+	}
+	if ls, _ := f.ctr.LabelSnapshot("api"); ls.Ops != 1 || ls.Launched != 1 {
+		t.Fatalf("classed GET at k=2 past the gate: %d ops, %d copies; want one copy", ls.Ops, ls.Launched)
+	}
+
+	_, _, body = f.do(t, "GET", "/stats", "", nil)
+	var stats struct {
+		Governor *struct {
+			Gated bool  `json:"gated"`
+			Flips int64 `json:"flips"`
+		} `json:"governor"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil || stats.Governor == nil || !stats.Governor.Gated || stats.Governor.Flips != 1 {
+		t.Fatalf("stats body %s (%v): want a governor section, gated after one flip", body, err)
 	}
 }
 

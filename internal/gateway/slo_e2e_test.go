@@ -135,8 +135,8 @@ func TestGatewaySLOConvergence(t *testing.T) {
 		round()
 		ctl.Tick()
 		s := defStats()
-		t.Logf("round %2d: k=%d q=%.2f rq=%d window p99=%v extra=%.2f reason=%s",
-			r, s.Config.Fanout, s.Config.Quantile, s.Config.ReadQuorum,
+		t.Logf("round %2d: k=%d q=%.2f window p99=%v extra=%.2f reason=%s",
+			r, s.Config.Fanout, s.Config.Quantile,
 			s.WindowP99.Round(100*time.Microsecond), s.WindowExtraLoad, s.LastReason)
 		if s.WindowP99 > 0 && s.WindowP99 <= targetP99 {
 			good++

@@ -3,8 +3,9 @@
 // core.Strategy — the value the engine itself runs — that decides how
 // many copies to launch and when: Fixed (a caller-guessed delay),
 // AdaptiveHedge (a quantile of each server's own copy latencies),
-// FullReplicate (every copy at once), or any of them behind
-// core.LoadAwareWith, whose Governor is fed the model's utilization.
+// FullReplicate (every copy at once), or any governed strategy
+// (core.LoadAwareWith, an slo.ClassStrategy), whose Governor is fed the
+// model's utilization.
 //
 // Unlike Run's single-pass Lindley recurrence, hedge copies arrive
 // *later* than their request, interleaved with subsequent arrivals, so
@@ -44,8 +45,8 @@ type HedgedConfig struct {
 	Service dist.Dist
 	// Strategy decides each request's copies, as it does a call's in the
 	// engine: Fanout (clamped to Servers) how many, ScheduleInto when,
-	// over the digests of the servers already chosen. A
-	// *core.GovernedStrategy's Governor samples in-flight copies per
+	// over the digests of the servers already chosen. A governed
+	// strategy's Governor (core.GovernorOf) samples in-flight copies per
 	// server at every arrival. Nil runs one copy per request. A strategy
 	// that carries state (a Governor) must be fresh for every run.
 	Strategy core.Strategy
@@ -92,8 +93,7 @@ func (c HedgedConfig) validate() error {
 		// An ungoverned strategy that launches every copy at once
 		// multiplies the load by k; a governed one sheds its own
 		// replication load, and a hedged one launches only on the tail.
-		_, governed := c.Strategy.(*core.GovernedStrategy)
-		if !governed && len(c.Strategy.ScheduleInto(make(core.DigestList, k), make([]time.Duration, k))) == 0 {
+		if core.GovernorOf(c.Strategy) == nil && len(c.Strategy.ScheduleInto(make(core.DigestList, k), make([]time.Duration, k))) == 0 {
 			maxLoad = 1 / float64(k)
 		}
 	}
@@ -169,10 +169,7 @@ func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
 	sample := stats.NewSample(cfg.Requests)
 	k := cfg.fanout()
 	sched := make([]time.Duration, k)
-	var gov *core.Governor
-	if gs, ok := cfg.Strategy.(*core.GovernedStrategy); ok {
-		gov = gs.Governor()
-	}
+	gov := core.GovernorOf(cfg.Strategy)
 	extra, gated := 0, 0
 	total := warmup + cfg.Requests
 	issued := 0

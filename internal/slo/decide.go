@@ -1,9 +1,9 @@
-// Package slo closes the loop on the paper's trade-off curve. Every
-// knob the rest of the repo exposes — hedge quantile, fan-out, read
-// quorum — trades added load for tail latency, and so far each call
-// site picks values by hand. The Controller here picks them instead:
-// it watches per-class latency digests and the Governor's utilization
-// EWMA, and hill-climbs a ladder of operating points, with hysteresis,
+// Package slo closes the loop on the paper's trade-off curve. The two
+// knobs a redundant read has — fan-out and hedge quantile — trade added
+// load for tail latency, and so far each call site picks values by hand.
+// The Controller here picks them instead: it watches per-class latency
+// digests and the Governor's utilization EWMA, and hill-climbs a ladder
+// of operating points, with hysteresis,
 // toward the cheapest configuration whose windowed p99 meets a declared
 // Target. Tighten moves can additionally be validated in the queueing
 // model, which runs the candidate rung's own core.Strategy against one
@@ -99,8 +99,9 @@ type Window struct {
 	// Utilization is the Governor's EWMA of in-flight copies per
 	// replica; negative when no governor (or no sample) is available.
 	Utilization float64
-	// Gated reports the governor at or above its gate: redundancy is
-	// being withheld upstream and the controller must clamp, not fight.
+	// Gated reports the governor gated, by its own hysteresis (on at its
+	// threshold, off below its low mark): redundancy is being withheld
+	// and the controller must clamp, not fight.
 	Gated bool
 	// QuantileFn, when set, serves arbitrary windowed quantiles so
 	// validation can fit an empirical service distribution. Optional.
@@ -114,11 +115,10 @@ type Move int
 const (
 	// MoveHold kept the operating point.
 	MoveHold Move = iota
-	// MoveTighten spent more (dropped the read quorum, or climbed a
-	// rung) to chase a missed p99.
+	// MoveTighten spent more (climbed a rung) to chase a missed p99.
 	MoveTighten
-	// MoveRelax spent less (restored quorum, or descended a rung) under
-	// sustained headroom or a blown budget.
+	// MoveRelax spent less (descended a rung) under sustained headroom or
+	// a blown budget.
 	MoveRelax
 	// MoveClamp dropped straight to no redundancy because the governor
 	// is at its gate.
@@ -144,13 +144,13 @@ type Reason int
 
 const (
 	// ReasonDeadband: the windowed p99 sits inside the hysteresis band
-	// [RelaxFraction·P99, P99] — exactly where a converged controller
+	// [relaxFraction·P99, P99] — exactly where a converged controller
 	// should rest, so nothing moves.
 	ReasonDeadband Reason = iota
 	// ReasonCold: too few window samples to trust any measurement.
 	ReasonCold
-	// ReasonGated: the governor is at its gate; redundancy would be
-	// withheld anyway, so the controller clamps to the cheapest point.
+	// ReasonGated: the governor is gated; redundancy would be withheld
+	// anyway, so the controller clamps to the cheapest point.
 	ReasonGated
 	// ReasonOverBudget: measured extra load overshot MaxExtraLoad.
 	ReasonOverBudget
@@ -166,7 +166,7 @@ const (
 	// tighten was vetoed.
 	ReasonRejected
 	// ReasonPatience: headroom was seen but the relax streak has not
-	// yet met RelaxPatience; holding to avoid oscillation.
+	// yet met relaxPatience; holding to avoid oscillation.
 	ReasonPatience
 )
 
@@ -194,20 +194,14 @@ func (r Reason) String() string {
 	return "unknown"
 }
 
-// point is a class's discrete operating point: a rung index on the
-// ladder plus the read quorum.
-type point struct {
-	rung   int
-	quorum int
-}
-
-// tuning carries the controller knobs decide needs, resolved from
-// Config defaults.
-type tuning struct {
-	minSamples      int64
-	relaxFrac       float64
-	preferredQuorum int
-}
+// The hysteresis knobs. A relax needs the windowed p99 below
+// relaxFraction·Target.P99 (the bottom of the deadband) for relaxPatience
+// consecutive windows; tightens act immediately — missing the SLO hurts
+// now, saving money can wait.
+const (
+	relaxFraction = 0.7
+	relaxPatience = 3
+)
 
 // overSpendSlack is how far the measured extra load may overshoot
 // MaxExtraLoad before the controller relaxes: the measurement is a
@@ -216,64 +210,55 @@ type tuning struct {
 const overSpendSlack = 1.1
 
 // decide is the pure decision core: one window of measurements in, the
-// next operating point and why out. It performs no I/O, no validation,
-// and no patience accounting — Step layers those on — so tables of
-// (window, point, target) fixtures can pin down every branch.
+// next rung and why out. It performs no I/O, no validation, and no
+// patience accounting — Step layers those on — so tables of (window,
+// rung, target) fixtures can pin down every branch. minSamples is the
+// window size below which it holds.
 //
 // The rules, in priority order:
 //
-//  1. Governor gated → clamp to rung 0, quorum 1. Redundancy is being
-//     withheld upstream; holding a tight rung would only mis-report
-//     what the system is actually doing, and quorum reads are load the
-//     overloaded system can shed too.
+//  1. Governor gated → clamp to rung 0. Redundancy is being withheld
+//     anyway; holding a tight rung would only mis-report what the system
+//     is actually doing.
 //  2. Too few samples → hold. Noise is not a signal.
 //  3. Measured spend above budget (with slack) → relax a rung
 //     immediately. The budget is a declared cap, not advice.
-//  4. p99 above target → tighten: drop the read quorum to 1 first
-//     (latency for free — no extra copies), then climb one rung, but
-//     never onto a rung whose expected extra load exceeds the budget.
-//  5. p99 below RelaxFraction·target → relax: restore the preferred
-//     read quorum first (spend the headroom on consistency), then
-//     descend a rung.
-//  6. Otherwise → hold; the point is inside the hysteresis band.
-func decide(w Window, p point, tgt Target, lad []rung, tn tuning) (point, Move, Reason) {
+//  4. p99 above target → tighten: climb one rung, but never onto a rung
+//     whose expected extra load exceeds the budget.
+//  5. p99 below relaxFraction·target → relax: descend a rung.
+//  6. Otherwise → hold; the rung is inside the hysteresis band.
+func decide(w Window, r int, tgt Target, lad []rung, minSamples int64) (int, Move, Reason) {
 	if w.Gated {
-		if p.rung != 0 || p.quorum != 1 {
-			return point{rung: 0, quorum: 1}, MoveClamp, ReasonGated
+		if r != 0 {
+			return 0, MoveClamp, ReasonGated
 		}
-		return p, MoveHold, ReasonGated
+		return r, MoveHold, ReasonGated
 	}
-	if w.Samples < tn.minSamples || w.P99 <= 0 {
-		return p, MoveHold, ReasonCold
+	if w.Samples < minSamples || w.P99 <= 0 {
+		return r, MoveHold, ReasonCold
 	}
-	if tgt.MaxExtraLoad > 0 && p.rung > 0 {
-		if w.ExtraLoad > tgt.MaxExtraLoad*overSpendSlack || !affordable(lad[p.rung], tgt) {
+	if tgt.MaxExtraLoad > 0 && r > 0 {
+		if w.ExtraLoad > tgt.MaxExtraLoad*overSpendSlack || !affordable(lad[r], tgt) {
 			// Measured spend overshot the cap, or the cap itself moved
 			// below the current rung's expected spend (a target change):
 			// either way the configuration violates the declared budget
 			// and descends regardless of what the p99 says.
-			return point{rung: p.rung - 1, quorum: p.quorum}, MoveRelax, ReasonOverBudget
+			return r - 1, MoveRelax, ReasonOverBudget
 		}
 	}
 	switch {
 	case w.P99 > tgt.P99:
-		if p.quorum > 1 {
-			return point{rung: p.rung, quorum: p.quorum - 1}, MoveTighten, ReasonMiss
-		}
 		// The ladder's expected extra load is increasing, so if the very
 		// next rung is unaffordable every later one is too.
-		if p.rung+1 < len(lad) && affordable(lad[p.rung+1], tgt) {
-			return point{rung: p.rung + 1, quorum: p.quorum}, MoveTighten, ReasonMiss
+		if r+1 < len(lad) && affordable(lad[r+1], tgt) {
+			return r + 1, MoveTighten, ReasonMiss
 		}
-		return p, MoveHold, ReasonExhausted
-	case w.P99 < time.Duration(tn.relaxFrac*float64(tgt.P99)):
-		if p.quorum < tn.preferredQuorum {
-			return point{rung: p.rung, quorum: p.quorum + 1}, MoveRelax, ReasonHeadroom
+		return r, MoveHold, ReasonExhausted
+	case w.P99 < time.Duration(relaxFraction*float64(tgt.P99)):
+		if r > 0 {
+			return r - 1, MoveRelax, ReasonHeadroom
 		}
-		if p.rung > 0 {
-			return point{rung: p.rung - 1, quorum: p.quorum}, MoveRelax, ReasonHeadroom
-		}
-		return p, MoveHold, ReasonHeadroom
+		return r, MoveHold, ReasonHeadroom
 	}
-	return p, MoveHold, ReasonDeadband
+	return r, MoveHold, ReasonDeadband
 }

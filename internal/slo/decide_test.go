@@ -11,9 +11,8 @@ func testLadder(t *testing.T) []rung {
 	return buildLadder(3)
 }
 
-func testTuning() tuning {
-	return tuning{minSamples: 48, relaxFrac: 0.7, preferredQuorum: 2}
-}
+// testMinSamples is the window size decide's fixtures must reach.
+const testMinSamples = 48
 
 // TestLadderMonotone pins the ladder's two invariants: expected extra
 // load strictly increases rung to rung (so "one rung up" is always the
@@ -52,7 +51,6 @@ func TestLadderMonotone(t *testing.T) {
 // direction.
 func TestDecideTable(t *testing.T) {
 	lad := testLadder(t)
-	tn := testTuning()
 	tgt := Target{P99: 100 * time.Millisecond, MaxExtraLoad: 0.3}
 	ok := Window{Samples: 1000, Mean: 20 * time.Millisecond}
 
@@ -76,33 +74,31 @@ func TestDecideTable(t *testing.T) {
 	cases := []struct {
 		name     string
 		w        Window
-		p        point
-		wantP    point
+		r        int
+		wantR    int
 		wantMove Move
 		wantWhy  Reason
 	}{
-		{"cold-holds", Window{Samples: 3, P99: time.Second}, point{2, 1}, point{2, 1}, MoveHold, ReasonCold},
-		{"no-p99-holds", Window{Samples: 1000}, point{2, 1}, point{2, 1}, MoveHold, ReasonCold},
-		{"gated-clamps", func() Window { w := win(10*time.Millisecond, 0.2); w.Gated = true; return w }(), point{4, 2}, point{0, 1}, MoveClamp, ReasonGated},
-		{"gated-at-floor-holds", func() Window { w := win(time.Second, 0); w.Gated = true; return w }(), point{0, 1}, point{0, 1}, MoveHold, ReasonGated},
-		{"miss-drops-quorum-first", win(200*time.Millisecond, 0.05), point{2, 2}, point{2, 1}, MoveTighten, ReasonMiss},
-		{"miss-climbs-rung", win(200*time.Millisecond, 0.05), point{2, 1}, point{3, 1}, MoveTighten, ReasonMiss},
-		{"miss-respects-budget", win(200*time.Millisecond, 0.05), point{lastAffordable, 1}, point{lastAffordable, 1}, MoveHold, ReasonExhausted},
-		{"over-budget-relaxes-now", win(90*time.Millisecond, 0.5), point{5, 1}, point{4, 1}, MoveRelax, ReasonOverBudget},
-		{"over-budget-beats-miss", win(500*time.Millisecond, 0.5), point{5, 1}, point{4, 1}, MoveRelax, ReasonOverBudget},
-		{"headroom-restores-quorum-first", win(20*time.Millisecond, 0.05), point{2, 1}, point{2, 2}, MoveRelax, ReasonHeadroom},
-		{"headroom-descends-rung", win(20*time.Millisecond, 0.05), point{2, 2}, point{1, 2}, MoveRelax, ReasonHeadroom},
-		{"headroom-at-floor-holds", win(20*time.Millisecond, 0), point{0, 2}, point{0, 2}, MoveHold, ReasonHeadroom},
-		{"deadband-holds", win(85*time.Millisecond, 0.1), point{2, 1}, point{2, 1}, MoveHold, ReasonDeadband},
-		{"band-top-edge-holds", win(100*time.Millisecond, 0.1), point{2, 1}, point{2, 1}, MoveHold, ReasonDeadband},
-		{"band-bottom-edge-holds", win(70*time.Millisecond, 0.1), point{2, 1}, point{2, 1}, MoveHold, ReasonDeadband},
+		{"cold-holds", Window{Samples: 3, P99: time.Second}, 2, 2, MoveHold, ReasonCold},
+		{"no-p99-holds", Window{Samples: 1000}, 2, 2, MoveHold, ReasonCold},
+		{"gated-clamps", func() Window { w := win(10*time.Millisecond, 0.2); w.Gated = true; return w }(), 4, 0, MoveClamp, ReasonGated},
+		{"gated-at-floor-holds", func() Window { w := win(time.Second, 0); w.Gated = true; return w }(), 0, 0, MoveHold, ReasonGated},
+		{"miss-climbs-rung", win(200*time.Millisecond, 0.05), 2, 3, MoveTighten, ReasonMiss},
+		{"miss-respects-budget", win(200*time.Millisecond, 0.05), lastAffordable, lastAffordable, MoveHold, ReasonExhausted},
+		{"over-budget-relaxes-now", win(90*time.Millisecond, 0.5), 5, 4, MoveRelax, ReasonOverBudget},
+		{"over-budget-beats-miss", win(500*time.Millisecond, 0.5), 5, 4, MoveRelax, ReasonOverBudget},
+		{"headroom-descends-rung", win(20*time.Millisecond, 0.05), 2, 1, MoveRelax, ReasonHeadroom},
+		{"headroom-at-floor-holds", win(20*time.Millisecond, 0), 0, 0, MoveHold, ReasonHeadroom},
+		{"deadband-holds", win(85*time.Millisecond, 0.1), 2, 2, MoveHold, ReasonDeadband},
+		{"band-top-edge-holds", win(100*time.Millisecond, 0.1), 2, 2, MoveHold, ReasonDeadband},
+		{"band-bottom-edge-holds", win(70*time.Millisecond, 0.1), 2, 2, MoveHold, ReasonDeadband},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, mv, why := decide(tc.w, tc.p, tgt, lad, tn)
-			if got != tc.wantP || mv != tc.wantMove || why != tc.wantWhy {
-				t.Fatalf("decide(%+v, %+v) = (%+v, %v, %v), want (%+v, %v, %v)",
-					tc.w, tc.p, got, mv, why, tc.wantP, tc.wantMove, tc.wantWhy)
+			got, mv, why := decide(tc.w, tc.r, tgt, lad, testMinSamples)
+			if got != tc.wantR || mv != tc.wantMove || why != tc.wantWhy {
+				t.Fatalf("decide(%+v, rung %d) = (rung %d, %v, %v), want (rung %d, %v, %v)",
+					tc.w, tc.r, got, mv, why, tc.wantR, tc.wantMove, tc.wantWhy)
 			}
 		})
 	}
@@ -112,56 +108,51 @@ func TestDecideTable(t *testing.T) {
 // controller may climb the whole ladder and never relaxes for spend.
 func TestDecideUncappedBudget(t *testing.T) {
 	lad := testLadder(t)
-	tn := testTuning()
 	tgt := Target{P99: 100 * time.Millisecond}
 	w := Window{Samples: 1000, P99: time.Second, ExtraLoad: 1.8}
-	p := point{rung: len(lad) - 2, quorum: 1}
-	got, mv, _ := decide(w, p, tgt, lad, tn)
-	if mv != MoveTighten || got.rung != p.rung+1 {
-		t.Fatalf("uncapped tighten = (%+v, %v), want climb to %d", got, mv, p.rung+1)
+	r := len(lad) - 2
+	got, mv, _ := decide(w, r, tgt, lad, testMinSamples)
+	if mv != MoveTighten || got != r+1 {
+		t.Fatalf("uncapped tighten = (rung %d, %v), want climb to %d", got, mv, r+1)
 	}
 }
 
 // TestDecideNoOscillation sweeps the hysteresis band at every operating
-// point: any p99 inside [RelaxFraction·target, target] must hold, so a
+// rung: any p99 inside [relaxFraction·target, target] must hold, so a
 // tighten that lands the p99 anywhere in the band cannot be immediately
 // undone (and vice versa).
 func TestDecideNoOscillation(t *testing.T) {
 	lad := testLadder(t)
-	tn := testTuning()
 	tgt := Target{P99: 100 * time.Millisecond, MaxExtraLoad: 0.3}
-	for rungIdx := range lad {
-		if !affordable(lad[rungIdx], tgt) {
+	for r := range lad {
+		if !affordable(lad[r], tgt) {
 			// Unaffordable rungs are not steady states: the budget rule
 			// descends from them by design, deadband or not.
 			continue
 		}
-		for q := 1; q <= tn.preferredQuorum; q++ {
-			p := point{rung: rungIdx, quorum: q}
-			for frac := 0.70; frac <= 1.0; frac += 0.01 {
-				p99 := time.Duration(frac * float64(tgt.P99))
-				w := Window{Samples: 1000, P99: p99, ExtraLoad: 0.1}
-				got, mv, why := decide(w, p, tgt, lad, tn)
-				if mv != MoveHold || got != p {
-					t.Fatalf("p99=%v at %+v: move %v (%v) to %+v; deadband must hold", p99, p, mv, why, got)
-				}
+		for frac := 0.70; frac <= 1.0; frac += 0.01 {
+			p99 := time.Duration(frac * float64(tgt.P99))
+			w := Window{Samples: 1000, P99: p99, ExtraLoad: 0.1}
+			got, mv, why := decide(w, r, tgt, lad, testMinSamples)
+			if mv != MoveHold || got != r {
+				t.Fatalf("p99=%v at rung %d: move %v (%v) to rung %d; deadband must hold", p99, r, mv, why, got)
 			}
 		}
 	}
 
 	// Closed-loop check: alternate windows hugging both band edges and
 	// assert the operating point never moves after settling.
-	p := point{rung: 3, quorum: 1}
+	r := 3
 	for i := 0; i < 100; i++ {
 		p99 := 71 * time.Millisecond
 		if i%2 == 0 {
 			p99 = 99 * time.Millisecond
 		}
-		next, mv, _ := decide(Window{Samples: 1000, P99: p99, ExtraLoad: 0.1}, p, tgt, lad, tn)
+		next, mv, _ := decide(Window{Samples: 1000, P99: p99, ExtraLoad: 0.1}, r, tgt, lad, testMinSamples)
 		if mv != MoveHold {
-			t.Fatalf("iteration %d: oscillated with %v to %+v", i, mv, next)
+			t.Fatalf("iteration %d: oscillated with %v to rung %d", i, mv, next)
 		}
-		p = next
+		r = next
 	}
 }
 
@@ -171,40 +162,39 @@ func TestDecideNoOscillation(t *testing.T) {
 // down to the floor; both directions terminate.
 func TestDecideConvergesFromAnywhere(t *testing.T) {
 	lad := testLadder(t)
-	tn := testTuning()
 	tgt := Target{P99: 100 * time.Millisecond, MaxExtraLoad: 0.3}
 	miss := Window{Samples: 1000, P99: 500 * time.Millisecond, ExtraLoad: 0.05}
 	headroom := Window{Samples: 1000, P99: 5 * time.Millisecond, ExtraLoad: 0.05}
 	for start := range lad {
-		p := point{rung: start, quorum: tn.preferredQuorum}
+		r := start
 		for i := 0; ; i++ {
-			next, mv, _ := decide(miss, p, tgt, lad, tn)
+			next, mv, _ := decide(miss, r, tgt, lad, testMinSamples)
 			if mv == MoveHold {
 				break
 			}
-			if cost, prev := expectedExtra(lad[next.rung]), expectedExtra(lad[p.rung]); mv == MoveTighten && next.quorum == p.quorum && cost <= prev {
-				t.Fatalf("tighten from %+v did not increase spend (%g -> %g)", p, prev, cost)
+			if cost, prev := expectedExtra(lad[next]), expectedExtra(lad[r]); mv == MoveTighten && cost <= prev {
+				t.Fatalf("tighten from rung %d did not increase spend (%g -> %g)", r, prev, cost)
 			}
-			p = next
+			r = next
 			if i > 3*len(lad) {
 				t.Fatalf("tighten loop did not terminate from rung %d", start)
 			}
 		}
-		if !affordable(lad[p.rung], tgt) {
-			t.Fatalf("steady miss settled on unaffordable rung %+v", lad[p.rung])
+		if !affordable(lad[r], tgt) {
+			t.Fatalf("steady miss settled on unaffordable rung %+v", lad[r])
 		}
 		for i := 0; ; i++ {
-			next, mv, _ := decide(headroom, p, tgt, lad, tn)
+			next, mv, _ := decide(headroom, r, tgt, lad, testMinSamples)
 			if mv == MoveHold {
 				break
 			}
-			p = next
+			r = next
 			if i > 3*len(lad) {
 				t.Fatalf("relax loop did not terminate")
 			}
 		}
-		if p.rung != 0 || p.quorum != tn.preferredQuorum {
-			t.Fatalf("steady headroom settled at %+v, want rung 0 quorum %d", p, tn.preferredQuorum)
+		if r != 0 {
+			t.Fatalf("steady headroom settled at rung %d, want rung 0", r)
 		}
 	}
 }

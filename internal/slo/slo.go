@@ -17,17 +17,13 @@ import (
 const DefaultClass = "default"
 
 // ClassConfig is a class's live operating point — what the data path
-// reads on every call. Quantile and Fanout feed the hedging schedule;
-// ReadQuorum is the controller's recommendation for quorum reads, which
-// front doors (the gateway) apply per request.
+// reads on every call: the hedging schedule's fan-out and quantile.
 type ClassConfig struct {
 	// Quantile is the hedge quantile in [0.50, 0.99]; 1 when Fanout is
 	// 1 and no hedge can fire.
 	Quantile float64
 	// Fanout is the maximum copies per operation.
 	Fanout int
-	// ReadQuorum is the recommended read quorum (1 = primary only).
-	ReadQuorum int
 }
 
 // Strategy is the core.Strategy the operating point runs: up to Fanout
@@ -48,33 +44,23 @@ type Config struct {
 	// on the rings the controller steers. Class names are WithLabel
 	// values; DefaultClass reads the overall aggregates.
 	Counters *core.Counters
-	// Governor, when set, supplies the utilization EWMA. At or above
-	// the governor's gate the controller clamps every class to no
-	// redundancy instead of fighting the gate.
+	// Governor, when set, governs every call that runs the controller
+	// or one of its class views: the group samples its load and gates
+	// fan-out through it (core.GovernorOf), and while it is gated the
+	// controller clamps every class to no redundancy instead of fighting
+	// the gate. This is the one place a governor is given to the SLO
+	// stack.
 	Governor *core.Governor
 	// Interval is the control period for Start (default 1s).
 	Interval time.Duration
 	// MaxFanout caps the ladder (default 3).
 	MaxFanout int
-	// PreferredReadQuorum is the quorum restored under sustained
-	// headroom (default 1, which disables the quorum knob).
-	PreferredReadQuorum int
 	// MinWindowSamples is the window size below which the controller
 	// holds rather than act on noise (default 48).
 	MinWindowSamples int64
-	// RelaxFraction positions the bottom of the hysteresis band: relax
-	// only when the windowed p99 is below RelaxFraction·Target.P99
-	// (default 0.7).
-	RelaxFraction float64
-	// RelaxPatience is how many consecutive comfortable windows must
-	// accrue before a relax is enacted (default 3). Tightens act
-	// immediately — missing the SLO hurts now; saving money can wait.
-	RelaxPatience int
 	// DisableValidation skips the queueing-model pre-flight on tighten
 	// moves.
 	DisableValidation bool
-	// Seed makes validation runs reproducible (default 1).
-	Seed int64
 }
 
 func (c Config) interval() time.Duration {
@@ -82,27 +68,6 @@ func (c Config) interval() time.Duration {
 		return time.Second
 	}
 	return c.Interval
-}
-
-func (c Config) tuning() tuning {
-	tn := tuning{minSamples: c.MinWindowSamples, relaxFrac: c.RelaxFraction, preferredQuorum: c.PreferredReadQuorum}
-	if tn.minSamples <= 0 {
-		tn.minSamples = 48
-	}
-	if tn.relaxFrac <= 0 || tn.relaxFrac >= 1 {
-		tn.relaxFrac = 0.7
-	}
-	if tn.preferredQuorum < 1 {
-		tn.preferredQuorum = 1
-	}
-	return tn
-}
-
-func (c Config) relaxPatience() int {
-	if c.RelaxPatience <= 0 {
-		return 3
-	}
-	return c.RelaxPatience
 }
 
 // class is one traffic class's control state. The atomic fields are the
@@ -113,8 +78,11 @@ type class struct {
 	target atomic.Pointer[Target]
 	op     atomic.Pointer[ClassConfig]
 
+	// view is the class's data-path strategy, built once.
+	view *ClassStrategy
+
 	// Control-loop state, guarded by Controller.mu.
-	p            point
+	rung         int
 	relaxStreak  int
 	havePrev     bool
 	prev         core.DigestSnapshot
@@ -130,8 +98,8 @@ type class struct {
 }
 
 func (cl *class) publish(lad []rung) {
-	r := lad[cl.p.rung]
-	cl.op.Store(&ClassConfig{Quantile: r.q, Fanout: r.fanout, ReadQuorum: cl.p.quorum})
+	r := lad[cl.rung]
+	cl.op.Store(&ClassConfig{Quantile: r.q, Fanout: r.fanout})
 }
 
 // Controller adapts per-class operating points toward their Targets.
@@ -139,13 +107,16 @@ func (cl *class) publish(lad []rung) {
 // views from Class plug into calls via core.WithStrategyOverride +
 // core.WithLabel. All methods are safe for concurrent use.
 type Controller struct {
-	cfg     Config
-	lad     []rung
-	tn      tuning
-	defView *ClassStrategy
+	cfg        Config
+	lad        []rung
+	minSamples int64
+	defView    *ClassStrategy
 
+	// mu guards every class's control-loop state. The registry needs no
+	// lock: a request's Class lookup never waits on a control round and
+	// its pre-flight.
 	mu      sync.Mutex
-	classes map[string]*class
+	classes sync.Map // name → *class
 
 	loopMu sync.Mutex
 	stop   chan struct{}
@@ -164,35 +135,55 @@ func New(target Target, cfg Config) *Controller {
 		maxFanout = 3
 	}
 	c := &Controller{
-		cfg:     cfg,
-		lad:     buildLadder(maxFanout),
-		tn:      cfg.tuning(),
-		classes: make(map[string]*class),
+		cfg:        cfg,
+		lad:        buildLadder(maxFanout),
+		minSamples: cfg.MinWindowSamples,
+	}
+	if c.minSamples <= 0 {
+		c.minSamples = 48
 	}
 	def := c.ensureClass(DefaultClass)
 	def.target.Store(&target)
-	c.defView = &ClassStrategy{cl: def}
+	c.defView = def.view
 	return c
 }
 
 // ensureClass returns the named class, creating it at the cheapest
-// operating point (no redundancy, preferred quorum) with the default
-// class's target if it is new.
+// operating point (no redundancy) with the default class's target if it
+// is new.
 func (c *Controller) ensureClass(name string) *class {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl := c.classes[name]; cl != nil {
+	if cl := c.lookup(name); cl != nil {
 		return cl
 	}
-	cl := &class{name: name, p: point{rung: 0, quorum: c.tn.preferredQuorum}}
+	cl := &class{name: name}
+	cl.view = &ClassStrategy{cl: cl, gov: c.cfg.Governor}
 	tgt := Target{}
-	if def := c.classes[DefaultClass]; def != nil {
+	if def := c.lookup(DefaultClass); def != nil {
 		tgt = *def.target.Load()
 	}
 	cl.target.Store(&tgt)
 	cl.publish(c.lad)
-	c.classes[name] = cl
-	return cl
+	v, _ := c.classes.LoadOrStore(name, cl)
+	return v.(*class)
+}
+
+// lookup returns the named class, nil if it is not registered.
+func (c *Controller) lookup(name string) *class {
+	if v, ok := c.classes.Load(name); ok {
+		return v.(*class)
+	}
+	return nil
+}
+
+// all returns every registered class, sorted by name.
+func (c *Controller) all() []*class {
+	var out []*class
+	c.classes.Range(func(_, v any) bool {
+		out = append(out, v.(*class))
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // SetTarget declares (or replaces) a class's target, registering the
@@ -204,9 +195,7 @@ func (c *Controller) SetTarget(name string, tgt Target) {
 
 // Target returns a class's current target and whether the class exists.
 func (c *Controller) Target(name string) (Target, bool) {
-	c.mu.Lock()
-	cl := c.classes[name]
-	c.mu.Unlock()
+	cl := c.lookup(name)
 	if cl == nil {
 		return Target{}, false
 	}
@@ -216,45 +205,37 @@ func (c *Controller) Target(name string) (Target, bool) {
 // ClassConfig returns a class's live operating point and whether the
 // class exists.
 func (c *Controller) ClassConfig(name string) (ClassConfig, bool) {
-	c.mu.Lock()
-	cl := c.classes[name]
-	c.mu.Unlock()
+	cl := c.lookup(name)
 	if cl == nil {
 		return ClassConfig{}, false
 	}
 	return *cl.op.Load(), true
 }
 
-// ReadQuorum returns the controller's current read-quorum
-// recommendation for a class (1 when the class is unknown).
-func (c *Controller) ReadQuorum(name string) int {
-	if op, ok := c.ClassConfig(name); ok {
-		return op.ReadQuorum
-	}
-	return 1
-}
-
 // Class returns the per-class strategy view: a core.Strategy that reads
-// the class's live operating point on every call. Pair it with
-// core.WithStrategyOverride and core.WithLabel(name) so the class's
-// calls both follow and feed its control loop. The class is registered
-// on first use.
+// the class's live operating point on every call, governed by
+// Config.Governor. Pair it with core.WithStrategyOverride and
+// core.WithLabel(name) so the class's calls both follow and feed its
+// control loop. The class is registered on first use, and every call
+// for it returns the same view.
 func (c *Controller) Class(name string) *ClassStrategy {
 	if name == "" || name == DefaultClass {
 		return c.defView
 	}
-	return &ClassStrategy{cl: c.ensureClass(name)}
+	return c.ensureClass(name).view
 }
+
+// Governor returns Config.Governor, nil when none was given. It makes
+// the controller, run as a group's strategy, a governed one
+// (core.GovernorOf); front doors read its stats through it.
+func (c *Controller) Governor() *core.Governor { return c.cfg.Governor }
 
 // Classes lists the registered class names, sorted.
 func (c *Controller) Classes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.classes))
-	for name := range c.classes {
-		out = append(out, name)
+	var out []string
+	for _, cl := range c.all() {
+		out = append(out, cl.name)
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -272,7 +253,7 @@ func (c *Controller) Step(name string, w Window) (ClassConfig, Move) {
 
 func (c *Controller) stepLocked(cl *class, w Window) (ClassConfig, Move) {
 	tgt := *cl.target.Load()
-	next, mv, why := decide(w, cl.p, tgt, c.lad, c.tn)
+	next, mv, why := decide(w, cl.rung, tgt, c.lad, c.minSamples)
 
 	// Relax patience: headroom must persist. Budget overshoot and the
 	// governor clamp act immediately — one is a declared cap, the other
@@ -280,8 +261,8 @@ func (c *Controller) stepLocked(cl *class, w Window) (ClassConfig, Move) {
 	// comfortable window would oscillate against the tighten rule.
 	if mv == MoveRelax && why == ReasonHeadroom {
 		cl.relaxStreak++
-		if cl.relaxStreak < c.cfg.relaxPatience() {
-			next, mv, why = cl.p, MoveHold, ReasonPatience
+		if cl.relaxStreak < relaxPatience {
+			next, mv, why = cl.rung, MoveHold, ReasonPatience
 		} else {
 			cl.relaxStreak = 0
 		}
@@ -293,14 +274,14 @@ func (c *Controller) stepLocked(cl *class, w Window) (ClassConfig, Move) {
 	// extra copy queues behind everyone else's and makes the tail
 	// worse (the paper's threshold), so a tighten must first prove
 	// itself against a no-redundancy baseline at the estimated load.
-	if mv == MoveTighten && next.rung > cl.p.rung {
-		if !c.validateTighten(w, c.lad[next.rung]) {
+	if mv == MoveTighten {
+		if !c.validateTighten(w, c.lad[next]) {
 			cl.rejects.Add(1)
-			next, mv, why = cl.p, MoveHold, ReasonRejected
+			next, mv, why = cl.rung, MoveHold, ReasonRejected
 		}
 	}
 
-	cl.p = next
+	cl.rung = next
 	cl.publish(c.lad)
 	cl.moves[mv].Add(1)
 	cl.lastP99.Store(int64(w.P99))
@@ -315,7 +296,7 @@ func (c *Controller) stepLocked(cl *class, w Window) (ClassConfig, Move) {
 func (c *Controller) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, cl := range c.classes {
+	for _, cl := range c.all() {
 		if w, ok := c.measureLocked(cl); ok {
 			c.stepLocked(cl, w)
 		}
@@ -363,10 +344,7 @@ func (c *Controller) measureLocked(cl *class) (Window, bool) {
 		if gs.Observed {
 			w.Utilization = gs.Utilization
 		}
-		// Gated() only flips on the sampled Allow path; a controller
-		// installed without the LoadAware wrapper still must clamp, so
-		// compare the EWMA against the gate directly too.
-		w.Gated = gs.Gated || (gs.Observed && gs.Utilization >= gs.Threshold)
+		w.Gated = gs.Gated
 	}
 	cl.prev, cl.prevOps, cl.prevLaunched = cur, ops, launched
 	return w, true
@@ -434,18 +412,12 @@ type ClassStats struct {
 
 // Stats snapshots every class, sorted by name.
 func (c *Controller) Stats() []ClassStats {
-	c.mu.Lock()
-	classes := make([]*class, 0, len(c.classes))
-	for _, cl := range c.classes {
-		classes = append(classes, cl)
-	}
-	c.mu.Unlock()
-	sort.Slice(classes, func(i, j int) bool { return classes[i].name < classes[j].name })
+	classes := c.all()
 	out := make([]ClassStats, 0, len(classes))
 	for _, cl := range classes {
 		op := *cl.op.Load()
 		c.mu.Lock()
-		exp := expectedExtra(c.lad[cl.p.rung])
+		exp := expectedExtra(c.lad[cl.rung])
 		c.mu.Unlock()
 		out = append(out, ClassStats{
 			Class:             cl.name,
@@ -479,10 +451,15 @@ func (c *Controller) String() string { return c.defView.String() }
 // ClassStrategy is a class's data-path view of the controller: a
 // core.Strategy that reads the class's live operating point on every
 // call, so a control-loop move takes effect on the very next operation
-// without any re-wiring.
+// without any re-wiring, and that carries the controller's governor.
 type ClassStrategy struct {
-	cl *class
+	cl  *class
+	gov *core.Governor
 }
+
+// Governor returns the controller's Config.Governor, nil when none was
+// given: a group running the view samples and gates through it.
+func (s *ClassStrategy) Governor() *core.Governor { return s.gov }
 
 // Fanout implements core.Strategy.
 func (s *ClassStrategy) Fanout() (int, core.Selection) {
@@ -499,7 +476,7 @@ func (s *ClassStrategy) ScheduleInto(d core.Digests, dst []time.Duration) []time
 func (s *ClassStrategy) String() string {
 	op := *s.cl.op.Load()
 	if op.Fanout <= 1 {
-		return fmt.Sprintf("slo(%s, k=1, rq=%d)", s.cl.name, op.ReadQuorum)
+		return fmt.Sprintf("slo(%s, k=1)", s.cl.name)
 	}
-	return fmt.Sprintf("slo(%s, k=%d@p%g, rq=%d)", s.cl.name, op.Fanout, op.Quantile*100, op.ReadQuorum)
+	return fmt.Sprintf("slo(%s, k=%d@p%g)", s.cl.name, op.Fanout, op.Quantile*100)
 }

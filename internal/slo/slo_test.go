@@ -48,12 +48,12 @@ func TestStepTightensOnMiss(t *testing.T) {
 	}
 }
 
-// TestStepRelaxPatience: headroom must persist for RelaxPatience
+// TestStepRelaxPatience: headroom must persist for relaxPatience (3)
 // consecutive windows before a relax is enacted, and any non-headroom
 // window resets the streak.
 func TestStepRelaxPatience(t *testing.T) {
 	tgt := Target{P99: 100 * time.Millisecond, MaxExtraLoad: 0.5}
-	c := testController(t, tgt, func(cfg *Config) { cfg.RelaxPatience = 3 })
+	c := testController(t, tgt, nil)
 	// Climb two rungs first.
 	c.Step(DefaultClass, hotWindow(500*time.Millisecond, 0))
 	c.Step(DefaultClass, hotWindow(500*time.Millisecond, 0))
@@ -87,10 +87,10 @@ func TestStepRelaxPatience(t *testing.T) {
 }
 
 // TestStepGovernorClamp: a gated window must drop any class straight to
-// no redundancy, quorum 1.
+// no redundancy.
 func TestStepGovernorClamp(t *testing.T) {
 	tgt := Target{P99: 100 * time.Millisecond, MaxExtraLoad: 0.5}
-	c := testController(t, tgt, func(cfg *Config) { cfg.PreferredReadQuorum = 2 })
+	c := testController(t, tgt, nil)
 	c.SetTarget("batch", tgt)
 	for i := 0; i < 4; i++ {
 		c.Step("batch", hotWindow(time.Second, 0))
@@ -101,11 +101,11 @@ func TestStepGovernorClamp(t *testing.T) {
 	w := hotWindow(time.Second, 0)
 	w.Gated = true
 	op, mv := c.Step("batch", w)
-	if mv != MoveClamp || op.Fanout != 1 || op.ReadQuorum != 1 {
-		t.Fatalf("gated step: move=%v op=%+v, want clamp to k=1 rq=1", mv, op)
+	if mv != MoveClamp || op.Fanout != 1 {
+		t.Fatalf("gated step: move=%v op=%+v, want clamp to k=1", mv, op)
 	}
-	if c.ReadQuorum("batch") != 1 {
-		t.Fatalf("ReadQuorum after clamp = %d, want 1", c.ReadQuorum("batch"))
+	if k, _ := c.Class("batch").Fanout(); k != 1 {
+		t.Fatalf("class view Fanout after clamp = %d, want 1", k)
 	}
 }
 
@@ -144,10 +144,7 @@ func TestValidationVetoesTightenUnderHighLoad(t *testing.T) {
 	tgt := Target{P99: 50 * time.Millisecond, MaxExtraLoad: 1.5}
 	// Six consecutive misses try to climb six rungs (p99 down to p85).
 	climb := func(u float64) ClassStats {
-		c := testController(t, tgt, func(cfg *Config) {
-			cfg.DisableValidation = false
-			cfg.Seed = 7
-		})
+		c := testController(t, tgt, func(cfg *Config) { cfg.DisableValidation = false })
 		for i := 0; i < 6; i++ {
 			c.Step(DefaultClass, longTailWindow(u))
 		}
@@ -187,7 +184,7 @@ func TestValidationSimulatesTheLiveStrategy(t *testing.T) {
 			t.Fatalf("rung %d: baseline %v, want one copy", r, base.Strategy)
 		}
 		c.mu.Lock()
-		view.cl.p.rung = r
+		view.cl.rung = r
 		view.cl.publish(c.lad)
 		c.mu.Unlock()
 
@@ -327,7 +324,7 @@ func TestClassStrategySchedule(t *testing.T) {
 	// rung's fan-out and quantile, over warm, cold and missing digests.
 	for _, r := range buildLadder(3) {
 		c.mu.Lock()
-		s.cl.p.rung = slices.Index(c.lad, r)
+		s.cl.rung = slices.Index(c.lad, r)
 		s.cl.publish(c.lad)
 		c.mu.Unlock()
 		ah := core.AdaptiveHedge{Copies: r.fanout, Quantile: r.q, Selection: core.SelectRanked}
@@ -351,7 +348,8 @@ func TestClassStrategySchedule(t *testing.T) {
 
 // TestControllerIsAGroupStrategy: a Group built on the controller serves
 // calls at the default class's operating point — one copy while cold,
-// two once Step has tightened off a missed window.
+// two once Step has tightened off a missed window. No governor was
+// given, so Governor() is nil and the calls run ungoverned.
 func TestControllerIsAGroupStrategy(t *testing.T) {
 	tgt := Target{P99: 10 * time.Millisecond, MaxExtraLoad: 0.5}
 	c := testController(t, tgt, func(cfg *Config) {
@@ -403,7 +401,6 @@ func TestControllerChurn(t *testing.T) {
 	c := testController(t, tgt, func(cfg *Config) {
 		cfg.Counters = ctr
 		cfg.Interval = time.Millisecond
-		cfg.PreferredReadQuorum = 2
 	})
 	c.Start()
 	defer c.Stop()
@@ -454,7 +451,7 @@ func TestControllerChurn(t *testing.T) {
 				}
 				c.SetTarget(name, Target{P99: time.Duration(1+rng.Intn(200)) * time.Millisecond, MaxExtraLoad: float64(rng.Intn(10)) / 10})
 				c.Step(name, hotWindow(time.Duration(1+rng.Intn(300))*time.Millisecond, float64(rng.Intn(20))/10))
-				c.ReadQuorum(name)
+				c.Class(name)
 				c.Stats()
 			}
 		}()
@@ -462,7 +459,7 @@ func TestControllerChurn(t *testing.T) {
 	wg.Wait()
 	for _, name := range c.Classes() {
 		op, ok := c.ClassConfig(name)
-		if !ok || op.Fanout < 1 || op.ReadQuorum < 1 {
+		if !ok || op.Fanout < 1 {
 			t.Fatalf("class %s ended in invalid state: %+v (ok=%v)", name, op, ok)
 		}
 	}
@@ -471,4 +468,96 @@ func TestControllerChurn(t *testing.T) {
 	c.Start()
 	c.Start()
 	c.Stop()
+}
+
+// TestGovernedControllerReopensTheGate: the governor given to the
+// controller gates the calls that run it, and lets them go again. A
+// 2-replica group runs the controller at k=2; calls held open push the
+// governor's EWMA past its gate (threshold 2 copies per replica), and
+// the next Tick clamps the class to k=1. From then on only k=1 calls
+// see the load fall — the clamp put them there — so they must be what
+// opens the gate: within a few Ticks the class leaves reason gated and
+// tightens again on its missed p99.
+func TestGovernedControllerReopensTheGate(t *testing.T) {
+	ctr := core.NewCounters()
+	gov := core.NewGovernor(2, 0)
+	c := testController(t, Target{P99: time.Nanosecond, MaxExtraLoad: 1}, func(cfg *Config) {
+		cfg.Counters = ctr
+		cfg.Governor = gov
+	})
+	release := make(chan struct{})
+	g := core.NewStrategyGroup[int](c, core.WithObserver(ctr))
+	for _, name := range []string{"a", "b"} {
+		g.Add(name, func(ctx context.Context) (int, error) {
+			select {
+			case <-release:
+				return 1, nil
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		})
+	}
+	eventually := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: governor %+v", what, gov.Stats())
+			}
+		}
+	}
+	defStats := func() ClassStats {
+		for _, s := range c.Stats() {
+			if s.Class == DefaultClass {
+				return s
+			}
+		}
+		t.Fatal("no default-class stats")
+		return ClassStats{}
+	}
+
+	c.Tick() // baseline
+	if op, _ := c.Step(DefaultClass, hotWindow(time.Second, 0)); op.Fanout != 2 {
+		t.Fatalf("setup: %+v, want k=2", op)
+	}
+	// Each held call samples the copies the calls before it hold open,
+	// then adds two of its own, until a sample crosses the gate.
+	var wg sync.WaitGroup
+	for held := 0; !gov.Gated(); held++ {
+		if held == 16 {
+			t.Fatalf("%d k=2 calls held open and the governor never gated: %+v", held, gov.Stats())
+		}
+		want := gov.Stats().InFlight + 2
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Do(context.Background())
+		}()
+		eventually("held call's copies never in flight", func() bool { return gov.Stats().InFlight >= want || gov.Gated() })
+	}
+	close(release)
+	wg.Wait()
+	eventually("copies still in flight after release", func() bool { return gov.Stats().InFlight == 0 })
+	c.Tick()
+	if st := defStats(); st.Config.Fanout != 1 || st.LastReason != ReasonGated.String() {
+		t.Fatalf("tick at the gate: %+v, want clamp to k=1, reason gated", st)
+	}
+
+	for tick := 1; ; tick++ {
+		for i := 0; i < 20; i++ {
+			if res, err := g.Do(context.Background()); err != nil || res.Launched != 1 {
+				t.Fatalf("clamped call: launched %d, %v; want one copy", res.Launched, err)
+			}
+		}
+		c.Tick()
+		st := defStats()
+		if st.LastReason != ReasonGated.String() {
+			if st.Config.Fanout != 2 || st.LastReason != ReasonMiss.String() {
+				t.Fatalf("tick %d after the gate opened: %+v, want a tighten to k=2 on the missed p99", tick, st)
+			}
+			break
+		}
+		if tick == 5 {
+			t.Fatalf("class still gated after %d ticks of idle k=1 calls: %+v, governor %+v", tick, st, gov.Stats())
+		}
+	}
 }

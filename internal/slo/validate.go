@@ -17,10 +17,12 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 var validationQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}
 
 // The pre-flight's model: enough servers for the top rung's copies to
-// land on distinct ones, enough requests for a stable p99.
+// land on distinct ones, enough requests for a stable p99, and one fixed
+// seed, so a window always gets the same verdict.
 const (
 	preflightServers  = 8
 	preflightRequests = 3000
+	preflightSeed     = 1
 )
 
 // validateTighten pre-flights a candidate rung in the queueing model
@@ -72,13 +74,9 @@ func (c *Controller) preflight(w Window, cand rung) (base, next queueing.HedgedC
 	if !ok {
 		return base, next, false
 	}
-	seed := c.cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	base = queueing.HedgedConfig{
 		Servers: preflightServers, Load: load, Service: svc,
-		Strategy: core.Fixed{Copies: 1}, Requests: preflightRequests, Seed: seed,
+		Strategy: core.Fixed{Copies: 1}, Requests: preflightRequests, Seed: preflightSeed,
 	}
 	next = base
 	next.Strategy = ClassConfig{Fanout: cand.fanout, Quantile: cand.q}.Strategy()
