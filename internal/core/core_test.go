@@ -168,10 +168,12 @@ func TestFirstNoGoroutineLeak(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("%d of %d losers returned: the rest were never cancelled", returned.Load(), calls*losers)
 	}
-	// A little slack for goroutines other tests left behind (a timer's
-	// callback, say) that come and go meanwhile.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > before+5; i++ {
-		runtime.Gosched()
+	// A loser has returned before its goroutine exits, and on a busy
+	// machine the exit can lag: give them until a deadline, not a fixed
+	// number of yields. A little slack too, for goroutines other tests left
+	// behind (a timer's callback, say) that come and go meanwhile.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before+5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before+5 {
 		t.Errorf("goroutines grew from %d to %d: leak", before, after)

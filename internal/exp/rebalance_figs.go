@@ -58,12 +58,12 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	}
 
 	// ---- cluster: versioned (v2 mux) shards behind a sharded client ----
-	var measuring syncBool
+	var measuring atomic.Bool
 	servers := make([]*memkv.Server, 0, shards+1)
 	muxByAddr := make(map[string]*memkv.MuxClient)
 	newShard := func(i int) (*memkv.MuxClient, error) {
 		srv := memkv.NewServer(nil)
-		clock := &expClock{
+		clock := &fcfsClock{
 			rng:       rand.New(rand.NewSource(seed + int64(i)*7919)),
 			svc:       dist.Exponential{MeanV: svcMean},
 			measuring: &measuring,
@@ -124,7 +124,7 @@ func AblationRebalance(o Options) ([]*Table, error) {
 		}
 		wantVer[key] = ver
 	}
-	measuring.set(true)
+	measuring.Store(true)
 
 	// ---- phase 1: steady state ----
 	prevPlacement := sc.PlacementSnapshot()
@@ -185,7 +185,7 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	}
 
 	// ---- phase 3: version audit, directly against every owner ----
-	measuring.set(false) // audit reads should not occupy the modelled disks
+	measuring.Store(false) // audit reads should not occupy the modelled disks
 	audited, converged, missing, staleVer := 0, 0, 0, 0
 	for key, want := range wantVer {
 		owners := curPlacement.Owners(key)
@@ -289,44 +289,6 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// syncBool is a tiny shared flag (avoids importing sync/atomic here
-// twice over; the experiment files already use atomic.Bool elsewhere).
-type syncBool struct {
-	mu sync.Mutex
-	v  bool
-}
-
-func (b *syncBool) set(v bool) { b.mu.Lock(); b.v = v; b.mu.Unlock() }
-func (b *syncBool) get() bool  { b.mu.Lock(); defer b.mu.Unlock(); return b.v }
-
-// expClock is the FCFS virtual clock for this experiment's shards: an
-// exponential service time reserved behind the queue (Lindley
-// recursion), slept on the wall clock.
-type expClock struct {
-	mu        sync.Mutex
-	freeAt    time.Time
-	rng       *rand.Rand
-	svc       dist.Dist
-	measuring *syncBool
-}
-
-func (c *expClock) delay() time.Duration {
-	if !c.measuring.get() {
-		return 0
-	}
-	now := time.Now()
-	c.mu.Lock()
-	svc := c.svc.Sample(c.rng)
-	start := c.freeAt
-	if start.Before(now) {
-		start = now
-	}
-	done := start.Add(time.Duration(svc * float64(time.Second)))
-	c.freeAt = done
-	c.mu.Unlock()
-	return done.Sub(now)
 }
 
 // runReadWindow drives one open-loop Poisson read window against the

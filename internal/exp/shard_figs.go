@@ -119,28 +119,24 @@ const (
 )
 
 // fcfsClock emulates one FCFS server on the wall clock: each request
-// reserves its service behind the queue (Lindley recursion) and the
-// handler sleeps until the request's virtual completion.
+// reserves a service time drawn from svc behind the queue (Lindley
+// recursion) and the handler sleeps until the request's virtual
+// completion. While measuring is off, requests occupy no service.
 type fcfsClock struct {
 	mu        sync.Mutex
 	freeAt    time.Time
 	rng       *rand.Rand
-	seek      dist.Dist
-	transfer  float64 // seconds per response
+	svc       dist.Dist
 	measuring *atomic.Bool
 }
 
 func (c *fcfsClock) delay() time.Duration {
 	if !c.measuring.Load() {
-		return 0 // preload traffic does not occupy the modelled disk
+		return 0
 	}
 	now := time.Now()
 	c.mu.Lock()
-	svc := shardHitCPU
-	if c.rng.Float64() < shardMissProb {
-		svc += c.seek.Sample(c.rng)
-	}
-	svc += c.transfer
+	svc := c.svc.Sample(c.rng)
 	start := c.freeAt
 	if start.Before(now) {
 		start = now
@@ -151,24 +147,45 @@ func (c *fcfsClock) delay() time.Duration {
 	return done.Sub(now)
 }
 
-// meanService is the analytic per-request service time used to
-// calibrate the arrival rate for a target load.
-func meanService(valueSize int) float64 {
-	return shardHitCPU + shardMissProb*shardSeekMean + float64(valueSize)/shardDiskBW
+// diskService is a shard's service time in seconds: cache-hit CPU, a
+// lognormal seek on a miss, and the value's transfer.
+type diskService struct {
+	seek     dist.LogNormal
+	transfer float64
+}
+
+func (d diskService) Sample(r *rand.Rand) float64 {
+	svc := shardHitCPU
+	if r.Float64() < shardMissProb {
+		svc += d.seek.Sample(r)
+	}
+	return svc + d.transfer
+}
+
+func (d diskService) Mean() float64 {
+	return shardHitCPU + shardMissProb*shardSeekMean + d.transfer
+}
+
+func (d diskService) Variance() float64 {
+	seek2 := d.seek.Variance() + shardSeekMean*shardSeekMean
+	return shardMissProb*seek2 - shardMissProb*shardMissProb*shardSeekMean*shardSeekMean
 }
 
 // runShardArm measures one (copies, load, valueSize) point and returns
 // the response-time sample in seconds.
 func runShardArm(a shardArm) (*stats.Sample, error) {
 	var measuring atomic.Bool
+	svc := diskService{
+		seek:     dist.LogNormalMeanCV(shardSeekMean, shardSeekCV),
+		transfer: float64(a.valueSize) / shardDiskBW,
+	}
 	servers := make([]*memkv.Server, a.shards)
 	clients := make([]memkv.Backend, a.shards)
 	for i := range servers {
 		srv := memkv.NewServer(nil)
 		clock := &fcfsClock{
 			rng:       rand.New(rand.NewSource(a.seed + int64(i)*1009)),
-			seek:      dist.LogNormalMeanCV(shardSeekMean, shardSeekCV),
-			transfer:  float64(a.valueSize) / shardDiskBW,
+			svc:       svc,
 			measuring: &measuring,
 		}
 		srv.Delay = clock.delay
@@ -202,7 +219,7 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 	// Open-loop Poisson arrivals calibrated against the UNREPLICATED
 	// system's bottleneck, as in the paper: the redundant arm really
 	// offers ~2x that load.
-	lambda := a.load * float64(a.shards) / meanService(a.valueSize)
+	lambda := a.load * float64(a.shards) / svc.Mean()
 	warmup := a.requests / 5
 	total := a.requests + warmup
 	rng := rand.New(rand.NewSource(a.seed ^ 0x5bd1))

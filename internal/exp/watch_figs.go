@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"redundancy/internal/dist"
@@ -48,14 +49,14 @@ func AblationWatch(o Options) ([]*Table, error) {
 		seed = 1
 	}
 
-	var measuring syncBool
+	var measuring atomic.Bool
 	servers := make(map[string]*memkv.Server, shards)
 	muxByAddr := make(map[string]*memkv.MuxClient, shards)
 	clients := make([]memkv.Backend, shards)
 	addrs := make([]string, 0, shards)
 	for i := 0; i < shards; i++ {
 		srv := memkv.NewServer(nil)
-		clock := &expClock{
+		clock := &fcfsClock{
 			rng:       rand.New(rand.NewSource(seed + int64(i)*7919)),
 			svc:       dist.Exponential{MeanV: svcMean},
 			measuring: &measuring,
@@ -182,13 +183,13 @@ func AblationWatch(o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("single watch: %w", err)
 	}
-	measuring.set(true)
+	measuring.Store(true)
 	resC := collectPhase(single.Events(), "s", events)
 	if err := writePhase("s", ""); err != nil {
 		return nil, err
 	}
 	sres := <-resC
-	measuring.set(false)
+	measuring.Store(false)
 	single.Close()
 
 	// ---- phase 2: redundant watch over both replicas ----
@@ -196,23 +197,23 @@ func AblationWatch(o Options) ([]*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("redundant watch: %w", err)
 	}
-	measuring.set(true)
+	measuring.Store(true)
 	resC = collectPhase(red.Events(), "r", events)
 	if err := writePhase("r", ""); err != nil {
 		return nil, err
 	}
 	rres := <-resC
-	measuring.set(false)
+	measuring.Store(false)
 
 	// ---- phase 3: kill one replica mid-stream, same redundant watch ----
 	victim := addrs[1]
-	measuring.set(true)
+	measuring.Store(true)
 	resC = collectPhase(red.Events(), "k", events)
 	if err := writePhase("k", victim); err != nil {
 		return nil, err
 	}
 	kres := <-resC
-	measuring.set(false)
+	measuring.Store(false)
 	rst := red.Stats()
 	red.Close()
 

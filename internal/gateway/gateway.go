@@ -60,17 +60,17 @@ type Config struct {
 	// the client's ShardedConfig.Observer (and the controller's
 	// Config.Counters) so all three see the same traffic.
 	Counters *core.Counters
-	// MaxValueBytes caps a PUT body (default 1 MiB).
-	MaxValueBytes int64
 }
+
+// maxValueBytes caps a PUT body.
+const maxValueBytes = 1 << 20
 
 // Gateway is the HTTP handler. Create with New; it is an http.Handler.
 type Gateway struct {
-	client   *memkv.ShardedClient
-	ctl      *slo.Controller
-	ctr      *core.Counters
-	maxValue int64
-	mux      *http.ServeMux
+	client *memkv.ShardedClient
+	ctl    *slo.Controller
+	ctr    *core.Counters
+	mux    *http.ServeMux
 }
 
 // New builds a Gateway over cfg.Client.
@@ -79,13 +79,9 @@ func New(cfg Config) *Gateway {
 		panic("gateway: Config.Client is required")
 	}
 	g := &Gateway{
-		client:   cfg.Client,
-		ctl:      cfg.Controller,
-		ctr:      cfg.Counters,
-		maxValue: cfg.MaxValueBytes,
-	}
-	if g.maxValue <= 0 {
-		g.maxValue = 1 << 20
+		client: cfg.Client,
+		ctl:    cfg.Controller,
+		ctr:    cfg.Counters,
 	}
 	m := http.NewServeMux()
 	m.HandleFunc("GET /kv/{key...}", func(w http.ResponseWriter, r *http.Request) { g.handleGet(w, r, r.PathValue("key")) })
@@ -302,11 +298,11 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) 
 // through MaxBytesReader and ReadAll, which grows as it reads and is what
 // rejects one over the limit.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if r.ContentLength > g.maxValue {
-		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, g.maxValue)
+	if r.ContentLength > maxValueBytes {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxValueBytes)
 	}
 	if r.ContentLength < 0 {
-		return io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxValue))
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, maxValueBytes))
 	}
 	body := memkv.Take(int(r.ContentLength))
 	if _, err := io.ReadFull(r.Body, body); err != nil {

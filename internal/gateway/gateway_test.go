@@ -790,8 +790,8 @@ func TestPutReplyMatchesEncoder(t *testing.T) {
 // chunked; a body that ends short of its declared length is a 400 too.
 func TestPutBodyLengths(t *testing.T) {
 	f := newFixture(t, 2)
-	const limit = 16
-	ts := httptest.NewServer(New(Config{Client: f.sc, MaxValueBytes: limit}))
+	const limit = maxValueBytes
+	ts := httptest.NewServer(New(Config{Client: f.sc}))
 	defer ts.Close()
 	put := func(key string, body io.Reader) (int, []byte) {
 		t.Helper()
@@ -849,7 +849,7 @@ func TestPutBodyLengths(t *testing.T) {
 		req.ContentLength = limit + 1
 		req.Body = body
 		rec := httptest.NewRecorder()
-		New(Config{Client: f.sc, MaxValueBytes: limit}).ServeHTTP(rec, req)
+		New(Config{Client: f.sc}).ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest || errOf(t, rec.Body.Bytes()) != "bad_request" {
 			t.Errorf("status %d body %s, want 400 bad_request", rec.Code, rec.Body)
 		}

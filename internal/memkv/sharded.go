@@ -129,9 +129,6 @@ type ShardedConfig struct {
 	// only; core.AdaptiveHedge hedges the secondary at a latency
 	// quantile.
 	ReadStrategy core.Strategy
-	// VirtualNodes is the ring points per shard (0 means
-	// ring.DefaultVirtualNodes).
-	VirtualNodes int
 	// Observer, when set, receives per-operation metrics from both read
 	// rings (Get and GetQuorum; writes are not ring calls) — the
 	// observation hook a feedback controller needs to watch per-class
@@ -152,17 +149,11 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	if cfg.ReadStrategy == nil {
 		cfg.ReadStrategy = core.Fixed{Copies: 2}
 	}
-	if cfg.VirtualNodes < 1 {
-		cfg.VirtualNodes = ring.DefaultVirtualNodes
-	}
 	sc := &ShardedClient{
 		replication: cfg.Replication,
 		writeQuorum: cfg.WriteQuorum,
 	}
-	ropts := []ring.Option{
-		ring.WithReplication(cfg.Replication),
-		ring.WithVirtualNodes(cfg.VirtualNodes),
-	}
+	ropts := []ring.Option{ring.WithReplication(cfg.Replication)}
 	if cfg.Observer != nil {
 		ropts = append(ropts, ring.WithObserver(cfg.Observer))
 	}

@@ -1,22 +1,11 @@
-// Package memsim reproduces the paper's memcached experiment (§2.3,
-// Figures 12-13): an in-memory store whose service times are so small
-// (~0.18 ms) that the client-side cost of processing a second copy —
-// measured in the paper at >= 9% of the mean service time via a
-// stub-version experiment — cancels redundancy's benefit at every load
-// tested.
+// Package memsim is the paper's memcached experiment (§2.3, Figures
+// 12-13): an in-memory store whose service time is so small (~0.18 ms)
+// that the client-side cost of a second copy — at least 9% of the mean
+// service time, by the stub experiment — cancels redundancy's benefit.
 //
-// The model uses the paper's own measured constants:
-//
-//   - mean server service time 0.18 ms, nearly deterministic (>99.9% of
-//     mass within 4x the mean) — modelled as lognormal with small CV plus
-//     a rare outlier tail;
-//   - client-side processing per request 0.08 ms, plus 0.016 ms extra for
-//     a replicated request (the stub-version delta), which is an
-//     UNDERestimate of the true overhead, as in the paper;
-//   - additional kernel/network receive cost per extra response.
-//
-// It also implements the Figure 13 "stub" variant, where the server call
-// is replaced with a no-op so only the client-side path is measured.
+// It is the §2.1 queueing model, queueing.Run, with the paper's
+// measurements, all in milliseconds. The package adds only those
+// constants and memcached's service law; it has no queue of its own.
 package memsim
 
 import (
@@ -24,149 +13,66 @@ import (
 	"math/rand"
 
 	"redundancy/internal/dist"
+	"redundancy/internal/queueing"
 	"redundancy/internal/stats"
 )
 
-// Config describes one memcached-model run.
-type Config struct {
-	// Servers is the number of memcached nodes (paper: 4).
-	Servers int
-	// Copies is 1 or 2.
-	Copies int
-	// Load is base per-server utilization of the unreplicated system,
-	// 0 < Load < 1 (Figure 12 sweeps 0.1-0.9; Figure 13 uses 0.001).
-	Load float64
-	// Stub replaces the server with an immediate no-op response, leaving
-	// only client-side costs (Figure 13's stub curves).
-	Stub bool
-	// Requests and Warmup as elsewhere.
-	Requests int
-	Warmup   int
-	Seed     int64
+const (
+	servers       = 4      // memcached nodes
+	ServiceMean   = 0.18   // mean server service time
+	serviceCV     = 0.25   // "not very variable"
+	outlierProb   = 0.0005 // share of requests slowed at the server...
+	outlierFactor = 20     // ...by this factor: Figure 13's rare multi-ms tail
+	ClientBase    = 0.08   // client processing per request: the 1-copy stub's mean
+	clientExtra   = 0.016  // added client latency of a replicated request: the stub delta
+	recvPerCopy   = 0.008  // kernel/NIC receive of the losing response
+)
 
-	Params Params
+// Stub is Figure 13's stub arm for copies (1 or 2): the server call is a
+// no-op, so a request costs the client's processing alone, and no loser
+// arrives to be received.
+func Stub(copies int) float64 {
+	if copies == 2 {
+		return ClientBase + clientExtra
+	}
+	return ClientBase
 }
 
-// Params holds the model's measured constants (seconds). Zero value is
-// replaced by DefaultParams.
-type Params struct {
-	ServiceMean   float64 // mean memcached service time
-	ServiceCV     float64 // small: the distribution is "not very variable"
-	OutlierProb   float64 // probability of a slow outlier at the server
-	OutlierFactor float64 // outlier multiplier on the service time
-	ClientBase    float64 // client processing per request (stub 1-copy mean)
-	ClientExtra   float64 // added client latency for a replicated request
-	RecvPerCopy   float64 // kernel/NIC receive cost per response arriving
+// service is memcached's service time: a lognormal, multiplied by
+// outlierFactor with probability outlierProb.
+type service struct{ base dist.LogNormal }
+
+var memcached = service{dist.LogNormalMeanCV(ServiceMean, serviceCV)}
+
+func (s service) Sample(r *rand.Rand) float64 {
+	t := s.base.Sample(r)
+	if r.Float64() < outlierProb {
+		t *= outlierFactor
+	}
+	return t
 }
 
-// DefaultParams matches §2.3's measurements: 0.18 ms mean service, stub
-// mean 0.08 ms, replicated stub delta 0.016 ms (9% of service mean).
-func DefaultParams() Params {
-	return Params{
-		ServiceMean:   0.18e-3,
-		ServiceCV:     0.25,
-		OutlierProb:   0.0005,
-		OutlierFactor: 20, // rare multi-ms outliers, as in Figure 13's tail
-		ClientBase:    0.08e-3,
-		ClientExtra:   0.016e-3,
-		RecvPerCopy:   0.008e-3,
-	}
+func (s service) Mean() float64 {
+	return s.base.Mean() * (1 + outlierProb*(outlierFactor-1))
 }
 
-// Result of a run.
-type Result struct {
-	Latency *stats.Sample
+func (s service) Variance() float64 {
+	m := s.base.Mean()
+	second := (s.base.Variance() + m*m) * (1 + outlierProb*(outlierFactor*outlierFactor-1))
+	return second - s.Mean()*s.Mean()
 }
 
-func (c *Config) validate() error {
-	if c.Servers < 2 {
-		return fmt.Errorf("memsim: Servers must be >= 2, got %d", c.Servers)
+// Run runs the model with copies (1 or 2) at per-server load and returns
+// the response times less ClientBase, which every request pays: add it to
+// what is reported. A replicated request's extra client cost and its
+// loser's receive are the model's ClientOverhead.
+func Run(copies int, load float64, requests int, seed int64) (*stats.Sample, error) {
+	if copies != 1 && copies != 2 {
+		return nil, fmt.Errorf("memsim: copies must be 1 or 2, got %d", copies)
 	}
-	if c.Copies != 1 && c.Copies != 2 {
-		return fmt.Errorf("memsim: Copies must be 1 or 2, got %d", c.Copies)
-	}
-	if c.Load <= 0 || c.Load*float64(c.Copies) >= 1 {
-		return fmt.Errorf("memsim: Load*Copies must be in (0,1), got %g*%d", c.Load, c.Copies)
-	}
-	if c.Requests < 1 {
-		return fmt.Errorf("memsim: Requests must be >= 1, got %d", c.Requests)
-	}
-	return nil
-}
-
-// Run executes the model. Like the queueing package it uses the Lindley
-// recurrence per server (FCFS), with client-side costs added per request.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Params == (Params{}) {
-		cfg.Params = DefaultParams()
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = cfg.Requests / 10
-	}
-	p := cfg.Params
-	r := rand.New(rand.NewSource(cfg.Seed))
-	svc := dist.LogNormalMeanCV(p.ServiceMean, p.ServiceCV)
-
-	lambda := cfg.Load * float64(cfg.Servers) / p.ServiceMean
-	lastDeparture := make([]float64, cfg.Servers)
-	sample := stats.NewSample(cfg.Requests)
-
-	now := 0.0
-	total := warmup + cfg.Requests
-	for i := 0; i < total; i++ {
-		now += r.ExpFloat64() / lambda
-
-		// Client-side send/processing cost, paid before any response can
-		// complete. A replicated request pays the measured extra.
-		clientCost := p.ClientBase
-		if cfg.Copies == 2 {
-			clientCost += p.ClientExtra
-		}
-
-		var resp float64
-		if cfg.Stub {
-			// Stub version: server call replaced by a no-op.
-			resp = 0
-		} else {
-			s1 := r.Intn(cfg.Servers)
-			resp = serveCopy(r, svc, p, lastDeparture, s1, now)
-			if cfg.Copies == 2 {
-				s2 := r.Intn(cfg.Servers - 1)
-				if s2 >= s1 {
-					s2++
-				}
-				r2 := serveCopy(r, svc, p, lastDeparture, s2, now)
-				if r2 < resp {
-					resp = r2
-				}
-				// The losing response still arrives and is handled by the
-				// kernel before the request completes processing.
-				resp += p.RecvPerCopy
-			}
-		}
-		if i >= warmup {
-			sample.Add(resp + clientCost)
-		}
-	}
-	return &Result{Latency: sample}, nil
-}
-
-// serveCopy enqueues one copy at server s (FCFS) and returns its response
-// time relative to the arrival instant.
-func serveCopy(r *rand.Rand, svc dist.Dist, p Params, lastDeparture []float64, s int, now float64) float64 {
-	t := svc.Sample(r)
-	if r.Float64() < p.OutlierProb {
-		t *= p.OutlierFactor
-	}
-	start := now
-	if lastDeparture[s] > start {
-		start = lastDeparture[s]
-	}
-	done := start + t
-	lastDeparture[s] = done
-	return done - now
+	return queueing.Run(queueing.Config{
+		Servers: servers, Copies: copies, Load: load, Service: memcached,
+		ClientOverhead: clientExtra + recvPerCopy,
+		Requests:       requests, Seed: seed,
+	})
 }

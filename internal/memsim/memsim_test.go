@@ -2,36 +2,41 @@ package memsim
 
 import (
 	"testing"
+
+	"redundancy/internal/stats"
 )
 
-func run(t *testing.T, cfg Config) *Result {
+// seeds are the seeds every claim is checked on.
+var seeds = []int64{42, 1}
+
+func run(t *testing.T, copies int, load float64, seed int64) *stats.Sample {
 	t.Helper()
-	cfg.Requests = 150000
-	cfg.Seed = 42
-	r, err := Run(cfg)
+	s, err := Run(copies, load, 150000, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return s
+}
+
+// mean is the mean response time, client base included.
+func mean(t *testing.T, copies int, load float64, seed int64) float64 {
+	t.Helper()
+	return ClientBase + run(t, copies, load, seed).Mean()
 }
 
 func TestReplicationWorsensAtModerateLoad(t *testing.T) {
 	// Figure 12: replication worsens overall performance across the load
 	// sweep (the replicated arm is only stable below 50%). At exactly 10%
-	// load our model sits on the knife edge (within 1% either way), so the
+	// load the model sits on the knife edge (within 1% either way), so the
 	// strict check starts at 20%; see EXPERIMENTS.md.
-	r1 := run(t, Config{Servers: 4, Copies: 1, Load: 0.1})
-	r2 := run(t, Config{Servers: 4, Copies: 2, Load: 0.1})
-	if r2.Latency.Mean() < r1.Latency.Mean()*0.99 {
-		t.Errorf("load 0.1: replication should not help appreciably: %g vs %g",
-			r2.Latency.Mean(), r1.Latency.Mean())
-	}
-	for _, load := range []float64{0.2, 0.3, 0.4} {
-		r1 := run(t, Config{Servers: 4, Copies: 1, Load: load})
-		r2 := run(t, Config{Servers: 4, Copies: 2, Load: load})
-		if r2.Latency.Mean() <= r1.Latency.Mean() {
-			t.Errorf("load %g: replication should worsen memcached mean: %g vs %g",
-				load, r2.Latency.Mean(), r1.Latency.Mean())
+	for _, seed := range seeds {
+		if m1, m2 := mean(t, 1, 0.1, seed), mean(t, 2, 0.1, seed); m2 < 0.99*m1 {
+			t.Errorf("seed %d, load 0.1: replication should not help appreciably: %g vs %g ms", seed, m2, m1)
+		}
+		for _, load := range []float64{0.2, 0.3, 0.4} {
+			if m1, m2 := mean(t, 1, load, seed), mean(t, 2, load, seed); m2 <= m1 {
+				t.Errorf("seed %d, load %g: replication should worsen memcached mean: %g vs %g ms", seed, load, m2, m1)
+			}
 		}
 	}
 }
@@ -39,75 +44,75 @@ func TestReplicationWorsensAtModerateLoad(t *testing.T) {
 func TestSlightBenefitAtVeryLowLoad(t *testing.T) {
 	// §2.3: "redundancy still has a slightly positive effect overall at
 	// 0.1% load", so the threshold is positive though small.
-	r1 := run(t, Config{Servers: 4, Copies: 1, Load: 0.001})
-	r2 := run(t, Config{Servers: 4, Copies: 2, Load: 0.001})
-	if r2.Latency.Mean() >= r1.Latency.Mean() {
-		t.Errorf("at 0.1%% load replication should (just) help: %g vs %g",
-			r2.Latency.Mean(), r1.Latency.Mean())
+	for _, seed := range seeds {
+		if m1, m2 := mean(t, 1, 0.001, seed), mean(t, 2, 0.001, seed); m2 >= m1 {
+			t.Errorf("seed %d: at 0.1%% load replication should (just) help: %g vs %g ms", seed, m2, m1)
+		}
 	}
 }
 
 func TestStubVersionMeasuresClientOverhead(t *testing.T) {
 	// Figure 13: the stub version isolates client-side latency; the
 	// replicated stub is ~0.016 ms slower, ~9% of the 0.18 ms service mean.
-	s1 := run(t, Config{Servers: 4, Copies: 1, Load: 0.001, Stub: true})
-	s2 := run(t, Config{Servers: 4, Copies: 2, Load: 0.001, Stub: true})
-	delta := s2.Latency.Mean() - s1.Latency.Mean()
-	if delta < 0.010e-3 || delta > 0.025e-3 {
-		t.Errorf("stub delta = %g s, want ~0.016 ms", delta)
+	delta := Stub(2) - Stub(1)
+	if delta < 0.010 || delta > 0.025 {
+		t.Errorf("stub delta = %g ms, want ~0.016", delta)
 	}
-	p := DefaultParams()
-	frac := delta / p.ServiceMean
-	if frac < 0.06 || frac > 0.15 {
+	if frac := delta / ServiceMean; frac < 0.06 || frac > 0.15 {
 		t.Errorf("client overhead fraction %g, paper reports >= 9%%", frac)
 	}
 }
 
 func TestStubMuchFasterThanReal(t *testing.T) {
-	stub := run(t, Config{Servers: 4, Copies: 1, Load: 0.001, Stub: true})
-	real1 := run(t, Config{Servers: 4, Copies: 1, Load: 0.001})
-	if stub.Latency.Mean() >= real1.Latency.Mean()/2 {
-		t.Errorf("stub mean %g should be well below real %g",
-			stub.Latency.Mean(), real1.Latency.Mean())
+	for _, seed := range seeds {
+		if real1 := mean(t, 1, 0.001, seed); Stub(1) >= real1/2 {
+			t.Errorf("seed %d: stub mean %g ms should be well below real %g ms", seed, Stub(1), real1)
+		}
 	}
 }
 
 func TestServiceDistributionNotVeryVariable(t *testing.T) {
 	// §2.3: ">99.9% of the mass of the entire distribution is within a
-	// factor of 4 of the mean".
-	r1 := run(t, Config{Servers: 4, Copies: 1, Load: 0.001})
-	mean := r1.Latency.Mean()
-	if frac := r1.Latency.FractionAbove(4 * mean); frac > 0.001 {
-		t.Errorf("fraction above 4x mean = %g, want <= 0.1%%", frac)
+	// factor of 4 of the mean". The sample lacks the client base, so the
+	// threshold does too.
+	for _, seed := range seeds {
+		s := run(t, 1, 0.001, seed)
+		mean := ClientBase + s.Mean()
+		if frac := s.FractionAbove(4*mean - ClientBase); frac > 0.001 {
+			t.Errorf("seed %d: fraction above 4x mean = %g, want <= 0.1%%", seed, frac)
+		}
 	}
 }
 
 func TestValidation(t *testing.T) {
-	bad := []Config{
-		{Servers: 1, Copies: 1, Load: 0.1, Requests: 10},
-		{Servers: 4, Copies: 3, Load: 0.1, Requests: 10},
-		{Servers: 4, Copies: 2, Load: 0.6, Requests: 10},
-		{Servers: 4, Copies: 1, Load: 0, Requests: 10},
-		{Servers: 4, Copies: 1, Load: 0.1, Requests: 0},
+	bad := []struct {
+		copies   int
+		load     float64
+		requests int
+	}{
+		{0, 0.1, 10},
+		{3, 0.1, 10},
+		{2, 0.6, 10},
+		{1, 0, 10},
+		{1, 0.1, 0},
 	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
+	for i, c := range bad {
+		if _, err := Run(c.copies, c.load, c.requests, 1); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	cfg := Config{Servers: 4, Copies: 2, Load: 0.2, Requests: 20000, Seed: 7}
-	a, err := Run(cfg)
+	a, err := Run(2, 0.2, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(2, 0.2, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Latency.Mean() != b.Latency.Mean() {
+	if a.Mean() != b.Mean() {
 		t.Error("same-seed runs diverged")
 	}
 }
