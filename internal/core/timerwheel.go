@@ -9,8 +9,8 @@ import (
 // substrate that arms and cancels deadlines in O(1) with no per-timer
 // heap allocation in steady state (expired and stopped nodes recycle
 // through a free list). Its users are the deadlines that are in flight
-// many at a time: the call engine's hedge delays, the memkv and dnswire
-// mux clients' request timeouts, the memkv server's delayed responses
+// many at a time: the call engine's hedge delays, the memkv mux client's
+// request timeouts, the memkv server's delayed responses
 // (parked on the shared wheel instead of holding a goroutine per
 // request) and the store's TTL expiry. The trade is precision: a timer
 // fires on the first tick boundary at or after its deadline, so expiry

@@ -3,41 +3,28 @@ package dnswire
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
-	"sync"
 	"time"
 
 	"redundancy/internal/core"
 )
 
-// Client sends DNS queries over UDP. It is safe for concurrent use; each
-// query uses its own socket, which also gives each query an unpredictable
-// source port (query IDs alone are too guessable to rely on).
+// Client sends DNS queries over UDP. It is safe for concurrent use, and
+// its zero value is ready to use. Each query uses its own socket, which
+// gives each query an unpredictable source port: the defence against
+// spoofed answers when the servers sit across the open internet, as the
+// paper's public resolvers do (query IDs alone are too guessable to rely
+// on).
 type Client struct {
-	// Timeout bounds each query (default 2 seconds, the paper's loss
-	// cutoff).
+	// Timeout bounds each query; zero or negative means 2 seconds, the
+	// paper's loss cutoff.
 	Timeout time.Duration
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 // NewClient returns a Client with the given timeout (0 means 2 s).
 func NewClient(timeout time.Duration) *Client {
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	return &Client{
-		Timeout: timeout,
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-}
-
-func (c *Client) newID() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return uint16(c.rng.Intn(1 << 16))
+	return &Client{Timeout: timeout}
 }
 
 // Exchange sends the query to server (a "host:port" UDP address) and waits
@@ -54,7 +41,11 @@ func (c *Client) Exchange(ctx context.Context, server string, query *Message) (*
 	}
 	defer conn.Close()
 
-	deadline := time.Now().Add(c.Timeout)
+	timeout := c.Timeout
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
+	deadline := time.Now().Add(timeout)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
 		deadline = cd
 	}
@@ -97,7 +88,7 @@ func (c *Client) Exchange(ctx context.Context, server string, query *Message) (*
 // Query is a convenience wrapper: build a recursive query for name/qtype
 // with a fresh ID and exchange it with server.
 func (c *Client) Query(ctx context.Context, server, name string, qtype Type) (*Message, error) {
-	return c.Exchange(ctx, server, NewQuery(c.newID(), name, qtype))
+	return c.Exchange(ctx, server, NewQuery(uint16(rand.Uint32()), name, qtype))
 }
 
 // Resolver queries a set of DNS servers redundantly: each lookup goes to
@@ -105,49 +96,40 @@ func (c *Client) Query(ctx context.Context, server, name string, qtype Type) (*M
 // delay), and the first well-formed response wins — the paper's §3.2
 // replicated-DNS strategy.
 type Resolver struct {
-	client Querier
 	// group passes each lookup's Question to the server replicas as the
-	// call argument; replica functions close over only their server
-	// address, with no per-call context plumbing.
+	// call argument; replica functions close over only the client and
+	// their server address, with no per-call context plumbing.
 	group *core.KeyedGroup[Question, *Message]
 }
 
 // NewResolver builds a Resolver over the given server addresses, sending
-// through q — a Client for socket-per-query (a fresh random source port
-// per query), a MuxClient for one multiplexed socket per server, or a
-// test fake; nil means a default Client. s decides how many servers each
-// lookup contacts and when (the paper evaluates core.Fixed with 1-10
-// copies over servers ranked by observed mean response time, which is
-// Fixed's default selection). core.AdaptiveHedge{Copies: 2, Quantile: p}
-// is the production form of the paper's §3.2 strategy — a second query
-// when the best-ranked server exceeds the p-th percentile of its
-// observed latency, the hedging point tracking each server's latency
+// each query through c (nil means a zero Client). s decides how many
+// servers each lookup contacts and when (the paper evaluates core.Fixed
+// with 1-10 copies over servers ranked by observed mean response time,
+// which is Fixed's default selection). core.AdaptiveHedge{Copies: 2,
+// Quantile: p} is the production form of the paper's §3.2 strategy — a
+// second query when the best-ranked server exceeds the p-th percentile of
+// its observed latency, the hedging point tracking each server's latency
 // distribution instead of a caller-guessed delay; warm the per-server
 // digests with Probe.
-func NewResolver(q Querier, s core.Strategy, servers ...string) *Resolver {
-	if q == nil {
-		q = NewClient(0)
+func NewResolver(c *Client, s core.Strategy, servers ...string) *Resolver {
+	if c == nil {
+		c = &Client{}
 	}
-	r := &Resolver{client: q}
-	r.group = core.NewStrategyKeyedGroup[Question, *Message](s)
+	r := &Resolver{group: core.NewStrategyKeyedGroup[Question, *Message](s)}
 	for _, srv := range servers {
-		r.group.Add(srv, r.serverReplica(srv))
+		r.group.Add(srv, func(ctx context.Context, q Question) (*Message, error) {
+			resp, err := c.Query(ctx, srv, q.Name, q.Type)
+			if err != nil {
+				return nil, err
+			}
+			if resp.Header.RCode != RCodeSuccess && resp.Header.RCode != RCodeNameError {
+				return nil, fmt.Errorf("dnswire: %s from %s", resp.Header.RCode, srv)
+			}
+			return resp, nil
+		})
 	}
 	return r
-}
-
-// serverReplica builds the replica function for one server address.
-func (r *Resolver) serverReplica(srv string) core.ArgReplica[Question, *Message] {
-	return func(ctx context.Context, q Question) (*Message, error) {
-		resp, err := r.client.Query(ctx, srv, q.Name, q.Type)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Header.RCode != RCodeSuccess && resp.Header.RCode != RCodeNameError {
-			return nil, fmt.Errorf("dnswire: %s from %s", resp.Header.RCode, srv)
-		}
-		return resp, nil
-	}
 }
 
 // Lookup resolves name/qtype through the replicated server set. Per-call
@@ -182,16 +164,6 @@ func (r *Resolver) RankedServers() []string { return r.group.RankedNames() }
 // latency estimates.
 func (r *Resolver) GroupStats() core.GroupStats { return r.group.Stats() }
 
-// AddServer adds a DNS server to the replica set; lookups in flight are
-// unaffected.
-func (r *Resolver) AddServer(srv string) {
-	r.group.Add(srv, r.serverReplica(srv))
-}
-
-// RemoveServer drops a DNS server from the replica set, reporting whether
-// it was present. Lookups in flight may still receive its answers.
-func (r *Resolver) RemoveServer(srv string) bool { return r.group.Remove(srv) }
-
 // SetStrategy replaces the resolver's replication strategy; lookups in
 // flight finish under the strategy they started with.
 func (r *Resolver) SetStrategy(s core.Strategy) { r.group.SetStrategy(s) }
@@ -205,7 +177,9 @@ func (r *Resolver) Probe(ctx context.Context, name string, qtype Type) int {
 }
 
 // LookupA resolves name to IPv4 addresses, following one level of CNAME
-// indirection within the same response.
+// indirection within the same response: it returns the A records owned
+// by name or by name's CNAME target, and ignores records for any other
+// owner.
 func (r *Resolver) LookupA(ctx context.Context, name string, opts ...core.CallOption) ([]net.IP, error) {
 	resp, err := r.Lookup(ctx, name, TypeA, opts...)
 	if err != nil {
@@ -214,24 +188,26 @@ func (r *Resolver) LookupA(ctx context.Context, name string, opts ...core.CallOp
 	if resp.Header.RCode == RCodeNameError {
 		return nil, &NotFoundError{Name: name}
 	}
-	want := normalizeName(name)
-	cnames := map[string]string{}
+	want, alias := normalizeName(name), ""
+	for _, rr := range resp.Answers {
+		if rr.Type == TypeCNAME && normalizeName(rr.Name) == want {
+			alias = normalizeName(rr.Target)
+			break
+		}
+	}
 	var ips []net.IP
 	for _, rr := range resp.Answers {
-		switch rr.Type {
-		case TypeCNAME:
-			cnames[normalizeName(rr.Name)] = normalizeName(rr.Target)
-		case TypeA:
+		if rr.Type != TypeA {
+			continue
+		}
+		if owner := normalizeName(rr.Name); owner == want || (alias != "" && owner == alias) {
 			ips = append(ips, net.IP(rr.IP))
 		}
 	}
-	if len(ips) > 0 {
-		return ips, nil
+	if len(ips) == 0 {
+		return nil, &NotFoundError{Name: name}
 	}
-	if target, ok := cnames[want]; ok {
-		_ = target // CNAME with no A in the same message: report not found here.
-	}
-	return nil, &NotFoundError{Name: name}
+	return ips, nil
 }
 
 // NotFoundError reports a name with no usable answer.
