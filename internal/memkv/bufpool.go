@@ -19,6 +19,14 @@ import (
 // watch events return slices into larger payloads or values their
 // holders keep; they are plain allocations, and releasing one is
 // harmless but pointless.
+//
+// The store is the other owner, and it lends nothing: it keeps each
+// value in an exact-length slice of its own — never a pooled buffer,
+// whose capacity is its class's, up to twice the value — and overwrites
+// that slice in place when a write of the same length arrives. So every
+// reader copies the bytes out while it holds the shard's read lock: the
+// server appends its reply frame there, and Store.Get, GetVersion, Scan
+// and a put's watch event hand out copies.
 
 // Pooled buffers are filed in power-of-two classes by capacity: class c
 // holds buffers with 64<<c <= cap < 128<<c, from 64 B to 64 KiB. Smaller

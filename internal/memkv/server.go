@@ -70,12 +70,15 @@ type shard struct {
 
 type item struct {
 	// key is the map key this item is stored under, kept where a lookup
-	// by bytes can reach it: the server rewrites a present key under the
-	// string the store already holds instead of making another
-	// (keyString).
-	key       string
-	flags     uint32
-	version   uint64
+	// by bytes can reach it: a write to a present key is stored under the
+	// string the store already holds instead of making another (install,
+	// keyString).
+	key     string
+	flags   uint32
+	version uint64
+	// data is the value, in an exact-length slice the store owns: a
+	// write of the same length overwrites it in place, so it is read only
+	// under the shard's lock (view).
 	data      []byte
 	expiresAt time.Time // zero = never expires
 	// exp is the item's active-expiry timer on the shared wheel (zero =
@@ -143,8 +146,8 @@ func NewStore() *Store {
 func (s *Store) shardFor(key string) *shard { return shardOf(s, key) }
 
 // shardOf is shardFor over either spelling of a key: the server's
-// read-only requests look a key up as the bytes the connection's reader
-// holds, without making a string of them (see storeGet).
+// lookups and writes look a key up as the bytes the connection's reader
+// holds, without making a string of them (see view and putVersion).
 func shardOf[K string | []byte](s *Store, key K) *shard {
 	// FNV-1a inlined over the key: the hash.Hash32 form
 	// (fnv.New32a + io.WriteString) heap-allocates the hash state on
@@ -157,27 +160,42 @@ func shardOf[K string | []byte](s *Store, key K) *shard {
 	return &s.shards[h%shardCount]
 }
 
-// load returns key's item as stored, expired or not. m[string(key)] on
-// a byte-slice key is the one conversion the compiler performs without
-// allocating.
-func load[K string | []byte](s *Store, key K) (item, bool) {
+// keyString returns key as a string for a write to keep past the
+// connection reader's window (a parked write): the one the store already
+// holds when the key is present (expired or not), and a new string
+// otherwise. The key may be gone again by the time the write lands; the
+// string is good either way. m[string(key)] on a byte-slice key is the
+// one conversion the compiler performs without allocating.
+func (s *Store) keyString(key []byte) string {
 	sh := shardOf(s, key)
 	sh.mu.RLock()
 	it, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
-	return it, ok
-}
-
-// keyString returns key as a string for a write to keep: the one the
-// store already holds when the key is present (expired or not), so
-// that overwriting a key allocates its value only, and a new string
-// otherwise. The key may be gone again by the time the write lands;
-// the string is good either way.
-func (s *Store) keyString(key []byte) string {
-	if it, ok := load(s, key); ok {
+	if ok {
 		return it.key
 	}
 	return string(key)
+}
+
+// liveVersion is the version a write is checked against: cur's if the
+// key is present and unexpired, 0 (absent) otherwise.
+func liveVersion(cur item, present bool) uint64 {
+	if !present || (!cur.expiresAt.IsZero() && time.Now().After(cur.expiresAt)) {
+		return 0
+	}
+	return cur.version
+}
+
+// clone returns an exact-length copy of b, nil when b is empty. It makes
+// the slice rather than appending to nil, which would round the capacity
+// up to the allocator's size class.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
 }
 
 // tick returns a fresh version: strictly greater than every version the
@@ -220,7 +238,7 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 // it loses to a newer version that lands between the tick and the
 // write: a key's version never moves backwards.
 func (s *Store) SetTTL(key string, flags uint32, value []byte, ttl time.Duration) {
-	s.putVersion(key, flags, value, ttl, s.tick(), false)
+	putVersion(s, key, flags, value, ttl, s.tick(), false)
 }
 
 // ttlEventSecs renders a write's TTL for its watch event: whole seconds
@@ -239,49 +257,63 @@ func ttlEventSecs(ttl time.Duration) uint32 {
 // version (or the key is absent) — last-writer-wins, so replaying a hint
 // or pushing a repair can never clobber data a replica learned later. It
 // returns the version now current for the key and whether this write
-// applied. The store's index is advanced past version either way.
+// applied. Version 0 never applies: it is what a create-only
+// CompareAndSwap expects of an absent key. The store's index is advanced
+// past version either way.
 func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool) {
-	return s.putVersion(key, flags, value, ttl, version, false)
+	return putVersion(s, key, flags, value, ttl, version, false)
 }
 
-// putVersion is PutVersion's body. owned means the caller gives value
-// away: the store keeps the slice itself instead of a copy — the
-// server's frame loop read it off the wire at its exact length for
-// nobody else (the one ownership hand-off on the write path).
-func (s *Store) putVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) (current uint64, applied bool) {
+// putVersion is PutVersion's body over either spelling of the key: the
+// server runs a write on the key bytes in its reader's window, and makes
+// a string of them only for a key the store does not hold yet. owned
+// means the caller gives value away: unless it overwrites a value of the
+// same length in place, the store keeps the slice itself instead of a
+// copy — the server's frame loop read it off the wire at its exact
+// length for nobody else (the one ownership hand-off on the write path).
+func putVersion[K string | []byte](s *Store, key K, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) (current uint64, applied bool) {
 	s.witness(version)
-	sh := s.shardFor(key)
+	sh := shardOf(s, key)
 	sh.mu.Lock()
-	cur, ok := sh.m[key]
-	if ok && !cur.expiresAt.IsZero() && time.Now().After(cur.expiresAt) {
-		ok = false
-	}
-	if ok && cur.version >= version {
+	cur, present := sh.m[string(key)]
+	// held >= version also refuses version 0 for an absent key.
+	if held := liveVersion(cur, present); held >= version {
 		sh.mu.Unlock()
-		return cur.version, false
+		return held, false
 	}
-	s.install(sh, cur.exp, key, flags, value, ttl, version, owned)
+	install(s, sh, cur, present, key, flags, value, ttl, version, owned)
 	sh.mu.Unlock()
 	return version, true
 }
 
 // install is the store's one write body, run under sh's lock once the
-// caller has chosen version: it stops oldExp (the expiry of the item
-// stored under key, expired or not; a zero handle when absent), stores
-// value — the slice itself if owned, else a copy — arms its expiry and
-// notifies watchers.
-func (s *Store) install(sh *shard, oldExp core.WheelTimer, key string, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) {
-	oldExp.Stop()
-	if !owned {
-		value = append([]byte(nil), value...)
+// caller has chosen version. cur is the item stored under key, expired
+// or not, if present. install stops cur's expiry and stores value: into
+// cur's bytes when their lengths match — the store reuses what it holds,
+// so an overwrite allocates nothing — else the slice itself if owned,
+// else an exact-length copy. It then arms the new expiry and notifies
+// watchers. The key string is cur's when present, so that only a new
+// key makes one.
+func install[K string | []byte](s *Store, sh *shard, cur item, present bool, key K, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) {
+	cur.exp.Stop()
+	switch {
+	case present && len(cur.data) == len(value):
+		copy(cur.data, value)
+		value = cur.data
+	case !owned:
+		value = clone(value)
 	}
-	it := item{key: key, flags: flags, version: version, data: value}
+	k := cur.key
+	if !present {
+		k = string(key)
+	}
+	it := item{key: k, flags: flags, version: version, data: value}
 	if ttl > 0 {
 		it.expiresAt = time.Now().Add(ttl)
-		it.exp = s.armExpiry(key, version, ttl)
+		it.exp = s.armExpiry(k, version, ttl)
 	}
-	sh.m[key] = it
-	s.watch.notify(WatchEvent{Type: EventPut, Key: key, Value: it.data, Version: version, TTLSecs: ttlEventSecs(ttl)})
+	sh.m[k] = it
+	s.watch.notify(WatchEvent{Type: EventPut, Key: k, Value: it.data, Version: version, TTLSecs: ttlEventSecs(ttl)})
 }
 
 // CompareAndSwap stores value under key only if the stored version
@@ -293,27 +325,21 @@ func (s *Store) install(sh *shard, oldExp core.WheelTimer, key string, flags uin
 // the same expect exactly one wins; the rest observe the winner's
 // version and can retry from it.
 func (s *Store) CompareAndSwap(key string, flags uint32, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool) {
-	return s.compareAndSwap(key, flags, value, ttl, expect, false)
+	return compareAndSwap(s, key, flags, value, ttl, expect, false)
 }
 
-// compareAndSwap is CompareAndSwap's body; owned as for putVersion.
-func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.Duration, expect uint64, owned bool) (current uint64, applied bool) {
-	sh := s.shardFor(key)
+// compareAndSwap is CompareAndSwap's body; key and owned as for
+// putVersion.
+func compareAndSwap[K string | []byte](s *Store, key K, flags uint32, value []byte, ttl time.Duration, expect uint64, owned bool) (current uint64, applied bool) {
+	sh := shardOf(s, key)
 	sh.mu.Lock()
-	cur, ok := sh.m[key]
-	if ok && !cur.expiresAt.IsZero() && time.Now().After(cur.expiresAt) {
-		ok = false
-	}
-	var curVer uint64
-	if ok {
-		curVer = cur.version
-	}
-	if curVer != expect {
+	cur, present := sh.m[string(key)]
+	if held := liveVersion(cur, present); held != expect {
 		sh.mu.Unlock()
-		return curVer, false
+		return held, false
 	}
 	ver := s.tick()
-	s.install(sh, cur.exp, key, flags, value, ttl, ver, owned)
+	install(s, sh, cur, present, key, flags, value, ttl, ver, owned)
 	sh.mu.Unlock()
 	return ver, true
 }
@@ -331,30 +357,49 @@ func (s *Store) compareAndSwap(key string, flags uint32, value []byte, ttl time.
 // grow it; the last sub-second of a key's life is forfeited instead
 // (an item with <1s remaining reads as absent — the sweeper, not this
 // read, reaps it at the true deadline).
+//
+// The value is the caller's own copy.
 func (s *Store) GetVersion(key string) (value []byte, flags uint32, version uint64, ttlSecs uint32, ok bool) {
-	return storeGetVersion(s, key)
-}
-
-// storeGetVersion is GetVersion over either spelling of the key.
-func storeGetVersion[K string | []byte](s *Store, key K) (value []byte, flags uint32, version uint64, ttlSecs uint32, ok bool) {
-	it, ok := load(s, key)
+	sh, it, ttlSecs, ok := view(s, key, true)
 	if !ok {
 		return nil, 0, 0, 0, false
 	}
-	if !it.expiresAt.IsZero() {
+	value = clone(it.data)
+	sh.mu.RUnlock()
+	return value, it.flags, it.version, ttlSecs, true
+}
+
+// view finds key's item for a reader. When the reader may see it, view
+// returns with sh's read lock held: the caller copies out what it needs —
+// the data above all, which the next write of the same length overwrites
+// in place — and then calls sh.mu.RUnlock. Otherwise the lock is
+// released, and an item past its deadline has been reaped. A versioned
+// reader (GetVersion) also gets the remaining TTL in whole seconds,
+// floored, and does not see an item with less than a second left: that
+// one is not reaped, since the sweeper owns the true deadline.
+//
+// The server calls view with the key bytes as they lie in the
+// connection reader's window; a string is made of them only to reap.
+func view[K string | []byte](s *Store, key K, versioned bool) (sh *shard, it item, ttlSecs uint32, ok bool) {
+	sh = shardOf(s, key)
+	sh.mu.RLock()
+	if it, ok = sh.m[string(key)]; ok && !it.expiresAt.IsZero() {
 		left := time.Until(it.expiresAt)
 		if left <= 0 {
+			sh.mu.RUnlock()
 			s.reapExpired(string(key))
-			return nil, 0, 0, 0, false
+			return nil, item{}, 0, false
 		}
-		if left < time.Second {
-			// Dying in under a second: absent to versioned readers, but
-			// not reaped — the sweeper owns the true deadline.
-			return nil, 0, 0, 0, false
+		if versioned {
+			ok = left >= time.Second
+			ttlSecs = uint32(left / time.Second)
 		}
-		ttlSecs = uint32(left / time.Second)
 	}
-	return it.data, it.flags, it.version, ttlSecs, true
+	if !ok {
+		sh.mu.RUnlock()
+		return nil, item{}, 0, false
+	}
+	return sh, it, ttlSecs, true
 }
 
 // reapExpired removes key if it is (still) past its deadline, emitting
@@ -392,7 +437,8 @@ const scanMaxBytes = 1 << 20
 // keyspace with a resumable cursor (the last key of the previous page)
 // while writes proceed. A page also ends early once its values exceed
 // scanMaxBytes (always returning at least one entry). Entries are
-// point-in-time per key, not a consistent snapshot of the store.
+// point-in-time per key, not a consistent snapshot of the store, and
+// their values are the caller's own copies.
 //
 // The sweep is bounded: a size-limit max-heap keeps only the limit
 // smallest candidate keys, so a page allocates O(limit) and compares
@@ -497,26 +543,16 @@ func scanHeapDown(h []string) {
 	}
 }
 
-// Get returns the value and flags for key. Expired items are absent (and
-// reaped on the way).
+// Get returns the value and flags for key; the value is the caller's own
+// copy. Expired items are absent (and reaped on the way).
 func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
-	return storeGet(s, key)
-}
-
-// storeGet is Get over either spelling of the key. The server calls it
-// (and storeGetVersion) with the key bytes as they lie in the
-// connection reader's window; a string is made of them only on the path
-// that keeps one, reaping an expired item.
-func storeGet[K string | []byte](s *Store, key K) (value []byte, flags uint32, ok bool) {
-	it, ok := load(s, key)
+	sh, it, _, ok := view(s, key, false)
 	if !ok {
 		return nil, 0, false
 	}
-	if !it.expiresAt.IsZero() && time.Now().After(it.expiresAt) {
-		s.reapExpired(string(key))
-		return nil, 0, false
-	}
-	return it.data, it.flags, true
+	value = clone(it.data)
+	sh.mu.RUnlock()
+	return value, it.flags, true
 }
 
 // Len returns the total number of stored keys.

@@ -54,8 +54,9 @@ const muxWatchBacklogCap = 4 << 20
 
 // request is one request frame as the session executes it. The value of
 // an opPutV or opCAS is decoded where it lies on the wire: its version
-// header lands in ver and ttl, and val holds only the data bytes, read
-// once at their exact length — the slice the store keeps.
+// header lands in ver and ttl, and val holds only the data bytes — in
+// the reader's window for a write run there, else read once at their
+// exact length for the store to keep.
 type request struct {
 	frame
 	ver uint64 // opPutV: the write's version; opCAS: the expected version
@@ -70,11 +71,15 @@ type request struct {
 // requests still parked on the wheel detect the closed session at fire
 // time.
 //
-// A request that only looks its key up (get, versioned get) is
-// executed on the key bytes in the reader's window, before they are
-// consumed. Everything else — a write, a watch, a scan, and any request
-// the Delay hook parks past this iteration — gets a key string; a write
-// to a key the store holds borrows the store's.
+// A lookup (get, versioned get) is executed on the key bytes in the
+// reader's window, before they are consumed, and so is a versioned write
+// (putv, cas) whose key and value fit the window: the store copies what
+// it keeps, so an overwrite of a value of the same length allocates
+// nothing, and a write that loses allocates nothing. Everything else — a
+// watch, a scan, a write too long for the window, and any request the
+// Delay hook parks past this iteration — gets a key string, and a write
+// its value at exact length; a write to a key the store holds borrows
+// the store's string.
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	m := &muxSession{
 		s:      s,
@@ -94,8 +99,21 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 			d = s.Delay()
 		}
 		if d <= 0 && vlen == 0 && isLookup(q.op) {
-			m.execLookup(q.op, q.tag, kb)
+			m.execInWindow(&q, kb)
 			r.Discard(len(kb))
+			continue
+		}
+		if d <= 0 && (q.op == opPutV || q.op == opCAS) && len(kb)+vlen <= r.Size() {
+			// The Peek may slide the window: kb is taken again from it.
+			b, err := r.Peek(len(kb) + vlen)
+			if err != nil {
+				break
+			}
+			if q.ver, q.ttl, q.val, err = decodeVerPayload(b[len(kb):]); err != nil {
+				q.short = true
+			}
+			m.execInWindow(&q, b[:len(kb)])
+			r.Discard(len(b))
 			continue
 		}
 		if err := readRequestRest(r, &q, kb, vlen, s.store); err != nil {
@@ -155,42 +173,75 @@ func muxDelayFired(c any, _ int64) {
 	d.m.exec(&d.q)
 }
 
-// execLookup executes a get or versioned get on key bytes that
-// alias the connection reader's window, and enqueues its response. Only
-// the read loop calls it, between peeking the key and consuming it.
-func (m *muxSession) execLookup(op byte, tag uint64, kb []byte) {
+// execInWindow executes a lookup, or a versioned write, on key bytes —
+// and for a write value bytes in q.val — that alias the connection
+// reader's window, and enqueues its response. Only the read loop calls
+// it, between peeking the bytes and consuming them.
+func (m *muxSession) execInWindow(q *request, kb []byte) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		m.s.aborted.Add(1)
 		return
 	}
-	m.pending = appendLookupReply(m.pending, m.s, op, tag, kb)
+	if isLookup(q.op) {
+		m.pending = appendLookupReply(m.pending, m.s, q.op, q.tag, kb)
+	} else {
+		m.pending = appendWriteReply(m.pending, m.s, q, kb, false)
+	}
 	m.mu.Unlock()
 	m.signalFlush()
 }
 
 // appendLookupReply executes one of the isLookup ops against the store
-// and appends its response to dst. key is the frame's key as a string
-// (exec) or as the bytes on the wire (execLookup).
+// and appends its response to dst, copying the value while it holds the
+// shard's read lock. key is the frame's key as a string (exec) or as the
+// bytes on the wire (execInWindow).
 func appendLookupReply[K string | []byte](dst []byte, s *Server, op byte, tag uint64, key K) []byte {
-	switch op {
-	case opGet:
-		s.cmdGet.Add(1)
-		if val, flags, ok := storeGet(s.store, key); ok {
-			s.getHits.Add(1)
-			return appendFrame(dst, &frame{op: opValue, tag: tag, aux: flags, val: val})
-		}
+	s.cmdGet.Add(1)
+	sh, it, ttl, ok := view(s.store, key, op == opGetV)
+	if !ok {
 		s.getMisses.Add(1)
-	case opGetV:
-		s.cmdGet.Add(1)
-		if val, flags, ver, ttl, ok := storeGetVersion(s.store, key); ok {
-			s.getHits.Add(1)
-			return appendVerFrame(dst, opValueV, tag, flags, "", ver, ttl, val)
-		}
-		s.getMisses.Add(1)
+		return appendFrame(dst, &frame{op: opNotFound, tag: tag})
 	}
-	return appendFrame(dst, &frame{op: opNotFound, tag: tag})
+	if op == opGetV {
+		dst = appendVerFrame(dst, opValueV, tag, it.flags, "", it.version, ttl, it.data)
+	} else {
+		dst = appendFrame(dst, &frame{op: opValue, tag: tag, aux: it.flags, val: it.data})
+	}
+	sh.mu.RUnlock()
+	s.getHits.Add(1)
+	return dst
+}
+
+// appendWriteReply executes an opPutV or opCAS against the store and
+// appends its response to dst. key is the frame's key as a string (exec)
+// or as the bytes on the wire (execInWindow); owned says whether q.val
+// was read for the store to keep (see putVersion).
+func appendWriteReply[K string | []byte](dst []byte, s *Server, q *request, key K, owned bool) []byte {
+	if q.op == opPutV {
+		if len(key) == 0 {
+			return appendErrFrame(dst, q.tag, "putv requires a key")
+		}
+		if q.short || q.ver == 0 {
+			return appendErrFrame(dst, q.tag, "putv requires a versioned payload")
+		}
+		s.cmdSet.Add(1)
+		cur, applied := putVersion(s.store, key, q.aux, q.val, time.Duration(q.ttl)*time.Second, q.ver, owned)
+		if !applied {
+			s.stalePuts.Add(1)
+		}
+		return appendVerFrame(dst, opStoredV, q.tag, boolAux(applied), "", cur, 0, nil)
+	}
+	if len(key) == 0 {
+		return appendErrFrame(dst, q.tag, "cas requires a key")
+	}
+	if q.short {
+		return appendErrFrame(dst, q.tag, "cas requires a versioned payload")
+	}
+	s.cmdSet.Add(1)
+	cur, applied := compareAndSwap(s.store, key, 0, q.val, time.Duration(q.aux)*time.Second, q.ver, owned)
+	return appendVerFrame(dst, opCASResp, q.tag, boolAux(applied), "", cur, 0, nil)
 }
 
 // exec executes one request frame and enqueues its response. It runs on
@@ -218,21 +269,8 @@ func (m *muxSession) exec(f *request) {
 		s.cmdSet.Add(1)
 		s.store.SetTTL(f.key, 0, f.val, time.Duration(f.aux)*time.Second)
 		m.pending = appendFrame(m.pending, &frame{op: opStored, tag: f.tag})
-	case opPutV:
-		if f.key == "" {
-			m.pending = appendErrFrame(m.pending, f.tag, "putv requires a key")
-			break
-		}
-		if f.short || f.ver == 0 {
-			m.pending = appendErrFrame(m.pending, f.tag, "putv requires a versioned payload")
-			break
-		}
-		s.cmdSet.Add(1)
-		cur, applied := s.store.putVersion(f.key, f.aux, f.val, time.Duration(f.ttl)*time.Second, f.ver, true)
-		if !applied {
-			s.stalePuts.Add(1)
-		}
-		m.pending = appendVerFrame(m.pending, opStoredV, f.tag, boolAux(applied), "", cur, 0, nil)
+	case opPutV, opCAS:
+		m.pending = appendWriteReply(m.pending, s, f, f.key, true)
 	case opScan:
 		limit := int(f.aux)
 		if limit < 1 || limit > maxScanLimit {
@@ -245,18 +283,6 @@ func (m *muxSession) exec(f *request) {
 			val = appendScanEntry(val, &entries[i])
 		}
 		m.pending = appendFrame(m.pending, &frame{op: opScanResp, tag: f.tag, aux: boolAux(more), val: val})
-	case opCAS:
-		if f.key == "" {
-			m.pending = appendErrFrame(m.pending, f.tag, "cas requires a key")
-			break
-		}
-		if f.short {
-			m.pending = appendErrFrame(m.pending, f.tag, "cas requires a versioned payload")
-			break
-		}
-		s.cmdSet.Add(1)
-		cur, applied := s.store.compareAndSwap(f.key, 0, f.val, time.Duration(f.aux)*time.Second, f.ver, true)
-		m.pending = appendVerFrame(m.pending, opCASResp, f.tag, boolAux(applied), "", cur, 0, nil)
 	case opWatch:
 		if m.watches == nil {
 			m.watches = make(map[uint64]*StoreWatch)

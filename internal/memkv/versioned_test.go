@@ -54,6 +54,39 @@ func TestStorePutVersionLWW(t *testing.T) {
 	}
 }
 
+// TestStorePutVersionRefusesVersionZero: version 0 is what a
+// create-only CompareAndSwap expects of an absent key, so no write may
+// store it — else that CAS overwrites a value it takes for absent.
+func TestStorePutVersionRefusesVersionZero(t *testing.T) {
+	s := NewStore()
+	if cur, applied := s.PutVersion("k", 0, []byte("first"), 0, 0); applied || cur != 0 {
+		t.Fatalf("PutVersion at version 0 of an absent key = (%d, %v), want (0, false)", cur, applied)
+	}
+	if v, _, ok := s.Get("k"); ok {
+		t.Fatalf("a refused version-0 write was stored: %q", v)
+	}
+	held, applied := s.CompareAndSwap("k", 0, []byte("second"), 0, 0)
+	if !applied {
+		t.Fatalf("a create-only CAS of an absent key did not apply (held %d)", held)
+	}
+	if cur, applied := s.PutVersion("k", 0, []byte("third"), 0, 0); applied || cur != held {
+		t.Fatalf("PutVersion at version 0 of a key at %d = (%d, %v), want (%d, false)", held, cur, applied, held)
+	}
+	if v, _, _ := s.Get("k"); string(v) != "second" {
+		t.Fatalf("Get = %q, want the CAS's %q", v, "second")
+	}
+}
+
+// stored returns key's item as the store holds it, expired or not — the
+// store's own bytes, for a test to inspect and not to keep.
+func stored(s *Store, key string) (item, bool) {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	it, ok := sh.m[key]
+	return it, ok
+}
+
 // TestStoreKeyStringLendsThePresentKey: a write to a key the store holds
 // is handed the store's own string for it — after whichever write path
 // stored it last — and a key it does not hold gets a string of its own;
@@ -78,7 +111,7 @@ func TestStoreKeyStringLendsThePresentKey(t *testing.T) {
 		w.write()
 		kb := []byte(key)
 		got := s.keyString(kb)
-		held, _ := load(s, kb)
+		held, _ := stored(s, key)
 		if got != key || unsafe.StringData(got) != unsafe.StringData(held.key) {
 			t.Fatalf("after %s: keyString = %q, want the stored item's own %q", w.name, got, held.key)
 		}
@@ -101,10 +134,10 @@ func TestStoreKeyStringLendsThePresentKey(t *testing.T) {
 	if _, _, ok := s.Get(key); ok {
 		t.Fatal("the key outlived its nanosecond TTL")
 	}
-	if _, held := load(s, key); held {
+	if _, held := stored(s, key); held {
 		t.Fatal("the expired key was not reaped")
 	}
-	s.putVersion(lent, 0, []byte("d"), 0, ^uint64(0), true)
+	putVersion(s, lent, 0, []byte("d"), 0, ^uint64(0), true)
 	if v, _, ok := s.Get(key); !ok || string(v) != "d" {
 		t.Errorf("re-put under a lent key after its expiry: (%q, %v)", v, ok)
 	}

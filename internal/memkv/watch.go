@@ -58,11 +58,13 @@ func (t EventType) final() bool { return t != EventPut }
 
 // WatchEvent is one store mutation as seen by a watcher.
 //
-// Value aliases the stored bytes for puts (nil for an expiry); watchers
-// must not mutate it. Version is the stored version the event concerns:
-// the new version for a put, the dying value's version for an expiry —
-// so the same logical event carries the same version on every replica,
-// which is what makes redundant watches deduplicable.
+// Value is the put's value (nil for an expiry): a copy made for the
+// event, not the store's bytes, and shared by every watcher the event
+// reaches, so watchers must not mutate it. Version is the stored
+// version the event concerns: the new version for a put, the dying
+// value's version for an expiry — so the same logical event carries the
+// same version on every replica, which is what makes redundant watches
+// deduplicable.
 type WatchEvent struct {
 	Type    EventType
 	Key     string
@@ -209,13 +211,21 @@ func (r *watchRegistry) unregister(id uint64) {
 // with the mutated key's shard lock held — per-key event order is the
 // shard's apply order — so it must never block: sends are buffered and
 // overflow disconnects, never waits.
+//
+// A put's Value arrives as the store's own bytes, which the next write
+// of the same length overwrites in place: it is copied once, for the
+// first matching watcher, and the copy is what every watcher gets.
 func (r *watchRegistry) notify(ev WatchEvent) {
 	if !r.active.Load() {
 		return
 	}
+	copied := false
 	r.mu.RLock()
 	for _, w := range r.ws {
 		if strings.HasPrefix(ev.Key, w.prefix) {
+			if !copied {
+				ev.Value, copied = clone(ev.Value), true
+			}
 			w.send(ev)
 		}
 	}

@@ -80,9 +80,10 @@ func TestStoreWatchLifecycleEvents(t *testing.T) {
 }
 
 // TestStoreWatchFanoutAllocations: one put fanned out to 16 prefix
-// watchers costs exactly one allocation, the stored copy of the value —
-// every event shares it, and the registry walk and the non-blocking
-// sends allocate nothing.
+// watchers costs exactly one allocation, the event's copy of the value —
+// the store overwrites its own bytes in place, every watcher shares the
+// copy, and the registry walk and the non-blocking sends allocate
+// nothing.
 func TestStoreWatchFanoutAllocations(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("exact allocation counts do not hold under -race")

@@ -253,7 +253,10 @@ func readFrameHeadRaw(r *bufio.Reader, f *frame) (kb []byte, vlen int, err error
 // into f.val (nil for an empty value), which the caller owns. A stored
 // value — opValue, what Get returns — lands in a buffer from Take, so one
 // its reader gave back (Release) is read into again; every other op's
-// value is freshly made.
+// value is freshly made at its exact length. On the server that is a
+// write's data only when the write is parked or too long for the
+// reader's window (serveMux); the store keeps the slice unless it
+// overwrites a value of the same length in place.
 func readFrameValue(r *bufio.Reader, f *frame, vlen int) error {
 	if vlen == 0 {
 		return nil
