@@ -131,8 +131,8 @@ func main() {
 // readAll reads every key at once, each an ordinary GetResult on its
 // own goroutine, and panics on any failed read. Results are in key
 // order.
-func readAll(ctx context.Context, sc *memkv.ShardedClient, keys []string) []redundancy.Result[[]byte] {
-	res := make([]redundancy.Result[[]byte], len(keys))
+func readAll(ctx context.Context, sc *memkv.ShardedClient, keys []string) []redundancy.Result[memkv.Versioned] {
+	res := make([]redundancy.Result[memkv.Versioned], len(keys))
 	errs := make([]error, len(keys))
 	var wg sync.WaitGroup
 	for i, key := range keys {
@@ -151,7 +151,7 @@ func readAll(ctx context.Context, sc *memkv.ShardedClient, keys []string) []redu
 
 // summarize reports total copies launched and the quantiles of the
 // reads' own latencies (Result.Latency runs from each read's start).
-func summarize(res []redundancy.Result[[]byte]) (launched int, p50, p99 time.Duration) {
+func summarize(res []redundancy.Result[memkv.Versioned]) (launched int, p50, p99 time.Duration) {
 	lats := make([]time.Duration, 0, len(res))
 	for i := range res {
 		launched += res[i].Launched

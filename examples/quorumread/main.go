@@ -13,10 +13,12 @@
 //   - and the premium stays modest precisely *because* of redundancy: the
 //     2nd-of-3 response dodges the worst straggler just as the 1st does.
 //
-// The example then kills one replica to show a quorum-2 read surviving,
-// and kills a second to show the typed failure: errors.Is(err,
-// redundancy.ErrQuorumUnreachable) with per-replica detail in the joined
-// ReplicaErrors.
+// Every answer carries its version all the same: there is one read, and
+// GetResult's value is a memkv.Versioned. The example prints each
+// quorum voter's version, then kills one replica to show a quorum-2 read
+// surviving, and kills a second to show the typed failure:
+// errors.Is(err, redundancy.ErrQuorumUnreachable) with per-replica
+// detail in the joined ReplicaErrors.
 //
 // Run with: go run ./examples/quorumread
 package main
@@ -94,8 +96,9 @@ func main() {
 	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- waits for 2 answers: masks one failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
 	fmt.Printf("  WithQuorum(3)    p50 %6s  p99 %6s   <- scatter-gather worst case\n", p50Q3.Round(time.Millisecond), p99Q3.Round(time.Millisecond))
 
-	// A quorum-2 read names its voters when asked.
-	var outs []redundancy.Outcome[[]byte]
+	// A quorum-2 read names its voters, and the version each holds, when
+	// asked.
+	var outs []redundancy.Outcome[memkv.Versioned]
 	if _, err := rc.GetResult(ctx, "user:42", redundancy.WithQuorum(2),
 		redundancy.WithCollectOutcomes(&outs)); err != nil {
 		panic(err)
@@ -103,7 +106,7 @@ func main() {
 	fmt.Println("\nquorum-2 voters (completion order):")
 	for _, o := range outs {
 		if o.Err == nil {
-			fmt.Printf("  copy %d answered %q after %s\n", o.Index, o.Value, o.Latency.Round(time.Millisecond))
+			fmt.Printf("  copy %d answered %q at version %d after %s\n", o.Index, o.Value.Value, o.Value.Version, o.Latency.Round(time.Millisecond))
 		}
 	}
 

@@ -118,7 +118,8 @@ var ErrQuorumUnreachable = errors.New("redundancy: quorum unreachable")
 // errors.Is also reaches each replica's underlying error through the
 // joined ReplicaErrors in Err.
 type QuorumError[T any] struct {
-	// Need is the required number of successes; Wins is how many arrived.
+	// Need is the required number of successes; Wins is how many arrived
+	// (negative answers included, see WithNegativeAnswer).
 	Need, Wins int
 	// Outcomes are the completed copies' outcomes in completion order.
 	Outcomes []Outcome[T]
@@ -232,9 +233,12 @@ type callFrame[K, T any] struct {
 	quorum  int
 	delays  []time.Duration
 	collect *[]Outcome[T]
-	gov     *Governor
-	arg     K
-	picked  []Handle[K, T]
+	// negative is the WithNegativeAnswer sentinel: a copy failing with
+	// it answered, and counts toward the quorum.
+	negative error
+	gov      *Governor
+	arg      K
+	picked   []Handle[K, T]
 
 	// cctx is what blocking copies run under and cdone what cancels it.
 	// Both are made by the first blocking launch of a call (blockingCtx):
@@ -385,6 +389,7 @@ drain:
 	fr.gov = nil
 	fr.cctx = nil
 	fr.collect = nil
+	fr.negative = nil
 	fr.delays = nil
 	fr.picked = nil
 	clear(fr.slots) // tickets pin their connections
@@ -563,10 +568,14 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	ctxDone := ctx.Done()
 	errs := fr.errsBuf[:0]
 	var (
-		wins      int
+		wins      int // successes and negative answers
+		found     bool
 		firstVal  T
 		firstIdx  int
 		completed int
+		// answer is the first negative answer's error: the call's, if
+		// answers alone meet the quorum.
+		answer error
 	)
 	for {
 		select {
@@ -583,29 +592,42 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 			}
 			completed++
 			fr.copyDelivered(r.idx)
+			answered := r.err == nil
 			if r.err != nil {
+				negative := fr.negative != nil && errors.Is(r.err, fr.negative)
 				// Copies deliver raw errors; only one the call consumes
 				// is boxed, with the replica's name.
 				r.err = ReplicaError{Name: fr.picked[r.idx].m.name, Attempt: r.idx, Err: r.err}
-				errs = append(errs, r.err)
+				if negative {
+					answered = true
+					if answer == nil {
+						answer = r.err
+					}
+				} else {
+					errs = append(errs, r.err)
+				}
 			}
 			if collect != nil {
 				*collect = append(*collect, Outcome[T]{
 					Value: r.val, Err: r.err, Index: r.idx, Latency: time.Since(start),
 				})
 			}
-			if r.err == nil {
+			if answered {
 				wins++
-				if wins == 1 {
-					firstVal, firstIdx = r.val, r.idx
+				if r.err == nil && !found {
+					found, firstVal, firstIdx = true, r.val, r.idx
 				}
 				if wins == q {
+					cancelled := launched - fr.drainCompleted(completed)
+					if !found {
+						return Result[T]{Launched: launched, Cancelled: cancelled}, errors.Join(answer)
+					}
 					return Result[T]{
 						Value:     firstVal,
 						Index:     firstIdx,
 						Latency:   time.Since(start),
 						Launched:  launched,
-						Cancelled: launched - fr.drainCompleted(completed),
+						Cancelled: cancelled,
 					}, nil
 				}
 			} else if len(errs) > n-q {

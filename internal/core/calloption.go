@@ -17,6 +17,7 @@ type callOpts struct {
 	label     string
 	strategy  Strategy
 	outcomes  any // *[]Outcome[T]; type-checked against the group's T in Do
+	negative  error
 }
 
 // noCallOpts is the shared zero configuration for the DoValue fast
@@ -81,4 +82,15 @@ func WithLabel(label string) CallOption {
 // match the group's result type, otherwise Do fails with an error.
 func WithCollectOutcomes[T any](dst *[]Outcome[T]) CallOption {
 	return func(c *callOpts) { c.outcomes = dst }
+}
+
+// WithNegativeAnswer makes a copy that fails with an error matching
+// sentinel (errors.Is) an answer rather than a failure: a key that is
+// absent on that replica, say, where the caller wants to know which
+// replicas lack it. Such a copy counts toward the quorum, is collected
+// with its error like any completed copy, and never supplies the call's
+// Value: a call whose quorum was met by answers alone fails with the
+// first one's error. Any other error is a failure as usual.
+func WithNegativeAnswer(sentinel error) CallOption {
+	return func(c *callOpts) { c.negative = sentinel }
 }

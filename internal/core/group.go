@@ -539,6 +539,8 @@ type callPlan[T any] struct {
 	gov     *Governor
 	collect *[]Outcome[T]
 	label   string
+	// negative is the WithNegativeAnswer sentinel, nil if none.
+	negative error
 	// q is the quorum and k the copies the call may launch; charge trims
 	// k to what the budget grants and records the grant.
 	q, k    int
@@ -571,6 +573,7 @@ func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity 
 		p.collect = c
 	}
 	p.label = co.label
+	p.negative = co.negative
 	p.q = co.quorum
 	if p.q < 1 {
 		p.q = 1
@@ -676,6 +679,7 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.arg = arg
 	fr.gov = p.gov
 	fr.collect = p.collect
+	fr.negative = p.negative
 	fr.ensureChan(copies)
 	fr.delays = g.scheduleInto(p, fr.picked, fr.delaysSlice(copies))
 	res, err := runFrame(ctx, fr)

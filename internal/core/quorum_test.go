@@ -156,3 +156,51 @@ func TestFastestSortsAndFilters(t *testing.T) {
 		t.Errorf("RankedNames = %v, want [r1 r2 r0]: the unmeasured failure, then fast before slow", got)
 	}
 }
+
+// TestQuorumNegativeAnswers: under WithNegativeAnswer a copy failing
+// with the sentinel answered — it counts toward the quorum and is
+// collected, so a fast miss neither fails a 2-of-2 call nor cancels the
+// slower hit it waits for — but it is never the call's Value, and a
+// quorum met by such answers alone fails with the sentinel. Without the
+// option the same fast miss fails the call at once.
+func TestQuorumNegativeAnswers(t *testing.T) {
+	ctx := context.Background()
+	absent := errors.New("absent")
+	do := func(opts []CallOption, reps ...Replica[string]) (Result[string], []Outcome[string], error) {
+		var outs []Outcome[string]
+		opts = append(opts, WithQuorum(2), WithCollectOutcomes(&outs))
+		res, err := groupOf(FullReplicate{}, reps...).Do(ctx, opts...)
+		return res, outs, err
+	}
+	negative := []CallOption{WithNegativeAnswer(absent)}
+
+	res, outs, err := do(negative,
+		coretest.Failer[string](absent, time.Millisecond),
+		coretest.Sleeper("hit", 20*time.Millisecond))
+	if err != nil || res.Value != "hit" || res.Index != 1 {
+		t.Fatalf("miss then hit = (%+v, %v), want hit from copy 1", res, err)
+	}
+	if len(outs) != 2 || !errors.Is(outs[0].Err, absent) || outs[1].Err != nil {
+		t.Errorf("outcomes %+v, want the miss then the hit", outs)
+	}
+
+	if _, _, err := do(nil,
+		coretest.Failer[string](absent, time.Millisecond),
+		coretest.Sleeper("hit", 20*time.Millisecond)); !errors.Is(err, ErrQuorumUnreachable) {
+		t.Errorf("without the option a miss fails the 2-of-2 call: %v, want ErrQuorumUnreachable", err)
+	}
+
+	res, outs, err = do(negative,
+		coretest.Failer[string](absent, time.Millisecond),
+		coretest.Failer[string](absent, 2*time.Millisecond))
+	if !errors.Is(err, absent) || errors.Is(err, ErrQuorumUnreachable) || res.Value != "" || len(outs) != 2 {
+		t.Errorf("two misses = (%+v, %v, %d outcomes), want the sentinel, no value, both collected", res, err, len(outs))
+	}
+
+	down := errors.New("down")
+	if _, _, err := do(negative,
+		coretest.Failer[string](absent, time.Millisecond),
+		coretest.Failer[string](down, 2*time.Millisecond)); !errors.Is(err, ErrQuorumUnreachable) || !errors.Is(err, down) {
+		t.Errorf("a miss and a failure = %v, want ErrQuorumUnreachable naming the failure", err)
+	}
+}

@@ -238,11 +238,8 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) 
 	w.Header()["Content-Type"] = contentTypeBytes
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(val)
-	if !quorumRead {
-		// Written out and finished with: the next read lands in these
-		// bytes. (A quorum read's value is not from the pool.)
-		memkv.Release(val)
-	}
+	// Written out and finished with: the next read lands in these bytes.
+	memkv.Release(val)
 }
 
 func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) {

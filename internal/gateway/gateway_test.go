@@ -998,11 +998,12 @@ func stressValue(key string, seq, n int) []byte {
 // buffer some earlier request gave back and gives every GET's value back
 // once written, so all sixteen clients here are passing the same few
 // buffers around. Each writes a fresh self-checking value under its own
-// key and reads it back, for a second, and every body must be exactly
-// what that client last wrote: a buffer handed to two requests at once,
-// or recycled while the socket write or a put's copy still needed it,
-// shows as another key's bytes or a broken CRC. Run with -race: Release
-// then poisons what it pools.
+// key and reads it back twice, once hedged and once as a quorum read,
+// for a second, and every body must be exactly what that client last
+// wrote: a buffer handed to two requests at once, or recycled while the
+// socket write, a put's copy or a quorum read's divergence report still
+// needed it, shows as another key's bytes or a broken CRC. Run with
+// -race: Release then poisons what it pools.
 func TestPutGetSharedBuffersStress(t *testing.T) {
 	f := newFixture(t, 3)
 	client := f.ts.Client()
@@ -1041,13 +1042,21 @@ func TestPutGetSharedBuffersStress(t *testing.T) {
 				if _, ok := exchange(client.Do(req)); !ok {
 					return
 				}
-				got, ok := exchange(client.Get(url))
-				if !ok {
-					return
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s round %d: GET returned %d bytes %.40q…, want the %d bytes %.40q… just written", key, seq, len(got), got, len(want), want)
-					return
+				for _, consistency := range []string{"primary", "quorum"} {
+					req, err := http.NewRequest("GET", url, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req.Header.Set("X-Consistency", consistency)
+					got, ok := exchange(client.Do(req))
+					if !ok {
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s round %d: %s GET returned %d bytes %.40q…, want the %d bytes %.40q… just written", key, seq, consistency, len(got), got, len(want), want)
+						return
+					}
 				}
 				rounds.Add(1)
 			}

@@ -8,17 +8,18 @@ import (
 
 // This file is the one rule for who owns a value's bytes on the read
 // side: the caller, always — and a caller that is finished with them may
-// hand them back. MuxClient reads every opValue reply (Get, a started
-// read's completion) into a buffer from Take; the slice Get returns is
-// the caller's to keep, modify or drop, exactly as if it had been made
-// for it. Release is the optional other end: a caller that has consumed
-// the value (the gateway, once it has written the reply) gives the buffer
-// to the next read instead of to the collector.
+// hand them back. There is one read on the wire, and MuxClient reads the
+// value of every reply to it (GetV and Get, a started read's completion,
+// so every ShardedClient read: Get, GetResult, GetQuorum) into a buffer
+// from Take, after decoding the version header where it lies. The slice
+// a read returns is the caller's to keep, modify or drop, exactly as if
+// it had been made for it. Release is the optional other end: a caller
+// that has consumed the value (the gateway, once it has written the
+// reply) gives the buffer to the next read instead of to the collector.
 //
-// Only opValue replies are pooled. GetV, GetQuorum, scan entries and
-// watch events return slices into larger payloads or values their
-// holders keep; they are plain allocations, and releasing one is
-// harmless but pointless.
+// Scan entries and watch events are not pooled: they are slices into
+// larger payloads or values their holders keep, plain allocations, and
+// releasing one is harmless but pointless.
 //
 // The store is the other owner, and it lends nothing: it keeps each
 // value in an exact-length slice of its own — never a pooled buffer,

@@ -268,7 +268,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 	// A header that breaks the protocol's limits cannot be skipped over:
 	// the server drops the connection.
-	bad := appendFrame(nil, &frame{op: opGet, tag: 9, key: "k"})
+	bad := appendFrame(nil, &frame{op: opGetV, tag: 9, key: "k"})
 	bad[13], bad[14] = 0xFF, 0xFF // klen = 65535 > maxKeyLen
 	conn.Write(bad)
 	if f, err := readReply(t, conn); err == nil {

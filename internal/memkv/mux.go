@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -48,10 +47,12 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     the reader, finding nobody registered for its tag, skips the value
 //     bytes without decoding or allocating them. The request itself is
 //     not recalled: once written it is served and answered.
-//   - Reads need no goroutine: Start enqueues a get and returns, and the
-//     reader hands the reply straight to the caller's sink (MuxClient is
-//     a core.Starter). ShardedClient launches the copies of a redundant
-//     read this way; Get stays the blocking form of the same request.
+//   - Reads need no goroutine: Start enqueues a read and returns, and
+//     the reader hands the reply straight to the caller's sink (MuxClient
+//     is a core.Starter). ShardedClient launches the copies of a
+//     redundant read this way; GetV stays the blocking form of the same
+//     request (opGetV, the one read), and Get is GetV without the
+//     version.
 //   - The loser of a redundant read costs neither a reconnect nor a
 //     discarded value, whichever side of its reply the call is decided
 //     on. Cancelled before the reply arrives, its tag is gone and the
@@ -64,7 +65,7 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     the loser's value is decoded and thrown away, as every such loser
 //     once was.
 //   - Neither do versioned writes: StartPutV is to PutV what Start is to
-//     Get. It encodes the put straight into the pending buffer — no
+//     GetV. It encodes the put straight into the pending buffer — no
 //     payload slice, no waiter — and the reader decodes the fixed-size
 //     reply where it lies in its buffer. ShardedClient launches every
 //     copy of a PutVersioned this way, so a write costs this client no
@@ -139,7 +140,7 @@ type muxConn struct {
 // insert allocates (pinned by TestMuxEntryFitsMapSlot).
 type muxEntry struct {
 	w    *muxWaiter
-	sink core.Sink[[]byte]
+	sink core.Sink[Versioned]
 	put  PutVSink
 	slot int
 	tm   core.WheelTimer
@@ -152,7 +153,7 @@ func (e *muxEntry) fail(err error) {
 		e.put.Complete(e.slot, PutVResult{Err: err}, err)
 		return
 	}
-	e.sink.Complete(e.slot, nil, err)
+	e.sink.Complete(e.slot, Versioned{}, err)
 }
 
 // muxWaiter is one blocking request's rendezvous. The channel has
@@ -428,8 +429,10 @@ func (cn *muxConn) reader() {
 // after the request went out, and its value is skipped in the buffer
 // rather than allocated and copied — the connection lives on. So is a
 // hit for a started read whose call is already settled, which the sink
-// completes without the value (core.Sink.Drop). A non-nil error is fatal
-// to the connection.
+// completes without the value (core.Sink.Drop). A versioned payload —
+// a read's, a write's, a watch event's — has its header decoded where it
+// lies (readReplyValue), so a write's reply allocates nothing and a
+// read's only its value. A non-nil error is fatal to the connection.
 func (cn *muxConn) readOne(r *bufio.Reader) error {
 	var f frame
 	vlen, err := readFrameHead(r, &f)
@@ -437,7 +440,7 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		return err
 	}
 	if f.op == opEvent || f.op == opWatchEnd {
-		if err := readFrameValue(r, &f, vlen); err != nil {
+		if err := readReplyValue(r, &f, vlen); err != nil {
 			return err
 		}
 		cn.mu.Lock()
@@ -458,24 +461,15 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		return err
 	}
 	e.tm.Stop()
-	if e.put != nil {
-		res, err := readPutVReply(r, &f, vlen)
-		if err != nil {
-			cn.fail(err)
-			res.Err = cn.lostErr()
-		}
-		e.put.Complete(e.slot, res, res.Err)
-		return err
-	}
-	if e.sink != nil && f.op == opValue && e.sink.Drop(e.slot) {
+	if e.sink != nil && f.op == opValueV && vlen >= verPayloadHeader && e.sink.Drop(e.slot) {
 		// A hit for a read that was decided while this copy was on the
 		// wire: the sink took the completion without the value, which is
 		// skipped where it lies like an unclaimed frame's.
 		_, err := r.Discard(vlen)
 		return err
 	}
-	err = readFrameValue(r, &f, vlen)
-	if e.sink == nil {
+	err = readReplyValue(r, &f, vlen)
+	if e.w != nil {
 		if err == nil {
 			e.w.ch <- f // cap 1, sole delivery: never blocks
 		}
@@ -483,45 +477,32 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		// the waiter.
 		return err
 	}
-	// A started read: the claim above is the promise to complete it,
+	// A started request: the claim above is the promise to complete it,
 	// even when the value could not be read — then with the error every
 	// other request on the connection is about to get.
 	if err != nil {
 		cn.fail(err)
-		e.sink.Complete(e.slot, nil, cn.lostErr())
+		e.fail(cn.lostErr())
 		return err
 	}
-	v, gerr := frameToGet(&f)
+	if e.put != nil {
+		cur, applied, perr := frameToWrite(&f, opStoredV)
+		e.put.Complete(e.slot, PutVResult{Current: cur, Applied: applied, Err: perr}, perr)
+		return nil
+	}
+	v, gerr := frameToGetV(&f)
 	e.sink.Complete(e.slot, v, gerr)
 	return nil
 }
 
-// readPutVReply consumes the value of a started put's reply whose head
-// is in f and decodes it. The reply every healthy put gets — opStoredV
-// with a bare version header — is decoded from the reader's window and
-// allocates nothing; anything else (an opErr with its message, an op
-// that should not be there) takes the blocking path's decoder. The
-// outcome is res, its Err included; err is a failure to read the value
-// at all, fatal to the connection.
-func readPutVReply(r *bufio.Reader, f *frame, vlen int) (res PutVResult, err error) {
-	if f.op != opStoredV || vlen < verPayloadHeader {
-		if err := readFrameValue(r, f, vlen); err != nil {
-			return res, err
-		}
-		res.Current, res.Applied, res.Err = frameToPutV(f)
-		return res, nil
+// readReplyValue reads the vlen value bytes of a reply whose head is in
+// f: a versioned payload by readVerValue, anything else whole.
+func readReplyValue(r *bufio.Reader, f *frame, vlen int) error {
+	switch f.op {
+	case opValueV, opStoredV, opCASResp, opEvent:
+		return readVerValue(r, f, vlen)
 	}
-	if res.Current, _, err = readVerHeader(r); err != nil {
-		return res, err
-	}
-	if _, err := r.Discard(vlen - verPayloadHeader); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return res, err
-	}
-	res.Applied = f.aux == 1
-	return res, nil
+	return readFrameValue(r, f, vlen)
 }
 
 // flusher is the connection's single writer: each pass swaps out
@@ -627,21 +608,21 @@ func (m *MuxClient) putTimeout() time.Duration {
 	return versionedStragglerTimeout
 }
 
-// Start implements core.Starter: the non-blocking form of Get. It
+// Start implements core.Starter: the non-blocking form of GetV. It
 // enqueues the request on the live connection and returns at once; the
 // reply (or the per-request timeout, or the connection's loss) is
 // delivered to sink.Complete(slot, …) from the connection's reader (or
 // the timer wheel, or whoever failed the connection), unless Cancel
 // withdraws it first. Start declines — having done nothing — when it
 // would have to do what only a blocking call can: dial a connection
-// never used, report a bad key, or fail fast while redialing; Get
+// never used, report a bad key, or fail fast while redialing; GetV
 // handles each of those.
-func (m *MuxClient) Start(key string, sink core.Sink[[]byte], slot int) (core.Ticket, bool) {
+func (m *MuxClient) Start(key string, sink core.Sink[Versioned], slot int) (core.Ticket, bool) {
 	cn, tag, ok := m.startLocked(key, muxEntry{sink: sink, slot: slot}, m.timeout)
 	if !ok {
 		return core.Ticket{}, false
 	}
-	cn.pending = appendFrame(cn.pending, &frame{op: opGet, tag: tag, key: key})
+	cn.pending = appendFrame(cn.pending, &frame{op: opGetV, tag: tag, key: key})
 	cn.mu.Unlock()
 	cn.signalFlush()
 	return core.Ticket{Ref: cn, ID: tag}, true
@@ -660,7 +641,7 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 	return cn, cn.registerLocked(e, timeout), true
 }
 
-// StartPutV is the non-blocking form of PutV, as Start is of Get: it
+// StartPutV is the non-blocking form of PutV, as Start is of GetV: it
 // encodes the put straight into the connection's pending buffer and
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
@@ -755,17 +736,6 @@ func replyErr(fr *frame) error {
 	return fmt.Errorf("memkv: unexpected response op %#x", fr.op)
 }
 
-func frameToGet(fr *frame) ([]byte, error) {
-	switch fr.op {
-	case opValue:
-		return fr.val, nil
-	case opNotFound:
-		return nil, ErrNotFound
-	default:
-		return nil, replyErr(fr)
-	}
-}
-
 func frameToSet(fr *frame) error {
 	if fr.op == opStored {
 		return nil
@@ -773,18 +743,10 @@ func frameToSet(fr *frame) error {
 	return replyErr(fr)
 }
 
-// Get fetches the value stored under key. The slice is the caller's to
-// keep or change; one who is finished with it may Release it, and the
-// next read lands in the same bytes.
+// Get is GetV without the version and TTL: the value stored under key.
 func (m *MuxClient) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := validateKey(key); err != nil {
-		return nil, err
-	}
-	fr, err := m.do(ctx, frame{op: opGet, key: key})
-	if err != nil {
-		return nil, err
-	}
-	return frameToGet(&fr)
+	v, _, _, err := m.GetV(ctx, key)
+	return v, err
 }
 
 // Set stores value under key with no expiry.
@@ -836,10 +798,20 @@ func ttlSeconds(ttl time.Duration) uint32 {
 // last-writer-wins puts carrying explicit versions, version-observing
 // gets, and the cursor-paged scan that anti-entropy streams over.
 
+// Versioned is one read's answer, GetV's three results: what Start
+// completes with and ShardedClient's read ring returns.
+type Versioned struct {
+	Value   []byte
+	Version uint64
+	TTLSecs uint32
+}
+
 // GetV fetches the value, version, and remaining TTL (whole seconds,
-// 0 = never expires) stored under key. A missing key is ErrNotFound;
-// version 0 never names a live value. The TTL rides along so repair
-// paths can re-put an expiring value without immortalizing it.
+// rounded up; 0 = never expires) stored under key. A missing key is
+// ErrNotFound; version 0 never names a live value. A reader that
+// re-applies the TTL must take a second off it first (see GetQuorum).
+// The value is the caller's; one who is finished with it may Release
+// it, and the next read lands in the same bytes.
 func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error) {
 	if err := validateKey(key); err != nil {
 		return nil, 0, 0, err
@@ -848,7 +820,8 @@ func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return frameToGetV(&fr)
+	v, err := frameToGetV(&fr)
+	return v.Value, v.Version, v.TTLSecs, err
 }
 
 // PutV stores value under key iff version is strictly newer than the
@@ -866,7 +839,7 @@ func (m *MuxClient) PutV(ctx context.Context, key string, value []byte, ttl time
 	if err != nil {
 		return 0, false, err
 	}
-	return frameToPutV(&fr)
+	return frameToWrite(&fr, opStoredV)
 }
 
 // Scan returns up to limit live entries with keys strictly greater than
@@ -961,35 +934,35 @@ func (m *MuxClient) PutVBatch(ctx context.Context, puts []VersionedPut) []PutVRe
 			out[i].Err = err
 			continue
 		}
-		out[i].Current, out[i].Applied, out[i].Err = frameToPutV(&fr)
+		out[i].Current, out[i].Applied, out[i].Err = frameToWrite(&fr, opStoredV)
 	}
 	return out
 }
 
-func frameToGetV(fr *frame) (value []byte, version uint64, ttlSecs uint32, err error) {
-	switch fr.op {
-	case opValueV:
-		ver, ttl, data, err := decodeVerPayload(fr.val)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return data, ver, ttl, nil
-	case opNotFound:
-		return nil, 0, 0, ErrNotFound
+// frameToGetV turns a read's reply, its versioned payload decoded by
+// readVerValue, into the read's outcome.
+func frameToGetV(fr *frame) (Versioned, error) {
+	switch {
+	case fr.op == opValueV && !fr.short:
+		return Versioned{Value: fr.val, Version: fr.ver, TTLSecs: fr.ttl}, nil
+	case fr.op == opValueV:
+		return Versioned{}, errVerPayload
+	case fr.op == opNotFound:
+		return Versioned{}, ErrNotFound
 	default:
-		return nil, 0, 0, replyErr(fr)
+		return Versioned{}, replyErr(fr)
 	}
 }
 
-func frameToPutV(fr *frame) (current uint64, applied bool, err error) {
-	switch fr.op {
-	case opStoredV:
-		ver, _, _, err := decodeVerPayload(fr.val)
-		if err != nil {
-			return 0, false, err
-		}
-		return ver, fr.aux == 1, nil
-	default:
+// frameToWrite turns the reply to a versioned write, its payload decoded
+// by readVerValue, into the write's outcome; op is the reply the write
+// expects (opStoredV for a put, opCASResp for a CAS).
+func frameToWrite(fr *frame, op byte) (current uint64, applied bool, err error) {
+	switch {
+	case fr.op != op:
 		return 0, false, replyErr(fr)
+	case fr.short:
+		return 0, false, errVerPayload
 	}
+	return fr.ver, fr.aux == 1, nil
 }

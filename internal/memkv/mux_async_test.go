@@ -79,6 +79,7 @@ type readSink struct {
 
 type sinkResult struct {
 	val     []byte
+	ver     uint64
 	err     error
 	dropped bool
 }
@@ -87,8 +88,8 @@ func newReadSink(buffer int) *readSink {
 	return &readSink{got: make(map[int][]sinkResult), each: make(chan struct{}, buffer)}
 }
 
-func (s *readSink) Complete(slot int, v []byte, err error) {
-	s.record(slot, sinkResult{val: v, err: err})
+func (s *readSink) Complete(slot int, v Versioned, err error) {
+	s.record(slot, sinkResult{val: v.Value, ver: v.Version, err: err})
 }
 
 func (s *readSink) Drop(slot int) bool {
@@ -376,9 +377,9 @@ func TestAsyncStartedReadFailures(t *testing.T) {
 			}
 			primary := muxIndex(t, muxes, sc.Owners("k")[0])
 			stalled.Store(int32(primary))
-			var outs []core.Outcome[[]byte]
+			var outs []core.Outcome[Versioned]
 			done := make(chan struct{})
-			var res core.Result[[]byte]
+			var res core.Result[Versioned]
 			var err error
 			go func() {
 				defer close(done)
@@ -398,7 +399,7 @@ func TestAsyncStartedReadFailures(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("read did not fall through to the surviving owner")
 			}
-			if err != nil || string(res.Value) != "v" || res.Index != 1 || res.Launched != 2 {
+			if err != nil || string(res.Value.Value) != "v" || res.Index != 1 || res.Launched != 2 {
 				t.Fatalf("GetResult = (%+v, %v), want v from copy 1 after 2 launched", res, err)
 			}
 			if len(outs) != 2 || !errors.Is(outs[0].Err, tc.want) || outs[1].Err != nil {
@@ -475,15 +476,10 @@ var _ Backend = (*MuxClient)(nil)
 
 // countingMux is what bench's tracing wrapper is: a Backend that embeds
 // the real client — so it has the promoted Start and Cancel, and the
-// whole Backend surface — and overrides the reads.
+// whole Backend surface — and overrides the read.
 type countingMux struct {
 	*MuxClient
-	gets, getVs atomic.Int64
-}
-
-func (c *countingMux) Get(ctx context.Context, key string) ([]byte, error) {
-	c.gets.Add(1)
-	return c.MuxClient.Get(ctx, key)
+	getVs atomic.Int64
 }
 
 func (c *countingMux) GetV(ctx context.Context, key string) ([]byte, uint64, uint32, error) {
@@ -544,7 +540,7 @@ func TestWrappedBackendKeepsFullSurface(t *testing.T) {
 
 // TestAsyncWrapperSeesEveryReadCopy pins the concrete-type rule of
 // ShardedClient.AddShard: only a *MuxClient itself has its reads
-// started; a wrapper that overrides Get keeps seeing every read copy.
+// started; a wrapper that overrides GetV keeps seeing every read copy.
 func TestAsyncWrapperSeesEveryReadCopy(t *testing.T) {
 	var wrapped []*countingMux
 	var backends []Backend
@@ -554,7 +550,7 @@ func TestAsyncWrapperSeesEveryReadCopy(t *testing.T) {
 		wrapped = append(wrapped, w)
 		backends = append(backends, w)
 	}
-	if _, ok := backends[0].(core.Starter[string, []byte]); !ok {
+	if _, ok := backends[0].(core.Starter[string, Versioned]); !ok {
 		t.Fatal("the wrapper does not have the promoted Start/Cancel; the test is vacuous")
 	}
 	sc := NewShardedClient(ShardedConfig{}, backends...)
@@ -566,18 +562,18 @@ func TestAsyncWrapperSeesEveryReadCopy(t *testing.T) {
 	const reads = 100
 	for i := 0; i < reads; i++ {
 		res, err := sc.GetResult(ctx, "k")
-		if err != nil || string(res.Value) != "v" || res.Launched != 2 {
+		if err != nil || string(res.Value.Value) != "v" || res.Launched != 2 {
 			t.Fatalf("GetResult = (%+v, %v)", res, err)
 		}
 	}
-	// A loser's goroutine may still be on its way into Get.
+	// A loser's goroutine may still be on its way into GetV.
 	deadline := time.Now().Add(2 * time.Second)
-	total := func() int64 { return wrapped[0].gets.Load() + wrapped[1].gets.Load() }
+	total := func() int64 { return wrapped[0].getVs.Load() + wrapped[1].getVs.Load() }
 	for total() != 2*reads && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := total(); got != 2*reads {
-		t.Errorf("wrappers saw %d Get calls for %d two-copy reads, want %d", got, reads, 2*reads)
+		t.Errorf("wrappers saw %d GetV calls for %d two-copy reads, want %d", got, reads, 2*reads)
 	}
 }
 
@@ -602,7 +598,7 @@ func TestAsyncAbandonedReplyCostsNothing(t *testing.T) {
 	for i := range value {
 		value[i] = byte(i)
 	}
-	reply := appendFrame(nil, &frame{op: opValue, tag: 99, val: value})
+	reply := appendVerFrame(nil, opValueV, 99, 0, "", 5, 0, value)
 	cn := &muxConn{waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
 	r := bufio.NewReaderSize(&loopReader{b: reply}, 4096)
 	avg := testing.AllocsPerRun(1000, func() {
@@ -621,7 +617,7 @@ func TestAsyncAbandonedReplyCostsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := sink.results(3)
-	if len(rs) != 1 || rs[0].err != nil || string(rs[0].val) != string(value) {
+	if len(rs) != 1 || rs[0].err != nil || string(rs[0].val) != string(value) || rs[0].ver != 5 {
 		t.Fatalf("completions after the skipped replies: %+v", rs)
 	}
 	if len(cn.waiters) != 0 {

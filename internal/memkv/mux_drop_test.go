@@ -45,19 +45,23 @@ func TestMuxDroppedReplyLeavesStreamInStep(t *testing.T) {
 		val     []byte
 		settled bool // the read this answers is already decided
 	}{
-		{opValue, fill(60<<10, 'a'), false},
-		{opValue, fill(10<<10, 'b'), true}, // begins inside the first fill, ends in the second
-		{opValue, []byte("after the torn one"), false},
-		{opValue, fill(200<<10, 'c'), true}, // three windows long
-		{opValue, []byte("after the long one"), false},
-		{opValue, nil, true},                // nothing to skip
-		{opNotFound, nil, true},             // a miss is an outcome, not a value
-		{opErr, []byte("boom"), true},       // so is a server error
-		{opValue, []byte("the end"), false}, // and the stream is still in step
+		{opValueV, fill(60<<10, 'a'), false},
+		{opValueV, fill(10<<10, 'b'), true}, // begins inside the first fill, ends in the second
+		{opValueV, []byte("after the torn one"), false},
+		{opValueV, fill(200<<10, 'c'), true}, // three windows long
+		{opValueV, []byte("after the long one"), false},
+		{opValueV, nil, true},                // nothing to skip but the version
+		{opNotFound, nil, true},              // a miss is an outcome, not a value
+		{opErr, []byte("boom"), true},        // so is a server error
+		{opValueV, []byte("the end"), false}, // and the stream is still in step
 	}
 	var stream []byte
 	for i, f := range frames {
-		stream = appendFrame(stream, &frame{op: f.op, tag: uint64(i + 1), val: f.val})
+		if f.op == opValueV {
+			stream = appendVerFrame(stream, opValueV, uint64(i+1), 0, "", uint64(100+i), 0, f.val)
+		} else {
+			stream = appendFrame(stream, &frame{op: f.op, tag: uint64(i + 1), val: f.val})
+		}
 	}
 	for _, src := range []struct {
 		name string
@@ -88,13 +92,13 @@ func TestMuxDroppedReplyLeavesStreamInStep(t *testing.T) {
 					t.Fatalf("frame %d completed %d times, want once", i, len(rs))
 				}
 				switch got := rs[0]; {
-				case f.settled && f.op == opValue:
+				case f.settled && f.op == opValueV:
 					if !got.dropped || got.val != nil || got.err != nil {
 						t.Errorf("frame %d: %+v, want dropped with no value", i, got)
 					}
-				case f.op == opValue:
-					if got.dropped || got.err != nil || !bytes.Equal(got.val, f.val) {
-						t.Errorf("frame %d: dropped %v, err %v, %d bytes; want its %d-byte value", i, got.dropped, got.err, len(got.val), len(f.val))
+				case f.op == opValueV:
+					if got.dropped || got.err != nil || !bytes.Equal(got.val, f.val) || got.ver != uint64(100+i) {
+						t.Errorf("frame %d: dropped %v, err %v, %d bytes at version %d; want its %d-byte value at %d", i, got.dropped, got.err, len(got.val), got.ver, len(f.val), 100+i)
 					}
 				case f.op == opNotFound:
 					if got.dropped || !errors.Is(got.err, ErrNotFound) {
@@ -119,7 +123,7 @@ func TestMuxDroppedReplyLeavesStreamInStep(t *testing.T) {
 func TestMuxDroppedReplyTornMidValue(t *testing.T) {
 	sink := newReadSink(2)
 	sink.settled.Store(true)
-	whole := appendFrame(nil, &frame{op: opValue, tag: 1, val: bytes.Repeat([]byte{'v'}, 100<<10)})
+	whole := appendVerFrame(nil, opValueV, 1, 0, "", 7, 0, bytes.Repeat([]byte{'v'}, 100<<10))
 	cn := bareConn(sink)
 	err := cn.readOne(bufio.NewReaderSize(bytes.NewReader(whole[:len(whole)-1]), 64<<10))
 	if err == nil {

@@ -321,8 +321,8 @@ func TestShardedClientWithMuxBackends(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("get %d: %v", i, r.Err)
 		}
-		if !bytes.Equal(r.Result.Value, vals[i]) {
-			t.Fatalf("get %d = %q, want %q", i, r.Result.Value, vals[i])
+		if !bytes.Equal(r.Result.Value.Value, vals[i]) {
+			t.Fatalf("get %d = %q, want %q", i, r.Result.Value.Value, vals[i])
 		}
 	}
 }

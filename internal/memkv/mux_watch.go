@@ -117,12 +117,11 @@ func (s *WatchStream) deliver(f *frame) {
 		s.end(err)
 		return
 	}
-	ver, ttl, data, derr := decodeVerPayload(f.val)
-	if derr != nil {
-		s.closeAndUnwatch(derr)
+	if f.short {
+		s.closeAndUnwatch(errVerPayload)
 		return
 	}
-	ev := WatchEvent{Type: EventType(f.aux), Key: f.key, Value: data, Version: ver, TTLSecs: ttl}
+	ev := WatchEvent{Type: EventType(f.aux), Key: f.key, Value: f.val, Version: f.ver, TTLSecs: f.ttl}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -214,18 +213,5 @@ func (m *MuxClient) CAS(ctx context.Context, key string, value []byte, ttl time.
 	if err != nil {
 		return 0, false, err
 	}
-	return frameToCAS(&fr)
-}
-
-func frameToCAS(fr *frame) (current uint64, applied bool, err error) {
-	switch fr.op {
-	case opCASResp:
-		ver, _, _, err := decodeVerPayload(fr.val)
-		if err != nil {
-			return 0, false, err
-		}
-		return ver, fr.aux == 1, nil
-	default:
-		return 0, false, replyErr(fr)
-	}
+	return frameToWrite(&fr, opCASResp)
 }

@@ -863,8 +863,8 @@ func TestMuxServerRepliesUnchangedByInPlaceDecode(t *testing.T) {
 		aux  uint32
 		val  string
 	}{
-		{"get miss", appendFrame(nil, &frame{op: opGet, key: "absent"}), opNotFound, 0, ""},
-		{"get no key", appendFrame(nil, &frame{op: opGet}), opNotFound, 0, ""},
+		{"get miss", appendFrame(nil, &frame{op: opGetV, key: "absent"}), opNotFound, 0, ""},
+		{"get no key", appendFrame(nil, &frame{op: opGetV}), opNotFound, 0, ""},
 		{"putv", appendVerFrame(nil, opPutV, 0, 0, "k", 7, 0, []byte("seven")), opStoredV, 1, string(appendVerPayload(nil, 7, 0, nil))},
 		{"putv stale", appendVerFrame(nil, opPutV, 0, 0, "k", 6, 0, []byte("six")), opStoredV, 0, string(appendVerPayload(nil, 7, 0, nil))},
 		{"putv empty value", appendVerFrame(nil, opPutV, 0, 0, long, 1, 0, nil), opStoredV, 1, string(appendVerPayload(nil, 1, 0, nil))},
@@ -872,16 +872,18 @@ func TestMuxServerRepliesUnchangedByInPlaceDecode(t *testing.T) {
 		{"putv version 0", appendVerFrame(nil, opPutV, 0, 0, "k", 0, 0, []byte("v")), opErr, 0, "putv requires a versioned payload"},
 		{"putv no key", appendVerFrame(nil, opPutV, 0, 0, "", 7, 0, []byte("v")), opErr, 0, "putv requires a key"},
 		{"putv no key, short", appendFrame(nil, &frame{op: opPutV, val: []byte("x")}), opErr, 0, "putv requires a key"},
-		{"get hit", appendFrame(nil, &frame{op: opGet, key: "k"}), opValue, 0, "seven"},
-		{"get with a value", appendFrame(nil, &frame{op: opGet, key: "k", val: []byte("ignored")}), opValue, 0, "seven"},
-		{"get long key", appendFrame(nil, &frame{op: opGet, key: long}), opValue, 0, ""},
+		{"get hit", appendFrame(nil, &frame{op: opGetV, key: "k"}), opValueV, 0, string(appendVerPayload(nil, 7, 0, []byte("seven")))},
+		{"get with a value", appendFrame(nil, &frame{op: opGetV, key: "k", val: []byte("ignored")}), opValueV, 0, string(appendVerPayload(nil, 7, 0, []byte("seven")))},
+		{"get long key", appendFrame(nil, &frame{op: opGetV, key: long}), opValueV, 0, string(appendVerPayload(nil, 1, 0, nil))},
 		{"getv hit", appendFrame(nil, &frame{op: opGetV, key: "k"}), opValueV, 0, string(appendVerPayload(nil, 7, 0, []byte("seven")))},
 		{"getv miss", appendFrame(nil, &frame{op: opGetV, key: "absent"}), opNotFound, 0, ""},
 		{"cas short", appendFrame(nil, &frame{op: opCAS, key: "k", val: []byte("x")}), opErr, 0, "cas requires a versioned payload"},
 		{"cas no key", appendVerFrame(nil, opCAS, 0, 0, "", 7, 0, nil), opErr, 0, "cas requires a key"},
 		{"cas conflict", appendVerFrame(nil, opCAS, 0, 0, "k", 6, 0, []byte("x")), opCASResp, 0, string(appendVerPayload(nil, 7, 0, nil))},
 		{"op 0x83", appendFrame(nil, &frame{op: 0x83, key: "k"}), opErr, 0, "unknown op 0x83"},
-		{"get after 0x83", appendFrame(nil, &frame{op: opGet, key: "k"}), opValue, 0, "seven"},
+		{"get after 0x83", appendFrame(nil, &frame{op: opGetV, key: "k"}), opValueV, 0, string(appendVerPayload(nil, 7, 0, []byte("seven")))},
+		{"op 0x81", appendFrame(nil, &frame{op: 0x81, key: "k"}), opErr, 0, "unknown op 0x81"},
+		{"get after 0x81", appendFrame(nil, &frame{op: opGetV, key: "k"}), opValueV, 0, string(appendVerPayload(nil, 7, 0, []byte("seven")))},
 	}
 	for _, mode := range []struct {
 		name  string

@@ -360,46 +360,44 @@ func compareAndSwap[K string | []byte](s *Store, key K, flags uint32, value []by
 //
 // The value is the caller's own copy.
 func (s *Store) GetVersion(key string) (value []byte, flags uint32, version uint64, ttlSecs uint32, ok bool) {
-	sh, it, ttlSecs, ok := view(s, key, true)
+	sh, it, left, ok := view(s, key)
 	if !ok {
+		return nil, 0, 0, 0, false
+	}
+	if left > 0 && left < time.Second {
+		// Not reaped: the sweeper owns the true deadline.
+		sh.mu.RUnlock()
 		return nil, 0, 0, 0, false
 	}
 	value = clone(it.data)
 	sh.mu.RUnlock()
-	return value, it.flags, it.version, ttlSecs, true
+	return value, it.flags, it.version, uint32(left / time.Second), true
 }
 
-// view finds key's item for a reader. When the reader may see it, view
-// returns with sh's read lock held: the caller copies out what it needs —
-// the data above all, which the next write of the same length overwrites
-// in place — and then calls sh.mu.RUnlock. Otherwise the lock is
-// released, and an item past its deadline has been reaped. A versioned
-// reader (GetVersion) also gets the remaining TTL in whole seconds,
-// floored, and does not see an item with less than a second left: that
-// one is not reaped, since the sweeper owns the true deadline.
+// view finds key's item for a reader. When the item is live, view
+// returns with sh's read lock held, and the time the item has left (0
+// for one that never expires): the caller copies out what it needs —
+// the data above all, which the next write of the same length
+// overwrites in place — and then calls sh.mu.RUnlock. Otherwise the lock
+// is released, and an item past its deadline has been reaped.
 //
 // The server calls view with the key bytes as they lie in the
 // connection reader's window; a string is made of them only to reap.
-func view[K string | []byte](s *Store, key K, versioned bool) (sh *shard, it item, ttlSecs uint32, ok bool) {
+func view[K string | []byte](s *Store, key K) (sh *shard, it item, left time.Duration, ok bool) {
 	sh = shardOf(s, key)
 	sh.mu.RLock()
-	if it, ok = sh.m[string(key)]; ok && !it.expiresAt.IsZero() {
-		left := time.Until(it.expiresAt)
-		if left <= 0 {
+	if it, ok = sh.m[string(key)]; !ok {
+		sh.mu.RUnlock()
+		return nil, item{}, 0, false
+	}
+	if !it.expiresAt.IsZero() {
+		if left = time.Until(it.expiresAt); left <= 0 {
 			sh.mu.RUnlock()
 			s.reapExpired(string(key))
 			return nil, item{}, 0, false
 		}
-		if versioned {
-			ok = left >= time.Second
-			ttlSecs = uint32(left / time.Second)
-		}
 	}
-	if !ok {
-		sh.mu.RUnlock()
-		return nil, item{}, 0, false
-	}
-	return sh, it, ttlSecs, true
+	return sh, it, left, true
 }
 
 // reapExpired removes key if it is (still) past its deadline, emitting
@@ -546,7 +544,7 @@ func scanHeapDown(h []string) {
 // Get returns the value and flags for key; the value is the caller's own
 // copy. Expired items are absent (and reaped on the way).
 func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
-	sh, it, _, ok := view(s, key, false)
+	sh, it, _, ok := view(s, key)
 	if !ok {
 		return nil, 0, false
 	}

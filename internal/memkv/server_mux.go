@@ -52,26 +52,12 @@ type muxSession struct {
 // which is why the cap is enforced on the event path alone.
 const muxWatchBacklogCap = 4 << 20
 
-// request is one request frame as the session executes it. The value of
-// an opPutV or opCAS is decoded where it lies on the wire: its version
-// header lands in ver and ttl, and val holds only the data bytes — in
-// the reader's window for a write run there, else read once at their
-// exact length for the store to keep.
-type request struct {
-	frame
-	ver uint64 // opPutV: the write's version; opCAS: the expected version
-	ttl uint32 // opPutV: TTL seconds
-	// short marks an opPutV/opCAS whose value was too short to hold a
-	// version header: answered with opErr.
-	short bool
-}
-
 // serveMux runs the frame loop on a connection whose first byte
 // identified it as framed. It returns when the connection dies; delayed
 // requests still parked on the wheel detect the closed session at fire
 // time.
 //
-// A lookup (get, versioned get) is executed on the key bytes in the
+// A lookup (the read, getv) is executed on the key bytes in the
 // reader's window, before they are consumed, and so is a versioned write
 // (putv, cas) whose key and value fit the window: the store copies what
 // it keeps, so an overwrite of a value of the same length allocates
@@ -89,8 +75,8 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	}
 	go m.flusher()
 	for {
-		var q request
-		kb, vlen, err := readFrameHeadRaw(r, &q.frame)
+		var q frame
+		kb, vlen, err := readFrameHeadRaw(r, &q)
 		if err != nil {
 			break
 		}
@@ -98,7 +84,7 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 		if s.Delay != nil {
 			d = s.Delay()
 		}
-		if d <= 0 && vlen == 0 && isLookup(q.op) {
+		if d <= 0 && vlen == 0 && q.op == opGetV {
 			m.execInWindow(&q, kb)
 			r.Discard(len(kb))
 			continue
@@ -132,18 +118,14 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	m.shutdown()
 }
 
-// isLookup reports whether op's whole use of its key is a lookup in the
-// store.
-func isLookup(op byte) bool { return op == opGet || op == opGetV }
-
 // readRequestRest finishes reading a request whose head readFrameHeadRaw
 // left in q, for the requests that outlive the reader's window: it makes
 // the key bytes kb a string — for a write, the string st already holds
 // if the key is there — consumes them, and reads the vlen value bytes
 // that follow. A versioned write's payload header is decoded in place
-// and only its data allocated; every other value is read whole into
-// q.val.
-func readRequestRest(r *bufio.Reader, q *request, kb []byte, vlen int, st *Store) error {
+// and only its data allocated (readVerValue); every other value is read
+// whole into q.val.
+func readRequestRest(r *bufio.Reader, q *frame, kb []byte, vlen int, st *Store) error {
 	if q.op == opPutV || q.op == opCAS || q.op == opSet {
 		q.key = st.keyString(kb)
 	} else {
@@ -151,21 +133,15 @@ func readRequestRest(r *bufio.Reader, q *request, kb []byte, vlen int, st *Store
 	}
 	r.Discard(len(kb))
 	if q.op == opPutV || q.op == opCAS {
-		if q.short = vlen < verPayloadHeader; !q.short {
-			var err error
-			if q.ver, q.ttl, err = readVerHeader(r); err != nil {
-				return err
-			}
-			vlen -= verPayloadHeader
-		}
+		return readVerValue(r, q, vlen)
 	}
-	return readFrameValue(r, &q.frame, vlen)
+	return readFrameValue(r, q, vlen)
 }
 
 // muxDelayed boxes one parked request for the wheel callback.
 type muxDelayed struct {
 	m *muxSession
-	q request
+	q frame
 }
 
 func muxDelayFired(c any, _ int64) {
@@ -177,15 +153,15 @@ func muxDelayFired(c any, _ int64) {
 // and for a write value bytes in q.val — that alias the connection
 // reader's window, and enqueues its response. Only the read loop calls
 // it, between peeking the bytes and consuming them.
-func (m *muxSession) execInWindow(q *request, kb []byte) {
+func (m *muxSession) execInWindow(q *frame, kb []byte) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		m.s.aborted.Add(1)
 		return
 	}
-	if isLookup(q.op) {
-		m.pending = appendLookupReply(m.pending, m.s, q.op, q.tag, kb)
+	if q.op == opGetV {
+		m.pending = appendLookupReply(m.pending, m.s, q.tag, kb)
 	} else {
 		m.pending = appendWriteReply(m.pending, m.s, q, kb, false)
 	}
@@ -193,22 +169,19 @@ func (m *muxSession) execInWindow(q *request, kb []byte) {
 	m.signalFlush()
 }
 
-// appendLookupReply executes one of the isLookup ops against the store
-// and appends its response to dst, copying the value while it holds the
+// appendLookupReply executes a read (opGetV) against the store and
+// appends its response to dst, copying the value while it holds the
 // shard's read lock. key is the frame's key as a string (exec) or as the
-// bytes on the wire (execInWindow).
-func appendLookupReply[K string | []byte](dst []byte, s *Server, op byte, tag uint64, key K) []byte {
+// bytes on the wire (execInWindow). The remaining TTL is rounded up: a
+// key is readable until its deadline, and 0 still means no expiry.
+func appendLookupReply[K string | []byte](dst []byte, s *Server, tag uint64, key K) []byte {
 	s.cmdGet.Add(1)
-	sh, it, ttl, ok := view(s.store, key, op == opGetV)
+	sh, it, left, ok := view(s.store, key)
 	if !ok {
 		s.getMisses.Add(1)
 		return appendFrame(dst, &frame{op: opNotFound, tag: tag})
 	}
-	if op == opGetV {
-		dst = appendVerFrame(dst, opValueV, tag, it.flags, "", it.version, ttl, it.data)
-	} else {
-		dst = appendFrame(dst, &frame{op: opValue, tag: tag, aux: it.flags, val: it.data})
-	}
+	dst = appendVerFrame(dst, opValueV, tag, it.flags, "", it.version, ttlSeconds(left), it.data)
 	sh.mu.RUnlock()
 	s.getHits.Add(1)
 	return dst
@@ -218,7 +191,7 @@ func appendLookupReply[K string | []byte](dst []byte, s *Server, op byte, tag ui
 // appends its response to dst. key is the frame's key as a string (exec)
 // or as the bytes on the wire (execInWindow); owned says whether q.val
 // was read for the store to keep (see putVersion).
-func appendWriteReply[K string | []byte](dst []byte, s *Server, q *request, key K, owned bool) []byte {
+func appendWriteReply[K string | []byte](dst []byte, s *Server, q *frame, key K, owned bool) []byte {
 	if q.op == opPutV {
 		if len(key) == 0 {
 			return appendErrFrame(dst, q.tag, "putv requires a key")
@@ -249,7 +222,7 @@ func appendWriteReply[K string | []byte](dst []byte, s *Server, q *request, key 
 // goroutine — store operations are sharded-mutex map accesses and the
 // enqueue is a buffer append, both non-blocking enough for the wheel's
 // callback contract.
-func (m *muxSession) exec(f *request) {
+func (m *muxSession) exec(f *frame) {
 	s := m.s
 	m.mu.Lock()
 	if m.closed {
@@ -259,8 +232,8 @@ func (m *muxSession) exec(f *request) {
 		return
 	}
 	switch f.op {
-	case opGet, opGetV:
-		m.pending = appendLookupReply(m.pending, s, f.op, f.tag, f.key)
+	case opGetV:
+		m.pending = appendLookupReply(m.pending, s, f.tag, f.key)
 	case opSet:
 		if f.key == "" {
 			m.pending = appendErrFrame(m.pending, f.tag, "set requires a key")

@@ -2,7 +2,6 @@ package memkv
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,8 @@ import (
 //     the configured ReadStrategy (default: race primary + secondary,
 //     first response wins — the paper's scheme) and takes per-call
 //     options (core.WithQuorum, core.WithFanoutCap, core.WithLabel, …).
+//     GetQuorum is the same ring call over every owner, comparing
+//     versions; every read witnesses the version it returns.
 //   - PutVersioned (sharded_versioned.go) is the one write: it mints a
 //     version, sends the value to every placement shard and returns once
 //     WriteQuorum of them acked; with WriteQuorum < Replication a put
@@ -35,25 +36,20 @@ import (
 // repair, anti-entropy migration). AddShard/RemoveShard themselves only
 // change placement.
 type ShardedClient struct {
-	mu sync.Mutex // serializes AddShard/RemoveShard; the rings have their own engines
+	mu sync.Mutex // serializes AddShard/RemoveShard; the ring has its own engine
 	// topo is the shard set as AddShard/RemoveShard last left it, swapped
 	// whole: readers (the versioned write path, every per-shard lookup)
 	// load it without a lock.
 	topo        atomic.Pointer[topology]
-	reads       *ring.Ring[string, []byte]
+	reads       *ring.Ring[string, Versioned]
 	replication int
 	writeQuorum int
 
-	// Versioned (convergence) surface — see sharded_versioned.go. readsV
-	// mirrors reads' topology but returns value+version and treats a
-	// missing key as a successful read of version 0, so quorum reads
-	// succeed over partial misses and the miss becomes repairable
-	// divergence. clock is the client's Lamport version clock; sink, when
-	// set, receives repair work (missed writes, divergence, topology
-	// changes).
-	readsV *ring.Ring[string, verVal]
-	clock  atomic.Uint64
-	sink   atomic.Pointer[sinkBox]
+	// Versioned (convergence) surface — see sharded_versioned.go. clock
+	// is the client's Lamport version clock; sink, when set, receives
+	// repair work (missed writes, divergence, topology changes).
+	clock atomic.Uint64
+	sink  atomic.Pointer[sinkBox]
 }
 
 // topology is one immutable snapshot of the shard set: every shard's
@@ -84,11 +80,10 @@ func (t *topology) owners(key string, buf []string) []string {
 // is handed the slice its caller lent for the call (see PutVersioned).
 type Backend interface {
 	Addr() string
-	Get(ctx context.Context, key string) ([]byte, error)
 	Close() error
 
-	// The convergence surface: version-carrying reads and writes, and
-	// the anti-entropy scan.
+	// The one read, carrying the value's version and remaining TTL;
+	// version-carrying writes; the anti-entropy scan.
 	GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error)
 	PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error)
 	PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult
@@ -129,8 +124,8 @@ type ShardedConfig struct {
 	// only; core.AdaptiveHedge hedges the secondary at a latency
 	// quantile.
 	ReadStrategy core.Strategy
-	// Observer, when set, receives per-operation metrics from both read
-	// rings (Get and GetQuorum; writes are not ring calls) — the
+	// Observer, when set, receives per-operation metrics from the read
+	// ring (Get and GetQuorum; writes are not ring calls) — the
 	// observation hook a feedback controller needs to watch per-class
 	// latency digests and copies launched. core.Counters is the ready-made
 	// implementation; tag calls with core.WithLabel to split classes.
@@ -157,11 +152,8 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	if cfg.Observer != nil {
 		ropts = append(ropts, ring.WithObserver(cfg.Observer))
 	}
-	sc.reads = ring.New[string, []byte](cfg.ReadStrategy, ropts...)
-	// Versioned quorum reads query the whole placement: divergence is only
-	// observable on the copies actually read.
-	sc.readsV = ring.New[string, verVal](core.FullReplicate{}, ropts...)
-	sc.topo.Store(&topology{placement: sc.readsV.Placement()})
+	sc.reads = ring.New[string, Versioned](cfg.ReadStrategy, ropts...)
+	sc.topo.Store(&topology{placement: sc.reads.Placement()})
 	for _, cl := range clients {
 		sc.AddShard(cl)
 	}
@@ -182,30 +174,21 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 		sc.mu.Unlock()
 		return
 	}
+	read := func(ctx context.Context, key string) (Versioned, error) {
+		val, ver, ttl, err := cl.GetV(ctx, key)
+		return Versioned{Value: val, Version: ver, TTLSecs: ttl}, err
+	}
 	if mc, ok := cl.(*MuxClient); ok {
 		// A mux client's reads are started, not run: the copies of a
-		// redundant Get are wire requests on the caller's goroutine, with
-		// no goroutine per copy. Only for the concrete type — a Backend
-		// that embeds *MuxClient and overrides Get (a tracing or counting
-		// wrapper) has the promoted Start too, and must keep seeing every
-		// read copy through its own Get.
-		sc.reads.AddStarter(addr, cl.Get, mc)
+		// redundant read are wire requests on the caller's goroutine,
+		// with no goroutine per copy. Only for the concrete type — a
+		// Backend that embeds *MuxClient and overrides GetV (a tracing or
+		// counting wrapper) has the promoted Start too, and must keep
+		// seeing every read copy through its own GetV.
+		sc.reads.AddStarter(addr, read, mc)
 	} else {
-		sc.reads.Add(addr, cl.Get)
+		sc.reads.Add(addr, read)
 	}
-	sc.readsV.Add(addr, func(ctx context.Context, key string) (verVal, error) {
-		val, ver, ttl, err := cl.GetV(ctx, key)
-		if errors.Is(err, ErrNotFound) {
-			// A miss is a successful read of version 0: the quorum holds
-			// over partial misses and the gap becomes repairable
-			// divergence rather than an error.
-			return verVal{}, nil
-		}
-		if err != nil {
-			return verVal{}, err
-		}
-		return verVal{val: val, ver: ver, ttlSecs: ttl}, nil
-	})
 	cur := sc.publishLocked(prev, addr, cl)
 	sink := sc.repairSink()
 	sc.mu.Unlock()
@@ -214,13 +197,13 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 	}
 }
 
-// publishLocked swaps in the snapshot that follows prev once the rings
-// have changed: prev's clients with addr set to cl, or without addr when
+// publishLocked swaps in the snapshot that follows prev once the ring
+// has changed: prev's clients with addr set to cl, or without addr when
 // cl is nil. The caller holds sc.mu.
 func (sc *ShardedClient) publishLocked(prev *topology, addr string, cl Backend) *topology {
 	cur := &topology{
 		clients:   make(map[string]Backend, len(prev.clients)+1),
-		placement: sc.readsV.Placement(),
+		placement: sc.reads.Placement(),
 	}
 	for a, c := range prev.clients {
 		cur.clients[a] = c
@@ -247,7 +230,6 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 		return false
 	}
 	sc.reads.Remove(addr)
-	sc.readsV.Remove(addr)
 	cur := sc.publishLocked(prev, addr, nil)
 	sink := sc.repairSink()
 	sc.mu.Unlock()
@@ -264,31 +246,38 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 // and no versions are compared — a consistency read is GetQuorum),
 // core.WithFanoutCap(1) for a single-copy read,
 // core.WithStrategyOverride for a one-off policy, core.WithLabel for
-// metrics. A key absent from every queried shard reports
-// errors.Is(err, ErrNotFound). Many keys at once are many concurrent
-// Gets: each is its own call, and they share every connection.
+// metrics. A copy that misses the key has failed (a hedged read falls
+// through to the next owner); a key absent from every queried shard
+// reports errors.Is(err, ErrNotFound). Many keys at once are many
+// concurrent Gets: each is its own call, and they share every
+// connection.
 //
 // The value is the caller's own. A caller that has consumed it may hand
-// its buffer to a later read with Release; that is optional, and the
-// only reads it applies to are Get's and GetResult's — GetQuorum, GetV,
-// scan entries and watch events are not pooled.
+// its buffer to a later read with Release; that is optional, and applies
+// to every read — not to scan entries or watch events.
 func (sc *ShardedClient) Get(ctx context.Context, key string, opts ...core.CallOption) ([]byte, error) {
 	if len(opts) == 0 {
 		// The common zero-option read rides the ring's DoValue fast lane
 		// (pooled call frame, no option materialization).
-		return sc.reads.DoValue(ctx, key)
+		v, err := sc.reads.DoValue(ctx, key)
+		if err != nil {
+			return nil, err
+		}
+		sc.Witness(v.Version)
+		return v.Value, nil
 	}
-	res, err := sc.reads.Do(ctx, key, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
+	res, err := sc.GetResult(ctx, key, opts...)
+	return res.Value.Value, err
 }
 
-// GetResult is Get with the full redundancy metadata (winner index,
-// latency, copies launched and cancelled).
-func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core.CallOption) (core.Result[[]byte], error) {
-	return sc.reads.Do(ctx, key, opts...)
+// GetResult is Get with the winner's version and TTL and the redundancy
+// metadata (winner index, latency, copies launched and cancelled).
+func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core.CallOption) (core.Result[Versioned], error) {
+	res, err := sc.reads.Do(ctx, key, opts...)
+	if err == nil {
+		sc.Witness(res.Value.Version)
+	}
+	return res, err
 }
 
 // Owners returns the shard addresses key is placed on, primary first.

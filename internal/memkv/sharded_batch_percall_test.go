@@ -17,7 +17,7 @@ import (
 
 // keyRead is one key's outcome in a getBatch.
 type keyRead struct {
-	Result core.Result[[]byte]
+	Result core.Result[Versioned]
 	Err    error
 }
 
@@ -79,8 +79,8 @@ func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
 	res := getBatch(sc, keys)
 	launched := 0
 	for i, r := range res {
-		if r.Err != nil || string(r.Result.Value) != string(vals[i]) {
-			t.Fatalf("get %s = (%q, %v)", keys[i], r.Result.Value, r.Err)
+		if r.Err != nil || string(r.Result.Value.Value) != string(vals[i]) {
+			t.Fatalf("get %s = (%q, %v)", keys[i], r.Result.Value.Value, r.Err)
 		}
 		launched += r.Result.Launched
 	}

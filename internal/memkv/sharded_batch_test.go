@@ -27,8 +27,8 @@ func TestShardedGetBatchSurvivesDeadShard(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("get %d (%s, owners %v, dead %s): %v", i, keys[i], sc.Owners(keys[i]), dead, r.Err)
 		}
-		if !bytes.Equal(r.Result.Value, vals[i]) {
-			t.Fatalf("get %d = %q, want %q", i, r.Result.Value, vals[i])
+		if !bytes.Equal(r.Result.Value.Value, vals[i]) {
+			t.Fatalf("get %d = %q, want %q", i, r.Result.Value.Value, vals[i])
 		}
 	}
 }
@@ -74,8 +74,8 @@ func TestShardedBatchesDuringRemoveShard(t *testing.T) {
 	// Stable topology: a full cycle must be clean.
 	putAll(t, sc, keys, vals)
 	for i, r := range getBatch(sc, keys) {
-		if r.Err != nil || !bytes.Equal(r.Result.Value, vals[i]) {
-			t.Fatalf("post-remove get %d = %q, %v", i, r.Result.Value, r.Err)
+		if r.Err != nil || !bytes.Equal(r.Result.Value.Value, vals[i]) {
+			t.Fatalf("post-remove get %d = %q, %v", i, r.Result.Value.Value, r.Err)
 		}
 	}
 }

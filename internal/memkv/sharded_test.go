@@ -261,8 +261,8 @@ func TestShardedFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
+	if string(res.Value.Value) != "v" {
+		t.Errorf("value %q", res.Value.Value)
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Errorf("replicated read waited for the slow server: %v", el)
@@ -303,8 +303,8 @@ func TestShardedAdaptiveHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
+	if string(res.Value.Value) != "v" {
+		t.Errorf("value %q", res.Value.Value)
 	}
 	if res.Launched != 2 {
 		t.Errorf("cold adaptive read launched %d copies, want 2 (immediate fallback)", res.Launched)
@@ -358,20 +358,20 @@ func TestShardedQuorumRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var outs []core.Outcome[[]byte]
+	var outs []core.Outcome[Versioned]
 	res, err := sc.GetResult(ctx, "k", core.WithQuorum(2), core.WithCollectOutcomes(&outs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Value) != "v" {
-		t.Errorf("value %q", res.Value)
+	if string(res.Value.Value) != "v" {
+		t.Errorf("value %q", res.Value.Value)
 	}
 	wins := 0
 	for _, o := range outs {
 		if o.Err == nil {
 			wins++
-			if string(o.Value) != "v" {
-				t.Errorf("quorum outcome value %q", o.Value)
+			if string(o.Value.Value) != "v" {
+				t.Errorf("quorum outcome value %q", o.Value.Value)
 			}
 		}
 	}

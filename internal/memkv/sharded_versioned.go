@@ -60,7 +60,9 @@ type RepairSink interface {
 	// Divergence reports that a quorum read observed staleOwners holding
 	// an older version (or no value) for key; value/version/ttlSecs are
 	// the newest observed, to push to the stale copies (the TTL so repair
-	// doesn't immortalize an expiring key).
+	// doesn't immortalize an expiring key). value is valid for the
+	// duration of the call — the reader may Release it after; keep a
+	// copy.
 	Divergence(key string, value []byte, version uint64, ttlSecs uint32, staleOwners []string)
 	// TopologyChanged reports a shard set change with the placement
 	// before and after, for remap-diff migration.
@@ -70,14 +72,6 @@ type RepairSink interface {
 // sinkBox wraps the sink for atomic.Pointer (interfaces can't be stored
 // in one directly).
 type sinkBox struct{ s RepairSink }
-
-// verVal is the versioned read ring's result: a value, its version, and
-// its remaining TTL. Version 0 means the key was absent on that copy.
-type verVal struct {
-	val     []byte
-	ver     uint64
-	ttlSecs uint32
-}
 
 // SetRepairSink installs (or, with nil, removes) the repair sink. Safe
 // to call at any time; calls in flight may still see the old sink.
@@ -112,8 +106,8 @@ func (sc *ShardedClient) NextVersion() uint64 {
 	}
 }
 
-// Witness advances the version clock to at least v — called with every
-// version observed on reads, the Lamport receive rule.
+// Witness advances the version clock to at least v — called with the
+// version every read returns, the Lamport receive rule.
 func (sc *ShardedClient) Witness(v uint64) {
 	for {
 		last := sc.clock.Load()
@@ -397,59 +391,70 @@ func (w *writeFrame) wait(ctx context.Context) error {
 
 // GetQuorum reads key from q placement copies (q < 1 means the client's
 // WriteQuorum, the symmetric R+W > N default) and returns the newest
-// value and version observed. A copy missing the key counts as a
-// successful read of version 0, so the quorum holds over partial misses;
-// if every copy read misses, the error is ErrNotFound. Copies observed
-// holding an older version — including misses — are reported to the
-// repair sink as divergence, which pushes the newest value to them
-// asynchronously (read repair, off this call's critical path).
+// value and version observed: the read ring's call over every owner
+// (divergence is only observable on the copies actually read). A copy
+// missing the key answers version 0 (core.WithNegativeAnswer), so the
+// quorum holds over partial misses; if every copy read misses, the error
+// is ErrNotFound. Copies observed holding an older version — including
+// misses — are reported to the repair sink as divergence, which pushes
+// the newest value to them asynchronously (read repair, off this call's
+// critical path). The TTL a copy reports is rounded up, and repair
+// re-applies it, so GetQuorum takes a second off and counts a copy with
+// no whole second left as a miss: the key's final second is forfeited
+// here, though Get still returns it.
 func (sc *ShardedClient) GetQuorum(ctx context.Context, key string, q int) ([]byte, uint64, error) {
 	if err := validateKey(key); err != nil {
 		return nil, 0, err
 	}
-	n := sc.readsV.Len()
+	n := sc.reads.Len()
 	if n == 0 {
 		return nil, 0, core.ErrNoReplicas
 	}
 	if q < 1 {
 		q = sc.writeQuorum
 	}
-	if q > sc.replication {
-		q = sc.replication
-	}
-	if q > n {
-		q = n
-	}
-	owners := sc.readsV.Owners(key)
-	var outs []core.Outcome[verVal]
-	_, err := sc.readsV.Do(ctx, key, core.WithQuorum(q), core.WithCollectOutcomes(&outs))
-	if err != nil {
+	q = min(q, sc.replication, n)
+	owners := sc.reads.Owners(key)
+	var outs []core.Outcome[Versioned]
+	_, err := sc.reads.Do(ctx, key, core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
+		core.WithCollectOutcomes(&outs), core.WithNegativeAnswer(ErrNotFound))
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, 0, fmt.Errorf("memkv: quorum get %q: %w", key, err)
 	}
-	// Pick the newest version among the copies that completed; Index maps
-	// an outcome to its placement slot (0 = primary), hence its owner.
-	best := verVal{}
-	for _, o := range outs {
-		if o.Err == nil && o.Value.ver > best.ver {
-			best = o.Value
+	// A miss is version 0. Index maps an outcome to its placement slot
+	// (0 = primary), hence its owner.
+	var newest Versioned
+	for i := range outs {
+		o := &outs[i]
+		switch {
+		case errors.Is(o.Err, ErrNotFound):
+			o.Err = nil
+		case o.Err != nil:
+		case o.Value.TTLSecs == 1:
+			o.Value = Versioned{}
+		case o.Value.TTLSecs > 1:
+			o.Value.TTLSecs--
 		}
+		if o.Err == nil && o.Value.Version > newest.Version {
+			newest = o.Value
+		}
+	}
+	if newest.Version == 0 {
+		return nil, 0, fmt.Errorf("memkv: quorum get %q: %w", key, ErrNotFound)
 	}
 	var stale []string
 	for _, o := range outs {
-		if o.Err == nil && o.Value.ver < best.ver && o.Index < len(owners) {
+		if o.Err == nil && o.Value.Version < newest.Version && o.Index < len(owners) {
 			stale = append(stale, owners[o.Index])
 		}
 	}
-	if best.ver == 0 {
-		return nil, 0, fmt.Errorf("memkv: quorum get %q: %w", key, ErrNotFound)
-	}
-	sc.Witness(best.ver)
+	sc.Witness(newest.Version)
 	if len(stale) > 0 {
 		if sink := sc.repairSink(); sink != nil {
-			sink.Divergence(key, best.val, best.ver, best.ttlSecs, stale)
+			sink.Divergence(key, newest.Value, newest.Version, newest.TTLSecs, stale)
 		}
 	}
-	return best.val, best.ver, nil
+	return newest.Value, newest.Version, nil
 }
 
 // VersionedShard returns the client of the shard at addr, for
@@ -460,7 +465,7 @@ func (sc *ShardedClient) VersionedShard(addr string) Backend {
 }
 
 // ShardAddrs returns the current shard addresses in registration order.
-func (sc *ShardedClient) ShardAddrs() []string { return sc.readsV.Names() }
+func (sc *ShardedClient) ShardAddrs() []string { return sc.reads.Names() }
 
 // PlacementSnapshot captures the current placement as an immutable
 // snapshot, for remap-diff enumeration (see ring.Placement).

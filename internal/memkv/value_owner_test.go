@@ -16,9 +16,10 @@ import (
 	"redundancy/internal/ring"
 )
 
-// These tests pin who owns a value's bytes. Reads: an opValue reply lands
-// in a buffer from Take, the slice Get returns is its caller's until that
-// caller Releases it, and a released buffer is never in two hands. Writes:
+// These tests pin who owns a value's bytes. Reads: an opValueV reply's
+// value lands in a buffer from Take, the slice a read returns is its
+// caller's until that caller Releases it, and a released buffer is never
+// in two hands. Writes:
 // PutVersioned, PutVersionAt and CAS read the caller's slice until they
 // return and never after — a late hint carries the frame's own copy, an
 // early one the caller's slice itself. Run with -race -count=5: a -race

@@ -3,6 +3,7 @@ package memkv
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,7 @@ func FuzzVersionedFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint32(300), []byte{}, "k", 0)
 	f.Add(^uint64(0), ^uint32(0), bytes.Repeat([]byte{0xAB}, 64), "scan-key", 5)
 	f.Add(uint64(1755000000000000000), uint32(60), []byte("wall-clock version"), "", 11)
+	f.Add(uint64(2), uint32(1), []byte("v"), strings.Repeat("k", maxKeyLen), 3) // a sibling would be one byte too long
 	f.Fuzz(func(t *testing.T, version uint64, ttlSecs uint32, data []byte, key string, cut int) {
 		if len(key) > maxKeyLen {
 			key = key[:maxKeyLen]
@@ -52,9 +54,13 @@ func FuzzVersionedFrameRoundTrip(f *testing.F) {
 		}
 
 		// Scan entries: pack the same data as a one-entry page plus a
-		// fixed sibling, round-trip, and check field fidelity.
+		// fixed sibling, round-trip, and check field fidelity. The key
+		// leaves room for the sibling's extra byte.
 		if key == "" {
 			key = "k"
+		}
+		if len(key) > maxKeyLen-1 {
+			key = key[:maxKeyLen-1]
 		}
 		entries := []ScanEntry{
 			{Key: key, Flags: 3, Version: version, TTLSecs: ttlSecs, Value: data},

@@ -33,13 +33,12 @@ import (
 const (
 	frameHeaderLen = 19
 
-	// Request ops.
-	opGet = 0x81
-	opSet = 0x82
-	// Versioned requests (the convergence surface): opGetV reads value +
-	// version, opPutV writes with an explicit version that applies only
-	// if newer than stored (last-writer-wins), opScan pages through a
-	// shard's keyspace with versions — the anti-entropy stream.
+	// Request ops. opGetV is the one read (0x81, a version-blind read,
+	// and 0x83, a delete, are answered "unknown op"). opPutV writes with
+	// an explicit version that applies only if newer than stored
+	// (last-writer-wins), opScan pages through a shard's keyspace with
+	// versions — the anti-entropy stream.
+	opSet  = 0x82
 	opGetV = 0x84 // key
 	opPutV = 0x85 // key, val = version payload (see verPayload)
 	opScan = 0x86 // key = exclusive start cursor, aux = max entries
@@ -55,11 +54,10 @@ const (
 	opStats   = 0x8A // no key, no value: snapshot the server's counters
 
 	// Response ops.
-	opValue    = 0xC1 // val = stored bytes, aux = flags
 	opNotFound = 0xC2
 	opStored   = 0xC3
 	opErr      = 0xC5 // val = error message
-	opValueV   = 0xC6 // aux = flags, val = version payload
+	opValueV   = 0xC6 // aux = flags, val = version payload (remaining TTL rounded up)
 	opStoredV  = 0xC7 // aux = 1 if the put applied, val = current version payload (no data)
 	opScanResp = 0xC8 // aux = 1 if more pages remain, val = packed scan entries
 	opCASResp  = 0xC9 // aux = 1 if the swap applied, val = current version payload (no data)
@@ -131,13 +129,21 @@ func validateValue(n int) error {
 	return nil
 }
 
-// frame is one decoded frame.
+// frame is one decoded frame. A versioned payload read by readVerValue
+// — an opPutV or opCAS request on the server, a versioned reply or
+// watch event on the client — is decoded where it lies: its header
+// lands in ver and ttl, and val holds only the data bytes.
 type frame struct {
 	op  byte
 	tag uint64
 	aux uint32
 	key string
 	val []byte
+	ver uint64 // the payload's version (opCAS: the expected one)
+	ttl uint32 // the payload's TTL seconds
+	// short marks a versioned payload too short to hold its header: the
+	// request is answered with opErr, the reply is errVerPayload.
+	short bool
 }
 
 // appendFrame appends f's encoding to dst and returns the extended
@@ -251,17 +257,17 @@ func readFrameHeadRaw(r *bufio.Reader, f *frame) (kb []byte, vlen int, err error
 
 // readFrameValue reads the vlen value bytes that follow a frame's head
 // into f.val (nil for an empty value), which the caller owns. A stored
-// value — opValue, what Get returns — lands in a buffer from Take, so one
-// its reader gave back (Release) is read into again; every other op's
-// value is freshly made at its exact length. On the server that is a
-// write's data only when the write is parked or too long for the
-// reader's window (serveMux); the store keeps the slice unless it
-// overwrites a value of the same length in place.
+// value — opValueV, whose data is what every read returns — lands in a
+// buffer from Take, so one its reader gave back (Release) is read into
+// again; every other op's value is freshly made at its exact length. On
+// the server that is a write's data only when the write is parked or too
+// long for the reader's window (serveMux); the store keeps the slice
+// unless it overwrites a value of the same length in place.
 func readFrameValue(r *bufio.Reader, f *frame, vlen int) error {
 	if vlen == 0 {
 		return nil
 	}
-	if f.op == opValue {
+	if f.op == opValueV {
 		f.val = Take(vlen)
 	} else {
 		f.val = make([]byte, vlen)
@@ -284,11 +290,13 @@ func appendErrFrame(dst []byte, tag uint64, format string, args ...any) []byte {
 // Versioned value payload — the val bytes of opPutV requests and
 // opValueV/opStoredV responses:
 //
-//	version u64 | ttl u32 (remaining whole seconds, 0 = never) | data
+//	version u64 | ttl u32 (whole seconds, 0 = never) | data
 //
 // Carrying the TTL next to the version is what lets read repair and
 // anti-entropy pushes preserve an expiring key's remaining lifetime
-// instead of silently immortalizing it.
+// instead of silently immortalizing it. A read's reply rounds the
+// remaining TTL up (0 still means never); GetQuorum, which re-applies
+// it, takes a second off.
 const verPayloadHeader = 12
 
 var errVerPayload = errors.New("memkv: short versioned payload")
@@ -306,21 +314,25 @@ func appendVerPayload(dst []byte, version uint64, ttlSecs uint32, data []byte) [
 	return append(dst, data...)
 }
 
-// readVerHeader decodes a versioned payload's fixed header where it
-// lies in the reader's window and consumes it; the payload's data
-// bytes, if any, follow unread.
-func readVerHeader(r *bufio.Reader) (version uint64, ttlSecs uint32, err error) {
-	hdr, err := r.Peek(verPayloadHeader)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// readVerValue reads the vlen-byte versioned payload that follows a
+// frame's head: the header is decoded where it lies into f.ver and
+// f.ttl, and the data bytes read into f.val by readFrameValue. A payload
+// too short for its header is marked f.short and read whole.
+func readVerValue(r *bufio.Reader, f *frame, vlen int) error {
+	if f.short = vlen < verPayloadHeader; !f.short {
+		hdr, err := r.Peek(verPayloadHeader)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
-		return 0, 0, err
+		f.ver = binary.BigEndian.Uint64(hdr[0:8])
+		f.ttl = binary.BigEndian.Uint32(hdr[8:12])
+		r.Discard(verPayloadHeader)
+		vlen -= verPayloadHeader
 	}
-	version = binary.BigEndian.Uint64(hdr[0:8])
-	ttlSecs = binary.BigEndian.Uint32(hdr[8:12])
-	r.Discard(verPayloadHeader)
-	return version, ttlSecs, nil
+	return readFrameValue(r, f, vlen)
 }
 
 // decodeVerPayload splits a versioned payload. data aliases p.

@@ -18,12 +18,12 @@ import (
 // panic or a zero-error garbage frame), and readFrame over arbitrary
 // bytes must return rather than panic. The corpus seeds cover every op,
 // both length limits, and the empty frame; every value is also decoded as
-// an opValue into a released, dirty buffer.
+// an opValueV into a released, dirty buffer.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(byte(opGet), uint64(1), uint32(0), "key", []byte("value"), -1)
+	f.Add(byte(opGetV), uint64(1), uint32(0), "key", []byte("value"), -1)
 	f.Add(byte(opSet), uint64(0), uint32(300), "k", []byte{}, 0)
 	f.Add(byte(0x83), ^uint64(0), uint32(0), "", []byte(nil), 5) // no request uses 0x83
-	f.Add(byte(opValue), uint64(42), uint32(7), "", []byte("stored bytes"), 18)
+	f.Add(byte(opValueV), uint64(42), uint32(7), "", appendVerPayload(nil, 3, 0, []byte("stored bytes")), 18)
 	f.Add(byte(opErr), uint64(9), uint32(0), "", []byte("boom"), 19)
 	f.Add(byte(0xFF), uint64(3), ^uint32(0), string(bytes.Repeat([]byte{'x'}, maxKeyLen)), bytes.Repeat([]byte{0}, 64), 100)
 	f.Add(byte(opStats), uint64(11), uint32(0), "", []byte(nil), 7)
@@ -62,16 +62,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("decoder left bytes behind (next read: %v)", err)
 		}
 
-		// The same bytes as a stored value — the one op whose value lands
-		// in a pooled buffer — decoded into one a reader gave back dirty:
-		// every byte of the result is the frame's, none the last holder's.
+		// The same bytes as a stored value — the one reply whose value
+		// lands in a pooled buffer — decoded into one a reader gave back
+		// dirty: every byte of the result is the frame's, none the last
+		// holder's.
 		dirty := Take(len(val))
 		for i := range dirty {
 			dirty[i] = ^byte(i)
 		}
 		Release(dirty)
 		var stored frame
-		if err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, &frame{op: opValue, tag: tag, val: val}))), &stored); err != nil {
+		if err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, &frame{op: opValueV, tag: tag, val: val}))), &stored); err != nil {
 			t.Fatalf("decode of a stored value failed: %v", err)
 		}
 		if !bytes.Equal(stored.val, val) {
@@ -130,11 +131,13 @@ func FuzzFrameDecodeRaw(f *testing.F) {
 	f.Add(appendVerFrame(nil, opCAS, 6, 0, "", 0, 0, nil)[:frameHeaderLen+5]) // torn inside the version header
 	// A second frame whose key lies across the reader's 4096-byte refill.
 	pad := appendFrame(nil, &frame{op: opSet, tag: 1, key: "pad", val: make([]byte, 4096-2*frameHeaderLen-3-100)})
-	f.Add(appendFrame(pad, &frame{op: opGet, tag: 2, key: string(bytes.Repeat([]byte{'k'}, 200))}))
-	hit := appendFrame(nil, &frame{op: opValue, tag: 5, val: []byte("a loser's value")})
-	f.Add(hit)                                           // a hit a settled read drops, whole
-	f.Add(hit[:len(hit)-4])                              // and torn inside the value being skipped
-	f.Add(appendFrame(nil, &frame{op: opValue, tag: 5})) // with nothing to skip
+	f.Add(appendFrame(pad, &frame{op: opGetV, tag: 2, key: string(bytes.Repeat([]byte{'k'}, 200))}))
+	hit := appendVerFrame(nil, opValueV, 5, 0, "", 9, 0, []byte("a loser's value"))
+	f.Add(hit)                                                // a hit a settled read drops, whole
+	f.Add(hit[:len(hit)-4])                                   // and torn inside the value being skipped
+	f.Add(appendVerFrame(nil, opValueV, 5, 0, "", 9, 0, nil)) // with only a version to skip
+	f.Add(appendFrame(nil, &frame{op: opValueV, tag: 5}))     // too short for a version
+	f.Add(appendFrame(nil, &frame{op: opValueV, tag: 5, val: []byte("short")}))
 	f.Add(appendFrame(hit, &frame{op: opNotFound, tag: 5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr frame
@@ -164,8 +167,8 @@ func fuzzRequestDecode(t *testing.T, data []byte) {
 	for i := 0; i < 64; i++ {
 		var want frame
 		wantErr := readFrame(ref, &want)
-		var q request
-		kb, vlen, gotErr := readFrameHeadRaw(got, &q.frame)
+		var q frame
+		kb, vlen, gotErr := readFrameHeadRaw(got, &q)
 		if gotErr == nil {
 			gotErr = readRequestRest(got, &q, kb, vlen, st)
 		}
@@ -176,7 +179,7 @@ func fuzzRequestDecode(t *testing.T, data []byte) {
 			return
 		}
 		if q.op != want.op || q.tag != want.tag || q.aux != want.aux || q.key != want.key {
-			t.Fatalf("frame %d: head %+v, readFrame gives %+v", i, q.frame, want)
+			t.Fatalf("frame %d: head %+v, readFrame gives %+v", i, q, want)
 		}
 		if q.op != opPutV && q.op != opCAS {
 			if !bytes.Equal(q.val, want.val) {
@@ -193,6 +196,20 @@ func fuzzRequestDecode(t *testing.T, data []byte) {
 				i, q.ver, q.ttl, len(q.val), cap(q.val), ver, ttl, len(body))
 		}
 	}
+}
+
+// decodedReply is the blocking path's view of a reply readFrame read
+// whole: a versioned payload split into its header and data, as the
+// client's reader decodes it in place (readReplyValue).
+func decodedReply(f frame) frame {
+	switch f.op {
+	case opValueV, opStoredV, opCASResp, opEvent:
+		var err error
+		if f.ver, f.ttl, f.val, err = decodeVerPayload(f.val); err != nil {
+			f.short = true
+		}
+	}
+	return f
 }
 
 // deadConn is a connection that is only ever closed.
@@ -226,7 +243,8 @@ func fuzzPutReplyDecode(t *testing.T, data []byte) {
 		}
 		return
 	}
-	cur, applied, perr := frameToPutV(&want)
+	d := decodedReply(want)
+	cur, applied, perr := frameToWrite(&d, opStoredV)
 	if len(rs) != 1 || rs[0].Current != cur || rs[0].Applied != applied || fmt.Sprint(rs[0].Err) != fmt.Sprint(perr) {
 		t.Fatalf("completions %+v, the blocking decoder gives (%d, %v, %v)", rs, cur, applied, perr)
 	}
@@ -270,14 +288,15 @@ func fuzzDroppedReplyDecode(t *testing.T, data []byte) {
 	if len(rs) != 1 {
 		t.Fatalf("completions %+v, want exactly one", rs)
 	}
-	if want.op == opValue {
+	if want.op == opValueV && len(want.val) >= verPayloadHeader {
 		if !rs[0].dropped || rs[0].val != nil || rs[0].err != nil {
 			t.Fatalf("a hit for a settled read completed %+v, want dropped", rs[0])
 		}
 		return
 	}
-	val, gerr := frameToGet(&want)
-	if rs[0].dropped || !bytes.Equal(rs[0].val, val) || fmt.Sprint(rs[0].err) != fmt.Sprint(gerr) {
-		t.Fatalf("completion %+v, the blocking decoder gives (%q, %v)", rs[0], val, gerr)
+	d := decodedReply(want)
+	v, gerr := frameToGetV(&d)
+	if rs[0].dropped || !bytes.Equal(rs[0].val, v.Value) || fmt.Sprint(rs[0].err) != fmt.Sprint(gerr) {
+		t.Fatalf("completion %+v, the blocking decoder gives (%q, %v)", rs[0], v.Value, gerr)
 	}
 }
