@@ -5,11 +5,10 @@
 //
 //   - the default Get is first-response-wins (lowest latency, one
 //     replica's word),
-//   - Get(..., redundancy.WithQuorum(2)) waits until 2 of 3 replicas
-//     answered and returns the first answer's bytes: it masks one failed
-//     replica at a modest latency premium, but compares no versions, so
-//     it does not mask a stale one (the consistency read, newest version
-//     wins and stale replicas are repaired, is ShardedClient.GetQuorum),
+//   - Get(..., redundancy.WithQuorum(2)) asks all 3 replicas, waits
+//     until 2 answered and returns the newer of their versions, handing
+//     a stale replica to read repair: it masks one failed or stale
+//     replica at a modest latency premium,
 //   - and the premium stays modest precisely *because* of redundancy: the
 //     2nd-of-3 response dodges the worst straggler just as the 1st does.
 //
@@ -93,11 +92,11 @@ func main() {
 
 	fmt.Println("same client, per-read quorums (3 replicas, 4% 40ms stalls):")
 	fmt.Printf("  first response   p50 %6s  p99 %6s\n", p50First.Round(time.Millisecond), p99First.Round(time.Millisecond))
-	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- waits for 2 answers: masks one failed replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
+	fmt.Printf("  WithQuorum(2)    p50 %6s  p99 %6s   <- newer of 2 answers: masks one failed or stale replica\n", p50Q2.Round(time.Millisecond), p99Q2.Round(time.Millisecond))
 	fmt.Printf("  WithQuorum(3)    p50 %6s  p99 %6s   <- scatter-gather worst case\n", p50Q3.Round(time.Millisecond), p99Q3.Round(time.Millisecond))
 
 	// A quorum-2 read names its voters, and the version each holds, when
-	// asked.
+	// asked; the newest of those versions is the read's.
 	var outs []redundancy.Outcome[memkv.Versioned]
 	if _, err := rc.GetResult(ctx, "user:42", redundancy.WithQuorum(2),
 		redundancy.WithCollectOutcomes(&outs)); err != nil {

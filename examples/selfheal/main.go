@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"redundancy/internal/core"
 	"redundancy/internal/memkv"
 	"redundancy/internal/repair"
 )
@@ -100,11 +101,11 @@ func main() {
 	}
 	fmt.Printf("replica %s deliberately staled (holds the old version of %q)\n", o2[1], key2)
 
-	val, gotVer, err := sc.GetQuorum(ctx, key2, 2)
+	res, err := sc.GetResult(ctx, key2, core.WithQuorum(2))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("quorum read returned %q at version %d (the newest of the two copies)\n", val, gotVer)
+	fmt.Printf("quorum read returned %q at version %d (the newest of the two copies)\n", res.Value.Value, res.Value.Version)
 	waitUntil("stale replica healed by async read repair", func() bool {
 		_, v, _, err := sc.VersionedShard(o2[1]).GetV(ctx, key2)
 		return err == nil && v == newer

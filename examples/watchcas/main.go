@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"redundancy/internal/core"
 	"redundancy/internal/memkv"
 )
 
@@ -85,7 +86,7 @@ func main() {
 	// Read both copies: with WriteQuorum 1 the CAS returned once the
 	// primary applied it, and the copy to the other owner may still be
 	// on its way.
-	val, _, err := sc.GetQuorum(ctx, "job/leader", 2)
+	val, err := sc.Get(ctx, "job/leader", core.WithQuorum(2))
 	if err != nil {
 		panic(err)
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // CallOption customizes a single Group.Do or KeyedGroup.Do operation,
 // composing over the group's installed strategy without touching shared
 // state: one latency-critical request can raise its quorum, override the
@@ -36,6 +38,33 @@ func applyCallOptions(opts []CallOption) callOpts {
 		}
 	}
 	return co
+}
+
+// scratchOpts recycles the configurations QuorumOf folds options into:
+// applying an option hands it a pointer it may keep, so a local one
+// would move to the heap on every call.
+var scratchOpts = sync.Pool{New: func() any { return new(callOpts) }}
+
+// QuorumOf reports the quorum that opts ask for (0 when none does) and
+// the outcome collector they carry, if its element type is Outcome[T].
+// It lets a caller that builds its own call on top of a group's — a
+// version-comparing quorum read, say — see the two options it must
+// honour itself. It allocates nothing.
+func QuorumOf[T any](opts []CallOption) (q int, collect *[]Outcome[T]) {
+	if len(opts) == 0 {
+		return 0, nil
+	}
+	co := scratchOpts.Get().(*callOpts)
+	for _, o := range opts {
+		if o != nil {
+			o(co)
+		}
+	}
+	q = co.quorum
+	collect, _ = co.outcomes.(*[]Outcome[T])
+	*co = callOpts{}
+	scratchOpts.Put(co)
+	return q, collect
 }
 
 // WithQuorum completes the call only after q replicas succeed (R-of-N

@@ -77,7 +77,10 @@ func TestInlineZeroAllocs(t *testing.T) {
 			return governed.DoValue(ctx)
 		}},
 		{"BudgetEmpty", func() (int, error) { return budgeted.DoValue(ctx) }},
-		{"Ring", func() (int, error) { return rg.DoValue(ctx, "some-key") }},
+		{"Ring", func() (int, error) {
+			res, err := rg.Do(ctx, "some-key")
+			return res.Value, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			avg := testing.AllocsPerRun(1000, func() {

@@ -204,3 +204,27 @@ func TestQuorumNegativeAnswers(t *testing.T) {
 		t.Errorf("a miss and a failure = %v, want ErrQuorumUnreachable naming the failure", err)
 	}
 }
+
+// TestQuorumOfReadsTheCallsOptions: QuorumOf sees the last WithQuorum
+// and a collector of the asked-for element type, and folding options
+// that carry neither costs nothing.
+func TestQuorumOfReadsTheCallsOptions(t *testing.T) {
+	var outs []Outcome[string]
+	if q, c := QuorumOf[string](nil); q != 0 || c != nil {
+		t.Fatalf("no options: (%d, %v), want (0, nil)", q, c)
+	}
+	q, c := QuorumOf[string]([]CallOption{WithQuorum(3), WithLabel("x"), WithQuorum(2), WithCollectOutcomes(&outs)})
+	if q != 2 || c != &outs {
+		t.Fatalf("QuorumOf = (%d, %p), want (2, %p)", q, c, &outs)
+	}
+	if _, c := QuorumOf[int]([]CallOption{WithCollectOutcomes(&outs)}); c != nil {
+		t.Fatalf("a collector of another element type was returned")
+	}
+	if coretest.Race() {
+		return
+	}
+	opts := []CallOption{WithLabel("x"), WithFanoutCap(1)}
+	if n := testing.AllocsPerRun(100, func() { QuorumOf[string](opts) }); n != 0 {
+		t.Errorf("QuorumOf allocates %.0f per call, want 0", n)
+	}
+}

@@ -221,7 +221,8 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	if _, _, err := muxByAddr[probeOwners[0]].PutV(ctx, probeKey, newVal, 0, probeVer); err != nil {
 		return nil, fmt.Errorf("probe stale put: %w", err)
 	}
-	gotVal, gotVer, err := sc.GetQuorum(ctx, probeKey, 2)
+	res, err := sc.GetResult(ctx, probeKey, core.WithQuorum(2))
+	gotVal, gotVer := res.Value.Value, res.Value.Version
 	if err != nil {
 		return nil, fmt.Errorf("probe quorum read: %w", err)
 	}

@@ -191,6 +191,7 @@ func TestReplicationImprovesMedianAtModerateLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	base, repl := runPair(t, 0.4, 2500, 5000)
 	if repl.Small.Median() >= base.Small.Median() {
 		t.Errorf("replication did not improve median FCT at 40%% load: %g vs %g",
@@ -206,6 +207,7 @@ func TestImprovementSmallAtLowLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	base, repl := runPair(t, 0.1, 2000, 2000)
 	impLow := 1 - repl.Small.Median()/base.Small.Median()
 	baseM, replM := runPair(t, 0.4, 2000, 4000)
@@ -220,6 +222,7 @@ func TestTimeoutAvoidanceInTheTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	// Figure 14(b): at high load the unreplicated 99th percentile crosses
 	// the 10 ms minRTO cliff; replication avoids most timeouts.
 	base, repl := runPair(t, 0.9, 3000, 9000)
@@ -240,6 +243,7 @@ func TestReplicasNeverCauseOriginalDrops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	// The replicated arm must not drop more originals than it would
 	// without the replicas present in the buffers; replicas absorb the
 	// drops instead. (Exact equality does not hold because replication
@@ -259,6 +263,7 @@ func TestElephantImpactNegligible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	base, repl := runPair(t, 0.4, 3000, 4000)
 	if base.ElephantMean == 0 || repl.ElephantMean == 0 {
 		t.Skip("no elephants completed at this scale")
@@ -273,6 +278,7 @@ func TestAllSmallFlowsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	base, repl := runPair(t, 0.4, 1500, 1500)
 	for name, r := range map[string]*Result{"base": base, "repl": repl} {
 		if r.CompletedSmall != r.MeasuredSmall {
@@ -324,6 +330,7 @@ func TestSamePriorityReplicasHarmOriginals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	// The ablation behind the paper's design requirement. With only the
 	// first 8 packets replicated the extra volume is too small to show
 	// harm, so use the crisp version of the claim: replicating EVERY
@@ -355,6 +362,7 @@ func TestReplicateEverythingNeverWorseThanNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet simulation is slow")
 	}
+	t.Parallel()
 	// The paper: "we could, in principle, replicate every packet — the
 	// performance when we do this can never be worse than without
 	// replication" (replicas are strictly lower priority). Allow a small

@@ -174,8 +174,9 @@ func validKey(key string) error {
 }
 
 // readPlan resolves the consistency headers into either a hedged
-// primary read or a quorum read (quorum >= 1, 0 meaning the client's
-// default), plus the call options for the class.
+// primary read or a quorum read (X-Read-Quorum, or the client's write
+// quorum for X-Consistency: quorum), plus the call options for the
+// class.
 func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts []core.CallOption, err error) {
 	// The canonical spelling of X-SLO-Class: Get canonicalises its
 	// argument first, and allocates to do it when it is not already.
@@ -197,7 +198,7 @@ func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts [
 		return true, q, nil, nil
 	}
 	if cons == "quorum" {
-		return true, 0, nil, nil
+		return true, g.client.WriteQuorum(), nil, nil
 	}
 	if class != "" {
 		opts = append(opts, core.WithLabel(class))
@@ -223,10 +224,11 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) 
 	}
 	var val []byte
 	if quorumRead {
-		var ver uint64
-		val, ver, err = g.client.GetQuorum(r.Context(), key, q)
+		var res core.Result[memkv.Versioned]
+		res, err = g.client.GetResult(r.Context(), key, core.WithQuorum(q))
 		if err == nil {
-			w.Header().Set("X-Version", strconv.FormatUint(ver, 10))
+			val = res.Value.Value
+			w.Header().Set("X-Version", strconv.FormatUint(res.Value.Version, 10))
 		}
 	} else {
 		val, err = g.client.Get(r.Context(), key, opts...)

@@ -10,7 +10,7 @@ import (
 // side: the caller, always — and a caller that is finished with them may
 // hand them back. There is one read on the wire, and MuxClient reads the
 // value of every reply to it (GetV and Get, a started read's completion,
-// so every ShardedClient read: Get, GetResult, GetQuorum) into a buffer
+// so every ShardedClient read, Get and GetResult, quorum or not) into a buffer
 // from Take, after decoding the version header where it lies. The slice
 // a read returns is the caller's to keep, modify or drop, exactly as if
 // it had been made for it. Release is the optional other end: a caller

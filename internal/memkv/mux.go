@@ -809,7 +809,7 @@ type Versioned struct {
 // GetV fetches the value, version, and remaining TTL (whole seconds,
 // rounded up; 0 = never expires) stored under key. A missing key is
 // ErrNotFound; version 0 never names a live value. A reader that
-// re-applies the TTL must take a second off it first (see GetQuorum).
+// re-applies the TTL must take a second off it first (see readQuorum).
 // The value is the caller's; one who is finished with it may Release
 // it, and the next read lands in the same bytes.
 func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error) {

@@ -512,9 +512,9 @@ func TestWrappedBackendKeepsFullSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, got, err := sc.GetQuorum(ctx, "k", 2)
-	if err != nil || string(val) != "v1" || got != ver {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want (v1, %d)", val, got, err, ver)
+	res, err := sc.GetResult(ctx, "k", core.WithQuorum(2))
+	if val, got := res.Value.Value, res.Value.Version; err != nil || string(val) != "v1" || got != ver {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want (v1, %d)", val, got, err, ver)
 	}
 	if n := wrapped[0].getVs.Load() + wrapped[1].getVs.Load(); n != 2 {
 		t.Errorf("wrappers saw %d GetV calls for a 2-of-2 quorum read, want 2", n)

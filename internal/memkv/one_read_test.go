@@ -12,8 +12,8 @@ import (
 	"redundancy/internal/ring"
 )
 
-// These tests pin the rules the one read keeps for its two callers. Get
-// and GetQuorum are one ring call over the same versioned read; what
+// These tests pin the rules the one read keeps with and without a
+// quorum. Both are one ring call over the same versioned read; what
 // differs is what a miss and the key's final second mean to each.
 
 // heldShards starts two shards under a ShardedClient that launches both
@@ -125,7 +125,7 @@ func (*divergenceSink) WriteMissed(string, []byte, uint64, time.Duration, string
 
 func (*divergenceSink) TopologyChanged(_, _ ring.Placement) {}
 
-// TestShardedGetQuorumCountsMissAsAnswer: to GetQuorum a miss is an
+// TestShardedGetQuorumCountsMissAsAnswer: to a quorum read a miss is an
 // answer of version 0. With the same key on one owner only and the
 // miss arriving first, a 2-of-2 quorum read holds: it waits for the
 // owner that has the key rather than failing on the miss, returns the
@@ -141,9 +141,9 @@ func TestShardedGetQuorumCountsMissAsAnswer(t *testing.T) {
 	sink := &divergenceSink{}
 	sc.SetRepairSink(sink)
 
-	val, got, err := sc.GetQuorum(ctx, "lonely", 2)
-	if err != nil || string(val) != "here" || got != ver {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want \"here\" at %d", val, got, err, ver)
+	res, err := sc.GetResult(ctx, "lonely", core.WithQuorum(2))
+	if val, got := res.Value.Value, res.Value.Version; err != nil || string(val) != "here" || got != ver {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want \"here\" at %d", val, got, err, ver)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
@@ -161,7 +161,7 @@ func TestShardedGetQuorumCountsMissAsAnswer(t *testing.T) {
 
 // TestShardedTTLFinalSecond: a key with a 1 s TTL, read right after its
 // write, is in its final second. Get returns it, since a key is readable
-// until its deadline; GetQuorum, whose TTL feeds read repair, forfeits
+// until its deadline; a quorum read, whose TTL feeds read repair, forfeits
 // the final second and reports the key absent.
 func TestShardedTTLFinalSecond(t *testing.T) {
 	sc, _, _ := heldShards(t)
@@ -172,7 +172,27 @@ func TestShardedTTLFinalSecond(t *testing.T) {
 	if v, err := sc.Get(ctx, "brief"); err != nil || string(v) != "v" {
 		t.Fatalf("Get in the key's final second = (%q, %v), want v", v, err)
 	}
-	if v, ver, err := sc.GetQuorum(ctx, "brief", 2); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetQuorum in the key's final second = (%q, %d, %v), want ErrNotFound", v, ver, err)
+	if res, err := sc.GetResult(ctx, "brief", core.WithQuorum(2)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("quorum GetResult in the key's final second = (%q, %d, %v), want ErrNotFound", res.Value.Value, res.Value.Version, err)
+	}
+}
+
+// TestShardedQuorumReadRefusesUnaskable: a quorum read of a key no
+// server would accept, or over a client with no shards, fails before
+// any copy is sent, as a read without a quorum does.
+func TestShardedQuorumReadRefusesUnaskable(t *testing.T) {
+	ctx := context.Background()
+	sc, _, _ := heldShards(t)
+	for _, key := range []string{"", "has space"} {
+		if _, err := sc.GetResult(ctx, key, core.WithQuorum(2)); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("quorum read of %q = %v, want a key error", key, err)
+		}
+	}
+	empty := NewShardedClient(ShardedConfig{})
+	if _, err := empty.GetResult(ctx, "k", core.WithQuorum(1)); !errors.Is(err, core.ErrNoReplicas) {
+		t.Errorf("quorum read with no shards = %v, want ErrNoReplicas", err)
+	}
+	if _, err := empty.Get(ctx, "k"); !errors.Is(err, core.ErrNoReplicas) {
+		t.Errorf("read with no shards = %v, want ErrNoReplicas", err)
 	}
 }

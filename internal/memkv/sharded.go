@@ -17,12 +17,13 @@ import (
 // every file". Each key is placed on Replication distinct shards
 // (primary + successors):
 //
-//   - Get issues the read redundantly within the key's placement under
-//     the configured ReadStrategy (default: race primary + secondary,
-//     first response wins — the paper's scheme) and takes per-call
-//     options (core.WithQuorum, core.WithFanoutCap, core.WithLabel, …).
-//     GetQuorum is the same ring call over every owner, comparing
-//     versions; every read witnesses the version it returns.
+//   - GetResult (and Get, its value) is the one read. It issues the
+//     read redundantly within the key's placement under the configured
+//     ReadStrategy (default: race primary + secondary, first response
+//     wins — the paper's scheme) and takes per-call options
+//     (core.WithFanoutCap, core.WithLabel, …). With core.WithQuorum it
+//     is the same ring call over every owner, comparing versions; every
+//     read witnesses the version it returns.
 //   - PutVersioned (sharded_versioned.go) is the one write: it mints a
 //     version, sends the value to every placement shard and returns once
 //     WriteQuorum of them acked; with WriteQuorum < Replication a put
@@ -31,7 +32,7 @@ import (
 //
 // Every copy of a write runs to completion or becomes a hint, so all
 // owners converge on the same bytes under the same version; missed
-// writes, stale copies seen by GetQuorum and topology changes are
+// writes, stale copies seen by a quorum read and topology changes are
 // reported to the repair sink (internal/repair: hinted handoff, read
 // repair, anti-entropy migration). AddShard/RemoveShard themselves only
 // change placement.
@@ -125,7 +126,7 @@ type ShardedConfig struct {
 	// quantile.
 	ReadStrategy core.Strategy
 	// Observer, when set, receives per-operation metrics from the read
-	// ring (Get and GetQuorum; writes are not ring calls) — the
+	// ring (every read, quorum or not; writes are not ring calls) — the
 	// observation hook a feedback controller needs to watch per-class
 	// latency digests and copies launched. core.Counters is the ready-made
 	// implementation; tag calls with core.WithLabel to split classes.
@@ -239,40 +240,42 @@ func (sc *ShardedClient) RemoveShard(addr string) bool {
 	return true
 }
 
-// Get returns the first placement shard's response for key, read
-// redundantly under the client's ReadStrategy. Per-call options tune one
-// read: core.WithQuorum(q) to wait until q copies succeeded (a wait for
-// q answers, not agreement: the value is still the first success's,
-// and no versions are compared — a consistency read is GetQuorum),
-// core.WithFanoutCap(1) for a single-copy read,
-// core.WithStrategyOverride for a one-off policy, core.WithLabel for
-// metrics. A copy that misses the key has failed (a hedged read falls
-// through to the next owner); a key absent from every queried shard
-// reports errors.Is(err, ErrNotFound). Many keys at once are many
-// concurrent Gets: each is its own call, and they share every
-// connection.
+// Get is GetResult's value: the one read, with its per-call options.
 //
 // The value is the caller's own. A caller that has consumed it may hand
 // its buffer to a later read with Release; that is optional, and applies
 // to every read — not to scan entries or watch events.
 func (sc *ShardedClient) Get(ctx context.Context, key string, opts ...core.CallOption) ([]byte, error) {
-	if len(opts) == 0 {
-		// The common zero-option read rides the ring's DoValue fast lane
-		// (pooled call frame, no option materialization).
-		v, err := sc.reads.DoValue(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		sc.Witness(v.Version)
-		return v.Value, nil
-	}
 	res, err := sc.GetResult(ctx, key, opts...)
-	return res.Value.Value, err
+	if err != nil {
+		return nil, err
+	}
+	return res.Value.Value, nil
 }
 
-// GetResult is Get with the winner's version and TTL and the redundancy
-// metadata (winner index, latency, copies launched and cancelled).
+// GetResult reads key and returns the value with its version and TTL
+// and the redundancy metadata (winner index, latency, copies launched
+// and cancelled). Every read witnesses the version it returns.
+//
+// Without a quorum it reads redundantly within the key's placement
+// under the client's ReadStrategy and returns the first success. Per-call
+// options tune one read: core.WithFanoutCap(1) for a single copy,
+// core.WithStrategyOverride for a one-off policy, core.WithLabel for
+// metrics. A copy that misses the key has failed (a hedged read falls
+// through to the next owner); a key absent from every queried shard
+// reports errors.Is(err, ErrNotFound).
+//
+// With core.WithQuorum(q), q ≥ 1, it is the consistency read: it asks
+// every owner, waits for min(q, Replication, shards) answers — a miss
+// is an answer, at version 0 — and returns the newest version among
+// them. Stale owners go to the repair sink (see readQuorum).
+//
+// Many keys at once are many concurrent reads: each is its own call,
+// and they share every connection.
 func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core.CallOption) (core.Result[Versioned], error) {
+	if q, collect := core.QuorumOf[Versioned](opts); q >= 1 {
+		return sc.readQuorum(ctx, key, q, collect, opts)
+	}
 	res, err := sc.reads.Do(ctx, key, opts...)
 	if err == nil {
 		sc.Witness(res.Value.Version)

@@ -35,10 +35,10 @@ import (
 //     wherever its outcome is learned, and a straggler is a tag in a
 //     connection's table — no goroutine, no context, no timer of its
 //     own.
-//   - GetQuorum, a version-observing quorum read: it returns the newest
-//     value among the copies read and reports stale copies (older
-//     version, or missing entirely) to the sink for asynchronous read
-//     repair, off the caller's critical path.
+//   - readQuorum, GetResult under core.WithQuorum: a version-observing
+//     read that returns the newest value among the copies read and
+//     reports stale copies (older version, or missing entirely) to the
+//     sink for asynchronous read repair, off the caller's critical path.
 //
 // The sink (see RepairSink) is the seam to internal/repair: memkv knows
 // nothing about hint queues, backoff, or the governor — it only reports
@@ -389,72 +389,78 @@ func (w *writeFrame) wait(ctx context.Context) error {
 	return fmt.Errorf("memkv: versioned set %q (%d/%d acked): %w: %w", w.key, acks, w.q, core.ErrQuorumUnreachable, firstErr)
 }
 
-// GetQuorum reads key from q placement copies (q < 1 means the client's
-// WriteQuorum, the symmetric R+W > N default) and returns the newest
-// value and version observed: the read ring's call over every owner
-// (divergence is only observable on the copies actually read). A copy
-// missing the key answers version 0 (core.WithNegativeAnswer), so the
-// quorum holds over partial misses; if every copy read misses, the error
-// is ErrNotFound. Copies observed holding an older version — including
-// misses — are reported to the repair sink as divergence, which pushes
-// the newest value to them asynchronously (read repair, off this call's
-// critical path). The TTL a copy reports is rounded up, and repair
-// re-applies it, so GetQuorum takes a second off and counts a copy with
-// no whole second left as a miss: the key's final second is forfeited
-// here, though Get still returns it.
-func (sc *ShardedClient) GetQuorum(ctx context.Context, key string, q int) ([]byte, uint64, error) {
+// readQuorum is GetResult with core.WithQuorum(q): the read ring's call
+// over every owner (divergence is only observable on the copies actually
+// read), completing on min(q, Replication, shards) answers, with opts'
+// other options kept. It returns the newest value and version observed,
+// and Index names that copy. A copy missing the key answers version 0
+// (core.WithNegativeAnswer), so the quorum holds over partial misses; if
+// every copy read misses, the error is ErrNotFound. Copies observed
+// holding an older version — including misses — are reported to the
+// repair sink as divergence, which pushes the newest value to them
+// asynchronously (read repair, off this call's critical path). The TTL a
+// copy reports is rounded up, and repair re-applies it, so readQuorum
+// takes a second off and counts a copy with no whole second left as a
+// miss: the key's final second is forfeited here, though a read without
+// a quorum still returns it. outs, the caller's collector when it passed
+// one, receives the votes as counted: a miss as a version-0 answer.
+func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs *[]core.Outcome[Versioned], opts []core.CallOption) (core.Result[Versioned], error) {
+	var zero core.Result[Versioned]
 	if err := validateKey(key); err != nil {
-		return nil, 0, err
+		return zero, err
 	}
 	n := sc.reads.Len()
 	if n == 0 {
-		return nil, 0, core.ErrNoReplicas
-	}
-	if q < 1 {
-		q = sc.writeQuorum
+		return zero, core.ErrNoReplicas
 	}
 	q = min(q, sc.replication, n)
 	owners := sc.reads.Owners(key)
-	var outs []core.Outcome[Versioned]
-	_, err := sc.reads.Do(ctx, key, core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
-		core.WithCollectOutcomes(&outs), core.WithNegativeAnswer(ErrNotFound))
+	if outs == nil {
+		outs = new([]core.Outcome[Versioned])
+	}
+	res, err := sc.reads.Do(ctx, key, append(opts[:len(opts):len(opts)],
+		core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
+		core.WithCollectOutcomes(outs), core.WithNegativeAnswer(ErrNotFound))...)
 	if err != nil && !errors.Is(err, ErrNotFound) {
-		return nil, 0, fmt.Errorf("memkv: quorum get %q: %w", key, err)
+		return zero, fmt.Errorf("memkv: quorum get %q: %w", key, err)
 	}
 	// A miss is version 0. Index maps an outcome to its placement slot
 	// (0 = primary), hence its owner.
-	var newest Versioned
-	for i := range outs {
-		o := &outs[i]
+	votes := *outs
+	newest := -1
+	for i := range votes {
+		o := &votes[i]
 		switch {
 		case errors.Is(o.Err, ErrNotFound):
 			o.Err = nil
 		case o.Err != nil:
+			continue
 		case o.Value.TTLSecs == 1:
 			o.Value = Versioned{}
 		case o.Value.TTLSecs > 1:
 			o.Value.TTLSecs--
 		}
-		if o.Err == nil && o.Value.Version > newest.Version {
-			newest = o.Value
+		if o.Value.Version > 0 && (newest < 0 || o.Value.Version > votes[newest].Value.Version) {
+			newest = i
 		}
 	}
-	if newest.Version == 0 {
-		return nil, 0, fmt.Errorf("memkv: quorum get %q: %w", key, ErrNotFound)
+	if newest < 0 {
+		return zero, fmt.Errorf("memkv: quorum get %q: %w", key, ErrNotFound)
 	}
+	res.Value, res.Index = votes[newest].Value, votes[newest].Index
 	var stale []string
-	for _, o := range outs {
-		if o.Err == nil && o.Value.Version < newest.Version && o.Index < len(owners) {
+	for _, o := range votes {
+		if o.Err == nil && o.Value.Version < res.Value.Version && o.Index < len(owners) {
 			stale = append(stale, owners[o.Index])
 		}
 	}
-	sc.Witness(newest.Version)
+	sc.Witness(res.Value.Version)
 	if len(stale) > 0 {
 		if sink := sc.repairSink(); sink != nil {
-			sink.Divergence(key, newest.Value, newest.Version, newest.TTLSecs, stale)
+			sink.Divergence(key, res.Value.Value, res.Value.Version, res.Value.TTLSecs, stale)
 		}
 	}
-	return newest.Value, newest.Version, nil
+	return res, nil
 }
 
 // VersionedShard returns the client of the shard at addr, for

@@ -505,12 +505,12 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 	if err != nil || ver == 0 {
 		t.Fatalf("PutVersioned = (%d, %v)", ver, err)
 	}
-	val, got, err := sc.GetQuorum(ctx, "qk", 2)
-	if err != nil || string(val) != "quorum" || got != ver {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want version %d", val, got, err, ver)
+	res, err := sc.GetResult(ctx, "qk", core.WithQuorum(2))
+	if val, got := res.Value.Value, res.Value.Version; err != nil || string(val) != "quorum" || got != ver {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want version %d", val, got, err, ver)
 	}
-	if _, _, err := sc.GetQuorum(ctx, "absent", 2); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("GetQuorum(absent) = %v, want ErrNotFound", err)
+	if _, err := sc.GetResult(ctx, "absent", core.WithQuorum(2)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("quorum GetResult(absent) = %v, want ErrNotFound", err)
 	}
 	// Both placement copies must hold the value at the minted version —
 	// PutVersioned does not stop at the quorum.
@@ -530,13 +530,12 @@ func TestShardedPutVersionedGetQuorum(t *testing.T) {
 	}
 }
 
-// TestShardedQuorumGetIsNotAConsistencyRead pins what WithQuorum does on
-// Get: it waits until q copies succeeded and returns the first one's
-// bytes, comparing no versions. With one owner left at an older version
-// and the fresh owner held back, a 2-of-2 Get returns the stale bytes.
-// The consistency read is GetQuorum: it returns the newest version and
-// reports the stale owner for read repair.
-func TestShardedQuorumGetIsNotAConsistencyRead(t *testing.T) {
+// TestShardedQuorumGetIsTheConsistencyRead: WithQuorum makes a read
+// compare versions. With one owner left at an older version and the
+// fresh owner held back, so that the stale bytes answer first, a 2-of-2
+// read still returns the newest version and reports the stale owner for
+// read repair.
+func TestShardedQuorumGetIsTheConsistencyRead(t *testing.T) {
 	var hold [2]atomic.Bool
 	sc, _, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2}, 5*time.Second,
 		func(i int) func() time.Duration {
@@ -558,14 +557,14 @@ func TestShardedQuorumGetIsNotAConsistencyRead(t *testing.T) {
 	}
 	hold[fresh].Store(true)
 
-	if v, err := sc.Get(ctx, "qk", core.WithQuorum(2)); err != nil || string(v) != "old" {
-		t.Fatalf("Get(WithQuorum(2)) = (%q, %v), want the stale owner's \"old\": it compares no versions", v, err)
+	if v, err := sc.Get(ctx, "qk", core.WithQuorum(2)); err != nil || string(v) != "new" {
+		t.Fatalf("Get(WithQuorum(2)) = (%q, %v), want the fresh owner's \"new\"", v, err)
 	}
 	sink := &recordingSink{}
 	sc.SetRepairSink(sink)
-	val, ver, err := sc.GetQuorum(ctx, "qk", 2)
-	if err != nil || string(val) != "new" || ver != newVer {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want \"new\" at %d", val, ver, err, newVer)
+	res, err := sc.GetResult(ctx, "qk", core.WithQuorum(2))
+	if err != nil || string(res.Value.Value) != "new" || res.Value.Version != newVer {
+		t.Fatalf("GetResult(WithQuorum(2)) = (%q, %d, %v), want \"new\" at %d", res.Value.Value, res.Value.Version, err, newVer)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
@@ -596,8 +595,8 @@ func TestShardedPutVersionedOneVersionOnEveryOwner(t *testing.T) {
 			t.Errorf("owner %s holds version %d (%v), want %d", owner, v, err, ver)
 		}
 	}
-	if val, v, err := sc.GetQuorum(ctx, "one", 3); err != nil || string(val) != "v" || v != ver {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want (v, %d)", val, v, err, ver)
+	if res, err := sc.GetResult(ctx, "one", core.WithQuorum(3)); err != nil || string(res.Value.Value) != "v" || res.Value.Version != ver {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want (v, %d)", res.Value.Value, res.Value.Version, err, ver)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
@@ -621,9 +620,9 @@ func TestGetQuorumReportsDivergence(t *testing.T) {
 	if _, _, err := sc.VersionedShard(owners[0]).PutV(ctx, "dk", []byte("new"), 0, newer); err != nil {
 		t.Fatal(err)
 	}
-	val, ver, err := sc.GetQuorum(ctx, "dk", 2)
-	if err != nil || string(val) != "new" || ver != newer {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want newest %d", val, ver, err, newer)
+	res, err := sc.GetResult(ctx, "dk", core.WithQuorum(2))
+	if val, ver := res.Value.Value, res.Value.Version; err != nil || string(val) != "new" || ver != newer {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want newest %d", val, ver, err, newer)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()

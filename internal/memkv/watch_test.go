@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"redundancy/internal/core"
 	"redundancy/internal/core/coretest"
 )
 
@@ -355,9 +356,9 @@ func TestShardedCASContention(t *testing.T) {
 		t.Fatalf("%d CAS writers applied, want exactly 1", n)
 	}
 	// The quorum read observes the winner at its minted version.
-	_, ver, err := sc.GetQuorum(ctx, "contended", 0)
-	if err != nil || ver != winner.Load() {
-		t.Fatalf("GetQuorum = (%d, %v), want version %d", ver, err, winner.Load())
+	res, err := sc.GetResult(ctx, "contended", core.WithQuorum(sc.WriteQuorum()))
+	if ver := res.Value.Version; err != nil || ver != winner.Load() {
+		t.Fatalf("quorum GetResult = (%d, %v), want version %d", ver, err, winner.Load())
 	}
 	// Second round from the winner's version: again exactly one.
 	var wins2 atomic.Uint64

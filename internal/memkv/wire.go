@@ -295,8 +295,8 @@ func appendErrFrame(dst []byte, tag uint64, format string, args ...any) []byte {
 // Carrying the TTL next to the version is what lets read repair and
 // anti-entropy pushes preserve an expiring key's remaining lifetime
 // instead of silently immortalizing it. A read's reply rounds the
-// remaining TTL up (0 still means never); GetQuorum, which re-applies
-// it, takes a second off.
+// remaining TTL up (0 still means never); a quorum read, which
+// re-applies it, takes a second off.
 const verPayloadHeader = 12
 
 var errVerPayload = errors.New("memkv: short versioned payload")

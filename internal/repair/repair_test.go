@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"redundancy/internal/core"
 	"redundancy/internal/memkv"
 	"redundancy/internal/ring"
 )
@@ -394,9 +395,9 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	val, ver, err := sc.GetQuorum(ctx, key, 2)
-	if err != nil || string(val) != "new" || ver != newer {
-		t.Fatalf("GetQuorum = (%q, %d, %v), want (new, %d)", val, ver, err, newer)
+	res, err := sc.GetResult(ctx, key, core.WithQuorum(2))
+	if val, ver := res.Value.Value, res.Value.Version; err != nil || string(val) != "new" || ver != newer {
+		t.Fatalf("quorum GetResult = (%q, %d, %v), want (new, %d)", val, ver, err, newer)
 	}
 	waitFor(t, 10*time.Second, "stale replica healed", func() bool {
 		_, v, _, err := sc.VersionedShard(owners[1]).GetV(ctx, key)
@@ -437,8 +438,8 @@ func TestDrainRemovedShard(t *testing.T) {
 		t.Fatalf("Drain: %v (stats %+v)", err, st)
 	}
 	for key, ver := range wantVer {
-		got, v, err := sc.GetQuorum(ctx, key, 1)
-		if err != nil || v < ver {
+		res, err := sc.GetResult(ctx, key, core.WithQuorum(1))
+		if got, v := res.Value.Value, res.Value.Version; err != nil || v < ver {
 			t.Fatalf("after drain, %s: %q v%d err %v, want >= v%d", key, got, v, err, ver)
 		}
 	}

@@ -305,16 +305,6 @@ func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (co
 	return r.group.DoPicked(ctx, arg, r.place(string(arg), buf[:]), opts...)
 }
 
-// DoValue is the fast lane of Do for the no-options, first-success-wins
-// case where only the value matters: placement resolution plus
-// core.KeyedGroup's pooled-frame engine, with no option materialization
-// on the path. See core.KeyedGroup.DoValue.
-func (r *Ring[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
-	var buf [4]core.Handle[K, T]
-	res, err := r.group.DoPicked(ctx, arg, r.place(string(arg), buf[:]))
-	return res.Value, err
-}
-
 // Owners returns the names of the members key is placed on, primary
 // first — the routing decision Do would make, for introspection and
 // tests. It returns at most Replication names (fewer on a small ring),

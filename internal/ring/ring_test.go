@@ -249,7 +249,7 @@ func TestQuorumWithinPlacement(t *testing.T) {
 	}
 }
 
-// A call routes by its key: Do and DoValue land on the primary Owners
+// A call routes by its key: Do lands on the primary Owners
 // reports, for a named key type as for a plain string.
 func TestKeyedRoutingAgrees(t *testing.T) {
 	type userID string
@@ -267,9 +267,6 @@ func TestKeyedRoutingAgrees(t *testing.T) {
 		}
 		if res.Value != want {
 			t.Errorf("Do(%q) served by %s, Owners says %s", key, res.Value, want)
-		}
-		if v, err := r.DoValue(context.Background(), userID(key)); err != nil || v != want {
-			t.Errorf("DoValue(%q) = (%s, %v), Owners says %s", key, v, err, want)
 		}
 	}
 }

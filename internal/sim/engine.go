@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -22,23 +21,59 @@ type scheduled struct {
 	fn  Event
 }
 
+// eventHeap is a binary min-heap on (at, seq), typed so that scheduling
+// and running an event box nothing. seq is unique, so the order is total
+// and every heap pops events in the same sequence.
 type eventHeap []scheduled
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func before(a, b *scheduled) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(scheduled)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *eventHeap) push(it scheduled) {
+	s := append(*h, scheduled{})
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&it, &s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = it
+	*h = s
+}
+
+// pop removes and returns the earliest event; the heap must not be
+// empty.
+func (h *eventHeap) pop() scheduled {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = scheduled{} // drop the closure reference
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && before(&s[r], &s[m]) {
+				m = r
+			}
+			if !before(&s[m], &last) {
+				break
+			}
+			s[i] = s[m]
+			i = m
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -72,7 +107,7 @@ func (e *Engine) At(t float64, fn Event) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, scheduled{at: t, seq: e.seq, fn: fn})
+	e.events.push(scheduled{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d seconds after the current virtual time.
@@ -89,7 +124,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	it := heap.Pop(&e.events).(scheduled)
+	it := e.events.pop()
 	e.now = it.at
 	it.fn()
 	return true

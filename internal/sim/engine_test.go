@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -167,5 +168,65 @@ func TestEngineMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineRunsInTimeThenSchedulingOrder: events scheduled up front
+// and from inside other events, with many ties, run in exactly the order
+// of (time, scheduling sequence).
+func TestEngineRunsInTimeThenSchedulingOrder(t *testing.T) {
+	type key struct {
+		at  float64
+		seq int
+	}
+	e := NewEngine(1)
+	var want, got []key
+	seq := 0
+	var schedule func(at float64)
+	schedule = func(at float64) {
+		seq++
+		k := key{at, seq}
+		want = append(want, k)
+		e.At(at, func() {
+			got = append(got, k)
+			if len(want) < 2000 && e.Rand().Intn(2) == 0 {
+				schedule(e.Now() + float64(e.Rand().Intn(4)))
+			}
+		})
+	}
+	for i := 0; i < 500; i++ {
+		schedule(float64(e.Rand().Intn(20)))
+	}
+	e.Run()
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, scheduled %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d ran as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEngineEventAllocatesNothing: scheduling and running an event that
+// already exists costs no allocation once the queue has grown.
+func TestEngineEventAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		e.At(float64(i), fn)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+1, fn)
+		e.Step()
+	}); n != 0 {
+		t.Errorf("At plus Step allocates %.0f per event, want 0", n)
 	}
 }
