@@ -11,8 +11,8 @@
 //     comes back on its old address, the hint replays and the revived
 //     replica catches up — no caller involved.
 //  2. Read repair: one replica is deliberately staled; a quorum read
-//     returns the newest version and asynchronously pushes it to the
-//     stale copy.
+//     returns the newest version and queues it as a hint for the stale
+//     copy, which the same replay loop lands.
 //  3. Anti-entropy migration: a new shard joins, and the migrator
 //     streams exactly the remapped keys to their new owners in governed
 //     batches; a version audit then finds every owner holding every key
@@ -161,8 +161,8 @@ func main() {
 	}
 
 	s := mgr.Stats()
-	fmt.Printf("\nrepair stats: hints queued/replayed %d/%d, divergence observed %d, repairs pushed %d, keys migrated %d\n",
-		s.HintsQueued, s.HintsReplayed, s.DivergenceObserved, s.RepairsPushed, s.KeysMigrated)
+	fmt.Printf("\nrepair stats: hints queued/replayed %d/%d (missed writes and read repairs), divergence observed %d, keys migrated %d\n",
+		s.HintsQueued, s.HintsReplayed, s.DivergenceObserved, s.KeysMigrated)
 }
 
 func waitUntil(what string, cond func() bool) {

@@ -270,7 +270,6 @@ func AblationRebalance(o Options) ([]*Table, error) {
 		fmt.Sprintf("%d / %d / %d", reb.st.PutsApplied, reb.st.PutsStale, reb.st.PutsFailed))
 	convTab.Add("migrator: elapsed", reb.st.Elapsed.Round(time.Millisecond))
 	convTab.Add("read repair: divergence observed", mst.DivergenceObserved)
-	convTab.Add("read repair: repairs pushed", mst.RepairsPushed)
 	convTab.Add("read repair: stale replica healed", repaired)
 	convTab.Add("hints queued / replayed / dropped",
 		fmt.Sprintf("%d / %d / %d", mst.HintsQueued, mst.HintsReplayed, mst.HintsDropped))

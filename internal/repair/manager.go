@@ -4,28 +4,33 @@
 // again after failures and topology changes, without putting that work
 // on any caller's critical path.
 //
-// A Manager implements memkv.RepairSink and turns the three signals a
-// ShardedClient emits into background convergence work:
+// A Manager implements memkv.RepairSink. It keeps one queue of *hints*,
+// each a version some owner is missing, and two of the signals a
+// ShardedClient emits feed it:
 //
-//   - WriteMissed (a quorum write's copy failed) becomes a *hint*:
-//     the missed write is queued and replayed against the intended
-//     owner with per-owner exponential backoff until it lands —
-//     Dynamo-style hinted handoff. The queue is bounded, in memory and
-//     drops its oldest hint at either cap; a restart loses it. The
-//     recovery is a full anti-entropy pass — RebalanceBetween from an
-//     empty placement, or Drain of a shard — which re-pushes what the
-//     shards hold to every owner.
-//   - Divergence (a quorum read saw stale or missing copies) becomes a
-//     *read repair*: the newest value is pushed to the stale copies
-//     asynchronously.
-//   - TopologyChanged (AddShard/RemoveShard) becomes an *anti-entropy
-//     migration*: the Rebalance loop diffs the before/after placements
-//     (ring.Placement.SameOwners), streams only remapped keys off each
-//     shard with cursor-paged scans, and re-puts them at their new
-//     owners in batches.
+//   - WriteMissed (a quorum write's copy failed) queues one hint for
+//     the owner that missed the write — Dynamo-style hinted handoff.
+//   - Divergence (a quorum read saw stale or missing copies) queues one
+//     hint per stale owner, carrying the newest value read — read
+//     repair.
 //
-// All three traffic classes yield to foreground load: each unit of
-// background work first asks the shared core.Governor's AllowBackground
+// The replay loop sends each owner its hints with per-owner exponential
+// backoff until they land, and reroutes them through the ring when the
+// owner has left the topology. The queue is bounded, in memory and
+// drops its oldest hint at either cap; a restart loses it. The recovery
+// is a full anti-entropy pass — RebalanceBetween from an empty
+// placement, or Drain of a shard — which re-pushes what the shards hold
+// to every owner.
+//
+// The third signal, TopologyChanged (AddShard/RemoveShard), becomes an
+// *anti-entropy migration*: the Rebalance loop diffs the before/after
+// placements (ring.Placement.SameOwners), streams only remapped keys off
+// each shard with cursor-paged scans, and re-puts them at their new
+// owners in batches. Replay and migration hand values to an owner
+// through the same push.
+//
+// Background work yields to foreground load: each replay pass and each
+// migration page first asks the shared core.Governor's AllowBackground
 // gate, which only opens below the governor's low-water utilization
 // mark. Versioned last-writer-wins puts make every repair action safe
 // to repeat and safe to race with live writes — a repair can only ever
@@ -52,7 +57,7 @@ import (
 
 // How every Manager paces and bounds its background work.
 const (
-	batchSize    = 64  // versioned puts per migration/replay batch
+	batchSize    = 64  // versioned puts per PutVBatch
 	scanPageSize = 256 // entries per anti-entropy scan page
 	// maxHintEntries and maxHintBytes bound the hint queue: at either cap
 	// the oldest hint is dropped (counted in Stats), so a long-dead owner
@@ -61,6 +66,7 @@ const (
 	maxHintBytes          = 16 << 20
 	defaultReplayInterval = 100 * time.Millisecond
 	replayMaxBackoff      = 5 * time.Second // cap on an owner's replay backoff
+	pushTimeout           = 5 * time.Second // bound on one batch or rerouted put
 	// backgroundPause is how long background work sleeps when the
 	// governor defers it before asking again.
 	backgroundPause = 10 * time.Millisecond
@@ -71,7 +77,7 @@ const (
 // rebalancing.
 type Config struct {
 	// Governor, when set, gates every unit of background work (hint
-	// replay batch, repair push, migration page) on AllowBackground —
+	// replay pass, migration page) on AllowBackground —
 	// share the governor that also measures foreground load, so
 	// convergence traffic yields to it.
 	Governor *core.Governor
@@ -85,19 +91,16 @@ type Config struct {
 
 // Stats is a point-in-time view of a Manager's counters.
 type Stats struct {
-	// Hinted handoff.
+	// Hints: missed writes and read repairs alike.
 	HintsQueued   int64 // hints accepted into the queue
 	HintsReplayed int64 // hints that landed at their owner (or rerouted)
 	HintsDropped  int64 // oldest-dropped at the entry/byte caps
 	HintsExpired  int64 // hints discarded because their TTL deadline passed
 	HintsPending  int64 // currently queued
 	HintBytes     int64 // bytes currently queued
-	// Read repair.
-	DivergenceObserved int64 // Divergence reports received
-	DivergenceDropped  int64 // reports dropped on a full repair queue
-	RepairsPushed      int64 // stale copies successfully repaired
-	RepairsFailed      int64 // repair pushes that errored
-	RepairsExpired     int64 // repairs skipped because the value's deadline passed
+	// DivergenceObserved counts Divergence reports; each queues one hint
+	// per stale owner.
+	DivergenceObserved int64
 	// Anti-entropy migration.
 	Rebalances     int64 // Rebalance passes completed
 	KeysScanned    int64 // entries seen by migration scans
@@ -116,8 +119,6 @@ type Manager struct {
 
 	hints hintQueue
 
-	divergeC chan divergeItem
-
 	topoMu      sync.Mutex
 	topoPrev    ring.Placement
 	topoCur     ring.Placement
@@ -131,10 +132,6 @@ type Manager struct {
 	closed  bool
 
 	stDivergeObs   atomic.Int64
-	stDivergeDrop  atomic.Int64
-	stRepairOK     atomic.Int64
-	stRepairErr    atomic.Int64
-	stRepairExp    atomic.Int64
 	stRebalances   atomic.Int64
 	stScanned      atomic.Int64
 	stMigrated     atomic.Int64
@@ -147,19 +144,6 @@ type Manager struct {
 
 var _ memkv.RepairSink = (*Manager)(nil)
 
-// divergeItem is one queued read-repair unit. The TTL observed at
-// report time is stored as an absolute deadline so the push — which may
-// run arbitrarily later under the governor — re-derives the remaining
-// TTL instead of re-applying the original and extending the key's life
-// on every hop.
-type divergeItem struct {
-	key      string
-	value    []byte
-	version  uint64
-	deadline time.Time // zero = no expiry
-	owners   []string
-}
-
 // NewManager builds a Manager over sc. The caller wires it up with
 // sc.SetRepairSink(m) and m.Start(); Attach does both.
 func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
@@ -167,11 +151,10 @@ func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
 		cfg.ReplayInterval = defaultReplayInterval
 	}
 	m := &Manager{
-		sc:       sc,
-		cfg:      cfg,
-		divergeC: make(chan divergeItem, 1024),
-		topoC:    make(chan struct{}, 1),
-		stopC:    make(chan struct{}),
+		sc:    sc,
+		cfg:   cfg,
+		topoC: make(chan struct{}, 1),
+		stopC: make(chan struct{}),
 	}
 	m.hints.maxEntries = maxHintEntries
 	m.hints.maxBytes = maxHintBytes
@@ -195,9 +178,8 @@ func (m *Manager) Start() {
 		return
 	}
 	m.started = true
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.replayLoop()
-	go m.repairLoop()
 	if m.cfg.AutoRebalance {
 		m.wg.Add(1)
 		go m.rebalanceLoop()
@@ -205,7 +187,7 @@ func (m *Manager) Start() {
 }
 
 // Close stops the background loops and detaches the manager from its
-// client's sink slot. Queued hints and repairs are abandoned.
+// client's sink slot. Queued hints are abandoned.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -234,10 +216,6 @@ func (m *Manager) Stats() Stats {
 		HintsPending:       pending,
 		HintBytes:          bytes,
 		DivergenceObserved: m.stDivergeObs.Load(),
-		DivergenceDropped:  m.stDivergeDrop.Load(),
-		RepairsPushed:      m.stRepairOK.Load(),
-		RepairsFailed:      m.stRepairErr.Load(),
-		RepairsExpired:     m.stRepairExp.Load(),
 		Rebalances:         m.stRebalances.Load(),
 		KeysScanned:        m.stScanned.Load(),
 		KeysMigrated:       m.stMigrated.Load(),
@@ -249,34 +227,27 @@ func (m *Manager) Stats() Stats {
 
 // ---- memkv.RepairSink ----
 
-// WriteMissed implements memkv.RepairSink: queue a hint. Non-blocking;
-// the value is copied (the caller may reuse its slice).
+// WriteMissed implements memkv.RepairSink: queue a hint for the owner
+// that missed the write.
 func (m *Manager) WriteMissed(key string, value []byte, version uint64, ttl time.Duration, owner string) {
-	m.hints.push(&hint{
-		key:      key,
-		value:    append([]byte(nil), value...),
-		version:  version,
-		deadline: deadlineFromTTL(ttl),
-		owner:    owner,
-	})
+	m.queue(key, value, version, ttl, owner)
 }
 
-// Divergence implements memkv.RepairSink: queue an async read repair.
-// Non-blocking — on a full queue the report is dropped and counted (the
-// next quorum read of the key will observe the divergence again).
+// Divergence implements memkv.RepairSink: queue a hint carrying the
+// newest value for each stale owner — read repair is hint replay.
 func (m *Manager) Divergence(key string, value []byte, version uint64, ttlSecs uint32, staleOwners []string) {
 	m.stDivergeObs.Add(1)
-	it := divergeItem{
-		key:      key,
-		value:    append([]byte(nil), value...),
-		version:  version,
-		deadline: deadlineFromTTL(time.Duration(ttlSecs) * time.Second),
-		owners:   append([]string(nil), staleOwners...),
-	}
-	select {
-	case m.divergeC <- it:
-	default:
-		m.stDivergeDrop.Add(1)
+	m.queue(key, value, version, time.Duration(ttlSecs)*time.Second, staleOwners...)
+}
+
+// queue pushes one hint per owner. Non-blocking; the value is copied
+// once and shared by the hints (the caller may reuse its slice), and the
+// TTL is pinned to a deadline here, where the signal entered.
+func (m *Manager) queue(key string, value []byte, version uint64, ttl time.Duration, owners ...string) {
+	value = append([]byte(nil), value...)
+	deadline := deadlineFromTTL(ttl)
+	for _, owner := range owners {
+		m.hints.push(&hint{key: key, value: value, version: version, deadline: deadline, owner: owner})
 	}
 }
 
@@ -311,7 +282,10 @@ func (m *Manager) takeTopology() (prev, cur ring.Placement, ok bool) {
 
 // ---- background gating ----
 
-var errClosed = errors.New("repair: manager closed")
+var (
+	errClosed  = errors.New("repair: manager closed")
+	errExpired = errors.New("repair: value expired before push")
+)
 
 // waitBackground blocks until the governor affords a unit of background
 // work (or immediately with no governor), polling with backgroundPause.
@@ -330,16 +304,11 @@ func (m *Manager) waitBackground(ctx context.Context) error {
 	}
 }
 
-// opCtx returns a bounded context for one background shard operation.
-func (m *Manager) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 5*time.Second)
-}
-
 // ---- hinted handoff ----
 
-// hint is one missed write: replay value@version to owner. The
-// deadline is the absolute instant the write's TTL expires (zero =
-// never): replay recomputes the remaining TTL from it, so however long
+// hint is one version an owner is missing: push value@version to owner.
+// The deadline is the absolute instant the write's TTL expires (zero =
+// never): push recomputes the remaining TTL from it, so however long
 // the hint waits, the key still dies when the original write said it
 // would. Storing the TTL itself here was the drift bug: every replay
 // hop restarted the clock.
@@ -498,116 +467,78 @@ func (m *Manager) replayLoop() {
 	}
 }
 
-// replayOwner attempts one owner's hints in batches, marking in done
-// each hint it retires: replayed, or expired. Returns true if the owner
-// accepted them (resetting its backoff).
+// replayOwner pushes one owner's hints, marking in done each hint it
+// retires: landed, or expired. Returns true if none failed (resetting the
+// owner's backoff).
 func (m *Manager) replayOwner(owner string, hs []*hint, done map[*hint]bool) bool {
-	// Expired hints are dropped before any replay attempt: replaying a
-	// value past its deadline would resurrect a key the original writer
-	// already declared dead.
-	live := hs[:0:0]
-	for _, h := range hs {
-		if _, ok := ttlFromDeadline(h.deadline); !ok {
-			done[h] = true
+	ok := true
+	for i, r := range m.push(context.Background(), owner, hs) {
+		switch {
+		case errors.Is(r.Err, errExpired):
 			m.stHintsExpired.Add(1)
+		case r.Err != nil:
+			ok = false
 			continue
-		}
-		live = append(live, h)
-	}
-	hs = live
-	if len(hs) == 0 {
-		return true
-	}
-	vb := m.sc.VersionedShard(owner)
-	if vb == nil {
-		// The owner left the topology: the data still belongs somewhere.
-		// Reroute each hint through the ring at its original version; LWW
-		// makes this safe even if the key has since been rewritten.
-		allOK := true
-		for _, h := range hs {
-			ttl, _ := ttlFromDeadline(h.deadline)
-			ctx, cancel := m.opCtx()
-			err := m.sc.PutVersionAt(ctx, h.key, h.value, ttl, h.version)
-			cancel()
-			if err != nil {
-				allOK = false
-				continue
-			}
-			m.finishHint(h, done)
-		}
-		return allOK
-	}
-	allOK := true
-	for start := 0; start < len(hs); start += batchSize {
-		end := min(start+batchSize, len(hs))
-		batch := hs[start:end]
-		puts := make([]memkv.VersionedPut, len(batch))
-		for i, h := range batch {
-			ttl, _ := ttlFromDeadline(h.deadline)
-			puts[i] = memkv.VersionedPut{Key: h.key, Value: h.value, TTL: ttl, Version: h.version}
-		}
-		ctx, cancel := m.opCtx()
-		res := vb.PutVBatch(ctx, puts)
-		cancel()
-		for i, r := range res {
-			if r.Err != nil {
-				allOK = false
-				continue
-			}
+		default:
 			// Applied or stale both mean the owner now holds >= version.
-			m.finishHint(batch[i], done)
+			m.stReplayed.Add(1)
 		}
-		if !allOK {
+		done[hs[i]] = true
+	}
+	return ok
+}
+
+// push hands hs to owner and returns their outcomes in hs's order. It
+// is the one way the manager writes a value to a shard: hint replay and
+// migration both call it.
+//
+// A hint whose deadline has passed is not sent and reports errExpired:
+// pushing a value past its deadline would resurrect a key the original
+// writer already declared dead. The rest carry the remaining TTL. When
+// owner is in the topology they go in PutVBatch rounds of batchSize; a
+// round with an error ends the push, and the hints not yet sent report
+// that error, so an owner that stalls costs one timeout, not one per
+// round. When owner has left the topology the data still belongs
+// somewhere: each hint is rerouted through the ring at its original
+// version (LWW makes this safe even if the key has since been
+// rewritten), and a nil error counts as applied.
+func (m *Manager) push(ctx context.Context, owner string, hs []*hint) []memkv.PutVResult {
+	res := make([]memkv.PutVResult, len(hs))
+	vb := m.sc.VersionedShard(owner)
+	var sent []int // indexes into hs of the puts, in order
+	var puts []memkv.VersionedPut
+	for i, h := range hs {
+		ttl, live := ttlFromDeadline(h.deadline)
+		switch {
+		case !live:
+			res[i].Err = errExpired
+		case vb == nil:
+			opCtx, cancel := context.WithTimeout(ctx, pushTimeout)
+			err := m.sc.PutVersionAt(opCtx, h.key, h.value, ttl, h.version)
+			cancel()
+			res[i] = memkv.PutVResult{Applied: err == nil, Err: err}
+		default:
+			sent = append(sent, i)
+			puts = append(puts, memkv.VersionedPut{Key: h.key, Value: h.value, TTL: ttl, Version: h.version})
+		}
+	}
+	for start := 0; start < len(puts); start += batchSize {
+		end := min(start+batchSize, len(puts))
+		opCtx, cancel := context.WithTimeout(ctx, pushTimeout)
+		var failed error
+		for j, r := range vb.PutVBatch(opCtx, puts[start:end]) {
+			res[sent[start+j]] = r
+			if r.Err != nil {
+				failed = r.Err
+			}
+		}
+		cancel()
+		if failed != nil {
+			for _, i := range sent[end:] {
+				res[i].Err = failed
+			}
 			break
 		}
 	}
-	return allOK
-}
-
-// finishHint marks a hint landed: count it, and mark it for removal
-// from the queue.
-func (m *Manager) finishHint(h *hint, done map[*hint]bool) {
-	done[h] = true
-	m.stReplayed.Add(1)
-}
-
-// ---- read repair ----
-
-// repairLoop drains divergence reports and pushes the newest value to
-// each stale copy, under the governor.
-func (m *Manager) repairLoop() {
-	defer m.wg.Done()
-	for {
-		var it divergeItem
-		select {
-		case <-m.stopC:
-			return
-		case it = <-m.divergeC:
-		}
-		if err := m.waitBackground(context.Background()); err != nil {
-			return
-		}
-		// Remaining TTL at push time, not report time: a repair delayed by
-		// the governor must not stretch the key's life, and one for an
-		// already-dead value must not resurrect it.
-		ttl, live := ttlFromDeadline(it.deadline)
-		if !live {
-			m.stRepairExp.Add(1)
-			continue
-		}
-		for _, owner := range it.owners {
-			vb := m.sc.VersionedShard(owner)
-			if vb == nil {
-				continue // owner left the topology; migration covers it
-			}
-			ctx, cancel := m.opCtx()
-			_, _, err := vb.PutV(ctx, it.key, it.value, ttl, it.version)
-			cancel()
-			if err != nil {
-				m.stRepairErr.Add(1)
-			} else {
-				m.stRepairOK.Add(1)
-			}
-		}
-	}
+	return res
 }

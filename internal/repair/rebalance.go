@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -105,46 +106,20 @@ func (m *Manager) Drain(ctx context.Context, src memkv.Backend) (RebalanceStats,
 // under prev and cur are skipped — the remap diff; with diff false
 // every key is pushed (Drain). The source keeps every key it held.
 func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Backend, prev, cur ring.Placement, diff bool, st *RebalanceStats) error {
-	type pendingPut struct {
-		put memkv.VersionedPut
-		// deadline pins the entry's remaining TTL (reported by the scan as
-		// seconds left at page time) to the wall clock, so the flush — which
-		// may run much later under the governor — re-derives what is left
-		// instead of re-applying the page-time remainder and stretching the
-		// key's life by the scan-to-flush gap on every migration.
-		deadline time.Time
-	}
-	batches := make(map[string][]pendingPut)
+	// Each remapped entry becomes a hint for each new owner. Its deadline
+	// pins the remaining TTL the scan reported at page time to the wall
+	// clock, so a flush the governor delayed re-derives what is left
+	// instead of stretching the key's life by the scan-to-flush gap, and
+	// drops an entry that expired in between rather than re-animate it.
+	batches := make(map[string][]*hint)
 	ownerScratch := make([]string, cur.Replication())
 
 	flush := func() {
-		for owner, puts := range batches {
-			vb := m.sc.VersionedShard(owner)
-			if vb == nil {
-				st.PutsFailed += int64(len(puts))
-				continue
-			}
-			vps := make([]memkv.VersionedPut, 0, len(puts))
-			for _, pp := range puts {
-				ttl, live := ttlFromDeadline(pp.deadline)
-				if !live {
-					// Expired between scan and flush: the key is dead
-					// everywhere that matters; do not re-animate it at the
-					// destination.
-					st.PutsExpired++
-					continue
-				}
-				pp.put.TTL = ttl
-				vps = append(vps, pp.put)
-			}
-			if len(vps) == 0 {
-				continue
-			}
-			opCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-			res := vb.PutVBatch(opCtx, vps)
-			cancel()
-			for _, r := range res {
+		for owner, hs := range batches {
+			for _, r := range m.push(ctx, owner, hs) {
 				switch {
+				case errors.Is(r.Err, errExpired):
+					st.PutsExpired++
 				case r.Err != nil:
 					st.PutsFailed++
 				case r.Applied:
@@ -189,14 +164,7 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 				if e.TTLSecs > 0 {
 					deadline = pageTime.Add(time.Duration(e.TTLSecs) * time.Second)
 				}
-				batches[o] = append(batches[o], pendingPut{
-					put: memkv.VersionedPut{
-						Key:     e.Key,
-						Value:   e.Value,
-						Version: e.Version,
-					},
-					deadline: deadline,
-				})
+				batches[o] = append(batches[o], &hint{key: e.Key, value: e.Value, version: e.Version, deadline: deadline, owner: o})
 				pushed = true
 			}
 			if pushed {

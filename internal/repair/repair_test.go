@@ -102,37 +102,58 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 }
 
 // Hints for an owner that left the topology reroute through the ring to
-// the key's current owners instead of waiting forever.
+// the key's current owners instead of waiting forever — whether the hint
+// came from a missed write or from a read repair.
 func TestHintReroutesWhenOwnerRemoved(t *testing.T) {
-	sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 1})
-	m := Attach(sc, fastConfig())
-	defer m.Close()
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		// miss leaves departed without the key's newest version, reports
+		// it to m, and returns that version. departed's server is closed
+		// and departed is no longer in the topology when miss returns.
+		miss func(t *testing.T, sc *memkv.ShardedClient, m *Manager, key, departed string, srv *memkv.Server) uint64
+	}{
+		{"write missed", func(t *testing.T, sc *memkv.ShardedClient, m *Manager, key, departed string, srv *memkv.Server) uint64 {
+			srv.Close()
+			ver, err := sc.PutVersioned(context.Background(), key, []byte("rerouted"), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "hint queued", func() bool {
+				return m.Stats().HintsQueued >= 1
+			})
+			// The owner is gone for good: removing it makes replay reroute
+			// the hint through the ring at its original version.
+			sc.RemoveShard(departed)
+			return ver
+		}},
+		{"divergence", func(t *testing.T, sc *memkv.ShardedClient, m *Manager, key, departed string, srv *memkv.Server) uint64 {
+			srv.Close()
+			sc.RemoveShard(departed)
+			ver := sc.NextVersion()
+			m.Divergence(key, []byte("rerouted"), ver, 0, []string{departed})
+			return ver
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 1})
+			m := Attach(sc, fastConfig())
+			defer m.Close()
+			ctx := context.Background()
 
-	key := "rr-key"
-	owners := sc.Owners(key)
-	downAddr := owners[1]
-	servers[downAddr].Close()
-
-	ver, err := sc.PutVersioned(ctx, key, []byte("rerouted"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "hint queued", func() bool {
-		return m.Stats().HintsQueued >= 1
-	})
-	// The owner is gone for good: removing it makes replay reroute the
-	// hint through the ring at its original version.
-	sc.RemoveShard(downAddr)
-	waitFor(t, 10*time.Second, "hint rerouted", func() bool {
-		return m.Stats().HintsReplayed >= 1
-	})
-	// Every current owner of the key holds it.
-	for _, o := range sc.Owners(key) {
-		vb := sc.VersionedShard(o)
-		waitFor(t, 5*time.Second, "value at "+o, func() bool {
-			_, v, _, err := vb.GetV(ctx, key)
-			return err == nil && v >= ver
+			key := "rr-key"
+			departed := sc.Owners(key)[1]
+			ver := tc.miss(t, sc, m, key, departed, servers[departed])
+			waitFor(t, 10*time.Second, "hint rerouted", func() bool {
+				return m.Stats().HintsReplayed >= 1
+			})
+			// Every current owner of the key holds it.
+			for _, o := range sc.Owners(key) {
+				vb := sc.VersionedShard(o)
+				waitFor(t, 5*time.Second, "value at "+o, func() bool {
+					_, v, _, err := vb.GetV(ctx, key)
+					return err == nil && v >= ver
+				})
+			}
 		})
 	}
 }
@@ -183,7 +204,7 @@ func TestHintQueueBounds(t *testing.T) {
 // RepairSink lends WriteMissed and Divergence their value for the call
 // only — a writer reuses its slice the moment its put returns — so the
 // manager queues copies: overwriting the slice afterwards changes neither
-// the hint nor the pending read repair.
+// the missed write's hint nor the read repair's.
 func TestSinkKeepsItsOwnCopyOfTheValue(t *testing.T) {
 	sc, _ := startCluster(t, 1, memkv.ShardedConfig{})
 	m := NewManager(sc, Config{})
@@ -194,11 +215,13 @@ func TestSinkKeepsItsOwnCopyOfTheValue(t *testing.T) {
 		lent[i] = '!'
 	}
 	hints := m.hints.snapshot()
-	if len(hints) != 1 || string(hints[0].value) != "the bytes that were written" {
-		t.Errorf("queued hints %+v: want one, carrying the value as it was when reported", hints)
+	if len(hints) != 2 {
+		t.Fatalf("queued %d hints, want one for the missed write and one for the read repair", len(hints))
 	}
-	if it := <-m.divergeC; string(it.value) != "the bytes that were written" {
-		t.Errorf("queued read repair carries %q: the reporter's slice, not a copy of it", it.value)
+	for i, h := range hints {
+		if string(h.value) != "the bytes that were written" {
+			t.Errorf("hint %d carries %q: the reporter's slice, not a copy of it", i, h.value)
+		}
 	}
 }
 
@@ -404,9 +427,53 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 		return err == nil && v == newer
 	})
 	st := m.Stats()
-	if st.DivergenceObserved < 1 || st.RepairsPushed < 1 {
+	if st.DivergenceObserved < 1 || st.HintsReplayed < 1 {
 		t.Errorf("repair stats %+v", st)
 	}
+}
+
+// A read repair whose push fails is not lost: it is a hint like any
+// missed write, retried with the owner's backoff until the owner comes
+// back and holds the newest version — without another read.
+func TestReadRepairRetriesUntilOwnerReturns(t *testing.T) {
+	sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 2})
+	m := NewManager(sc, fastConfig())
+	sc.SetRepairSink(m)
+	defer m.Close()
+	ctx := context.Background()
+
+	key := "retry-me"
+	if _, err := sc.PutVersioned(ctx, key, []byte("old"), 0); err != nil {
+		t.Fatal(err)
+	}
+	owners := sc.Owners(key)
+	newer := sc.NextVersion()
+	if _, _, err := sc.VersionedShard(owners[0]).PutV(ctx, key, []byte("new"), 0, newer); err != nil {
+		t.Fatal(err)
+	}
+	// The quorum read names the stale owner while it still answers; its
+	// server then dies before the manager makes its first push.
+	if _, err := sc.GetResult(ctx, key, core.WithQuorum(2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.DivergenceObserved != 1 {
+		t.Fatalf("DivergenceObserved = %d, want 1", st.DivergenceObserved)
+	}
+	downAddr := owners[1]
+	servers[downAddr].Close()
+	m.Start()
+	time.Sleep(20 * fastConfig().ReplayInterval) // pushes against the dead owner
+
+	srv2 := memkv.NewServer(nil)
+	if _, err := srv2.Listen(downAddr); err != nil {
+		t.Skipf("could not rebind %s: %v", downAddr, err)
+	}
+	defer srv2.Close()
+	vb := sc.VersionedShard(downAddr)
+	waitFor(t, 15*time.Second, "the returned owner holds the newest version", func() bool {
+		_, v, _, err := vb.GetV(ctx, key)
+		return err == nil && v == newer
+	})
 }
 
 // Drain pushes everything off a removed-but-reachable shard to the

@@ -110,10 +110,10 @@ func TestExpiredDivergenceNotRepaired(t *testing.T) {
 	m.Divergence("fading", []byte("ghost"), ver, 1, []string{owner})
 
 	waitFor(t, 5*time.Second, "repair skipped as expired", func() bool {
-		return m.Stats().RepairsExpired >= 1
+		return m.Stats().HintsExpired >= 1
 	})
-	if st := m.Stats(); st.RepairsPushed != 0 {
-		t.Errorf("RepairsPushed = %d, want 0", st.RepairsPushed)
+	if st := m.Stats(); st.HintsReplayed != 0 {
+		t.Errorf("HintsReplayed = %d, want 0", st.HintsReplayed)
 	}
 	if _, _, _, err := sc.VersionedShard(owner).GetV(ctx, "fading"); !errors.Is(err, memkv.ErrNotFound) {
 		t.Errorf("expired repair landed: %v", err)
