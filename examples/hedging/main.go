@@ -1,4 +1,4 @@
-// hedging: full replication vs hedged requests vs a budgeted group.
+// hedging: full replication vs hedged requests.
 //
 // The paper's system-level analysis (§2.1) says duplicating EVERY request
 // is a win only below the threshold load; hedged requests — launch the
@@ -14,15 +14,29 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"redundancy"
 )
 
-func backend(r *rand.Rand, spike float64) redundancy.Replica[int] {
+// lockedRand is one seeded source shared by every backend: a call's
+// copies run at the same time, so each draw takes the lock.
+type lockedRand struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}
+
+func (l *lockedRand) float64() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Float64()
+}
+
+func backend(r *lockedRand, spike float64) redundancy.Replica[int] {
 	return func(ctx context.Context) (int, error) {
-		d := time.Duration(4+r.Float64()*4) * time.Millisecond
-		if r.Float64() < spike {
+		d := time.Duration(4+r.float64()*4) * time.Millisecond
+		if r.float64() < spike {
 			d = 80 * time.Millisecond // the tail we want to cut
 		}
 		select {
@@ -35,7 +49,7 @@ func backend(r *rand.Rand, spike float64) redundancy.Replica[int] {
 }
 
 func main() {
-	r := rand.New(rand.NewSource(42))
+	r := &lockedRand{r: rand.New(rand.NewSource(42))}
 	ctx := context.Background()
 	const n = 400
 
@@ -55,10 +69,9 @@ func main() {
 			counters.CopiesPerOp())
 	}
 
-	mkGroup := func(s redundancy.Strategy, opts ...redundancy.GroupOption) (*redundancy.Group[int], *redundancy.Counters) {
+	mkGroup := func(s redundancy.Strategy) (*redundancy.Group[int], *redundancy.Counters) {
 		c := redundancy.NewCounters()
-		opts = append(opts, redundancy.WithObserver(c))
-		g := redundancy.NewStrategyGroup[int](s, opts...)
+		g := redundancy.NewStrategyGroup[int](s, redundancy.WithObserver(c))
 		g.Add("a", backend(r, 0.08))
 		g.Add("b", backend(r, 0.08))
 		return g, c
@@ -76,14 +89,6 @@ func main() {
 		Selection: redundancy.SelectRandom})
 	run("hedged @15ms", g, c)
 
-	// A budget capping extra copies to ~20/sec: full replication degrades
-	// gracefully toward single-copy when the budget runs dry.
-	budget := redundancy.NewBudget(20, 5)
-	g, c = mkGroup(redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRandom},
-		redundancy.WithBudget(budget))
-	run("budgeted (20/s)", g, c)
-
 	fmt.Println("\nfull replication: best tail, 2.0 copies per op (double load).")
 	fmt.Println("hedged: nearly the same tail, ~1.1 copies per op.")
-	fmt.Println("budgeted: bounded extra load no matter the request rate.")
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the single request execution engine behind every
-// redundant call. A call has one entrance: KeyedGroup.do (Do, DoValue)
+// redundant call. A call has one entrance: KeyedGroup.do (Do)
 // or DoPicked (the Ring's routed subsets) plans it, and a plan of one
 // copy runs in runOne, any other in launchFrame → runFrame. One engine
 // means every completion rule (first wins, R-of-N quorum) composes with
@@ -18,7 +18,7 @@ import (
 // shares one error taxonomy.
 //
 // What a call costs depends on how many copies it resolves to, after
-// strategy, governor, fan-out cap, quorum and budget have had their say,
+// strategy, governor, fan-out cap and quorum have had their say,
 // and on what kind of replica those copies go to:
 //
 //	copies  replicas            engine allocations   goroutines
@@ -26,9 +26,8 @@ import (
 //	k >= 2  starters            0                    0 (wire requests)
 //	k >= 2  function replicas   2 (cdone + copyCtx)  one per copy
 //
-//   - One copy (k=1: redundancy off, or shed by a Governor, an empty
-//     Budget, WithFanoutCap(1) or the SLO controller) is a function
-//     call. The replica runs on the caller's goroutine under the
+//   - One copy (k=1: redundancy off, or shed by a Governor,
+//     WithFanoutCap(1) or the SLO controller) is a function call. The replica runs on the caller's goroutine under the
 //     caller's own context and singleResult turns its return into the
 //     Result: no frame, no channel, no timer. The paper's §2.3 caveat is
 //     that redundancy loses once client-side overhead rivals the service
@@ -655,8 +654,8 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 
 // callFailed builds a failed call's result: for quorum 1 the joined
 // ReplicaErrors, for larger quorums a *QuorumError carrying the partial outcomes. Launched and
-// Cancelled are reported even on failure: budget accounting and
-// observers need the real fan-out and the copies reclaimed in flight.
+// Cancelled are reported even on failure: governors and observers need
+// the real fan-out and the copies reclaimed in flight.
 func callFailed[T any](q, wins, launched, cancelled int, errs []error, collect *[]Outcome[T]) (Result[T], error) {
 	joined := errors.Join(errs...)
 	res := Result[T]{Launched: launched, Cancelled: cancelled}

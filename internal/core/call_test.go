@@ -339,8 +339,6 @@ func TestGroupDoCollectSinkReset(t *testing.T) {
 	}
 }
 
-// --- Budget accounting for quorum calls. ---
-
 // scheduleStrategy is a test strategy with an explicit launch schedule
 // (at least as long as any fan-out it is asked for).
 type scheduleStrategy struct {
@@ -358,117 +356,10 @@ func (s scheduleStrategy) ScheduleInto(_ Digests, dst []time.Duration) []time.Du
 }
 func (s scheduleStrategy) String() string { return "test-schedule" }
 
-func TestGroupDoQuorumBudgetRefundsUnlaunched(t *testing.T) {
-	// 3 copies, quorum 2, schedule {0, 0, 1h}: the two quorum copies
-	// launch immediately and succeed, so the third (the only budgeted
-	// hedge) never launches and its token must come back — exactly once.
-	b := NewBudget(0, 1)
-	g := NewStrategyGroup[int](
-		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, time.Hour}},
-		WithBudget(b),
-	)
-	for i := 0; i < 3; i++ {
-		i := i
-		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
-	}
-	res, err := g.Do(context.Background(), WithQuorum(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Fatalf("Launched = %d, want 2 (third copy behind 1h delay)", res.Launched)
-	}
-	if got := b.Available(); got != 1 {
-		t.Errorf("budget after refund = %d, want 1 (unlaunched hedge refunded once)", got)
-	}
-}
-
-func TestGroupDoQuorumBudgetConsumedWhenLaunched(t *testing.T) {
-	// Same shape, but the hedge launches immediately: its token is spent.
-	b := NewBudget(0, 1)
-	g := NewStrategyGroup[int](
-		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, 0}},
-		WithBudget(b),
-	)
-	for i := 0; i < 3; i++ {
-		i := i
-		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
-	}
-	res, err := g.Do(context.Background(), WithQuorum(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 3 {
-		t.Fatalf("Launched = %d, want 3", res.Launched)
-	}
-	if got := b.Available(); got != 0 {
-		t.Errorf("budget = %d, want 0 (launched hedge consumes its token)", got)
-	}
-}
-
-func TestGroupDoQuorumBudgetExhaustedDegradesToQuorum(t *testing.T) {
-	// An empty budget must not cut the fan-out below the quorum: the q
-	// copies are mandatory, only hedges beyond them are budgeted.
-	b := NewBudget(0, 1)
-	if got := b.Acquire(1); got != 1 { // drain it
-		t.Fatalf("drain: %d", got)
-	}
-	g := NewStrategyGroup[int](Fixed{Copies: 3}, WithBudget(b))
-	for i := 0; i < 3; i++ {
-		i := i
-		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Millisecond))
-	}
-	res, err := g.Do(context.Background(), WithQuorum(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Errorf("Launched = %d, want 2 (quorum copies exempt from budget)", res.Launched)
-	}
-}
-
-func TestGroupDoQuorumBudgetAccountingUnderConcurrency(t *testing.T) {
-	// Hammer a budgeted quorum group from many goroutines; afterwards the
-	// bucket must hold exactly its burst again (every acquired token was
-	// either consumed by a launched copy — and the rate refill is zero, so
-	// consumption is visible — or refunded exactly once). All copies
-	// launch immediately here, so tokens are consumed, and with rate 0 the
-	// final Available is burst - consumed + refunded; using an all-zero
-	// schedule every granted token is consumed, so we instead check the
-	// invariant that Available never exceeds burst and never goes
-	// negative.
-	const burst = 4
-	b := NewBudget(0, burst)
-	g := NewStrategyGroup[int](
-		scheduleStrategy{copies: 3, sched: []time.Duration{0, 0, time.Hour}},
-		WithBudget(b),
-	)
-	for i := 0; i < 3; i++ {
-		i := i
-		g.Add(fmt.Sprintf("r%d", i), coretest.Sleeper(i, time.Microsecond))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				g.Do(context.Background(), WithQuorum(2))
-			}
-		}()
-	}
-	wg.Wait()
-	// Every hedge sat behind a 1h delay and never launched, so every
-	// granted token was refunded: the bucket must be exactly full.
-	if got := b.Available(); got != burst {
-		t.Errorf("budget after churn = %d, want %d (refund exactly once per call)", got, burst)
-	}
-}
-
 // --- Option matrix under replica churn (run with -race). ---
 
 func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
-	g := NewStrategyGroup[int](Fixed{Copies: 2}, WithBudget(NewBudget(1e6, 64)))
+	g := NewStrategyGroup[int](Fixed{Copies: 2})
 	var names []string
 	for i := 0; i < 6; i++ {
 		i := i

@@ -22,8 +22,8 @@ type callOpts struct {
 	negative  error
 }
 
-// noCallOpts is the shared zero configuration for the DoValue fast
-// lane. plan only reads its callOpts, so one read-only instance serves
+// noCallOpts is the shared zero configuration of a call with no
+// options. plan only reads its callOpts, so one read-only instance serves
 // every call.
 var noCallOpts callOpts
 

@@ -25,9 +25,10 @@
 //     (Starter): its copies are requests started on the caller's
 //     goroutine, and a loser is withdrawn rather than cancelled.
 //   - Replication is useful precisely when the extra load is affordable
-//     (§2 of the paper); Budget provides the affordability control, capping
-//     the fraction of operations that may issue extra copies, in the spirit
-//     of gRPC hedging throttles.
+//     (§2 of the paper); Governor is the affordability control: it
+//     replicates while utilization stays under the threshold load and
+//     sheds to one copy above it (LoadAware, or the SLO controller's
+//     governor).
 //   - Group adds ranked replica selection (the paper's DNS experiment ranks
 //     resolvers by observed mean latency and replicates to the top k).
 package core

@@ -272,28 +272,6 @@ func TestLatEstimateConcurrent(t *testing.T) {
 	}
 }
 
-func TestGroupBudgetConsumedByFailedCopies(t *testing.T) {
-	// Launched copies consume their tokens even when the operation fails;
-	// otherwise an outage (every replica erroring) would never deplete the
-	// budget and each request would keep fanning out k copies — exactly
-	// the load the budget exists to shed.
-	b := NewBudget(0, 1)
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
-		WithBudget(b), WithSeed(6))
-	g.Add("bad1", coretest.Failer[int](errors.New("down"), time.Millisecond))
-	g.Add("bad2", coretest.Failer[int](errors.New("down"), time.Millisecond))
-	res, err := g.Do(context.Background())
-	if err == nil {
-		t.Fatal("want error from all-failing replicas")
-	}
-	if res.Launched != 2 {
-		t.Errorf("failed operation reported Launched = %d, want 2", res.Launched)
-	}
-	if got := b.Available(); got != 0 {
-		t.Errorf("budget refunded tokens for launched-but-failed copies: Available = %d, want 0", got)
-	}
-}
-
 // --- KeyedGroup: the argument-passing call path. ---
 
 func TestKeyedGroupPassesArg(t *testing.T) {
@@ -317,10 +295,8 @@ func TestKeyedGroupPassesArg(t *testing.T) {
 
 func TestKeyedGroupOptions(t *testing.T) {
 	c := NewCounters()
-	b := NewBudget(0, 1)
 	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 3, Selection: SelectRandom},
 		WithObserver(c),
-		WithBudget(b),
 		WithSeed(9))
 	for i := 0; i < 4; i++ {
 		i := i
@@ -330,9 +306,8 @@ func TestKeyedGroupOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget burst is 1: only one extra copy beyond the primary.
-	if res.Launched != 2 {
-		t.Errorf("Launched = %d, want 2 (budget-capped)", res.Launched)
+	if res.Launched != 3 {
+		t.Errorf("Launched = %d, want 3", res.Launched)
 	}
 	if res.Value < 100 || res.Value > 103 {
 		t.Errorf("Value = %d", res.Value)

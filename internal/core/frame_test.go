@@ -240,8 +240,7 @@ func TestDoValueAllocs(t *testing.T) {
 }
 
 // TestDoValueSemantics pins that DoValue is exactly Do minus the
-// metadata: same winner, same error taxonomy, budget and observer still
-// consulted.
+// metadata: same winner, same error taxonomy.
 func TestDoValueSemantics(t *testing.T) {
 	boom := errors.New("boom")
 	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRoundRobin}, WithSeed(1))
@@ -269,20 +268,5 @@ func TestDoValueSemantics(t *testing.T) {
 	ge := NewStrategyGroup[int](Fixed{Copies: 2})
 	if _, err := ge.DoValue(ctx); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("empty DoValue err = %v, want ErrNoReplicas", err)
-	}
-
-	// Budget accounting still applies on the fast lane.
-	b := NewBudget(0, 1)
-	gb := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: time.Hour, Selection: SelectRoundRobin},
-		WithBudget(b))
-	gb.Add("a", coretest.Instant(1))
-	gb.Add("b", coretest.Instant(2))
-	for i := 0; i < 3; i++ {
-		if _, err := gb.DoValue(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if got := b.Available(); got != 1 {
-			t.Fatalf("op %d: unused hedge token not refunded, Available = %d", i, got)
-		}
 	}
 }

@@ -160,6 +160,21 @@ func TestLoadAwareStrategyOnGroup(t *testing.T) {
 		t.Errorf("Stats().Strategy = %q", s.Strategy)
 	}
 
+	// The gate sheds hedges, never quorum copies: a 3-copy strategy on
+	// the same gated governor still launches the 2 a quorum of 2 needs,
+	// and no more.
+	gq := NewStrategyGroup[int](LoadAwareWith(Fixed{Copies: 3}, gs.Governor()))
+	for i := 0; i < 3; i++ {
+		gq.Add(fmt.Sprintf("q%d", i), instantReplica(i))
+	}
+	res, err = gq.Do(context.Background(), WithQuorum(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 2 || !gs.Governor().Gated() {
+		t.Errorf("gated quorum-2 Do launched %d (gated %v), want 2 under the gate", res.Launched, gs.Governor().Gated())
+	}
+
 	// Load clears: redundancy returns.
 	for i := 0; i < 256; i++ {
 		gs.Governor().Observe(0)

@@ -168,20 +168,12 @@ func (d memberDigests[K, T]) At(i int) *LatDigest { return &d.ms[i].m.lat }
 // groupConfig is what a GroupOption sets: the construction-time settings
 // every group shares, whatever its argument and result types.
 type groupConfig struct {
-	budget   *Budget
 	observer Observer
 	seed     uint64
 }
 
 // GroupOption configures a Group or a KeyedGroup at construction.
 type GroupOption func(*groupConfig)
-
-// WithBudget attaches a hedging budget: operations consult the budget
-// before launching extra copies, degrading to a single copy when the
-// budget is exhausted.
-func WithBudget(b *Budget) GroupOption {
-	return func(c *groupConfig) { c.budget = b }
-}
 
 // WithObserver attaches an Observer for per-operation metrics.
 func WithObserver(o Observer) GroupOption {
@@ -436,19 +428,6 @@ func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (R
 	return g.do(ctx, arg, &co)
 }
 
-// DoValue is the fast lane of Do for the common case: no per-call
-// options, quorum 1, first success wins, and only the value matters. It
-// is semantically identical to Do(ctx, arg) followed by reading
-// res.Value — the group's strategy, budget, governor, and observer all
-// still apply — but it skips option materialization entirely: a
-// single-copy call allocates nothing in the engine, nor does a 2-copy
-// call over starters, and a 2-copy call over function replicas makes 2
-// allocations on the pooled call frame.
-func (g *KeyedGroup[K, T]) DoValue(ctx context.Context, arg K) (T, error) {
-	res, err := g.do(ctx, arg, &noCallOpts)
-	return res.Value, err
-}
-
 // do plans one call over the whole group, picks its replicas by the
 // plan's Selection, and runs it.
 func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[T], error) {
@@ -462,7 +441,6 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 	if err != nil {
 		return zero, err
 	}
-	g.charge(&p)
 	if p.k == 1 {
 		var one [1]Handle[K, T]
 		g.pickInto(st, p.sel, one[:])
@@ -478,8 +456,8 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 // first (the primary), picked[1] is the first hedge or quorum peer, and
 // so on. The group's strategy — or a WithStrategyOverride — still
 // decides fan-out and launch schedule; a fan-out of k uses the first k
-// handles, and every per-call option, the budget, the governor, and the
-// observer compose exactly as in Do. This is the routing primitive
+// handles, and every per-call option, the governor, and the observer
+// compose exactly as in Do. This is the routing primitive
 // behind internal/ring: the ring maps a key to its primary and
 // successors on a consistent-hash ring and delegates the call itself
 // here, so sharded routing reuses the whole engine instead of
@@ -517,7 +495,6 @@ func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[
 	if err != nil {
 		return zero, err
 	}
-	g.charge(&p)
 	if p.k == 1 {
 		return g.runOne(ctx, arg, &p, picked[0].m)
 	}
@@ -541,11 +518,9 @@ type callPlan[T any] struct {
 	label   string
 	// negative is the WithNegativeAnswer sentinel, nil if none.
 	negative error
-	// q is the quorum and k the copies the call may launch; charge trims
-	// k to what the budget grants and records the grant.
-	q, k    int
-	granted int
-	sel     Selection
+	// q is the quorum and k the copies the call may launch.
+	q, k int
+	sel  Selection
 }
 
 // plan resolves the strategy, options, quorum, and fan-out for one call.
@@ -615,32 +590,10 @@ func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity 
 	return p, nil
 }
 
-// charge acquires budget tokens for the plan's hedge copies and trims the
-// fan-out to what was granted. The first q copies are mandatory (they
-// are the quorum, or for q = 1 the operation itself); only copies beyond
-// them are hedges charged against the budget.
-func (g *KeyedGroup[K, T]) charge(p *callPlan[T]) {
-	if extra := p.k - p.q; extra > 0 && g.budget != nil {
-		p.granted = g.budget.Acquire(extra)
-		p.k = p.q + p.granted
-	}
-}
-
-// settle closes one call's books on every return path, success or
-// failure, exactly once: tokens pay for copies actually launched, so
-// hedge copies that a fast primary — or an early quorum — made
-// unnecessary are refunded, and the observer sees the call. winner
-// names the replica at res.Index; a failed call reports none.
+// settle reports one call to the group's observer on every return path,
+// success or failure, exactly once. winner names the replica at
+// res.Index; a failed call reports none.
 func (g *KeyedGroup[K, T]) settle(p *callPlan[T], winner string, res *Result[T], err error) {
-	if p.granted > 0 {
-		used := res.Launched - p.q
-		if used < 0 {
-			used = 0
-		}
-		if unused := p.granted - used; unused > 0 {
-			g.budget.Release(unused)
-		}
-	}
 	if g.observer != nil {
 		if err != nil {
 			winner = ""
@@ -660,7 +613,7 @@ func (g *KeyedGroup[K, T]) settle(p *callPlan[T], winner string, res *Result[T],
 // plain call to m on the caller's goroutine, under the caller's own
 // context: no frame, no channel, no derived context, no goroutine (see
 // call.go's file comment for the contract this implies). A one-copy
-// plan has quorum 1 and holds no budget tokens.
+// plan has quorum 1.
 func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], m *member[K, T]) (Result[T], error) {
 	v, d, err := m.run(ctx, arg, p.gov)
 	res, err := singleResult(ctx, m.name, v, d, err, p.collect)
@@ -865,10 +818,11 @@ func (g *Group[T]) Do(ctx context.Context, opts ...CallOption) (Result[T], error
 	return g.KeyedGroup.Do(ctx, struct{}{}, opts...)
 }
 
-// DoValue is the fast lane of Do for the no-options, first-success-wins
-// case where only the value matters. See KeyedGroup.DoValue.
+// DoValue is Do with no per-call options, returning only the winner's
+// value.
 func (g *Group[T]) DoValue(ctx context.Context) (T, error) {
-	return g.KeyedGroup.DoValue(ctx, struct{}{})
+	res, err := g.Do(ctx)
+	return res.Value, err
 }
 
 // ProbeAll runs every replica once, concurrently and to completion,

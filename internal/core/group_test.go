@@ -122,38 +122,6 @@ func TestGroupRoundRobinRotates(t *testing.T) {
 	}
 }
 
-func TestGroupBudgetDegradesToFewerCopies(t *testing.T) {
-	// Budget with zero refill and tiny burst: after it drains, operations
-	// run single-copy instead of failing.
-	b := NewBudget(0, 2)
-	var launched atomic.Int32
-	g := NewStrategyGroup[int](Fixed{Copies: 2, Selection: SelectRandom},
-		WithBudget(b), WithSeed(3))
-	for i := 0; i < 4; i++ {
-		g.Add(string(rune('a'+i)), coretest.Counting(&launched, coretest.Instant(i)))
-	}
-	// Burst 2 tokens, Release returns them after each op, so every op can
-	// hedge. Use AcquireN directly to drain:
-	if got := b.Acquire(2); got != 2 {
-		t.Fatalf("drain: got %d tokens", got)
-	}
-	res, err := g.Do(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 1 {
-		t.Errorf("with empty budget Launched = %d, want 1", res.Launched)
-	}
-	b.Release(2)
-	res, err = g.Do(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Launched != 2 {
-		t.Errorf("with refilled budget Launched = %d, want 2", res.Launched)
-	}
-}
-
 func TestGroupObserverSeesWins(t *testing.T) {
 	c := NewCounters()
 	g := NewStrategyGroup[string](Fixed{Copies: 2}, WithObserver(c))

@@ -15,18 +15,11 @@ import (
 
 // These tests pin the single-copy contract of the call engine (see the
 // file comment of call.go): a call that resolves to one copy — by
-// strategy, governor, budget, fan-out cap or placement — is a plain
+// strategy, governor, fan-out cap or placement — is a plain
 // function call on the caller's goroutine under the caller's own
 // context, allocates nothing in the engine, and still reports what the
 // event loop reported for a one-copy call. They live outside package
 // core so that the ring can take part. Run with -race -count=5.
-
-// drainedBudget returns a budget that never refills and holds no tokens.
-func drainedBudget() *core.Budget {
-	b := core.NewBudget(0, 1)
-	b.Acquire(1)
-	return b
-}
 
 // gatedGovernor returns a governor pushed past its gate.
 func gatedGovernor(t *testing.T) *core.Governor {
@@ -41,7 +34,7 @@ func gatedGovernor(t *testing.T) *core.Governor {
 	return gov
 }
 
-// TestInlineZeroAllocs reaches k=1 four ways and requires DoValue to
+// TestInlineZeroAllocs reaches k=1 three ways and requires DoValue to
 // allocate nothing at all on each.
 func TestInlineZeroAllocs(t *testing.T) {
 	ctx := context.Background()
@@ -56,9 +49,6 @@ func TestInlineZeroAllocs(t *testing.T) {
 
 	gov := gatedGovernor(t)
 	governed := three(core.NewStrategyGroup[int](core.LoadAwareWith(core.Fixed{Copies: 2}, gov)))
-
-	budgeted := three(core.NewStrategyGroup[int](core.Fixed{Copies: 2, HedgeDelay: time.Hour},
-		core.WithBudget(drainedBudget())))
 
 	rg := ring.New[string, int](core.Fixed{Copies: 1})
 	for i, name := range []string{"a", "b", "c"} {
@@ -76,7 +66,6 @@ func TestInlineZeroAllocs(t *testing.T) {
 			gov.Observe(10)
 			return governed.DoValue(ctx)
 		}},
-		{"BudgetEmpty", func() (int, error) { return budgeted.DoValue(ctx) }},
 		{"Ring", func() (int, error) {
 			res, err := rg.Do(ctx, "some-key")
 			return res.Value, err
@@ -183,7 +172,7 @@ func TestInlineCopyContext(t *testing.T) {
 // TestInlineBehaviour is the behaviour table: for each way a one-copy
 // call can end, the single-copy path reports what the event loop
 // reported when it ran one-copy calls — result, error taxonomy, collected
-// outcomes, observation, digest, cancelled counter, governor and budget
+// outcomes, observation, digest, cancelled counter and governor
 // accounting.
 func TestInlineBehaviour(t *testing.T) {
 	boom := errors.New("boom")
@@ -191,14 +180,12 @@ func TestInlineBehaviour(t *testing.T) {
 		g   *core.Group[int]
 		obs *[]core.Observation
 		gov *core.Governor
-		b   *core.Budget
 	}
-	// build makes a governed, budgeted, observed single-copy group over
+	// build makes a governed, observed single-copy group over
 	// primary and a spare that ranked selection never reaches.
 	build := func(primary core.Replica[int]) env {
-		e := env{obs: new([]core.Observation), gov: core.NewGovernor(1000, 0), b: core.NewBudget(0, 4)}
+		e := env{obs: new([]core.Observation), gov: core.NewGovernor(1000, 0)}
 		e.g = core.NewStrategyGroup[int](core.LoadAwareWith(core.Fixed{Copies: 1}, e.gov),
-			core.WithBudget(e.b),
 			core.WithObserver(core.ObserverFunc(func(o core.Observation) { *e.obs = append(*e.obs, o) })))
 		e.g.Add("p", primary)
 		e.g.Add("spare", coretest.Instant(2))
@@ -209,9 +196,6 @@ func TestInlineBehaviour(t *testing.T) {
 		t.Helper()
 		if res.Launched != 1 {
 			t.Errorf("Launched = %d, want 1", res.Launched)
-		}
-		if got := e.b.Available(); got != 4 {
-			t.Errorf("budget holds %d tokens after the call, want all 4", got)
 		}
 		if got := e.gov.Stats().InFlight; got != 0 {
 			t.Errorf("governor has %d copies in flight after the call, want 0", got)

@@ -141,44 +141,6 @@ func TestAdaptiveHedgeWarmDelaysHedge(t *testing.T) {
 	}
 }
 
-func TestAdaptiveHedgeBudgetRefund(t *testing.T) {
-	// A hedge the fast primary made unnecessary must refund its token,
-	// exactly as with Fixed hedging.
-	b := NewBudget(0, 1)
-	g := NewStrategyGroup[int](
-		AdaptiveHedge{Copies: 2, MinSamples: 1 << 30, FallbackDelay: 200 * time.Millisecond, Selection: SelectRandom},
-		WithBudget(b), WithSeed(5))
-	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
-	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
-	for i := 0; i < 3; i++ {
-		res, err := g.Do(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Launched != 1 {
-			t.Fatalf("op %d launched %d copies, want 1 (hedge never fires)", i, res.Launched)
-		}
-		if got := b.Available(); got != 1 {
-			t.Fatalf("op %d: budget not refunded, Available = %d", i, got)
-		}
-	}
-}
-
-func TestFullReplicateBudgetConsumed(t *testing.T) {
-	// FullReplicate launches everything immediately, so tokens are spent.
-	b := NewBudget(0, 1)
-	g := NewStrategyGroup[int](FullReplicate{Selection: SelectRandom},
-		WithBudget(b), WithSeed(5))
-	g.Add("a", func(ctx context.Context) (int, error) { return 1, nil })
-	g.Add("b", func(ctx context.Context) (int, error) { return 2, nil })
-	if _, err := g.Do(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Available(); got != 0 {
-		t.Errorf("budget Available = %d after full replication, want 0", got)
-	}
-}
-
 // oddSchedule exercises the schedule-normalization path: a strategy
 // that ignores dst and returns its own memory, with the wrong number of
 // delays.

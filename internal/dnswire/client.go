@@ -138,11 +138,6 @@ func NewResolver(c *Client, s core.Strategy, servers ...string) *Resolver {
 // replication while the resolver keeps hedging for everyone else, cap
 // its fan-out, or core.WithLabel its traffic class.
 func (r *Resolver) Lookup(ctx context.Context, name string, qtype Type, opts ...core.CallOption) (*Message, error) {
-	if len(opts) == 0 {
-		// The common zero-option lookup rides the group's DoValue fast
-		// lane (pooled call frame, no option materialization).
-		return r.group.DoValue(ctx, Question{Name: name, Type: qtype})
-	}
 	res, err := r.group.Do(ctx, Question{Name: name, Type: qtype}, opts...)
 	if err != nil {
 		return nil, err

@@ -24,12 +24,11 @@
 //
 // The group tracks per-replica latency, so the same set can replicate to
 // the k fastest (the paper's DNS strategy), hedge after a fixed or
-// adaptive delay, bound added load with a Budget, and stop replicating
-// when load makes copies cost more than they save (LoadAware). Per-call
-// options then tune a single operation without touching the shared group:
+// adaptive delay, and stop replicating when load makes copies cost more
+// than they save (LoadAware). Per-call options then tune a single
+// operation without touching the shared group:
 //
-//	g = redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2},
-//	    redundancy.WithBudget(redundancy.NewBudget(100, 10))) // ≤ 100 extra copies/s
+//	g = redundancy.NewStrategyGroup[string](redundancy.Fixed{Copies: 2})
 //	g.Add("a.example", queryA)
 //	g.Add("b.example", queryB)
 //	g.Add("c.example", queryC)
@@ -38,8 +37,7 @@
 //	res, err = g.Do(ctx)                              // the 2 fastest race
 //	res, err = g.Do(ctx, redundancy.WithQuorum(2))    // 2-of-3 read
 //	res, err = g.Do(ctx, redundancy.WithFanoutCap(1)) // one copy, this call only
-//	v, err := g.DoValue(ctx)                          // winner's value only,
-//	                                                  // no option machinery
+//	v, err := g.DoValue(ctx)                          // winner's value only
 //
 // When the dataset no longer fits on every replica, Ring shards it:
 // keys are partitioned across backends by consistent hashing (the
@@ -135,9 +133,6 @@ const (
 // exponential-service threshold of 1/3 base load).
 const DefaultGovernorThreshold = core.DefaultGovernorThreshold
 
-// Budget caps the extra load redundancy may add.
-type Budget = core.Budget
-
 // Observer receives one observation per completed operation.
 type Observer = core.Observer
 
@@ -171,18 +166,11 @@ func NewStrategyGroup[T any](s Strategy, opts ...GroupOption) *Group[T] {
 	return core.NewStrategyGroup[T](s, opts...)
 }
 
-// WithBudget attaches a hedging budget to a Group.
-func WithBudget(b *Budget) GroupOption { return core.WithBudget(b) }
-
 // WithObserver attaches an Observer to a Group.
 func WithObserver(o Observer) GroupOption { return core.WithObserver(o) }
 
 // WithSeed fixes a Group's random-selection seed for reproducibility.
 func WithSeed(seed int64) GroupOption { return core.WithSeed(seed) }
-
-// NewBudget creates a Budget refilling at rate extra copies per second
-// with the given burst capacity.
-func NewBudget(rate, burst float64) *Budget { return core.NewBudget(rate, burst) }
 
 // NewCounters returns an empty Counters observer.
 func NewCounters() *Counters { return core.NewCounters() }

@@ -61,11 +61,9 @@ func TestPublicErrNoReplicas(t *testing.T) {
 
 func TestPublicGroupWithEverything(t *testing.T) {
 	counters := redundancy.NewCounters()
-	budget := redundancy.NewBudget(1000, 10)
 	g := redundancy.NewStrategyGroup[string](
 		redundancy.Fixed{Copies: 2, Selection: redundancy.SelectRanked},
 		redundancy.WithObserver(counters),
-		redundancy.WithBudget(budget),
 		redundancy.WithSeed(1),
 	)
 	g.Add("a", func(ctx context.Context) (string, error) { return "a", nil })
@@ -75,8 +73,12 @@ func TestPublicGroupWithEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if counters.Ops() != 5 {
-		t.Errorf("Ops = %d", counters.Ops())
+	res, err := g.Do(context.Background(), redundancy.WithFanoutCap(1))
+	if err != nil || res.Launched != 1 {
+		t.Errorf("capped Do = (%+v, %v), want 1 copy launched", res, err)
+	}
+	if counters.Ops() != 6 || counters.CopiesPerOp() != 11.0/6 {
+		t.Errorf("Ops = %d, copies/op = %g; want 6 and 11/6", counters.Ops(), counters.CopiesPerOp())
 	}
 	if g.Len() != 2 {
 		t.Errorf("Len = %d", g.Len())
@@ -151,13 +153,13 @@ func TestPublicResultReportsCancelled(t *testing.T) {
 // names need to be callable. Adding an export means editing this list.
 func TestRootSurface(t *testing.T) {
 	want := []string{
-		"AdaptiveHedge", "Budget", "CallOption", "Counters",
+		"AdaptiveHedge", "CallOption", "Counters",
 		"DefaultGovernorThreshold", "ErrNoReplicas", "ErrQuorumUnreachable",
 		"Fixed", "FullReplicate", "GovernedStrategy", "Group", "GroupOption",
-		"LoadAware", "NewBudget", "NewCounters", "NewRing", "NewStrategyGroup",
+		"LoadAware", "NewCounters", "NewRing", "NewStrategyGroup",
 		"Observer", "Outcome", "QuorumError", "Replica", "ReplicaError",
 		"Result", "Ring", "SelectRandom", "SelectRanked", "SelectRoundRobin",
-		"Selection", "Strategy", "WithBudget", "WithCollectOutcomes",
+		"Selection", "Strategy", "WithCollectOutcomes",
 		"WithFanoutCap", "WithObserver", "WithQuorum", "WithSeed",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "redundancy.go", nil, parser.SkipObjectResolution)
