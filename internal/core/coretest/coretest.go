@@ -1,10 +1,10 @@
 // Package coretest provides scriptable fake replicas for testing the
 // redundancy engine. The helpers come in two flavors:
 //
-//   - Channel-gated replicas (Gate, Blocked, FailBlocked, Instant,
-//     Fail): fully deterministic, no wall clock anywhere, so tests that
-//     assert on ordering, launch counts, or cancellation never race the
-//     scheduler and survive `go test -race -count=5` unchanged.
+//   - Channel-gated replicas (Gate, Blocked, Instant, Fail): fully
+//     deterministic, no wall clock anywhere, so tests that assert on
+//     ordering, launch counts, or cancellation never race the scheduler
+//     and survive `go test -race -count=5` unchanged.
 //   - Timed replicas (Sleeper, Failer): for tests whose subject IS a
 //     latency distribution (digest warming, ranked selection). They
 //     honor context cancellation, and assertions built on them should
@@ -103,20 +103,6 @@ func Blocked[T any](v T, gate *Gate) func(ctx context.Context) (T, error) {
 			return v, nil
 		case <-ctx.Done():
 			var zero T
-			return zero, ctx.Err()
-		}
-	}
-}
-
-// FailBlocked returns a replica that fails with err once gate releases,
-// or returns the context error if cancelled first.
-func FailBlocked[T any](err error, gate *Gate) func(ctx context.Context) (T, error) {
-	return func(ctx context.Context) (T, error) {
-		var zero T
-		select {
-		case <-gate.C():
-			return zero, err
-		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
 	}

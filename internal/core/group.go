@@ -147,9 +147,6 @@ func (m *member[K, T]) run(ctx context.Context, arg K, gov *Governor) (T, time.D
 // in flight. The zero Handle is invalid.
 type Handle[K, T any] struct{ m *member[K, T] }
 
-// Valid reports whether the handle references a replica.
-func (h Handle[K, T]) Valid() bool { return h.m != nil }
-
 // Name returns the replica's registration name ("" for the zero Handle).
 func (h Handle[K, T]) Name() string {
 	if h.m == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -35,10 +36,11 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //   - Every request is registered the same way (registerLocked): a tag,
 //     an entry in the connection's waiter table, and its timeout on the
 //     shared timer wheel, all under the connection's lock.
-//   - Writes coalesce: requests append frames to a pending buffer and a
-//     single flusher goroutine writes whatever accumulated while the
-//     previous write was in flight — group commit, one syscall for many
-//     requests under load.
+//   - Writes coalesce: requests append frames to the connection's
+//     wireConn, whose single flusher goroutine writes whatever
+//     accumulated while the previous write was in flight — group commit,
+//     one syscall for many requests under load. The server answers
+//     through the same writer.
 //   - Reads demux: a reader goroutine routes each response frame to its
 //     tag's waiter. Responses may arrive in any order; slow requests
 //     don't head-of-line-block fast ones.
@@ -103,29 +105,25 @@ func NewMuxClient(addr string, timeout time.Duration) *MuxClient {
 // Addr returns the server address this client targets.
 func (m *MuxClient) Addr() string { return m.addr }
 
-// muxConn is one multiplexed connection: a writer-side pending buffer
-// drained by the flusher goroutine, and a reader goroutine demuxing
-// response frames to tag waiters.
+// muxConn is one multiplexed connection: the wireConn every request is
+// written through, and a reader goroutine demuxing response frames to
+// tag waiters.
 type muxConn struct {
-	c net.Conn
+	// wireConn's mu also guards the fields below.
+	wireConn
 	// owner is the client this connection serves, so fail can hand the
 	// reconnection to its background redialer. It is nil in tests that
 	// build bare conns.
 	owner *MuxClient
 
-	mu      sync.Mutex
 	tag     uint64
 	waiters map[uint64]muxEntry
 	// watches routes server-push frames (opEvent/opWatchEnd) by the
 	// owning watch's tag — the streaming sibling of waiters. Lazily
 	// allocated on the first Watch.
 	watches map[uint64]*WatchStream
-	pending []byte
 	dead    bool
 	err     error
-
-	flushC chan struct{}
-	done   chan struct{}
 }
 
 // muxEntry is one in-flight request's place in the waiter table. It is
@@ -175,15 +173,9 @@ func (m *MuxClient) dial(ctx context.Context) (*muxConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn := &muxConn{
-		c:       c,
-		owner:   m,
-		waiters: make(map[uint64]muxEntry),
-		flushC:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
+	cn := &muxConn{wireConn: newWireConn(c), owner: m, waiters: make(map[uint64]muxEntry)}
 	go cn.reader()
-	go cn.flusher()
+	go cn.flusher(cn.fail)
 	return cn, nil
 }
 
@@ -256,6 +248,21 @@ const (
 	muxRedialMax  = 2 * time.Second
 )
 
+// sleepBackoff sleeps a jittered delay in [d/2, d), so clients that
+// broke together don't retry in lockstep, and returns the next delay: d
+// doubled, up to muxRedialMax. ok is false if stop closed first.
+func sleepBackoff(d time.Duration, stop <-chan struct{}) (next time.Duration, ok bool) {
+	select {
+	case <-time.After(d/2 + time.Duration(rand.Int63n(int64(d/2)))):
+	case <-stop:
+		return d, false
+	}
+	if d < muxRedialMax {
+		d *= 2
+	}
+	return d, true
+}
+
 // redialLoop reconnects with jittered exponential backoff, storing the
 // fresh connection when it succeeds. It exits when the client closes.
 func (m *MuxClient) redialLoop() {
@@ -279,16 +286,9 @@ func (m *MuxClient) redialLoop() {
 		}
 		m.lastDialErr = err
 		m.mu.Unlock()
-		// Jittered sleep in [backoff/2, backoff), so clients that broke
-		// together don't retry in lockstep.
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)))
-		select {
-		case <-time.After(d):
-		case <-m.closedC:
+		var ok bool
+		if backoff, ok = sleepBackoff(backoff, m.closedC); !ok {
 			return
-		}
-		if backoff < muxRedialMax {
-			backoff *= 2
 		}
 	}
 }
@@ -402,15 +402,6 @@ func (cn *muxConn) registerLocked(e muxEntry, timeout time.Duration) uint64 {
 	return cn.tag
 }
 
-// signalFlush wakes the flusher if it is not already due to run: the
-// second half of every enqueue.
-func (cn *muxConn) signalFlush() {
-	select {
-	case cn.flushC <- struct{}{}:
-	default:
-	}
-}
-
 // reader demuxes response frames to whoever registered their tag.
 func (cn *muxConn) reader() {
 	r := bufio.NewReaderSize(cn.c, 64<<10)
@@ -503,35 +494,6 @@ func readReplyValue(r *bufio.Reader, f *frame, vlen int) error {
 		return readVerValue(r, f, vlen)
 	}
 	return readFrameValue(r, f, vlen)
-}
-
-// flusher is the connection's single writer: each pass swaps out
-// whatever frames accumulated while the previous write was on the wire
-// and writes them with one syscall (group commit).
-func (cn *muxConn) flusher() {
-	var scratch []byte
-	for {
-		select {
-		case <-cn.flushC:
-		case <-cn.done:
-			return
-		}
-		for {
-			cn.mu.Lock()
-			if len(cn.pending) == 0 {
-				cn.mu.Unlock()
-				break
-			}
-			buf := cn.pending
-			cn.pending = scratch[:0]
-			cn.mu.Unlock()
-			if _, err := cn.c.Write(buf); err != nil {
-				cn.fail(err)
-				return
-			}
-			scratch = buf
-		}
-	}
 }
 
 // claim takes tag's entry out of the waiter table and stops its timer,
@@ -785,11 +747,21 @@ func (m *MuxClient) Stats(ctx context.Context) (map[string]int64, error) {
 	}
 }
 
+// ttlSeconds renders a TTL for the wire: whole seconds rounded up (0 =
+// never), saturating at math.MaxUint32 (about 136 years) rather than
+// wrapping to a short TTL. Rounding up cannot compound for a TTL as
+// written, a write's or a watch event's. A remaining TTL re-applied hop
+// after hop would, so whoever re-applies one floors it or takes a second
+// off first (Store.GetVersion, readQuorum).
 func ttlSeconds(ttl time.Duration) uint32 {
 	if ttl <= 0 {
 		return 0
 	}
-	return uint32((ttl + time.Second - 1) / time.Second)
+	secs := ttl / time.Second
+	if ttl%time.Second != 0 {
+		secs++
+	}
+	return uint32(min(secs, math.MaxUint32))
 }
 
 // ---- Versioned operations (the convergence surface) ----

@@ -599,7 +599,7 @@ func TestAsyncAbandonedReplyCostsNothing(t *testing.T) {
 		value[i] = byte(i)
 	}
 	reply := appendVerFrame(nil, opValueV, 99, 0, "", 5, 0, value)
-	cn := &muxConn{waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+	cn := &muxConn{wireConn: wireConn{done: make(chan struct{})}, waiters: make(map[uint64]muxEntry)}
 	r := bufio.NewReaderSize(&loopReader{b: reply}, 4096)
 	avg := testing.AllocsPerRun(1000, func() {
 		if err := cn.readOne(r); err != nil {

@@ -26,7 +26,7 @@ import (
 // bareConn is a connection with no socket under it, for driving readOne
 // over bytes a test wrote: sinks[i] waits on tag i+1, slot i.
 func bareConn(sinks ...*readSink) *muxConn {
-	cn := &muxConn{c: deadConn{}, waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+	cn := &muxConn{wireConn: wireConn{c: deadConn{}, done: make(chan struct{})}, waiters: make(map[uint64]muxEntry)}
 	for i, s := range sinks {
 		cn.waiters[uint64(i+1)] = muxEntry{sink: s, slot: i}
 	}

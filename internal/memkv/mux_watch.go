@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -29,63 +28,25 @@ var ErrWatchClosed = errors.New("memkv: watch closed by server")
 // and resubscription are gone; the redundant sharded watch exists to
 // cover exactly that gap with the other replicas).
 type WatchStream struct {
-	cn     *muxConn
-	tag    uint64
-	prefix string
-
-	mu     sync.Mutex
-	closed bool
-	err    error
-	ch     chan WatchEvent
-	done   chan struct{}
+	eventStream
+	cn  *muxConn
+	tag uint64
 }
-
-// Events returns the stream's event channel, closed when the stream
-// ends.
-func (s *WatchStream) Events() <-chan WatchEvent { return s.ch }
-
-// Prefix returns the watched key prefix.
-func (s *WatchStream) Prefix() string { return s.prefix }
 
 // Done returns a channel closed when the stream ends (for select
 // without consuming events).
 func (s *WatchStream) Done() <-chan struct{} { return s.done }
 
-// Err reports why the stream ended (nil while live or after Close).
-func (s *WatchStream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
 // Close ends the stream and tells the server (best effort) to drop the
 // subscription. Idempotent.
 func (s *WatchStream) Close() { s.closeAndUnwatch(nil) }
 
-// end closes the stream locally with err, reporting whether this call
-// did it.
-func (s *WatchStream) end(err error) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	s.closed = true
-	s.err = err
-	close(s.ch)
-	close(s.done)
-	s.mu.Unlock()
-	return true
-}
-
-// closeAndUnwatch ends the stream locally and enqueues a fire-and-forget
-// opUnwatch so the server releases the subscription (skipped if the
-// connection is already dead). The opUnwatched ack arrives with no
-// waiter registered and is discarded — the mux cancellation idiom.
-func (s *WatchStream) closeAndUnwatch(err error) {
-	if !s.end(err) {
-		return
-	}
+// unwatch forgets the ended stream's route and enqueues a
+// fire-and-forget opUnwatch so the server releases the subscription
+// (skipped if the connection is already dead). The opUnwatched ack
+// arrives with no waiter registered and is discarded — the mux
+// cancellation idiom.
+func (s *WatchStream) unwatch() {
 	cn := s.cn
 	cn.mu.Lock()
 	if cn.watches != nil {
@@ -104,38 +65,30 @@ func (s *WatchStream) closeAndUnwatch(err error) {
 	}
 }
 
+// closeAndUnwatch ends the stream with err and, if this call ended it,
+// releases the server's subscription.
+func (s *WatchStream) closeAndUnwatch(err error) {
+	if s.end(err) {
+		s.unwatch()
+	}
+}
+
 // deliver routes one server-push frame (opEvent or opWatchEnd) into the
 // stream. It runs on the connection's reader goroutine and must not
 // block: a full event buffer disconnects this stream instead of
 // stalling every request and watch sharing the connection.
 func (s *WatchStream) deliver(f *frame) {
-	if f.op == opWatchEnd {
+	switch {
+	case f.op == opWatchEnd:
 		err := ErrWatchClosed
 		if f.aux == watchEndSlow {
 			err = ErrSlowWatcher
 		}
 		s.end(err)
-		return
-	}
-	if f.short {
+	case f.short:
 		s.closeAndUnwatch(errVerPayload)
-		return
-	}
-	ev := WatchEvent{Type: EventType(f.aux), Key: f.key, Value: f.val, Version: f.ver, TTLSecs: f.ttl}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	ok := false
-	select {
-	case s.ch <- ev:
-		ok = true
-	default:
-	}
-	s.mu.Unlock()
-	if !ok {
-		s.closeAndUnwatch(ErrSlowWatcher)
+	case s.offer(WatchEvent{Type: EventType(f.aux), Key: f.key, Value: f.val, Version: f.ver, TTLSecs: f.ttl}):
+		s.unwatch()
 	}
 }
 
@@ -152,20 +105,14 @@ func (s *WatchStream) deliver(f *frame) {
 // before the frame is on the wire, no event can arrive unroutable,
 // however fast the server pushes after opWatchOK.
 func (m *MuxClient) Watch(ctx context.Context, prefix string, buf int) (*WatchStream, error) {
-	if buf < 1 {
-		buf = DefaultWatchBuffer
-	}
-	if buf > maxWatchBuffer {
-		buf = maxWatchBuffer
-	}
-	st := &WatchStream{prefix: prefix, ch: make(chan WatchEvent, buf), done: make(chan struct{})}
+	st := &WatchStream{eventStream: newEventStream(prefix, buf)}
 	cn, err := m.lockConn(ctx)
 	if err != nil {
 		return nil, err
 	}
 	st.cn = cn
 	w := muxWaiterPool.Get().(*muxWaiter)
-	req := frame{op: opWatch, key: prefix, aux: uint32(buf)}
+	req := frame{op: opWatch, key: prefix, aux: uint32(cap(st.ch))}
 	req.tag = cn.registerLocked(muxEntry{w: w}, m.timeout)
 	st.tag = req.tag
 	if cn.watches == nil {

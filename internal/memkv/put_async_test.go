@@ -633,7 +633,7 @@ func TestAsyncPutSurvivesServerKill(t *testing.T) {
 // reply fails the connection and still completes the put.
 func TestAsyncPutReplyDecodedInPlace(t *testing.T) {
 	stored := appendVerFrame(nil, opStoredV, 99, 1, "", 4242, 0, nil)
-	cn := &muxConn{waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+	cn := &muxConn{wireConn: wireConn{done: make(chan struct{})}, waiters: make(map[uint64]muxEntry)}
 	sink := newPutSink(2000)
 	r := bufio.NewReaderSize(&loopReader{b: stored}, 4096)
 	avg := testing.AllocsPerRun(1000, func() {
@@ -676,7 +676,7 @@ func TestAsyncPutReplyDecodedInPlace(t *testing.T) {
 
 	for cut := frameHeaderLen; cut < len(stored); cut += 5 {
 		a, b := net.Pipe()
-		tcn := &muxConn{c: a, waiters: make(map[uint64]muxEntry), done: make(chan struct{})}
+		tcn := &muxConn{wireConn: wireConn{c: a, done: make(chan struct{})}, waiters: make(map[uint64]muxEntry)}
 		tsink := newPutSink(1)
 		tcn.waiters[99] = muxEntry{put: tsink, slot: 0}
 		if err := tcn.readOne(bufio.NewReader(bytes.NewReader(stored[:cut]))); err == nil {

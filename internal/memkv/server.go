@@ -40,21 +40,17 @@ const (
 //
 // Every stored value carries a monotonically increasing version (the
 // kvdb "ModifiedIndex" idiom). A write takes the caller's version
-// (PutVersion), a fresh one from the store's index (Set, SetTTL), or a
+// (PutVersion), a fresh one from the store's clock (Set, SetTTL), or a
 // fresh one if the stored version is the expected one
 // (CompareAndSwap); the first two apply only when strictly newer than
 // what the store holds — last-writer-wins by version. Versions are what make redundant reads self-healing: a
 // quorum read that observes two replicas at different versions knows
 // which copy is stale and exactly what to push back.
 type Store struct {
-	// index is the store's version source. It is advanced past every
+	// clock is the store's version source. It is advanced past every
 	// version the store witnesses (local or replicated), so a local
-	// write always produces a version newer than anything stored. Fresh
-	// versions are also floored at the wall clock in nanoseconds, which
-	// keeps versions from independent stores and clients roughly
-	// comparable — the LWW tiebreak of replicated writes stays sane even
-	// when two writers never read each other.
-	index  atomic.Uint64
+	// write always produces a version newer than anything stored.
+	clock  versionClock
 	shards [shardCount]shard
 	// watch fans mutations out to registered prefix watchers (watch.go).
 	// Zero-valued and dormant until the first Watch call.
@@ -198,29 +194,31 @@ func clone(b []byte) []byte {
 	return c
 }
 
-// tick returns a fresh version: strictly greater than every version the
-// store has witnessed, and at least the current wall clock in
-// nanoseconds.
-func (s *Store) tick() uint64 {
-	now := uint64(time.Now().UnixNano())
+// versionClock is the Lamport clock behind every version a store or a
+// ShardedClient mints. Fresh versions are floored at the wall clock in
+// nanoseconds, which keeps versions from independent stores and clients
+// roughly comparable — the LWW tiebreak of replicated writes stays sane
+// even when two writers never read each other.
+type versionClock struct{ last atomic.Uint64 }
+
+// next returns a fresh version: strictly greater than every version the
+// clock has minted or witnessed, and at least the wall clock.
+func (c *versionClock) next() uint64 {
 	for {
-		last := s.index.Load()
-		v := now
-		if v <= last {
-			v = last + 1
-		}
-		if s.index.CompareAndSwap(last, v) {
+		last := c.last.Load()
+		v := max(uint64(time.Now().UnixNano()), last+1)
+		if c.last.CompareAndSwap(last, v) {
 			return v
 		}
 	}
 }
 
-// witness advances the store's index to at least v, so local writes
-// after a replicated write at v produce strictly newer versions.
-func (s *Store) witness(v uint64) {
+// witness advances the clock to at least v, so versions minted after a
+// write or read at v are strictly newer: the Lamport receive rule.
+func (c *versionClock) witness(v uint64) {
 	for {
-		last := s.index.Load()
-		if last >= v || s.index.CompareAndSwap(last, v) {
+		last := c.last.Load()
+		if last >= v || c.last.CompareAndSwap(last, v) {
 			return
 		}
 	}
@@ -234,22 +232,11 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 // SetTTL stores value under key, expiring after ttl (0 = never). Expiry
 // is active — a shared-wheel timer reaps the item at its deadline and
 // notifies watchers — with lazy reap-on-access as the backstop. The
-// write is a PutVersion at a fresh version from the store's index, so
-// it loses to a newer version that lands between the tick and the
+// write is a PutVersion at a fresh version from the store's clock, so
+// it loses to a newer version that lands between minting and the
 // write: a key's version never moves backwards.
 func (s *Store) SetTTL(key string, flags uint32, value []byte, ttl time.Duration) {
-	putVersion(s, key, flags, value, ttl, s.tick(), false)
-}
-
-// ttlEventSecs renders a write's TTL for its watch event: whole seconds
-// rounded up (0 = never). This is the TTL as written, not a remaining
-// TTL, so rounding up cannot compound — unlike the read path, which
-// floors (see GetVersion).
-func ttlEventSecs(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	return uint32((ttl + time.Second - 1) / time.Second)
+	putVersion(s, key, flags, value, ttl, s.clock.next(), false)
 }
 
 // PutVersion applies a replicated write carrying an explicit version: the
@@ -258,7 +245,7 @@ func ttlEventSecs(ttl time.Duration) uint32 {
 // or pushing a repair can never clobber data a replica learned later. It
 // returns the version now current for the key and whether this write
 // applied. Version 0 never applies: it is what a create-only
-// CompareAndSwap expects of an absent key. The store's index is advanced
+// CompareAndSwap expects of an absent key. The store's clock is advanced
 // past version either way.
 func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool) {
 	return putVersion(s, key, flags, value, ttl, version, false)
@@ -272,7 +259,7 @@ func (s *Store) PutVersion(key string, flags uint32, value []byte, ttl time.Dura
 // copy — the server's frame loop read it off the wire at its exact
 // length for nobody else (the one ownership hand-off on the write path).
 func putVersion[K string | []byte](s *Store, key K, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) (current uint64, applied bool) {
-	s.witness(version)
+	s.clock.witness(version)
 	sh := shardOf(s, key)
 	sh.mu.Lock()
 	cur, present := sh.m[string(key)]
@@ -313,7 +300,7 @@ func install[K string | []byte](s *Store, sh *shard, cur item, present bool, key
 		it.exp = s.armExpiry(k, version, ttl)
 	}
 	sh.m[k] = it
-	s.watch.notify(WatchEvent{Type: EventPut, Key: k, Value: it.data, Version: version, TTLSecs: ttlEventSecs(ttl)})
+	s.watch.notify(WatchEvent{Type: EventPut, Key: k, Value: it.data, Version: version, TTLSecs: ttlSeconds(ttl)})
 }
 
 // CompareAndSwap stores value under key only if the stored version
@@ -338,7 +325,7 @@ func compareAndSwap[K string | []byte](s *Store, key K, flags uint32, value []by
 		sh.mu.Unlock()
 		return held, false
 	}
-	ver := s.tick()
+	ver := s.clock.next()
 	install(s, sh, cur, present, key, flags, value, ttl, ver, owned)
 	sh.mu.Unlock()
 	return ver, true

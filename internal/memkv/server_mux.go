@@ -4,16 +4,15 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
-	"sync"
 	"time"
 
 	"redundancy/internal/core"
 )
 
 // This file is the server's connection loop: it reads frames, executes
-// them against the store, and appends responses to a coalesced write
-// buffer drained by a flusher goroutine — the mirror image of the
-// client's MuxClient.
+// them against the store, and writes responses through the same
+// wireConn a MuxClient writes its requests through (wire.go), so both
+// ends coalesce their frames with one writer.
 //
 //   - Responses interleave out of order. A delayed request (the Delay
 //     hook) parks on the shared timer wheel and answers when its delay
@@ -29,19 +28,15 @@ import (
 
 // muxSession is one connection's server state.
 type muxSession struct {
-	s    *Server
-	conn net.Conn
+	// wireConn's mu also guards the fields below.
+	wireConn
+	s *Server
 
-	mu      sync.Mutex
-	pending []byte
-	closed  bool
+	closed bool
 	// watches maps a watch's identity — the tag of the opWatch frame
 	// that opened it — to its store-side subscription. Each entry has a
 	// pump goroutine moving store events into the pending buffer.
 	watches map[uint64]*StoreWatch
-
-	flushC chan struct{}
-	done   chan struct{}
 }
 
 // muxWatchBacklogCap bounds the un-flushed response bytes a session may
@@ -67,13 +62,8 @@ const muxWatchBacklogCap = 4 << 20
 // its value at exact length; a write to a key the store holds borrows
 // the store's string.
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
-	m := &muxSession{
-		s:      s,
-		conn:   conn,
-		flushC: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	go m.flusher()
+	m := &muxSession{wireConn: newWireConn(conn), s: s}
+	go m.flusher(func(error) { m.shutdown() })
 	for {
 		var q frame
 		kb, vlen, err := readFrameHeadRaw(r, &q)
@@ -302,14 +292,6 @@ func boolAux(b bool) uint32 {
 	return 0
 }
 
-// signalFlush wakes the flusher if it is not already due to run.
-func (m *muxSession) signalFlush() {
-	select {
-	case m.flushC <- struct{}{}:
-	default:
-	}
-}
-
 // pumpWatch moves one watch's store events into the session's pending
 // buffer, then emits the stream's terminal opWatchEnd. It is the only
 // goroutine the watch path holds per subscription, and it spends its
@@ -359,35 +341,6 @@ func (m *muxSession) endWatch(tag uint64, reason uint32) {
 	m.signalFlush()
 }
 
-// flusher drains the pending buffer with one write per pass — the
-// server-side group commit matching the client's. Responses produced
-// while a write is on the wire coalesce into the next write.
-func (m *muxSession) flusher() {
-	var scratch []byte
-	for {
-		select {
-		case <-m.flushC:
-		case <-m.done:
-			return
-		}
-		for {
-			m.mu.Lock()
-			if len(m.pending) == 0 {
-				m.mu.Unlock()
-				break
-			}
-			buf := m.pending
-			m.pending = scratch[:0]
-			m.mu.Unlock()
-			if _, err := m.conn.Write(buf); err != nil {
-				m.shutdown()
-				return
-			}
-			scratch = buf
-		}
-	}
-}
-
 // shutdown marks the session closed (idempotent): parked delayed
 // requests become aborts at fire time, the flusher exits, and every
 // store watch the session held is released (their pumps drain and exit;
@@ -406,7 +359,7 @@ func (m *muxSession) shutdown() {
 	}
 	m.mu.Unlock()
 	close(m.done)
-	m.conn.Close()
+	m.c.Close()
 	for _, sw := range ws {
 		sw.Close()
 	}

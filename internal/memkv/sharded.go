@@ -49,7 +49,7 @@ type ShardedClient struct {
 	// Versioned (convergence) surface — see sharded_versioned.go. clock
 	// is the client's Lamport version clock; sink, when set, receives
 	// repair work (missed writes, divergence, topology changes).
-	clock atomic.Uint64
+	clock versionClock
 	sink  atomic.Pointer[sinkBox]
 }
 

@@ -93,32 +93,11 @@ func (sc *ShardedClient) repairSink() RepairSink {
 // NextVersion mints a version strictly greater than any this client has
 // minted or witnessed: max(wall clock nanos, last+1). The wall-clock
 // floor keeps versions comparable across independent clients.
-func (sc *ShardedClient) NextVersion() uint64 {
-	for {
-		last := sc.clock.Load()
-		v := uint64(time.Now().UnixNano())
-		if v <= last {
-			v = last + 1
-		}
-		if sc.clock.CompareAndSwap(last, v) {
-			return v
-		}
-	}
-}
+func (sc *ShardedClient) NextVersion() uint64 { return sc.clock.next() }
 
 // Witness advances the version clock to at least v — called with the
 // version every read returns, the Lamport receive rule.
-func (sc *ShardedClient) Witness(v uint64) {
-	for {
-		last := sc.clock.Load()
-		if v <= last {
-			return
-		}
-		if sc.clock.CompareAndSwap(last, v) {
-			return
-		}
-	}
-}
+func (sc *ShardedClient) Witness(v uint64) { sc.clock.witness(v) }
 
 // versionedStragglerTimeout bounds how long a placement copy of a
 // versioned write may keep running after the call returned (quorum met

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,17 +227,9 @@ func (w *PrefixWatch) shardLoop(addr string, st *WatchStream) {
 		}
 		next, err := cl.Watch(w.ctx, w.prefix, cap(w.events))
 		if err != nil {
-			if w.ctx.Err() != nil {
+			var ok bool
+			if backoff, ok = sleepBackoff(backoff, w.ctx.Done()); !ok {
 				return
-			}
-			d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)))
-			select {
-			case <-time.After(d):
-			case <-w.ctx.Done():
-				return
-			}
-			if backoff < muxRedialMax {
-				backoff *= 2
 			}
 			continue
 		}

@@ -1,6 +1,8 @@
 package memkv
 
 import (
+	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -81,5 +83,38 @@ func TestTTLRepairHopsDoNotExtendLifetime(t *testing.T) {
 	}
 	if hops == 0 {
 		t.Fatal("key died before a single hop; the relay never ran")
+	}
+}
+
+// A TTL goes on the wire as whole seconds in a u32. One past 2^32-1
+// seconds — about 136 years, which time.ParseDuration and the gateway's
+// ?ttl= both accept — saturates there; a wrap would send 2^32+1 s as 1 s
+// and expire the key after a second.
+func TestTTLSecondsSaturates(t *testing.T) {
+	past := (1<<32 + 1) * time.Second
+	for _, c := range []struct {
+		ttl  time.Duration
+		want uint32
+	}{
+		{0, 0},
+		{time.Nanosecond, 1},
+		{time.Second, 1},
+		{1500 * time.Millisecond, 2},
+		{past, math.MaxUint32},
+		{math.MaxInt64, math.MaxUint32},
+	} {
+		if got := ttlSeconds(c.ttl); got != c.want {
+			t.Errorf("ttlSeconds(%v) = %d, want %d", c.ttl, got, c.want)
+		}
+	}
+
+	sc, _ := startShards(t, 1, ShardedConfig{})
+	ctx := context.Background()
+	if _, err := sc.PutVersioned(ctx, "ttl/far", []byte("v"), past); err != nil {
+		t.Fatal(err)
+	}
+	_, _, ttlSecs, err := sc.VersionedShard(sc.Owners("ttl/far")[0]).GetV(ctx, "ttl/far")
+	if err != nil || ttlSecs <= 1<<31 {
+		t.Fatalf("GetV after a put at %v: ttl %d s, err %v; want over 2^31 s", past, ttlSecs, err)
 	}
 }

@@ -16,10 +16,11 @@ import (
 // are delivered in version order.
 //
 // Watchers are deliberately cheap and deliberately bounded: each one is
-// a buffered channel, delivery is a non-blocking send, and a watcher
-// whose buffer is full when an event arrives is disconnected on the
-// spot (ErrSlowWatcher) rather than allowed to backpressure writers or
-// pin unbounded memory. Streams have no history: a watcher sees events
+// an eventStream, the same bounded stream a MuxClient's WatchStream is,
+// so delivery is a non-blocking send, and a watcher whose buffer is
+// full when an event arrives is disconnected on the spot
+// (ErrSlowWatcher) rather than allowed to backpressure writers or pin
+// unbounded memory. Streams have no history: a watcher sees events
 // from registration onward, and a disconnected watcher that
 // resubscribes has missed whatever happened in between. The redundancy
 // layer (ShardedClient.WatchPrefix) papers over exactly that gap the
@@ -89,74 +90,109 @@ const DefaultWatchBuffer = 256
 // channel.
 const maxWatchBuffer = 1 << 16
 
-// StoreWatch is one registered prefix watcher. Consume Events until it
-// closes; Err then reports why (nil after a caller Close, ErrSlowWatcher
-// after an overflow disconnect).
-type StoreWatch struct {
-	reg    *watchRegistry
-	id     uint64
+// eventStream is the consumer's side of a watch, the same for a store
+// watcher and a client's stream: a bounded event channel that never
+// blocks its producer and is closed exactly once, with the reason Err
+// reports. done closes with it.
+type eventStream struct {
 	prefix string
 
 	mu     sync.Mutex
 	closed bool
 	err    error
 	ch     chan WatchEvent
+	done   chan struct{}
 }
 
-// Events returns the watcher's event stream. It is closed when the
-// watcher ends; Err reports the reason.
-func (w *StoreWatch) Events() <-chan WatchEvent { return w.ch }
+// newEventStream returns a live stream of buf events (non-positive =
+// DefaultWatchBuffer, capped at maxWatchBuffer).
+func newEventStream(prefix string, buf int) eventStream {
+	if buf < 1 {
+		buf = DefaultWatchBuffer
+	}
+	buf = min(buf, maxWatchBuffer)
+	return eventStream{prefix: prefix, ch: make(chan WatchEvent, buf), done: make(chan struct{})}
+}
+
+// Events returns the event channel. It is closed when the stream ends;
+// Err reports the reason.
+func (s *eventStream) Events() <-chan WatchEvent { return s.ch }
 
 // Prefix returns the watched key prefix ("" = every key).
-func (w *StoreWatch) Prefix() string { return w.prefix }
+func (s *eventStream) Prefix() string { return s.prefix }
 
 // Err returns why the stream ended: nil while live or after a caller
-// Close, ErrSlowWatcher after an overflow disconnect.
-func (w *StoreWatch) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
+// Close, ErrSlowWatcher after an overflow disconnect; the watch type's
+// doc lists any other reasons.
+func (s *eventStream) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// end closes the stream with err, reporting whether this call was the
+// one that closed it.
+func (s *eventStream) end(err error) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.endLocked(err)
+}
+
+func (s *eventStream) endLocked(err error) bool {
+	if s.closed {
+		return false
+	}
+	s.closed = true
+	s.err = err
+	close(s.ch)
+	close(s.done)
+	return true
+}
+
+// offer delivers one event without blocking. A full buffer ends the
+// stream with ErrSlowWatcher (the slow-consumer policy), and offer
+// reports true: the caller then releases the stream's subscription. The
+// channel is closed under the stream's lock, which every offer holds, so
+// no send can race the close.
+func (s *eventStream) offer(ev WatchEvent) (shed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	select {
+	case s.ch <- ev:
+		return false
+	default:
+		return s.endLocked(ErrSlowWatcher)
+	}
+}
+
+// StoreWatch is one registered prefix watcher. Consume Events until it
+// closes; Err then reports why (nil after a caller Close, ErrSlowWatcher
+// after an overflow disconnect).
+type StoreWatch struct {
+	eventStream
+	reg *watchRegistry
+	id  uint64
 }
 
 // Close ends the watch and closes its Events channel (idempotent).
 func (w *StoreWatch) Close() { w.closeWith(nil) }
 
-// closeWith ends the watch with the given reason, reporting whether
-// this call was the one that closed it. Must not be called while
-// holding the registry lock (it unregisters).
-func (w *StoreWatch) closeWith(err error) bool {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return false
+// closeWith ends the watch with the given reason and unregisters it.
+// Must not be called while holding the registry lock.
+func (w *StoreWatch) closeWith(err error) {
+	if w.end(err) {
+		w.reg.unregister(w.id)
 	}
-	w.closed = true
-	w.err = err
-	close(w.ch)
-	w.mu.Unlock()
-	w.reg.unregister(w.id)
-	return true
 }
 
-// send delivers one event without blocking. A full buffer disconnects
-// the watcher (slow-consumer policy): the channel is closed under the
-// watcher lock — no concurrent send can race the close, because every
-// send holds the same lock — and the registry entry is removed
-// asynchronously (send runs under the registry read lock).
+// send is the registry's delivery of one event. It runs under the
+// registry read lock, so a watcher it sheds is unregistered
+// asynchronously.
 func (w *StoreWatch) send(ev WatchEvent) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return
-	}
-	select {
-	case w.ch <- ev:
-		w.mu.Unlock()
-	default:
-		w.closed = true
-		w.err = ErrSlowWatcher
-		close(w.ch)
-		w.mu.Unlock()
+	if w.offer(ev) {
 		go w.reg.unregister(w.id)
 	}
 }
@@ -174,13 +210,7 @@ type watchRegistry struct {
 }
 
 func (r *watchRegistry) register(prefix string, buf int) *StoreWatch {
-	if buf < 1 {
-		buf = DefaultWatchBuffer
-	}
-	if buf > maxWatchBuffer {
-		buf = maxWatchBuffer
-	}
-	w := &StoreWatch{reg: r, prefix: prefix, ch: make(chan WatchEvent, buf)}
+	w := &StoreWatch{eventStream: newEventStream(prefix, buf), reg: r}
 	r.mu.Lock()
 	if r.ws == nil {
 		r.ws = make(map[uint64]*StoreWatch)

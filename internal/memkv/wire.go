@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
+	"sync"
 )
 
 // This file is the memkv framing layer (the docs and experiment tables
@@ -427,4 +429,61 @@ func decodeStats(p []byte) (map[string]int64, error) {
 		p = p[1+nlen+8:]
 	}
 	return out, nil
+}
+
+// wireConn is the writing half of a framed connection, the same at both
+// ends: a MuxClient connection and a server session append frames to
+// pending under mu and signal the flusher, a single writer goroutine
+// that writes whatever accumulated while the previous write was on the
+// wire — group commit, one syscall for many frames under load. done
+// closes when the connection ends.
+type wireConn struct {
+	c       net.Conn
+	mu      sync.Mutex
+	pending []byte
+	flushC  chan struct{}
+	done    chan struct{}
+}
+
+func newWireConn(c net.Conn) wireConn {
+	return wireConn{c: c, flushC: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// signalFlush wakes the flusher if it is not already due to run: the
+// second half of every enqueue.
+func (w *wireConn) signalFlush() {
+	select {
+	case w.flushC <- struct{}{}:
+	default:
+	}
+}
+
+// flusher is the connection's single writer: each pass swaps out
+// whatever frames accumulated while the previous write was on the wire
+// and writes them with one syscall. It exits when done closes, or on a
+// write error, which it hands to fail to end the connection.
+func (w *wireConn) flusher(fail func(error)) {
+	var scratch []byte
+	for {
+		select {
+		case <-w.flushC:
+		case <-w.done:
+			return
+		}
+		for {
+			w.mu.Lock()
+			if len(w.pending) == 0 {
+				w.mu.Unlock()
+				break
+			}
+			buf := w.pending
+			w.pending = scratch[:0]
+			w.mu.Unlock()
+			if _, err := w.c.Write(buf); err != nil {
+				fail(err)
+				return
+			}
+			scratch = buf
+		}
+	}
 }

@@ -28,9 +28,11 @@
 // or the new one, never a mix. Keys owned by a removed member remap to
 // their successors; calls already in flight finish against the members
 // they were routed to (handles outlive removal, exactly like the group's
-// snapshot grace). The cluster simulator places its files with
-// NewPlacement, built by the same point builder as a Ring's route table,
-// so the live ring and the simulator place identically.
+// snapshot grace). A route table is a Placement plus each member's
+// handle, and one owner walk serves both: a call routes to the handles,
+// a Placement answers with the names. The cluster simulator places its
+// files with NewPlacement, built by the same point builder, so the live
+// ring and the simulator place identically.
 //
 // All methods are safe for concurrent use. The per-call hot path —
 // hash, binary search, successor walk, DoPicked — takes no locks and
@@ -70,30 +72,17 @@ type Ring[K ~string, T any] struct {
 	mu          sync.Mutex // serializes topology writers; readers never take it
 }
 
-// table is one immutable routing snapshot: the sorted virtual points and
-// the distinct members (registration order) they map into.
+// table is one immutable routing snapshot: the Placement that names the
+// members (registration order) and places keys on them, and each
+// member's handle under the same index.
 type table[K, T any] struct {
-	points  []point
-	members []ringMember[K, T]
+	Placement
+	handles []core.Handle[K, T]
 }
 
 type point struct {
 	hash  uint64
-	owner int32 // index into table.members
-}
-
-type ringMember[K, T any] struct {
-	name   string
-	handle core.Handle[K, T]
-}
-
-func (t *table[K, T]) index(name string) int {
-	for i := range t.members {
-		if t.members[i].name == name {
-			return i
-		}
-	}
-	return -1
+	owner int32 // member index: into Placement.names and table.handles
 }
 
 // config collects Option state.
@@ -147,7 +136,7 @@ func New[K ~string, T any](strategy core.Strategy, opts ...Option) *Ring[K, T] {
 		vnodes:      cfg.vnodes,
 		group:       core.NewStrategyKeyedGroup[K, T](strategy, core.WithObserver(cfg.observer)),
 	}
-	r.table.Store(&table[K, T]{})
+	r.table.Store(&table[K, T]{Placement: Placement{replication: cfg.replication}})
 	return r
 }
 
@@ -166,14 +155,11 @@ func (r *Ring[K, T]) AddStarter(name string, fn core.ArgReplica[K, T], starter c
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.table.Load()
-	if t.index(name) >= 0 {
+	if slices.Contains(t.names, name) {
 		return false
 	}
 	h := r.group.AddStarter(name, fn, starter)
-	members := make([]ringMember[K, T], len(t.members)+1)
-	copy(members, t.members)
-	members[len(t.members)] = ringMember[K, T]{name: name, handle: h}
-	r.table.Store(r.build(members))
+	r.table.Store(r.build(append(slices.Clip(t.names), name), append(slices.Clip(t.handles), h)))
 	return true
 }
 
@@ -185,25 +171,22 @@ func (r *Ring[K, T]) Remove(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.table.Load()
-	i := t.index(name)
+	i := slices.Index(t.names, name)
 	if i < 0 {
 		return false
 	}
-	members := make([]ringMember[K, T], 0, len(t.members)-1)
-	members = append(members, t.members[:i]...)
-	members = append(members, t.members[i+1:]...)
-	r.table.Store(r.build(members))
+	r.table.Store(r.build(slices.Delete(slices.Clone(t.names), i, i+1), slices.Delete(slices.Clone(t.handles), i, i+1)))
 	r.group.Remove(name)
 	return true
 }
 
-// build compiles a member list into an immutable route table.
-func (r *Ring[K, T]) build(members []ringMember[K, T]) *table[K, T] {
-	names := make([]string, len(members))
-	for i := range members {
-		names[i] = members[i].name
+// build compiles a member list, names and their handles by index, into
+// an immutable route table.
+func (r *Ring[K, T]) build(names []string, handles []core.Handle[K, T]) *table[K, T] {
+	return &table[K, T]{
+		Placement: Placement{points: buildPoints(names, r.vnodes), names: names, replication: r.replication},
+		handles:   handles,
 	}
-	return &table[K, T]{points: buildPoints(names, r.vnodes), members: members}
 }
 
 // buildPoints places vnodes points on the ring for each of names, the
@@ -256,24 +239,30 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// ownersInto fills dst with the handles of the first len(dst) distinct
-// members walking clockwise from hash: dst[0] is the primary, dst[1]
-// the secondary, and so on. len(dst) must not exceed the member count.
-func (t *table[K, T]) ownersInto(hash uint64, dst []core.Handle[K, T]) {
-	pts := t.points
+// walkOwners is the one owner walk, behind Ring.place and
+// Placement.OwnersInto: it fills dst with member(i) for the first
+// distinct member indexes i on p's ring clockwise from key's hash —
+// dst[0] the primary, dst[1] the secondary, and so on — and returns how
+// many it wrote: min(len(dst), replication, members). member must map
+// distinct indexes to distinct values.
+func walkOwners[E comparable](p *Placement, key string, dst []E, member func(int32) E) int {
+	want := min(len(dst), p.replication, len(p.names))
+	pts := p.points
+	hash := keyHash(key)
 	start := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= hash })
 	n := 0
 walk:
-	for j := 0; j < len(pts) && n < len(dst); j++ {
-		h := t.members[pts[(start+j)%len(pts)].owner].handle
+	for j := 0; j < len(pts) && n < want; j++ {
+		e := member(pts[(start+j)%len(pts)].owner)
 		for i := 0; i < n; i++ {
-			if dst[i] == h {
+			if dst[i] == e {
 				continue walk
 			}
 		}
-		dst[n] = h
+		dst[n] = e
 		n++
 	}
+	return n
 }
 
 // place resolves key's placement from the current route table, primary
@@ -283,12 +272,10 @@ walk:
 // fan-out degrades to 1), and an empty ring places key nowhere.
 func (r *Ring[K, T]) place(key string, buf []core.Handle[K, T]) []core.Handle[K, T] {
 	t := r.table.Load()
-	n := min(r.replication, len(t.members))
-	if n > len(buf) {
+	if n := min(t.replication, len(t.names)); n > len(buf) {
 		buf = make([]core.Handle[K, T], n)
 	}
-	t.ownersInto(keyHash(key), buf[:n])
-	return buf[:n]
+	return buf[:walkOwners(&t.Placement, key, buf, func(i int32) core.Handle[K, T] { return t.handles[i] })]
 }
 
 // Do performs one redundant operation for arg's key: the key's primary
@@ -309,33 +296,16 @@ func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (co
 // first — the routing decision Do would make, for introspection and
 // tests. It returns at most Replication names (fewer on a small ring),
 // and nil on an empty ring.
-func (r *Ring[K, T]) Owners(key string) []string {
-	picked := r.place(key, nil)
-	if len(picked) == 0 {
-		return nil
-	}
-	names := make([]string, len(picked))
-	for i, h := range picked {
-		names[i] = h.Name()
-	}
-	return names
-}
+func (r *Ring[K, T]) Owners(key string) []string { return r.table.Load().Owners(key) }
 
 // Replication returns the configured placement copies per key.
 func (r *Ring[K, T]) Replication() int { return r.replication }
 
 // Len returns the number of members.
-func (r *Ring[K, T]) Len() int { return len(r.table.Load().members) }
+func (r *Ring[K, T]) Len() int { return len(r.table.Load().names) }
 
 // Names returns the member names in registration order.
-func (r *Ring[K, T]) Names() []string {
-	members := r.table.Load().members
-	out := make([]string, len(members))
-	for i := range members {
-		out[i] = members[i].name
-	}
-	return out
-}
+func (r *Ring[K, T]) Names() []string { return slices.Clone(r.table.Load().names) }
 
 // SetStrategy replaces the ring's replication strategy atomically (see
 // core.KeyedGroup.SetStrategy). The strategy applies within each key's
@@ -380,12 +350,12 @@ func (r *Ring[K, T]) Stats() Stats {
 	s := Stats{
 		Strategy:    gs.Strategy,
 		Replication: r.replication,
-		Members:     make([]MemberStats, len(t.members)),
+		Members:     make([]MemberStats, len(t.names)),
 	}
 	shares := t.keyShares()
-	for i := range t.members {
+	for i, name := range t.names {
 		s.Members[i] = MemberStats{
-			ReplicaStats: byName[t.members[i].name],
+			ReplicaStats: byName[name],
 			KeyShare:     shares[i],
 		}
 	}
@@ -399,23 +369,17 @@ func (r *Ring[K, T]) Stats() Stats {
 // before a topology change and one after, then enumerates keys and
 // re-homes exactly those whose owner set differs — the remap diff.
 type Placement struct {
-	points      []point // aliases the immutable route table; never mutated
+	points      []point // sorted by hash; never mutated
 	names       []string
 	replication int
 }
 
 // Placement captures the ring's current routing as an immutable
-// snapshot. The snapshot shares the route table's point slice (tables
-// are copy-on-write, so it stays valid forever) and is safe for
-// concurrent use.
-func (r *Ring[K, T]) Placement() Placement {
-	t := r.table.Load()
-	names := make([]string, len(t.members))
-	for i := range t.members {
-		names[i] = t.members[i].name
-	}
-	return Placement{points: t.points, names: names, replication: r.replication}
-}
+// snapshot: the current route table's own Placement, which routes every
+// call until the next Add or Remove (tables are copy-on-write, so it
+// stays valid forever). It allocates nothing and is safe for concurrent
+// use.
+func (r *Ring[K, T]) Placement() Placement { return r.table.Load().Placement }
 
 // NewPlacement builds a Placement without a Ring: names in that order,
 // vnodes points each, replication owners per key (values below 1 mean
@@ -441,33 +405,7 @@ func (p Placement) Replication() int { return p.replication }
 // and returns how many it wrote: min(len(dst), replication, members).
 // This is the allocation-free core of Owners for tight diff loops.
 func (p Placement) OwnersInto(key string, dst []string) int {
-	nm := len(p.names)
-	if nm == 0 || len(dst) == 0 {
-		return 0
-	}
-	want := p.replication
-	if want > nm {
-		want = nm
-	}
-	if want > len(dst) {
-		want = len(dst)
-	}
-	pts := p.points
-	hash := keyHash(key)
-	start := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= hash })
-	n := 0
-walk:
-	for j := 0; j < len(pts) && n < want; j++ {
-		name := p.names[pts[(start+j)%len(pts)].owner]
-		for i := 0; i < n; i++ {
-			if dst[i] == name {
-				continue walk
-			}
-		}
-		dst[n] = name
-		n++
-	}
-	return n
+	return walkOwners(&p, key, dst, func(i int32) string { return p.names[i] })
 }
 
 // Owners returns the names of key's owners under this snapshot, primary
@@ -516,18 +454,18 @@ func (p Placement) SameOwners(q Placement, key string) bool {
 
 // keyShares returns each member's primary-ownership fraction of the
 // hash space: point i owns the arc (hash[i-1], hash[i]], wrapping.
-func (t *table[K, T]) keyShares() []float64 {
-	shares := make([]float64, len(t.members))
-	pts := t.points
+func (p *Placement) keyShares() []float64 {
+	shares := make([]float64, len(p.names))
+	pts := p.points
 	if len(pts) == 0 {
 		return shares
 	}
 	const span = float64(1<<63) * 2 // 2^64 as float64
 	prev := pts[len(pts)-1].hash
-	for _, p := range pts {
-		arc := p.hash - prev // wraps correctly in uint64 arithmetic
-		shares[p.owner] += float64(arc) / span
-		prev = p.hash
+	for _, pt := range pts {
+		arc := pt.hash - prev // wraps correctly in uint64 arithmetic
+		shares[pt.owner] += float64(arc) / span
+		prev = pt.hash
 	}
 	if len(pts) == 1 {
 		// A single point owns the whole ring (the arc above degenerates

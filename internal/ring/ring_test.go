@@ -116,6 +116,36 @@ func TestReplicationBoundsFanout(t *testing.T) {
 	}
 }
 
+// A placement wider than Do's stack scratch still routes every owner,
+// and a snapshot of it diffs against itself; options below 1 mean 1,
+// and the observer sees each call.
+func TestRingWidePlacementAndClampedOptions(t *testing.T) {
+	var calls atomic.Int64
+	obs := core.ObserverFunc(func(core.Observation) { calls.Add(1) })
+	r := ring.New[string, int](core.FullReplicate{}, ring.WithReplication(6), ring.WithObserver(obs))
+	for i := 0; i < 6; i++ {
+		r.Add(fmt.Sprintf("s%d", i), instant(i))
+	}
+	res, err := r.Do(context.Background(), "k")
+	if err != nil || res.Launched != 6 {
+		t.Fatalf("Do over 6 owners = launched %d, err %v; want 6, nil", res.Launched, err)
+	}
+	if r.Replication() != 6 || r.Strategy() != (core.FullReplicate{}) || calls.Load() != 1 {
+		t.Errorf("Replication %d, Strategy %v, observed %d calls; want 6, FullReplicate, 1",
+			r.Replication(), r.Strategy(), calls.Load())
+	}
+	if p := r.Placement(); !p.SameOwners(p, "k") {
+		t.Error("a 6-owner placement disagrees with itself")
+	}
+
+	one := ring.New[string, int](nil, ring.WithReplication(0), ring.WithVirtualNodes(0))
+	one.Add("only", instant(1))
+	if st := one.Stats(); one.Replication() != 1 || len(st.Members) != 1 || st.Members[0].KeyShare != 1 {
+		t.Errorf("replication 0, vnodes 0: Replication %d, Stats %+v; want 1, one member owning the ring",
+			one.Replication(), st)
+	}
+}
+
 // The paper's redundant read: primary + secondary race, first response
 // wins. With the primary stalled, the secondary's answer comes back.
 func TestSecondaryWinsOverSlowPrimary(t *testing.T) {

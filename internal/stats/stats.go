@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -58,9 +57,6 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Variance()) }
-
 // Min returns the smallest observation (NaN if empty).
 func (r *Running) Min() float64 {
 	if r.n == 0 {
@@ -76,9 +72,6 @@ func (r *Running) Max() float64 {
 	}
 	return r.max
 }
-
-// CV returns the coefficient of variation, stddev/mean.
-func (r *Running) CV() float64 { return r.Stddev() / r.Mean() }
 
 // Sample stores observations for exact quantiles and CCDF export. For the
 // sample sizes used here (<= a few million float64s) exact storage is
@@ -202,107 +195,4 @@ func LogSpace(lo, hi float64, n int) []float64 {
 		out[i] = math.Exp(llo + (lhi-llo)*float64(i)/float64(n-1))
 	}
 	return out
-}
-
-// LinSpace returns n points spaced linearly between lo and hi inclusive.
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: LinSpace requires n >= 2")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
-}
-
-// Summary is a compact distribution summary used in experiment tables.
-type Summary struct {
-	N                  int
-	Mean, Median       float64
-	P95, P99, P999     float64
-	Min, Max, Variance float64
-}
-
-// Summarize extracts a Summary from a Sample.
-func Summarize(s *Sample) Summary {
-	return Summary{
-		N:        s.N(),
-		Mean:     s.Mean(),
-		Median:   s.Median(),
-		P95:      s.Quantile(0.95),
-		P99:      s.P99(),
-		P999:     s.P999(),
-		Min:      s.Min(),
-		Max:      s.Max(),
-		Variance: s.Variance(),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g p50=%.6g p95=%.6g p99=%.6g p99.9=%.6g max=%.6g",
-		s.N, s.Mean, s.Median, s.P95, s.P99, s.P999, s.Max)
-}
-
-// Histogram is a log-bucketed histogram for cheap latency aggregation when
-// exact samples are not needed (e.g. per-server diagnostics).
-type Histogram struct {
-	lo     float64
-	growth float64
-	counts []int64
-	under  int64
-	over   int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with nb buckets covering [lo, hi)
-// geometrically.
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if lo <= 0 || hi <= lo || nb < 1 {
-		panic("stats: NewHistogram requires 0 < lo < hi and nb >= 1")
-	}
-	return &Histogram{
-		lo:     lo,
-		growth: math.Pow(hi/lo, 1/float64(nb)),
-		counts: make([]int64, nb),
-	}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.lo {
-		h.under++
-		return
-	}
-	i := int(math.Log(x/h.lo) / math.Log(h.growth))
-	if i >= len(h.counts) {
-		h.over++
-		return
-	}
-	h.counts[i]++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns an approximate q-quantile (bucket upper bound).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	target := int64(q * float64(h.total))
-	cum := h.under
-	if cum > target {
-		return h.lo
-	}
-	b := h.lo
-	for _, c := range h.counts {
-		b *= h.growth
-		cum += c
-		if cum > target {
-			return b
-		}
-	}
-	return math.Inf(1)
 }

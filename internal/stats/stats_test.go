@@ -80,6 +80,43 @@ func TestSampleQuantileClampsAndEmpty(t *testing.T) {
 	}
 }
 
+// A Sample's moments are its Running's, its tail accessors are
+// quantiles, Values is sorted, and an empty sample's tail is NaN.
+func TestSampleAccessors(t *testing.T) {
+	s := NewSample(0)
+	if !math.IsNaN(s.FractionAbove(0)) {
+		t.Error("empty sample FractionAbove should be NaN")
+	}
+	for i := 1000; i >= 1; i-- {
+		s.Add(float64(i))
+	}
+	if s.Mean() != 500.5 || math.Abs(s.Variance()-83416.66666666667) > 1e-6 {
+		t.Errorf("Mean, Variance = %g, %g; want 500.5, 83416.67", s.Mean(), s.Variance())
+	}
+	if s.P99() != s.Quantile(0.99) || s.P999() != s.Quantile(0.999) {
+		t.Errorf("P99, P999 = %g, %g; want Quantile(0.99), Quantile(0.999)", s.P99(), s.P999())
+	}
+	if vs := s.Values(); len(vs) != 1000 || !sort.Float64sAreSorted(vs) {
+		t.Errorf("Values: %d observations, sorted %v; want 1000, sorted", len(vs), sort.Float64sAreSorted(vs))
+	}
+}
+
+func TestLogSpaceRejectsBadRange(t *testing.T) {
+	for _, c := range []struct {
+		lo, hi float64
+		n      int
+	}{{0, 1, 3}, {2, 1, 3}, {1, 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LogSpace(%g, %g, %d) did not panic", c.lo, c.hi, c.n)
+				}
+			}()
+			LogSpace(c.lo, c.hi, c.n)
+		}()
+	}
+}
+
 func TestFractionAbove(t *testing.T) {
 	s := NewSample(0)
 	for _, v := range []float64{1, 2, 3, 4, 5} {
@@ -133,65 +170,6 @@ func TestLogSpaceAndLinSpace(t *testing.T) {
 		if math.Abs(ls[i]-want[i]) > 1e-9 {
 			t.Errorf("LogSpace[%d] = %g, want %g", i, ls[i], want[i])
 		}
-	}
-	lin := LinSpace(0, 1, 5)
-	for i, w := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if math.Abs(lin[i]-w) > 1e-12 {
-			t.Errorf("LinSpace[%d] = %g, want %g", i, lin[i], w)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := NewSample(0)
-	for i := 1; i <= 1000; i++ {
-		s.Add(float64(i))
-	}
-	sum := Summarize(s)
-	if sum.N != 1000 || math.Abs(sum.Mean-500.5) > 1e-9 {
-		t.Errorf("Summary mean/N wrong: %+v", sum)
-	}
-	if sum.P99 < 985 || sum.P99 > 995 {
-		t.Errorf("P99 = %g", sum.P99)
-	}
-	if sum.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0.001, 10, 200)
-	r := rand.New(rand.NewSource(3))
-	s := NewSample(0)
-	for i := 0; i < 100000; i++ {
-		x := r.ExpFloat64() * 0.1
-		h.Add(x)
-		s.Add(x)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := s.Quantile(q)
-		approx := h.Quantile(q)
-		if approx < exact*0.9 || approx > exact*1.15 {
-			t.Errorf("histogram q%.2f = %g, exact %g", q, approx, exact)
-		}
-	}
-	if h.Total() != 100000 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(1, 10, 10)
-	h.Add(0.5) // under
-	h.Add(100) // over
-	if h.Total() != 2 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if q := h.Quantile(0.1); q != 1 {
-		t.Errorf("under-range quantile = %g, want lo", q)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Errorf("over-range quantile = %g, want +Inf", q)
 	}
 }
 
