@@ -27,6 +27,21 @@
 // Malformed headers and parameters are 400 with a JSON body
 // {"error":"bad_request","detail":…}; every non-2xx response carries
 // {"error":code,"detail":…}.
+//
+// Every GET 200 carries Content-Type: application/octet-stream. A plain
+// GET whose value is non-empty and already sniffs as that type under
+// http.DetectContentType — almost any binary value — is answered by
+// writing the value alone: Write implies the 200, and net/http sets the
+// Content-Type from the same sniff. The header map is left alone because
+// asking for it costs a reply 4 allocations: the map's first entry, and
+// net/http's Header.Clone of the map at WriteHeader. Any other value
+// (empty, text, HTML, a font signature), HEAD, a quorum read, which sets
+// X-Version anyway, and a writer that is not an http.Flusher (a
+// hand-made one may learn its status only from WriteHeader) set the
+// header explicitly. What a reply still costs is net/http's own request
+// objects (about 14 allocations), the request context's Done channel
+// (1), and, on PUT, the explicit application/json header (4): a
+// {"version":N} reply sniffs as text.
 package gateway
 
 import (
@@ -237,11 +252,23 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) 
 		writeStoreErr(w, err)
 		return
 	}
-	w.Header()["Content-Type"] = contentTypeBytes
-	w.WriteHeader(http.StatusOK)
+	if quorumRead || !sniffedAsBytes(w, r, val) {
+		w.Header()["Content-Type"] = contentTypeBytes
+		w.WriteHeader(http.StatusOK)
+	}
 	_, _ = w.Write(val)
 	// Written out and finished with: the next read lands in these bytes.
 	memkv.Release(val)
+}
+
+// sniffedAsBytes reports whether a GET 200 of val may be left to Write,
+// which implies the 200 and sniffs the same application/octet-stream
+// (package doc). HEAD writes no body to sniff, and a writer that is not
+// an http.Flusher — net/http's and httptest.ResponseRecorder are — may be
+// a hand-made one that learns its status only from WriteHeader.
+func sniffedAsBytes(w http.ResponseWriter, r *http.Request, val []byte) bool {
+	_, streams := w.(http.Flusher)
+	return streams && r.Method == http.MethodGet && len(val) > 0 && http.DetectContentType(val) == contentTypeBytes[0]
 }
 
 func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) {

@@ -16,6 +16,7 @@ import (
 	"net/http/httptrace"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,6 +196,111 @@ func TestGetPutContract(t *testing.T) {
 	}
 	if st, _, _ = f.do(t, "GET", "/kv/ephemeral", "", nil); st != http.StatusOK {
 		t.Fatalf("GET ttl'd key = %d", st)
+	}
+}
+
+// headerSpy counts the handler's calls of Header on a recorder.
+type headerSpy struct {
+	*httptest.ResponseRecorder
+	calls int
+}
+
+func (s *headerSpy) Header() http.Header { s.calls++; return s.ResponseRecorder.Header() }
+
+// benchShaped is a value laid out as the benchmark lays its values out:
+// the key index little-endian, then filler.
+func benchShaped(key uint64, n int) []byte {
+	v := make([]byte, n)
+	binary.LittleEndian.PutUint64(v, key)
+	for i := 8; i < n; i++ {
+		v[i] = byte(i*131 + 7)
+	}
+	return v
+}
+
+// TestGetContentType: every GET 200 carries exactly one Content-Type,
+// application/octet-stream, whatever the value's bytes — through a real
+// net/http server and through a ResponseRecorder alike. A plain GET of a
+// value that sniffs as bytes leaves it to Write's sniff and never asks
+// for the header map; every other value, HEAD, a quorum read (which
+// keeps its X-Version) and a writer that is not an http.Flusher set it
+// explicitly.
+func TestGetContentType(t *testing.T) {
+	f := newFixture(t, 2)
+	gw := New(Config{Client: f.sc, Controller: f.ctl, Counters: f.ctr})
+	le256 := make([]byte, 8)
+	binary.LittleEndian.PutUint64(le256, 256) // "\x00\x01\x00\x00": a TrueType signature
+	cases := []struct {
+		name    string
+		val     []byte
+		sniffed bool // the reply leaves the header map alone
+	}{
+		{"empty", nil, false},
+		{"bench-shaped", benchShaped(7, 64), true},
+		{"text", []byte("hello"), false},
+		{"html", []byte("<html>x"), false},
+		{"font-ttf-lookalike", le256, false},
+		{"binary-6000", benchShaped(9, 6000), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := "/kv/ct-" + tc.name
+			if st, _, body := f.do(t, "PUT", path, string(tc.val), nil); st != http.StatusOK {
+				t.Fatalf("PUT = %d %s", st, body)
+			}
+			wantCT := []string{"application/octet-stream"}
+
+			req, err := http.NewRequest("GET", f.ts.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := f.ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, tc.val) {
+				t.Fatalf("socket GET = %d, %d bytes (%v), want 200 and the %d stored", resp.StatusCode, len(body), err, len(tc.val))
+			}
+			if ct := resp.Header["Content-Type"]; !slices.Equal(ct, wantCT) {
+				t.Errorf("socket GET Content-Type %q, want %q", ct, wantCT)
+			}
+			if len(tc.val) > 2048 && resp.ContentLength != -1 {
+				t.Errorf("socket GET of %d bytes declared Content-Length %d, want a chunked reply", len(tc.val), resp.ContentLength)
+			}
+
+			spy := &headerSpy{ResponseRecorder: httptest.NewRecorder()}
+			gw.ServeHTTP(spy, httptest.NewRequest("GET", path, nil))
+			if spy.Code != http.StatusOK || !bytes.Equal(spy.Body.Bytes(), tc.val) {
+				t.Fatalf("recorded GET = %d, %d bytes, want 200 and the %d stored", spy.Code, spy.Body.Len(), len(tc.val))
+			}
+			if ct := spy.Result().Header["Content-Type"]; !slices.Equal(ct, wantCT) {
+				t.Errorf("recorded GET Content-Type %q, want %q", ct, wantCT)
+			}
+			if sniffed := spy.calls == 0; sniffed != tc.sniffed {
+				t.Errorf("GET left the header map alone = %v, want %v", sniffed, tc.sniffed)
+			}
+			// A writer that does not stream may take its status from
+			// WriteHeader alone, so it is told both.
+			nw := &nullWriter{h: make(http.Header)}
+			gw.ServeHTTP(nw, httptest.NewRequest("GET", path, nil))
+			if ct := nw.h["Content-Type"]; nw.status != http.StatusOK || !slices.Equal(ct, wantCT) {
+				t.Errorf("GET into a non-streaming writer: status %d, Content-Type %q; want 200, %q", nw.status, ct, wantCT)
+			}
+
+			st, hdr, body := f.do(t, "HEAD", path, "", nil)
+			if ct := hdr["Content-Type"]; st != http.StatusOK || len(body) != 0 || !slices.Equal(ct, wantCT) {
+				t.Errorf("HEAD = %d, %d bytes, Content-Type %q; want 200, none, %q", st, len(body), ct, wantCT)
+			}
+			st, hdr, body = f.do(t, "GET", path, "", map[string]string{"X-Consistency": "quorum"})
+			if st != http.StatusOK || !bytes.Equal(body, tc.val) || hdr.Get("X-Version") == "" {
+				t.Errorf("quorum GET = %d, %d bytes, X-Version %q; want 200, the value, a version", st, len(body), hdr.Get("X-Version"))
+			}
+			if ct := hdr["Content-Type"]; !slices.Equal(ct, wantCT) {
+				t.Errorf("quorum GET Content-Type %q, want %q", ct, wantCT)
+			}
+		})
 	}
 }
 
@@ -725,7 +831,10 @@ func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 // lands in the same bytes, while the bare Get keeps every value it reads
 // and pays for each. (Both sides count every goroutine of the process,
 // the shard servers' included; a single-copy read keeps that count
-// exact.)
+// exact.) nullWriter hands back a map it owns and copies nothing, so
+// this budget does not see what net/http's writer charges a handler that
+// asks for its header map — the Header.Clone at WriteHeader;
+// TestGetReplyHeaderAllocations pins that cost over a real socket.
 func TestGetAllocationBudget(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -762,6 +871,82 @@ func TestGetAllocationBudget(t *testing.T) {
 	t.Logf("GET through the gateway %.2f, the read under it %.2f", through, below)
 	if through > below-1 {
 		t.Errorf("GET through the gateway allocates %.0f, the read under it %.0f: want one less, the value it gives back", through, below)
+	}
+}
+
+// rawGet sends one rendered GET request on a keep-alive connection and
+// reads the reply into buf — a status line, headers, a Content-Length
+// body — with no allocation of its own, so that what a round trip
+// allocates is the server's.
+func rawGet(t *testing.T, c net.Conn, r *bufio.Reader, req, buf []byte) {
+	t.Helper()
+	if _, err := c.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	status, err := r.ReadSlice('\n')
+	if err != nil || !bytes.HasPrefix(status, []byte("HTTP/1.1 200 ")) {
+		t.Fatalf("status line %q (%v)", status, err)
+	}
+	n := -1
+	for {
+		line, err := r.ReadSlice('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(line) == 2 {
+			break
+		}
+		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+			n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
+		}
+	}
+	if n != len(buf) {
+		t.Fatalf("Content-Length %d, want %d", n, len(buf))
+	}
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetReplyHeaderAllocations: over a real socket, a GET of a value
+// that sniffs as bytes makes at least 3 fewer allocations than a GET of
+// a text value of the same length: the bytes reply never asks for its
+// header map, so net/http neither fills the map's first group nor clones
+// the map at WriteHeader. (Counts are the whole process's: the server's
+// connection goroutine, the shards and this client.)
+func TestGetReplyHeaderAllocations(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	f := newFixture(t, 2)
+	f.sc.SetReadStrategy(core.Fixed{Copies: 1})
+	val := benchShaped(42, 64)
+	if got := http.DetectContentType(val); got != "application/octet-stream" {
+		t.Fatalf("setup: the binary value sniffs as %q", got)
+	}
+	f.do(t, "PUT", "/kv/alloc-bin", string(val), nil)
+	f.do(t, "PUT", "/kv/alloc-txt", strings.Repeat("v", len(val)), nil)
+	ts := httptest.NewServer(New(Config{Client: f.sc}))
+	defer ts.Close()
+	c, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := bufio.NewReader(c)
+	buf := make([]byte, len(val))
+	perGet := func(key string) float64 {
+		req := []byte("GET /kv/" + key + " HTTP/1.1\r\nHost: x\r\n\r\n")
+		get := func() { rawGet(t, c, r, req, buf) }
+		for i := 0; i < 100; i++ {
+			get()
+		}
+		return testing.AllocsPerRun(1000, get)
+	}
+	txt, bin := perGet("alloc-txt"), perGet("alloc-bin")
+	t.Logf("GET over a socket: text value %.0f allocs, binary value %.0f", txt, bin)
+	if bin > txt-3 {
+		t.Errorf("a GET of a binary value allocates %.0f, of a text value %.0f: want at least 3 fewer, the reply's header map and its clone", bin, txt)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,16 +66,26 @@ func putAll(t *testing.T, sc *ShardedClient, keys []string, vals [][]byte) {
 // still parked at the slow server is withdrawn — the read ring counts
 // it, as it does for a lone Get.
 func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
+	// The hook is set before Listen and armed once the keys are stored:
+	// the claim is about reads, and 200 write-all puts each waiting out
+	// the stall would be most of the test's time.
+	var stall atomic.Bool
 	sc, _, _ := startAsyncShards(t, 3,
 		ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 2}}, 5*time.Second,
 		func(i int) func() time.Duration {
 			if i != 0 {
 				return nil
 			}
-			return func() time.Duration { return 100 * time.Millisecond }
+			return func() time.Duration {
+				if stall.Load() {
+					return 100 * time.Millisecond
+				}
+				return 0
+			}
 		})
 	keys, vals := batchKeys("wl", 200)
 	putAll(t, sc, keys, vals)
+	stall.Store(true)
 
 	res := getBatch(sc, keys)
 	launched := 0
@@ -100,14 +111,21 @@ func TestShardedGetBatchWithdrawsLosers(t *testing.T) {
 // 50 ms, all 2 000 two-copy reads of a getBatch are in flight at once,
 // and the process runs one goroutine per key, not one per copy.
 func TestShardedGetBatchOneGoroutinePerKey(t *testing.T) {
+	var hold atomic.Bool // armed once the keys are stored
 	sc, _, _ := startAsyncShards(t, 3,
 		ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 2}}, 10*time.Second,
 		func(int) func() time.Duration {
-			return func() time.Duration { return 50 * time.Millisecond }
+			return func() time.Duration {
+				if hold.Load() {
+					return 50 * time.Millisecond
+				}
+				return 0
+			}
 		})
 	const n = 2000
 	stored, vals := batchKeys("gk", 16)
 	putAll(t, sc, stored, vals) // also dials every connection
+	hold.Store(true)
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = stored[i%len(stored)]
