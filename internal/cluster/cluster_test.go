@@ -59,32 +59,6 @@ func TestReplicationHurtsAtHighLoad(t *testing.T) {
 	}
 }
 
-func TestThresholdInPaperBand(t *testing.T) {
-	// The paper measures a 30% threshold for this setup; the queueing
-	// analysis bounds it by (25%, 50%). Accept a generous band around the
-	// crossing.
-	cfg := base()
-	var below, above float64
-	for _, load := range []float64{0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4} {
-		cfg.Load = load
-		r1, r2 := runPair(t, cfg)
-		if r2.Latency.Mean() < r1.Latency.Mean() {
-			below = load
-		} else if above == 0 {
-			above = load
-		}
-	}
-	if below == 0 {
-		t.Fatal("replication never helped at any load")
-	}
-	if above == 0 {
-		t.Fatal("replication helped even at 40% load; threshold implausibly high")
-	}
-	if below < 0.1 || above > 0.45 {
-		t.Errorf("crossing between %g and %g, outside plausible band", below, above)
-	}
-}
-
 func TestCacheRatioControlsHitRate(t *testing.T) {
 	cfg := base()
 	cfg.CacheRatio = 0.01

@@ -69,6 +69,15 @@ import (
 //     Starter declines (its connection is down) is launched this way
 //     too, through the member's blocking replica.
 //
+// A durable call (DoDurable) is the same frame under one different rule:
+// deciding it withdraws nothing. The copies still out keep their frame
+// references and run to completion, each reporting to the group's
+// per-copy hook where it completes. That is a replicated write: its
+// losers must land, because durability is the point. Its copies count
+// under the frame's lock instead of in the event loop, and only the
+// completion that decides the call sends an event, so the caller wakes
+// once.
+//
 // Hedge deadlines arm on the process-shared TimerWheel (alloc-free,
 // O(1) arm/stop; the callback is stored in the frame once, because
 // taking a generic function's value allocates) except for sub-tick
@@ -239,12 +248,22 @@ type callFrame[K, T any] struct {
 	arg      K
 	picked   []Handle[K, T]
 
+	// durable is the group's mode for a DoDurable call, nil otherwise.
+	// Under mu a durable copy reports (won counts the acks, errs holds
+	// the failures) and arg is swapped for its Durable.Own form (owned),
+	// so the two cannot cross.
+	durable *Durable[K]
+	mu      sync.Mutex
+	errs    []error
+	owned   bool
+
 	// cctx is what blocking copies run under and cdone what cancels it.
 	// Both are made by the first blocking launch of a call (blockingCtx):
 	// a call whose copies are all started requests has neither. cctx is
 	// read by copy goroutines that may start after the call returned, so
 	// it is cleared only when the frame recycles; cdone belongs to the
-	// engine alone and finish closes it.
+	// engine alone and finish closes it (see blockingCtx for a durable
+	// call's).
 	cctx  context.Context
 	cdone chan struct{}
 	// slots is the per-copy state of started copies: sized by the first
@@ -311,9 +330,16 @@ func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
 }
 
 // blockingCtx makes the context the call's blocking copies share, once
-// per call: a copyCtx whose done channel finish closes.
+// per call: a copyCtx whose done channel finish closes — for a durable
+// call, the caller's context without its cancellation (the replica
+// bounds the copy), over an owned argument the goroutine may read late.
 func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 	if fr.cctx != nil {
+		return
+	}
+	if fr.durable != nil {
+		fr.own(false)
+		fr.cctx = context.WithoutCancel(ctx)
 		return
 	}
 	fr.cdone = make(chan struct{})
@@ -332,8 +358,13 @@ func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 // deliver queues copy i's completion for the event loop, counts a
 // success toward settling the call — after queueing it, so that whoever
 // sees the call settled queues behind the deciding success — and drops
-// the copy's frame reference.
+// the copy's frame reference. A durable copy reports instead (report).
 func (fr *callFrame[K, T]) deliver(i int, v T, err error) {
+	if fr.durable != nil {
+		fr.report(i, err)
+		fr.release(1)
+		return
+	}
 	fr.results <- indexed[T]{val: v, err: err, idx: i}
 	if err == nil {
 		fr.won.Add(1)
@@ -345,9 +376,44 @@ func (fr *callFrame[K, T]) deliver(i int, v T, err error) {
 // successes it returns at are queued, and it keeps nothing of the copies
 // that complete after them. A copy that has not delivered yet may then
 // complete without its value (Drop). A call collecting outcomes asked
-// to see what its copies return, so it never settles.
+// to see what its copies return, and a durable one reports every copy,
+// so neither ever settles.
 func (fr *callFrame[K, T]) settled() bool {
-	return fr.collect == nil && int(fr.won.Load()) >= fr.quorum
+	return fr.collect == nil && fr.durable == nil && int(fr.won.Load()) >= fr.quorum
+}
+
+// report is a durable copy's delivery: it counts the copy, hands it to
+// Durable.Done, and, if this completion decides the call, sends the
+// call's one event, after the report, so the caller it wakes finds the
+// report made: nil from the ack that meets the quorum, a *QuorumError
+// from the failure that puts it out of reach.
+func (fr *callFrame[K, T]) report(i int, err error) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	name := fr.picked[i].m.name
+	fr.durable.Done(CopyDone[K]{Arg: fr.arg, Replica: name, Err: err})
+	if err == nil {
+		if int(fr.won.Add(1)) == fr.quorum {
+			fr.results <- indexed[T]{}
+		}
+		return
+	}
+	fr.errs = append(fr.errs, ReplicaError{Name: name, Attempt: i, Err: err})
+	if len(fr.errs) == fr.n-fr.quorum+1 {
+		joined := errors.Join(fr.errs...)
+		fr.results <- indexed[T]{err: &QuorumError[T]{Need: fr.quorum, Wins: int(fr.won.Load()), Err: joined}}
+	}
+}
+
+// own swaps the argument for its Durable.Own form, once per call: before
+// a blocking launch, or (ifOut) at the caller's return while a copy has
+// yet to report — before anything can read it after the return.
+func (fr *callFrame[K, T]) own(ifOut bool) {
+	fr.mu.Lock()
+	if !fr.owned && (!ifOut || int(fr.won.Load())+len(fr.errs) < fr.n) {
+		fr.arg, fr.owned = fr.durable.Own(fr.arg), true
+	}
+	fr.mu.Unlock()
 }
 
 // frameHedgeFired is the shared-wheel callback for a pending hedge
@@ -387,6 +453,7 @@ drain:
 	fr.arg = zk
 	fr.gov = nil
 	fr.cctx = nil
+	fr.durable, fr.errs, fr.owned = nil, nil, false
 	fr.collect = nil
 	fr.negative = nil
 	fr.delays = nil

@@ -70,6 +70,8 @@ type KeyedGroup[K, T any] struct {
 	// reaches the pool only via callFrame.release's proved-drained path,
 	// so pooled frames are always quiescent.
 	frames sync.Pool
+	// durable is DoDurable's mode, set by NewDurableKeyedGroup.
+	durable *Durable[K]
 }
 
 // getFrame returns a quiescent call frame holding the engine's reference.
@@ -501,6 +503,79 @@ func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[
 	fr := g.getFrame()
 	copy(fr.pickedSlice(p.k), picked)
 	return g.launchFrame(ctx, arg, &p, fr)
+}
+
+// Durable is the mode of a group whose calls are replicated writes
+// (NewDurableKeyedGroup, DoDurable): every copy runs to completion and
+// reports to Done, however early its call was decided.
+type Durable[K any] struct {
+	// Own returns arg with whatever it borrows from its caller copied. It
+	// runs at most once per call, only when something may read arg after
+	// the return: a copy still out then, or a blocking launch.
+	Own func(arg K) K
+	// Done is the per-copy hook: once for every copy, on the goroutine
+	// that learns its outcome, and before a caller this completion
+	// decides is woken. It holds the frame's lock, which the caller's
+	// return takes, so it must not block.
+	Done func(CopyDone[K])
+}
+
+// CopyDone is one copy's outcome as a group's per-copy hook sees it: the
+// call's argument (its Own form once the caller has returned), the
+// copy's member name, and its error, nil for a success.
+type CopyDone[K any] struct {
+	Arg     K
+	Replica string
+	Err     error
+}
+
+// NewDurableKeyedGroup creates a group for durable calls. It has no
+// observer: a durable copy is load — it brackets the governor its call
+// is given — but not an Observation.
+func NewDurableKeyedGroup[K, T any](d Durable[K]) *KeyedGroup[K, T] {
+	g := NewStrategyKeyedGroup[K, T](FullReplicate{})
+	g.durable = &d
+	return g
+}
+
+// DoDurable performs one call of a NewDurableKeyedGroup group over
+// picked, launching every copy at once: started where its member has a
+// Starter, a single copy too, so a caller giving up never aborts one; a
+// blocking copy runs without the caller's cancellation, so its replica
+// must bound it. It returns nil once q succeeded (q is clamped to [0,
+// len(picked)]; 0 returns once the copies are out), a *QuorumError as
+// soon as too few can, or ctx's error; the copies out run on and report
+// to Durable.Done. gov, if non-nil, takes the call's utilization sample
+// and brackets every copy, but sheds none. It takes no per-call options,
+// times no copy and allocates nothing of its own.
+func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle[K, T], q int, gov *Governor) error {
+	n := len(picked)
+	if n == 0 {
+		return ErrNoReplicas
+	}
+	if gov != nil {
+		gov.sample(max(len(g.state.Load().members), n))
+	}
+	fr := g.getFrame()
+	copy(fr.pickedSlice(n), picked)
+	fr.durable = g.durable
+	fr.n, fr.quorum, fr.arg, fr.gov = n, min(max(q, 0), n), arg, gov
+	fr.ensureChan(n)
+	for i := range n {
+		fr.launchCopy(ctx, i)
+	}
+	var err error
+	if fr.quorum > 0 {
+		select {
+		case r := <-fr.results: // the deciding completion's one event
+			err = r.err
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	fr.own(true)
+	fr.release(1)
+	return err
 }
 
 // callPlan is one call's resolved configuration, shared by Do (which

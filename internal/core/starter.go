@@ -100,7 +100,9 @@ func (fr *callFrame[K, T]) startCopy(i int) bool {
 	if fr.gov != nil {
 		fr.gov.copyStarted()
 	}
-	s.at = time.Now()
+	if fr.durable == nil {
+		s.at = time.Now()
+	}
 	tk, ok := m.starter.Start(fr.arg, fr, i)
 	if !ok {
 		if fr.gov != nil {
@@ -114,14 +116,20 @@ func (fr *callFrame[K, T]) startCopy(i int) bool {
 
 // Complete implements Sink: a started copy's outcome, delivered on the
 // Starter's goroutine straight into the call's event loop. It closes
-// the governor bracket, folds a success into the member's digest, and
+// the governor bracket, folds a success into the member's digest (not a
+// durable copy's: nothing ranks write members, so it is not timed), and
 // drops the copy's frame reference after delivering — the same order as
 // a copy goroutine, so the proved-drained recycling discipline holds.
 func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
+	if fr.refs.Load() <= 0 {
+		// Every copy holds a reference until it completes: a Starter that
+		// completes one twice would otherwise write into a pooled frame.
+		panic("redundancy: a copy completed into a released call frame")
+	}
 	if fr.gov != nil {
 		fr.gov.copyDone()
 	}
-	if err == nil {
+	if err == nil && fr.durable == nil {
 		fr.picked[slot].m.lat.observe(float64(time.Since(fr.slots[slot].at)))
 	}
 	fr.deliver(slot, v, err)

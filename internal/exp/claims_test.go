@@ -126,6 +126,27 @@ func TestClaimsFig2(t *testing.T) {
 	}
 }
 
+// TestClaimsFig5 asserts Figure 5's crossover, the threshold of the
+// paper's disk-backed store (§2.2; it measures ~30 %): two copies beat
+// one on the mean at the lowest load, and stop beating it at a load no
+// higher than 0.45, the queueing analysis's (25 %, 50 %) band with room
+// for the cluster's own effects.
+func TestClaimsFig5(t *testing.T) {
+	c := goldenTables(t, "fig5")[0]
+	one, two := c.cols["mean 1c (ms)"], c.cols["mean 2c (ms)"]
+	var below, above float64
+	for _, r := range c.all {
+		if load := c.parse(r[0]); c.parse(r[two]) < c.parse(r[one]) {
+			below = load
+		} else if above == 0 {
+			above = load
+		}
+	}
+	if below < 0.1 || above == 0 || above > 0.45 {
+		t.Errorf("two copies win the mean up to load %g and lose it from %g: want a crossing in [0.1, 0.45]", below, above)
+	}
+}
+
 // TestClaimsFig4 asserts Figure 4's claim: for each service law, the
 // threshold load never rises as the client-side overhead grows.
 func TestClaimsFig4(t *testing.T) {

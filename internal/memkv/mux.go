@@ -69,8 +69,9 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //   - Neither do versioned writes: StartPutV is to PutV what Start is to
 //     GetV. It encodes the put straight into the pending buffer — no
 //     payload slice, no waiter — and the reader decodes the fixed-size
-//     reply where it lies in its buffer. ShardedClient launches every
-//     copy of a PutVersioned this way, so a write costs this client no
+//     reply where it lies in its buffer. It is the Start of
+//     ShardedClient's write group (putStarter), which launches every copy
+//     of a PutVersioned this way, so a write costs this client no
 //     allocation and no goroutine however long its stragglers take.
 //
 // A MuxClient is safe for concurrent use and is the production
@@ -607,7 +608,8 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // encodes the put straight into the connection's pending buffer and
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
-// by the timer wheel, or by whoever failed the connection. It reports
+// by the timer wheel, or by whoever failed the connection; the write
+// group's call frame, a core.Sink[PutVResult], is such a sink. It reports
 // false, having done nothing, exactly where Start declines and for a
 // value too large to send; PutV handles those cases. A started put
 // cannot be withdrawn and runs under no context: it is bounded by the
@@ -771,7 +773,7 @@ func ttlSeconds(ttl time.Duration) uint32 {
 // gets, and the cursor-paged scan that anti-entropy streams over.
 
 // Versioned is one read's answer, GetV's three results: what Start
-// completes with and ShardedClient's read ring returns.
+// completes with and ShardedClient's read group returns.
 type Versioned struct {
 	Value   []byte
 	Version uint64

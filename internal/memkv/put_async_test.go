@@ -23,10 +23,12 @@ import (
 
 // These tests pin the non-blocking write path: MuxClient.StartPutV
 // (completions from the reader, the timeout wheel and fail — exactly one
-// per started put), ShardedClient's pooled write frame (quorum return,
-// stragglers that need no goroutine, per-owner exactly-once hints, the
-// blocking launch for a declined start or a wrapped shard), and what a
-// put allocates on both ends of the wire. Run with -race -count=5.
+// per started put), ShardedClient's write as a durable call on the core
+// engine (quorum return, stragglers that need no goroutine, per-owner
+// exactly-once hints, the blocking launch for a declined start or a
+// wrapped shard, its copies counted by the read strategy's governor),
+// and what a put allocates on both ends of the wire. Run with -race
+// -count=5.
 
 // putSink is a PutVSink that keeps every completion by
 // slot.
@@ -392,33 +394,92 @@ func TestAsyncPutCompletesExactlyOnce(t *testing.T) {
 }
 
 // TestAsyncPutVersionedOutlivesItsCaller: a caller whose context ends
-// before the quorum gets the context's error, and both copies still
-// land — detaching the write from its caller is what makes it durable.
+// before the quorum gets the context's error, and every copy still lands
+// — detaching the write from its caller is what makes it durable. That
+// holds for a key with one owner too: its one copy is started like any
+// other, not run under the caller's context.
 func TestAsyncPutVersionedOutlivesItsCaller(t *testing.T) {
-	slow := func(int) func() time.Duration { return func() time.Duration { return 50 * time.Millisecond } }
-	sc, servers, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 2}, 5*time.Second, slow)
+	for _, cfg := range []ShardedConfig{
+		{Replication: 2, WriteQuorum: 2},
+		{Replication: 1},
+	} {
+		t.Run(fmt.Sprintf("replication %d", cfg.Replication), func(t *testing.T) {
+			slow := func(int) func() time.Duration { return func() time.Duration { return 50 * time.Millisecond } }
+			sc, servers, muxes := startAsyncShards(t, 2, cfg, 5*time.Second, slow)
+			warmPuts(t, sc, muxes)
+			hints := newHintSink(t)
+			sc.SetRepairSink(hints)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			began := time.Now()
+			ver, err := sc.PutVersioned(ctx, "k", []byte("v"), 0)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("PutVersioned under a 5 ms deadline over 50 ms servers: %v, want the deadline's error", err)
+			}
+			if waited := time.Since(began); waited > 40*time.Millisecond {
+				t.Errorf("PutVersioned returned after %v: it waited for the servers, not its context", waited)
+			}
+			drained(t, muxes)
+			for _, owner := range sc.Owners("k") {
+				if !holds(servers[muxIndex(t, muxes, owner)], "k", ver) {
+					t.Errorf("%s does not hold the write its caller walked away from", owner)
+				}
+			}
+			if n := len(hints.missed); n != 0 {
+				t.Errorf("%d copies reported missed; every one was applied", n)
+			}
+		})
+	}
+}
+
+// TestShardedGovernorCountsWriteCopies: server load is load whatever the
+// op. A client whose reads are governed writes at quorum 1 of 2 to a
+// fast and a slow owner, so every write leaves a copy in flight; past
+// the governor's threshold, the next read launches one copy instead of
+// two, although no read has loaded the servers.
+func TestShardedGovernorCountsWriteCopies(t *testing.T) {
+	var slow atomic.Int32
+	slow.Store(-1)
+	read := core.LoadAware(core.Fixed{Copies: 2}, 1)
+	sc, _, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1, ReadStrategy: read}, 5*time.Second,
+		func(i int) func() time.Duration {
+			return func() time.Duration {
+				if int32(i) == slow.Load() {
+					return 300 * time.Millisecond
+				}
+				return 0
+			}
+		})
 	warmPuts(t, sc, muxes)
-	hints := newHintSink(t)
-	sc.SetRepairSink(hints)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	began := time.Now()
-	ver, err := sc.PutVersioned(ctx, "k", []byte("v"), 0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PutVersioned under a 5 ms deadline over 50 ms servers: %v, want the deadline's error", err)
-	}
-	if waited := time.Since(began); waited > 40*time.Millisecond {
-		t.Errorf("PutVersioned returned after %v: it waited for the servers, not its context", waited)
-	}
 	drained(t, muxes)
-	for i, srv := range servers {
-		if !holds(srv, "k", ver) {
-			t.Errorf("%s does not hold the write its caller walked away from", muxes[i].Addr())
+	ctx := context.Background()
+	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := sc.GetResult(ctx, "k"); err != nil || res.Launched != 2 {
+		t.Fatalf("a read before the write load: %d copies launched (%v), want 2", res.Launched, err)
+	}
+
+	slow.Store(1)
+	const writes = 20
+	for i := 0; i < writes; i++ {
+		if _, err := sc.PutVersioned(ctx, fmt.Sprint("w", i), []byte("v"), 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n := len(hints.missed); n != 0 {
-		t.Errorf("%d copies reported missed; both were applied", n)
+	gs := read.Governor().Stats()
+	if gs.InFlight < writes/2 {
+		t.Errorf("the governor counts %d copies in flight after %d writes that each left one out", gs.InFlight, writes)
 	}
+	res, err := sc.GetResult(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 1 || !read.Governor().Gated() {
+		t.Errorf("the read after %d writes' copies pushed utilization to %.2f launched %d copies (gated %v), want 1",
+			writes, gs.Utilization, res.Launched, read.Governor().Gated())
+	}
+	drained(t, muxes)
 }
 
 // TestAsyncPutDeclinedStartFallsBack: StartPutV does only what can be
@@ -511,7 +572,7 @@ func (c *putCountingMux) PutV(ctx context.Context, key string, value []byte, ttl
 }
 
 // TestAsyncWrapperSeesEveryPutCopy pins the concrete-type rule of
-// replicateVersion: only a *MuxClient itself has its write copies
+// AddShard for writes: only a *MuxClient itself has its write copies
 // started; a wrapper that overrides PutV sees every one of them.
 func TestAsyncWrapperSeesEveryPutCopy(t *testing.T) {
 	var wrapped []*putCountingMux

@@ -22,7 +22,7 @@ import (
 //     ReadStrategy (default: race primary + secondary, first response
 //     wins — the paper's scheme) and takes per-call options
 //     (core.WithFanoutCap, core.WithLabel, …). With core.WithQuorum it
-//     is the same ring call over every owner, comparing versions; every
+//     is the same call over every owner, comparing versions; every
 //     read witnesses the version it returns.
 //   - PutVersioned (sharded_versioned.go) is the one write: it mints a
 //     version, sends the value to every placement shard and returns once
@@ -30,45 +30,36 @@ import (
 //     survives Replication-WriteQuorum shards being down. PutVersionAt
 //     and CAS are the same write with the version chosen differently.
 //
-// Every copy of a write runs to completion or becomes a hint, so all
-// owners converge on the same bytes under the same version; missed
-// writes, stale copies seen by a quorum read and topology changes are
-// reported to the repair sink (internal/repair: hinted handoff, read
-// repair, anti-entropy migration). AddShard/RemoveShard themselves only
-// change placement.
+// Both are calls on the core engine over one route table of shards; a
+// write's calls are durable (core.KeyedGroup.DoDurable), so every copy
+// of it runs to completion or becomes a hint, and all owners converge on
+// the same bytes under the same version. Missed writes, stale copies
+// seen by a quorum read and placement changes are reported to the repair
+// sink (internal/repair: hinted handoff, read repair, anti-entropy
+// migration). AddShard/RemoveShard themselves only change placement.
 type ShardedClient struct {
-	mu sync.Mutex // serializes AddShard/RemoveShard; the ring has its own engine
-	// topo is the shard set as AddShard/RemoveShard last left it, swapped
-	// whole: readers (the versioned write path, every per-shard lookup)
-	// load it without a lock.
-	topo        atomic.Pointer[topology]
-	reads       *ring.Ring[string, Versioned]
-	replication int
+	mu sync.Mutex // serializes AddShard/RemoveShard; readers never take it
+	// shards is the one shard set: the route table every call, read or
+	// write, and every per-shard lookup routes through. Each entry holds
+	// the shard's client and its member handles in the two groups.
+	shards      *ring.Table[*member]
+	reads       *core.KeyedGroup[string, Versioned]
+	writes      *core.KeyedGroup[putReq, PutVResult]
 	writeQuorum int
 
 	// Versioned (convergence) surface — see sharded_versioned.go. clock
 	// is the client's Lamport version clock; sink, when set, receives
 	// repair work (missed writes, divergence, topology changes).
 	clock versionClock
-	sink  atomic.Pointer[sinkBox]
+	sink  atomic.Pointer[RepairSink]
 }
 
-// topology is one immutable snapshot of the shard set: every shard's
-// client by address, and the placement that routes keys over exactly
-// those shards. A versioned write resolves its owners and their clients
-// from one snapshot, so the two can never disagree.
-type topology struct {
-	clients   map[string]Backend
-	placement ring.Placement
-}
-
-// owners returns key's owners under this snapshot, primary first, in buf
-// when the placement fits it.
-func (t *topology) owners(key string, buf []string) []string {
-	if r := t.placement.Replication(); r > len(buf) {
-		buf = make([]string, r)
-	}
-	return buf[:t.placement.OwnersInto(key, buf)]
+// member is one shard in the route table: its client, and its members
+// in the read and the write group — one engine, two result types.
+type member struct {
+	Backend
+	read  core.Handle[string, Versioned]
+	write core.Handle[putReq, PutVResult]
 }
 
 // Backend is the single-shard client surface ShardedClient and the
@@ -125,11 +116,13 @@ type ShardedConfig struct {
 	// only; core.AdaptiveHedge hedges the secondary at a latency
 	// quantile.
 	ReadStrategy core.Strategy
-	// Observer, when set, receives per-operation metrics from the read
-	// ring (every read, quorum or not; writes are not ring calls) — the
-	// observation hook a feedback controller needs to watch per-class
-	// latency digests and copies launched. core.Counters is the ready-made
-	// implementation; tag calls with core.WithLabel to split classes.
+	// Observer, when set, receives per-operation metrics from every read,
+	// quorum or not — the observation hook a feedback controller needs to
+	// watch per-class latency digests and copies launched. core.Counters
+	// is the ready-made implementation; tag calls with core.WithLabel to
+	// split classes. Writes are calls on the same engine, and their copies
+	// count in the ReadStrategy's governor, but they are not observed: a
+	// write-all copy is not one a controller can shed.
 	Observer core.Observer
 }
 
@@ -146,15 +139,14 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 		cfg.ReadStrategy = core.Fixed{Copies: 2}
 	}
 	sc := &ShardedClient{
-		replication: cfg.Replication,
+		shards:      ring.NewTable[*member](ring.DefaultVirtualNodes, cfg.Replication),
+		reads:       core.NewStrategyKeyedGroup[string, Versioned](cfg.ReadStrategy, core.WithObserver(cfg.Observer)),
 		writeQuorum: cfg.WriteQuorum,
 	}
-	ropts := []ring.Option{ring.WithReplication(cfg.Replication)}
-	if cfg.Observer != nil {
-		ropts = append(ropts, ring.WithObserver(cfg.Observer))
-	}
-	sc.reads = ring.New[string, Versioned](cfg.ReadStrategy, ropts...)
-	sc.topo.Store(&topology{placement: sc.reads.Placement()})
+	sc.writes = core.NewDurableKeyedGroup[putReq, PutVResult](core.Durable[putReq]{
+		Own:  putReq.own,
+		Done: sc.writeDone,
+	})
 	for _, cl := range clients {
 		sc.AddShard(cl)
 	}
@@ -162,7 +154,7 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 }
 
 // AddShard registers a shard; keys whose placement now includes it route
-// there from the next call on. Data written under the old topology is
+// there from the next call on. Data written under the old placement is
 // converged by the repair sink, if one is installed (repair.Manager):
 // the sink is notified with the before/after placements and migrates
 // remapped keys in the background. Adding a shard whose address is
@@ -170,8 +162,7 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 func (sc *ShardedClient) AddShard(cl Backend) {
 	sc.mu.Lock()
 	addr := cl.Addr()
-	prev := sc.topo.Load()
-	if _, ok := prev.clients[addr]; ok {
+	if _, ok := sc.shards.Member(addr); ok {
 		sc.mu.Unlock()
 		return
 	}
@@ -179,43 +170,36 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 		val, ver, ttl, err := cl.GetV(ctx, key)
 		return Versioned{Value: val, Version: ver, TTLSecs: ttl}, err
 	}
-	if mc, ok := cl.(*MuxClient); ok {
-		// A mux client's reads are started, not run: the copies of a
-		// redundant read are wire requests on the caller's goroutine,
-		// with no goroutine per copy. Only for the concrete type — a
-		// Backend that embeds *MuxClient and overrides GetV (a tracing or
-		// counting wrapper) has the promoted Start too, and must keep
-		// seeing every read copy through its own GetV.
-		sc.reads.AddStarter(addr, read, mc)
-	} else {
-		sc.reads.Add(addr, read)
+	put := func(ctx context.Context, r putReq) (PutVResult, error) {
+		// A durable copy runs detached from its caller; the timeout bounds
+		// the goroutine, and a copy it kills becomes a hint.
+		ctx, cancel := context.WithTimeout(ctx, versionedStragglerTimeout)
+		defer cancel()
+		cur, applied, err := cl.PutV(ctx, r.key, r.value, r.ttl, r.version)
+		return PutVResult{Current: cur, Applied: applied, Err: err}, err
 	}
-	cur := sc.publishLocked(prev, addr, cl)
+	s := &member{Backend: cl}
+	if mc, ok := cl.(*MuxClient); ok {
+		// A mux client's copies are started, not run: the copies of a
+		// call are wire requests on the caller's goroutine, with no
+		// goroutine per copy. Only for the concrete type — a Backend that
+		// embeds *MuxClient and overrides GetV or PutV (a tracing or
+		// counting wrapper) has the promoted Start and StartPutV too, and
+		// must keep seeing every copy through its own methods.
+		s.read = sc.reads.AddStarter(addr, read, mc)
+		s.write = sc.writes.AddStarter(addr, put, (*putStarter)(mc))
+	} else {
+		s.read = sc.reads.Add(addr, read)
+		s.write = sc.writes.Add(addr, put)
+	}
+	prev := sc.shards.Placement()
+	sc.shards.Add(addr, s)
+	cur := sc.shards.Placement()
 	sink := sc.repairSink()
 	sc.mu.Unlock()
 	if sink != nil {
-		sink.TopologyChanged(prev.placement, cur.placement)
+		sink.TopologyChanged(prev, cur)
 	}
-}
-
-// publishLocked swaps in the snapshot that follows prev once the ring
-// has changed: prev's clients with addr set to cl, or without addr when
-// cl is nil. The caller holds sc.mu.
-func (sc *ShardedClient) publishLocked(prev *topology, addr string, cl Backend) *topology {
-	cur := &topology{
-		clients:   make(map[string]Backend, len(prev.clients)+1),
-		placement: sc.reads.Placement(),
-	}
-	for a, c := range prev.clients {
-		cur.clients[a] = c
-	}
-	if cl != nil {
-		cur.clients[addr] = cl
-	} else {
-		delete(cur.clients, addr)
-	}
-	sc.topo.Store(cur)
-	return cur
 }
 
 // RemoveShard drops the shard serving addr from placement, reporting
@@ -225,17 +209,18 @@ func (sc *ShardedClient) publishLocked(prev *topology, addr string, cl Backend) 
 // be re-homed (the removed shard may still be readable for draining).
 func (sc *ShardedClient) RemoveShard(addr string) bool {
 	sc.mu.Lock()
-	prev := sc.topo.Load()
-	if _, ok := prev.clients[addr]; !ok {
+	prev := sc.shards.Placement()
+	if !sc.shards.Remove(addr) {
 		sc.mu.Unlock()
 		return false
 	}
 	sc.reads.Remove(addr)
-	cur := sc.publishLocked(prev, addr, nil)
+	sc.writes.Remove(addr)
+	cur := sc.shards.Placement()
 	sink := sc.repairSink()
 	sc.mu.Unlock()
 	if sink != nil {
-		sink.TopologyChanged(prev.placement, cur.placement)
+		sink.TopologyChanged(prev, cur)
 	}
 	return true
 }
@@ -276,18 +261,28 @@ func (sc *ShardedClient) GetResult(ctx context.Context, key string, opts ...core
 	if q, collect := core.QuorumOf[Versioned](opts); q >= 1 {
 		return sc.readQuorum(ctx, key, q, collect, opts)
 	}
-	res, err := sc.reads.Do(ctx, key, opts...)
+	var sb [4]*member
+	var hb [4]core.Handle[string, Versioned]
+	res, err := sc.reads.DoPicked(ctx, key, readHandles(sc.shards.Route(key, sb[:]), hb[:0]), opts...)
 	if err == nil {
 		sc.Witness(res.Value.Version)
 	}
 	return res, err
 }
 
+// readHandles appends each owner's read handle to dst.
+func readHandles(owners []*member, dst []core.Handle[string, Versioned]) []core.Handle[string, Versioned] {
+	for _, s := range owners {
+		dst = append(dst, s.read)
+	}
+	return dst
+}
+
 // Owners returns the shard addresses key is placed on, primary first.
-func (sc *ShardedClient) Owners(key string) []string { return sc.reads.Owners(key) }
+func (sc *ShardedClient) Owners(key string) []string { return sc.shards.Placement().Owners(key) }
 
 // Replication returns the placement copies per key.
-func (sc *ShardedClient) Replication() int { return sc.replication }
+func (sc *ShardedClient) Replication() int { return sc.shards.Placement().Replication() }
 
 // WriteQuorum returns the configured write quorum.
 func (sc *ShardedClient) WriteQuorum() int { return sc.writeQuorum }
@@ -295,26 +290,16 @@ func (sc *ShardedClient) WriteQuorum() int { return sc.writeQuorum }
 // SetReadStrategy replaces the read-side redundancy strategy atomically.
 func (sc *ShardedClient) SetReadStrategy(s core.Strategy) { sc.reads.SetStrategy(s) }
 
-// RingStats reports the read ring's placement and per-shard latency
-// statistics: each shard's key share, observed latency digest quantiles,
-// and cancelled-copy counts.
-func (sc *ShardedClient) RingStats() ring.Stats { return sc.reads.Stats() }
-
-// shards snapshots the current shard clients, in no particular order.
-func (sc *ShardedClient) shards() []Backend {
-	t := sc.topo.Load()
-	clients := make([]Backend, 0, len(t.clients))
-	for _, cl := range t.clients {
-		clients = append(clients, cl)
-	}
-	return clients
-}
+// RingStats reports the route table's placement and each shard's read
+// statistics: its key share, observed read latency digest quantiles,
+// and cancelled-copy counts. Write copies are not in the digests.
+func (sc *ShardedClient) RingStats() ring.Stats { return sc.shards.Placement().Stats(sc.reads.Stats()) }
 
 // Close closes all shard clients.
 func (sc *ShardedClient) Close() error {
 	var err error
-	for _, cl := range sc.shards() {
-		if e := cl.Close(); e != nil && err == nil {
+	for _, s := range sc.shards.Entries() {
+		if e := s.Close(); e != nil && err == nil {
 			err = e
 		}
 	}

@@ -24,7 +24,7 @@ func (sc *ShardedClient) ScanMerged(ctx context.Context, after string, limit int
 	}
 	more := false
 	merged := make(map[string]ScanEntry)
-	for _, cl := range sc.shards() {
+	for _, cl := range sc.shards.Entries() {
 		entries, shardMore, err := cl.Scan(ctx, after, limit)
 		if err != nil {
 			return nil, false, fmt.Errorf("memkv: scan %s: %w", cl.Addr(), err)

@@ -1,11 +1,11 @@
 package memkv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"redundancy/internal/core"
@@ -21,20 +21,17 @@ import (
 //     last-writer-wins resolves sanely across writers (ties and skew
 //     bounded by clock skew). No delete exists: TTL expiry is the only
 //     removal, so there is nothing for repair to resurrect.
-//   - PutVersioned, a quorum write that is not a ring call: the core
-//     engine cancels losing copies the moment a quorum is met, and
-//     durability is exactly the reason that is wrong here. Every
-//     placement copy runs to completion after the call returned, each
-//     copy that ultimately failed is reported to the repair sink as a
-//     missed write (the hinted-handoff trigger), and every owner ends
-//     up with the one version the client minted. PutVersionAt and CAS
-//     are the same write with the version chosen differently. A
-//     copy is a wire request, not a goroutine: the write is one pooled
-//     writeFrame, every owner's copy is started on the caller's
-//     goroutine (MuxClient.StartPutV) and completes into the frame from
-//     wherever its outcome is learned, and a straggler is a tag in a
-//     connection's table — no goroutine, no context, no timer of its
-//     own.
+//   - PutVersioned, a quorum write: a durable call on the core engine
+//     (core.KeyedGroup.DoDurable), which returns at the write quorum and
+//     withdraws nothing, because durability is the point. Every copy runs
+//     to completion, each one that failed is reported to the repair sink
+//     as a missed write (the hinted-handoff trigger) by the engine's
+//     per-copy hook, and every owner ends up with the one version the
+//     client minted. PutVersionAt and CAS are the same write with the
+//     version chosen differently. A copy is a wire request started on
+//     the caller's goroutine (MuxClient.StartPutV), and a straggler is a
+//     tag in a connection's table. The copies count in the read
+//     strategy's governor: server load is load whatever the op.
 //   - readQuorum, GetResult under core.WithQuorum: a version-observing
 //     read that returns the newest value among the copies read and
 //     reports stale copies (older version, or missing entirely) to the
@@ -49,7 +46,7 @@ import (
 // version divergence on quorum reads (read repair), and topology
 // changes (anti-entropy migration). repair.Manager is the production
 // implementation. Methods must not block — they run on call paths, and
-// WriteMissed under the reporting write's lock.
+// WriteMissed under the reporting write's call-frame lock.
 type RepairSink interface {
 	// WriteMissed reports that a versioned write reached its quorum (or
 	// failed) without landing on owner: the hint to queue and replay.
@@ -69,10 +66,6 @@ type RepairSink interface {
 	TopologyChanged(prev, cur ring.Placement)
 }
 
-// sinkBox wraps the sink for atomic.Pointer (interfaces can't be stored
-// in one directly).
-type sinkBox struct{ s RepairSink }
-
 // SetRepairSink installs (or, with nil, removes) the repair sink. Safe
 // to call at any time; calls in flight may still see the old sink.
 func (sc *ShardedClient) SetRepairSink(s RepairSink) {
@@ -80,12 +73,12 @@ func (sc *ShardedClient) SetRepairSink(s RepairSink) {
 		sc.sink.Store(nil)
 		return
 	}
-	sc.sink.Store(&sinkBox{s: s})
+	sc.sink.Store(&s)
 }
 
 func (sc *ShardedClient) repairSink() RepairSink {
-	if b := sc.sink.Load(); b != nil {
-		return b.s
+	if p := sc.sink.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
@@ -134,7 +127,7 @@ func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []b
 		return 0, err
 	}
 	ver := sc.NextVersion()
-	return ver, sc.putVersion(ctx, key, value, ttl, ver)
+	return ver, sc.putVersion(ctx, putReq{key: key, value: value, ttl: ttl, version: ver})
 }
 
 // PutVersionAt is PutVersioned with a caller-supplied version — the
@@ -151,224 +144,70 @@ func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []b
 	if version == 0 {
 		return errors.New("memkv: version must be nonzero")
 	}
-	return sc.putVersion(ctx, key, value, ttl, version)
+	return sc.putVersion(ctx, putReq{key: key, value: value, ttl: ttl, version: version})
 }
 
 // putVersion writes an already-validated, already-versioned value to
-// every owner of key under the write quorum.
-func (sc *ShardedClient) putVersion(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) error {
-	t := sc.topo.Load()
-	var buf [4]string
-	owners := t.owners(key, buf[:])
-	if len(owners) == 0 {
-		return core.ErrNoReplicas
-	}
-	return sc.replicateVersion(ctx, t, key, value, ttl, version, owners, sc.writeQuorum)
+// every owner of its key under the write quorum.
+func (sc *ShardedClient) putVersion(ctx context.Context, r putReq) error {
+	var buf [4]*member
+	return sc.replicate(ctx, r, sc.shards.Route(r.key, buf[:]), sc.writeQuorum)
 }
 
-// writeFrame is one versioned write in flight: what is being written,
-// to whom, and how many copies have acked or failed. It is the sink of
-// every copy (PutVSink): a started copy completes into it
-// from its connection's reader, the timer wheel or whoever failed the
-// connection; a copy launched the blocking way completes into it from
-// its goroutine. Complete is therefore the one place that counts acks,
-// reports a missed write, and wakes the caller.
-//
-// Frames are pooled and reference counted: one reference per copy, held
-// until that copy completes, plus the caller's, held until
-// replicateVersion returns. The frame goes back to the pool when the
-// last reference drops — long after the call returned, if a straggler
-// is out — and only then are its fields cleared, so a completion always
-// finds the write it belongs to.
-//
-// The value is the caller's slice, borrowed until replicateVersion
-// returns and no longer. A started copy needs it only while it is being
-// started; what can outlive the call is a blocking copy's goroutine and
-// a failed straggler's hint, and the first of either makes the frame
-// copy the value for itself (keepValue) — once per write, never for a
-// write whose copies were all started and all done by the return.
-type writeFrame struct {
-	sc  *ShardedClient
-	key string
-	ttl time.Duration
-	ver uint64
-	q   int
-	// owners are the copies' destinations, indexed by slot; in ownerBuf
-	// for placements of up to four.
-	owners   []string
-	ownerBuf [4]string
-
-	refs atomic.Int32
-	// decided carries the one wake-up of a write: sent when the quorum is
-	// met or has become unreachable. Capacity 1, so the completion that
-	// sends it never blocks, even if the caller left on its context.
-	decided chan struct{}
-
-	mu sync.Mutex
-	// value is what is being written: the caller's slice, or the frame's
-	// own copy of it once kept is set. Guarded by mu, which Complete holds
-	// across the hint it hands value to — so the caller's return, which
-	// takes mu to decide whether to keep, cannot overtake a hint that is
-	// reading the caller's slice.
-	value     []byte
-	kept      bool
-	acks      int
-	fails     int
-	firstErr  error
-	signalled bool
+// putReq is one versioned write: the write group's call argument.
+type putReq struct {
+	key     string
+	value   []byte
+	ttl     time.Duration
+	version uint64
 }
 
-var writeFramePool = sync.Pool{
-	New: func() any { return &writeFrame{decided: make(chan struct{}, 1)} },
+// own is the write group's core.Durable.Own: r with its own copy of the
+// value the caller lent.
+func (r putReq) own() putReq {
+	r.value = bytes.Clone(r.value)
+	return r
 }
 
-// Complete implements PutVSink: slot's copy has finished, with err if
-// it did not land. Called exactly once per copy, from any goroutine.
-func (w *writeFrame) Complete(slot int, _ PutVResult, err error) {
-	if w.refs.Load() <= 0 {
-		panic("memkv: versioned write copy completed into a released frame")
-	}
-	w.mu.Lock()
-	if err == nil {
-		w.acks++
-	} else {
-		w.fails++
-		if w.firstErr == nil {
-			w.firstErr = err
-		}
-	}
-	signal := !w.signalled && (w.acks >= w.q || len(w.owners)-w.fails < w.q)
-	if signal {
-		w.signalled = true
-	}
-	if err != nil {
-		// Before the wake-up: a caller told of a failed write finds its
-		// hint already queued. Under mu: see value.
-		if sink := w.sc.repairSink(); sink != nil {
-			sink.WriteMissed(w.key, w.value, w.ver, w.ttl, w.owners[slot])
-		}
-	}
-	w.mu.Unlock()
-	if signal {
-		w.decided <- struct{}{}
-	}
-	w.release()
+// putStarter is a MuxClient as the write group's core.Starter: Start is
+// StartPutV, with the call frame as its PutVSink. A started put cannot be
+// withdrawn, and a durable call never asks.
+type putStarter MuxClient
+
+func (p *putStarter) Start(r putReq, sink core.Sink[PutVResult], slot int) (core.Ticket, bool) {
+	return core.Ticket{}, (*MuxClient)(p).StartPutV(r.key, r.value, r.ttl, r.version, sink, slot)
 }
 
-// release drops one reference; the last one returns the frame to the
-// pool.
-func (w *writeFrame) release() {
-	if w.refs.Add(-1) != 0 {
-		return
+func (*putStarter) Cancel(core.Ticket) bool { return false }
+
+// writeDone is the write group's per-copy hook: a copy that failed is a
+// missed write for the repair sink, exactly one per copy, and reported
+// under the frame's lock, so the caller's return cannot take back the
+// value it reads.
+func (sc *ShardedClient) writeDone(c core.CopyDone[putReq]) {
+	if sink := sc.repairSink(); c.Err != nil && sink != nil {
+		sink.WriteMissed(c.Arg.key, c.Arg.value, c.Arg.version, c.Arg.ttl, c.Replica)
 	}
-	// Every copy has completed and the caller has returned: nobody else
-	// holds w. A wake-up the caller never took (it left on its context)
-	// must not greet the next write.
-	select {
-	case <-w.decided:
-	default:
-	}
-	w.sc, w.key, w.value, w.owners, w.firstErr = nil, "", nil, nil, nil
-	w.acks, w.fails, w.signalled, w.kept = 0, 0, false, false
-	writeFramePool.Put(w)
 }
 
-// keepValue makes w.value the frame's own copy of what the caller lent,
-// if it is not already, and returns it. The caller holds w.mu.
-func (w *writeFrame) keepValue() []byte {
-	if !w.kept {
-		w.value = append([]byte(nil), w.value...)
-		w.kept = true
+// replicate is the durable write call, the shared tail of PutVersioned,
+// PutVersionAt and CAS: r to owners, returning once q of them acked (q
+// <= 0 returns once the copies are out: CAS, whose primary ack already
+// met a quorum of 1), too few can, or ctx is done.
+func (sc *ShardedClient) replicate(ctx context.Context, r putReq, owners []*member, q int) error {
+	var hb [4]core.Handle[putReq, PutVResult]
+	picked := hb[:0]
+	for _, s := range owners {
+		picked = append(picked, s.write)
 	}
-	return w.value
+	err := sc.writes.DoDurable(ctx, r, picked, q, core.GovernorOf(sc.reads.Strategy()))
+	if err == nil || err == core.ErrNoReplicas {
+		return err
+	}
+	return fmt.Errorf("memkv: versioned set %q: %w", r.key, err)
 }
 
-// putBlocking runs slot's copy of value — the frame's own, see keepValue
-// — through b.PutV on its own goroutine: the launch for a copy that
-// could not be started.
-func (w *writeFrame) putBlocking(ctx context.Context, slot int, b Backend, value []byte) {
-	// Detached from the caller: a copy that outlives the quorum keeps
-	// writing, because durability is the point. The timeout bounds the
-	// goroutine; a copy it kills becomes a hint.
-	wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
-	defer cancel()
-	cur, applied, err := b.PutV(wctx, w.key, value, w.ttl, w.ver)
-	w.Complete(slot, PutVResult{Current: cur, Applied: applied, Err: err}, err)
-}
-
-// replicateVersion pushes an already-versioned value to owners (shards
-// of snapshot t) and returns once q of them acked (q <= 0 returns
-// immediately — used by CAS, whose primary ack already satisfied a
-// quorum of 1) or ctx is done. Every copy runs to completion detached
-// from the caller (bounded by versionedStragglerTimeout); each copy that
-// ultimately fails becomes a WriteMissed hint. This is the shared
-// durability tail of PutVersioned, PutVersionAt, and CAS. value is read
-// only until the return; whatever is still to happen then happens to the
-// frame's copy.
-//
-// Each copy is started on this goroutine when its shard is a *MuxClient
-// that accepts the start. A start declined (a connection never
-// dialed, or one in redial) is launched the blocking way, and so is every copy to
-// a shard of any other type: a Backend that embeds *MuxClient and
-// overrides PutV — a tracing or counting wrapper — has the promoted
-// StartPutV too, and must keep seeing every write copy through its own
-// PutV (the rule AddShard follows for reads).
-func (sc *ShardedClient) replicateVersion(ctx context.Context, t *topology, key string, value []byte, ttl time.Duration, version uint64, owners []string, q int) error {
-	if len(owners) == 0 {
-		return nil
-	}
-	if q > len(owners) {
-		q = len(owners)
-	}
-	w := writeFramePool.Get().(*writeFrame)
-	w.sc, w.key, w.value, w.ttl, w.ver, w.q = sc, key, value, ttl, version, q
-	w.owners = append(w.ownerBuf[:0], owners...)
-	w.signalled = q <= 0
-	w.refs.Store(int32(len(owners)) + 1)
-	for slot, addr := range w.owners {
-		b := t.clients[addr]
-		if mc, ok := b.(*MuxClient); ok && mc.StartPutV(key, value, ttl, version, w, slot) {
-			continue
-		}
-		w.mu.Lock()
-		kept := w.keepValue()
-		w.mu.Unlock()
-		go w.putBlocking(ctx, slot, b, kept)
-	}
-	var err error
-	if q > 0 {
-		err = w.wait(ctx)
-	}
-	// A copy still out may yet fail into a hint. Counted from completions
-	// under mu, not from refs: a completer drops its reference after it
-	// has woken this goroutine.
-	w.mu.Lock()
-	if w.acks+w.fails < len(w.owners) {
-		w.keepValue()
-	}
-	w.mu.Unlock()
-	w.release()
-	return err
-}
-
-// wait blocks until the write is decided or ctx is done, and reports
-// the write's outcome.
-func (w *writeFrame) wait(ctx context.Context) error {
-	select {
-	case <-w.decided:
-	case <-ctx.Done():
-		return fmt.Errorf("memkv: versioned set %q: %w", w.key, context.Cause(ctx))
-	}
-	w.mu.Lock()
-	acks, firstErr := w.acks, w.firstErr
-	w.mu.Unlock()
-	if acks >= w.q {
-		return nil
-	}
-	return fmt.Errorf("memkv: versioned set %q (%d/%d acked): %w: %w", w.key, acks, w.q, core.ErrQuorumUnreachable, firstErr)
-}
-
-// readQuorum is GetResult with core.WithQuorum(q): the read ring's call
+// readQuorum is GetResult with core.WithQuorum(q): the read group's call
 // over every owner (divergence is only observable on the copies actually
 // read), completing on min(q, Replication, shards) answers, with opts'
 // other options kept. It returns the newest value and version observed,
@@ -388,16 +227,17 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 	if err := validateKey(key); err != nil {
 		return zero, err
 	}
-	n := sc.reads.Len()
-	if n == 0 {
+	var sb [4]*member
+	owners := sc.shards.Route(key, sb[:])
+	if len(owners) == 0 {
 		return zero, core.ErrNoReplicas
 	}
-	q = min(q, sc.replication, n)
-	owners := sc.reads.Owners(key)
+	q = min(q, len(owners))
 	if outs == nil {
 		outs = new([]core.Outcome[Versioned])
 	}
-	res, err := sc.reads.Do(ctx, key, append(opts[:len(opts):len(opts)],
+	var hb [4]core.Handle[string, Versioned]
+	res, err := sc.reads.DoPicked(ctx, key, readHandles(owners, hb[:0]), append(opts[:len(opts):len(opts)],
 		core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
 		core.WithCollectOutcomes(outs), core.WithNegativeAnswer(ErrNotFound))...)
 	if err != nil && !errors.Is(err, ErrNotFound) {
@@ -430,7 +270,7 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 	var stale []string
 	for _, o := range votes {
 		if o.Err == nil && o.Value.Version < res.Value.Version && o.Index < len(owners) {
-			stale = append(stale, owners[o.Index])
+			stale = append(stale, owners[o.Index].Addr())
 		}
 	}
 	sc.Witness(res.Value.Version)
@@ -446,12 +286,15 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 // single-shard versioned operations; nil if addr is not (or no longer)
 // in the ring.
 func (sc *ShardedClient) VersionedShard(addr string) Backend {
-	return sc.topo.Load().clients[addr]
+	if s, ok := sc.shards.Member(addr); ok {
+		return s.Backend
+	}
+	return nil
 }
 
 // ShardAddrs returns the current shard addresses in registration order.
-func (sc *ShardedClient) ShardAddrs() []string { return sc.reads.Names() }
+func (sc *ShardedClient) ShardAddrs() []string { return slices.Clone(sc.shards.Placement().Names()) }
 
 // PlacementSnapshot captures the current placement as an immutable
 // snapshot, for remap-diff enumeration (see ring.Placement).
-func (sc *ShardedClient) PlacementSnapshot() ring.Placement { return sc.topo.Load().placement }
+func (sc *ShardedClient) PlacementSnapshot() ring.Placement { return sc.shards.Placement() }

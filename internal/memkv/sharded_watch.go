@@ -55,13 +55,12 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if err := validateValue(len(value)); err != nil {
 		return 0, err
 	}
-	t := sc.topo.Load()
-	var buf [4]string
-	owners := t.owners(key, buf[:])
+	var buf [4]*member
+	owners := sc.shards.Route(key, buf[:])
 	if len(owners) == 0 {
 		return 0, core.ErrNoReplicas
 	}
-	cur, applied, err := t.clients[owners[0]].CAS(ctx, key, value, ttl, expect)
+	cur, applied, err := owners[0].CAS(ctx, key, value, ttl, expect)
 	if err != nil {
 		return 0, fmt.Errorf("memkv: cas %q: %w", key, err)
 	}
@@ -69,11 +68,11 @@ func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl 
 	if !applied {
 		return cur, fmt.Errorf("memkv: cas %q: %w (current version %d)", key, ErrCASConflict, cur)
 	}
-	q := sc.writeQuorum
-	if q > len(owners) {
-		q = len(owners)
+	if len(owners) == 1 {
+		return cur, nil
 	}
-	if err := sc.replicateVersion(ctx, t, key, value, ttl, cur, owners[1:], q-1); err != nil {
+	q := min(sc.writeQuorum, len(owners))
+	if err := sc.replicate(ctx, putReq{key: key, value: value, ttl: ttl, version: cur}, owners[1:], q-1); err != nil {
 		return cur, fmt.Errorf("memkv: cas %q replicate: %w", key, err)
 	}
 	return cur, nil

@@ -331,49 +331,6 @@ func TestShardedPutVersionedQuorumOneAllocations(t *testing.T) {
 	drained(t, muxes)
 }
 
-// TestShardedWriteFrameDropsItsCopyOnRecycle: the frame's private copy of
-// a value lives exactly as long as its write. release clears it with the
-// rest, so no frame waiting in the pool pins a value.
-func TestShardedWriteFrameDropsItsCopyOnRecycle(t *testing.T) {
-	lent := []byte("lent")
-	w := &writeFrame{decided: make(chan struct{}, 1), value: lent}
-	w.refs.Store(1)
-	w.mu.Lock()
-	kept := w.keepValue()
-	again := w.keepValue()
-	w.mu.Unlock()
-	if !bytes.Equal(kept, lent) || &kept[0] == &lent[0] || &again[0] != &kept[0] {
-		t.Fatal("keepValue did not make exactly one private copy")
-	}
-	w.release()
-	if w.value != nil || w.kept {
-		t.Errorf("a released frame still holds value %q (kept=%v)", w.value, w.kept)
-	}
-
-	// And through the real path: after quorum-1 writes whose stragglers
-	// all made the frame keep a copy, no pooled frame holds one.
-	sc, _, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2, WriteQuorum: 1}, 5*time.Second,
-		func(int) func() time.Duration { return func() time.Duration { return time.Millisecond } })
-	warmPuts(t, sc, muxes)
-	for i := 0; i < 50; i++ {
-		if _, err := sc.PutVersioned(context.Background(), fmt.Sprint("k", i), []byte("value"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drained(t, muxes)
-	var taken []*writeFrame
-	for i := 0; i < 64; i++ {
-		f := writeFramePool.Get().(*writeFrame)
-		if f.value != nil || f.kept || f.sc != nil {
-			t.Errorf("a frame in the pool holds value %q (kept=%v)", f.value, f.kept)
-		}
-		taken = append(taken, f)
-	}
-	for _, f := range taken {
-		writeFramePool.Put(f)
-	}
-}
-
 // TestMuxValuePoolSizes: Take returns exactly what was asked for at and
 // around every class boundary, whatever buffers of the same class were
 // released before — a buffer too short for the request is passed over,

@@ -68,21 +68,20 @@ func TestDeterministicThresholdNear26(t *testing.T) {
 	}
 }
 
+// TestThresholdBetween25And50Conjecture: Conjecture 1 plus the trivial
+// upper bound — thresholds lie in (~0.25, 0.5] across very different
+// service laws. The golden run asserts it, at least as tightly, for five
+// of the six laws this test once swept: deterministic service is
+// Figure 2(c)'s p = 0 row, and Weibull γ = 2, Pareto β = 0.5 and
+// two-point p = 0.7 are rows of Figures 2(a)–(c), all held in [0.25,
+// 0.5) by exp.TestClaimsFig2; exponential service is Theorem 1's
+// simulated threshold, held within 0.02 of 1/3 by exp.TestClaimsThm1.
+// No golden table has an Erlang law, so Erlang-4 is swept here.
 func TestThresholdBetween25And50Conjecture(t *testing.T) {
-	// Conjecture 1 + the trivial upper bound: thresholds lie in
-	// (~0.25, 0.5] across very different service laws.
 	if testing.Short() {
 		t.Skip("threshold sweep is slow")
 	}
-	dists := []dist.Dist{
-		dist.Deterministic{V: 1},
-		dist.Exponential{MeanV: 1},
-		dist.WeibullUnitMean(2),
-		dist.ParetoInvScale(0.5),
-		dist.TwoPointUnitMean(0.7),
-		dist.Erlang{K: 4, MeanV: 1},
-	}
-	for _, d := range dists {
+	for _, d := range []dist.Dist{dist.Erlang{K: 4, MeanV: 1}} {
 		th, err := ThresholdLoad(ThresholdOptions{
 			Servers: 20, Service: d, Seed: 7, Requests: 150000,
 		})

@@ -422,9 +422,11 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 	if val, ver := res.Value.Value, res.Value.Version; err != nil || string(val) != "new" || ver != newer {
 		t.Fatalf("quorum GetResult = (%q, %d, %v), want (new, %d)", val, ver, err, newer)
 	}
-	waitFor(t, 10*time.Second, "stale replica healed", func() bool {
+	// The owner holds the pushed value before the push returns and is
+	// counted, so wait for both.
+	waitFor(t, 10*time.Second, "stale replica healed and the replay counted", func() bool {
 		_, v, _, err := sc.VersionedShard(owners[1]).GetV(ctx, key)
-		return err == nil && v == newer
+		return err == nil && v == newer && m.Stats().HintsReplayed >= 1
 	})
 	st := m.Stats()
 	if st.DivergenceObserved < 1 || st.HintsReplayed < 1 {

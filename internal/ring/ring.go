@@ -28,11 +28,14 @@
 // or the new one, never a mix. Keys owned by a removed member remap to
 // their successors; calls already in flight finish against the members
 // they were routed to (handles outlive removal, exactly like the group's
-// snapshot grace). A route table is a Placement plus each member's
-// handle, and one owner walk serves both: a call routes to the handles,
-// a Placement answers with the names. The cluster simulator places its
-// files with NewPlacement, built by the same point builder, so the live
-// ring and the simulator place identically.
+// snapshot grace). The route table is a Table: a Placement plus one
+// entry per member, and one owner walk serves both — a call routes to
+// the entries, a Placement answers with the names. A Ring's entries are
+// its group's handles; a client that runs more than one group over the
+// same members (memkv's reads and writes) keeps its own Table whose
+// entry holds every handle a member has. The cluster simulator places
+// its files with NewPlacement, built by the same point builder, so the
+// live ring and the simulator place identically.
 //
 // All methods are safe for concurrent use. The per-call hot path —
 // hash, binary search, successor walk, DoPicked — takes no locks and
@@ -65,24 +68,33 @@ const (
 // subset. The call argument is the routing key itself. Build one with
 // New; see the package comment for semantics.
 type Ring[K ~string, T any] struct {
-	replication int
-	vnodes      int
-	group       *core.KeyedGroup[K, T]
-	table       atomic.Pointer[table[K, T]]
-	mu          sync.Mutex // serializes topology writers; readers never take it
+	routes Table[core.Handle[K, T]] // each member's entry is its handle
+	group  *core.KeyedGroup[K, T]
+	mu     sync.Mutex // serializes topology writers; readers never take it
 }
 
-// table is one immutable routing snapshot: the Placement that names the
+// Table is a copy-on-write route table: named members, each with an
+// entry E, placed on the hash ring. Every lookup loads one immutable
+// snapshot without a lock; Add and Remove publish a new one and must be
+// serialized by the caller. Build one with NewTable. A Ring keeps one
+// over its group's handles; a client that runs more than one group over
+// the same members keeps its own.
+type Table[E comparable] struct {
+	vnodes int
+	cur    atomic.Pointer[routes[E]]
+}
+
+// routes is one immutable routing snapshot: the Placement that names the
 // members (registration order) and places keys on them, and each
-// member's handle under the same index.
-type table[K, T any] struct {
+// member's entry under the same index.
+type routes[E any] struct {
 	Placement
-	handles []core.Handle[K, T]
+	entries []E
 }
 
 type point struct {
 	hash  uint64
-	owner int32 // member index: into Placement.names and table.handles
+	owner int32 // member index: into Placement.names and routes.entries
 }
 
 // config collects Option state.
@@ -125,19 +137,23 @@ func New[K ~string, T any](strategy core.Strategy, opts ...Option) *Ring[K, T] {
 			o(&cfg)
 		}
 	}
-	if cfg.replication < 1 {
-		cfg.replication = 1
-	}
-	if cfg.vnodes < 1 {
-		cfg.vnodes = 1
-	}
-	r := &Ring[K, T]{
-		replication: cfg.replication,
-		vnodes:      cfg.vnodes,
-		group:       core.NewStrategyKeyedGroup[K, T](strategy, core.WithObserver(cfg.observer)),
-	}
-	r.table.Store(&table[K, T]{Placement: Placement{replication: cfg.replication}})
+	r := &Ring[K, T]{group: core.NewStrategyKeyedGroup[K, T](strategy, core.WithObserver(cfg.observer))}
+	r.routes.init(cfg.vnodes, cfg.replication)
 	return r
+}
+
+// NewTable creates an empty route table placing each key on replication
+// members, with vnodes points per member (values below 1 mean 1), as
+// NewPlacement places.
+func NewTable[E comparable](vnodes, replication int) *Table[E] {
+	t := &Table[E]{}
+	t.init(vnodes, replication)
+	return t
+}
+
+func (t *Table[E]) init(vnodes, replication int) {
+	t.vnodes = max(vnodes, 1)
+	t.cur.Store(&routes[E]{Placement: Placement{replication: max(replication, 1)}})
 }
 
 // Add registers a backend under name and rebuilds the route table:
@@ -145,21 +161,12 @@ func New[K ~string, T any](strategy core.Strategy, opts ...Option) *Ring[K, T] {
 // call on. Adding a name that already exists is a no-op (members are
 // unique by name). Reports whether the member was added.
 func (r *Ring[K, T]) Add(name string, fn core.ArgReplica[K, T]) bool {
-	return r.AddStarter(name, fn, nil)
-}
-
-// AddStarter is Add for a backend that also has a non-blocking form:
-// calls of two or more copies start this member's copy through starter
-// instead of running fn on a goroutine (see core.KeyedGroup.AddStarter).
-func (r *Ring[K, T]) AddStarter(name string, fn core.ArgReplica[K, T], starter core.Starter[K, T]) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.table.Load()
-	if slices.Contains(t.names, name) {
+	if _, ok := r.routes.Member(name); ok {
 		return false
 	}
-	h := r.group.AddStarter(name, fn, starter)
-	r.table.Store(r.build(append(slices.Clip(t.names), name), append(slices.Clip(t.handles), h)))
+	r.routes.Add(name, r.group.Add(name, fn))
 	return true
 }
 
@@ -170,23 +177,64 @@ func (r *Ring[K, T]) AddStarter(name string, fn core.ArgReplica[K, T], starter c
 func (r *Ring[K, T]) Remove(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.table.Load()
-	i := slices.Index(t.names, name)
-	if i < 0 {
+	if !r.routes.Remove(name) {
 		return false
 	}
-	r.table.Store(r.build(slices.Delete(slices.Clone(t.names), i, i+1), slices.Delete(slices.Clone(t.handles), i, i+1)))
 	r.group.Remove(name)
 	return true
 }
 
-// build compiles a member list, names and their handles by index, into
-// an immutable route table.
-func (r *Ring[K, T]) build(names []string, handles []core.Handle[K, T]) *table[K, T] {
-	return &table[K, T]{
-		Placement: Placement{points: buildPoints(names, r.vnodes), names: names, replication: r.replication},
-		handles:   handles,
+// Add publishes a table with member name, carrying e, appended. name
+// must not be a member already (see Member).
+func (t *Table[E]) Add(name string, e E) {
+	rt := t.cur.Load()
+	t.publish(rt, append(slices.Clip(rt.names), name), append(slices.Clip(rt.entries), e))
+}
+
+// Remove publishes a table without member name, reporting whether it
+// was a member.
+func (t *Table[E]) Remove(name string) bool {
+	rt := t.cur.Load()
+	i := slices.Index(rt.names, name)
+	if i >= 0 {
+		t.publish(rt, slices.Delete(slices.Clone(rt.names), i, i+1), slices.Delete(slices.Clone(rt.entries), i, i+1))
 	}
+	return i >= 0
+}
+
+// publish compiles a member list, names and their entries by index, into
+// the snapshot that follows prev and swaps it in.
+func (t *Table[E]) publish(prev *routes[E], names []string, entries []E) {
+	t.cur.Store(&routes[E]{
+		Placement: Placement{points: buildPoints(names, t.vnodes), names: names, replication: prev.replication},
+		entries:   entries,
+	})
+}
+
+// Member returns the entry of the member named name, if there is one.
+func (t *Table[E]) Member(name string) (E, bool) {
+	rt := t.cur.Load()
+	if i := slices.Index(rt.names, name); i >= 0 {
+		return rt.entries[i], true
+	}
+	var zero E
+	return zero, false
+}
+
+// Entries returns every member's entry in registration order.
+func (t *Table[E]) Entries() []E { return slices.Clone(t.cur.Load().entries) }
+
+// Route resolves key's placement from the current snapshot, primary
+// first, into buf — or into a new slice when buf is too short. A table
+// smaller than the replication factor clamps the placement to the
+// members that exist (a single-member table is its own secondary, so a
+// ring's fan-out degrades to 1), and an empty one places key nowhere.
+func (t *Table[E]) Route(key string, buf []E) []E {
+	rt := t.cur.Load()
+	if n := min(rt.replication, len(rt.names)); n > len(buf) {
+		buf = make([]E, n)
+	}
+	return buf[:walkOwners(&rt.Placement, key, buf, func(i int32) E { return rt.entries[i] })]
 }
 
 // buildPoints places vnodes points on the ring for each of names, the
@@ -239,7 +287,7 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// walkOwners is the one owner walk, behind Ring.place and
+// walkOwners is the one owner walk, behind Table.Route and
 // Placement.OwnersInto: it fills dst with member(i) for the first
 // distinct member indexes i on p's ring clockwise from key's hash —
 // dst[0] the primary, dst[1] the secondary, and so on — and returns how
@@ -265,19 +313,6 @@ walk:
 	return n
 }
 
-// place resolves key's placement from the current route table, primary
-// first, into buf — or into a new slice when buf is too short. A ring
-// smaller than the replication factor clamps the placement to the
-// members that exist (a single-member ring is its own secondary, so
-// fan-out degrades to 1), and an empty ring places key nowhere.
-func (r *Ring[K, T]) place(key string, buf []core.Handle[K, T]) []core.Handle[K, T] {
-	t := r.table.Load()
-	if n := min(t.replication, len(t.names)); n > len(buf) {
-		buf = make([]core.Handle[K, T], n)
-	}
-	return buf[:walkOwners(&t.Placement, key, buf, func(i int32) core.Handle[K, T] { return t.handles[i] })]
-}
-
 // Do performs one redundant operation for arg's key: the key's primary
 // and successors are resolved from the current route table and the call
 // runs through the core engine over that subset (see
@@ -289,23 +324,23 @@ func (r *Ring[K, T]) Do(ctx context.Context, arg K, opts ...core.CallOption) (co
 	// The placement scratch stays on the stack for typical replication
 	// factors; DoPicked copies it into the call frame before launching.
 	var buf [4]core.Handle[K, T]
-	return r.group.DoPicked(ctx, arg, r.place(string(arg), buf[:]), opts...)
+	return r.group.DoPicked(ctx, arg, r.routes.Route(string(arg), buf[:]), opts...)
 }
 
 // Owners returns the names of the members key is placed on, primary
 // first — the routing decision Do would make, for introspection and
 // tests. It returns at most Replication names (fewer on a small ring),
 // and nil on an empty ring.
-func (r *Ring[K, T]) Owners(key string) []string { return r.table.Load().Owners(key) }
+func (r *Ring[K, T]) Owners(key string) []string { return r.routes.Placement().Owners(key) }
 
 // Replication returns the configured placement copies per key.
-func (r *Ring[K, T]) Replication() int { return r.replication }
+func (r *Ring[K, T]) Replication() int { return r.routes.Placement().Replication() }
 
 // Len returns the number of members.
-func (r *Ring[K, T]) Len() int { return len(r.table.Load().names) }
+func (r *Ring[K, T]) Len() int { return r.routes.Placement().Len() }
 
 // Names returns the member names in registration order.
-func (r *Ring[K, T]) Names() []string { return slices.Clone(r.table.Load().names) }
+func (r *Ring[K, T]) Names() []string { return slices.Clone(r.routes.Placement().names) }
 
 // SetStrategy replaces the ring's replication strategy atomically (see
 // core.KeyedGroup.SetStrategy). The strategy applies within each key's
@@ -340,20 +375,24 @@ type Stats struct {
 // per-member key share and latency statistics. Key shares come from one
 // route-table snapshot and latency digests from the group's snapshot;
 // each is internally consistent.
-func (r *Ring[K, T]) Stats() Stats {
-	t := r.table.Load()
-	gs := r.group.Stats()
+func (r *Ring[K, T]) Stats() Stats { return r.routes.Placement().Stats(r.group.Stats()) }
+
+// Stats joins a group's snapshot to this placement: each member's key
+// share, with the latency statistics gs holds under the member's name —
+// a Ring's Stats over its own group, or a Table's placement over
+// whichever group routes through it.
+func (p Placement) Stats(gs core.GroupStats) Stats {
 	byName := make(map[string]core.ReplicaStats, len(gs.Replicas))
 	for _, rs := range gs.Replicas {
 		byName[rs.Name] = rs
 	}
 	s := Stats{
 		Strategy:    gs.Strategy,
-		Replication: r.replication,
-		Members:     make([]MemberStats, len(t.names)),
+		Replication: p.replication,
+		Members:     make([]MemberStats, len(p.names)),
 	}
-	shares := t.keyShares()
-	for i, name := range t.names {
+	shares := p.keyShares()
+	for i, name := range p.names {
 		s.Members[i] = MemberStats{
 			ReplicaStats: byName[name],
 			KeyShare:     shares[i],
@@ -379,7 +418,10 @@ type Placement struct {
 // call until the next Add or Remove (tables are copy-on-write, so it
 // stays valid forever). It allocates nothing and is safe for concurrent
 // use.
-func (r *Ring[K, T]) Placement() Placement { return r.table.Load().Placement }
+func (r *Ring[K, T]) Placement() Placement { return r.routes.Placement() }
+
+// Placement is the table's current snapshot, as Ring.Placement.
+func (t *Table[E]) Placement() Placement { return t.cur.Load().Placement }
 
 // NewPlacement builds a Placement without a Ring: names in that order,
 // vnodes points each, replication owners per key (values below 1 mean
@@ -410,17 +452,14 @@ func (p Placement) OwnersInto(key string, dst []string) int {
 
 // Owners returns the names of key's owners under this snapshot, primary
 // first (at most Replication; nil on an empty snapshot).
-func (p Placement) Owners(key string) []string {
-	nm := len(p.names)
-	if nm == 0 {
-		return nil
+func (p Placement) Owners(key string) []string { return p.ownersIn(key, nil) }
+
+// ownersIn is Owners in buf when the placement fits it.
+func (p *Placement) ownersIn(key string, buf []string) []string {
+	if n := min(p.replication, len(p.names)); n > len(buf) {
+		buf = make([]string, n)
 	}
-	rr := p.replication
-	if rr > nm {
-		rr = nm
-	}
-	dst := make([]string, rr)
-	return dst[:p.OwnersInto(key, dst)]
+	return buf[:p.OwnersInto(key, buf)]
 }
 
 // SameOwners reports whether key has an identical ordered owner set
@@ -428,28 +467,7 @@ func (p Placement) Owners(key string) []string {
 // allocates nothing for replication factors up to 4.
 func (p Placement) SameOwners(q Placement, key string) bool {
 	var pb, qb [4]string
-	var ps, qs []string
-	if p.replication <= len(pb) {
-		ps = pb[:min(p.replication, len(p.names))]
-	} else {
-		ps = make([]string, min(p.replication, len(p.names)))
-	}
-	if q.replication <= len(qb) {
-		qs = qb[:min(q.replication, len(q.names))]
-	} else {
-		qs = make([]string, min(q.replication, len(q.names)))
-	}
-	pn := p.OwnersInto(key, ps)
-	qn := q.OwnersInto(key, qs)
-	if pn != qn {
-		return false
-	}
-	for i := 0; i < pn; i++ {
-		if ps[i] != qs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(p.ownersIn(key, pb[:]), q.ownersIn(key, qb[:]))
 }
 
 // keyShares returns each member's primary-ownership fraction of the
