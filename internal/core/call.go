@@ -86,6 +86,21 @@ import (
 // a runtime time.Timer, which is exact. Both paths are gen-guarded — a
 // stale fire cannot launch the wrong copy, and a stopped-too-late fire
 // is ignored by index.
+//
+// The caller's context is watched from the first wheel tick, not from
+// the call's first instruction (watchCtx). A cancellable context makes
+// its Done channel lazily, an allocation, and most calls end well
+// inside a tick, so a call with copies out arms one wheel timer for
+// DefaultWheelTick, on the hedges' callback and under the same frame
+// reference, and asks for ctx.Done() only when that event arrives. The
+// rule a caller sees: a cancellation or deadline that lands in the first
+// tick ends the call at the tick, 1-2ms after it started, and one that
+// lands later ends it at once; the error is the bare ctx.Err() and the
+// copies out count as Cancelled, as ever. A context that is never
+// cancelled (context.Background, context.TODO), one already done, and
+// one whose deadline falls within a tick are watched at once. The watch
+// lives beside the hedge deadline, not in it: stopping a hedge never
+// disarms it.
 
 // ReplicaError describes one replica's failure within a redundant
 // operation. Errors from a failed operation are joined with errors.Join,
@@ -193,9 +208,12 @@ const (
 	// copies beyond ~4 is negligible at every load it studies).
 	frameInline = 4
 	// frameChanCap is the results-channel capacity a pooled frame is
-	// born with: n completions plus at most n-1 hedge-deadline events
-	// for n <= frameInline.
+	// born with: n completions, at most n-1 hedge-deadline events and
+	// one context-watch event for n <= frameInline.
 	frameChanCap = 2 * frameInline
+	// watchIdx is the index a context-watch event carries (watchCtx): no
+	// copy has it, so the hedge bookkeeping never mistakes it for one.
+	watchIdx = -1
 )
 
 // callFrame is the reusable per-call state of the engine. Frames come
@@ -208,18 +226,20 @@ const (
 // first copy launches and never mutates them afterwards, so copies read
 // them without synchronization.
 type callFrame[K, T any] struct {
-	// results carries copy completions and wheel-hedge deadline events.
-	// It is buffered for the worst case (n completions + n-1 hedge
-	// events), so senders never block and the wheel callback honors the
-	// wheel's non-blocking contract. The channel is reused across calls;
-	// it only grows (and is reallocated) when a call's fan-out exceeds
-	// half its capacity.
+	// results carries copy completions, wheel-hedge deadline events and
+	// the context watch's one event. It is buffered for the worst case (n
+	// completions + n-1 hedge events + 1 watch; a durable call sends at
+	// most one deciding event and the watch), so senders never block and
+	// the wheel callback honors the wheel's non-blocking contract. The
+	// channel is reused across calls; it only grows (and is reallocated)
+	// when a call's fan-out exceeds half its capacity.
 	results chan indexed[T]
 	// pool is the group's frame pool, where release returns the frame.
 	pool *sync.Pool
 	// refs counts the engine, every launched copy (until its goroutine
-	// delivers, or its started request completes or is withdrawn), and
-	// every armed wheel hedge. The frame recycles only when it hits zero.
+	// delivers, or its started request completes or is withdrawn), every
+	// armed wheel hedge and an armed context watch. The frame recycles
+	// only when it hits zero.
 	refs atomic.Int32
 	// won counts the successes copies have queued on results. Once it
 	// reaches the quorum of a call that collects no outcomes, the call
@@ -229,8 +249,12 @@ type callFrame[K, T any] struct {
 	won atomic.Int32
 	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
 	// a generic function's value builds a closure over its dictionary, an
-	// allocation per hedge arm if done at the arm site.
+	// allocation per wheel arm if done at the arm site.
 	hedgeFn func(c any, i int64)
+	// watch is the call's armed context watch (watchCtx), zero once it
+	// fired or was stopped, or if the call watches its context at once.
+	// Only the engine's goroutine touches it.
+	watch WheelTimer
 	// copyFn[i] is slot i's goroutine body, built on first use and kept
 	// with the frame: go with a stored func value needs no per-launch
 	// wrapper, where go f(fr, i) heap-allocates one.
@@ -302,7 +326,8 @@ func (fr *callFrame[K, T]) delaysSlice(n int) []time.Duration {
 }
 
 // ensureChan guarantees the results channel can absorb every event a
-// call with fan-out n can produce (n completions + n-1 hedge fires).
+// call with fan-out n can produce (n completions + n-1 hedge fires + 1
+// context watch).
 func (fr *callFrame[K, T]) ensureChan(n int) {
 	if fr.results == nil || cap(fr.results) < 2*n {
 		fr.results = make(chan indexed[T], 2*n)
@@ -416,12 +441,13 @@ func (fr *callFrame[K, T]) own(ifOut bool) {
 	fr.mu.Unlock()
 }
 
-// frameHedgeFired is the shared-wheel callback for a pending hedge
-// deadline: it forwards the deadline into the frame's event channel for
-// the engine loop to act on. i is the copy index the timer was armed
-// for; the engine ignores stale indices. The buffered channel absorbs
-// the send without blocking (the wheel-callback contract), and the
-// reference taken at arm time keeps the frame alive until release.
+// frameHedgeFired is the shared-wheel callback for a frame's wheel
+// timers: it forwards the deadline into the frame's event channel for
+// the engine loop to act on. i is the copy index a hedge was armed for,
+// or watchIdx for the context watch; the engine ignores stale indices.
+// The buffered channel absorbs the send without blocking (the
+// wheel-callback contract), and the reference taken at arm time keeps
+// the frame alive until release.
 func frameHedgeFired[K, T any](c any, i int64) {
 	fr := c.(*callFrame[K, T])
 	fr.results <- indexed[T]{idx: int(i), hedge: true}
@@ -517,13 +543,60 @@ func (h *hedgeTimer[K, T]) arm(d time.Duration, ci int) {
 		h.rtC = h.rt.C
 		return
 	}
-	h.fr.refs.Add(1) // the armed timer pins the frame
-	if h.fr.hedgeFn == nil {
-		h.fr.hedgeFn = frameHedgeFired[K, T]
-	}
-	h.wheel = SharedWheel().AfterFunc(d, h.fr.hedgeFn, h.fr, int64(ci))
+	h.wheel = h.fr.afterWheel(d, ci)
 	h.wheelArmed = true
 	h.armedCi = ci
+}
+
+// afterWheel arms a shared-wheel timer that posts event i into results
+// d from now. The armed timer pins the frame: its callback drops the
+// reference after the send, and whoever stops it first drops it instead.
+func (fr *callFrame[K, T]) afterWheel(d time.Duration, i int) WheelTimer {
+	fr.refs.Add(1)
+	if fr.hedgeFn == nil {
+		fr.hedgeFn = frameHedgeFired[K, T]
+	}
+	return SharedWheel().AfterFunc(d, fr.hedgeFn, fr, int64(i))
+}
+
+// watchCtx starts watching the caller's context for a call about to
+// wait (see the file comment). It returns ctx.Done() for a context
+// watched at once: one never cancelled, whose Done is nil and free; one
+// already done, whose channel is made closed; and one whose deadline
+// falls within a tick, which the wheel would see up to two ticks late.
+// Any other context it leaves unasked, arms the frame's watch for
+// DefaultWheelTick and returns nil. ctx.Err and ctx.Deadline allocate
+// nothing.
+func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
+	if ctx == context.Background() || ctx == context.TODO() || ctx.Err() != nil {
+		return ctx.Done()
+	}
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < DefaultWheelTick {
+		return ctx.Done()
+	}
+	fr.watch = fr.afterWheel(DefaultWheelTick, watchIdx)
+	return nil
+}
+
+// watchFired consumes the context watch's event: the caller's ctx.Err()
+// if its context has ended, or else the Done channel the wait selects
+// on from then on.
+func (fr *callFrame[K, T]) watchFired(ctx context.Context) (<-chan struct{}, error) {
+	fr.watch = WheelTimer{}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ctx.Done(), nil
+}
+
+// unwatch disarms the context watch if it has not fired, dropping the
+// reference it held; an event it already posted is drained like a stale
+// hedge's.
+func (fr *callFrame[K, T]) unwatch() {
+	if fr.watch.Stop() {
+		fr.release(1)
+	}
+	fr.watch = WheelTimer{}
 }
 
 // wheelFired records that the armed wheel deadline for ci was consumed.
@@ -603,9 +676,13 @@ func (fr *callFrame[K, T]) launchNext(ctx context.Context, ht *hedgeTimer[K, T],
 // Latency is the time to completion (the quorum-th success), Launched
 // the copies started, Cancelled the copies reclaimed in flight — or, on
 // failure, the joined ReplicaErrors (quorum 1) or a *QuorumError
-// (quorum > 1). A call never leaks copies: finish cancels the derived
-// context blocking copies run under and withdraws the started requests
-// still out, and losers always deliver into the buffered channel.
+// (quorum > 1), or, if the caller's context ends the call, the bare
+// ctx.Err(). That context is watched from the first wheel tick
+// (watchCtx): a cancellation inside the first tick is seen at the tick,
+// 1-2ms after the start, and a copy that completes first may still win.
+// A call never leaks copies: finish cancels the derived context
+// blocking copies run under and withdraws the started requests still
+// out, and losers always deliver into the buffered channel.
 // runFrame does NOT drop the engine's frame reference; the caller must
 // release(1) after it has read everything it needs from the frame.
 func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], error) {
@@ -631,7 +708,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		*collect = (*collect)[:0]
 	}
 
-	ctxDone := ctx.Done()
+	ctxDone := fr.watchCtx(ctx)
 	errs := fr.errsBuf[:0]
 	var (
 		wins      int // successes and negative answers
@@ -646,6 +723,15 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	for {
 		select {
 		case r := <-fr.results:
+			if r.idx == watchIdx {
+				// The context watch's tick: the caller's cancellation is
+				// seen now, and from now on at once.
+				var err error
+				if ctxDone, err = fr.watchFired(ctx); err != nil {
+					return fr.abandoned(err, launched, completed)
+				}
+				continue
+			}
 			if r.hedge {
 				// A wheel-armed hedge deadline fired. Stale events — the
 				// copy already launched via the failure path, or the call
@@ -714,9 +800,16 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 			ht.rtC = nil
 			launched = fr.launchNext(ctx, &ht, launched)
 		case <-ctxDone:
-			return Result[T]{Launched: launched, Cancelled: launched - fr.drainCompleted(completed)}, ctx.Err()
+			return fr.abandoned(ctx.Err(), launched, completed)
 		}
 	}
+}
+
+// abandoned is the outcome of a call its caller's context ended: the
+// bare context error, the copies launched, and those still out counted
+// as cancelled.
+func (fr *callFrame[K, T]) abandoned(err error, launched, completed int) (Result[T], error) {
+	return Result[T]{Launched: launched, Cancelled: launched - fr.drainCompleted(completed)}, err
 }
 
 // callFailed builds a failed call's result: for quorum 1 the joined

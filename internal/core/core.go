@@ -85,8 +85,9 @@ type indexed[T any] struct {
 	val T
 	err error
 	idx int
-	// hedge marks a wheel-armed hedge-deadline event rather than a copy
-	// completion: idx is the copy the deadline was armed for, val and err
-	// are meaningless. See frameHedgeFired in call.go.
+	// hedge marks a wheel event rather than a copy completion: idx is the
+	// copy a hedge deadline was armed for, or watchIdx for the context
+	// watch, and val and err are meaningless. See frameHedgeFired in
+	// call.go.
 	hedge bool
 }

@@ -162,14 +162,15 @@ func (fr *callFrame[K, T]) copyDelivered(i int) {
 }
 
 // finish reclaims what a decided call left in flight: the pending hedge
-// deadline, the blocking copies (through their shared context), and the
-// started copies, each withdrawn through its Starter. A withdrawn copy
-// is reclaimed capacity — counted on its member like a blocking copy
-// that honored its cancellation — and its frame reference is dropped
-// here because its Complete will never run; one whose Cancel reports
-// false has a completion on its way, which releases as usual.
+// deadline, the context watch, the blocking copies (through their shared
+// context), and the started copies, each withdrawn through its Starter.
+// A withdrawn copy is reclaimed capacity — counted on its member like a
+// blocking copy that honored its cancellation — and its frame reference
+// is dropped here because its Complete will never run; one whose Cancel
+// reports false has a completion on its way, which releases as usual.
 func (fr *callFrame[K, T]) finish(ht *hedgeTimer[K, T]) {
 	ht.stop()
+	fr.unwatch()
 	if fr.cdone != nil {
 		close(fr.cdone)
 		fr.cdone = nil

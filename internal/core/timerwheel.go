@@ -9,14 +9,18 @@ import (
 // substrate that arms and cancels deadlines in O(1) with no per-timer
 // heap allocation in steady state (expired and stopped nodes recycle
 // through a free list). Its users are the deadlines that are in flight
-// many at a time: the call engine's hedge delays, the memkv mux client's
-// request timeouts, the memkv server's delayed responses
-// (parked on the shared wheel instead of holding a goroutine per
-// request) and the store's TTL expiry. The trade is precision: a timer
-// fires on the first tick boundary at or after its deadline, so expiry
-// is late by up to one tick (DefaultWheelTick = 1ms). Hedge delays and
-// service-time delays are statistical quantities, not hard real-time
-// deadlines, so the coarsening is immaterial where the wheel is used.
+// many at a time: the call engine's hedge delays and its context watch
+// (a call asks for its caller's Done channel one tick in, so a call that
+// ends sooner never makes it), the memkv mux client's request timeouts,
+// the memkv server's delayed responses (parked on the shared wheel
+// instead of holding a goroutine per request) and the store's TTL
+// expiry. The trade is precision: a timer fires on the first tick
+// boundary at or after its deadline, so expiry is late by up to one
+// tick (DefaultWheelTick = 1ms). Hedge delays and service-time delays
+// are statistical quantities, not hard real-time deadlines, and a
+// caller's cancellation seen a tick late costs only the copies' work
+// for that tick, so the coarsening is immaterial where the wheel is
+// used.
 //
 // Layout: wheelLevels levels of wheelSlots slots each, covering
 // [0, wheelSlots^wheelLevels) ticks. A timer whose delta fits level 0
@@ -139,10 +143,10 @@ var sharedWheel struct {
 }
 
 // SharedWheel returns the process-wide wheel at DefaultWheelTick,
-// starting it on first use. The batch engine's hedge deadlines, the
-// memkv v2 server's delayed responses, and the mux clients' request
-// timeouts all share it: one goroutine and one tick cadence however
-// many deadlines are pending.
+// starting it on first use. The call engine's hedge deadlines and
+// context watches, the memkv server's delayed responses, and the mux
+// clients' request timeouts all share it: one goroutine and one tick
+// cadence however many deadlines are pending.
 func SharedWheel() *TimerWheel {
 	sharedWheel.once.Do(func() { sharedWheel.w = NewTimerWheel(0) })
 	return sharedWheel.w

@@ -39,9 +39,12 @@
 // X-Version anyway, and a writer that is not an http.Flusher (a
 // hand-made one may learn its status only from WriteHeader) set the
 // header explicitly. What a reply still costs is net/http's own request
-// objects (about 14 allocations), the request context's Done channel
-// (1), and, on PUT, the explicit application/json header (4): a
-// {"version":N} reply sniffs as text.
+// objects (about 14 allocations) and, on PUT, the explicit
+// application/json header (4): a {"version":N} reply sniffs as text. The
+// request context's Done channel is made only by a read or write that
+// outlives the engine's first wheel tick (1-2 ms), which watches the
+// context from then on, or by one the governor or the SLO controller
+// clamped to a single copy, which blocks under the context itself.
 package gateway
 
 import (

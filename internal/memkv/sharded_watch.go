@@ -120,6 +120,8 @@ type PrefixWatch struct {
 	events chan WatchEvent
 	wg     sync.WaitGroup
 
+	// mu is the delivery lock: observe holds it from the duplicate
+	// filter through the send on events, and nothing else takes it.
 	mu   sync.Mutex
 	seen map[string]eventID
 	prev map[string]eventID
@@ -240,18 +242,26 @@ func (w *PrefixWatch) shardLoop(addr string, st *WatchStream) {
 // filter and delivers it if it is news: strictly newer than the last
 // delivered event for its key, or the same version moving from put to
 // expire (a value's two lifecycle events share its version).
+//
+// It holds the delivery lock from the filter through the send, so events
+// leave in the order the filter passed them: a shard loop that passed v1
+// cannot be overtaken on the channel by one that passed v2 after it.
+// Holding a lock across a send that may block is right here because the
+// channel is the stream's single ordered output, which the shard loops
+// already contend on, and the select still ends when the watch is
+// cancelled, releasing the lock.
 func (w *PrefixWatch) observe(ev WatchEvent) {
 	rank := uint8(1)
 	if ev.Type.final() {
 		rank = 2
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	id, ok := w.seen[ev.Key]
 	if !ok {
 		id, ok = w.prev[ev.Key]
 	}
 	if ok && (ev.Version < id.ver || (ev.Version == id.ver && rank <= id.rank)) {
-		w.mu.Unlock()
 		w.duplicates.Add(1)
 		return
 	}
@@ -263,7 +273,6 @@ func (w *PrefixWatch) observe(ev WatchEvent) {
 		w.prev = w.seen
 		w.seen = make(map[string]eventID, dedupWindow)
 	}
-	w.mu.Unlock()
 	select {
 	case w.events <- ev:
 		w.delivered.Add(1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -552,4 +553,49 @@ func TestScanPagedEquivalence(t *testing.T) {
 func scanAll(s *Store, after string, limit int) ([]ScanEntry, bool, error) {
 	entries, more := s.Scan(after, limit)
 	return entries, more, nil
+}
+
+// TestPrefixWatchDeliversVersionsInOrder: two shard loops observe v1 and
+// then v2 of one key while the consumer reads nothing, so both copies
+// are news when they pass the duplicate filter. They must leave on the
+// merged stream in that order. The test lines the two observers up on
+// the delivery lock and holds it past sync.Mutex's 1 ms starvation
+// threshold, twice, so that the lock then hands off to each waiter in
+// turn, yielding to it at once: an observer that let go of the lock
+// before its send is overtaken by the next one, as a loaded scheduler
+// can do too. The channel has room for both, so no observer blocks
+// while the test holds the lock. Without the lock held across the send,
+// 199 of 200 rounds (-count=10) delivered v2 first: every run failed.
+func TestPrefixWatchDeliversVersionsInOrder(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &PrefixWatch{ctx: ctx, events: make(chan WatchEvent, 2), seen: make(map[string]eventID)}
+	for round := 0; round < 20; round++ {
+		key := fmt.Sprintf("k%d", round)
+		var wg sync.WaitGroup
+		w.mu.Lock()
+		for v := uint64(1); v <= 2; v++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.observe(WatchEvent{Type: EventPut, Key: key, Version: v})
+			}()
+			time.Sleep(2 * time.Millisecond) // v1 waits on the lock before v2
+		}
+		// Let go and take the lock again at once: the woken v1 finds it
+		// held after waiting past the threshold, which puts the lock in
+		// starvation mode.
+		w.mu.Unlock()
+		w.mu.Lock()
+		time.Sleep(2 * time.Millisecond)
+		w.mu.Unlock()
+		wg.Wait()
+		var got []uint64
+		for len(w.events) > 0 {
+			got = append(got, (<-w.events).Version)
+		}
+		if len(got) == 0 || got[len(got)-1] != 2 || !slices.IsSorted(got) {
+			t.Fatalf("round %d: versions delivered in the order %v, want 2 last and ascending", round, got)
+		}
+	}
 }
