@@ -205,8 +205,8 @@ func TestAsyncBehaviourTable(t *testing.T) {
 				t.Errorf("observer saw ops %d failures %d launched %d cancelled %d, want 1 0 2 1",
 					c.Ops(), c.Failures(), c.LaunchedCopies(), c.CancelledCopies())
 			}
-			if c.Wins()["fast"] != 1 || c.LabelOps("reads") != 1 {
-				t.Errorf("observer wins %v, label ops %d", c.Wins(), c.LabelOps("reads"))
+			if reads, _ := c.LabelSnapshot("reads"); c.Wins()["fast"] != 1 || reads.Ops != 1 {
+				t.Errorf("observer wins %v, label ops %d", c.Wins(), reads.Ops)
 			}
 			f.settled(t)
 		}},

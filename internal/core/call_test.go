@@ -296,11 +296,11 @@ func TestGroupDoLabelReachesObserver(t *testing.T) {
 	if _, err := g.Do(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.LabelOps("checkout"); got != 3 {
-		t.Errorf("LabelOps(checkout) = %d, want 3", got)
+	if got, _ := c.LabelSnapshot("checkout"); got.Ops != 3 {
+		t.Errorf("LabelSnapshot(checkout).Ops = %d, want 3", got.Ops)
 	}
-	if got := c.LabelOps("unknown"); got != 0 {
-		t.Errorf("LabelOps(unknown) = %d, want 0", got)
+	if got, _ := c.LabelSnapshot("unknown"); got.Ops != 0 {
+		t.Errorf("LabelSnapshot(unknown).Ops = %d, want 0", got.Ops)
 	}
 	if c.Ops() != 4 {
 		t.Errorf("Ops = %d, want 4", c.Ops())
@@ -309,7 +309,7 @@ func TestGroupDoLabelReachesObserver(t *testing.T) {
 	if len(labels) != 1 || labels[0].Label != "checkout" || labels[0].Ops != 3 {
 		t.Errorf("Labels() = %+v", labels)
 	}
-	if _, ok := c.LabelLatencyQuantile("checkout", 0.5); !ok {
+	if _, ok := c.LabelLatencyDigest("checkout").Quantile(0.5); !ok {
 		t.Error("labeled latency digest empty")
 	}
 	if d := c.LabelLatencyDigest("checkout"); d == nil || d.Count() != 3 {

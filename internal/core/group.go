@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,29 +290,16 @@ func (g *KeyedGroup[K, T]) Names() []string {
 	return out
 }
 
-// RankedNames returns the replica names ordered by current estimated
-// latency, fastest first (unprobed replicas first).
+// RankedNames returns the replica names in the order SelectRanked picks
+// them: unprobed replicas first, then fastest estimated latency first,
+// ties in registration order.
 func (g *KeyedGroup[K, T]) RankedNames() []string {
-	members := g.state.Load().members
-	type entry struct {
-		name string
-		v    float64
-		ok   bool
-	}
-	es := make([]entry, len(members))
-	for i, m := range members {
-		v, ok := m.lat.value()
-		es[i] = entry{m.name, v, ok}
-	}
-	sort.SliceStable(es, func(a, b int) bool {
-		if es[a].ok != es[b].ok {
-			return !es[a].ok // unprobed first
-		}
-		return es[a].v < es[b].v
-	})
-	names := make([]string, len(es))
-	for i, e := range es {
-		names[i] = e.name
+	st := g.state.Load()
+	picked := make([]Handle[K, T], len(st.members))
+	g.pickInto(st, SelectRanked, picked)
+	names := make([]string, len(picked))
+	for i, h := range picked {
+		names[i] = h.m.name
 	}
 	return names
 }
@@ -321,10 +307,8 @@ func (g *KeyedGroup[K, T]) RankedNames() []string {
 // EstimatedLatency returns the current latency estimate for a replica and
 // whether it has been observed at all.
 func (g *KeyedGroup[K, T]) EstimatedLatency(name string) (time.Duration, bool) {
-	for _, m := range g.state.Load().members {
-		if m.name == name {
-			return m.lat.Mean()
-		}
+	if h, ok := g.Lookup(name); ok {
+		return h.m.lat.Mean()
 	}
 	return 0, false
 }
@@ -332,10 +316,8 @@ func (g *KeyedGroup[K, T]) EstimatedLatency(name string) (time.Duration, bool) {
 // Digest returns the latency digest of the replica registered under name
 // (mean, quantiles, observation count), or nil if no such replica.
 func (g *KeyedGroup[K, T]) Digest(name string) *LatDigest {
-	for _, m := range g.state.Load().members {
-		if m.name == name {
-			return &m.lat
-		}
+	if h, ok := g.Lookup(name); ok {
+		return &h.m.lat
 	}
 	return nil
 }

@@ -38,27 +38,46 @@ func (f ObserverFunc) Observe(o Observation) { f(o) }
 // Counters is a ready-made Observer that aggregates wins per replica,
 // total copies launched, successes, failures, and the full end-to-end
 // latency distribution (a lock-free LatDigest, so quantiles are
-// available without retaining per-operation samples). All methods are
-// safe for concurrent use.
+// available without retaining per-operation samples), overall and per
+// traffic class. All methods are safe for concurrent use.
 type Counters struct {
-	mu        sync.Mutex
-	wins      map[string]int64
-	labels    map[string]*labelAgg
-	ops       int64
-	failures  int64
-	launched  int64
-	cancelled int64
-	totalLat  time.Duration
-	lat       LatDigest // successful-operation latencies
+	mu     sync.Mutex
+	wins   map[string]int64
+	all    labelAgg // every operation, labeled or not
+	labels map[string]*labelAgg
 }
 
-// labelAgg aggregates one traffic class (one WithLabel value).
+// labelAgg aggregates a set of operations: all of them, or one traffic
+// class (one WithLabel value).
 type labelAgg struct {
 	ops       int64
 	failures  int64
 	launched  int64
 	cancelled int64
-	lat       LatDigest // successful-operation latencies
+	totalLat  time.Duration // sum of successful-operation latencies
+	lat       LatDigest     // successful-operation latencies
+}
+
+// count adds o to a's counters; the caller holds Counters.mu, and
+// observes a successful o's latency into a.lat after releasing it.
+func (a *labelAgg) count(o Observation) {
+	a.ops++
+	a.launched += int64(o.Launched)
+	a.cancelled += int64(o.Cancelled)
+	if o.Err != nil {
+		a.failures++
+	} else {
+		a.totalLat += o.Latency
+	}
+}
+
+// stats is a's LabelStats under label; the caller holds Counters.mu.
+func (a *labelAgg) stats(label string) LabelStats {
+	s := LabelStats{Label: label, Ops: a.ops, Failures: a.failures, Launched: a.launched, Cancelled: a.cancelled}
+	if a.ops > 0 {
+		s.CopiesPerOp = float64(a.launched) / float64(a.ops)
+	}
+	return s
 }
 
 // NewCounters returns an empty Counters.
@@ -67,35 +86,25 @@ func NewCounters() *Counters { return &Counters{wins: make(map[string]int64)} }
 // Observe implements Observer.
 func (c *Counters) Observe(o Observation) {
 	c.mu.Lock()
-	c.ops++
-	c.launched += int64(o.Launched)
-	c.cancelled += int64(o.Cancelled)
+	c.all.count(o)
 	var la *labelAgg
 	if o.Label != "" {
 		if c.labels == nil {
 			c.labels = make(map[string]*labelAgg)
 		}
-		la = c.labels[o.Label]
-		if la == nil {
+		if la = c.labels[o.Label]; la == nil {
 			la = &labelAgg{}
 			c.labels[o.Label] = la
 		}
-		la.ops++
-		la.launched += int64(o.Launched)
-		la.cancelled += int64(o.Cancelled)
+		la.count(o)
 	}
 	if o.Err != nil {
-		c.failures++
-		if la != nil {
-			la.failures++
-		}
 		c.mu.Unlock()
 		return
 	}
 	c.wins[o.Winner]++
-	c.totalLat += o.Latency
 	c.mu.Unlock()
-	c.lat.Observe(o.Latency)
+	c.all.lat.Observe(o.Latency)
 	if la != nil {
 		la.lat.Observe(o.Latency)
 	}
@@ -105,14 +114,14 @@ func (c *Counters) Observe(o Observation) {
 func (c *Counters) Ops() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ops
+	return c.all.ops
 }
 
 // Failures returns the number of failed operations.
 func (c *Counters) Failures() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.failures
+	return c.all.failures
 }
 
 // Wins returns a copy of the per-replica win counts.
@@ -134,7 +143,7 @@ func (c *Counters) Wins() map[string]int64 {
 func (c *Counters) CancelledCopies() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cancelled
+	return c.all.cancelled
 }
 
 // LaunchedCopies returns the total number of copies launched — the raw
@@ -144,7 +153,7 @@ func (c *Counters) CancelledCopies() int64 {
 func (c *Counters) LaunchedCopies() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.launched
+	return c.all.launched
 }
 
 // CopiesPerOp returns the average number of copies launched per operation —
@@ -152,32 +161,29 @@ func (c *Counters) LaunchedCopies() int64 {
 func (c *Counters) CopiesPerOp() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ops == 0 {
-		return 0
-	}
-	return float64(c.launched) / float64(c.ops)
+	return c.all.stats("").CopiesPerOp
 }
 
 // MeanLatency returns the mean latency of successful operations.
 func (c *Counters) MeanLatency() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	succ := c.ops - c.failures
+	succ := c.all.ops - c.all.failures
 	if succ == 0 {
 		return 0
 	}
-	return c.totalLat / time.Duration(succ)
+	return c.all.totalLat / time.Duration(succ)
 }
 
 // LatencyQuantile estimates the p-th quantile of successful-operation
 // latency (p in [0, 1]); ok is false when nothing has completed yet.
 func (c *Counters) LatencyQuantile(p float64) (d time.Duration, ok bool) {
-	return c.lat.Quantile(p)
+	return c.all.lat.Quantile(p)
 }
 
 // LatencyDigest exposes the aggregated latency distribution (mean,
 // quantiles, count) of successful operations.
-func (c *Counters) LatencyDigest() *LatDigest { return &c.lat }
+func (c *Counters) LatencyDigest() *LatDigest { return &c.all.lat }
 
 // LabelStats is the aggregate for one traffic class (one WithLabel
 // value) within a Counters.
@@ -205,11 +211,7 @@ func (c *Counters) Labels() []LabelStats {
 	defer c.mu.Unlock()
 	out := make([]LabelStats, 0, len(c.labels))
 	for label, la := range c.labels {
-		s := LabelStats{Label: label, Ops: la.ops, Failures: la.failures, Launched: la.launched, Cancelled: la.cancelled}
-		if la.ops > 0 {
-			s.CopiesPerOp = float64(la.launched) / float64(la.ops)
-		}
-		out = append(out, s)
+		out = append(out, la.stats(label))
 	}
 	return out
 }
@@ -224,34 +226,7 @@ func (c *Counters) LabelSnapshot(label string) (LabelStats, bool) {
 	if la == nil {
 		return LabelStats{}, false
 	}
-	s := LabelStats{Label: label, Ops: la.ops, Failures: la.failures, Launched: la.launched, Cancelled: la.cancelled}
-	if la.ops > 0 {
-		s.CopiesPerOp = float64(la.launched) / float64(la.ops)
-	}
-	return s, true
-}
-
-// LabelOps returns the number of operations observed under label.
-func (c *Counters) LabelOps(label string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if la := c.labels[label]; la != nil {
-		return la.ops
-	}
-	return 0
-}
-
-// LabelLatencyQuantile estimates the p-th latency quantile (p in [0, 1])
-// of successful operations under label; ok is false when the label has
-// no completed operations.
-func (c *Counters) LabelLatencyQuantile(label string, p float64) (d time.Duration, ok bool) {
-	c.mu.Lock()
-	la := c.labels[label]
-	c.mu.Unlock()
-	if la == nil {
-		return 0, false
-	}
-	return la.lat.Quantile(p)
+	return la.stats(label), true
 }
 
 // LabelLatencyDigest exposes the latency distribution of successful

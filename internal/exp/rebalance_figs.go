@@ -62,19 +62,11 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	servers := make([]*memkv.Server, 0, shards+1)
 	muxByAddr := make(map[string]*memkv.MuxClient)
 	newShard := func(i int) (*memkv.MuxClient, error) {
-		srv := memkv.NewServer(nil)
-		clock := &fcfsClock{
-			rng:       rand.New(rand.NewSource(seed + int64(i)*7919)),
-			svc:       dist.Exponential{MeanV: svcMean},
-			measuring: &measuring,
-		}
-		srv.Delay = clock.delay
-		addr, err := srv.Listen("127.0.0.1:0")
+		srv, cl, err := startFCFSShard(seed+int64(i)*7919, dist.Exponential{MeanV: svcMean}, &measuring)
 		if err != nil {
 			return nil, err
 		}
 		servers = append(servers, srv)
-		cl := memkv.NewMuxClient(addr.String(), 30*time.Second)
 		muxByAddr[cl.Addr()] = cl
 		return cl, nil
 	}

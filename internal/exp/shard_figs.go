@@ -147,6 +147,19 @@ func (c *fcfsClock) delay() time.Duration {
 	return done.Sub(now)
 }
 
+// startFCFSShard starts a memkv server on loopback whose requests queue
+// on an fcfsClock, with service times drawn from svc by an RNG seeded
+// with seed, and dials a mux client to it.
+func startFCFSShard(seed int64, svc dist.Dist, measuring *atomic.Bool) (*memkv.Server, *memkv.MuxClient, error) {
+	srv := memkv.NewServer(nil)
+	srv.Delay = (&fcfsClock{rng: rand.New(rand.NewSource(seed)), svc: svc, measuring: measuring}).delay
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	return srv, memkv.NewMuxClient(addr.String(), 30*time.Second), nil
+}
+
 // diskService is a shard's service time in seconds: cache-hit CPU, a
 // lognormal seek on a miss, and the value's transfer.
 type diskService struct {
@@ -182,20 +195,12 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 	servers := make([]*memkv.Server, a.shards)
 	clients := make([]memkv.Backend, a.shards)
 	for i := range servers {
-		srv := memkv.NewServer(nil)
-		clock := &fcfsClock{
-			rng:       rand.New(rand.NewSource(a.seed + int64(i)*1009)),
-			svc:       svc,
-			measuring: &measuring,
-		}
-		srv.Delay = clock.delay
-		addr, err := srv.Listen("127.0.0.1:0")
+		srv, cl, err := startFCFSShard(a.seed+int64(i)*1009, svc, &measuring)
 		if err != nil {
 			return nil, err
 		}
 		defer srv.Close()
-		servers[i] = srv
-		clients[i] = memkv.NewMuxClient(addr.String(), 30*time.Second)
+		servers[i], clients[i] = srv, cl
 	}
 	sc := memkv.NewShardedClient(memkv.ShardedConfig{
 		Replication:  2,

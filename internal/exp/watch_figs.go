@@ -55,20 +55,12 @@ func AblationWatch(o Options) ([]*Table, error) {
 	clients := make([]memkv.Backend, shards)
 	addrs := make([]string, 0, shards)
 	for i := 0; i < shards; i++ {
-		srv := memkv.NewServer(nil)
-		clock := &fcfsClock{
-			rng:       rand.New(rand.NewSource(seed + int64(i)*7919)),
-			svc:       dist.Exponential{MeanV: svcMean},
-			measuring: &measuring,
-		}
-		srv.Delay = clock.delay
-		addr, err := srv.Listen("127.0.0.1:0")
+		srv, cl, err := startFCFSShard(seed+int64(i)*7919, dist.Exponential{MeanV: svcMean}, &measuring)
 		if err != nil {
 			return nil, err
 		}
-		servers[addr.String()] = srv
-		addrs = append(addrs, addr.String())
-		cl := memkv.NewMuxClient(addr.String(), 30*time.Second)
+		servers[cl.Addr()] = srv
+		addrs = append(addrs, cl.Addr())
 		muxByAddr[cl.Addr()] = cl
 		clients[i] = cl
 	}

@@ -181,16 +181,6 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 	}
 }
 
-func validKey(key string) error {
-	if key == "" || len(key) > 250 {
-		return fmt.Errorf("invalid key length %d", len(key))
-	}
-	if strings.ContainsAny(key, " \r\n\t") {
-		return errors.New("key contains whitespace")
-	}
-	return nil
-}
-
 // readPlan resolves the consistency headers into either a hedged
 // primary read or a quorum read (X-Read-Quorum, or the client's write
 // quorum for X-Consistency: quorum), plus the call options for the
@@ -231,7 +221,7 @@ func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts [
 }
 
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) {
-	if err := validKey(key); err != nil {
+	if err := memkv.ValidateKey(key); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
@@ -275,7 +265,7 @@ func sniffedAsBytes(w http.ResponseWriter, r *http.Request, val []byte) bool {
 }
 
 func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, key string) {
-	if err := validKey(key); err != nil {
+	if err := memkv.ValidateKey(key); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}

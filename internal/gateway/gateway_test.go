@@ -642,13 +642,17 @@ func TestGatewayWithoutController(t *testing.T) {
 	if st != http.StatusOK || string(body) != "v" {
 		t.Fatalf("GET = %d %q", st, body)
 	}
-	if ctr.LabelOps("api") != 0 {
+	labelOps := func(label string) int64 {
+		s, _ := ctr.LabelSnapshot(label)
+		return s.Ops
+	}
+	if labelOps("api") != 0 {
 		// Quorum reads bypass the labeled hedging path by design.
 		t.Fatalf("quorum read unexpectedly labeled")
 	}
 	st, _, _ = f.do(t, "GET", "/kv/k", "", map[string]string{"X-SLO-Class": "api"})
-	if st != http.StatusOK || ctr.LabelOps("api") != 1 {
-		t.Fatalf("labeled primary read: st=%d labelOps=%d, want 1", st, ctr.LabelOps("api"))
+	if st != http.StatusOK || labelOps("api") != 1 {
+		t.Fatalf("labeled primary read: st=%d labelOps=%d, want 1", st, labelOps("api"))
 	}
 	st, _, body = f.do(t, "GET", "/slo", "", nil)
 	var sl struct {

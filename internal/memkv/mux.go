@@ -22,7 +22,7 @@ import (
 var ErrMuxConnLost = errors.New("memkv: mux connection lost")
 
 // ErrMuxTimeout reports that a multiplexed request exceeded the
-// client's per-request timeout. A timed-out request just abandons its
+// client's per-request timeout. A timed-out request just gives up its
 // tag; the connection and every other in-flight request on it are
 // unharmed.
 var ErrMuxTimeout = errors.New("memkv: mux request timeout")
@@ -36,6 +36,11 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //   - Every request is registered the same way (registerLocked): a tag,
 //     an entry in the connection's waiter table, and its timeout on the
 //     shared timer wheel, all under the connection's lock.
+//   - Every request completes the same way: whoever claims its tag — the
+//     reader with the reply, the timeout callback, or fail when the
+//     connection dies — completes it exactly once, and a caller that
+//     withdraws it first (claims it itself) gets nothing. A blocking
+//     call's waiter is completed like a started request's sink.
 //   - Writes coalesce: requests append frames to the connection's
 //     wireConn, whose single flusher goroutine writes whatever
 //     accumulated while the previous write was in flight — group commit,
@@ -131,8 +136,8 @@ type muxConn struct {
 // one of three things: a blocking call's pooled channel waiter (w; wait
 // blocks on it), a started read (sink), or a started versioned put
 // (put) — the started forms with their slot. Each carries its timeout
-// timer. The reader, the timeout callback and fail complete a started
-// request's sink directly, and nothing waits.
+// timer. Whoever claims the entry completes it once, through complete or
+// fail, whichever of the three it is.
 //
 // The table stores entries by value: keep this struct well under 128
 // bytes, the size past which a Go map boxes its elements and every
@@ -140,32 +145,56 @@ type muxConn struct {
 type muxEntry struct {
 	w    *muxWaiter
 	sink core.Sink[Versioned]
-	put  PutVSink
+	put  core.Sink[PutVResult]
 	slot int
 	tm   core.WheelTimer
 }
 
-// fail completes a started request with err, through whichever sink e
-// holds.
-func (e *muxEntry) fail(err error) {
-	if e.put != nil {
-		e.put.Complete(e.slot, PutVResult{Err: err}, err)
-		return
+// complete completes the request with its reply f, whose value has been
+// read.
+func (e *muxEntry) complete(f *frame) {
+	switch {
+	case e.w != nil:
+		e.w.ch <- muxReply{f: *f}
+	case e.put != nil:
+		cur, applied, err := frameToWrite(f, opStoredV)
+		e.put.Complete(e.slot, PutVResult{Current: cur, Applied: applied, Err: err}, err)
+	default:
+		v, err := frameToGetV(f)
+		e.sink.Complete(e.slot, v, err)
 	}
-	e.sink.Complete(e.slot, Versioned{}, err)
+}
+
+// fail completes the request with err instead of a reply.
+func (e *muxEntry) fail(err error) {
+	switch {
+	case e.w != nil:
+		e.w.ch <- muxReply{err: err}
+	case e.put != nil:
+		e.put.Complete(e.slot, PutVResult{Err: err}, err)
+	default:
+		e.sink.Complete(e.slot, Versioned{}, err)
+	}
 }
 
 // muxWaiter is one blocking request's rendezvous. The channel has
-// capacity 1 and receives exactly one frame (response, timeout
-// sentinel, or nothing if the connection dies), so deliveries never
-// block. Waiters recycle through a pool; a waiter is only returned to
-// the pool by a path that proved the channel is and will stay empty.
+// capacity 1 and receives exactly one completion, from whoever claimed
+// the request's tag, so deliveries never block. Waiters recycle through
+// a pool, returned only once that completion has been taken (or, the
+// caller having claimed the tag itself, will never come).
 type muxWaiter struct {
-	ch chan frame
+	ch chan muxReply
+}
+
+// muxReply is a blocking request's completion: its reply, or the error
+// it failed with.
+type muxReply struct {
+	f   frame
+	err error
 }
 
 var muxWaiterPool = sync.Pool{
-	New: func() any { return &muxWaiter{ch: make(chan frame, 1)} },
+	New: func() any { return &muxWaiter{ch: make(chan muxReply, 1)} },
 }
 
 func (m *MuxClient) dial(ctx context.Context) (*muxConn, error) {
@@ -331,11 +360,10 @@ func (cn *muxConn) lostErr() error {
 	return ErrMuxConnLost
 }
 
-// fail marks the connection dead exactly once: pending blocking waiters
-// are released via the done channel (their responses will never
-// arrive), started reads and puts complete with the conn-lost error,
-// every timeout timer is stopped, and the socket is closed, which also
-// stops the reader and flusher.
+// fail marks the connection dead exactly once: it claims every pending
+// request, stops its timeout timer and completes it with the conn-lost
+// error, and closes the socket, which also stops the reader and
+// flusher.
 func (cn *muxConn) fail(cause error) {
 	cn.mu.Lock()
 	if cn.dead {
@@ -353,9 +381,7 @@ func (cn *muxConn) fail(cause error) {
 	cn.c.Close()
 	for _, e := range pending {
 		e.tm.Stop()
-		if e.w == nil {
-			e.fail(cn.err)
-		}
+		e.fail(cn.err)
 	}
 	for _, st := range ws {
 		// Streams on a dead connection end with the conn-lost error so
@@ -452,7 +478,6 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		_, err := r.Discard(vlen)
 		return err
 	}
-	e.tm.Stop()
 	if e.sink != nil && f.op == opValueV && vlen >= verPayloadHeader && e.sink.Drop(e.slot) {
 		// A hit for a read that was decided while this copy was on the
 		// wire: the sink took the completion without the value, which is
@@ -460,30 +485,15 @@ func (cn *muxConn) readOne(r *bufio.Reader) error {
 		_, err := r.Discard(vlen)
 		return err
 	}
-	err = readReplyValue(r, &f, vlen)
-	if e.w != nil {
-		if err == nil {
-			e.w.ch <- f // cap 1, sole delivery: never blocks
-		}
-		// On error the caller fails the connection, and done releases
-		// the waiter.
-		return err
-	}
-	// A started request: the claim above is the promise to complete it,
-	// even when the value could not be read — then with the error every
-	// other request on the connection is about to get.
-	if err != nil {
+	if err := readReplyValue(r, &f, vlen); err != nil {
+		// The claim above is the promise to complete the request, even
+		// when its value could not be read: then with the error every
+		// other request on the connection is about to get.
 		cn.fail(err)
 		e.fail(cn.lostErr())
 		return err
 	}
-	if e.put != nil {
-		cur, applied, perr := frameToWrite(&f, opStoredV)
-		e.put.Complete(e.slot, PutVResult{Current: cur, Applied: applied, Err: perr}, perr)
-		return nil
-	}
-	v, gerr := frameToGetV(&f)
-	e.sink.Complete(e.slot, v, gerr)
+	e.complete(&f)
 	return nil
 }
 
@@ -500,7 +510,7 @@ func readReplyValue(r *bufio.Reader, f *frame, vlen int) error {
 // claim takes tag's entry out of the waiter table and stops its timer,
 // reporting whether it was there. Whoever claims an entry owns its one
 // outcome: the reader delivers the reply, the timeout callback the
-// timeout, a cancelling caller nothing at all — the eventual response
+// timeout, a withdrawing caller nothing at all — the eventual response
 // finds nobody and is skipped on arrival, the mux cancellation contract.
 // (fail claims the whole table at once.)
 func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
@@ -516,48 +526,13 @@ func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 	return e, ok
 }
 
-// abandon gives up on a blocking waiter whose response we no longer
-// want. If the tag was still registered the channel is empty for good.
-// If it is gone, a delivery is either in flight (drain it) or the
-// connection died (nothing will come).
-func (cn *muxConn) abandon(tag uint64, w *muxWaiter) {
-	if _, ok := cn.claim(tag); ok {
-		muxWaiterPool.Put(w)
-		return
-	}
-	select {
-	case <-w.ch:
-		// The in-flight delivery arrived; now the channel is empty again.
-		muxWaiterPool.Put(w)
-	case <-cn.done:
-		// Connection died after unregistering us (fail drops the whole
-		// map): no delivery will come, but don't pool a channel the
-		// reader might theoretically still hold.
-	}
-}
-
 // muxTimeoutFired is the shared-wheel callback for a request timeout:
-// it unregisters the tag (so the eventual response is skipped) and
-// delivers the timeout to the waiter or sink. c is the *muxConn, i the
-// tag.
+// it claims the tag (so the eventual response is skipped) and completes
+// the request with ErrMuxTimeout. c is the *muxConn, i the tag.
 func muxTimeoutFired(c any, i int64) {
-	cn := c.(*muxConn)
-	e, ok := cn.claim(uint64(i))
-	if !ok {
-		return
+	if e, ok := c.(*muxConn).claim(uint64(i)); ok {
+		e.fail(ErrMuxTimeout)
 	}
-	switch {
-	case e.put != nil:
-		e.fail(fmt.Errorf("%w after %v", ErrMuxTimeout, cn.owner.putTimeout()))
-	case e.sink != nil:
-		e.fail(cn.owner.timeoutErr())
-	default:
-		e.w.ch <- frame{op: opTimeout}
-	}
-}
-
-func (m *MuxClient) timeoutErr() error {
-	return fmt.Errorf("%w after %v", ErrMuxTimeout, m.timeout)
 }
 
 // putTimeout bounds a started put: the client's per-request timeout,
@@ -595,7 +570,7 @@ func (m *MuxClient) Start(key string, sink core.Sink[Versioned], slot int) (core
 // declines where Start declines, and otherwise registers e on the live
 // connection. On ok the caller holds cn.mu, as after registerLocked.
 func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (cn *muxConn, tag uint64, ok bool) {
-	if validateKey(key) != nil {
+	if ValidateKey(key) != nil {
 		return nil, 0, false
 	}
 	if cn = m.cn.Load(); cn == nil || cn.lockLive() != nil {
@@ -608,14 +583,15 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // encodes the put straight into the connection's pending buffer and
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
-// by the timer wheel, or by whoever failed the connection; the write
-// group's call frame, a core.Sink[PutVResult], is such a sink. It reports
+// by the timer wheel, or by whoever failed the connection (the sink's
+// Drop is never asked: every copy of a write is wanted). The write
+// group's call frame is such a sink. It reports
 // false, having done nothing, exactly where Start declines and for a
 // value too large to send; PutV handles those cases. A started put
 // cannot be withdrawn and runs under no context: it is bounded by the
 // client's timeout, and by versionedStragglerTimeout when that is longer
 // or unset. value is not retained.
-func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink PutVSink, slot int) bool {
+func (m *MuxClient) StartPutV(key string, value []byte, ttl time.Duration, version uint64, sink core.Sink[PutVResult], slot int) bool {
 	if validateValue(len(value)) != nil {
 		return false
 	}
@@ -672,22 +648,24 @@ func (m *MuxClient) do(ctx context.Context, req frame) (frame, error) {
 	return m.wait(ctx, cn, req.tag, w)
 }
 
-// wait blocks for the outcome of the blocking request registered on cn
-// under tag with waiter w: its response, its timeout, the caller's
-// cancellation (which withdraws it), or the connection's loss.
+// wait blocks for the completion of the blocking request registered on
+// cn under tag with waiter w — its reply, its timeout or the
+// connection's loss, from whoever claimed the tag — or for the caller's
+// cancellation, which withdraws the request. A caller that loses the
+// claim to a completer takes the completion still owed to w before the
+// waiter goes back to the pool: at once from the timeout or fail, from
+// the reader once the reply's value is read or the connection fails.
 func (m *MuxClient) wait(ctx context.Context, cn *muxConn, tag uint64, w *muxWaiter) (frame, error) {
 	select {
-	case fr := <-w.ch:
+	case r := <-w.ch:
 		muxWaiterPool.Put(w)
-		if fr.op == opTimeout {
-			return frame{}, m.timeoutErr()
-		}
-		return fr, nil
+		return r.f, r.err
 	case <-ctx.Done():
-		cn.abandon(tag, w)
+		if _, ok := cn.claim(tag); !ok {
+			<-w.ch
+		}
+		muxWaiterPool.Put(w)
 		return frame{}, ctx.Err()
-	case <-cn.done:
-		return frame{}, cn.lostErr()
 	}
 }
 
@@ -721,7 +699,7 @@ func (m *MuxClient) Set(ctx context.Context, key string, value []byte) error {
 // SetTTL stores value under key, expiring after ttl (rounded up to
 // whole seconds; 0 = never).
 func (m *MuxClient) SetTTL(ctx context.Context, key string, value []byte, ttl time.Duration) error {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return err
 	}
 	if err := validateValue(len(value)); err != nil {
@@ -787,7 +765,7 @@ type Versioned struct {
 // The value is the caller's; one who is finished with it may Release
 // it, and the next read lands in the same bytes.
 func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version uint64, ttlSecs uint32, err error) {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return nil, 0, 0, err
 	}
 	fr, err := m.do(ctx, frame{op: opGetV, key: key})
@@ -803,7 +781,7 @@ func (m *MuxClient) GetV(ctx context.Context, key string) (value []byte, version
 // the call — the caller's version if applied, the newer stored version
 // if not — and whether the write applied. version must be nonzero.
 func (m *MuxClient) PutV(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) (current uint64, applied bool, err error) {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return 0, false, err
 	}
 	if err := validateValue(len(value)); err != nil {
@@ -856,13 +834,6 @@ type PutVResult struct {
 	Err     error
 }
 
-// PutVSink receives the completion of a put started with StartPutV:
-// Complete, exactly once. It is core.Sink without Drop — every copy of a
-// write is wanted, so a put's reply is never skipped.
-type PutVSink interface {
-	Complete(slot int, r PutVResult, err error)
-}
-
 // PutVBatch issues many versioned puts in one coalesced round — the
 // migrator's bulk-transfer primitive. Every put is registered and
 // encoded under one hold of the connection's lock, so the batch goes out
@@ -874,7 +845,7 @@ type PutVSink interface {
 func (m *MuxClient) PutVBatch(ctx context.Context, puts []VersionedPut) []PutVResult {
 	out := make([]PutVResult, len(puts))
 	for i, p := range puts {
-		if out[i].Err = validateKey(p.Key); out[i].Err == nil {
+		if out[i].Err = ValidateKey(p.Key); out[i].Err == nil {
 			out[i].Err = validateValue(len(p.Value))
 		}
 	}

@@ -150,7 +150,7 @@ func (m *MuxClient) Watch(ctx context.Context, prefix string, buf int) (*WatchSt
 // holds (0 if absent) — retry from it if the caller's intent survives
 // a concurrent update.
 func (m *MuxClient) CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (current uint64, applied bool, err error) {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return 0, false, err
 	}
 	if err := validateValue(len(value)); err != nil {

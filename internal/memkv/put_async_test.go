@@ -30,7 +30,7 @@ import (
 // and what a put allocates on both ends of the wire. Run with -race
 // -count=5.
 
-// putSink is a PutVSink that keeps every completion by
+// putSink is a core.Sink[PutVResult] that keeps every completion by
 // slot.
 type putSink struct {
 	mu   sync.Mutex
@@ -51,6 +51,9 @@ func (s *putSink) Complete(slot int, r PutVResult, err error) {
 	s.mu.Unlock()
 	s.each <- struct{}{}
 }
+
+// Drop is never asked of a put; false keeps every completion.
+func (*putSink) Drop(int) bool { return false }
 
 func (s *putSink) results(slot int) []PutVResult {
 	s.mu.Lock()
@@ -754,6 +757,7 @@ func TestAsyncPutReplyDecodedInPlace(t *testing.T) {
 type discardPuts struct{}
 
 func (discardPuts) Complete(int, PutVResult, error) {}
+func (discardPuts) Drop(int) bool                   { return false }
 
 // loopback is the stack the allocation gates measure: three live
 // servers on loopback TCP, one MuxClient each, a write-all

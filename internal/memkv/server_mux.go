@@ -116,13 +116,14 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 // and only its data allocated (readVerValue); every other value is read
 // whole into q.val.
 func readRequestRest(r *bufio.Reader, q *frame, kb []byte, vlen int, st *Store) error {
-	if q.op == opPutV || q.op == opCAS || q.op == opSet {
+	versioned := q.op == opPutV || q.op == opCAS
+	if versioned || q.op == opSet {
 		q.key = st.keyString(kb)
 	} else {
 		q.key = string(kb)
 	}
 	r.Discard(len(kb))
-	if q.op == opPutV || q.op == opCAS {
+	if versioned {
 		return readVerValue(r, q, vlen)
 	}
 	return readFrameValue(r, q, vlen)

@@ -120,7 +120,7 @@ const versionedStragglerTimeout = 5 * time.Second
 // copy of value, len(value) bytes in one allocation, which a late hint
 // carries.
 func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []byte, ttl time.Duration) (uint64, error) {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return 0, err
 	}
 	if err := validateValue(len(value)); err != nil {
@@ -135,7 +135,7 @@ func (sc *ShardedClient) PutVersioned(ctx context.Context, key string, value []b
 // be preserved. version must be nonzero. value is borrowed as in
 // PutVersioned.
 func (sc *ShardedClient) PutVersionAt(ctx context.Context, key string, value []byte, ttl time.Duration, version uint64) error {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return err
 	}
 	if err := validateValue(len(value)); err != nil {
@@ -170,7 +170,7 @@ func (r putReq) own() putReq {
 }
 
 // putStarter is a MuxClient as the write group's core.Starter: Start is
-// StartPutV, with the call frame as its PutVSink. A started put cannot be
+// StartPutV, with the call frame as its sink. A started put cannot be
 // withdrawn, and a durable call never asks.
 type putStarter MuxClient
 
@@ -224,7 +224,7 @@ func (sc *ShardedClient) replicate(ctx context.Context, r putReq, owners []*memb
 // one, receives the votes as counted: a miss as a version-0 answer.
 func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs *[]core.Outcome[Versioned], opts []core.CallOption) (core.Result[Versioned], error) {
 	var zero core.Result[Versioned]
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return zero, err
 	}
 	var sb [4]*member

@@ -49,7 +49,7 @@ var ErrCASConflict = errors.New("memkv: compare-and-swap conflict")
 // every CAS under a write quorum below the replication, none under
 // write-all.
 func (sc *ShardedClient) CAS(ctx context.Context, key string, value []byte, ttl time.Duration, expect uint64) (version uint64, err error) {
-	if err := validateKey(key); err != nil {
+	if err := ValidateKey(key); err != nil {
 		return 0, err
 	}
 	if err := validateValue(len(value)); err != nil {

@@ -75,10 +75,6 @@ const (
 	opWatchEnd  = 0xCC
 	opUnwatched = 0xCD // ack for opUnwatch (by the opUnwatch request's own tag)
 	opStatsResp = 0xCE // val = packed counters (see appendStat)
-
-	// opTimeout is an internal sentinel delivered to a waiter whose
-	// request timed out; it never appears on the wire (no high bit).
-	opTimeout = 0x01
 )
 
 // opWatchEnd reasons.
@@ -104,9 +100,9 @@ var (
 // written, or expired (TTL expiry is the only removal).
 var ErrNotFound = errors.New("memkv: not found")
 
-// validateKey is the client-side key check: non-empty, at most
-// maxKeyLen bytes, no whitespace.
-func validateKey(key string) error {
+// ValidateKey is memkv's key rule, which the client checks before it
+// sends a request: non-empty, at most maxKeyLen bytes, no whitespace.
+func ValidateKey(key string) error {
 	if key == "" || len(key) > maxKeyLen {
 		return fmt.Errorf("memkv: invalid key length %d", len(key))
 	}
