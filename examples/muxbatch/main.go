@@ -16,9 +16,9 @@
 //     (ShardedClient.GetResult) on its own goroutine, all at once: each
 //     copy a tagged request started on its shard's one connection, each
 //     loser withdrawn when its key's first reply arrives.
-//  2. The same reads hedged: 50,000 deadlines armed on the shared timer
-//     wheel; a hedge whose primary answers in time is stopped unfired
-//     and never launches — cancellation without connection churn. How
+//  2. The same reads hedged: 50,000 deadlines armed on pooled timers;
+//     a hedge whose primary answers in time is stopped unfired and
+//     never launches — cancellation without connection churn. How
 //     many fire depends on how long the burst itself queues on this
 //     machine, so the count is reported, not promised.
 //
@@ -44,8 +44,8 @@ const (
 )
 
 func main() {
-	// Four live shards. A tiny service delay (parked on the server's
-	// timer wheel) keeps thousands of requests genuinely in flight at once.
+	// Four live shards. A tiny service delay (parked in the server's
+	// deadline heap) keeps thousands of requests genuinely in flight at once.
 	servers := make([]*memkv.Server, shards)
 	addrs := make([]string, shards)
 	for i := range servers {
@@ -110,7 +110,7 @@ func main() {
 	sc.Close()
 	baseConns = acceptedConns(servers)
 
-	// Act 2: hedged reads — deadlines armed on the shared wheel, then
+	// Act 2: hedged reads — deadlines armed on pooled timers, then
 	// stopped unfired where the primary answers first. No connection
 	// churn either way: cancellation is just a discarded tag.
 	hedged := newSharded(redundancy.Fixed{Copies: 2, HedgeDelay: 250 * time.Millisecond})
@@ -122,7 +122,7 @@ func main() {
 	mustRideOneConnPerShard(hConns)
 	fired := hLaunched - reads
 	fmt.Printf("act 2 — the same reads with a 250ms hedge deadline per key:\n")
-	fmt.Printf("        %v wall, per-read p99 %v; %d of %d hedge deadlines fired, %d stopped unfired on the wheel\n",
+	fmt.Printf("        %v wall, per-read p99 %v; %d of %d hedge deadlines fired, %d stopped unfired\n",
 		hWall.Round(time.Millisecond), hp99.Round(time.Millisecond), fired, reads, reads-fired)
 	fmt.Printf("        connections accepted: %d — abandoning a mux request never costs a reconnect\n", hConns)
 	hedged.Close()

@@ -267,7 +267,7 @@ func TestAsyncBehaviourTable(t *testing.T) {
 			f.settled(t)
 		}},
 		{"wheel hedge fires and the hedge wins", func(t *testing.T, kind string) {
-			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 2 * DefaultWheelTick})}
+			f := &asyncFixture{g: NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: 2 * time.Millisecond})}
 			f.add(kind, "primary", coretest.Blocked(1, coretest.NewGate()))
 			f.add(kind, "hedge", coretest.Instant(2))
 			ranked(f, "primary", "hedge")

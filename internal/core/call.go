@@ -78,27 +78,24 @@ import (
 // completion that decides the call sends an event, so the caller wakes
 // once.
 //
-// Hedge deadlines arm on the process-shared TimerWheel (alloc-free,
-// O(1) arm/stop; the callback is stored in the frame once, because
-// taking a generic function's value allocates) except for sub-tick
-// delays: the wheel's 1ms tick would coarsen a sub-millisecond hedge
-// into "fire 1-2ms late", so delays below DefaultWheelTick fall back to
-// a runtime time.Timer, which is exact. Both paths are gen-guarded — a
-// stale fire cannot launch the wrong copy, and a stopped-too-late fire
-// is ignored by index.
+// Hedge deadlines arm on AfterFunc (timer.go: pooled, allocation-free,
+// exact at any delay; the callback is stored in the frame once, because
+// taking a generic function's value allocates). A hedge event carries
+// the copy it was armed for, so a fire that a stop came too late for is
+// ignored by index.
 //
-// The caller's context is watched from the first wheel tick, not from
+// The caller's context is watched from watchDelay (1ms) on, not from
 // the call's first instruction (watchCtx). A cancellable context makes
 // its Done channel lazily, an allocation, and most calls end well
-// inside a tick, so a call with copies out arms one wheel timer for
-// DefaultWheelTick, on the hedges' callback and under the same frame
+// inside a millisecond, so a call with copies out arms one timer for
+// watchDelay, on the hedges' callback and under the same frame
 // reference, and asks for ctx.Done() only when that event arrives. The
 // rule a caller sees: a cancellation or deadline that lands in the first
-// tick ends the call at the tick, 1-2ms after it started, and one that
-// lands later ends it at once; the error is the bare ctx.Err() and the
-// copies out count as Cancelled, as ever. A context that is never
-// cancelled (context.Background, context.TODO), one already done, and
-// one whose deadline falls within a tick are watched at once. The watch
+// millisecond ends the call at 1ms, and one that lands later ends it at
+// once; the error is the bare ctx.Err() and the copies out count as
+// Cancelled, as ever. A context that is never cancelled
+// (context.Background, context.TODO), one already done, and one whose
+// deadline is less than watchDelay away are watched at once. The watch
 // lives beside the hedge deadline, not in it: stopping a hedge never
 // disarms it.
 
@@ -214,23 +211,25 @@ const (
 	// watchIdx is the index a context-watch event carries (watchCtx): no
 	// copy has it, so the hedge bookkeeping never mistakes it for one.
 	watchIdx = -1
+	// watchDelay is how long a call with copies out runs before it asks
+	// for its caller's Done channel (watchCtx).
+	watchDelay = time.Millisecond
 )
 
 // callFrame is the reusable per-call state of the engine. Frames come
 // from the group's pool and follow the recycling discipline: the frame
 // is shared with every launched copy — a goroutine, or a started copy's
-// pending completion — and with any armed wheel-hedge callback, each of
+// pending completion — and with any armed timer's callback, each of
 // which holds one reference; release(1) drops a reference, and the
 // holder that drops the last one drains the results channel and returns
 // the frame to the pool. The launcher writes every plan field before the
 // first copy launches and never mutates them afterwards, so copies read
 // them without synchronization.
 type callFrame[K, T any] struct {
-	// results carries copy completions, wheel-hedge deadline events and
-	// the context watch's one event. It is buffered for the worst case (n
+	// results carries copy completions, hedge deadline events and the
+	// context watch's one event. It is buffered for the worst case (n
 	// completions + n-1 hedge events + 1 watch; a durable call sends at
-	// most one deciding event and the watch), so senders never block and
-	// the wheel callback honors the wheel's non-blocking contract. The
+	// most one deciding event and the watch), so senders never block. The
 	// channel is reused across calls; it only grows (and is reallocated)
 	// when a call's fan-out exceeds half its capacity.
 	results chan indexed[T]
@@ -238,7 +237,7 @@ type callFrame[K, T any] struct {
 	pool *sync.Pool
 	// refs counts the engine, every launched copy (until its goroutine
 	// delivers, or its started request completes or is withdrawn), every
-	// armed wheel hedge and an armed context watch. The frame recycles
+	// armed hedge and an armed context watch. The frame recycles
 	// only when it hits zero.
 	refs atomic.Int32
 	// won counts the successes copies have queued on results. Once it
@@ -249,12 +248,14 @@ type callFrame[K, T any] struct {
 	won atomic.Int32
 	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
 	// a generic function's value builds a closure over its dictionary, an
-	// allocation per wheel arm if done at the arm site.
+	// allocation per arm if done at the arm site.
 	hedgeFn func(c any, i int64)
-	// watch is the call's armed context watch (watchCtx), zero once it
-	// fired or was stopped, or if the call watches its context at once.
-	// Only the engine's goroutine touches it.
-	watch WheelTimer
+	// hedge is the call's last armed hedge deadline, always for the next
+	// unlaunched copy, and watch its context watch (watchCtx), zero if
+	// the call watches its context at once. A timer that fired stays in
+	// its field, where stopping it is a no-op; disarm zeroes it. Only the
+	// engine's goroutine touches either.
+	hedge, watch Timer
 	// copyFn[i] is slot i's goroutine body, built on first use and kept
 	// with the frame: go with a stored func value needs no per-launch
 	// wrapper, where go f(fr, i) heap-allocates one.
@@ -441,13 +442,12 @@ func (fr *callFrame[K, T]) own(ifOut bool) {
 	fr.mu.Unlock()
 }
 
-// frameHedgeFired is the shared-wheel callback for a frame's wheel
-// timers: it forwards the deadline into the frame's event channel for
-// the engine loop to act on. i is the copy index a hedge was armed for,
-// or watchIdx for the context watch; the engine ignores stale indices.
-// The buffered channel absorbs the send without blocking (the
-// wheel-callback contract), and the reference taken at arm time keeps
-// the frame alive until release.
+// frameHedgeFired is the callback of a frame's timers: it forwards the
+// deadline into the frame's event channel for the engine loop to act
+// on. i is the copy index a hedge was armed for, or watchIdx for the
+// context watch; the engine ignores stale indices. The buffered channel
+// absorbs the send without blocking, and the reference taken at arm
+// time keeps the frame alive until release.
 func frameHedgeFired[K, T any](c any, i int64) {
 	fr := c.(*callFrame[K, T])
 	fr.results <- indexed[T]{idx: int(i), hedge: true}
@@ -515,66 +515,42 @@ func (fr *callFrame[K, T]) drainCompleted(completed int) int {
 	}
 }
 
-// hedgeTimer manages the engine's single in-flight hedge deadline:
-// wheel-armed for delays at or above the wheel tick, a runtime
-// time.Timer below it (the wheel would coarsen a sub-millisecond hedge
-// by up to two ticks — see the file comment). At most one deadline is
-// armed at a time, always for the next unlaunched copy.
-type hedgeTimer[K, T any] struct {
-	fr         *callFrame[K, T]
-	wheel      WheelTimer
-	wheelArmed bool
-	armedCi    int
-	rt         *time.Timer
-	rtC        <-chan time.Time
-}
-
-// arm schedules the hedge deadline for copy ci, d from now.
-func (h *hedgeTimer[K, T]) arm(d time.Duration, ci int) {
-	if d < DefaultWheelTick {
-		// Sub-tick fallback: exact runtime timer (documented trade; the
-		// wheel fires on tick boundaries only). The timer is reused
-		// across arms within one call.
-		if h.rt == nil {
-			h.rt = time.NewTimer(d)
-		} else {
-			h.rt.Reset(d)
-		}
-		h.rtC = h.rt.C
-		return
-	}
-	h.wheel = h.fr.afterWheel(d, ci)
-	h.wheelArmed = true
-	h.armedCi = ci
-}
-
-// afterWheel arms a shared-wheel timer that posts event i into results
-// d from now. The armed timer pins the frame: its callback drops the
-// reference after the send, and whoever stops it first drops it instead.
-func (fr *callFrame[K, T]) afterWheel(d time.Duration, i int) WheelTimer {
+// after arms a timer that posts event i into results d from now. The
+// armed timer pins the frame: its callback drops the reference after
+// the send, and whoever stops it first drops it instead (disarm).
+func (fr *callFrame[K, T]) after(d time.Duration, i int) Timer {
 	fr.refs.Add(1)
 	if fr.hedgeFn == nil {
 		fr.hedgeFn = frameHedgeFired[K, T]
 	}
-	return SharedWheel().AfterFunc(d, fr.hedgeFn, fr, int64(i))
+	return AfterFunc(d, fr.hedgeFn, fr, int64(i))
+}
+
+// disarm stops the frame's timer *t if it has not fired, dropping the
+// reference it held, and zeroes it; an event it already posted is
+// drained like any stale event.
+func (fr *callFrame[K, T]) disarm(t *Timer) {
+	if t.Stop() {
+		fr.release(1)
+	}
+	*t = Timer{}
 }
 
 // watchCtx starts watching the caller's context for a call about to
 // wait (see the file comment). It returns ctx.Done() for a context
 // watched at once: one never cancelled, whose Done is nil and free; one
-// already done, whose channel is made closed; and one whose deadline
-// falls within a tick, which the wheel would see up to two ticks late.
-// Any other context it leaves unasked, arms the frame's watch for
-// DefaultWheelTick and returns nil. ctx.Err and ctx.Deadline allocate
-// nothing.
+// already done, whose channel is made closed; and one whose deadline is
+// less than watchDelay away, which the watch would see late. Any other
+// context it leaves unasked, arms the frame's watch for watchDelay and
+// returns nil. ctx.Err and ctx.Deadline allocate nothing.
 func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
 	if ctx == context.Background() || ctx == context.TODO() || ctx.Err() != nil {
 		return ctx.Done()
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < DefaultWheelTick {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < watchDelay {
 		return ctx.Done()
 	}
-	fr.watch = fr.afterWheel(DefaultWheelTick, watchIdx)
+	fr.watch = fr.after(watchDelay, watchIdx)
 	return nil
 }
 
@@ -582,47 +558,10 @@ func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
 // if its context has ended, or else the Done channel the wait selects
 // on from then on.
 func (fr *callFrame[K, T]) watchFired(ctx context.Context) (<-chan struct{}, error) {
-	fr.watch = WheelTimer{}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return ctx.Done(), nil
-}
-
-// unwatch disarms the context watch if it has not fired, dropping the
-// reference it held; an event it already posted is drained like a stale
-// hedge's.
-func (fr *callFrame[K, T]) unwatch() {
-	if fr.watch.Stop() {
-		fr.release(1)
-	}
-	fr.watch = WheelTimer{}
-}
-
-// wheelFired records that the armed wheel deadline for ci was consumed.
-// A stale event — its timer was stopped racing the fire and a NEW timer
-// is already armed for a later copy — must not clear the armed state,
-// or stop would leak the live timer to expiry.
-func (h *hedgeTimer[K, T]) wheelFired(ci int) {
-	if h.wheelArmed && h.armedCi == ci {
-		h.wheelArmed = false
-	}
-}
-
-// stop disarms whichever deadline is pending. Idempotent. If the wheel
-// timer already fired, its callback owns (and releases) the reference;
-// the resulting stale event is ignored by index or drained at recycle.
-func (h *hedgeTimer[K, T]) stop() {
-	if h.wheelArmed {
-		h.wheelArmed = false
-		if h.wheel.Stop() {
-			h.fr.release(1)
-		}
-	}
-	if h.rtC != nil {
-		h.rt.Stop()
-		h.rtC = nil
-	}
 }
 
 // singleResult turns the return of a call's only copy — run inline on
@@ -660,13 +599,13 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 // non-positive (a zero hedge delay means full replication, not a timer
 // round-trip), and arms the hedge deadline of the copy after them. It
 // returns the number of copies launched.
-func (fr *callFrame[K, T]) launchNext(ctx context.Context, ht *hedgeTimer[K, T], i int) int {
+func (fr *callFrame[K, T]) launchNext(ctx context.Context, i int) int {
 	fr.launchCopy(ctx, i)
 	for i++; i < fr.n && (fr.delays == nil || fr.delays[i] <= 0); i++ {
 		fr.launchCopy(ctx, i)
 	}
 	if i < fr.n {
-		ht.arm(fr.delays[i], i)
+		fr.hedge = fr.after(fr.delays[i], i)
 	}
 	return i
 }
@@ -677,9 +616,9 @@ func (fr *callFrame[K, T]) launchNext(ctx context.Context, ht *hedgeTimer[K, T],
 // the copies started, Cancelled the copies reclaimed in flight — or, on
 // failure, the joined ReplicaErrors (quorum 1) or a *QuorumError
 // (quorum > 1), or, if the caller's context ends the call, the bare
-// ctx.Err(). That context is watched from the first wheel tick
-// (watchCtx): a cancellation inside the first tick is seen at the tick,
-// 1-2ms after the start, and a copy that completes first may still win.
+// ctx.Err(). That context is watched from watchDelay on (watchCtx): a
+// cancellation inside the first millisecond is seen at 1ms, and a copy
+// that completes first may still win.
 // A call never leaks copies: finish cancels the derived context
 // blocking copies run under and withdraws the started requests still
 // out, and losers always deliver into the buffered channel.
@@ -688,13 +627,11 @@ func (fr *callFrame[K, T]) launchNext(ctx context.Context, ht *hedgeTimer[K, T],
 func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], error) {
 	n, q := fr.n, fr.quorum
 	start := time.Now()
-	var ht hedgeTimer[K, T]
-	ht.fr = fr
 	// However the call ends, whatever it left in flight is reclaimed.
-	defer fr.finish(&ht)
+	defer fr.finish()
 
 	// Copy 0 always starts immediately.
-	launched := fr.launchNext(ctx, &ht, 0)
+	launched := fr.launchNext(ctx, 0)
 
 	collect := fr.collect
 	if collect == nil && q > 1 {
@@ -724,7 +661,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 		select {
 		case r := <-fr.results:
 			if r.idx == watchIdx {
-				// The context watch's tick: the caller's cancellation is
+				// The context watch fired: the caller's cancellation is
 				// seen now, and from now on at once.
 				var err error
 				if ctxDone, err = fr.watchFired(ctx); err != nil {
@@ -733,12 +670,11 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				continue
 			}
 			if r.hedge {
-				// A wheel-armed hedge deadline fired. Stale events — the
-				// copy already launched via the failure path, or the call
-				// is past it — are ignored by index.
-				ht.wheelFired(r.idx)
+				// A hedge deadline fired. Stale events — the copy already
+				// launched via the failure path, or the call is past it —
+				// are ignored by index.
 				if r.idx == launched && launched < n {
-					launched = fr.launchNext(ctx, &ht, launched)
+					launched = fr.launchNext(ctx, launched)
 				}
 				continue
 			}
@@ -792,13 +728,9 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// is not done (fewer than q wins, at most n-q failures, so
 				// a copy is left to launch): launch it immediately rather
 				// than waiting out its hedge delay.
-				ht.stop()
-				launched = fr.launchNext(ctx, &ht, launched)
+				fr.disarm(&fr.hedge)
+				launched = fr.launchNext(ctx, launched)
 			}
-		case <-ht.rtC:
-			// Sub-tick runtime-timer hedge deadline.
-			ht.rtC = nil
-			launched = fr.launchNext(ctx, &ht, launched)
 		case <-ctxDone:
 			return fr.abandoned(ctx.Err(), launched, completed)
 		}

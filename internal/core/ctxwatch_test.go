@@ -11,11 +11,11 @@ import (
 	"redundancy/internal/core/coretest"
 )
 
-// These tests pin the tick-deferred context watch (watchCtx): a call
-// with copies out asks for its caller's Done channel only once the first
-// wheel tick has passed, so one that ends sooner never makes it; a
-// cancellation is still seen, at the tick if it came earlier and at once
-// after it; and contexts that need no watch, or cannot wait a tick, are
+// These tests pin the deferred context watch (watchCtx): a call with
+// copies out asks for its caller's Done channel only once watchDelay
+// (1ms) has passed, so one that ends sooner never makes it; a
+// cancellation is still seen, at 1ms if it came earlier and at once
+// after it; and contexts that need no watch, or cannot wait 1ms, are
 // watched from the start. Run with -race -count=5.
 
 // spyCtx is a cancellable context that counts the calls of its Done: the
@@ -140,7 +140,7 @@ func TestAsyncCancelInsideTheFirstTick(t *testing.T) {
 
 // TestAsyncCancelAfterTheWatchFired: once the engine has asked for the
 // Done channel the tick is behind it, and nothing of the call is armed
-// on the wheel any more (no hedge, the watch fired): only the channel
+// on a timer any more (no hedge, the watch fired): only the channel
 // can wake it, so a cancellation ends the call at once.
 func TestAsyncCancelAfterTheWatchFired(t *testing.T) {
 	g, hs, gov := watchedGroup()
@@ -178,7 +178,7 @@ func TestAsyncCancelAfterRelaunch(t *testing.T) {
 }
 
 // TestAsyncDeadlineInsideTheFirstTick: a deadline closer than a tick is
-// watched from the start — the wheel would see it up to two ticks late —
+// watched from the start — the watch would see it late —
 // and the call returns context.DeadlineExceeded.
 func TestAsyncDeadlineInsideTheFirstTick(t *testing.T) {
 	g, hs, gov := watchedGroup()
@@ -260,7 +260,7 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 					t.Fatalf("watchCtx returned %v, want %v", done, want)
 				}
 			}
-			armed, refs := fr.watch != (WheelTimer{}), fr.refs.Load()
+			armed, refs := fr.watch != (Timer{}), fr.refs.Load()
 			if armed == tc.atOnce || (refs == 2) != armed {
 				t.Fatalf("watch armed %v with %d references; want armed %v, holding the second", armed, refs, !tc.atOnce)
 			}
@@ -279,8 +279,8 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 				}
 				return
 			}
-			fr.unwatch()
-			if fr.refs.Load() != 1 || fr.watch != (WheelTimer{}) {
+			fr.disarm(&fr.watch)
+			if fr.refs.Load() != 1 || fr.watch != (Timer{}) {
 				t.Fatalf("unwatch left %d references, watch %+v", fr.refs.Load(), fr.watch)
 			}
 		})
@@ -290,7 +290,7 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 // TestAsyncFreshContextAllocs: a call over starters that answer at once,
 // under a fresh cancellable context per call, allocates exactly what
 // making and cancelling that context allocates — the context's Done
-// channel is never made — started, wheel-hedged or durable. A context
+// channel is never made — started, hedged or durable. A context
 // reused across calls would make its channel once and hide the cost.
 func TestAsyncFreshContextAllocs(t *testing.T) {
 	if coretest.Race() {
@@ -350,7 +350,7 @@ func TestAsyncFreshContextAllocs(t *testing.T) {
 				cancel()
 			}
 			for range 100 {
-				call() // warm the frame pool and the wheel's free list
+				call() // warm the frame pool and the timer pool
 			}
 			if avg := testing.AllocsPerRun(500, call); avg != base {
 				t.Errorf("a call under a fresh context allocates %.2f/op, making the context %.2f", avg, base)

@@ -16,7 +16,7 @@ import (
 // discipline (see callFrame in call.go) under the racy schedules that
 // could corrupt a recycled frame: early returns with losers still in
 // flight, caller-held outcome slices, and caller cancellation racing a
-// wheel-armed hedge fire. Run with -race -count=5.
+// timer-armed hedge fire. Run with -race -count=5.
 
 // TestFrameRecycleEarlyReturnSlowLoser drives a group whose loser
 // IGNORES cancellation and stays in flight long after Do returned. The
@@ -143,15 +143,15 @@ func TestFrameRecycleQuorumErrorOutcomes(t *testing.T) {
 }
 
 // TestFrameRecycleCancelRacesWheelHedge races caller cancellation
-// against a wheel-armed hedge deadline: the hedge delay equals the
-// wheel tick, and the context is cancelled from another goroutine at
+// against a hedge deadline: the hedge delay equals the context watch's
+// delay, and the context is cancelled from another goroutine at
 // roughly the same time. Whichever way each race lands, the call must
 // return promptly, the stale hedge event must be ignored or drained,
 // and the frame must be safe to reuse immediately.
 func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 	gate := coretest.NewGate()
 	defer gate.Release()
-	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: DefaultWheelTick, Selection: SelectRoundRobin},
+	g := NewStrategyGroup[int](Fixed{Copies: 2, HedgeDelay: watchDelay, Selection: SelectRoundRobin},
 		WithSeed(1))
 	// Both replicas park until cancelled, so every call rides its hedge
 	// timer and only cancellation completes it.
@@ -161,7 +161,7 @@ func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
-			// No sleep: the cancel races the ~1ms wheel fire through the
+			// No sleep: the cancel races the ~1ms timer fire through the
 			// goroutine scheduler, landing before, during, and after it
 			// across iterations.
 			cancel()
@@ -185,7 +185,7 @@ func TestFrameRecycleCancelRacesWheelHedge(t *testing.T) {
 // TestDoValueAllocs pins what a call of two copies over function
 // replicas allocates: exactly the 2 its blocking copies share — the
 // cancellation channel and the derived context — through DoValue, through
-// a zero-option Do, and with a wheel-armed hedge that never fires because
+// a zero-option Do, and with an armed hedge that never fires because
 // the primary wins (arming and stopping it allocates nothing).
 func TestDoValueAllocs(t *testing.T) {
 	if coretest.Race() {
@@ -228,7 +228,7 @@ func TestDoValueAllocs(t *testing.T) {
 				// callers see.
 				runtime.Gosched()
 			}
-			// Warm the frame pool and the wheel's free list.
+			// Warm the frame pool and the timer pool.
 			for i := 0; i < 100; i++ {
 				call()
 			}

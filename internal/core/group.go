@@ -401,11 +401,10 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 // contract); with more copies each is a request started through its
 // member's Starter and withdrawn when the call completes, or, for a
 // function replica, a goroutine under a derived context cancelled then.
-// Such a call watches ctx from the first wheel tick: a cancellation or
-// deadline inside the first tick ends it at the tick, 1-2ms after the
-// start, with ctx.Err(), and a copy that completes first may still win;
-// a context never cancelled, or whose deadline falls within a tick, is
-// watched at once.
+// Such a call watches ctx from 1ms on: a cancellation or deadline
+// inside the first millisecond ends it at 1ms with ctx.Err(), and a copy
+// that completes first may still win; a context never cancelled, or
+// whose deadline is less than 1ms away, is watched at once.
 func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (Result[T], error) {
 	if len(opts) == 0 {
 		return g.do(ctx, arg, &noCallOpts)
@@ -453,8 +452,8 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 // len(picked) fails with ErrQuorumUnreachable), and a governor attached
 // to the strategy still normalizes its utilization by the full group
 // size — the subset is one key's placement, not the system's capacity.
-// ctx is watched as in Do, from the first wheel tick once the call has
-// two copies or more. The slice is read for the duration of the call and
+// ctx is watched as in Do, from 1ms on once the call has two copies or
+// more. The slice is read for the duration of the call and
 // must not be modified until it returns; a zero Handle in it is an error.
 func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[K, T], opts ...CallOption) (Result[T], error) {
 	var zero Result[T]
@@ -533,9 +532,9 @@ func NewDurableKeyedGroup[K, T any](d Durable[K]) *KeyedGroup[K, T] {
 // must bound it. It returns nil once q succeeded (q is clamped to [0,
 // len(picked)]; 0 returns once the copies are out), a *QuorumError as
 // soon as too few can, or ctx's error; the copies out run on and report
-// to Durable.Done. ctx is watched from the first wheel tick, as in Do: a
-// cancellation inside the first tick is seen at the tick, 1-2ms after
-// the start, and the deciding completion may still win. gov, if non-nil,
+// to Durable.Done. ctx is watched from 1ms on, as in Do: a cancellation
+// inside the first millisecond is seen at 1ms, and the deciding
+// completion may still win. gov, if non-nil,
 // takes the call's utilization sample and brackets every copy, but sheds
 // none. It takes no per-call options, times no copy and allocates
 // nothing of its own.
@@ -574,7 +573,7 @@ func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle
 				break wait
 			}
 		}
-		fr.unwatch()
+		fr.disarm(&fr.watch)
 	}
 	fr.own(true)
 	fr.release(1)

@@ -168,9 +168,9 @@ func (fr *callFrame[K, T]) copyDelivered(i int) {
 // blocking copy that honored its cancellation — and its frame reference
 // is dropped here because its Complete will never run; one whose Cancel
 // reports false has a completion on its way, which releases as usual.
-func (fr *callFrame[K, T]) finish(ht *hedgeTimer[K, T]) {
-	ht.stop()
-	fr.unwatch()
+func (fr *callFrame[K, T]) finish() {
+	fr.disarm(&fr.hedge)
+	fr.disarm(&fr.watch)
 	if fr.cdone != nil {
 		close(fr.cdone)
 		fr.cdone = nil

@@ -42,8 +42,8 @@
 // objects (about 14 allocations) and, on PUT, the explicit
 // application/json header (4): a {"version":N} reply sniffs as text. The
 // request context's Done channel is made only by a read or write that
-// outlives the engine's first wheel tick (1-2 ms), which watches the
-// context from then on, or by one the governor or the SLO controller
+// outlives the engine's first millisecond, from which on it watches the
+// context, or by one the governor or the SLO controller
 // clamped to a single copy, which blocks under the context itself.
 package gateway
 

@@ -32,8 +32,26 @@ func startServerDelay(t *testing.T, delay func() time.Duration) (*Server, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() {
+		srv.Close()
+		stopExpiries(srv.Store())
+	})
 	return srv, addr.String()
+}
+
+// stopExpiries stops the active-expiry timers still armed in st, so a
+// test's TTLs do not fire during the tests after it: each timer's
+// callback runs on a goroutine of its own, which a later test counting
+// goroutines would see.
+func stopExpiries(st *Store) {
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		for _, it := range sh.m {
+			it.exp.Stop()
+		}
+		sh.mu.Unlock()
+	}
 }
 
 func TestStoreBasics(t *testing.T) {
@@ -336,6 +354,36 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	// Double close is fine.
 	if err := srv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestExpiredKeyReapedOnRead: a read that reaches an item past its
+// deadline before the expiry timer's callback does reaps the item itself
+// and emits the expire event. The callback runs at the deadline, so the
+// test stops the timer to hold that window open.
+func TestExpiredKeyReapedOnRead(t *testing.T) {
+	s := NewStore()
+	w := s.Watch("k", 4)
+	defer w.Close()
+	s.SetTTL("k", 0, []byte("v"), 100*time.Millisecond)
+	sh := s.shardFor("k")
+	sh.mu.Lock()
+	stopped := sh.m["k"].exp.Stop()
+	sh.mu.Unlock()
+	if !stopped {
+		t.Fatal("the expiry timer fired within 100ms")
+	}
+	time.Sleep(110 * time.Millisecond)
+	if _, _, ok := s.Get("k"); ok {
+		t.Fatal("an item past its deadline is readable")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("the read left the expired item in place: Len = %d", s.Len())
+	}
+	for _, want := range []EventType{EventPut, EventExpire} {
+		if ev := <-w.Events(); ev.Type != want || ev.Key != "k" {
+			t.Fatalf("event %+v, want %v on k", ev, want)
+		}
 	}
 }
 

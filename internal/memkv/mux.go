@@ -34,8 +34,8 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 // thousands of outstanding redundant reads share one socket.
 //
 //   - Every request is registered the same way (registerLocked): a tag,
-//     an entry in the connection's waiter table, and its timeout on the
-//     shared timer wheel, all under the connection's lock.
+//     an entry in the connection's waiter table, and its timeout timer
+//     (core.AfterFunc), all under the connection's lock.
 //   - Every request completes the same way: whoever claims its tag — the
 //     reader with the reply, the timeout callback, or fail when the
 //     connection dies — completes it exactly once, and a caller that
@@ -102,8 +102,8 @@ type MuxClient struct {
 
 // NewMuxClient creates a multiplexed client for the server at addr.
 // timeout bounds each request from enqueue to response (0 means no
-// timeout); it is enforced on the shared timer wheel, not with a
-// per-request runtime timer. The connection is dialed lazily.
+// timeout); it is enforced by a pooled timer (core.AfterFunc), which
+// allocates nothing per request. The connection is dialed lazily.
 func NewMuxClient(addr string, timeout time.Duration) *MuxClient {
 	return &MuxClient{addr: addr, timeout: timeout, closedC: make(chan struct{})}
 }
@@ -147,7 +147,7 @@ type muxEntry struct {
 	sink core.Sink[Versioned]
 	put  core.Sink[PutVResult]
 	slot int
-	tm   core.WheelTimer
+	tm   core.Timer
 }
 
 // complete completes the request with its reply f, whose value has been
@@ -414,16 +414,17 @@ func (cn *muxConn) lockLive() error {
 // each put of a PutVBatch. It assigns the next tag and stores e under
 // it, born with its timeout timer (none if timeout is 0). The timer is
 // armed under the lock so that the reader, which may claim the tag the
-// moment the lock drops, always finds the handle to stop; the wheel
-// runs callbacks outside its own lock, so cn.mu → wheel is the only
-// order. The caller holds cn.mu on a live connection (lockLive), appends
-// the request's frame to cn.pending, unlocks, and signals the flusher.
+// moment the lock drops, always finds the handle to stop; the timeout
+// callback runs on a goroutine of its own and takes cn.mu there, so
+// arming under the lock cannot deadlock. The caller holds cn.mu on a
+// live connection (lockLive), appends the request's frame to
+// cn.pending, unlocks, and signals the flusher.
 // (A watch's opUnwatch is the one frame sent unregistered: nobody waits
 // for its ack.)
 func (cn *muxConn) registerLocked(e muxEntry, timeout time.Duration) uint64 {
 	cn.tag++
 	if timeout > 0 {
-		e.tm = core.SharedWheel().AfterFunc(timeout, muxTimeoutFired, cn, int64(cn.tag))
+		e.tm = core.AfterFunc(timeout, muxTimeoutFired, cn, int64(cn.tag))
 	}
 	cn.waiters[cn.tag] = e
 	return cn.tag
@@ -526,7 +527,7 @@ func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 	return e, ok
 }
 
-// muxTimeoutFired is the shared-wheel callback for a request timeout:
+// muxTimeoutFired is the timer callback for a request timeout:
 // it claims the tag (so the eventual response is skipped) and completes
 // the request with ErrMuxTimeout. c is the *muxConn, i the tag.
 func muxTimeoutFired(c any, i int64) {
@@ -550,7 +551,7 @@ func (m *MuxClient) putTimeout() time.Duration {
 // enqueues the request on the live connection and returns at once; the
 // reply (or the per-request timeout, or the connection's loss) is
 // delivered to sink.Complete(slot, …) from the connection's reader (or
-// the timer wheel, or whoever failed the connection), unless Cancel
+// the timeout's timer, or whoever failed the connection), unless Cancel
 // withdraws it first. Start declines — having done nothing — when it
 // would have to do what only a blocking call can: dial a connection
 // never used, report a bad key, or fail fast while redialing; GetV
@@ -583,7 +584,7 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // encodes the put straight into the connection's pending buffer and
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
-// by the timer wheel, or by whoever failed the connection (the sink's
+// by the timeout's timer, or by whoever failed the connection (the sink's
 // Drop is never asked: every copy of a write is wanted). The write
 // group's call frame is such a sink. It reports
 // false, having done nothing, exactly where Start declines and for a

@@ -18,7 +18,7 @@ import (
 
 // These tests pin the non-blocking read path: MuxClient as a
 // core.Starter (Start/Cancel, completions from the reader, the timeout
-// wheel and fail), the reader skipping replies nobody waits for, and
+// timer and fail), the reader skipping replies nobody waits for, and
 // ShardedClient launching redundant reads as wire requests — for the
 // concrete *MuxClient only. Run with -race -count=5.
 
@@ -166,7 +166,7 @@ func TestAsyncShardedGetSpawnsNoGoroutine(t *testing.T) {
 }
 
 // jitter returns a Delay hook that busy-waits up to maxSpin before the
-// server answers, without parking the reply on the timer wheel: replies
+// server answers, without parking the reply on a timer: replies
 // scatter by microseconds, so the loser's reply of a 2-copy read lands
 // before, inside and after the winner's cancel window.
 func jitter(seed int64, maxSpin time.Duration) func() time.Duration {

@@ -328,7 +328,7 @@ func TestShardedClientWithMuxBackends(t *testing.T) {
 }
 
 // TestMuxV2DelayedAbortCounts: a v2 connection closing with requests
-// parked on the wheel counts them as aborted when they fire.
+// parked on the server counts them as aborted.
 func TestMuxV2DelayedAbortCounts(t *testing.T) {
 	srv, addr := startServerDelay(t, func() time.Duration { return 150 * time.Millisecond })
 	cl := NewMuxClient(addr, 10*time.Second)

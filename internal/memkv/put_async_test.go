@@ -22,7 +22,7 @@ import (
 )
 
 // These tests pin the non-blocking write path: MuxClient.StartPutV
-// (completions from the reader, the timeout wheel and fail — exactly one
+// (completions from the reader, the timeout timer and fail — exactly one
 // per started put), ShardedClient's write as a durable call on the core
 // engine (quorum return, stragglers that need no goroutine, per-owner
 // exactly-once hints, the blocking launch for a declined start or a
@@ -209,7 +209,7 @@ func TestAsyncPutVersionedSpawnsNoGoroutine(t *testing.T) {
 }
 
 // TestAsyncPutCompletesExactlyOnce races the three ways a started put
-// ends — the server's reply, the timeout wheel, the connection failing —
+// ends — the server's reply, the timeout timer, the connection failing —
 // on the same tags. Directly on one client: every accepted StartPutV
 // completes exactly once. Through the ShardedClient, write-all: per
 // owner a copy is acked or reported missed, never both and never
@@ -407,7 +407,8 @@ func TestAsyncPutVersionedOutlivesItsCaller(t *testing.T) {
 		{Replication: 1},
 	} {
 		t.Run(fmt.Sprintf("replication %d", cfg.Replication), func(t *testing.T) {
-			slow := func(int) func() time.Duration { return func() time.Duration { return 50 * time.Millisecond } }
+			const stall = 250 * time.Millisecond
+			slow := func(int) func() time.Duration { return func() time.Duration { return stall } }
 			sc, servers, muxes := startAsyncShards(t, 2, cfg, 5*time.Second, slow)
 			warmPuts(t, sc, muxes)
 			hints := newHintSink(t)
@@ -417,9 +418,9 @@ func TestAsyncPutVersionedOutlivesItsCaller(t *testing.T) {
 			began := time.Now()
 			ver, err := sc.PutVersioned(ctx, "k", []byte("v"), 0)
 			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("PutVersioned under a 5 ms deadline over 50 ms servers: %v, want the deadline's error", err)
+				t.Fatalf("PutVersioned under a 5 ms deadline over %v servers: %v, want the deadline's error", stall, err)
 			}
-			if waited := time.Since(began); waited > 40*time.Millisecond {
+			if waited := time.Since(began); waited > stall/2 {
 				t.Errorf("PutVersioned returned after %v: it waited for the servers, not its context", waited)
 			}
 			drained(t, muxes)
@@ -918,7 +919,7 @@ func TestMuxPutStoresExactLengthValue(t *testing.T) {
 // what the server answers to requests its in-place decoders treat
 // specially — lookups executed on the reader's window, versioned writes
 // whose payload header is read where it lies — on the read loop and,
-// with every request parked for a millisecond, on the wheel.
+// with every request parked for a millisecond.
 func TestMuxServerRepliesUnchangedByInPlaceDecode(t *testing.T) {
 	long := string(bytes.Repeat([]byte{'k'}, maxKeyLen))
 	reqs := []struct {

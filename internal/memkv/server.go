@@ -77,12 +77,12 @@ type item struct {
 	// under the shard's lock (view).
 	data      []byte
 	expiresAt time.Time // zero = never expires
-	// exp is the item's active-expiry timer on the shared wheel (zero =
-	// none armed). The sweeper callback deletes the item at its deadline
-	// and emits an expire watch event, so expired-but-never-read items
-	// stop pinning memory; lazy reap-on-access remains as a backstop for
-	// the window between the deadline and the wheel tick.
-	exp core.WheelTimer
+	// exp is the item's active-expiry timer (zero = none armed). The
+	// callback deletes the item at its deadline and emits an expire watch
+	// event, so expired-but-never-read items stop pinning memory; lazy
+	// reap-on-access remains as a backstop for the window between the
+	// deadline and the callback taking the shard's lock.
+	exp core.Timer
 }
 
 // expireRec is the static-callback argument for active expiry: which
@@ -94,34 +94,28 @@ type expireRec struct {
 	key string
 }
 
-// storeExpireFired is the shared wheel's expiry callback (static
-// function + expireRec, the wheel's no-closure idiom).
+// storeExpireFired is the expiry callback (static function +
+// expireRec, core.AfterFunc's no-closure idiom).
 func storeExpireFired(c any, i int64) {
 	r := c.(*expireRec)
 	r.s.expireFired(r.key, uint64(i))
 }
 
 // armExpiry schedules active expiry for (key, version) after d.
-func (s *Store) armExpiry(key string, ver uint64, d time.Duration) core.WheelTimer {
-	return core.SharedWheel().AfterFunc(d, storeExpireFired, &expireRec{s: s, key: key}, int64(ver))
+func (s *Store) armExpiry(key string, ver uint64, d time.Duration) core.Timer {
+	return core.AfterFunc(d, storeExpireFired, &expireRec{s: s, key: key}, int64(ver))
 }
 
-// expireFired runs on the wheel goroutine at an item's expiry deadline.
-// The version check makes stale timers harmless: an overwrite between
-// arm and fire changed the version, so the timer does nothing. A timer
-// that fired early — the wheel clamps deltas beyond its ~262s horizon —
-// re-arms for the remainder instead of expiring the item prematurely.
+// expireFired runs at an item's expiry deadline. The version check makes
+// stale timers harmless: an overwrite between arm and fire changed the
+// version, so the timer does nothing. The deadline has passed: install
+// reads the clock for expiresAt before it arms the timer, and the timer
+// never fires before its delay.
 func (s *Store) expireFired(key string, ver uint64) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	it, ok := sh.m[key]
 	if !ok || it.version != ver || it.expiresAt.IsZero() {
-		sh.mu.Unlock()
-		return
-	}
-	if left := time.Until(it.expiresAt); left > 0 {
-		it.exp = s.armExpiry(key, ver, left)
-		sh.m[key] = it
 		sh.mu.Unlock()
 		return
 	}
@@ -230,8 +224,8 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 }
 
 // SetTTL stores value under key, expiring after ttl (0 = never). Expiry
-// is active — a shared-wheel timer reaps the item at its deadline and
-// notifies watchers — with lazy reap-on-access as the backstop. The
+// is active — a timer reaps the item at its deadline and notifies
+// watchers — with lazy reap-on-access as the backstop. The
 // write is a PutVersion at a fresh version from the store's clock, so
 // it loses to a newer version that lands between minting and the
 // write: a key's version never moves backwards.

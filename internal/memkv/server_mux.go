@@ -2,6 +2,7 @@ package memkv
 
 import (
 	"bufio"
+	"container/heap"
 	"encoding/binary"
 	"net"
 	"time"
@@ -15,16 +16,18 @@ import (
 // ends coalesce their frames with one writer.
 //
 //   - Responses interleave out of order. A delayed request (the Delay
-//     hook) parks on the shared timer wheel and answers when its delay
-//     elapses; requests behind it on the same connection are not
+//     hook) parks in its session's deadline heap and answers when its
+//     delay elapses; requests behind it on the same connection are not
 //     blocked.
 //   - No goroutine, timer, or connection is held per in-flight request:
-//     N delayed requests are N small heap nodes on the wheel.
+//     N delayed requests are N small heap nodes under one timer per
+//     connection, and the requests that fall due together run on that
+//     timer's one goroutine.
 //
 // A client abandons a request by discarding its tag and keeps the
 // connection; the server finishes the work and writes a response nobody
 // reads — unless the whole connection closes, in which case parked
-// delayed requests are dropped at fire time and counted in aborted_ops.
+// delayed requests are dropped at once and counted in aborted_ops.
 
 // muxSession is one connection's server state.
 type muxSession struct {
@@ -37,6 +40,10 @@ type muxSession struct {
 	// that opened it — to its store-side subscription. Each entry has a
 	// pump goroutine moving store events into the pending buffer.
 	watches map[uint64]*StoreWatch
+	// parked holds the delayed requests, earliest deadline first, and
+	// parkTm is armed for the earliest (park).
+	parked parkedHeap
+	parkTm core.Timer
 }
 
 // muxWatchBacklogCap bounds the un-flushed response bytes a session may
@@ -48,9 +55,8 @@ type muxSession struct {
 const muxWatchBacklogCap = 4 << 20
 
 // serveMux runs the frame loop on a connection whose first byte
-// identified it as framed. It returns when the connection dies; delayed
-// requests still parked on the wheel detect the closed session at fire
-// time.
+// identified it as framed. It returns when the connection dies, and the
+// session's shutdown drops the delayed requests still parked.
 //
 // A lookup (the read, getv) is executed on the key bytes in the
 // reader's window, before they are consumed, and so is a versioned write
@@ -96,11 +102,7 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 			break
 		}
 		if d > 0 {
-			// Park the request on the shared wheel instead of holding
-			// this goroutine: the loop keeps reading, later requests
-			// overtake this one, and the response goes out when the
-			// delay elapses.
-			core.SharedWheel().AfterFunc(d, muxDelayFired, &muxDelayed{m: m, q: q}, 0)
+			m.park(q, d)
 			continue
 		}
 		m.exec(&q)
@@ -129,15 +131,69 @@ func readRequestRest(r *bufio.Reader, q *frame, kb []byte, vlen int, st *Store) 
 	return readFrameValue(r, q, vlen)
 }
 
-// muxDelayed boxes one parked request for the wheel callback.
+// muxDelayed is one parked request and the instant it falls due.
 type muxDelayed struct {
-	m *muxSession
-	q frame
+	at time.Time
+	q  frame
 }
 
-func muxDelayFired(c any, _ int64) {
-	d := c.(*muxDelayed)
-	d.m.exec(&d.q)
+// parkedHeap orders a session's parked requests by deadline
+// (container/heap).
+type parkedHeap []*muxDelayed
+
+func (h parkedHeap) Len() int           { return len(h) }
+func (h parkedHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(*muxDelayed)) }
+func (h *parkedHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return x
+}
+
+// park holds q for d instead of holding the read loop: the loop keeps
+// reading, later requests overtake this one, and the response goes out
+// when the delay elapses. One timer per session, armed for the earliest
+// deadline, serves every parked request, so a burst that falls due
+// together runs on one goroutine, not on one each.
+func (m *muxSession) park(q frame, d time.Duration) {
+	p := &muxDelayed{at: time.Now().Add(d), q: q}
+	m.mu.Lock()
+	if m.closed {
+		m.s.aborted.Add(1)
+	} else {
+		heap.Push(&m.parked, p)
+		if m.parked[0] == p {
+			m.armParked()
+		}
+	}
+	m.mu.Unlock()
+}
+
+// armParked re-arms the session's timer for its earliest parked request.
+// A fire it comes too late to stop finds what is due, if anything, and
+// re-arms in turn. Called with m.mu held.
+func (m *muxSession) armParked() {
+	m.parkTm.Stop()
+	if len(m.parked) > 0 {
+		m.parkTm = core.AfterFunc(time.Until(m.parked[0].at), muxParkedFired, m, 0)
+	}
+}
+
+// muxParkedFired executes, in deadline order, every parked request whose
+// delay has elapsed, and re-arms the timer for the rest.
+func muxParkedFired(c any, _ int64) {
+	m := c.(*muxSession)
+	m.mu.Lock()
+	now := time.Now()
+	for len(m.parked) > 0 && !m.parked[0].at.After(now) {
+		m.execLocked(&heap.Pop(&m.parked).(*muxDelayed).q)
+	}
+	m.armParked()
+	m.mu.Unlock()
+	m.signalFlush()
 }
 
 // execInWindow executes a lookup, or a versioned write, on key bytes —
@@ -208,17 +264,21 @@ func appendWriteReply[K string | []byte](dst []byte, s *Server, q *frame, key K,
 	return appendVerFrame(dst, opCASResp, q.tag, boolAux(applied), "", cur, 0, nil)
 }
 
-// exec executes one request frame and enqueues its response. It runs on
-// the connection's read loop or, for delayed requests, on the wheel
-// goroutine — store operations are sharded-mutex map accesses and the
-// enqueue is a buffer append, both non-blocking enough for the wheel's
-// callback contract.
+// exec executes one request frame on the connection's read loop and
+// enqueues its response.
 func (m *muxSession) exec(f *frame) {
-	s := m.s
 	m.mu.Lock()
+	m.execLocked(f)
+	m.mu.Unlock()
+	m.signalFlush()
+}
+
+// execLocked is exec's body, run with m.mu held: by exec, or by the
+// parked requests' timer for each one that falls due.
+func (m *muxSession) execLocked(f *frame) {
+	s := m.s
 	if m.closed {
-		m.mu.Unlock()
-		// The client went away while this request was parked.
+		// The connection closed before this request ran.
 		s.aborted.Add(1)
 		return
 	}
@@ -281,8 +341,6 @@ func (m *muxSession) exec(f *frame) {
 	default:
 		m.pending = appendErrFrame(m.pending, f.tag, "unknown op %#x", f.op)
 	}
-	m.mu.Unlock()
-	m.signalFlush()
 }
 
 // boolAux is a response's aux field for a yes/no outcome (applied, more).
@@ -354,6 +412,11 @@ func (m *muxSession) shutdown() {
 	}
 	m.closed = true
 	m.pending = nil
+	// The parked requests will never be answered: drop them now, with
+	// their timer, rather than at their deadlines.
+	m.parkTm.Stop()
+	m.s.aborted.Add(int64(len(m.parked)))
+	m.parked = nil
 	ws := make([]*StoreWatch, 0, len(m.watches))
 	for _, sw := range m.watches {
 		ws = append(ws, sw)

@@ -356,8 +356,10 @@ func TestShardedCASContention(t *testing.T) {
 	if n := wins.Load(); n != 1 {
 		t.Fatalf("%d CAS writers applied, want exactly 1", n)
 	}
-	// The quorum read observes the winner at its minted version.
-	res, err := sc.GetResult(ctx, "contended", core.WithQuorum(sc.WriteQuorum()))
+	// The read asks every owner, so it overlaps the winner's write quorum
+	// of one whichever owner that write reached, and observes the winner
+	// at its minted version.
+	res, err := sc.GetResult(ctx, "contended", core.WithQuorum(sc.Replication()))
 	if ver := res.Value.Version; err != nil || ver != winner.Load() {
 		t.Fatalf("quorum GetResult = (%d, %v), want version %d", ver, err, winner.Load())
 	}
