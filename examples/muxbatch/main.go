@@ -16,8 +16,8 @@
 //     (ShardedClient.GetResult) on its own goroutine, all at once: each
 //     copy a tagged request started on its shard's one connection, each
 //     loser withdrawn when its key's first reply arrives.
-//  2. The same reads hedged: 50,000 deadlines armed on pooled timers;
-//     a hedge whose primary answers in time is stopped unfired and
+//  2. The same reads hedged: 50,000 deadlines, each on its own call's
+//     timer; a hedge whose primary answers in time is stopped unfired and
 //     never launches — cancellation without connection churn. How
 //     many fire depends on how long the burst itself queues on this
 //     machine, so the count is reported, not promised.
@@ -110,7 +110,7 @@ func main() {
 	sc.Close()
 	baseConns = acceptedConns(servers)
 
-	// Act 2: hedged reads — deadlines armed on pooled timers, then
+	// Act 2: hedged reads — deadlines armed on each call's timer, then
 	// stopped unfired where the primary answers first. No connection
 	// churn either way: cancellation is just a discarded tag.
 	hedged := newSharded(redundancy.Fixed{Copies: 2, HedgeDelay: 250 * time.Millisecond})

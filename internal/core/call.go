@@ -45,7 +45,7 @@ import (
 //     the common fan-out <= 4 case. Frames recycle through a per-group
 //     sync.Pool under a proved-drained discipline (callFrame.release):
 //     a frame returns to the pool only after every
-//     launched copy and every armed hedge timer has delivered into the
+//     launched copy and the frame's armed timer have delivered into the
 //     buffered results channel (or been withdrawn) and the channel has
 //     been drained, so a loser still in flight pins the frame alive.
 //     What launching a copy costs depends on the member it goes to.
@@ -78,26 +78,24 @@ import (
 // completion that decides the call sends an event, so the caller wakes
 // once.
 //
-// Hedge deadlines arm on AfterFunc (timer.go: pooled, allocation-free,
-// exact at any delay; the callback is stored in the frame once, because
-// taking a generic function's value allocates). A hedge event carries
-// the copy it was armed for, so a fire that a stop came too late for is
-// ignored by index.
+// A frame owns one runtime timer, made on its first deadline and kept
+// with it in the pool, armed for the earlier of the next hedge (hedgeAt)
+// and the context watch (watchAt). A fire only says "look at the clock":
+// it posts one timer event, and the loop acts on whatever time.Now()
+// says is due and re-arms for the rest, so a stale event, from a fire a
+// re-arm came too late for, launches nothing early and drops no watch.
 //
 // The caller's context is watched from watchDelay (1ms) on, not from
 // the call's first instruction (watchCtx). A cancellable context makes
 // its Done channel lazily, an allocation, and most calls end well
-// inside a millisecond, so a call with copies out arms one timer for
-// watchDelay, on the hedges' callback and under the same frame
-// reference, and asks for ctx.Done() only when that event arrives. The
-// rule a caller sees: a cancellation or deadline that lands in the first
-// millisecond ends the call at 1ms, and one that lands later ends it at
-// once; the error is the bare ctx.Err() and the copies out count as
-// Cancelled, as ever. A context that is never cancelled
-// (context.Background, context.TODO), one already done, and one whose
-// deadline is less than watchDelay away are watched at once. The watch
-// lives beside the hedge deadline, not in it: stopping a hedge never
-// disarms it.
+// inside a millisecond, so a call with copies out sets its watch
+// deadline watchDelay out and asks for ctx.Done() only once the timer
+// says it is due. The rule a caller sees: a cancellation or deadline
+// that lands in the first millisecond ends the call at 1ms, and one
+// that lands later ends it at once; the error is the bare ctx.Err() and
+// the copies out count as Cancelled, as ever. A context that is never
+// cancelled (context.Background, context.TODO), one already done, and
+// one whose deadline is less than watchDelay away are watched at once.
 
 // ReplicaError describes one replica's failure within a redundant
 // operation. Errors from a failed operation are joined with errors.Join,
@@ -205,12 +203,8 @@ const (
 	// copies beyond ~4 is negligible at every load it studies).
 	frameInline = 4
 	// frameChanCap is the results-channel capacity a pooled frame is
-	// born with: n completions, at most n-1 hedge-deadline events and
-	// one context-watch event for n <= frameInline.
-	frameChanCap = 2 * frameInline
-	// watchIdx is the index a context-watch event carries (watchCtx): no
-	// copy has it, so the hedge bookkeeping never mistakes it for one.
-	watchIdx = -1
+	// born with: n completions and one timer event for n <= frameInline.
+	frameChanCap = frameInline + 1
 	// watchDelay is how long a call with copies out runs before it asks
 	// for its caller's Done channel (watchCtx).
 	watchDelay = time.Millisecond
@@ -219,26 +213,25 @@ const (
 // callFrame is the reusable per-call state of the engine. Frames come
 // from the group's pool and follow the recycling discipline: the frame
 // is shared with every launched copy — a goroutine, or a started copy's
-// pending completion — and with any armed timer's callback, each of
-// which holds one reference; release(1) drops a reference, and the
+// pending completion — and with its timer while armed, each of which
+// holds one reference; release(1) drops a reference, and the
 // holder that drops the last one drains the results channel and returns
 // the frame to the pool. The launcher writes every plan field before the
 // first copy launches and never mutates them afterwards, so copies read
 // them without synchronization.
 type callFrame[K, T any] struct {
-	// results carries copy completions, hedge deadline events and the
-	// context watch's one event. It is buffered for the worst case (n
-	// completions + n-1 hedge events + 1 watch; a durable call sends at
-	// most one deciding event and the watch), so senders never block. The
-	// channel is reused across calls; it only grows (and is reallocated)
-	// when a call's fan-out exceeds half its capacity.
+	// results carries copy completions and timer events. It is buffered
+	// for the worst case (n completions + 1 timer event, since at most
+	// one is queued at a time; a durable call sends at most one deciding
+	// event), so senders never block. The channel is reused across calls;
+	// it only grows (and is reallocated) when a call's fan-out exceeds
+	// its capacity less one.
 	results chan indexed[T]
 	// pool is the group's frame pool, where release returns the frame.
 	pool *sync.Pool
 	// refs counts the engine, every launched copy (until its goroutine
-	// delivers, or its started request completes or is withdrawn), every
-	// armed hedge and an armed context watch. The frame recycles
-	// only when it hits zero.
+	// delivers, or its started request completes or is withdrawn) and the
+	// timer while it is armed. The frame recycles only when it hits zero.
 	refs atomic.Int32
 	// won counts the successes copies have queued on results. Once it
 	// reaches the quorum of a call that collects no outcomes, the call
@@ -246,16 +239,15 @@ type callFrame[K, T any] struct {
 	// before dropping its reference. It returns to zero only when the
 	// frame recycles, so a straggler never reads a later call's count.
 	won atomic.Int32
-	// hedgeFn is frameHedgeFired[K, T], taken once per frame: evaluating
-	// a generic function's value builds a closure over its dictionary, an
-	// allocation per arm if done at the arm site.
-	hedgeFn func(c any, i int64)
-	// hedge is the call's last armed hedge deadline, always for the next
-	// unlaunched copy, and watch its context watch (watchCtx), zero if
-	// the call watches its context at once. A timer that fired stays in
-	// its field, where stopping it is a no-op; disarm zeroes it. Only the
-	// engine's goroutine touches either.
-	hedge, watch Timer
+	// tm is the frame's one timer (see the file comment), made on the
+	// frame's first deadline. hedgeAt is when the next unlaunched copy
+	// launches and watchAt when the call starts watching its context;
+	// zero is none. Only the engine's goroutine touches the three.
+	tm               *time.Timer
+	hedgeAt, watchAt time.Time
+	// timerQueued is set while a timer event waits on results; a fire
+	// that finds it set sends nothing.
+	timerQueued atomic.Bool
 	// copyFn[i] is slot i's goroutine body, built on first use and kept
 	// with the frame: go with a stored func value needs no per-launch
 	// wrapper, where go f(fr, i) heap-allocates one.
@@ -327,11 +319,10 @@ func (fr *callFrame[K, T]) delaysSlice(n int) []time.Duration {
 }
 
 // ensureChan guarantees the results channel can absorb every event a
-// call with fan-out n can produce (n completions + n-1 hedge fires + 1
-// context watch).
+// call with fan-out n can produce (n completions + 1 timer event).
 func (fr *callFrame[K, T]) ensureChan(n int) {
-	if fr.results == nil || cap(fr.results) < 2*n {
-		fr.results = make(chan indexed[T], 2*n)
+	if fr.results == nil || cap(fr.results) < n+1 {
+		fr.results = make(chan indexed[T], n+1)
 	}
 }
 
@@ -442,15 +433,13 @@ func (fr *callFrame[K, T]) own(ifOut bool) {
 	fr.mu.Unlock()
 }
 
-// frameHedgeFired is the callback of a frame's timers: it forwards the
-// deadline into the frame's event channel for the engine loop to act
-// on. i is the copy index a hedge was armed for, or watchIdx for the
-// context watch; the engine ignores stale indices. The buffered channel
-// absorbs the send without blocking, and the reference taken at arm
-// time keeps the frame alive until release.
-func frameHedgeFired[K, T any](c any, i int64) {
-	fr := c.(*callFrame[K, T])
-	fr.results <- indexed[T]{idx: int(i), hedge: true}
+// timerFired is the function of the frame's timer: it posts one timer
+// event, unless one is queued already, and drops the reference the
+// arming took. The buffered channel absorbs the send without blocking.
+func (fr *callFrame[K, T]) timerFired() {
+	if fr.timerQueued.CompareAndSwap(false, true) {
+		fr.results <- indexed[T]{timer: true}
+	}
 	fr.release(1)
 }
 
@@ -472,6 +461,7 @@ drain:
 			break drain
 		}
 	}
+	fr.timerQueued.Store(false)
 	// Clear everything a pooled frame must not pin or leak into its
 	// next call: replica handles, the caller's context and sink, the
 	// argument, and the inline error/outcome scratch.
@@ -499,13 +489,13 @@ drain:
 // that delivered before the call completed are not "cancelled" — no
 // capacity was reclaimed from them — so the engine drains before
 // computing the Cancelled metric; a dropped copy's event (Drop) is one
-// of these, and this is the only place it is ever read. Hedge-deadline
-// events are skipped.
+// of these, and this is the only place it is ever read. Timer events
+// are skipped.
 func (fr *callFrame[K, T]) drainCompleted(completed int) int {
 	for {
 		select {
 		case r := <-fr.results:
-			if !r.hedge {
+			if !r.timer {
 				completed++
 				fr.copyDelivered(r.idx)
 			}
@@ -515,25 +505,53 @@ func (fr *callFrame[K, T]) drainCompleted(completed int) int {
 	}
 }
 
-// after arms a timer that posts event i into results d from now. The
-// armed timer pins the frame: its callback drops the reference after
-// the send, and whoever stops it first drops it instead (disarm).
-func (fr *callFrame[K, T]) after(d time.Duration, i int) Timer {
-	fr.refs.Add(1)
-	if fr.hedgeFn == nil {
-		fr.hedgeFn = frameHedgeFired[K, T]
+// arm arms the frame's timer for the earlier of its deadlines, or stops
+// it if there is none. An armed timer holds a frame reference, taken
+// before the Reset and dropped again if Reset reports that the timer
+// was pending, since that arming's reference carries over.
+func (fr *callFrame[K, T]) arm() {
+	at := fr.hedgeAt
+	if at.IsZero() || (!fr.watchAt.IsZero() && fr.watchAt.Before(at)) {
+		at = fr.watchAt
 	}
-	return AfterFunc(d, fr.hedgeFn, fr, int64(i))
-}
-
-// disarm stops the frame's timer *t if it has not fired, dropping the
-// reference it held, and zeroes it; an event it already posted is
-// drained like any stale event.
-func (fr *callFrame[K, T]) disarm(t *Timer) {
-	if t.Stop() {
+	if at.IsZero() {
+		fr.stopTimer()
+		return
+	}
+	fr.refs.Add(1)
+	if fr.tm == nil {
+		fr.tm = time.AfterFunc(time.Until(at), fr.timerFired)
+	} else if fr.tm.Reset(time.Until(at)) {
 		fr.release(1)
 	}
-	*t = Timer{}
+}
+
+// stopTimer stops the frame's timer, reporting whether it withdrew a
+// pending fire, whose reference it then drops; an event a fire already
+// posted is skipped like any stale one.
+func (fr *callFrame[K, T]) stopTimer() bool {
+	stopped := fr.tm != nil && fr.tm.Stop()
+	if stopped {
+		fr.release(1)
+	}
+	return stopped
+}
+
+// timerEvent consumes a timer event, so the next fire may post again,
+// and acts on the context watch if it is due at now: it returns the
+// caller's ctx.Err() if its context has ended, or else the Done channel
+// the wait selects on from then on. Until the watch is due it returns
+// done unchanged.
+func (fr *callFrame[K, T]) timerEvent(ctx context.Context, now time.Time, done <-chan struct{}) (<-chan struct{}, error) {
+	fr.timerQueued.Store(false)
+	if fr.watchAt.IsZero() || now.Before(fr.watchAt) {
+		return done, nil
+	}
+	fr.watchAt = time.Time{}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ctx.Done(), nil
 }
 
 // watchCtx starts watching the caller's context for a call about to
@@ -541,27 +559,19 @@ func (fr *callFrame[K, T]) disarm(t *Timer) {
 // watched at once: one never cancelled, whose Done is nil and free; one
 // already done, whose channel is made closed; and one whose deadline is
 // less than watchDelay away, which the watch would see late. Any other
-// context it leaves unasked, arms the frame's watch for watchDelay and
-// returns nil. ctx.Err and ctx.Deadline allocate nothing.
+// context it leaves unasked, sets the frame's watch deadline watchDelay
+// out and returns nil; the caller arms the timer. ctx.Err and
+// ctx.Deadline allocate nothing.
 func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
 	if ctx == context.Background() || ctx == context.TODO() || ctx.Err() != nil {
 		return ctx.Done()
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < watchDelay {
+	now := time.Now()
+	if dl, ok := ctx.Deadline(); ok && dl.Sub(now) < watchDelay {
 		return ctx.Done()
 	}
-	fr.watch = fr.after(watchDelay, watchIdx)
+	fr.watchAt = now.Add(watchDelay)
 	return nil
-}
-
-// watchFired consumes the context watch's event: the caller's ctx.Err()
-// if its context has ended, or else the Done channel the wait selects
-// on from then on.
-func (fr *callFrame[K, T]) watchFired(ctx context.Context) (<-chan struct{}, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ctx.Done(), nil
 }
 
 // singleResult turns the return of a call's only copy — run inline on
@@ -597,15 +607,17 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 
 // launchNext launches copy i, then every following copy whose delay is
 // non-positive (a zero hedge delay means full replication, not a timer
-// round-trip), and arms the hedge deadline of the copy after them. It
-// returns the number of copies launched.
+// round-trip), and sets the hedge deadline of the copy after them, zero
+// if none is left; the caller arms the timer. It returns the number of
+// copies launched.
 func (fr *callFrame[K, T]) launchNext(ctx context.Context, i int) int {
 	fr.launchCopy(ctx, i)
 	for i++; i < fr.n && (fr.delays == nil || fr.delays[i] <= 0); i++ {
 		fr.launchCopy(ctx, i)
 	}
+	fr.hedgeAt = time.Time{}
 	if i < fr.n {
-		fr.hedge = fr.after(fr.delays[i], i)
+		fr.hedgeAt = time.Now().Add(fr.delays[i])
 	}
 	return i
 }
@@ -646,6 +658,7 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	}
 
 	ctxDone := fr.watchCtx(ctx)
+	fr.arm()
 	errs := fr.errsBuf[:0]
 	var (
 		wins      int // successes and negative answers
@@ -660,22 +673,19 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 	for {
 		select {
 		case r := <-fr.results:
-			if r.idx == watchIdx {
-				// The context watch fired: the caller's cancellation is
-				// seen now, and from now on at once.
+			if r.timer {
+				// The timer fired, maybe for a deadline since moved: act on
+				// what the clock says is due. A due watch makes the
+				// caller's cancellation seen now, and from now on at once.
+				now := time.Now()
 				var err error
-				if ctxDone, err = fr.watchFired(ctx); err != nil {
+				if ctxDone, err = fr.timerEvent(ctx, now, ctxDone); err != nil {
 					return fr.abandoned(err, launched, completed)
 				}
-				continue
-			}
-			if r.hedge {
-				// A hedge deadline fired. Stale events — the copy already
-				// launched via the failure path, or the call is past it —
-				// are ignored by index.
-				if r.idx == launched && launched < n {
+				if !fr.hedgeAt.IsZero() && !now.Before(fr.hedgeAt) {
 					launched = fr.launchNext(ctx, launched)
 				}
+				fr.arm()
 				continue
 			}
 			completed++
@@ -728,8 +738,8 @@ func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], er
 				// is not done (fewer than q wins, at most n-q failures, so
 				// a copy is left to launch): launch it immediately rather
 				// than waiting out its hedge delay.
-				fr.disarm(&fr.hedge)
 				launched = fr.launchNext(ctx, launched)
+				fr.arm()
 			}
 		case <-ctxDone:
 			return fr.abandoned(ctx.Err(), launched, completed)

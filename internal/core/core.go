@@ -85,9 +85,7 @@ type indexed[T any] struct {
 	val T
 	err error
 	idx int
-	// hedge marks a timer event rather than a copy completion: idx is the
-	// copy a hedge deadline was armed for, or watchIdx for the context
-	// watch, and val and err are meaningless. See frameHedgeFired in
-	// call.go.
-	hedge bool
+	// timer marks a timer event rather than a copy completion: val, err
+	// and idx are meaningless. See timerFired in call.go.
+	timer bool
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,10 +226,10 @@ func TestAsyncDurableCancelAfterTheWatchFired(t *testing.T) {
 }
 
 // TestAsyncWatchCtxRules checks watchCtx's choice on a bare frame: which
-// contexts are watched at once (a channel returned, nothing armed, no
-// reference taken) and which wait for the tick (nil returned, the watch
-// armed and holding a reference until its event is posted or it is
-// stopped).
+// contexts are watched at once (a channel returned, no watch deadline,
+// so arming takes no reference) and which wait for the tick (nil
+// returned, the watch deadline set, and the armed timer holding a
+// reference until its event is posted or it is stopped).
 func TestAsyncWatchCtxRules(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -260,7 +261,8 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 					t.Fatalf("watchCtx returned %v, want %v", done, want)
 				}
 			}
-			armed, refs := fr.watch != (Timer{}), fr.refs.Load()
+			fr.arm()
+			armed, refs := !fr.watchAt.IsZero(), fr.refs.Load()
 			if armed == tc.atOnce || (refs == 2) != armed {
 				t.Fatalf("watch armed %v with %d references; want armed %v, holding the second", armed, refs, !tc.atOnce)
 			}
@@ -268,20 +270,20 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 				return
 			}
 			if tc.name == "cancellable" {
-				// Let it fire: one watch event, its reference dropped.
+				// Let it fire: one timer event, its reference dropped.
 				r := <-fr.results
-				if !r.hedge || r.idx != watchIdx {
-					t.Fatalf("event %+v, want the context watch's", r)
+				if !r.timer {
+					t.Fatalf("event %+v, want the timer's", r)
 				}
-				eventually(t, "the fired watch drops its reference", func() bool { return fr.refs.Load() == 1 })
-				if ch, err := fr.watchFired(tc.ctx); ch != tc.ctx.Done() || err != nil {
-					t.Fatalf("watchFired = (%v, %v), want the Done channel", ch, err)
+				eventually(t, "the fired timer drops its reference", func() bool { return fr.refs.Load() == 1 })
+				if ch, err := fr.timerEvent(tc.ctx, time.Now(), nil); ch != tc.ctx.Done() || err != nil {
+					t.Fatalf("timerEvent = (%v, %v), want the Done channel of a due watch", ch, err)
 				}
 				return
 			}
-			fr.disarm(&fr.watch)
-			if fr.refs.Load() != 1 || fr.watch != (Timer{}) {
-				t.Fatalf("unwatch left %d references, watch %+v", fr.refs.Load(), fr.watch)
+			fr.stopTimer()
+			if fr.refs.Load() != 1 {
+				t.Fatalf("unwatch left %d references", fr.refs.Load())
 			}
 		})
 	}
@@ -350,11 +352,103 @@ func TestAsyncFreshContextAllocs(t *testing.T) {
 				cancel()
 			}
 			for range 100 {
-				call() // warm the frame pool and the timer pool
+				call() // warm the frame pool, each frame making its timer
 			}
 			if avg := testing.AllocsPerRun(500, call); avg != base {
 				t.Errorf("a call under a fresh context allocates %.2f/op, making the context %.2f", avg, base)
 			}
 		})
 	}
+}
+
+// lateFailStarter fails every copy d after Start, from a goroutine of
+// its own; a started copy cannot be withdrawn.
+type lateFailStarter struct{ d time.Duration }
+
+func (l lateFailStarter) Start(_ struct{}, sink Sink[int], slot int) (Ticket, bool) {
+	time.AfterFunc(l.d, func() { sink.Complete(slot, 0, errors.New("late")) })
+	return Ticket{Ref: l}, true
+}
+
+func (lateFailStarter) Cancel(Ticket) bool { return false }
+
+// TestAsyncStaleTimerEventAfterRelaunch: a timer event that arrives
+// after a relaunch moved the hedge deadline is stale, and the loop acts
+// only on what the clock says is due: it never launches the next hedge
+// early, and never drops the context watch.
+//
+// The first part makes stale events by hand: copy 0 fails at once, so
+// copy 1 launches without waiting and copy 2's hedge is an hour away,
+// and the test posts timer events while the watch is still ahead. The
+// second part lets them happen: copy 0 fails just as its 1ms hedge
+// fires, so the hedge's event is often read after the failure's
+// relaunch, and copy 2 must still wait its own millisecond.
+func TestAsyncStaleTimerEventAfterRelaunch(t *testing.T) {
+	build := func(first Starter[struct{}, int], delay time.Duration) (*Group[int], *heldStarter, *heldStarter) {
+		g := NewStrategyGroup[int](Fixed{Copies: 3, HedgeDelay: delay})
+		g.AddStarter("first", func(context.Context, struct{}) (int, error) {
+			panic("a started member's blocking form was run")
+		}, first)
+		held := []*heldStarter{newHeldStarter(), newHeldStarter()}
+		for i, name := range []string{"second", "third"} {
+			g.AddStarter(name, func(context.Context, struct{}) (int, error) {
+				panic("a held starter's blocking form was run")
+			}, held[i])
+		}
+		for i, name := range []string{"first", "second", "third"} {
+			g.Digest(name).Observe(time.Duration(i+1) * time.Millisecond)
+		}
+		return g, held[0], held[1]
+	}
+
+	t.Run("posted", func(t *testing.T) {
+		g, second, third := build(failStarter{errors.New("boom")}, time.Hour)
+		ctx, cancel := newSpyCtx()
+		defer cancel()
+		out := goDo(ctx, g)
+		second.awaitStart(t)
+		fr := frameOf(second)
+		for range 5 {
+			if fr.timerQueued.CompareAndSwap(false, true) {
+				fr.results <- indexed[int]{timer: true}
+			}
+			for len(fr.results) != 0 || fr.timerQueued.Load() {
+				runtime.Gosched()
+			}
+		}
+		select {
+		case <-third.started:
+			t.Fatal("a stale timer event launched the hour-long hedge")
+		case <-time.After(5 * time.Millisecond):
+		}
+		eventually(t, "the engine watches the context after the first tick", func() bool { return ctx.asked.Load() > 0 })
+		cancel()
+		o := await(t, out)
+		if o.err != context.Canceled || o.res.Launched != 2 || second.withdrawn.Load() != 1 {
+			t.Fatalf("err %v, %d launched, held copy withdrawn %d times; want context.Canceled, 2 and once",
+				o.err, o.res.Launched, second.withdrawn.Load())
+		}
+		eventually(t, "the frame recycles", func() bool { return fr.refs.Load() == 0 })
+	})
+
+	t.Run("raced", func(t *testing.T) {
+		const delay = time.Millisecond
+		g, second, third := build(lateFailStarter{delay}, delay)
+		var starts [2]time.Time
+		second.onStart = func() { starts[0] = time.Now() }
+		third.onStart = func() { starts[1] = time.Now() }
+		for round := 0; round < 20; round++ {
+			ctx, cancel := newSpyCtx()
+			out := goDo(ctx, g)
+			second.awaitStart(t)
+			third.awaitStart(t)
+			cancel()
+			if o := await(t, out); o.err != context.Canceled {
+				t.Fatalf("round %d: err %v, want context.Canceled", round, o.err)
+			}
+			if gap := starts[1].Sub(starts[0]); gap < delay {
+				t.Fatalf("round %d: copy 2 launched %v after copy 1, before its %v hedge delay", round, gap, delay)
+			}
+		}
+	})
 }

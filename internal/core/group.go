@@ -557,23 +557,26 @@ func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle
 	var err error
 	if fr.quorum > 0 {
 		ctxDone := fr.watchCtx(ctx)
+		fr.arm()
 	wait:
 		for {
 			select {
 			case r := <-fr.results:
-				if r.idx != watchIdx { // the deciding completion's one event
+				if !r.timer { // the deciding completion's one event
 					err = r.err
 					break wait
 				}
-				if ctxDone, err = fr.watchFired(ctx); err != nil {
+				if ctxDone, err = fr.timerEvent(ctx, time.Now(), ctxDone); err != nil {
 					break wait
 				}
+				fr.arm()
 			case <-ctxDone:
 				err = ctx.Err()
 				break wait
 			}
 		}
-		fr.disarm(&fr.watch)
+		fr.stopTimer()
+		fr.watchAt = time.Time{}
 	}
 	fr.own(true)
 	fr.release(1)

@@ -161,16 +161,16 @@ func (fr *callFrame[K, T]) copyDelivered(i int) {
 	}
 }
 
-// finish reclaims what a decided call left in flight: the pending hedge
-// deadline, the context watch, the blocking copies (through their shared
+// finish reclaims what a decided call left in flight: the armed timer,
+// the blocking copies (through their shared
 // context), and the started copies, each withdrawn through its Starter.
 // A withdrawn copy is reclaimed capacity — counted on its member like a
 // blocking copy that honored its cancellation — and its frame reference
 // is dropped here because its Complete will never run; one whose Cancel
 // reports false has a completion on its way, which releases as usual.
 func (fr *callFrame[K, T]) finish() {
-	fr.disarm(&fr.hedge)
-	fr.disarm(&fr.watch)
+	fr.stopTimer()
+	fr.hedgeAt, fr.watchAt = time.Time{}, time.Time{}
 	if fr.cdone != nil {
 		close(fr.cdone)
 		fr.cdone = nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,115 +11,161 @@ import (
 	"redundancy/internal/core/coretest"
 )
 
-// These tests pin AfterFunc's contract: a timer never fires before its
-// delay, Stop true means the callback never runs, a handle outlives its
-// arming harmlessly, and arming, stopping and firing allocate nothing.
-// Run with -race -count=5.
+// These tests pin the call frame's one timer (callFrame.arm, stopTimer,
+// timerFired): it posts a timer event into its own frame no sooner than
+// the earlier of the frame's deadlines, an armed timer holds exactly one
+// frame reference, a stop that withdraws the fire drops it and a fire
+// that ran drops its own, at most one timer event is queued at a time,
+// and arming, stopping and firing allocate nothing once the frame has
+// made its timer. Run with -race -count=5.
 
+// timerFrame is a bare frame holding the engine's reference.
+func timerFrame() *callFrame[struct{}, int] {
+	fr := &callFrame[struct{}, int]{pool: new(sync.Pool)}
+	fr.refs.Store(1)
+	fr.ensureChan(2)
+	return fr
+}
+
+// armHedge arms fr's timer for a hedge d from now.
+func armHedge(fr *callFrame[struct{}, int], d time.Duration) {
+	fr.hedgeAt = time.Now().Add(d)
+	fr.arm()
+}
+
+// TestTimerFiresWithArgs: an armed timer posts one timer event into its
+// own frame, no sooner than its deadline, and drops the reference its
+// arming took.
 func TestTimerFiresWithArgs(t *testing.T) {
-	type fire struct {
-		c any
-		i int64
-	}
-	ch := make(chan fire, 1)
-	arg := new(int)
+	fr := timerFrame()
 	start := time.Now()
-	AfterFunc(5*time.Millisecond, func(c any, i int64) { ch <- fire{c, i} }, arg, 42)
+	armHedge(fr, 5*time.Millisecond)
+	if n := fr.refs.Load(); n != 2 {
+		t.Fatalf("an armed timer left %d references, want 2", n)
+	}
 	select {
-	case f := <-ch:
-		if f.c != any(arg) || f.i != 42 {
-			t.Fatalf("callback args = (%v, %d), want (%p, 42)", f.c, f.i, arg)
+	case r := <-fr.results:
+		if !r.timer {
+			t.Fatalf("event %+v, want a timer event", r)
 		}
 		if el := time.Since(start); el < 5*time.Millisecond {
-			t.Fatalf("fired after %v, before its 5ms delay", el)
+			t.Fatalf("fired after %v, before its 5ms deadline", el)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer never fired")
 	}
+	eventually(t, "the fire drops its reference", func() bool { return fr.refs.Load() == 1 })
 }
 
 func TestTimerStop(t *testing.T) {
-	var fired atomic.Bool
-	tm := AfterFunc(50*time.Millisecond, func(any, int64) { fired.Store(true) }, nil, 0)
-	if !tm.Stop() {
-		t.Fatal("Stop on armed timer = false, want true")
+	fr := timerFrame()
+	armHedge(fr, 50*time.Millisecond)
+	if !fr.stopTimer() {
+		t.Fatal("stopTimer on an armed timer = false, want true")
 	}
-	if tm.Stop() {
-		t.Fatal("second Stop = true, want false")
+	if fr.stopTimer() {
+		t.Fatal("second stopTimer = true, want false")
+	}
+	if n := fr.refs.Load(); n != 1 {
+		t.Fatalf("%d references after the stop, want 1", n)
 	}
 	time.Sleep(80 * time.Millisecond)
-	if fired.Load() {
+	if len(fr.results) != 0 {
 		t.Fatal("stopped timer fired")
 	}
 }
 
 func TestTimerStopAfterFire(t *testing.T) {
-	ch := make(chan struct{})
-	tm := AfterFunc(time.Millisecond, func(any, int64) { close(ch) }, nil, 0)
-	<-ch
-	if tm.Stop() {
-		t.Fatal("Stop after fire = true, want false")
+	fr := timerFrame()
+	armHedge(fr, time.Millisecond)
+	<-fr.results
+	eventually(t, "the fire drops its reference", func() bool { return fr.refs.Load() == 1 })
+	if fr.stopTimer() {
+		t.Fatal("stopTimer after the fire = true, want false")
+	}
+	if n := fr.refs.Load(); n != 1 {
+		t.Fatalf("%d references, want 1: the stop dropped a reference twice", n)
 	}
 }
 
+// TestTimerZeroHandle: a frame with no deadline makes no timer and takes
+// no reference to arm it, and stopping the timer it never made is a
+// no-op.
 func TestTimerZeroHandle(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Fatal("zero handle Stop = true")
+	fr := timerFrame()
+	fr.arm()
+	if fr.tm != nil || fr.refs.Load() != 1 {
+		t.Fatalf("arming with no deadline made timer %v and left %d references", fr.tm, fr.refs.Load())
+	}
+	if fr.stopTimer() {
+		t.Fatal("stopTimer with no timer = true")
 	}
 }
 
-// TestTimerNeverFiresEarly: a deadline is d after the arm on the clock,
-// whatever else the process is doing. Here one timer's callback blocks
-// for 30ms with a 10s timer pending, and a 20ms timer is armed 20ms into
-// that block. A timer placed by the ticks a single timer goroutine has
-// processed, rather than by the clock, fired this one about 11ms after
-// it was armed: its ticks had stalled behind the blocked callback.
+// TestTimerNeverFiresEarly: a call's hedges launch on the clock, each no
+// sooner than its delay after the copy before it, however late the
+// timer's events are read. Here the copies never answer, the hedge delay
+// is 20ms, and the machine is kept busy by spinning goroutines.
 func TestTimerNeverFiresEarly(t *testing.T) {
-	long := AfterFunc(10*time.Second, func(any, int64) {}, nil, 0)
-	defer long.Stop()
-	blocked := make(chan struct{})
-	AfterFunc(time.Millisecond, func(any, int64) {
-		close(blocked)
-		time.Sleep(30 * time.Millisecond)
-	}, nil, 0)
-	<-blocked
-	time.Sleep(20 * time.Millisecond)
-	fired := make(chan time.Duration, 1)
-	armed := time.Now()
-	AfterFunc(20*time.Millisecond, func(any, int64) { fired <- time.Since(armed) }, nil, 0)
-	select {
-	case el := <-fired:
-		if el < 20*time.Millisecond {
-			t.Fatalf("a 20ms timer fired %v after it was armed", el)
+	const delay = 20 * time.Millisecond
+	g, hs := heldGroup(3)
+	g.SetStrategy(Fixed{Copies: 3, HedgeDelay: delay})
+	var starts [3]time.Time
+	for i, h := range hs {
+		h.onStart = func() { starts[i] = time.Now() }
+	}
+	stop := make(chan struct{})
+	var spin sync.WaitGroup
+	for range 2 {
+		spin.Add(1)
+		go func() {
+			defer spin.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	ctx, cancel := newSpyCtx()
+	out := goDo(ctx, g)
+	for _, h := range hs {
+		h.awaitStart(t)
+	}
+	close(stop)
+	spin.Wait()
+	cancel()
+	await(t, out)
+	for i := 1; i < len(starts); i++ {
+		if gap := starts[i].Sub(starts[i-1]); gap < delay {
+			t.Errorf("copy %d launched %v after copy %d, before its %v hedge delay", i, gap, i-1, delay)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
 	}
 }
 
-// TestTimerStopLosingToAFireLeavesTheNextArmingAlone: a Stop that comes
-// after the runtime has started the fire's goroutine, but before that
-// goroutine claims the arming, wins the arming (f never runs) yet must
-// not recycle the node: the fire is still on its way, and if the node
-// were armed again first, that fire would claim the new arming and run
-// its callback at once. On one P the runtime runs both timers below in
-// one batch and starts the later one's goroutine first, so its Stop
-// meets exactly that fire (under -race the scheduler shuffles, and some
-// rounds are ordinary).
+// TestTimerStopLosingToAFireLeavesTheNextArmingAlone: a stop that comes
+// after the runtime has started the fire, so it withdraws nothing, must
+// leave the fire's reference to the fire, and an arming made right after
+// it must hold its own reference and fire in its turn. On one P the
+// runtime runs both timers below in one batch and starts the later one's
+// function first, so its stop meets exactly that fire (under -race the
+// scheduler shuffles, and some rounds are ordinary).
 func TestTimerStopLosingToAFireLeavesTheNextArmingAlone(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for round := 0; round < 20; round++ {
-		var first, next atomic.Int32
-		a := AfterFunc(time.Millisecond, func(any, int64) { first.Add(1) }, nil, 0)
-		var (
-			stopped bool
-			b       Timer
-		)
+		fr := timerFrame()
+		armHedge(fr, time.Millisecond)
+		var stopped bool
 		done := make(chan struct{})
 		time.AfterFunc(time.Millisecond, func() {
-			stopped = a.Stop()
-			b = AfterFunc(time.Hour, func(any, int64) { next.Add(1) }, nil, 0)
+			if stopped = fr.stopTimer(); !stopped {
+				<-fr.results // the fire that got in first posts its event
+				fr.timerEvent(context.Background(), time.Now(), nil)
+			}
+			armHedge(fr, time.Hour)
 			close(done)
 		})
 		// Hold the P past both deadlines, so the runtime finds them
@@ -126,128 +173,140 @@ func TestTimerStopLosingToAFireLeavesTheNextArmingAlone(t *testing.T) {
 		for spin := time.Now(); time.Since(spin) < 3*time.Millisecond; {
 		}
 		<-done
-		time.Sleep(5 * time.Millisecond) // let a fire still on its way land
-		if n := next.Load(); n != 0 {
-			t.Fatalf("round %d: an hour-long timer's callback ran %d times: a stale fire ran it", round, n)
+		// The next arming holds one reference; a stale fire, if any,
+		// dropped its own.
+		eventually(t, "the references settle at the engine's and the next arming's", func() bool { return fr.refs.Load() == 2 })
+		if stopped && len(fr.results) != 0 {
+			t.Fatalf("round %d: a withdrawn fire posted an event", round)
 		}
-		if !b.Stop() {
-			t.Fatalf("round %d: Stop on the next arming = false, want true", round)
+		if !fr.stopTimer() {
+			t.Fatalf("round %d: the hour-long arming was not pending", round)
 		}
-		if n := first.Load(); (stopped && n != 0) || (!stopped && n != 1) {
-			t.Fatalf("round %d: Stop = %v and the callback ran %d times", round, stopped, n)
+		if n := fr.refs.Load(); n != 1 {
+			t.Fatalf("round %d: %d references after stopping everything, want 1", round, n)
 		}
 	}
 }
 
-// TestTimerStaleHandleAfterReuse: a handle kept past its timer's fire
-// stops nothing once the node is armed again, and the new arming still
-// fires.
+// TestTimerStaleHandleAfterReuse: an event from a fire that a re-arm
+// came too late for is stale. Read after the re-arm, it finds nothing
+// due, and the re-armed timer still posts its own event at its deadline.
 func TestTimerStaleHandleAfterReuse(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		ch := make(chan struct{}, 1)
-		old := AfterFunc(0, func(any, int64) { ch <- struct{}{} }, nil, 0)
-		<-ch
-		// Arm and hold timers until one reuses the fired node; a timer
-		// armed elsewhere in the process may take it first.
-		var held []Timer
-		var reused atomic.Int32
-		var again Timer
-		for i := 0; i < 100 && again == (Timer{}); i++ {
-			runtime.Gosched() // let the fire finish recycling its node
-			if tm := AfterFunc(20*time.Millisecond, func(any, int64) { reused.Add(1) }, nil, 0); tm.n == old.n {
-				again = tm
-			} else {
-				held = append(held, tm)
-			}
-		}
-		for _, tm := range held {
-			tm.Stop()
-		}
-		if again == (Timer{}) {
-			continue
-		}
-		if old.Stop() {
-			t.Fatal("a stale handle stopped its node's next arming")
-		}
-		eventually(t, "the reused node fires", func() bool { return reused.Load() == 1 })
-		return
+	fr := timerFrame()
+	armHedge(fr, 0)
+	eventually(t, "the first fire posts and drops its reference", func() bool {
+		return len(fr.results) == 1 && fr.refs.Load() == 1
+	})
+	rearmed := time.Now()
+	fr.watchAt = rearmed.Add(time.Hour)
+	armHedge(fr, 20*time.Millisecond)
+	<-fr.results // the stale event
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if ch, err := fr.timerEvent(ctx, time.Now(), nil); ch != nil || err != nil || fr.watchAt.IsZero() || !time.Now().Before(fr.hedgeAt) {
+		t.Fatal("the stale event found something due")
 	}
-	t.Fatal("the fired node was never armed again")
+	select {
+	case <-fr.results:
+		if el := time.Since(rearmed); el < 20*time.Millisecond {
+			t.Fatalf("the re-armed timer fired %v after its arming, before its 20ms", el)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the re-armed timer never fired")
+	}
+	eventually(t, "the second fire drops its reference", func() bool { return fr.refs.Load() == 1 })
 }
 
-// TestTimerManyTimers arms timers across a range of delays and checks
-// each fires exactly once.
+// TestTimerManyTimers arms frames across a range of delays and checks
+// each posts exactly one event and ends holding only the engine's
+// reference.
 func TestTimerManyTimers(t *testing.T) {
 	const n = 500
-	var fired [n]atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		d := time.Duration(1+(i*7)%200) * time.Millisecond
-		AfterFunc(d, func(_ any, idx int64) {
-			fired[idx].Add(1)
-			wg.Done()
-		}, nil, int64(i))
+	frames := make([]*callFrame[struct{}, int], n)
+	for i := range frames {
+		frames[i] = timerFrame()
+		armHedge(frames[i], time.Duration(1+(i*7)%200)*time.Millisecond)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("timers did not all fire")
+	for i, fr := range frames {
+		select {
+		case <-fr.results:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timer %d never fired", i)
+		}
 	}
-	for i := range fired {
-		if got := fired[i].Load(); got != 1 {
-			t.Fatalf("timer %d fired %d times", i, got)
+	time.Sleep(10 * time.Millisecond)
+	for i, fr := range frames {
+		if len(fr.results) != 0 || fr.refs.Load() != 1 {
+			t.Fatalf("timer %d: %d more events, %d references", i, len(fr.results), fr.refs.Load())
 		}
 	}
 }
 
 // TestTimerStopUnderFire storms arm/stop against short timers, some due
-// at once: every arming either fires once or is stopped, never both and
-// never neither, and a Stop racing a fire never acts on the node's next
-// arming (the race detector sees one that does).
+// at once: every arming either posts its event or is withdrawn by the
+// stop, never both and never neither, and every frame ends holding only
+// the engine's reference (the race detector sees a fire touching a
+// frame it no longer holds).
 func TestTimerStopUnderFire(t *testing.T) {
-	var fired, stopped atomic.Int64
 	const n = 400
+	var fired, stopped atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				tm := AfterFunc(time.Duration((seed+i)%3)*time.Millisecond,
-					func(any, int64) { fired.Add(1) }, nil, 0)
+				fr := timerFrame()
+				armHedge(fr, time.Duration((seed+i)%3)*time.Millisecond)
 				if i%2 == 0 {
 					time.Sleep(time.Duration(i%4) * 500 * time.Microsecond)
 				}
-				if tm.Stop() {
+				if fr.stopTimer() {
 					stopped.Add(1)
+					continue
+				}
+				select {
+				case <-fr.results:
+					fired.Add(1)
+				case <-time.After(2 * time.Second):
+					t.Error("a timer neither stopped nor fired")
+					return
+				}
+				for fr.refs.Load() != 1 {
+					runtime.Gosched()
 				}
 			}
 		}(g * 13)
 	}
 	wg.Wait()
-	eventually(t, "every arming fired or was stopped", func() bool { return fired.Load()+stopped.Load() == 4*n })
-	time.Sleep(10 * time.Millisecond)
 	if got := fired.Load() + stopped.Load(); got != 4*n {
 		t.Fatalf("fired(%d) + stopped(%d) = %d, want %d", fired.Load(), stopped.Load(), got, 4*n)
 	}
 }
 
-// TestTimerAllocs: arming and stopping a timer, and arming one and
-// letting it fire, allocate nothing once the free list holds a node.
+// TestTimerAllocs: arming and stopping a frame's timer, and arming it and
+// letting it fire, allocate nothing once the frame has made its timer.
 func TestTimerAllocs(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("exact allocation counts do not hold under -race")
 	}
-	nop := func(any, int64) {}
-	if a := testing.AllocsPerRun(1000, func() { AfterFunc(time.Hour, nop, nil, 0).Stop() }); a != 0 {
+	fr := timerFrame()
+	armHedge(fr, time.Hour)
+	fr.stopTimer()
+	if a := testing.AllocsPerRun(1000, func() {
+		armHedge(fr, time.Hour)
+		fr.stopTimer()
+	}); a != 0 {
 		t.Errorf("arm+stop: %v allocs, want 0", a)
 	}
-	ch := make(chan struct{}, 1)
-	send := func(c any, _ int64) { c.(chan struct{}) <- struct{}{} }
-	if a := testing.AllocsPerRun(1000, func() { AfterFunc(0, send, ch, 0); <-ch }); a != 0 {
+	if a := testing.AllocsPerRun(1000, func() {
+		armHedge(fr, 0)
+		<-fr.results
+		fr.timerEvent(context.Background(), time.Now(), nil)
+		for fr.refs.Load() != 1 {
+			runtime.Gosched()
+		}
+	}); a != 0 {
 		t.Errorf("arm+fire: %v allocs, want 0", a)
 	}
 }

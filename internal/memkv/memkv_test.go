@@ -32,26 +32,8 @@ func startServerDelay(t *testing.T, delay func() time.Duration) (*Server, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		stopExpiries(srv.Store())
-	})
+	t.Cleanup(func() { srv.Close() })
 	return srv, addr.String()
-}
-
-// stopExpiries stops the active-expiry timers still armed in st, so a
-// test's TTLs do not fire during the tests after it: each timer's
-// callback runs on a goroutine of its own, which a later test counting
-// goroutines would see.
-func stopExpiries(st *Store) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, it := range sh.m {
-			it.exp.Stop()
-		}
-		sh.mu.Unlock()
-	}
 }
 
 func TestStoreBasics(t *testing.T) {
@@ -358,20 +340,17 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 // TestExpiredKeyReapedOnRead: a read that reaches an item past its
-// deadline before the expiry timer's callback does reaps the item itself
-// and emits the expire event. The callback runs at the deadline, so the
-// test stops the timer to hold that window open.
+// deadline before the shard's expiry timer does reaps the item itself
+// and emits the expire event. The timer fires at the deadline, so the
+// test closes the store, which stops it, to hold that window open.
 func TestExpiredKeyReapedOnRead(t *testing.T) {
 	s := NewStore()
 	w := s.Watch("k", 4)
 	defer w.Close()
 	s.SetTTL("k", 0, []byte("v"), 100*time.Millisecond)
-	sh := s.shardFor("k")
-	sh.mu.Lock()
-	stopped := sh.m["k"].exp.Stop()
-	sh.mu.Unlock()
-	if !stopped {
-		t.Fatal("the expiry timer fired within 100ms")
+	s.Close()
+	if _, _, ok := s.Get("k"); !ok {
+		t.Fatal("the item expired within 100ms")
 	}
 	time.Sleep(110 * time.Millisecond)
 	if _, _, ok := s.Get("k"); ok {

@@ -34,13 +34,15 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 // thousands of outstanding redundant reads share one socket.
 //
 //   - Every request is registered the same way (registerLocked): a tag,
-//     an entry in the connection's waiter table, and its timeout timer
-//     (core.AfterFunc), all under the connection's lock.
+//     an entry in the connection's waiter table, and its deadline in the
+//     connection's timeout queue (deadlineQueue, one timer per
+//     connection), all under the connection's lock.
 //   - Every request completes the same way: whoever claims its tag — the
-//     reader with the reply, the timeout callback, or fail when the
+//     reader with the reply, the timeout queue's fire, or fail when the
 //     connection dies — completes it exactly once, and a caller that
 //     withdraws it first (claims it itself) gets nothing. A blocking
-//     call's waiter is completed like a started request's sink.
+//     call's waiter is completed like a started request's sink. Claiming
+//     a tag stops no timer: the fire finds an answered tag gone.
 //   - Writes coalesce: requests append frames to the connection's
 //     wireConn, whose single flusher goroutine writes whatever
 //     accumulated while the previous write was in flight — group commit,
@@ -102,8 +104,8 @@ type MuxClient struct {
 
 // NewMuxClient creates a multiplexed client for the server at addr.
 // timeout bounds each request from enqueue to response (0 means no
-// timeout); it is enforced by a pooled timer (core.AfterFunc), which
-// allocates nothing per request. The connection is dialed lazily.
+// timeout); it is enforced by the connection's one timeout timer,
+// which allocates nothing per request. The connection is dialed lazily.
 func NewMuxClient(addr string, timeout time.Duration) *MuxClient {
 	return &MuxClient{addr: addr, timeout: timeout, closedC: make(chan struct{})}
 }
@@ -124,6 +126,9 @@ type muxConn struct {
 
 	tag     uint64
 	waiters map[uint64]muxEntry
+	// timeouts holds each registered tag's deadline; its fire fails the
+	// tags still waiting (timeoutsDue).
+	timeouts deadlineQueue[uint64]
 	// watches routes server-push frames (opEvent/opWatchEnd) by the
 	// owning watch's tag — the streaming sibling of waiters. Lazily
 	// allocated on the first Watch.
@@ -135,9 +140,9 @@ type muxConn struct {
 // muxEntry is one in-flight request's place in the waiter table. It is
 // one of three things: a blocking call's pooled channel waiter (w; wait
 // blocks on it), a started read (sink), or a started versioned put
-// (put) — the started forms with their slot. Each carries its timeout
-// timer. Whoever claims the entry completes it once, through complete or
-// fail, whichever of the three it is.
+// (put) — the started forms with their slot. Whoever claims the entry
+// completes it once, through complete or fail, whichever of the three
+// it is.
 //
 // The table stores entries by value: keep this struct well under 128
 // bytes, the size past which a Go map boxes its elements and every
@@ -147,7 +152,6 @@ type muxEntry struct {
 	sink core.Sink[Versioned]
 	put  core.Sink[PutVResult]
 	slot int
-	tm   core.Timer
 }
 
 // complete completes the request with its reply f, whose value has been
@@ -204,6 +208,7 @@ func (m *MuxClient) dial(ctx context.Context) (*muxConn, error) {
 		return nil, err
 	}
 	cn := &muxConn{wireConn: newWireConn(c), owner: m, waiters: make(map[uint64]muxEntry)}
+	cn.timeouts.fire = cn.timeoutsDue
 	go cn.reader()
 	go cn.flusher(cn.fail)
 	return cn, nil
@@ -361,8 +366,8 @@ func (cn *muxConn) lostErr() error {
 }
 
 // fail marks the connection dead exactly once: it claims every pending
-// request, stops its timeout timer and completes it with the conn-lost
-// error, and closes the socket, which also stops the reader and
+// request and completes it with the conn-lost error, stops the timeout
+// timer, and closes the socket, which also stops the reader and
 // flusher.
 func (cn *muxConn) fail(cause error) {
 	cn.mu.Lock()
@@ -376,11 +381,11 @@ func (cn *muxConn) fail(cause error) {
 	cn.waiters = nil
 	ws := cn.watches
 	cn.watches = nil
+	cn.timeouts.close()
 	cn.mu.Unlock()
 	close(cn.done)
 	cn.c.Close()
 	for _, e := range pending {
-		e.tm.Stop()
 		e.fail(cn.err)
 	}
 	for _, st := range ws {
@@ -411,22 +416,24 @@ func (cn *muxConn) lockLive() error {
 
 // registerLocked is the one registration of every request the client
 // sends: a blocking call's waiter, a started read, a started put, and
-// each put of a PutVBatch. It assigns the next tag and stores e under
-// it, born with its timeout timer (none if timeout is 0). The timer is
-// armed under the lock so that the reader, which may claim the tag the
-// moment the lock drops, always finds the handle to stop; the timeout
-// callback runs on a goroutine of its own and takes cn.mu there, so
-// arming under the lock cannot deadlock. The caller holds cn.mu on a
-// live connection (lockLive), appends the request's frame to
-// cn.pending, unlocks, and signals the flusher.
+// each put of a PutVBatch. It assigns the next tag, stores e under it
+// and queues the tag's deadline (none if timeout is 0), pruning the
+// deadlines of tags already answered once they outgrow the waiting
+// ones (deadlineQueue.prune). The
+// caller holds cn.mu on a live connection (lockLive), appends the
+// request's frame to cn.pending, unlocks, and signals the flusher.
 // (A watch's opUnwatch is the one frame sent unregistered: nobody waits
 // for its ack.)
 func (cn *muxConn) registerLocked(e muxEntry, timeout time.Duration) uint64 {
 	cn.tag++
-	if timeout > 0 {
-		e.tm = core.AfterFunc(timeout, muxTimeoutFired, cn, int64(cn.tag))
-	}
 	cn.waiters[cn.tag] = e
+	if timeout > 0 {
+		cn.timeouts.push(time.Now().Add(timeout), cn.tag)
+		cn.timeouts.prune(len(cn.waiters), func(tag uint64) bool {
+			_, waiting := cn.waiters[tag]
+			return waiting
+		})
+	}
 	return cn.tag
 }
 
@@ -508,11 +515,11 @@ func readReplyValue(r *bufio.Reader, f *frame, vlen int) error {
 	return readFrameValue(r, f, vlen)
 }
 
-// claim takes tag's entry out of the waiter table and stops its timer,
-// reporting whether it was there. Whoever claims an entry owns its one
-// outcome: the reader delivers the reply, the timeout callback the
-// timeout, a withdrawing caller nothing at all — the eventual response
-// finds nobody and is skipped on arrival, the mux cancellation contract.
+// claim takes tag's entry out of the waiter table, reporting whether it
+// was there. Whoever claims an entry owns its one outcome: the reader
+// delivers the reply, the timeout queue's fire the timeout, a
+// withdrawing caller nothing at all — the eventual response finds
+// nobody and is skipped on arrival, the mux cancellation contract.
 // (fail claims the whole table at once.)
 func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 	cn.mu.Lock()
@@ -521,18 +528,30 @@ func (cn *muxConn) claim(tag uint64) (muxEntry, bool) {
 		delete(cn.waiters, tag)
 	}
 	cn.mu.Unlock()
-	if ok {
-		e.tm.Stop()
-	}
 	return e, ok
 }
 
-// muxTimeoutFired is the timer callback for a request timeout:
-// it claims the tag (so the eventual response is skipped) and completes
-// the request with ErrMuxTimeout. c is the *muxConn, i the tag.
-func muxTimeoutFired(c any, i int64) {
-	if e, ok := c.(*muxConn).claim(uint64(i)); ok {
-		e.fail(ErrMuxTimeout)
+// timeoutsDue is the timeout timer's function: it claims every due tag
+// still waiting (so its eventual response is skipped), re-arms for the
+// rest, and fails the claimed requests with ErrMuxTimeout outside cn.mu.
+func (cn *muxConn) timeoutsDue() {
+	var due []muxEntry
+	cn.mu.Lock()
+	now := time.Now()
+	for {
+		tag, ok := cn.timeouts.popDue(now)
+		if !ok {
+			break
+		}
+		if e, ok := cn.waiters[tag]; ok {
+			delete(cn.waiters, tag)
+			due = append(due, e)
+		}
+	}
+	cn.timeouts.rearm()
+	cn.mu.Unlock()
+	for i := range due {
+		due[i].fail(ErrMuxTimeout)
 	}
 }
 
@@ -551,7 +570,7 @@ func (m *MuxClient) putTimeout() time.Duration {
 // enqueues the request on the live connection and returns at once; the
 // reply (or the per-request timeout, or the connection's loss) is
 // delivered to sink.Complete(slot, …) from the connection's reader (or
-// the timeout's timer, or whoever failed the connection), unless Cancel
+// the timeout timer, or whoever failed the connection), unless Cancel
 // withdraws it first. Start declines — having done nothing — when it
 // would have to do what only a blocking call can: dial a connection
 // never used, report a bad key, or fail fast while redialing; GetV
@@ -584,7 +603,7 @@ func (m *MuxClient) startLocked(key string, e muxEntry, timeout time.Duration) (
 // encodes the put straight into the connection's pending buffer and
 // returns at once, and sink.Complete(slot, result, result.Err) is called
 // exactly once — by the connection's reader with the server's answer,
-// by the timeout's timer, or by whoever failed the connection (the sink's
+// by the timeout timer, or by whoever failed the connection (the sink's
 // Drop is never asked: every copy of a write is wanted). The write
 // group's call frame is such a sink. It reports
 // false, having done nothing, exactly where Start declines and for a

@@ -11,7 +11,7 @@ import (
 
 // These tests pin the mux's one completion rule for a blocking request:
 // whoever claims its tag — the reader with the reply, the timeout
-// callback, or fail when the connection dies — completes its waiter
+// queue's fire, or fail when the connection dies — completes its waiter
 // exactly once, as it completes a started request's sink, and a caller
 // that withdraws the request first gets nothing. Run with -race
 // -count=5.
@@ -27,11 +27,23 @@ func waiterConn() (*muxConn, *muxWaiter) {
 	return cn, w
 }
 
+// timeOut plays the timeout queue's fire on tag: the tag's deadline is
+// queued as already passed and the fire runs on this goroutine. The
+// deadline goes straight into the heap, the sole entry of a bare
+// connection's queue, so that no timer fires it on a goroutine of its
+// own.
+func timeOut(cn *muxConn, tag uint64) {
+	cn.mu.Lock()
+	cn.timeouts.h = append(cn.timeouts.h, deadline[uint64]{e: tag})
+	cn.mu.Unlock()
+	cn.timeoutsDue()
+}
+
 // claimEverywhere plays every claimer on tag 1 in turn: the reader with
-// a whole reply, the timeout callback, and fail.
+// a whole reply, the timeout queue's fire, and fail.
 func claimEverywhere(cn *muxConn, reply []byte) {
 	cn.readOne(bufio.NewReader(bytes.NewReader(reply)))
-	muxTimeoutFired(cn, 1)
+	timeOut(cn, 1)
 	cn.fail(errors.New("connection closed by the test"))
 }
 
@@ -60,7 +72,7 @@ func TestMuxBlockingWaiterCompletesOnce(t *testing.T) {
 				t.Error("a value one byte short was read without an error")
 			}
 		}, func(r muxReply) bool { return errors.Is(r.err, ErrMuxConnLost) }},
-		{"timeout", func(cn *muxConn) { muxTimeoutFired(cn, 1) },
+		{"timeout", func(cn *muxConn) { timeOut(cn, 1) },
 			func(r muxReply) bool { return errors.Is(r.err, ErrMuxTimeout) }},
 		{"connection lost", func(cn *muxConn) { cn.fail(errors.New("peer went away")) },
 			func(r muxReply) bool { return errors.Is(r.err, ErrMuxConnLost) }},

@@ -24,8 +24,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 const (
@@ -62,6 +60,15 @@ const shardCount = 32
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]item
+	// ttl holds the deadline of every TTL'd write to the shard; its fire
+	// expires the items still at the written version (expireDue).
+	ttl deadlineQueue[expiry]
+}
+
+// expiry is a TTL deadline's entry: the key and the version written.
+type expiry struct {
+	key string
+	ver uint64
 }
 
 type item struct {
@@ -75,62 +82,65 @@ type item struct {
 	// data is the value, in an exact-length slice the store owns: a
 	// write of the same length overwrites it in place, so it is read only
 	// under the shard's lock (view).
-	data      []byte
-	expiresAt time.Time // zero = never expires
-	// exp is the item's active-expiry timer (zero = none armed). The
-	// callback deletes the item at its deadline and emits an expire watch
-	// event, so expired-but-never-read items stop pinning memory; lazy
-	// reap-on-access remains as a backstop for the window between the
-	// deadline and the callback taking the shard's lock.
-	exp core.Timer
+	data []byte
+	// expiresAt is when the item expires, zero for never. The shard's
+	// ttl queue deletes it then and emits an expire watch event, so
+	// expired-but-never-read items stop pinning memory; lazy
+	// reap-on-access is the backstop for the window between the deadline
+	// and the queue's fire taking the shard's lock.
+	expiresAt time.Time
 }
 
-// expireRec is the static-callback argument for active expiry: which
-// store and key the timer concerns. The armed version rides in the
-// callback's int64 slot, so a timer surviving its item's overwrite
-// fires as a no-op instead of killing the successor.
-type expireRec struct {
-	s   *Store
-	key string
-}
-
-// storeExpireFired is the expiry callback (static function +
-// expireRec, core.AfterFunc's no-closure idiom).
-func storeExpireFired(c any, i int64) {
-	r := c.(*expireRec)
-	r.s.expireFired(r.key, uint64(i))
-}
-
-// armExpiry schedules active expiry for (key, version) after d.
-func (s *Store) armExpiry(key string, ver uint64, d time.Duration) core.Timer {
-	return core.AfterFunc(d, storeExpireFired, &expireRec{s: s, key: key}, int64(ver))
-}
-
-// expireFired runs at an item's expiry deadline. The version check makes
-// stale timers harmless: an overwrite between arm and fire changed the
-// version, so the timer does nothing. The deadline has passed: install
-// reads the clock for expiresAt before it arms the timer, and the timer
-// never fires before its delay.
-func (s *Store) expireFired(key string, ver uint64) {
-	sh := s.shardFor(key)
+// expireDue is sh's TTL timer function: it reaps every item whose
+// deadline (its expiresAt) has passed, if still at the version written
+// with it — a deadline outliving its item's overwrite reaps nothing —,
+// emits its expire event, and re-arms for the next deadline.
+func (s *Store) expireDue(sh *shard) {
 	sh.mu.Lock()
-	it, ok := sh.m[key]
-	if !ok || it.version != ver || it.expiresAt.IsZero() {
-		sh.mu.Unlock()
-		return
+	now := time.Now()
+	for {
+		x, ok := sh.ttl.popDue(now)
+		if !ok {
+			break
+		}
+		if sh.expiring(x) {
+			delete(sh.m, x.key)
+			s.watch.notify(WatchEvent{Type: EventExpire, Key: x.key, Version: x.ver})
+		}
 	}
-	delete(sh.m, key)
-	s.watch.notify(WatchEvent{Type: EventExpire, Key: key, Version: ver})
+	sh.ttl.rearm()
 	sh.mu.Unlock()
+}
+
+// expiring reports whether x is still the deadline of its item. Called
+// with sh.mu held.
+func (sh *shard) expiring(x expiry) bool {
+	it, ok := sh.m[x.key]
+	return ok && it.version == x.ver && !it.expiresAt.IsZero()
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]item)
+		sh := &s.shards[i]
+		sh.m = make(map[string]item)
+		sh.ttl.fire = func() { s.expireDue(sh) }
 	}
 	return s
+}
+
+// Close stops the store's expiry timers, whose pending deadlines would
+// otherwise keep the store reachable until they fire. The items it holds
+// then expire only lazily, as a read finds them past their deadline; a
+// later write with a TTL arms its shard's timer again.
+func (s *Store) Close() {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.ttl.close()
+		sh.mu.Unlock()
+	}
 }
 
 func (s *Store) shardFor(key string) *shard { return shardOf(s, key) }
@@ -224,8 +234,8 @@ func (s *Store) Set(key string, flags uint32, value []byte) {
 }
 
 // SetTTL stores value under key, expiring after ttl (0 = never). Expiry
-// is active — a timer reaps the item at its deadline and notifies
-// watchers — with lazy reap-on-access as the backstop. The
+// is active — the shard's TTL timer reaps the item at its deadline and
+// notifies watchers — with lazy reap-on-access as the backstop. The
 // write is a PutVersion at a fresh version from the store's clock, so
 // it loses to a newer version that lands between minting and the
 // write: a key's version never moves backwards.
@@ -269,14 +279,14 @@ func putVersion[K string | []byte](s *Store, key K, flags uint32, value []byte, 
 
 // install is the store's one write body, run under sh's lock once the
 // caller has chosen version. cur is the item stored under key, expired
-// or not, if present. install stops cur's expiry and stores value: into
-// cur's bytes when their lengths match — the store reuses what it holds,
-// so an overwrite allocates nothing — else the slice itself if owned,
-// else an exact-length copy. It then arms the new expiry and notifies
-// watchers. The key string is cur's when present, so that only a new
+// or not, if present. install stores value: into cur's bytes when their
+// lengths match — the store reuses what it holds, so an overwrite
+// allocates nothing — else the slice itself if owned, else an
+// exact-length copy. It then queues the new expiry, if any, and
+// notifies watchers; cur's expiry, if any, is left to find a newer
+// version. The key string is cur's when present, so that only a new
 // key makes one.
 func install[K string | []byte](s *Store, sh *shard, cur item, present bool, key K, flags uint32, value []byte, ttl time.Duration, version uint64, owned bool) {
-	cur.exp.Stop()
 	switch {
 	case present && len(cur.data) == len(value):
 		copy(cur.data, value)
@@ -291,9 +301,12 @@ func install[K string | []byte](s *Store, sh *shard, cur item, present bool, key
 	it := item{key: k, flags: flags, version: version, data: value}
 	if ttl > 0 {
 		it.expiresAt = time.Now().Add(ttl)
-		it.exp = s.armExpiry(k, version, ttl)
 	}
 	sh.m[k] = it
+	if ttl > 0 {
+		sh.ttl.push(it.expiresAt, expiry{key: k, ver: version})
+		sh.ttl.prune(len(sh.m), sh.expiring)
+	}
 	s.watch.notify(WatchEvent{Type: EventPut, Key: k, Value: it.data, Version: version, TTLSecs: ttlSeconds(ttl)})
 }
 
@@ -390,7 +403,6 @@ func (s *Store) reapExpired(key string) {
 	sh.mu.Lock()
 	if cur, still := sh.m[key]; still && !cur.expiresAt.IsZero() && time.Now().After(cur.expiresAt) {
 		delete(sh.m, key)
-		cur.exp.Stop()
 		s.watch.notify(WatchEvent{Type: EventExpire, Key: key, Version: cur.version})
 	}
 	sh.mu.Unlock()
@@ -604,6 +616,7 @@ func (s *Server) Stats() map[string]int64 {
 }
 
 // NewServer creates a server around the given store (a fresh one if nil).
+// The server owns its store: Close closes it.
 func NewServer(store *Store) *Server {
 	if store == nil {
 		store = NewStore()
@@ -673,8 +686,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// Close stops accepting, closes every open connection, and waits for
-// handlers to finish.
+// Close stops accepting, closes every open connection, waits for
+// handlers to finish, and closes the server's store (Store.Close).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -692,6 +705,7 @@ func (s *Server) Close() error {
 		err = ln.Close()
 	}
 	s.wg.Wait()
+	s.store.Close()
 	return err
 }
 

@@ -2,12 +2,9 @@ package memkv
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/binary"
 	"net"
 	"time"
-
-	"redundancy/internal/core"
 )
 
 // This file is the server's connection loop: it reads frames, executes
@@ -16,13 +13,13 @@ import (
 // ends coalesce their frames with one writer.
 //
 //   - Responses interleave out of order. A delayed request (the Delay
-//     hook) parks in its session's deadline heap and answers when its
+//     hook) parks in its session's deadline queue and answers when its
 //     delay elapses; requests behind it on the same connection are not
 //     blocked.
 //   - No goroutine, timer, or connection is held per in-flight request:
-//     N delayed requests are N small heap nodes under one timer per
-//     connection, and the requests that fall due together run on that
-//     timer's one goroutine.
+//     N delayed requests are N entries of one deadlineQueue, under one
+//     timer per connection, and the requests that fall due together run
+//     on that timer's one goroutine.
 //
 // A client abandons a request by discarding its tag and keeps the
 // connection; the server finishes the work and writes a response nobody
@@ -40,10 +37,8 @@ type muxSession struct {
 	// that opened it — to its store-side subscription. Each entry has a
 	// pump goroutine moving store events into the pending buffer.
 	watches map[uint64]*StoreWatch
-	// parked holds the delayed requests, earliest deadline first, and
-	// parkTm is armed for the earliest (park).
-	parked parkedHeap
-	parkTm core.Timer
+	// parked holds the delayed requests until they fall due (park).
+	parked deadlineQueue[frame]
 }
 
 // muxWatchBacklogCap bounds the un-flushed response bytes a session may
@@ -69,6 +64,7 @@ const muxWatchBacklogCap = 4 << 20
 // the store's string.
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	m := &muxSession{wireConn: newWireConn(conn), s: s}
+	m.parked.fire = m.parkedDue
 	go m.flusher(func(error) { m.shutdown() })
 	for {
 		var q frame
@@ -131,67 +127,36 @@ func readRequestRest(r *bufio.Reader, q *frame, kb []byte, vlen int, st *Store) 
 	return readFrameValue(r, q, vlen)
 }
 
-// muxDelayed is one parked request and the instant it falls due.
-type muxDelayed struct {
-	at time.Time
-	q  frame
-}
-
-// parkedHeap orders a session's parked requests by deadline
-// (container/heap).
-type parkedHeap []*muxDelayed
-
-func (h parkedHeap) Len() int           { return len(h) }
-func (h parkedHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h parkedHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *parkedHeap) Push(x any)        { *h = append(*h, x.(*muxDelayed)) }
-func (h *parkedHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return x
-}
-
 // park holds q for d instead of holding the read loop: the loop keeps
 // reading, later requests overtake this one, and the response goes out
-// when the delay elapses. One timer per session, armed for the earliest
-// deadline, serves every parked request, so a burst that falls due
-// together runs on one goroutine, not on one each.
+// when the delay elapses. The session's one timer serves every parked
+// request, so a burst that falls due together runs on one goroutine,
+// not on one each.
 func (m *muxSession) park(q frame, d time.Duration) {
-	p := &muxDelayed{at: time.Now().Add(d), q: q}
+	at := time.Now().Add(d)
 	m.mu.Lock()
 	if m.closed {
 		m.s.aborted.Add(1)
 	} else {
-		heap.Push(&m.parked, p)
-		if m.parked[0] == p {
-			m.armParked()
-		}
+		m.parked.push(at, q)
 	}
 	m.mu.Unlock()
 }
 
-// armParked re-arms the session's timer for its earliest parked request.
-// A fire it comes too late to stop finds what is due, if anything, and
-// re-arms in turn. Called with m.mu held.
-func (m *muxSession) armParked() {
-	m.parkTm.Stop()
-	if len(m.parked) > 0 {
-		m.parkTm = core.AfterFunc(time.Until(m.parked[0].at), muxParkedFired, m, 0)
-	}
-}
-
-// muxParkedFired executes, in deadline order, every parked request whose
-// delay has elapsed, and re-arms the timer for the rest.
-func muxParkedFired(c any, _ int64) {
-	m := c.(*muxSession)
+// parkedDue is the parked requests' timer function: it executes, in
+// deadline order, every parked request whose delay has elapsed, and
+// re-arms for the rest.
+func (m *muxSession) parkedDue() {
 	m.mu.Lock()
 	now := time.Now()
-	for len(m.parked) > 0 && !m.parked[0].at.After(now) {
-		m.execLocked(&heap.Pop(&m.parked).(*muxDelayed).q)
+	for {
+		q, ok := m.parked.popDue(now)
+		if !ok {
+			break
+		}
+		m.execLocked(&q)
 	}
-	m.armParked()
+	m.parked.rearm()
 	m.mu.Unlock()
 	m.signalFlush()
 }
@@ -414,9 +379,8 @@ func (m *muxSession) shutdown() {
 	m.pending = nil
 	// The parked requests will never be answered: drop them now, with
 	// their timer, rather than at their deadlines.
-	m.parkTm.Stop()
-	m.s.aborted.Add(int64(len(m.parked)))
-	m.parked = nil
+	m.s.aborted.Add(int64(len(m.parked.h)))
+	m.parked.close()
 	ws := make([]*StoreWatch, 0, len(m.watches))
 	for _, sw := range m.watches {
 		ws = append(ws, sw)
