@@ -12,7 +12,7 @@ import (
 // This file is the single request execution engine behind every
 // redundant call. A call has one entrance: KeyedGroup.do (Do)
 // or DoPicked (the Ring's routed subsets) plans it, and a plan of one
-// copy runs in runOne, any other in launchFrame → runFrame. One engine
+// copy runs in runOne, any other in launchFrame. One engine
 // means every completion rule (first wins, R-of-N quorum) composes with
 // every launch schedule (all at once, fixed hedge, adaptive hedge) and
 // shares one error taxonomy.
@@ -39,9 +39,9 @@ import (
 //     unwinds the caller's stack.
 //   - Two or more copies (k>=2) need a watcher — the winner cancels the
 //     loser, a hedge waits on a deadline, the caller may give up first —
-//     which is runFrame's event loop, run by the caller on a reusable
-//     call frame (callFrame): one struct carrying the results channel,
-//     the picked replicas, the launch schedule, and inline scratch for
+//     which is the caller waiting on a reusable call frame (callFrame):
+//     one struct carrying the results channel, the picked replicas, the
+//     launch schedule, the call's running state, and inline scratch for
 //     the common fan-out <= 4 case. Frames recycle through a per-group
 //     sync.Pool under a proved-drained discipline (callFrame.release):
 //     a frame returns to the pool only after every
@@ -54,12 +54,12 @@ import (
 //     the request on the caller's goroutine without blocking and the
 //     completion is delivered straight into the frame — the call's Sink —
 //     from whichever goroutine learns of it (the mux connection's
-//     reader); the loop ends a call by Cancelling what is still out. A
+//     reader); the decision ends a call by Cancelling what is still out. A
 //     copy is then a wire request, not a goroutine: no go statement, no
 //     derived context, no cancellation channel, no per-copy wake-up. The
 //     completion that queues the call's deciding success also marks the
 //     frame settled, on that goroutine, so a loser's reply that lands
-//     before the loop has run again to Cancel it is not decoded for
+//     before the caller has run again to Cancel it is not decoded for
 //     nobody: its Starter asks (Sink.Drop) and skips it.
 //   - A function replica (Add) blocks, so its copy needs a goroutine and
 //     a context the winner can cancel: the call makes its cancellation
@@ -69,20 +69,29 @@ import (
 //     Starter declines (its connection is down) is launched this way
 //     too, through the member's blocking replica.
 //
+// A call of two or more copies is a state machine whose state lives in
+// its frame. begin launches it at an instant; on is its one transition,
+// which takes one event — a copy's completion, the frame's timer event,
+// or the caller's cancellation — with the instant it happened, and
+// reports whether the call is decided. on never blocks and reads no
+// clock. wait is the one wait loop: it selects the next event, reads
+// time.Now() once, and hands both to on. A test can step a call by
+// handing on its events and instants itself.
+//
 // A durable call (DoDurable) is the same frame under one different rule:
 // deciding it withdraws nothing. The copies still out keep their frame
 // references and run to completion, each reporting to the group's
 // per-copy hook where it completes. That is a replicated write: its
 // losers must land, because durability is the point. Its copies count
-// under the frame's lock instead of in the event loop, and only the
-// completion that decides the call sends an event, so the caller wakes
-// once.
+// under the frame's lock, not in on, and only the completion that
+// decides the call sends an event, so the caller wakes once and on
+// takes one event.
 //
 // A frame owns one runtime timer, made on its first deadline and kept
 // with it in the pool, armed for the earlier of the next hedge (hedgeAt)
 // and the context watch (watchAt). A fire only says "look at the clock":
-// it posts one timer event, and the loop acts on whatever time.Now()
-// says is due and re-arms for the rest, so a stale event, from a fire a
+// it posts one timer event, and on acts on whatever its instant says is
+// due and re-arms for the rest, so a stale event, from a fire a
 // re-arm came too late for, launches nothing early and drops no watch.
 //
 // The caller's context is watched from watchDelay (1ms) on, not from
@@ -274,12 +283,26 @@ type callFrame[K, T any] struct {
 	errs    []error
 	owned   bool
 
+	// The call's running state, the engine's alone from begin to the
+	// decision: the copies launched and completed, the successes and
+	// negative answers on has counted (wins), the first success (found,
+	// res.Value and res.Index), the first negative answer, the start
+	// instant, the caller's Done channel once watched, and the outcome
+	// (res, err); a read's failures go to errs. release clears it.
+	launched, completed, wins int
+	found                     bool
+	answer                    error
+	start                     time.Time
+	ctxDone                   <-chan struct{}
+	res                       Result[T]
+	err                       error
+
 	// cctx is what blocking copies run under and cdone what cancels it.
 	// Both are made by the first blocking launch of a call (blockingCtx):
 	// a call whose copies are all started requests has neither. cctx is
 	// read by copy goroutines that may start after the call returned, so
 	// it is cleared only when the frame recycles; cdone belongs to the
-	// engine alone and finish closes it (see blockingCtx for a durable
+	// engine alone and end closes it (see blockingCtx for a durable
 	// call's).
 	cctx  context.Context
 	cdone chan struct{}
@@ -289,7 +312,7 @@ type callFrame[K, T any] struct {
 	slots []copySlot
 
 	// outs backs the quorum-failure partial outcomes when the caller did
-	// not pass WithCollectOutcomes; callFailed clones out of it before
+	// not pass WithCollectOutcomes; failure clones out of it before
 	// the frame can recycle.
 	outs []Outcome[T]
 
@@ -326,13 +349,13 @@ func (fr *callFrame[K, T]) ensureChan(n int) {
 	}
 }
 
-// launchCopy starts copy i under the caller's ctx. The reference is
-// taken before the copy exists so the frame cannot recycle out from
+// launchCopy starts copy i under the caller's ctx at now. The reference
+// is taken before the copy exists so the frame cannot recycle out from
 // under it. A member with a Starter is asked to start the copy; a
 // function replica — or a Starter that declines — runs on a goroutine.
-func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
+func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int, now time.Time) {
 	fr.refs.Add(1)
-	if fr.picked[i].m.starter != nil && fr.startCopy(i) {
+	if fr.picked[i].m.starter != nil && fr.startCopy(i, now) {
 		return
 	}
 	fr.blockingCtx(ctx)
@@ -347,7 +370,7 @@ func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int) {
 }
 
 // blockingCtx makes the context the call's blocking copies share, once
-// per call: a copyCtx whose done channel finish closes — for a durable
+// per call: a copyCtx whose done channel end closes — for a durable
 // call, the caller's context without its cancellation (the replica
 // bounds the copy), over an owned argument the goroutine may read late.
 func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
@@ -364,15 +387,15 @@ func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 }
 
 // runFrameCopy is one blocking copy's goroutine body: the member's
-// governed, recording run. The error travels raw; the event loop wraps
-// it in a ReplicaError if it consumes it, so a drained loser's error
+// governed, recording run. The error travels raw; on wraps it in a
+// ReplicaError if it consumes it, so a drained loser's error
 // allocates nothing.
 func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 	v, _, err := fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
 	fr.deliver(i, v, err)
 }
 
-// deliver queues copy i's completion for the event loop, counts a
+// deliver queues copy i's completion for on, counts a
 // success toward settling the call — after queueing it, so that whoever
 // sees the call settled queues behind the deciding success — and drops
 // the copy's frame reference. A durable copy reports instead (report).
@@ -464,12 +487,15 @@ drain:
 	fr.timerQueued.Store(false)
 	// Clear everything a pooled frame must not pin or leak into its
 	// next call: replica handles, the caller's context and sink, the
-	// argument, and the inline error/outcome scratch.
+	// argument, the running state, and the inline error/outcome scratch.
 	var zk K
 	fr.arg = zk
 	fr.gov = nil
 	fr.cctx = nil
 	fr.durable, fr.errs, fr.owned = nil, nil, false
+	fr.launched, fr.completed, fr.wins, fr.found = 0, 0, 0, false
+	fr.answer, fr.ctxDone, fr.err = nil, nil, nil
+	fr.start, fr.res = time.Time{}, Result[T]{}
 	fr.collect = nil
 	fr.negative = nil
 	fr.delays = nil
@@ -484,32 +510,31 @@ drain:
 	fr.pool.Put(fr)
 }
 
-// drainCompleted opportunistically consumes results already delivered
-// but not yet received, returning the updated completion count. Copies
-// that delivered before the call completed are not "cancelled" — no
-// capacity was reclaimed from them — so the engine drains before
-// computing the Cancelled metric; a dropped copy's event (Drop) is one
-// of these, and this is the only place it is ever read. Timer events
-// are skipped.
-func (fr *callFrame[K, T]) drainCompleted(completed int) int {
+// drainCompleted consumes results already delivered but not yet
+// received and returns the updated completion count. Copies that
+// delivered before the call was decided are not "cancelled" — no
+// capacity was reclaimed from them — so end drains before computing the
+// Cancelled metric; a dropped copy's event (Drop) is one of these, and
+// this is the only place it is ever read. Timer events are skipped.
+func (fr *callFrame[K, T]) drainCompleted() int {
 	for {
 		select {
 		case r := <-fr.results:
 			if !r.timer {
-				completed++
+				fr.completed++
 				fr.copyDelivered(r.idx)
 			}
 		default:
-			return completed
+			return fr.completed
 		}
 	}
 }
 
-// arm arms the frame's timer for the earlier of its deadlines, or stops
-// it if there is none. An armed timer holds a frame reference, taken
-// before the Reset and dropped again if Reset reports that the timer
-// was pending, since that arming's reference carries over.
-func (fr *callFrame[K, T]) arm() {
+// arm arms the frame's timer, at now, for the earlier of its deadlines,
+// or stops it if there is none. An armed timer holds a frame reference,
+// taken before the Reset and dropped again if Reset reports that the
+// timer was pending, since that arming's reference carries over.
+func (fr *callFrame[K, T]) arm(now time.Time) {
 	at := fr.hedgeAt
 	if at.IsZero() || (!fr.watchAt.IsZero() && fr.watchAt.Before(at)) {
 		at = fr.watchAt
@@ -520,8 +545,8 @@ func (fr *callFrame[K, T]) arm() {
 	}
 	fr.refs.Add(1)
 	if fr.tm == nil {
-		fr.tm = time.AfterFunc(time.Until(at), fr.timerFired)
-	} else if fr.tm.Reset(time.Until(at)) {
+		fr.tm = time.AfterFunc(at.Sub(now), fr.timerFired)
+	} else if fr.tm.Reset(at.Sub(now)) {
 		fr.release(1)
 	}
 }
@@ -539,34 +564,33 @@ func (fr *callFrame[K, T]) stopTimer() bool {
 
 // timerEvent consumes a timer event, so the next fire may post again,
 // and acts on the context watch if it is due at now: it returns the
-// caller's ctx.Err() if its context has ended, or else the Done channel
-// the wait selects on from then on. Until the watch is due it returns
-// done unchanged.
-func (fr *callFrame[K, T]) timerEvent(ctx context.Context, now time.Time, done <-chan struct{}) (<-chan struct{}, error) {
+// caller's ctx.Err() if its context has ended, or else sets ctxDone, so
+// that the wait selects on the Done channel from then on.
+func (fr *callFrame[K, T]) timerEvent(ctx context.Context, now time.Time) error {
 	fr.timerQueued.Store(false)
 	if fr.watchAt.IsZero() || now.Before(fr.watchAt) {
-		return done, nil
+		return nil
 	}
 	fr.watchAt = time.Time{}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return ctx.Done(), nil
+	fr.ctxDone = ctx.Done()
+	return nil
 }
 
-// watchCtx starts watching the caller's context for a call about to
-// wait (see the file comment). It returns ctx.Done() for a context
-// watched at once: one never cancelled, whose Done is nil and free; one
-// already done, whose channel is made closed; and one whose deadline is
-// less than watchDelay away, which the watch would see late. Any other
-// context it leaves unasked, sets the frame's watch deadline watchDelay
-// out and returns nil; the caller arms the timer. ctx.Err and
+// watchCtx starts watching the caller's context, at now, for a call
+// about to wait (see the file comment). It returns ctx.Done() for a
+// context watched at once: one never cancelled, whose Done is nil and
+// free; one already done, whose channel is made closed; and one whose
+// deadline is less than watchDelay away, which the watch would see late.
+// Any other context it leaves unasked, sets the frame's watch deadline
+// watchDelay out and returns nil; the caller arms the timer. ctx.Err and
 // ctx.Deadline allocate nothing.
-func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
+func (fr *callFrame[K, T]) watchCtx(ctx context.Context, now time.Time) <-chan struct{} {
 	if ctx == context.Background() || ctx == context.TODO() || ctx.Err() != nil {
 		return ctx.Done()
 	}
-	now := time.Now()
 	if dl, ok := ctx.Deadline(); ok && dl.Sub(now) < watchDelay {
 		return ctx.Done()
 	}
@@ -575,8 +599,8 @@ func (fr *callFrame[K, T]) watchCtx(ctx context.Context) <-chan struct{} {
 }
 
 // singleResult turns the return of a call's only copy — run inline on
-// the caller's goroutine, taking d — into what runFrame's loop reports
-// for a one-copy call. Success is the Result with the copy's latency. A
+// the caller's goroutine, taking d — into what on would report for a
+// one-copy call. Success is the Result with the copy's latency. A
 // failure while the caller's context is done is the caller giving up:
 // the bare ctx.Err() and one copy cancelled, with nothing collected. Any
 // other failure is the joined ReplicaError naming the replica.
@@ -605,171 +629,197 @@ func singleResult[T any](ctx context.Context, name string, v T, d time.Duration,
 	return res, err
 }
 
-// launchNext launches copy i, then every following copy whose delay is
-// non-positive (a zero hedge delay means full replication, not a timer
-// round-trip), and sets the hedge deadline of the copy after them, zero
-// if none is left; the caller arms the timer. It returns the number of
-// copies launched.
-func (fr *callFrame[K, T]) launchNext(ctx context.Context, i int) int {
-	fr.launchCopy(ctx, i)
-	for i++; i < fr.n && (fr.delays == nil || fr.delays[i] <= 0); i++ {
-		fr.launchCopy(ctx, i)
+// launchNext launches the next copy at now, then every following copy
+// whose delay is non-positive (a zero hedge delay means full
+// replication, not a timer round-trip), and sets the hedge deadline of
+// the copy after them, zero if none is left; the caller arms the timer.
+func (fr *callFrame[K, T]) launchNext(ctx context.Context, now time.Time) {
+	fr.launchCopy(ctx, fr.launched, now)
+	for fr.launched++; fr.launched < fr.n && (fr.delays == nil || fr.delays[fr.launched] <= 0); fr.launched++ {
+		fr.launchCopy(ctx, fr.launched, now)
 	}
 	fr.hedgeAt = time.Time{}
-	if i < fr.n {
-		fr.hedgeAt = time.Now().Add(fr.delays[i])
+	if fr.launched < fr.n {
+		fr.hedgeAt = now.Add(fr.delays[fr.launched])
 	}
-	return i
 }
 
-// runFrame executes one redundant operation over a prepared frame. It
-// returns the operation's Result — Value/Index are the first success,
-// Latency is the time to completion (the quorum-th success), Launched
-// the copies started, Cancelled the copies reclaimed in flight — or, on
-// failure, the joined ReplicaErrors (quorum 1) or a *QuorumError
-// (quorum > 1), or, if the caller's context ends the call, the bare
-// ctx.Err(). That context is watched from watchDelay on (watchCtx): a
-// cancellation inside the first millisecond is seen at 1ms, and a copy
-// that completes first may still win.
-// A call never leaks copies: finish cancels the derived context
-// blocking copies run under and withdraws the started requests still
-// out, and losers always deliver into the buffered channel.
-// runFrame does NOT drop the engine's frame reference; the caller must
-// release(1) after it has read everything it needs from the frame.
-func runFrame[K, T any](ctx context.Context, fr *callFrame[K, T]) (Result[T], error) {
-	n, q := fr.n, fr.quorum
-	start := time.Now()
-	// However the call ends, whatever it left in flight is reclaimed.
-	defer fr.finish()
-
-	// Copy 0 always starts immediately.
-	launched := fr.launchNext(ctx, 0)
-
-	collect := fr.collect
-	if collect == nil && q > 1 {
-		// Quorum failures carry partial outcomes even when the caller
-		// did not ask to collect them; the frame's inline scratch backs
-		// them and callFailed clones before the frame can recycle.
-		fr.outs = fr.outsBuf[:0]
-		collect = &fr.outs
+// begin starts a prepared call at now: it launches copy 0 and the copies
+// due with it, watches the caller's context (watchCtx) and arms the
+// timer. A durable call of quorum 0 watches nothing, because its caller
+// returns once the copies are out.
+func (fr *callFrame[K, T]) begin(ctx context.Context, now time.Time) {
+	fr.start, fr.errs, fr.outs = now, fr.errsBuf[:0], fr.outsBuf[:0]
+	if fr.collect != nil {
+		*fr.collect = (*fr.collect)[:0]
 	}
-	if collect != nil {
-		*collect = (*collect)[:0]
+	fr.launchNext(ctx, now)
+	if fr.quorum > 0 {
+		fr.ctxDone = fr.watchCtx(ctx, now)
+		fr.arm(now)
 	}
+}
 
-	ctxDone := fr.watchCtx(ctx)
-	fr.arm()
-	errs := fr.errsBuf[:0]
-	var (
-		wins      int // successes and negative answers
-		found     bool
-		firstVal  T
-		firstIdx  int
-		completed int
-		// answer is the first negative answer's error: the call's, if
-		// answers alone meet the quorum.
-		answer error
-	)
+// wait is the one wait loop, for a read and a durable call alike: it
+// hands on every event — a copy's completion, the timer's, the caller's
+// cancellation once its context is watched — with the instant it took
+// it, until on decides the call. The outcome is then fr.res and fr.err;
+// wait does not drop the engine's frame reference, so the caller must
+// release(1) after it has read them.
+func (fr *callFrame[K, T]) wait(ctx context.Context) {
 	for {
+		var ev indexed[T]
 		select {
-		case r := <-fr.results:
-			if r.timer {
-				// The timer fired, maybe for a deadline since moved: act on
-				// what the clock says is due. A due watch makes the
-				// caller's cancellation seen now, and from now on at once.
-				now := time.Now()
-				var err error
-				if ctxDone, err = fr.timerEvent(ctx, now, ctxDone); err != nil {
-					return fr.abandoned(err, launched, completed)
-				}
-				if !fr.hedgeAt.IsZero() && !now.Before(fr.hedgeAt) {
-					launched = fr.launchNext(ctx, launched)
-				}
-				fr.arm()
-				continue
-			}
-			completed++
-			fr.copyDelivered(r.idx)
-			answered := r.err == nil
-			if r.err != nil {
-				negative := fr.negative != nil && errors.Is(r.err, fr.negative)
-				// Copies deliver raw errors; only one the call consumes
-				// is boxed, with the replica's name.
-				r.err = ReplicaError{Name: fr.picked[r.idx].m.name, Attempt: r.idx, Err: r.err}
-				if negative {
-					answered = true
-					if answer == nil {
-						answer = r.err
-					}
-				} else {
-					errs = append(errs, r.err)
-				}
-			}
-			if collect != nil {
-				*collect = append(*collect, Outcome[T]{
-					Value: r.val, Err: r.err, Index: r.idx, Latency: time.Since(start),
-				})
-			}
-			if answered {
-				wins++
-				if r.err == nil && !found {
-					found, firstVal, firstIdx = true, r.val, r.idx
-				}
-				if wins == q {
-					cancelled := launched - fr.drainCompleted(completed)
-					if !found {
-						return Result[T]{Launched: launched, Cancelled: cancelled}, errors.Join(answer)
-					}
-					return Result[T]{
-						Value:     firstVal,
-						Index:     firstIdx,
-						Latency:   time.Since(start),
-						Launched:  launched,
-						Cancelled: cancelled,
-					}, nil
-				}
-			} else if len(errs) > n-q {
-				// Too few replicas remain for the quorum; fail now rather
-				// than waiting out the stragglers.
-				return callFailed(q, wins, launched, launched-fr.drainCompleted(completed), errs, collect)
-			}
-			if completed == launched && launched < n {
-				// Every outstanding copy has completed and the operation
-				// is not done (fewer than q wins, at most n-q failures, so
-				// a copy is left to launch): launch it immediately rather
-				// than waiting out its hedge delay.
-				launched = fr.launchNext(ctx, launched)
-				fr.arm()
-			}
-		case <-ctxDone:
-			return fr.abandoned(ctx.Err(), launched, completed)
+		case ev = <-fr.results:
+		case <-fr.ctxDone:
+			ev.cancel = true
+		}
+		if fr.on(ctx, ev, time.Now()) {
+			return
 		}
 	}
 }
 
-// abandoned is the outcome of a call its caller's context ended: the
-// bare context error, the copies launched, and those still out counted
-// as cancelled.
-func (fr *callFrame[K, T]) abandoned(err error, launched, completed int) (Result[T], error) {
-	return Result[T]{Launched: launched, Cancelled: launched - fr.drainCompleted(completed)}, err
+// on is the call's one transition: it applies ev at now and reports
+// whether that decided the call. It never blocks and reads no clock.
+//
+// A read's outcome is its Result — Value/Index are the first success,
+// Latency is now − start at the quorum-th success, Launched the copies
+// started, Cancelled the copies reclaimed in flight — or, on failure,
+// the joined ReplicaErrors (quorum 1) or a *QuorumError (quorum > 1),
+// or, if the caller's context ends the call, the bare ctx.Err(). A
+// durable call's one completion event carries its error.
+func (fr *callFrame[K, T]) on(ctx context.Context, ev indexed[T], now time.Time) (done bool) {
+	switch {
+	case ev.timer:
+		// The timer fired, maybe for a deadline since moved: act on what
+		// is due at now. A due watch makes the caller's cancellation
+		// seen now, and from now on at once.
+		if err := fr.timerEvent(ctx, now); err != nil {
+			return fr.end(err)
+		}
+		if !fr.hedgeAt.IsZero() && !now.Before(fr.hedgeAt) {
+			fr.launchNext(ctx, now)
+		}
+		fr.arm(now)
+		return false
+	case ev.cancel:
+		return fr.end(ctx.Err())
+	case fr.durable != nil:
+		return fr.end(ev.err)
+	}
+	fr.completed++
+	fr.copyDelivered(ev.idx)
+	answered := ev.err == nil
+	if ev.err != nil {
+		negative := fr.negative != nil && errors.Is(ev.err, fr.negative)
+		// Copies deliver raw errors; only one the call consumes is
+		// boxed, with the replica's name.
+		ev.err = ReplicaError{Name: fr.picked[ev.idx].m.name, Attempt: ev.idx, Err: ev.err}
+		if negative {
+			answered = true
+			if fr.answer == nil {
+				fr.answer = ev.err
+			}
+		} else {
+			fr.errs = append(fr.errs, ev.err)
+		}
+	}
+	if out := fr.outcomes(); out != nil {
+		*out = append(*out, Outcome[T]{Value: ev.val, Err: ev.err, Index: ev.idx, Latency: now.Sub(fr.start)})
+	}
+	if answered {
+		fr.wins++
+		if ev.err == nil && !fr.found {
+			fr.found, fr.res.Value, fr.res.Index = true, ev.val, ev.idx
+		}
+		if fr.wins == fr.quorum {
+			if !fr.found {
+				return fr.end(errors.Join(fr.answer))
+			}
+			fr.res.Latency = now.Sub(fr.start)
+			return fr.end(nil)
+		}
+	} else if len(fr.errs) > fr.n-fr.quorum {
+		// Too few replicas remain for the quorum; fail now rather than
+		// waiting out the stragglers.
+		return fr.end(fr.failure())
+	}
+	if fr.completed == fr.launched && fr.launched < fr.n {
+		// Every outstanding copy has completed and the call is not
+		// decided (fewer than q wins, at most n-q failures, so a copy is
+		// left to launch): launch it now rather than waiting out its
+		// hedge delay.
+		fr.launchNext(ctx, now)
+		fr.arm(now)
+	}
+	return false
 }
 
-// callFailed builds a failed call's result: for quorum 1 the joined
-// ReplicaErrors, for larger quorums a *QuorumError carrying the partial outcomes. Launched and
-// Cancelled are reported even on failure: governors and observers need
-// the real fan-out and the copies reclaimed in flight.
-func callFailed[T any](q, wins, launched, cancelled int, errs []error, collect *[]Outcome[T]) (Result[T], error) {
-	joined := errors.Join(errs...)
-	res := Result[T]{Launched: launched, Cancelled: cancelled}
-	if q == 1 {
-		return res, joined
+// outcomes is where a read's outcomes go: the caller's
+// WithCollectOutcomes sink, or, for a quorum call, the frame's scratch
+// its failure clones the partial outcomes from — not collect, which
+// would keep the call from settling (settled) — and nil for neither.
+func (fr *callFrame[K, T]) outcomes() *[]Outcome[T] {
+	if fr.collect == nil && fr.quorum > 1 {
+		return &fr.outs
 	}
-	var outs []Outcome[T]
-	if collect != nil {
-		// Clone: the error may outlive the caller's sink (which a retry
-		// through the same WithCollectOutcomes resets and refills) and
-		// the frame's inline scratch (which recycles with the frame).
-		outs = append(outs, *collect...)
+	return fr.collect
+}
+
+// end decides the call with err and reclaims what it left in flight: the
+// armed timer and, for a read, the blocking copies (through their shared
+// context) and the started copies, each withdrawn through its Starter; a
+// durable call withdraws nothing. A read's result counts the copies
+// launched and, as cancelled, those still out once the completions
+// already queued are drained, failed or not: governors and observers
+// need the real fan-out and the copies reclaimed in flight. A withdrawn
+// copy is reclaimed capacity — counted on its member like a blocking
+// copy that honored its cancellation — and its frame reference is
+// dropped here because its Complete will never run; one whose Cancel
+// reports false has a completion on its way, which releases as usual.
+func (fr *callFrame[K, T]) end(err error) bool {
+	fr.stopTimer()
+	fr.hedgeAt, fr.watchAt, fr.err = time.Time{}, time.Time{}, err
+	if fr.durable != nil {
+		return true
 	}
-	return res, &QuorumError[T]{Need: q, Wins: wins, Outcomes: outs, Err: joined}
+	if err != nil {
+		fr.res = Result[T]{}
+	}
+	fr.res.Launched, fr.res.Cancelled = fr.launched, fr.launched-fr.drainCompleted()
+	if fr.cdone != nil {
+		close(fr.cdone)
+		fr.cdone = nil
+	}
+	for i := range fr.slots {
+		s := &fr.slots[i]
+		if !s.out {
+			continue
+		}
+		s.out = false
+		m := fr.picked[i].m
+		if m.starter.Cancel(s.ticket) {
+			m.cancelled.Add(1)
+			if fr.gov != nil {
+				fr.gov.copyDone()
+			}
+			fr.release(1)
+		}
+	}
+	return true
+}
+
+// failure is a failed read's error: for quorum 1 the joined
+// ReplicaErrors, for larger quorums a *QuorumError carrying the partial
+// outcomes, cloned: the error may outlive the caller's sink (which a
+// retry through the same WithCollectOutcomes resets and refills) and the
+// frame's inline scratch (which recycles with the frame).
+func (fr *callFrame[K, T]) failure() error {
+	joined := errors.Join(fr.errs...)
+	if fr.quorum == 1 {
+		return joined
+	}
+	outs := append([]Outcome[T](nil), *fr.outcomes()...)
+	return &QuorumError[T]{Need: fr.quorum, Wins: fr.wins, Outcomes: outs, Err: joined}
 }

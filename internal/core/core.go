@@ -85,7 +85,8 @@ type indexed[T any] struct {
 	val T
 	err error
 	idx int
-	// timer marks a timer event rather than a copy completion: val, err
-	// and idx are meaningless. See timerFired in call.go.
-	timer bool
+	// timer and cancel mark the frame's timer event (timerFired) and the
+	// caller's cancellation (wait) rather than a copy completion: val,
+	// err and idx are then meaningless.
+	timer, cancel bool
 }

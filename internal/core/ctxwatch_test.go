@@ -255,13 +255,13 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 			fr := &callFrame[struct{}, int]{pool: new(sync.Pool)}
 			fr.refs.Store(1)
 			fr.ensureChan(2)
-			done := fr.watchCtx(tc.ctx)
+			done := fr.watchCtx(tc.ctx, time.Now())
 			if want := tc.ctx.Done(); done != want {
 				if tc.atOnce || done != nil {
 					t.Fatalf("watchCtx returned %v, want %v", done, want)
 				}
 			}
-			fr.arm()
+			fr.arm(time.Now())
 			armed, refs := !fr.watchAt.IsZero(), fr.refs.Load()
 			if armed == tc.atOnce || (refs == 2) != armed {
 				t.Fatalf("watch armed %v with %d references; want armed %v, holding the second", armed, refs, !tc.atOnce)
@@ -276,8 +276,8 @@ func TestAsyncWatchCtxRules(t *testing.T) {
 					t.Fatalf("event %+v, want the timer's", r)
 				}
 				eventually(t, "the fired timer drops its reference", func() bool { return fr.refs.Load() == 1 })
-				if ch, err := fr.timerEvent(tc.ctx, time.Now(), nil); ch != tc.ctx.Done() || err != nil {
-					t.Fatalf("timerEvent = (%v, %v), want the Done channel of a due watch", ch, err)
+				if err := fr.timerEvent(tc.ctx, time.Now()); fr.ctxDone != tc.ctx.Done() || err != nil {
+					t.Fatalf("timerEvent = (%v, %v), want the Done channel of a due watch", fr.ctxDone, err)
 				}
 				return
 			}

@@ -212,7 +212,7 @@ func (g *KeyedGroup[K, T]) Add(name string, fn ArgReplica[K, T]) Handle[K, T] {
 
 // AddStarter is Add for a replica that also has a non-blocking form: a
 // call of two or more copies launches this member's copy with starter.Start
-// on the caller's goroutine and takes its completion in the event loop
+// on the caller's goroutine and takes its completion in its transition
 // (see Starter for the contract), while everything that runs a copy to
 // completion where it stands — a single-copy call, ProbeAll, and a copy
 // whose Start declined — still calls fn. fn and starter must perform the
@@ -551,33 +551,11 @@ func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle
 	fr.durable = g.durable
 	fr.n, fr.quorum, fr.arg, fr.gov = n, min(max(q, 0), n), arg, gov
 	fr.ensureChan(n)
-	for i := range n {
-		fr.launchCopy(ctx, i)
-	}
-	var err error
+	fr.begin(ctx, time.Now())
 	if fr.quorum > 0 {
-		ctxDone := fr.watchCtx(ctx)
-		fr.arm()
-	wait:
-		for {
-			select {
-			case r := <-fr.results:
-				if !r.timer { // the deciding completion's one event
-					err = r.err
-					break wait
-				}
-				if ctxDone, err = fr.timerEvent(ctx, time.Now(), ctxDone); err != nil {
-					break wait
-				}
-				fr.arm()
-			case <-ctxDone:
-				err = ctx.Err()
-				break wait
-			}
-		}
-		fr.stopTimer()
-		fr.watchAt = time.Time{}
+		fr.wait(ctx)
 	}
+	err := fr.err
 	fr.own(true)
 	fr.release(1)
 	return err
@@ -712,7 +690,9 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.negative = p.negative
 	fr.ensureChan(copies)
 	fr.delays = g.scheduleInto(p, fr.picked, fr.delaysSlice(copies))
-	res, err := runFrame(ctx, fr)
+	fr.begin(ctx, time.Now())
+	fr.wait(ctx)
+	res, err := fr.res, fr.err
 	g.settle(p, fr.picked[res.Index].m.name, &res, err)
 	fr.release(1)
 	return res, err

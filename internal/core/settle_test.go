@@ -261,7 +261,9 @@ func TestFrameSettledStragglerPinsFrame(t *testing.T) {
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				res, err := runFrame(context.Background(), fr)
+				fr.begin(context.Background(), time.Now())
+				fr.wait(context.Background())
+				res, err := fr.res, fr.err
 				fr.release(1)
 				done <- outcome{res, err}
 			}()
@@ -273,7 +275,7 @@ func TestFrameSettledStragglerPinsFrame(t *testing.T) {
 			}
 			out := <-done
 			if out.err != nil || out.res.Value != 7 || out.res.Launched != 2 {
-				t.Fatalf("runFrame = (%+v, %v), want the winner's 7", out.res, out.err)
+				t.Fatalf("wait = (%+v, %v), want the winner's 7", out.res, out.err)
 			}
 			if hs[1].withdrawn.Load() != 0 {
 				t.Fatal("a claimed copy was withdrawn")

@@ -9,8 +9,8 @@ import "time"
 // learns of it. A multi-copy call over starters therefore costs no
 // goroutine, no derived context and no cancellation channel per copy:
 // the engine starts every copy on the caller's goroutine, takes the
-// completions in its event loop, and withdraws what is still out when
-// the call is decided. Register one beside the blocking replica with
+// completions in its one transition (callFrame.on), and withdraws what
+// is still out when the call is decided. Register one beside the blocking replica with
 // KeyedGroup.AddStarter; see call.go's file comment for where each form
 // is used.
 //
@@ -77,7 +77,7 @@ type copySlot struct {
 	// synchronization.
 	at time.Time
 	// ticket and out belong to the engine's goroutine: out is set while
-	// the copy is started and the loop has not seen it complete.
+	// the copy is started and on has not seen it complete.
 	ticket Ticket
 	out    bool
 }
@@ -86,9 +86,9 @@ type copySlot struct {
 // sink; false means the Starter declined and the caller launches the
 // copy the blocking way. What member.run does around a blocking replica
 // is split across the start/complete pair: the governor bracket opens
-// here and closes in Complete or finish, and the slot's clock starts
-// here and is read in Complete.
-func (fr *callFrame[K, T]) startCopy(i int) bool {
+// here and closes in Complete or end, and the slot's clock starts
+// at now and is read in Complete.
+func (fr *callFrame[K, T]) startCopy(i int, now time.Time) bool {
 	m := fr.picked[i].m
 	if len(fr.slots) < fr.n {
 		if cap(fr.slots) < fr.n {
@@ -101,7 +101,7 @@ func (fr *callFrame[K, T]) startCopy(i int) bool {
 		fr.gov.copyStarted()
 	}
 	if fr.durable == nil {
-		s.at = time.Now()
+		s.at = now
 	}
 	tk, ok := m.starter.Start(fr.arg, fr, i)
 	if !ok {
@@ -115,7 +115,7 @@ func (fr *callFrame[K, T]) startCopy(i int) bool {
 }
 
 // Complete implements Sink: a started copy's outcome, delivered on the
-// Starter's goroutine straight into the call's event loop. It closes
+// Starter's goroutine straight into the call's results for on. It closes
 // the governor bracket, folds a success into the member's digest (not a
 // durable copy's: nothing ranks write members, so it is not timed), and
 // drops the copy's frame reference after delivering — the same order as
@@ -137,9 +137,9 @@ func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 
 // Drop implements Sink: once the call is settled, a started copy that
 // succeeded completes as Complete would have it — bracket closed,
-// latency observed, one event for the loop's accounting, reference
+// latency observed, one event for the call's accounting, reference
 // dropped — carrying no value. The event is queued behind the success
-// that settled the call, which is where the loop returns, so nothing
+// that settled the call, which is where the call is decided, so nothing
 // ever reads it as an outcome: drainCompleted counts it (the copy was
 // not reclaimed in flight, so it is not Cancelled) or release discards
 // it.
@@ -153,41 +153,10 @@ func (fr *callFrame[K, T]) Drop(slot int) bool {
 	return true
 }
 
-// copyDelivered notes that the loop consumed copy i's completion, so
-// finish need not try to withdraw it.
+// copyDelivered notes that the call consumed copy i's completion, so
+// end need not try to withdraw it.
 func (fr *callFrame[K, T]) copyDelivered(i int) {
 	if i < len(fr.slots) {
 		fr.slots[i].out = false
-	}
-}
-
-// finish reclaims what a decided call left in flight: the armed timer,
-// the blocking copies (through their shared
-// context), and the started copies, each withdrawn through its Starter.
-// A withdrawn copy is reclaimed capacity — counted on its member like a
-// blocking copy that honored its cancellation — and its frame reference
-// is dropped here because its Complete will never run; one whose Cancel
-// reports false has a completion on its way, which releases as usual.
-func (fr *callFrame[K, T]) finish() {
-	fr.stopTimer()
-	fr.hedgeAt, fr.watchAt = time.Time{}, time.Time{}
-	if fr.cdone != nil {
-		close(fr.cdone)
-		fr.cdone = nil
-	}
-	for i := range fr.slots {
-		s := &fr.slots[i]
-		if !s.out {
-			continue
-		}
-		s.out = false
-		m := fr.picked[i].m
-		if m.starter.Cancel(s.ticket) {
-			m.cancelled.Add(1)
-			if fr.gov != nil {
-				fr.gov.copyDone()
-			}
-			fr.release(1)
-		}
 	}
 }

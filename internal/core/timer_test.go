@@ -29,8 +29,9 @@ func timerFrame() *callFrame[struct{}, int] {
 
 // armHedge arms fr's timer for a hedge d from now.
 func armHedge(fr *callFrame[struct{}, int], d time.Duration) {
-	fr.hedgeAt = time.Now().Add(d)
-	fr.arm()
+	now := time.Now()
+	fr.hedgeAt = now.Add(d)
+	fr.arm(now)
 }
 
 // TestTimerFiresWithArgs: an armed timer posts one timer event into its
@@ -93,7 +94,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 // no-op.
 func TestTimerZeroHandle(t *testing.T) {
 	fr := timerFrame()
-	fr.arm()
+	fr.arm(time.Now())
 	if fr.tm != nil || fr.refs.Load() != 1 {
 		t.Fatalf("arming with no deadline made timer %v and left %d references", fr.tm, fr.refs.Load())
 	}
@@ -163,7 +164,7 @@ func TestTimerStopLosingToAFireLeavesTheNextArmingAlone(t *testing.T) {
 		time.AfterFunc(time.Millisecond, func() {
 			if stopped = fr.stopTimer(); !stopped {
 				<-fr.results // the fire that got in first posts its event
-				fr.timerEvent(context.Background(), time.Now(), nil)
+				fr.timerEvent(context.Background(), time.Now())
 			}
 			armHedge(fr, time.Hour)
 			close(done)
@@ -203,7 +204,7 @@ func TestTimerStaleHandleAfterReuse(t *testing.T) {
 	<-fr.results // the stale event
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if ch, err := fr.timerEvent(ctx, time.Now(), nil); ch != nil || err != nil || fr.watchAt.IsZero() || !time.Now().Before(fr.hedgeAt) {
+	if err := fr.timerEvent(ctx, time.Now()); fr.ctxDone != nil || err != nil || fr.watchAt.IsZero() || !time.Now().Before(fr.hedgeAt) {
 		t.Fatal("the stale event found something due")
 	}
 	select {
@@ -302,7 +303,7 @@ func TestTimerAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() {
 		armHedge(fr, 0)
 		<-fr.results
-		fr.timerEvent(context.Background(), time.Now(), nil)
+		fr.timerEvent(context.Background(), time.Now())
 		for fr.refs.Load() != 1 {
 			runtime.Gosched()
 		}
