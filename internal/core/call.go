@@ -206,8 +206,9 @@ func (c *copyCtx) Err() error {
 
 const (
 	// frameInline is the fan-out up to which a call frame's picked
-	// replicas, launch schedule, error scratch, and outcome scratch live
-	// in fixed inline arrays; larger fan-outs spill to per-call slices.
+	// replicas, launch schedule, error scratch, outcome scratch and
+	// started copies' slots live in fixed inline arrays; larger fan-outs
+	// spill to slices.
 	// 4 covers the paper's entire operating range (the marginal value of
 	// copies beyond ~4 is negligible at every load it studies).
 	frameInline = 4
@@ -306,9 +307,9 @@ type callFrame[K, T any] struct {
 	// call's).
 	cctx  context.Context
 	cdone chan struct{}
-	// slots is the per-copy state of started copies: sized by the first
-	// copy a call starts and kept with a pooled frame, so only frames
-	// that start copies carry it.
+	// slots is the per-copy state of started copies, sized by the first
+	// copy a call starts: slotsBuf up to frameInline copies, a slice of
+	// its own (kept with the pooled frame) past it.
 	slots []copySlot
 
 	// outs backs the quorum-failure partial outcomes when the caller did
@@ -321,6 +322,7 @@ type callFrame[K, T any] struct {
 	delaysBuf [frameInline]time.Duration
 	errsBuf   [frameInline]error
 	outsBuf   [frameInline]Outcome[T]
+	slotsBuf  [frameInline]copySlot
 }
 
 // pickedSlice sizes fr.picked for k copies, inline when k fits.

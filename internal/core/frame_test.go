@@ -239,6 +239,32 @@ func TestDoValueAllocs(t *testing.T) {
 	}
 }
 
+// TestFrameMissAllocs: a call that finds its group's frame pool empty
+// allocates the frame and its results channel (header and buffer, as
+// for any channel of pointer-carrying elements) and nothing more — a
+// started copy's slot lives in the frame up to frameInline copies.
+func TestFrameMissAllocs(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	echo := func(_ context.Context, arg int) (int, error) { return arg, nil }
+	g := NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(1))
+	for _, name := range []string{"a", "b", "c"} {
+		g.AddStarter(name, echo, &echoStarter{})
+	}
+	ctx := context.Background()
+	avg := testing.AllocsPerRun(200, func() {
+		for g.frames.Get() != nil { // empty the pool: this call misses
+		}
+		if res, err := g.Do(ctx, 7); err != nil || res.Value != 7 {
+			t.Fatalf("Do = (%d, %v)", res.Value, err)
+		}
+	})
+	if avg != 3 {
+		t.Errorf("a call on an empty frame pool allocates %.2f, want 3: the frame and its results channel's header and buffer", avg)
+	}
+}
+
 // TestDoValueSemantics pins that DoValue is exactly Do minus the
 // metadata: same winner, same error taxonomy.
 func TestDoValueSemantics(t *testing.T) {

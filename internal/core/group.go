@@ -79,6 +79,7 @@ func (g *KeyedGroup[K, T]) getFrame() *callFrame[K, T] {
 	if fr == nil {
 		fr = &callFrame[K, T]{pool: &g.frames}
 		fr.results = make(chan indexed[T], frameChanCap)
+		fr.slots = fr.slotsBuf[:0]
 	}
 	fr.refs.Store(1)
 	return fr

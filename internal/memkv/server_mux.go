@@ -108,14 +108,14 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 
 // readRequestRest finishes reading a request whose head readFrameHeadRaw
 // left in q, for the requests that outlive the reader's window: it makes
-// the key bytes kb a string — for a write, the string st already holds
-// if the key is there — consumes them, and reads the vlen value bytes
-// that follow. A versioned write's payload header is decoded in place
-// and only its data allocated (readVerValue); every other value is read
-// whole into q.val.
+// the key bytes kb a string — for a read or a write, the string st
+// already holds if the key is there — consumes them, and reads the vlen
+// value bytes that follow. A versioned write's payload header is decoded
+// in place and only its data allocated (readVerValue); every other value
+// is read whole into q.val.
 func readRequestRest(r *bufio.Reader, q *frame, kb []byte, vlen int, st *Store) error {
 	versioned := q.op == opPutV || q.op == opCAS
-	if versioned || q.op == opSet {
+	if versioned || q.op == opSet || q.op == opGetV {
 		q.key = st.keyString(kb)
 	} else {
 		q.key = string(kb)

@@ -1,6 +1,7 @@
 package memkv
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -85,6 +86,48 @@ func stored(s *Store, key string) (item, bool) {
 	defer sh.mu.RUnlock()
 	it, ok := sh.m[key]
 	return it, ok
+}
+
+// keyStream reads as its key over and over, whole copies only, so a
+// bufio.Reader over it holds the key at the front after every read of
+// one key's length.
+type keyStream string
+
+func (k keyStream) Read(p []byte) (int, error) {
+	n := len(p) / len(k) * len(k)
+	for i := 0; i < n; i += len(k) {
+		copy(p[i:], k)
+	}
+	return n, nil
+}
+
+// TestParkedReadBorrowsTheStoredKey: a read that outlives the reader's
+// window — a delayed GETV, parked — takes the store's own string for a
+// key the store holds, as a write does, so making its key allocates
+// nothing.
+func TestParkedReadBorrowsTheStoredKey(t *testing.T) {
+	s := NewStore()
+	const key = "key-000042"
+	s.PutVersion(key, 0, []byte("v"), 0, 1)
+	r := bufio.NewReader(keyStream(key))
+	var q frame
+	avg := testing.AllocsPerRun(100, func() {
+		kb, err := r.Peek(len(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q = frame{op: opGetV}
+		if err := readRequestRest(r, &q, kb, 0, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	held, _ := stored(s, key)
+	if q.key != key || unsafe.StringData(q.key) != unsafe.StringData(held.key) {
+		t.Errorf("parked read's key %q, want the stored item's own %q", q.key, held.key)
+	}
+	if avg != 0 {
+		t.Errorf("reading a parked read's key allocates %.2f, want 0", avg)
+	}
 }
 
 // TestStoreKeyStringLendsThePresentKey: a write to a key the store holds

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Stress run: the tests of memkv, core, gateway and repair, in shuffled
-# order, N times over, while a fattree test binary loops beside them and
-# keeps every CPU busy, as a loaded CI machine would. A wall-clock bound
-# or an allocation count that holds only on an idle machine fails here.
+# order, N times over, while two loops of the fattree test binary run
+# beside them and keep both CPUs of a 2-vCPU machine busy, as a loaded CI
+# machine would. A wall-clock bound or an allocation count that holds
+# only on an idle machine fails here.
 #
 #   scripts/stress.sh N [go test flags...] [packages...]
 #
@@ -18,8 +19,8 @@
 # -shuffle=SEED). The last line counts the failed runs and each failed
 # test. Exit status 1 if any run failed.
 #
-# The load is one background loop of this script's own, stopped when the
-# script exits; it changes no machine setting.
+# The load is two background loops of this script's own, stopped when
+# the script exits; it changes no machine setting.
 set -euo pipefail
 if (($# < 1)) || ! [[ $1 =~ ^[0-9]+$ ]]; then
 	sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0" >&2
@@ -40,21 +41,28 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 tmp="$(mktemp -d)"
 go test -c -o "$tmp/fattree.test" ./internal/fattree
 touch "$tmp/loading"
-(
-	while [[ -e $tmp/loading ]]; do
-		"$tmp/fattree.test" -test.count=1 >/dev/null 2>&1 || :
-	done
-) 2>/dev/null &
-load=$!
+# The binary runs its two long simulations in parallel, then short tests
+# one at a time; a second loop fills the gaps.
+loads=()
+for _ in 1 2; do
+	(
+		while [[ -e $tmp/loading ]]; do
+			"$tmp/fattree.test" -test.count=1 >/dev/null 2>&1 || :
+		done
+	) 2>/dev/null &
+	loads+=($!)
+done
 stop_load() {
 	rm -f "$tmp/loading"
-	# Kill the loop's current binary until the loop, which starts no
+	# Kill each loop's current binary until the loop, which starts no
 	# new one once the marker is gone, has exited.
-	while kill -0 "$load" 2>/dev/null; do
-		pkill -P "$load" 2>/dev/null || :
-		sleep 0.1
+	for load in "${loads[@]}"; do
+		while kill -0 "$load" 2>/dev/null; do
+			pkill -P "$load" 2>/dev/null || :
+			sleep 0.1
+		done
+		wait "$load" 2>/dev/null || :
 	done
-	wait "$load" 2>/dev/null || :
 	rm -rf "$tmp"
 }
 trap stop_load EXIT
