@@ -151,16 +151,6 @@ func (r *resource) use(d float64, fn func()) {
 	r.eng.At(r.freeAt, fn)
 }
 
-// utilizationWindow returns the busy time accumulated beyond now (a cheap
-// backlog indicator used in tests).
-func (r *resource) backlog() float64 {
-	b := r.freeAt - r.eng.Now()
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
 type server struct {
 	cpu   resource
 	disk  resource

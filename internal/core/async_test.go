@@ -578,3 +578,94 @@ func TestAsyncCancelRacesComplete(t *testing.T) {
 	}
 	t.Logf("%d copies: %d completed (%d of them dropped), %d withdrawn", started, completed, dropped, withdrawn)
 }
+
+// TestAsyncFailoverWhenGated: over starters, a call the governor clamps
+// to one copy keeps the copy it withheld as a failover in its frame. No
+// hedge is armed for it, however long the primary takes; it launches
+// when the primary fails, and the call returns its value with two copies
+// launched. A primary that answers leaves it unlaunched.
+func TestAsyncFailoverWhenGated(t *testing.T) {
+	g, hs := heldGroup(2)
+	gov := NewGovernor(0.5, 0)
+	g.SetStrategy(LoadAwareWith(Fixed{Copies: 2, HedgeDelay: time.Millisecond}, gov))
+	call := func() chan Result[int] {
+		for i := 0; i < 50; i++ {
+			gov.Observe(10)
+		}
+		done := make(chan Result[int], 1)
+		go func() {
+			res, err := g.Do(context.Background())
+			if err != nil {
+				t.Errorf("Do: %v", err)
+			}
+			done <- res
+		}()
+		hs[0].awaitStart(t)
+		return done
+	}
+
+	done := call()
+	time.Sleep(20 * time.Millisecond) // twenty hedge delays
+	if n := len(hs[1].started); n != 0 {
+		t.Fatalf("the withheld copy started while the primary was out: a hedge was armed for it")
+	}
+	sink, slot := hs[0].claim(t)
+	sink.Complete(slot, 0, errors.New("primary down"))
+	hs[1].awaitStart(t)
+	if hs[1].reply(t, 2) {
+		t.Fatal("the failover's reply was dropped; it decides the call")
+	}
+	if res := <-done; res.Value != 2 || res.Index != 1 || res.Launched != 2 || res.Cancelled != 0 {
+		t.Errorf("failing primary: %+v, want the failover's 2 at index 1, two launched", res)
+	}
+
+	done = call()
+	if hs[0].reply(t, 1) {
+		t.Fatal("the primary's reply was dropped; it decides the call")
+	}
+	if res := <-done; res.Value != 1 || res.Launched != 1 {
+		t.Errorf("healthy primary: %+v, want its 1 with one copy launched", res)
+	}
+	if n := len(hs[1].started); n != 0 {
+		t.Errorf("the withheld copy started behind a healthy primary")
+	}
+	if !gov.Gated() || gov.Stats().InFlight != 0 {
+		t.Errorf("governor: gated %v, %d in flight; want gated, 0", gov.Gated(), gov.Stats().InFlight)
+	}
+}
+
+// TestAsyncAdaptiveHedgeAllocatesAsFixed: a strategy's ScheduleInto reads
+// the picked replicas' digests through the call frame itself, so a
+// two-copy DoPicked over starters under AdaptiveHedge — both at once
+// while cold, or a hedge armed at its fallback delay — allocates no more
+// than the same call under Fixed.
+func TestAsyncAdaptiveHedgeAllocatesAsFixed(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	ctx := context.Background()
+	echo := func(_ context.Context, arg int) (int, error) { return arg, nil }
+	allocs := func(s Strategy) float64 {
+		g := NewStrategyKeyedGroup[int, int](s)
+		picked := []Handle[int, int]{g.AddStarter("a", echo, &echoStarter{}), g.AddStarter("b", echo, &echoStarter{})}
+		call := func() {
+			if res, err := g.DoPicked(ctx, 7, picked); err != nil || res.Value != 7 {
+				t.Fatalf("%v: DoPicked = (%+v, %v)", s, res, err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			call() // warm the frame pool and its timer
+		}
+		return testing.AllocsPerRun(500, call)
+	}
+	fixed := allocs(Fixed{Copies: 2})
+	cold := int64(1) << 40 // digests never trusted: the fallback delay rules
+	for _, s := range []Strategy{
+		AdaptiveHedge{Copies: 2, MinSamples: cold},
+		AdaptiveHedge{Copies: 2, MinSamples: cold, FallbackDelay: time.Second},
+	} {
+		if got := allocs(s); got > fixed {
+			t.Errorf("%v allocates %.2f/op, Fixed{Copies: 2} %.2f", s, got, fixed)
+		}
+	}
+}

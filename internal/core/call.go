@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,33 +12,49 @@ import (
 
 // This file is the single request execution engine behind every
 // redundant call. A call has one entrance: KeyedGroup.do (Do)
-// or DoPicked (the Ring's routed subsets) plans it, and a plan of one
-// copy runs in runOne, any other in launchFrame. One engine
+// or DoPicked (the Ring's routed subsets) plans it, and a plan with one
+// copy on its schedule whose primary is a function replica runs in
+// runOne, any other in launchFrame. One engine
 // means every completion rule (first wins, R-of-N quorum) composes with
 // every launch schedule (all at once, fixed hedge, adaptive hedge) and
 // shares one error taxonomy.
 //
-// What a call costs depends on how many copies it resolves to, after
-// strategy, governor, fan-out cap and quorum have had their say,
-// and on what kind of replica those copies go to:
+// A plan has k copies, after strategy, fan-out cap and quorum have had
+// their say, and puts the first of them on its schedule: all k, or as
+// many as a Governor allows (never fewer than the quorum). A copy the
+// governor withheld is a failover: no hedge is armed for it, and it
+// launches only when every copy out has completed and the call is still
+// undecided, which is on's rule for any call whose copies out have all
+// failed before the next hedge. Above the threshold load a call so costs
+// one copy while the replicas answer, and one failing replica still
+// does not fail it.
 //
-//	copies  replicas            engine allocations   goroutines
-//	k = 1   any                 0                    0 (a function call)
-//	k >= 2  starters            0                    0 (wire requests)
-//	k >= 2  function replicas   2 (cdone + copyCtx)  one per copy
+// What a call costs depends on how many copies its schedule launches and
+// on what kind of replica those copies go to:
 //
-//   - One copy (k=1: redundancy off, or shed by a Governor,
-//     WithFanoutCap(1) or the SLO controller) is a function call. The replica runs on the caller's goroutine under the
-//     caller's own context and singleResult turns its return into the
-//     Result: no frame, no channel, no timer. The paper's §2.3 caveat is
-//     that redundancy loses once client-side overhead rivals the service
-//     time, so the state the load controls clamp to must not pay for
-//     machinery it does not use. The contract that follows from it: the
-//     call returns when its replica returns (a replica must honor ctx,
-//     as Replica documents), the copy's context is the caller's and so
-//     is NOT cancelled when the call returns, and a replica panic
-//     unwinds the caller's stack.
-//   - Two or more copies (k>=2) need a watcher — the winner cancels the
+//	on the schedule  replicas            engine allocations   goroutines
+//	1                function replicas   0                    0 (function calls)
+//	any              starters            0                    0 (wire requests)
+//	>= 2             function replicas   2 (cdone + copyCtx)  one per copy
+//
+//   - One copy over function replicas (k=1: redundancy off,
+//     WithFanoutCap(1); or a schedule of one: the rest withheld by a
+//     Governor) is a function call. The replica runs on the caller's
+//     goroutine under the caller's own context and runOne turns its
+//     return into the Result: no frame, no channel, no timer. A withheld
+//     copy runs the same way, after the one before it failed. The paper's
+//     §2.3 caveat is that redundancy loses once client-side overhead
+//     rivals the service time, so the state the load controls clamp to
+//     must not pay for machinery it does not use. The contract that
+//     follows from it: the call returns when its last replica returns (a
+//     replica must honor ctx, as Replica documents), the copy's context
+//     is the caller's and so is NOT cancelled when the call returns, and
+//     a replica panic unwinds the caller's stack. A primary with a
+//     Starter is started through a frame instead, one copy too: a wire
+//     request costs the frame nothing, and a blocking one would ask the
+//     caller's context for its Done channel at once (see the context
+//     watch below).
+//   - Every other call needs a watcher — the winner cancels the
 //     loser, a hedge waits on a deadline, the caller may give up first —
 //     which is the caller waiting on a reusable call frame (callFrame):
 //     one struct carrying the results channel, the picked replicas, the
@@ -48,6 +65,7 @@ import (
 //     launched copy and the frame's armed timer have delivered into the
 //     buffered results channel (or been withdrawn) and the channel has
 //     been drained, so a loser still in flight pins the frame alive.
+//     The frame is also the Digests view a Strategy's schedule reads.
 //     What launching a copy costs depends on the member it goes to.
 //   - A member registered with a Starter (AddStarter; memkv.MuxClient's
 //     reads) is asked to START the copy, not to run it. Start enqueues
@@ -61,16 +79,16 @@ import (
 //     frame settled, on that goroutine, so a loser's reply that lands
 //     before the caller has run again to Cancel it is not decoded for
 //     nobody: its Starter asks (Sink.Drop) and skips it.
-//   - A function replica (Add) blocks, so its copy needs a goroutine and
-//     a context the winner can cancel: the call makes its cancellation
-//     channel and one shared derived context the first time it launches
-//     such a copy — 2 allocations, whatever the fan-out. The per-slot
-//     goroutine bodies are built once per frame and reused. A copy whose
-//     Starter declines (its connection is down) is launched this way
-//     too, through the member's blocking replica.
+//   - A function replica (Add) blocks, so its copy in a frame needs a
+//     goroutine and a context the winner can cancel: the call makes its
+//     cancellation channel and one shared derived context the first time
+//     it launches such a copy — 2 allocations, whatever the fan-out. The
+//     per-slot goroutine bodies are built once per frame and reused. A
+//     copy whose Starter declines (its connection is down) is launched
+//     this way too, through the member's blocking replica.
 //
-// A call of two or more copies is a state machine whose state lives in
-// its frame. begin launches it at an instant; on is its one transition,
+// A call in a frame is a state machine whose state lives in its
+// frame. begin launches it at an instant; on is its one transition,
 // which takes one event — a copy's completion, the frame's timer event,
 // or the caller's cancellation — with the instant it happened, and
 // reports whether the call is decided. on never blocks and reads no
@@ -99,12 +117,14 @@ import (
 // its Done channel lazily, an allocation, and most calls end well
 // inside a millisecond, so a call with copies out sets its watch
 // deadline watchDelay out and asks for ctx.Done() only once the timer
-// says it is due. The rule a caller sees: a cancellation or deadline
-// that lands in the first millisecond ends the call at 1ms, and one
-// that lands later ends it at once; the error is the bare ctx.Err() and
-// the copies out count as Cancelled, as ever. A context that is never
-// cancelled (context.Background, context.TODO), one already done, and
-// one whose deadline is less than watchDelay away are watched at once.
+// says it is due. (A call run inline watches nothing itself: it hands
+// the context to its replicas.) The rule a caller sees: a cancellation
+// or deadline that lands in the first millisecond ends the call at 1ms,
+// and one that lands later ends it at once; the error is the bare
+// ctx.Err() and the copies out count as Cancelled, as ever. A context
+// that is never cancelled (context.Background, context.TODO), one
+// already done, and one whose deadline is less than watchDelay away are
+// watched at once.
 
 // ReplicaError describes one replica's failure within a redundant
 // operation. Errors from a failed operation are joined with errors.Join,
@@ -177,10 +197,10 @@ func (e *QuorumError[T]) Unwrap() []error { return []error{ErrQuorumUnreachable,
 // copyCtx is not one of the standard library's context types and its
 // Done is never nil, so context.AfterFunc and context.WithCancel on it
 // start a watcher goroutine per use — dnswire.Client.Exchange pays that
-// for every copy, even under a context.Background() caller. A call with
-// two or more copies needs a cancellation signal the caller's context
-// cannot give (the winner cancels the loser), so it keeps paying; a
-// single-copy call has no loser, hands the replica the caller's context
+// for every copy, even under a context.Background() caller. A frame's
+// blocking copies need a cancellation signal the caller's context
+// cannot give (the winner cancels the loser), so they keep paying; a
+// call run inline has no loser, hands each replica the caller's context
 // itself, and does not.
 type copyCtx struct {
 	context.Context // parent: Deadline and Value pass through
@@ -218,6 +238,10 @@ const (
 	// watchDelay is how long a call with copies out runs before it asks
 	// for its caller's Done channel (watchCtx).
 	watchDelay = time.Millisecond
+	// launchOnFailure is the schedule entry of a copy the governor
+	// withheld: no hedge is armed for it, and it launches only when every
+	// copy out has completed and the call is still undecided (on).
+	launchOnFailure = time.Duration(math.MaxInt64)
 )
 
 // callFrame is the reusable per-call state of the engine. Frames come
@@ -316,6 +340,8 @@ type callFrame[K, T any] struct {
 	// not pass WithCollectOutcomes; failure clones out of it before
 	// the frame can recycle.
 	outs []Outcome[T]
+	// pickedSpill backs picked past frameInline copies (pickedSlice).
+	pickedSpill []Handle[K, T]
 
 	// Inline storage for fan-out <= frameInline.
 	pickedBuf [frameInline]Handle[K, T]
@@ -325,12 +351,23 @@ type callFrame[K, T any] struct {
 	slotsBuf  [frameInline]copySlot
 }
 
-// pickedSlice sizes fr.picked for k copies, inline when k fits.
+// Len and At make the frame the Digests view of its picked replicas,
+// in launch order, that a Strategy's ScheduleInto reads: the frame is a
+// pointer already, so passing it as an interface allocates nothing.
+func (fr *callFrame[K, T]) Len() int            { return len(fr.picked) }
+func (fr *callFrame[K, T]) At(i int) *LatDigest { return &fr.picked[i].m.lat }
+
+// pickedSlice sizes fr.picked for k copies: inline when k fits, else in
+// a slice of the frame's own, kept with the pooled frame as slots is.
 func (fr *callFrame[K, T]) pickedSlice(k int) []Handle[K, T] {
-	if k <= frameInline {
+	switch {
+	case k <= frameInline:
 		fr.picked = fr.pickedBuf[:k]
-	} else {
-		fr.picked = make([]Handle[K, T], k)
+	case cap(fr.pickedSpill) >= k:
+		fr.picked = fr.pickedSpill[:k]
+	default:
+		fr.pickedSpill = make([]Handle[K, T], k)
+		fr.picked = fr.pickedSpill
 	}
 	return fr.picked
 }
@@ -501,12 +538,12 @@ drain:
 	fr.collect = nil
 	fr.negative = nil
 	fr.delays = nil
+	clear(fr.picked) // handles pin their members
 	fr.picked = nil
 	clear(fr.slots) // tickets pin their connections
 	fr.slots = fr.slots[:0]
 	fr.outs = nil
 	fr.won.Store(0)
-	fr.pickedBuf = [frameInline]Handle[K, T]{}
 	fr.errsBuf = [frameInline]error{}
 	fr.outsBuf = [frameInline]Outcome[T]{}
 	fr.pool.Put(fr)
@@ -600,48 +637,18 @@ func (fr *callFrame[K, T]) watchCtx(ctx context.Context, now time.Time) <-chan s
 	return nil
 }
 
-// singleResult turns the return of a call's only copy — run inline on
-// the caller's goroutine, taking d — into what on would report for a
-// one-copy call. Success is the Result with the copy's latency. A
-// failure while the caller's context is done is the caller giving up:
-// the bare ctx.Err() and one copy cancelled, with nothing collected. Any
-// other failure is the joined ReplicaError naming the replica.
-func singleResult[T any](ctx context.Context, name string, v T, d time.Duration, err error, collect *[]Outcome[T]) (Result[T], error) {
-	if collect != nil {
-		*collect = (*collect)[:0]
-	}
-	res := Result[T]{Launched: 1}
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			res.Cancelled = 1
-			return res, cerr
-		}
-	}
-	if err != nil {
-		err = ReplicaError{Name: name, Err: err}
-	} else {
-		res.Value, res.Latency = v, d
-	}
-	if collect != nil {
-		*collect = append(*collect, Outcome[T]{Value: v, Err: err, Latency: d})
-	}
-	if err != nil {
-		err = errors.Join(err)
-	}
-	return res, err
-}
-
 // launchNext launches the next copy at now, then every following copy
 // whose delay is non-positive (a zero hedge delay means full
 // replication, not a timer round-trip), and sets the hedge deadline of
-// the copy after them, zero if none is left; the caller arms the timer.
+// the copy after them, zero if none is left or that copy launches only
+// on failure; the caller arms the timer.
 func (fr *callFrame[K, T]) launchNext(ctx context.Context, now time.Time) {
 	fr.launchCopy(ctx, fr.launched, now)
 	for fr.launched++; fr.launched < fr.n && (fr.delays == nil || fr.delays[fr.launched] <= 0); fr.launched++ {
 		fr.launchCopy(ctx, fr.launched, now)
 	}
 	fr.hedgeAt = time.Time{}
-	if fr.launched < fr.n {
+	if fr.launched < fr.n && fr.delays[fr.launched] != launchOnFailure {
 		fr.hedgeAt = now.Add(fr.delays[fr.launched])
 	}
 }

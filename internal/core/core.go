@@ -19,16 +19,18 @@
 //     forking.
 //   - Losing replicas are cancelled through context and their goroutines
 //     always run to completion against a buffered channel, so a call never
-//     leaks goroutines even when it returns early. A call with a single
-//     copy has no loser and starts no goroutine: it is a function call.
-//     Nor does a call over replicas that have a non-blocking form
+//     leaks goroutines even when it returns early. A call that sends a
+//     single copy to a function replica has no loser and starts no
+//     goroutine: it is a function call. Nor does a call over replicas
+//     that have a non-blocking form
 //     (Starter): its copies are requests started on the caller's
 //     goroutine, and a loser is withdrawn rather than cancelled.
 //   - Replication is useful precisely when the extra load is affordable
 //     (§2 of the paper); Governor is the affordability control: it
 //     replicates while utilization stays under the threshold load and
-//     sheds to one copy above it (LoadAware, or the SLO controller's
-//     governor).
+//     sends one copy above it, keeping the copies it withholds as
+//     failovers launched only if the copies sent fail (LoadAware, or the
+//     SLO controller's governor).
 //   - Group adds ranked replica selection (the paper's DNS experiment ranks
 //     resolvers by observed mean latency and replicates to the top k).
 package core
@@ -43,8 +45,9 @@ import (
 // server, one network path, or one independently-failing resource. A
 // Replica must honor ctx cancellation promptly; after the first sibling
 // completes, the remaining replicas' contexts are cancelled. A call that
-// launches a single copy runs it on the caller's goroutine under the
-// caller's own context and returns when the replica returns.
+// sends a single copy runs it on the caller's goroutine under the
+// caller's own context and returns when the replica returns, or, if it
+// failed and the governor withheld a failover, when that one returns.
 type Replica[T any] func(ctx context.Context) (T, error)
 
 // Result describes a completed redundant operation.

@@ -15,7 +15,10 @@ import (
 // replica set actually experiences, and a governed strategy (any with a
 // Governor method: GovernedStrategy, built with LoadAware, or the SLO
 // controller) sheds redundant copies, degrading fan-out toward 1, when
-// the measurement crosses the threshold.
+// the measurement crosses the threshold. A group's call keeps each copy
+// it sheds as a failover, launched only once the copies sent have all
+// failed: above the threshold a read costs one copy while its replicas
+// answer, and one dead replica still does not fail it.
 
 // DefaultGovernorThreshold is the gate-on utilization when none is
 // configured, in in-flight copies per replica. By Little's law an FCFS

@@ -119,7 +119,7 @@ type member[K, T any] struct {
 // took: it accounts the copy against gov (nil for none) while it is in
 // flight, folds a successful copy's latency into the digest, and counts
 // a copy that honored its context's cancellation. One clock pair serves
-// the digest and, for a single-copy call, Result.Latency.
+// the digest and, for a call run inline, Result.Latency.
 func (m *member[K, T]) run(ctx context.Context, arg K, gov *Governor) (T, time.Duration, error) {
 	if gov != nil {
 		gov.copyStarted()
@@ -156,13 +156,6 @@ func (h Handle[K, T]) Name() string {
 	}
 	return h.m.name
 }
-
-// memberDigests adapts a picked-handle slice to the Digests view a
-// Strategy consumes, without copying.
-type memberDigests[K, T any] struct{ ms []Handle[K, T] }
-
-func (d memberDigests[K, T]) Len() int            { return len(d.ms) }
-func (d memberDigests[K, T]) At(i int) *LatDigest { return &d.ms[i].m.lat }
 
 // groupConfig is what a GroupOption sets: the construction-time settings
 // every group shares, whatever its argument and result types.
@@ -212,12 +205,12 @@ func (g *KeyedGroup[K, T]) Add(name string, fn ArgReplica[K, T]) Handle[K, T] {
 }
 
 // AddStarter is Add for a replica that also has a non-blocking form: a
-// call of two or more copies launches this member's copy with starter.Start
-// on the caller's goroutine and takes its completion in its transition
-// (see Starter for the contract), while everything that runs a copy to
-// completion where it stands — a single-copy call, ProbeAll, and a copy
-// whose Start declined — still calls fn. fn and starter must perform the
-// same operation.
+// call launches this member's copy with starter.Start on the caller's
+// goroutine and takes its completion in its transition (see Starter for
+// the contract), while everything that runs a copy to completion where
+// it stands — a failover behind a function replica in a call run inline,
+// ProbeAll, and a copy whose Start declined — still calls fn. fn and
+// starter must perform the same operation.
 func (g *KeyedGroup[K, T]) AddStarter(name string, fn ArgReplica[K, T], starter Starter[K, T]) Handle[K, T] {
 	m := &member[K, T]{name: name, fn: fn, starter: starter}
 	g.mu.Lock()
@@ -397,12 +390,14 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 // with no options runs the group's strategy with first-response-wins
 // semantics and pays nothing for the option machinery.
 //
-// A call that resolves to a single copy runs its replica on the caller's
-// goroutine under ctx itself (see call.go's file comment for the
-// contract); with more copies each is a request started through its
-// member's Starter and withdrawn when the call completes, or, for a
-// function replica, a goroutine under a derived context cancelled then.
-// Such a call watches ctx from 1ms on: a cancellation or deadline
+// A call with one copy on its schedule whose primary is a function
+// replica runs it on the caller's goroutine under ctx itself, then, while
+// the copies run so far have failed, each copy the governor withheld
+// (see call.go's file comment for the contract). Any other call runs in
+// a call frame: each copy is a request started through its member's
+// Starter and withdrawn when the call completes, or, for a function
+// replica, a goroutine under a derived context cancelled then. Such a
+// call watches ctx from 1ms on: a cancellation or deadline
 // inside the first millisecond ends it at 1ms with ctx.Err(), and a copy
 // that completes first may still win; a context never cancelled, or
 // whose deadline is less than 1ms away, is watched at once.
@@ -427,14 +422,15 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 	if err != nil {
 		return zero, err
 	}
-	if p.k == 1 {
-		var one [1]Handle[K, T]
-		g.pickInto(st, p.sel, one[:])
-		return g.runOne(ctx, arg, &p, one[0].m)
+	var buf [frameInline]Handle[K, T]
+	var picked []Handle[K, T]
+	if p.k <= frameInline {
+		picked = buf[:p.k]
+	} else {
+		picked = make([]Handle[K, T], p.k)
 	}
-	fr := g.getFrame()
-	g.pickInto(st, p.sel, fr.pickedSlice(p.k))
-	return g.launchFrame(ctx, arg, &p, fr)
+	g.pickInto(st, p.sel, picked)
+	return g.run(ctx, arg, &p, picked)
 }
 
 // DoPicked performs one redundant operation over an explicit, ordered
@@ -453,9 +449,9 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 // len(picked) fails with ErrQuorumUnreachable), and a governor attached
 // to the strategy still normalizes its utilization by the full group
 // size — the subset is one key's placement, not the system's capacity.
-// ctx is watched as in Do, from 1ms on once the call has two copies or
-// more. The slice is read for the duration of the call and
-// must not be modified until it returns; a zero Handle in it is an error.
+// ctx is watched as in Do, from 1ms on once the call runs in a frame.
+// The slice is read for the duration of the call and must not be
+// modified until it returns; a zero Handle in it is an error.
 func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[K, T], opts ...CallOption) (Result[T], error) {
 	var zero Result[T]
 	n := len(picked)
@@ -482,15 +478,7 @@ func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[
 	if err != nil {
 		return zero, err
 	}
-	if p.k == 1 {
-		return g.runOne(ctx, arg, &p, picked[0].m)
-	}
-	// Copy the caller's handles into the frame: the engine (and losing
-	// copies) may read the picked set after DoPicked returns, and the
-	// caller's slice is only promised stable until then.
-	fr := g.getFrame()
-	copy(fr.pickedSlice(p.k), picked)
-	return g.launchFrame(ctx, arg, &p, fr)
+	return g.run(ctx, arg, &p, picked[:p.k])
 }
 
 // Durable is the mode of a group whose calls are replicated writes
@@ -574,9 +562,11 @@ type callPlan[T any] struct {
 	label   string
 	// negative is the WithNegativeAnswer sentinel, nil if none.
 	negative error
-	// q is the quorum and k the copies the call may launch.
-	q, k int
-	sel  Selection
+	// q is the quorum and k the copies the call may launch. launch is
+	// how many of them are on the schedule; the governor withheld the
+	// rest, which launch only as failovers (launchOnFailure).
+	q, k, launch int
+	sel          Selection
 }
 
 // plan resolves the strategy, options, quorum, and fan-out for one call.
@@ -630,19 +620,21 @@ func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity 
 	if k < 1 {
 		k = 1
 	}
+	p.launch = k
 	if p.gov != nil {
 		// Gate against the clamped fan-out so "all replicas" strategies
-		// shed from the real set size. The quorum raise below outranks
+		// shed from the real set size. A copy the governor withholds is
+		// not dropped: it stays in the call as a failover, launched only
+		// if every copy out has failed, which costs the load nothing
+		// while the copies sent succeed. The quorum raise below outranks
 		// the governor: quorum copies are correctness requirements, not
 		// shed-able hedges.
-		k = p.gov.Allow(k)
+		p.launch = p.gov.Allow(k)
 	}
-	if k < p.q {
-		// A quorum needs at least q copies; the requirement outranks both
-		// the strategy's fan-out and WithFanoutCap (q <= n was checked).
-		k = p.q
-	}
-	p.k = k
+	// A quorum needs at least q copies; the requirement outranks the
+	// strategy's fan-out, WithFanoutCap and the governor (q <= n was
+	// checked).
+	p.k, p.launch = max(k, p.q), max(p.launch, p.q)
 	return p, nil
 }
 
@@ -665,24 +657,79 @@ func (g *KeyedGroup[K, T]) settle(p *callPlan[T], winner string, res *Result[T],
 	}
 }
 
-// runOne executes a planned call that resolved to exactly one copy as a
-// plain call to m on the caller's goroutine, under the caller's own
-// context: no frame, no channel, no derived context, no goroutine (see
-// call.go's file comment for the contract this implies). A one-copy
-// plan has quorum 1.
-func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], m *member[K, T]) (Result[T], error) {
-	v, d, err := m.run(ctx, arg, p.gov)
-	res, err := singleResult(ctx, m.name, v, d, err, p.collect)
-	g.settle(p, m.name, &res, err)
+// run executes a planned call over picked (its p.k copies in launch
+// order, read only until run returns). A call with one copy on its
+// schedule whose primary is a function replica runs inline (runOne);
+// every other call runs in a call frame (launchFrame).
+func (g *KeyedGroup[K, T]) run(ctx context.Context, arg K, p *callPlan[T], picked []Handle[K, T]) (Result[T], error) {
+	if p.launch == 1 && picked[0].m.starter == nil {
+		return g.runOne(ctx, arg, p, picked)
+	}
+	return g.launchFrame(ctx, arg, p, picked)
+}
+
+// runOne executes a planned call with one copy on its schedule over
+// function replicas as plain calls on the caller's goroutine, under the
+// caller's own context: no frame, no channel, no derived context, no
+// goroutine (see call.go's file comment for the contract this implies).
+// It runs picked[0] and, while the copies run so far have failed and the
+// call is undecided, the next copy the governor withheld: the failover
+// a frame makes, made in order. Such a plan has quorum 1. Latency is
+// the sum of the copies' run times, measured by the clock pair each
+// copy's run reads anyway.
+func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], picked []Handle[K, T]) (Result[T], error) {
+	if p.collect != nil {
+		*p.collect = (*p.collect)[:0]
+	}
+	var (
+		res     Result[T]
+		errs    []error
+		elapsed time.Duration
+	)
+	for i, h := range picked {
+		v, d, err := h.m.run(ctx, arg, p.gov)
+		elapsed += d
+		res.Launched = i + 1
+		if err == nil {
+			res.Value, res.Index, res.Latency = v, i, elapsed
+			if p.collect != nil {
+				*p.collect = append(*p.collect, Outcome[T]{Value: v, Index: i, Latency: elapsed})
+			}
+			g.settle(p, h.m.name, &res, nil)
+			return res, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up: the bare ctx.Err(), and the copy out
+			// counts as cancelled, uncollected.
+			res.Cancelled = 1
+			g.settle(p, "", &res, cerr)
+			return res, cerr
+		}
+		negative := p.negative != nil && errors.Is(err, p.negative)
+		err = ReplicaError{Name: h.m.name, Attempt: i, Err: err}
+		if p.collect != nil {
+			*p.collect = append(*p.collect, Outcome[T]{Value: v, Err: err, Index: i, Latency: elapsed})
+		}
+		if negative {
+			// A negative answer decides the call: no failover.
+			errs = append(errs[:0], err)
+			break
+		}
+		errs = append(errs, err)
+	}
+	err := errors.Join(errs...)
+	g.settle(p, "", &res, err)
 	return res, err
 }
 
-// launchFrame executes one planned call of two or more copies over the
-// frame's picked replicas: launch schedule, the call engine itself, and
-// the settlement. It consumes the engine's frame reference — the frame
-// must not be touched after launchFrame returns.
-func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T], fr *callFrame[K, T]) (Result[T], error) {
-	copies := len(fr.picked)
+// launchFrame executes one planned call in a call frame over picked:
+// launch schedule, the call engine itself, and the settlement. The
+// handles are copied into the frame, because the engine (and losing
+// copies) may read them after the call returns, and the caller's slice
+// is only promised stable until then.
+func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T], picked []Handle[K, T]) (Result[T], error) {
+	fr := g.getFrame()
+	copies := copy(fr.pickedSlice(len(picked)), picked)
 	fr.n = copies
 	fr.quorum = p.q
 	fr.arg = arg
@@ -690,7 +737,7 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.collect = p.collect
 	fr.negative = p.negative
 	fr.ensureChan(copies)
-	fr.delays = g.scheduleInto(p, fr.picked, fr.delaysSlice(copies))
+	fr.delays = g.scheduleInto(p, fr)
 	fr.begin(ctx, time.Now())
 	fr.wait(ctx)
 	res, err := fr.res, fr.err
@@ -699,37 +746,41 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	return res, err
 }
 
-// scheduleInto resolves one call's launch schedule into buf (length
-// len(picked)): the Fixed fast path, the strategy's ScheduleInto over
-// the picked digests, and the quorum rule that the first q copies always
-// launch immediately. The returned schedule is always backed by buf —
-// never strategy-owned memory — so the quorum zeroing mutates in place
-// without cloning. nil means launch every copy at once.
-func (g *KeyedGroup[K, T]) scheduleInto(p *callPlan[T], picked []Handle[K, T], buf []time.Duration) []time.Duration {
+// scheduleInto resolves one call's launch schedule into the frame's
+// schedule buffer: the Fixed fast path, the strategy's ScheduleInto over
+// the frame's digests view, the quorum rule that the first q copies
+// always launch immediately, and the governor's rule that the copies it
+// withheld launch only on failure (launchOnFailure), which arms no hedge
+// for them. The returned schedule is always backed by the frame's
+// buffer — never strategy-owned memory — so the quorum zeroing mutates
+// in place without cloning. nil means launch every copy at once.
+func (g *KeyedGroup[K, T]) scheduleInto(p *callPlan[T], fr *callFrame[K, T]) []time.Duration {
+	buf := fr.delaysSlice(fr.n)
 	var delays []time.Duration
 	if p.isFixed {
-		if p.fixed.HedgeDelay <= 0 {
-			return nil
+		if p.fixed.HedgeDelay > 0 {
+			delays = buf
+			for i := range delays {
+				delays[i] = p.fixed.HedgeDelay
+			}
 		}
-		delays = buf
-		for i := range delays {
-			delays[i] = p.fixed.HedgeDelay
-		}
-	} else if _, full := p.strat.(FullReplicate); full {
-		return nil
-	} else {
-		delays = strategyScheduleInto(p.strat, memberDigests[K, T]{ms: picked}, buf)
-		if delays == nil {
-			return nil
-		}
+	} else if _, full := p.strat.(FullReplicate); !full {
+		delays = strategyScheduleInto(p.strat, fr, buf)
 	}
-	if p.q > 1 {
+	if p.q > 1 && delays != nil {
 		// The quorum copies are correctness requirements, not latency
 		// hedges: delaying them can only serialize the quorum. Launch the
 		// first q immediately; copies beyond the quorum keep the
 		// strategy's hedge schedule.
-		for i := 0; i < p.q && i < len(delays); i++ {
-			delays[i] = 0
+		clear(delays[:p.q])
+	}
+	if p.launch < fr.n {
+		if delays == nil {
+			delays = buf
+			clear(delays[:p.launch])
+		}
+		for i := p.launch; i < fr.n; i++ {
+			delays[i] = launchOnFailure
 		}
 	}
 	return delays

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,4 +313,66 @@ func TestInlineBehaviour(t *testing.T) {
 			t.Errorf("governor has %d copies in flight after the panic unwound, want 0", got)
 		}
 	})
+}
+
+// TestInlineFailoverWhenGated: a call the governor clamps to one copy
+// keeps the copy it withheld as a failover. Over function replicas the
+// failover runs inline, after the copy before it failed: a failing
+// primary's call returns the secondary's value with two copies
+// launched, every copy failing fails the call with each one's error,
+// and a healthy primary's call launches one copy, never runs the
+// secondary and allocates nothing.
+func TestInlineFailoverWhenGated(t *testing.T) {
+	ctx := context.Background()
+	down := errors.New("primary down")
+	gov := gatedGovernor(t)
+	g := core.NewStrategyKeyedGroup[string, int](core.LoadAwareWith(core.Fixed{Copies: 2}, gov))
+	var secondaryRuns atomic.Int32
+	bad := g.Add("bad", func(context.Context, string) (int, error) { return 0, down })
+	worse := g.Add("worse", func(context.Context, string) (int, error) { return 0, down })
+	secondary := g.Add("secondary", func(context.Context, string) (int, error) {
+		secondaryRuns.Add(1)
+		return 2, nil
+	})
+	healthy := g.Add("healthy", func(context.Context, string) (int, error) { return 1, nil })
+
+	gov.Observe(10)
+	var outs []core.Outcome[int]
+	res, err := g.DoPicked(ctx, "k", []core.Handle[string, int]{bad, secondary}, core.WithCollectOutcomes(&outs))
+	if err != nil || res.Value != 2 || res.Index != 1 || res.Launched != 2 || res.Cancelled != 0 {
+		t.Fatalf("failing primary: DoPicked = (%+v, %v), want the secondary's 2 at index 1, two launched", res, err)
+	}
+	var re core.ReplicaError
+	if len(outs) != 2 || !errors.As(outs[0].Err, &re) || re.Name != "bad" || re.Attempt != 0 ||
+		outs[1].Err != nil || outs[1].Value != 2 || outs[1].Index != 1 {
+		t.Errorf("outcomes = %+v, want the primary's failure, then the secondary's value", outs)
+	}
+
+	gov.Observe(10)
+	res, err = g.DoPicked(ctx, "k", []core.Handle[string, int]{bad, worse})
+	if !errors.Is(err, down) || res.Launched != 2 {
+		t.Fatalf("every copy failing: DoPicked = (%+v, %v), want both copies launched and failed", res, err)
+	}
+	if want := "replica bad (copy 0): primary down\nreplica worse (copy 1): primary down"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+
+	picked := []core.Handle[string, int]{healthy, secondary}
+	runs := secondaryRuns.Load()
+	avg := testing.AllocsPerRun(1000, func() {
+		gov.Observe(10)
+		res, err := g.DoPicked(ctx, "k", picked)
+		if err != nil || res.Value != 1 || res.Launched != 1 {
+			t.Fatalf("healthy primary: DoPicked = (%+v, %v), want its 1 with one copy launched", res, err)
+		}
+	})
+	if avg != 0 && !coretest.Race() {
+		t.Errorf("a gated call whose primary answers allocates %.2f/op, want 0", avg)
+	}
+	if got := secondaryRuns.Load(); got != runs {
+		t.Errorf("the secondary ran %d times behind a healthy primary, want 0", got-runs)
+	}
+	if !gov.Gated() || gov.Stats().InFlight != 0 {
+		t.Errorf("governor: gated %v, %d in flight; want gated, 0", gov.Gated(), gov.Stats().InFlight)
+	}
 }

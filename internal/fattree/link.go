@@ -92,6 +92,3 @@ func (l *link) transmit(pkt *packet, prio int) {
 		l.busy = false
 	})
 }
-
-// queuedBytes returns the total bytes waiting (test instrumentation).
-func (l *link) queuedBytes() int { return l.bytes[0] + l.bytes[1] }

@@ -43,8 +43,9 @@
 // application/json header (4): a {"version":N} reply sniffs as text. The
 // request context's Done channel is made only by a read or write that
 // outlives the engine's first millisecond, from which on it watches the
-// context, or by one the governor or the SLO controller
-// clamped to a single copy, which blocks under the context itself.
+// context. Over mux clients that holds for a read the governor or the
+// SLO controller clamped to a single copy too: it is a started request
+// in a call frame like any other, not a call blocking under the context.
 package gateway
 
 import (

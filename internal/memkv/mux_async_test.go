@@ -553,7 +553,7 @@ func TestAsyncWrapperSeesEveryReadCopy(t *testing.T) {
 	if _, ok := backends[0].(core.Starter[string, Versioned]); !ok {
 		t.Fatal("the wrapper does not have the promoted Start/Cancel; the test is vacuous")
 	}
-	sc := NewShardedClient(ShardedConfig{}, backends...)
+	sc := NewShardedClient(ShardedConfig{ReadStrategy: core.Fixed{Copies: 2}}, backends...)
 	defer sc.Close()
 	ctx := context.Background()
 	if _, err := sc.PutVersioned(ctx, "k", []byte("v"), 0); err != nil {

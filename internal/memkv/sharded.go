@@ -19,8 +19,10 @@ import (
 //
 //   - GetResult (and Get, its value) is the one read. It issues the
 //     read redundantly within the key's placement under the configured
-//     ReadStrategy (default: race primary + secondary, first response
-//     wins — the paper's scheme) and takes per-call options
+//     ReadStrategy (default: the paper's threshold rule — race primary
+//     and secondary, first response wins, while the client's load is
+//     below the threshold, and above it send the primary alone, with the
+//     secondary as its failover) and takes per-call options
 //     (core.WithFanoutCap, core.WithLabel, …). With core.WithQuorum it
 //     is the same call over every owner, comparing versions; every
 //     read witnesses the version it returns.
@@ -97,7 +99,7 @@ type (
 
 // ShardedConfig configures a ShardedClient. The zero value means:
 // 2 placement copies per key, writes ack on every copy, reads race
-// primary + secondary.
+// primary + secondary below the threshold load and fail over above it.
 type ShardedConfig struct {
 	// Replication is the number of shards each key is stored on
 	// (primary + Replication-1 successors). Values below 1 mean
@@ -111,10 +113,15 @@ type ShardedConfig struct {
 	// ring still accepts writes.
 	WriteQuorum int
 	// ReadStrategy decides the redundancy of a Get within the key's
-	// placement: nil means core.Fixed{Copies: 2} (the paper's
-	// primary+secondary race); core.Fixed{Copies: 1} reads the primary
-	// only; core.AdaptiveHedge hedges the secondary at a latency
-	// quantile.
+	// placement. nil means the client's own
+	// core.LoadAware(core.Fixed{Copies: 2}, 0): the paper's
+	// primary+secondary race while the client's in-flight copies per
+	// shard stay below core.DefaultGovernorThreshold, and above it the
+	// primary alone, the secondary launched only if the primary fails.
+	// Its governor is fresh per client and counts the client's writes
+	// too. core.Fixed{Copies: 2} races at every load;
+	// core.Fixed{Copies: 1} reads the primary only; core.AdaptiveHedge
+	// hedges the secondary at a latency quantile.
 	ReadStrategy core.Strategy
 	// Observer, when set, receives per-operation metrics from every read,
 	// quorum or not — the observation hook a feedback controller needs to
@@ -136,7 +143,7 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 		cfg.WriteQuorum = cfg.Replication
 	}
 	if cfg.ReadStrategy == nil {
-		cfg.ReadStrategy = core.Fixed{Copies: 2}
+		cfg.ReadStrategy = core.LoadAware(core.Fixed{Copies: 2}, 0)
 	}
 	sc := &ShardedClient{
 		shards:      ring.NewTable[*member](ring.DefaultVirtualNodes, cfg.Replication),

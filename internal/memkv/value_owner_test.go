@@ -295,8 +295,16 @@ func TestShardedWriteHintRacesTheCallersReturn(t *testing.T) {
 		scribble(value)
 	}
 	drained(t, muxes)
+	// A copy leaves the waiter table before it completes into its frame,
+	// so the last puts' misses may still be on their way: wait for each
+	// key's before counting it.
+	deadline := time.Now().Add(versionedStragglerTimeout)
 	for i := 0; i < puts; i++ {
-		if n := hints.count(fmt.Sprint("k", i), muxes[1].Addr()); n != 1 {
+		key := fmt.Sprint("k", i)
+		for hints.count(key, muxes[1].Addr()) == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := hints.count(key, muxes[1].Addr()); n != 1 {
 			t.Fatalf("k%d: %d hints for the owner that never answers, want 1", i, n)
 		}
 	}
