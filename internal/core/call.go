@@ -14,7 +14,8 @@ import (
 // redundant call. A call has one entrance: KeyedGroup.do (Do)
 // or DoPicked (the Ring's routed subsets) plans it, and a plan with one
 // copy on its schedule whose primary is a function replica runs in
-// runOne, any other in launchFrame. One engine
+// runOne, any other in launchFrame; StepPicked (step.go) plans as
+// DoPicked does and steps the same frame on a simulator's clock. One engine
 // means every completion rule (first wins, R-of-N quorum) composes with
 // every launch schedule (all at once, fixed hedge, adaptive hedge) and
 // shares one error taxonomy.
@@ -92,9 +93,22 @@ import (
 // which takes one event — a copy's completion, the frame's timer event,
 // or the caller's cancellation — with the instant it happened, and
 // reports whether the call is decided. on never blocks and reads no
-// clock. wait is the one wait loop: it selects the next event, reads
-// time.Now() once, and hands both to on. A test can step a call by
-// handing on its events and instants itself.
+// clock. Two loops feed it. wait, a live call's, selects the next event
+// and hands it to on; pump, a stepped call's (StepPicked, step.go),
+// hands on each event as it is queued, on the goroutine that queued it,
+// and waits for nothing. A test can step a call by handing on its
+// events and instants itself.
+//
+// A frame reads its instants, and makes its one timer, on its clock:
+// the wall clock for every live call, the clock a stepped call's caller
+// passes (a simulator's virtual time) for a stepped one. A copy's
+// completion carries the instant its deliverer read — Complete reads the
+// clock once, for the member's digest and the event alike — so the
+// event's instant is when the copy completed, and the loop reads the
+// clock only for a timer or cancellation event. A call started over
+// starters so reads the clock once at its start and once per completion:
+// twice for one copy. Result.Latency ends at the deciding completion,
+// not at the moment the caller's goroutine took it.
 //
 // A durable call (DoDurable) is the same frame under one different rule:
 // deciding it withdraws nothing. The copies still out keep their frame
@@ -273,15 +287,22 @@ type callFrame[K, T any] struct {
 	// before dropping its reference. It returns to zero only when the
 	// frame recycles, so a straggler never reads a later call's count.
 	won atomic.Int32
-	// tm is the frame's one timer (see the file comment), made on the
-	// frame's first deadline. hedgeAt is when the next unlaunched copy
-	// launches and watchAt when the call starts watching its context;
-	// zero is none. Only the engine's goroutine touches the three.
-	tm               *time.Timer
+	// clock is the frame's clock (see the file comment); nil is the wall
+	// clock. tm is the frame's one timer, made on the clock by the frame's
+	// first deadline. hedgeAt is when the next unlaunched copy launches
+	// and watchAt when the call starts watching its context; zero is none.
+	// Only the engine's goroutine touches the four.
+	clock            Clock
+	tm               Timer
 	hedgeAt, watchAt time.Time
 	// timerQueued is set while a timer event waits on results; a fire
 	// that finds it set sends nothing.
 	timerQueued atomic.Bool
+	// finish, set while a stepped call is undecided, is what pump runs
+	// once on decides it; pumping is set while pump runs. A live call
+	// has neither.
+	finish  func()
+	pumping bool
 	// copyFn[i] is slot i's goroutine body, built on first use and kept
 	// with the frame: go with a stored func value needs no per-launch
 	// wrapper, where go f(fr, i) heap-allocates one.
@@ -431,23 +452,25 @@ func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 // allocates nothing.
 func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 	v, _, err := fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
-	fr.deliver(i, v, err)
+	fr.deliver(i, v, err, fr.now())
 }
 
-// deliver queues copy i's completion for on, counts a
-// success toward settling the call — after queueing it, so that whoever
-// sees the call settled queues behind the deciding success — and drops
-// the copy's frame reference. A durable copy reports instead (report).
-func (fr *callFrame[K, T]) deliver(i int, v T, err error) {
+// deliver queues copy i's completion, which happened at at, for on,
+// counts a success toward settling the call — after queueing it, so that
+// whoever sees the call settled queues behind the deciding success —
+// hands it on if the call is stepped (pump), and drops the copy's frame
+// reference. A durable copy reports instead (report).
+func (fr *callFrame[K, T]) deliver(i int, v T, err error, at time.Time) {
 	if fr.durable != nil {
 		fr.report(i, err)
 		fr.release(1)
 		return
 	}
-	fr.results <- indexed[T]{val: v, err: err, idx: i}
+	fr.results <- indexed[T]{val: v, err: err, idx: i, at: at}
 	if err == nil {
 		fr.won.Add(1)
 	}
+	fr.pump()
 	fr.release(1)
 }
 
@@ -501,6 +524,7 @@ func (fr *callFrame[K, T]) own(ifOut bool) {
 func (fr *callFrame[K, T]) timerFired() {
 	if fr.timerQueued.CompareAndSwap(false, true) {
 		fr.results <- indexed[T]{timer: true}
+		fr.pump()
 	}
 	fr.release(1)
 }
@@ -524,6 +548,11 @@ drain:
 		}
 	}
 	fr.timerQueued.Store(false)
+	if fr.clock != nil {
+		// A stepped call's timer runs on its caller's clock, which the
+		// frame's next call may not share.
+		fr.clock, fr.tm = nil, nil
+	}
 	// Clear everything a pooled frame must not pin or leak into its
 	// next call: replica handles, the caller's context and sink, the
 	// argument, the running state, and the inline error/outcome scratch.
@@ -584,7 +613,7 @@ func (fr *callFrame[K, T]) arm(now time.Time) {
 	}
 	fr.refs.Add(1)
 	if fr.tm == nil {
-		fr.tm = time.AfterFunc(at.Sub(now), fr.timerFired)
+		fr.tm = fr.afterFunc(at.Sub(now), fr.timerFired)
 	} else if fr.tm.Reset(at.Sub(now)) {
 		fr.release(1)
 	}
@@ -669,10 +698,10 @@ func (fr *callFrame[K, T]) begin(ctx context.Context, now time.Time) {
 	}
 }
 
-// wait is the one wait loop, for a read and a durable call alike: it
-// hands on every event — a copy's completion, the timer's, the caller's
-// cancellation once its context is watched — with the instant it took
-// it, until on decides the call. The outcome is then fr.res and fr.err;
+// wait is a live call's wait loop, for a read and a durable call alike:
+// it hands on every event — a copy's completion, the timer's, the
+// caller's cancellation once its context is watched — at its instant,
+// until on decides the call. The outcome is then fr.res and fr.err;
 // wait does not drop the engine's frame reference, so the caller must
 // release(1) after it has read them.
 func (fr *callFrame[K, T]) wait(ctx context.Context) {
@@ -683,10 +712,19 @@ func (fr *callFrame[K, T]) wait(ctx context.Context) {
 		case <-fr.ctxDone:
 			ev.cancel = true
 		}
-		if fr.on(ctx, ev, time.Now()) {
+		if fr.on(ctx, ev, fr.instant(ev)) {
 			return
 		}
 	}
+}
+
+// instant is when ev happened: the instant a copy's completion carries,
+// or, for a timer or cancellation event, the clock's reading now.
+func (fr *callFrame[K, T]) instant(ev indexed[T]) time.Time {
+	if ev.timer || ev.cancel {
+		return fr.now()
+	}
+	return ev.at
 }
 
 // on is the call's one transition: it applies ev at now and reports

@@ -372,13 +372,18 @@ func TestKeyedGroupConcurrentKeys(t *testing.T) {
 
 // --- Selection on the lock-free path. ---
 
+// TestRankedSelectionMatchesRankedNames: ranked selection launches the
+// replicas RankedNames puts first. The ranking comes from latencies the
+// test folds into the digests itself, so no scheduler delay can reorder
+// it.
 func TestRankedSelectionMatchesRankedNames(t *testing.T) {
 	g := NewStrategyGroup[string](Fixed{Copies: 2, Selection: SelectRanked})
-	g.Add("slow", coretest.Sleeper("slow", 20*time.Millisecond))
-	g.Add("mid", coretest.Sleeper("mid", 8*time.Millisecond))
-	g.Add("fast", coretest.Sleeper("fast", time.Millisecond))
-	if ok := g.ProbeAll(context.Background()); ok != 3 {
-		t.Fatalf("ProbeAll = %d", ok)
+	for _, r := range []struct {
+		name string
+		lat  time.Duration
+	}{{"slow", 20 * time.Millisecond}, {"mid", 8 * time.Millisecond}, {"fast", time.Millisecond}} {
+		g.Add(r.name, coretest.Sleeper(r.name, r.lat))
+		g.Digest(r.name).Observe(r.lat)
 	}
 	ranked := g.RankedNames()
 	if ranked[0] != "fast" || ranked[2] != "slow" {

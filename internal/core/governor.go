@@ -80,8 +80,8 @@ func NewGovernor(threshold, hysteresis float64) *Governor {
 // Observe folds one utilization sample (offered load, in whatever unit
 // the thresholds use; the group integration uses in-flight copies per
 // replica) into the governor's EWMA. The group call path samples
-// automatically; external drivers — simulations, load balancers with
-// their own utilization signal — call it directly.
+// automatically; external drivers with their own utilization signal,
+// such as a load balancer, call it directly.
 func (g *Governor) Observe(utilization float64) {
 	if utilization < 0 {
 		utilization = 0
@@ -230,8 +230,7 @@ func (g *Governor) Stats() GovernorStats {
 // strategy is governed when it has a Governor() *Governor method that
 // returns non-nil: GovernedStrategy, and the SLO controller and its
 // class views (slo.Controller, slo.ClassStrategy). A group samples and
-// gates through it on every call, and the queueing model does the same
-// per arrival.
+// gates through it on every call, the queueing model's included.
 func GovernorOf(s Strategy) *Governor {
 	if gs, ok := s.(interface{ Governor() *Governor }); ok {
 		return gs.Governor()
@@ -282,8 +281,7 @@ func (s *GovernedStrategy) Inner() Strategy { return s.inner }
 // Fanout implements Strategy by reporting the inner strategy's fan-out.
 // The governor's clip is NOT applied here: a group applies Allow to the
 // group-clamped fan-out at call time (so FullReplicate's "all replicas"
-// sentinel degrades from the real group size, not from the sentinel),
-// and standalone drivers call Allow themselves.
+// sentinel degrades from the real group size, not from the sentinel).
 func (s *GovernedStrategy) Fanout() (int, Selection) {
 	return s.inner.Fanout()
 }

@@ -453,14 +453,22 @@ func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[
 // The slice is read for the duration of the call and must not be
 // modified until it returns; a zero Handle in it is an error.
 func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[K, T], opts ...CallOption) (Result[T], error) {
-	var zero Result[T]
+	p, err := g.planPicked(picked, opts)
+	if err != nil {
+		return Result[T]{}, err
+	}
+	return g.run(ctx, arg, &p, picked[:p.k])
+}
+
+// planPicked plans one call over picked (DoPicked, StepPicked).
+func (g *KeyedGroup[K, T]) planPicked(picked []Handle[K, T], opts []CallOption) (callPlan[T], error) {
 	n := len(picked)
 	if n == 0 {
-		return zero, ErrNoReplicas
+		return callPlan[T]{}, ErrNoReplicas
 	}
 	for _, h := range picked {
 		if h.m == nil {
-			return zero, errors.New("redundancy: DoPicked: zero Handle")
+			return callPlan[T]{}, errors.New("redundancy: zero Handle")
 		}
 	}
 	st := g.state.Load()
@@ -470,15 +478,7 @@ func (g *KeyedGroup[K, T]) DoPicked(ctx context.Context, arg K, picked []Handle[
 	}
 	// The governor's utilization unit is in-flight copies per replica of
 	// the whole set; stale handles may briefly exceed the group size.
-	capacity := len(st.members)
-	if capacity < n {
-		capacity = n
-	}
-	p, err := g.plan(st, &co, n, capacity)
-	if err != nil {
-		return zero, err
-	}
-	return g.run(ctx, arg, &p, picked[:p.k])
+	return g.plan(st, &co, n, max(len(st.members), n))
 }
 
 // Durable is the mode of a group whose calls are replicated writes
@@ -540,7 +540,7 @@ func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle
 	fr.durable = g.durable
 	fr.n, fr.quorum, fr.arg, fr.gov = n, min(max(q, 0), n), arg, gov
 	fr.ensureChan(n)
-	fr.begin(ctx, time.Now())
+	fr.begin(ctx, fr.now())
 	if fr.quorum > 0 {
 		fr.wait(ctx)
 	}
@@ -728,6 +728,18 @@ func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], pi
 // copies) may read them after the call returns, and the caller's slice
 // is only promised stable until then.
 func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T], picked []Handle[K, T]) (Result[T], error) {
+	fr := g.frameFor(arg, p, picked)
+	fr.begin(ctx, fr.now())
+	fr.wait(ctx)
+	res, err := fr.res, fr.err
+	g.settle(p, fr.picked[res.Index].m.name, &res, err)
+	fr.release(1)
+	return res, err
+}
+
+// frameFor prepares a frame for one planned call over picked: the plan
+// fields and the launch schedule, ready to begin.
+func (g *KeyedGroup[K, T]) frameFor(arg K, p *callPlan[T], picked []Handle[K, T]) *callFrame[K, T] {
 	fr := g.getFrame()
 	copies := copy(fr.pickedSlice(len(picked)), picked)
 	fr.n = copies
@@ -738,12 +750,7 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.negative = p.negative
 	fr.ensureChan(copies)
 	fr.delays = g.scheduleInto(p, fr)
-	fr.begin(ctx, time.Now())
-	fr.wait(ctx)
-	res, err := fr.res, fr.err
-	g.settle(p, fr.picked[res.Index].m.name, &res, err)
-	fr.release(1)
-	return res, err
+	return fr
 }
 
 // scheduleInto resolves one call's launch schedule into the frame's

@@ -116,10 +116,12 @@ func (fr *callFrame[K, T]) startCopy(i int, now time.Time) bool {
 
 // Complete implements Sink: a started copy's outcome, delivered on the
 // Starter's goroutine straight into the call's results for on. It closes
-// the governor bracket, folds a success into the member's digest (not a
-// durable copy's: nothing ranks write members, so it is not timed), and
-// drops the copy's frame reference after delivering — the same order as
-// a copy goroutine, so the proved-drained recycling discipline holds.
+// the governor bracket, reads the frame's clock once for a read's copy —
+// the instant its event carries, and a success's latency, folded into
+// the member's digest — and drops the copy's frame reference after
+// delivering, the same order as a copy goroutine, so the proved-drained
+// recycling discipline holds. A durable copy is not timed: nothing ranks
+// write members, and on does not time its call.
 func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 	if fr.refs.Load() <= 0 {
 		// Every copy holds a reference until it completes: a Starter that
@@ -129,10 +131,14 @@ func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 	if fr.gov != nil {
 		fr.gov.copyDone()
 	}
-	if err == nil && fr.durable == nil {
-		fr.picked[slot].m.lat.observe(float64(time.Since(fr.slots[slot].at)))
+	var now time.Time
+	if fr.durable == nil {
+		now = fr.now()
+		if err == nil {
+			fr.picked[slot].m.lat.observe(float64(now.Sub(fr.slots[slot].at)))
+		}
 	}
-	fr.deliver(slot, v, err)
+	fr.deliver(slot, v, err, now)
 }
 
 // Drop implements Sink: once the call is settled, a started copy that

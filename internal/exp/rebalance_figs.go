@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,9 +117,22 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	}
 	measuring.Store(true)
 
+	// readWindow is one window of open-loop reads over n shards, each
+	// read feeding the governor the foreground's in-flight load.
+	readWindow := func(n int, seed int64) (*stats.Sample, error) {
+		return openLoopReads(sc, readLoad{
+			rng:      rand.New(rand.NewSource(seed)),
+			lambda:   load * float64(n) / svcMean,
+			keys:     keys,
+			requests: window,
+			gov:      gov,
+			shards:   n,
+		})
+	}
+
 	// ---- phase 1: steady state ----
 	prevPlacement := sc.PlacementSnapshot()
-	steady, err := runReadWindow(sc, gov, window, load, shards, svcMean, seed^0x1111)
+	steady, err := readWindow(shards, seed^0x1111)
 	if err != nil {
 		return nil, fmt.Errorf("steady window: %w", err)
 	}
@@ -142,7 +154,7 @@ func AblationRebalance(o Options) ([]*Table, error) {
 		st, err := mgr.RebalanceBetween(ctx, prevPlacement, curPlacement)
 		rebC <- rebRes{st, err}
 	}()
-	during, err := runReadWindow(sc, gov, window, load, shards+1, svcMean, seed^0x2222)
+	during, err := readWindow(shards+1, seed^0x2222)
 	if err != nil {
 		return nil, fmt.Errorf("reshard window: %w", err)
 	}
@@ -164,7 +176,7 @@ func AblationRebalance(o Options) ([]*Table, error) {
 		return nil, fmt.Errorf("rebalance: %w", reb.err)
 	}
 
-	after, err := runReadWindow(sc, gov, window, load, shards+1, svcMean, seed^0x3333)
+	after, err := readWindow(shards+1, seed^0x3333)
 	if err != nil {
 		return nil, fmt.Errorf("post window: %w", err)
 	}
@@ -281,48 +293,4 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// runReadWindow drives one open-loop Poisson read window against the
-// sharded client, feeding the governor one utilization sample
-// (in-flight reads per shard) per request, and returns the latency
-// sample in seconds.
-func runReadWindow(sc *memkv.ShardedClient, gov *core.Governor, requests int, load float64, shardCount int, svcMean float64, seed int64) (*stats.Sample, error) {
-	ctx := context.Background()
-	lambda := load * float64(shardCount) / svcMean
-	rng := rand.New(rand.NewSource(seed))
-	lat := make([]float64, requests)
-	failed := make([]error, requests)
-	var inflight atomic.Int64
-	var wg sync.WaitGroup
-	next := time.Now()
-	for i := 0; i < requests; i++ {
-		next = next.Add(time.Duration(rng.ExpFloat64() / lambda * float64(time.Second)))
-		key := fmt.Sprintf("file-%d", rng.Intn(256))
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		gov.Observe(float64(inflight.Load()) / float64(shardCount))
-		wg.Add(1)
-		go func(i int, key string) {
-			defer wg.Done()
-			inflight.Add(1)
-			defer inflight.Add(-1)
-			res, err := sc.GetResult(ctx, key)
-			if err != nil {
-				failed[i] = err
-				return
-			}
-			lat[i] = res.Latency.Seconds()
-		}(i, key)
-	}
-	wg.Wait()
-	sample := stats.NewSample(requests)
-	for i := range lat {
-		if failed[i] != nil {
-			return nil, failed[i]
-		}
-		sample.Add(lat[i])
-	}
-	return sample, nil
 }

@@ -224,23 +224,54 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 	// Open-loop Poisson arrivals calibrated against the UNREPLICATED
 	// system's bottleneck, as in the paper: the redundant arm really
 	// offers ~2x that load.
-	lambda := a.load * float64(a.shards) / svc.Mean()
-	warmup := a.requests / 5
-	total := a.requests + warmup
-	rng := rand.New(rand.NewSource(a.seed ^ 0x5bd1))
+	return openLoopReads(sc, readLoad{
+		rng:      rand.New(rand.NewSource(a.seed ^ 0x5bd1)),
+		lambda:   a.load * float64(a.shards) / svc.Mean(),
+		keys:     keys,
+		warmup:   a.requests / 5,
+		requests: a.requests,
+	})
+}
+
+// readLoad is one window of open-loop Poisson reads (openLoopReads).
+type readLoad struct {
+	rng      *rand.Rand // draws each read's gap, then its key
+	lambda   float64    // reads a second
+	keys     int        // a read's key is file-i, i uniform below keys
+	warmup   int        // reads made first and not measured
+	requests int        // reads measured
+	// gov, if set, takes one utilization sample as each read arrives:
+	// the reads in flight per shard of shards.
+	gov    *core.Governor
+	shards int
+}
+
+// openLoopReads makes the window's reads, each a GetResult on a
+// goroutine of its own at its arrival instant, so the pacer never waits
+// on a reply, and returns the measured reads' latencies in seconds, or
+// the first measured read's error.
+func openLoopReads(sc *memkv.ShardedClient, w readLoad) (*stats.Sample, error) {
+	ctx := context.Background()
+	total := w.warmup + w.requests
 	lat := make([]float64, total)
 	failed := make([]error, total)
+	var inflight atomic.Int64
 	var wg sync.WaitGroup
 	next := time.Now()
 	for i := 0; i < total; i++ {
-		next = next.Add(time.Duration(rng.ExpFloat64() / lambda * float64(time.Second)))
-		key := fmt.Sprintf("file-%d", rng.Intn(keys))
+		next = next.Add(time.Duration(w.rng.ExpFloat64() / w.lambda * float64(time.Second)))
+		key := fmt.Sprintf("file-%d", w.rng.Intn(w.keys))
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
+		}
+		if w.gov != nil {
+			w.gov.Observe(float64(inflight.Load()) / float64(w.shards))
 		}
 		wg.Add(1)
 		go func(i int, key string) {
 			defer wg.Done()
+			inflight.Add(1)
+			defer inflight.Add(-1)
 			res, err := sc.GetResult(ctx, key)
 			if err != nil {
 				failed[i] = err
@@ -250,8 +281,8 @@ func runShardArm(a shardArm) (*stats.Sample, error) {
 		}(i, key)
 	}
 	wg.Wait()
-	sample := stats.NewSample(a.requests)
-	for i := warmup; i < total; i++ {
+	sample := stats.NewSample(w.requests)
+	for i := w.warmup; i < total; i++ {
 		if failed[i] != nil {
 			return nil, failed[i]
 		}

@@ -1,27 +1,35 @@
-// Hedged variants of the replication queueing model: instead of
-// enqueueing k copies at arrival (queueing.Run), each request runs a
-// core.Strategy — the value the engine itself runs — that decides how
+// Hedged variants of the replication queueing model, run by the
+// engine itself: instead of enqueueing k copies at arrival
+// (queueing.Run), each request is a call of a core group, stepped on the
+// simulation's virtual time, so the model's launch rule is the product's.
+// The group's strategy — the value the engine runs live — decides how
 // many copies to launch and when: Fixed (a caller-guessed delay),
 // AdaptiveHedge (a quantile of each server's own copy latencies),
 // FullReplicate (every copy at once), or any governed strategy
-// (core.LoadAwareWith, an slo.ClassStrategy), whose Governor is fed the
-// model's utilization.
+// (core.LoadAwareWith, an slo.ClassStrategy), whose Governor samples the
+// copies in flight per server at every arrival and withholds redundant
+// copies past its threshold.
 //
-// Unlike Run's single-pass Lindley recurrence, hedge copies arrive
-// *later* than their request, interleaved with subsequent arrivals, so
-// this model runs on the discrete-event engine (internal/sim): arrival,
-// hedge-launch, and completion events execute in virtual-time order,
-// which keeps every server FCFS-correct and makes each server's digest
-// causal (it only ever reflects copies that have completed).
+// The model is the engine on virtual time. Each of the N servers is a
+// member of the group whose Starter places a copy on the server's FCFS
+// queue (the Lindley recurrence) and completes it as an event of the
+// discrete-event engine (internal/sim), whose clock the call reads its
+// instants from and arms its hedge timer on (core.KeyedGroup.StepPicked).
+// An arrival draws its k distinct servers uniformly at random, in launch
+// order; a copy's service time is drawn when it launches. Arrivals, hedge
+// timers and completions run in virtual-time order, which keeps every
+// server FCFS-correct and makes each server's digest causal: the engine
+// folds a copy's latency into its member's digest when it completes.
 //
 // As in Run, copies are NOT cancelled when a sibling completes (the
-// paper's worst case): every launched copy consumes its full service
-// time, and its latency lands in its server's core.LatDigest, the
-// digest the engine keeps per replica.
+// paper's worst case): a server's Cancel refuses, so every launched copy
+// consumes its full service time and still counts in the governor until
+// it completes.
 package queueing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -43,12 +51,12 @@ type HedgedConfig struct {
 	Load float64
 	// Service is the service-time distribution (typically unit mean).
 	Service dist.Dist
-	// Strategy decides each request's copies, as it does a call's in the
-	// engine: Fanout (clamped to Servers) how many, ScheduleInto when,
-	// over the digests of the servers already chosen. A governed
-	// strategy's Governor (core.GovernorOf) samples in-flight copies per
-	// server at every arrival. Nil runs one copy per request. A strategy
-	// that carries state (a Governor) must be fresh for every run.
+	// Strategy is the group's strategy: each request is one call under
+	// it, with Fanout (clamped to Servers) copies over servers drawn at
+	// random. A governed strategy's Governor (core.GovernorOf) samples
+	// in-flight copies per server at every arrival. Nil runs one copy per
+	// request. A strategy that carries state (a Governor) must be fresh
+	// for every run.
 	Strategy core.Strategy
 	// Requests is the number of measured requests.
 	Requests int
@@ -72,10 +80,11 @@ type HedgedResult struct {
 	GatedRate float64
 }
 
-// Unit is the duration a strategy sees for one model time unit: times
-// are scaled by it on the way into a digest and out of a schedule. The
-// digest's log-scale range (1 ns to ~292 years) dwarfs any simulated
-// latency, and its 12.5% bin width is the only approximation introduced.
+// Unit is one model time unit on the engine's clock: the duration a
+// strategy's schedule, the servers' digests and a call's latency see
+// for it. The digest's log-scale range (1 ns to ~292 years) dwarfs any
+// simulated latency, and its 12.5% bin width is the only approximation
+// introduced.
 const Unit = time.Second
 
 func (c HedgedConfig) validate() error {
@@ -112,27 +121,6 @@ func (c HedgedConfig) fanout() int {
 	return max(1, min(k, c.Servers))
 }
 
-// request is one arrival's copies, and the core.Digests view its
-// strategy schedules over: the digests of the servers of the copies
-// launched so far, in launch order, then nil for copies not yet placed.
-type request struct {
-	i       int
-	k       int     // copies this request may launch
-	t       float64 // arrival time
-	done    float64 // earliest completion among its launched copies
-	servers []int
-	digests []core.LatDigest
-}
-
-func (r *request) Len() int { return r.k }
-
-func (r *request) At(i int) *core.LatDigest {
-	if i < len(r.servers) {
-		return &r.digests[r.servers[i]]
-	}
-	return nil
-}
-
 // RunHedged simulates the hedged model and returns the measured
 // response-time sample and the realized hedge rate.
 func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
@@ -145,113 +133,160 @@ func RunHedged(cfg HedgedConfig) (HedgedResult, error) {
 	}
 
 	// Separate streams, as in Run: the arrival process is identical
-	// across strategies with the same seed, pairing comparison arms.
+	// across strategies with the same seed, pairing comparison arms. A
+	// copy's server is drawn at its request's arrival and its service time
+	// at its launch, the first copy's from work and every later copy's
+	// from hedges: a request's first copy draws the same server and
+	// service time under every strategy, as in Run's one-copy model.
 	arrivals := rand.New(rand.NewSource(cfg.Seed))
-	work := rand.New(rand.NewSource(cfg.Seed ^ 0x5e3779b97f4a7c15))
+	streams := [2]*rand.Rand{
+		rand.New(rand.NewSource(cfg.Seed ^ 0x5e3779b97f4a7c15)), // work
+		rand.New(rand.NewSource(cfg.Seed ^ 0x61c8864680b583eb)), // hedges
+	}
+	stream := func(slot int) *rand.Rand { return streams[min(slot, 1)] }
+	eng := sim.NewEngine(cfg.Seed)
 
-	// Each server's digest starts warm with DefaultHedgeMinSamples
-	// unloaded service times, from a stream of its own so the other two
-	// are untouched. This is the model's ProbeAll: the live controller
-	// only ever tightens over replicas it has already measured.
-	digests := make([]core.LatDigest, cfg.Servers)
+	// The model's group: one member per server. Each server's digest
+	// starts warm with DefaultHedgeMinSamples unloaded service times, from
+	// a stream of its own so the others are untouched. This is the
+	// model's ProbeAll: the live controller only ever tightens over
+	// replicas it has already measured.
+	g := core.NewStrategyKeyedGroup[struct{}, struct{}](cfg.Strategy)
+	servers := make([]core.Handle[struct{}, struct{}], cfg.Servers)
 	warm := rand.New(rand.NewSource(cfg.Seed ^ 0x2545f4914f6cdd1d))
-	for s := range digests {
+	for s := range servers {
+		name := fmt.Sprintf("server-%d", s)
+		servers[s] = g.AddStarter(name, nil, &server{eng: eng, svc: cfg.Service, stream: stream})
+		d := g.Digest(name)
 		for range core.DefaultHedgeMinSamples {
-			digests[s].Observe(time.Duration(cfg.Service.Sample(warm) * float64(Unit)))
+			d.Observe(time.Duration(cfg.Service.Sample(warm) * float64(Unit)))
 		}
 	}
 
-	meanS := cfg.Service.Mean()
-	lambda := cfg.Load * float64(cfg.Servers) / meanS
-
-	eng := sim.NewEngine(cfg.Seed)
-	lastDep := make([]float64, cfg.Servers)
+	lambda := cfg.Load * float64(cfg.Servers) / cfg.Service.Mean()
 	sample := stats.NewSample(cfg.Requests)
 	k := cfg.fanout()
-	sched := make([]time.Duration, k)
-	gov := core.GovernorOf(cfg.Strategy)
+	picked := make([]core.Handle[struct{}, struct{}], k)
+	drawn := make([]int, k)
 	extra, gated := 0, 0
 	total := warmup + cfg.Requests
 	issued := 0
-	inflight := 0
+	var err error
 
-	// enqueue places one copy on server s at the current virtual time
-	// and returns its completion time (FCFS Lindley step). Events run in
-	// time order, so lastDep is always up to date when read. The copy
-	// counts as in flight until its completion, when its latency lands
-	// in its server's digest.
-	enqueue := func(s int, svc float64) float64 {
-		launch := eng.Now()
-		start := max(launch, lastDep[s])
-		done := start + svc
-		lastDep[s] = done
-		inflight++
-		eng.At(done, func() {
-			inflight--
-			digests[s].Observe(time.Duration((done - launch) * float64(Unit)))
-		})
-		return done
-	}
-
-	// launch starts r's next copy now, on a server none of its copies
-	// uses. If a copy is left and r will not be done by its delay — the
-	// strategy's schedule over the servers placed so far — it arms that
-	// launch; otherwise it arms r's completion.
-	var launch func(r *request)
-	launch = func(r *request) {
-		j := len(r.servers)
-		s := work.Intn(cfg.Servers - j)
-		for _, u := range slices.Sorted(slices.Values(r.servers)) {
-			if s >= u {
-				s++
-			}
-		}
-		r.servers = append(r.servers, s)
-		if c := enqueue(s, cfg.Service.Sample(work)); j == 0 || c < r.done {
-			r.done = c
-		}
-		if j+1 < r.k {
-			delay := 0.0
-			if out := cfg.Strategy.ScheduleInto(r, sched[:r.k]); len(out) > 0 {
-				delay = max(0, float64(out[min(j+1, len(out)-1)])/float64(Unit))
-			}
-			if now := eng.Now(); r.done-now > delay {
-				eng.At(now+delay, func() { launch(r) })
-				return
-			}
-		}
-		eng.At(r.done, func() {
-			if r.i >= warmup {
-				sample.Add(r.done - r.t)
-				extra += len(r.servers) - 1
-			}
-		})
-	}
-
-	var arrive func()
-	arrive = func() {
-		r := &request{i: issued, k: k, t: eng.Now(), servers: make([]int, 0, k), digests: digests}
+	// call makes the next request: for each copy the call may launch, a
+	// server drawn uniformly among those its earlier copies left; then
+	// the call, stepped on the simulation's clock. Its latency is read off
+	// the model's clock when the call decides: the deciding completion's
+	// instant, which Result.Latency measures too, rounded to the
+	// nanosecond.
+	var call func()
+	call = func() {
+		i, t := issued, eng.Now()
 		issued++
-		if gov != nil {
-			// As KeyedGroup.plan does: one utilization sample per
-			// operation, taken before its own copies enqueue, then the
-			// gate on the clamped fan-out.
-			gov.Observe(float64(inflight) / float64(cfg.Servers))
-			if r.k = gov.Allow(k); r.k < k && r.i >= warmup {
-				gated++
+		for j := range picked {
+			s := stream(j).Intn(cfg.Servers - j)
+			for _, u := range slices.Sorted(slices.Values(drawn[:j])) {
+				if s >= u {
+					s++
+				}
 			}
+			drawn[j], picked[j] = s, servers[s]
 		}
-		launch(r)
+		var launched int
+		launched, err = g.StepPicked(clock{eng}, struct{}{}, picked, func(res core.Result[struct{}], _ error) {
+			if i >= warmup {
+				sample.Add(eng.Now() - t)
+				extra += res.Launched - 1
+			}
+		})
+		if err != nil {
+			return
+		}
+		if launched < k && i >= warmup {
+			gated++
+		}
 		if issued < total {
-			eng.After(arrivals.ExpFloat64()/lambda, arrive)
+			eng.After(arrivals.ExpFloat64()/lambda, call)
 		}
 	}
-	eng.After(arrivals.ExpFloat64()/lambda, arrive)
+	eng.After(arrivals.ExpFloat64()/lambda, call)
 	eng.Run()
+	if err != nil {
+		return HedgedResult{}, err
+	}
 
 	return HedgedResult{
 		Sample:    sample,
 		HedgeRate: float64(extra) / float64(cfg.Requests),
 		GatedRate: float64(gated) / float64(cfg.Requests),
 	}, nil
+}
+
+// server is one of the model's FCFS servers as the group's Starter: a
+// copy started on it draws its service time from its slot's stream,
+// queues behind the work already there (the Lindley recurrence: it
+// starts at the later of now and the last departure) and completes, as
+// an event of the simulation, when its service ends. Cancel refuses, so
+// a copy runs to completion.
+type server struct {
+	eng     *sim.Engine
+	svc     dist.Dist
+	stream  func(slot int) *rand.Rand
+	lastDep float64
+}
+
+func (s *server) Start(_ struct{}, sink core.Sink[struct{}], slot int) (core.Ticket, bool) {
+	s.lastDep = max(s.eng.Now(), s.lastDep) + s.svc.Sample(s.stream(slot))
+	s.eng.At(s.lastDep, func() { sink.Complete(slot, struct{}{}, nil) })
+	return core.Ticket{}, true
+}
+
+func (*server) Cancel(core.Ticket) bool { return false }
+
+// epoch is the instant of model time 0.
+var epoch = time.Unix(0, 0)
+
+// clock is the simulation's time as the engine reads it (core.Clock):
+// model time t is the instant t Units after the epoch.
+type clock struct{ eng *sim.Engine }
+
+func (c clock) Now() time.Time {
+	return epoch.Add(time.Duration(math.Round(c.eng.Now() * float64(Unit))))
+}
+
+func (c clock) AfterFunc(d time.Duration, f func()) core.Timer {
+	t := &timer{clock: c, f: f}
+	t.Reset(d)
+	return t
+}
+
+// timer is a core.Timer on the simulation. Each arming schedules an
+// event at the model time of its instant, so the clock reads exactly
+// that instant when it fires; one a later arming or a Stop outdated
+// does nothing.
+type timer struct {
+	clock
+	f       func()
+	arming  int
+	pending bool
+}
+
+func (t *timer) Reset(d time.Duration) bool {
+	was := t.Stop()
+	t.arming++
+	arming, at := t.arming, t.Now().Add(d)
+	t.pending = true
+	t.eng.At(float64(at.Sub(epoch))/float64(Unit), func() {
+		if t.pending && t.arming == arming {
+			t.pending = false
+			t.f()
+		}
+	})
+	return was
+}
+
+func (t *timer) Stop() bool {
+	was := t.pending
+	t.pending = false
+	return was
 }
