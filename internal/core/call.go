@@ -119,6 +119,15 @@ import (
 // decides the call sends an event, so the caller wakes once and on
 // takes one event.
 //
+// A read group may carry a discard hook (NewDiscardingKeyedGroup). Every
+// success a call neither returns nor collects goes to it once: a copy
+// whose completion was queued by the decision (drainCompleted, run by
+// end), a straggler that completes after it (release's drain), and a
+// quorum call's success that only its own outcome scratch held
+// (discardOuts). No failure, miss or dropped copy reaches it. A group
+// whose values are pooled buffers so gives back what it decoded for
+// nobody.
+//
 // A frame owns one runtime timer, made on its first deadline and kept
 // with it in the pool, armed for the earlier of the next hedge (hedgeAt)
 // and the context watch (watchAt). A fire only says "look at the clock":
@@ -276,7 +285,11 @@ type callFrame[K, T any] struct {
 	// its capacity less one.
 	results chan indexed[T]
 	// pool is the group's frame pool, where release returns the frame.
-	pool *sync.Pool
+	// discard is the group's discard hook, nil for none: the frame hands
+	// it every success the call neither returns nor collects (see the file
+	// comment). Both are the group's, set when the frame is made.
+	pool    *sync.Pool
+	discard func(T)
 	// refs counts the engine, every launched copy (until its goroutine
 	// delivers, or its started request completes or is withdrawn) and the
 	// timer while it is armed. The frame recycles only when it hits zero.
@@ -452,22 +465,22 @@ func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 // allocates nothing.
 func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 	v, _, err := fr.picked[i].m.run(fr.cctx, fr.arg, fr.gov)
-	fr.deliver(i, v, err, fr.now())
+	fr.deliver(indexed[T]{val: v, err: err, idx: i, at: fr.now()})
 }
 
-// deliver queues copy i's completion, which happened at at, for on,
-// counts a success toward settling the call — after queueing it, so that
-// whoever sees the call settled queues behind the deciding success —
-// hands it on if the call is stepped (pump), and drops the copy's frame
-// reference. A durable copy reports instead (report).
-func (fr *callFrame[K, T]) deliver(i int, v T, err error, at time.Time) {
+// deliver queues a copy's completion ev for on, counts a success toward
+// settling the call — after queueing it, so that whoever sees the call
+// settled queues behind the deciding success — hands it on if the call
+// is stepped (pump), and drops the copy's frame reference. A durable
+// copy reports instead (report).
+func (fr *callFrame[K, T]) deliver(ev indexed[T]) {
 	if fr.durable != nil {
-		fr.report(i, err)
+		fr.report(ev.idx, ev.err)
 		fr.release(1)
 		return
 	}
-	fr.results <- indexed[T]{val: v, err: err, idx: i, at: at}
-	if err == nil {
+	fr.results <- ev
+	if ev.err == nil {
 		fr.won.Add(1)
 	}
 	fr.pump()
@@ -532,7 +545,7 @@ func (fr *callFrame[K, T]) timerFired() {
 // release drops n references. The holder that drops the last reference
 // proves the results channel empty (every sender has already delivered
 // — copies deliver before releasing, and a fired hedge delivers in its
-// callback) and recycles the frame.
+// callback), discarding the stragglers' values, and recycles the frame.
 func (fr *callFrame[K, T]) release(n int32) {
 	if fr.refs.Add(-n) != 0 {
 		return
@@ -542,7 +555,8 @@ func (fr *callFrame[K, T]) release(n int32) {
 drain:
 	for {
 		select {
-		case <-fr.results:
+		case r := <-fr.results:
+			fr.discardEvent(r)
 		default:
 			break drain
 		}
@@ -579,11 +593,12 @@ drain:
 }
 
 // drainCompleted consumes results already delivered but not yet
-// received and returns the updated completion count. Copies that
-// delivered before the call was decided are not "cancelled" — no
-// capacity was reclaimed from them — so end drains before computing the
-// Cancelled metric; a dropped copy's event (Drop) is one of these, and
-// this is the only place it is ever read. Timer events are skipped.
+// received, discarding their values, and returns the updated completion
+// count. Copies that delivered before the call was decided are not
+// "cancelled" — no capacity was reclaimed from them — so end drains
+// before computing the Cancelled metric; a dropped copy's event (Drop)
+// is one of these, and this and release's drain are the only places it
+// is ever read. Timer events are skipped.
 func (fr *callFrame[K, T]) drainCompleted() int {
 	for {
 		select {
@@ -591,9 +606,34 @@ func (fr *callFrame[K, T]) drainCompleted() int {
 			if !r.timer {
 				fr.completed++
 				fr.copyDelivered(r.idx)
+				fr.discardEvent(r)
 			}
 		default:
 			return fr.completed
+		}
+	}
+}
+
+// discardEvent hands the discard hook the value of a success the call
+// took no part of: one drained after its decision. A timer event, a
+// failure and a dropped copy carry none.
+func (fr *callFrame[K, T]) discardEvent(r indexed[T]) {
+	if fr.discard != nil && r.err == nil && !r.timer && !r.dropped {
+		fr.discard(r.val)
+	}
+}
+
+// discardOuts hands the discard hook the successes a quorum call took
+// into the frame's own outcome scratch (outcomes) and does not return:
+// all but the result's value, or every one when the call failed with an
+// error other than the *QuorumError that carries them.
+func (fr *callFrame[K, T]) discardOuts(err error) {
+	if _, ok := err.(*QuorumError[T]); ok {
+		return
+	}
+	for _, o := range fr.outs {
+		if o.Err == nil && (err != nil || o.Index != fr.res.Index) {
+			fr.discard(o.Value)
 		}
 	}
 }
@@ -833,6 +873,9 @@ func (fr *callFrame[K, T]) end(err error) bool {
 	}
 	if err != nil {
 		fr.res = Result[T]{}
+	}
+	if fr.discard != nil && fr.collect == nil && fr.quorum > 1 {
+		fr.discardOuts(err)
 	}
 	fr.res.Launched, fr.res.Cancelled = fr.launched, fr.launched-fr.drainCompleted()
 	if fr.cdone != nil {

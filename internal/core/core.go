@@ -97,4 +97,7 @@ type indexed[T any] struct {
 	// err, idx and at are then meaningless, and the instant is read when
 	// the event is taken.
 	timer, cancel bool
+	// dropped marks a success completed without its value (Sink.Drop):
+	// val is the zero value and no caller's, so it is never discarded.
+	dropped bool
 }

@@ -71,13 +71,16 @@ type KeyedGroup[K, T any] struct {
 	frames sync.Pool
 	// durable is DoDurable's mode, set by NewDurableKeyedGroup.
 	durable *Durable[K]
+	// discard is the read group's discard hook, set by
+	// NewDiscardingKeyedGroup; every frame of the group carries it.
+	discard func(T)
 }
 
 // getFrame returns a quiescent call frame holding the engine's reference.
 func (g *KeyedGroup[K, T]) getFrame() *callFrame[K, T] {
 	fr, _ := g.frames.Get().(*callFrame[K, T])
 	if fr == nil {
-		fr = &callFrame[K, T]{pool: &g.frames}
+		fr = &callFrame[K, T]{pool: &g.frames, discard: g.discard}
 		fr.results = make(chan indexed[T], frameChanCap)
 		fr.slots = fr.slotsBuf[:0]
 	}
@@ -333,8 +336,9 @@ type ReplicaStats struct {
 	// Dropped counts this replica's successful replies that arrived after
 	// their call was already decided and were discarded undecoded by the
 	// replica's Starter (see Sink.Drop). Cancelled + Dropped is the losers
-	// that cost the client nothing; a loser in neither was decoded and
-	// thrown away.
+	// that cost the client nothing; a loser in neither was decoded, and
+	// its value, which no caller receives, went to the group's discard
+	// hook (NewDiscardingKeyedGroup) if it has one.
 	Dropped int64
 	// P50, P95, P99 are latency-quantile estimates from the replica's
 	// digest (zero if unobserved).
@@ -511,6 +515,21 @@ type CopyDone[K any] struct {
 func NewDurableKeyedGroup[K, T any](d Durable[K]) *KeyedGroup[K, T] {
 	g := NewStrategyKeyedGroup[K, T](FullReplicate{})
 	g.durable = &d
+	return g
+}
+
+// NewDiscardingKeyedGroup creates a KeyedGroup, as NewStrategyKeyedGroup
+// does, whose calls hand discard every successful value they neither
+// return nor collect: a loser whose reply was decoded after its call was
+// decided (one queued by then, or a straggler whose Cancel lost), and a
+// quorum call's success it took but does not return. Each such value
+// reaches discard exactly once, on whichever goroutine drains it, and no
+// failure and no dropped copy (Sink.Drop) ever does. A caller whose
+// values are pooled buffers gives them back there: nobody else holds
+// them.
+func NewDiscardingKeyedGroup[K, T any](s Strategy, discard func(T), opts ...GroupOption) *KeyedGroup[K, T] {
+	g := NewStrategyKeyedGroup[K, T](s, opts...)
+	g.discard = discard
 	return g
 }
 

@@ -58,7 +58,13 @@ type Sink[T any] interface {
 	// loser's reply can be claimed by its Starter; asking here, where the
 	// reply lands, decides it without waiting for that goroutine. A
 	// dropped copy answered: its latency is observed (as of now) and it is
-	// counted as dropped on its replica, not as cancelled or failed.
+	// counted as dropped on its replica, not as cancelled or failed. A
+	// loser that is not dropped — its reply decoded on a call that does
+	// not settle (it collects outcomes), or in the same instant as the
+	// winner's by another reader — is Completed, and the engine hands its
+	// value, which no caller receives, to the group's discard hook
+	// (NewDiscardingKeyedGroup): the stack gives back what it decoded
+	// for nobody.
 	Drop(slot int) bool
 }
 
@@ -123,6 +129,11 @@ func (fr *callFrame[K, T]) startCopy(i int, now time.Time) bool {
 // recycling discipline holds. A durable copy is not timed: nothing ranks
 // write members, and on does not time its call.
 func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
+	fr.complete(indexed[T]{val: v, err: err, idx: slot})
+}
+
+// complete is Complete for an event that may be a dropped copy's.
+func (fr *callFrame[K, T]) complete(ev indexed[T]) {
 	if fr.refs.Load() <= 0 {
 		// Every copy holds a reference until it completes: a Starter that
 		// completes one twice would otherwise write into a pooled frame.
@@ -131,31 +142,29 @@ func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 	if fr.gov != nil {
 		fr.gov.copyDone()
 	}
-	var now time.Time
 	if fr.durable == nil {
-		now = fr.now()
-		if err == nil {
-			fr.picked[slot].m.lat.observe(float64(now.Sub(fr.slots[slot].at)))
+		ev.at = fr.now()
+		if ev.err == nil {
+			fr.picked[ev.idx].m.lat.observe(float64(ev.at.Sub(fr.slots[ev.idx].at)))
 		}
 	}
-	fr.deliver(slot, v, err, now)
+	fr.deliver(ev)
 }
 
 // Drop implements Sink: once the call is settled, a started copy that
 // succeeded completes as Complete would have it — bracket closed,
 // latency observed, one event for the call's accounting, reference
-// dropped — carrying no value. The event is queued behind the success
+// dropped — carrying no value, and marked so that the discard hook is
+// never handed its zero value. The event is queued behind the success
 // that settled the call, which is where the call is decided, so nothing
 // ever reads it as an outcome: drainCompleted counts it (the copy was
-// not reclaimed in flight, so it is not Cancelled) or release discards
-// it.
+// not reclaimed in flight, so it is not Cancelled) or release skips it.
 func (fr *callFrame[K, T]) Drop(slot int) bool {
 	if !fr.settled() {
 		return false
 	}
 	fr.picked[slot].m.dropped.Add(1)
-	var zero T
-	fr.Complete(slot, zero, nil)
+	fr.complete(indexed[T]{idx: slot, dropped: true})
 	return true
 }
 

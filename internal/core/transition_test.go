@@ -35,7 +35,12 @@ import (
 // the call run on the same choices, and each must: complete, drop or
 // withdraw every launched copy exactly once and start no other, recycle
 // the frame once, with its last straggler, and return the governor's
-// in-flight count to 0. The configurations and their orders:
+// in-flight count to 0. Each value is followed too: copy i's success
+// carries 10+i, distinct per copy, and every success completed (not
+// dropped) must end exactly once — returned as the result's value or in
+// a *QuorumError's outcomes, or handed to the frame's discard hook —
+// while no failure, miss or dropped copy reaches the hook. The
+// configurations and their orders:
 // Fixed{Copies: 2} 546, a one-hour hedge 265, WithQuorum(2) 442,
 // WithNegativeAnswer 442, and WithQuorum(2) with WithNegativeAnswer
 // (memkv's quorum read) 546: 2 241 orders in all.
@@ -183,7 +188,9 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 	}
 	gov := NewGovernor(100, 0) // never gates
 	g := NewStrategyGroup[int](Fixed{Copies: 2})
-	fr := &callFrame[struct{}, int]{pool: new(sync.Pool), n: 2, quorum: cfg.q, gov: gov}
+	var discarded []int
+	fr := &callFrame[struct{}, int]{pool: new(sync.Pool), n: 2, quorum: cfg.q, gov: gov,
+		discard: func(v int) { discarded = append(discarded, v) }}
 	fr.refs.Store(1)
 	fr.ensureChan(2)
 	picked := fr.pickedSlice(2)
@@ -215,6 +222,7 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 		actReply // + copy*replyKinds + kind
 	)
 	decided, timed, cancelled := false, false, false
+	var completed, returned []int // the successes' values
 	for {
 		var acts []int
 		if !decided {
@@ -255,8 +263,12 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 			spec.cancel()
 		default:
 			i, k := (a-actReply)/replyKinds, (a-actReply)%replyKinds
-			if got, want := ss[i].reply(k, 10+i), spec.reply(i, k); got != want {
-				fail("copy %d's success dropped %v, want %v", i, got, want)
+			dropped := ss[i].reply(k, 10+i)
+			if want := spec.reply(i, k); dropped != want {
+				fail("copy %d's success dropped %v, want %v", i, dropped, want)
+			}
+			if k == replyOK && !dropped {
+				completed = append(completed, 10+i)
 			}
 		}
 		if decided = decided || done; decided != spec.decided {
@@ -268,6 +280,7 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 			if !reflect.DeepEqual(res, spec.res) || !reflect.DeepEqual(err, spec.err) {
 				fail("result (%+v, %v), want (%+v, %v)", res, err, spec.res, spec.err)
 			}
+			returned = returnedValues(res, err)
 		}
 		last := decided && !ss[0].replyable(true) && !ss[1].replyable(true)
 		if recycled(fr) != last {
@@ -291,6 +304,37 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 	if n := gov.Stats().InFlight; n != 0 {
 		fail("%d copies in flight on the governor, want 0", n)
 	}
+	ends := map[int]int{}
+	for _, v := range append(returned, discarded...) {
+		ends[v]++
+	}
+	for _, v := range completed {
+		if ends[v] != 1 {
+			fail("copy %d's success ended %d times (returned %v, discarded %v), want once", v-10, ends[v], returned, discarded)
+		}
+		delete(ends, v)
+	}
+	if len(ends) > 0 {
+		fail("values %v returned or discarded, but no copy completed them (returned %v, discarded %v)", ends, returned, discarded)
+	}
+}
+
+// returnedValues is what a caller receives of a call's successes: the
+// result's value, or the successes a *QuorumError carries.
+func returnedValues(res Result[int], err error) []int {
+	if err == nil {
+		return []int{res.Value}
+	}
+	var vs []int
+	var qe *QuorumError[int]
+	if errors.As(err, &qe) {
+		for _, o := range qe.Outcomes {
+			if o.Err == nil {
+				vs = append(vs, o.Value)
+			}
+		}
+	}
+	return vs
 }
 
 // stepSpec is the sequential specification of a two-copy call, run on

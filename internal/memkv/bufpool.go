@@ -17,6 +17,13 @@ import (
 // that has consumed the value (the gateway, once it has written the
 // reply) gives the buffer to the next read instead of to the collector.
 //
+// The rule's second half: the stack releases what no caller receives.
+// A redundant read's loser decoded after its call was decided goes back
+// through the read group's discard hook (ShardedClient's discardRead), a
+// quorum read gives back the votes it does not return, and a blocking
+// read withdrawn after its reply was claimed gives back that reply. No
+// buffer a caller was handed is ever released on its behalf.
+//
 // Scan entries and watch events are not pooled: they are slices into
 // larger payloads or values their holders keep, plain allocations, and
 // releasing one is harmless but pointless.
@@ -48,12 +55,20 @@ var (
 	// instead, so a hit allocates nothing on either side.
 	valuePools [poolClasses]sync.Pool
 	boxPool    = sync.Pool{New: func() any { return new([]byte) }}
-	// stocked[c] is set by the first Release into class c. Looking in an
-	// empty sync.Pool is the slow path of Get — every P's list, then the
-	// victim cache — and a process whose callers keep what they read would
-	// pay it on every read for nothing (without the flag lib_get_k1 lost
-	// 9 pairs of 10 on cpu_us_per_op, +1.1 %): it reads a flag instead.
-	stocked [poolClasses]atomic.Bool
+	// stocked[c] counts the buffers released into class c and not yet
+	// taken back, and Take looks in the class only while it is positive: a
+	// hit takes one off, and a miss — the buffers went to other Ps' private
+	// slots or to a collection — sets it to 0, until the next Release.
+	// Looking in an empty sync.Pool is the slow path of Get — every P's
+	// list, then the victim cache, about 54 ns with 2 goroutines on 2 Ps
+	// against 2.8 ns for the count's load — and a process whose callers
+	// keep what they read would pay it on every read for nothing (without
+	// a gate lib_get_k1 lost 9 pairs of 10 on cpu_us_per_op, +1.1 %). A
+	// flag set by the first Release would stay set once the stack gives
+	// back its losers, and every later read of a caller that keeps its
+	// values would walk the empty pool again; the count closes the class
+	// as soon as its buffers are gone.
+	stocked [poolClasses]atomic.Int64
 )
 
 // poolClass files a length or capacity n, minPooled <= n <= maxPooled,
@@ -73,14 +88,18 @@ func poolClass(n int) int { return bits.Len(uint(n)) - 7 }
 // The result is the caller's own. Release it when finished, or never.
 func Take(n int) []byte {
 	if n >= minPooled && n <= maxPooled {
-		if c := poolClass(n); stocked[c].Load() {
-			if box, _ := valuePools[c].Get().(*[]byte); box != nil {
-				b := *box
-				*box = nil
-				boxPool.Put(box)
-				if cap(b) >= n {
-					return b[:n]
-				}
+		if c := poolClass(n); stocked[c].Load() > 0 {
+			box, _ := valuePools[c].Get().(*[]byte)
+			if box == nil {
+				stocked[c].Store(0)
+				return make([]byte, n)
+			}
+			stocked[c].Add(-1)
+			b := *box
+			*box = nil
+			boxPool.Put(box)
+			if cap(b) >= n {
+				return b[:n]
 			}
 		}
 	}
@@ -109,7 +128,5 @@ func Release(v []byte) {
 	*box = v
 	class := poolClass(c)
 	valuePools[class].Put(box)
-	if !stocked[class].Load() {
-		stocked[class].Store(true)
-	}
+	stocked[class].Add(1)
 }

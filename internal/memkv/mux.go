@@ -62,17 +62,18 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     redundant read this way; GetV stays the blocking form of the same
 //     request (opGetV, the one read), and Get is GetV without the
 //     version.
-//   - The loser of a redundant read costs neither a reconnect nor a
-//     discarded value, whichever side of its reply the call is decided
-//     on. Cancelled before the reply arrives, its tag is gone and the
-//     reply is skipped as above. Decided before the reply is decoded —
-//     the winner's reader settled the call, the caller's goroutine has
-//     not run yet to cancel — the reader claims the tag, asks the sink
+//   - The loser of a redundant read costs neither a reconnect nor an
+//     allocation, whichever side of its reply the call is decided on.
+//     Cancelled before the reply arrives, its tag is gone and the reply
+//     is skipped as above. Decided before the reply is decoded — the
+//     winner's reader settled the call, the caller's goroutine has not
+//     run yet to cancel — the reader claims the tag, asks the sink
 //     (core.Sink.Drop), and skips the value the same way, completing the
 //     copy without it. What is left is two replies being completed in
 //     the same instant by two readers, neither seeing the other's: then
-//     the loser's value is decoded and thrown away, as every such loser
-//     once was.
+//     the loser's value is decoded, and the engine hands it to the read
+//     group's discard hook, which gives its buffer back to the pool
+//     (ShardedClient's discardRead) for the next read to land in.
 //   - Neither do versioned writes: StartPutV is to PutV what Start is to
 //     GetV. It encodes the put straight into the pending buffer — no
 //     payload slice, no waiter — and the reader decodes the fixed-size
@@ -682,7 +683,8 @@ func (m *MuxClient) wait(ctx context.Context, cn *muxConn, tag uint64, w *muxWai
 		return r.f, r.err
 	case <-ctx.Done():
 		if _, ok := cn.claim(tag); !ok {
-			<-w.ch
+			// A completer claimed the reply first; its value is nobody's.
+			Release((<-w.ch).f.val)
 		}
 		muxWaiterPool.Put(w)
 		return frame{}, ctx.Err()

@@ -147,7 +147,7 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	}
 	sc := &ShardedClient{
 		shards:      ring.NewTable[*member](ring.DefaultVirtualNodes, cfg.Replication),
-		reads:       core.NewStrategyKeyedGroup[string, Versioned](cfg.ReadStrategy, core.WithObserver(cfg.Observer)),
+		reads:       core.NewDiscardingKeyedGroup[string](cfg.ReadStrategy, discardRead, core.WithObserver(cfg.Observer)),
 		writeQuorum: cfg.WriteQuorum,
 	}
 	sc.writes = core.NewDurableKeyedGroup[putReq, PutVResult](core.Durable[putReq]{
@@ -159,6 +159,13 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	}
 	return sc
 }
+
+// discardRead is the read group's discard hook: a copy's value that no
+// caller receives — a loser decoded after its read was decided — goes
+// back to the pool (bufpool.go). It is read once per client, when the
+// client is made; a test counts what the hook is handed by replacing it
+// before then.
+var discardRead = func(v Versioned) { Release(v.Value) }
 
 // AddShard registers a shard; keys whose placement now includes it route
 // there from the next call on. Data written under the old placement is

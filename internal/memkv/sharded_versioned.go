@@ -222,6 +222,8 @@ func (sc *ShardedClient) replicate(ctx context.Context, r putReq, owners []*memb
 // miss: the key's final second is forfeited here, though a read without
 // a quorum still returns it. outs, the caller's collector when it passed
 // one, receives the votes as counted: a miss as a version-0 answer.
+// Votes in a list of its own are nobody's but the returned one, so it
+// releases every other vote's value, a vote it zeroes included.
 func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs *[]core.Outcome[Versioned], opts []core.CallOption) (core.Result[Versioned], error) {
 	var zero core.Result[Versioned]
 	if err := ValidateKey(key); err != nil {
@@ -233,7 +235,8 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 		return zero, core.ErrNoReplicas
 	}
 	q = min(q, len(owners))
-	if outs == nil {
+	own := outs == nil
+	if own {
 		outs = new([]core.Outcome[Versioned])
 	}
 	var hb [4]core.Handle[string, Versioned]
@@ -241,6 +244,11 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 		core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
 		core.WithCollectOutcomes(outs), core.WithNegativeAnswer(ErrNotFound))...)
 	if err != nil && !errors.Is(err, ErrNotFound) {
+		var qe *core.QuorumError[Versioned]
+		if own && !errors.As(err, &qe) {
+			// The caller's context ended the call: no vote is returned.
+			releaseVotes(*outs, -1)
+		}
 		return zero, fmt.Errorf("memkv: quorum get %q: %w", key, err)
 	}
 	// A miss is version 0. Index maps an outcome to its placement slot
@@ -255,6 +263,9 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 		case o.Err != nil:
 			continue
 		case o.Value.TTLSecs == 1:
+			if own {
+				Release(o.Value.Value)
+			}
 			o.Value = Versioned{}
 		case o.Value.TTLSecs > 1:
 			o.Value.TTLSecs--
@@ -273,6 +284,9 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 			stale = append(stale, owners[o.Index].Addr())
 		}
 	}
+	if own {
+		releaseVotes(votes, newest)
+	}
 	sc.Witness(res.Value.Version)
 	if len(stale) > 0 {
 		if sink := sc.repairSink(); sink != nil {
@@ -280,6 +294,15 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 		}
 	}
 	return res, nil
+}
+
+// releaseVotes releases the values of every vote but votes[keep].
+func releaseVotes(votes []core.Outcome[Versioned], keep int) {
+	for i, o := range votes {
+		if i != keep {
+			Release(o.Value.Value)
+		}
+	}
 }
 
 // VersionedShard returns the client of the shard at addr, for

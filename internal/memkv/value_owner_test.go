@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"redundancy/internal/core"
 	"redundancy/internal/core/coretest"
 	"redundancy/internal/ring"
 )
@@ -450,6 +451,68 @@ func TestMuxValuePoolSteadyLoopHits(t *testing.T) {
 	}
 }
 
+// TestMuxValuePoolCounts: Take looks in a class only while buffers
+// released into it are not all taken back. A released buffer raises the
+// class's count and is taken back by the next Take of its class, which
+// lowers it; a Take that finds the class empty though the count says
+// otherwise (its buffers were collected) sets the count to 0; and a class
+// with a count of 0 is not looked in at all, whatever it holds.
+func TestMuxValuePoolCounts(t *testing.T) {
+	// One P, so that a buffer put in the pool is the next one got from it;
+	// set before the class is used, since a change of GOMAXPROCS drops
+	// every sync.Pool's per-P lists.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 8000
+	c := poolClass(n)
+	empty := func() {
+		for valuePools[c].Get() != nil {
+		}
+		stocked[c].Store(0)
+	}
+	empty()
+
+	// Never released into: a buffer put in the class behind the count's
+	// back is not found.
+	planted := make([]byte, n)
+	box := &planted
+	valuePools[c].Put(box)
+	if b := Take(n); &b[0] == &planted[0] {
+		t.Fatal("Take looked in a class nothing was released into")
+	}
+	if got := stocked[c].Load(); got != 0 {
+		t.Fatalf("count %d after a Take from a class never released into, want 0", got)
+	}
+	empty()
+
+	// Released, then taken back.
+	b := make([]byte, n)
+	Release(b)
+	Release(make([]byte, n))
+	if got := stocked[c].Load(); got != 2 {
+		t.Fatalf("count %d after two releases, want 2", got)
+	}
+	// A -race build's sync.Pool drops a quarter of its Puts at random, so
+	// only a plain build is sure to hit.
+	if got := Take(n); !coretest.Race() && (&got[0] != &b[0] || stocked[c].Load() != 1) {
+		t.Errorf("after two releases Take returned the first: %v, count %d; want true, 1", &got[0] == &b[0], stocked[c].Load())
+	}
+
+	// A miss: the count says 3, the class is empty.
+	empty()
+	for range 3 {
+		Release(make([]byte, n))
+	}
+	for valuePools[c].Get() != nil {
+	}
+	if got := stocked[c].Load(); got != 3 {
+		t.Fatalf("count %d after three releases the pool lost, want 3", got)
+	}
+	Take(n)
+	if got := stocked[c].Load(); got != 0 {
+		t.Errorf("count %d after a miss, want 0", got)
+	}
+}
+
 // TestMuxReleasePoisonsUnderRace: in a -race build a released buffer is
 // overwritten before it is pooled, so any test in the raced suite that
 // reads a value after giving it back sees poison, not the bytes it hoped
@@ -553,4 +616,45 @@ func TestMuxHeldValuesSurviveOthersReleases(t *testing.T) {
 	holders.Wait()
 	close(stop)
 	churn.Wait()
+}
+
+// TestShardedQuorumGetReleasesVotes: a WithQuorum(2) read over two
+// owners decodes both votes and returns one. The vote it does not
+// return is nobody's, and readQuorum gives it back, so a caller that
+// releases what it read leaves no value-sized garbage at all: one
+// allocation per read fewer than when the other vote was left to the
+// collector (12 then, with the result released).
+func TestShardedQuorumGetReleasesVotes(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	sc, _, muxes := startAsyncShards(t, 2, ShardedConfig{Replication: 2}, 5*time.Second, nil)
+	warmPuts(t, sc, muxes)
+	ctx := context.Background()
+	value := bytes.Repeat([]byte{'q'}, 1000)
+	if _, err := sc.PutVersioned(ctx, "key-quorum", value, 0); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		res, err := sc.GetResult(ctx, "key-quorum", core.WithQuorum(2))
+		if err != nil || !bytes.Equal(res.Value.Value, value) {
+			t.Fatalf("quorum Get = (%.16q…, %v)", res.Value.Value, err)
+		}
+		Release(res.Value.Value)
+	}
+	for i := 0; i < 200; i++ {
+		read()
+	}
+	const reads = 4000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := float64(after.Mallocs-before.Mallocs) / reads
+	t.Logf("WithQuorum(2) read, result released: %.3f allocations per read", perRead)
+	if perRead > 11.5 {
+		t.Errorf("a WithQuorum(2) read whose result is released allocates %.3f times across client and servers, want 11: the vote it does not return is released too", perRead)
+	}
 }
