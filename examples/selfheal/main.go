@@ -134,7 +134,7 @@ func main() {
 	cur := sc.PlacementSnapshot()
 	fmt.Printf("shard %s joined: keys remap to the new placement\n", newAddr)
 
-	st, err := mgr.RebalanceBetween(ctx, prev, cur)
+	st, err := mgr.Rebalance(ctx, prev, cur)
 	if err != nil {
 		panic(err)
 	}

@@ -282,6 +282,15 @@ func TestGroupDoFanoutCap(t *testing.T) {
 	if res.Launched != 2 {
 		t.Errorf("quorum under cap launched %d, want 2", res.Launched)
 	}
+	// The last option to set the cap wins, an explicit 0 (no cap)
+	// included.
+	res, err = g.Do(context.Background(), WithFanoutCap(1), WithFanoutCap(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Launched != 3 {
+		t.Errorf("cap 1 then cap 0 launched %d, want the strategy's 3", res.Launched)
+	}
 }
 
 func TestGroupDoLabelReachesObserver(t *testing.T) {
@@ -398,6 +407,8 @@ func TestGroupDoOptionMatrixUnderChurn(t *testing.T) {
 		{WithQuorum(2), WithStrategyOverride(FullReplicate{}), WithLabel("matrix")},
 		{WithFanoutCap(1)},
 		{WithQuorum(3), WithFanoutCap(2)},
+		{WithQuorum(3), WithQuorum(0)},
+		{WithFanoutCap(2), WithFanoutCap(0)},
 	}
 	var workers sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -1,49 +1,57 @@
 package core
 
-import "sync"
-
 // CallOption customizes a single Group.Do or KeyedGroup.Do operation,
 // composing over the group's installed strategy without touching shared
 // state: one latency-critical request can raise its quorum, override the
 // hedging strategy, cap its fan-out, or label itself for per-class
 // metrics while every other caller of the same group is unaffected.
 //
-// A zero-option call pays nothing for the mechanism: Do only assembles a
-// configuration when at least one option is passed.
-type CallOption func(*callOpts)
-
-// callOpts is the per-call configuration assembled from CallOptions.
-type callOpts struct {
+// A CallOption is a value: each With* sets one field, and a call merges
+// its options in order, the last to set a field winning. The zero
+// CallOption sets nothing. Passing options allocates nothing.
+type CallOption struct {
+	set       optField // the one field this option sets
 	quorum    int
 	fanoutCap int
 	label     string
 	strategy  Strategy
-	outcomes  any // *[]Outcome[T]; type-checked against the group's T in Do
+	outcomes  any // *[]Outcome[T]; type-checked against the group's T in plan
 	negative  error
 }
 
-// noCallOpts is the shared zero configuration of a call with no
-// options. plan only reads its callOpts, so one read-only instance serves
-// every call.
-var noCallOpts callOpts
+// optField names the field a CallOption sets.
+type optField uint8
 
-// applyCallOptions folds opts into a callOpts. It is only called when at
-// least one option is present, so the zero-option hot path never
-// materializes (or heap-allocates) a configuration.
-func applyCallOptions(opts []CallOption) callOpts {
-	var co callOpts
+const (
+	optQuorum optField = iota + 1
+	optFanoutCap
+	optLabel
+	optStrategy
+	optOutcomes
+	optNegative
+)
+
+// mergeOptions folds opts in order into one CallOption holding every
+// field some option set, the last to set a field winning.
+func mergeOptions(opts []CallOption) (c CallOption) {
 	for _, o := range opts {
-		if o != nil {
-			o(&co)
+		switch o.set {
+		case optQuorum:
+			c.quorum = o.quorum
+		case optFanoutCap:
+			c.fanoutCap = o.fanoutCap
+		case optLabel:
+			c.label = o.label
+		case optStrategy:
+			c.strategy = o.strategy
+		case optOutcomes:
+			c.outcomes = o.outcomes
+		case optNegative:
+			c.negative = o.negative
 		}
 	}
-	return co
+	return c
 }
-
-// scratchOpts recycles the configurations QuorumOf folds options into:
-// applying an option hands it a pointer it may keep, so a local one
-// would move to the heap on every call.
-var scratchOpts = sync.Pool{New: func() any { return new(callOpts) }}
 
 // QuorumOf reports the quorum that opts ask for (0 when none does) and
 // the outcome collector they carry, if its element type is Outcome[T].
@@ -51,20 +59,9 @@ var scratchOpts = sync.Pool{New: func() any { return new(callOpts) }}
 // version-comparing quorum read, say — see the two options it must
 // honour itself. It allocates nothing.
 func QuorumOf[T any](opts []CallOption) (q int, collect *[]Outcome[T]) {
-	if len(opts) == 0 {
-		return 0, nil
-	}
-	co := scratchOpts.Get().(*callOpts)
-	for _, o := range opts {
-		if o != nil {
-			o(co)
-		}
-	}
-	q = co.quorum
-	collect, _ = co.outcomes.(*[]Outcome[T])
-	*co = callOpts{}
-	scratchOpts.Put(co)
-	return q, collect
+	c := mergeOptions(opts)
+	collect, _ = c.outcomes.(*[]Outcome[T])
+	return c.quorum, collect
 }
 
 // WithQuorum completes the call only after q replicas succeed (R-of-N
@@ -76,7 +73,7 @@ func QuorumOf[T any](opts []CallOption) (q int, collect *[]Outcome[T]) {
 // with ErrQuorumUnreachable. On failure the error is a *QuorumError
 // carrying the partial outcomes.
 func WithQuorum(q int) CallOption {
-	return func(c *callOpts) { c.quorum = q }
+	return CallOption{set: optQuorum, quorum: q}
 }
 
 // WithStrategyOverride runs this call under s instead of the group's
@@ -85,7 +82,7 @@ func WithQuorum(q int) CallOption {
 // unchanged and concurrent callers are unaffected. A nil s leaves the
 // group's strategy in effect.
 func WithStrategyOverride(s Strategy) CallOption {
-	return func(c *callOpts) { c.strategy = s }
+	return CallOption{set: optStrategy, strategy: s}
 }
 
 // WithFanoutCap caps the number of copies this call may launch,
@@ -94,14 +91,14 @@ func WithStrategyOverride(s Strategy) CallOption {
 // requirement takes precedence: the fan-out never drops below the call's
 // quorum.
 func WithFanoutCap(n int) CallOption {
-	return func(c *callOpts) { c.fanoutCap = n }
+	return CallOption{set: optFanoutCap, fanoutCap: n}
 }
 
 // WithLabel tags the call's Observation, so an Observer (e.g. Counters)
 // can aggregate metrics per traffic class — "checkout" vs "prefetch" —
 // through one shared group.
 func WithLabel(label string) CallOption {
-	return func(c *callOpts) { c.label = label }
+	return CallOption{set: optLabel, label: label}
 }
 
 // WithCollectOutcomes gathers the per-copy outcomes of the call into
@@ -110,7 +107,7 @@ func WithLabel(label string) CallOption {
 // appear). dst is reset to length zero first. The element type must
 // match the group's result type, otherwise Do fails with an error.
 func WithCollectOutcomes[T any](dst *[]Outcome[T]) CallOption {
-	return func(c *callOpts) { c.outcomes = dst }
+	return CallOption{set: optOutcomes, outcomes: dst}
 }
 
 // WithNegativeAnswer makes a copy that fails with an error matching
@@ -121,5 +118,5 @@ func WithCollectOutcomes[T any](dst *[]Outcome[T]) CallOption {
 // Value: a call whose quorum was met by answers alone fails with the
 // first one's error. Any other error is a failure as usual.
 func WithNegativeAnswer(sentinel error) CallOption {
-	return func(c *callOpts) { c.negative = sentinel }
+	return CallOption{set: optNegative, negative: sentinel}
 }

@@ -406,23 +406,13 @@ func (g *KeyedGroup[K, T]) Stats() GroupStats {
 // that completes first may still win; a context never cancelled, or
 // whose deadline is less than 1ms away, is watched at once.
 func (g *KeyedGroup[K, T]) Do(ctx context.Context, arg K, opts ...CallOption) (Result[T], error) {
-	if len(opts) == 0 {
-		return g.do(ctx, arg, &noCallOpts)
-	}
-	co := applyCallOptions(opts)
-	return g.do(ctx, arg, &co)
-}
-
-// do plans one call over the whole group, picks its replicas by the
-// plan's Selection, and runs it.
-func (g *KeyedGroup[K, T]) do(ctx context.Context, arg K, co *callOpts) (Result[T], error) {
 	var zero Result[T]
 	st := g.state.Load()
 	n := len(st.members)
 	if n == 0 {
 		return zero, ErrNoReplicas
 	}
-	p, err := g.plan(st, co, n, n)
+	p, err := g.plan(st, opts, n, n)
 	if err != nil {
 		return zero, err
 	}
@@ -476,13 +466,9 @@ func (g *KeyedGroup[K, T]) planPicked(picked []Handle[K, T], opts []CallOption) 
 		}
 	}
 	st := g.state.Load()
-	var co callOpts
-	if len(opts) > 0 {
-		co = applyCallOptions(opts)
-	}
 	// The governor's utilization unit is in-flight copies per replica of
 	// the whole set; stale handles may briefly exceed the group size.
-	return g.plan(st, &co, n, max(len(st.members), n))
+	return g.plan(st, opts, n, max(len(st.members), n))
 }
 
 // Durable is the mode of a group whose calls are replicated writes
@@ -592,8 +578,9 @@ type callPlan[T any] struct {
 // n is the number of eligible replicas (the group size for Do, the
 // subset size for DoPicked); capacity is the replica count the governor
 // normalizes utilization by.
-func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], co *callOpts, n, capacity int) (callPlan[T], error) {
+func (g *KeyedGroup[K, T]) plan(st *groupState[K, T], opts []CallOption, n, capacity int) (callPlan[T], error) {
 	var p callPlan[T]
+	co := mergeOptions(opts)
 	p.strat = st.strategy
 	if co.strategy != nil {
 		p.strat = co.strategy

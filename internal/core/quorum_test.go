@@ -205,9 +205,9 @@ func TestQuorumNegativeAnswers(t *testing.T) {
 	}
 }
 
-// TestQuorumOfReadsTheCallsOptions: QuorumOf sees the last WithQuorum
-// and a collector of the asked-for element type, and folding options
-// that carry neither costs nothing.
+// TestQuorumOfReadsTheCallsOptions: QuorumOf sees the last WithQuorum,
+// an explicit 0 included, and a collector of the asked-for element type,
+// and folding options that carry neither costs nothing.
 func TestQuorumOfReadsTheCallsOptions(t *testing.T) {
 	var outs []Outcome[string]
 	if q, c := QuorumOf[string](nil); q != 0 || c != nil {
@@ -216,6 +216,9 @@ func TestQuorumOfReadsTheCallsOptions(t *testing.T) {
 	q, c := QuorumOf[string]([]CallOption{WithQuorum(3), WithLabel("x"), WithQuorum(2), WithCollectOutcomes(&outs)})
 	if q != 2 || c != &outs {
 		t.Fatalf("QuorumOf = (%d, %p), want (2, %p)", q, c, &outs)
+	}
+	if q, _ := QuorumOf[string]([]CallOption{WithQuorum(3), {}, WithQuorum(0)}); q != 0 {
+		t.Fatalf("WithQuorum(3), WithQuorum(0): QuorumOf = %d, want 0", q)
 	}
 	if _, c := QuorumOf[int]([]CallOption{WithCollectOutcomes(&outs)}); c != nil {
 		t.Fatalf("a collector of another element type was returned")

@@ -40,7 +40,7 @@ func TestFrameClockReadsOnePerCompletion(t *testing.T) {
 			g.AddStarter(name, nil, &echoStarter{})
 		}
 		st := g.state.Load()
-		p, err := g.plan(st, &noCallOpts, 2, 2)
+		p, err := g.plan(st, nil, 2, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

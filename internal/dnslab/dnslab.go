@@ -79,9 +79,6 @@ type Result struct {
 	// PerK[k-1] is the pooled response-time sample when querying the top
 	// k servers in parallel.
 	PerK []*stats.Sample
-	// BestSingle is the pooled sample for each vantage's best-ranked
-	// server (identical to PerK[0] by construction; kept for clarity).
-	BestSingle *stats.Sample
 	// Params echoes the configuration used.
 	Params Params
 }
@@ -144,9 +141,8 @@ func Run(cfg Config) (*Result, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 
 	res := &Result{
-		PerK:       make([]*stats.Sample, cfg.Servers),
-		BestSingle: stats.NewSample(cfg.Vantages * cfg.QueriesPerStage),
-		Params:     p,
+		PerK:   make([]*stats.Sample, cfg.Servers),
+		Params: p,
 	}
 	for k := range res.PerK {
 		res.PerK[k] = stats.NewSample(cfg.Vantages * cfg.QueriesPerStage / 4)
@@ -193,9 +189,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			res.PerK[k-1].Add(best)
-			if k == 1 {
-				res.BestSingle.Add(best)
-			}
 		}
 	}
 	return res, nil

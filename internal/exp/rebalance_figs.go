@@ -151,7 +151,7 @@ func AblationRebalance(o Options) ([]*Table, error) {
 	}
 	rebC := make(chan rebRes, 1)
 	go func() {
-		st, err := mgr.RebalanceBetween(ctx, prevPlacement, curPlacement)
+		st, err := mgr.Rebalance(ctx, prevPlacement, curPlacement)
 		rebC <- rebRes{st, err}
 	}()
 	during, err := readWindow(shards+1, seed^0x2222)

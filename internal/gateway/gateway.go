@@ -185,8 +185,9 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 // readPlan resolves the consistency headers into either a hedged
 // primary read or a quorum read (X-Read-Quorum, or the client's write
 // quorum for X-Consistency: quorum), plus the call options for the
-// class.
-func (g *Gateway) readPlan(r *http.Request) (quorumRead bool, quorum int, opts []core.CallOption, err error) {
+// class, appended to opts: the caller's array, so that a GET makes no
+// allocation for them.
+func (g *Gateway) readPlan(r *http.Request, opts []core.CallOption) (quorumRead bool, quorum int, _ []core.CallOption, err error) {
 	// The canonical spelling of X-SLO-Class: Get canonicalises its
 	// argument first, and allocates to do it when it is not already.
 	class := r.Header.Get("X-Slo-Class")
@@ -226,7 +227,8 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string) 
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	quorumRead, q, opts, err := g.readPlan(r)
+	var optBuf [2]core.CallOption
+	quorumRead, q, opts, err := g.readPlan(r, optBuf[:0])
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

@@ -878,6 +878,47 @@ func TestGetAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestControlledGetAllocatesNoMore: a GET under the SLO controller, which
+// cmd/gateway always wires, allocates no more through ServeHTTP than one
+// with no controller, unlabeled or in a class: its call options — the
+// class's label and strategy view — are values in an array handleGet
+// owns. (The controller starts every class on its one-copy rung.)
+func TestControlledGetAllocatesNoMore(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	f := newFixture(t, 2)
+	f.sc.SetReadStrategy(core.Fixed{Copies: 1})
+	f.do(t, "PUT", "/kv/k", strings.Repeat("v", 1024), nil)
+	w := &nullWriter{h: make(http.Header)}
+	perGet := func(gw *Gateway, class string) float64 {
+		req := httptest.NewRequest("GET", "/kv/k", nil)
+		if class != "" {
+			req.Header.Set("X-SLO-Class", class)
+		}
+		serve := func() {
+			clear(w.h)
+			gw.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("GET = %d", w.status)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			serve()
+		}
+		return testing.AllocsPerRun(2000, serve)
+	}
+	bare := perGet(New(Config{Client: f.sc}), "")
+	controlled := New(Config{Client: f.sc, Controller: f.ctl, Counters: f.ctr})
+	for _, class := range []string{"", "checkout"} {
+		avg := perGet(controlled, class)
+		t.Logf("GET under the controller, class %q: %.2f allocs; with no controller %.2f", class, avg, bare)
+		if avg > bare {
+			t.Errorf("a controlled GET (class %q) allocates %.2f, one with no controller %.2f: want no more", class, avg, bare)
+		}
+	}
+}
+
 // rawGet sends one rendered GET request on a keep-alive connection and
 // reads the reply into buf — a status line, headers, a Content-Length
 // body — with no allocation of its own, so that what a round trip

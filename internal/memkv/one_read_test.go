@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"redundancy/internal/core"
-	"redundancy/internal/ring"
 )
 
 // These tests pin the rules the one read keeps with and without a
@@ -122,8 +121,6 @@ func (d *divergenceSink) Divergence(key string, value []byte, version uint64, tt
 }
 
 func (*divergenceSink) WriteMissed(string, []byte, uint64, time.Duration, string) {}
-
-func (*divergenceSink) TopologyChanged(_, _ ring.Placement) {}
 
 // TestShardedGetQuorumCountsMissAsAnswer: to a quorum read a miss is an
 // answer of version 0. With the same key on one owner only and the

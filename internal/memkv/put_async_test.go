@@ -18,7 +18,6 @@ import (
 
 	"redundancy/internal/core"
 	"redundancy/internal/core/coretest"
-	"redundancy/internal/ring"
 )
 
 // These tests pin the non-blocking write path: MuxClient.StartPutV
@@ -87,7 +86,6 @@ func (h *hintSink) WriteMissed(key string, value []byte, version uint64, _ time.
 }
 
 func (h *hintSink) Divergence(string, []byte, uint64, uint32, []string) {}
-func (h *hintSink) TopologyChanged(_, _ ring.Placement)                 {}
 
 func (h *hintSink) count(key, owner string) int {
 	h.mu.Lock()

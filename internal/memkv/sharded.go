@@ -51,7 +51,7 @@ type ShardedClient struct {
 
 	// Versioned (convergence) surface — see sharded_versioned.go. clock
 	// is the client's Lamport version clock; sink, when set, receives
-	// repair work (missed writes, divergence, topology changes).
+	// repair work (missed writes and divergence).
 	clock versionClock
 	sink  atomic.Pointer[RepairSink]
 }
@@ -168,16 +168,16 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 var discardRead = func(v Versioned) { Release(v.Value) }
 
 // AddShard registers a shard; keys whose placement now includes it route
-// there from the next call on. Data written under the old placement is
-// converged by the repair sink, if one is installed (repair.Manager):
-// the sink is notified with the before/after placements and migrates
-// remapped keys in the background. Adding a shard whose address is
-// already present is a no-op.
+// there from the next call on. Data written under the old placement
+// stays where it was: the caller migrates it by taking a
+// PlacementSnapshot before and after and running repair.Manager's
+// Rebalance(ctx, prev, cur). Adding a shard whose address is already
+// present is a no-op.
 func (sc *ShardedClient) AddShard(cl Backend) {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	addr := cl.Addr()
 	if _, ok := sc.shards.Member(addr); ok {
-		sc.mu.Unlock()
 		return
 	}
 	read := func(ctx context.Context, key string) (Versioned, error) {
@@ -206,36 +206,23 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 		s.read = sc.reads.Add(addr, read)
 		s.write = sc.writes.Add(addr, put)
 	}
-	prev := sc.shards.Placement()
 	sc.shards.Add(addr, s)
-	cur := sc.shards.Placement()
-	sink := sc.repairSink()
-	sc.mu.Unlock()
-	if sink != nil {
-		sink.TopologyChanged(prev, cur)
-	}
 }
 
 // RemoveShard drops the shard serving addr from placement, reporting
 // whether it was present. Calls in flight may still complete against it;
-// it is not closed (the caller owns its lifecycle). An installed repair
-// sink is notified with the before/after placements so remapped keys can
-// be re-homed (the removed shard may still be readable for draining).
+// it is not closed (the caller owns its lifecycle). Re-homing its keys is
+// the caller's: repair.Manager's Rebalance(ctx, prev, cur) over
+// PlacementSnapshots taken around the call, or Drain of the removed
+// shard while it is still readable.
 func (sc *ShardedClient) RemoveShard(addr string) bool {
 	sc.mu.Lock()
-	prev := sc.shards.Placement()
+	defer sc.mu.Unlock()
 	if !sc.shards.Remove(addr) {
-		sc.mu.Unlock()
 		return false
 	}
 	sc.reads.Remove(addr)
 	sc.writes.Remove(addr)
-	cur := sc.shards.Placement()
-	sink := sc.repairSink()
-	sc.mu.Unlock()
-	if sink != nil {
-		sink.TopologyChanged(prev, cur)
-	}
 	return true
 }
 

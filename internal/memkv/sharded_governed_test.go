@@ -139,3 +139,48 @@ func TestShardedGetUnderCancellableContextAllocatesOnlyValue(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedGetOptionsAllocateNothing: a per-call option is a value, so
+// a one-copy GetResult with WithFanoutCap or WithLabel allocates what
+// one with no option does, across client and servers. (Each value is
+// given back, so both read 0.)
+func TestShardedGetOptionsAllocateNothing(t *testing.T) {
+	if coretest.Race() {
+		t.Skip("exact allocation counts do not hold under -race")
+	}
+	sc, _, muxes := startAsyncShards(t, 3, ShardedConfig{Replication: 2, ReadStrategy: core.Fixed{Copies: 1}}, 5*time.Second, nil)
+	warmPuts(t, sc, muxes)
+	ctx := context.Background()
+	const key = "key-000042"
+	value := bytes.Repeat([]byte{'v'}, 1024)
+	if _, err := sc.PutVersioned(ctx, key, value, 0); err != nil {
+		t.Fatal(err)
+	}
+	perGet := func(opts ...core.CallOption) float64 {
+		get := func() {
+			res, err := sc.GetResult(ctx, key, opts...)
+			if err != nil || !bytes.Equal(res.Value.Value, value) {
+				t.Fatalf("GetResult = (%d bytes, %v), want the value", len(res.Value.Value), err)
+			}
+			Release(res.Value.Value)
+		}
+		for i := 0; i < 100; i++ {
+			get()
+		}
+		return testing.AllocsPerRun(2000, get)
+	}
+	base := perGet()
+	for _, tc := range []struct {
+		name string
+		opt  core.CallOption
+	}{
+		{"WithFanoutCap(1)", core.WithFanoutCap(1)},
+		{"WithLabel", core.WithLabel("checkout")},
+	} {
+		avg := perGet(tc.opt)
+		t.Logf("GetResult with %s: %.2f allocs, without an option %.2f", tc.name, avg, base)
+		if avg > base {
+			t.Errorf("GetResult with %s allocates %.2f, without an option %.2f: want no more", tc.name, avg, base)
+		}
+	}
+}

@@ -42,11 +42,13 @@ import (
 // what it observed.
 
 // RepairSink receives the convergence work a ShardedClient observes but
-// does not perform itself: missed quorum-write copies (hinted handoff),
-// version divergence on quorum reads (read repair), and topology
-// changes (anti-entropy migration). repair.Manager is the production
-// implementation. Methods must not block — they run on call paths, and
-// WriteMissed under the reporting write's call-frame lock.
+// does not perform itself: missed quorum-write copies (hinted handoff)
+// and version divergence on quorum reads (read repair). A change of the
+// shard set is not reported: the caller that makes it runs the
+// migration, repair.Manager's Rebalance(ctx, prev, cur). repair.Manager
+// is the production implementation. Methods must not block — they run
+// on call paths, and WriteMissed under the reporting write's call-frame
+// lock.
 type RepairSink interface {
 	// WriteMissed reports that a versioned write reached its quorum (or
 	// failed) without landing on owner: the hint to queue and replay.
@@ -61,9 +63,6 @@ type RepairSink interface {
 	// duration of the call — the reader may Release it after; keep a
 	// copy.
 	Divergence(key string, value []byte, version uint64, ttlSecs uint32, staleOwners []string)
-	// TopologyChanged reports a shard set change with the placement
-	// before and after, for remap-diff migration.
-	TopologyChanged(prev, cur ring.Placement)
 }
 
 // SetRepairSink installs (or, with nil, removes) the repair sink. Safe

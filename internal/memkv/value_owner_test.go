@@ -15,7 +15,6 @@ import (
 
 	"redundancy/internal/core"
 	"redundancy/internal/core/coretest"
-	"redundancy/internal/ring"
 )
 
 // These tests pin who owns a value's bytes. Reads: an opValueV reply's
@@ -55,7 +54,6 @@ func (s *keepingSink) WriteMissed(key string, value []byte, _ uint64, _ time.Dur
 }
 
 func (s *keepingSink) Divergence(string, []byte, uint64, uint32, []string) {}
-func (s *keepingSink) TopologyChanged(_, _ ring.Placement)                 {}
 
 // only waits for the first hint and returns it, failing if a second
 // follows.

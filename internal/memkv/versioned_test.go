@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"redundancy/internal/core"
-	"redundancy/internal/ring"
 )
 
 // ---- Store versioning ----
@@ -518,7 +517,6 @@ type recordingSink struct {
 	mu       sync.Mutex
 	missed   []string // "key@owner"
 	diverged []string // "key:staleOwner"
-	topo     int
 }
 
 func (r *recordingSink) WriteMissed(key string, _ []byte, _ uint64, _ time.Duration, owner string) {
@@ -532,12 +530,6 @@ func (r *recordingSink) Divergence(key string, _ []byte, _ uint64, _ uint32, sta
 	for _, o := range staleOwners {
 		r.diverged = append(r.diverged, key+":"+o)
 	}
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) TopologyChanged(_, _ ring.Placement) {
-	r.mu.Lock()
-	r.topo++
 	r.mu.Unlock()
 }
 

@@ -18,14 +18,15 @@
 // backoff until they land, and reroutes them through the ring when the
 // owner has left the topology. The queue is bounded, in memory and
 // drops its oldest hint at either cap; a restart loses it. The recovery
-// is a full anti-entropy pass — RebalanceBetween from an empty
-// placement, or Drain of a shard — which re-pushes what the shards hold
-// to every owner.
+// is a full anti-entropy pass — Rebalance from an empty placement, or
+// Drain of a shard — which re-pushes what the shards hold to every
+// owner.
 //
-// The third signal, TopologyChanged (AddShard/RemoveShard), becomes an
-// *anti-entropy migration*: the Rebalance loop diffs the before/after
-// placements (ring.Placement.SameOwners), streams only remapped keys off
-// each shard with cursor-paged scans, and re-puts them at their new
+// A change of the shard set is not a signal: whoever calls AddShard or
+// RemoveShard takes a PlacementSnapshot before and after and runs
+// Rebalance(ctx, prev, cur), an *anti-entropy migration* that diffs the
+// two placements (ring.Placement.SameOwners), streams only remapped keys
+// off each shard with cursor-paged scans, and re-puts them at their new
 // owners in batches. Replay and migration hand values to an owner
 // through the same push.
 //
@@ -52,7 +53,6 @@ import (
 
 	"redundancy/internal/core"
 	"redundancy/internal/memkv"
-	"redundancy/internal/ring"
 )
 
 // How every Manager paces and bounds its background work.
@@ -73,8 +73,7 @@ const (
 )
 
 // Config configures a Manager. The zero value means no governor
-// (background work always allowed), replay every 100 ms, and manual
-// rebalancing.
+// (background work always allowed) and replay every 100 ms.
 type Config struct {
 	// Governor, when set, gates every unit of background work (hint
 	// replay pass, migration page) on AllowBackground —
@@ -84,9 +83,6 @@ type Config struct {
 	// ReplayInterval is the hint replay cadence and the initial
 	// per-owner backoff (0 = 100 ms).
 	ReplayInterval time.Duration
-	// AutoRebalance runs Rebalance automatically whenever the client
-	// reports a topology change.
-	AutoRebalance bool
 }
 
 // Stats is a point-in-time view of a Manager's counters.
@@ -119,12 +115,6 @@ type Manager struct {
 
 	hints hintQueue
 
-	topoMu      sync.Mutex
-	topoPrev    ring.Placement
-	topoCur     ring.Placement
-	topoPending bool
-	topoC       chan struct{}
-
 	stopC   chan struct{}
 	wg      sync.WaitGroup
 	mu      sync.Mutex
@@ -153,7 +143,6 @@ func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
 	m := &Manager{
 		sc:    sc,
 		cfg:   cfg,
-		topoC: make(chan struct{}, 1),
 		stopC: make(chan struct{}),
 	}
 	m.hints.maxEntries = maxHintEntries
@@ -162,7 +151,7 @@ func NewManager(sc *memkv.ShardedClient, cfg Config) *Manager {
 }
 
 // Attach builds a Manager, installs it as sc's repair sink, and starts
-// its background loops. Close detaches and stops it.
+// its replay loop. Close detaches and stops it.
 func Attach(sc *memkv.ShardedClient, cfg Config) *Manager {
 	m := NewManager(sc, cfg)
 	sc.SetRepairSink(m)
@@ -170,7 +159,7 @@ func Attach(sc *memkv.ShardedClient, cfg Config) *Manager {
 	return m
 }
 
-// Start launches the background loops (idempotent).
+// Start launches the replay loop (idempotent).
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,13 +169,9 @@ func (m *Manager) Start() {
 	m.started = true
 	m.wg.Add(1)
 	go m.replayLoop()
-	if m.cfg.AutoRebalance {
-		m.wg.Add(1)
-		go m.rebalanceLoop()
-	}
 }
 
-// Close stops the background loops and detaches the manager from its
+// Close stops the replay loop and detaches the manager from its
 // client's sink slot. Queued hints are abandoned.
 func (m *Manager) Close() error {
 	m.mu.Lock()
@@ -249,35 +234,6 @@ func (m *Manager) queue(key string, value []byte, version uint64, ttl time.Durat
 	for _, owner := range owners {
 		m.hints.push(&hint{key: key, value: value, version: version, deadline: deadline, owner: owner})
 	}
-}
-
-// TopologyChanged implements memkv.RepairSink: record the placement
-// delta for the next Rebalance. Consecutive changes coalesce — the
-// pending pair keeps the earliest prev and the latest cur, so one
-// Rebalance converges a burst of membership churn.
-func (m *Manager) TopologyChanged(prev, cur ring.Placement) {
-	m.topoMu.Lock()
-	if !m.topoPending {
-		m.topoPrev = prev
-		m.topoPending = true
-	}
-	m.topoCur = cur
-	m.topoMu.Unlock()
-	select {
-	case m.topoC <- struct{}{}:
-	default:
-	}
-}
-
-// takeTopology consumes the pending placement delta, if any.
-func (m *Manager) takeTopology() (prev, cur ring.Placement, ok bool) {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	if !m.topoPending {
-		return ring.Placement{}, ring.Placement{}, false
-	}
-	m.topoPending = false
-	return m.topoPrev, m.topoCur, true
 }
 
 // ---- background gating ----

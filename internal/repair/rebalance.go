@@ -37,27 +37,14 @@ type RebalanceStats struct {
 	Elapsed time.Duration
 }
 
-// Rebalance converges the pending topology change: every key whose
-// owner set differs between the recorded before/after placements is
-// streamed to its new owners. With no pending change it returns zero
-// stats. Safe to run concurrently with live traffic; each scan page and
-// put batch yields to the governor first.
-func (m *Manager) Rebalance(ctx context.Context) (RebalanceStats, error) {
-	prev, cur, ok := m.takeTopology()
-	if !ok {
-		return RebalanceStats{}, nil
-	}
-	return m.rebalance(ctx, prev, cur)
-}
-
-// RebalanceBetween runs a migration pass for an explicit placement
-// delta — the manual form of Rebalance for callers tracking placements
-// themselves (tests, the ablrebalance experiment).
-func (m *Manager) RebalanceBetween(ctx context.Context, prev, cur ring.Placement) (RebalanceStats, error) {
-	return m.rebalance(ctx, prev, cur)
-}
-
-func (m *Manager) rebalance(ctx context.Context, prev, cur ring.Placement) (RebalanceStats, error) {
+// Rebalance converges a change of the shard set: every key whose owner
+// set differs between prev and cur is streamed to its new owners. The
+// caller that changed the set runs it, with the client's
+// PlacementSnapshot from before and after the change; an empty prev
+// makes it a full pass that re-pushes every key. Safe to run
+// concurrently with live traffic; each scan page and put batch yields to
+// the governor first.
+func (m *Manager) Rebalance(ctx context.Context, prev, cur ring.Placement) (RebalanceStats, error) {
 	start := time.Now()
 	var st RebalanceStats
 	var firstErr error
@@ -182,29 +169,4 @@ func (m *Manager) migrateFrom(ctx context.Context, srcAddr string, src memkv.Bac
 		}
 	}
 	return nil
-}
-
-// rebalanceLoop (AutoRebalance) waits for topology-change signals and
-// converges each pending delta.
-func (m *Manager) rebalanceLoop() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stopC:
-			return
-		case <-m.topoC:
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-m.stopC:
-				cancel()
-			case <-stop:
-			}
-		}()
-		_, _ = m.Rebalance(ctx)
-		close(stop)
-		cancel()
-	}
 }

@@ -267,7 +267,7 @@ func TestScanMergedReturnsOnlyUserKeys(t *testing.T) {
 }
 
 // A hint a closed manager lost is recovered by a full anti-entropy
-// pass: RebalanceBetween from an empty placement re-pushes every key the
+// pass: Rebalance from an empty placement re-pushes every key the
 // shards hold, so the owner that missed the write gets it.
 func TestFullPassRecoversLostHints(t *testing.T) {
 	sc, servers := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 1})
@@ -294,7 +294,7 @@ func TestFullPassRecoversLostHints(t *testing.T) {
 	m2 := NewManager(sc, Config{})
 	vb := sc.VersionedShard(downAddr)
 	waitFor(t, 10*time.Second, "the restarted owner converged", func() bool {
-		if _, err := m2.RebalanceBetween(ctx, ring.Placement{}, sc.PlacementSnapshot()); err != nil {
+		if _, err := m2.Rebalance(ctx, ring.Placement{}, sc.PlacementSnapshot()); err != nil {
 			return false // a shard is still redialing
 		}
 		_, v, _, err := vb.GetV(ctx, key)
@@ -302,7 +302,7 @@ func TestFullPassRecoversLostHints(t *testing.T) {
 	})
 }
 
-// The anti-entropy migrator: after AddShard, RebalanceBetween streams
+// The anti-entropy migrator: after AddShard, Rebalance streams
 // exactly the remapped keys, and every owner under the new placement
 // ends up holding every key at the version the writer minted.
 func TestRebalanceConvergesAfterAddShard(t *testing.T) {
@@ -328,9 +328,9 @@ func TestRebalanceConvergesAfterAddShard(t *testing.T) {
 	sc.AddShard(memkv.NewMuxClient(addr, 2*time.Second))
 	cur := sc.PlacementSnapshot()
 
-	st, err := m.RebalanceBetween(ctx, prev, cur)
+	st, err := m.Rebalance(ctx, prev, cur)
 	if err != nil {
-		t.Fatalf("RebalanceBetween: %v (stats %+v)", err, st)
+		t.Fatalf("Rebalance: %v (stats %+v)", err, st)
 	}
 	if st.KeysMigrated == 0 {
 		t.Fatalf("no keys migrated by a 3->4 reshard: %+v", st)
@@ -347,56 +347,13 @@ func TestRebalanceConvergesAfterAddShard(t *testing.T) {
 	}
 	// Idempotence: a second pass over the same delta pushes nothing new —
 	// every put is refused as stale/duplicate.
-	st2, err := m.RebalanceBetween(ctx, prev, cur)
+	st2, err := m.Rebalance(ctx, prev, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.PutsApplied != 0 {
 		t.Errorf("second pass applied %d puts, want 0 (idempotent)", st2.PutsApplied)
 	}
-}
-
-// AutoRebalance: the TopologyChanged signal from AddShard drives a
-// background pass without any manual call.
-func TestAutoRebalanceOnTopologyChange(t *testing.T) {
-	cfg := fastConfig()
-	cfg.AutoRebalance = true
-	sc, _ := startCluster(t, 3, memkv.ShardedConfig{Replication: 2, WriteQuorum: 2})
-	m := Attach(sc, cfg)
-	defer m.Close()
-	ctx := context.Background()
-
-	wantVer := make(map[string]uint64)
-	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("auto-%d", i)
-		ver, err := sc.PutVersioned(ctx, key, []byte(key), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantVer[key] = ver
-	}
-	_, addr := startShard(t)
-	sc.AddShard(memkv.NewMuxClient(addr, 2*time.Second))
-	cur := sc.PlacementSnapshot()
-
-	waitFor(t, 10*time.Second, "auto rebalance pass", func() bool {
-		return m.Stats().Rebalances >= 1 && m.Stats().KeysMigrated >= 1
-	})
-	waitFor(t, 10*time.Second, "new shard converged", func() bool {
-		for key, ver := range wantVer {
-			for _, owner := range cur.Owners(key) {
-				vb := sc.VersionedShard(owner)
-				if vb == nil {
-					return false
-				}
-				_, v, _, err := vb.GetV(ctx, key)
-				if err != nil || v != ver {
-					return false
-				}
-			}
-		}
-		return true
-	})
 }
 
 // A quorum read that observes a stale replica triggers an asynchronous
