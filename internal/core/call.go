@@ -110,23 +110,19 @@ import (
 // twice for one copy. Result.Latency ends at the deciding completion,
 // not at the moment the caller's goroutine took it.
 //
-// A durable call (DoDurable) is the same frame under one different rule:
-// deciding it withdraws nothing. The copies still out keep their frame
-// references and run to completion, each reporting to the group's
-// per-copy hook where it completes. That is a replicated write: its
-// losers must land, because durability is the point. Its copies count
-// under the frame's lock, not in on, and only the completion that
-// decides the call sends an event, so the caller wakes once and on
-// takes one event.
-//
-// A read group may carry a discard hook (NewDiscardingKeyedGroup). Every
-// success a call neither returns nor collects goes to it once: a copy
-// whose completion was queued by the decision (drainCompleted, run by
-// end), a straggler that completes after it (release's drain), and a
-// quorum call's success that only its own outcome scratch held
-// (discardOuts). No failure, miss or dropped copy reaches it. A group
-// whose values are pooled buffers so gives back what it decoded for
-// nobody.
+// A group may carry a per-copy hook (NewReportingKeyedGroup), and every
+// launched copy reports to it exactly once (CopyDone), from where its
+// outcome is settled: on, for a completion the call takes; end, for a
+// completion queued by the decision (drainCompleted), a copy withdrawn
+// in flight, and a quorum call's successes that only its own outcome
+// scratch held (reportOuts); release's drain, for a straggler that
+// completes after the caller returned; and runOne, for a copy run
+// inline. A report carries the copy's value only when no caller receives
+// it, so a group whose values are pooled buffers gives back what it
+// decoded for nobody. A replicated write (DoDurable) is an ordinary call
+// of such a group: its losers must land, because durability is the
+// point, and its Starter's Cancel refuses, so deciding it withdraws
+// nothing and each straggler reports where it completes.
 //
 // A frame owns one runtime timer, made on its first deadline and kept
 // with it in the pool, armed for the earlier of the next hedge (hedgeAt)
@@ -279,17 +275,17 @@ const (
 type callFrame[K, T any] struct {
 	// results carries copy completions and timer events. It is buffered
 	// for the worst case (n completions + 1 timer event, since at most
-	// one is queued at a time; a durable call sends at most one deciding
-	// event), so senders never block. The channel is reused across calls;
-	// it only grows (and is reallocated) when a call's fan-out exceeds
-	// its capacity less one.
+	// one is queued at a time), so senders never block. The channel is
+	// reused across calls; it only grows (and is reallocated) when a
+	// call's fan-out exceeds its capacity less one.
 	results chan indexed[T]
 	// pool is the group's frame pool, where release returns the frame.
-	// discard is the group's discard hook, nil for none: the frame hands
-	// it every success the call neither returns nor collects (see the file
-	// comment). Both are the group's, set when the frame is made.
-	pool    *sync.Pool
-	discard func(T)
+	// done is the group's per-copy hook and own its argument owner, nil
+	// for none (NewReportingKeyedGroup). All three are the group's, set
+	// when the frame is made.
+	pool *sync.Pool
+	done func(CopyDone[K, T])
+	own  func(K) K
 	// refs counts the engine, every launched copy (until its goroutine
 	// delivers, or its started request completes or is withdrawn) and the
 	// timer while it is armed. The frame recycles only when it hits zero.
@@ -330,28 +326,23 @@ type callFrame[K, T any] struct {
 	// it answered, and counts toward the quorum.
 	negative error
 	gov      *Governor
-	arg      K
-	picked   []Handle[K, T]
-
-	// durable is the group's mode for a DoDurable call, nil otherwise.
-	// Under mu a durable copy reports (won counts the acks, errs holds
-	// the failures) and arg is swapped for its Durable.Own form (owned),
-	// so the two cannot cross.
-	durable *Durable[K]
-	mu      sync.Mutex
-	errs    []error
-	owned   bool
+	// arg is the call's argument: the caller's until it returns, then,
+	// while a copy is still out, own's form of it (leave).
+	arg    K
+	picked []Handle[K, T]
 
 	// The call's running state, the engine's alone from begin to the
 	// decision: the copies launched and completed, the successes and
-	// negative answers on has counted (wins), the first success (found,
-	// res.Value and res.Index), the first negative answer, the start
-	// instant, the caller's Done channel once watched, and the outcome
-	// (res, err); a read's failures go to errs. release clears it.
+	// negative answers on has counted (wins), the failures (errs), the
+	// first success (found, res.Value and res.Index), the first negative
+	// answer, the start instant and the last event's (at), the caller's
+	// Done channel once watched, and the outcome (res, err). release
+	// clears it.
 	launched, completed, wins int
+	errs                      []error
 	found                     bool
 	answer                    error
-	start                     time.Time
+	start, at                 time.Time
 	ctxDone                   <-chan struct{}
 	res                       Result[T]
 	err                       error
@@ -361,8 +352,7 @@ type callFrame[K, T any] struct {
 	// a call whose copies are all started requests has neither. cctx is
 	// read by copy goroutines that may start after the call returned, so
 	// it is cleared only when the frame recycles; cdone belongs to the
-	// engine alone and end closes it (see blockingCtx for a durable
-	// call's).
+	// engine alone and end closes it.
 	cctx  context.Context
 	cdone chan struct{}
 	// slots is the per-copy state of started copies, sized by the first
@@ -443,17 +433,15 @@ func (fr *callFrame[K, T]) launchCopy(ctx context.Context, i int, now time.Time)
 }
 
 // blockingCtx makes the context the call's blocking copies share, once
-// per call: a copyCtx whose done channel end closes — for a durable
-// call, the caller's context without its cancellation (the replica
-// bounds the copy), over an owned argument the goroutine may read late.
+// per call: a copyCtx whose done channel end closes. A group that owns
+// its arguments owns this one first, since a copy's goroutine may read
+// it after the caller returned.
 func (fr *callFrame[K, T]) blockingCtx(ctx context.Context) {
 	if fr.cctx != nil {
 		return
 	}
-	if fr.durable != nil {
-		fr.own(false)
-		fr.cctx = context.WithoutCancel(ctx)
-		return
+	if fr.own != nil {
+		fr.arg = fr.own(fr.arg)
 	}
 	fr.cdone = make(chan struct{})
 	fr.cctx = &copyCtx{Context: ctx, done: fr.cdone}
@@ -471,14 +459,8 @@ func runFrameCopy[K, T any](fr *callFrame[K, T], i int) {
 // deliver queues a copy's completion ev for on, counts a success toward
 // settling the call — after queueing it, so that whoever sees the call
 // settled queues behind the deciding success — hands it on if the call
-// is stepped (pump), and drops the copy's frame reference. A durable
-// copy reports instead (report).
+// is stepped (pump), and drops the copy's frame reference.
 func (fr *callFrame[K, T]) deliver(ev indexed[T]) {
-	if fr.durable != nil {
-		fr.report(ev.idx, ev.err)
-		fr.release(1)
-		return
-	}
 	fr.results <- ev
 	if ev.err == nil {
 		fr.won.Add(1)
@@ -491,44 +473,34 @@ func (fr *callFrame[K, T]) deliver(ev indexed[T]) {
 // successes it returns at are queued, and it keeps nothing of the copies
 // that complete after them. A copy that has not delivered yet may then
 // complete without its value (Drop). A call collecting outcomes asked
-// to see what its copies return, and a durable one reports every copy,
-// so neither ever settles.
+// to see what its copies return, so it never settles.
 func (fr *callFrame[K, T]) settled() bool {
-	return fr.collect == nil && fr.durable == nil && int(fr.won.Load()) >= fr.quorum
+	return fr.collect == nil && int(fr.won.Load()) >= fr.quorum
 }
 
-// report is a durable copy's delivery: it counts the copy, hands it to
-// Durable.Done, and, if this completion decides the call, sends the
-// call's one event, after the report, so the caller it wakes finds the
-// report made: nil from the ack that meets the quorum, a *QuorumError
-// from the failure that puts it out of reach.
-func (fr *callFrame[K, T]) report(i int, err error) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	name := fr.picked[i].m.name
-	fr.durable.Done(CopyDone[K]{Arg: fr.arg, Replica: name, Err: err})
-	if err == nil {
-		if int(fr.won.Add(1)) == fr.quorum {
-			fr.results <- indexed[T]{}
-		}
+// report hands copy ev.idx's outcome to the group's per-copy hook, if it
+// has one: with its value if it is a success that no caller receives
+// (nobody), without it otherwise.
+func (fr *callFrame[K, T]) report(ev indexed[T], nobody bool) {
+	if fr.done == nil {
 		return
 	}
-	fr.errs = append(fr.errs, ReplicaError{Name: name, Attempt: i, Err: err})
-	if len(fr.errs) == fr.n-fr.quorum+1 {
-		joined := errors.Join(fr.errs...)
-		fr.results <- indexed[T]{err: &QuorumError[T]{Need: fr.quorum, Wins: int(fr.won.Load()), Err: joined}}
+	c := CopyDone[K, T]{Arg: fr.arg, Replica: fr.picked[ev.idx].m.name, Err: ev.err}
+	if nobody && ev.err == nil {
+		c.Value = ev.val
 	}
+	fr.done(c)
 }
 
-// own swaps the argument for its Durable.Own form, once per call: before
-// a blocking launch, or (ifOut) at the caller's return while a copy has
-// yet to report — before anything can read it after the return.
-func (fr *callFrame[K, T]) own(ifOut bool) {
-	fr.mu.Lock()
-	if !fr.owned && (!ifOut || int(fr.won.Load())+len(fr.errs) < fr.n) {
-		fr.arg, fr.owned = fr.durable.Own(fr.arg), true
+// leave is the caller's return from a call in a frame: a copy still out
+// reports after it (release's drain), so a group that owns its arguments
+// owns this one first, unless a blocking launch has; then the engine's
+// reference is dropped.
+func (fr *callFrame[K, T]) leave() {
+	if fr.own != nil && fr.cctx == nil && fr.completed < fr.launched {
+		fr.arg = fr.own(fr.arg)
 	}
-	fr.mu.Unlock()
+	fr.release(1)
 }
 
 // timerFired is the function of the frame's timer: it posts one timer
@@ -545,7 +517,7 @@ func (fr *callFrame[K, T]) timerFired() {
 // release drops n references. The holder that drops the last reference
 // proves the results channel empty (every sender has already delivered
 // — copies deliver before releasing, and a fired hedge delivers in its
-// callback), discarding the stragglers' values, and recycles the frame.
+// callback), reporting the stragglers, and recycles the frame.
 func (fr *callFrame[K, T]) release(n int32) {
 	if fr.refs.Add(-n) != 0 {
 		return
@@ -556,7 +528,9 @@ drain:
 	for {
 		select {
 		case r := <-fr.results:
-			fr.discardEvent(r)
+			if !r.timer {
+				fr.report(r, true)
+			}
 		default:
 			break drain
 		}
@@ -574,10 +548,9 @@ drain:
 	fr.arg = zk
 	fr.gov = nil
 	fr.cctx = nil
-	fr.durable, fr.errs, fr.owned = nil, nil, false
-	fr.launched, fr.completed, fr.wins, fr.found = 0, 0, 0, false
+	fr.launched, fr.completed, fr.wins, fr.errs, fr.found = 0, 0, 0, nil, false
 	fr.answer, fr.ctxDone, fr.err = nil, nil, nil
-	fr.start, fr.res = time.Time{}, Result[T]{}
+	fr.start, fr.at, fr.res = time.Time{}, time.Time{}, Result[T]{}
 	fr.collect = nil
 	fr.negative = nil
 	fr.delays = nil
@@ -593,12 +566,12 @@ drain:
 }
 
 // drainCompleted consumes results already delivered but not yet
-// received, discarding their values, and returns the updated completion
-// count. Copies that delivered before the call was decided are not
-// "cancelled" — no capacity was reclaimed from them — so end drains
-// before computing the Cancelled metric; a dropped copy's event (Drop)
-// is one of these, and this and release's drain are the only places it
-// is ever read. Timer events are skipped.
+// received, reporting each copy with the value no caller receives, and
+// returns the updated completion count. Copies that delivered before the
+// call was decided are not "cancelled" — no capacity was reclaimed from
+// them — so end drains before computing the Cancelled metric; a dropped
+// copy's event (Drop) is one of these, and this and release's drain are
+// the only places it is ever read. Timer events are skipped.
 func (fr *callFrame[K, T]) drainCompleted() int {
 	for {
 		select {
@@ -606,7 +579,7 @@ func (fr *callFrame[K, T]) drainCompleted() int {
 			if !r.timer {
 				fr.completed++
 				fr.copyDelivered(r.idx)
-				fr.discardEvent(r)
+				fr.report(r, true)
 			}
 		default:
 			return fr.completed
@@ -614,26 +587,15 @@ func (fr *callFrame[K, T]) drainCompleted() int {
 	}
 }
 
-// discardEvent hands the discard hook the value of a success the call
-// took no part of: one drained after its decision. A timer event, a
-// failure and a dropped copy carry none.
-func (fr *callFrame[K, T]) discardEvent(r indexed[T]) {
-	if fr.discard != nil && r.err == nil && !r.timer && !r.dropped {
-		fr.discard(r.val)
-	}
-}
-
-// discardOuts hands the discard hook the successes a quorum call took
-// into the frame's own outcome scratch (outcomes) and does not return:
-// all but the result's value, or every one when the call failed with an
-// error other than the *QuorumError that carries them.
-func (fr *callFrame[K, T]) discardOuts(err error) {
-	if _, ok := err.(*QuorumError[T]); ok {
-		return
-	}
+// reportOuts reports the successes a quorum call took into the frame's
+// own outcome scratch (outcomes), which on left to the decision: without
+// their values if the call returns them — the result's value, or every
+// one a *QuorumError carries — and with them otherwise.
+func (fr *callFrame[K, T]) reportOuts(err error) {
+	_, carried := err.(*QuorumError[T])
 	for _, o := range fr.outs {
-		if o.Err == nil && (err != nil || o.Index != fr.res.Index) {
-			fr.discard(o.Value)
+		if o.Err == nil {
+			fr.report(indexed[T]{val: o.Value, idx: o.Index}, !carried && (err != nil || o.Index != fr.res.Index))
 		}
 	}
 }
@@ -724,8 +686,8 @@ func (fr *callFrame[K, T]) launchNext(ctx context.Context, now time.Time) {
 
 // begin starts a prepared call at now: it launches copy 0 and the copies
 // due with it, watches the caller's context (watchCtx) and arms the
-// timer. A durable call of quorum 0 watches nothing, because its caller
-// returns once the copies are out.
+// timer. A call of quorum 0 (DoDurable's) watches nothing, because its
+// caller returns once the copies are out.
 func (fr *callFrame[K, T]) begin(ctx context.Context, now time.Time) {
 	fr.start, fr.errs, fr.outs = now, fr.errsBuf[:0], fr.outsBuf[:0]
 	if fr.collect != nil {
@@ -738,12 +700,11 @@ func (fr *callFrame[K, T]) begin(ctx context.Context, now time.Time) {
 	}
 }
 
-// wait is a live call's wait loop, for a read and a durable call alike:
-// it hands on every event — a copy's completion, the timer's, the
-// caller's cancellation once its context is watched — at its instant,
-// until on decides the call. The outcome is then fr.res and fr.err;
-// wait does not drop the engine's frame reference, so the caller must
-// release(1) after it has read them.
+// wait is a live call's wait loop: it hands on every event — a copy's
+// completion, the timer's, the caller's cancellation once its context
+// is watched — at its instant, until on decides the call. The outcome
+// is then fr.res and fr.err; wait does not drop the engine's frame
+// reference, so the caller must leave after it has read them.
 func (fr *callFrame[K, T]) wait(ctx context.Context) {
 	for {
 		var ev indexed[T]
@@ -769,14 +730,22 @@ func (fr *callFrame[K, T]) instant(ev indexed[T]) time.Time {
 
 // on is the call's one transition: it applies ev at now and reports
 // whether that decided the call. It never blocks and reads no clock.
+// An event's instant is never earlier than the one before: a blocking
+// copy reads its completion instant before it queues, so two completions
+// can queue out of instant order, and on takes the later instant for both.
 //
-// A read's outcome is its Result — Value/Index are the first success,
+// A call's outcome is its Result — Value/Index are the first success,
 // Latency is now − start at the quorum-th success, Launched the copies
 // started, Cancelled the copies reclaimed in flight — or, on failure,
 // the joined ReplicaErrors (quorum 1) or a *QuorumError (quorum > 1),
 // or, if the caller's context ends the call, the bare ctx.Err(). A
-// durable call's one completion event carries its error.
+// completion on takes is reported (report), except a success in a quorum
+// call's own outcome scratch, which end reports (reportOuts).
 func (fr *callFrame[K, T]) on(ctx context.Context, ev indexed[T], now time.Time) (done bool) {
+	if now.Before(fr.at) {
+		now = fr.at
+	}
+	fr.at = now
 	switch {
 	case ev.timer:
 		// The timer fired, maybe for a deadline since moved: act on what
@@ -792,11 +761,13 @@ func (fr *callFrame[K, T]) on(ctx context.Context, ev indexed[T], now time.Time)
 		return false
 	case ev.cancel:
 		return fr.end(ctx.Err())
-	case fr.durable != nil:
-		return fr.end(ev.err)
 	}
 	fr.completed++
 	fr.copyDelivered(ev.idx)
+	out := fr.outcomes()
+	if ev.err != nil || out != &fr.outs {
+		fr.report(ev, false)
+	}
 	answered := ev.err == nil
 	if ev.err != nil {
 		negative := fr.negative != nil && errors.Is(ev.err, fr.negative)
@@ -812,7 +783,7 @@ func (fr *callFrame[K, T]) on(ctx context.Context, ev indexed[T], now time.Time)
 			fr.errs = append(fr.errs, ev.err)
 		}
 	}
-	if out := fr.outcomes(); out != nil {
+	if out != nil {
 		*out = append(*out, Outcome[T]{Value: ev.val, Err: ev.err, Index: ev.idx, Latency: now.Sub(fr.start)})
 	}
 	if answered {
@@ -855,27 +826,25 @@ func (fr *callFrame[K, T]) outcomes() *[]Outcome[T] {
 }
 
 // end decides the call with err and reclaims what it left in flight: the
-// armed timer and, for a read, the blocking copies (through their shared
-// context) and the started copies, each withdrawn through its Starter; a
-// durable call withdraws nothing. A read's result counts the copies
-// launched and, as cancelled, those still out once the completions
-// already queued are drained, failed or not: governors and observers
-// need the real fan-out and the copies reclaimed in flight. A withdrawn
-// copy is reclaimed capacity — counted on its member like a blocking
-// copy that honored its cancellation — and its frame reference is
-// dropped here because its Complete will never run; one whose Cancel
-// reports false has a completion on its way, which releases as usual.
+// armed timer, the blocking copies (through their shared context) and
+// the started copies, each withdrawn through its Starter. The result
+// counts the copies launched and, as cancelled, those still out once the
+// completions already queued are drained, failed or not: governors and
+// observers need the real fan-out and the copies reclaimed in flight. A
+// withdrawn copy is reclaimed capacity — counted on its member like a
+// blocking copy that honored its cancellation, and reported with
+// context.Canceled — and its frame reference is dropped here because
+// its Complete will never run; one whose Cancel reports false (a
+// write's, always) has a completion on its way, which reports and
+// releases as usual.
 func (fr *callFrame[K, T]) end(err error) bool {
 	fr.stopTimer()
 	fr.hedgeAt, fr.watchAt, fr.err = time.Time{}, time.Time{}, err
-	if fr.durable != nil {
-		return true
-	}
 	if err != nil {
 		fr.res = Result[T]{}
 	}
-	if fr.discard != nil && fr.collect == nil && fr.quorum > 1 {
-		fr.discardOuts(err)
+	if fr.collect == nil && fr.quorum > 1 {
+		fr.reportOuts(err)
 	}
 	fr.res.Launched, fr.res.Cancelled = fr.launched, fr.launched-fr.drainCompleted()
 	if fr.cdone != nil {
@@ -894,6 +863,7 @@ func (fr *callFrame[K, T]) end(err error) bool {
 			if fr.gov != nil {
 				fr.gov.copyDone()
 			}
+			fr.report(indexed[T]{idx: i, err: context.Canceled}, false)
 			fr.release(1)
 		}
 	}

@@ -88,16 +88,12 @@ type indexed[T any] struct {
 	val T
 	err error
 	idx int
-	// at is when a read's copy completed, read off the frame's clock by
-	// whoever delivered it; on takes it as the event's instant. A durable
-	// call's event carries none: on does not time it.
+	// at is when the copy completed, read off the frame's clock by
+	// whoever delivered it; on takes it as the event's instant.
 	at time.Time
 	// timer and cancel mark the frame's timer event (timerFired) and the
 	// caller's cancellation (wait) rather than a copy completion: val,
 	// err, idx and at are then meaningless, and the instant is read when
 	// the event is taken.
 	timer, cancel bool
-	// dropped marks a success completed without its value (Sink.Drop):
-	// val is the zero value and no caller's, so it is never discarded.
-	dropped bool
 }

@@ -308,10 +308,7 @@ func TestAsyncFreshContextAllocs(t *testing.T) {
 	}
 	started, _ := build(NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, Selection: SelectRandom}, WithSeed(1)))
 	hedged, _ := build(NewStrategyKeyedGroup[int, int](Fixed{Copies: 2, HedgeDelay: time.Second}, WithSeed(1)))
-	durable, picked := build(NewDurableKeyedGroup[int, int](Durable[int]{
-		Own:  func(arg int) int { return arg },
-		Done: func(CopyDone[int]) {},
-	}))
+	durable, picked := build(NewReportingKeyedGroup[int, int](nil, func(arg int) int { return arg }, func(CopyDone[int, int]) {}))
 	fresh := func() (context.Context, context.CancelFunc) {
 		return context.WithCancel(context.Background())
 	}

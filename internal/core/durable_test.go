@@ -9,18 +9,18 @@ import (
 	"time"
 )
 
-// These tests pin the durable mode (NewDurableKeyedGroup, DoDurable): a
-// decided call withdraws and drops nothing, every copy reports to the
-// per-copy hook exactly once — before a caller it decides is woken —
-// and keeps its frame reference until it completes; the argument a copy
-// can read after the caller returned is the Own form, never the
-// caller's memory; a blocking copy outlives its caller's cancellation;
-// and the governor counts every copy while it is out. Run with -race
-// -count=5.
+// These tests pin the replicated write (DoDurable on a
+// NewReportingKeyedGroup group whose Starters refuse Cancel): a decided
+// call withdraws nothing, every copy reports to the per-copy hook
+// exactly once — before its caller returns, if the copy decides the
+// call — and keeps its frame reference until it completes; the argument
+// a copy can read after the caller returned is own's form, never the
+// caller's memory; a blocking copy that detaches its context outlives
+// its caller's cancellation; and the governor counts every copy while
+// it is out. Run with -race -count=5.
 
 // handStarter is a Starter over []byte arguments whose copies the test
-// completes by hand. Cancel counts and refuses: a durable call must
-// never ask.
+// completes by hand. Cancel counts and refuses, as a write's does.
 type handStarter struct {
 	mu      sync.Mutex
 	sinks   []Sink[int]
@@ -55,12 +55,12 @@ func (h *handStarter) complete(i, v int, err error) {
 // copied and its first byte's address noted.
 type copyLog struct {
 	mu    sync.Mutex
-	dones []CopyDone[[]byte]
+	dones []CopyDone[[]byte, int]
 	seen  [][]byte
 	first []*byte
 }
 
-func (l *copyLog) done(c CopyDone[[]byte]) {
+func (l *copyLog) done(c CopyDone[[]byte, int]) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.dones = append(l.dones, c)
@@ -78,15 +78,12 @@ func (l *copyLog) len() int {
 	return len(l.dones)
 }
 
-// durableGroup is a durable group over n hand-completed starters, with
-// an Own that counts its calls.
+// durableGroup is a reporting group over n hand-completed starters,
+// with an own that counts its calls.
 func durableGroup(n int) (*KeyedGroup[[]byte, int], []Handle[[]byte, int], []*handStarter, *copyLog, *int) {
 	log := &copyLog{}
 	owns := new(int)
-	g := NewDurableKeyedGroup[[]byte, int](Durable[[]byte]{
-		Own:  func(b []byte) []byte { *owns++; return bytes.Clone(b) },
-		Done: log.done,
-	})
+	g := NewReportingKeyedGroup[[]byte, int](nil, func(b []byte) []byte { *owns++; return bytes.Clone(b) }, log.done)
 	hs := make([]*handStarter, n)
 	picked := make([]Handle[[]byte, int], n)
 	for i := range hs {
@@ -124,13 +121,13 @@ func doDurable(ctx context.Context, g *KeyedGroup[[]byte, int], arg []byte, pick
 }
 
 // TestAsyncDurableCallWithdrawsNothing: a quorum-1 call over two copies
-// returns on the first ack. The second copy is neither withdrawn nor
-// dropped, pins the frame, and counts in the governor; when it fails
+// returns on the first ack. The second copy, whose Starter refuses the
+// withdrawal, pins the frame and counts in the governor; when it fails
 // after the return, the hook sees it with the frame's own copy of the
 // argument, not the caller's slice, which the caller has overwritten by
-// then. The first copy's report came before the caller woke, with the
-// caller's slice itself, and no copy was timed. Then the frame recycles with nothing of the
-// call left in it, and a completion into it panics.
+// then. The first copy's report came before the caller returned, with
+// the caller's slice itself. Then the frame recycles with nothing of
+// the call left in it, and a completion into it panics.
 func TestAsyncDurableCallWithdrawsNothing(t *testing.T) {
 	g, picked, hs, log, owns := durableGroup(2)
 	value := []byte("original")
@@ -155,8 +152,8 @@ func TestAsyncDurableCallWithdrawsNothing(t *testing.T) {
 		value[i] = '!'
 	}
 	fr := hs[1].sinks[0].(*callFrame[[]byte, int])
-	if fr.refs.Load() != 1 || hs[1].sinks[0].Drop(hs[1].slots[0]) {
-		t.Fatalf("the straggler holds %d references or was dropped: want 1, not dropped", fr.refs.Load())
+	if fr.refs.Load() != 1 {
+		t.Fatalf("the straggler holds %d references, want 1", fr.refs.Load())
 	}
 	if n := gov.Stats().InFlight; n != 1 {
 		t.Fatalf("governor counts %d copies in flight after the return, want the straggler's 1", n)
@@ -168,17 +165,11 @@ func TestAsyncDurableCallWithdrawsNothing(t *testing.T) {
 	if string(log.seen[1]) != "original" || log.first[1] == &value[0] {
 		t.Errorf("the straggler's report carries %q, at the caller's slice: %v; want the frame's own \"original\"", log.seen[1], log.first[1] == &value[0])
 	}
-	if hs[0].cancels+hs[1].cancels != 0 {
-		t.Error("a durable call asked its starter to withdraw a copy")
-	}
-	if rs := g.Stats().Replicas[0]; rs.Observations != 0 {
-		t.Errorf("the acked copy was timed into its member's digest (%d observations): durable copies are not timed", rs.Observations)
-	}
 	if n := gov.Stats().InFlight; n != 0 || gov.Stats().Samples != 1 {
 		t.Errorf("governor: %d in flight, %d samples; want 0 and the call's 1", n, gov.Stats().Samples)
 	}
-	if fr.refs.Load() != 0 || fr.arg != nil || fr.owned || fr.won.Load() != 0 || fr.errs != nil || fr.durable != nil {
-		t.Errorf("the recycled frame keeps its call: refs %d, arg %q, owned %v, won %d, errs %v", fr.refs.Load(), fr.arg, fr.owned, fr.won.Load(), fr.errs)
+	if fr.refs.Load() != 0 || fr.arg != nil || fr.won.Load() != 0 || fr.errs != nil {
+		t.Errorf("the recycled frame keeps its call: refs %d, arg %q, won %d, errs %v", fr.refs.Load(), fr.arg, fr.won.Load(), fr.errs)
 	}
 	defer func() {
 		if recover() == nil {
@@ -242,13 +233,13 @@ func TestAsyncDurableReturns(t *testing.T) {
 }
 
 // TestAsyncDurableReportsBeforeTheCallerWakes: the copy whose failure
-// makes the quorum unreachable reports before the caller it decides is
-// woken — a writer told of a failed write finds its hint queued. The
+// makes the quorum unreachable reports before the caller it decides
+// returns — a writer told of a failed write finds its hint queued. The
 // hook holds that report; while it does, the call must not return.
 func TestAsyncDurableReportsBeforeTheCallerWakes(t *testing.T) {
 	g, picked, hs, _, _ := durableGroup(2)
 	gate := make(chan struct{})
-	g.durable.Done = func(c CopyDone[[]byte]) {
+	g.done = func(c CopyDone[[]byte, int]) {
 		if c.Err != nil {
 			<-gate
 		}
@@ -270,15 +261,13 @@ func TestAsyncDurableReportsBeforeTheCallerWakes(t *testing.T) {
 }
 
 // TestAsyncDurableBlockingCopyOutlivesItsCaller: a function replica's
-// copy runs on a goroutine under a context the caller's cancellation
-// does not reach, over the owned argument — made before the launch,
-// since the goroutine reads it whenever it is scheduled.
+// copy runs on a goroutine over the owned argument — made before the
+// launch, since the goroutine reads it whenever it is scheduled — and,
+// detaching its context as memkv's blocking put does, outlives its
+// caller's cancellation.
 func TestAsyncDurableBlockingCopyOutlivesItsCaller(t *testing.T) {
 	log := &copyLog{}
-	g := NewDurableKeyedGroup[[]byte, int](Durable[[]byte]{
-		Own:  func(b []byte) []byte { return bytes.Clone(b) },
-		Done: log.done,
-	})
+	g := NewReportingKeyedGroup[[]byte, int](nil, func(b []byte) []byte { return bytes.Clone(b) }, log.done)
 	letGo := make(chan struct{})
 	type seen struct {
 		arg    string
@@ -287,6 +276,7 @@ func TestAsyncDurableBlockingCopyOutlivesItsCaller(t *testing.T) {
 	}
 	saw := make(chan seen, 1)
 	h := g.Add("a", func(ctx context.Context, arg []byte) (int, error) {
+		ctx = context.WithoutCancel(ctx)
 		<-letGo
 		saw <- seen{string(arg), &arg[0], ctx.Err()}
 		return 1, nil

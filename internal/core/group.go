@@ -69,18 +69,17 @@ type KeyedGroup[K, T any] struct {
 	// reaches the pool only via callFrame.release's proved-drained path,
 	// so pooled frames are always quiescent.
 	frames sync.Pool
-	// durable is DoDurable's mode, set by NewDurableKeyedGroup.
-	durable *Durable[K]
-	// discard is the read group's discard hook, set by
-	// NewDiscardingKeyedGroup; every frame of the group carries it.
-	discard func(T)
+	// done is the per-copy hook and own the argument owner, set by
+	// NewReportingKeyedGroup; every frame of the group carries both.
+	done func(CopyDone[K, T])
+	own  func(K) K
 }
 
 // getFrame returns a quiescent call frame holding the engine's reference.
 func (g *KeyedGroup[K, T]) getFrame() *callFrame[K, T] {
 	fr, _ := g.frames.Get().(*callFrame[K, T])
 	if fr == nil {
-		fr = &callFrame[K, T]{pool: &g.frames, discard: g.discard}
+		fr = &callFrame[K, T]{pool: &g.frames, done: g.done, own: g.own}
 		fr.results = make(chan indexed[T], frameChanCap)
 		fr.slots = fr.slotsBuf[:0]
 	}
@@ -337,8 +336,8 @@ type ReplicaStats struct {
 	// their call was already decided and were discarded undecoded by the
 	// replica's Starter (see Sink.Drop). Cancelled + Dropped is the losers
 	// that cost the client nothing; a loser in neither was decoded, and
-	// its value, which no caller receives, went to the group's discard
-	// hook (NewDiscardingKeyedGroup) if it has one.
+	// its value, which no caller receives, went with its report to the
+	// group's per-copy hook (NewReportingKeyedGroup) if it has one.
 	Dropped int64
 	// P50, P95, P99 are latency-quantile estimates from the replica's
 	// digest (zero if unobserved).
@@ -471,67 +470,52 @@ func (g *KeyedGroup[K, T]) planPicked(picked []Handle[K, T], opts []CallOption) 
 	return g.plan(st, opts, n, max(len(st.members), n))
 }
 
-// Durable is the mode of a group whose calls are replicated writes
-// (NewDurableKeyedGroup, DoDurable): every copy runs to completion and
-// reports to Done, however early its call was decided.
-type Durable[K any] struct {
-	// Own returns arg with whatever it borrows from its caller copied. It
-	// runs at most once per call, only when something may read arg after
-	// the return: a copy still out then, or a blocking launch.
-	Own func(arg K) K
-	// Done is the per-copy hook: once for every copy, on the goroutine
-	// that learns its outcome, and before a caller this completion
-	// decides is woken. It holds the frame's lock, which the caller's
-	// return takes, so it must not block.
-	Done func(CopyDone[K])
-}
-
-// CopyDone is one copy's outcome as a group's per-copy hook sees it: the
-// call's argument (its Own form once the caller has returned), the
-// copy's member name, and its error, nil for a success.
-type CopyDone[K any] struct {
+// CopyDone is one launched copy's outcome as its group's per-copy hook
+// sees it (NewReportingKeyedGroup): the call's argument (own's form of it
+// once the caller has returned, if the group owns arguments), the copy's
+// value if it is a success that no caller receives (zero otherwise), the
+// copy's member name, and its error: nil for a success, a dropped copy's
+// (Sink.Drop) included, and context.Canceled for a copy withdrawn in
+// flight.
+type CopyDone[K, T any] struct {
 	Arg     K
+	Value   T
 	Replica string
 	Err     error
 }
 
-// NewDurableKeyedGroup creates a group for durable calls. It has no
-// observer: a durable copy is load — it brackets the governor its call
-// is given — but not an Observation.
-func NewDurableKeyedGroup[K, T any](d Durable[K]) *KeyedGroup[K, T] {
-	g := NewStrategyKeyedGroup[K, T](FullReplicate{})
-	g.durable = &d
-	return g
-}
-
-// NewDiscardingKeyedGroup creates a KeyedGroup, as NewStrategyKeyedGroup
-// does, whose calls hand discard every successful value they neither
-// return nor collect: a loser whose reply was decoded after its call was
-// decided (one queued by then, or a straggler whose Cancel lost), and a
-// quorum call's success it took but does not return. Each such value
-// reaches discard exactly once, on whichever goroutine drains it, and no
-// failure and no dropped copy (Sink.Drop) ever does. A caller whose
-// values are pooled buffers gives them back there: nobody else holds
-// them.
-func NewDiscardingKeyedGroup[K, T any](s Strategy, discard func(T), opts ...GroupOption) *KeyedGroup[K, T] {
+// NewReportingKeyedGroup creates a KeyedGroup, as NewStrategyKeyedGroup
+// does, whose every launched copy reports to done exactly once: on the
+// caller's goroutine for a copy whose outcome its call takes or drains,
+// or reclaims, before the caller returns, and on whichever goroutine
+// drops the call's last frame reference for a straggler that completes
+// after. done must not block. A value that no caller receives — a loser
+// decoded after its call was decided, or a quorum call's success it took
+// but does not return — rides in its report, so a caller whose values
+// are pooled buffers gives them back there: nobody else holds them.
+//
+// own, if non-nil, returns an argument with whatever it borrows from its
+// caller copied. A call runs it at most once, when something may read
+// the argument after the caller returned: a copy still out at the return,
+// whose report carries own's form, or a blocking copy's goroutine.
+func NewReportingKeyedGroup[K, T any](s Strategy, own func(K) K, done func(CopyDone[K, T]), opts ...GroupOption) *KeyedGroup[K, T] {
 	g := NewStrategyKeyedGroup[K, T](s, opts...)
-	g.discard = discard
+	g.own, g.done = own, done
 	return g
 }
 
-// DoDurable performs one call of a NewDurableKeyedGroup group over
-// picked, launching every copy at once: started where its member has a
-// Starter, a single copy too, so a caller giving up never aborts one; a
-// blocking copy runs without the caller's cancellation, so its replica
-// must bound it. It returns nil once q succeeded (q is clamped to [0,
-// len(picked)]; 0 returns once the copies are out), a *QuorumError as
-// soon as too few can, or ctx's error; the copies out run on and report
-// to Durable.Done. ctx is watched from 1ms on, as in Do: a cancellation
-// inside the first millisecond is seen at 1ms, and the deciding
-// completion may still win. gov, if non-nil,
-// takes the call's utilization sample and brackets every copy, but sheds
-// none. It takes no per-call options, times no copy and allocates
-// nothing of its own.
+// DoDurable performs one replicated write over picked: a call that
+// launches every copy at once, started where its member has a Starter
+// (a single copy too), and that no governor sheds — gov, if non-nil,
+// takes the call's utilization sample and brackets every copy. That the
+// write withdraws nothing is its Starters' to decide: a Starter whose
+// Cancel refuses keeps its copy out after the decision, and a blocking
+// replica that must outlive its caller detaches its context itself. It
+// returns nil once q succeeded (q is clamped to [0, len(picked)]; 0
+// returns once the copies are out), a *QuorumError as soon as too few
+// can, or ctx's error; the copies still out run on and report to the
+// group's per-copy hook. ctx is watched from 1ms on, as in Do. It takes
+// no per-call options and makes no Observation.
 func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle[K, T], q int, gov *Governor) error {
 	n := len(picked)
 	if n == 0 {
@@ -540,18 +524,19 @@ func (g *KeyedGroup[K, T]) DoDurable(ctx context.Context, arg K, picked []Handle
 	if gov != nil {
 		gov.sample(max(len(g.state.Load().members), n))
 	}
-	fr := g.getFrame()
-	copy(fr.pickedSlice(n), picked)
-	fr.durable = g.durable
-	fr.n, fr.quorum, fr.arg, fr.gov = n, min(max(q, 0), n), arg, gov
-	fr.ensureChan(n)
+	p := callPlan[T]{isFixed: true, gov: gov, q: min(max(q, 0), n), launch: n}
+	fr := g.frameFor(arg, &p, picked)
 	fr.begin(ctx, fr.now())
-	if fr.quorum > 0 {
+	if p.q > 0 {
 		fr.wait(ctx)
+	} else {
+		fr.end(nil)
 	}
 	err := fr.err
-	fr.own(true)
-	fr.release(1)
+	if err != nil && p.q == 1 && err != ctx.Err() {
+		err = &QuorumError[T]{Need: 1, Err: err}
+	}
+	fr.leave()
 	return err
 }
 
@@ -682,7 +667,8 @@ func (g *KeyedGroup[K, T]) run(ctx context.Context, arg K, p *callPlan[T], picke
 // call is undecided, the next copy the governor withheld: the failover
 // a frame makes, made in order. Such a plan has quorum 1. Latency is
 // the sum of the copies' run times, measured by the clock pair each
-// copy's run reads anyway.
+// copy's run reads anyway. Each copy reports as it returns, never with
+// its value: a success is the caller's.
 func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], picked []Handle[K, T]) (Result[T], error) {
 	if p.collect != nil {
 		*p.collect = (*p.collect)[:0]
@@ -696,6 +682,9 @@ func (g *KeyedGroup[K, T]) runOne(ctx context.Context, arg K, p *callPlan[T], pi
 		v, d, err := h.m.run(ctx, arg, p.gov)
 		elapsed += d
 		res.Launched = i + 1
+		if g.done != nil {
+			g.done(CopyDone[K, T]{Arg: arg, Replica: h.m.name, Err: err})
+		}
 		if err == nil {
 			res.Value, res.Index, res.Latency = v, i, elapsed
 			if p.collect != nil {
@@ -739,7 +728,7 @@ func (g *KeyedGroup[K, T]) launchFrame(ctx context.Context, arg K, p *callPlan[T
 	fr.wait(ctx)
 	res, err := fr.res, fr.err
 	g.settle(p, fr.picked[res.Index].m.name, &res, err)
-	fr.release(1)
+	fr.leave()
 	return res, err
 }
 

@@ -9,10 +9,10 @@ import "time"
 // learns of it. A multi-copy call over starters therefore costs no
 // goroutine, no derived context and no cancellation channel per copy:
 // the engine starts every copy on the caller's goroutine, takes the
-// completions in its one transition (callFrame.on), and withdraws what
-// is still out when the call is decided. Register one beside the blocking replica with
-// KeyedGroup.AddStarter; see call.go's file comment for where each form
-// is used.
+// completions in its one transition (callFrame.on), and asks to
+// withdraw what is still out when the call is decided. Register one
+// beside the blocking replica with KeyedGroup.AddStarter; see call.go's
+// file comment for where each form is used.
 //
 // The contract:
 //
@@ -28,7 +28,10 @@ import "time"
 //     means Complete has not been and never will be called for it; false
 //     means the completion was already claimed and is, or will be,
 //     delivered. Cancel does not block, and a ticket stays safe to
-//     Cancel after its copy completed (it reports false).
+//     Cancel after its copy completed (it reports false). A Starter
+//     whose copies must land — a replicated write's — refuses every
+//     Cancel: the decided call then withdraws nothing, and each copy
+//     still out completes, and reports, after the caller returned.
 //   - A Starter that holds a successful reply it has not decoded yet may
 //     offer to skip it: sink.Drop(slot) true is that copy's one
 //     completion — the call was already decided and had no use for the
@@ -57,14 +60,15 @@ type Sink[T any] interface {
 	// the caller's goroutine running again to withdraw the losers, a
 	// loser's reply can be claimed by its Starter; asking here, where the
 	// reply lands, decides it without waiting for that goroutine. A
-	// dropped copy answered: its latency is observed (as of now) and it is
-	// counted as dropped on its replica, not as cancelled or failed. A
-	// loser that is not dropped — its reply decoded on a call that does
+	// dropped copy answered: its latency is observed (as of now), it is
+	// counted as dropped on its replica, not as cancelled or failed, and
+	// it reports to the group's per-copy hook as a success with no value.
+	// A loser that is not dropped — its reply decoded on a call that does
 	// not settle (it collects outcomes), or in the same instant as the
-	// winner's by another reader — is Completed, and the engine hands its
-	// value, which no caller receives, to the group's discard hook
-	// (NewDiscardingKeyedGroup): the stack gives back what it decoded
-	// for nobody.
+	// winner's by another reader — is Completed, and its report carries
+	// the value, which no caller receives (NewReportingKeyedGroup): the
+	// stack gives back what it decoded for nobody. A Starter that never
+	// asks (a write's) has every copy Completed.
 	Drop(slot int) bool
 }
 
@@ -106,9 +110,7 @@ func (fr *callFrame[K, T]) startCopy(i int, now time.Time) bool {
 	if fr.gov != nil {
 		fr.gov.copyStarted()
 	}
-	if fr.durable == nil {
-		s.at = now
-	}
+	s.at = now
 	tk, ok := m.starter.Start(fr.arg, fr, i)
 	if !ok {
 		if fr.gov != nil {
@@ -122,12 +124,11 @@ func (fr *callFrame[K, T]) startCopy(i int, now time.Time) bool {
 
 // Complete implements Sink: a started copy's outcome, delivered on the
 // Starter's goroutine straight into the call's results for on. It closes
-// the governor bracket, reads the frame's clock once for a read's copy —
-// the instant its event carries, and a success's latency, folded into
-// the member's digest — and drops the copy's frame reference after
-// delivering, the same order as a copy goroutine, so the proved-drained
-// recycling discipline holds. A durable copy is not timed: nothing ranks
-// write members, and on does not time its call.
+// the governor bracket, reads the frame's clock once — the instant its
+// event carries, and a success's latency, folded into the member's
+// digest — and drops the copy's frame reference after delivering, the
+// same order as a copy goroutine, so the proved-drained recycling
+// discipline holds.
 func (fr *callFrame[K, T]) Complete(slot int, v T, err error) {
 	fr.complete(indexed[T]{val: v, err: err, idx: slot})
 }
@@ -142,11 +143,9 @@ func (fr *callFrame[K, T]) complete(ev indexed[T]) {
 	if fr.gov != nil {
 		fr.gov.copyDone()
 	}
-	if fr.durable == nil {
-		ev.at = fr.now()
-		if ev.err == nil {
-			fr.picked[ev.idx].m.lat.observe(float64(ev.at.Sub(fr.slots[ev.idx].at)))
-		}
+	ev.at = fr.now()
+	if ev.err == nil {
+		fr.picked[ev.idx].m.lat.observe(float64(ev.at.Sub(fr.slots[ev.idx].at)))
 	}
 	fr.deliver(ev)
 }
@@ -154,17 +153,17 @@ func (fr *callFrame[K, T]) complete(ev indexed[T]) {
 // Drop implements Sink: once the call is settled, a started copy that
 // succeeded completes as Complete would have it — bracket closed,
 // latency observed, one event for the call's accounting, reference
-// dropped — carrying no value, and marked so that the discard hook is
-// never handed its zero value. The event is queued behind the success
+// dropped — carrying no value. The event is queued behind the success
 // that settled the call, which is where the call is decided, so nothing
-// ever reads it as an outcome: drainCompleted counts it (the copy was
-// not reclaimed in flight, so it is not Cancelled) or release skips it.
+// ever reads it as an outcome: drainCompleted or release's drain takes
+// it and reports the copy, a success with no value (the copy was not
+// reclaimed in flight, so it is not Cancelled either).
 func (fr *callFrame[K, T]) Drop(slot int) bool {
 	if !fr.settled() {
 		return false
 	}
 	fr.picked[slot].m.dropped.Add(1)
-	fr.complete(indexed[T]{idx: slot, dropped: true})
+	fr.complete(indexed[T]{idx: slot})
 	return true
 }
 

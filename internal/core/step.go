@@ -74,7 +74,7 @@ func (g *KeyedGroup[K, T]) StepPicked(clk Clock, arg K, picked []Handle[K, T], d
 	fr.finish = func() {
 		res, err := fr.res, fr.err
 		g.settle(&p, fr.picked[res.Index].m.name, &res, err)
-		fr.release(1)
+		fr.leave()
 		done(res, err)
 	}
 	fr.pump()

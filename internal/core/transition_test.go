@@ -29,21 +29,25 @@ import (
 //     the cancel event is the moment the wait's select takes it;
 //   - at the decision, for each copy still out, its Cancel winning (the
 //     copy is withdrawn) or losing (its reply was claimed just before and
-//     arrives after the decision, a straggler).
+//     arrives after the decision, a straggler). A write's Starter refuses
+//     every Cancel and never offers Drop, as memkv's putStarter does, so
+//     each of its copies still out at the decision is a straggler.
 //
 // Each order's result is compared with stepSpec, a sequential model of
 // the call run on the same choices, and each must: complete, drop or
-// withdraw every launched copy exactly once and start no other, recycle
+// withdraw every launched copy exactly once and start no other, report
+// every launched copy to the group's per-copy hook exactly once, recycle
 // the frame once, with its last straggler, and return the governor's
 // in-flight count to 0. Each value is followed too: copy i's success
 // carries 10+i, distinct per copy, and every success completed (not
 // dropped) must end exactly once — returned as the result's value or in
-// a *QuorumError's outcomes, or handed to the frame's discard hook —
-// while no failure, miss or dropped copy reaches the hook. The
+// a *QuorumError's outcomes, or carried by its report — while no
+// failure, miss, dropped or withdrawn copy's report carries a value. The
 // configurations and their orders:
 // Fixed{Copies: 2} 546, a one-hour hedge 265, WithQuorum(2) 442,
-// WithNegativeAnswer 442, and WithQuorum(2) with WithNegativeAnswer
-// (memkv's quorum read) 546: 2 241 orders in all.
+// WithNegativeAnswer 442, WithQuorum(2) with WithNegativeAnswer (memkv's
+// quorum read) 546, and a write over two copies, 492 at quorum 1 and
+// 390 at quorum 2: 3 123 orders in all.
 func TestAsyncTransitionEveryOrder(t *testing.T) {
 	total := 0
 	for _, cfg := range []stepConfig{
@@ -52,6 +56,8 @@ func TestAsyncTransitionEveryOrder(t *testing.T) {
 		{name: "WithQuorum(2)", q: 2, orders: 442},
 		{name: "WithNegativeAnswer", q: 1, negative: true, orders: 442},
 		{name: "WithQuorum(2), WithNegativeAnswer", q: 2, negative: true, orders: 546},
+		{name: "write, quorum 1", q: 1, write: true, orders: 492},
+		{name: "write, quorum 2", q: 2, write: true, orders: 390},
 	} {
 		var c chooser
 		orders := 0
@@ -67,8 +73,8 @@ func TestAsyncTransitionEveryOrder(t *testing.T) {
 		}
 		total += orders
 	}
-	if total != 2241 {
-		t.Errorf("%d orders in all, want 2 241", total)
+	if total != 3123 {
+		t.Errorf("%d orders in all, want 3 123", total)
 	}
 }
 
@@ -90,7 +96,9 @@ type stepConfig struct {
 	q        int
 	hedged   bool
 	negative bool
-	orders   int
+	// write makes every Cancel refuse and offers no Drop.
+	write  bool
+	orders int
 }
 
 // chooser enumerates schedules depth first, as a stateless model
@@ -128,16 +136,17 @@ func (c *chooser) next() bool {
 
 // stepStarter is a held starter whose Cancel the schedule decides:
 // winning, it withdraws the copy; losing, the copy's reply was claimed
-// just before, and the reply is owed.
+// just before, and the reply is owed. A write's always loses.
 type stepStarter struct {
 	*heldStarter
-	c    *chooser
-	owed bool
+	c     *chooser
+	owed  bool
+	write bool
 }
 
 func (s *stepStarter) Cancel(tk Ticket) bool {
 	s.mu.Lock()
-	if s.out && s.c.pick(2) == 1 {
+	if s.out && (s.write || s.c.pick(2) == 1) {
 		s.out, s.owed = false, true
 	}
 	s.mu.Unlock()
@@ -161,7 +170,7 @@ func (s *stepStarter) reply(k, v int) (dropped bool) {
 	s.mu.Unlock()
 	switch k {
 	case replyOK:
-		if sink.Drop(slot) {
+		if !s.write && sink.Drop(slot) {
 			s.drops.Add(1)
 			return true
 		}
@@ -188,15 +197,25 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 	}
 	gov := NewGovernor(100, 0) // never gates
 	g := NewStrategyGroup[int](Fixed{Copies: 2})
-	var discarded []int
+	var reports [2]int
+	var carried []int // the values reports carried
 	fr := &callFrame[struct{}, int]{pool: new(sync.Pool), n: 2, quorum: cfg.q, gov: gov,
-		discard: func(v int) { discarded = append(discarded, v) }}
+		done: func(c CopyDone[struct{}, int]) {
+			i := int(c.Replica[0] - 'a')
+			reports[i]++
+			if c.Value != 0 {
+				if c.Err != nil || c.Value != 10+i {
+					fail("copy %d reported value %d with error %v", i, c.Value, c.Err)
+				}
+				carried = append(carried, c.Value)
+			}
+		}}
 	fr.refs.Store(1)
 	fr.ensureChan(2)
 	picked := fr.pickedSlice(2)
 	var ss [2]*stepStarter
 	for i := range ss {
-		ss[i] = &stepStarter{heldStarter: newHeldStarter(), c: c}
+		ss[i] = &stepStarter{heldStarter: newHeldStarter(), c: c, write: cfg.write}
 		picked[i] = g.AddStarter(string(rune('a'+i)), func(context.Context, struct{}) (int, error) {
 			panic("a held starter's blocking form was run")
 		}, ss[i])
@@ -300,22 +319,25 @@ func stepOrder(t *testing.T, cfg stepConfig, c *chooser) {
 			fail("copy %d completed %d, dropped %d, withdrawn %d times; want %d in all",
 				i, s.completes.Load(), s.drops.Load(), s.withdrawn.Load(), started)
 		}
+		if reports[i] != started {
+			fail("copy %d reported %d times, started %d", i, reports[i], started)
+		}
 	}
 	if n := gov.Stats().InFlight; n != 0 {
 		fail("%d copies in flight on the governor, want 0", n)
 	}
 	ends := map[int]int{}
-	for _, v := range append(returned, discarded...) {
+	for _, v := range append(returned, carried...) {
 		ends[v]++
 	}
 	for _, v := range completed {
 		if ends[v] != 1 {
-			fail("copy %d's success ended %d times (returned %v, discarded %v), want once", v-10, ends[v], returned, discarded)
+			fail("copy %d's success ended %d times (returned %v, reported %v), want once", v-10, ends[v], returned, carried)
 		}
 		delete(ends, v)
 	}
 	if len(ends) > 0 {
-		fail("values %v returned or discarded, but no copy completed them (returned %v, discarded %v)", ends, returned, discarded)
+		fail("values %v returned or reported, but no copy completed them (returned %v, reported %v)", ends, returned, carried)
 	}
 }
 
@@ -348,7 +370,7 @@ func returnedValues(res Result[int], err error) []int {
 // fails with the first negative answer if none was, and fails once
 // more than n−q copies failed; the caller's cancellation ends it with
 // context.Canceled. Once q successes are queued, a success that arrives
-// is dropped. Launched counts the copies started; Cancelled those not
+// is dropped, except a write's. Launched counts the copies started; Cancelled those not
 // completed, taken or queued, at the decision.
 type stepSpec struct {
 	cfg             stepConfig
@@ -378,7 +400,7 @@ func newStepSpec(cfg stepConfig, start time.Time) *stepSpec {
 
 func (s *stepSpec) reply(i, k int) (dropped bool) {
 	if k == replyOK {
-		dropped = s.ok >= s.cfg.q
+		dropped = s.ok >= s.cfg.q && !s.cfg.write
 		s.ok++
 	}
 	if !s.decided {

@@ -19,10 +19,11 @@ import (
 //
 // The rule's second half: the stack releases what no caller receives.
 // A redundant read's loser decoded after its call was decided goes back
-// through the read group's discard hook (ShardedClient's discardRead), a
-// quorum read gives back the votes it does not return, and a blocking
-// read withdrawn after its reply was claimed gives back that reply. No
-// buffer a caller was handed is ever released on its behalf.
+// through the read group's per-copy hook, whose report of that copy
+// carries it (ShardedClient's discardRead), a quorum read gives back the
+// votes it does not return, and a blocking read withdrawn after its
+// reply was claimed gives back that reply. No buffer a caller was handed
+// is ever released on its behalf.
 //
 // Scan entries and watch events are not pooled: they are slices into
 // larger payloads or values their holders keep, plain allocations, and

@@ -71,9 +71,10 @@ var ErrMuxTimeout = errors.New("memkv: mux request timeout")
 //     (core.Sink.Drop), and skips the value the same way, completing the
 //     copy without it. What is left is two replies being completed in
 //     the same instant by two readers, neither seeing the other's: then
-//     the loser's value is decoded, and the engine hands it to the read
-//     group's discard hook, which gives its buffer back to the pool
-//     (ShardedClient's discardRead) for the next read to land in.
+//     the loser's value is decoded, and the engine's report of that copy
+//     carries it to the read group's per-copy hook, which gives its
+//     buffer back to the pool (ShardedClient's discardRead) for the next
+//     read to land in.
 //   - Neither do versioned writes: StartPutV is to PutV what Start is to
 //     GetV. It encodes the put straight into the pending buffer — no
 //     payload slice, no waiter — and the reader decodes the fixed-size

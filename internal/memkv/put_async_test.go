@@ -22,8 +22,8 @@ import (
 
 // These tests pin the non-blocking write path: MuxClient.StartPutV
 // (completions from the reader, the timeout timer and fail — exactly one
-// per started put), ShardedClient's write as a durable call on the core
-// engine (quorum return, stragglers that need no goroutine, per-owner
+// per started put), ShardedClient's write as a core engine call whose
+// copies refuse withdrawal (quorum return, stragglers that need no goroutine, per-owner
 // exactly-once hints, the blocking launch for a declined start or a
 // wrapped shard, its copies counted by the read strategy's governor),
 // and what a put allocates on both ends of the wire. Run with -race

@@ -33,9 +33,9 @@ import (
 //     and CAS are the same write with the version chosen differently.
 //
 // Both are calls on the core engine over one route table of shards; a
-// write's calls are durable (core.KeyedGroup.DoDurable), so every copy
-// of it runs to completion or becomes a hint, and all owners converge on
-// the same bytes under the same version. Missed writes, stale copies
+// write is core.KeyedGroup.DoDurable over copies that refuse withdrawal,
+// so every copy of it runs to completion or becomes a hint, and all
+// owners converge on the same bytes under the same version. Missed writes, stale copies
 // seen by a quorum read and placement changes are reported to the repair
 // sink (internal/repair: hinted handoff, read repair, anti-entropy
 // migration). AddShard/RemoveShard themselves only change placement.
@@ -145,26 +145,28 @@ func NewShardedClient(cfg ShardedConfig, clients ...Backend) *ShardedClient {
 	if cfg.ReadStrategy == nil {
 		cfg.ReadStrategy = core.LoadAware(core.Fixed{Copies: 2}, 0)
 	}
+	discard := discardRead
 	sc := &ShardedClient{
-		shards:      ring.NewTable[*member](ring.DefaultVirtualNodes, cfg.Replication),
-		reads:       core.NewDiscardingKeyedGroup[string](cfg.ReadStrategy, discardRead, core.WithObserver(cfg.Observer)),
+		shards: ring.NewTable[*member](ring.DefaultVirtualNodes, cfg.Replication),
+		reads: core.NewReportingKeyedGroup(cfg.ReadStrategy, nil, func(c core.CopyDone[string, Versioned]) {
+			if c.Value.Value != nil {
+				discard(c.Value)
+			}
+		}, core.WithObserver(cfg.Observer)),
 		writeQuorum: cfg.WriteQuorum,
 	}
-	sc.writes = core.NewDurableKeyedGroup[putReq, PutVResult](core.Durable[putReq]{
-		Own:  putReq.own,
-		Done: sc.writeDone,
-	})
+	sc.writes = core.NewReportingKeyedGroup(nil, putReq.own, sc.writeDone)
 	for _, cl := range clients {
 		sc.AddShard(cl)
 	}
 	return sc
 }
 
-// discardRead is the read group's discard hook: a copy's value that no
-// caller receives — a loser decoded after its read was decided — goes
-// back to the pool (bufpool.go). It is read once per client, when the
-// client is made; a test counts what the hook is handed by replacing it
-// before then.
+// discardRead is where the read group's per-copy hook sends a copy's
+// value that no caller receives — a loser decoded after its read was
+// decided — back to the pool (bufpool.go). It is read once per client,
+// when the client is made; a test counts what the hook is handed by
+// replacing it before then.
 var discardRead = func(v Versioned) { Release(v.Value) }
 
 // AddShard registers a shard; keys whose placement now includes it route
@@ -185,9 +187,10 @@ func (sc *ShardedClient) AddShard(cl Backend) {
 		return Versioned{Value: val, Version: ver, TTLSecs: ttl}, err
 	}
 	put := func(ctx context.Context, r putReq) (PutVResult, error) {
-		// A durable copy runs detached from its caller; the timeout bounds
-		// the goroutine, and a copy it kills becomes a hint.
-		ctx, cancel := context.WithTimeout(ctx, versionedStragglerTimeout)
+		// A write's copy outlives its caller's decision and cancellation,
+		// so it detaches; the timeout bounds the goroutine, and a copy it
+		// kills becomes a hint.
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), versionedStragglerTimeout)
 		defer cancel()
 		cur, applied, err := cl.PutV(ctx, r.key, r.value, r.ttl, r.version)
 		return PutVResult{Current: cur, Applied: applied, Err: err}, err

@@ -142,8 +142,10 @@ func TestShardedGetUnderCancellableContextAllocatesOnlyValue(t *testing.T) {
 
 // TestShardedGetOptionsAllocateNothing: a per-call option is a value, so
 // a one-copy GetResult with WithFanoutCap or WithLabel allocates what
-// one with no option does, across client and servers. (Each value is
-// given back, so both read 0.)
+// one with no option does, across client and servers; so does a quorum
+// read over both owners, WithQuorum(2), whose vote list is pooled, whose
+// strategy override is boxed once and whose option list is on the
+// stack. (Each value is given back, so all read 0.)
 func TestShardedGetOptionsAllocateNothing(t *testing.T) {
 	if coretest.Race() {
 		t.Skip("exact allocation counts do not hold under -race")
@@ -176,6 +178,7 @@ func TestShardedGetOptionsAllocateNothing(t *testing.T) {
 	}{
 		{"WithFanoutCap(1)", core.WithFanoutCap(1)},
 		{"WithLabel", core.WithLabel("checkout")},
+		{"WithQuorum(2)", core.WithQuorum(2)},
 	} {
 		avg := perGet(tc.opt)
 		t.Logf("GetResult with %s: %.2f allocs, without an option %.2f", tc.name, avg, base)

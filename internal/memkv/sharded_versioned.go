@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"redundancy/internal/core"
@@ -21,17 +22,19 @@ import (
 //     last-writer-wins resolves sanely across writers (ties and skew
 //     bounded by clock skew). No delete exists: TTL expiry is the only
 //     removal, so there is nothing for repair to resurrect.
-//   - PutVersioned, a quorum write: a durable call on the core engine
-//     (core.KeyedGroup.DoDurable), which returns at the write quorum and
-//     withdraws nothing, because durability is the point. Every copy runs
-//     to completion, each one that failed is reported to the repair sink
-//     as a missed write (the hinted-handoff trigger) by the engine's
-//     per-copy hook, and every owner ends up with the one version the
-//     client minted. PutVersionAt and CAS are the same write with the
-//     version chosen differently. A copy is a wire request started on
-//     the caller's goroutine (MuxClient.StartPutV), and a straggler is a
-//     tag in a connection's table. The copies count in the read
-//     strategy's governor: server load is load whatever the op.
+//   - PutVersioned, a quorum write: a call on the core engine
+//     (core.KeyedGroup.DoDurable) that returns at the write quorum. It
+//     withdraws nothing, because durability is the point, and that is
+//     this file's decision, not the engine's: a started put refuses its
+//     Cancel (putStarter), and a blocking one detaches from its caller.
+//     Every copy runs to completion, the write group's per-copy hook
+//     reports each one that failed to the repair sink as a missed write
+//     (the hinted-handoff trigger), and every owner ends up with the one
+//     version the client minted. PutVersionAt and CAS are the same write
+//     with the version chosen differently. A copy is a wire request
+//     started on the caller's goroutine (MuxClient.StartPutV), and a
+//     straggler is a tag in a connection's table. The copies count in
+//     the read strategy's governor: server load is load whatever the op.
 //   - readQuorum, GetResult under core.WithQuorum: a version-observing
 //     read that returns the newest value among the copies read and
 //     reports stale copies (older version, or missing entirely) to the
@@ -47,8 +50,7 @@ import (
 // shard set is not reported: the caller that makes it runs the
 // migration, repair.Manager's Rebalance(ctx, prev, cur). repair.Manager
 // is the production implementation. Methods must not block — they run
-// on call paths, and WriteMissed under the reporting write's call-frame
-// lock.
+// on call paths, WriteMissed in the write group's per-copy hook.
 type RepairSink interface {
 	// WriteMissed reports that a versioned write reached its quorum (or
 	// failed) without landing on owner: the hint to queue and replay.
@@ -161,8 +163,8 @@ type putReq struct {
 	version uint64
 }
 
-// own is the write group's core.Durable.Own: r with its own copy of the
-// value the caller lent.
+// own is the write group's argument owner: r with its own copy of the
+// value the caller lent, for a copy that reports after the put returned.
 func (r putReq) own() putReq {
 	r.value = bytes.Clone(r.value)
 	return r
@@ -170,7 +172,8 @@ func (r putReq) own() putReq {
 
 // putStarter is a MuxClient as the write group's core.Starter: Start is
 // StartPutV, with the call frame as its sink. A started put cannot be
-// withdrawn, and a durable call never asks.
+// withdrawn: Cancel refuses, so a decided write leaves its copies out,
+// and each completes and reports after the put returned.
 type putStarter MuxClient
 
 func (p *putStarter) Start(r putReq, sink core.Sink[PutVResult], slot int) (core.Ticket, bool) {
@@ -180,16 +183,15 @@ func (p *putStarter) Start(r putReq, sink core.Sink[PutVResult], slot int) (core
 func (*putStarter) Cancel(core.Ticket) bool { return false }
 
 // writeDone is the write group's per-copy hook: a copy that failed is a
-// missed write for the repair sink, exactly one per copy, and reported
-// under the frame's lock, so the caller's return cannot take back the
-// value it reads.
-func (sc *ShardedClient) writeDone(c core.CopyDone[putReq]) {
+// missed write for the repair sink, exactly one per copy. Its Arg is
+// the caller's before the put returns and the write's own copy after.
+func (sc *ShardedClient) writeDone(c core.CopyDone[putReq, PutVResult]) {
 	if sink := sc.repairSink(); c.Err != nil && sink != nil {
 		sink.WriteMissed(c.Arg.key, c.Arg.value, c.Arg.version, c.Arg.ttl, c.Replica)
 	}
 }
 
-// replicate is the durable write call, the shared tail of PutVersioned,
+// replicate is the write call, the shared tail of PutVersioned,
 // PutVersionAt and CAS: r to owners, returning once q of them acked (q
 // <= 0 returns once the copies are out: CAS, whose primary ack already
 // met a quorum of 1), too few can, or ctx is done.
@@ -221,8 +223,9 @@ func (sc *ShardedClient) replicate(ctx context.Context, r putReq, owners []*memb
 // miss: the key's final second is forfeited here, though a read without
 // a quorum still returns it. outs, the caller's collector when it passed
 // one, receives the votes as counted: a miss as a version-0 answer.
-// Votes in a list of its own are nobody's but the returned one, so it
-// releases every other vote's value, a vote it zeroes included.
+// Votes in a list of its own (from votePool, and back there at the
+// return) are nobody's but the returned one, so it releases every other
+// vote's value, a vote it zeroes included.
 func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs *[]core.Outcome[Versioned], opts []core.CallOption) (core.Result[Versioned], error) {
 	var zero core.Result[Versioned]
 	if err := ValidateKey(key); err != nil {
@@ -236,12 +239,13 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 	q = min(q, len(owners))
 	own := outs == nil
 	if own {
-		outs = new([]core.Outcome[Versioned])
+		outs = votePool.Get().(*[]core.Outcome[Versioned])
+		defer putVotes(outs)
 	}
+	var ob [8]core.CallOption
 	var hb [4]core.Handle[string, Versioned]
-	res, err := sc.reads.DoPicked(ctx, key, readHandles(owners, hb[:0]), append(opts[:len(opts):len(opts)],
-		core.WithStrategyOverride(core.FullReplicate{}), core.WithQuorum(q),
-		core.WithCollectOutcomes(outs), core.WithNegativeAnswer(ErrNotFound))...)
+	res, err := sc.reads.DoPicked(ctx, key, readHandles(owners, hb[:0]), append(append(ob[:0], opts...),
+		fullReplicate, core.WithQuorum(q), core.WithCollectOutcomes(outs), core.WithNegativeAnswer(ErrNotFound))...)
 	if err != nil && !errors.Is(err, ErrNotFound) {
 		var qe *core.QuorumError[Versioned]
 		if own && !errors.As(err, &qe) {
@@ -293,6 +297,21 @@ func (sc *ShardedClient) readQuorum(ctx context.Context, key string, q int, outs
 		}
 	}
 	return res, nil
+}
+
+// votePool recycles the vote lists of the quorum reads that keep their
+// own (readQuorum), so a read grows none; fullReplicate is their
+// strategy override, boxed once.
+var (
+	votePool      = sync.Pool{New: func() any { return new([]core.Outcome[Versioned]) }}
+	fullReplicate = core.WithStrategyOverride(core.FullReplicate{})
+)
+
+// putVotes returns a vote list to votePool, keeping none of its values.
+func putVotes(votes *[]core.Outcome[Versioned]) {
+	clear(*votes)
+	*votes = (*votes)[:0]
+	votePool.Put(votes)
 }
 
 // releaseVotes releases the values of every vote but votes[keep].

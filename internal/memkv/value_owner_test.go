@@ -277,8 +277,8 @@ func TestShardedWriteEarlyFailureHintsWithoutACopy(t *testing.T) {
 // the other's copy times out after one, so a failure's hint and the
 // caller's return — followed at once by the caller overwriting its slice
 // — keep crossing. Whichever comes first, the hint carries the write's
-// bytes: read from the caller's slice while the caller is held at the
-// frame's lock, or from the frame's copy.
+// bytes: read from the caller's slice before the caller returns, or from
+// the write's own copy after.
 func TestShardedWriteHintRacesTheCallersReturn(t *testing.T) {
 	sc, muxes := startOneDeafOwner(t, jitter(1, 2*time.Millisecond), time.Millisecond)
 	hints := newHintSink(t) // checks every hint's value against its key and version
